@@ -3,6 +3,7 @@ package caf_test
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
 	caf "caf2go"
@@ -574,6 +575,54 @@ func TestPropertyFinishMixedOps(t *testing.T) {
 				if found != 1 {
 					t.Errorf("copy from image %d landed %d times", k, found)
 				}
+			}
+		})
+	}
+}
+
+// However a run ends, no goroutine of its engine is left once Run has
+// returned; and the errors name procs exactly as they always have,
+// although the names are now joined only when an error asks for them.
+func TestRunLeavesNoGoroutine(t *testing.T) {
+	cases := []struct {
+		name    string
+		main    func(img *caf.Image)
+		wantErr string
+	}{
+		{"clean", func(img *caf.Image) {
+			img.Finish(nil, func() {
+				img.Spawn((img.Rank()+1)%3, func(r *caf.Image) { r.Compute(5 * caf.Microsecond) })
+			})
+		}, ""},
+		{"deadlock", func(img *caf.Image) {
+			img.Finish(nil, func() {
+				if img.Rank() == 0 {
+					img.Spawn(2, func(r *caf.Image) { r.EventWait(r.NewEvent()) })
+				}
+			})
+		}, "caf: deadlock at 8.480us: 4 blocked proc(s)\n" +
+			"  image 0: img0/main#1[0] parked (collective local data)\n" +
+			"  image 1: img1/main#1[1] parked (collective local data)\n" +
+			"  image 2: img2/main#1[2] parked (finish quiescence); img2/spawn#2[3] parked (event wait)"},
+		{"panic", func(img *caf.Image) {
+			img.Barrier(nil)
+			if img.Rank() == 2 {
+				panic("boom")
+			}
+			img.Barrier(nil)
+		}, `sim: proc "img2/main#1" panicked: boom`},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			_, err := caf.Run(caf.Config{Images: 3, Seed: 1}, tc.main)
+			if got := fmt.Sprint(err); tc.wantErr == "" && err != nil || tc.wantErr != "" && got != tc.wantErr {
+				t.Errorf("Run = %v\nwant  %s", err, tc.wantErr)
+			}
+			// More, not different: a goroutine an earlier test ended may
+			// still have been counted before.
+			if after := runtime.NumGoroutine(); after > before {
+				t.Errorf("%d goroutines after Run, %d before", after, before)
 			}
 		})
 	}

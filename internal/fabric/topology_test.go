@@ -40,13 +40,13 @@ func TestTorus3DHopsTable(t *testing.T) {
 		{"x-neighbor", rank(0, 0, 0), rank(1, 0, 0), 1},
 		{"y-neighbor", rank(0, 0, 0), rank(0, 1, 0), 1},
 		{"z-neighbor", rank(0, 0, 0), rank(0, 0, 1), 1},
-		{"x-wrap", rank(0, 0, 0), rank(3, 0, 0), 1},          // 3 forward, 1 around
-		{"x-half", rank(0, 0, 0), rank(2, 0, 0), 2},          // equidistant both ways
-		{"diag-face", rank(0, 0, 0), rank(1, 1, 0), 2},       // manhattan sum
-		{"diag-cube", rank(0, 0, 0), rank(1, 1, 1), 3},       // one per dim
-		{"far-corner", rank(0, 0, 0), rank(2, 2, 2), 6},      // max distance
-		{"wrap-corner", rank(0, 0, 0), rank(3, 3, 3), 3},     // all dims wrap
-		{"mixed", rank(1, 0, 2), rank(3, 3, 0), 2 + 1 + 2},   // |2|,wrap 1,|2|
+		{"x-wrap", rank(0, 0, 0), rank(3, 0, 0), 1},        // 3 forward, 1 around
+		{"x-half", rank(0, 0, 0), rank(2, 0, 0), 2},        // equidistant both ways
+		{"diag-face", rank(0, 0, 0), rank(1, 1, 0), 2},     // manhattan sum
+		{"diag-cube", rank(0, 0, 0), rank(1, 1, 1), 3},     // one per dim
+		{"far-corner", rank(0, 0, 0), rank(2, 2, 2), 6},    // max distance
+		{"wrap-corner", rank(0, 0, 0), rank(3, 3, 3), 3},   // all dims wrap
+		{"mixed", rank(1, 0, 2), rank(3, 3, 0), 2 + 1 + 2}, // |2|,wrap 1,|2|
 	}
 	for _, c := range cases {
 		if got := tor.Hops(c.src, c.dst); got != c.want {

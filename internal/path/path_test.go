@@ -31,11 +31,11 @@ func TestExactDecomposition(t *testing.T) {
 	tk := New()
 	tk.Begin(3, 1, 100, 130) // 30ns client queue
 	c := ReqCtx(3)
-	tk.Claim(c, LockWait, 200)     // 70ns lock wait
-	tk.Claim(c, Wire, 260)         // 60ns wire
-	tk.Claim(c, Wire, 250)         // stale: at <= cursor, no-op
+	tk.Claim(c, LockWait, 200) // 70ns lock wait
+	tk.Claim(c, Wire, 260)     // 60ns wire
+	tk.Claim(c, Wire, 250)     // stale: at <= cursor, no-op
 	tk.Claim(c, HandlerService, 300)
-	tk.Finish(3, 340) // 40ns residual
+	tk.Finish(3, 340)      // 40ns residual
 	tk.Claim(c, Wire, 400) // after Finish: dropped
 	tk.Finish(3, 400)      // double Finish: dropped
 

@@ -23,8 +23,8 @@ func (c *countingTracker) OnReceive(dst *ImageKernel, ctx any) any {
 	c.recvs++
 	return ctx
 }
-func (c *countingTracker) OnComplete(dst *ImageKernel, ctx any) { c.completes++ }
-func (c *countingTracker) OnAck(src *ImageKernel, ctx any)      { c.acks++ }
+func (c *countingTracker) OnComplete(dst *ImageKernel, ctx any)  { c.completes++ }
+func (c *countingTracker) OnAck(src *ImageKernel, ctx any)       { c.acks++ }
 func (c *countingTracker) OnAbandoned(src *ImageKernel, ctx any) { c.abandons++ }
 
 func newFaultyKernel(seed int64, n int, plan *fabric.FaultPlan) (*sim.Engine, *Kernel) {

@@ -252,3 +252,33 @@ func TestPerImageRngIndependentAndStable(t *testing.T) {
 		t.Error("images 0 and 1 share a random stream (suspicious)")
 	}
 }
+
+// Proc names are carried in parts and joined on demand; what comes out
+// is the string Go used to format for every proc, in Name, in the
+// simulator's deadlock dump and in Procs' order.
+func TestProcNamesAndLiveProcs(t *testing.T) {
+	eng, k := newTestKernel(4)
+	img := k.Image(3)
+	img.Go("short", func(*sim.Proc) {})
+	stuck := img.Go("stuck", func(p *sim.Proc) { p.Park("never woken") })
+	late := img.Go("spawn:update", func(p *sim.Proc) {
+		p.Sleep(1)
+		p.Park("never woken either")
+	})
+	if got, want := late.Name(), "img3/spawn:update#3"; got != want {
+		t.Errorf("Name() = %q, want %q", got, want)
+	}
+	err := eng.Run()
+	want := "sim: deadlock at 1ns: 2 blocked proc(s): " +
+		"img3/spawn:update#3[2] parked (never woken either), img3/stuck#2[1] parked (never woken)"
+	if err == nil || err.Error() != want {
+		t.Errorf("Run = %v\nwant  %s", err, want)
+	}
+	if got := img.Procs(); len(got) != 2 || got[0] != stuck || got[1] != late {
+		t.Errorf("Procs() = %v, want the two unfinished procs in start order", got)
+	}
+	if got := k.Image(0).Procs(); len(got) != 0 {
+		t.Errorf("image 0 has procs %v", got)
+	}
+	eng.Shutdown()
+}

@@ -16,9 +16,12 @@ const DefaultLookahead = 1 * Microsecond
 // Engine is a deterministic discrete-event simulator, sharded for scale.
 //
 // Exactly one strand of execution — either an event callback or a simulated
-// process (Proc) — runs at any moment; the engine goroutine and process
-// goroutines hand control back and forth over unbuffered channels. Because
-// all ties in the event queue are broken by schedule order and all
+// process (Proc) — runs at any moment. Proc bodies run on coroutines: the
+// goroutine driving Run and a proc's goroutine switch directly into one
+// another (the runtime's coroutine hand-off behind iter.Pull), without a
+// trip through the Go scheduler, and a coroutine whose body has returned
+// idles on a free list until the next proc's start event takes it over.
+// Because all ties in the event queue are broken by schedule order and all
 // randomness flows from the engine's seeded generator, runs are bit-for-bit
 // reproducible.
 //
@@ -43,10 +46,11 @@ type Engine struct {
 	par       bool // far-domain workers requested (shards > 1)
 	workersUp bool
 
-	yield   chan struct{} // running proc -> engine handoff
-	current *Proc
-	procs   []*Proc
-	live    int
+	current    *Proc
+	procs      ProcList // unfinished procs, in creation order
+	nextProcID int
+	live       int
+	idle       []*coro // coroutines whose body has returned; LIFO
 
 	rng        *rand.Rand
 	seed       int64
@@ -72,7 +76,6 @@ func NewEngineSharded(seed int64, nshards int) *Engine {
 		nshards = 1
 	}
 	e := &Engine{
-		yield:     make(chan struct{}),
 		rng:       rand.New(rand.NewSource(seed)),
 		seed:      seed,
 		lookahead: DefaultLookahead,
@@ -265,12 +268,14 @@ func (e *Engine) RunUntil(limit Time) error {
 	if e.stopped {
 		return nil
 	}
+	// The queue drained: no start event is left to take an idle
+	// coroutine, and a caller may never come back, so their goroutines
+	// end here.
+	e.releaseIdle()
 	if e.live > 0 {
 		var parked []string
-		for _, p := range e.procs {
-			if p.state != procDone {
-				parked = append(parked, p.describe())
-			}
+		for _, p := range e.procs.Live() {
+			parked = append(parked, p.describe())
 		}
 		sort.Strings(parked)
 		return &DeadlockError{Now: e.now, Parked: parked}
@@ -325,7 +330,7 @@ func (e *Engine) ReleaseWorkers() {
 // all park sites re-check their condition in a loop, so the wakeups are
 // harmless where the condition still holds.
 func (e *Engine) WakeAllParked() {
-	for _, p := range e.procs {
+	for _, p := range e.procs.procs {
 		if p.state == procParked {
 			p.Unpark()
 		}
@@ -338,22 +343,27 @@ func (e *Engine) Idle() bool { return e.minShard() == nil && e.live == 0 }
 // LiveProcs reports the number of processes that have not finished.
 func (e *Engine) LiveProcs() int { return e.live }
 
-// Shutdown aborts all live processes so their goroutines exit, then
-// releases any shard workers. It must be called from outside the
+// Shutdown aborts all live processes, in creation order, unwinding each
+// started body (its deferred calls run) and ending its goroutine, then
+// ends the idle coroutines and releases any shard workers: no goroutine
+// the engine started outlives it. It must be called from outside the
 // simulation (after Run returns), typically via defer in tests that
 // abandon a simulation mid-flight.
 func (e *Engine) Shutdown() {
-	for _, p := range e.procs {
-		if p.state == procDone {
+	for _, p := range e.procs.Live() {
+		if p.co == nil {
+			// Never started: there is no body to unwind, and the queued
+			// start event will find the proc done.
+			p.state = procDone
+			e.live--
 			continue
 		}
-		p.aborted = true
 		e.cur = p.shard
 		e.current = p
-		p.resume <- struct{}{}
-		<-e.yield
+		p.co.stop()
 		e.current = nil
 	}
+	e.releaseIdle()
 	e.ReleaseWorkers()
 }
 
@@ -361,8 +371,7 @@ func (e *Engine) Shutdown() {
 func (e *Engine) resumeProc(p *Proc) {
 	prev := e.current
 	e.current = p
-	p.resume <- struct{}{}
-	<-e.yield
+	p.co.next()
 	e.current = prev
 }
 

@@ -1,6 +1,10 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+	"strconv"
+)
 
 type procState uint8
 
@@ -28,26 +32,52 @@ func (s procState) String() string {
 	return "?"
 }
 
-// procAbort is the panic payload used by Engine.Shutdown to unwind procs.
+// procAbort is the panic payload that unwinds a proc's body when its
+// coroutine is stopped (Engine.Shutdown).
 type procAbort struct{}
 
-// Proc is a simulated process: a goroutine that runs only when the engine
+// ProcName is a proc's name in parts. They are joined only when somebody
+// asks (Name, the deadlock dumps), so starting a proc formats nothing.
+type ProcName struct {
+	Scope string // the owner's name, e.g. "img3"; "" for a bare name
+	Base  string
+	Seq   int // the proc's number within Scope
+}
+
+// String returns Base, or Scope/Base#Seq when a scope is set.
+func (n ProcName) String() string {
+	if n.Scope == "" {
+		return n.Base
+	}
+	return n.Scope + "/" + n.Base + "#" + strconv.Itoa(n.Seq)
+}
+
+// Proc is a simulated process: a body that runs only when the engine
 // hands it control, and that advances virtual time via Sleep/Park rather
-// than real blocking. All Proc methods must be called from the proc's own
-// goroutine, except Unpark, which is called by whoever wakes it.
+// than real blocking. The body runs on a coroutine the engine leases to
+// it at its start event and takes back when the body returns; which
+// goroutine that is cannot be observed, only which event resumes which
+// proc. All Proc methods must be called from the proc's own body, except
+// Unpark, which is called by whoever wakes it.
 type Proc struct {
 	eng   *Engine
 	id    int
-	name  string
+	name  ProcName
 	shard int // owning shard: all of this proc's wakeups are admitted there
 
-	resume chan struct{}
-	state  procState
+	co    *coro // leased from the start event until the body returns
+	state procState
 
 	wakePending bool // an unpark event is already queued
 	permit      bool // a stored unpark for a proc not currently parked
-	aborted     bool
 	blockReason string
+
+	// The Sleep and Unpark wake-up events, built on first use and queued
+	// again on every later one. They belong to the proc, not to the
+	// coroutine: an event still queued when the body returns must find
+	// procDone, never the coroutine's next tenant.
+	sleepWake  func()
+	unparkWake func()
 }
 
 // Go creates a process named name and schedules it to start immediately,
@@ -71,45 +101,62 @@ func (e *Engine) GoOn(shard int, name string, fn func(p *Proc)) *Proc {
 
 // GoAtOn creates a process owned by a specific shard, starting at t.
 func (e *Engine) GoAtOn(shard int, t Time, name string, fn func(p *Proc)) *Proc {
+	return e.start(shard, t, ProcName{Base: name}, fn)
+}
+
+// GoNamedOn is GoOn with the name given in parts.
+func (e *Engine) GoNamedOn(shard int, name ProcName, fn func(p *Proc)) *Proc {
+	return e.start(shard, e.now, name, fn)
+}
+
+func (e *Engine) start(shard int, t Time, name ProcName, fn func(p *Proc)) *Proc {
 	p := &Proc{
-		eng:    e,
-		id:     len(e.procs),
-		name:   name,
-		shard:  shard,
-		resume: make(chan struct{}),
-		state:  procNew,
+		eng:   e,
+		id:    e.nextProcID,
+		name:  name,
+		shard: shard,
+		state: procNew,
 	}
-	e.procs = append(e.procs, p)
+	e.nextProcID++
+	e.procs.Add(p)
 	e.live++
-	go p.run(fn)
 	e.AtShard(shard, t, func() {
-		if p.aborted {
-			return
+		if p.state == procDone {
+			return // aborted by Shutdown before it started
 		}
 		p.state = procRunning
+		p.co = e.lease(p, fn)
 		e.resumeProc(p)
 	})
 	return p
 }
 
-func (p *Proc) run(fn func(p *Proc)) {
-	<-p.resume
-	defer func() {
-		r := recover()
-		if _, ok := r.(procAbort); ok {
-			r = nil
-		} else if r != nil && p.eng.procErr == nil {
-			p.eng.procErr = fmt.Errorf("sim: proc %q panicked: %v", p.name, r)
-		}
-		p.state = procDone
-		p.eng.live--
-		p.eng.yield <- struct{}{}
-	}()
-	if p.aborted {
-		panic(procAbort{})
-	}
-	fn(p)
+// ProcList keeps procs in the order they were added and forgets the
+// finished ones as it goes, so its size follows the number of unfinished
+// procs rather than the number ever started.
+type ProcList struct {
+	procs []*Proc
 }
+
+// Add appends p. When the backing array is full, finished procs are
+// first compacted out in place, and the array grows only if that freed
+// less than half of it: amortised constant time per Add.
+func (l *ProcList) Add(p *Proc) {
+	if n := len(l.procs); n == cap(l.procs) {
+		l.procs = slices.DeleteFunc(l.procs, (*Proc).finished)
+		if len(l.procs) > n/2 {
+			l.procs = slices.Grow(l.procs, n)
+		}
+	}
+	l.procs = append(l.procs, p)
+}
+
+// Live returns the unfinished procs, in the order they were added.
+func (l *ProcList) Live() []*Proc {
+	return slices.DeleteFunc(slices.Clone(l.procs), (*Proc).finished)
+}
+
+func (p *Proc) finished() bool { return p.state == procDone }
 
 // ID returns the process id, unique within its engine.
 func (p *Proc) ID() int { return p.id }
@@ -118,7 +165,7 @@ func (p *Proc) ID() int { return p.id }
 func (p *Proc) Shard() int { return p.shard }
 
 // Name returns the process name.
-func (p *Proc) Name() string { return p.name }
+func (p *Proc) Name() string { return p.name.String() }
 
 // Engine returns the engine the proc belongs to.
 func (p *Proc) Engine() *Engine { return p.eng }
@@ -142,12 +189,11 @@ func (p *Proc) describe() string {
 	return s
 }
 
-// yieldToEngine parks the goroutine and gives control back to the engine
-// loop, returning when the engine resumes this proc.
+// yieldToEngine gives control back to the engine loop, returning when
+// the engine resumes this proc. If the engine stops the coroutine
+// instead, the body unwinds with procAbort.
 func (p *Proc) yieldToEngine() {
-	p.eng.yield <- struct{}{}
-	<-p.resume
-	if p.aborted {
+	if !p.co.yield(struct{}{}) {
 		panic(procAbort{})
 	}
 }
@@ -160,13 +206,16 @@ func (p *Proc) Sleep(d Time) {
 		d = 0
 	}
 	p.state = procSleeping
-	p.eng.AtShard(p.shard, p.eng.now+d, func() {
-		if p.aborted || p.state != procSleeping {
-			return
+	if p.sleepWake == nil {
+		p.sleepWake = func() {
+			if p.state != procSleeping {
+				return
+			}
+			p.state = procRunning
+			p.eng.resumeProc(p)
 		}
-		p.state = procRunning
-		p.eng.resumeProc(p)
-	})
+	}
+	p.eng.AtShard(p.shard, p.eng.now+d, p.sleepWake)
 	p.yieldToEngine()
 }
 
@@ -196,22 +245,25 @@ func (p *Proc) Unpark() {
 			return
 		}
 		p.wakePending = true
+		if p.unparkWake == nil {
+			p.unparkWake = func() {
+				p.wakePending = false
+				if p.state != procParked {
+					// Woken by something else in the meantime; convert
+					// this wake into a permit so it is not lost.
+					if p.state != procDone {
+						p.permit = true
+					}
+					return
+				}
+				p.state = procRunning
+				p.eng.resumeProc(p)
+			}
+		}
 		// The wake is admitted through the proc's owning shard: wakers
 		// on other shards post into its inbox, keeping every resumption
 		// of p in its own shard's admission stream.
-		p.eng.AtShard(p.shard, p.eng.now, func() {
-			p.wakePending = false
-			if p.aborted || p.state != procParked {
-				// Woken by something else in the meantime; convert
-				// this wake into a permit so it is not lost.
-				if p.state != procDone {
-					p.permit = true
-				}
-				return
-			}
-			p.state = procRunning
-			p.eng.resumeProc(p)
-		})
+		p.eng.AtShard(p.shard, p.eng.now, p.unparkWake)
 	case procDone:
 		// nothing to wake
 	default:

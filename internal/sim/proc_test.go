@@ -1,0 +1,453 @@
+package sim
+
+import (
+	"errors"
+	"fmt"
+	"reflect"
+	"runtime"
+	"strings"
+	"testing"
+	"time"
+)
+
+// goroutineBase returns the goroutine count once it has stopped moving:
+// goroutines that earlier tests ended (shard workers, the caller of a Run
+// that was unwound) count until the scheduler has retired them.
+func goroutineBase() int {
+	n := runtime.NumGoroutine()
+	for stable := 0; stable < 5; {
+		time.Sleep(time.Millisecond)
+		if m := runtime.NumGoroutine(); m != n {
+			n, stable = m, 0
+		} else {
+			stable++
+		}
+	}
+	return n
+}
+
+// wantGoroutines fails unless the goroutine count comes back to base.
+// Every coroutine is gone when the stop that ended it returns; the grace
+// period is for goroutines the test itself started, which count until the
+// scheduler has retired them.
+func wantGoroutines(t *testing.T, base int) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+		runtime.Gosched()
+	}
+	if n := runtime.NumGoroutine(); n != base {
+		t.Errorf("%d goroutines, want %d: a coroutine outlived its engine", n, base)
+	}
+}
+
+func TestShutdownEndsEveryGoroutine(t *testing.T) {
+	cases := []struct {
+		name  string
+		setup func(e *Engine)
+		idle  int // coroutines on the free list before Shutdown
+		live  int // unfinished procs before Shutdown
+		coros int // goroutines the engine holds before Shutdown
+	}{
+		{"body returned", func(e *Engine) {
+			e.Go("short", func(*Proc) {})
+			e.At(100, func() {}) // keeps the queue from draining
+		}, 1, 0, 1},
+		{"parked forever", func(e *Engine) {
+			e.Go("stuck", func(p *Proc) { p.Park("never woken") })
+			e.At(100, func() {})
+		}, 0, 1, 1},
+		{"sleeping", func(e *Engine) {
+			e.Go("sleeper", func(p *Proc) { p.Sleep(100) })
+		}, 0, 1, 1},
+		{"never started", func(e *Engine) {
+			e.GoAt(100, "late", func(*Proc) { t.Error("an aborted proc's body ran") })
+		}, 0, 1, 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			base := goroutineBase()
+			e := NewEngine(1)
+			tc.setup(e)
+			if err := e.RunUntil(50); err != nil {
+				t.Fatal(err)
+			}
+			if len(e.idle) != tc.idle || e.LiveProcs() != tc.live {
+				t.Fatalf("before Shutdown: %d idle, %d live, want %d, %d", len(e.idle), e.LiveProcs(), tc.idle, tc.live)
+			}
+			if got, want := runtime.NumGoroutine(), base+tc.coros; got != want {
+				t.Errorf("%d goroutines before Shutdown, want %d", got, want)
+			}
+			e.Shutdown()
+			if len(e.idle) != 0 || e.LiveProcs() != 0 {
+				t.Errorf("after Shutdown: %d idle, %d live", len(e.idle), e.LiveProcs())
+			}
+			wantGoroutines(t, base)
+			// The events left in the queue find their procs done.
+			if err := e.Run(); err != nil {
+				t.Errorf("Run after Shutdown: %v", err)
+			}
+			wantGoroutines(t, base)
+		})
+	}
+}
+
+func TestCleanRunEndsEveryGoroutine(t *testing.T) {
+	base := goroutineBase()
+	e := NewEngine(1)
+	var c Cond
+	for i := 0; i < 8; i++ {
+		e.Go("waiter", func(p *Proc) { c.Wait(p) })
+	}
+	e.Go("waker", func(p *Proc) {
+		p.Sleep(10)
+		c.Broadcast()
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	wantGoroutines(t, base)
+}
+
+// A body that returns hands its goroutine to the next proc to start, so a
+// chain of procs, each started from inside the body of the one before,
+// never holds more than one.
+func TestSequentialProcsShareOneGoroutine(t *testing.T) {
+	const n = 10000
+	base := goroutineBase()
+	e := NewEngine(1)
+	peak, ran := 0, 0
+	var body func(p *Proc)
+	body = func(p *Proc) {
+		if p.ID() != ran {
+			t.Errorf("proc %d ran as number %d", p.ID(), ran)
+		}
+		ran++
+		p.Sleep(1)
+		if g := runtime.NumGoroutine(); g > peak {
+			peak = g
+		}
+		if ran < n {
+			e.Go("link", body)
+		}
+	}
+	e.Go("link", body)
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if ran != n {
+		t.Errorf("%d procs ran, want %d", ran, n)
+	}
+	if peak != base+1 {
+		t.Errorf("peak of %d goroutines over %d sequential procs, want %d", peak, n, base+1)
+	}
+	if c := cap(e.procs.procs); c > 64 {
+		t.Errorf("the engine's proc list has room for %d procs with one alive at a time", c)
+	}
+	wantGoroutines(t, base)
+}
+
+func TestManyConcurrentProcs(t *testing.T) {
+	const n = 10000
+	base := goroutineBase()
+	e := NewEngine(1)
+	var c Cond
+	parked, woke := 0, 0
+	for i := 0; i < n; i++ {
+		e.Go("waiter", func(p *Proc) {
+			parked++
+			c.Wait(p)
+			woke++
+		})
+	}
+	e.Go("waker", func(p *Proc) {
+		p.Sleep(1)
+		if parked != n {
+			t.Errorf("%d procs parked, want %d", parked, n)
+		}
+		if g := runtime.NumGoroutine(); g != base+n+1 {
+			t.Errorf("%d goroutines with %d procs parked, want %d", g, n, base+n+1)
+		}
+		c.Broadcast()
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if woke != n {
+		t.Errorf("%d procs woke, want %d", woke, n)
+	}
+	wantGoroutines(t, base)
+}
+
+func TestPanickedBodyThenShutdown(t *testing.T) {
+	base := goroutineBase()
+	e := NewEngine(1)
+	e.Go("bystander", func(p *Proc) { p.Park("never woken") })
+	e.Go("bad", func(p *Proc) {
+		p.Sleep(5)
+		panic("boom")
+	})
+	err := e.Run()
+	if want := `sim: proc "bad" panicked: boom`; err == nil || err.Error() != want {
+		t.Fatalf("Run = %v, want %q", err, want)
+	}
+	// The goroutine that panicked is unharmed and waits for a new tenant.
+	if len(e.idle) != 1 || e.LiveProcs() != 1 {
+		t.Errorf("after the panic: %d idle, %d live, want 1, 1", len(e.idle), e.LiveProcs())
+	}
+	e.Shutdown()
+	wantGoroutines(t, base)
+}
+
+// runtime.Goexit in a body (t.FailNow, t.Fatal) ends the goroutine that
+// called Run, after the body's and Run's deferred calls, instead of
+// leaving Run waiting for a proc that will never yield.
+func TestGoexitInBodyUnwindsRun(t *testing.T) {
+	base := goroutineBase()
+	e := NewEngine(1)
+	e.Go("bystander", func(p *Proc) { p.Park("never woken") })
+	deferred := false
+	e.Go("quitter", func(p *Proc) {
+		defer func() { deferred = true }()
+		p.Sleep(5)
+		runtime.Goexit()
+	})
+	unwound := make(chan struct{})
+	go func() {
+		defer close(unwound)
+		err := e.Run()
+		t.Errorf("Run returned %v after runtime.Goexit in a body", err)
+	}()
+	select {
+	case <-unwound:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Run hangs after runtime.Goexit in a body")
+	}
+	if !deferred {
+		t.Error("the body's deferred call did not run")
+	}
+	if e.LiveProcs() != 1 {
+		t.Errorf("LiveProcs = %d, want 1 (the bystander)", e.LiveProcs())
+	}
+	e.Shutdown()
+	wantGoroutines(t, base)
+}
+
+// An Unpark event that is still queued when its proc finishes must find
+// procDone, not wake whichever proc has been let the coroutine since. The
+// state machine never leaves such an event behind on its own (a parked
+// proc resumes only through it), so the test queues the proc's cached
+// wake-up a second time by hand.
+func TestStaleWakeFindsDoneProc(t *testing.T) {
+	e := NewEngine(1)
+	a := e.Go("a", func(p *Proc) { p.Park("first tenant") })
+	e.After(1, a.Unpark)
+	e.At(20, func() {}) // keeps the queue, and so the idle coroutine, alive
+	if err := e.RunUntil(5); err != nil {
+		t.Fatal(err)
+	}
+	if a.State() != "done" || a.unparkWake == nil || len(e.idle) != 1 {
+		t.Fatalf("a is %s, wake cached %v, %d idle", a.State(), a.unparkWake != nil, len(e.idle))
+	}
+	co := e.idle[0]
+	resumed := false
+	b := e.Go("b", func(p *Proc) {
+		p.Park("second tenant")
+		resumed = true
+	})
+	if err := e.RunUntil(10); err != nil {
+		t.Fatal(err)
+	}
+	if b.co != co {
+		t.Fatal("b did not take over a's coroutine")
+	}
+	e.At(e.Now(), a.unparkWake)
+	var dl *DeadlockError
+	if err := e.Run(); !errors.As(err, &dl) {
+		t.Fatalf("Run = %v, want a deadlock with b still parked", err)
+	}
+	if resumed || b.permit || b.State() != "parked" {
+		t.Errorf("a's stale wake reached b: resumed %v, permit %v, state %s", resumed, b.permit, b.State())
+	}
+	e.Shutdown()
+}
+
+// procHeavyLog runs procs that sleep random times, hand a token around
+// over Conds and start children, and returns the order in which
+// everything happened.
+func procHeavyLog(seed int64) []string {
+	e := NewEngine(seed)
+	var log []string
+	var conds [4]Cond
+	var body func(depth int) func(p *Proc)
+	body = func(depth int) func(p *Proc) {
+		return func(p *Proc) {
+			for step := 0; step < 4; step++ {
+				log = append(log, fmt.Sprintf("%d %s[%d] step %d", p.Now(), p.Name(), p.ID(), step))
+				switch e.Rand().Intn(4) {
+				case 0:
+					p.Sleep(Time(e.Rand().Intn(20)))
+				case 1:
+					c := &conds[e.Rand().Intn(len(conds))]
+					e.After(Time(1+e.Rand().Intn(30)), c.Broadcast)
+					c.Wait(p)
+				case 2:
+					conds[e.Rand().Intn(len(conds))].Signal()
+					p.Sleep(0)
+				case 3:
+					if depth < 3 {
+						e.Go(fmt.Sprintf("%s.%d", p.Name(), step), body(depth+1))
+					}
+				}
+			}
+		}
+	}
+	for i := 0; i < 32; i++ {
+		e.Go(fmt.Sprintf("p%d", i), body(0))
+	}
+	err := e.Run()
+	log = append(log, fmt.Sprintf("end %d %d %v", e.Now(), e.EventsRun(), err))
+	e.Shutdown()
+	return log
+}
+
+func TestProcScheduleIgnoresGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var want []string
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		got := procHeavyLog(42)
+		if want == nil {
+			want = got
+			if len(want) < 500 {
+				t.Fatalf("the scenario logged only %d steps", len(want))
+			}
+			continue
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("GOMAXPROCS %d: the event order differs from GOMAXPROCS 1", procs)
+		}
+	}
+}
+
+// Finished procs drop out of the engine's list, yet ids keep counting,
+// WakeAllParked keeps creation order and the deadlock dump is unchanged.
+func TestFinishedProcsAreForgotten(t *testing.T) {
+	e := NewEngine(1)
+	var order []int
+	var parked []*Proc
+	const n = 5000
+	e.At(1, func() {}) // RunUntil(0) below must not find the queue drained: that is a deadlock
+	for i := 0; i < n; i++ {
+		if i%500 == 7 {
+			parked = append(parked, e.Go("parker", func(p *Proc) {
+				p.Park("until woken")
+				order = append(order, p.ID())
+			}))
+		} else {
+			e.Go("short", func(*Proc) {})
+		}
+		if i%50 == 49 {
+			if err := e.RunUntil(e.Now()); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if c := cap(e.procs.procs); c > 256 {
+		t.Errorf("the proc list has room for %d procs with %d unfinished", c, len(parked))
+	}
+	if got := e.procs.Live(); !reflect.DeepEqual(got, parked) {
+		t.Errorf("Live() = %d procs, want the %d parked ones in creation order", len(got), len(parked))
+	}
+	if p := e.Go("next", func(*Proc) {}); p.ID() != n {
+		t.Errorf("proc %d has id %d, want %d", n+1, p.ID(), n)
+	}
+	var dl *DeadlockError
+	if err := e.Run(); !errors.As(err, &dl) {
+		t.Fatalf("Run = %v, want a deadlock", err)
+	}
+	if len(dl.Parked) != len(parked) || dl.Parked[0] != "parker[1007] parked (until woken)" {
+		t.Errorf("deadlock dump = %q", dl.Parked)
+	}
+	e.WakeAllParked()
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	var want []int
+	for _, p := range parked {
+		want = append(want, p.ID())
+	}
+	if !reflect.DeepEqual(order, want) {
+		t.Errorf("WakeAllParked resumed %v, want creation order %v", order, want)
+	}
+}
+
+func TestProcNameJoinsPartsOnDemand(t *testing.T) {
+	e := NewEngine(1)
+	p := e.GoNamedOn(0, ProcName{Scope: "img3", Base: "spawn", Seq: 12}, func(p *Proc) { p.Park("x") })
+	if got, want := p.Name(), "img3/spawn#12"; got != want {
+		t.Errorf("Name() = %q, want %q", got, want)
+	}
+	err := e.Run()
+	if want := "img3/spawn#12[0] parked (x)"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("Run = %v, want it to name %q", err, want)
+	}
+	e.Shutdown()
+}
+
+// A warm proc switches without allocating: the wake-up events are built
+// once per proc and the event heap's array has reached its size.
+func TestSwitchDoesNotAllocate(t *testing.T) {
+	e := NewEngine(1)
+	var sleep, park float64
+	e.Go("warm", func(p *Proc) {
+		wake := p.Unpark
+		parkUnpark := func() {
+			e.After(1, wake)
+			p.Park("alloc test")
+		}
+		p.Sleep(1)
+		parkUnpark()
+		sleep = testing.AllocsPerRun(1000, func() { p.Sleep(1) })
+		park = testing.AllocsPerRun(1000, parkUnpark)
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if sleep != 0 || park != 0 {
+		t.Errorf("allocations per Sleep = %v, per Park/Unpark = %v, want 0, 0", sleep, park)
+	}
+}
+
+func BenchmarkProcSpawn(b *testing.B) {
+	e := NewEngine(1)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		e.Go("p", func(*Proc) {})
+		if i%256 == 255 {
+			if err := e.Run(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	if err := e.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
+
+func BenchmarkParkUnpark(b *testing.B) {
+	e := NewEngine(1)
+	n := b.N
+	e.Go("parker", func(p *Proc) {
+		wake := p.Unpark
+		for i := 0; i < n; i++ {
+			e.After(1, wake)
+			p.Park("bench")
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := e.Run(); err != nil {
+		b.Fatal(err)
+	}
+}

@@ -529,6 +529,7 @@ func BenchmarkProcContextSwitch(b *testing.B) {
 			p.Sleep(1)
 		}
 	})
+	b.ReportAllocs()
 	b.ResetTimer()
 	if err := e.Run(); err != nil {
 		b.Fatal(err)
