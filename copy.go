@@ -268,16 +268,14 @@ func CopyAsync[T any](img *Image, dst, src Sec[T], opts ...CopyOpt) *Op {
 					m.opStageAt(oph, me, trace.StageLocalOp)
 					tok.complete()
 				},
+			}
+			if m.det != nil {
 				// An abandoned put (dead destination) completes its
 				// token: the loss is charged to the enclosing finish,
 				// and notifies must not be gated on it forever. The op
 				// will never complete remotely; close out its record so
 				// blocked-time attribution still sees it.
-				OnAbandoned: func() {
-					m.opStageAt(oph, me, trace.StageLocalOp)
-					m.opStageAt(oph, me, trace.StageGlobal)
-					tok.complete()
-				},
+				sendOpts.OnAbandoned = func() { m.opAbandoned(oph, me, tok) }
 			}
 			srcE := o.srcE
 			sendOpts.OnInjected = func() {
@@ -368,13 +366,11 @@ func CopyAsync[T any](img *Image, dst, src Sec[T], opts ...CopyOpt) *Op {
 					m.opStageAt(oph, me, trace.StageLocalOp)
 					tok.complete()
 				},
+			}
+			if m.det != nil {
 				// A get request abandoned at a dead owner completes the
 				// token, like the put path above.
-				OnAbandoned: func() {
-					m.opStageAt(oph, me, trace.StageLocalOp)
-					m.opStageAt(oph, me, trace.StageGlobal)
-					tok.complete()
-				},
+				reqOpts.OnAbandoned = func() { m.opAbandoned(oph, me, tok) }
 			}
 			st.kern.Send(src.rank, tagCopyGetReq, msg, reqOpts)
 		}
@@ -496,13 +492,54 @@ func (m *Machine) handleResume(d *rt.Delivery) {
 // network round trip.
 // ---------------------------------------------------------------------
 
-type blockingGetMsg struct {
-	read  func() any
-	bytes int
+// blockingReq is the request record of a blocking Get or Put: the
+// initiator parks on the Call while the owner serves the record in place,
+// so the result needs no reply payload. One record per operation and
+// never recycled — the owner can serve it after a failure declaration has
+// aborted the Call that sent it.
+type blockingReq interface {
+	// serve performs the access on the owning image and returns the
+	// modeled size of the reply.
+	serve() (replyBytes int)
 }
 
-type blockingPutMsg struct {
-	write func()
+type getReq[T any] struct {
+	src   Sec[T]
+	rel   func() // conflict-detection release
+	bytes int
+	out   []T
+}
+
+func (r *getReq[T]) serve() int {
+	r.out = r.src.read()
+	r.rel()
+	return r.bytes
+}
+
+type putReq[T any] struct {
+	dst  Sec[T]
+	data []T
+	rel  func()
+}
+
+func (r *putReq[T]) serve() int {
+	r.dst.write(r.data)
+	r.rel()
+	return 8
+}
+
+func (m *Machine) handleBlocking(d *rt.Delivery) {
+	d.Reply(nil, d.Payload.(blockingReq).serve())
+}
+
+// blockingOp returns the lifecycle handle of a blocking Get or Put. The
+// handle never leaves the call, so it only exists to be stamped: without
+// lifecycle or path tracing there is none (a nil *Op advances nothing).
+func (img *Image) blockingOp(kind string, peer int) *Op {
+	if img.m.life == nil && img.m.path == nil {
+		return nil
+	}
+	return img.opNew(kind, peer)
 }
 
 // claimSec registers a conflict-detection claim for a coarray section
@@ -528,17 +565,11 @@ func Get[T any](img *Image, src Sec[T]) []T {
 	rel := claimSec(img.m, src, false, "get")
 	raceRecordCtx(img, src, false, "get")
 	bytes := src.Len()*src.elemBytes() + 16
-	oph := img.opNew("get", src.rank)
+	oph := img.blockingOp("get", src.rank)
 	img.opStage(oph, trace.StageInit)
 	tok := img.beginBlock("get")
-	reply := img.st.kern.Call(img.proc, src.rank, tagBlockingGet, &blockingGetMsg{
-		read: func() any {
-			v := src.read()
-			rel()
-			return v
-		},
-		bytes: bytes,
-	}, rt.SendOpts{Class: fabric.AMShort, Bytes: 24})
+	req := &getReq[T]{src: src, rel: rel, bytes: bytes}
+	img.st.kern.Call(img.proc, src.rank, tagBlocking, req, rt.SendOpts{Class: fabric.AMShort, Bytes: 24})
 	// The blocking round trip is pure network time on a traced request.
 	img.m.path.Claim(img.pctx, path.Wire, img.Now())
 	// A blocking round trip collapses the completion levels at return;
@@ -547,7 +578,7 @@ func Get[T any](img *Image, src Sec[T]) []T {
 	img.opStage(oph, trace.StageLocalOp)
 	img.opStage(oph, trace.StageGlobal)
 	img.endBlock(tok)
-	return reply.([]T)
+	return req.out
 }
 
 // Put performs a blocking one-sided write of vals into a (possibly
@@ -565,29 +596,14 @@ func Put[T any](img *Image, dst Sec[T], vals []T) {
 	raceRecordCtx(img, dst, true, "put")
 	data := append([]T(nil), vals...)
 	bytes := len(vals)*dst.elemBytes() + 16
-	oph := img.opNew("put", dst.rank)
+	oph := img.blockingOp("put", dst.rank)
 	img.opStage(oph, trace.StageInit)
 	tok := img.beginBlock("put")
-	img.st.kern.Call(img.proc, dst.rank, tagBlockingPut, &blockingPutMsg{
-		write: func() {
-			dst.write(data)
-			rel()
-		},
-	}, rt.SendOpts{Class: classForBytes(img.m, bytes), Bytes: bytes})
+	img.st.kern.Call(img.proc, dst.rank, tagBlocking, &putReq[T]{dst: dst, data: data, rel: rel},
+		rt.SendOpts{Class: classForBytes(img.m, bytes), Bytes: bytes})
 	img.m.path.Claim(img.pctx, path.Wire, img.Now())
 	img.opStage(oph, trace.StageLocalData)
 	img.opStage(oph, trace.StageLocalOp)
 	img.opStage(oph, trace.StageGlobal)
 	img.endBlock(tok)
-}
-
-func (m *Machine) handleBlockingGet(d *rt.Delivery) {
-	msg := d.Payload.(*blockingGetMsg)
-	d.Reply(msg.read(), msg.bytes)
-}
-
-func (m *Machine) handleBlockingPut(d *rt.Delivery) {
-	msg := d.Payload.(*blockingPutMsg)
-	msg.write()
-	d.Reply(nil, 8)
 }

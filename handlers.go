@@ -1,6 +1,11 @@
 package caf
 
-import "caf2go/internal/race"
+import (
+	"slices"
+
+	"caf2go/internal/race"
+	"caf2go/internal/trace"
+)
 
 // Fabric tag allocation for the caf runtime layer. internal/collect owns
 // tag 100; everything else lives here.
@@ -14,8 +19,7 @@ const (
 	tagResume      uint16 = 315
 	tagLock        uint16 = 320
 	tagUnlock      uint16 = 321
-	tagBlockingGet uint16 = 330
-	tagBlockingPut uint16 = 331
+	tagBlocking    uint16 = 330
 )
 
 // registerHandlers installs every caf AM handler on all images.
@@ -29,8 +33,7 @@ func (m *Machine) registerHandlers() {
 	m.k.RegisterHandler(tagResume, m.handleResume)
 	m.k.RegisterHandler(tagLock, m.handleLock)
 	m.k.RegisterHandler(tagUnlock, m.handleUnlock)
-	m.k.RegisterHandler(tagBlockingGet, m.handleBlockingGet)
-	m.k.RegisterHandler(tagBlockingPut, m.handleBlockingPut)
+	m.k.RegisterHandler(tagBlocking, m.handleBlocking)
 }
 
 // delivToken tracks one outstanding remote update for release-semantics
@@ -57,10 +60,33 @@ func (t *delivToken) complete() {
 }
 
 // newDelivToken registers an outstanding remote update on the image.
+// Only an EventNotify reads the list, and an image that never notifies
+// must not keep every token it ever made: when the backing array is full,
+// finished tokens are first compacted out in place, and the array grows
+// only if that freed less than half of it (the sim.ProcList.Add rule), so
+// the list follows the number of updates in flight.
 func (st *imageState) newDelivToken(clk race.Clock) *delivToken {
 	t := &delivToken{clk: clk}
+	if n := len(st.pendingDeliv); n == cap(st.pendingDeliv) {
+		st.pendingDeliv = slices.DeleteFunc(st.pendingDeliv, (*delivToken).finished)
+		if len(st.pendingDeliv) > n/2 {
+			st.pendingDeliv = slices.Grow(st.pendingDeliv, n)
+		}
+	}
 	st.pendingDeliv = append(st.pendingDeliv, t)
 	return t
+}
+
+func (t *delivToken) finished() bool { return t.done }
+
+// opAbandoned is the OnAbandoned of a tracked one-way send (built only
+// when a failure detector is attached; rt drops it otherwise): the op
+// will never complete remotely, so its record is closed out and its
+// token completed.
+func (m *Machine) opAbandoned(o *Op, rank int, tok *delivToken) {
+	m.opStageAt(o, rank, trace.StageLocalOp)
+	m.opStageAt(o, rank, trace.StageGlobal)
+	tok.complete()
 }
 
 // afterOutstandingDeliveries runs fn once every remote update outstanding

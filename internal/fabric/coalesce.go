@@ -297,8 +297,8 @@ func (ep *Endpoint) CoalescedPending() int {
 
 // dispatch runs the handler(s) for a delivered wire packet: a batch fans
 // out to its inner messages in FIFO order, each counting as one unique
-// delivery; a plain message runs its single handler. Both deliver (the
-// idealized path) and deliverReliable (the fault path) funnel through
+// delivery; a plain message runs its single handler. Both flight.handled
+// (the idealized path) and deliverReliable (the fault path) funnel through
 // here, so an inner handler runs exactly once per logical message no
 // matter how the packet travelled.
 func (ep *Endpoint) dispatch(m *Msg) {

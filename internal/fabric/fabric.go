@@ -208,6 +208,8 @@ type Fabric struct {
 	coalescing bool
 	coal       Coalescing
 
+	flights sim.FreeList[flight] // idealized transport only
+
 	// Metrics instruments, resolved once at construction (all nil — and
 	// every call a no-op — when cfg.Metrics is nil).
 	mLinkMsgs    *metrics.Counter
@@ -396,8 +398,12 @@ type Endpoint struct {
 
 	recvFree sim.Time // receiver handler context busy-until
 
-	outstanding int          // un-acked sends (credit accounting)
-	sendq       []queuedSend // waiting for credits
+	outstanding int // un-acked sends (credit accounting)
+	// Sends waiting for credits are sendq[sendqHead:]. The queue is
+	// drained by advancing the head, not by re-slicing, so a queue that
+	// fills and empties over and over keeps one backing array.
+	sendq     []queuedSend
+	sendqHead int
 
 	lastArrival map[int]sim.Time // per-destination FIFO enforcement
 
@@ -501,8 +507,15 @@ func (ep *Endpoint) post(m *Msg, opts SendOpts) {
 		return
 	}
 	if ep.f.cfg.Credits > 0 && ep.outstanding >= ep.f.cfg.Credits {
+		if ep.sendqHead > 0 && len(ep.sendq) == cap(ep.sendq) {
+			// Full, with drained entries in front: move the waiting ones
+			// down before growing.
+			n := copy(ep.sendq, ep.sendq[ep.sendqHead:])
+			clear(ep.sendq[n:])
+			ep.sendq, ep.sendqHead = ep.sendq[:n], 0
+		}
 		ep.sendq = append(ep.sendq, queuedSend{m: m, opts: opts, queuedAt: ep.f.eng.Now()})
-		ep.f.mSendqPeak.SetMax(ep.rank, int64(len(ep.sendq)))
+		ep.f.mSendqPeak.SetMax(ep.rank, int64(ep.QueuedSends()))
 		return
 	}
 	if ep.f.reliable {
@@ -513,7 +526,7 @@ func (ep *Endpoint) post(m *Msg, opts SendOpts) {
 }
 
 // QueuedSends reports how many messages are stalled waiting for credits.
-func (ep *Endpoint) QueuedSends() int { return len(ep.sendq) }
+func (ep *Endpoint) QueuedSends() int { return len(ep.sendq) - ep.sendqHead }
 
 // PendingRetx reports how many logical messages are in flight on the
 // reliability protocol (sent, not yet acked or abandoned). Always 0 on
@@ -560,49 +573,92 @@ func (ep *Endpoint) inject(m *Msg, opts SendOpts) {
 		arrival += sim.Time(eng.Rand().Int63n(int64(f.cfg.Jitter) + 1))
 	}
 
-	dst := f.eps[m.Dst]
-	eng.AtShard(f.shardOf(m.Dst), arrival, func() { dst.deliver(m, ep, opts) })
+	fl := f.flights.Get()
+	if fl == nil {
+		fl = &flight{f: f}
+		fl.onArrive, fl.onHandled, fl.onAck = fl.arrive, fl.handled, fl.ack
+	}
+	fl.m, fl.opts, fl.src, fl.dst = m, opts, ep, f.eps[m.Dst]
+	eng.AtShard(f.shardOf(m.Dst), arrival, fl.onArrive)
 }
 
-// deliver runs at message arrival on the destination endpoint: it claims
-// the receiver's handler context, dispatches the handler, and returns the
-// delivery ack to the sender.
-func (ep *Endpoint) deliver(m *Msg, src *Endpoint, opts SendOpts) {
-	f := ep.f
-	eng := f.eng
+// flight is one message in transit on the idealized transport, from
+// injection to the end of its ack event. The three events of a message
+// (arrival, handler done, ack) are methods of the record, bound once when
+// the record is first made, so a message that takes a recycled flight
+// schedules them without allocating. The reliability protocol does not
+// use flights: a duplicate or a retransmission can arrive after the ack.
+type flight struct {
+	f        *Fabric
+	m        *Msg
+	opts     SendOpts
+	src, dst *Endpoint
+	dead     bool // released under sim.QuarantinePools
+
+	onArrive, onHandled, onAck func()
+}
+
+func (fl *flight) live() {
+	if fl.dead {
+		panic("fabric: flight used after its ack event")
+	}
+}
+
+// arrive runs at message arrival on the destination endpoint: it claims
+// the receiver's handler context for the dispatch.
+func (fl *flight) arrive() {
+	fl.live()
+	eng, ep := fl.f.eng, fl.dst
 	handlerAt := eng.Now()
 	if ep.recvFree > handlerAt {
 		handlerAt = ep.recvFree
 	}
-	done := handlerAt + f.cfg.AMOverhead
+	done := handlerAt + fl.f.cfg.AMOverhead
 	ep.recvFree = done
+	eng.At(done, fl.onHandled)
+}
 
-	eng.At(done, func() {
-		ep.dispatch(m)
+// handled dispatches the handler and returns the delivery ack to the
+// sender (credit release + callback).
+func (fl *flight) handled() {
+	fl.live()
+	f, eng := fl.f, fl.f.eng
+	fl.dst.dispatch(fl.m)
 
-		// Delivery ack back to the sender (credit release + callback).
-		ackAt := eng.Now() + f.wireLatency(m.Dst, m.Src)
-		if f.cfg.AckLatency != f.cfg.Latency && m.Src != m.Dst {
-			ackAt = eng.Now() + f.cfg.AckLatency
-		}
-		eng.AtShard(f.shardOf(m.Src), ackAt, func() {
-			f.stats.Acks++
-			src.outstanding--
-			if opts.OnDelivered != nil {
-				opts.OnDelivered()
-			}
-			src.drainQueue()
-		})
-	})
+	src, dst := fl.src.rank, fl.dst.rank
+	ackAt := eng.Now() + f.wireLatency(dst, src)
+	if f.cfg.AckLatency != f.cfg.Latency && src != dst {
+		ackAt = eng.Now() + f.cfg.AckLatency
+	}
+	eng.AtShard(f.shardOf(src), ackAt, fl.onAck)
+}
+
+// ack runs on the sender when the delivery ack lands. Nothing refers to
+// the flight once it returns, so it ends by releasing the record.
+func (fl *flight) ack() {
+	fl.live()
+	f, src := fl.f, fl.src
+	f.stats.Acks++
+	src.outstanding--
+	if fl.opts.OnDelivered != nil {
+		fl.opts.OnDelivered()
+	}
+	src.drainQueue()
+
+	fl.m, fl.opts, fl.src, fl.dst = nil, SendOpts{}, nil, nil
+	fl.dead = f.flights.Put(fl)
 }
 
 // drainQueue launches stalled sends as credits free up. Each stalled
 // message pays the flow-control penalty on its way out.
 func (ep *Endpoint) drainQueue() {
 	f := ep.f
-	for len(ep.sendq) > 0 && (f.cfg.Credits == 0 || ep.outstanding < f.cfg.Credits) {
-		q := ep.sendq[0]
-		ep.sendq = ep.sendq[1:]
+	for ep.sendqHead < len(ep.sendq) && (f.cfg.Credits == 0 || ep.outstanding < f.cfg.Credits) {
+		q := ep.sendq[ep.sendqHead]
+		ep.sendq[ep.sendqHead] = queuedSend{}
+		if ep.sendqHead++; ep.sendqHead == len(ep.sendq) {
+			ep.sendq, ep.sendqHead = ep.sendq[:0], 0
+		}
 		stall := f.eng.Now() - q.queuedAt
 		f.stats.CreditStall += stall
 		f.mCreditStall.Add(ep.rank, int64(stall))
@@ -751,7 +807,7 @@ func (f *Fabric) AbandonForDead(rank int) {
 				victims = append(victims, k)
 			}
 		}
-		if len(victims) == 0 && (ep.rank != rank || len(ep.sendq) == 0) {
+		if len(victims) == 0 && (ep.rank != rank || ep.QueuedSends() == 0) {
 			continue
 		}
 		sort.Slice(victims, func(i, j int) bool {
@@ -774,8 +830,8 @@ func (f *Fabric) AbandonForDead(rank int) {
 		if ep.rank == rank {
 			// The dead endpoint's credit-stalled queue can never inject:
 			// abandon it outright rather than draining it into a dead NIC.
-			q := ep.sendq
-			ep.sendq = nil
+			q := ep.sendq[ep.sendqHead:]
+			ep.sendq, ep.sendqHead = nil, 0
 			for _, qs := range q {
 				f.stats.Abandoned++
 				if qs.opts.OnAbandoned != nil {

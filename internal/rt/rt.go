@@ -7,6 +7,16 @@
 // Layering: fabric moves bytes; rt moves typed messages and knows what an
 // image is; core counts tracked messages; the caf package on top exposes
 // the language-level constructs.
+//
+// A message costs rt no allocation in steady state. Its three per-message
+// records are recycled through free lists on the Kernel (DESIGN §4.14):
+// an outMsg per send, holding the fabric.Msg, the envelope and the
+// completion callbacks, released in its own ack callback; a Delivery per
+// dispatch, released when the handler returns or at Complete; and a wait
+// slot per Call, which travels to the callee and back by pointer and is
+// released when Call returns. On a fabric with a fault plan outMsgs are
+// left to the garbage collector instead: a retransmission or a duplicate
+// can still be in flight after the ack.
 package rt
 
 import (
@@ -53,12 +63,69 @@ type Tracker interface {
 // Handler processes a delivered message on an image.
 type Handler func(d *Delivery)
 
-// env is the rt wire envelope.
+// env is the rt wire envelope. A Call's request names the caller
+// (replyTo), its wait slot and the call's id; the reply carries the slot
+// and the id back (with replyTo -1: nobody replies to a reply).
 type env struct {
 	payload any
 	track   any
-	replyTo int    // world rank awaiting a reply, or -1
-	replyID uint64 // correlation id at replyTo
+	replyTo int // world rank awaiting a reply, or -1
+	replyID uint64
+	slot    *callSlot
+}
+
+// outMsg is the sending side of one message: the fabric message, its
+// envelope, and what to run when the fabric is done with it. The two
+// callbacks handed to the fabric are methods of the record, bound once:
+// onDelivered when the record is made, onAbandoned when a send first
+// needs it (only under a failure detector).
+type outMsg struct {
+	img *ImageKernel
+	msg fabric.Msg
+	env env
+
+	userDelivered, userAbandoned func()
+	dead                         bool // released under sim.QuarantinePools
+
+	onDelivered, onAbandoned func()
+}
+
+func (o *outMsg) live() {
+	if o.dead {
+		panic("rt: outMsg used after its ack callback")
+	}
+}
+
+// delivered is the message's ack callback on the sender. On the
+// idealized fabric nothing refers to the message after it — the handler
+// ran before the ack left — so it ends by releasing the record.
+func (o *outMsg) delivered() {
+	o.live()
+	img := o.img
+	k := img.k
+	if o.env.track != nil {
+		k.tracker.OnAck(img, o.env.track)
+	}
+	if o.userDelivered != nil {
+		o.userDelivered()
+	}
+	if k.reliable {
+		return
+	}
+	*o = outMsg{onDelivered: o.onDelivered, onAbandoned: o.onAbandoned}
+	o.dead = k.outMsgs.Put(o)
+}
+
+// abandoned replaces delivered when the fabric gives up on the message;
+// only a fabric with a fault plan does, so the record is never recycled.
+func (o *outMsg) abandoned() {
+	o.live()
+	if o.env.track != nil {
+		o.img.k.tracker.OnAbandoned(o.img, o.env.track)
+	}
+	if o.userAbandoned != nil {
+		o.userAbandoned()
+	}
 }
 
 // Kernel is the whole simulated machine.
@@ -69,13 +136,23 @@ type Kernel struct {
 	tracker Tracker
 	det     *failure.Detector // nil unless a failure detector is attached
 	nextID  int64             // generator for team ids etc.
+
+	// reliable: the fabric runs its reliability protocol (a fault plan is
+	// set), which may hold a message past its ack.
+	reliable   bool
+	nextCallID uint64
+
+	outMsgs    sim.FreeList[outMsg]
+	deliveries sim.FreeList[Delivery]
+	slots      sim.FreeList[callSlot]
 }
 
 // NewKernel builds a machine with n images over the given fabric config.
 func NewKernel(eng *sim.Engine, n int, cfg fabric.Config) *Kernel {
 	k := &Kernel{
-		eng: eng,
-		fab: fabric.New(eng, n, cfg),
+		eng:      eng,
+		fab:      fabric.New(eng, n, cfg),
+		reliable: cfg.Faults != nil,
 	}
 	k.images = make([]*ImageKernel, n)
 	for i := 0; i < n; i++ {
@@ -84,7 +161,6 @@ func NewKernel(eng *sim.Engine, n int, cfg fabric.Config) *Kernel {
 			rank:      i,
 			ep:        k.fab.Endpoint(i),
 			rng:       eng.DeriveRand(int64(i)),
-			calls:     make(map[uint64]*callWait),
 			procScope: "img" + strconv.Itoa(i),
 		}
 		k.images[i] = img
@@ -151,9 +227,6 @@ type ImageKernel struct {
 	ep   *fabric.Endpoint
 	rng  *rand.Rand
 
-	nextCallID uint64
-	calls      map[uint64]*callWait
-
 	procScope string       // "img<rank>", the scope of this image's proc names
 	procSeq   int          // numbers the procs started on this image
 	procs     sim.ProcList // unfinished procs started on this image (diagnostics)
@@ -214,56 +287,46 @@ type SendOpts struct {
 
 // Send delivers payload to handler tag on image dst.
 func (img *ImageKernel) Send(dst int, tag uint16, payload any, opts SendOpts) {
-	e := &env{payload: payload, replyTo: -1}
-	if opts.Track != nil {
-		if tr := img.k.tracker; tr != nil {
-			e.track = tr.OnSend(img, dst, opts.Track)
-		}
-	}
-	img.sendEnv(dst, tag, e, opts)
+	img.post(dst, tag, env{payload: payload, replyTo: -1}, opts)
 }
 
-func (img *ImageKernel) sendEnv(dst int, tag uint16, e *env, opts SendOpts) {
-	onDelivered := opts.OnDelivered
-	onAbandoned := opts.OnAbandoned
-	if img.k.det == nil {
-		// No failure detector: abandonment stays silent, exactly as it
-		// was before the detector existed.
-		onAbandoned = nil
+// post stamps e's tracking context and hands the message to the fabric
+// on a (recycled) outMsg.
+func (img *ImageKernel) post(dst int, tag uint16, e env, opts SendOpts) {
+	k := img.k
+	o := k.outMsgs.Get()
+	if o == nil {
+		o = &outMsg{}
+		o.onDelivered = o.delivered
 	}
-	if e.track != nil {
-		tr := img.k.tracker
-		prev := onDelivered
-		onDelivered = func() {
-			tr.OnAck(img, e.track)
-			if prev != nil {
-				prev()
-			}
-		}
-		if img.k.det != nil {
-			prevAb := onAbandoned
-			onAbandoned = func() {
-				tr.OnAbandoned(img, e.track)
-				if prevAb != nil {
-					prevAb()
-				}
-			}
-		}
+	if opts.Track != nil && k.tracker != nil {
+		e.track = k.tracker.OnSend(img, dst, opts.Track)
 	}
-	img.ep.Send(&fabric.Msg{
+	o.img, o.env, o.userDelivered = img, e, opts.OnDelivered
+	o.msg = fabric.Msg{
 		Src:     img.rank,
 		Dst:     dst,
 		Tag:     tag,
 		Class:   opts.Class,
 		Bytes:   opts.Bytes,
-		Payload: e,
+		Payload: &o.env,
 		Path:    opts.Path,
-	}, fabric.SendOpts{
+	}
+	fo := fabric.SendOpts{
 		OnInjected:  opts.OnInjected,
-		OnDelivered: onDelivered,
+		OnDelivered: o.onDelivered,
 		NoCoalesce:  opts.NoCoalesce,
-		OnAbandoned: onAbandoned,
-	})
+	}
+	if k.det != nil {
+		// Without a failure detector abandonment stays silent, exactly as
+		// it was before the detector existed.
+		if o.onAbandoned == nil {
+			o.onAbandoned = o.abandoned
+		}
+		o.userAbandoned = opts.OnAbandoned
+		fo.OnAbandoned = o.onAbandoned
+	}
+	img.ep.Send(&o.msg, fo)
 }
 
 // FlushCoalesced flushes this image's fabric aggregation buffers — the
@@ -271,35 +334,57 @@ func (img *ImageKernel) sendEnv(dst int, tag uint16, e *env, opts SendOpts) {
 // collectives, program exit) invoke. A no-op when coalescing is off.
 func (img *ImageKernel) FlushCoalesced() { img.ep.FlushCoalesced() }
 
-// Delivery is the receiving-side view of one message.
+// Delivery is the receiving-side view of one message. It is a recycled
+// record: a handler may keep it past its return only after Detach, and
+// then only until Complete, which must be the last thing done with it.
 type Delivery struct {
 	Img     *ImageKernel // the destination image
 	Src     int          // sender world rank
 	Payload any
 	Bytes   int
 
-	track    any
-	detached bool
-	done     bool
-	replyTo  int
-	replyID  uint64
-	replied  bool
+	track     any
+	detached  bool
+	done      bool
+	replied   bool
+	inHandler bool // the handler has not returned yet
+	dead      bool // released under sim.QuarantinePools
+	replyTo   int
+	replyID   uint64
+	slot      *callSlot
+}
+
+func (d *Delivery) live() {
+	if d.dead {
+		panic("rt: Delivery used after its completion")
+	}
 }
 
 // Track returns the message's (stamped) tracking context, or nil.
-func (d *Delivery) Track() any { return d.track }
+func (d *Delivery) Track() any {
+	d.live()
+	return d.track
+}
 
 // Detach tells rt that completion will be signalled later via Complete —
 // used by shipped functions that run as their own simulated process.
-func (d *Delivery) Detach() { d.detached = true }
+func (d *Delivery) Detach() {
+	d.live()
+	d.detached = true
+}
 
 // Complete signals completion of a detached delivery. Calling it twice,
-// or on a non-detached delivery, panics.
+// or on a non-detached delivery, panics. After the handler has returned
+// it is the delivery's last reference: the record is released.
 func (d *Delivery) Complete() {
+	d.live()
 	if !d.detached {
 		panic("rt: Complete on non-detached delivery")
 	}
 	d.finishCompletion()
+	if !d.inHandler {
+		d.release()
+	}
 }
 
 func (d *Delivery) finishCompletion() {
@@ -314,12 +399,22 @@ func (d *Delivery) finishCompletion() {
 	}
 }
 
+func (d *Delivery) release() {
+	k := d.Img.k
+	*d = Delivery{}
+	d.dead = k.deliveries.Put(d)
+}
+
 // CanReply reports whether the sender awaits a reply.
-func (d *Delivery) CanReply() bool { return d.replyTo >= 0 && !d.replied }
+func (d *Delivery) CanReply() bool {
+	d.live()
+	return d.replyTo >= 0 && !d.replied
+}
 
 // Reply sends a response for a Call. Panics if the message was not a Call
 // or was already replied to.
 func (d *Delivery) Reply(payload any, bytes int) {
+	d.live()
 	if d.replyTo < 0 {
 		panic("rt: Reply to a one-way message")
 	}
@@ -332,7 +427,7 @@ func (d *Delivery) Reply(payload any, bytes int) {
 		class = fabric.RDMA
 	}
 	// The caller is parked on this reply: never coalesce it.
-	d.Img.Send(d.replyTo, tagReply, replyMsg{id: d.replyID, payload: payload}, SendOpts{
+	d.Img.post(d.replyTo, tagReply, env{payload: payload, replyTo: -1, replyID: d.replyID, slot: d.slot}, SendOpts{
 		Class:      class,
 		Bytes:      bytes,
 		NoCoalesce: true,
@@ -341,52 +436,61 @@ func (d *Delivery) Reply(payload any, bytes int) {
 
 func (img *ImageKernel) dispatch(m *fabric.Msg, h Handler) {
 	e := m.Payload.(*env)
-	d := &Delivery{
-		Img:     img,
-		Src:     m.Src,
-		Payload: e.payload,
-		Bytes:   m.Bytes,
-		track:   e.track,
-		replyTo: e.replyTo,
-		replyID: e.replyID,
+	k := img.k
+	d := k.deliveries.Get()
+	if d == nil {
+		d = new(Delivery)
+	}
+	*d = Delivery{
+		Img:       img,
+		Src:       m.Src,
+		Payload:   e.payload,
+		Bytes:     m.Bytes,
+		track:     e.track,
+		inHandler: true,
+		replyTo:   e.replyTo,
+		replyID:   e.replyID,
+		slot:      e.slot,
 	}
 	if e.track != nil {
-		if tr := img.k.tracker; tr != nil {
+		if tr := k.tracker; tr != nil {
 			d.track = tr.OnReceive(img, e.track)
 		}
 	}
 	h(d)
+	d.inHandler = false
 	if !d.detached {
 		d.finishCompletion()
 	}
+	if d.done {
+		d.release()
+	}
 }
 
-type replyMsg struct {
-	id      uint64
-	payload any
-}
-
-type callWait struct {
+// callSlot is where a Call waits for its reply. The request carries the
+// slot's pointer and the call's id to the callee and the reply brings
+// both back; a reply whose id is not the slot's answers a call that is
+// over (aborted, its slot released and perhaps taken by another call).
+type callSlot struct {
 	proc    *sim.Proc
+	id      uint64 // machine-wide unique; 0 while the slot is free
 	payload any
 	done    bool
 }
 
 func (img *ImageKernel) handleReply(m *fabric.Msg) {
 	e := m.Payload.(*env)
-	r := e.payload.(replyMsg)
-	w, ok := img.calls[r.id]
-	if !ok {
+	w := e.slot
+	if w.id != e.replyID || w.done {
 		if img.k.det != nil {
 			// With a failure detector, a Call can be aborted while its
 			// reply is in flight from a still-live peer; the late reply
 			// is dropped, not a protocol bug.
 			return
 		}
-		panic(fmt.Sprintf("rt: image %d: reply for unknown call %d", img.rank, r.id))
+		panic(fmt.Sprintf("rt: image %d: reply for unknown call %d", img.rank, e.replyID))
 	}
-	delete(img.calls, r.id)
-	w.payload = r.payload
+	w.payload = e.payload
 	w.done = true
 	w.proc.Unpark()
 }
@@ -399,25 +503,24 @@ func (img *ImageKernel) handleReply(m *fabric.Msg) {
 // may depend on the dead image (a lock holder, a chained handler), and
 // fail-stop semantics charge the whole blocked operation to the failure.
 func (img *ImageKernel) Call(p *sim.Proc, dst int, tag uint16, payload any, opts SendOpts) any {
-	img.nextCallID++
-	id := img.nextCallID
-	w := &callWait{proc: p}
-	img.calls[id] = w
+	k := img.k
+	w := k.slots.Get()
+	if w == nil {
+		w = new(callSlot)
+	}
+	k.nextCallID++
+	w.proc, w.id = p, k.nextCallID
 	// This proc blocks until the reply: coalescing the request would
 	// trade its latency for nothing.
 	opts.NoCoalesce = true
-	e := &env{payload: payload, replyTo: img.rank, replyID: id}
-	if opts.Track != nil {
-		if tr := img.k.tracker; tr != nil {
-			e.track = tr.OnSend(img, dst, opts.Track)
-		}
-	}
-	img.sendEnv(dst, tag, e, opts)
-	det := img.k.det
+	img.post(dst, tag, env{payload: payload, replyTo: img.rank, replyID: w.id, slot: w}, opts)
+	det := k.det
 	p.WaitUntil("rpc reply", func() bool { return w.done || det.AnyDead() })
-	if !w.done {
-		delete(img.calls, id)
+	done, reply := w.done, w.payload
+	*w = callSlot{}
+	k.slots.Put(w)
+	if !done {
 		panic(failure.Abort{Err: det.ErrFor("rpc")})
 	}
-	return w.payload
+	return reply
 }

@@ -56,6 +56,20 @@ func WithPayload(data []byte) SpawnOpt {
 	}
 }
 
+// applySpawnOpts returns base with opts applied. An option takes the
+// struct's address, which moves it to the heap; a spawn without options
+// (nearly all of them) returns before that copy is made.
+func applySpawnOpts(base spawnOpts, opts []SpawnOpt) spawnOpts {
+	if len(opts) == 0 {
+		return base
+	}
+	o := base
+	for _, opt := range opts {
+		opt(&o)
+	}
+	return o
+}
+
 // spawnMsg is the wire payload of a shipped function.
 type spawnMsg struct {
 	fn       SpawnFn
@@ -91,10 +105,7 @@ func (img *Image) Payload() []byte {
 // function, global completion when the shipped function has finished
 // executing there. Discarding it is always safe.
 func (img *Image) Spawn(target int, fn SpawnFn, opts ...SpawnOpt) *Op {
-	o := spawnOpts{bytes: 32}
-	for _, opt := range opts {
-		opt(&o)
-	}
+	o := applySpawnOpts(spawnOpts{bytes: 32}, opts)
 	if target < 0 || target >= img.NumImages() {
 		panic("caf: spawn target out of range")
 	}
@@ -143,15 +154,13 @@ func (img *Image) Spawn(target int, fn SpawnFn, opts ...SpawnOpt) *Op {
 				m.opStageAt(msg.op, me, trace.StageLocalOp)
 				tok.complete()
 			},
+		}
+		if m.det != nil {
 			// A spawn abandoned at a dead image still completes its
 			// token: an EventNotify must not wait forever on a delivery
 			// the fabric has charged off. The shipped function will never
 			// run; close the record.
-			OnAbandoned: func() {
-				m.opStageAt(msg.op, me, trace.StageLocalOp)
-				m.opStageAt(msg.op, me, trace.StageGlobal)
-				tok.complete()
-			},
+			sendOpts.OnAbandoned = func() { m.opAbandoned(msg.op, me, tok) }
 		}
 		st.kern.Send(target, tagSpawn, msg, sendOpts)
 	}

@@ -96,10 +96,7 @@ func (img *Image) SpawnNamed(target int, name string, args []any, opts ...SpawnO
 	if img.m.registry == nil || img.m.registry.fns[name] == nil {
 		panic(fmt.Sprintf("caf: spawn of unregistered remote function %q", name))
 	}
-	o := spawnOpts{}
-	for _, opt := range opts {
-		opt(&o)
-	}
+	o := applySpawnOpts(spawnOpts{}, opts)
 	if target < 0 || target >= img.NumImages() {
 		panic("caf: spawn target out of range")
 	}
@@ -134,14 +131,12 @@ func (img *Image) SpawnNamed(target int, name string, args []any, opts ...SpawnO
 				m.opStageAt(msg.op, me, trace.StageLocalOp)
 				tok.complete()
 			},
+		}
+		if m.det != nil {
 			// See Spawn: abandonment completes the token so notifies
 			// gated on outstanding deliveries are not lost with the
 			// dead destination.
-			OnAbandoned: func() {
-				m.opStageAt(msg.op, me, trace.StageLocalOp)
-				m.opStageAt(msg.op, me, trace.StageGlobal)
-				tok.complete()
-			},
+			sendOpts.OnAbandoned = func() { m.opAbandoned(msg.op, me, tok) }
 		}
 		st.kern.Send(target, tagSpawnNamed, msg, sendOpts)
 	}
