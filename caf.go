@@ -398,7 +398,7 @@ func (m *Machine) Launch(main func(img *Image)) {
 					panic(r)
 				}()
 			}
-			img := &Image{m: m, st: st, proc: p, ct: m.newTracker()}
+			img := &Image{m: m, st: st, proc: p, ct: m.initTracker(new(core.CofenceTracker))}
 			if m.race != nil {
 				img.rc = m.race.d.NewCtx(nil)
 			}
@@ -623,9 +623,10 @@ func (m *Machine) FinishRoundTimes(rank int) []Time {
 // deadlock report).
 func (m *Machine) Shutdown() { m.eng.Shutdown() }
 
-// newTracker builds a cofence tracker for one execution context.
-func (m *Machine) newTracker() *core.CofenceTracker {
-	ct := core.NewCofenceTracker(m.cfg.Relaxed, m.cfg.MaxDelayed)
+// initTracker makes ct, in place, the cofence tracker of one execution
+// context and returns it.
+func (m *Machine) initTracker(ct *core.CofenceTracker) *core.CofenceTracker {
+	ct.Init(m.cfg.Relaxed, m.cfg.MaxDelayed)
 	ct.SetDetector(m.det)
 	return ct
 }
@@ -791,13 +792,20 @@ func (img *Image) traceInstant(name, cat string) {
 // active request context the op also becomes a span on the request's
 // causal DAG, parented to the context's enclosing span.
 func (img *Image) opNew(kind string, peer int) *Op {
-	o := &Op{m: img.m, kind: kind, img: img.Rank(),
+	o := new(Op)
+	img.opInit(o, kind, peer)
+	return o
+}
+
+// opInit is opNew for a handle that is a field of the operation's own
+// record.
+func (img *Image) opInit(o *Op, kind string, peer int) {
+	*o = Op{m: img.m, kind: kind, img: img.Rank(),
 		id: img.m.life.OpNew(kind, img.Rank(), peer, img.Now())}
 	if img.m.path != nil && img.pctx.Active() {
 		o.pctx = img.pctx
 		o.span = img.m.path.SpanNew(img.pctx, kind, img.Rank(), peer, img.Now())
 	}
-	return o
 }
 
 // opStage advances an op's completion level as observed on this image:
@@ -866,9 +874,9 @@ type Image struct {
 	finishStack     []*core.State
 	inheritedFinish int64 // 0 = none
 
-	// payload carries the copied argument bytes of the spawn that
-	// started this proc.
-	payload *payloadCarrier
+	// spawn is the shipped function this proc runs (nil on an SPMD
+	// main); Payload reads the copied argument bytes from it.
+	spawn *spawnOp
 
 	// rc is this execution context's vector clock when the
 	// happens-before race detector is enabled (nil otherwise), and
@@ -931,16 +939,8 @@ func (img *Image) Random() *rand.Rand { return img.st.kern.Rng() }
 func (img *Image) Machine() *Machine { return img.m }
 
 // track returns the finish tracking context for implicitly-synchronized
-// operations initiated by this proc, or nil outside any finish.
-func (img *Image) track() any {
-	if n := len(img.finishStack); n > 0 {
-		return img.finishStack[n-1].Ref()
-	}
-	if img.inheritedFinish != 0 {
-		return core.Ref{ID: img.inheritedFinish}
-	}
-	return nil
-}
+// operations initiated by this proc: untracked outside any finish.
+func (img *Image) track() rt.Track { return rt.Track{ID: img.trackID()} }
 
 // trackID returns the innermost finish id for propagation to spawns.
 func (img *Image) trackID() int64 {

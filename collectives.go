@@ -6,6 +6,7 @@ import (
 	"caf2go/internal/collect"
 	"caf2go/internal/core"
 	"caf2go/internal/race"
+	"caf2go/internal/rt"
 	"caf2go/internal/team"
 	"caf2go/internal/trace"
 )
@@ -186,9 +187,9 @@ func collNotifyClk(cs *collSync, selfClk race.Clock) race.Clock {
 // track context for a collective: implicit collectives are covered by
 // the enclosing finish, whose team must contain the collective's team
 // (§III-A1).
-func (img *Image) collTrack(t *Team, implicit bool) any {
+func (img *Image) collTrack(t *Team, implicit bool) rt.Track {
 	if !implicit {
-		return nil
+		return rt.Track{}
 	}
 	if n := len(img.finishStack); n > 0 {
 		if !t.SubsetOf(img.finishTeam()) {

@@ -34,36 +34,50 @@ func SrcEvent(e *Event) CopyOpt { return func(o *copyOpts) { o.srcE = e } }
 // to the destination (copy_async's destE).
 func DestEvent(e *Event) CopyOpt { return func(o *copyOpts) { o.destE = e } }
 
-// copyPutMsg carries copy data to the destination image.
-type copyPutMsg struct {
-	data      any
-	write     func(data any)
-	onWritten func() // runs on the destination image after the write
-	destE     *Event
-	op        *Op // completion handle (nil = untracked internal hop)
+// copyOp is the one record of an asynchronous copy: the completion handle
+// returned to the caller, the delivery token, the cofence registration,
+// the deferred initiation (core.Initiator), the send's completion
+// (rt.Completion) and the wire payload of both hops — the read request to
+// a remote source and the data to the destination. Like spawnOp it is
+// owned, not pooled: the caller may keep &op.
+type copyOp[T any] struct {
+	op   Op
+	tok  delivToken
+	pend core.PendingOp
 
-	// Race-detector plumbing (nil/zero when off): wclk is the op's write
-	// clock at send; recordW registers the destination access under the
-	// channel-joined effective clock the delivery computes.
-	wclk    race.Clock
-	recordW func(clk race.Clock)
+	dst, src           Sec[T]
+	o                  copyOpts
+	srcLocal, dstLocal bool // the buffer is on the initiator
+	fenced             bool // pend is registered with the initiator's cofence
+	bytes              int
+	class              fabric.Class
+	track              rt.Track
+
+	// localLeft counts the initiator's local buffers still in play; at
+	// zero the copy is local data complete.
+	localLeft int
+
+	data           []T    // the snapshot in flight
+	relSrc, relDst func() // conflict-detection releases
+
+	// Race-detector state (zero/-1 when off). The op runs under its own
+	// clock components — a read component for the source access and a
+	// write component derived from it for the destination access — forked
+	// from the initiator's clock at the call (plus the predicate's clock
+	// once it fires). The initiator is NOT ordered after the op's
+	// accesses until some synchronization construct says so.
+	raced                               bool
+	base, predClk, rclk, wclk, localClk race.Clock
+	rid, wid                            int
 }
 
-// copyReadMsg asks the source image to read a section and forward it.
-type copyReadMsg struct {
-	read    func() any
-	dstRank int
-	bytes   int
-	class   fabric.Class
-	track   any // base finish ref for the data hop
-	srcE    *Event
-	ptag    path.Tag // request tag for the forwarded data hop
-	put     copyPutMsg
-
-	// rclk is the op's read clock; recordR registers the source access.
-	rclk    race.Clock
-	recordR func(clk race.Clock)
+// copyHop is what the copy handlers see of a copyOp[T].
+type copyHop interface {
+	atSource(d *rt.Delivery) // serve the read request, forward the data
+	atDest(d *rt.Delivery)   // apply the data
 }
+
+func noRelease() {}
 
 // chainMsg registers a predicate continuation on a remote event's owner.
 type chainMsg struct {
@@ -98,303 +112,218 @@ type resumeMsg struct {
 // continuations on its levels (or put it in a PollSet) instead of — or
 // alongside — event-based completion. Discarding it is always safe.
 func CopyAsync[T any](img *Image, dst, src Sec[T], opts ...CopyOpt) *Op {
-	var o copyOpts
+	c := &copyOp[T]{dst: dst, src: src, rid: -1, wid: -1}
 	for _, opt := range opts {
-		opt(&o)
+		opt(&c.o)
 	}
 	if dst.Len() != src.Len() {
 		panic(fmt.Sprintf("caf: copy length mismatch: dst %d, src %d", dst.Len(), src.Len()))
 	}
-	st := img.st
-	st.copies++
+	img.st.copies++
 	img.traceInstant("copy_async", "copy")
 	me := img.Rank()
-	srcLocal := src.isLocalBuf() || src.rank == me
-	dstLocal := dst.isLocalBuf() || dst.rank == me
-	implicit := o.srcE == nil && o.destE == nil
-	bytes := src.Len()*src.elemBytes() + 16
-	class := classForBytes(img.m, bytes)
+	c.srcLocal = src.isLocalBuf() || src.rank == me
+	c.dstLocal = dst.isLocalBuf() || dst.rank == me
+	implicit := c.o.srcE == nil && c.o.destE == nil
+	c.bytes = src.Len()*src.elemBytes() + 16
+	c.class = classForBytes(img.m, c.bytes)
 
 	// Lifecycle tracking: the op's peer is the remote side (the
 	// destination for puts and third-party copies, the source for gets).
 	peer := me
-	if !dstLocal {
+	if !c.dstLocal {
 		peer = dst.rank
-	} else if !srcLocal {
+	} else if !c.srcLocal {
 		peer = src.rank
 	}
-	oph := img.opNew("copy", peer)
-
-	var track any
-	var tid int64
+	img.opInit(&c.op, "copy", peer)
 	if implicit {
-		track = img.track()
-		tid = img.trackID()
+		c.track = img.track()
 	}
-
-	// Race detector: the op runs under its own clock components — a read
-	// component for the source access and a write component derived from
-	// it for the destination access — forked from the initiator's clock
-	// at this program point (plus the predicate's clock once it fires).
-	// The initiator is NOT ordered after the op's accesses until some
-	// synchronization construct (cofence, finish, event) says so.
 	rs := img.m.race
-	var base, predClk, rclk, wclk, localClk race.Clock
-	rid, wid := -1, -1
 	if rs != nil && img.rc != nil {
-		base = img.rc.Snapshot()
+		c.raced, c.base = true, img.rc.Snapshot()
 	}
 
-	// Cofence bookkeeping: how the op touches the initiator's local data.
-	var class2 core.OpClass
-	if srcLocal {
-		class2 |= core.OpReads
+	// Cofence bookkeeping: how the op touches the initiator's local data,
+	// one tick per local buffer.
+	var class core.OpClass
+	if c.srcLocal {
+		class |= core.OpReads
+		c.localLeft++
 	}
-	if dstLocal {
-		class2 |= core.OpWrites
-	}
-	var op *core.PendingOp
-	signals := 0
-	if srcLocal {
-		signals++
-	}
-	if dstLocal {
-		signals++
-	}
-	signal := func() {
-		signals--
-		if signals == 0 && op != nil {
-			op.CompleteLocalData()
-		}
+	if c.dstLocal {
+		class |= core.OpWrites
+		c.localLeft++
 	}
 
-	// Completion-handle local-data countdown, independent of the cofence
-	// signals above (those exist only for implicit ops): one tick per
-	// local buffer, advanced when the last becomes reusable/readable.
-	ldLeft := 0
-	if srcLocal {
-		ldLeft++
-	}
-	if dstLocal {
-		ldLeft++
-	}
-	ldSignal := func() {
-		ldLeft--
-		if ldLeft == 0 {
-			img.m.opStageAt(oph, me, trace.StageLocalData)
-		}
-	}
-
-	var onWritten func()
-	if dstLocal {
-		prev := signal
-		if !implicit {
-			prev = nil
-		}
-		onWritten = func() {
-			ldSignal()
-			if prev != nil {
-				prev()
-			}
-		}
-	}
-
-	// forkOpClocks runs at actual initiation (the predicate may defer
-	// it): the read clock forks from the initiator's call-point snapshot
-	// joined with the consumed predicate post's clock; the write clock
-	// forks from the read clock (the write follows the read). The
-	// enclosing finish eagerly joins the op's clocks — its exit cannot
-	// happen before the op globally completes.
-	forkOpClocks := func() {
-		if rs == nil || img.rc == nil {
-			return
-		}
-		b := base
-		if predClk != nil {
-			b = race.Join(race.CopyClock(base), predClk)
-		}
-		rclk, rid = rs.d.OpClock(b)
-		wclk, wid = rs.d.OpClock(rclk)
-		if dstLocal {
-			localClk = wclk
-		} else {
-			localClk = rclk
-		}
-		if tid != 0 {
-			fs := rs.finishSyncFor(tid)
-			race.JoinInto(&fs.ops, wclk)
-		}
-	}
-
-	var start func()
-	if srcLocal {
-		dstRank := me
-		if !dstLocal {
-			dstRank = dst.rank
-		}
-		start = func() {
-			forkOpClocks()
-			img.m.opStageAt(oph, me, trace.StageInit)
-			relSrc := claimSec(img.m, src, false, "copy_async read")
-			raceRecord(img.m, src, false, rid, rclk, "copy_async read")
-			data := src.read() // snapshot at initiation
-			relSrc()
-			relDst := claimSec(img.m, dst, true, "copy_async write")
-			tok := st.newDelivToken(wclk)
-			put := &copyPutMsg{
-				data: data,
-				write: func(d any) {
-					dst.write(d.([]T))
-					relDst()
-				},
-				onWritten: onWritten,
-				destE:     o.destE,
-				op:        oph,
-				wclk:      wclk,
-			}
-			if rs != nil && dst.ca != nil {
-				m, wid := img.m, wid
-				put.recordW = func(clk race.Clock) {
-					raceRecord(m, dst, true, wid, clk, "copy_async write")
-				}
-			}
-			m := img.m
-			sendOpts := rt.SendOpts{
-				Track: track,
-				Class: class,
-				Bytes: bytes,
-				Path:  path.WireTag(oph.pctx),
-				OnDelivered: func() {
-					m.opStageAt(oph, me, trace.StageLocalOp)
-					tok.complete()
-				},
-			}
-			if m.det != nil {
-				// An abandoned put (dead destination) completes its
-				// token: the loss is charged to the enclosing finish,
-				// and notifies must not be gated on it forever. The op
-				// will never complete remotely; close out its record so
-				// blocked-time attribution still sees it.
-				sendOpts.OnAbandoned = func() { m.opAbandoned(oph, me, tok) }
-			}
-			srcE := o.srcE
-			sendOpts.OnInjected = func() {
-				// Source buffer reusable: data is on the wire.
-				ldSignal()
-				if implicit {
-					signal()
-				}
-				if srcE != nil {
-					img.m.notifyFrom(me, srcE, rclk)
-				}
-			}
-			st.kern.Send(dstRank, tagCopyPut, put, sendOpts)
-		}
-	} else {
-		// Source is remote: ask its owner to read and forward (a get
-		// when the destination is here, a third-party copy otherwise).
-		dstRank := me
-		if !dstLocal {
-			dstRank = dst.rank
-		}
-		var baseTrack any
-		if track != nil {
-			baseTrack = core.Ref{ID: track.(core.Ref).ID}
-		}
-		start = func() {
-			forkOpClocks()
-			img.m.opStageAt(oph, me, trace.StageInit)
-			if ldLeft == 0 {
-				// Third-party copy: no initiator-local buffers, so local
-				// data completes at initiation.
-				img.m.opStageAt(oph, me, trace.StageLocalData)
-			}
-			relSrc := claimSec(img.m, src, false, "copy_async read")
-			relDst := claimSec(img.m, dst, true, "copy_async write")
-			// The notify token completes when the read request lands —
-			// the read has happened then, the data hop has not, so only
-			// the read clock is released to event waiters.
-			tok := st.newDelivToken(rclk)
-			msg := &copyReadMsg{
-				read: func() any {
-					v := src.read()
-					relSrc()
-					return v
-				},
-				dstRank: dstRank,
-				bytes:   bytes,
-				class:   class,
-				track:   baseTrack,
-				srcE:    o.srcE,
-				ptag:    path.WireTag(oph.pctx),
-				rclk:    rclk,
-				put: copyPutMsg{
-					write: func(d any) {
-						dst.write(d.([]T))
-						relDst()
-					},
-					onWritten: onWritten,
-					destE:     o.destE,
-					op:        oph,
-					wclk:      wclk,
-				},
-			}
-			if rs != nil {
-				m := img.m
-				if src.ca != nil {
-					rid := rid
-					msg.recordR = func(clk race.Clock) {
-						raceRecord(m, src, false, rid, clk, "copy_async read")
-					}
-				}
-				if dst.ca != nil {
-					wid := wid
-					msg.put.recordW = func(clk race.Clock) {
-						raceRecord(m, dst, true, wid, clk, "copy_async write")
-					}
-				}
-			}
-			m := img.m
-			reqOpts := rt.SendOpts{
-				Track: track,
-				Class: fabric.AMShort,
-				Bytes: 32,
-				Path:  path.WireTag(oph.pctx),
-				OnDelivered: func() {
-					// Read request accepted at the source: nothing more is
-					// required of the initiator.
-					m.opStageAt(oph, me, trace.StageLocalOp)
-					tok.complete()
-				},
-			}
-			if m.det != nil {
-				// A get request abandoned at a dead owner completes the
-				// token, like the put path above.
-				reqOpts.OnAbandoned = func() { m.opAbandoned(oph, me, tok) }
-			}
-			st.kern.Send(src.rank, tagCopyGetReq, msg, reqOpts)
-		}
-	}
-
-	initiate := start
-	if o.pred != nil {
-		initiate = func() {
-			img.m.gatePredicate(me, o.pred, func(clk race.Clock) {
-				predClk = clk
-				start()
-			})
-		}
-	}
-
-	if implicit && class2 != 0 {
-		op = img.ct.Register(class2, initiate)
+	if implicit && class != 0 {
+		c.fenced = true
+		img.ct.RegisterOp(&c.pend, class, c)
 		if rs != nil {
-			img.raceOps = append(img.raceOps, raceOp{op: op, class: class2, clkRef: &localClk})
+			img.raceOps = append(img.raceOps, raceOp{op: &c.pend, class: class, clkRef: &c.localClk})
 		}
 	} else {
-		initiate()
+		c.Initiate()
 	}
-	return oph
+	return &c.op
+}
+
+// Initiate starts the copy — now, or when the relaxed runtime releases
+// it — behind its predicate event if it has one.
+func (c *copyOp[T]) Initiate() {
+	if c.o.pred == nil {
+		c.start()
+		return
+	}
+	c.op.m.gatePredicate(c.op.img, c.o.pred, func(clk race.Clock) {
+		c.predClk = clk
+		c.start()
+	})
+}
+
+// forkOpClocks runs at actual initiation (the predicate may defer it):
+// the read clock forks from the initiator's call-point snapshot joined
+// with the consumed predicate post's clock; the write clock forks from
+// the read clock (the write follows the read). The enclosing finish
+// eagerly joins the op's clocks — its exit cannot happen before the op
+// globally completes.
+func (c *copyOp[T]) forkOpClocks() {
+	if !c.raced {
+		return
+	}
+	rs := c.op.m.race
+	b := c.base
+	if c.predClk != nil {
+		b = race.Join(race.CopyClock(c.base), c.predClk)
+	}
+	c.rclk, c.rid = rs.d.OpClock(b)
+	c.wclk, c.wid = rs.d.OpClock(c.rclk)
+	if c.dstLocal {
+		c.localClk = c.wclk
+	} else {
+		c.localClk = c.rclk
+	}
+	if c.track.Tracked() {
+		fs := rs.finishSyncFor(c.track.ID)
+		race.JoinInto(&fs.ops, c.wclk)
+	}
+}
+
+// dstRank is the image the data hop goes to.
+func (c *copyOp[T]) dstRank() int {
+	if c.dstLocal {
+		return c.op.img
+	}
+	return c.dst.rank
+}
+
+func (c *copyOp[T]) start() {
+	m, me := c.op.m, c.op.img
+	st := m.states[me]
+	c.forkOpClocks()
+	m.opStageAt(&c.op, me, trace.StageInit)
+	opts := rt.SendOpts{Track: c.track, Path: path.WireTag(c.op.pctx), Done: c}
+	if c.srcLocal {
+		relSrc := claimSec(m, c.src, false, "copy_async read")
+		raceRecord(m, c.src, false, c.rid, c.rclk, "copy_async read")
+		c.data = c.src.read() // snapshot at initiation
+		relSrc()
+		c.relDst = claimSec(m, c.dst, true, "copy_async write")
+		c.tok.clk = c.wclk
+		st.addDelivToken(&c.tok)
+		opts.Class, opts.Bytes, opts.OnInjected = c.class, c.bytes, c.injected
+		st.kern.Send(c.dstRank(), tagCopyPut, c, opts)
+		return
+	}
+	// Source is remote: ask its owner to read and forward (a get when
+	// the destination is here, a third-party copy otherwise).
+	if c.localLeft == 0 {
+		// Third-party copy: no initiator-local buffers, so local data
+		// completes at initiation.
+		m.opStageAt(&c.op, me, trace.StageLocalData)
+	}
+	c.relSrc = claimSec(m, c.src, false, "copy_async read")
+	c.relDst = claimSec(m, c.dst, true, "copy_async write")
+	// The notify token completes when the read request lands — the read
+	// has happened then, the data hop has not, so only the read clock is
+	// released to event waiters.
+	c.tok.clk = c.rclk
+	st.addDelivToken(&c.tok)
+	opts.Class, opts.Bytes = fabric.AMShort, 32
+	st.kern.Send(c.src.rank, tagCopyGetReq, c, opts)
+}
+
+// injected: the source buffer is reusable, the data is on the wire.
+func (c *copyOp[T]) injected() {
+	c.localTick()
+	if c.o.srcE != nil {
+		c.op.m.notifyFrom(c.op.img, c.o.srcE, c.rclk)
+	}
+}
+
+// Delivered: the put (or the read request) was accepted; nothing more is
+// required of the initiator.
+func (c *copyOp[T]) Delivered() {
+	c.op.m.opStageAt(&c.op, c.op.img, trace.StageLocalOp)
+	c.tok.complete()
+}
+
+// Abandoned (only under a failure detector): a put or get request
+// abandoned at a dead image completes its token — the loss is charged to
+// the enclosing finish, and notifies must not be gated on it forever. The
+// op will never complete remotely; close out its record so blocked-time
+// attribution still sees it.
+func (c *copyOp[T]) Abandoned() { c.op.m.opAbandoned(&c.op, c.op.img, &c.tok) }
+
+// localTick: one of the initiator's local buffers is out of play. After
+// the last, the handle reaches its local data level and, for a copy the
+// cofence covers, so does its registration there.
+func (c *copyOp[T]) localTick() {
+	if c.localLeft--; c.localLeft > 0 {
+		return
+	}
+	c.op.m.opStageAt(&c.op, c.op.img, trace.StageLocalData)
+	if c.fenced {
+		c.pend.CompleteLocalData()
+	}
+}
+
+func (c *copyOp[T]) atSource(d *rt.Delivery) {
+	m, here := c.op.m, d.Img.Rank()
+	eff := m.raceChanArrive(d.Src, here, c.rclk)
+	c.data = c.src.read()
+	c.relSrc()
+	raceRecord(m, c.src, false, c.rid, eff, "copy_async read")
+	if c.o.srcE != nil {
+		// Source read complete: the source buffer may be overwritten.
+		m.notifyFrom(here, c.o.srcE, eff)
+	}
+	m.states[here].kern.Send(c.dstRank(), tagCopyPut, c, rt.SendOpts{
+		Track: c.track,
+		Class: c.class,
+		Bytes: c.bytes,
+		Path:  path.WireTag(c.op.pctx),
+	})
+}
+
+func (c *copyOp[T]) atDest(d *rt.Delivery) {
+	m, here := c.op.m, d.Img.Rank()
+	// FIFO channel edge: this delivery is ordered after every earlier
+	// delivery on the same (src, dst) channel.
+	eff := m.raceChanArrive(d.Src, here, c.wclk)
+	c.dst.write(c.data)
+	c.relDst()
+	raceRecord(m, c.dst, true, c.wid, eff, "copy_async write")
+	if c.dstLocal {
+		// The initiator's destination buffer is readable.
+		c.localTick()
+	}
+	// Data applied at the destination: the copy is complete everywhere.
+	m.opStageAt(&c.op, here, trace.StageGlobal)
+	if c.o.destE != nil {
+		m.notifyFrom(here, c.o.destE, eff)
+	}
 }
 
 // gatePredicate runs fn once e has a post available, routing through e's
@@ -421,47 +350,9 @@ func (m *Machine) eventClock(e *Event) race.Clock {
 	return race.CopyClock(m.eventState(e).rclk)
 }
 
-func (m *Machine) handleCopyPut(d *rt.Delivery) {
-	msg := d.Payload.(*copyPutMsg)
-	here := d.Img.Rank()
-	// FIFO channel edge: this delivery is ordered after every earlier
-	// delivery on the same (src, dst) channel.
-	eff := m.raceChanArrive(d.Src, here, msg.wclk)
-	msg.write(msg.data)
-	if msg.recordW != nil {
-		msg.recordW(eff)
-	}
-	if msg.onWritten != nil {
-		msg.onWritten()
-	}
-	// Data applied at the destination: the copy is complete everywhere.
-	m.opStageAt(msg.op, here, trace.StageGlobal)
-	if msg.destE != nil {
-		m.notifyFrom(here, msg.destE, eff)
-	}
-}
+func (m *Machine) handleCopyPut(d *rt.Delivery) { d.Payload.(copyHop).atDest(d) }
 
-func (m *Machine) handleCopyGetReq(d *rt.Delivery) {
-	msg := d.Payload.(*copyReadMsg)
-	here := d.Img.Rank()
-	eff := m.raceChanArrive(d.Src, here, msg.rclk)
-	data := msg.read()
-	if msg.recordR != nil {
-		msg.recordR(eff)
-	}
-	if msg.srcE != nil {
-		// Source read complete: the source buffer may be overwritten.
-		m.notifyFrom(here, msg.srcE, eff)
-	}
-	put := msg.put
-	put.data = data
-	m.states[here].kern.Send(msg.dstRank, tagCopyPut, &put, rt.SendOpts{
-		Track: msg.track,
-		Class: msg.class,
-		Bytes: msg.bytes,
-		Path:  msg.ptag,
-	})
-}
+func (m *Machine) handleCopyGetReq(d *rt.Delivery) { d.Payload.(copyHop).atSource(d) }
 
 func (m *Machine) handleEventNotify(d *rt.Delivery) {
 	msg := d.Payload.(*eventNotifyMsg)
@@ -546,7 +437,7 @@ func (img *Image) blockingOp(kind string, peer int) *Op {
 // (no-op for local buffers or when detection is off).
 func claimSec[T any](m *Machine, s Sec[T], write bool, op string) func() {
 	if s.ca == nil {
-		return func() {}
+		return noRelease
 	}
 	return m.beginAccess(s.ca, s.rank, s.lo, s.hi, s.step, write, op)
 }

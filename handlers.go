@@ -1,8 +1,6 @@
 package caf
 
 import (
-	"slices"
-
 	"caf2go/internal/race"
 	"caf2go/internal/trace"
 )
@@ -11,7 +9,6 @@ import (
 // tag 100; everything else lives here.
 const (
 	tagSpawn       uint16 = 300
-	tagSpawnNamed  uint16 = 301
 	tagCopyPut     uint16 = 310
 	tagCopyGetReq  uint16 = 311
 	tagEventNotify uint16 = 313
@@ -25,7 +22,6 @@ const (
 // registerHandlers installs every caf AM handler on all images.
 func (m *Machine) registerHandlers() {
 	m.k.RegisterHandler(tagSpawn, m.handleSpawn)
-	m.k.RegisterHandler(tagSpawnNamed, m.handleSpawnNamed)
 	m.k.RegisterHandler(tagCopyPut, m.handleCopyPut)
 	m.k.RegisterHandler(tagCopyGetReq, m.handleCopyGetReq)
 	m.k.RegisterHandler(tagEventNotify, m.handleEventNotify)
@@ -41,10 +37,18 @@ func (m *Machine) registerHandlers() {
 // effects (the op's write clock for a put, read clock for a get request;
 // nil when the race detector is off) — an EventNotify waiting on the
 // token releases it to waiters along with the notifier's own clock.
+//
+// A token is usually a field of its operation's record (spawnOp, copyOp)
+// and sits on its image's pendingDeliv list from initiation until it
+// completes, and no longer: the list must not pin a finished operation's
+// record, and an image that never notifies must not keep every token it
+// ever made.
 type delivToken struct {
 	done bool
 	cbs  []func()
 	clk  race.Clock
+	st   *imageState // the image whose list the token is on; nil once off
+	at   int         // its index there
 }
 
 func (t *delivToken) complete() {
@@ -52,6 +56,16 @@ func (t *delivToken) complete() {
 		return
 	}
 	t.done = true
+	if st := t.st; st != nil {
+		// Leave the list: the last token takes the slot. Nothing reads
+		// the list's order (an EventNotify waits for all of it).
+		n := len(st.pendingDeliv) - 1
+		last := st.pendingDeliv[n]
+		st.pendingDeliv[t.at], last.at = last, t.at
+		st.pendingDeliv[n] = nil
+		st.pendingDeliv = st.pendingDeliv[:n]
+		t.st = nil
+	}
 	cbs := t.cbs
 	t.cbs = nil
 	for _, cb := range cbs {
@@ -59,25 +73,11 @@ func (t *delivToken) complete() {
 	}
 }
 
-// newDelivToken registers an outstanding remote update on the image.
-// Only an EventNotify reads the list, and an image that never notifies
-// must not keep every token it ever made: when the backing array is full,
-// finished tokens are first compacted out in place, and the array grows
-// only if that freed less than half of it (the sim.ProcList.Add rule), so
-// the list follows the number of updates in flight.
-func (st *imageState) newDelivToken(clk race.Clock) *delivToken {
-	t := &delivToken{clk: clk}
-	if n := len(st.pendingDeliv); n == cap(st.pendingDeliv) {
-		st.pendingDeliv = slices.DeleteFunc(st.pendingDeliv, (*delivToken).finished)
-		if len(st.pendingDeliv) > n/2 {
-			st.pendingDeliv = slices.Grow(st.pendingDeliv, n)
-		}
-	}
+// addDelivToken registers t, an outstanding remote update, on the image.
+func (st *imageState) addDelivToken(t *delivToken) {
+	t.st, t.at = st, len(st.pendingDeliv)
 	st.pendingDeliv = append(st.pendingDeliv, t)
-	return t
 }
-
-func (t *delivToken) finished() bool { return t.done }
 
 // opAbandoned is the OnAbandoned of a tracked one-way send (built only
 // when a failure detector is attached; rt drops it otherwise): the op
@@ -94,24 +94,14 @@ func (m *Machine) opAbandoned(o *Op, rank int, tok *delivToken) {
 // clocks (nil when the race detector is off). Updates issued later do not
 // delay fn — exactly the porousness EventNotify needs.
 func (m *Machine) afterOutstandingDeliveries(st *imageState, fn func(clk race.Clock)) {
-	// Prune finished tokens while collecting the live ones.
-	live := st.pendingDeliv[:0]
-	var waitFor []*delivToken
-	var clk race.Clock
-	for _, t := range st.pendingDeliv {
-		if !t.done {
-			live = append(live, t)
-			waitFor = append(waitFor, t)
-			clk = race.Join(clk, t.clk)
-		}
-	}
-	for i := len(live); i < len(st.pendingDeliv); i++ {
-		st.pendingDeliv[i] = nil
-	}
-	st.pendingDeliv = live
+	waitFor := st.pendingDeliv
 	if len(waitFor) == 0 {
 		fn(nil)
 		return
+	}
+	var clk race.Clock
+	for _, t := range waitFor {
+		clk = race.Join(clk, t.clk)
 	}
 	remaining := len(waitFor)
 	for _, t := range waitFor {

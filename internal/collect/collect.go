@@ -260,7 +260,7 @@ type inst struct {
 	key   instKey
 	t     *team.Team
 	op    Op
-	track any
+	track rt.Track
 
 	started bool
 	h       *Handle
@@ -363,7 +363,7 @@ func (n *node) nextSeq(teamID int64, kd kind, root int) uint64 {
 }
 
 // get returns the instance for key, creating a passive one if needed.
-func (n *node) get(key instKey, t *team.Team, track any) *inst {
+func (n *node) get(key instKey, t *team.Team, track rt.Track) *inst {
 	in, ok := n.insts[key]
 	if !ok {
 		in = &inst{key: key, t: t, track: track, kidData: make(map[int]any), byRank: make(map[int]any)}
@@ -457,9 +457,9 @@ func subtreeSize(r, size int) int {
 }
 
 // onMsg processes one delivered tree message.
-func (n *node) onMsg(m *colMsg, track any) {
+func (n *node) onMsg(m *colMsg, track rt.Track) {
 	in := n.get(m.key, m.t, track)
-	if in.track == nil {
+	if !in.track.Tracked() {
 		in.track = track
 	}
 	if in.elemBytes == 0 {

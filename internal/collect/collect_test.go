@@ -305,7 +305,7 @@ func TestAsyncBroadcastCompletionStages(t *testing.T) {
 		if img.Rank() == 0 {
 			val = 99
 		}
-		h := c.BroadcastAsync(img, w, 0, val, 32, nil)
+		h := c.BroadcastAsync(img, w, 0, val, 32, rt.Track{})
 		h.WaitLocalData(p)
 		if h.Result() != 99 {
 			t.Errorf("image %d: result %v", img.Rank(), h.Result())
@@ -338,7 +338,7 @@ func TestAsyncOverlapsComputation(t *testing.T) {
 		p.Sleep(compute)
 	})
 	asyncTime := runSPMD(t, n, 1, func(p *sim.Proc, img *rt.ImageKernel, c *Comm, w *team.Team) {
-		h := c.AllreduceAsync(img, w, Sum, []int64{1}, nil)
+		h := c.AllreduceAsync(img, w, Sum, []int64{1}, rt.Track{})
 		p.Sleep(compute) // overlap
 		h.WaitLocalData(p)
 		if h.Result().([]int64)[0] != int64(n) {

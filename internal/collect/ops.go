@@ -46,7 +46,7 @@ func (n *node) sendTree(in *inst, dstTeamRank int, m *colMsg, needAck, needInjec
 
 // start begins this image's participation in a collective instance.
 func (c *Comm) start(img *rt.ImageKernel, t *team.Team, kd kind, root int,
-	op Op, vec []int64, data any, elemBytes int, track any) *Handle {
+	op Op, vec []int64, data any, elemBytes int, track rt.Track) *Handle {
 
 	if root < 0 || root >= t.Size() {
 		panic(fmt.Sprintf("collect: root %d out of range for %v", root, t))
@@ -61,7 +61,7 @@ func (c *Comm) start(img *rt.ImageKernel, t *team.Team, kd kind, root int,
 	if in.started {
 		panic("collect: duplicate start for instance " + kd.String())
 	}
-	if track != nil {
+	if track.Tracked() {
 		in.track = track
 	}
 	in.started = true
@@ -395,34 +395,34 @@ func copyRankMap(m map[int]any) map[int]any {
 // ---------------------------------------------------------------------
 
 // BarrierAsync begins a split-phase barrier over t.
-func (c *Comm) BarrierAsync(img *rt.ImageKernel, t *team.Team, track any) *Handle {
+func (c *Comm) BarrierAsync(img *rt.ImageKernel, t *team.Team, track rt.Track) *Handle {
 	return c.start(img, t, kBarrier, 0, Sum, nil, nil, 0, track)
 }
 
 // BroadcastAsync begins an asynchronous broadcast of val (bytes wide)
 // from team rank root.
-func (c *Comm) BroadcastAsync(img *rt.ImageKernel, t *team.Team, root int, val any, bytes int, track any) *Handle {
+func (c *Comm) BroadcastAsync(img *rt.ImageKernel, t *team.Team, root int, val any, bytes int, track rt.Track) *Handle {
 	return c.start(img, t, kBcast, root, Sum, nil, val, bytes, track)
 }
 
 // ReduceAsync begins an asynchronous reduction of vec to team rank root.
-func (c *Comm) ReduceAsync(img *rt.ImageKernel, t *team.Team, root int, op Op, vec []int64, track any) *Handle {
+func (c *Comm) ReduceAsync(img *rt.ImageKernel, t *team.Team, root int, op Op, vec []int64, track rt.Track) *Handle {
 	return c.start(img, t, kReduce, root, op, vec, nil, 0, track)
 }
 
 // AllreduceAsync begins an asynchronous all-reduce of vec.
-func (c *Comm) AllreduceAsync(img *rt.ImageKernel, t *team.Team, op Op, vec []int64, track any) *Handle {
+func (c *Comm) AllreduceAsync(img *rt.ImageKernel, t *team.Team, op Op, vec []int64, track rt.Track) *Handle {
 	return c.start(img, t, kAllreduce, 0, op, vec, nil, 0, track)
 }
 
 // GatherAsync begins an asynchronous gather of val (bytes wide) to root.
-func (c *Comm) GatherAsync(img *rt.ImageKernel, t *team.Team, root int, val any, bytes int, track any) *Handle {
+func (c *Comm) GatherAsync(img *rt.ImageKernel, t *team.Team, root int, val any, bytes int, track rt.Track) *Handle {
 	return c.start(img, t, kGather, root, Sum, nil, val, bytes, track)
 }
 
 // ScatterAsync begins an asynchronous scatter. On the root, vals holds one
 // value per team rank (each bytes wide); elsewhere vals is ignored.
-func (c *Comm) ScatterAsync(img *rt.ImageKernel, t *team.Team, root int, vals []any, bytes int, track any) *Handle {
+func (c *Comm) ScatterAsync(img *rt.ImageKernel, t *team.Team, root int, vals []any, bytes int, track rt.Track) *Handle {
 	var data any
 	if t.MustRank(img.Rank()) == root {
 		data = vals
@@ -432,7 +432,7 @@ func (c *Comm) ScatterAsync(img *rt.ImageKernel, t *team.Team, root int, vals []
 
 // AlltoallAsync begins an asynchronous all-to-all exchange; vals holds one
 // value per team rank.
-func (c *Comm) AlltoallAsync(img *rt.ImageKernel, t *team.Team, vals []any, bytes int, track any) *Handle {
+func (c *Comm) AlltoallAsync(img *rt.ImageKernel, t *team.Team, vals []any, bytes int, track rt.Track) *Handle {
 	anyVals := make([]any, len(vals))
 	copy(anyVals, vals)
 	return c.start(img, t, kAlltoall, 0, Sum, nil, anyVals, bytes, track)
@@ -440,14 +440,14 @@ func (c *Comm) AlltoallAsync(img *rt.ImageKernel, t *team.Team, vals []any, byte
 
 // ScanAsync begins an asynchronous inclusive prefix reduction in
 // team-rank order.
-func (c *Comm) ScanAsync(img *rt.ImageKernel, t *team.Team, op Op, vec []int64, track any) *Handle {
+func (c *Comm) ScanAsync(img *rt.ImageKernel, t *team.Team, op Op, vec []int64, track rt.Track) *Handle {
 	return c.start(img, t, kScan, 0, op, vec, nil, 8*len(vec), track)
 }
 
 // SortAsync begins an asynchronous parallel sort: the concatenation of all
 // images' keys is sorted and redistributed so team rank order yields a
 // globally sorted sequence, with each image keeping its original count.
-func (c *Comm) SortAsync(img *rt.ImageKernel, t *team.Team, keys []int64, track any) *Handle {
+func (c *Comm) SortAsync(img *rt.ImageKernel, t *team.Team, keys []int64, track rt.Track) *Handle {
 	return c.start(img, t, kSort, 0, Sum, keys, nil, 8*max(1, len(keys)), track)
 }
 
@@ -459,13 +459,13 @@ func (c *Comm) SortAsync(img *rt.ImageKernel, t *team.Team, keys []int64, track 
 
 // Barrier blocks until every member of t has entered the barrier.
 func (c *Comm) Barrier(p *sim.Proc, img *rt.ImageKernel, t *team.Team) {
-	c.BarrierAsync(img, t, nil).WaitLocalData(p)
+	c.BarrierAsync(img, t, rt.Track{}).WaitLocalData(p)
 }
 
 // Broadcast distributes val (bytes wide) from team rank root and returns
 // the received value.
 func (c *Comm) Broadcast(p *sim.Proc, img *rt.ImageKernel, t *team.Team, root int, val any, bytes int) any {
-	h := c.BroadcastAsync(img, t, root, val, bytes, nil)
+	h := c.BroadcastAsync(img, t, root, val, bytes, rt.Track{})
 	h.WaitLocalData(p)
 	return h.Result()
 }
@@ -473,7 +473,7 @@ func (c *Comm) Broadcast(p *sim.Proc, img *rt.ImageKernel, t *team.Team, root in
 // Reduce folds vec across t; the result is returned at the root, nil
 // elsewhere.
 func (c *Comm) Reduce(p *sim.Proc, img *rt.ImageKernel, t *team.Team, root int, op Op, vec []int64) []int64 {
-	h := c.ReduceAsync(img, t, root, op, vec, nil)
+	h := c.ReduceAsync(img, t, root, op, vec, rt.Track{})
 	h.WaitLocalData(p)
 	if h.Result() == nil {
 		return nil
@@ -483,7 +483,7 @@ func (c *Comm) Reduce(p *sim.Proc, img *rt.ImageKernel, t *team.Team, root int, 
 
 // Allreduce folds vec across t and returns the result on every member.
 func (c *Comm) Allreduce(p *sim.Proc, img *rt.ImageKernel, t *team.Team, op Op, vec []int64) []int64 {
-	h := c.AllreduceAsync(img, t, op, vec, nil)
+	h := c.AllreduceAsync(img, t, op, vec, rt.Track{})
 	h.WaitLocalData(p)
 	return h.Result().([]int64)
 }
@@ -491,7 +491,7 @@ func (c *Comm) Allreduce(p *sim.Proc, img *rt.ImageKernel, t *team.Team, op Op, 
 // Gather collects each member's val at root, returning the team-rank
 // ordered slice there and nil elsewhere.
 func (c *Comm) Gather(p *sim.Proc, img *rt.ImageKernel, t *team.Team, root int, val any, bytes int) []any {
-	h := c.GatherAsync(img, t, root, val, bytes, nil)
+	h := c.GatherAsync(img, t, root, val, bytes, rt.Track{})
 	h.WaitLocalData(p)
 	if h.Result() == nil {
 		return nil
@@ -501,7 +501,7 @@ func (c *Comm) Gather(p *sim.Proc, img *rt.ImageKernel, t *team.Team, root int, 
 
 // Scatter distributes vals from root; every member returns its element.
 func (c *Comm) Scatter(p *sim.Proc, img *rt.ImageKernel, t *team.Team, root int, vals []any, bytes int) any {
-	h := c.ScatterAsync(img, t, root, vals, bytes, nil)
+	h := c.ScatterAsync(img, t, root, vals, bytes, rt.Track{})
 	h.WaitLocalData(p)
 	return h.Result()
 }
@@ -509,21 +509,21 @@ func (c *Comm) Scatter(p *sim.Proc, img *rt.ImageKernel, t *team.Team, root int,
 // Alltoall exchanges vals pairwise; entry i of the result came from team
 // rank i.
 func (c *Comm) Alltoall(p *sim.Proc, img *rt.ImageKernel, t *team.Team, vals []any, bytes int) []any {
-	h := c.AlltoallAsync(img, t, vals, bytes, nil)
+	h := c.AlltoallAsync(img, t, vals, bytes, rt.Track{})
 	h.WaitLocalData(p)
 	return h.Result().([]any)
 }
 
 // Scan returns the inclusive prefix reduction of vec in team-rank order.
 func (c *Comm) Scan(p *sim.Proc, img *rt.ImageKernel, t *team.Team, op Op, vec []int64) []int64 {
-	h := c.ScanAsync(img, t, op, vec, nil)
+	h := c.ScanAsync(img, t, op, vec, rt.Track{})
 	h.WaitLocalData(p)
 	return h.Result().([]int64)
 }
 
 // Sort globally sorts the members' keys (see SortAsync).
 func (c *Comm) Sort(p *sim.Proc, img *rt.ImageKernel, t *team.Team, keys []int64) []int64 {
-	h := c.SortAsync(img, t, keys, nil)
+	h := c.SortAsync(img, t, keys, rt.Track{})
 	h.WaitLocalData(p)
 	return h.Result().([]int64)
 }

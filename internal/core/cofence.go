@@ -108,8 +108,13 @@ func (op *PendingOp) CompleteLocalData() {
 		return
 	}
 	op.done = true
-	op.ct.sweep()
-	for _, w := range op.ct.waiters {
+	// A finished op lets go of its tracker: the tracker may be a field of
+	// the initiating context's record (a shipped function's), which an
+	// operation that outlives the context must not keep alive.
+	ct := op.ct
+	op.ct = nil
+	ct.sweep()
+	for _, w := range ct.waiters {
 		w.Unpark()
 	}
 	cbs := op.cbs
@@ -120,10 +125,24 @@ func (op *PendingOp) CompleteLocalData() {
 	}
 }
 
+// Initiator starts an implicitly-synchronized operation: the record form
+// of Register's initiate function. An operation that keeps a record of
+// its own implements it on the record and registers through RegisterOp.
+type Initiator interface {
+	Initiate()
+}
+
+// InitiatorFunc makes a plain function an Initiator (no allocation: a
+// func value fits an interface word).
+type InitiatorFunc func()
+
+// Initiate calls f.
+func (f InitiatorFunc) Initiate() { f() }
+
 // delayedOp is an initiation the relaxed runtime has buffered.
 type delayedOp struct {
-	class    OpClass
-	initiate func()
+	class OpClass
+	init  Initiator
 }
 
 // CofenceTracker is the per-image registry of implicitly-synchronized
@@ -134,6 +153,10 @@ type delayedOp struct {
 type CofenceTracker struct {
 	pending []*PendingOp
 	waiters []*sim.Proc
+
+	// inline is pending's first backing array (see Init): most execution
+	// contexts never have more operations outstanding than fit here.
+	inline [2]*PendingOp
 
 	// Relaxed-mode initiation buffering.
 	relaxed  bool
@@ -147,7 +170,17 @@ type CofenceTracker struct {
 // initiate eagerly (GASNet-style); with relaxed=true up to maxDelay
 // initiations are buffered and released by fences and flushes.
 func NewCofenceTracker(relaxed bool, maxDelay int) *CofenceTracker {
-	return &CofenceTracker{relaxed: relaxed, maxDelay: maxDelay}
+	ct := new(CofenceTracker)
+	ct.Init(relaxed, maxDelay)
+	return ct
+}
+
+// Init makes ct, in place, what NewCofenceTracker returns — for a tracker
+// held by value inside its execution context's own record. The tracker
+// must not be copied afterwards: pending starts out on the inline array.
+func (ct *CofenceTracker) Init(relaxed bool, maxDelay int) {
+	*ct = CofenceTracker{relaxed: relaxed, maxDelay: maxDelay}
+	ct.pending = ct.inline[:0]
 }
 
 // Pending reports the number of registered ops not yet local-data
@@ -163,17 +196,25 @@ func (ct *CofenceTracker) Delayed() int { return len(ct.delayed) }
 // must be marked via CompleteLocalData when the op's local buffers are
 // free.
 func (ct *CofenceTracker) Register(class OpClass, initiate func()) *PendingOp {
-	op := &PendingOp{class: class, ct: ct}
+	op := new(PendingOp)
+	ct.RegisterOp(op, class, InitiatorFunc(initiate))
+	return op
+}
+
+// RegisterOp is Register for an operation that brings its own PendingOp
+// (typically a field of the record that is also its Initiator), so
+// registering allocates nothing. op is overwritten.
+func (ct *CofenceTracker) RegisterOp(op *PendingOp, class OpClass, init Initiator) {
+	*op = PendingOp{class: class, ct: ct}
 	ct.pending = append(ct.pending, op)
 	if ct.relaxed && ct.maxDelay > 0 {
-		ct.delayed = append(ct.delayed, delayedOp{class: class, initiate: initiate})
+		ct.delayed = append(ct.delayed, delayedOp{class: class, init: init})
 		if len(ct.delayed) > ct.maxDelay {
 			ct.flushDelayed(AllowNone)
 		}
 	} else {
-		initiate()
+		init.Initiate()
 	}
-	return op
 }
 
 // sweep drops completed ops from the pending list.
@@ -199,7 +240,7 @@ func (ct *CofenceTracker) flushDelayed(down Allow) {
 		if passes(d.class, down) {
 			keep = append(keep, d)
 		} else {
-			d.initiate()
+			d.init.Initiate()
 		}
 	}
 	for i := len(keep); i < len(ct.delayed); i++ {

@@ -23,24 +23,21 @@ import (
 	"caf2go/internal/team"
 )
 
-// Ref identifies a finish block on the wire. ID is identical on every
-// member image (derived from the team id and a per-team sequence number);
-// ParityOdd is stamped by the sender's OnSend with the sender's present
-// epoch parity, implementing the paper's fromOddEpoch bit. The epoch-box
-// pointers bind each message's delivery/completion credits to the epoch
-// objects that counted its send/receipt — on real hardware these are
-// per-image table lookups keyed by (ID, parity, round); carrying pointers
-// is the shared-address-space simulation's shortcut for the same thing.
-type Ref struct {
-	ID        int64
-	ParityOdd bool
-	// Src and Dst are the world ranks of the sender and destination,
-	// stamped at OnSend. The resilient-finish reconciliation keys its
-	// per-peer charge-off tallies on them.
-	Src, Dst int
-	sBox     *epochBox // sender's epoch at send time (ack credit target)
-	rBox     *epochBox // receiver's epoch at delivery (completion target)
-}
+// Ref identifies a finish block on the wire: it is rt's tracking context,
+// which travels with every tracked message by value. ID is identical on
+// every member image (derived from the team id and a per-team sequence
+// number); ParityOdd is stamped by the sender's OnSend with the sender's
+// present epoch parity, implementing the paper's fromOddEpoch bit; Src
+// and Dst are the world ranks of the sender and destination, stamped at
+// OnSend, on which the resilient-finish reconciliation keys its per-peer
+// charge-off tallies. SBox (the sender's epoch at send time, the ack's
+// credit target) and RBox (the receiver's epoch at delivery, the
+// completion's) bind each message's delivery/completion credits to the
+// epoch objects that counted its send/receipt — on real hardware these
+// are per-image table lookups keyed by (ID, parity, round); carrying
+// pointers is the shared-address-space simulation's shortcut for the
+// same thing.
+type Ref = rt.Track
 
 // FinishID derives the globally consistent id of the seq-th finish block
 // executed on a team. Every image entering its seq-th finish on the same
@@ -78,6 +75,13 @@ type epochBox struct {
 	epoch
 	fwd *epochBox
 }
+
+// TrackBox marks an epochBox as what a Ref's SBox and RBox point to.
+func (*epochBox) TrackBox() {}
+
+// epochOf returns the epoch a stamped Ref's SBox or RBox names, resolved to
+// its fold target.
+func epochOf(b rt.TrackBox) *epochBox { return b.(*epochBox).resolve() }
 
 func (b *epochBox) resolve() *epochBox {
 	for b.fwd != nil {
@@ -429,7 +433,7 @@ func (pl *Plane) allreduce(p *sim.Proc, img *rt.ImageKernel, s *State, vec []int
 	if pl.det == nil {
 		return pl.comm.Allreduce(p, img, s.t, collect.Sum, vec), true
 	}
-	h := pl.comm.AllreduceAsync(img, s.t, collect.Sum, vec, nil)
+	h := pl.comm.AllreduceAsync(img, s.t, collect.Sum, vec, rt.Track{})
 	if !h.WaitLocalDataErr(p) {
 		return nil, false
 	}
@@ -693,20 +697,18 @@ func (pl *Plane) maybeCollect(rank int, s *State) {
 
 // OnSend counts the send in the sender's present epoch and stamps the
 // message with that parity, epoch binding, and endpoints.
-func (pl *Plane) OnSend(src *rt.ImageKernel, dst int, ctx any) any {
-	ref := ctx.(Ref)
+func (pl *Plane) OnSend(src *rt.ImageKernel, dst int, ref Ref) Ref {
 	s := pl.state(src.Rank(), ref.ID)
 	box := s.currentBox()
 	box.resolve().sent++
 	s.tSent++
 	pl.stats.TrackedSends++
-	return Ref{ID: ref.ID, ParityOdd: s.presentOdd, Src: src.Rank(), Dst: dst, sBox: box}
+	return Ref{ID: ref.ID, ParityOdd: s.presentOdd, Src: src.Rank(), Dst: dst, SBox: box}
 }
 
 // OnReceive counts the arrival; an odd-parity message forces the receiver
 // into its odd epoch (Fig. 7 message_handler).
-func (pl *Plane) OnReceive(dst *rt.ImageKernel, ctx any) any {
-	ref := ctx.(Ref)
+func (pl *Plane) OnReceive(dst *rt.ImageKernel, ref Ref) Ref {
 	s := pl.state(dst.Rank(), ref.ID)
 	if ref.ParityOdd {
 		s.presentOdd = true
@@ -716,7 +718,7 @@ func (pl *Plane) OnReceive(dst *rt.ImageKernel, ctx any) any {
 	box.resolve().received++
 	s.tReceived++
 	pl.stats.TrackedArrives++
-	ref.rBox = box
+	ref.RBox = box
 	return ref
 }
 
@@ -727,10 +729,9 @@ func (pl *Plane) OnReceive(dst *rt.ImageKernel, ctx any) any {
 // becomes a virtual {sent, delivered} pair standing in for the send the
 // dead image can no longer report. A completion arriving after the
 // sender was already charged off applies the stand-in immediately.
-func (pl *Plane) OnComplete(dst *rt.ImageKernel, ctx any) {
-	ref := ctx.(Ref)
+func (pl *Plane) OnComplete(dst *rt.ImageKernel, ref Ref) {
 	s := pl.state(dst.Rank(), ref.ID)
-	ref.rBox.resolve().completed++
+	epochOf(ref.RBox).completed++
 	s.tCompleted++
 	if pl.det != nil {
 		if pl.charged[ref.Src] {
@@ -755,10 +756,9 @@ func (pl *Plane) OnComplete(dst *rt.ImageKernel, ctx any) {
 // was resident on the dead image and will never be reported). An ack
 // arriving after the peer was already charged off — the fabric event was
 // scheduled before the crash — applies the charge-off immediately.
-func (pl *Plane) OnAck(src *rt.ImageKernel, ctx any) {
-	ref := ctx.(Ref)
+func (pl *Plane) OnAck(src *rt.ImageKernel, ref Ref) {
 	s := pl.state(src.Rank(), ref.ID)
-	ref.sBox.resolve().delivered++
+	epochOf(ref.SBox).delivered++
 	s.tDelivered++
 	if pl.det != nil {
 		if pl.charged[ref.Dst] {
@@ -785,10 +785,9 @@ func (pl *Plane) OnAck(src *rt.ImageKernel, ctx any) {
 // receipt + completion that will never happen remotely are charged off
 // as a virtual pair. Only invoked when a failure detector is attached
 // (rt strips the callback otherwise).
-func (pl *Plane) OnAbandoned(src *rt.ImageKernel, ctx any) {
-	ref := ctx.(Ref)
+func (pl *Plane) OnAbandoned(src *rt.ImageKernel, ref Ref) {
 	s := pl.state(src.Rank(), ref.ID)
-	ref.sBox.resolve().delivered++
+	epochOf(ref.SBox).delivered++
 	s.tDelivered++
 	s.adjCompleted++
 	s.lost++

@@ -134,7 +134,7 @@ func TestLateAckAfterFoldCountsOnce(t *testing.T) {
 	s := m.pl.state(0, id)
 	s.presentOdd = true // the image is in an odd epoch when it sends
 
-	stamped := m.pl.OnSend(img, 0, Ref{ID: id}).(Ref)
+	stamped := m.pl.OnSend(img, 0, Ref{ID: id})
 	if !stamped.ParityOdd {
 		t.Fatal("send in an odd epoch not stamped odd")
 	}

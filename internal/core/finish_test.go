@@ -54,7 +54,7 @@ func newMachineFabricEng(t testing.TB, eng *sim.Engine, n int, cfg Config, fcfg 
 		d.Detach()
 		fn := d.Payload.(shipped)
 		d.Img.Go("spawned", func(p *sim.Proc) {
-			ref := d.Track().(Ref)
+			ref := d.Track()
 			fn(d.Img, p, Ref{ID: ref.ID})
 			m.completed++
 			m.lastDoneAt = p.Now()

@@ -238,6 +238,10 @@ func batchOpts(inner []SendOpts) SendOpts {
 		if o.OnAbandoned != nil {
 			abandoned = append(abandoned, o.OnAbandoned)
 		}
+		if o.Done != nil {
+			delivered = append(delivered, o.Done.Delivered)
+			abandoned = append(abandoned, o.Done.Abandoned)
+		}
 	}
 	var out SendOpts
 	if len(injected) > 0 {

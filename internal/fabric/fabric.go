@@ -160,6 +160,38 @@ type SendOpts struct {
 	// Failure-aware layers use this to charge off work resident on dead
 	// images instead of waiting forever.
 	OnAbandoned func()
+	// Done is OnDelivered and OnAbandoned as a (record, method) pair: a
+	// sender that keeps a record per message sets Done to the record
+	// instead of binding two closures to it. Either form may be used, or
+	// both; the func fields run first.
+	Done Completion
+}
+
+// Completion is a sender's per-message record, called back where the
+// func fields of SendOpts would be.
+type Completion interface {
+	Delivered() // see SendOpts.OnDelivered
+	Abandoned() // see SendOpts.OnAbandoned
+}
+
+// delivered runs the delivery-ack callbacks of one logical message.
+func (o *SendOpts) delivered() {
+	if o.OnDelivered != nil {
+		o.OnDelivered()
+	}
+	if o.Done != nil {
+		o.Done.Delivered()
+	}
+}
+
+// abandoned runs the callbacks of a message the fabric gave up on.
+func (o *SendOpts) abandoned() {
+	if o.OnAbandoned != nil {
+		o.OnAbandoned()
+	}
+	if o.Done != nil {
+		o.Done.Abandoned()
+	}
 }
 
 // Stats aggregates fabric-wide counters. MsgsSent counts transmissions
@@ -501,9 +533,7 @@ func (ep *Endpoint) post(m *Msg, opts SendOpts) {
 		// success from silence. OnAbandoned (if any) still fires so
 		// failure-aware layers can account for the loss.
 		ep.f.stats.Abandoned++
-		if opts.OnAbandoned != nil {
-			opts.OnAbandoned()
-		}
+		opts.abandoned()
 		return
 	}
 	if ep.f.cfg.Credits > 0 && ep.outstanding >= ep.f.cfg.Credits {
@@ -640,9 +670,7 @@ func (fl *flight) ack() {
 	f, src := fl.f, fl.src
 	f.stats.Acks++
 	src.outstanding--
-	if fl.opts.OnDelivered != nil {
-		fl.opts.OnDelivered()
-	}
+	fl.opts.delivered()
 	src.drainQueue()
 
 	fl.m, fl.opts, fl.src, fl.dst = nil, SendOpts{}, nil, nil
@@ -779,9 +807,7 @@ func (ep *Endpoint) onAckTimeout(tx *txState) {
 		// terminate — the never-early side of Theorem 1). OnAbandoned
 		// is the explicit loss notification for failure-aware layers.
 		ep.outstanding--
-		if tx.opts.OnAbandoned != nil {
-			tx.opts.OnAbandoned()
-		}
+		tx.opts.abandoned()
 		ep.drainQueue()
 		return
 	}
@@ -823,9 +849,7 @@ func (f *Fabric) AbandonForDead(rank int) {
 			f.stats.Abandoned++
 			delete(ep.pending, k)
 			ep.outstanding--
-			if tx.opts.OnAbandoned != nil {
-				tx.opts.OnAbandoned()
-			}
+			tx.opts.abandoned()
 		}
 		if ep.rank == rank {
 			// The dead endpoint's credit-stalled queue can never inject:
@@ -834,9 +858,7 @@ func (f *Fabric) AbandonForDead(rank int) {
 			ep.sendq, ep.sendqHead = nil, 0
 			for _, qs := range q {
 				f.stats.Abandoned++
-				if qs.opts.OnAbandoned != nil {
-					qs.opts.OnAbandoned()
-				}
+				qs.opts.abandoned()
 			}
 			continue
 		}
@@ -919,8 +941,6 @@ func (ep *Endpoint) onAckArrival(peer int, seq uint64) {
 	delete(ep.pending, txKey{peer, seq})
 	f.stats.Acks++
 	ep.outstanding--
-	if tx.opts.OnDelivered != nil {
-		tx.opts.OnDelivered()
-	}
+	tx.opts.delivered()
 	ep.drainQueue()
 }

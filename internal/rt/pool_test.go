@@ -47,7 +47,7 @@ func TestPoolSendDispatchDoesNotAllocate(t *testing.T) {
 		handled++
 	})
 	acked := 0
-	opts := SendOpts{Class: fabric.AMShort, Bytes: 8, Track: "ctx", OnDelivered: func() { acked++ }}
+	opts := SendOpts{Class: fabric.AMShort, Bytes: 8, Track: Track{ID: 1}, OnDelivered: func() { acked++ }}
 	src := k.Image(0)
 	send := func() {
 		src.Send(1, tagPing, nil, opts)
@@ -196,7 +196,7 @@ func TestQuarantineDetachedDeliveryOutlivesLaterDispatches(t *testing.T) {
 			later++
 		})
 		src := k.Image(0)
-		src.Send(1, tagWork, "kept", SendOpts{Track: "held", Bytes: 24})
+		src.Send(1, tagWork, "kept", SendOpts{Track: Track{ID: 5}, Bytes: 24})
 		for i := 0; i < 1000; i++ {
 			src.Send(1, tagPing, i, SendOpts{})
 		}
@@ -206,7 +206,7 @@ func TestQuarantineDetachedDeliveryOutlivesLaterDispatches(t *testing.T) {
 		if later != 1000 {
 			t.Fatalf("%d later dispatches, want 1000", later)
 		}
-		if kept.Payload != "kept" || kept.Src != 0 || kept.Bytes != 24 || kept.Track() != "held+stamped" {
+		if kept.Payload != "kept" || kept.Src != 0 || kept.Bytes != 24 || kept.Track() != stamped(5, 0, 1) {
 			t.Errorf("detached delivery was overwritten: %+v", kept)
 		}
 		tr.log = nil
@@ -239,7 +239,7 @@ func TestQuarantineDetachCompleteInsideHandler(t *testing.T) {
 		})
 		const n = 50
 		for i := 0; i < n; i++ {
-			k.Image(0).Send(1, tagWork, i, SendOpts{Track: "t"})
+			k.Image(0).Send(1, tagWork, i, SendOpts{Track: Track{ID: 1}})
 		}
 		if err := eng.Run(); err != nil {
 			t.Fatal(err)
@@ -269,7 +269,7 @@ func TestQuarantineCoalescedBatchReleasesEachOutMsgOnce(t *testing.T) {
 		const n = 20 // two full batches and a timer flush of four
 		delivered := 0
 		for i := 0; i < n; i++ {
-			k.Image(0).Send(1, tagWork, i, SendOpts{Track: "t", Class: fabric.AMShort, Bytes: 8,
+			k.Image(0).Send(1, tagWork, i, SendOpts{Track: Track{ID: 1}, Class: fabric.AMShort, Bytes: 8,
 				OnDelivered: func() { delivered++ }})
 		}
 		if err := eng.Run(); err != nil {
@@ -306,7 +306,7 @@ func TestQuarantineDuplicateAfterAckLetsNothing(t *testing.T) {
 		k.RegisterHandler(tagWork, func(d *Delivery) { handled[fmt.Sprint(d.Src, "→", d.Img.Rank(), ":", d.Payload)]++ })
 		const n = 40
 		for i := 0; i < n; i++ {
-			k.Image(i%4).Send((i+1)%4, tagWork, i, SendOpts{Track: "t"})
+			k.Image(i%4).Send((i+1)%4, tagWork, i, SendOpts{Track: Track{ID: 1}})
 		}
 		if err := eng.Run(); err != nil {
 			t.Fatal(err)

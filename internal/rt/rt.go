@@ -11,7 +11,8 @@
 // A message costs rt no allocation in steady state. Its three per-message
 // records are recycled through free lists on the Kernel (DESIGN §4.14):
 // an outMsg per send, holding the fabric.Msg, the envelope and the
-// completion callbacks, released in its own ack callback; a Delivery per
+// completion callbacks, which is itself the completion the fabric calls
+// back and is released in its own ack callback; a Delivery per
 // dispatch, released when the handler returns or at Complete; and a wait
 // slot per Call, which travels to the callee and back by pointer and is
 // released when Call returns. On a fabric with a fault plan outMsgs are
@@ -35,29 +36,51 @@ const (
 	tagReply uint16 = 0xFFFF
 )
 
+// Track is the finish-plane context of a tracked message, carried by
+// value from the sender's SendOpts through the envelope to the Delivery
+// and handed to the Tracker at each step. The zero value is "untracked".
+// rt reads only ID; the other fields are the tracker's, stamped by OnSend
+// and OnReceive: the sender's epoch parity, the two endpoints, and the
+// tracker-owned records the message's ack and completion are credited to.
+type Track struct {
+	ID        int64 // the finish block; 0 = untracked
+	ParityOdd bool
+	Src, Dst  int // world ranks of sender and destination
+	SBox      TrackBox
+	RBox      TrackBox
+}
+
+// Tracked reports whether t names a finish block.
+func (t Track) Tracked() bool { return t.ID != 0 }
+
+// TrackBox is a pointer to a record of the tracker's own that rides with
+// a tracked message. rt never looks inside.
+type TrackBox interface {
+	TrackBox()
+}
+
 // Tracker observes the lifecycle of tracked messages. A message sent with
-// a non-nil track context triggers, in order: OnSend on the source (which
-// may transform the context, e.g. stamping the sender's epoch parity),
-// OnReceive on the destination at delivery, OnComplete on the destination
-// when the handler (or the detached work it started) finishes, and OnAck
-// on the source when the delivery acknowledgement returns. The finish
-// plane implements this to maintain its sent/received/completed/delivered
+// a tracked context triggers, in order: OnSend on the source (which
+// stamps the context, e.g. with the sender's epoch parity), OnReceive on
+// the destination at delivery, OnComplete on the destination when the
+// handler (or the detached work it started) finishes, and OnAck on the
+// source when the delivery acknowledgement returns. The finish plane
+// implements this to maintain its sent/received/completed/delivered
 // counters (paper Fig. 7).
 type Tracker interface {
-	// OnSend may transform the context (stamp parity, bind the sender's
-	// epoch, record the destination); the returned value travels with
-	// the message.
-	OnSend(src *ImageKernel, dst int, ctx any) any
-	// OnReceive may transform the context again (bind the receiver's
-	// epoch); the returned value is what OnComplete later sees.
-	OnReceive(dst *ImageKernel, ctx any) any
-	OnComplete(dst *ImageKernel, ctx any)
-	OnAck(src *ImageKernel, ctx any)
+	// OnSend stamps the context (parity, the sender's epoch, the
+	// endpoints); the returned value travels with the message.
+	OnSend(src *ImageKernel, dst int, t Track) Track
+	// OnReceive stamps it again (the receiver's epoch); the returned
+	// value is what OnComplete later sees.
+	OnReceive(dst *ImageKernel, t Track) Track
+	OnComplete(dst *ImageKernel, t Track)
+	OnAck(src *ImageKernel, t Track)
 	// OnAbandoned fires on the source when the fabric gives up on a
 	// tracked message for good (dead destination NIC, dead source NIC,
 	// or exhausted retransmission budget). It replaces the OnAck that
 	// will never come; only fired when a failure detector is attached.
-	OnAbandoned(src *ImageKernel, ctx any)
+	OnAbandoned(src *ImageKernel, t Track)
 }
 
 // Handler processes a delivered message on an image.
@@ -68,26 +91,24 @@ type Handler func(d *Delivery)
 // and the id back (with replyTo -1: nobody replies to a reply).
 type env struct {
 	payload any
-	track   any
+	track   Track
 	replyTo int // world rank awaiting a reply, or -1
 	replyID uint64
 	slot    *callSlot
 }
 
 // outMsg is the sending side of one message: the fabric message, its
-// envelope, and what to run when the fabric is done with it. The two
-// callbacks handed to the fabric are methods of the record, bound once:
-// onDelivered when the record is made, onAbandoned when a send first
-// needs it (only under a failure detector).
+// envelope, and what to run when the fabric is done with it. The record
+// is the fabric.Completion of its own send, so handing it to the fabric
+// builds no callback.
 type outMsg struct {
 	img *ImageKernel
 	msg fabric.Msg
 	env env
 
 	userDelivered, userAbandoned func()
+	userDone                     Completion
 	dead                         bool // released under sim.QuarantinePools
-
-	onDelivered, onAbandoned func()
 }
 
 func (o *outMsg) live() {
@@ -96,35 +117,46 @@ func (o *outMsg) live() {
 	}
 }
 
-// delivered is the message's ack callback on the sender. On the
+// Delivered is the message's ack callback on the sender. On the
 // idealized fabric nothing refers to the message after it — the handler
 // ran before the ack left — so it ends by releasing the record.
-func (o *outMsg) delivered() {
+func (o *outMsg) Delivered() {
 	o.live()
 	img := o.img
 	k := img.k
-	if o.env.track != nil {
+	if o.env.track.Tracked() {
 		k.tracker.OnAck(img, o.env.track)
 	}
 	if o.userDelivered != nil {
 		o.userDelivered()
 	}
+	if o.userDone != nil {
+		o.userDone.Delivered()
+	}
 	if k.reliable {
 		return
 	}
-	*o = outMsg{onDelivered: o.onDelivered, onAbandoned: o.onAbandoned}
+	*o = outMsg{}
 	o.dead = k.outMsgs.Put(o)
 }
 
-// abandoned replaces delivered when the fabric gives up on the message;
+// Abandoned replaces Delivered when the fabric gives up on the message;
 // only a fabric with a fault plan does, so the record is never recycled.
-func (o *outMsg) abandoned() {
+// Without a failure detector abandonment stays silent, exactly as it was
+// before the detector existed.
+func (o *outMsg) Abandoned() {
 	o.live()
-	if o.env.track != nil {
+	if o.img.k.det == nil {
+		return
+	}
+	if o.env.track.Tracked() {
 		o.img.k.tracker.OnAbandoned(o.img, o.env.track)
 	}
 	if o.userAbandoned != nil {
 		o.userAbandoned()
+	}
+	if o.userDone != nil {
+		o.userDone.Abandoned()
 	}
 }
 
@@ -252,10 +284,15 @@ func (img *ImageKernel) Endpoint() *fabric.Endpoint { return img.ep }
 // by the image's engine shard, so its start and every later wakeup are
 // admitted through that shard's queue.
 func (img *ImageKernel) Go(name string, fn func(p *sim.Proc)) *sim.Proc {
+	return img.GoBody(name, sim.BodyFunc(fn))
+}
+
+// GoBody is Go for a body that is a record (see sim.Body).
+func (img *ImageKernel) GoBody(name string, body sim.Body) *sim.Proc {
 	img.procSeq++
 	eng := img.k.eng
 	shard := sim.ShardOf(img.rank, len(img.k.images), eng.NumShards())
-	p := eng.GoNamedOn(shard, sim.ProcName{Scope: img.procScope, Base: name, Seq: img.procSeq}, fn)
+	p := eng.GoBodyOn(shard, sim.ProcName{Scope: img.procScope, Base: name, Seq: img.procSeq}, body)
 	img.procs.Add(p)
 	return p
 }
@@ -265,9 +302,13 @@ func (img *ImageKernel) Go(name string, fn func(p *sim.Proc)) *sim.Proc {
 // diagnostics reads their states from here.
 func (img *ImageKernel) Procs() []*sim.Proc { return img.procs.Live() }
 
+// Completion is the (record, method) form of OnDelivered and OnAbandoned
+// (see fabric.Completion).
+type Completion = fabric.Completion
+
 // SendOpts mirror fabric completion callbacks plus the tracking context.
 type SendOpts struct {
-	Track       any    // finish-plane context; nil = untracked
+	Track       Track  // finish-plane context; zero = untracked
 	OnInjected  func() // source buffer reusable (local data completion)
 	OnDelivered func() // delivery ack returned (local op completion)
 	Class       fabric.Class
@@ -283,6 +324,11 @@ type SendOpts struct {
 	// Path tags the message with the traced request whose causal path
 	// it rides (see fabric.Msg.Path). Zero = untagged.
 	Path path.Tag
+	// Done, when set, has its Delivered method called where OnDelivered
+	// would be and its Abandoned method where OnAbandoned would be (and
+	// under the same detector rule). A sender that already owns a record
+	// for the operation passes the record and builds no closure.
+	Done Completion
 }
 
 // Send delivers payload to handler tag on image dst.
@@ -296,13 +342,13 @@ func (img *ImageKernel) post(dst int, tag uint16, e env, opts SendOpts) {
 	k := img.k
 	o := k.outMsgs.Get()
 	if o == nil {
-		o = &outMsg{}
-		o.onDelivered = o.delivered
+		o = new(outMsg)
 	}
-	if opts.Track != nil && k.tracker != nil {
+	if opts.Track.Tracked() && k.tracker != nil {
 		e.track = k.tracker.OnSend(img, dst, opts.Track)
 	}
-	o.img, o.env, o.userDelivered = img, e, opts.OnDelivered
+	o.img, o.env = img, e
+	o.userDelivered, o.userAbandoned, o.userDone = opts.OnDelivered, opts.OnAbandoned, opts.Done
 	o.msg = fabric.Msg{
 		Src:     img.rank,
 		Dst:     dst,
@@ -313,18 +359,9 @@ func (img *ImageKernel) post(dst int, tag uint16, e env, opts SendOpts) {
 		Path:    opts.Path,
 	}
 	fo := fabric.SendOpts{
-		OnInjected:  opts.OnInjected,
-		OnDelivered: o.onDelivered,
-		NoCoalesce:  opts.NoCoalesce,
-	}
-	if k.det != nil {
-		// Without a failure detector abandonment stays silent, exactly as
-		// it was before the detector existed.
-		if o.onAbandoned == nil {
-			o.onAbandoned = o.abandoned
-		}
-		o.userAbandoned = opts.OnAbandoned
-		fo.OnAbandoned = o.onAbandoned
+		OnInjected: opts.OnInjected,
+		Done:       o,
+		NoCoalesce: opts.NoCoalesce,
 	}
 	img.ep.Send(&o.msg, fo)
 }
@@ -343,7 +380,7 @@ type Delivery struct {
 	Payload any
 	Bytes   int
 
-	track     any
+	track     Track
 	detached  bool
 	done      bool
 	replied   bool
@@ -360,8 +397,9 @@ func (d *Delivery) live() {
 	}
 }
 
-// Track returns the message's (stamped) tracking context, or nil.
-func (d *Delivery) Track() any {
+// Track returns the message's (stamped) tracking context; the zero Track
+// for an untracked message.
+func (d *Delivery) Track() Track {
 	d.live()
 	return d.track
 }
@@ -392,7 +430,7 @@ func (d *Delivery) finishCompletion() {
 		panic("rt: duplicate completion")
 	}
 	d.done = true
-	if d.track != nil {
+	if d.track.Tracked() {
 		if tr := d.Img.k.tracker; tr != nil {
 			tr.OnComplete(d.Img, d.track)
 		}
@@ -452,7 +490,7 @@ func (img *ImageKernel) dispatch(m *fabric.Msg, h Handler) {
 		replyID:   e.replyID,
 		slot:      e.slot,
 	}
-	if e.track != nil {
+	if e.track.Tracked() {
 		if tr := k.tracker; tr != nil {
 			d.track = tr.OnReceive(img, e.track)
 		}

@@ -1,7 +1,6 @@
 package rt
 
 import (
-	"fmt"
 	"testing"
 
 	"caf2go/internal/fabric"
@@ -15,17 +14,17 @@ type countingTracker struct {
 	sends, recvs, completes, acks, abandons int
 }
 
-func (c *countingTracker) OnSend(src *ImageKernel, dst int, ctx any) any {
+func (c *countingTracker) OnSend(src *ImageKernel, dst int, ctx Track) Track {
 	c.sends++
 	return ctx
 }
-func (c *countingTracker) OnReceive(dst *ImageKernel, ctx any) any {
+func (c *countingTracker) OnReceive(dst *ImageKernel, ctx Track) Track {
 	c.recvs++
 	return ctx
 }
-func (c *countingTracker) OnComplete(dst *ImageKernel, ctx any)  { c.completes++ }
-func (c *countingTracker) OnAck(src *ImageKernel, ctx any)       { c.acks++ }
-func (c *countingTracker) OnAbandoned(src *ImageKernel, ctx any) { c.abandons++ }
+func (c *countingTracker) OnComplete(dst *ImageKernel, ctx Track)  { c.completes++ }
+func (c *countingTracker) OnAck(src *ImageKernel, ctx Track)       { c.acks++ }
+func (c *countingTracker) OnAbandoned(src *ImageKernel, ctx Track) { c.abandons++ }
 
 func newFaultyKernel(seed int64, n int, plan *fabric.FaultPlan) (*sim.Engine, *Kernel) {
 	cfg := fabric.DefaultConfig()
@@ -58,7 +57,7 @@ func TestTrackerExactlyOncePerPhaseUnderFaults(t *testing.T) {
 			const n = 40
 			for i := 0; i < n; i++ {
 				src, dst := i%4, (i+1)%4
-				k.Image(src).Send(dst, tagWork, i, SendOpts{Track: fmt.Sprintf("m%d", i)})
+				k.Image(src).Send(dst, tagWork, i, SendOpts{Track: Track{ID: int64(i + 1)}})
 			}
 			if err := eng.Run(); err != nil {
 				t.Fatal(err)

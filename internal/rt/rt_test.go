@@ -121,21 +121,27 @@ type recordingTracker struct {
 	log []string
 }
 
-func (r *recordingTracker) OnSend(src *ImageKernel, dst int, ctx any) any {
-	r.log = append(r.log, fmt.Sprintf("send@%d", src.Rank()))
-	return fmt.Sprintf("%v+stamped", ctx)
+// stamped is what recordingTracker.OnSend makes of Track{ID: id} sent
+// from src to dst.
+func stamped(id int64, src, dst int) Track {
+	return Track{ID: id, ParityOdd: true, Src: src, Dst: dst}
 }
-func (r *recordingTracker) OnReceive(dst *ImageKernel, ctx any) any {
-	r.log = append(r.log, fmt.Sprintf("recv@%d:%v", dst.Rank(), ctx))
+
+func (r *recordingTracker) OnSend(src *ImageKernel, dst int, ctx Track) Track {
+	r.log = append(r.log, fmt.Sprintf("send@%d", src.Rank()))
+	return stamped(ctx.ID, src.Rank(), dst)
+}
+func (r *recordingTracker) OnReceive(dst *ImageKernel, ctx Track) Track {
+	r.log = append(r.log, fmt.Sprintf("recv@%d:%d+stamped=%v", dst.Rank(), ctx.ID, ctx.ParityOdd))
 	return ctx
 }
-func (r *recordingTracker) OnComplete(dst *ImageKernel, ctx any) {
+func (r *recordingTracker) OnComplete(dst *ImageKernel, ctx Track) {
 	r.log = append(r.log, fmt.Sprintf("complete@%d", dst.Rank()))
 }
-func (r *recordingTracker) OnAck(src *ImageKernel, ctx any) {
+func (r *recordingTracker) OnAck(src *ImageKernel, ctx Track) {
 	r.log = append(r.log, fmt.Sprintf("ack@%d", src.Rank()))
 }
-func (r *recordingTracker) OnAbandoned(src *ImageKernel, ctx any) {
+func (r *recordingTracker) OnAbandoned(src *ImageKernel, ctx Track) {
 	r.log = append(r.log, fmt.Sprintf("abandon@%d", src.Rank()))
 }
 
@@ -144,15 +150,15 @@ func TestTrackerLifecycle(t *testing.T) {
 	tr := &recordingTracker{}
 	k.SetTracker(tr)
 	k.RegisterHandler(tagPing, func(d *Delivery) {
-		if d.Track() != "ctx+stamped" {
+		if d.Track() != stamped(7, 0, 1) {
 			t.Errorf("handler saw track %v", d.Track())
 		}
 	})
-	k.Image(0).Send(1, tagPing, nil, SendOpts{Track: "ctx"})
+	k.Image(0).Send(1, tagPing, nil, SendOpts{Track: Track{ID: 7}})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"send@0", "recv@1:ctx+stamped", "complete@1", "ack@0"}
+	want := []string{"send@0", "recv@1:7+stamped=true", "complete@1", "ack@0"}
 	if len(tr.log) != len(want) {
 		t.Fatalf("log = %v", tr.log)
 	}
@@ -174,13 +180,13 @@ func TestTrackerDetachedCompletion(t *testing.T) {
 			d.Complete()
 		})
 	})
-	k.Image(0).Send(1, tagWork, nil, SendOpts{Track: "f"})
+	k.Image(0).Send(1, tagWork, nil, SendOpts{Track: Track{ID: 9}})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
 	// With a detached long-running handler the ack (delivered) precedes
 	// completion — exactly the split the finish counters rely on.
-	want := []string{"send@0", "recv@1:f+stamped", "ack@0", "complete@1"}
+	want := []string{"send@0", "recv@1:9+stamped=true", "ack@0", "complete@1"}
 	for i := range want {
 		if i >= len(tr.log) || tr.log[i] != want[i] {
 			t.Fatalf("log = %v, want %v", tr.log, want)

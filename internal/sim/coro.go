@@ -19,8 +19,7 @@ import (
 // every other engine field, is touched only on the admission strand.
 type coro struct {
 	eng *Engine
-	p   *Proc         // the tenant; nil while idle
-	fn  func(p *Proc) // the tenant's body
+	p   *Proc // the tenant, whose body it runs; nil while idle
 
 	next  func() (struct{}, bool)
 	stop  func()
@@ -29,7 +28,7 @@ type coro struct {
 
 // lease hands p's body a coroutine: the most recently idled one, whose
 // stack is still warm, or a new goroutine when none is idle.
-func (e *Engine) lease(p *Proc, fn func(p *Proc)) *coro {
+func (e *Engine) lease(p *Proc) *coro {
 	var c *coro
 	if n := len(e.idle); n > 0 {
 		c = e.idle[n-1]
@@ -39,7 +38,7 @@ func (e *Engine) lease(p *Proc, fn func(p *Proc)) *coro {
 		c = &coro{eng: e}
 		c.next, c.stop = iter.Pull(c.loop)
 	}
-	c.p, c.fn = p, fn
+	c.p = p
 	return c
 }
 
@@ -82,10 +81,10 @@ func (c *coro) runTenant() (stopped bool) {
 			e.procErr = fmt.Errorf("sim: proc %q panicked: %v", p.Name(), r)
 		}
 		p.state = procDone
-		p.co = nil
-		c.p, c.fn = nil, nil
+		p.co, p.body = nil, nil
+		c.p = nil
 		e.live--
 	}()
-	c.fn(p)
+	p.body.Run(p)
 	return false
 }

@@ -176,6 +176,16 @@ func (e *Engine) At(t Time, fn func()) { e.AtShard(e.cur, t, fn) }
 // traffic; they are admitted exactly when their (time, seq) key becomes
 // the global minimum, so ordering is unaffected.
 func (e *Engine) AtShard(shard int, t Time, fn func()) {
+	e.schedule(shard, t, event{fn: fn})
+}
+
+// atProc schedules p's next event — its start or a wake-up — at time t on
+// its own shard. It is AtShard in every respect the schedule can see.
+func (e *Engine) atProc(t Time, p *Proc) {
+	e.schedule(p.shard, t, event{p: p})
+}
+
+func (e *Engine) schedule(shard int, t Time, ev event) {
 	if t < e.now {
 		t = e.now
 	}
@@ -185,7 +195,8 @@ func (e *Engine) AtShard(shard int, t Time, fn func()) {
 		e.crossPosts++
 		s.crossIn++
 	}
-	s.push(event{at: t, seq: e.seq, fn: fn})
+	ev.at, ev.seq = t, e.seq
+	s.push(ev)
 }
 
 // After schedules fn to run d from now.
@@ -259,7 +270,7 @@ func (e *Engine) RunUntil(limit Time) error {
 		e.eventsRun++
 		s.admitted++
 		e.onStrand.Store(true)
-		ev.fn()
+		ev.run()
 		e.onStrand.Store(false)
 		if e.procErr != nil {
 			return e.procErr
@@ -354,7 +365,7 @@ func (e *Engine) Shutdown() {
 		if p.co == nil {
 			// Never started: there is no body to unwind, and the queued
 			// start event will find the proc done.
-			p.state = procDone
+			p.state, p.body = procDone, nil
 			e.live--
 			continue
 		}

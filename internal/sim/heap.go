@@ -1,11 +1,24 @@
 package sim
 
 // event is a scheduled callback. Events with equal time run in schedule
-// order (seq), which makes the simulation deterministic.
+// order (seq), which makes the simulation deterministic. A proc's own
+// events (its start, its Sleep and Unpark wake-ups) name the proc instead
+// of carrying a callback: what such an event does is read off p.state
+// when it fires (Proc.runEvent), so queueing one allocates nothing.
 type event struct {
 	at  Time
 	seq uint64
 	fn  func()
+	p   *Proc // non-nil: a proc event, fn is nil
+}
+
+// run executes the event on the admission strand.
+func (ev *event) run() {
+	if ev.p != nil {
+		ev.p.runEvent()
+		return
+	}
+	ev.fn()
 }
 
 // eventKey is an event's position in the global admission order: virtual

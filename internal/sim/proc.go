@@ -66,19 +66,26 @@ type Proc struct {
 	shard int // owning shard: all of this proc's wakeups are admitted there
 
 	co    *coro // leased from the start event until the body returns
+	body  Body  // what the proc runs; dropped when it returns
 	state procState
 
 	wakePending bool // an unpark event is already queued
 	permit      bool // a stored unpark for a proc not currently parked
 	blockReason string
-
-	// The Sleep and Unpark wake-up events, built on first use and queued
-	// again on every later one. They belong to the proc, not to the
-	// coroutine: an event still queued when the body returns must find
-	// procDone, never the coroutine's next tenant.
-	sleepWake  func()
-	unparkWake func()
 }
+
+// Body is what a proc runs. A caller that already holds a record for the
+// work hands the record itself to GoBodyOn instead of a closure over it.
+type Body interface {
+	Run(p *Proc)
+}
+
+// BodyFunc makes a plain function a Body. A func value fits an interface
+// word, so the conversion allocates nothing.
+type BodyFunc func(p *Proc)
+
+// Run calls f.
+func (f BodyFunc) Run(p *Proc) { f(p) }
 
 // Go creates a process named name and schedules it to start immediately,
 // owned by the shard of the creating strand.
@@ -101,34 +108,52 @@ func (e *Engine) GoOn(shard int, name string, fn func(p *Proc)) *Proc {
 
 // GoAtOn creates a process owned by a specific shard, starting at t.
 func (e *Engine) GoAtOn(shard int, t Time, name string, fn func(p *Proc)) *Proc {
-	return e.start(shard, t, ProcName{Base: name}, fn)
+	return e.start(shard, t, ProcName{Base: name}, BodyFunc(fn))
 }
 
-// GoNamedOn is GoOn with the name given in parts.
-func (e *Engine) GoNamedOn(shard int, name ProcName, fn func(p *Proc)) *Proc {
-	return e.start(shard, e.now, name, fn)
+// GoBodyOn is GoOn with the name given in parts and the body as a Body,
+// which may be the caller's own record rather than a function: starting
+// the proc allocates the Proc and nothing else.
+func (e *Engine) GoBodyOn(shard int, name ProcName, body Body) *Proc {
+	return e.start(shard, e.now, name, body)
 }
 
-func (e *Engine) start(shard int, t Time, name ProcName, fn func(p *Proc)) *Proc {
+func (e *Engine) start(shard int, t Time, name ProcName, body Body) *Proc {
 	p := &Proc{
 		eng:   e,
 		id:    e.nextProcID,
 		name:  name,
 		shard: shard,
+		body:  body,
 		state: procNew,
 	}
 	e.nextProcID++
 	e.procs.Add(p)
 	e.live++
-	e.AtShard(shard, t, func() {
-		if p.state == procDone {
-			return // aborted by Shutdown before it started
-		}
-		p.state = procRunning
-		p.co = e.lease(p, fn)
-		e.resumeProc(p)
-	})
+	e.atProc(t, p)
 	return p
+}
+
+// runEvent is what a queued proc event does when it fires. A proc has at
+// most one event queued at a time and does not run while it is: a new
+// proc waits for its start, a sleeper for its Sleep wake-up, and a parked
+// proc for the one Unpark wake-up wakePending admits. So the state says
+// which of the three this is. An event that finds procDone is stale (the
+// proc was aborted by Shutdown, or never started) and is dropped; it names
+// the Proc, not its coroutine, so it can never reach the coroutine's next
+// tenant.
+func (p *Proc) runEvent() {
+	switch p.state {
+	case procNew:
+		p.co = p.eng.lease(p)
+	case procSleeping:
+	case procParked:
+		p.wakePending = false
+	default:
+		return
+	}
+	p.state = procRunning
+	p.eng.resumeProc(p)
 }
 
 // ProcList keeps procs in the order they were added and forgets the
@@ -206,16 +231,7 @@ func (p *Proc) Sleep(d Time) {
 		d = 0
 	}
 	p.state = procSleeping
-	if p.sleepWake == nil {
-		p.sleepWake = func() {
-			if p.state != procSleeping {
-				return
-			}
-			p.state = procRunning
-			p.eng.resumeProc(p)
-		}
-	}
-	p.eng.AtShard(p.shard, p.eng.now+d, p.sleepWake)
+	p.eng.atProc(p.eng.now+d, p)
 	p.yieldToEngine()
 }
 
@@ -245,25 +261,10 @@ func (p *Proc) Unpark() {
 			return
 		}
 		p.wakePending = true
-		if p.unparkWake == nil {
-			p.unparkWake = func() {
-				p.wakePending = false
-				if p.state != procParked {
-					// Woken by something else in the meantime; convert
-					// this wake into a permit so it is not lost.
-					if p.state != procDone {
-						p.permit = true
-					}
-					return
-				}
-				p.state = procRunning
-				p.eng.resumeProc(p)
-			}
-		}
 		// The wake is admitted through the proc's owning shard: wakers
 		// on other shards post into its inbox, keeping every resumption
 		// of p in its own shard's admission stream.
-		p.eng.AtShard(p.shard, p.eng.now, p.unparkWake)
+		p.eng.atProc(p.eng.now, p)
 	case procDone:
 		// nothing to wake
 	default:

@@ -236,8 +236,8 @@ func TestGoexitInBodyUnwindsRun(t *testing.T) {
 // An Unpark event that is still queued when its proc finishes must find
 // procDone, not wake whichever proc has been let the coroutine since. The
 // state machine never leaves such an event behind on its own (a parked
-// proc resumes only through it), so the test queues the proc's cached
-// wake-up a second time by hand.
+// proc resumes only through it), so the test queues a second event
+// naming the proc by hand.
 func TestStaleWakeFindsDoneProc(t *testing.T) {
 	e := NewEngine(1)
 	a := e.Go("a", func(p *Proc) { p.Park("first tenant") })
@@ -246,8 +246,8 @@ func TestStaleWakeFindsDoneProc(t *testing.T) {
 	if err := e.RunUntil(5); err != nil {
 		t.Fatal(err)
 	}
-	if a.State() != "done" || a.unparkWake == nil || len(e.idle) != 1 {
-		t.Fatalf("a is %s, wake cached %v, %d idle", a.State(), a.unparkWake != nil, len(e.idle))
+	if a.State() != "done" || len(e.idle) != 1 {
+		t.Fatalf("a is %s, %d idle", a.State(), len(e.idle))
 	}
 	co := e.idle[0]
 	resumed := false
@@ -261,7 +261,7 @@ func TestStaleWakeFindsDoneProc(t *testing.T) {
 	if b.co != co {
 		t.Fatal("b did not take over a's coroutine")
 	}
-	e.At(e.Now(), a.unparkWake)
+	e.atProc(e.Now(), a)
 	var dl *DeadlockError
 	if err := e.Run(); !errors.As(err, &dl) {
 		t.Fatalf("Run = %v, want a deadlock with b still parked", err)
@@ -384,7 +384,7 @@ func TestFinishedProcsAreForgotten(t *testing.T) {
 
 func TestProcNameJoinsPartsOnDemand(t *testing.T) {
 	e := NewEngine(1)
-	p := e.GoNamedOn(0, ProcName{Scope: "img3", Base: "spawn", Seq: 12}, func(p *Proc) { p.Park("x") })
+	p := e.GoBodyOn(0, ProcName{Scope: "img3", Base: "spawn", Seq: 12}, BodyFunc(func(p *Proc) { p.Park("x") }))
 	if got, want := p.Name(), "img3/spawn#12"; got != want {
 		t.Errorf("Name() = %q, want %q", got, want)
 	}
@@ -395,8 +395,8 @@ func TestProcNameJoinsPartsOnDemand(t *testing.T) {
 	e.Shutdown()
 }
 
-// A warm proc switches without allocating: the wake-up events are built
-// once per proc and the event heap's array has reached its size.
+// A warm proc switches without allocating: its wake-up events name the
+// proc and the event heap's array has reached its size.
 func TestSwitchDoesNotAllocate(t *testing.T) {
 	e := NewEngine(1)
 	var sleep, park float64
@@ -416,6 +416,37 @@ func TestSwitchDoesNotAllocate(t *testing.T) {
 	}
 	if sleep != 0 || park != 0 {
 		t.Errorf("allocations per Sleep = %v, per Park/Unpark = %v, want 0, 0", sleep, park)
+	}
+}
+
+// Starting a proc allocates the Proc and nothing else — its start event
+// names it, and its body is taken as it is — and a fresh proc's first
+// Sleep allocates nothing. The children run on the driver's idle
+// coroutine, so no goroutine is made either.
+func TestPoolProcStartAllocatesOnlyTheProc(t *testing.T) {
+	if GoRace || QuarantinePools {
+		t.Skip("allocation counts are pinned without -race, pools on")
+	}
+	e := NewEngine(1)
+	var start, startAndSleep float64
+	e.Go("driver", func(p *Proc) {
+		noop := func(*Proc) {}
+		sleeper := func(c *Proc) { c.Sleep(1) }
+		child := func(body func(*Proc)) func() {
+			return func() {
+				e.Go("child", body)
+				p.Sleep(2) // the child starts and returns meanwhile
+			}
+		}
+		child(sleeper)()
+		start = testing.AllocsPerRun(1000, child(noop))
+		startAndSleep = testing.AllocsPerRun(1000, child(sleeper))
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if start != 1 || startAndSleep != 1 {
+		t.Errorf("allocations per proc start = %v, per start and first Sleep = %v, want 1, 1", start, startAndSleep)
 	}
 }
 

@@ -1,6 +1,8 @@
 package caf
 
 import (
+	"fmt"
+
 	"caf2go/internal/core"
 	"caf2go/internal/fabric"
 	"caf2go/internal/failure"
@@ -18,79 +20,97 @@ import (
 // bytes charged to the network), pass data through WithPayload.
 type SpawnFn func(img *Image)
 
-// SpawnOpt configures one Spawn.
-type SpawnOpt func(*spawnOpts)
-
-type spawnOpts struct {
-	event  *Event
-	bytes  int
-	data   []byte
-	mirror bool
+// SpawnOpt configures one Spawn. It is a plain value, applied by a switch:
+// options cost a spawn no allocation.
+type SpawnOpt struct {
+	kind  spawnOptKind
+	event *Event
+	bytes int
+	data  []byte
 }
+
+type spawnOptKind uint8
+
+const (
+	optEvent spawnOptKind = iota + 1
+	optBytes
+	optPayload
+	optMirror
+)
 
 // WithEvent makes the spawn explicitly completed: e is notified when the
 // shipped function finishes executing on the target (§II-C2). An
 // explicitly-completed spawn is not covered by cofence or by the
 // enclosing finish — though implicit operations it initiates still are
 // (Fig. 4, spawn row).
-func WithEvent(e *Event) SpawnOpt { return func(o *spawnOpts) { o.event = e } }
+func WithEvent(e *Event) SpawnOpt { return SpawnOpt{kind: optEvent, event: e} }
 
 // WithBytes sets the modeled argument payload size without shipping real
 // data (default 32 bytes of header).
-func WithBytes(n int) SpawnOpt { return func(o *spawnOpts) { o.bytes = n } }
+func WithBytes(n int) SpawnOpt { return SpawnOpt{kind: optBytes, bytes: n} }
 
 // withMirrorPath marks the spawn as a replication mirror write for path
 // tracing: its fabric legs claim the ReplMirror bucket instead of Wire,
 // so a traced request's decomposition separates replication cost from
 // ordinary network time.
-func withMirrorPath() SpawnOpt { return func(o *spawnOpts) { o.mirror = true } }
+func withMirrorPath() SpawnOpt { return SpawnOpt{kind: optMirror} }
 
 // WithPayload ships a copied byte payload to the target; the shipped
 // function retrieves it with Payload. The slice is copied at initiation,
 // so the caller may reuse its buffer after the spawn's local data
 // completion (argument evaluation, §III-B3).
-func WithPayload(data []byte) SpawnOpt {
-	return func(o *spawnOpts) {
-		o.data = data
-		o.bytes = len(data) + 32
+func WithPayload(data []byte) SpawnOpt { return SpawnOpt{kind: optPayload, data: data} }
+
+// apply folds opts into the spawn, in order.
+func (s *spawnOp) apply(opts []SpawnOpt) {
+	for i := range opts {
+		switch opt := &opts[i]; opt.kind {
+		case optEvent:
+			s.event = opt.event
+		case optBytes:
+			s.bytes = opt.bytes
+		case optPayload:
+			s.data = opt.data
+			s.bytes = len(opt.data) + 32
+		case optMirror:
+			s.mirror = true
+		}
 	}
 }
 
-// applySpawnOpts returns base with opts applied. An option takes the
-// struct's address, which moves it to the heap; a spawn without options
-// (nearly all of them) returns before that copy is made.
-func applySpawnOpts(base spawnOpts, opts []SpawnOpt) spawnOpts {
-	if len(opts) == 0 {
-		return base
-	}
-	o := base
-	for _, opt := range opts {
-		opt(&o)
-	}
-	return o
-}
+// spawnOp is the initiator's one record of a shipped function, closure or
+// registered. It is the wire payload, the completion handle returned to
+// the caller, the delivery token, the cofence registration, the deferred
+// initiation (core.Initiator) and the send's completion (rt.Completion),
+// so a spawn builds no other object and no closure. The record is owned,
+// not pooled: the caller may keep &op, and a continuation on it, for as
+// long as it likes.
+type spawnOp struct {
+	op   Op             // completion handle; Spawn returns its address
+	tok  delivToken     // outstanding-delivery token (EventNotify's release)
+	pend core.PendingOp // cofence registration of an implicit spawn
 
-// spawnMsg is the wire payload of a shipped function.
-type spawnMsg struct {
-	fn       SpawnFn
+	fn    SpawnFn   // the shipped closure, or
+	named *remoteFn // the registered function and
+	blob  []byte    // its gob-encoded argument list
+
+	target   int
+	bytes    int
+	mirror   bool
 	finishID int64
-	event    *Event
+	event    *Event // WithEvent; nil = implicit, tracked by the enclosing finish
 	data     []byte
-	op       *Op        // completion handle
 	rclk     race.Clock // spawner's clock at initiation (fork edge)
 	pctx     path.Ctx   // traced request context the shipped fn runs under
 }
 
-// payloadKey carries the spawn payload to the shipped function's Image.
-type payloadCarrier struct{ data []byte }
-
 // Payload returns the byte payload shipped with the spawn that started
 // this proc, or nil.
 func (img *Image) Payload() []byte {
-	if img.payload == nil {
+	if img.spawn == nil {
 		return nil
 	}
-	return img.payload.data
+	return img.spawn.data
 }
 
 // Spawn ships fn to the target image for asynchronous execution
@@ -105,129 +125,159 @@ func (img *Image) Payload() []byte {
 // function, global completion when the shipped function has finished
 // executing there. Discarding it is always safe.
 func (img *Image) Spawn(target int, fn SpawnFn, opts ...SpawnOpt) *Op {
-	o := applySpawnOpts(spawnOpts{bytes: 32}, opts)
+	s := &spawnOp{fn: fn, bytes: 32}
+	s.apply(opts)
+	return img.ship(target, "spawn", s)
+}
+
+// ship is the common tail of Spawn and SpawnNamed.
+func (img *Image) ship(target int, kind string, s *spawnOp) *Op {
 	if target < 0 || target >= img.NumImages() {
 		panic("caf: spawn target out of range")
 	}
-	st := img.st
-	st.spawnsSent++
-	img.traceInstant("spawn", "ship")
+	img.st.spawnsSent++
+	img.traceInstant(kind, "ship")
 
+	s.target = target
+	s.finishID = img.trackID()
 	// Fork edge: the child's clock starts from the spawner's at this
 	// program point (snapshotted before any relaxed-mode deferral).
-	msg := &spawnMsg{finishID: img.trackID(), event: o.event, data: nil, rclk: img.raceRelease()}
-	msg.op = img.opNew("spawn", target)
-	if msg.op.pctx.Active() {
+	s.rclk = img.raceRelease()
+	img.opInit(&s.op, kind, target)
+	if s.op.pctx.Active() {
 		// The shipped function continues the traced request's causal
 		// path: it runs under the spawn op's span as its parent.
-		msg.pctx = path.Ctx{Req: msg.op.pctx.Req, Span: msg.op.span}
+		s.pctx = path.Ctx{Req: s.op.pctx.Req, Span: s.op.span}
 	}
-	ptag := path.WireTag(msg.pctx)
-	if o.mirror {
-		ptag = path.MirrorTag(msg.pctx)
+	if s.event != nil {
+		s.Initiate()
+		return &s.op
 	}
-	implicit := o.event == nil
+	// Local data completion of a spawn is argument evaluation; with the
+	// payload copied at initiation, initiation is that point.
+	img.ct.RegisterOp(&s.pend, core.OpReads, s)
+	s.pend.CompleteLocalData()
+	return &s.op
+}
 
-	var track any
-	if implicit {
-		track = img.track()
+// Initiate sends the spawn: now, or when the relaxed runtime releases it.
+func (s *spawnOp) Initiate() {
+	m, me := s.op.m, s.op.img
+	// Argument evaluation: the payload is copied at initiation — which
+	// is also the spawn's local data completion.
+	m.opStageAt(&s.op, me, trace.StageInit)
+	m.opStageAt(&s.op, me, trace.StageLocalData)
+	if s.data != nil {
+		s.data = append([]byte(nil), s.data...)
 	}
-	class := classForBytes(img.m, o.bytes)
+	st := m.states[me]
+	s.tok.clk = s.rclk
+	st.addDelivToken(&s.tok)
+	opts := rt.SendOpts{
+		Class: classForBytes(m, s.bytes),
+		Bytes: s.bytes,
+		Path:  path.WireTag(s.pctx),
+		Done:  s,
+	}
+	if s.event == nil {
+		opts.Track = rt.Track{ID: s.finishID}
+	}
+	if s.mirror {
+		opts.Path = path.MirrorTag(s.pctx)
+	}
+	st.kern.Send(s.target, tagSpawn, s, opts)
+}
 
-	send := func() {
-		// Argument evaluation: the payload is copied at initiation —
-		// which is also the spawn's local data completion.
-		img.m.opStageAt(msg.op, img.Rank(), trace.StageInit)
-		img.m.opStageAt(msg.op, img.Rank(), trace.StageLocalData)
-		if o.data != nil {
-			msg.data = append([]byte(nil), o.data...)
-		}
-		msg.fn = fn
-		tok := st.newDelivToken(msg.rclk)
-		m, me := img.m, img.Rank()
-		sendOpts := rt.SendOpts{
-			Track: track,
-			Class: class,
-			Bytes: o.bytes,
-			Path:  ptag,
-			OnDelivered: func() {
-				m.opStageAt(msg.op, me, trace.StageLocalOp)
-				tok.complete()
-			},
-		}
-		if m.det != nil {
-			// A spawn abandoned at a dead image still completes its
-			// token: an EventNotify must not wait forever on a delivery
-			// the fabric has charged off. The shipped function will never
-			// run; close the record.
-			sendOpts.OnAbandoned = func() { m.opAbandoned(msg.op, me, tok) }
-		}
-		st.kern.Send(target, tagSpawn, msg, sendOpts)
-	}
+// Delivered: the target accepted the function.
+func (s *spawnOp) Delivered() {
+	s.op.m.opStageAt(&s.op, s.op.img, trace.StageLocalOp)
+	s.tok.complete()
+}
 
-	if implicit {
-		// Local data completion of a spawn is argument evaluation; with
-		// payload copied at initiation, initiation is that point.
-		op := img.ct.Register(core.OpReads, send)
-		op.CompleteLocalData()
-	} else {
-		send()
-	}
-	return msg.op
+// Abandoned (only under a failure detector): a spawn abandoned at a dead
+// image still completes its token — an EventNotify must not wait forever
+// on a delivery the fabric has charged off. The shipped function will
+// never run; close the record.
+func (s *spawnOp) Abandoned() { s.op.m.opAbandoned(&s.op, s.op.img, &s.tok) }
+
+// shipped is the target's one record of an executing shipped function:
+// the Image the function sees, that Image's cofence tracker, and the
+// body of the proc that runs it. Owned, not pooled: the function may
+// hand its *Image to a continuation that outlives the proc.
+type shipped struct {
+	img Image
+	ct  core.CofenceTracker
+	s   *spawnOp
+	d   *rt.Delivery // detached; completed when the function has returned
 }
 
 // handleSpawn executes a shipped function on the destination image.
 func (m *Machine) handleSpawn(d *rt.Delivery) {
-	msg := d.Payload.(*spawnMsg)
+	s := d.Payload.(*spawnOp)
 	st := m.states[d.Img.Rank()]
-	from := d.Src
 	d.Detach()
-	st.kern.Go("spawn", func(p *sim.Proc) {
-		st.spawnsExecuted++
-		// Each shipped function carries its own cofence tracker: a
-		// cofence inside it observes only operations it launched
-		// (dynamic scoping, paper Fig. 10 / §III-B3). It also gets its
-		// own trace strand id, so handler spans render on their own
-		// Perfetto track instead of interleaving with the main's.
-		st.nextTid++
-		img := &Image{m: m, st: st, proc: p, tid: st.nextTid,
-			inheritedFinish: msg.finishID, ct: m.newTracker(),
-			pctx: msg.pctx}
-		if m.det != nil {
-			// A shipped function aborted by a failure declaration still
-			// completes its delivery: the enclosing finish's received ==
-			// completed invariant must hold even for activities that
-			// died blocked on a dead peer.
-			defer func() {
-				r := recover()
-				if r == nil {
-					return
-				}
-				ab, ok := r.(failure.Abort)
-				if !ok {
-					panic(r)
-				}
-				m.recordAbort(st.kern.Rank(), ab.Err)
-				d.Complete()
-			}()
+	sh := &shipped{s: s, d: d}
+	sh.img.m, sh.img.st = m, st
+	st.kern.GoBody(s.op.kind, sh)
+}
+
+// Run is the shipped function's proc.
+func (sh *shipped) Run(p *sim.Proc) {
+	img, s := &sh.img, sh.s
+	m, st := img.m, img.st
+	st.spawnsExecuted++
+	// Each shipped function carries its own cofence tracker: a cofence
+	// inside it observes only operations it launched (dynamic scoping,
+	// paper Fig. 10 / §III-B3). It also gets its own trace strand id, so
+	// handler spans render on their own Perfetto track instead of
+	// interleaving with the main's.
+	st.nextTid++
+	img.proc, img.tid = p, st.nextTid
+	img.inheritedFinish, img.pctx, img.spawn = s.finishID, s.pctx, s
+	img.ct = m.initTracker(&sh.ct)
+	if m.det != nil {
+		defer sh.completeAborted()
+	}
+	if rs := m.race; rs != nil {
+		img.rc = rs.d.NewCtx(m.raceChanArrive(sh.d.Src, st.kern.Rank(), s.rclk))
+	}
+	exec, fn := "spawn-exec", s.fn
+	if rf := s.named; rf != nil {
+		// A named spawn is a spawn whose body decodes the blob and calls
+		// the registry entry.
+		args, err := decodeArgs(s.blob)
+		if err != nil {
+			panic(fmt.Sprintf("caf: cannot unmarshal arguments of %q: %v", rf.name, err))
 		}
-		if rs := m.race; rs != nil {
-			img.rc = rs.d.NewCtx(m.raceChanArrive(from, st.kern.Rank(), msg.rclk))
-		}
-		if msg.data != nil {
-			img.payload = &payloadCarrier{data: msg.data}
-		}
-		execStart := p.Now()
-		msg.fn(img)
-		img.traceSpan("spawn-exec", "ship", execStart)
-		// Spawned context exit is a synchronization point for any
-		// initiations it deferred.
-		img.ct.Flush()
-		// The shipped function has finished executing on the target: the
-		// spawn is globally complete.
-		m.opStageAt(msg.op, img.Rank(), trace.StageGlobal)
-		m.spawnJoin(img, msg.event, msg.finishID, d)
-	})
+		exec, fn = rf.exec, func(img *Image) { rf.fn(img, args) }
+	}
+	execStart := p.Now()
+	fn(img)
+	img.traceSpan(exec, "ship", execStart)
+	// Spawned context exit is a synchronization point for any
+	// initiations it deferred.
+	img.ct.Flush()
+	// The shipped function has finished executing on the target: the
+	// spawn is globally complete.
+	m.opStageAt(&s.op, img.Rank(), trace.StageGlobal)
+	m.spawnJoin(img, s.event, s.finishID, sh.d)
+}
+
+// completeAborted is deferred under a failure detector: a shipped
+// function aborted by a failure declaration still completes its delivery.
+// The enclosing finish's received == completed invariant must hold even
+// for activities that died blocked on a dead peer.
+func (sh *shipped) completeAborted() {
+	r := recover()
+	if r == nil {
+		return
+	}
+	ab, ok := r.(failure.Abort)
+	if !ok {
+		panic(r)
+	}
+	sh.img.m.recordAbort(sh.img.Rank(), ab.Err)
+	sh.d.Complete()
 }
 
 // spawnJoin installs a completed shipped function's join edge: an

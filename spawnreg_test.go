@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	caf "caf2go"
+	"caf2go/internal/path"
 )
 
 func TestSpawnNamedCopiesArguments(t *testing.T) {
@@ -136,4 +137,52 @@ func TestRegisterRemoteDuplicatePanics(t *testing.T) {
 		}
 	}()
 	m.RegisterRemote("f", func(img *caf.Image, args []any) {})
+}
+
+// A registered function runs under the traced request that shipped it, as
+// a closure does: the reply it spawns is a span of that request, parented
+// to the named spawn's own span. (The named path used to drop the request
+// context on the wire, so everything a registered handler initiated fell
+// off the request's causal DAG.)
+func TestSpawnNamedKeepsTracedRequest(t *testing.T) {
+	m := caf.NewMachine(caf.Config{Images: 2, Seed: 1, PathTracing: true})
+	replied := false
+	m.RegisterRemote("serve", func(img *caf.Image, args []any) {
+		img.Spawn(0, func(*caf.Image) { replied = true }, caf.WithBytes(24))
+	})
+	m.Launch(func(img *caf.Image) {
+		img.Finish(nil, func() {
+			if img.Rank() != 0 {
+				return
+			}
+			m.PathTracker().Begin(0, 0, img.Now(), img.Now())
+			prev := img.PathScope(path.ReqCtx(0))
+			img.SpawnNamed(1, "serve", []any{int64(1)})
+			img.PathScope(prev)
+		})
+	})
+	if _, err := m.RunToCompletion(); err != nil {
+		t.Fatal(err)
+	}
+	if !replied {
+		t.Fatal("the reply never ran")
+	}
+	reqs := m.PathTracker().Export().Reqs
+	if len(reqs) != 1 || len(reqs[0].Spans) != 2 {
+		t.Fatalf("traced request has %+v, want one request with the named spawn's and the reply's spans", reqs)
+	}
+	ship, reply := reqs[0].Spans[0], reqs[0].Spans[1]
+	if ship.Kind != "spawn:serve" || ship.Img != 0 || ship.Peer != 1 || ship.Parent != 0 {
+		t.Errorf("named spawn's span = %+v", ship)
+	}
+	if reply.Kind != "spawn" || reply.Img != 1 || reply.Peer != 0 || reply.Parent != ship.ID {
+		t.Errorf("reply's span = %+v, want a spawn from image 1 under span %d", reply, ship.ID)
+	}
+	for _, sp := range reqs[0].Spans {
+		for stage, at := range sp.T {
+			if at < 0 {
+				t.Errorf("span %d (%s) never reached stage %d", sp.ID, sp.Kind, stage)
+			}
+		}
+	}
 }
