@@ -242,6 +242,8 @@ type Machine struct {
 	// Epoch manager for primary-backup recovery (nil unless
 	// Config.Replication.Enabled and the failure detector is live).
 	repl *repl.Manager
+
+	inlines sim.FreeList[inlined] // records of inline shipped functions
 }
 
 // imageState is per-image state shared by every proc running on that
@@ -849,11 +851,13 @@ func Run(cfg Config, main func(img *Image)) (Report, error) {
 // ---------------------------------------------------------------------
 
 // Image is one process image's view of the machine, bound to one
-// simulated process: the SPMD main gets one, and every shipped function
+// execution context: the SPMD main gets one, and every shipped function
 // executing remotely gets its own (sharing the per-image state).
 type Image struct {
-	m    *Machine
-	st   *imageState
+	m  *Machine
+	st *imageState
+	// proc is the context's simulated process; nil in a shipped function
+	// declared Inline, which has none. Read it through parker.
 	proc *sim.Proc
 
 	// tid is the trace strand id: 0 for the SPMD main, a fresh per-image
@@ -902,13 +906,13 @@ func (img *Image) NumImages() int { return img.m.cfg.Images }
 func (img *Image) World() *Team { return img.m.world }
 
 // Now returns the current virtual time.
-func (img *Image) Now() Time { return img.proc.Now() }
+func (img *Image) Now() Time { return img.m.eng.Now() }
 
 // Compute advances this image's virtual clock by d, modeling local work.
 // Under an active request context the computed interval is claimed as
 // handler-service time in the request's critical-path decomposition.
 func (img *Image) Compute(d Time) {
-	img.proc.Sleep(d)
+	img.parker("Compute").Sleep(d)
 	img.m.path.Claim(img.pctx, path.HandlerService, img.Now())
 }
 

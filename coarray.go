@@ -51,6 +51,7 @@ func NewCoarray[T any](img *Image, t *Team, n int) *Coarray[T] {
 	if !t.Contains(img.Rank()) {
 		panic(fmt.Sprintf("caf: image %d allocating coarray on %v it is not in", img.Rank(), t))
 	}
+	p := img.parker("NewCoarray")
 	st := img.st
 	if st.carrSeq == nil {
 		st.carrSeq = make(map[int64]uint64)
@@ -80,7 +81,7 @@ func NewCoarray[T any](img *Image, t *Team, n int) *Coarray[T] {
 	// Allocation is collective: synchronize before anyone touches it.
 	// The barrier is also a race-detector fence over the team.
 	done := img.collBracket("barrier", t, true, true)
-	img.m.comm.Barrier(img.proc, st.kern, t)
+	img.m.comm.Barrier(p, st.kern, t)
 	done()
 	return ca
 }

@@ -68,8 +68,9 @@ func OpEvent(e *Event) CollOpt { return func(o *collOpts) { o.opE = e } }
 // WaitLocalData blocks until the image's buffers are usable: inputs may
 // be overwritten, outputs read (Fig. 4).
 func (c *Collective) WaitLocalData() {
+	p := c.img.parker("Collective.WaitLocalData")
 	btok := c.img.beginBlock("collective")
-	c.h.WaitLocalData(c.img.proc)
+	c.h.WaitLocalData(p)
 	c.img.endBlock(btok)
 	c.raceAcquire()
 }
@@ -77,8 +78,9 @@ func (c *Collective) WaitLocalData() {
 // WaitLocalOp blocks until all pair-wise communication involving this
 // image is complete.
 func (c *Collective) WaitLocalOp() {
+	p := c.img.parker("Collective.WaitLocalOp")
 	btok := c.img.beginBlock("collective")
-	c.h.WaitLocalOp(c.img.proc)
+	c.h.WaitLocalOp(p)
 	c.img.endBlock(btok)
 	c.raceAcquire()
 }
@@ -188,6 +190,9 @@ func collNotifyClk(cs *collSync, selfClk race.Clock) race.Clock {
 // the enclosing finish, whose team must contain the collective's team
 // (§III-A1).
 func (img *Image) collTrack(t *Team, implicit bool) rt.Track {
+	// Every asynchronous collective comes through here before it starts.
+	// Its handle keeps the Image, to wait on and to acquire through.
+	img.parker("asynchronous collective")
 	if !implicit {
 		return rt.Track{}
 	}
@@ -353,80 +358,89 @@ func (img *Image) SortAsync(t *Team, keys []int64, opts ...CollOpt) *Collective 
 // release/acquire fence: every member is ordered after every other
 // member's pre-barrier activity.
 func (img *Image) Barrier(t *Team) {
+	p := img.parker("Barrier")
 	t = img.resolveTeam(t)
 	done := img.collBracket("barrier", t, true, true)
-	img.m.comm.Barrier(img.proc, img.st.kern, t)
+	img.m.comm.Barrier(p, img.st.kern, t)
 	done()
 }
 
 // Broadcast distributes val (bytes wide) from team rank root.
 func (img *Image) Broadcast(t *Team, root int, val any, bytes int) any {
+	p := img.parker("Broadcast")
 	t = img.resolveTeam(t)
 	done := img.collBracket("broadcast", t, t.MustRank(img.Rank()) == root, true)
-	out := img.m.comm.Broadcast(img.proc, img.st.kern, t, root, val, bytes)
+	out := img.m.comm.Broadcast(p, img.st.kern, t, root, val, bytes)
 	done()
 	return out
 }
 
 // Reduce folds vec to the root (result nil elsewhere).
 func (img *Image) Reduce(t *Team, root int, op ReduceOp, vec []int64) []int64 {
+	p := img.parker("Reduce")
 	t = img.resolveTeam(t)
 	done := img.collBracket("reduce", t, true, t.MustRank(img.Rank()) == root)
-	out := img.m.comm.Reduce(img.proc, img.st.kern, t, root, op, vec)
+	out := img.m.comm.Reduce(p, img.st.kern, t, root, op, vec)
 	done()
 	return out
 }
 
 // Allreduce folds vec across t, returning the result everywhere.
 func (img *Image) Allreduce(t *Team, op ReduceOp, vec []int64) []int64 {
+	p := img.parker("Allreduce")
 	t = img.resolveTeam(t)
 	done := img.collBracket("allreduce", t, true, true)
-	out := img.m.comm.Allreduce(img.proc, img.st.kern, t, op, vec)
+	out := img.m.comm.Allreduce(p, img.st.kern, t, op, vec)
 	done()
 	return out
 }
 
 // Gather collects each member's val at the root.
 func (img *Image) Gather(t *Team, root int, val any, bytes int) []any {
+	p := img.parker("Gather")
 	t = img.resolveTeam(t)
 	done := img.collBracket("gather", t, true, t.MustRank(img.Rank()) == root)
-	out := img.m.comm.Gather(img.proc, img.st.kern, t, root, val, bytes)
+	out := img.m.comm.Gather(p, img.st.kern, t, root, val, bytes)
 	done()
 	return out
 }
 
 // Scatter distributes vals (one per team rank) from the root.
 func (img *Image) Scatter(t *Team, root int, vals []any, bytes int) any {
+	p := img.parker("Scatter")
 	t = img.resolveTeam(t)
 	done := img.collBracket("scatter", t, t.MustRank(img.Rank()) == root, true)
-	out := img.m.comm.Scatter(img.proc, img.st.kern, t, root, vals, bytes)
+	out := img.m.comm.Scatter(p, img.st.kern, t, root, vals, bytes)
 	done()
 	return out
 }
 
 // Alltoall exchanges vals pairwise.
 func (img *Image) Alltoall(t *Team, vals []any, bytes int) []any {
+	p := img.parker("Alltoall")
 	t = img.resolveTeam(t)
 	done := img.collBracket("alltoall", t, true, true)
-	out := img.m.comm.Alltoall(img.proc, img.st.kern, t, vals, bytes)
+	out := img.m.comm.Alltoall(p, img.st.kern, t, vals, bytes)
 	done()
 	return out
 }
 
 // Scan returns the inclusive prefix reduction in team-rank order.
 func (img *Image) Scan(t *Team, op ReduceOp, vec []int64) []int64 {
+	p := img.parker("Scan")
 	t = img.resolveTeam(t)
 	done := img.collBracket("scan", t, true, true)
-	out := img.m.comm.Scan(img.proc, img.st.kern, t, op, vec)
+	out := img.m.comm.Scan(p, img.st.kern, t, op, vec)
 	done()
 	return out
 }
 
 // SortKeys globally sorts the members' keys.
 func (img *Image) SortKeys(t *Team, keys []int64) []int64 {
+	p := img.parker("SortKeys")
 	t = img.resolveTeam(t)
 	done := img.collBracket("sort", t, true, true)
-	out := img.m.comm.Sort(img.proc, img.st.kern, t, keys)
+	out := img.m.comm.Sort(p, img.st.kern, t, keys)
 	done()
 	return out
 }

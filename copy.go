@@ -453,6 +453,7 @@ func Get[T any](img *Image, src Sec[T]) []T {
 		raceRecordCtx(img, src, false, "get")
 		return src.read()
 	}
+	p := img.parker("Get")
 	rel := claimSec(img.m, src, false, "get")
 	raceRecordCtx(img, src, false, "get")
 	bytes := src.Len()*src.elemBytes() + 16
@@ -460,7 +461,7 @@ func Get[T any](img *Image, src Sec[T]) []T {
 	img.opStage(oph, trace.StageInit)
 	tok := img.beginBlock("get")
 	req := &getReq[T]{src: src, rel: rel, bytes: bytes}
-	img.st.kern.Call(img.proc, src.rank, tagBlocking, req, rt.SendOpts{Class: fabric.AMShort, Bytes: 24})
+	img.st.kern.Call(p, src.rank, tagBlocking, req, rt.SendOpts{Class: fabric.AMShort, Bytes: 24})
 	// The blocking round trip is pure network time on a traced request.
 	img.m.path.Claim(img.pctx, path.Wire, img.Now())
 	// A blocking round trip collapses the completion levels at return;
@@ -483,6 +484,7 @@ func Put[T any](img *Image, dst Sec[T], vals []T) {
 		dst.write(vals)
 		return
 	}
+	p := img.parker("Put")
 	rel := claimSec(img.m, dst, true, "put")
 	raceRecordCtx(img, dst, true, "put")
 	data := append([]T(nil), vals...)
@@ -490,7 +492,7 @@ func Put[T any](img *Image, dst Sec[T], vals []T) {
 	oph := img.blockingOp("put", dst.rank)
 	img.opStage(oph, trace.StageInit)
 	tok := img.beginBlock("put")
-	img.st.kern.Call(img.proc, dst.rank, tagBlocking, &putReq[T]{dst: dst, data: data, rel: rel},
+	img.st.kern.Call(p, dst.rank, tagBlocking, &putReq[T]{dst: dst, data: data, rel: rel},
 		rt.SendOpts{Class: classForBytes(img.m, bytes), Bytes: bytes})
 	img.m.path.Claim(img.pctx, path.Wire, img.Now())
 	img.opStage(oph, trace.StageLocalData)

@@ -190,6 +190,7 @@ func (img *Image) EventWait(e *Event) {
 	if e.owner != img.Rank() {
 		panic(fmt.Sprintf("caf: image %d waiting on %v hosted elsewhere", img.Rank(), e))
 	}
+	p := img.parker("EventWait")
 	// Acquire is a synchronization point for deferred initiations and
 	// for this image's coalescing buffers.
 	img.ct.Flush()
@@ -198,12 +199,12 @@ func (img *Image) EventWait(e *Event) {
 	btok := img.beginBlock("event_wait")
 	es := img.m.eventState(e)
 	det := img.m.det
-	es.waiters = append(es.waiters, img.proc)
-	img.proc.WaitUntil("event wait", func() bool { return es.count > 0 || det.AnyDead() })
+	es.waiters = append(es.waiters, p)
+	p.WaitUntil("event wait", func() bool { return es.count > 0 || det.AnyDead() })
 	img.endBlock(btok)
 	img.traceSpan("event_wait", "sync", start)
 	for i, w := range es.waiters {
-		if w == img.proc {
+		if w == p {
 			es.waiters = append(es.waiters[:i], es.waiters[i+1:]...)
 			break
 		}

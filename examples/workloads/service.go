@@ -188,7 +188,6 @@ func KVService(cfg caf.Config, o ServiceOpts, opts ...RunOpt) (Result, error) {
 			}
 			seq, key, write := r.Seq, int64(r.Key), r.Write
 			img.Spawn(srv, func(s *caf.Image) {
-				s.Compute(o.SvcTime)
 				// Apply routes to whichever copy s serves and is
 				// exactly-once per (home, seq): a replayed request whose
 				// original executed before the crash gets the mirrored
@@ -202,8 +201,8 @@ func KVService(cfg caf.Config, o ServiceOpts, opts ...RunOpt) (Result, error) {
 				s.Spawn(me, func(c *caf.Image) {
 					readSum += v
 					col.Done(c.Machine(), c.Now(), seq)
-				}, caf.WithBytes(16))
-			}, caf.WithBytes(24))
+				}, caf.WithBytes(16), caf.Inline(0))
+			}, caf.WithBytes(24), caf.Inline(o.SvcTime))
 		}
 
 		issue := func(d *load.Driver, r load.Request) {
@@ -217,7 +216,6 @@ func KVService(cfg caf.Config, o ServiceOpts, opts ...RunOpt) (Result, error) {
 			seq, key, write := r.Seq, int64(r.Key), r.Write
 			if o.Shipping {
 				img.Spawn(srv, func(s *caf.Image) {
-					s.Compute(o.SvcTime)
 					t := table.Local(s)
 					if write {
 						t[slot] += key
@@ -226,8 +224,8 @@ func KVService(cfg caf.Config, o ServiceOpts, opts ...RunOpt) (Result, error) {
 					s.Spawn(me, func(c *caf.Image) {
 						readSum += v
 						col.Done(c.Machine(), c.Now(), seq)
-					}, caf.WithBytes(16))
-				}, caf.WithBytes(24))
+					}, caf.WithBytes(16), caf.Inline(0))
+				}, caf.WithBytes(24), caf.Inline(o.SvcTime))
 			} else {
 				// Per-request worker proc so the lock park doesn't stall
 				// the client's issue loop; Protect turns a lock/RPC abort
@@ -380,10 +378,9 @@ func AggService(cfg caf.Config, o ServiceOpts, opts ...RunOpt) (Result, error) {
 				ok := new(bool)
 				target := srv
 				sub := img.Spawn(srv, func(s *caf.Image) {
-					s.Compute(o.SvcTime)
 					*part = int64(key&0xffff) * int64(target+1)
 					*ok = true
-				}, caf.WithBytes(48))
+				}, caf.WithBytes(48), caf.Inline(o.SvcTime))
 				d.PS.OnGlobalCompletion(sub, func() {
 					// Abandoned sub-queries reach global completion too,
 					// just without having run; ok distinguishes a computed

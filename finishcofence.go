@@ -29,6 +29,7 @@ func (img *Image) Finish(t *Team, body func()) int {
 	if t == nil {
 		t = img.m.world
 	}
+	p := img.parker("Finish")
 	start := img.Now()
 	s := img.m.plane.Begin(img.st.kern, t)
 	img.finishStack = append(img.finishStack, s)
@@ -53,7 +54,7 @@ func (img *Image) Finish(t *Team, body func()) int {
 	// The detection phase is where the proc parks waiting on outstanding
 	// ops; the blocked-time profiler attributes it to them.
 	btok := img.beginBlock("finish")
-	rounds, ferr := img.m.plane.End(img.proc, img.st.kern, s)
+	rounds, ferr := img.m.plane.End(p, img.st.kern, s)
 	if ferr != nil {
 		// The resilient protocol terminated the block over the survivor
 		// team, but activities it supervised died with an image (or this
@@ -111,7 +112,11 @@ func (img *Image) Cofence(down, up Allow) {
 	// must hit the wire before we wait on their completion.
 	img.st.kern.FlushCoalesced()
 	btok := img.beginBlock("cofence")
-	img.ct.Cofence(img.proc, down, up)
+	// An inline shipped function has no proc to park, but may fence what
+	// is already complete.
+	if img.proc != nil || !img.ct.TryCofence(down) {
+		img.ct.Cofence(img.parker("Cofence"), down, up)
+	}
 	img.endBlock(btok)
 	// Race-detector acquire: the fence ordered this context after the
 	// local data completion of every implicit op the DOWNWARD filter did

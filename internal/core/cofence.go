@@ -114,8 +114,14 @@ func (op *PendingOp) CompleteLocalData() {
 	ct := op.ct
 	op.ct = nil
 	ct.sweep()
+	// Wake a fence only when it may pass: resuming it to find another
+	// constrained operation pending would be an event spent on parking
+	// again. (A declared death reaches parked fences through the machine's
+	// WakeAllParked, not through here.)
 	for _, w := range ct.waiters {
-		w.Unpark()
+		if ct.clear(w.down) {
+			w.p.Unpark()
+		}
 	}
 	cbs := op.cbs
 	op.cbs = nil
@@ -152,7 +158,7 @@ type delayedOp struct {
 // them — the operational face of the paper's relaxed memory model.
 type CofenceTracker struct {
 	pending []*PendingOp
-	waiters []*sim.Proc
+	waiters []fenceWaiter
 
 	// inline is pending's first backing array (see Init): most execution
 	// contexts never have more operations outstanding than fit here.
@@ -164,6 +170,13 @@ type CofenceTracker struct {
 	delayed  []delayedOp
 
 	det *failure.Detector // nil ⇒ fences may block forever on lost ops
+}
+
+// fenceWaiter is a proc parked in Cofence and the class of operations its
+// fence lets pass.
+type fenceWaiter struct {
+	p    *sim.Proc
+	down Allow
 }
 
 // NewCofenceTracker returns a tracker. With relaxed=false, operations
@@ -269,6 +282,26 @@ func (ct *CofenceTracker) Constrained(down Allow) []*PendingOp {
 	return out
 }
 
+// clear reports whether no registered operation constrains a fence that
+// allows down.
+func (ct *CofenceTracker) clear(down Allow) bool {
+	for _, op := range ct.pending {
+		if !op.done && !passes(op.class, down) {
+			return false
+		}
+	}
+	return true
+}
+
+// TryCofence is the part of Cofence that never blocks: it starts the
+// buffered initiations that may not defer past a fence allowing down and
+// reports whether the fence can be passed at once. A context that cannot
+// park (a shipped function run inline) fences with it.
+func (ct *CofenceTracker) TryCofence(down Allow) bool {
+	ct.flushDelayed(down)
+	return ct.clear(down)
+}
+
 // Cofence blocks process p until every registered implicitly-synchronized
 // operation not allowed to pass downward is local data complete. The up
 // argument is accepted for API fidelity: it constrains compile-time
@@ -277,25 +310,19 @@ func (ct *CofenceTracker) Constrained(down Allow) []*PendingOp {
 // initiations may remain deferred (that is down's job).
 func (ct *CofenceTracker) Cofence(p *sim.Proc, down, up Allow) {
 	_ = up
-	ct.flushDelayed(down)
-	sat := func() bool {
-		for _, op := range ct.pending {
-			if !op.done && !passes(op.class, down) {
-				return false
-			}
-		}
-		return true
+	if ct.TryCofence(down) {
+		return
 	}
-	ct.waiters = append(ct.waiters, p)
-	p.WaitUntil("cofence", func() bool { return sat() || ct.det.AnyDead() })
+	ct.waiters = append(ct.waiters, fenceWaiter{p, down})
+	p.WaitUntil("cofence", func() bool { return ct.clear(down) || ct.det.AnyDead() })
 	for i, w := range ct.waiters {
-		if w == p {
+		if w.p == p {
 			ct.waiters = append(ct.waiters[:i], ct.waiters[i+1:]...)
 			break
 		}
 	}
 	ct.sweep()
-	if !sat() {
+	if !ct.clear(down) {
 		// A failure declaration woke the fence while constrained ops
 		// were still pending: some may have been lost with the dead
 		// image. Fail-stop rather than wait forever.

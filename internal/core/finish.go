@@ -111,7 +111,11 @@ type State struct {
 	// run phases).
 	RoundAt []sim.Time
 
-	waiter *sim.Proc // detection loop parked on the quiescence condition
+	// waiter is the detection loop while it is parked, and waitOn names the
+	// condition it is parked on, so that whoever changes a counter can test
+	// the condition itself (wake) instead of resuming the loop to test it.
+	waiter *sim.Proc
+	waitOn waitCond
 
 	// Resilient-mode reconciliation state, touched only when the plane
 	// has a failure detector. ackedTo/completedFrom are the per-peer
@@ -132,6 +136,51 @@ type State struct {
 	pollRound   int
 	pollReplies map[int][5]int64
 	ferr        *failure.ImageFailedError
+}
+
+// waitCond names what a parked detection loop is waiting for.
+type waitCond uint8
+
+const (
+	// waitAny: a degraded-mode wait, whose condition reads detector and
+	// poll state this file does not own; every wake resumes the loop.
+	waitAny waitCond = iota
+	// waitQuiescent: Fig. 7's wait_until, even.quiescent().
+	waitQuiescent
+	// waitLocalDrain: the four-counter variant's tReceived == tCompleted.
+	waitLocalDrain
+)
+
+// park blocks the detection loop on p until cond holds. on names cond for
+// wake; the loop itself still evaluates cond, as the one place it is
+// written down.
+func (s *State) park(p *sim.Proc, on waitCond, reason string, cond func() bool) {
+	s.waiter, s.waitOn = p, on
+	p.WaitUntil(reason, cond)
+	s.waiter = nil
+}
+
+// wake resumes the parked detection loop if the condition it is parked on
+// now holds. A wake-up that finds the condition false would be an event
+// whose whole effect is resume, test, park again: an acknowledgement or a
+// completion that leaves others outstanding schedules nothing. A declared
+// death satisfies both named conditions (the loop leaves for the degraded
+// protocol), so it is tested here as it is there.
+func (pl *Plane) wake(s *State) {
+	if s.waiter == nil {
+		return
+	}
+	switch s.waitOn {
+	case waitQuiescent:
+		if !s.even.quiescent() && !pl.det.AnyDead() {
+			return
+		}
+	case waitLocalDrain:
+		if s.tReceived != s.tCompleted && !pl.det.AnyDead() {
+			return
+		}
+	}
+	s.waiter.Unpark()
 }
 
 func newState(id int64) *State {
@@ -393,11 +442,9 @@ func (pl *Plane) endFig7(p *sim.Proc, img *rt.ImageKernel, s *State) {
 		// (line 4). The contribution below is computed in the same
 		// simulation timeslice, so the snapshot is exactly the
 		// quiescent state.
-		s.waiter = p
-		p.WaitUntil("finish quiescence", func() bool {
+		s.park(p, waitQuiescent, "finish quiescence", func() bool {
 			return s.even.quiescent() || pl.det.AnyDead()
 		})
-		s.waiter = nil
 		if pl.det.AnyDead() {
 			pl.endDegraded(p, img, s)
 			return
@@ -459,11 +506,9 @@ func (pl *Plane) endFourCounter(p *sim.Proc, img *rt.ImageKernel, s *State) {
 		// Pace each wave on local execution only: "does not wait for
 		// delivery ... of shipped messages before starting termination
 		// detection".
-		s.waiter = p
-		p.WaitUntil("finish local drain", func() bool {
+		s.park(p, waitLocalDrain, "finish local drain", func() bool {
 			return s.tReceived == s.tCompleted || pl.det.AnyDead()
 		})
-		s.waiter = nil
 		if pl.det.AnyDead() {
 			pl.endDegraded(p, img, s)
 			return
@@ -579,11 +624,9 @@ func (pl *Plane) endDegraded(p *sim.Proc, img *rt.ImageKernel, s *State) {
 		}
 		// Local drain: everything delivered here has finished executing
 		// (aborted activities complete through their recover wrappers).
-		s.waiter = p
-		p.WaitUntil("finish local drain", func() bool {
+		s.park(p, waitAny, "finish local drain", func() bool {
 			return s.tReceived == s.tCompleted || pl.det.Dead(me)
 		})
-		s.waiter = nil
 		if pl.det.Dead(me) {
 			continue
 		}
@@ -601,8 +644,7 @@ func (pl *Plane) endDegraded(p *sim.Proc, img *rt.ImageKernel, s *State) {
 				pollReq{ID: s.id, Round: s.pollRound, From: me},
 				rt.SendOpts{Class: fabric.AMShort, Bytes: 24, NoCoalesce: true})
 		}
-		s.waiter = p
-		p.WaitUntil("finish poll", func() bool {
+		s.park(p, waitAny, "finish poll", func() bool {
 			if pl.det.Dead(me) || pl.det.DeathCount() != epoch {
 				return true
 			}
@@ -613,7 +655,6 @@ func (pl *Plane) endDegraded(p *sim.Proc, img *rt.ImageKernel, s *State) {
 			}
 			return true
 		})
-		s.waiter = nil
 		if pl.det.Dead(me) {
 			continue
 		}
@@ -743,9 +784,7 @@ func (pl *Plane) OnComplete(dst *rt.ImageKernel, ref Ref) {
 			s.completedFrom[ref.Src]++
 		}
 	}
-	if s.waiter != nil {
-		s.waiter.Unpark()
-	}
+	pl.wake(s)
 	pl.maybeCollect(dst.Rank(), s)
 }
 
@@ -772,9 +811,7 @@ func (pl *Plane) OnAck(src *rt.ImageKernel, ref Ref) {
 			s.ackedTo[ref.Dst]++
 		}
 	}
-	if s.waiter != nil {
-		s.waiter.Unpark()
-	}
+	pl.wake(s)
 	pl.maybeCollect(src.Rank(), s)
 }
 
@@ -792,9 +829,7 @@ func (pl *Plane) OnAbandoned(src *rt.ImageKernel, ref Ref) {
 	s.adjCompleted++
 	s.lost++
 	pl.stats.LostActivities++
-	if s.waiter != nil {
-		s.waiter.Unpark()
-	}
+	pl.wake(s)
 	pl.maybeCollect(src.Rank(), s)
 }
 

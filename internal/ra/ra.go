@@ -285,11 +285,12 @@ func runFS(img *caf.Image, ca *caf.Coarray[uint64], cfg Config, localSize int64,
 				owner, idx := target(a, p, localSize, globalBits)
 				val := a
 				cost := cfg.UpdateCost
+				// The update costs the owner `cost` and never parks: an
+				// inline function, not a process.
 				img.Spawn(owner, func(remote *caf.Image) {
-					remote.Compute(cost)
 					t := ca.Local(remote)
 					t[idx] ^= val
-				}, caf.WithBytes(16))
+				}, caf.WithBytes(16), caf.Inline(cost))
 			}
 		})
 	}

@@ -290,11 +290,21 @@ func (img *ImageKernel) Go(name string, fn func(p *sim.Proc)) *sim.Proc {
 // GoBody is Go for a body that is a record (see sim.Body).
 func (img *ImageKernel) GoBody(name string, body sim.Body) *sim.Proc {
 	img.procSeq++
-	eng := img.k.eng
-	shard := sim.ShardOf(img.rank, len(img.k.images), eng.NumShards())
-	p := eng.GoBodyOn(shard, sim.ProcName{Scope: img.procScope, Base: name, Seq: img.procSeq}, body)
+	p := img.k.eng.GoBodyOn(img.shard(), sim.ProcName{Scope: img.procScope, Base: name, Seq: img.procSeq}, body)
 	img.procs.Add(p)
 	return p
+}
+
+// After schedules fn to run d from now on this image's engine shard: work
+// of the image that needs no proc of its own.
+func (img *ImageKernel) After(d sim.Time, fn func()) {
+	eng := img.k.eng
+	eng.AtShard(img.shard(), eng.Now()+d, fn)
+}
+
+// shard is the engine shard that admits this image's events.
+func (img *ImageKernel) shard() int {
+	return sim.ShardOf(img.rank, len(img.k.images), img.k.eng.NumShards())
 }
 
 // Procs returns the unfinished processes started on this image via Go,

@@ -32,10 +32,11 @@ type unlockMsg struct {
 // until granted. Locking a lock on the local image still round-trips
 // through the loopback path for cost fidelity.
 func (img *Image) Lock(rank, id int) {
+	p := img.parker("Lock")
 	opID := img.opNew("lock", rank)
 	img.opStage(opID, trace.StageInit)
 	btok := img.beginBlock("lock")
-	img.st.kern.Call(img.proc, rank, tagLock, id, rt.SendOpts{
+	img.st.kern.Call(p, rank, tagLock, id, rt.SendOpts{
 		Class: fabric.AMShort,
 		Bytes: 16,
 	})

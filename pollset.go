@@ -27,7 +27,11 @@ type PollSet struct {
 }
 
 // NewPollSet creates an empty poll set owned by this image context.
-func (img *Image) NewPollSet() *PollSet { return &PollSet{img: img} }
+func (img *Image) NewPollSet() *PollSet {
+	// The set keeps its Image, to wake and to wait on.
+	img.parker("NewPollSet")
+	return &PollSet{img: img}
+}
 
 // Pending reports registered continuations that have not run yet
 // (including those already ready).
@@ -116,7 +120,7 @@ func (ps *PollSet) Wait() int {
 		start := img.Now()
 		btok := img.beginBlock("pollset")
 		det := img.m.det
-		img.proc.WaitUntil("pollset wait", func() bool {
+		img.parker("PollSet.Wait").WaitUntil("pollset wait", func() bool {
 			return len(ps.ready) > 0 || det.AnyDead()
 		})
 		img.endBlock(btok)

@@ -334,7 +334,8 @@ func TestPoolPendingDelivStaysBounded(t *testing.T) {
 // quarantineMix exercises every record kind from the language level:
 // blocking get/put, a lock handed between contenders (a Delivery detached
 // across other dispatches), copies with cofence, shipped functions under
-// finish, and an event notified behind outstanding deliveries.
+// finish, by proc and inline, and an event notified behind outstanding
+// deliveries.
 func quarantineMix(t *testing.T, cfg Config) (Report, []uint64) {
 	var sum []uint64
 	rep, err := Run(cfg, func(img *Image) {
@@ -359,6 +360,7 @@ func quarantineMix(t *testing.T, cfg Config) (Report, []uint64) {
 					ca.Local(r)[10+i]++
 					r.Compute(100 * Nanosecond)
 				})
+				img.Spawn((me+i)%n, func(r *Image) { ca.Local(r)[10+i] += 2 }, Inline(100*Nanosecond))
 			}
 		})
 		mine := img.NewEvent()

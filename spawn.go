@@ -23,10 +23,11 @@ type SpawnFn func(img *Image)
 // SpawnOpt configures one Spawn. It is a plain value, applied by a switch:
 // options cost a spawn no allocation.
 type SpawnOpt struct {
-	kind  spawnOptKind
-	event *Event
-	bytes int
-	data  []byte
+	kind    spawnOptKind
+	event   *Event
+	bytes   int
+	data    []byte
+	service Time
 }
 
 type spawnOptKind uint8
@@ -36,6 +37,7 @@ const (
 	optBytes
 	optPayload
 	optMirror
+	optInline
 )
 
 // WithEvent makes the spawn explicitly completed: e is notified when the
@@ -74,6 +76,8 @@ func (s *spawnOp) apply(opts []SpawnOpt) {
 			s.bytes = len(opt.data) + 32
 		case optMirror:
 			s.mirror = true
+		case optInline:
+			s.inline, s.service = true, opt.service
 		}
 	}
 }
@@ -97,6 +101,8 @@ type spawnOp struct {
 	target   int
 	bytes    int
 	mirror   bool
+	inline   bool // Inline: run the function as one event, not as a proc
+	service  Time // its declared handler time
 	finishID int64
 	event    *Event // WithEvent; nil = implicit, tracked by the enclosing finish
 	data     []byte
@@ -216,6 +222,10 @@ func (m *Machine) handleSpawn(d *rt.Delivery) {
 	s := d.Payload.(*spawnOp)
 	st := m.states[d.Img.Rank()]
 	d.Detach()
+	if s.inline {
+		m.deliverInline(st, s, d)
+		return
+	}
 	sh := &shipped{s: s, d: d}
 	sh.img.m, sh.img.st = m, st
 	st.kern.GoBody(s.op.kind, sh)
