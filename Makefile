@@ -26,7 +26,7 @@ ci: vet build test shard-matrix
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l . lists:"; echo "$$out"; exit 1; fi
 	cd benchmark && $(GO) vet . && $(GO) test .
 	$(GO) test -race -short ./internal/...
-	$(GO) test -race -run 'Pool|Quarantine|Inline' . ./internal/sim ./internal/fabric ./internal/rt ./internal/core
+	$(GO) test -race -run 'Pool|Quarantine|Inline' . ./internal/sim ./internal/fabric ./internal/rt ./internal/core ./internal/trace ./internal/path ./internal/metrics
 	$(GO) run ./cmd/benchjson -quick
 	$(GO) run ./cmd/benchjson -shards -quick
 	$(GO) test -race -run 'TestLoadShardEquivalence' ./examples/workloads

@@ -18,6 +18,10 @@ type flushTracer struct {
 var _ fabric.FlushObserver = (*flushTracer)(nil)
 
 func (ft *flushTracer) CoalesceFlush(src, dst, msgs, bytes int, reason fabric.FlushReason, now sim.Time) {
+	// A full recorder counts the drop without the label being formatted.
+	if !ft.tr.Admit("fabric") {
+		return
+	}
 	ft.tr.Instant(src, 0,
 		fmt.Sprintf("coalesce-flush(%s) %d msgs/%dB -> img%d", reason, msgs, bytes, dst),
 		"fabric", now)

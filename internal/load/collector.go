@@ -7,6 +7,7 @@ import (
 
 	caf "caf2go"
 	"caf2go/internal/failure"
+	"caf2go/internal/metrics"
 	"caf2go/internal/path"
 )
 
@@ -41,6 +42,25 @@ type Collector struct {
 	first    caf.Time // scheduled span of the arrival process
 	last     caf.Time
 	lastDone caf.Time // completion time of the final settled request
+
+	ins *instruments // nil with metrics off
+}
+
+// instruments are the registry instruments the per-request paths update,
+// each resolved by name at its first touch (a family still exists only
+// if something touched it) and by pointer from then on. They sit behind
+// one pointer so a metrics-off collector is the size it always was.
+type instruments struct {
+	issued, completed *metrics.Counter
+	latency           *metrics.Histogram
+}
+
+// cached returns the instrument cache of a metrics-on run.
+func (c *Collector) cached() *instruments {
+	if c.ins == nil {
+		c.ins = new(instruments)
+	}
+	return c.ins
 }
 
 // NewCollector builds a collector for the given schedule.
@@ -69,7 +89,13 @@ func (c *Collector) Issued(m *caf.Machine, r Request, client, target int) {
 	// queueing since the scheduled arrival); a re-issue after a failover
 	// claims the replay gap instead.
 	m.PathTracker().Begin(r.Seq, client, r.At, m.Engine().Now())
-	m.Metrics().Counter("load_requests_total", "requests issued by the load generator").Add(client, 1)
+	if met := m.Metrics(); met != nil {
+		ins := c.cached()
+		if ins.issued == nil {
+			ins.issued = met.Counter("load_requests_total", "requests issued by the load generator")
+		}
+		ins.issued.Add(client, 1)
+	}
 }
 
 // Done settles seq as completed at virtual time now; latency is
@@ -97,9 +123,15 @@ func (c *Collector) Done(m *caf.Machine, now caf.Time, seq int) bool {
 	if now > c.lastDone {
 		c.lastDone = now
 	}
-	met := m.Metrics()
-	met.Counter("load_requests_completed_total", "requests completed by the service").Add(p.client, 1)
-	met.Histogram("load_request_latency_ns", "request latency from scheduled arrival to completion (ns)").Observe(p.client, lat)
+	if met := m.Metrics(); met != nil {
+		ins := c.cached()
+		if ins.completed == nil {
+			ins.completed = met.Counter("load_requests_completed_total", "requests completed by the service")
+			ins.latency = met.Histogram("load_request_latency_ns", "request latency from scheduled arrival to completion (ns)")
+		}
+		ins.completed.Add(p.client, 1)
+		ins.latency.Observe(p.client, lat)
+	}
 	return true
 }
 

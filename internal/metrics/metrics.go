@@ -23,6 +23,7 @@ import (
 	"io"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"caf2go/internal/sim"
@@ -31,11 +32,45 @@ import (
 // NoPeer is the Peer value of samples without a peer label.
 const NoPeer = -1
 
-// Key locates one sample within an instrument: the owning image, plus
-// the peer image for per-link metrics (NoPeer otherwise).
-type Key struct {
-	Image int
-	Peer  int
+// table is an instrument's samples: per image (a rank, ≥ 0), a cell per
+// peer the image touched (NoPeer is a cell like any other), sorted by
+// peer. A sample exists iff it was touched, updating one hashes nothing,
+// and the export order (image, peer) is the storage order.
+type table[V any] [][]cell[V]
+
+type cell[V any] struct {
+	peer int
+	v    V
+}
+
+// at returns the (image, peer) sample, created zero when create is set
+// and nil otherwise; the pointer is good until the row's next insert.
+// The search is binary so that a row dense in peers (an all-to-all over
+// 256 images) costs eight probes per packet, not a scan.
+func (t *table[V]) at(image, peer int, create bool) *V {
+	for create && len(*t) <= image {
+		*t = append(*t, nil)
+	}
+	if image >= len(*t) {
+		return nil
+	}
+	row := (*t)[image]
+	lo, hi := 0, len(row)
+	for lo < hi {
+		if mid := int(uint(lo+hi) >> 1); row[mid].peer < peer {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo == len(row) || row[lo].peer != peer {
+		if !create {
+			return nil
+		}
+		row = slices.Insert(row, lo, cell[V]{peer: peer})
+		(*t)[image] = row
+	}
+	return &row[lo].v
 }
 
 // Registry holds the instruments of one machine.
@@ -65,7 +100,7 @@ func (r *Registry) Counter(name, help string) *Counter {
 	}
 	c, ok := r.counters[name]
 	if !ok {
-		c = &Counter{name: name, help: help, v: make(map[Key]int64)}
+		c = &Counter{name: name, help: help}
 		r.counters[name] = c
 	}
 	return c
@@ -78,7 +113,7 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 	}
 	g, ok := r.gauges[name]
 	if !ok {
-		g = &Gauge{name: name, help: help, v: make(map[Key]int64)}
+		g = &Gauge{name: name, help: help}
 		r.gauges[name] = g
 	}
 	return g
@@ -91,7 +126,7 @@ func (r *Registry) Histogram(name, help string) *Histogram {
 	}
 	h, ok := r.hists[name]
 	if !ok {
-		h = &Histogram{name: name, help: help, v: make(map[Key]*histVals)}
+		h = &Histogram{name: name, help: help}
 		r.hists[name] = h
 	}
 	return h
@@ -100,7 +135,7 @@ func (r *Registry) Histogram(name, help string) *Histogram {
 // Counter is a monotonically increasing per-key total.
 type Counter struct {
 	name, help string
-	v          map[Key]int64
+	v          table[int64]
 }
 
 // Add increments the image's sample by d.
@@ -108,7 +143,7 @@ func (c *Counter) Add(image int, d int64) {
 	if c == nil {
 		return
 	}
-	c.v[Key{Image: image, Peer: NoPeer}] += d
+	*c.v.at(image, NoPeer, true) += d
 }
 
 // AddLink increments the (image, peer) link sample by d.
@@ -116,13 +151,13 @@ func (c *Counter) AddLink(image, peer int, d int64) {
 	if c == nil {
 		return
 	}
-	c.v[Key{Image: image, Peer: peer}] += d
+	*c.v.at(image, peer, true) += d
 }
 
 // Gauge is a per-key instantaneous value.
 type Gauge struct {
 	name, help string
-	v          map[Key]int64
+	v          table[int64]
 }
 
 // Set stores v for the image.
@@ -130,7 +165,7 @@ func (g *Gauge) Set(image int, v int64) {
 	if g == nil {
 		return
 	}
-	g.v[Key{Image: image, Peer: NoPeer}] = v
+	*g.v.at(image, NoPeer, true) = v
 }
 
 // SetMax stores v for the image if it exceeds the current value (peak
@@ -139,9 +174,9 @@ func (g *Gauge) SetMax(image int, v int64) {
 	if g == nil {
 		return
 	}
-	k := Key{Image: image, Peer: NoPeer}
-	if v > g.v[k] {
-		g.v[k] = v
+	// No new peak over an absent sample (it reads 0) creates nothing.
+	if cur := g.v.at(image, NoPeer, v > 0); cur != nil && v > *cur {
+		*cur = v
 	}
 }
 
@@ -151,7 +186,7 @@ func (g *Gauge) SetMax(image int, v int64) {
 // export compact and, being a pure function of the value, deterministic.
 type Histogram struct {
 	name, help string
-	v          map[Key]*histVals
+	v          table[*histVals]
 }
 
 const numBuckets = 65 // bits.Len64 ranges over [0, 64]
@@ -167,12 +202,11 @@ func (h *Histogram) Observe(image int, v int64) {
 	if h == nil {
 		return
 	}
-	k := Key{Image: image, Peer: NoPeer}
-	hv, ok := h.v[k]
-	if !ok {
-		hv = &histVals{}
-		h.v[k] = hv
+	slot := h.v.at(image, NoPeer, true)
+	if *slot == nil {
+		*slot = &histVals{}
 	}
+	hv := *slot
 	b := 0
 	if v > 0 {
 		b = bits.Len64(uint64(v))
@@ -229,21 +263,6 @@ type Snapshot struct {
 	Families []Family `json:",omitempty"`
 }
 
-// sortedKeys returns m's keys ordered by (Image, Peer).
-func sortedKeys[V any](m map[Key]V) []Key {
-	ks := make([]Key, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	sort.Slice(ks, func(i, j int) bool {
-		if ks[i].Image != ks[j].Image {
-			return ks[i].Image < ks[j].Image
-		}
-		return ks[i].Peer < ks[j].Peer
-	})
-	return ks
-}
-
 // Snapshot captures the registry's current state. Safe on nil (returns
 // an empty snapshot).
 func (r *Registry) Snapshot() Snapshot {
@@ -273,30 +292,33 @@ func (r *Registry) Snapshot() Snapshot {
 		}
 		h := r.hists[n]
 		f := Family{Name: n, Help: h.help, Type: "histogram"}
-		for _, k := range sortedKeys(h.v) {
-			hv := h.v[k]
-			hs := HistSample{Image: k.Image, Peer: k.Peer, Count: hv.count, Sum: hv.sum}
-			for b, cnt := range hv.counts {
-				if cnt == 0 {
-					continue
+		for image, row := range h.v {
+			for _, c := range row {
+				hs := HistSample{Image: image, Peer: c.peer, Count: c.v.count, Sum: c.v.sum}
+				for b, cnt := range c.v.counts {
+					if cnt == 0 {
+						continue
+					}
+					le := int64(math.MaxInt64)
+					if b < 63 {
+						le = 1<<uint(b) - 1
+					}
+					hs.Buckets = append(hs.Buckets, Bucket{Le: le, Count: cnt})
 				}
-				le := int64(math.MaxInt64)
-				if b < 63 {
-					le = 1<<uint(b) - 1
-				}
-				hs.Buckets = append(hs.Buckets, Bucket{Le: le, Count: cnt})
+				f.Hists = append(f.Hists, hs)
 			}
-			f.Hists = append(f.Hists, hs)
 		}
 		s.Families = append(s.Families, f)
 	}
 	return s
 }
 
-func scalarFamily(name, help, typ string, v map[Key]int64) Family {
+func scalarFamily(name, help, typ string, v table[int64]) Family {
 	f := Family{Name: name, Help: help, Type: typ}
-	for _, k := range sortedKeys(v) {
-		f.Samples = append(f.Samples, Sample{Image: k.Image, Peer: k.Peer, Value: v[k]})
+	for image, row := range v {
+		for _, c := range row {
+			f.Samples = append(f.Samples, Sample{Image: image, Peer: c.peer, Value: c.v})
+		}
 	}
 	return f
 }

@@ -29,9 +29,8 @@
 package path
 
 import (
-	"sort"
-
 	"caf2go/internal/sim"
+	"caf2go/internal/trace"
 )
 
 // Bucket is one component of a request's latency decomposition.
@@ -187,6 +186,7 @@ type Export struct {
 type reqState struct {
 	req    Req
 	cursor sim.Time
+	open   bool // Begin ran for this seq; false marks a hole in the log
 	done   bool
 }
 
@@ -194,45 +194,54 @@ type reqState struct {
 // receiver (no-ops) and must otherwise run on the engine's admission
 // strand — the same discipline as trace.Lifecycle.
 type Tracker struct {
-	reqs     map[int32]*reqState
-	spans    []Span // span ID i lives at spans[i-1]
-	spanReq  []int32
+	// reqs holds request seq at record seq, by value (seqs are schedule
+	// indices, so the log is dense); a seq not yet begun is a closed slot.
+	reqs trace.Log[reqState]
+	// spans holds span ID i at record i-1; Span.Req names its request.
+	spans    trace.Log[Span]
 	finished int
 }
 
 // New returns an enabled tracker.
-func New() *Tracker {
-	return &Tracker{reqs: make(map[int32]*reqState)}
-}
+func New() *Tracker { return new(Tracker) }
 
 // Enabled reports whether the tracker records anything.
 func (t *Tracker) Enabled() bool { return t != nil }
 
+// state returns the open slot of the request a Ctx or Tag names (req is
+// seq + 1), nil when there is none; reqState.claim accepts nil.
 func (t *Tracker) state(req int32) *reqState {
-	if req == 0 {
+	if req <= 0 || int(req) > t.reqs.Len() {
 		return nil
 	}
-	return t.reqs[req]
+	if st := t.reqs.At(int(req) - 1); st.open {
+		return st
+	}
+	return nil
 }
 
 // Begin opens request seq's path with its claim cursor at the
 // scheduled arrival and immediately claims [scheduled, now) as
 // ClientQueue (open-loop queueing). A second Begin for the same seq is
 // a failover re-issue: it claims [cursor, now) as ReplayReissue
-// instead and increments the replay count.
+// instead and increments the replay count. seq is a schedule index: the
+// request log grows to seq + 1 slots, and a negative seq is ignored.
 func (t *Tracker) Begin(seq, client int, scheduled, now sim.Time) {
-	if t == nil {
+	if t == nil || seq < 0 {
 		return
 	}
-	key := int32(seq) + 1
-	if st := t.reqs[key]; st != nil {
+	for t.reqs.Len() <= seq {
+		t.reqs.Append(reqState{})
+	}
+	st := t.reqs.At(seq)
+	if st.open {
 		if !st.done {
 			st.claim(ReplayReissue, now)
 			st.req.Replays++
 		}
 		return
 	}
-	st := &reqState{
+	*st = reqState{
 		req: Req{
 			Seq:       int32(seq),
 			Client:    int32(client),
@@ -240,8 +249,8 @@ func (t *Tracker) Begin(seq, client int, scheduled, now sim.Time) {
 			Done:      -1,
 		},
 		cursor: scheduled,
+		open:   true,
 	}
-	t.reqs[key] = st
 	st.claim(ClientQueue, now)
 }
 
@@ -311,33 +320,29 @@ func (t *Tracker) SpanNew(c Ctx, kind string, img, peer int, now sim.Time) int32
 	if t == nil || !c.Active() {
 		return 0
 	}
-	sp := Span{
-		ID:     int32(len(t.spans)) + 1,
+	id := int32(t.spans.Len()) + 1
+	t.spans.Append(Span{
+		ID:     id,
 		Req:    c.Req - 1,
 		Parent: c.Span,
 		Kind:   kind,
 		Img:    int32(img),
 		Peer:   int32(peer),
-	}
-	for i := range sp.T {
-		sp.T[i] = -1
-	}
-	sp.T[0] = int64(now)
-	t.spans = append(t.spans, sp)
-	t.spanReq = append(t.spanReq, c.Req)
-	return sp.ID
+		T:      [numStages]int64{int64(now), -1, -1, -1},
+	})
+	return id
 }
 
 // SpanStage stamps span's completion level (first stamp wins, like
 // trace.Lifecycle). stage indexes the four levels; span 0 is ignored.
 func (t *Tracker) SpanStage(span int32, stage int, now sim.Time) {
-	if t == nil || span <= 0 || int(span) > len(t.spans) {
+	if t == nil || span <= 0 || int(span) > t.spans.Len() {
 		return
 	}
 	if stage < 0 || stage >= numStages {
 		return
 	}
-	sp := &t.spans[span-1]
+	sp := t.spans.At(int(span) - 1)
 	if sp.T[stage] < 0 {
 		sp.T[stage] = int64(now)
 	}
@@ -359,19 +364,18 @@ func (t *Tracker) Export() *Export {
 		return nil
 	}
 	e := &Export{Buckets: BucketNames()}
-	keys := make([]int32, 0, len(t.reqs))
-	for k := range t.reqs {
-		keys = append(keys, k)
+	byReq := make([][]Span, t.reqs.Len())
+	for i := 0; i < t.spans.Len(); i++ {
+		if sp := t.spans.At(i); sp.Req >= 0 && int(sp.Req) < len(byReq) {
+			byReq[sp.Req] = append(byReq[sp.Req], *sp)
+		}
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	byReq := make(map[int32][]Span)
-	for i, sp := range t.spans {
-		byReq[t.spanReq[i]] = append(byReq[t.spanReq[i]], sp)
-	}
-	for _, k := range keys {
-		r := t.reqs[k].req
-		r.Spans = byReq[k]
-		e.Reqs = append(e.Reqs, r)
+	for seq := range byReq {
+		if st := t.reqs.At(seq); st.open {
+			r := st.req
+			r.Spans = byReq[seq]
+			e.Reqs = append(e.Reqs, r)
+		}
 	}
 	return e
 }

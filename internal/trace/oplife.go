@@ -1,10 +1,6 @@
 package trace
 
-import (
-	"sort"
-
-	"caf2go/internal/sim"
-)
+import "caf2go/internal/sim"
 
 // Stage is one of the paper's Fig. 1 completion levels. Every tracked
 // asynchronous operation passes through them in order: initiation (the
@@ -106,14 +102,17 @@ type BlockToken struct {
 // the "untracked" op ID that all stamping methods ignore — call sites
 // need no enabled-checks and tracked/untracked runs stay bit-identical.
 type Lifecycle struct {
-	rec      *Recorder // flow-event sink (may be disabled)
-	capacity int
-	ops      []OpRecord
-	idx      map[int64]int // op ID -> ops index
-	nextID   int64
-	trans    []transition
-	blocks   []BlockRecord
-	finishes []FinishRound
+	rec *Recorder // flow-event sink (may be disabled)
+	// Each log keeps its first capacity records (4 × capacity transitions:
+	// an op stamps at most four). Op id i is ops record i-1 — ids are
+	// handed out at the append — so a stamp bounds-checks, not looks up.
+	ops      Log[OpRecord]
+	trans    Log[transition]
+	blocks   Log[BlockRecord]
+	finishes Log[FinishRound]
+	// seenBy[i] is the serial (index + 1) of the last block that counted
+	// op i+1 a releaser: distinct releasers without a set per park.
+	seenBy Log[int32]
 
 	opsDropped    int
 	transDropped  int
@@ -129,9 +128,11 @@ func NewLifecycle(rec *Recorder, capacity int) *Lifecycle {
 	}
 	return &Lifecycle{
 		rec:      rec,
-		capacity: capacity,
-		ops:      make([]OpRecord, 0, min(capacity, 1024)),
-		idx:      make(map[int64]int),
+		ops:      NewLog[OpRecord](capacity),
+		trans:    NewLog[transition](4 * capacity),
+		blocks:   NewLog[BlockRecord](capacity),
+		finishes: NewLog[FinishRound](capacity),
+		seenBy:   NewLog[int32](capacity),
 	}
 }
 
@@ -144,19 +145,23 @@ func (l *Lifecycle) OpNew(kind string, img, peer int, at sim.Time) int64 {
 	if l == nil {
 		return 0
 	}
-	if len(l.ops) >= l.capacity {
+	if l.ops.Full() {
 		l.opsDropped++
 		return 0
 	}
-	l.nextID++
-	id := l.nextID
-	rec := OpRecord{ID: id, Kind: kind, Img: img, Peer: peer, Created: at}
-	for s := range rec.T {
-		rec.T[s] = -1
-	}
-	l.idx[id] = len(l.ops)
-	l.ops = append(l.ops, rec)
+	id := int64(l.ops.Len()) + 1
+	l.ops.Append(OpRecord{ID: id, Kind: kind, Img: img, Peer: peer, Created: at,
+		T: [NumStages]sim.Time{-1, -1, -1, -1}})
+	l.seenBy.Append(0)
 	return id
+}
+
+// op returns the record of op id, nil for 0 (untracked) and unknown IDs.
+func (l *Lifecycle) op(id int64) *OpRecord {
+	if l == nil || id <= 0 || id > int64(l.ops.Len()) {
+		return nil
+	}
+	return l.ops.At(int(id - 1))
 }
 
 // OpStage stamps a completion level on an op. Idempotent (first stamp
@@ -164,15 +169,8 @@ func (l *Lifecycle) OpNew(kind string, img, peer int, at sim.Time) int64 {
 // transition is observed on (the remote image for global completion of
 // a one-sided op), used for the flow event's location.
 func (l *Lifecycle) OpStage(id int64, img int, stage Stage, at sim.Time) {
-	if l == nil || id == 0 || stage >= NumStages {
-		return
-	}
-	i, ok := l.idx[id]
-	if !ok {
-		return
-	}
-	op := &l.ops[i]
-	if op.T[stage] >= 0 {
+	op := l.op(id)
+	if op == nil || stage >= NumStages || op.T[stage] >= 0 {
 		return
 	}
 	if stage == StageLocalData && op.T[StageGlobal] >= 0 {
@@ -185,9 +183,7 @@ func (l *Lifecycle) OpStage(id int64, img int, stage Stage, at sim.Time) {
 		return
 	}
 	op.T[stage] = at
-	if len(l.trans) < 4*l.capacity {
-		l.trans = append(l.trans, transition{op: id, stage: stage, at: at})
-	} else {
+	if l.trans.Append(transition{op: id, stage: stage, at: at}) == nil {
 		l.transDropped++
 	}
 	if l.rec.Enabled() {
@@ -206,14 +202,11 @@ func (l *Lifecycle) OpStage(id int64, img int, stage Stage, at sim.Time) {
 
 // Op returns the record for an op ID (zero record when unknown).
 func (l *Lifecycle) Op(id int64) (OpRecord, bool) {
-	if l == nil {
+	op := l.op(id)
+	if op == nil {
 		return OpRecord{}, false
 	}
-	i, ok := l.idx[id]
-	if !ok {
-		return OpRecord{}, false
-	}
-	return l.ops[i], true
+	return *op, true
 }
 
 // BeginBlock opens a parked interval on (img, tid) in primitive prim.
@@ -222,7 +215,7 @@ func (l *Lifecycle) BeginBlock(img, tid int, prim string, at sim.Time) BlockToke
 		return BlockToken{}
 	}
 	return BlockToken{img: img, tid: tid, prim: prim, start: at,
-		transIdx: len(l.trans), ok: true}
+		transIdx: l.trans.Len(), ok: true}
 }
 
 // EndBlock closes a parked interval, attributing it to the distinct ops
@@ -236,49 +229,61 @@ func (l *Lifecycle) EndBlock(tok BlockToken, at sim.Time) {
 	if dur <= 0 {
 		return
 	}
-	if len(l.blocks) >= l.capacity {
+	if l.blocks.Full() {
 		l.blocksDropped++
 		return
 	}
-	br := BlockRecord{Img: tok.img, Tid: tok.tid, Prim: tok.prim,
-		Start: tok.start, Dur: dur}
-	seen := make(map[int64]bool)
-	for _, tr := range l.trans[tok.transIdx:] {
-		if tr.stage == StageInit || seen[tr.op] {
+	// The first maxReleasers distinct ops in stamp order, kept sorted by id.
+	serial := int32(l.blocks.Len()) + 1
+	var first [maxReleasers]int64
+	n := 0
+	for i := tok.transIdx; i < l.trans.Len(); i++ {
+		tr := l.trans.At(i)
+		if tr.stage == StageInit {
 			continue
 		}
-		seen[tr.op] = true
-		if len(br.Releasers) < maxReleasers {
-			br.Releasers = append(br.Releasers, tr.op)
+		mark := l.seenBy.At(int(tr.op - 1))
+		if *mark == serial {
+			continue
 		}
+		*mark = serial
+		if n < maxReleasers {
+			j := n
+			for ; j > 0 && first[j-1] > tr.op; j-- {
+				first[j] = first[j-1]
+			}
+			first[j] = tr.op
+		}
+		n++
 	}
-	br.ReleaserCount = len(seen)
-	sort.Slice(br.Releasers, func(i, j int) bool { return br.Releasers[i] < br.Releasers[j] })
-	l.blocks = append(l.blocks, br)
+	br := l.blocks.Append(BlockRecord{Img: tok.img, Tid: tok.tid, Prim: tok.prim,
+		Start: tok.start, Dur: dur, ReleaserCount: n})
+	if n > 0 {
+		br.Releasers = append([]int64(nil), first[:min(n, maxReleasers)]...)
+	}
 }
 
 // AddFinish records one finish block's detection rounds.
 func (l *Lifecycle) AddFinish(fr FinishRound) {
-	if l == nil || len(l.finishes) >= l.capacity {
-		return
+	if l != nil {
+		l.finishes.Append(fr)
 	}
-	l.finishes = append(l.finishes, fr)
 }
 
-// Ops returns all op records (do not modify).
+// Ops returns a copy of all op records.
 func (l *Lifecycle) Ops() []OpRecord {
 	if l == nil {
 		return nil
 	}
-	return l.ops
+	return l.ops.Slice()
 }
 
-// Blocks returns all closed parked intervals (do not modify).
+// Blocks returns a copy of all closed parked intervals.
 func (l *Lifecycle) Blocks() []BlockRecord {
 	if l == nil {
 		return nil
 	}
-	return l.blocks
+	return l.blocks.Slice()
 }
 
 // StageOrderViolations counts per-op stage-ordering violations: stamps
@@ -291,10 +296,10 @@ func (l *Lifecycle) StageOrderViolations() int {
 		return 0
 	}
 	n := l.orderDropped
-	seen := make(map[int64]bool, len(l.ops))
-	for _, tr := range l.trans {
-		if !seen[tr.op] {
-			seen[tr.op] = true
+	seen := make([]bool, l.ops.Len())
+	for i := 0; i < l.trans.Len(); i++ {
+		if tr := l.trans.At(i); !seen[tr.op-1] {
+			seen[tr.op-1] = true
 			if tr.stage != StageInit {
 				n++
 			}
@@ -308,7 +313,7 @@ func (l *Lifecycle) FinishRounds() []FinishRound {
 	if l == nil {
 		return nil
 	}
-	return l.finishes
+	return l.finishes.Slice()
 }
 
 // Dropped returns per-log dropped-record counts (nil when none).

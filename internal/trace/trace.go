@@ -42,12 +42,19 @@ type Event struct {
 // Recorder accumulates events up to a capacity. The zero value is a
 // disabled recorder: all methods are cheap no-ops.
 type Recorder struct {
-	events   []Event
-	capacity int
+	events Log[Event]
 	// dropped counts events dropped at capacity, per event category —
 	// a truncated trace says which kinds of activity it is blind to.
-	dropped map[string]int
+	// Categories are a handful of static strings: a drop scans a short
+	// slice (equal static strings compare by pointer), not a map that
+	// hashes the category of every event a full recorder is offered.
+	dropped []catCount
 	enabled bool
+}
+
+type catCount struct {
+	cat string
+	n   int
 }
 
 // NewRecorder returns a recorder holding at most capacity events
@@ -56,7 +63,7 @@ func NewRecorder(capacity int) *Recorder {
 	if capacity <= 0 {
 		capacity = 1 << 20
 	}
-	return &Recorder{capacity: capacity, enabled: true}
+	return &Recorder{events: NewLog[Event](capacity), enabled: true}
 }
 
 // Enabled reports whether the recorder accepts events.
@@ -67,7 +74,7 @@ func (r *Recorder) Len() int {
 	if r == nil {
 		return 0
 	}
-	return len(r.events)
+	return r.events.Len()
 }
 
 // Truncated reports whether any events were dropped at capacity.
@@ -80,7 +87,7 @@ func (r *Recorder) DroppedTotal() int {
 	}
 	n := 0
 	for _, c := range r.dropped {
-		n += c
+		n += c.n
 	}
 	return n
 }
@@ -92,34 +99,45 @@ func (r *Recorder) Dropped() map[string]int {
 		return nil
 	}
 	out := make(map[string]int, len(r.dropped))
-	for k, v := range r.dropped {
-		out[k] = v
+	for _, c := range r.dropped {
+		out[c.cat] = c.n
 	}
 	return out
 }
 
-func (r *Recorder) add(e Event) {
+// Admit reports whether an event of category cat would be kept and
+// counts it as dropped when not. Every recording method asks before it
+// builds its Event, and so may a call site whose event is expensive to
+// build (a formatted name).
+func (r *Recorder) Admit(cat string) bool {
 	if !r.Enabled() {
-		return
+		return false
 	}
-	if len(r.events) >= r.capacity {
-		if r.dropped == nil {
-			r.dropped = make(map[string]int)
+	if !r.events.Full() {
+		return true
+	}
+	for i := range r.dropped {
+		if r.dropped[i].cat == cat {
+			r.dropped[i].n++
+			return false
 		}
-		r.dropped[e.Cat]++
-		return
 	}
-	r.events = append(r.events, e)
+	r.dropped = append(r.dropped, catCount{cat, 1})
+	return false
 }
 
 // Span records a duration event on an image.
 func (r *Recorder) Span(image, tid int, name, cat string, start, dur sim.Time) {
-	r.add(Event{Name: name, Cat: cat, Image: image, Tid: tid, Start: start, Dur: dur})
+	if r.Admit(cat) {
+		r.events.Append(Event{Name: name, Cat: cat, Image: image, Tid: tid, Start: start, Dur: dur})
+	}
 }
 
 // Instant records a point event on an image strand.
 func (r *Recorder) Instant(image, tid int, name, cat string, at sim.Time) {
-	r.add(Event{Name: name, Cat: cat, Image: image, Tid: tid, Start: at, Inst: true})
+	if r.Admit(cat) {
+		r.events.Append(Event{Name: name, Cat: cat, Image: image, Tid: tid, Start: at, Inst: true})
+	}
 }
 
 // Flow records one point of a flow: phase 's' starts flow id on this
@@ -127,16 +145,18 @@ func (r *Recorder) Instant(image, tid int, name, cat string, at sim.Time) {
 // draws arrows through the phases, linking an async operation's
 // initiation to its completion across images.
 func (r *Recorder) Flow(image, tid int, name, cat string, at sim.Time, id int64, phase byte) {
-	r.add(Event{Name: name, Cat: cat, Image: image, Tid: tid, Start: at,
-		FlowID: id, FlowPhase: phase})
+	if r.Admit(cat) {
+		r.events.Append(Event{Name: name, Cat: cat, Image: image, Tid: tid, Start: at,
+			FlowID: id, FlowPhase: phase})
+	}
 }
 
-// Events returns the recorded events (do not modify).
+// Events returns a copy of the recorded events.
 func (r *Recorder) Events() []Event {
 	if r == nil {
 		return nil
 	}
-	return r.events
+	return r.events.Slice()
 }
 
 // chromeEvent is the Chrome trace-event JSON shape.

@@ -3,6 +3,7 @@ package caf
 import (
 	"fmt"
 
+	"caf2go/internal/metrics"
 	"caf2go/internal/repl"
 )
 
@@ -36,6 +37,8 @@ type ReplCoarray[T any] struct {
 	// on.
 	appliedP []map[int]T
 	appliedB []map[int]T
+
+	mMirror *metrics.Counter // resolved at the first mirror write
 }
 
 // NewReplCoarray collectively allocates a replicated coarray of n
@@ -135,7 +138,10 @@ func (rc *ReplCoarray[T]) Apply(img *Image, home, seq, slot int, fn func(T) T) T
 		sh[slot] = v
 		rc.appliedP[home][seq] = v
 		if b := rc.tbl.Backup(home); b >= 0 && b != me && !rc.m.ImageDead(b) {
-			rc.m.met.Counter("repl_mirror_writes_total", "mirror writes shipped to backup copies").Add(me, 1)
+			if rc.mMirror == nil {
+				rc.mMirror = rc.m.met.Counter("repl_mirror_writes_total", "mirror writes shipped to backup copies")
+			}
+			rc.mMirror.Add(me, 1)
 			// The mirror ships the absolute resulting value, not the
 			// update, so it is idempotent and order-tolerant; it rides
 			// the normal AM path (small enough to coalesce).
