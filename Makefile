@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short bench bench-json bench-json-quick bench-shards bench-load bench-recovery bench-path load-smoke fuzz-smoke profile-smoke continuation-smoke path-smoke chaos-crash chaos-recover shard-matrix ci figures figures-quick examples race-examples clean
+.PHONY: all build vet test test-short bench bench-json bench-json-quick bench-load bench-recovery load-smoke fuzz-smoke profile-smoke continuation-smoke path-smoke chaos-crash chaos-recover ci figures figures-quick examples race-examples clean
 
 all: build vet test
 
@@ -22,18 +22,16 @@ test-short:
 # benchmark is a module of its own, frozen at go 1.22, that replaces
 # caf2go with this tree: it is the first thing to stop building when the
 # root go.mod moves, and nothing under ./... reaches it.
-ci: vet build test shard-matrix
+ci: vet build test
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l . lists:"; echo "$$out"; exit 1; fi
 	cd benchmark && $(GO) vet . && $(GO) test .
 	$(GO) test -race -short ./internal/...
 	$(GO) test -race -run 'Pool|Quarantine|Inline' . ./internal/sim ./internal/fabric ./internal/rt ./internal/core ./internal/trace ./internal/path ./internal/metrics
+	$(GO) test -race -run 'ShardEquivalence|BoundedRoundsSharded|KV(ServiceCrash|Recover)BitIdentical' ./examples/workloads ./internal/core ./internal/chaos
 	$(GO) run ./cmd/benchjson -quick
-	$(GO) run ./cmd/benchjson -shards -quick
-	$(GO) test -race -run 'TestLoadShardEquivalence' ./examples/workloads
 	$(GO) run ./cmd/benchjson -load -quick
 	$(GO) run ./cmd/benchjson -recovery -quick
 	$(MAKE) path-smoke
-	$(GO) run ./cmd/benchjson -path -quick
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
@@ -45,32 +43,21 @@ bench-json:
 bench-json-quick:
 	$(GO) run ./cmd/benchjson -quick
 
-# Regenerate the committed shard-sweep artifact (wall-clock per shard
-# count, bit-identity asserted in every row).
-bench-shards:
-	$(GO) run ./cmd/benchjson -shards -out BENCH_shards.json
-
 # Regenerate the committed service-traffic SLO artifact (KV service
 # under open-loop load: offered load × size × locks-vs-shipping ×
-# coalescing, with a sharded bit-identity re-check per row).
+# coalescing).
 bench-load:
 	$(GO) run ./cmd/benchjson -load -out BENCH_load.json
 
 # Regenerate the committed crash-recovery artifact (KV service with a
 # mid-traffic primary crash: heartbeat × size × replication on/off,
-# zero-loss and crash-to-commit headlines, sharded bit-identity per row).
+# zero-loss and crash-to-commit headlines).
 bench-recovery:
 	$(GO) run ./cmd/benchjson -recovery -out BENCH_recovery.json
 
-# Regenerate the committed path-tracing overhead artifact (each KV
-# scenario tracing-off vs tracing-on: wall-clock overhead columns with
-# the SLO digest pinned identical and exactness asserted per row).
-bench-path:
-	$(GO) run ./cmd/benchjson -path -out BENCH_path.json
-
 # Service-traffic gate: the load generator/histogram property tests, the
 # service workloads (goldens + SLO sanity + crash rows), the SLO-level
-# shard-equivalence matrix under the race detector, and a quick sweep.
+# GOMAXPROCS-equivalence sweep under the race detector, and a quick sweep.
 load-smoke:
 	$(GO) test ./internal/load
 	$(GO) test -run 'TestService|TestKVService|TestGoldenReports/kv-|TestGoldenReports/agg-' ./examples/workloads ./internal/chaos
@@ -118,21 +105,12 @@ chaos-crash:
 # Recovery gate: the replication manager/table unit tests, the
 # replicated-coarray mirror/failover tests, the KV recovery chaos suite
 # (zero loss, bounded tail, back-to-back and mid-recovery crashes,
-# bit-identity), and the replicated shard-equivalence row under -race.
+# bit-identity), and the replicated GOMAXPROCS-equivalence row under -race.
 chaos-recover:
 	$(GO) test ./internal/repl
 	$(GO) test -run 'TestReplCoarray|TestReplication' -v .
 	$(GO) test -run 'TestKVRecover' -v ./internal/chaos
 	$(GO) test -race -run 'TestLoadShardEquivalence/kv-replicated' ./examples/workloads
-
-# Shard-determinism gate, all under the race detector: the admission
-# oracle and worker-protocol tests, the sharded chaos / resilient-finish
-# bit-identity sweeps, and the golden shard-equivalence matrix (every
-# workload at shards 1/2/4/8 × GOMAXPROCS 1/8 against the committed
-# 1-shard goldens).
-shard-matrix:
-	$(GO) test -race -run 'Shard|Sharded' ./internal/sim ./internal/core ./internal/chaos
-	$(GO) test -race -run 'TestGoldenShardEquivalence' ./examples/workloads
 
 figures:
 	$(GO) run ./cmd/figures -out results

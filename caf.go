@@ -176,15 +176,6 @@ type Config struct {
 	// serialize them in time. Costlier than DetectConflicts; reports
 	// through the same Conflicts / ConflictLog / ConflictDetails API.
 	RaceDetector bool
-	// Shards partitions the event queue of the discrete-event engine
-	// across that many conservative-PDES shards (contiguous blocks of
-	// images, each shard with its own heap, virtual clock, and worker
-	// goroutine for queue maintenance). Shard count NEVER changes
-	// simulation results: cross-shard events are admitted in global
-	// (time, seq) order, so the same seed produces a bit-identical
-	// Report, trace, and metrics at any shard count and GOMAXPROCS.
-	// 0 or 1 means a single shard; values above Images are clamped.
-	Shards int
 	// FailureDetector, when Enabled, declares images whose NIC the fault
 	// plan crashes dead after a deterministic heartbeat/lease delay and
 	// turns every blocking primitive failure-aware: instead of hanging
@@ -314,16 +305,8 @@ func NewMachine(cfg Config) *Machine {
 		// fabric claims coalesce/credit/wire legs for tagged messages.
 		cfg.Fabric.Path = ptrack
 	}
-	shards := cfg.Shards
-	if shards < 1 {
-		shards = 1
-	}
-	if shards > cfg.Images {
-		shards = cfg.Images
-	}
-	eng := sim.NewEngineSharded(cfg.Seed, shards)
+	eng := sim.NewEngine(cfg.Seed)
 	k := rt.NewKernel(eng, cfg.Images, cfg.Fabric)
-	eng.SetLookahead(k.Fabric().MinLatency())
 	tree := collect.Binomial
 	if cfg.FlatCollectives {
 		tree = collect.Flat
@@ -422,9 +405,6 @@ func (m *Machine) Launch(main func(img *Image)) {
 // callers see that work was lost.
 func (m *Machine) RunToCompletion() (Report, error) {
 	err := m.eng.Run()
-	// The run is over: reclaim the shard workers' goroutines. The engine
-	// respawns them if it is driven again.
-	m.eng.ReleaseWorkers()
 	if derr, ok := err.(*sim.DeadlockError); ok {
 		err = m.wrapDeadlock(derr)
 	}

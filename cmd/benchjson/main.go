@@ -2,28 +2,19 @@
 // result as JSON. The default mode is the message-coalescing sweep —
 // RandomAccess function shipping and the Fig. 12 cofence loop, coalesced
 // vs. uncoalesced (the committed BENCH_coalesce.json artifact). The
-// -shards mode runs the shard-count sweep instead — the same workloads
-// across engine shard counts, pinning bit-identity and reporting host
-// wall-clock (the committed BENCH_shards.json artifact). The -load mode
-// runs the service-traffic SLO sweep — the sharded KV service under
-// open-loop Poisson load across offered load × machine size × protocol
-// (locks vs. function shipping) × coalescing, reporting p50/p99/p999
-// latency and goodput per row with a sharded bit-identity re-check (the
-// committed BENCH_load.json artifact). The -recovery mode runs the
-// crash-recovery sweep — the KV service with a mid-traffic primary
-// crash across detector heartbeat × machine size × replication on/off,
-// reporting lost vs. replayed requests and the crash-to-commit latency
-// (the committed BENCH_recovery.json artifact). The -path mode runs
-// the critical-path tracing sweep — each KV scenario with tracing off
-// vs. on, reporting the wall-clock overhead of the observability layer
-// with the SLO digest pinned identical and the latency decomposition
-// asserted exact in every row (the committed BENCH_path.json artifact).
+// -load mode runs the service-traffic SLO sweep — the sharded KV service
+// under open-loop Poisson load across offered load × machine size ×
+// protocol (locks vs. function shipping) × coalescing, reporting
+// p50/p99/p999 latency and goodput per row (the committed BENCH_load.json
+// artifact). The -recovery mode runs the crash-recovery sweep — the KV
+// service with a mid-traffic primary crash across detector heartbeat ×
+// machine size × replication on/off, reporting lost vs. replayed requests
+// and the crash-to-commit latency (the committed BENCH_recovery.json
+// artifact).
 //
 //	go run ./cmd/benchjson -out BENCH_coalesce.json
-//	go run ./cmd/benchjson -shards -out BENCH_shards.json
 //	go run ./cmd/benchjson -load -out BENCH_load.json
 //	go run ./cmd/benchjson -recovery -out BENCH_recovery.json
-//	go run ./cmd/benchjson -path -out BENCH_path.json
 package main
 
 import (
@@ -41,10 +32,8 @@ func main() {
 	out := flag.String("out", "", "output file (default: stdout)")
 	quick := flag.Bool("quick", false, "seconds-scale smoke sweep")
 	metrics := flag.Bool("metrics", false, "embed each row's per-image metrics snapshot (coalesce mode)")
-	shards := flag.Bool("shards", false, "run the shard-count sweep instead of the coalescing sweep")
 	loadSweep := flag.Bool("load", false, "run the service-traffic SLO sweep instead of the coalescing sweep")
 	recovery := flag.Bool("recovery", false, "run the crash-recovery sweep instead of the coalescing sweep")
-	pathSweep := flag.Bool("path", false, "run the critical-path tracing overhead sweep instead of the coalescing sweep")
 	flag.Parse()
 
 	w := os.Stdout
@@ -58,25 +47,6 @@ func main() {
 	}
 
 	wall := time.Now()
-	if *pathSweep {
-		o := bench.DefaultPath()
-		if *quick {
-			o = bench.SmokePath()
-		}
-		rep, err := bench.Path(o)
-		if err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("path sweep done in %v wall time", time.Since(wall).Round(time.Millisecond))
-		for wl, dom := range rep.TailDominantByWorkload {
-			log.Printf("%s: slowest tail band dominated by %s", wl, dom)
-		}
-		log.Printf("worst tracing overhead %.1f%% wall clock, digests identical in every row", rep.MaxOverheadPct)
-		if err := rep.WriteJSON(w); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
 	if *recovery {
 		o := bench.DefaultRecovery()
 		if *quick {
@@ -116,24 +86,6 @@ func main() {
 		}
 		if rep.CoalesceMsgReduction > 0 {
 			log.Printf("kv-shipping: %.2fx fewer wire packets with coalescing at peak load", rep.CoalesceMsgReduction)
-		}
-		if err := rep.WriteJSON(w); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	if *shards {
-		o := bench.DefaultShards()
-		if *quick {
-			o = bench.SmokeShards()
-		}
-		rep, err := bench.Shards(o)
-		if err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("shard sweep done in %v wall time", time.Since(wall).Round(time.Millisecond))
-		for wl, s := range rep.BestSpeedup {
-			log.Printf("%s: best wall-clock speedup %.2fx over 1 shard", wl, s)
 		}
 		if err := rep.WriteJSON(w); err != nil {
 			log.Fatal(err)

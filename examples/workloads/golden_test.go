@@ -26,9 +26,9 @@ type goldenFile struct {
 }
 
 // goldenCase is one pinned workload. Run applies mod to the case's base
-// config before launching, so the same case can be re-run with a shard
-// count or instrumentation layered on; the golden files themselves are
-// always produced with the identity mod.
+// config before launching, so the same case can be re-run with
+// instrumentation layered on; the golden files themselves are always
+// produced with the identity mod.
 type goldenCase struct {
 	Name string
 	Run  func(mod func(*caf.Config), opts ...RunOpt) (Result, error)
@@ -301,30 +301,28 @@ func TestGoldenDeterminism(t *testing.T) {
 	}
 }
 
-// shardMatrix is the determinism-equivalence sweep: every shard count
-// the tentpole promises to keep invisible, crossed with single- and
-// multi-core Go scheduling. There is deliberately no -update path for
-// any of it: a sharded run that differs from the 1-shard result is a
-// bug by definition, never a new golden.
-var (
-	shardCounts  = []int{1, 2, 4, 8}
-	gomaxprocsMx = []int{1, 8}
-)
+// gomaxprocsMx is the determinism-equivalence sweep: single- and
+// multi-core Go scheduling must be invisible in every result. There is
+// deliberately no -update path for any of it: a run that differs with
+// GOMAXPROCS is a bug by definition, never a new golden.
+var gomaxprocsMx = []int{1, 2, 8}
 
-// TestGoldenShardEquivalence runs every golden workload across the full
-// shards × GOMAXPROCS matrix and demands three layers of bit-identity
-// with the 1-shard reference:
+// TestGoldenShardEquivalence runs every golden workload at each
+// GOMAXPROCS of the sweep and demands three layers of bit-identity:
 //
-//  1. the committed golden file (the sharded Report must match the
-//     exact bytes pinned before sharding existed),
+//  1. the committed golden file (the plain Report must match the exact
+//     pinned bytes),
 //  2. the full instrumented Result (Report including the metrics
-//     snapshot) against an in-process 1-shard baseline,
+//     snapshot) against an in-process baseline,
 //  3. the execution trace and lifecycle profile, event by event.
+//
+// It and its Load/Path siblings keep the names they had when the sweep
+// also crossed event-engine shard counts; the engine now has one queue.
 func TestGoldenShardEquivalence(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, tc := range goldenCases() {
 		t.Run(tc.Name, func(t *testing.T) {
-			// Layer 2/3 baseline: 1 shard, tracing + metrics on.
+			// Layer 2/3 baseline: tracing + metrics on.
 			instrument := func(cfg *caf.Config) {
 				cfg.TraceCapacity = 1 << 15
 				cfg.Metrics = true
@@ -349,43 +347,38 @@ func TestGoldenShardEquivalence(t *testing.T) {
 			}
 
 			for _, procs := range gomaxprocsMx {
-				for _, shards := range shardCounts {
-					name := fmt.Sprintf("shards=%d/procs=%d", shards, procs)
-					prev := runtime.GOMAXPROCS(procs)
+				name := fmt.Sprintf("procs=%d", procs)
+				prev := runtime.GOMAXPROCS(procs)
 
-					// Layer 1: plain config + Shards vs committed golden.
-					res, err := tc.Run(func(cfg *caf.Config) { cfg.Shards = shards })
-					if err != nil {
-						runtime.GOMAXPROCS(prev)
-						t.Fatalf("%s: %v", name, err)
-					}
-					got := goldenFile{Report: res.Report, Check: res.Check}
-					if !reflect.DeepEqual(got, want) {
-						t.Errorf("%s: report diverged from committed golden:\n got: %s\nwant: %s",
-							name, mustJSON(got), mustJSON(want))
-					}
-
-					// Layers 2+3: instrumented run vs 1-shard baseline.
-					var m *caf.Machine
-					ires, err := tc.Run(func(cfg *caf.Config) {
-						instrument(cfg)
-						cfg.Shards = shards
-					}, CaptureMachine(&m))
+				// Layer 1: plain config vs committed golden.
+				res, err := tc.Run(noMod)
+				if err != nil {
 					runtime.GOMAXPROCS(prev)
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					if !reflect.DeepEqual(ires, base) {
-						t.Errorf("%s: instrumented Result diverged from 1-shard baseline:\n got: %s\nwant: %s",
-							name, mustJSON(ires), mustJSON(base))
-					}
-					if tr := m.Trace().Events(); !reflect.DeepEqual(tr, baseTrace) {
-						t.Errorf("%s: trace diverged from 1-shard baseline (%d vs %d events)",
-							name, len(tr), len(baseTrace))
-					}
-					if pr := m.Profile(); !reflect.DeepEqual(pr, baseProf) {
-						t.Errorf("%s: lifecycle profile diverged from 1-shard baseline", name)
-					}
+					t.Fatalf("%s: %v", name, err)
+				}
+				got := goldenFile{Report: res.Report, Check: res.Check}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s: report diverged from committed golden:\n got: %s\nwant: %s",
+						name, mustJSON(got), mustJSON(want))
+				}
+
+				// Layers 2+3: instrumented run vs baseline.
+				var m *caf.Machine
+				ires, err := tc.Run(instrument, CaptureMachine(&m))
+				runtime.GOMAXPROCS(prev)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if !reflect.DeepEqual(ires, base) {
+					t.Errorf("%s: instrumented Result diverged from baseline:\n got: %s\nwant: %s",
+						name, mustJSON(ires), mustJSON(base))
+				}
+				if tr := m.Trace().Events(); !reflect.DeepEqual(tr, baseTrace) {
+					t.Errorf("%s: trace diverged from baseline (%d vs %d events)",
+						name, len(tr), len(baseTrace))
+				}
+				if pr := m.Profile(); !reflect.DeepEqual(pr, baseProf) {
+					t.Errorf("%s: lifecycle profile diverged from baseline", name)
 				}
 			}
 		})

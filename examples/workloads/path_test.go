@@ -15,17 +15,17 @@ import (
 // returns its machine (for the path capture) and SLO.
 type pathScenario struct {
 	name string
-	run  func(shards int) (*caf.Machine, load.SLO, Result, error)
+	run  func() (*caf.Machine, load.SLO, Result, error)
 }
 
 func pathScenarios() []pathScenario {
 	kv := func(name string, mod func(o *ServiceOpts, cfg *caf.Config)) pathScenario {
-		return pathScenario{name: name, run: func(shards int) (*caf.Machine, load.SLO, Result, error) {
+		return pathScenario{name: name, run: func() (*caf.Machine, load.SLO, Result, error) {
 			var slo load.SLO
 			var m *caf.Machine
 			o := kvGoldenOpts(true)
 			o.SLOOut = &slo
-			cfg := caf.Config{Images: 8, Seed: 11, Shards: shards, PathTracing: true}
+			cfg := caf.Config{Images: 8, Seed: 11, PathTracing: true}
 			if mod != nil {
 				mod(&o, &cfg)
 			}
@@ -45,12 +45,12 @@ func pathScenarios() []pathScenario {
 			cfg.Replication = caf.ReplicationConfig{Enabled: true}
 			cfg.FailureDetector = caf.FailureDetectorConfig{Enabled: true, Heartbeat: 2 * caf.Microsecond}
 		}),
-		{name: "agg-service", run: func(shards int) (*caf.Machine, load.SLO, Result, error) {
+		{name: "agg-service", run: func() (*caf.Machine, load.SLO, Result, error) {
 			var slo load.SLO
 			var m *caf.Machine
 			o := aggGoldenOpts(false)
 			o.SLOOut = &slo
-			res, err := AggService(caf.Config{Images: 8, Seed: 11, Shards: shards, PathTracing: true},
+			res, err := AggService(caf.Config{Images: 8, Seed: 11, PathTracing: true},
 				o, CaptureMachine(&m))
 			return m, slo, res, err
 		}},
@@ -64,7 +64,7 @@ func pathScenarios() []pathScenario {
 func TestPathExactness(t *testing.T) {
 	for _, sc := range pathScenarios() {
 		t.Run(sc.name, func(t *testing.T) {
-			m, slo, _, err := sc.run(0)
+			m, slo, _, err := sc.run()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -107,7 +107,7 @@ func TestPathTailLockWait(t *testing.T) {
 			sc = s
 		}
 	}
-	m, _, _, err := sc.run(0)
+	m, _, _, err := sc.run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,39 +171,36 @@ func TestPathTracingInert(t *testing.T) {
 	}
 }
 
-// TestPathShardEquivalence extends the shard-equivalence matrix to the
-// path capture: with tracing enabled, the full profile — spans, bucket
-// decompositions, exemplars — must be bit-identical across shards
-// {1,2,4,8} × GOMAXPROCS {1,8}.
+// TestPathShardEquivalence extends the GOMAXPROCS-equivalence sweep
+// to the path capture: with tracing enabled, the full profile — spans,
+// bucket decompositions, exemplars — must be bit-identical at every
+// GOMAXPROCS of the sweep.
 func TestPathShardEquivalence(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, sc := range pathScenarios() {
 		t.Run(sc.name, func(t *testing.T) {
-			baseM, baseSLO, baseRes, err := sc.run(0)
+			baseM, baseSLO, baseRes, err := sc.run()
 			if err != nil {
 				t.Fatal(err)
 			}
 			baseProf := baseM.Profile()
 			for _, procs := range gomaxprocsMx {
 				prev := runtime.GOMAXPROCS(procs)
-				for _, shards := range shardCounts {
-					m, slo, res, err := sc.run(shards)
-					if err != nil {
-						runtime.GOMAXPROCS(prev)
-						t.Fatalf("shards=%d procs=%d: %v", shards, procs, err)
-					}
-					if !reflect.DeepEqual(res, baseRes) || !reflect.DeepEqual(slo, baseSLO) {
-						t.Errorf("shards=%d procs=%d: Result/SLO diverged", shards, procs)
-					}
-					pr := m.Profile()
-					if !reflect.DeepEqual(pr.Paths, baseProf.Paths) {
-						t.Errorf("shards=%d procs=%d: path capture diverged from 1-shard baseline", shards, procs)
-					}
-					if !reflect.DeepEqual(pr, baseProf) {
-						t.Errorf("shards=%d procs=%d: profile diverged from 1-shard baseline", shards, procs)
-					}
-				}
+				m, slo, res, err := sc.run()
 				runtime.GOMAXPROCS(prev)
+				if err != nil {
+					t.Fatalf("procs=%d: %v", procs, err)
+				}
+				if !reflect.DeepEqual(res, baseRes) || !reflect.DeepEqual(slo, baseSLO) {
+					t.Errorf("procs=%d: Result/SLO diverged", procs)
+				}
+				pr := m.Profile()
+				if !reflect.DeepEqual(pr.Paths, baseProf.Paths) {
+					t.Errorf("procs=%d: path capture diverged from baseline", procs)
+				}
+				if !reflect.DeepEqual(pr, baseProf) {
+					t.Errorf("procs=%d: profile diverged from baseline", procs)
+				}
 			}
 		})
 	}

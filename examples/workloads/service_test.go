@@ -104,10 +104,10 @@ func TestServiceCoalescingHelps(t *testing.T) {
 	}
 }
 
-// TestLoadShardEquivalence is the arrival-determinism property test at
-// the SLO level: the same seed must produce a byte-identical arrival
-// schedule and SLO report across shards {1,2,4,8} × GOMAXPROCS {1,8} —
-// the service-scenario extension of TestGoldenShardEquivalence (which
+// TestLoadShardEquivalence is the arrival-determinism property test
+// at the SLO level: the same seed must produce a byte-identical arrival
+// schedule and SLO report at every GOMAXPROCS of the sweep — the
+// service-scenario extension of TestGoldenShardEquivalence (which
 // covers the Report and Check for the same rows). The crashed KV
 // variant rides along so the failure path is pinned too.
 func TestLoadShardEquivalence(t *testing.T) {
@@ -116,37 +116,37 @@ func TestLoadShardEquivalence(t *testing.T) {
 	sched := load.Schedule(load.ArrivalConfig{Seed: 11, Clients: 4, Requests: 96, Rate: 240_000, Keys: 64})
 	scenarios := []struct {
 		name string
-		run  func(shards int) (Result, load.SLO, error)
+		run  func() (Result, load.SLO, error)
 	}{
-		{"kv-shipping", func(shards int) (Result, load.SLO, error) {
+		{"kv-shipping", func() (Result, load.SLO, error) {
 			var slo load.SLO
 			o := kvGoldenOpts(true)
 			o.SLOOut = &slo
-			res, err := KVService(caf.Config{Images: 8, Seed: 11, Shards: shards}, o)
+			res, err := KVService(caf.Config{Images: 8, Seed: 11}, o)
 			return res, slo, err
 		}},
-		{"kv-shipping-crashed", func(shards int) (Result, load.SLO, error) {
+		{"kv-shipping-crashed", func() (Result, load.SLO, error) {
 			var slo load.SLO
 			o := kvGoldenOpts(true)
 			o.SLOOut = &slo
 			cfg := caf.Config{
-				Images: 8, Seed: 11, Shards: shards,
+				Images: 8, Seed: 11,
 				Faults:          &caf.FaultPlan{Crash: map[int]caf.Time{1: 150 * caf.Microsecond}},
 				FailureDetector: caf.FailureDetectorConfig{Enabled: true, Heartbeat: 2 * caf.Microsecond},
 			}
 			res, err := KVService(cfg, o)
 			return res, slo, err
 		}},
-		{"kv-replicated-crashed", func(shards int) (Result, load.SLO, error) {
+		{"kv-replicated-crashed", func() (Result, load.SLO, error) {
 			// The full recovery pipeline — mirror writes, epoch
 			// agreement, promotion, request replay — must also be
-			// bit-identical across the shard × GOMAXPROCS matrix.
+			// bit-identical at every GOMAXPROCS.
 			var slo load.SLO
 			o := kvGoldenOpts(true)
 			o.Replicated = true
 			o.SLOOut = &slo
 			cfg := caf.Config{
-				Images: 8, Seed: 11, Shards: shards,
+				Images: 8, Seed: 11,
 				Faults:          &caf.FaultPlan{Crash: map[int]caf.Time{1: 150 * caf.Microsecond}},
 				Replication:     caf.ReplicationConfig{Enabled: true},
 				FailureDetector: caf.FailureDetectorConfig{Enabled: true, Heartbeat: 2 * caf.Microsecond},
@@ -154,44 +154,41 @@ func TestLoadShardEquivalence(t *testing.T) {
 			res, err := KVService(cfg, o)
 			return res, slo, err
 		}},
-		{"agg-service", func(shards int) (Result, load.SLO, error) {
+		{"agg-service", func() (Result, load.SLO, error) {
 			var slo load.SLO
 			o := aggGoldenOpts(false)
 			o.SLOOut = &slo
-			res, err := AggService(caf.Config{Images: 8, Seed: 11, Shards: shards}, o)
+			res, err := AggService(caf.Config{Images: 8, Seed: 11}, o)
 			return res, slo, err
 		}},
 	}
 	for _, sc := range scenarios {
 		t.Run(sc.name, func(t *testing.T) {
-			baseRes, baseSLO, err := sc.run(0)
+			baseRes, baseSLO, err := sc.run()
 			if err != nil {
 				t.Fatal(err)
 			}
 			baseDigest := baseSLO.Digest()
 			for _, procs := range gomaxprocsMx {
 				prev := runtime.GOMAXPROCS(procs)
-				for _, shards := range shardCounts {
-					// The schedule itself must be unaffected by the Go
-					// scheduler — it is pure, but pin it anyway.
-					if s := load.Schedule(load.ArrivalConfig{Seed: 11, Clients: 4, Requests: 96, Rate: 240_000, Keys: 64}); !reflect.DeepEqual(s, sched) {
-						t.Errorf("procs=%d: arrival schedule diverged", procs)
-					}
-					res, slo, err := sc.run(shards)
-					if err != nil {
-						runtime.GOMAXPROCS(prev)
-						t.Fatalf("shards=%d procs=%d: %v", shards, procs, err)
-					}
-					if !reflect.DeepEqual(res, baseRes) {
-						t.Errorf("shards=%d procs=%d: Result diverged:\n got: %s\nwant: %s",
-							shards, procs, res.Check, baseRes.Check)
-					}
-					if !reflect.DeepEqual(slo, baseSLO) || slo.Digest() != baseDigest {
-						t.Errorf("shards=%d procs=%d: SLO diverged:\n got: %s\nwant: %s",
-							shards, procs, slo.Digest(), baseDigest)
-					}
+				// The schedule itself must be unaffected by the Go
+				// scheduler — it is pure, but pin it anyway.
+				if s := load.Schedule(load.ArrivalConfig{Seed: 11, Clients: 4, Requests: 96, Rate: 240_000, Keys: 64}); !reflect.DeepEqual(s, sched) {
+					t.Errorf("procs=%d: arrival schedule diverged", procs)
 				}
+				res, slo, err := sc.run()
 				runtime.GOMAXPROCS(prev)
+				if err != nil {
+					t.Fatalf("procs=%d: %v", procs, err)
+				}
+				if !reflect.DeepEqual(res, baseRes) {
+					t.Errorf("procs=%d: Result diverged:\n got: %s\nwant: %s",
+						procs, res.Check, baseRes.Check)
+				}
+				if !reflect.DeepEqual(slo, baseSLO) || slo.Digest() != baseDigest {
+					t.Errorf("procs=%d: SLO diverged:\n got: %s\nwant: %s",
+						procs, slo.Digest(), baseDigest)
+				}
 			}
 		})
 	}

@@ -170,12 +170,10 @@ func TestInlineEquivalentToComputeFirstProc(t *testing.T) {
 		cfg  Config
 	}{
 		{"plain", base},
-		{"shards4", func(c Config) Config { c.Shards = 4; return c }(base)},
 		{"coalesced", func(c Config) Config { c.Coalescing = Coalescing{MaxMsgs: 4}; return c }(base)},
 		{"relaxed", func(c Config) Config { c.Relaxed = true; return c }(base)},
 		{"traced", func(c Config) Config { c.TraceCapacity = 1 << 14; return c }(base)},
 		{"crash", crash(base)},
-		{"crash-shards4", func(c Config) Config { c.Shards = 4; return c }(crash(base))},
 	}
 	programs := []struct {
 		name string
@@ -435,8 +433,8 @@ func TestInlineRequestReplyAllocs(t *testing.T) {
 // Size classes the benchmark's bytes-per-op rows sit on: uts ships by the
 // proc path and has 2% of room.
 func TestPoolSpawnRecordSizes(t *testing.T) {
-	if n := unsafe.Sizeof(sim.Proc{}); n != 112 {
-		t.Errorf("sim.Proc is %d bytes, want 112", n)
+	if n := unsafe.Sizeof(sim.Proc{}); n != 104 {
+		t.Errorf("sim.Proc is %d bytes, want 104", n)
 	}
 	if n := unsafe.Sizeof(spawnOp{}); n > 384 {
 		t.Errorf("spawnOp is %d bytes, want ≤ 384", n)

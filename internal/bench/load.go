@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"reflect"
 
 	caf "caf2go"
 	"caf2go/examples/workloads"
@@ -15,9 +14,8 @@ import (
 // KV service under open-loop Poisson load, swept across offered load ×
 // machine size × access protocol (locks vs. function shipping) ×
 // coalescing. Each row reports the SLO surface — p50/p99/p999 latency,
-// goodput — next to the wire accounting, and re-runs itself on a
-// sharded engine to assert the bit-identity contract row by row. The
-// headline maps digest the two experiments the sweep exists for: how
+// goodput — next to the wire accounting. The headline maps digest the
+// two experiments the sweep exists for: how
 // the tail degrades as offered load approaches saturation, and how much
 // of the lock protocol's tail the function-shipping protocol deletes.
 
@@ -38,9 +36,6 @@ type LoadOpts struct {
 	SvcTime caf.Time
 	// Coalescing is the configuration the coalesced rows run with.
 	Coalescing caf.Coalescing
-	// ShardCheck re-runs every row with this engine shard count and
-	// asserts a bit-identical Result + SLO (0 disables).
-	ShardCheck int
 	Seed       int64
 }
 
@@ -53,7 +48,6 @@ func DefaultLoad() LoadOpts {
 		WriteFrac:      0.5,
 		SvcTime:        1 * caf.Microsecond,
 		Coalescing:     caf.Coalescing{MaxMsgs: 8, MaxBytes: 2048, FlushAfter: 5 * caf.Microsecond},
-		ShardCheck:     4,
 		Seed:           1,
 	}
 }
@@ -93,10 +87,8 @@ type LoadRow struct {
 	MsgsSent      uint64
 	BytesSent     uint64
 	MsgsCoalesced uint64
-	// SLODigest is the canonical report line (the bit-identity token);
-	// BitIdentical records the sharded re-run comparing equal.
-	SLODigest    string
-	BitIdentical bool
+	// SLODigest is the canonical SLO report line.
+	SLODigest string
 }
 
 // LoadReport is the BENCH_load.json document.
@@ -197,21 +189,17 @@ func Load(o LoadOpts) (LoadReport, error) {
 }
 
 func loadRow(o LoadOpts, workload string, images int, offered float64, shipping bool, coal caf.Coalescing) (LoadRow, error) {
-	run := func(shards int) (workloads.Result, load.SLO, error) {
-		var slo load.SLO
-		res, err := workloads.KVService(
-			caf.Config{Images: images, Seed: o.Seed, Coalescing: coal, Shards: shards},
-			workloads.ServiceOpts{
-				Requests:  o.Requests,
-				Rate:      offered,
-				WriteFrac: o.WriteFrac,
-				SvcTime:   o.SvcTime,
-				Shipping:  shipping,
-				SLOOut:    &slo,
-			})
-		return res, slo, err
-	}
-	res, slo, err := run(0)
+	var slo load.SLO
+	res, err := workloads.KVService(
+		caf.Config{Images: images, Seed: o.Seed, Coalescing: coal},
+		workloads.ServiceOpts{
+			Requests:  o.Requests,
+			Rate:      offered,
+			WriteFrac: o.WriteFrac,
+			SvcTime:   o.SvcTime,
+			Shipping:  shipping,
+			SLOOut:    &slo,
+		})
 	if err != nil {
 		return LoadRow{}, fmt.Errorf("load %s p=%d rate=%.0f coal=%v: %w", workload, images, offered, coal.Enabled(), err)
 	}
@@ -219,7 +207,7 @@ func loadRow(o LoadOpts, workload string, images int, offered float64, shipping 
 		return LoadRow{}, fmt.Errorf("load %s p=%d rate=%.0f: only %d/%d requests completed in a fault-free run",
 			workload, images, offered, slo.Completed, slo.Requests)
 	}
-	row := LoadRow{
+	return LoadRow{
 		Workload:    workload,
 		Images:      images,
 		Servers:     images / 2,
@@ -240,19 +228,7 @@ func loadRow(o LoadOpts, workload string, images int, offered float64, shipping 
 		BytesSent:     res.Report.Bytes,
 		MsgsCoalesced: res.Report.MsgsCoalesced,
 		SLODigest:     slo.Digest(),
-	}
-	if o.ShardCheck > 1 {
-		res2, slo2, err := run(o.ShardCheck)
-		if err != nil {
-			return LoadRow{}, fmt.Errorf("load %s p=%d rate=%.0f shards=%d: %w", workload, images, offered, o.ShardCheck, err)
-		}
-		if !reflect.DeepEqual(res2, res) || slo2.Digest() != row.SLODigest {
-			return LoadRow{}, fmt.Errorf("load %s p=%d rate=%.0f: sharded re-run diverged:\n  %s\nvs %s",
-				workload, images, offered, slo2.Digest(), row.SLODigest)
-		}
-		row.BitIdentical = true
-	}
-	return row, nil
+	}, nil
 }
 
 // WriteJSON emits the report as indented JSON.

@@ -4,8 +4,8 @@ import "testing"
 
 // TestSmokeLoad guards the BENCH_load.json generator: the smoke sweep
 // must produce a full row matrix (loads × sizes × protocol × coalescing)
-// with every request completed, every row's sharded re-run bit-identical,
-// and the headline experiments pointing the right way — function
+// with every request completed, and the headline experiments pointing the
+// right way — function
 // shipping at or below the lock protocol's p99 in every cell, and
 // coalescing actually batching the shipping variant's small AMs.
 func TestSmokeLoad(t *testing.T) {
@@ -21,9 +21,6 @@ func TestSmokeLoad(t *testing.T) {
 	for _, r := range rep.Rows {
 		if r.Completed != r.Requests {
 			t.Errorf("%s p=%d rate=%.0f: %d/%d completed", r.Workload, r.Images, r.OfferedRPS, r.Completed, r.Requests)
-		}
-		if !r.BitIdentical {
-			t.Errorf("%s p=%d rate=%.0f coal=%v: sharded re-run not marked bit-identical", r.Workload, r.Images, r.OfferedRPS, r.Coalesced)
 		}
 		if r.P50us <= 0 || r.P999us < r.P99us || r.P99us < r.P50us {
 			t.Errorf("%s p=%d rate=%.0f: bad quantiles p50=%g p99=%g p999=%g", r.Workload, r.Images, r.OfferedRPS, r.P50us, r.P99us, r.P999us)

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"reflect"
 
 	caf "caf2go"
 	"caf2go/examples/workloads"
@@ -15,8 +14,7 @@ import (
 // with a mid-traffic primary crash, swept across detector heartbeat ×
 // machine size × replication on/off. Each row reports the request
 // outcomes (lost vs. replayed), the recovery timeline (declaration to
-// epoch commit), and the SLO surface, and re-runs itself on a sharded
-// engine to assert the bit-identity contract. The headlines digest the
+// epoch commit), and the SLO surface. The headlines digest the
 // experiment the sweep exists for: without replication a crash loses
 // every stranded request, with replication the same crash loses zero —
 // at a recovery latency that scales linearly with the heartbeat.
@@ -40,10 +38,7 @@ type RecoveryOpts struct {
 	WriteFrac float64
 	// SvcTime is the per-request server compute.
 	SvcTime caf.Time
-	// ShardCheck re-runs every row with this engine shard count and
-	// asserts a bit-identical Result + SLO + recovery stats (0 disables).
-	ShardCheck int
-	Seed       int64
+	Seed    int64
 }
 
 // DefaultRecovery returns the committed-artifact configuration.
@@ -56,7 +51,6 @@ func DefaultRecovery() RecoveryOpts {
 		RatePerServer: 150_000,
 		WriteFrac:     0.5,
 		SvcTime:       1 * caf.Microsecond,
-		ShardCheck:    4,
 		Seed:          7,
 	}
 }
@@ -100,10 +94,8 @@ type RecoveryRow struct {
 	P999us     float64
 	MaxUs      float64
 	GoodputRPS float64
-	// SLODigest is the canonical report line (the bit-identity token);
-	// BitIdentical records the sharded re-run comparing equal.
-	SLODigest    string
-	BitIdentical bool
+	// SLODigest is the canonical SLO report line.
+	SLODigest string
 }
 
 // RecoveryReport is the BENCH_recovery.json document.
@@ -166,37 +158,31 @@ func recoveryRow(o RecoveryOpts, images int, hb caf.Time, replicated bool) (Reco
 	if replicated {
 		workload = "kv-replicated"
 	}
-	run := func(shards int) (workloads.Result, load.SLO, caf.ReplStats, error) {
-		var slo load.SLO
-		var rs caf.ReplStats
-		cfg := caf.Config{
-			Images: images,
-			Seed:   o.Seed,
-			Shards: shards,
-			Faults: &caf.FaultPlan{
-				Seed:  o.Seed,
-				Crash: map[int]caf.Time{1: o.CrashAt},
-			},
-			FailureDetector: caf.FailureDetectorConfig{Enabled: true, Heartbeat: hb},
-		}
-		opts := workloads.ServiceOpts{
-			Requests:  o.Requests,
-			Rate:      o.RatePerServer * float64(servers),
-			WriteFrac: o.WriteFrac,
-			SvcTime:   o.SvcTime,
-			Shipping:  true,
-			SLOOut:    &slo,
-		}
-		if replicated {
-			cfg.Replication = caf.ReplicationConfig{Enabled: true}
-			opts.Replicated = true
-			opts.ReplOut = &rs
-		}
-		res, err := workloads.KVService(cfg, opts)
-		return res, slo, rs, err
+	var slo load.SLO
+	var rs caf.ReplStats
+	cfg := caf.Config{
+		Images: images,
+		Seed:   o.Seed,
+		Faults: &caf.FaultPlan{
+			Seed:  o.Seed,
+			Crash: map[int]caf.Time{1: o.CrashAt},
+		},
+		FailureDetector: caf.FailureDetectorConfig{Enabled: true, Heartbeat: hb},
 	}
-	res, slo, rs, err := run(0)
-	if err != nil {
+	opts := workloads.ServiceOpts{
+		Requests:  o.Requests,
+		Rate:      o.RatePerServer * float64(servers),
+		WriteFrac: o.WriteFrac,
+		SvcTime:   o.SvcTime,
+		Shipping:  true,
+		SLOOut:    &slo,
+	}
+	if replicated {
+		cfg.Replication = caf.ReplicationConfig{Enabled: true}
+		opts.Replicated = true
+		opts.ReplOut = &rs
+	}
+	if _, err := workloads.KVService(cfg, opts); err != nil {
 		return RecoveryRow{}, fmt.Errorf("recovery %s p=%d hb=%v: %w", workload, images, hb, err)
 	}
 	if slo.Completed+slo.Failed != slo.Requests {
@@ -229,17 +215,6 @@ func recoveryRow(o RecoveryOpts, images int, hb caf.Time, replicated bool) (Reco
 	}
 	if replicated && rs.Epoch > 0 {
 		row.CrashToCommitUs = float64(rs.EpochAt-o.CrashAt) / 1e3
-	}
-	if o.ShardCheck > 1 {
-		res2, slo2, rs2, err := run(o.ShardCheck)
-		if err != nil {
-			return RecoveryRow{}, fmt.Errorf("recovery %s p=%d hb=%v shards=%d: %w", workload, images, hb, o.ShardCheck, err)
-		}
-		if !reflect.DeepEqual(res2, res) || slo2.Digest() != row.SLODigest || rs2 != rs {
-			return RecoveryRow{}, fmt.Errorf("recovery %s p=%d hb=%v: sharded re-run diverged:\n  %s\nvs %s",
-				workload, images, hb, slo2.Digest(), row.SLODigest)
-		}
-		row.BitIdentical = true
 	}
 	return row, nil
 }

@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	caf "caf2go"
@@ -25,11 +26,10 @@ func kvLoadOpts(shipping bool, slo *load.SLO) workloads.ServiceOpts {
 // rank 1 (a shard owner) dies at 80µs — after the setup barrier, well
 // inside the ~420µs serving window — and the detector declares it dead
 // a few heartbeats later.
-func kvLoadCfg(seed int64, shards int) caf.Config {
+func kvLoadCfg(seed int64) caf.Config {
 	return caf.Config{
 		Images: 8,
 		Seed:   seed,
-		Shards: shards,
 		Faults: &caf.FaultPlan{
 			Seed:  seed,
 			Crash: map[int]caf.Time{1: 80 * caf.Microsecond},
@@ -56,7 +56,7 @@ func TestKVServiceCrashTypedErrors(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			var slo load.SLO
-			res, err := workloads.KVService(kvLoadCfg(7, 0), kvLoadOpts(shipping, &slo))
+			res, err := workloads.KVService(kvLoadCfg(7), kvLoadOpts(shipping, &slo))
 			if err != nil {
 				t.Fatalf("crash run did not terminate cleanly: %v", err)
 			}
@@ -110,7 +110,7 @@ func TestKVServiceCrashP999Bounded(t *testing.T) {
 		kvLoadOpts(true, &healthy)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := workloads.KVService(kvLoadCfg(7, 0), kvLoadOpts(true, &crashed)); err != nil {
+	if _, err := workloads.KVService(kvLoadCfg(7), kvLoadOpts(true, &crashed)); err != nil {
 		t.Fatal(err)
 	}
 	det := detectorOn()
@@ -120,34 +120,33 @@ func TestKVServiceCrashP999Bounded(t *testing.T) {
 	}
 }
 
-// TestKVServiceCrashBitIdentical is the same-seed bit-identity pin for
-// the service-under-crash scenario: repeated runs and sharded runs must
-// produce deeply equal Results and SLO reports, across both protocols.
+// TestKVServiceCrashBitIdentical is the same-seed bit-identity
+// pin for the service-under-crash scenario: repeated runs, at GOMAXPROCS
+// 1 and 8, must produce deeply equal Results and SLO reports, across both
+// protocols.
 func TestKVServiceCrashBitIdentical(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, shipping := range []bool{false, true} {
 		name := "locks"
 		if shipping {
 			name = "shipping"
 		}
 		t.Run(name, func(t *testing.T) {
-			var slo1, slo2 load.SLO
-			res1, err1 := workloads.KVService(kvLoadCfg(7, 0), kvLoadOpts(shipping, &slo1))
-			res2, err2 := workloads.KVService(kvLoadCfg(7, 0), kvLoadOpts(shipping, &slo2))
-			if err1 != nil || err2 != nil {
-				t.Fatalf("runs failed: %v / %v", err1, err2)
+			var slo1 load.SLO
+			res1, err := workloads.KVService(kvLoadCfg(7), kvLoadOpts(shipping, &slo1))
+			if err != nil {
+				t.Fatalf("first run failed: %v", err)
 			}
-			if !reflect.DeepEqual(res1, res2) || !reflect.DeepEqual(slo1, slo2) {
-				t.Fatalf("same seed diverged:\n 1st %s\n 2nd %s", slo1.Digest(), slo2.Digest())
-			}
-			for _, shards := range []int{2, 4} {
+			for _, procs := range []int{1, 8} {
+				runtime.GOMAXPROCS(procs)
 				var slo load.SLO
-				res, err := workloads.KVService(kvLoadCfg(7, shards), kvLoadOpts(shipping, &slo))
+				res, err := workloads.KVService(kvLoadCfg(7), kvLoadOpts(shipping, &slo))
 				if err != nil {
-					t.Fatalf("shards=%d: %v", shards, err)
+					t.Fatalf("procs=%d: %v", procs, err)
 				}
 				if !reflect.DeepEqual(res, res1) || !reflect.DeepEqual(slo, slo1) {
-					t.Fatalf("shards=%d diverged from 1-shard run:\n got %s\nwant %s",
-						shards, slo.Digest(), slo1.Digest())
+					t.Fatalf("procs=%d diverged from the first run:\n got %s\nwant %s",
+						procs, slo.Digest(), slo1.Digest())
 				}
 			}
 		})

@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	caf "caf2go"
@@ -27,11 +28,10 @@ func kvReplOpts(slo *load.SLO, rs *caf.ReplStats) workloads.ServiceOpts {
 
 // kvReplCfg is kvLoadCfg with replication on and an arbitrary crash
 // plan (nil for a healthy run).
-func kvReplCfg(seed int64, shards int, crash map[int]caf.Time) caf.Config {
+func kvReplCfg(seed int64, crash map[int]caf.Time) caf.Config {
 	cfg := caf.Config{
 		Images:          8,
 		Seed:            seed,
-		Shards:          shards,
 		Replication:     caf.ReplicationConfig{Enabled: true},
 		FailureDetector: detectorOn(),
 	}
@@ -55,7 +55,7 @@ func oneCrash() map[int]caf.Time {
 func TestKVRecoverZeroLoss(t *testing.T) {
 	var slo load.SLO
 	var rs caf.ReplStats
-	_, err := workloads.KVService(kvReplCfg(7, 0, oneCrash()), kvReplOpts(&slo, &rs))
+	_, err := workloads.KVService(kvReplCfg(7, oneCrash()), kvReplOpts(&slo, &rs))
 	if err != nil {
 		t.Fatalf("recovery run did not terminate cleanly: %v", err)
 	}
@@ -90,13 +90,13 @@ func TestKVRecoverZeroLoss(t *testing.T) {
 // windows.
 func TestKVRecoverTailBounded(t *testing.T) {
 	var healthy, crashed load.SLO
-	if _, err := workloads.KVService(kvReplCfg(7, 0, nil), kvReplOpts(&healthy, nil)); err != nil {
+	if _, err := workloads.KVService(kvReplCfg(7, nil), kvReplOpts(&healthy, nil)); err != nil {
 		t.Fatal(err)
 	}
 	if healthy.Failed != 0 || healthy.Replayed != 0 {
 		t.Fatalf("healthy replicated run unhealthy: %s", healthy.Digest())
 	}
-	if _, err := workloads.KVService(kvReplCfg(7, 0, oneCrash()), kvReplOpts(&crashed, nil)); err != nil {
+	if _, err := workloads.KVService(kvReplCfg(7, oneCrash()), kvReplOpts(&crashed, nil)); err != nil {
 		t.Fatal(err)
 	}
 	det := detectorOn()
@@ -123,7 +123,7 @@ func TestKVRecoverBackToBackCrashes(t *testing.T) {
 		1: 80 * caf.Microsecond,
 		2: 200 * caf.Microsecond, // well after the first commit at 88µs
 	}
-	_, err := workloads.KVService(kvReplCfg(7, 0, crash), kvReplOpts(&slo, &rs))
+	_, err := workloads.KVService(kvReplCfg(7, crash), kvReplOpts(&slo, &rs))
 	if err != nil {
 		t.Fatalf("double-crash run did not terminate cleanly: %v", err)
 	}
@@ -160,7 +160,7 @@ func TestKVRecoverCrashMidRecovery(t *testing.T) {
 		1: 80 * caf.Microsecond,
 		2: 83 * caf.Microsecond, // declared at 88µs, mid-agreement
 	}
-	_, err := workloads.KVService(kvReplCfg(7, 0, crash), kvReplOpts(&slo, &rs))
+	_, err := workloads.KVService(kvReplCfg(7, crash), kvReplOpts(&slo, &rs))
 	if err != nil {
 		t.Fatalf("mid-recovery crash run did not terminate cleanly: %v", err)
 	}
@@ -180,11 +180,12 @@ func TestKVRecoverCrashMidRecovery(t *testing.T) {
 	}
 }
 
-// TestKVRecoverBitIdentical pins the whole recovery pipeline — mirror
-// traffic, agreement schedule, promotion, replay — as deterministic:
-// same-seed reruns and sharded engines must produce deeply equal
-// Results, SLO reports, and recovery stats.
+// TestKVRecoverBitIdentical pins the whole recovery pipeline —
+// mirror traffic, agreement schedule, promotion, replay — as
+// deterministic: same-seed reruns, at GOMAXPROCS 1 and 8, must produce
+// deeply equal Results, SLO reports, and recovery stats.
 func TestKVRecoverBitIdentical(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	scenarios := map[string]map[int]caf.Time{
 		"single-crash": oneCrash(),
 		"mid-recovery": {1: 80 * caf.Microsecond, 2: 83 * caf.Microsecond},
@@ -192,26 +193,23 @@ func TestKVRecoverBitIdentical(t *testing.T) {
 	}
 	for name, crash := range scenarios {
 		t.Run(name, func(t *testing.T) {
-			var slo1, slo2 load.SLO
-			var rs1, rs2 caf.ReplStats
-			res1, err1 := workloads.KVService(kvReplCfg(7, 0, crash), kvReplOpts(&slo1, &rs1))
-			res2, err2 := workloads.KVService(kvReplCfg(7, 0, crash), kvReplOpts(&slo2, &rs2))
-			if err1 != nil || err2 != nil {
-				t.Fatalf("runs failed: %v / %v", err1, err2)
+			var slo1 load.SLO
+			var rs1 caf.ReplStats
+			res1, err := workloads.KVService(kvReplCfg(7, crash), kvReplOpts(&slo1, &rs1))
+			if err != nil {
+				t.Fatalf("first run failed: %v", err)
 			}
-			if !reflect.DeepEqual(res1, res2) || !reflect.DeepEqual(slo1, slo2) || rs1 != rs2 {
-				t.Fatalf("same seed diverged:\n 1st %s %+v\n 2nd %s %+v", slo1.Digest(), rs1, slo2.Digest(), rs2)
-			}
-			for _, shards := range []int{2, 4} {
+			for _, procs := range []int{1, 8} {
+				runtime.GOMAXPROCS(procs)
 				var slo load.SLO
 				var rs caf.ReplStats
-				res, err := workloads.KVService(kvReplCfg(7, shards, crash), kvReplOpts(&slo, &rs))
+				res, err := workloads.KVService(kvReplCfg(7, crash), kvReplOpts(&slo, &rs))
 				if err != nil {
-					t.Fatalf("shards=%d: %v", shards, err)
+					t.Fatalf("procs=%d: %v", procs, err)
 				}
 				if !reflect.DeepEqual(res, res1) || !reflect.DeepEqual(slo, slo1) || rs != rs1 {
-					t.Fatalf("shards=%d diverged from 1-shard run:\n got %s %+v\nwant %s %+v",
-						shards, slo.Digest(), rs, slo1.Digest(), rs1)
+					t.Fatalf("procs=%d diverged from the first run:\n got %s %+v\nwant %s %+v",
+						procs, slo.Digest(), rs, slo1.Digest(), rs1)
 				}
 			}
 		})

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"caf2go/internal/fabric"
@@ -18,29 +19,6 @@ import (
 func resilientMachine(t testing.TB, n int, seed int64, fcfg fabric.Config, hb sim.Time) (*machine, *failure.Detector) {
 	t.Helper()
 	m := newMachineFabric(t, n, seed, Config{WaitQuiescent: true}, fcfg)
-	var crash map[int]sim.Time
-	if fcfg.Faults != nil {
-		crash = fcfg.Faults.Crash
-	}
-	det := failure.New(m.eng, n, failure.Config{Enabled: true, Heartbeat: hb}, crash)
-	m.k.SetDetector(det)
-	m.pl.SetDetector(det)
-	det.Subscribe(func(rank int, at sim.Time) {
-		m.pl.OnDeath(rank)
-		m.k.Fabric().AbandonForDead(rank)
-		m.eng.WakeAllParked()
-	})
-	return m, det
-}
-
-// resilientMachineSharded is resilientMachine over a sharded engine,
-// with the lookahead derived from the fabric the way caf.NewMachine
-// does it.
-func resilientMachineSharded(t testing.TB, n int, seed int64, fcfg fabric.Config, hb sim.Time, shards int) (*machine, *failure.Detector) {
-	t.Helper()
-	eng := sim.NewEngineSharded(seed, shards)
-	m := newMachineFabricEng(t, eng, n, Config{WaitQuiescent: true}, fcfg)
-	eng.SetLookahead(m.k.Fabric().MinLatency())
 	var crash map[int]sim.Time
 	if fcfg.Faults != nil {
 		crash = fcfg.Faults.Crash
@@ -136,13 +114,13 @@ func TestPropertyResilientFinishBoundedRounds(t *testing.T) {
 }
 
 // TestPropertyResilientFinishBoundedRoundsSharded re-runs the
-// bounded-rounds property forests on a 4-shard engine and pins
-// same-seed bit-identity: the crash, its declaration time, every
-// image's error, the poll-round counts, the charge-off stats, and the
-// event count must all match the 1-shard run exactly. This proves the
-// failure-detection and resilient-termination path is shard-safe, not
-// merely shard-tolerant.
+// bounded-rounds property forests at GOMAXPROCS 1 and 8 and pins
+// same-seed bit-identity: the crash, its declaration time, every image's
+// error, the poll-round counts, the charge-off stats, and the event count
+// must all match exactly. The name dates from when the comparison was
+// against a sharded event engine, which no longer exists.
 func TestPropertyResilientFinishBoundedRoundsSharded(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	type outcome struct {
 		end       sim.Time
 		events    uint64
@@ -153,7 +131,9 @@ func TestPropertyResilientFinishBoundedRoundsSharded(t *testing.T) {
 		completed int
 		lost      int64
 	}
-	runForest := func(t *testing.T, seed int64, shards int) outcome {
+	runForest := func(t *testing.T, seed int64, procs int) outcome {
+		prev := runtime.GOMAXPROCS(procs)
+		defer runtime.GOMAXPROCS(prev)
 		rng := rand.New(rand.NewSource(seed * 131))
 		n := rng.Intn(9) + 4
 		crashRank := rng.Intn(n)
@@ -164,7 +144,7 @@ func TestPropertyResilientFinishBoundedRoundsSharded(t *testing.T) {
 			Crash: map[int]sim.Time{crashRank: crashAt},
 		}
 		const hb = 5 * sim.Microsecond
-		m, det := resilientMachineSharded(t, n, seed, fcfg, hb, shards)
+		m, det := resilientMachine(t, n, seed, fcfg, hb)
 
 		ferrs := make([]*failure.ImageFailedError, n)
 		states := make([]*State, n)
@@ -181,9 +161,8 @@ func TestPropertyResilientFinishBoundedRoundsSharded(t *testing.T) {
 			})
 		}
 		if err := m.eng.Run(); err != nil {
-			t.Fatalf("shards=%d: resilient finish did not terminate: %v", shards, err)
+			t.Fatalf("procs=%d: resilient finish did not terminate: %v", procs, err)
 		}
-		m.eng.ReleaseWorkers()
 		out := outcome{
 			end:       m.eng.Now(),
 			events:    m.eng.EventsRun(),
@@ -208,9 +187,9 @@ func TestPropertyResilientFinishBoundedRoundsSharded(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			ref := runForest(t, seed, 1)
-			got := runForest(t, seed, 4)
+			got := runForest(t, seed, 8)
 			if !reflect.DeepEqual(got, ref) {
-				t.Errorf("4-shard forest diverged from 1-shard:\n got: %+v\nwant: %+v", got, ref)
+				t.Errorf("GOMAXPROCS 8 forest diverged from GOMAXPROCS 1:\n got: %+v\nwant: %+v", got, ref)
 			}
 		})
 	}

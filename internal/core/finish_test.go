@@ -40,13 +40,7 @@ func newMachine(t testing.TB, n int, seed int64, cfg Config) *machine {
 // exercising the finish plane over jittered or faulty delivery.
 func newMachineFabric(t testing.TB, n int, seed int64, cfg Config, fcfg fabric.Config) *machine {
 	t.Helper()
-	return newMachineFabricEng(t, sim.NewEngine(seed), n, cfg, fcfg)
-}
-
-// newMachineFabricEng is newMachineFabric over a caller-built engine
-// (e.g. a sharded one, for the shard bit-identity re-runs).
-func newMachineFabricEng(t testing.TB, eng *sim.Engine, n int, cfg Config, fcfg fabric.Config) *machine {
-	t.Helper()
+	eng := sim.NewEngine(seed)
 	k := rt.NewKernel(eng, n, fcfg)
 	m := &machine{eng: eng, k: k, comm: collect.New(k), w: team.World(n)}
 	m.pl = NewPlane(k, m.comm, cfg)

@@ -4,8 +4,8 @@
 // handler occupancy, credit-based flow control, and delivery acknowledgements.
 //
 // It plays the role the Gemini interconnect + GASNet conduit played for
-// CAF 2.0 on Jaguar/Hopper: everything above it (the gasnet package, the
-// CAF runtime, finish/cofence) only sees Send and handler callbacks.
+// CAF 2.0 on Jaguar/Hopper: everything above it (the CAF runtime,
+// finish/cofence) only sees Send and handler callbacks.
 package fabric
 
 import (
@@ -374,33 +374,6 @@ func (f *Fabric) nodeOf(rank int) int {
 	return rank / f.cfg.ImagesPerNode
 }
 
-// shardOf maps an endpoint rank to the engine shard that owns its
-// events. Delivery and ack events are posted to the receiving side's
-// shard, so each image's traffic flows through its own shard's queue
-// (the conservative-PDES inbox).
-func (f *Fabric) shardOf(rank int) int {
-	return sim.ShardOf(rank, len(f.eps), f.eng.NumShards())
-}
-
-// MinLatency returns the smallest scheduling offset the fabric ever
-// uses for traffic between distinct endpoints — the lower bound on how
-// far in the future one shard can schedule into another, i.e. the
-// conservative lookahead for sharded admission. Machine construction
-// feeds this to Engine.SetLookahead.
-func (f *Fabric) MinLatency() sim.Time {
-	min := f.cfg.Latency
-	if f.cfg.SelfLatency < min {
-		min = f.cfg.SelfLatency
-	}
-	if f.cfg.AckLatency > 0 && f.cfg.AckLatency < min {
-		min = f.cfg.AckLatency
-	}
-	if min < 1 {
-		min = 1
-	}
-	return min
-}
-
 // wireLatency is the one-way latency between src and dst. Images on the
 // same node talk over shared memory (SelfLatency).
 func (f *Fabric) wireLatency(src, dst int) sim.Time {
@@ -609,7 +582,7 @@ func (ep *Endpoint) inject(m *Msg, opts SendOpts) {
 		fl.onArrive, fl.onHandled, fl.onAck = fl.arrive, fl.handled, fl.ack
 	}
 	fl.m, fl.opts, fl.src, fl.dst = m, opts, ep, f.eps[m.Dst]
-	eng.AtShard(f.shardOf(m.Dst), arrival, fl.onArrive)
+	eng.At(arrival, fl.onArrive)
 }
 
 // flight is one message in transit on the idealized transport, from
@@ -660,7 +633,7 @@ func (fl *flight) handled() {
 	if f.cfg.AckLatency != f.cfg.Latency && src != dst {
 		ackAt = eng.Now() + f.cfg.AckLatency
 	}
-	eng.AtShard(f.shardOf(src), ackAt, fl.onAck)
+	eng.At(ackAt, fl.onAck)
 }
 
 // ack runs on the sender when the delivery ack lands. Nothing refers to
@@ -780,12 +753,11 @@ func (ep *Endpoint) transmit(tx *txState) {
 	}
 	dst := f.eps[m.Dst]
 	base := injected + f.wireLatency(m.Src, m.Dst)
-	dstShard := f.shardOf(m.Dst)
-	eng.AtShard(dstShard, base+f.jitterDelay(), func() { dst.deliverReliable(m, ep, tx.seq) })
+	eng.At(base+f.jitterDelay(), func() { dst.deliverReliable(m, ep, tx.seq) })
 	if f.roll(f.plan.Dup) {
 		f.stats.Duplicated++
 		f.stats.FaultsInjected++
-		eng.AtShard(dstShard, base+f.jitterDelay(), func() { dst.deliverReliable(m, ep, tx.seq) })
+		eng.At(base+f.jitterDelay(), func() { dst.deliverReliable(m, ep, tx.seq) })
 	}
 }
 
@@ -919,7 +891,7 @@ func (ep *Endpoint) deliverReliable(m *Msg, src *Endpoint, seq uint64) {
 		if f.cfg.AckLatency != f.cfg.Latency && m.Src != m.Dst {
 			ackAt = eng.Now() + f.cfg.AckLatency
 		}
-		eng.AtShard(f.shardOf(m.Src), ackAt, func() { src.onAckArrival(m.Dst, seq) })
+		eng.At(ackAt, func() { src.onAckArrival(m.Dst, seq) })
 	})
 }
 

@@ -7,8 +7,8 @@
 //   - Schedule pre-generates a fully seeded arrival schedule — Poisson
 //     or bursty MMPP inter-arrivals, keyed requests, read/write mix —
 //     as a pure function of its config. The schedule exists before the
-//     simulation starts, so it is byte-identical at any engine shard
-//     count and GOMAXPROCS by construction.
+//     simulation starts, so it is byte-identical at any GOMAXPROCS by
+//     construction.
 //   - Drive runs an open-loop client event loop on one image: requests
 //     are issued at their scheduled virtual times whether or not earlier
 //     ones completed (no coordinated omission), completions are polled
@@ -24,8 +24,8 @@
 // at engine points (proc bodies, completion continuations), and every
 // float that reaches an exported artifact is derived from virtual-time
 // integers. Same seed ⇒ byte-identical schedule and SLO report at any
-// Config.Shards × GOMAXPROCS — the PR 8 equivalence contract extends to
-// the load subsystem.
+// GOMAXPROCS — the engine's determinism contract extends to the load
+// subsystem.
 package load
 
 import (
@@ -127,7 +127,7 @@ type Request struct {
 
 // Schedule pre-generates the full arrival schedule. It is a pure
 // function of cfg: equal configs produce byte-identical schedules on
-// any host, shard count, or GOMAXPROCS. Arrivals are sorted by
+// any host or GOMAXPROCS. Arrivals are sorted by
 // (At, Client) with Seq assigned in that order; each client's own
 // arrivals are strictly increasing in time.
 func Schedule(cfg ArrivalConfig) []Request {

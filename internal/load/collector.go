@@ -239,7 +239,7 @@ func (c *Collector) Settled() bool { return c.completed+c.failed == c.requests }
 
 // SLO is the end-of-run service-level report. All fields derive from
 // virtual-time integers, so the report — including its float rates — is
-// bit-identical for a given seed at any shard count and GOMAXPROCS.
+// bit-identical for a given seed at any GOMAXPROCS.
 type SLO struct {
 	Requests  int64
 	Completed int64

@@ -10,8 +10,8 @@ import (
 // sub-buckets, so any recorded value's bucket representative is within
 // a relative error of 2^-histSubBits of the true value. Values below
 // 2^(histSubBits+1) are recorded exactly. All state is plain integers
-// mutated at engine points, so merged reports are bit-identical across
-// shard counts and GOMAXPROCS.
+// mutated at engine points, so merged reports are bit-identical at any
+// GOMAXPROCS.
 //
 // The PR 6 metrics registry's power-of-two histogram is deliberately
 // coarse (one bucket per octave — fine for message-size distributions,

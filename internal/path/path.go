@@ -12,7 +12,7 @@
 //   - All mutation happens on the engine's admission strand, in
 //     deterministic event order, so span IDs and bucket claims are a
 //     pure function of the seed; Export sorts its output so two equal
-//     runs export byte-identical JSON at any shard count.
+//     runs export byte-identical JSON at any GOMAXPROCS.
 //
 // Exactness is by construction, not bookkeeping discipline: each
 // request carries a claim cursor that starts at its scheduled arrival.

@@ -140,8 +140,7 @@ func Run(mcfg caf.Config, cfg Config) (Result, error) {
 
 // RunCapture is Run, additionally storing the machine in *dst (when
 // non-nil) before launch so callers can read engine and fabric state
-// after the run — the shard-sweep benchmark pulls cross-shard traffic
-// counters this way.
+// after the run.
 func RunCapture(mcfg caf.Config, cfg Config, dst **caf.Machine) (Result, error) {
 	if cfg.LocalTableBits <= 0 {
 		cfg.LocalTableBits = 10

@@ -18,7 +18,7 @@
 //     double collect invalidated by in-flight work. Because every
 //     collect is a plain engine event derived only from the detector's
 //     declaration schedule and the heartbeat period, commit times are
-//     bit-identical across runs, shard counts, and GOMAXPROCS.
+//     bit-identical across runs and GOMAXPROCS.
 //
 //   - Table: a replica-group routing table over a fixed member chain.
 //     Placement is static — home h's backup copy lives on the next

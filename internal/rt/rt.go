@@ -280,9 +280,7 @@ func (img *ImageKernel) Engine() *sim.Engine { return img.k.eng }
 func (img *ImageKernel) Endpoint() *fabric.Endpoint { return img.ep }
 
 // Go starts a simulated process on this image, named
-// img<rank>/<name>#<n> for the n-th proc started here. The proc is owned
-// by the image's engine shard, so its start and every later wakeup are
-// admitted through that shard's queue.
+// img<rank>/<name>#<n> for the n-th proc started here.
 func (img *ImageKernel) Go(name string, fn func(p *sim.Proc)) *sim.Proc {
 	return img.GoBody(name, sim.BodyFunc(fn))
 }
@@ -290,21 +288,16 @@ func (img *ImageKernel) Go(name string, fn func(p *sim.Proc)) *sim.Proc {
 // GoBody is Go for a body that is a record (see sim.Body).
 func (img *ImageKernel) GoBody(name string, body sim.Body) *sim.Proc {
 	img.procSeq++
-	p := img.k.eng.GoBodyOn(img.shard(), sim.ProcName{Scope: img.procScope, Base: name, Seq: img.procSeq}, body)
+	p := img.k.eng.GoBody(sim.ProcName{Scope: img.procScope, Base: name, Seq: img.procSeq}, body)
 	img.procs.Add(p)
 	return p
 }
 
-// After schedules fn to run d from now on this image's engine shard: work
-// of the image that needs no proc of its own.
+// After schedules fn to run d from now: work of the image that needs no
+// proc of its own.
 func (img *ImageKernel) After(d sim.Time, fn func()) {
 	eng := img.k.eng
-	eng.AtShard(img.shard(), eng.Now()+d, fn)
-}
-
-// shard is the engine shard that admits this image's events.
-func (img *ImageKernel) shard() int {
-	return sim.ShardOf(img.rank, len(img.k.images), img.k.eng.NumShards())
+	eng.At(eng.Now()+d, fn)
 }
 
 // Procs returns the unfinished processes started on this image via Go,

@@ -3,17 +3,12 @@ package sim
 import (
 	"fmt"
 	"math/rand"
-	"os"
 	"sort"
 	"strings"
 	"sync/atomic"
 )
 
-// DefaultLookahead is the near/far horizon used until SetLookahead is
-// called with the fabric's real minimum link latency.
-const DefaultLookahead = 1 * Microsecond
-
-// Engine is a deterministic discrete-event simulator, sharded for scale.
+// Engine is a deterministic discrete-event simulator.
 //
 // Exactly one strand of execution — either an event callback or a simulated
 // process (Proc) — runs at any moment. Proc bodies run on coroutines: the
@@ -21,30 +16,14 @@ const DefaultLookahead = 1 * Microsecond
 // another (the runtime's coroutine hand-off behind iter.Pull), without a
 // trip through the Go scheduler, and a coroutine whose body has returned
 // idles on a free list until the next proc's start event takes it over.
-// Because all ties in the event queue are broken by schedule order and all
-// randomness flows from the engine's seeded generator, runs are bit-for-bit
-// reproducible.
-//
-// The event queue is partitioned across shards (NewEngineSharded): each
-// shard owns the events of the images assigned to it, with its own heap,
-// virtual clock, and derived RNG stream. Admission is a conservative
-// merge: the engine always executes the globally smallest (time, seq)
-// key over all shard heads, so the schedule — and therefore every
-// Report, trace, metric, op id, and RNG draw — is identical for every
-// shard count and GOMAXPROCS. What sharding buys is that the queue
-// maintenance (heap sifts, batch merges, run pre-sorting) for shards > 1
-// moves onto per-shard worker goroutines, off the admission strand;
-// event callbacks themselves stay serialized because Coarray programs
-// freely share Go state across images.
+// Events wait in one heap ordered by (time, seq), where seq is the order in
+// which they were scheduled, and all randomness flows from the engine's
+// seeded generators, so runs are bit-for-bit reproducible at any
+// GOMAXPROCS.
 type Engine struct {
 	now Time
 	seq uint64
-
-	shards    []*shard
-	cur       int  // shard owning the currently executing strand
-	lookahead Time // near/far horizon, from the fabric's min link latency
-	par       bool // far-domain workers requested (shards > 1)
-	workersUp bool
+	q   eventHeap
 
 	current    *Proc
 	procs      ProcList // unfinished procs, in creation order
@@ -52,58 +31,18 @@ type Engine struct {
 	live       int
 	idle       []*coro // coroutines whose body has returned; LIFO
 
-	rng        *rand.Rand
-	seed       int64
-	eventsRun  uint64
-	crossPosts uint64
-	stopped    bool
-	procErr    error // first panic captured from a proc
+	rng       *rand.Rand
+	seed      int64
+	eventsRun uint64
+	stopped   bool
+	procErr   error // first panic captured from a proc
 
 	onStrand atomic.Bool // an event callback (or a proc it resumed) is running
 }
 
-// NewEngine returns a single-shard engine whose randomness derives from
-// seed. Identical to NewEngineSharded(seed, 1).
-func NewEngine(seed int64) *Engine { return NewEngineSharded(seed, 1) }
-
-// NewEngineSharded returns an engine whose event queue is partitioned
-// across nshards shards. Shard count never changes simulation results;
-// it only changes where queue maintenance runs. Setting SIM_SERIAL=1 in
-// the environment disables the worker goroutines (for debugging); the
-// schedule is bit-identical either way.
-func NewEngineSharded(seed int64, nshards int) *Engine {
-	if nshards < 1 {
-		nshards = 1
-	}
-	e := &Engine{
-		rng:       rand.New(rand.NewSource(seed)),
-		seed:      seed,
-		lookahead: DefaultLookahead,
-	}
-	e.shards = make([]*shard, nshards)
-	for i := range e.shards {
-		e.shards[i] = newShard(e, i)
-	}
-	e.par = nshards > 1 && os.Getenv("SIM_SERIAL") == ""
-	return e
-}
-
-// ShardOf maps an image rank to its owning shard: contiguous blocks, so
-// that images co-located on a fabric node land on the same shard.
-func ShardOf(rank, images, shards int) int {
-	if shards <= 1 || images <= 0 {
-		return 0
-	}
-	if rank < 0 {
-		rank = 0
-	}
-	if rank >= images {
-		rank = images - 1
-	}
-	if shards > images {
-		shards = images
-	}
-	return rank * shards / images
+// NewEngine returns an engine whose randomness derives from seed.
+func NewEngine(seed int64) *Engine {
+	return &Engine{rng: rand.New(rand.NewSource(seed)), seed: seed}
 }
 
 // Now returns the current virtual time.
@@ -115,48 +54,6 @@ func (e *Engine) Seed() int64 { return e.seed }
 // EventsRun reports how many events have executed so far.
 func (e *Engine) EventsRun() uint64 { return e.eventsRun }
 
-// NumShards reports how many shards partition the event queue.
-func (e *Engine) NumShards() int { return len(e.shards) }
-
-// Lookahead returns the conservative synchronization horizon.
-func (e *Engine) Lookahead() Time { return e.lookahead }
-
-// SetLookahead sets the near/far horizon, normally to the fabric's
-// minimum cross-shard link latency. It is a performance knob only: any
-// positive value yields the same schedule.
-func (e *Engine) SetLookahead(d Time) {
-	if d < 0 {
-		d = 0
-	}
-	e.lookahead = d
-}
-
-// CrossShardPosts reports how many events were scheduled onto a shard
-// other than the one executing at the time — the cross-shard "inbox"
-// traffic of the conservative merge.
-func (e *Engine) CrossShardPosts() uint64 { return e.crossPosts }
-
-// ShardStat is one shard's admission counters.
-type ShardStat struct {
-	Admitted uint64 // events executed on this shard
-	CrossIn  uint64 // events posted into this shard from other shards
-	Now      Time   // the shard's virtual clock (last admitted event)
-}
-
-// ShardStats returns per-shard admission counters, indexed by shard id.
-func (e *Engine) ShardStats() []ShardStat {
-	out := make([]ShardStat, len(e.shards))
-	for i, s := range e.shards {
-		out[i] = ShardStat{Admitted: s.admitted, CrossIn: s.crossIn, Now: s.now}
-	}
-	return out
-}
-
-// ShardRand returns shard id's own deterministic stream, derived from
-// the engine seed. The runtime draws from per-image streams instead, so
-// results never depend on shard count.
-func (e *Engine) ShardRand(id int) *rand.Rand { return e.shards[id].rng }
-
 // Rand returns the engine's deterministic random generator. It must only
 // be used from within the simulation (events or procs), never concurrently.
 func (e *Engine) Rand() *rand.Rand { return e.rng }
@@ -167,36 +64,22 @@ func (e *Engine) DeriveRand(id int64) *rand.Rand {
 	return rand.New(rand.NewSource(e.seed*0x9E3779B1 + id*0x85EBCA77 + 0x165667B1))
 }
 
-// At schedules fn to run at absolute virtual time t (clamped to now) on
-// the shard of the currently executing strand.
-func (e *Engine) At(t Time, fn func()) { e.AtShard(e.cur, t, fn) }
+// At schedules fn to run at absolute virtual time t (clamped to now).
+func (e *Engine) At(t Time, fn func()) { e.schedule(t, event{fn: fn}) }
 
-// AtShard schedules fn at time t on a specific shard. Cross-shard posts
-// (shard differs from the executing strand's) are counted as inbox
-// traffic; they are admitted exactly when their (time, seq) key becomes
-// the global minimum, so ordering is unaffected.
-func (e *Engine) AtShard(shard int, t Time, fn func()) {
-	e.schedule(shard, t, event{fn: fn})
-}
+// atProc schedules p's next event — its start or a wake-up — at time t.
+// It is At in every respect the schedule can see.
+func (e *Engine) atProc(t Time, p *Proc) { e.schedule(t, event{p: p}) }
 
-// atProc schedules p's next event — its start or a wake-up — at time t on
-// its own shard. It is AtShard in every respect the schedule can see.
-func (e *Engine) atProc(t Time, p *Proc) {
-	e.schedule(p.shard, t, event{p: p})
-}
-
-func (e *Engine) schedule(shard int, t Time, ev event) {
+// schedule is the one place seq is taken: ties in time run in the order
+// they were scheduled.
+func (e *Engine) schedule(t Time, ev event) {
 	if t < e.now {
 		t = e.now
 	}
 	e.seq++
-	s := e.shards[shard]
-	if shard != e.cur {
-		e.crossPosts++
-		s.crossIn++
-	}
 	ev.at, ev.seq = t, e.seq
-	s.push(ev)
+	e.q.push(ev)
 }
 
 // After schedules fn to run d from now.
@@ -245,30 +128,22 @@ func (d *DeadlockError) Error() string {
 func (e *Engine) Run() error { return e.RunUntil(Forever) }
 
 // RunUntil executes events with timestamps ≤ limit. On return the clock
-// reads min(limit, time of last event) unless the queue drained first.
-//
-// This is the conservative-merge admission loop: pick the shard whose
-// head key (time, global seq) is smallest, admit exactly that event, and
-// advance both the global clock and that shard's clock. Induction on the
-// admission sequence shows the schedule equals the single-heap engine's.
+// reads limit if an event later than limit is pending, and the time of the
+// last event otherwise. A limit earlier than Now returns at once with the
+// clock and the queue untouched: virtual time never goes backwards.
 func (e *Engine) RunUntil(limit Time) error {
+	if limit < e.now {
+		return nil
+	}
 	e.stopped = false
-	e.ensureWorkers()
-	for !e.stopped {
-		s := e.minShard()
-		if s == nil {
-			break
-		}
-		if s.head.at > limit {
+	for !e.stopped && e.q.Len() > 0 {
+		if e.q.peekTime() > limit {
 			e.now = limit
 			return nil
 		}
-		ev := s.popHead()
+		ev := e.q.pop()
 		e.now = ev.at
-		s.now = ev.at
-		e.cur = s.id
 		e.eventsRun++
-		s.admitted++
 		e.onStrand.Store(true)
 		ev.run()
 		e.onStrand.Store(false)
@@ -294,47 +169,6 @@ func (e *Engine) RunUntil(limit Time) error {
 	return nil
 }
 
-// minShard returns the shard holding the globally smallest event key,
-// or nil when every shard is empty. Shard heads are maintained exactly
-// (pushes min-compare, pops recompute), so this is a plain scan.
-func (e *Engine) minShard() *shard {
-	var best *shard
-	bk := keyMax
-	for _, s := range e.shards {
-		if s.head.less(bk) {
-			bk = s.head
-			best = s
-		}
-	}
-	return best
-}
-
-// ensureWorkers attaches far-domain workers to every shard (shards > 1).
-func (e *Engine) ensureWorkers() {
-	if !e.par || e.workersUp {
-		return
-	}
-	for _, s := range e.shards {
-		s.spawnWorker()
-	}
-	e.workersUp = true
-}
-
-// ReleaseWorkers stops all shard worker goroutines and folds their far
-// domains back into the near heaps. The engine keeps working afterwards
-// in serial-merge mode (and respawns workers on the next Run). Callers
-// that own an engine must release workers when a run completes so that
-// abandoned simulations do not leak goroutines.
-func (e *Engine) ReleaseWorkers() {
-	if !e.workersUp {
-		return
-	}
-	for _, s := range e.shards {
-		s.releaseWorker()
-	}
-	e.workersUp = false
-}
-
 // WakeAllParked unparks every currently parked process, in creation
 // order. Callers use it to force re-evaluation of every blocked wait
 // condition after a global state change (e.g. a failure declaration);
@@ -349,17 +183,16 @@ func (e *Engine) WakeAllParked() {
 }
 
 // Idle reports whether no events are pending and no processes are live.
-func (e *Engine) Idle() bool { return e.minShard() == nil && e.live == 0 }
+func (e *Engine) Idle() bool { return e.q.Len() == 0 && e.live == 0 }
 
 // LiveProcs reports the number of processes that have not finished.
 func (e *Engine) LiveProcs() int { return e.live }
 
 // Shutdown aborts all live processes, in creation order, unwinding each
 // started body (its deferred calls run) and ending its goroutine, then
-// ends the idle coroutines and releases any shard workers: no goroutine
-// the engine started outlives it. It must be called from outside the
-// simulation (after Run returns), typically via defer in tests that
-// abandon a simulation mid-flight.
+// ends the idle coroutines: no goroutine the engine started outlives it.
+// It must be called from outside the simulation (after Run returns),
+// typically via defer in tests that abandon a simulation mid-flight.
 func (e *Engine) Shutdown() {
 	for _, p := range e.procs.Live() {
 		if p.co == nil {
@@ -369,13 +202,11 @@ func (e *Engine) Shutdown() {
 			e.live--
 			continue
 		}
-		e.cur = p.shard
 		e.current = p
 		p.co.stop()
 		e.current = nil
 	}
 	e.releaseIdle()
-	e.ReleaseWorkers()
 }
 
 // resumeProc transfers control to p until it yields back.

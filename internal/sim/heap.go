@@ -21,26 +21,6 @@ func (ev *event) run() {
 	ev.fn()
 }
 
-// eventKey is an event's position in the global admission order: virtual
-// time first, then global schedule order. Keys are unique because seq is
-// a global counter, so the order is total.
-type eventKey struct {
-	at  Time
-	seq uint64
-}
-
-// keyMax sorts after every real event key (empty-queue sentinel).
-var keyMax = eventKey{at: Forever, seq: ^uint64(0)}
-
-func (k eventKey) less(o eventKey) bool {
-	if k.at != o.at {
-		return k.at < o.at
-	}
-	return k.seq < o.seq
-}
-
-func (ev event) key() eventKey { return eventKey{at: ev.at, seq: ev.seq} }
-
 // eventHeap is a binary min-heap ordered by (at, seq). It is hand-rolled
 // rather than using container/heap to avoid the interface boxing on the
 // hot path: a large simulation schedules hundreds of millions of events.
@@ -106,12 +86,4 @@ func (h *eventHeap) peekTime() Time {
 		return Forever
 	}
 	return h.items[0].at
-}
-
-// peekKey reports the key of the earliest event, or keyMax if empty.
-func (h *eventHeap) peekKey() eventKey {
-	if len(h.items) == 0 {
-		return keyMax
-	}
-	return h.items[0].key()
 }

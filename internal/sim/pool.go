@@ -15,9 +15,8 @@ var QuarantinePools bool
 
 // FreeList is a LIFO of released records waiting to be taken again. It
 // is a plain slice, not a sync.Pool: records are taken and released only
-// on the engine's admission strand (shard workers maintain queues, they
-// never run callbacks), and a deterministic simulator wants the same
-// record back on the same step of every run.
+// on the engine's admission strand, and a deterministic simulator wants
+// the same record back on the same step of every run.
 type FreeList[T any] struct {
 	free []*T
 }

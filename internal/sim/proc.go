@@ -60,10 +60,9 @@ func (n ProcName) String() string {
 // proc. All Proc methods must be called from the proc's own body, except
 // Unpark, which is called by whoever wakes it.
 type Proc struct {
-	eng   *Engine
-	id    int
-	name  ProcName
-	shard int // owning shard: all of this proc's wakeups are admitted there
+	eng  *Engine
+	id   int
+	name ProcName
 
 	co    *coro // leased from the start event until the body returns
 	body  Body  // what the proc runs; dropped when it returns
@@ -75,7 +74,7 @@ type Proc struct {
 }
 
 // Body is what a proc runs. A caller that already holds a record for the
-// work hands the record itself to GoBodyOn instead of a closure over it.
+// work hands the record itself to GoBody instead of a closure over it.
 type Body interface {
 	Run(p *Proc)
 }
@@ -87,43 +86,28 @@ type BodyFunc func(p *Proc)
 // Run calls f.
 func (f BodyFunc) Run(p *Proc) { f(p) }
 
-// Go creates a process named name and schedules it to start immediately,
-// owned by the shard of the creating strand.
+// Go creates a process named name and schedules it to start immediately.
 func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
-	return e.GoAtOn(e.cur, e.now, name, fn)
+	return e.GoAt(e.now, name, fn)
 }
 
-// GoAt creates a process that starts at virtual time t, owned by the
-// shard of the creating strand.
+// GoAt creates a process that starts at virtual time t.
 func (e *Engine) GoAt(t Time, name string, fn func(p *Proc)) *Proc {
-	return e.GoAtOn(e.cur, t, name, fn)
+	return e.start(t, ProcName{Base: name}, BodyFunc(fn))
 }
 
-// GoOn creates a process owned by a specific shard and schedules it to
-// start immediately. Image procs use this so each image's work is
-// admitted through its owning shard's queue.
-func (e *Engine) GoOn(shard int, name string, fn func(p *Proc)) *Proc {
-	return e.GoAtOn(shard, e.now, name, fn)
-}
-
-// GoAtOn creates a process owned by a specific shard, starting at t.
-func (e *Engine) GoAtOn(shard int, t Time, name string, fn func(p *Proc)) *Proc {
-	return e.start(shard, t, ProcName{Base: name}, BodyFunc(fn))
-}
-
-// GoBodyOn is GoOn with the name given in parts and the body as a Body,
+// GoBody is Go with the name given in parts and the body as a Body,
 // which may be the caller's own record rather than a function: starting
 // the proc allocates the Proc and nothing else.
-func (e *Engine) GoBodyOn(shard int, name ProcName, body Body) *Proc {
-	return e.start(shard, e.now, name, body)
+func (e *Engine) GoBody(name ProcName, body Body) *Proc {
+	return e.start(e.now, name, body)
 }
 
-func (e *Engine) start(shard int, t Time, name ProcName, body Body) *Proc {
+func (e *Engine) start(t Time, name ProcName, body Body) *Proc {
 	p := &Proc{
 		eng:   e,
 		id:    e.nextProcID,
 		name:  name,
-		shard: shard,
 		body:  body,
 		state: procNew,
 	}
@@ -185,9 +169,6 @@ func (p *Proc) finished() bool { return p.state == procDone }
 
 // ID returns the process id, unique within its engine.
 func (p *Proc) ID() int { return p.id }
-
-// Shard returns the id of the shard that owns this proc's events.
-func (p *Proc) Shard() int { return p.shard }
 
 // Name returns the process name.
 func (p *Proc) Name() string { return p.name.String() }
@@ -261,9 +242,6 @@ func (p *Proc) Unpark() {
 			return
 		}
 		p.wakePending = true
-		// The wake is admitted through the proc's owning shard: wakers
-		// on other shards post into its inbox, keeping every resumption
-		// of p in its own shard's admission stream.
 		p.eng.atProc(p.eng.now, p)
 	case procDone:
 		// nothing to wake

@@ -11,8 +11,8 @@ import (
 )
 
 // goroutineBase returns the goroutine count once it has stopped moving:
-// goroutines that earlier tests ended (shard workers, the caller of a Run
-// that was unwound) count until the scheduler has retired them.
+// goroutines that earlier tests ended (the caller of a Run that was
+// unwound) count until the scheduler has retired them.
 func goroutineBase() int {
 	n := runtime.NumGoroutine()
 	for stable := 0; stable < 5; {
@@ -384,7 +384,7 @@ func TestFinishedProcsAreForgotten(t *testing.T) {
 
 func TestProcNameJoinsPartsOnDemand(t *testing.T) {
 	e := NewEngine(1)
-	p := e.GoBodyOn(0, ProcName{Scope: "img3", Base: "spawn", Seq: 12}, BodyFunc(func(p *Proc) { p.Park("x") }))
+	p := e.GoBody(ProcName{Scope: "img3", Base: "spawn", Seq: 12}, BodyFunc(func(p *Proc) { p.Park("x") }))
 	if got, want := p.Name(), "img3/spawn#12"; got != want {
 		t.Errorf("Name() = %q, want %q", got, want)
 	}

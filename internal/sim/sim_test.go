@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -459,10 +460,9 @@ func TestPropertyHeap(t *testing.T) {
 
 // TestPropertyHeap (above) only checks pop order against the mirror's
 // (at, seq) minimum; with distinct random times ties are rare, so a heap
-// (or a shard merge) that reordered equal timestamps could slip through.
-// This regression pins tiebreak stability directly: all-equal times must
-// pop in exact schedule order, for the raw heap and through a sharded
-// engine whose equal-time events interleave across shards.
+// that reordered equal timestamps could slip through. This regression
+// pins tiebreak stability directly: all-equal times must pop in exact
+// schedule order.
 func TestHeapEqualTimeTiebreakStability(t *testing.T) {
 	// Raw heap: N events at one timestamp, pushed interleaved with pops.
 	var h eventHeap
@@ -484,28 +484,30 @@ func TestHeapEqualTimeTiebreakStability(t *testing.T) {
 				popped[i], popped[i-1])
 		}
 	}
+}
 
-	// Sharded engine: equal-time events scheduled round-robin across
-	// shards from inside an event (so they cross shards) must run in
-	// global schedule order, not per-shard order.
-	for _, shards := range []int{1, 2, 4} {
-		eng := NewEngineSharded(9, shards)
-		var order []int
-		eng.At(10, func() {
-			for i := 0; i < 64; i++ {
-				i := i
-				eng.AtShard(i%shards, eng.Now(), func() { order = append(order, i) })
-			}
-		})
-		if err := eng.Run(); err != nil {
-			t.Fatal(err)
-		}
-		eng.ReleaseWorkers()
-		for i, v := range order {
-			if v != i {
-				t.Fatalf("shards=%d: equal-time cross-shard events reordered: got %v", shards, order)
-			}
-		}
+// RunUntil with a limit behind the clock must not move it: an event
+// already ran at 10, so nothing may run before 10 afterwards.
+func TestRunUntilNeverMovesClockBackwards(t *testing.T) {
+	e := NewEngine(1)
+	var ran []Time
+	e.At(10, func() { ran = append(ran, e.Now()) })
+	e.At(20, func() { ran = append(ran, e.Now()) })
+	if err := e.RunUntil(15); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.RunUntil(5); err != nil {
+		t.Fatal(err)
+	}
+	if e.Now() != 15 {
+		t.Fatalf("after RunUntil(5) at 15: Now() = %v, want 15", e.Now())
+	}
+	e.At(e.Now(), func() { ran = append(ran, e.Now()) })
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if want := []Time{10, 15, 20}; !slices.Equal(ran, want) {
+		t.Errorf("events ran at %v, want %v", ran, want)
 	}
 }
 
@@ -514,7 +516,7 @@ func BenchmarkScheduleAndRun(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		e.After(Time(i%64), func() {})
-		if e.shards[0].near.Len() > 1024 {
+		if e.q.Len() > 1024 {
 			_ = e.RunUntil(e.Now() + 32)
 		}
 	}

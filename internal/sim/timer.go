@@ -12,18 +12,15 @@ type Timer struct {
 	eng    *Engine
 	fn     func()
 	gen    uint64
-	shard  int // owning shard, captured at creation
 	active bool
 }
 
-// NewTimer returns an unarmed timer that runs fn when it expires. The
-// timer is owned by the shard of the creating strand; expiries are
-// admitted through that shard's queue.
+// NewTimer returns an unarmed timer that runs fn when it expires.
 func (e *Engine) NewTimer(fn func()) *Timer {
 	if fn == nil {
 		panic("sim: NewTimer with nil fn")
 	}
-	return &Timer{eng: e, fn: fn, shard: e.cur}
+	return &Timer{eng: e, fn: fn}
 }
 
 // Reset (re-)arms the timer to fire d from now, superseding any pending
@@ -35,7 +32,7 @@ func (t *Timer) Reset(d Time) {
 	if d < 0 {
 		d = 0
 	}
-	t.eng.AtShard(t.shard, t.eng.now+d, func() {
+	t.eng.At(t.eng.now+d, func() {
 		if t.gen != g || !t.active {
 			return // stopped or re-armed since this expiry was queued
 		}
