@@ -45,7 +45,7 @@ func (m *Machine) registerHandlers() {
 // ever made.
 type delivToken struct {
 	done bool
-	cbs  []func()
+	cbs  *[]func() // made by the first afterOutstandingDeliveries to wait on it
 	clk  race.Clock
 	st   *imageState // the image whose list the token is on; nil once off
 	at   int         // its index there
@@ -66,7 +66,10 @@ func (t *delivToken) complete() {
 		st.pendingDeliv = st.pendingDeliv[:n]
 		t.st = nil
 	}
-	cbs := t.cbs
+	if t.cbs == nil {
+		return
+	}
+	cbs := *t.cbs
 	t.cbs = nil
 	for _, cb := range cbs {
 		cb()
@@ -105,7 +108,10 @@ func (m *Machine) afterOutstandingDeliveries(st *imageState, fn func(clk race.Cl
 	}
 	remaining := len(waitFor)
 	for _, t := range waitFor {
-		t.cbs = append(t.cbs, func() {
+		if t.cbs == nil {
+			t.cbs = new([]func())
+		}
+		*t.cbs = append(*t.cbs, func() {
 			remaining--
 			if remaining == 0 {
 				fn(clk)

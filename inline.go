@@ -67,15 +67,15 @@ func (img *Image) parker(op string) *sim.Proc {
 // execName is the label the function's execution is reported under.
 func (s *spawnOp) execName() string {
 	if s.named != nil {
-		return s.named.exec
+		return s.named.fn.exec
 	}
 	return runtime.FuncForPC(reflect.ValueOf(s.fn).Pointer()).Name()
 }
 
 // inlined is the target's record of an inline shipped function, from its
 // delivery to the end of the one event that runs it: the Image the
-// function sees (proc == nil), that Image's cofence tracker, and the
-// event itself as a method value bound when the record is first made.
+// function sees (proc == nil) and that Image's cofence tracker. The
+// record is that event (a sim.Event), so scheduling it builds nothing.
 // Pooled on the Machine (DESIGN §4.14): the function's contract is that
 // nothing keeps its Image, which is what an owned `shipped` cannot assume.
 type inlined struct {
@@ -84,7 +84,6 @@ type inlined struct {
 	s     *spawnOp
 	d     *rt.Delivery // detached; completed when the function has returned
 	start Time         // delivery: where the execution span begins
-	run   func()       // in.exec
 	dead  bool         // released under sim.QuarantinePools
 }
 
@@ -96,7 +95,6 @@ func (m *Machine) deliverInline(st *imageState, s *spawnOp, d *rt.Delivery) {
 	in := m.inlines.Get()
 	if in == nil {
 		in = new(inlined)
-		in.run = in.exec
 	}
 	st.spawnsExecuted++
 	st.nextTid++
@@ -105,14 +103,14 @@ func (m *Machine) deliverInline(st *imageState, s *spawnOp, d *rt.Delivery) {
 		inheritedFinish: s.finishID, pctx: s.pctx, spawn: s}
 	in.img.ct = m.initTracker(&in.ct)
 	if rs := m.race; rs != nil {
-		in.img.rc = rs.d.NewCtx(m.raceChanArrive(d.Src, st.kern.Rank(), s.rclk))
+		in.img.rc = rs.d.NewCtx(m.raceChanArrive(d.Src, st.kern.Rank(), s.tok.clk))
 	}
-	st.kern.After(s.service, in.run)
+	st.kern.After(s.service, in)
 }
 
-// exec is the function's event: the body, then exactly what a shipped
-// function's proc does after its body returns.
-func (in *inlined) exec() {
+// RunEvent is the function's event: the body, then exactly what a
+// shipped function's proc does after its body returns.
+func (in *inlined) RunEvent() {
 	if in.dead {
 		panic("caf: inline shipped function's record used after its event")
 	}
@@ -122,8 +120,9 @@ func (in *inlined) exec() {
 		m.path.Claim(img.pctx, path.HandlerService, img.Now())
 	}
 	exec := "spawn-exec"
-	if rf := s.named; rf != nil {
-		args, err := decodeArgs(s.blob)
+	if nc := s.named; nc != nil {
+		rf := nc.fn
+		args, err := decodeArgs(nc.blob)
 		if err != nil {
 			panic(fmt.Sprintf("caf: cannot unmarshal arguments of %q: %v", rf.name, err))
 		}
@@ -142,6 +141,6 @@ func (in *inlined) exec() {
 		// at the tracker: the record stays its own, like a shipped one.
 		return
 	}
-	*in = inlined{run: in.run}
+	*in = inlined{}
 	in.dead = m.inlines.Put(in)
 }

@@ -107,16 +107,44 @@ type FlushObserver interface {
 // table.
 const tagBatch uint16 = 0xFFFE
 
-// batch is the payload of one aggregated wire packet.
+// batch is the payload of one aggregated wire packet, and the completion
+// of its send: the batch injecting/acking IS every inner message
+// injecting/acking. Each inner message keeps its own SendOpts, in order.
 type batch struct {
 	msgs []*Msg
-	opts []SendOpts
+}
+
+// injected runs the inner OnInjected callbacks.
+func (b *batch) injected() {
+	for _, m := range b.msgs {
+		if m.opts.OnInjected != nil {
+			m.opts.OnInjected()
+		}
+	}
+}
+
+// Delivered hands each inner message back to its owner and runs its
+// delivery callbacks.
+func (b *batch) Delivered() {
+	for _, m := range b.msgs {
+		opts := m.opts
+		m.stage, m.opts = stageIdle, SendOpts{}
+		opts.delivered()
+	}
+}
+
+// Abandoned is Delivered for a batch the fabric gave up on.
+func (b *batch) Abandoned() {
+	for _, m := range b.msgs {
+		opts := m.opts
+		m.stage, m.opts = stageIdle, SendOpts{}
+		opts.abandoned()
+	}
 }
 
 // coalesceBuf is the per-destination aggregation buffer of one endpoint.
 type coalesceBuf struct {
 	msgs  []*Msg
-	opts  []SendOpts
 	bytes int
 	timer *sim.Timer
 }
@@ -155,8 +183,8 @@ func (ep *Endpoint) enqueueCoalesced(m *Msg, opts SendOpts) {
 		}
 		b.timer.Reset(ep.f.coal.FlushAfter)
 	}
+	m.stage, m.opts = stageBuffered, opts
 	b.msgs = append(b.msgs, m)
-	b.opts = append(b.opts, opts)
 	b.bytes += m.Bytes
 	if b.bytes >= ep.f.coal.MaxBytes || len(b.msgs) >= ep.f.coal.MaxMsgs {
 		ep.flushDst(m.Dst, FlushBySize)
@@ -170,8 +198,8 @@ func (ep *Endpoint) flushDst(dst int, reason FlushReason) {
 	if b == nil || len(b.msgs) == 0 {
 		return
 	}
-	msgs, opts, bytes := b.msgs, b.opts, b.bytes
-	b.msgs, b.opts, b.bytes = nil, nil, 0
+	msgs, bytes := b.msgs, b.bytes
+	b.msgs, b.bytes = nil, 0
 	b.timer.Stop()
 
 	f := ep.f
@@ -203,69 +231,36 @@ func (ep *Endpoint) flushDst(dst int, reason FlushReason) {
 		// without completion callbacks, exactly as an un-coalesced send
 		// on a dead NIC would.
 		f.stats.Abandoned += uint64(len(msgs))
+		for _, m := range msgs {
+			m.stage, m.opts = stageIdle, SendOpts{}
+		}
 		return
 	}
 
 	if len(msgs) == 1 {
 		// A batch of one buys nothing; send it plain.
-		ep.post(msgs[0], opts[0])
+		ep.post(msgs[0], msgs[0].opts)
 		return
 	}
 
 	f.stats.MsgsCoalesced += uint64(len(msgs))
+	bt := &batch{msgs: msgs}
+	opts := SendOpts{Done: bt}
+	for _, m := range msgs {
+		if m.opts.OnInjected != nil {
+			// Only a batch with something to run at injection schedules it.
+			opts.OnInjected = bt.injected
+			break
+		}
+	}
 	ep.post(&Msg{
 		Src:     ep.rank,
 		Dst:     dst,
 		Tag:     tagBatch,
 		Class:   AMMedium,
 		Bytes:   bytes,
-		Payload: &batch{msgs: msgs, opts: opts},
-	}, batchOpts(opts))
-}
-
-// batchOpts folds the inner completion callbacks into the batch packet's
-// own SendOpts: the batch injecting/acking IS every inner message
-// injecting/acking.
-func batchOpts(inner []SendOpts) SendOpts {
-	var injected, delivered, abandoned []func()
-	for _, o := range inner {
-		if o.OnInjected != nil {
-			injected = append(injected, o.OnInjected)
-		}
-		if o.OnDelivered != nil {
-			delivered = append(delivered, o.OnDelivered)
-		}
-		if o.OnAbandoned != nil {
-			abandoned = append(abandoned, o.OnAbandoned)
-		}
-		if o.Done != nil {
-			delivered = append(delivered, o.Done.Delivered)
-			abandoned = append(abandoned, o.Done.Abandoned)
-		}
-	}
-	var out SendOpts
-	if len(injected) > 0 {
-		out.OnInjected = func() {
-			for _, fn := range injected {
-				fn()
-			}
-		}
-	}
-	if len(delivered) > 0 {
-		out.OnDelivered = func() {
-			for _, fn := range delivered {
-				fn()
-			}
-		}
-	}
-	if len(abandoned) > 0 {
-		out.OnAbandoned = func() {
-			for _, fn := range abandoned {
-				fn()
-			}
-		}
-	}
-	return out
+		Payload: bt,
+	}, opts)
 }
 
 // FlushCoalesced flushes every non-empty aggregation buffer of this
@@ -301,10 +296,10 @@ func (ep *Endpoint) CoalescedPending() int {
 
 // dispatch runs the handler(s) for a delivered wire packet: a batch fans
 // out to its inner messages in FIFO order, each counting as one unique
-// delivery; a plain message runs its single handler. Both flight.handled
-// (the idealized path) and deliverReliable (the fault path) funnel through
-// here, so an inner handler runs exactly once per logical message no
-// matter how the packet travelled.
+// delivery; a plain message runs its single handler. Both the handling
+// stage of a transit event (the idealized path) and deliverReliable (the
+// fault path) funnel through here, so an inner handler runs exactly once
+// per logical message no matter how the packet travelled.
 func (ep *Endpoint) dispatch(m *Msg) {
 	ep.f.claimPathDelivered(m)
 	if m.Tag == tagBatch {

@@ -377,13 +377,20 @@ func TestCoalesceCrashAbandonsBufferedMessages(t *testing.T) {
 	delivered := 0
 	// Buffered before the crash; the timer flush at 10us finds the NIC
 	// dead at 2us and must abandon all three.
-	for i := 0; i < 3; i++ {
-		f.Endpoint(0).Send(&Msg{Src: 0, Dst: 1, Tag: tagTest, Class: AMShort, Bytes: 8, Payload: i}, SendOpts{
+	var msgs [3]Msg
+	for i := range msgs {
+		msgs[i] = Msg{Src: 0, Dst: 1, Tag: tagTest, Class: AMShort, Bytes: 8, Payload: i}
+		f.Endpoint(0).Send(&msgs[i], SendOpts{
 			OnDelivered: func() { delivered++ },
 		})
 	}
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
+	}
+	for i := range msgs {
+		if msgs[i].stage != stageIdle {
+			t.Errorf("abandoned message %d left in stage %d", i, msgs[i].stage)
+		}
 	}
 	if handled != 0 || delivered != 0 {
 		t.Errorf("handled/delivered = %d/%d, want 0/0 after crash", handled, delivered)

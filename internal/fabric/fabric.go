@@ -6,6 +6,12 @@
 // It plays the role the Gemini interconnect + GASNet conduit played for
 // CAF 2.0 on Jaguar/Hopper: everything above it (the CAF runtime,
 // finish/cofence) only sees Send and handler callbacks.
+//
+// A Msg is one record from Send to its ack: the fabric keeps the
+// message's transit state in it, schedules it as the event of its own
+// arrival, handler dispatch and ack, and links it into the sender's credit
+// queue while it waits for flow control, so a message in flight costs
+// nothing beyond the record its sender made.
 package fabric
 
 import (
@@ -117,20 +123,49 @@ type Topology interface {
 	Hops(src, dst int) int
 }
 
-// Msg is one message in flight. Payload carries structured data by
-// reference (the simulation shares one address space); Bytes is the
-// modeled wire size used for bandwidth accounting and medium-AM limits.
+// Msg is one message. Payload carries structured data by reference (the
+// simulation shares one address space); Bytes is the modeled wire size
+// used for bandwidth accounting and medium-AM limits.
+//
+// From Send until its ack (or abandonment) the message belongs to the
+// fabric, which keeps the message's transit state in the record itself
+// (DESIGN §4.14): a Msg is in flight at most once, and Send panics on a
+// message that still is.
 type Msg struct {
 	Src, Dst int
 	Tag      uint16
 	Class    Class
+	stage    stage // where the message is on its way; stageIdle when not sent
 	Bytes    int
 	Payload  any
 	// Path names the traced request whose causal path this message is
 	// on (zero = untagged). The fabric claims the message's buffering,
 	// stalling, and wire time against that request's decomposition.
 	Path path.Tag
+
+	opts     SendOpts  // the sender's completion callbacks
+	src      *Endpoint // the sending endpoint
+	next     *Msg      // the next message in the sender's credit queue
+	queuedAt sim.Time  // when the message joined the credit queue
 }
+
+// stage is where a message is between Send and the end of its ack.
+type stage uint8
+
+const (
+	stageIdle     stage = iota // not in flight: free to Send
+	stageBuffered              // in a coalescing buffer, or inside a batch
+	stageQueued                // waiting for a flow-control credit
+	stageArriving              // on the wire (idealized transport)
+	stageHandling              // holding the receiver's handler context
+	stageAcking                // its delivery ack is on the wire back
+	stageReliable              // on the reliability protocol until acked or abandoned
+)
+
+// transit is a Msg as the Event of its own journey on the idealized
+// transport: one record, scheduled three times, dispatching on its stage.
+// The conversion keeps RunEvent out of Msg's exported method set.
+type transit Msg
 
 // Handler processes a delivered message on the destination endpoint. It
 // runs as a simulation event on the receiving image's comm context.
@@ -239,8 +274,6 @@ type Fabric struct {
 	// enabled, coal the defaulted thresholds.
 	coalescing bool
 	coal       Coalescing
-
-	flights sim.FreeList[flight] // idealized transport only
 
 	// Metrics instruments, resolved once at construction (all nil — and
 	// every call a no-op — when cfg.Metrics is nil).
@@ -374,6 +407,16 @@ func (f *Fabric) nodeOf(rank int) int {
 	return rank / f.cfg.ImagesPerNode
 }
 
+// ackLatency is the latency of a delivery ack from the receiver back to
+// the sender: AckLatency between nodes, the data leg's latency otherwise
+// (an ack inside a node crosses shared memory, as its message did).
+func (f *Fabric) ackLatency(from, to int) sim.Time {
+	if f.cfg.AckLatency == f.cfg.Latency || f.nodeOf(from) == f.nodeOf(to) {
+		return f.wireLatency(from, to)
+	}
+	return f.cfg.AckLatency
+}
+
 // wireLatency is the one-way latency between src and dst. Images on the
 // same node talk over shared memory (SelfLatency).
 func (f *Fabric) wireLatency(src, dst int) sim.Time {
@@ -387,12 +430,6 @@ func (f *Fabric) wireLatency(src, dst int) sim.Time {
 	return lat
 }
 
-type queuedSend struct {
-	m        *Msg
-	opts     SendOpts
-	queuedAt sim.Time
-}
-
 // Endpoint is one image's attachment point to the fabric.
 type Endpoint struct {
 	f    *Fabric
@@ -404,13 +441,10 @@ type Endpoint struct {
 	recvFree sim.Time // receiver handler context busy-until
 
 	outstanding int // un-acked sends (credit accounting)
-	// Sends waiting for credits are sendq[sendqHead:]. The queue is
-	// drained by advancing the head, not by re-slicing, so a queue that
-	// fills and empties over and over keeps one backing array.
-	sendq     []queuedSend
-	sendqHead int
-
-	lastArrival map[int]sim.Time // per-destination FIFO enforcement
+	// Sends waiting for credits, oldest first, linked through Msg.next:
+	// a stalled message costs the queue nothing beyond its own record.
+	qhead, qtail *Msg
+	queued       int
 
 	// Reliability-protocol state, used only when the fabric has a fault
 	// plan: per-destination sequence numbers, un-acked transmissions, and
@@ -467,10 +501,13 @@ func (ep *Endpoint) RegisterHandler(tag uint16, fn Handler) {
 // Send initiates an active message from this endpoint. It never blocks:
 // if flow-control credits are exhausted the message queues locally and
 // the caller learns about progress only through opts callbacks. Send
-// panics if a medium AM exceeds the fabric payload cap or the tag has no
-// handler at the destination — both are protocol bugs, not runtime
-// conditions.
+// panics if m is still in flight from an earlier Send, if a medium AM
+// exceeds the fabric payload cap or if the tag has no handler at the
+// destination — all protocol bugs, not runtime conditions.
 func (ep *Endpoint) Send(m *Msg, opts SendOpts) {
+	if m.stage != stageIdle {
+		panic(fmt.Sprintf("fabric: %s message with tag %d sent while still in flight", m.Class, m.Tag))
+	}
 	if m.Class == AMMedium && m.Bytes > ep.f.cfg.MaxMedium {
 		panic(fmt.Sprintf("fabric: medium AM of %d bytes exceeds cap %d", m.Bytes, ep.f.cfg.MaxMedium))
 	}
@@ -510,15 +547,15 @@ func (ep *Endpoint) post(m *Msg, opts SendOpts) {
 		return
 	}
 	if ep.f.cfg.Credits > 0 && ep.outstanding >= ep.f.cfg.Credits {
-		if ep.sendqHead > 0 && len(ep.sendq) == cap(ep.sendq) {
-			// Full, with drained entries in front: move the waiting ones
-			// down before growing.
-			n := copy(ep.sendq, ep.sendq[ep.sendqHead:])
-			clear(ep.sendq[n:])
-			ep.sendq, ep.sendqHead = ep.sendq[:n], 0
+		m.stage, m.opts, m.queuedAt = stageQueued, opts, ep.f.eng.Now()
+		if ep.qtail == nil {
+			ep.qhead = m
+		} else {
+			ep.qtail.next = m
 		}
-		ep.sendq = append(ep.sendq, queuedSend{m: m, opts: opts, queuedAt: ep.f.eng.Now()})
-		ep.f.mSendqPeak.SetMax(ep.rank, int64(ep.QueuedSends()))
+		ep.qtail = m
+		ep.queued++
+		ep.f.mSendqPeak.SetMax(ep.rank, int64(ep.queued))
 		return
 	}
 	if ep.f.reliable {
@@ -529,7 +566,7 @@ func (ep *Endpoint) post(m *Msg, opts SendOpts) {
 }
 
 // QueuedSends reports how many messages are stalled waiting for credits.
-func (ep *Endpoint) QueuedSends() int { return len(ep.sendq) - ep.sendqHead }
+func (ep *Endpoint) QueuedSends() int { return ep.queued }
 
 // PendingRetx reports how many logical messages are in flight on the
 // reliability protocol (sent, not yet acked or abandoned). Always 0 on
@@ -563,114 +600,81 @@ func (ep *Endpoint) inject(m *Msg, opts SendOpts) {
 		eng.At(injected, opts.OnInjected)
 	}
 
+	// Under FIFO nothing more is needed: injection is serialized on the
+	// NIC, the wire latency is a function of the pair alone and the clock
+	// never goes back, so arrivals on a pair come in send order.
 	arrival := injected + f.wireLatency(m.Src, m.Dst)
-	if f.cfg.FIFO {
-		if ep.lastArrival == nil {
-			ep.lastArrival = make(map[int]sim.Time)
-		}
-		if last := ep.lastArrival[m.Dst]; arrival < last {
-			arrival = last
-		}
-		ep.lastArrival[m.Dst] = arrival
-	} else if f.cfg.Jitter > 0 {
+	if !f.cfg.FIFO && f.cfg.Jitter > 0 {
 		arrival += sim.Time(eng.Rand().Int63n(int64(f.cfg.Jitter) + 1))
 	}
 
-	fl := f.flights.Get()
-	if fl == nil {
-		fl = &flight{f: f}
-		fl.onArrive, fl.onHandled, fl.onAck = fl.arrive, fl.handled, fl.ack
+	m.stage, m.opts, m.src = stageArriving, opts, ep
+	eng.AtEvent(arrival, (*transit)(m))
+}
+
+// RunEvent runs the message's next event on the idealized transport:
+// arrival at the destination, where it claims the receiver's handler
+// context; the end of that occupancy, where the handler runs and the ack
+// leaves; and the ack's landing on the sender, which releases the credit
+// and, before any callback runs, hands the message back to its owner. The
+// reliability protocol does not come here: a duplicate or a
+// retransmission can arrive after the ack.
+func (t *transit) RunEvent() {
+	m := (*Msg)(t)
+	src := m.src
+	f := src.f
+	eng := f.eng
+	switch m.stage {
+	case stageArriving:
+		dst := f.eps[m.Dst]
+		done := max(eng.Now(), dst.recvFree) + f.cfg.AMOverhead
+		dst.recvFree = done
+		m.stage = stageHandling
+		eng.AtEvent(done, t)
+	case stageHandling:
+		f.eps[m.Dst].dispatch(m)
+		m.stage = stageAcking
+		eng.AtEvent(eng.Now()+f.ackLatency(m.Dst, m.Src), t)
+	case stageAcking:
+		f.stats.Acks++
+		src.outstanding--
+		opts := m.opts
+		m.stage, m.opts = stageIdle, SendOpts{}
+		opts.delivered()
+		src.drainQueue()
+	default:
+		panic(fmt.Sprintf("fabric: transit event for a %s message with tag %d that is not on the wire", m.Class, m.Tag))
 	}
-	fl.m, fl.opts, fl.src, fl.dst = m, opts, ep, f.eps[m.Dst]
-	eng.At(arrival, fl.onArrive)
 }
 
-// flight is one message in transit on the idealized transport, from
-// injection to the end of its ack event. The three events of a message
-// (arrival, handler done, ack) are methods of the record, bound once when
-// the record is first made, so a message that takes a recycled flight
-// schedules them without allocating. The reliability protocol does not
-// use flights: a duplicate or a retransmission can arrive after the ack.
-type flight struct {
-	f        *Fabric
-	m        *Msg
-	opts     SendOpts
-	src, dst *Endpoint
-	dead     bool // released under sim.QuarantinePools
-
-	onArrive, onHandled, onAck func()
-}
-
-func (fl *flight) live() {
-	if fl.dead {
-		panic("fabric: flight used after its ack event")
+// popQueued takes the oldest credit-stalled message off the queue.
+func (ep *Endpoint) popQueued() *Msg {
+	m := ep.qhead
+	ep.qhead, m.next = m.next, nil
+	if ep.qhead == nil {
+		ep.qtail = nil
 	}
-}
-
-// arrive runs at message arrival on the destination endpoint: it claims
-// the receiver's handler context for the dispatch.
-func (fl *flight) arrive() {
-	fl.live()
-	eng, ep := fl.f.eng, fl.dst
-	handlerAt := eng.Now()
-	if ep.recvFree > handlerAt {
-		handlerAt = ep.recvFree
-	}
-	done := handlerAt + fl.f.cfg.AMOverhead
-	ep.recvFree = done
-	eng.At(done, fl.onHandled)
-}
-
-// handled dispatches the handler and returns the delivery ack to the
-// sender (credit release + callback).
-func (fl *flight) handled() {
-	fl.live()
-	f, eng := fl.f, fl.f.eng
-	fl.dst.dispatch(fl.m)
-
-	src, dst := fl.src.rank, fl.dst.rank
-	ackAt := eng.Now() + f.wireLatency(dst, src)
-	if f.cfg.AckLatency != f.cfg.Latency && src != dst {
-		ackAt = eng.Now() + f.cfg.AckLatency
-	}
-	eng.At(ackAt, fl.onAck)
-}
-
-// ack runs on the sender when the delivery ack lands. Nothing refers to
-// the flight once it returns, so it ends by releasing the record.
-func (fl *flight) ack() {
-	fl.live()
-	f, src := fl.f, fl.src
-	f.stats.Acks++
-	src.outstanding--
-	fl.opts.delivered()
-	src.drainQueue()
-
-	fl.m, fl.opts, fl.src, fl.dst = nil, SendOpts{}, nil, nil
-	fl.dead = f.flights.Put(fl)
+	ep.queued--
+	return m
 }
 
 // drainQueue launches stalled sends as credits free up. Each stalled
 // message pays the flow-control penalty on its way out.
 func (ep *Endpoint) drainQueue() {
 	f := ep.f
-	for ep.sendqHead < len(ep.sendq) && (f.cfg.Credits == 0 || ep.outstanding < f.cfg.Credits) {
-		q := ep.sendq[ep.sendqHead]
-		ep.sendq[ep.sendqHead] = queuedSend{}
-		if ep.sendqHead++; ep.sendqHead == len(ep.sendq) {
-			ep.sendq, ep.sendqHead = ep.sendq[:0], 0
-		}
-		stall := f.eng.Now() - q.queuedAt
+	for ep.qhead != nil && (f.cfg.Credits == 0 || ep.outstanding < f.cfg.Credits) {
+		m := ep.popQueued()
+		stall := f.eng.Now() - m.queuedAt
 		f.stats.CreditStall += stall
 		f.mCreditStall.Add(ep.rank, int64(stall))
-		f.claimPath(q.m, path.CreditStall)
+		f.claimPath(m, path.CreditStall)
 		if f.cfg.StallPenalty > 0 {
 			ep.nic.free += f.cfg.StallPenalty
 		}
 		if f.reliable {
-			ep.startTx(q.m, q.opts)
+			ep.startTx(m, m.opts)
 		} else {
-			ep.inject(q.m, q.opts)
+			ep.inject(m, m.opts)
 		}
 	}
 }
@@ -694,6 +698,7 @@ func (ep *Endpoint) startTx(m *Msg, opts SendOpts) {
 	}
 	seq := ep.nextSeq[m.Dst]
 	ep.nextSeq[m.Dst] = seq + 1
+	m.stage, m.opts = stageReliable, SendOpts{}
 	tx := &txState{m: m, opts: opts, seq: seq}
 	ep.pending[txKey{m.Dst, seq}] = tx
 	ep.outstanding++
@@ -771,6 +776,7 @@ func (ep *Endpoint) onAckTimeout(tx *txState) {
 	f := ep.f
 	if f.crashedNow(ep.rank) || f.crashedNow(tx.m.Dst) || tx.attempts >= f.plan.MaxAttempts {
 		tx.abandoned = true
+		tx.m.stage = stageIdle
 		f.stats.Abandoned++
 		delete(ep.pending, txKey{tx.m.Dst, tx.seq})
 		// Release the flow-control credit so unrelated traffic keeps
@@ -817,6 +823,7 @@ func (f *Fabric) AbandonForDead(rank int) {
 		for _, k := range victims {
 			tx := ep.pending[k]
 			tx.abandoned = true
+			tx.m.stage = stageIdle
 			tx.timer.Stop()
 			f.stats.Abandoned++
 			delete(ep.pending, k)
@@ -826,11 +833,12 @@ func (f *Fabric) AbandonForDead(rank int) {
 		if ep.rank == rank {
 			// The dead endpoint's credit-stalled queue can never inject:
 			// abandon it outright rather than draining it into a dead NIC.
-			q := ep.sendq[ep.sendqHead:]
-			ep.sendq, ep.sendqHead = nil, 0
-			for _, qs := range q {
+			for ep.qhead != nil {
+				m := ep.popQueued()
+				opts := m.opts
+				m.stage, m.opts = stageIdle, SendOpts{}
 				f.stats.Abandoned++
-				qs.opts.abandoned()
+				opts.abandoned()
 			}
 			continue
 		}
@@ -887,11 +895,7 @@ func (ep *Endpoint) deliverReliable(m *Msg, src *Endpoint, seq uint64) {
 			f.stats.FaultsInjected++
 			return
 		}
-		ackAt := eng.Now() + f.wireLatency(m.Dst, m.Src)
-		if f.cfg.AckLatency != f.cfg.Latency && m.Src != m.Dst {
-			ackAt = eng.Now() + f.cfg.AckLatency
-		}
-		eng.At(ackAt, func() { src.onAckArrival(m.Dst, seq) })
+		eng.At(eng.Now()+f.ackLatency(m.Dst, m.Src), func() { src.onAckArrival(m.Dst, seq) })
 	})
 }
 
@@ -909,6 +913,7 @@ func (ep *Endpoint) onAckArrival(peer int, seq uint64) {
 		return
 	}
 	tx.acked = true
+	tx.m.stage = stageIdle
 	tx.timer.Stop()
 	delete(ep.pending, txKey{peer, seq})
 	f.stats.Acks++

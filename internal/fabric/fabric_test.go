@@ -459,7 +459,7 @@ func TestBandwidthBoundForLargeTransfer(t *testing.T) {
 func TestImagesPerNodeSharedNIC(t *testing.T) {
 	// Two images on one node contend for the injection pipe; on separate
 	// nodes they inject concurrently.
-	lastArrival := func(perNode int) sim.Time {
+	lastHandled := func(perNode int) sim.Time {
 		cfg := DefaultConfig()
 		cfg.GapPerByte = 10
 		cfg.ImagesPerNode = perNode
@@ -476,7 +476,7 @@ func TestImagesPerNodeSharedNIC(t *testing.T) {
 		}
 		return at
 	}
-	shared, private := lastArrival(2), lastArrival(1)
+	shared, private := lastHandled(2), lastHandled(1)
 	if shared <= private {
 		t.Errorf("shared NIC (%v) should finish later than private NICs (%v)", shared, private)
 	}
@@ -502,5 +502,91 @@ func TestImagesPerNodeIntraNodeLatency(t *testing.T) {
 	}
 	if atCross != cfg.Latency {
 		t.Errorf("cross-node arrival %v, want Latency %v", atCross, cfg.Latency)
+	}
+}
+
+// Under FIFO a pair's handlers run in send order with no clamp on arrival
+// times: injection is serialized on the NIC, the credit-stall penalty only
+// delays it further, and the wire latency is a function of the pair. The
+// mix here has all of it: random sizes, shared NICs, torus hops, credit
+// stalls with a penalty, self-sends, and sends issued at random times.
+func TestFIFOArrivalMonotone(t *testing.T) {
+	const n, sends = 16, 4000
+	cfg := DefaultConfig()
+	cfg.ImagesPerNode = 4
+	cfg.Topology = Torus3D{X: 4, Y: 2, Z: 2}
+	cfg.HopLatency = 200 * sim.Nanosecond
+	cfg.Credits = 4
+	cfg.StallPenalty = 700 * sim.Nanosecond
+	eng, f := newTestFabric(t, n, cfg)
+	type pair struct{ src, dst int }
+	next := map[pair]int{}
+	handled := 0
+	for i := 0; i < n; i++ {
+		f.Endpoint(i).RegisterHandler(tagTest, func(ep *Endpoint, m *Msg) {
+			p := pair{m.Src, m.Dst}
+			if seq := m.Payload.(int); seq != next[p] {
+				t.Fatalf("%d→%d: message %d handled when %d was due", m.Src, m.Dst, seq, next[p])
+			}
+			next[p]++
+			handled++
+		})
+	}
+	rng := eng.DeriveRand(99)
+	sent := map[pair]int{}
+	for i := 0; i < sends; i++ {
+		src, dst := rng.Intn(n), rng.Intn(n)
+		if i%10 == 0 {
+			dst = src
+		}
+		bytes := rng.Intn(2000)
+		eng.At(sim.Time(rng.Intn(200))*sim.Microsecond/10, func() {
+			p := pair{src, dst}
+			f.Endpoint(src).Send(&Msg{Src: src, Dst: dst, Tag: tagTest, Class: RDMA, Bytes: bytes, Payload: sent[p]}, SendOpts{})
+			sent[p]++
+		})
+	}
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if handled != sends {
+		t.Fatalf("%d handled, want %d", handled, sends)
+	}
+	if f.Stats().CreditStall == 0 {
+		t.Error("no send waited for a credit: the test exercised no stall penalty")
+	}
+}
+
+// An ack between two images of one node crosses shared memory, as its
+// message did: SelfLatency, not AckLatency, on both transports.
+func TestAckLatencyWithinNode(t *testing.T) {
+	for name, faults := range map[string]*FaultPlan{"idealized": nil, "reliable": {}} {
+		t.Run(name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.GapPerByte = 0
+			cfg.AMOverhead = 0
+			cfg.ImagesPerNode = 2
+			cfg.AckLatency = 10 * sim.Microsecond
+			cfg.Faults = faults
+			eng := sim.NewEngine(1)
+			f := New(eng, 4, cfg)
+			ackedAt := map[int]sim.Time{}
+			for dst := 1; dst < 4; dst++ {
+				dst := dst
+				f.Endpoint(dst).RegisterHandler(tagTest, func(*Endpoint, *Msg) {})
+				f.Endpoint(0).Send(&Msg{Src: 0, Dst: dst, Tag: tagTest, Class: AMShort}, SendOpts{
+					OnDelivered: func() { ackedAt[dst] = eng.Now() },
+				})
+			}
+			if err := eng.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if want := 2 * cfg.SelfLatency; ackedAt[1] != want {
+				t.Errorf("intra-node round trip %v, want 2 × SelfLatency = %v", ackedAt[1], want)
+			}
+			if want := cfg.Latency + cfg.AckLatency; ackedAt[2] != want || ackedAt[3] != want {
+				t.Errorf("cross-node round trips %v, %v, want Latency + AckLatency = %v", ackedAt[2], ackedAt[3], want)
+			}
+		})
 	}
 }

@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"caf2go/internal/sim"
@@ -15,30 +16,38 @@ func quarantinePools(t *testing.T) {
 }
 
 // A message on a warm idealized fabric allocates nothing between Send and
-// the end of its ack event: the flight is recycled and its three events
-// are bound methods made once. The Msg is the caller's, reused here.
+// the end of its ack event: the Msg is its own transit record and its own
+// entry in the credit queue. Four distinct messages against two credits
+// pin the path through the queue, drained inside an ack event, too.
 func TestPoolSendDeliverAckDoesNotAllocate(t *testing.T) {
 	if sim.GoRace || sim.QuarantinePools {
 		t.Skip("allocation counts are pinned without -race, pools on")
 	}
-	// Four sends against two credits: the path through the send queue,
-	// drained inside an ack event, is pinned too.
 	cfg := DefaultConfig()
 	cfg.Credits = 2
 	eng, f := newTestFabric(t, 2, cfg)
+	var msgs [4]Msg
 	handled, acked := 0, 0
-	f.Endpoint(1).RegisterHandler(tagTest, func(*Endpoint, *Msg) { handled++ })
-	m := &Msg{Src: 0, Dst: 1, Tag: tagTest, Class: AMShort, Bytes: 8}
-	opts := SendOpts{OnDelivered: func() { acked++ }}
-	roundTrip := func() {
-		for i := 0; i < 4; i++ {
-			f.Endpoint(0).Send(m, opts)
+	f.Endpoint(1).RegisterHandler(tagTest, func(_ *Endpoint, m *Msg) {
+		if m != &msgs[handled%4] {
+			t.Fatalf("handler %d got another message than was sent", handled)
 		}
+		handled++
+	})
+	opts := SendOpts{OnDelivered: func() { acked++ }}
+	src := f.Endpoint(0)
+	queued := -1
+	roundTrip := func() {
+		for i := range msgs {
+			msgs[i] = Msg{Src: 0, Dst: 1, Tag: tagTest, Class: AMShort, Bytes: 8}
+			src.Send(&msgs[i], opts)
+		}
+		queued = src.QueuedSends()
 		if err := eng.Run(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	roundTrip() // warm-up: fills the flight pool, sizes the event heap
+	roundTrip() // warm-up: sizes the event heap
 	const runs = 100
 	if n := testing.AllocsPerRun(runs, roundTrip); n != 0 {
 		t.Errorf("allocations per 4 × send→deliver→ack = %v, want 0", n)
@@ -46,10 +55,9 @@ func TestPoolSendDeliverAckDoesNotAllocate(t *testing.T) {
 	if want := 4 * (runs + 2); handled != want || acked != want {
 		t.Errorf("handled %d, acked %d, want %d each", handled, acked, want)
 	}
-	// An ack event launches the next stalled send before it lets go of
-	// its own flight: one record more than the credit window.
-	if got := f.flights.Len(); got != 3 {
-		t.Errorf("%d flights pooled, want 3 (two credits + the one acking)", got)
+	if queued != 2 || src.QueuedSends() != 0 || src.Outstanding() != 0 {
+		t.Errorf("queued %d after the sends, %d queued and %d outstanding after the run; want 2, 0, 0",
+			queued, src.QueuedSends(), src.Outstanding())
 	}
 }
 
@@ -80,8 +88,7 @@ func creditStallLog(t *testing.T, n int) []string {
 }
 
 // Credit-stalled sends leave the send queue inside another message's ack
-// event, while that message's flight is still held. With released
-// records quarantined the run must not touch a dead flight, and must
+// event. With the records above the fabric quarantined the run must
 // produce the schedule the pooled run produces.
 func TestQuarantineCreditStalledSendsDrainInsideAck(t *testing.T) {
 	want := creditStallLog(t, 10)
@@ -94,47 +101,104 @@ func TestQuarantineCreditStalledSendsDrainInsideAck(t *testing.T) {
 	}
 }
 
-// A released flight is dead under quarantine: it is not kept, and an
-// event that still held one of its bound methods would panic with the
-// record's kind.
-func TestQuarantineDeadFlightPanics(t *testing.T) {
-	quarantinePools(t)
-	_, f := newTestFabric(t, 2, DefaultConfig())
-	src := f.Endpoint(0)
-	src.outstanding = 1
-	fl := &flight{f: f, m: &Msg{Src: 0, Dst: 1}, src: src, dst: f.Endpoint(1)}
-	fl.ack() // the last event of a message: releases the record
-	if !fl.dead || f.flights.Len() != 0 {
-		t.Fatalf("after its ack event: dead=%v, %d flights kept", fl.dead, f.flights.Len())
-	}
-	for name, entry := range map[string]func(){"arrive": fl.arrive, "handled": fl.handled, "ack": fl.ack} {
-		func() {
-			defer func() {
-				if r := recover(); r != "fabric: flight used after its ack event" {
-					t.Errorf("%s on a dead flight: panic = %v, want the record kind", name, r)
-				}
-			}()
-			entry()
-		}()
-	}
+// sendPanics reports the panic of sending m from ep, or "" if none.
+func sendPanics(ep *Endpoint, m *Msg) (msg string) {
+	defer func() {
+		if r := recover(); r != nil {
+			msg, _ = r.(string)
+		}
+	}()
+	ep.Send(m, SendOpts{})
+	return ""
 }
 
-// The reliability protocol never uses pooled flights: a duplicate can
-// land after the ack, still holding the message.
+// A Msg is in flight at most once, from Send to the end of its ack: a
+// second Send of it, on the wire, in the credit queue, in a coalescing
+// buffer or on the reliability protocol, panics with the message's kind.
+// After the ack the message is its sender's again.
+func TestPoolMsgInFlightTwicePanics(t *testing.T) {
+	credits := DefaultConfig()
+	credits.Credits = 1
+	coalescing := DefaultConfig()
+	coalescing.Coalescing = Coalescing{MaxMsgs: 8}
+	reliable := DefaultConfig()
+	reliable.Faults = &FaultPlan{}
+	for name, tc := range map[string]struct {
+		cfg   Config
+		ahead int // messages sent first, so m waits behind them
+	}{
+		"wire":       {DefaultConfig(), 0},
+		"queued":     {credits, 1},
+		"coalescing": {coalescing, 0},
+		"reliable":   {reliable, 0},
+	} {
+		t.Run(name, func(t *testing.T) {
+			eng, f := newTestFabric(t, 2, tc.cfg)
+			acked := 0
+			f.Endpoint(1).RegisterHandler(tagTest, func(*Endpoint, *Msg) {})
+			src := f.Endpoint(0)
+			for i := 0; i < tc.ahead; i++ {
+				src.Send(&Msg{Src: 0, Dst: 1, Tag: tagTest, Class: AMShort}, SendOpts{})
+			}
+			m := &Msg{Src: 0, Dst: 1, Tag: tagTest, Class: AMShort, Bytes: 8}
+			src.Send(m, SendOpts{OnDelivered: func() { acked++ }})
+			want := "fabric: short message with tag 1 sent while still in flight"
+			if got := sendPanics(src, m); got != want {
+				t.Errorf("second Send: panic %q, want %q", got, want)
+			}
+			src.FlushCoalesced()
+			if err := eng.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if acked != 1 {
+				t.Fatalf("acked %d times, want 1", acked)
+			}
+			if got := sendPanics(src, m); got != "" {
+				t.Errorf("Send after the ack: panic %q", got)
+			}
+			if err := eng.Run(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	// A transit event that finds its message off the wire is a stale one.
+	eng, f := newTestFabric(t, 2, DefaultConfig())
+	f.Endpoint(1).RegisterHandler(tagTest, func(*Endpoint, *Msg) {})
+	m := &Msg{Src: 0, Dst: 1, Tag: tagTest, Class: AMMedium}
+	f.Endpoint(0).Send(m, SendOpts{})
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if r, _ := recover().(string); !strings.Contains(r, "medium message with tag 1 that is not on the wire") {
+			t.Errorf("stale transit event: panic %q", r)
+		}
+	}()
+	(*transit)(m).RunEvent()
+}
+
+// The reliability protocol does not run messages as their own events: a
+// duplicate can land after the ack, still holding the message. Every
+// message is handled and acked once, and each is its sender's again once
+// its ack landed.
 func TestPoolReliableFabricLetsNothing(t *testing.T) {
 	eng, f, got := faultFabric(t, 2, &FaultPlan{Dup: 1.0, Jitter: 30 * sim.Microsecond})
 	delivered := 0
 	const n = 25
-	for i := 0; i < n; i++ {
-		f.Endpoint(0).Send(&Msg{Src: 0, Dst: 1, Tag: tagTest, Class: AMShort, Bytes: 8, Payload: i},
-			SendOpts{OnDelivered: func() { delivered++ }})
+	msgs := make([]*Msg, n)
+	for i := range msgs {
+		msgs[i] = &Msg{Src: 0, Dst: 1, Tag: tagTest, Class: AMShort, Bytes: 8, Payload: i}
+		f.Endpoint(0).Send(msgs[i], SendOpts{OnDelivered: func() { delivered++ }})
 	}
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < n; i++ {
+	for i, m := range msgs {
 		if got[1][i] != 1 {
 			t.Errorf("payload %d handled %d times", i, got[1][i])
+		}
+		if m.stage != stageIdle {
+			t.Errorf("message %d still in stage %d after its ack", i, m.stage)
 		}
 	}
 	if delivered != n {
@@ -142,8 +206,5 @@ func TestPoolReliableFabricLetsNothing(t *testing.T) {
 	}
 	if f.Stats().DupAcks == 0 {
 		t.Error("no duplicate landed after its message's ack: the test exercised nothing")
-	}
-	if f.flights.Len() != 0 {
-		t.Errorf("%d flights pooled on a reliable fabric", f.flights.Len())
 	}
 }

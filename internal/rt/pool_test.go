@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"caf2go/internal/fabric"
 	"caf2go/internal/failure"
@@ -31,7 +32,8 @@ func skipUnlessPinned(t *testing.T) {
 }
 
 // A one-way message on a warm kernel allocates nothing in rt or below:
-// outMsg, flight and Delivery all come back from their free lists. The
+// outMsg and Delivery come back from their free lists, and the fabric
+// keeps the message's transit state in the outMsg's Msg. The
 // second handler is the rt.am_dispatch probe's: Detach and Complete
 // before returning.
 func TestPoolSendDispatchDoesNotAllocate(t *testing.T) {
@@ -326,4 +328,42 @@ func TestQuarantineDuplicateAfterAckLetsNothing(t *testing.T) {
 			t.Errorf("%d outMsgs released on a reliable fabric", k.outMsgs.Len())
 		}
 	})
+}
+
+// The sending record fits the 256-byte size class with the fabric's
+// transit state inside it: a credit-stalled burst holds one per message.
+func TestPoolOutMsgFitsItsSizeClass(t *testing.T) {
+	if got := unsafe.Sizeof(outMsg{}); got > 256 {
+		t.Errorf("sizeof(outMsg) = %d, want ≤ 256", got)
+	}
+}
+
+type logDone struct{ log *[]string }
+
+func (d logDone) Delivered() { *d.log = append(*d.log, "done") }
+func (d logDone) Abandoned() { *d.log = append(*d.log, "done abandoned") }
+
+// The completion callbacks of a send are folded into one Completion: each
+// form, and a mix of them, runs once at the ack, funcs before Done.
+func TestPoolSendCallbackForms(t *testing.T) {
+	eng, k := newTestKernel(2)
+	k.RegisterHandler(tagPing, func(*Delivery) {})
+	var log []string
+	fn := func(s string) func() { return func() { log = append(log, s) } }
+	done := logDone{&log}
+	src := k.Image(0)
+	for _, opts := range []SendOpts{
+		{},
+		{Done: done},
+		{OnDelivered: fn("delivered")},
+		{OnDelivered: fn("delivered+"), OnAbandoned: fn("abandoned"), Done: done},
+	} {
+		src.Send(1, tagPing, nil, opts)
+		if err := eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if want := []string{"done", "delivered", "delivered+", "done"}; !reflect.DeepEqual(log, want) {
+		t.Errorf("callbacks ran %v, want %v", log, want)
+	}
 }

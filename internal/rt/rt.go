@@ -97,23 +97,66 @@ type env struct {
 	slot    *callSlot
 }
 
-// outMsg is the sending side of one message: the fabric message, its
-// envelope, and what to run when the fabric is done with it. The record
-// is the fabric.Completion of its own send, so handing it to the fabric
-// builds no callback.
+// outMsg is the sending side of one message: the fabric message (which
+// carries the fabric's transit state for it), its envelope, and what to
+// run when the fabric is done with it. The record is the
+// fabric.Completion of its own send, so handing it to the fabric builds
+// no callback. It fits the 256-byte size class: every message of a
+// credit-stalled burst holds one.
 type outMsg struct {
-	img *ImageKernel
-	msg fabric.Msg
-	env env
-
-	userDelivered, userAbandoned func()
-	userDone                     Completion
-	dead                         bool // released under sim.QuarantinePools
+	img  *ImageKernel // nil once released
+	msg  fabric.Msg
+	env  env
+	user Completion // the sender's callbacks, folded by userCompletion
 }
 
 func (o *outMsg) live() {
-	if o.dead {
+	if o.img == nil {
 		panic("rt: outMsg used after its ack callback")
+	}
+}
+
+// userCompletion folds the completion callbacks of opts into one
+// Completion. The forms senders use (a record, or a lone OnDelivered
+// func) cost nothing; only a mix of them allocates.
+func userCompletion(opts *SendOpts) Completion {
+	switch {
+	case opts.OnDelivered == nil && opts.OnAbandoned == nil:
+		return opts.Done
+	case opts.OnAbandoned == nil && opts.Done == nil:
+		return onDelivered(opts.OnDelivered)
+	}
+	return &callbacks{delivered: opts.OnDelivered, abandoned: opts.OnAbandoned, done: opts.Done}
+}
+
+// onDelivered is a lone OnDelivered callback as a Completion.
+type onDelivered func()
+
+func (f onDelivered) Delivered() { f() }
+func (onDelivered) Abandoned()   {}
+
+// callbacks is any other mix of OnDelivered, OnAbandoned and Done, run
+// in that order.
+type callbacks struct {
+	delivered, abandoned func()
+	done                 Completion
+}
+
+func (c *callbacks) Delivered() {
+	if c.delivered != nil {
+		c.delivered()
+	}
+	if c.done != nil {
+		c.done.Delivered()
+	}
+}
+
+func (c *callbacks) Abandoned() {
+	if c.abandoned != nil {
+		c.abandoned()
+	}
+	if c.done != nil {
+		c.done.Abandoned()
 	}
 }
 
@@ -127,17 +170,14 @@ func (o *outMsg) Delivered() {
 	if o.env.track.Tracked() {
 		k.tracker.OnAck(img, o.env.track)
 	}
-	if o.userDelivered != nil {
-		o.userDelivered()
-	}
-	if o.userDone != nil {
-		o.userDone.Delivered()
+	if o.user != nil {
+		o.user.Delivered()
 	}
 	if k.reliable {
 		return
 	}
 	*o = outMsg{}
-	o.dead = k.outMsgs.Put(o)
+	k.outMsgs.Put(o)
 }
 
 // Abandoned replaces Delivered when the fabric gives up on the message;
@@ -152,11 +192,8 @@ func (o *outMsg) Abandoned() {
 	if o.env.track.Tracked() {
 		o.img.k.tracker.OnAbandoned(o.img, o.env.track)
 	}
-	if o.userAbandoned != nil {
-		o.userAbandoned()
-	}
-	if o.userDone != nil {
-		o.userDone.Abandoned()
+	if o.user != nil {
+		o.user.Abandoned()
 	}
 }
 
@@ -192,7 +229,6 @@ func NewKernel(eng *sim.Engine, n int, cfg fabric.Config) *Kernel {
 			k:         k,
 			rank:      i,
 			ep:        k.fab.Endpoint(i),
-			rng:       eng.DeriveRand(int64(i)),
 			procScope: "img" + strconv.Itoa(i),
 		}
 		k.images[i] = img
@@ -257,7 +293,7 @@ type ImageKernel struct {
 	k    *Kernel
 	rank int
 	ep   *fabric.Endpoint
-	rng  *rand.Rand
+	rng  *rand.Rand // made by the first Rng call
 
 	procScope string       // "img<rank>", the scope of this image's proc names
 	procSeq   int          // numbers the procs started on this image
@@ -270,8 +306,15 @@ func (img *ImageKernel) Rank() int { return img.rank }
 // Kernel returns the owning machine.
 func (img *ImageKernel) Kernel() *Kernel { return img.k }
 
-// Rng returns the image's deterministic private random stream.
-func (img *ImageKernel) Rng() *rand.Rand { return img.rng }
+// Rng returns the image's deterministic private random stream. The
+// stream is a function of the engine seed and the rank alone, so making
+// it on first use draws what making it with the image would have.
+func (img *ImageKernel) Rng() *rand.Rand {
+	if img.rng == nil {
+		img.rng = img.k.eng.DeriveRand(int64(img.rank))
+	}
+	return img.rng
+}
 
 // Engine returns the simulation engine.
 func (img *ImageKernel) Engine() *sim.Engine { return img.k.eng }
@@ -293,11 +336,11 @@ func (img *ImageKernel) GoBody(name string, body sim.Body) *sim.Proc {
 	return p
 }
 
-// After schedules fn to run d from now: work of the image that needs no
+// After schedules ev to run d from now: work of the image that needs no
 // proc of its own.
-func (img *ImageKernel) After(d sim.Time, fn func()) {
+func (img *ImageKernel) After(d sim.Time, ev sim.Event) {
 	eng := img.k.eng
-	eng.At(eng.Now()+d, fn)
+	eng.AtEvent(eng.Now()+d, ev)
 }
 
 // Procs returns the unfinished processes started on this image via Go,
@@ -350,8 +393,7 @@ func (img *ImageKernel) post(dst int, tag uint16, e env, opts SendOpts) {
 	if opts.Track.Tracked() && k.tracker != nil {
 		e.track = k.tracker.OnSend(img, dst, opts.Track)
 	}
-	o.img, o.env = img, e
-	o.userDelivered, o.userAbandoned, o.userDone = opts.OnDelivered, opts.OnAbandoned, opts.Done
+	o.img, o.env, o.user = img, e, userCompletion(&opts)
 	o.msg = fabric.Msg{
 		Src:     img.rank,
 		Dst:     dst,

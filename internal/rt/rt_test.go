@@ -257,6 +257,27 @@ func TestPerImageRngIndependentAndStable(t *testing.T) {
 	if k1.Image(0).Rng().Int63() == k1.Image(1).Rng().Int63() {
 		t.Error("images 0 and 1 share a random stream (suspicious)")
 	}
+	// A stream is made on first use, and is a function of the seed and
+	// the rank alone: a rank draws the same whether its stream is made
+	// first or last, and what a stream made with the image would draw.
+	const n = 4
+	draws := func(k *Kernel, rank int) [3]int64 {
+		r := k.Image(rank).Rng()
+		return [3]int64{r.Int63(), r.Int63(), r.Int63()}
+	}
+	eng, up := newTestKernel(n)
+	_, down := newTestKernel(n)
+	var ups, downs [n][3]int64
+	for i := 0; i < n; i++ {
+		ups[i], downs[n-1-i] = draws(up, i), draws(down, n-1-i)
+	}
+	for i := 0; i < n; i++ {
+		ref := eng.DeriveRand(int64(i))
+		want := [3]int64{ref.Int63(), ref.Int63(), ref.Int63()}
+		if ups[i] != want || downs[i] != want {
+			t.Errorf("rank %d drew %v made first, %v made last, want its derived stream %v", i, ups[i], downs[i], want)
+		}
+	}
 }
 
 // Proc names are carried in parts and joined on demand; what comes out

@@ -65,21 +65,24 @@ func (e *Engine) DeriveRand(id int64) *rand.Rand {
 }
 
 // At schedules fn to run at absolute virtual time t (clamped to now).
-func (e *Engine) At(t Time, fn func()) { e.schedule(t, event{fn: fn}) }
+func (e *Engine) At(t Time, fn func()) { e.schedule(t, funcEvent(fn)) }
+
+// AtEvent schedules ev to run at absolute virtual time t (clamped to now).
+// It is At for a record that is its own event.
+func (e *Engine) AtEvent(t Time, ev Event) { e.schedule(t, ev) }
 
 // atProc schedules p's next event — its start or a wake-up — at time t.
 // It is At in every respect the schedule can see.
-func (e *Engine) atProc(t Time, p *Proc) { e.schedule(t, event{p: p}) }
+func (e *Engine) atProc(t Time, p *Proc) { e.schedule(t, (*procEvent)(p)) }
 
 // schedule is the one place seq is taken: ties in time run in the order
 // they were scheduled.
-func (e *Engine) schedule(t Time, ev event) {
+func (e *Engine) schedule(t Time, ev Event) {
 	if t < e.now {
 		t = e.now
 	}
 	e.seq++
-	ev.at, ev.seq = t, e.seq
-	e.q.push(ev)
+	e.q.push(event{at: t, seq: e.seq, ev: ev})
 }
 
 // After schedules fn to run d from now.
@@ -145,7 +148,7 @@ func (e *Engine) RunUntil(limit Time) error {
 		e.now = ev.at
 		e.eventsRun++
 		e.onStrand.Store(true)
-		ev.run()
+		ev.ev.RunEvent()
 		e.onStrand.Store(false)
 		if e.procErr != nil {
 			return e.procErr

@@ -1,24 +1,26 @@
 package sim
 
-// event is a scheduled callback. Events with equal time run in schedule
-// order (seq), which makes the simulation deterministic. A proc's own
-// events (its start, its Sleep and Unpark wake-ups) name the proc instead
-// of carrying a callback: what such an event does is read off p.state
-// when it fires (Proc.runEvent), so queueing one allocates nothing.
+// Event is what a scheduled event runs. A record that already holds the
+// state of the work it schedules (a proc, a message in transit, an inline
+// shipped function) is the event itself, so queueing it allocates nothing
+// and builds no closure over the record.
+type Event interface {
+	RunEvent()
+}
+
+// funcEvent makes a plain function an Event. A func value is pointer
+// shaped, so the conversion allocates nothing.
+type funcEvent func()
+
+// RunEvent calls f.
+func (f funcEvent) RunEvent() { f() }
+
+// event is a scheduled Event. Events with equal time run in schedule order
+// (seq), which makes the simulation deterministic.
 type event struct {
 	at  Time
 	seq uint64
-	fn  func()
-	p   *Proc // non-nil: a proc event, fn is nil
-}
-
-// run executes the event on the admission strand.
-func (ev *event) run() {
-	if ev.p != nil {
-		ev.p.runEvent()
-		return
-	}
-	ev.fn()
+	ev  Event
 }
 
 // eventHeap is a binary min-heap ordered by (at, seq). It is hand-rolled
@@ -55,7 +57,7 @@ func (h *eventHeap) pop() event {
 	top := h.items[0]
 	n := len(h.items) - 1
 	h.items[0] = h.items[n]
-	h.items[n] = event{} // release fn for GC
+	h.items[n] = event{} // release the event for GC
 	h.items = h.items[:n]
 	h.siftDown(0)
 	return top

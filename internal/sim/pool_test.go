@@ -1,6 +1,10 @@
 package sim
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+	"unsafe"
+)
 
 // quarantinePools turns QuarantinePools on for the rest of the test.
 func quarantinePools(t *testing.T) {
@@ -67,5 +71,54 @@ func TestPoolFreeListDoesNotAllocate(t *testing.T) {
 	cycle()
 	if n := testing.AllocsPerRun(100, cycle); n != 0 {
 		t.Errorf("allocations per release/take cycle = %v, want 0", n)
+	}
+}
+
+type countEvent struct{ log *[]string }
+
+func (c countEvent) RunEvent() { *c.log = append(*c.log, "record") }
+
+// An event names what it runs in one interface word and stays 32 bytes:
+// a heap of hundreds of thousands of pending events is that many slots.
+// A function, a proc and a record are all scheduled without allocating,
+// and all take their seq from the one counter, so ties run in the order
+// they were scheduled whatever their kind.
+func TestPoolEventNamesARecord(t *testing.T) {
+	if got := unsafe.Sizeof(event{}); got != 32 {
+		t.Errorf("sizeof(event) = %d, want 32", got)
+	}
+	e := NewEngine(1)
+	var log []string
+	rec := &countEvent{log: &log}
+	fn := func() { log = append(log, "func") }
+	p := e.Go("proc", func(p *Proc) {
+		log = append(log, "proc")
+		p.Sleep(5)
+		log = append(log, "proc")
+	})
+	e.AtEvent(5, rec)
+	e.At(5, fn)
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"proc", "record", "func", "proc"}; !reflect.DeepEqual(log, want) {
+		t.Errorf("ran %v, want %v", log, want)
+	}
+	if p.State() != "done" {
+		t.Errorf("proc %s", p.State())
+	}
+	if GoRace || QuarantinePools {
+		return
+	}
+	schedule := func() {
+		e.At(e.Now()+1, fn)
+		e.AtEvent(e.Now()+1, rec)
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	schedule()
+	if n := testing.AllocsPerRun(100, schedule); n != 0 {
+		t.Errorf("allocations per At + AtEvent + Run = %v, want 0", n)
 	}
 }

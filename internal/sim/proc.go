@@ -118,6 +118,13 @@ func (e *Engine) start(t Time, name ProcName, body Body) *Proc {
 	return p
 }
 
+// procEvent is a Proc as the Event of its own start and wake-ups: the
+// conversion names the proc and allocates nothing.
+type procEvent Proc
+
+// RunEvent runs the proc's queued event.
+func (pe *procEvent) RunEvent() { (*Proc)(pe).runEvent() }
+
 // runEvent is what a queued proc event does when it fires. A proc has at
 // most one event queued at a time and does not run while it is: a new
 // proc waits for its start, a sleeper for its Sleep wake-up, and a parked

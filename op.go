@@ -95,7 +95,7 @@ type Op struct {
 	span int32
 
 	done [numLevels]bool
-	cbs  [numLevels][]func()
+	cbs  *[numLevels][]func() // made by the first registration
 }
 
 // Kind returns the operation kind ("copy", "spawn", "notify",
@@ -118,6 +118,9 @@ func (o *Op) on(l CompletionLevel, fn func()) {
 	if o.done[l] {
 		fn()
 		return
+	}
+	if o.cbs == nil {
+		o.cbs = new([numLevels][]func())
 	}
 	o.cbs[l] = append(o.cbs[l], fn)
 }
@@ -180,6 +183,9 @@ func (o *Op) reach(stage trace.Stage) {
 		return
 	}
 	o.done[l] = true
+	if o.cbs == nil {
+		return
+	}
 	cbs := o.cbs[l]
 	o.cbs[l] = nil
 	for i, fn := range cbs {

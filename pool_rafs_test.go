@@ -1,0 +1,50 @@
+package caf_test
+
+import (
+	"runtime"
+	"testing"
+
+	caf "caf2go"
+	"caf2go/internal/ra"
+	"caf2go/internal/sim"
+)
+
+// RandomAccess by function shipping in the benchmark's shape, scaled to
+// 32 images: 256 updates per image in one bunch behind 64 credits, so
+// every update is a live spawn at once and most of them wait for a
+// credit. Objects and bytes per update, setup included, are pinned at
+// what the run allocates with the message's transit state in the message
+// and a spawn in 256 bytes, plus 5 %.
+func TestPoolRAFSAllocsPerUpdate(t *testing.T) {
+	if sim.GoRace || sim.QuarantinePools {
+		t.Skip("allocation counts are pinned without -race, pools on")
+	}
+	const images, perImage = 32, 256
+	cfg := ra.DefaultConfig(ra.FunctionShipping)
+	cfg.LocalTableBits, cfg.UpdatesPerImage, cfg.BunchSize = 8, perImage, perImage
+	run := func() {
+		res, err := ra.Run(caf.Config{Images: images, Seed: 1}, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Errors != 0 {
+			t.Fatalf("%d table entries differ", res.Errors)
+		}
+	}
+	run() // warm-up
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	run()
+	runtime.ReadMemStats(&after)
+	const updates = images * perImage
+	objects := float64(after.Mallocs-before.Mallocs) / updates
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / updates
+	t.Logf("%.3f objects, %.1f B per update", objects, bytes)
+	if limit := 3.50 * 1.05; objects > limit {
+		t.Errorf("%.3f objects per update, want ≤ %.3f", objects, limit)
+	}
+	if limit := 651.0 * 1.05; bytes > limit {
+		t.Errorf("%.1f B per update, want ≤ %.1f", bytes, limit)
+	}
+}

@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"caf2go/internal/sim"
 )
@@ -402,5 +403,14 @@ func TestQuarantineRunEqualsPooledRun(t *testing.T) {
 				t.Errorf("quarantined data differs: got %v, want %v", gotSum, wantSum)
 			}
 		})
+	}
+}
+
+// A spawn's record fits the 256-byte size class: the halves few spawns
+// use (continuations on the op, waiters on its delivery token, a
+// registered function) hang off one pointer each.
+func TestPoolSpawnOpFitsItsSizeClass(t *testing.T) {
+	if got := unsafe.Sizeof(spawnOp{}); got > 256 {
+		t.Errorf("sizeof(spawnOp) = %d, want ≤ 256", got)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"caf2go/internal/fabric"
 	"caf2go/internal/failure"
 	"caf2go/internal/path"
-	"caf2go/internal/race"
 	"caf2go/internal/rt"
 	"caf2go/internal/sim"
 	"caf2go/internal/trace"
@@ -88,15 +87,17 @@ func (s *spawnOp) apply(opts []SpawnOpt) {
 // initiation (core.Initiator) and the send's completion (rt.Completion),
 // so a spawn builds no other object and no closure. The record is owned,
 // not pooled: the caller may keep &op, and a continuation on it, for as
-// long as it likes.
+// long as it likes. What few spawns use (continuations on the op, waiters
+// on the token, a registered function) hangs off one pointer each, so the
+// record fits the 256-byte size class: a bunch of RandomAccess updates
+// keeps every one of its spawns live at once.
 type spawnOp struct {
 	op   Op             // completion handle; Spawn returns its address
-	tok  delivToken     // outstanding-delivery token (EventNotify's release)
+	tok  delivToken     // outstanding-delivery token (EventNotify's release); tok.clk is the fork edge
 	pend core.PendingOp // cofence registration of an implicit spawn
 
-	fn    SpawnFn   // the shipped closure, or
-	named *remoteFn // the registered function and
-	blob  []byte    // its gob-encoded argument list
+	fn    SpawnFn    // the shipped closure, or
+	named *namedCall // the registered function and its arguments
 
 	target   int
 	bytes    int
@@ -106,8 +107,13 @@ type spawnOp struct {
 	finishID int64
 	event    *Event // WithEvent; nil = implicit, tracked by the enclosing finish
 	data     []byte
-	rclk     race.Clock // spawner's clock at initiation (fork edge)
-	pctx     path.Ctx   // traced request context the shipped fn runs under
+	pctx     path.Ctx // traced request context the shipped fn runs under
+}
+
+// namedCall is what a SpawnNamed ships in place of a closure.
+type namedCall struct {
+	fn   *remoteFn
+	blob []byte // the gob-encoded argument list
 }
 
 // Payload returns the byte payload shipped with the spawn that started
@@ -147,8 +153,10 @@ func (img *Image) ship(target int, kind string, s *spawnOp) *Op {
 	s.target = target
 	s.finishID = img.trackID()
 	// Fork edge: the child's clock starts from the spawner's at this
-	// program point (snapshotted before any relaxed-mode deferral).
-	s.rclk = img.raceRelease()
+	// program point (snapshotted before any relaxed-mode deferral). The
+	// delivery token carries it; the token joins its image's list only
+	// at initiation.
+	s.tok.clk = img.raceRelease()
 	img.opInit(&s.op, kind, target)
 	if s.op.pctx.Active() {
 		// The shipped function continues the traced request's causal
@@ -177,7 +185,6 @@ func (s *spawnOp) Initiate() {
 		s.data = append([]byte(nil), s.data...)
 	}
 	st := m.states[me]
-	s.tok.clk = s.rclk
 	st.addDelivToken(&s.tok)
 	opts := rt.SendOpts{
 		Class: classForBytes(m, s.bytes),
@@ -249,13 +256,14 @@ func (sh *shipped) Run(p *sim.Proc) {
 		defer sh.completeAborted()
 	}
 	if rs := m.race; rs != nil {
-		img.rc = rs.d.NewCtx(m.raceChanArrive(sh.d.Src, st.kern.Rank(), s.rclk))
+		img.rc = rs.d.NewCtx(m.raceChanArrive(sh.d.Src, st.kern.Rank(), s.tok.clk))
 	}
 	exec, fn := "spawn-exec", s.fn
-	if rf := s.named; rf != nil {
+	if nc := s.named; nc != nil {
 		// A named spawn is a spawn whose body decodes the blob and calls
 		// the registry entry.
-		args, err := decodeArgs(s.blob)
+		rf := nc.fn
+		args, err := decodeArgs(nc.blob)
 		if err != nil {
 			panic(fmt.Sprintf("caf: cannot unmarshal arguments of %q: %v", rf.name, err))
 		}

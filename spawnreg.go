@@ -108,7 +108,7 @@ func (img *Image) SpawnNamed(target int, name string, args []any, opts ...SpawnO
 	if rf == nil {
 		panic(fmt.Sprintf("caf: spawn of unregistered remote function %q", name))
 	}
-	s := &spawnOp{named: rf, inline: rf.inline, service: rf.service}
+	s := &spawnOp{inline: rf.inline, service: rf.service}
 	s.apply(opts)
 	blob, err := encodeArgs(args)
 	if err != nil {
@@ -118,6 +118,7 @@ func (img *Image) SpawnNamed(target int, name string, args []any, opts ...SpawnO
 	// named spawn ships no separate payload. Being encoded already, they
 	// are fully evaluated, so initiation is local data completion as for
 	// any spawn.
-	s.blob, s.bytes, s.data = blob, len(blob)+32+len(name), nil
+	s.named = &namedCall{fn: rf, blob: blob}
+	s.bytes, s.data = len(blob)+32+len(name), nil
 	return img.ship(target, rf.kind, s)
 }
