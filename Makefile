@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short bench bench-json bench-json-quick bench-load bench-recovery load-smoke fuzz-smoke profile-smoke continuation-smoke path-smoke chaos-crash chaos-recover ci figures figures-quick examples race-examples clean
+.PHONY: all build vet test test-short bench bench-json bench-json-quick bench-load bench-recovery sweeps-check load-smoke fuzz-smoke profile-smoke continuation-smoke path-smoke chaos-crash chaos-recover ci figures figures-quick examples race-examples clean
 
 all: build vet test
 
@@ -29,8 +29,7 @@ ci: vet build test
 	$(GO) test -race -run 'Pool|Quarantine|Inline' . ./internal/sim ./internal/fabric ./internal/rt ./internal/core ./internal/trace ./internal/path ./internal/metrics
 	$(GO) test -race -run 'ShardEquivalence|BoundedRoundsSharded|KV(ServiceCrash|Recover)BitIdentical' ./examples/workloads ./internal/core ./internal/chaos
 	$(GO) run ./cmd/benchjson -quick
-	$(GO) run ./cmd/benchjson -load -quick
-	$(GO) run ./cmd/benchjson -recovery -quick
+	$(MAKE) sweeps-check
 	$(MAKE) path-smoke
 
 bench:
@@ -55,14 +54,27 @@ bench-load:
 bench-recovery:
 	$(GO) run ./cmd/benchjson -recovery -out BENCH_recovery.json
 
+# The committed load and recovery sweeps are virtual-time results: both
+# are regenerated whole (well under a second each) and must match the
+# committed files byte for byte. A diff means the model moved; rewrite
+# them with bench-load / bench-recovery only when that is intended.
+sweeps-check:
+	@dir=$$(mktemp -d); \
+	$(GO) run ./cmd/benchjson -load -out $$dir/BENCH_load.json && \
+	$(GO) run ./cmd/benchjson -recovery -out $$dir/BENCH_recovery.json && \
+	cmp BENCH_load.json $$dir/BENCH_load.json && \
+	cmp BENCH_recovery.json $$dir/BENCH_recovery.json; \
+	status=$$?; rm -rf $$dir; exit $$status
+
 # Service-traffic gate: the load generator/histogram property tests, the
 # service workloads (goldens + SLO sanity + crash rows), the SLO-level
-# GOMAXPROCS-equivalence sweep under the race detector, and a quick sweep.
+# GOMAXPROCS-equivalence sweep under the race detector, and the committed
+# sweeps regenerated and compared.
 load-smoke:
 	$(GO) test ./internal/load
 	$(GO) test -run 'TestService|TestKVService|TestGoldenReports/kv-|TestGoldenReports/agg-' ./examples/workloads ./internal/chaos
 	$(GO) test -race -run 'TestLoadShardEquivalence' ./examples/workloads
-	$(GO) run ./cmd/benchjson -load -quick
+	$(MAKE) sweeps-check
 
 # Traced quickstart driven through the whole observability pipeline:
 # lifecycle tracing + metrics on, profile JSON written, then parsed and

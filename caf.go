@@ -667,6 +667,10 @@ func (m *Machine) ImageDeadAt(rank int) (Time, bool) { return m.det.DeadAt(rank)
 // AnyImageDead reports whether any image has been declared dead.
 func (m *Machine) AnyImageDead() bool { return m.det.AnyDead() }
 
+// DetectsFailures reports whether the machine runs a failure detector,
+// that is, whether any image can ever be declared dead.
+func (m *Machine) DetectsFailures() bool { return m.det != nil }
+
 // Epoch returns the committed recovery epoch: 0 before any failure has
 // been agreed on (and always 0 with replication off). The epoch bumps
 // atomically — at one virtual instant, for every image — when the

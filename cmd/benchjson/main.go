@@ -10,7 +10,9 @@
 // service with a mid-traffic primary crash across detector heartbeat ×
 // machine size × replication on/off, reporting lost vs. replayed requests
 // and the crash-to-commit latency (the committed BENCH_recovery.json
-// artifact).
+// artifact). Both are virtual-time results, byte-identical per commit,
+// and cheap enough that CI regenerates them and compares (make
+// sweeps-check).
 //
 //	go run ./cmd/benchjson -out BENCH_coalesce.json
 //	go run ./cmd/benchjson -load -out BENCH_load.json
@@ -30,11 +32,14 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("benchjson: ")
 	out := flag.String("out", "", "output file (default: stdout)")
-	quick := flag.Bool("quick", false, "seconds-scale smoke sweep")
+	quick := flag.Bool("quick", false, "seconds-scale smoke sweep (coalesce mode)")
 	metrics := flag.Bool("metrics", false, "embed each row's per-image metrics snapshot (coalesce mode)")
 	loadSweep := flag.Bool("load", false, "run the service-traffic SLO sweep instead of the coalescing sweep")
 	recovery := flag.Bool("recovery", false, "run the crash-recovery sweep instead of the coalescing sweep")
 	flag.Parse()
+	if *quick && (*loadSweep || *recovery) {
+		log.Fatal("-quick applies to the coalescing sweep only; the load and recovery sweeps run whole in under a second")
+	}
 
 	w := os.Stdout
 	if *out != "" {
@@ -48,11 +53,7 @@ func main() {
 
 	wall := time.Now()
 	if *recovery {
-		o := bench.DefaultRecovery()
-		if *quick {
-			o = bench.SmokeRecovery()
-		}
-		rep, err := bench.Recovery(o)
+		rep, err := bench.Recovery(bench.DefaultRecovery())
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -69,11 +70,7 @@ func main() {
 		return
 	}
 	if *loadSweep {
-		o := bench.DefaultLoad()
-		if *quick {
-			o = bench.SmokeLoad()
-		}
-		rep, err := bench.Load(o)
+		rep, err := bench.Load(bench.DefaultLoad())
 		if err != nil {
 			log.Fatal(err)
 		}

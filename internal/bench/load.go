@@ -52,15 +52,6 @@ func DefaultLoad() LoadOpts {
 	}
 }
 
-// SmokeLoad returns a seconds-scale configuration for CI.
-func SmokeLoad() LoadOpts {
-	o := DefaultLoad()
-	o.Images = []int{8}
-	o.LoadsPerServer = []float64{40_000, 160_000}
-	o.Requests = 240
-	return o
-}
-
 // LoadRow is one (workload, size, offered load, coalesced?) measurement.
 type LoadRow struct {
 	Workload string // "kv-locks" or "kv-shipping"

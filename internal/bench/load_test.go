@@ -2,14 +2,14 @@ package bench
 
 import "testing"
 
-// TestSmokeLoad guards the BENCH_load.json generator: the smoke sweep
-// must produce a full row matrix (loads × sizes × protocol × coalescing)
-// with every request completed, and the headline experiments pointing the
-// right way — function
-// shipping at or below the lock protocol's p99 in every cell, and
-// coalescing actually batching the shipping variant's small AMs.
+// TestSmokeLoad guards the BENCH_load.json generator: the committed
+// sweep (well under a second) must produce a full row matrix (loads ×
+// sizes × protocol × coalescing) with every request completed, and the
+// headline experiments pointing the right way — function shipping at or
+// below the lock protocol's p99 in every cell, and coalescing actually
+// batching the shipping variant's small AMs.
 func TestSmokeLoad(t *testing.T) {
-	o := SmokeLoad()
+	o := DefaultLoad()
 	rep, err := Load(o)
 	if err != nil {
 		t.Fatal(err)

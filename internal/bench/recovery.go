@@ -55,15 +55,6 @@ func DefaultRecovery() RecoveryOpts {
 	}
 }
 
-// SmokeRecovery returns a seconds-scale configuration for CI.
-func SmokeRecovery() RecoveryOpts {
-	o := DefaultRecovery()
-	o.Images = []int{8}
-	o.Heartbeats = []caf.Time{2 * caf.Microsecond, 10 * caf.Microsecond}
-	o.Requests = 240
-	return o
-}
-
 // RecoveryRow is one (size, heartbeat, replicated?) measurement.
 type RecoveryRow struct {
 	Workload string // "kv-shipping" (replication off) or "kv-replicated"

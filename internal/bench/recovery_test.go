@@ -2,14 +2,14 @@ package bench
 
 import "testing"
 
-// TestSmokeRecovery guards the BENCH_recovery.json generator: the smoke
-// sweep must produce the full row matrix (sizes × heartbeats ×
-// replication on/off) and the headline experiments pointing the right
-// way — the unreplicated
-// runs lose requests to the crash, the replicated runs lose none, and
-// the crash-to-commit latency grows monotonically with the heartbeat.
+// TestSmokeRecovery guards the BENCH_recovery.json generator: the
+// committed sweep (well under a second) must produce the full row matrix
+// (sizes × heartbeats × replication on/off) and the headline experiments
+// pointing the right way — the unreplicated runs lose requests to the
+// crash, the replicated runs lose none, and the crash-to-commit latency
+// grows monotonically with the heartbeat.
 func TestSmokeRecovery(t *testing.T) {
-	o := SmokeRecovery()
+	o := DefaultRecovery()
 	rep, err := Recovery(o)
 	if err != nil {
 		t.Fatal(err)

@@ -6,14 +6,16 @@
 //
 //   - Schedule pre-generates a fully seeded arrival schedule — Poisson
 //     or bursty MMPP inter-arrivals, keyed requests, read/write mix —
-//     as a pure function of its config. The schedule exists before the
-//     simulation starts, so it is byte-identical at any GOMAXPROCS by
-//     construction.
-//   - Drive runs an open-loop client event loop on one image: requests
-//     are issued at their scheduled virtual times whether or not earlier
-//     ones completed (no coordinated omission), completions are polled
-//     through the continuation API, and requests stranded on an image
-//     declared dead are failed with typed errors instead of hanging.
+//     as a pure function of its config, merging the per-client streams
+//     in (At, Client) order. The schedule exists before the simulation
+//     starts, so it is byte-identical at any GOMAXPROCS by construction.
+//   - Drive runs an open-loop client event loop on one image, reading
+//     the shared schedule in place: requests are issued at their
+//     scheduled virtual times whether or not earlier ones completed (no
+//     coordinated omission), completions are polled through the
+//     continuation API, and requests stranded on an image declared dead
+//     are failed with typed errors instead of hanging. The loop wakes
+//     on tick boundaries only while something can happen there.
 //   - Collector + Histogram accumulate per-request latencies into a
 //     deterministic log-linear histogram and reduce them to an SLO
 //     report (p50/p99/p999, goodput, failure accounting) whose Digest
@@ -32,7 +34,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	caf "caf2go"
 )
@@ -127,9 +128,16 @@ type Request struct {
 
 // Schedule pre-generates the full arrival schedule. It is a pure
 // function of cfg: equal configs produce byte-identical schedules on
-// any host or GOMAXPROCS. Arrivals are sorted by
-// (At, Client) with Seq assigned in that order; each client's own
-// arrivals are strictly increasing in time.
+// any host or GOMAXPROCS. Arrivals are in (At, Client) order with Seq
+// assigned in that order; each client's own arrivals are strictly
+// increasing in time.
+//
+// Each client's stream is drawn lazily, one request ahead, and the k
+// stream heads are merged through a min-heap on (At, Client). A client
+// never ties with itself, so that key is a total order and the merge
+// emits exactly what a stable sort of the concatenated streams would.
+// Every client draws from its own RNG in its own order (gap, key,
+// write), so interleaving the draws across clients changes no byte.
 func Schedule(cfg ArrivalConfig) []Request {
 	cfg = cfg.withDefaults()
 	if cfg.Clients < 1 {
@@ -145,39 +153,88 @@ func Schedule(cfg ArrivalConfig) []Request {
 		panic("load: ArrivalConfig.Keys must be ≥ 1")
 	}
 	perClient := cfg.Rate / float64(cfg.Clients)
-	all := make([]Request, 0, cfg.Requests)
 	base, rem := cfg.Requests/cfg.Clients, cfg.Requests%cfg.Clients
-	for c := 0; c < cfg.Clients; c++ {
-		n := base
+	streams := make([]clientStream, cfg.Clients)
+	heads := make(streamHeap, 0, cfg.Clients)
+	for c := range streams {
+		s := &streams[c]
+		s.left = base
 		if c < rem {
-			n++
+			s.left++
+		}
+		if s.left == 0 {
+			continue
 		}
 		// One private stream per client, derived from (Seed, client)
 		// with mixing constants distinct from the engine's DeriveRand,
 		// so load randomness never aliases runtime randomness.
 		rng := rand.New(rand.NewSource(cfg.Seed*0xBF58476D ^ int64(c+1)*0x94D049BB ^ 0x6A09E667))
-		gen := newArrivalGen(cfg, perClient, rng)
-		t := cfg.Start
-		for k := 0; k < n; k++ {
-			t = gen.next(t)
-			all = append(all, Request{
-				Client: c,
-				Key:    uint64(rng.Int63n(int64(cfg.Keys))),
-				Write:  rng.Float64() < cfg.WriteFrac,
-				At:     t,
-			})
-		}
+		s.gen = newArrivalGen(cfg, perClient, rng)
+		s.head = Request{Client: c, At: cfg.Start}
+		s.draw(cfg)
+		heads = append(heads, s)
 	}
-	sort.SliceStable(all, func(i, j int) bool {
-		if all[i].At != all[j].At {
-			return all[i].At < all[j].At
-		}
-		return all[i].Client < all[j].Client
-	})
+	for i := len(heads)/2 - 1; i >= 0; i-- {
+		heads.down(i)
+	}
+	all := make([]Request, cfg.Requests)
 	for i := range all {
+		s := heads[0]
+		all[i] = s.head
 		all[i].Seq = i
+		if s.left > 0 {
+			s.draw(cfg)
+		} else {
+			last := len(heads) - 1
+			heads[0], heads = heads[last], heads[:last]
+		}
+		heads.down(0)
 	}
 	return all
+}
+
+// clientStream is one client's arrival stream during the merge: its
+// generator, the drawn but not yet emitted head, and how many requests
+// are still to be drawn.
+type clientStream struct {
+	gen  *arrivalGen
+	head Request
+	left int
+}
+
+// draw replaces the head with the client's next request, drawing its
+// gap, key and write flag in that order.
+func (s *clientStream) draw(cfg ArrivalConfig) {
+	s.head.At = s.gen.next(s.head.At)
+	s.head.Key = uint64(s.gen.rng.Int63n(int64(cfg.Keys)))
+	s.head.Write = s.gen.rng.Float64() < cfg.WriteFrac
+	s.left--
+}
+
+// streamHeap is a binary min-heap of stream heads on (At, Client).
+type streamHeap []*clientStream
+
+func (h streamHeap) less(i, j int) bool {
+	a, b := &h[i].head, &h[j].head
+	return a.At < b.At || (a.At == b.At && a.Client < b.Client)
+}
+
+// down sifts the head at i down to its place.
+func (h streamHeap) down(i int) {
+	for {
+		m, l := i, 2*i+1
+		if l < len(h) && h.less(l, m) {
+			m = l
+		}
+		if r := l + 1; r < len(h) && h.less(r, m) {
+			m = r
+		}
+		if m == i {
+			return
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
 }
 
 // Span returns the schedule's [first, last] arrival times (zeros for an

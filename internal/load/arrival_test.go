@@ -85,6 +85,41 @@ func TestScheduleProperties(t *testing.T) {
 	}
 }
 
+// TestScheduleMergeMatchesStableSort: merging the client streams gives
+// the schedule a stable sort of them gives, element for element, for
+// both arrival processes, 1–33 clients (so heaps of every shape, and
+// clients with no request at all) and several seeds.
+func TestScheduleMergeMatchesStableSort(t *testing.T) {
+	ties := 0
+	for _, kind := range []ArrivalKind{Poisson, MMPP} {
+		for clients := 1; clients <= 33; clients++ {
+			for seed := int64(1); seed <= 4; seed++ {
+				for _, requests := range []int{0, clients / 2, 7 * clients, 300} {
+					cfg := ArrivalConfig{
+						Kind: kind, Seed: seed, Clients: clients, Requests: requests,
+						// A high rate quantized to whole nanoseconds makes
+						// cross-client ties at one instant likely.
+						Rate: 400_000_000, Keys: 97, WriteFrac: 0.4,
+					}
+					got, want := Schedule(cfg), scheduleSorted(cfg)
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%v clients=%d seed=%d requests=%d: merged schedule differs from the sorted one",
+							kind, clients, seed, requests)
+					}
+					for i := 1; i < len(got); i++ {
+						if got[i].At == got[i-1].At {
+							ties++
+						}
+					}
+				}
+			}
+		}
+	}
+	if ties == 0 {
+		t.Fatal("no two clients ever arrived at one instant: the (At, Client) tie-break went untested")
+	}
+}
+
 // TestScheduleRate checks the Poisson generator's measured rate against
 // the configured one (law of large numbers; generous 10% tolerance).
 func TestScheduleRate(t *testing.T) {

@@ -29,7 +29,7 @@ type Collector struct {
 	hist *Histogram
 
 	pend      map[int]pendReq // by Seq
-	perClient map[int]int     // outstanding count by issuing image rank
+	perClient []clientCount   // by issuing image rank
 
 	requests  int64
 	issued    int64
@@ -44,6 +44,36 @@ type Collector struct {
 	lastDone caf.Time // completion time of the final settled request
 
 	ins *instruments // nil with metrics off
+}
+
+// clientCount is one issuing image's request accounting.
+type clientCount struct {
+	out     int   // issued and not yet settled or withdrawn for replay
+	settled int64 // Done, Fail and ReplayDead outcomes: Drive's progress
+}
+
+// counts returns client's accounting (zero before its first issue).
+func (c *Collector) counts(client int) clientCount {
+	if client < len(c.perClient) {
+		return c.perClient[client]
+	}
+	return clientCount{}
+}
+
+// count returns client's accounting for update, growing the table to
+// cover the rank.
+func (c *Collector) count(client int) *clientCount {
+	if client >= len(c.perClient) {
+		c.perClient = append(c.perClient, make([]clientCount, client+1-len(c.perClient))...)
+	}
+	return &c.perClient[client]
+}
+
+// settle moves one of client's requests from outstanding to settled.
+func (c *Collector) settle(client int) {
+	cc := c.count(client)
+	cc.out--
+	cc.settled++
 }
 
 // instruments are the registry instruments the per-request paths update,
@@ -66,12 +96,11 @@ func (c *Collector) cached() *instruments {
 // NewCollector builds a collector for the given schedule.
 func NewCollector(op string, sched []Request) *Collector {
 	c := &Collector{
-		op:        op,
-		hist:      NewHistogram(),
-		pend:      make(map[int]pendReq),
-		perClient: make(map[int]int),
-		lostTo:    make(map[int]int64),
-		requests:  int64(len(sched)),
+		op:       op,
+		hist:     NewHistogram(),
+		pend:     make(map[int]pendReq),
+		lostTo:   make(map[int]int64),
+		requests: int64(len(sched)),
 	}
 	c.first, c.last = Span(sched)
 	return c
@@ -83,7 +112,7 @@ func NewCollector(op string, sched []Request) *Collector {
 // still outstanding.
 func (c *Collector) Issued(m *caf.Machine, r Request, client, target int) {
 	c.pend[r.Seq] = pendReq{r: r, client: client, target: target}
-	c.perClient[client]++
+	c.count(client).out++
 	c.issued++
 	// First issue opens the request's critical path (claiming client-side
 	// queueing since the scheduled arrival); a re-issue after a failover
@@ -110,7 +139,7 @@ func (c *Collector) Done(m *caf.Machine, now caf.Time, seq int) bool {
 		return false
 	}
 	delete(c.pend, seq)
-	c.perClient[p.client]--
+	c.settle(p.client)
 	lat := int64(now - p.r.At)
 	if lat < 0 {
 		lat = 0
@@ -143,7 +172,7 @@ func (c *Collector) Fail(m *caf.Machine, now caf.Time, seq int, err *caf.ImageFa
 		return false
 	}
 	delete(c.pend, seq)
-	c.perClient[p.client]--
+	c.settle(p.client)
 	c.failed++
 	m.PathTracker().Abort(seq)
 	if err != nil {
@@ -171,7 +200,7 @@ func (c *Collector) Failover(m *caf.Machine, client int) {
 }
 
 // Outstanding returns the issuing image's in-flight request count.
-func (c *Collector) Outstanding(client int) int { return c.perClient[client] }
+func (c *Collector) Outstanding(client int) int { return c.counts(client).out }
 
 // ReconcileDead fails every outstanding request of client whose target
 // image has been declared dead. Once a rank is declared, nothing sent
@@ -181,7 +210,7 @@ func (c *Collector) Outstanding(client int) int { return c.perClient[client] }
 // between handler execution and reply delivery. Seqs are processed in
 // sorted order for determinism. Returns the number of requests failed.
 func (c *Collector) ReconcileDead(m *caf.Machine, now caf.Time, client int) int {
-	if c.perClient[client] == 0 || !m.AnyImageDead() {
+	if c.Outstanding(client) == 0 || !m.AnyImageDead() {
 		return 0
 	}
 	var seqs []int
@@ -206,7 +235,7 @@ func (c *Collector) ReconcileDead(m *caf.Machine, now caf.Time, client int) int 
 // crash. Requests to a merely *declared* dead rank stay pending —
 // routing hasn't moved yet, so a replay would have nowhere safe to go.
 func (c *Collector) ReplayDead(m *caf.Machine, client int) []Request {
-	if c.perClient[client] == 0 || !m.AnyImageDead() {
+	if c.Outstanding(client) == 0 || !m.AnyImageDead() {
 		return nil
 	}
 	var seqs []int
@@ -224,7 +253,7 @@ func (c *Collector) ReplayDead(m *caf.Machine, client int) []Request {
 	for _, seq := range seqs {
 		out = append(out, c.pend[seq].r)
 		delete(c.pend, seq)
-		c.perClient[client]--
+		c.settle(client)
 		c.replayed++
 		// Time since the request's last progress was spent waiting for
 		// the epoch agreement to commit the target's death.

@@ -40,10 +40,10 @@ type DriveOpts struct {
 	// Use with replicated services; composes with Reconcile (replay
 	// first, then reconcile what still has no live route).
 	Replay bool
-	// GiveUpAfter bounds how long the loop will spin with outstanding
-	// requests and no progress before panicking with a diagnostic
-	// (default 1 virtual second). A deterministic loud failure beats a
-	// silent test hang.
+	// GiveUpAfter bounds how long the loop will wait with requests
+	// outstanding and none of them settling before panicking with a
+	// diagnostic (default 1 virtual second). A deterministic loud
+	// failure beats a silent test hang.
 	GiveUpAfter caf.Time
 }
 
@@ -59,6 +59,14 @@ type DriveOpts struct {
 // it alternates Poll with Compute-sleeps to the next arrival or tick
 // boundary — the sim.Proc permit semantics make those sleeps exact, so
 // the loop's timing is deterministic.
+//
+// A tick boundary before the next arrival is slept through when nothing
+// can happen there: no continuation is registered on the poll set (Poll
+// would run nothing) and the machine runs no failure detector (no
+// target can die, so Reconcile and Replay find nothing). Requests that
+// settle by reply then do so while the loop sleeps; it wakes at the
+// next arrival, and ticks again once the last one is issued, to see
+// its final reply.
 func Drive(img *caf.Image, client int, sched []Request, col *Collector, o DriveOpts, issue Issuer) {
 	if o.Tick <= 0 {
 		o.Tick = 2 * caf.Microsecond
@@ -80,21 +88,31 @@ func Drive(img *caf.Image, client int, sched []Request, col *Collector, o DriveO
 		img.PathScope(prev)
 	}
 
-	var mine []Request
-	for _, r := range sched {
-		if r.Client == client {
-			mine = append(mine, r)
+	// i is the cursor of this client's next request in the shared
+	// schedule; mineFrom moves it there.
+	mineFrom := func(i int) int {
+		for i < len(sched) && sched[i].Client != client {
+			i++
 		}
+		return i
 	}
+	i := mineFrom(0)
+	issued := 0
+	detects := m.DetectsFailures()
 
-	i := 0
-	lastProgress := img.Now()
-	prevOut := -1
+	// The stall watchdog measures from the last settlement, or from the
+	// wake that found nothing in flight: an outstanding count that reads
+	// the same at every wake is no evidence of a stall.
+	lastProgress, lastSettled := img.Now(), col.counts(me).settled
 	for {
 		now := img.Now()
-		for i < len(mine) && mine[i].At <= now {
-			r := mine[i]
-			i++
+		if col.Outstanding(me) == 0 {
+			lastProgress = now
+		}
+		for i < len(sched) && sched[i].At <= now {
+			r := sched[i]
+			i = mineFrom(i + 1)
+			issued++
 			traced(r)
 		}
 		d.PS.Poll()
@@ -106,26 +124,28 @@ func Drive(img *caf.Image, client int, sched []Request, col *Collector, o DriveO
 		if o.Reconcile {
 			col.ReconcileDead(m, now, me)
 		}
-		out := col.Outstanding(me)
-		if i >= len(mine) && out == 0 {
+		cc := col.counts(me)
+		out := cc.out
+		if i >= len(sched) && out == 0 {
 			break
 		}
-		if out != prevOut {
-			prevOut = out
-			lastProgress = now
+		if cc.settled != lastSettled {
+			lastSettled, lastProgress = cc.settled, now
 		}
 		if out > 0 && now-lastProgress > o.GiveUpAfter {
+			left := 0
+			for j := i; j < len(sched); j = mineFrom(j + 1) {
+				left++
+			}
 			panic(fmt.Sprintf(
-				"load: client image %d stalled at t=%v with %d requests outstanding (issued %d/%d) — no progress for %v",
-				me, now, out, i, len(mine), o.GiveUpAfter))
+				"load: client image %d stalled at t=%v with %d requests outstanding (issued %d/%d) — none settled for %v",
+				me, now, out, issued, issued+left, o.GiveUpAfter))
 		}
 		next := now + o.Tick
-		if out == 0 {
-			// Nothing in flight: skip straight to the next arrival
-			// instead of burning idle ticks.
-			next = mine[i].At
-		} else if i < len(mine) && mine[i].At < next {
-			next = mine[i].At
+		if i < len(sched) && (out == 0 || sched[i].At < next || d.PS.Pending() == 0 && !detects) {
+			// Nothing in flight, or nothing a tick could do before the
+			// next arrival: sleep straight to it.
+			next = sched[i].At
 		}
 		if next <= now {
 			next = now + 1
