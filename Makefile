@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short bench bench-json bench-json-quick bench-load bench-recovery sweeps-check load-smoke fuzz-smoke profile-smoke continuation-smoke path-smoke chaos-crash chaos-recover ci figures figures-quick examples race-examples clean
+.PHONY: all build vet test test-short bench sweeps sweeps-check fuzz-smoke chaos-crash chaos-recover ci figures figures-quick examples clean
 
 all: build vet test
 
@@ -27,82 +27,25 @@ ci: vet build test
 	cd benchmark && $(GO) vet . && $(GO) test .
 	$(GO) test -race -short ./internal/...
 	$(GO) test -race -run 'Pool|Quarantine|Inline' . ./internal/sim ./internal/fabric ./internal/rt ./internal/core ./internal/trace ./internal/path ./internal/metrics
-	$(GO) test -race -run 'ShardEquivalence|BoundedRoundsSharded|KV(ServiceCrash|Recover)BitIdentical' ./examples/workloads ./internal/core ./internal/chaos
-	$(GO) run ./cmd/benchjson -quick
+	$(GO) test -race -run 'GOMAXPROCSEquivalence|BoundedRoundsGOMAXPROCS|KV(ServiceCrash|Recover)BitIdentical' ./examples/workloads ./internal/core ./internal/chaos
 	$(MAKE) sweeps-check
-	$(MAKE) path-smoke
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Regenerate the committed coalescing benchmark artifact.
-bench-json:
-	$(GO) run ./cmd/benchjson -out BENCH_coalesce.json
+# Regenerate the committed sweeps (BENCH_sweeps.json: coalescing, service
+# load, crash recovery). Run it only when the model moves on purpose.
+sweeps:
+	$(GO) run ./cmd/benchjson -out BENCH_sweeps.json
 
-bench-json-quick:
-	$(GO) run ./cmd/benchjson -quick
-
-# Regenerate the committed service-traffic SLO artifact (KV service
-# under open-loop load: offered load × size × locks-vs-shipping ×
-# coalescing).
-bench-load:
-	$(GO) run ./cmd/benchjson -load -out BENCH_load.json
-
-# Regenerate the committed crash-recovery artifact (KV service with a
-# mid-traffic primary crash: heartbeat × size × replication on/off,
-# zero-loss and crash-to-commit headlines).
-bench-recovery:
-	$(GO) run ./cmd/benchjson -recovery -out BENCH_recovery.json
-
-# The committed load and recovery sweeps are virtual-time results: both
-# are regenerated whole (well under a second each) and must match the
-# committed files byte for byte. A diff means the model moved; rewrite
-# them with bench-load / bench-recovery only when that is intended.
+# The committed sweeps are virtual-time results: regenerated whole (well
+# under a second), they must match BENCH_sweeps.json byte for byte. A
+# diff means the model moved.
 sweeps-check:
 	@dir=$$(mktemp -d); \
-	$(GO) run ./cmd/benchjson -load -out $$dir/BENCH_load.json && \
-	$(GO) run ./cmd/benchjson -recovery -out $$dir/BENCH_recovery.json && \
-	cmp BENCH_load.json $$dir/BENCH_load.json && \
-	cmp BENCH_recovery.json $$dir/BENCH_recovery.json; \
+	$(GO) run ./cmd/benchjson -out $$dir/BENCH_sweeps.json && \
+	cmp BENCH_sweeps.json $$dir/BENCH_sweeps.json; \
 	status=$$?; rm -rf $$dir; exit $$status
-
-# Service-traffic gate: the load generator/histogram property tests, the
-# service workloads (goldens + SLO sanity + crash rows), the SLO-level
-# GOMAXPROCS-equivalence sweep under the race detector, and the committed
-# sweeps regenerated and compared.
-load-smoke:
-	$(GO) test ./internal/load
-	$(GO) test -run 'TestService|TestKVService|TestGoldenReports/kv-|TestGoldenReports/agg-' ./examples/workloads ./internal/chaos
-	$(GO) test -race -run 'TestLoadShardEquivalence' ./examples/workloads
-	$(MAKE) sweeps-check
-
-# Traced quickstart driven through the whole observability pipeline:
-# lifecycle tracing + metrics on, profile JSON written, then parsed and
-# rendered by the cafprof CLI.
-profile-smoke:
-	$(GO) run ./examples/quickstart -profile /tmp/caf2go_profile_smoke.json
-	$(GO) run ./cmd/cafprof -metrics /tmp/caf2go_profile_smoke.json
-	rm -f /tmp/caf2go_profile_smoke.json
-
-# Continuation-API smoke: run the continuation-driven stencil and
-# pipeline against their blocking equivalents, assert identical results
-# with a strictly lower main-strand blocked-time share, and push the
-# continuation stencil's traced profile through the cafprof CLI.
-continuation-smoke:
-	$(GO) run ./cmd/contsmoke -profile /tmp/caf2go_continuation_smoke.json
-	$(GO) run ./cmd/cafprof /tmp/caf2go_continuation_smoke.json
-	rm -f /tmp/caf2go_continuation_smoke.json
-
-# Critical-path tracing smoke: run the lock-protocol KV service with
-# path tracing on, assert the exact latency decomposition (bucket sums
-# equal measured latency for every request, digest unperturbed, tail
-# dominated by lock wait), then render the paths and tail views from
-# the written profile through the cafprof CLI.
-path-smoke:
-	$(GO) run ./cmd/pathsmoke -profile /tmp/caf2go_path_smoke.json
-	$(GO) run ./cmd/cafprof paths /tmp/caf2go_path_smoke.json
-	$(GO) run ./cmd/cafprof tail /tmp/caf2go_path_smoke.json
-	rm -f /tmp/caf2go_path_smoke.json
 
 # Short fuzz pass over the conflict-range intersection kernel.
 fuzz-smoke:
@@ -122,20 +65,13 @@ chaos-recover:
 	$(GO) test ./internal/repl
 	$(GO) test -run 'TestReplCoarray|TestReplication' -v .
 	$(GO) test -run 'TestKVRecover' -v ./internal/chaos
-	$(GO) test -race -run 'TestLoadShardEquivalence/kv-replicated' ./examples/workloads
+	$(GO) test -race -run 'TestLoadGOMAXPROCSEquivalence/kv-replicated' ./examples/workloads
 
 figures:
 	$(GO) run ./cmd/figures -out results
 
 figures-quick:
 	$(GO) run ./cmd/figures -quick
-
-# Re-run the example workloads under the happens-before race detector
-# and assert the expected conflict counts (nonzero only for the
-# intentionally racy variants). The same tests run as part of `make
-# test`, so CI covers them without this target.
-race-examples:
-	$(GO) test -run 'TestRaceExamples' -v .
 
 examples:
 	$(GO) run ./examples/quickstart

@@ -4,10 +4,12 @@ package caf_test
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
 	caf "caf2go"
+	"caf2go/examples/workloads"
 )
 
 func expectPanic(t *testing.T, substr string, fn func()) {
@@ -378,5 +380,51 @@ func TestNodeSharedFabricAtCAFLevel(t *testing.T) {
 	}
 	if done != 16 || rep.SpawnsExecuted != 16 {
 		t.Errorf("done=%d executed=%d", done, rep.SpawnsExecuted)
+	}
+}
+
+// TestFabricAttachmentsKeepDefaultCostModel pins the one rule for
+// Config.Fabric: a Fabric that sets no cost-model field runs on
+// DefaultFabric()'s, whatever it attaches (a fault plan, coalescing), and
+// a Fabric that sets any cost-model field is taken as it is.
+func TestFabricAttachmentsKeepDefaultCostModel(t *testing.T) {
+	kv := func(fab caf.FabricConfig) workloads.Result {
+		t.Helper()
+		res, err := workloads.KVService(caf.Config{Images: 8, Seed: 7, Fabric: fab}, workloads.ServiceOpts{Requests: 200, Shipping: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	onDefault := func(attach func(*caf.FabricConfig)) caf.FabricConfig {
+		fab := caf.DefaultFabric()
+		attach(&fab)
+		return fab
+	}
+	faults := func(f *caf.FabricConfig) { f.Faults = &caf.FaultPlan{Drop: 0.05} }
+	coalescing := func(f *caf.FabricConfig) { f.Coalescing = caf.Coalescing{MaxMsgs: 8} }
+	for name, attach := range map[string]func(*caf.FabricConfig){"faults": faults, "coalescing": coalescing} {
+		var only caf.FabricConfig
+		attach(&only)
+		if got, want := kv(only), kv(onDefault(attach)); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s alone ran on another network than the default with %s:\n got %+v\nwant %+v", name, name, got.Report, want.Report)
+		}
+	}
+
+	// A sparse custom model (unlimited credits, no overhead, no FIFO) is
+	// not topped up with defaults, attachments or not.
+	custom := caf.FabricConfig{Latency: 5 * caf.Microsecond}
+	faults(&custom)
+	if got := custom.OrDefault(); got != custom {
+		t.Errorf("custom model rewritten: %+v", got)
+	}
+	if a, b := kv(custom), kv(onDefault(faults)); a.Report.VirtualTime == b.Report.VirtualTime {
+		t.Errorf("custom 5µs-latency model ran exactly like the default one (%v)", a.Report.VirtualTime)
+	}
+	for _, fab := range []caf.FabricConfig{onDefault(faults), onDefault(coalescing)} {
+		fab.ImagesPerNode = 4
+		if got := fab.OrDefault(); got != fab {
+			t.Errorf("modified default model rewritten: %+v", got)
+		}
 	}
 }

@@ -65,9 +65,10 @@ type FabricConfig = fabric.Config
 // per-message drop/duplication probabilities, delivery jitter (reorder),
 // transient receiver stalls, and hard NIC crashes, all driven off a
 // seed-derived RNG so failing runs replay exactly. Attaching one to
-// Config.Faults also enables the fabric's reliability protocol (sequence
-// numbers, dedup, ack-timeout retransmission with capped backoff), which
-// keeps every construct above — finish counters included — exact.
+// Config.Fabric.Faults also enables the fabric's reliability protocol
+// (sequence numbers, dedup, ack-timeout retransmission with capped
+// backoff), which keeps every construct above — finish counters
+// included — exact.
 type FaultPlan = fabric.FaultPlan
 
 // FailureDetectorConfig re-exports the heartbeat/lease failure-detector
@@ -111,15 +112,12 @@ type Config struct {
 	// Seed drives all simulation randomness; equal seeds reproduce runs
 	// bit-for-bit.
 	Seed int64
-	// Fabric is the network cost model; the zero value means
-	// DefaultFabric().
+	// Fabric is the network: its cost model, plus the fault plan
+	// (Fabric.Faults) and message coalescing (Fabric.Coalescing) attached
+	// to it. A Fabric that sets no cost-model field runs on
+	// DefaultFabric()'s, with whatever it attaches kept
+	// (FabricConfig.OrDefault).
 	Fabric FabricConfig
-	// Faults, when non-nil, injects deterministic network faults (loss,
-	// duplication, reorder, stalls, crashes) and enables the recovery
-	// protocol that survives them. Shorthand for setting Fabric.Faults;
-	// when both are set, Faults wins. nil leaves the fabric's idealized
-	// exactly-once behavior bit-identical to a fault-free build.
-	Faults *FaultPlan
 	// Relaxed enables the relaxed-memory-model initiation buffer:
 	// implicitly-synchronized asynchronous operations may defer their
 	// actual initiation until a synchronization point (cofence, event,
@@ -127,12 +125,6 @@ type Config struct {
 	Relaxed bool
 	// MaxDelayed caps the relaxed-mode initiation buffer (default 8).
 	MaxDelayed int
-	// Coalescing, when non-zero, batches small AMs per destination in
-	// the fabric. Shorthand for setting Fabric.Coalescing; when both are
-	// set, Coalescing wins. The zero value leaves the fabric's
-	// message-per-send behavior bit-identical to a build without
-	// coalescing.
-	Coalescing Coalescing
 	// FinishNoWait selects the speculative termination-detection variant
 	// without the Fig. 7 wait-until precondition (the Fig. 18 baseline).
 	FinishNoWait bool
@@ -164,18 +156,14 @@ type Config struct {
 	// centralized star — the O(p)-critical-path ablation baseline for
 	// the finish cost analysis.
 	FlatCollectives bool
-	// DetectConflicts tracks coarray ranges touched by in-flight
-	// one-sided operations and counts overlapping concurrent accesses
-	// with a writer — the races of the reference RandomAccess (§IV-B).
-	// Inspect with Machine.Conflicts / ConflictLog.
-	DetectConflicts bool
-	// RaceDetector enables the vector-clock happens-before tier
-	// (race.go): conflicting accesses are flagged whenever no chain of
-	// synchronization edges (events, locks, finish, cofence, spawn,
-	// collectives) orders them, even if this execution happened to
-	// serialize them in time. Costlier than DetectConflicts; reports
-	// through the same Conflicts / ConflictLog / ConflictDetails API.
-	RaceDetector bool
+	// Races selects the data-race detector: RacesOverlap counts
+	// concurrent in-flight accesses with a writer (the races of the
+	// reference RandomAccess, §IV-B); RacesHappensBefore flags any
+	// conflicting pair no synchronization edge orders, even one this
+	// execution happened to serialize in time. Either reports through
+	// Machine.Conflicts / ConflictLog / ConflictDetails. The zero value
+	// detects nothing.
+	Races RaceLevel
 	// FailureDetector, when Enabled, declares images whose NIC the fault
 	// plan crashes dead after a deterministic heartbeat/lease delay and
 	// turns every blocking primitive failure-aware: instead of hanging
@@ -269,15 +257,7 @@ func NewMachine(cfg Config) *Machine {
 	if cfg.Images < 1 {
 		panic("caf: Config.Images must be ≥ 1")
 	}
-	if cfg.Fabric == (fabric.Config{}) {
-		cfg.Fabric = fabric.DefaultConfig()
-	}
-	if cfg.Faults != nil {
-		cfg.Fabric.Faults = cfg.Faults
-	}
-	if cfg.Coalescing.Enabled() {
-		cfg.Fabric.Coalescing = cfg.Coalescing
-	}
+	cfg.Fabric = cfg.Fabric.OrDefault()
 	if cfg.MaxDelayed == 0 {
 		cfg.MaxDelayed = 8
 	}
@@ -342,11 +322,11 @@ func NewMachine(cfg Config) *Machine {
 		// Parked clients re-evaluate routes at the new epoch.
 		m.repl.SetWake(eng.WakeAllParked)
 	}
-	if cfg.DetectConflicts {
+	switch cfg.Races {
+	case RacesOverlap:
 		m.conflicts = &conflictState{}
-	}
-	if cfg.RaceDetector {
-		m.race = newRaceState(cfg.Fabric.FIFO)
+	case RacesHappensBefore:
+		m.race = newRaceState(cfg.Fabric.Ordered())
 	}
 	m.states = make([]*imageState, cfg.Images)
 	for i := range m.states {
@@ -504,12 +484,12 @@ type Report struct {
 	// layer's work under fault injection: extra transmissions, duplicate
 	// deliveries suppressed by receiver dedup, and total faults (drops +
 	// duplications + stalls) the plan injected. All zero when
-	// Config.Faults is nil.
+	// Config.Fabric.Faults is nil.
 	Retransmits, DupsDropped, FaultsInjected uint64
 	// MsgsCoalesced counts messages that rode in multi-message batches
 	// (each batch counts once in Msgs); Flushes breaks down why the
-	// aggregation buffers emptied. All zero when Config.Coalescing is
-	// the zero value.
+	// aggregation buffers emptied. All zero when Config.Fabric.Coalescing
+	// is the zero value.
 	MsgsCoalesced  uint64
 	Flushes        uint64
 	FlushBySize    uint64

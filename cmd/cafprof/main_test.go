@@ -4,8 +4,13 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+
+	caf "caf2go"
+	"caf2go/examples/workloads"
+	"caf2go/internal/prof"
 )
 
 // TestCorruptInputs pins the CLI contract on bad profiles: a nonzero
@@ -94,6 +99,53 @@ func TestValidProfile(t *testing.T) {
 		}
 		if args[0] == "tail" && !strings.Contains(stdout.String(), "lock_wait") {
 			t.Errorf("tail view does not name the dominant bucket: %q", stdout.String())
+		}
+	}
+}
+
+// TestRealProfile renders the profile a traced run wrote: the kv-locks
+// service with metrics, lifecycle tracing and path tracing on. Every view
+// must exit 0 with output, -json must re-emit the run's own profile, and
+// the tail view must blame lock wait, which dominates that protocol's
+// slowest requests.
+func TestRealProfile(t *testing.T) {
+	var m *caf.Machine
+	_, err := workloads.KVService(
+		caf.Config{Images: 8, Seed: 11, Metrics: true, TraceCapacity: 1 << 16, PathTracing: true},
+		workloads.ServiceOpts{Requests: 240, Rate: 240_000, WriteFrac: 0.5},
+		workloads.CaptureMachine(&m))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := filepath.Join(t.TempDir(), "prof.json")
+	out, err := os.Create(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.WriteProfile(out); err != nil {
+		t.Fatal(err)
+	}
+	if err := out.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{{f}, {"-metrics", f}, {"-json", f}, {"paths", f}, {"tail", f}} {
+		var stdout, stderr bytes.Buffer
+		if code := run(args, &stdout, &stderr); code != 0 || stdout.Len() == 0 {
+			t.Fatalf("args %v: exit %d with %d bytes of output, stderr %q", args, code, stdout.Len(), stderr.String())
+		}
+		switch args[0] {
+		case "-json":
+			back, err := prof.Read(&stdout)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(back, m.Profile()) {
+				t.Error("-json does not re-emit the run's profile")
+			}
+		case "tail":
+			if !strings.Contains(stdout.String(), "lock_wait") {
+				t.Errorf("tail view does not name lock_wait: %q", stdout.String())
+			}
 		}
 	}
 }

@@ -27,8 +27,7 @@ func main() {
 	version := flag.String("version", "fs", "single-run version: fs or gup")
 	images := flag.Int("images", 16, "single-run image count")
 	bunch := flag.Int("bunch", 512, "single-run bunch size (fs)")
-	conflicts := flag.Bool("conflicts", false, "single-run: count in-flight access conflicts (overlap tier)")
-	hbrace := flag.Bool("race", false, "single-run: happens-before race detection (vector-clock tier)")
+	races := flag.String("races", "off", "single-run race detector: off, overlap (in-flight conflicts) or hb (happens-before)")
 	tableBits := flag.Int("tablebits", 0, "local table = 2^bits words (0 = figure default)")
 	cores := flag.String("cores", "", "override core sweep (comma-separated)")
 	bunches := flag.String("bunches", "", "override bunch sweep for -fig 14")
@@ -36,7 +35,11 @@ func main() {
 	flag.Parse()
 
 	if *single {
-		runSingle(*version, *images, *bunch, *tableBits, *seed, *conflicts, *hbrace)
+		level, ok := map[string]caf.RaceLevel{"off": caf.RacesOff, "overlap": caf.RacesOverlap, "hb": caf.RacesHappensBefore}[*races]
+		if !ok {
+			log.Fatalf("unknown -races %q (want off, overlap or hb)", *races)
+		}
+		runSingle(*version, *images, *bunch, *tableBits, *seed, level)
 		return
 	}
 
@@ -82,7 +85,7 @@ func override(dst *[]int, s string) {
 	*dst = v
 }
 
-func runSingle(version string, images, bunch, tableBits int, seed int64, conflicts, hbrace bool) {
+func runSingle(version string, images, bunch, tableBits int, seed int64, races caf.RaceLevel) {
 	var cfg ra.Config
 	switch version {
 	case "fs":
@@ -96,7 +99,7 @@ func runSingle(version string, images, bunch, tableBits int, seed int64, conflic
 	if tableBits > 0 {
 		cfg.LocalTableBits = tableBits
 	}
-	res, err := ra.Run(caf.Config{Images: images, Seed: seed, DetectConflicts: conflicts, RaceDetector: hbrace}, cfg)
+	res, err := ra.Run(caf.Config{Images: images, Seed: seed, Races: races}, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -104,8 +107,8 @@ func runSingle(version string, images, bunch, tableBits int, seed int64, conflic
 		cfg.Version, images, res.Updates, res.Time, res.GUPS, res.Errors, res.Finishes)
 	fmt.Printf("traffic: %d msgs, %d bytes; finish rounds total: %d\n",
 		res.Report.Msgs, res.Report.Bytes, res.Report.ReduceRounds)
-	if conflicts || hbrace {
-		fmt.Printf("detected conflicts (both tiers): %d\n", res.Conflicts)
+	if races != caf.RacesOff {
+		fmt.Printf("detected conflicts: %d\n", res.Conflicts)
 		for _, line := range res.ConflictLog {
 			fmt.Println("  " + line)
 		}

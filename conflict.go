@@ -7,8 +7,8 @@ import (
 	"caf2go/internal/sim"
 )
 
-// Conflict detection, cheap tier: when Config.DetectConflicts is set,
-// the runtime tracks the coarray ranges touched by in-flight one-sided
+// Conflict detection, cheap tier: at Config.Races = RacesOverlap, the
+// runtime tracks the coarray ranges touched by in-flight one-sided
 // operations (CopyAsync, Get, Put) and flags overlapping concurrent
 // accesses where at least one side writes — the data races the paper
 // notes in the reference RandomAccess version (§IV-B: "a put can happen
@@ -17,8 +17,9 @@ import (
 //
 // This tier only sees races whose operations overlap in virtual time; a
 // racy pair the fabric happened to serialize goes unnoticed. The
-// happens-before tier (Config.RaceDetector, race.go) catches those too.
-// Both report through Conflicts / ConflictLog / ConflictDetails.
+// happens-before tier (RacesHappensBefore, race.go) catches those too.
+// Whichever runs reports through Conflicts / ConflictLog /
+// ConflictDetails.
 //
 // Only runtime-mediated accesses are visible; direct slice access through
 // Coarray.Local is the image's own memory and is not tracked (the DRF0
@@ -78,7 +79,7 @@ func (m *Machine) beginAccess(region any, rank, lo, hi, step int, write bool, op
 				cs.dropped++
 				continue
 			}
-			iLo, iHi := max2(a.lo, b.lo), min2(a.hi, b.hi)
+			iLo, iHi := max(a.lo, b.lo), min(a.hi, b.hi)
 			cs.log = append(cs.log, logEntry{
 				t: m.eng.Now(), image: rank, lo: iLo, hi: iHi,
 				first: b.op, second: a.op,
@@ -109,79 +110,39 @@ func (m *Machine) beginAccess(region any, rank, lo, hi, step int, write bool, op
 	}
 }
 
-// Conflicts reports the total number of violations observed by the
-// enabled detection tiers: temporal overlaps (DetectConflicts) plus
-// happens-before races (RaceDetector). 0 when both are disabled.
+// Conflicts reports the number of violations the Config.Races tier
+// observed: temporal overlaps or happens-before races. 0 with RacesOff.
 func (m *Machine) Conflicts() int64 {
-	var n int64
-	if m.conflicts != nil {
-		n += m.conflicts.count
+	switch {
+	case m.conflicts != nil:
+		return m.conflicts.count
+	case m.race != nil:
+		return m.race.d.Count()
 	}
-	if m.race != nil {
-		n += m.race.d.Count()
-	}
-	return n
+	return 0
 }
 
-// ConflictLog returns descriptions of the first few conflicts from both
-// tiers in chronological order. When more were observed than logged, the
-// final entry summarizes the overflow ("… and N more").
+// ConflictLog returns descriptions of the first few conflicts in
+// chronological order. When more were observed than logged, the final
+// entry summarizes the overflow ("… and N more").
 func (m *Machine) ConflictLog() []string {
-	var entries []logEntry
+	var out []string
 	var dropped int64
 	if cs := m.conflicts; cs != nil {
-		entries = append(entries, cs.log...)
-		dropped += cs.dropped
+		for _, e := range cs.log {
+			out = append(out, e.s)
+		}
+		dropped = cs.dropped
 	}
 	if rs := m.race; rs != nil {
-		entries = mergeLogs(entries, m.raceLogLines())
-		dropped += rs.d.Dropped()
-	}
-	if len(entries) == 0 && dropped == 0 {
-		return nil
-	}
-	out := make([]string, 0, len(entries)+1)
-	for _, e := range entries {
-		out = append(out, e.s)
+		for _, r := range rs.d.Races() {
+			out = append(out, fmt.Sprintf("race at image %d [%d,%d): %s unordered with %s at t=%v",
+				r.Rank, r.Lo, r.Hi, r.Current.Op, r.Prior.Op, r.Detected))
+		}
+		dropped = rs.d.Dropped()
 	}
 	if dropped > 0 {
 		out = append(out, fmt.Sprintf("… and %d more", dropped))
 	}
 	return out
-}
-
-// mergeLogs merges two chronologically ordered entry lists.
-func mergeLogs(a, b []logEntry) []logEntry {
-	if len(a) == 0 {
-		return b
-	}
-	if len(b) == 0 {
-		return a
-	}
-	out := make([]logEntry, 0, len(a)+len(b))
-	for len(a) > 0 && len(b) > 0 {
-		if a[0].t <= b[0].t {
-			out = append(out, a[0])
-			a = a[1:]
-		} else {
-			out = append(out, b[0])
-			b = b[1:]
-		}
-	}
-	out = append(out, a...)
-	return append(out, b...)
-}
-
-func max2(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min2(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -8,7 +8,7 @@ import (
 )
 
 func TestConflictDetectorFlagsOverlappingWrites(t *testing.T) {
-	m := caf.NewMachine(caf.Config{Images: 3, Seed: 1, DetectConflicts: true})
+	m := caf.NewMachine(caf.Config{Images: 3, Seed: 1, Races: caf.RacesOverlap})
 	m.Launch(func(img *caf.Image) {
 		ca := caf.NewCoarray[int64](img, nil, 8)
 		img.Barrier(nil)
@@ -33,7 +33,7 @@ func TestConflictDetectorFlagsOverlappingWrites(t *testing.T) {
 }
 
 func TestConflictDetectorIgnoresDisjointAndReadOnly(t *testing.T) {
-	m := caf.NewMachine(caf.Config{Images: 3, Seed: 1, DetectConflicts: true})
+	m := caf.NewMachine(caf.Config{Images: 3, Seed: 1, Races: caf.RacesOverlap})
 	m.Launch(func(img *caf.Image) {
 		ca := caf.NewCoarray[int64](img, nil, 16)
 		img.Barrier(nil)
@@ -81,7 +81,7 @@ func TestConflictDetectorOnBlockingOps(t *testing.T) {
 	// Two images hammer the same word with blocking get/put pipelines:
 	// in-flight overlaps must surface (the §IV-B reference-RandomAccess
 	// race), while the FS-style serialization below stays clean.
-	m := caf.NewMachine(caf.Config{Images: 3, Seed: 1, DetectConflicts: true})
+	m := caf.NewMachine(caf.Config{Images: 3, Seed: 1, Races: caf.RacesOverlap})
 	m.Launch(func(img *caf.Image) {
 		ca := caf.NewCoarray[uint64](img, nil, 1)
 		img.Barrier(nil)
@@ -102,7 +102,7 @@ func TestConflictDetectorOnBlockingOps(t *testing.T) {
 	}
 
 	// Function-shipping the read-modify-write is conflict-free.
-	m2 := caf.NewMachine(caf.Config{Images: 3, Seed: 1, DetectConflicts: true})
+	m2 := caf.NewMachine(caf.Config{Images: 3, Seed: 1, Races: caf.RacesOverlap})
 	m2.Launch(func(img *caf.Image) {
 		ca := caf.NewCoarray[uint64](img, nil, 1)
 		img.Finish(nil, func() {

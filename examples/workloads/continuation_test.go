@@ -174,15 +174,15 @@ func TestContinuationStageOrdering(t *testing.T) {
 		run  func(m **caf.Machine) (Result, error)
 	}{
 		{"stencil-continuation-coalesced", func(m **caf.Machine) (Result, error) {
-			return StencilContinuation(caf.Config{Images: 8, Seed: 7, TraceCapacity: 1 << 16, Coalescing: coal},
+			return StencilContinuation(caf.Config{Images: 8, Seed: 7, TraceCapacity: 1 << 16, Fabric: caf.FabricConfig{Coalescing: coal}},
 				32, 5, CaptureMachine(m))
 		}},
 		{"pipeline-continuation-coalesced", func(m **caf.Machine) (Result, error) {
-			return PipelineContinuation(caf.Config{Images: 6, Seed: 5, TraceCapacity: 1 << 16, Coalescing: coal},
+			return PipelineContinuation(caf.Config{Images: 6, Seed: 5, TraceCapacity: 1 << 16, Fabric: caf.FabricConfig{Coalescing: coal}},
 				32, CaptureMachine(m))
 		}},
 		{"quickstart-coalesced", func(m **caf.Machine) (Result, error) {
-			return Quickstart(caf.Config{Images: 8, Seed: 42, TraceCapacity: 1 << 16, Coalescing: coal},
+			return Quickstart(caf.Config{Images: 8, Seed: 42, TraceCapacity: 1 << 16, Fabric: caf.FabricConfig{Coalescing: coal}},
 				CaptureMachine(m))
 		}},
 	} {

@@ -53,13 +53,13 @@ func goldenCases() []goldenCase {
 			return Quickstart(cfg, opts...)
 		}},
 		{"quickstart-coalesced", func(mod func(*caf.Config), opts ...RunOpt) (Result, error) {
-			cfg := caf.Config{Images: 8, Seed: 42, Coalescing: coal}
+			cfg := caf.Config{Images: 8, Seed: 42, Fabric: caf.FabricConfig{Coalescing: coal}}
 			mod(&cfg)
 			return Quickstart(cfg, opts...)
 		}},
 		{"quickstart-coalesced-tiny", func(mod func(*caf.Config), opts ...RunOpt) (Result, error) {
 			tiny := caf.Coalescing{MaxMsgs: 2, MaxBytes: 256, FlushAfter: 2 * caf.Microsecond}
-			cfg := caf.Config{Images: 8, Seed: 42, Coalescing: tiny}
+			cfg := caf.Config{Images: 8, Seed: 42, Fabric: caf.FabricConfig{Coalescing: tiny}}
 			mod(&cfg)
 			return Quickstart(cfg, opts...)
 		}},
@@ -84,7 +84,7 @@ func goldenCases() []goldenCase {
 			return Worksteal(cfg, 16, 4, true, opts...)
 		}},
 		{"worksteal-shipping-coalesced", func(mod func(*caf.Config), opts ...RunOpt) (Result, error) {
-			cfg := caf.Config{Images: 4, Seed: 3, Coalescing: coal}
+			cfg := caf.Config{Images: 4, Seed: 3, Fabric: caf.FabricConfig{Coalescing: coal}}
 			mod(&cfg)
 			return Worksteal(cfg, 16, 4, true, opts...)
 		}},
@@ -124,7 +124,7 @@ func goldenCases() []goldenCase {
 			return TerminationBarrier(cfg, 2, 3, opts...)
 		}},
 		{"termination-finish-coalesced", func(mod func(*caf.Config), opts ...RunOpt) (Result, error) {
-			cfg := caf.Config{Images: 8, Seed: 7, Coalescing: coal}
+			cfg := caf.Config{Images: 8, Seed: 7, Fabric: caf.FabricConfig{Coalescing: coal}}
 			mod(&cfg)
 			return TerminationFinish(cfg, 2, 3, opts...)
 		}},
@@ -144,7 +144,7 @@ func goldenCases() []goldenCase {
 			return KVService(cfg, kvGoldenOpts(true), opts...)
 		}},
 		{"kv-shipping-coalesced", func(mod func(*caf.Config), opts ...RunOpt) (Result, error) {
-			cfg := caf.Config{Images: 8, Seed: 11, Coalescing: coal}
+			cfg := caf.Config{Images: 8, Seed: 11, Fabric: caf.FabricConfig{Coalescing: coal}}
 			mod(&cfg)
 			return KVService(cfg, kvGoldenOpts(true), opts...)
 		}},
@@ -179,10 +179,10 @@ func goldenCases() []goldenCase {
 			cfg := caf.Config{
 				Images: 8,
 				Seed:   11,
-				Faults: &caf.FaultPlan{
+				Fabric: caf.FabricConfig{Faults: &caf.FaultPlan{
 					Seed:  11,
 					Crash: map[int]caf.Time{1: 80 * caf.Microsecond},
-				},
+				}},
 				Replication:     caf.ReplicationConfig{Enabled: true},
 				FailureDetector: caf.FailureDetectorConfig{Enabled: true, Heartbeat: 2 * caf.Microsecond},
 			}
@@ -205,10 +205,10 @@ func goldenCases() []goldenCase {
 			cfg := caf.Config{
 				Images: 8,
 				Seed:   11,
-				Faults: &caf.FaultPlan{
+				Fabric: caf.FabricConfig{Faults: &caf.FaultPlan{
 					Seed:  11,
 					Crash: map[int]caf.Time{1: 150 * caf.Microsecond},
-				},
+				}},
 				FailureDetector: caf.FailureDetectorConfig{Enabled: true, Heartbeat: 2 * caf.Microsecond},
 			}
 			mod(&cfg)
@@ -222,10 +222,10 @@ func goldenCases() []goldenCase {
 			cfg := caf.Config{
 				Images: 8,
 				Seed:   7,
-				Faults: &caf.FaultPlan{
+				Fabric: caf.FabricConfig{Faults: &caf.FaultPlan{
 					Seed:  7,
 					Crash: map[int]caf.Time{1: 100 * caf.Microsecond},
-				},
+				}},
 				FailureDetector: caf.FailureDetectorConfig{Enabled: true},
 			}
 			mod(&cfg)
@@ -307,7 +307,7 @@ func TestGoldenDeterminism(t *testing.T) {
 // GOMAXPROCS is a bug by definition, never a new golden.
 var gomaxprocsMx = []int{1, 2, 8}
 
-// TestGoldenShardEquivalence runs every golden workload at each
+// TestGoldenGOMAXPROCSEquivalence runs every golden workload at each
 // GOMAXPROCS of the sweep and demands three layers of bit-identity:
 //
 //  1. the committed golden file (the plain Report must match the exact
@@ -315,10 +315,7 @@ var gomaxprocsMx = []int{1, 2, 8}
 //  2. the full instrumented Result (Report including the metrics
 //     snapshot) against an in-process baseline,
 //  3. the execution trace and lifecycle profile, event by event.
-//
-// It and its Load/Path siblings keep the names they had when the sweep
-// also crossed event-engine shard counts; the engine now has one queue.
-func TestGoldenShardEquivalence(t *testing.T) {
+func TestGoldenGOMAXPROCSEquivalence(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, tc := range goldenCases() {
 		t.Run(tc.Name, func(t *testing.T) {

@@ -26,17 +26,17 @@ func metricsCases() []struct {
 		Run  func() (Result, error)
 	}{
 		{"quickstart-coalesced", func() (Result, error) {
-			return Quickstart(caf.Config{Images: 8, Seed: 42, Coalescing: coal, Metrics: true})
+			return Quickstart(caf.Config{Images: 8, Seed: 42, Fabric: caf.FabricConfig{Coalescing: coal}, Metrics: true})
 		}},
 		{"crashed-finish", func() (Result, error) {
 			return CrashedFinish(caf.Config{
 				Images:  8,
 				Seed:    7,
 				Metrics: true,
-				Faults: &caf.FaultPlan{
+				Fabric: caf.FabricConfig{Faults: &caf.FaultPlan{
 					Seed:  7,
 					Crash: map[int]caf.Time{1: 100 * caf.Microsecond},
-				},
+				}},
 				FailureDetector: caf.FailureDetectorConfig{Enabled: true},
 			}, 2, 3)
 		}},

@@ -37,11 +37,11 @@ func pathScenarios() []pathScenario {
 		kv("kv-shipping", nil),
 		kv("kv-locks", func(o *ServiceOpts, cfg *caf.Config) { o.Shipping = false }),
 		kv("kv-shipping-coalesced", func(o *ServiceOpts, cfg *caf.Config) {
-			cfg.Coalescing = caf.Coalescing{MaxMsgs: 8, MaxBytes: 2048, FlushAfter: 5 * caf.Microsecond}
+			cfg.Fabric.Coalescing = caf.Coalescing{MaxMsgs: 8, MaxBytes: 2048, FlushAfter: 5 * caf.Microsecond}
 		}),
 		kv("kv-replicated-crashed", func(o *ServiceOpts, cfg *caf.Config) {
 			o.Replicated = true
-			cfg.Faults = &caf.FaultPlan{Crash: map[int]caf.Time{1: 150 * caf.Microsecond}}
+			cfg.Fabric.Faults = &caf.FaultPlan{Crash: map[int]caf.Time{1: 150 * caf.Microsecond}}
 			cfg.Replication = caf.ReplicationConfig{Enabled: true}
 			cfg.FailureDetector = caf.FailureDetectorConfig{Enabled: true, Heartbeat: 2 * caf.Microsecond}
 		}),
@@ -171,11 +171,11 @@ func TestPathTracingInert(t *testing.T) {
 	}
 }
 
-// TestPathShardEquivalence extends the GOMAXPROCS-equivalence sweep
+// TestPathGOMAXPROCSEquivalence extends the GOMAXPROCS-equivalence sweep
 // to the path capture: with tracing enabled, the full profile — spans,
 // bucket decompositions, exemplars — must be bit-identical at every
 // GOMAXPROCS of the sweep.
-func TestPathShardEquivalence(t *testing.T) {
+func TestPathGOMAXPROCSEquivalence(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, sc := range pathScenarios() {
 		t.Run(sc.name, func(t *testing.T) {

@@ -182,7 +182,7 @@ func KVService(cfg caf.Config, o ServiceOpts, opts ...RunOpt) (Result, error) {
 			}
 			if m.ImageDead(srv) {
 				// Declared but not yet committed: routing hasn't moved, so
-				// hold the request pending — the Replay pass re-issues it
+				// hold the request pending — the DeadReplay pass re-issues it
 				// against the promoted backup at the epoch commit.
 				return
 			}
@@ -253,14 +253,14 @@ func KVService(cfg caf.Config, o ServiceOpts, opts ...RunOpt) (Result, error) {
 			}
 		}
 		if o.Replicated {
-			// Replay instead of Reconcile: a committed death re-issues
+			// Replay instead of fail: a committed death re-issues
 			// stranded requests rather than failing them.
 			load.Drive(img, me-servers, sched, col,
-				load.DriveOpts{Tick: o.Tick, Replay: true}, issueReplicated)
+				load.DriveOpts{Tick: o.Tick, OnDead: load.DeadReplay}, issueReplicated)
 			return
 		}
 		load.Drive(img, me-servers, sched, col,
-			load.DriveOpts{Tick: o.Tick, Reconcile: true}, issue)
+			load.DriveOpts{Tick: o.Tick, OnDead: load.DeadFail}, issue)
 	})
 	if err != nil {
 		return Result{}, err

@@ -90,7 +90,7 @@ func TestServiceCoalescingHelps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Coalescing = caf.Coalescing{MaxMsgs: 8, MaxBytes: 2048, FlushAfter: 5 * caf.Microsecond}
+	cfg.Fabric.Coalescing = caf.Coalescing{MaxMsgs: 8, MaxBytes: 2048, FlushAfter: 5 * caf.Microsecond}
 	coal, err := KVService(cfg, kvGoldenOpts(true))
 	if err != nil {
 		t.Fatal(err)
@@ -104,13 +104,13 @@ func TestServiceCoalescingHelps(t *testing.T) {
 	}
 }
 
-// TestLoadShardEquivalence is the arrival-determinism property test
+// TestLoadGOMAXPROCSEquivalence is the arrival-determinism property test
 // at the SLO level: the same seed must produce a byte-identical arrival
 // schedule and SLO report at every GOMAXPROCS of the sweep — the
-// service-scenario extension of TestGoldenShardEquivalence (which
+// service-scenario extension of TestGoldenGOMAXPROCSEquivalence (which
 // covers the Report and Check for the same rows). The crashed KV
 // variant rides along so the failure path is pinned too.
-func TestLoadShardEquivalence(t *testing.T) {
+func TestLoadGOMAXPROCSEquivalence(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 
 	sched := load.Schedule(load.ArrivalConfig{Seed: 11, Clients: 4, Requests: 96, Rate: 240_000, Keys: 64})
@@ -131,7 +131,7 @@ func TestLoadShardEquivalence(t *testing.T) {
 			o.SLOOut = &slo
 			cfg := caf.Config{
 				Images: 8, Seed: 11,
-				Faults:          &caf.FaultPlan{Crash: map[int]caf.Time{1: 150 * caf.Microsecond}},
+				Fabric:          caf.FabricConfig{Faults: &caf.FaultPlan{Crash: map[int]caf.Time{1: 150 * caf.Microsecond}}},
 				FailureDetector: caf.FailureDetectorConfig{Enabled: true, Heartbeat: 2 * caf.Microsecond},
 			}
 			res, err := KVService(cfg, o)
@@ -147,7 +147,7 @@ func TestLoadShardEquivalence(t *testing.T) {
 			o.SLOOut = &slo
 			cfg := caf.Config{
 				Images: 8, Seed: 11,
-				Faults:          &caf.FaultPlan{Crash: map[int]caf.Time{1: 150 * caf.Microsecond}},
+				Fabric:          caf.FabricConfig{Faults: &caf.FaultPlan{Crash: map[int]caf.Time{1: 150 * caf.Microsecond}}},
 				Replication:     caf.ReplicationConfig{Enabled: true},
 				FailureDetector: caf.FailureDetectorConfig{Enabled: true, Heartbeat: 2 * caf.Microsecond},
 			}

@@ -13,10 +13,10 @@ func crashCfg(n int, seed int64) caf.Config {
 	return caf.Config{
 		Images: n,
 		Seed:   seed,
-		Faults: &caf.FaultPlan{
+		Fabric: caf.FabricConfig{Faults: &caf.FaultPlan{
 			Seed:  seed,
 			Crash: map[int]caf.Time{1: 5 * caf.Microsecond},
-		},
+		}},
 		FailureDetector: caf.FailureDetectorConfig{
 			Enabled:   true,
 			Heartbeat: 1 * caf.Microsecond,

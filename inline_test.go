@@ -160,7 +160,7 @@ func TestInlineEquivalentToComputeFirstProc(t *testing.T) {
 	crash := func(c Config) Config {
 		// Rank 1 serves in both programs; it dies with functions pending
 		// on it and in flight to it.
-		c.Faults = &FaultPlan{Seed: c.Seed, Crash: map[int]Time{1: 4 * Microsecond}}
+		c.Fabric.Faults = &FaultPlan{Seed: c.Seed, Crash: map[int]Time{1: 4 * Microsecond}}
 		c.FailureDetector = FailureDetectorConfig{Enabled: true, Heartbeat: Microsecond}
 		return c
 	}
@@ -170,7 +170,7 @@ func TestInlineEquivalentToComputeFirstProc(t *testing.T) {
 		cfg  Config
 	}{
 		{"plain", base},
-		{"coalesced", func(c Config) Config { c.Coalescing = Coalescing{MaxMsgs: 4}; return c }(base)},
+		{"coalesced", func(c Config) Config { c.Fabric.Coalescing = Coalescing{MaxMsgs: 4}; return c }(base)},
 		{"relaxed", func(c Config) Config { c.Relaxed = true; return c }(base)},
 		{"traced", func(c Config) Config { c.TraceCapacity = 1 << 14; return c }(base)},
 		{"crash", crash(base)},

@@ -1,9 +1,7 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 
 	caf "caf2go"
 	"caf2go/internal/ra"
@@ -14,10 +12,9 @@ import (
 // shipping (the paper's §IV-B traffic: storms of 16-byte spawn AMs) and
 // the Fig. 12 cofence producer/consumer loop — with coalescing off and
 // on, and reports the wire-packet and virtual-time deltas as one JSON
-// document (BENCH_coalesce.json). CI re-runs a scaled-down sweep and
-// asserts the packet-reduction floor so a regression in the coalescing
-// layer (or a send-path change that silently stops batching) fails the
-// build.
+// document (the Coalesce section of BENCH_sweeps.json). The tests assert
+// the packet-reduction floor, so a regression in the coalescing layer (or
+// a send-path change that silently stops batching) fails the build.
 
 // CoalesceOpts parameterizes the sweep.
 type CoalesceOpts struct {
@@ -34,10 +31,7 @@ type CoalesceOpts struct {
 	Fig12Iters int
 	// Coalescing is the configuration under test.
 	Coalescing caf.Coalescing
-	// Metrics embeds each row's per-image metrics snapshot (fabric link
-	// counters, coalescing batch occupancy, finish rounds) in the JSON.
-	Metrics bool
-	Seed    int64
+	Seed       int64
 }
 
 // DefaultCoalesce returns the committed-artifact configuration.
@@ -51,17 +45,6 @@ func DefaultCoalesce() CoalesceOpts {
 		Coalescing:     caf.Coalescing{MaxMsgs: 16, MaxBytes: 4096, FlushAfter: 10 * caf.Microsecond},
 		Seed:           1,
 	}
-}
-
-// SmokeCoalesce returns a seconds-scale configuration for CI.
-func SmokeCoalesce() CoalesceOpts {
-	o := DefaultCoalesce()
-	o.Cores = []int{8, 64}
-	o.LocalTableBits = 6
-	o.BunchSize = 128
-	o.Fig12Cores = []int{32}
-	o.Fig12Iters = 50
-	return o
 }
 
 // CoalesceRow is one (workload, size, coalesced?) measurement.
@@ -91,11 +74,9 @@ type CoalesceRow struct {
 	ImagesFailed         int   `json:",omitempty"`
 	OpsAbortedByFailure  int64 `json:",omitempty"`
 	FinishLostActivities int64 `json:",omitempty"`
-	// Metrics is the run's registry snapshot (CoalesceOpts.Metrics only).
-	Metrics *caf.MetricsSnapshot `json:",omitempty"`
 }
 
-// CoalesceReport is the BENCH_coalesce.json document.
+// CoalesceReport is the Coalesce section of BENCH_sweeps.json.
 type CoalesceReport struct {
 	Opts CoalesceOpts
 	Rows []CoalesceRow
@@ -123,7 +104,6 @@ func rowFromReport(workload string, images int, coalesced bool, rep caf.Report) 
 		ImagesFailed:         rep.ImagesFailed,
 		OpsAbortedByFailure:  rep.OpsAbortedByFailure,
 		FinishLostActivities: rep.FinishLostActivities,
-		Metrics:              rep.Metrics,
 	}
 }
 
@@ -150,7 +130,7 @@ func Coalesce(o CoalesceOpts) (CoalesceReport, error) {
 			cfg := ra.DefaultConfig(ra.FunctionShipping)
 			cfg.LocalTableBits = o.LocalTableBits
 			cfg.BunchSize = o.BunchSize
-			res, err := ra.Run(caf.Config{Images: p, Seed: o.Seed, Coalescing: coal, Metrics: o.Metrics}, cfg)
+			res, err := ra.Run(caf.Config{Images: p, Seed: o.Seed, Fabric: caf.FabricConfig{Coalescing: coal}}, cfg)
 			if err != nil {
 				return out, fmt.Errorf("coalesce ra p=%d coal=%v: %w", p, coal.Enabled(), err)
 			}
@@ -170,7 +150,7 @@ func Coalesce(o CoalesceOpts) (CoalesceReport, error) {
 	for _, p := range o.Fig12Cores {
 		var rows [2]CoalesceRow
 		for i, coal := range []caf.Coalescing{{}, o.Coalescing} {
-			rep, err := fig12Run(f12, p, variantCofence, coal, o.Metrics)
+			rep, err := fig12Run(f12, p, variantCofence, coal)
 			if err != nil {
 				return out, fmt.Errorf("coalesce fig12 p=%d coal=%v: %w", p, coal.Enabled(), err)
 			}
@@ -179,11 +159,4 @@ func Coalesce(o CoalesceOpts) (CoalesceReport, error) {
 		record("cofence-fig12", p, rows[0], rows[1])
 	}
 	return out, nil
-}
-
-// WriteJSON emits the report as indented JSON.
-func (r CoalesceReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
 }

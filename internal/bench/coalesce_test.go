@@ -12,7 +12,7 @@ import (
 // wire packets with coalescing on, at unchanged results, and the run
 // must be faster, not slower.
 func TestCoalesceSweep(t *testing.T) {
-	o := SmokeCoalesce()
+	o := DefaultCoalesce()
 	rep, err := Coalesce(o)
 	if err != nil {
 		t.Fatal(err)
@@ -46,11 +46,9 @@ func TestCoalesceSweep(t *testing.T) {
 
 // TestCoalesceSweepDeterministic: the whole sweep is a pure function of
 // its options — rerunning must reproduce every row bit-for-bit (the
-// property that makes BENCH_coalesce.json a committable artifact).
+// property that makes BENCH_sweeps.json a committable artifact).
 func TestCoalesceSweepDeterministic(t *testing.T) {
-	o := SmokeCoalesce()
-	o.Cores = []int{16}
-	o.Fig12Cores = []int{16}
+	o := DefaultCoalesce()
 	a, err := Coalesce(o)
 	if err != nil {
 		t.Fatal(err)
@@ -64,25 +62,26 @@ func TestCoalesceSweepDeterministic(t *testing.T) {
 	}
 }
 
-// TestCoalesceReportJSONRoundTrips: the artifact encodes and decodes
-// cleanly (guards the field shape the tutorial documents).
+// TestCoalesceReportJSONRoundTrips: the artifact's coalescing section
+// encodes and decodes cleanly (guards the field shape the tutorial
+// documents).
 func TestCoalesceReportJSONRoundTrips(t *testing.T) {
-	o := SmokeCoalesce()
-	o.Cores = []int{8}
+	o := DefaultCoalesce()
+	o.Cores = o.Cores[:1]
 	o.Fig12Cores = nil
 	rep, err := Coalesce(o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := rep.WriteJSON(&buf); err != nil {
+	if err := (Sweeps{Coalesce: rep}).WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	var back CoalesceReport
+	var back Sweeps
 	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(rep, back) {
-		t.Errorf("JSON round trip changed the report:\n out: %+v\n back: %+v", rep, back)
+	if !reflect.DeepEqual(rep, back.Coalesce) {
+		t.Errorf("JSON round trip changed the report:\n out: %+v\n back: %+v", rep, back.Coalesce)
 	}
 }

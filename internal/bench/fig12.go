@@ -37,10 +37,9 @@ func (v fig12Variant) String() string {
 
 // fig12Run runs one Fig. 12 variant and returns the run report. A
 // non-zero coal batches small AMs (the coalescing regression harness
-// re-runs the cofence variant with it); metrics embeds the registry
-// snapshot in the report.
-func fig12Run(o Fig12Opts, p int, v fig12Variant, coal caf.Coalescing, metrics bool) (caf.Report, error) {
-	rep, err := caf.Run(caf.Config{Images: p, Seed: o.Seed, Coalescing: coal, Metrics: metrics}, func(img *caf.Image) {
+// re-runs the cofence variant with it).
+func fig12Run(o Fig12Opts, p int, v fig12Variant, coal caf.Coalescing) (caf.Report, error) {
+	rep, err := caf.Run(caf.Config{Images: p, Seed: o.Seed, Fabric: caf.FabricConfig{Coalescing: coal}}, func(img *caf.Image) {
 		ca := caf.NewCoarray[byte](img, nil, o.Bytes*o.Fan)
 		src := make([]byte, o.Bytes)
 		produce := func() {
@@ -117,7 +116,7 @@ func Fig12(o Fig12Opts) (Figure, error) {
 	for _, v := range []fig12Variant{variantFinish, variantEvents, variantCofence} {
 		s := Series{Label: v.String()}
 		for _, p := range o.Cores {
-			rep, err := fig12Run(o, p, v, caf.Coalescing{}, false)
+			rep, err := fig12Run(o, p, v, caf.Coalescing{})
 			if err != nil {
 				return fig, fmt.Errorf("fig12 %v p=%d: %w", v, p, err)
 			}

@@ -1,23 +1,21 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 
 	caf "caf2go"
 	"caf2go/examples/workloads"
 	"caf2go/internal/load"
 )
 
-// The service-traffic benchmark harness (BENCH_load.json): the sharded
-// KV service under open-loop Poisson load, swept across offered load ×
-// machine size × access protocol (locks vs. function shipping) ×
+// The service-traffic benchmark harness (BENCH_sweeps.json's Load): the
+// sharded KV service under open-loop Poisson load, swept across offered
+// load × machine size × access protocol (locks vs. function shipping) ×
 // coalescing. Each row reports the SLO surface — p50/p99/p999 latency,
 // goodput — next to the wire accounting. The headline maps digest the
-// two experiments the sweep exists for: how
-// the tail degrades as offered load approaches saturation, and how much
-// of the lock protocol's tail the function-shipping protocol deletes.
+// two experiments the sweep exists for: how the tail degrades as offered
+// load approaches saturation, and how much of the lock protocol's tail
+// the function-shipping protocol deletes.
 
 // LoadOpts parameterizes the sweep.
 type LoadOpts struct {
@@ -82,7 +80,7 @@ type LoadRow struct {
 	SLODigest string
 }
 
-// LoadReport is the BENCH_load.json document.
+// LoadReport is the Load section of BENCH_sweeps.json.
 type LoadReport struct {
 	Opts LoadOpts
 	Rows []LoadRow
@@ -182,7 +180,7 @@ func Load(o LoadOpts) (LoadReport, error) {
 func loadRow(o LoadOpts, workload string, images int, offered float64, shipping bool, coal caf.Coalescing) (LoadRow, error) {
 	var slo load.SLO
 	res, err := workloads.KVService(
-		caf.Config{Images: images, Seed: o.Seed, Coalescing: coal},
+		caf.Config{Images: images, Seed: o.Seed, Fabric: caf.FabricConfig{Coalescing: coal}},
 		workloads.ServiceOpts{
 			Requests:  o.Requests,
 			Rate:      offered,
@@ -220,11 +218,4 @@ func loadRow(o LoadOpts, workload string, images int, offered float64, shipping 
 		MsgsCoalesced: res.Report.MsgsCoalesced,
 		SLODigest:     slo.Digest(),
 	}, nil
-}
-
-// WriteJSON emits the report as indented JSON.
-func (r LoadReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
 }

@@ -1,23 +1,22 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 
 	caf "caf2go"
 	"caf2go/examples/workloads"
 	"caf2go/internal/load"
 )
 
-// The recovery benchmark harness (BENCH_recovery.json): the KV service
-// with a mid-traffic primary crash, swept across detector heartbeat ×
-// machine size × replication on/off. Each row reports the request
-// outcomes (lost vs. replayed), the recovery timeline (declaration to
-// epoch commit), and the SLO surface. The headlines digest the
-// experiment the sweep exists for: without replication a crash loses
-// every stranded request, with replication the same crash loses zero —
-// at a recovery latency that scales linearly with the heartbeat.
+// The recovery benchmark harness (BENCH_sweeps.json's Recovery): the KV
+// service with a mid-traffic primary crash, swept across detector
+// heartbeat × machine size × replication on/off. Each row reports the
+// request outcomes (lost vs. replayed), the recovery timeline
+// (declaration to epoch commit), and the SLO surface. The headlines
+// digest the experiment the sweep exists for: without replication a
+// crash loses every stranded request, with replication the same crash
+// loses zero — at a recovery latency that scales linearly with the
+// heartbeat.
 
 // RecoveryOpts parameterizes the sweep.
 type RecoveryOpts struct {
@@ -89,7 +88,7 @@ type RecoveryRow struct {
 	SLODigest string
 }
 
-// RecoveryReport is the BENCH_recovery.json document.
+// RecoveryReport is the Recovery section of BENCH_sweeps.json.
 type RecoveryReport struct {
 	Opts RecoveryOpts
 	Rows []RecoveryRow
@@ -154,10 +153,10 @@ func recoveryRow(o RecoveryOpts, images int, hb caf.Time, replicated bool) (Reco
 	cfg := caf.Config{
 		Images: images,
 		Seed:   o.Seed,
-		Faults: &caf.FaultPlan{
+		Fabric: caf.FabricConfig{Faults: &caf.FaultPlan{
 			Seed:  o.Seed,
 			Crash: map[int]caf.Time{1: o.CrashAt},
-		},
+		}},
 		FailureDetector: caf.FailureDetectorConfig{Enabled: true, Heartbeat: hb},
 	}
 	opts := workloads.ServiceOpts{
@@ -208,11 +207,4 @@ func recoveryRow(o RecoveryOpts, images int, hb caf.Time, replicated bool) (Reco
 		row.CrashToCommitUs = float64(rs.EpochAt-o.CrashAt) / 1e3
 	}
 	return row, nil
-}
-
-// WriteJSON emits the report as indented JSON.
-func (r RecoveryReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
 }

@@ -28,7 +28,7 @@ func TestChaosSweep(t *testing.T) {
 			for _, rate := range sweepRates {
 				w, seed, rate := w, seed, rate
 				t.Run(fmt.Sprintf("%s/seed=%d/rate=%g", w.Name, seed, rate), func(t *testing.T) {
-					out, err := w.Run(caf.Config{Seed: seed, Faults: Plan(seed, rate)})
+					out, err := w.Run(caf.Config{Seed: seed, Fabric: caf.FabricConfig{Faults: Plan(seed, rate)}})
 					if err != nil {
 						t.Fatalf("workload failed under faults: %v", err)
 					}
@@ -51,7 +51,7 @@ func TestChaosSweep(t *testing.T) {
 }
 
 // TestFaultsNilStaysClean pins the zero-overhead contract: with
-// Config.Faults nil the legacy exactly-once fabric runs and every
+// Config.Fabric.Faults nil the legacy exactly-once fabric runs and every
 // recovery counter stays zero.
 func TestFaultsNilStaysClean(t *testing.T) {
 	for _, w := range Workloads() {
@@ -78,7 +78,7 @@ func TestSameSeedBitIdentical(t *testing.T) {
 	for _, w := range Workloads() {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
-			cfg := caf.Config{Seed: 7, Faults: Plan(7, 0.2)}
+			cfg := caf.Config{Seed: 7, Fabric: caf.FabricConfig{Faults: Plan(7, 0.2)}}
 			a, err := w.Run(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -107,10 +107,10 @@ func TestConflictLogDeterministic(t *testing.T) {
 	cfg.BunchSize = 16
 	run := func() ra.Result {
 		res, err := ra.Run(caf.Config{
-			Images:          4,
-			Seed:            5,
-			DetectConflicts: true,
-			Faults:          Plan(5, 0.1),
+			Images: 4,
+			Seed:   5,
+			Races:  caf.RacesOverlap,
+			Fabric: caf.FabricConfig{Faults: Plan(5, 0.1)},
 		}, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -148,9 +148,8 @@ func TestChaosSweepCoalesced(t *testing.T) {
 					w, seed, rate, maxMsgs := w, seed, rate, maxMsgs
 					t.Run(fmt.Sprintf("%s/seed=%d/rate=%g/max=%d", w.Name, seed, rate, maxMsgs), func(t *testing.T) {
 						out, err := w.Run(caf.Config{
-							Seed:       seed,
-							Faults:     Plan(seed, rate),
-							Coalescing: caf.Coalescing{MaxMsgs: maxMsgs},
+							Seed:   seed,
+							Fabric: caf.FabricConfig{Faults: Plan(seed, rate), Coalescing: caf.Coalescing{MaxMsgs: maxMsgs}},
 						})
 						if err != nil {
 							t.Fatalf("workload failed under faults+coalescing: %v", err)
@@ -180,9 +179,8 @@ func TestCoalescedSameSeedBitIdentical(t *testing.T) {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
 			cfg := caf.Config{
-				Seed:       7,
-				Faults:     Plan(7, 0.2),
-				Coalescing: caf.Coalescing{MaxMsgs: 8},
+				Seed:   7,
+				Fabric: caf.FabricConfig{Faults: Plan(7, 0.2), Coalescing: caf.Coalescing{MaxMsgs: 8}},
 			}
 			a, err := w.Run(cfg)
 			if err != nil {
@@ -203,14 +201,14 @@ func TestCoalescedSameSeedBitIdentical(t *testing.T) {
 }
 
 // TestCoalescingOffStaysInert pins the zero-value contract from the
-// coalescing side: with Config.Coalescing zero every coalescing counter
+// coalescing side: with Config.Fabric.Coalescing zero every coalescing counter
 // stays zero, faults or not.
 func TestCoalescingOffStaysInert(t *testing.T) {
 	for _, w := range Workloads() {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
 			for _, faults := range []*caf.FaultPlan{nil, Plan(3, 0.1)} {
-				out, err := w.Run(caf.Config{Seed: 3, Faults: faults})
+				out, err := w.Run(caf.Config{Seed: 3, Fabric: caf.FabricConfig{Faults: faults}})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -233,7 +231,7 @@ func TestCrashNeverTerminatesEarly(t *testing.T) {
 	w := finishForest()
 	plan := Plan(9, 0.05)
 	plan.Crash = map[int]caf.Time{2: 200 * caf.Microsecond}
-	out, err := w.Run(caf.Config{Seed: 9, Faults: plan})
+	out, err := w.Run(caf.Config{Seed: 9, Fabric: caf.FabricConfig{Faults: plan}})
 	if err == nil {
 		t.Fatalf("run with a crashed image succeeded (fingerprint %s): finish terminated early", out.Fingerprint)
 	}

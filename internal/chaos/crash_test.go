@@ -46,7 +46,7 @@ func TestCrashWithDetectorSurfacesFailure(t *testing.T) {
 				t.Run(fmt.Sprintf("%s/seed=%d/rate=%g", w.Name, seed, rate), func(t *testing.T) {
 					out, err := w.Run(caf.Config{
 						Seed:            seed,
-						Faults:          crashPlan(seed, rate),
+						Fabric:          caf.FabricConfig{Faults: crashPlan(seed, rate)},
 						FailureDetector: detectorOn(),
 					})
 					if err == nil {
@@ -79,7 +79,7 @@ func TestCrashWithDetectorDeterministic(t *testing.T) {
 		t.Run(w.Name, func(t *testing.T) {
 			cfg := caf.Config{
 				Seed:            7,
-				Faults:          crashPlan(7, 0.05),
+				Fabric:          caf.FabricConfig{Faults: crashPlan(7, 0.05)},
 				FailureDetector: detectorOn(),
 			}
 			_, err1 := w.Run(cfg)
@@ -102,11 +102,11 @@ func TestDetectorOnNoCrashBitIdentical(t *testing.T) {
 	for _, w := range Workloads() {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
-			off, err := w.Run(caf.Config{Seed: 7, Faults: Plan(7, 0.2)})
+			off, err := w.Run(caf.Config{Seed: 7, Fabric: caf.FabricConfig{Faults: Plan(7, 0.2)}})
 			if err != nil {
 				t.Fatal(err)
 			}
-			on, err := w.Run(caf.Config{Seed: 7, Faults: Plan(7, 0.2), FailureDetector: detectorOn()})
+			on, err := w.Run(caf.Config{Seed: 7, Fabric: caf.FabricConfig{Faults: Plan(7, 0.2)}, FailureDetector: detectorOn()})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -129,7 +129,7 @@ func TestCrashMachineReport(t *testing.T) {
 	m := caf.NewMachine(caf.Config{
 		Images:          n,
 		Seed:            11,
-		Faults:          crashPlan(11, 0),
+		Fabric:          caf.FabricConfig{Faults: crashPlan(11, 0)},
 		FailureDetector: detectorOn(),
 	})
 	m.RegisterRemote("noop", func(img *caf.Image, args []any) {})

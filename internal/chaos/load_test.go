@@ -30,10 +30,10 @@ func kvLoadCfg(seed int64) caf.Config {
 	return caf.Config{
 		Images: 8,
 		Seed:   seed,
-		Faults: &caf.FaultPlan{
+		Fabric: caf.FabricConfig{Faults: &caf.FaultPlan{
 			Seed:  seed,
 			Crash: map[int]caf.Time{1: 80 * caf.Microsecond},
-		},
+		}},
 		FailureDetector: detectorOn(),
 	}
 }

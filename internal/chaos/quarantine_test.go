@@ -24,9 +24,9 @@ func TestQuarantineChaosSweep(t *testing.T) {
 		cfg  caf.Config
 	}{
 		{"clean", caf.Config{Seed: seed}},
-		{"faults", caf.Config{Seed: seed, Faults: Plan(seed, 0.2)}},
-		{"faults-coalesced", caf.Config{Seed: seed, Faults: Plan(seed, 0.2), Coalescing: caf.Coalescing{MaxMsgs: 8}}},
-		{"crash-detected", caf.Config{Seed: seed, Faults: crashPlan(seed, 0.05), FailureDetector: detectorOn()}},
+		{"faults", caf.Config{Seed: seed, Fabric: caf.FabricConfig{Faults: Plan(seed, 0.2)}}},
+		{"faults-coalesced", caf.Config{Seed: seed, Fabric: caf.FabricConfig{Faults: Plan(seed, 0.2), Coalescing: caf.Coalescing{MaxMsgs: 8}}}},
+		{"crash-detected", caf.Config{Seed: seed, Fabric: caf.FabricConfig{Faults: crashPlan(seed, 0.05)}, FailureDetector: detectorOn()}},
 	}
 	for _, w := range Workloads() {
 		for _, row := range rows {

@@ -36,7 +36,7 @@ func kvReplCfg(seed int64, crash map[int]caf.Time) caf.Config {
 		FailureDetector: detectorOn(),
 	}
 	if len(crash) > 0 {
-		cfg.Faults = &caf.FaultPlan{Seed: seed, Crash: crash}
+		cfg.Fabric.Faults = &caf.FaultPlan{Seed: seed, Crash: crash}
 	}
 	return cfg
 }

@@ -113,13 +113,12 @@ func TestPropertyResilientFinishBoundedRounds(t *testing.T) {
 	}
 }
 
-// TestPropertyResilientFinishBoundedRoundsSharded re-runs the
+// TestPropertyResilientFinishBoundedRoundsGOMAXPROCS re-runs the
 // bounded-rounds property forests at GOMAXPROCS 1 and 8 and pins
 // same-seed bit-identity: the crash, its declaration time, every image's
 // error, the poll-round counts, the charge-off stats, and the event count
-// must all match exactly. The name dates from when the comparison was
-// against a sharded event engine, which no longer exists.
-func TestPropertyResilientFinishBoundedRoundsSharded(t *testing.T) {
+// must all match exactly.
+func TestPropertyResilientFinishBoundedRoundsGOMAXPROCS(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	type outcome struct {
 		end       sim.Time

@@ -66,10 +66,13 @@ type Config struct {
 	// the conduit (the GASNet behaviour behind the paper's Fig. 14
 	// anomaly, §IV-B).
 	StallPenalty sim.Time
-	FIFO         bool     // enforce per-(src,dst) ordered delivery
-	Jitter       sim.Time // max random extra delivery delay when !FIFO
-	Topology     Topology // optional hop model; nil ⇒ uniform 1 hop
-	HopLatency   sim.Time // extra latency per hop beyond the first
+	// FIFO asks for per-(src,dst) ordered delivery. Only the idealized
+	// transport can keep that promise: a fabric with a fault plan reorders
+	// whatever FIFO says. Ordered is the answer layers above must read.
+	FIFO       bool
+	Jitter     sim.Time // max random extra delivery delay when !FIFO
+	Topology   Topology // optional hop model; nil ⇒ uniform 1 hop
+	HopLatency sim.Time // extra latency per hop beyond the first
 	// ImagesPerNode groups consecutive endpoints onto shared NICs: they
 	// contend for one injection pipe and exchange intra-node messages at
 	// SelfLatency — the paper's runs placed 8 images per node (§IV).
@@ -80,9 +83,9 @@ type Config struct {
 	// and switches the fabric onto its reliability protocol: sequence
 	// numbers, receiver dedup, and ack-timeout retransmission. nil keeps
 	// the idealized exactly-once transport, bit-identical to a fabric
-	// built before fault injection existed. Note that a faulty fabric
-	// never delivers in FIFO order (retransmission alone breaks it), so
-	// Config.FIFO is ignored when Faults is set.
+	// built before fault injection existed. A faulty fabric never
+	// delivers in FIFO order (retransmission alone breaks it); see
+	// Ordered.
 	Faults *FaultPlan
 	// Coalescing, when non-zero, aggregates small AMs per destination
 	// into batched wire packets (coalesce.go). The zero value keeps the
@@ -116,6 +119,26 @@ func DefaultConfig() Config {
 		FIFO:        true,
 	}
 }
+
+// OrDefault returns c on DefaultConfig's cost model when c sets none of
+// the cost-model fields. What c attaches to the fabric (Faults,
+// Coalescing, FlushObserver, Metrics, Path) is kept either way, so a
+// config that only attaches runs on the default network.
+func (c Config) OrDefault() Config {
+	d := c
+	d.Faults, d.Coalescing, d.FlushObserver, d.Metrics, d.Path = nil, Coalescing{}, nil, nil, nil
+	if d != (Config{}) {
+		return c
+	}
+	d = DefaultConfig()
+	d.Faults, d.Coalescing, d.FlushObserver, d.Metrics, d.Path = c.Faults, c.Coalescing, c.FlushObserver, c.Metrics, c.Path
+	return d
+}
+
+// Ordered reports whether the fabric delivers each (src, dst) channel in
+// send order: FIFO is asked for and no fault plan reorders the channel
+// (jitter and retransmission both do).
+func (c Config) Ordered() bool { return c.FIFO && c.Faults == nil }
 
 // Topology maps an (src, dst) pair to a hop count ≥ 1, letting experiments
 // model non-uniform machines (tori, fat trees).

@@ -49,7 +49,7 @@ type Collector struct {
 // clientCount is one issuing image's request accounting.
 type clientCount struct {
 	out     int   // issued and not yet settled or withdrawn for replay
-	settled int64 // Done, Fail and ReplayDead outcomes: Drive's progress
+	settled int64 // Done, Fail and replay withdrawals: Drive's progress
 }
 
 // counts returns client's accounting (zero before its first issue).
@@ -107,9 +107,8 @@ func NewCollector(op string, sched []Request) *Collector {
 }
 
 // Issued records that client (an image rank) issued r toward target.
-// The target is remembered so ReconcileDead can fail the request with a
-// typed error if target is later declared dead while the request is
-// still outstanding.
+// The target is remembered so SettleDead can fail or replay the request
+// if target dies while the request is still outstanding.
 func (c *Collector) Issued(m *caf.Machine, r Request, client, target int) {
 	c.pend[r.Seq] = pendReq{r: r, client: client, target: target}
 	c.count(client).out++
@@ -202,45 +201,34 @@ func (c *Collector) Failover(m *caf.Machine, client int) {
 // Outstanding returns the issuing image's in-flight request count.
 func (c *Collector) Outstanding(client int) int { return c.counts(client).out }
 
-// ReconcileDead fails every outstanding request of client whose target
-// image has been declared dead. Once a rank is declared, nothing sent
-// to it can complete (the fabric abandons traffic to dead NICs and the
-// runtime drops its late replies), so this is safe — and it is the only
-// way to settle a request whose reply was lost in the crash window
-// between handler execution and reply delivery. Seqs are processed in
-// sorted order for determinism. Returns the number of requests failed.
-func (c *Collector) ReconcileDead(m *caf.Machine, now caf.Time, client int) int {
-	if c.Outstanding(client) == 0 || !m.AnyImageDead() {
-		return 0
-	}
-	var seqs []int
-	for seq, p := range c.pend {
-		if p.client == client && m.ImageDead(p.target) {
-			seqs = append(seqs, seq)
-		}
-	}
-	sort.Ints(seqs)
-	for _, seq := range seqs {
-		c.FailDead(m, now, seq, c.pend[seq].target)
-	}
-	return len(seqs)
-}
-
-// ReplayDead withdraws (and returns, in seq order) every outstanding
-// request of client whose target's death has been *committed* by the
-// replication epoch agreement. Unlike ReconcileDead this is not a loss:
-// the caller re-issues each returned request against the promoted
-// backup, where the replicated coarray's applied ledger makes the
-// replay exactly-once even if the original request executed before the
-// crash. Requests to a merely *declared* dead rank stay pending —
-// routing hasn't moved yet, so a replay would have nowhere safe to go.
-func (c *Collector) ReplayDead(m *caf.Machine, client int) []Request {
-	if c.Outstanding(client) == 0 || !m.AnyImageDead() {
+// SettleDead applies p to every outstanding request of client whose
+// target image has died, in seq order, and returns the requests it
+// withdrew for re-issue (DeadReplay only).
+//
+// DeadFail fails each request whose target is declared dead. Once a rank
+// is declared, nothing sent to it can complete (the fabric abandons
+// traffic to dead NICs and the runtime drops its late replies), so this
+// is safe — and it is the only way to settle a request whose reply was
+// lost in the crash window between handler execution and reply delivery.
+//
+// DeadReplay withdraws each request whose target's death has been
+// *committed* by the replication epoch agreement. That is not a loss:
+// the caller re-issues it against the promoted backup, where the
+// replicated coarray's applied ledger makes the replay exactly-once even
+// if the original request executed before the crash. Requests to a
+// merely declared dead rank stay pending — routing hasn't moved yet, so
+// a replay would have nowhere safe to go.
+func (c *Collector) SettleDead(m *caf.Machine, client int, p DeadPolicy) []Request {
+	if p == DeadWait || c.Outstanding(client) == 0 || !m.AnyImageDead() {
 		return nil
 	}
+	dead := m.ImageDead
+	if p == DeadReplay {
+		dead = m.DeathCommitted
+	}
 	var seqs []int
-	for seq, p := range c.pend {
-		if p.client == client && m.DeathCommitted(p.target) {
+	for seq, r := range c.pend {
+		if r.client == client && dead(r.target) {
 			seqs = append(seqs, seq)
 		}
 	}
@@ -248,8 +236,15 @@ func (c *Collector) ReplayDead(m *caf.Machine, client int) []Request {
 		return nil
 	}
 	sort.Ints(seqs)
+	now := m.Engine().Now()
+	if p == DeadFail {
+		for _, seq := range seqs {
+			c.FailDead(m, now, seq, c.pend[seq].target)
+		}
+		return nil
+	}
 	out := make([]Request, 0, len(seqs))
-	pt, now := m.PathTracker(), m.Engine().Now()
+	pt := m.PathTracker()
 	for _, seq := range seqs {
 		out = append(out, c.pend[seq].r)
 		delete(c.pend, seq)

@@ -27,25 +27,34 @@ type DriveOpts struct {
 	// quantized to tick boundaries; completions the service delivers by
 	// reply-spawn land at exact virtual times. Both are deterministic.
 	Tick caf.Time
-	// Reconcile enables the per-tick ReconcileDead pass, failing
-	// outstanding requests whose target image has been declared dead.
-	// Required for request/reply protocols (a reply can be lost in the
-	// crash window); leave off for protocols whose continuations always
-	// fire, such as spawn ops observed via OnGlobalCompletion.
-	Reconcile bool
-	// Replay enables the per-tick ReplayDead pass: outstanding requests
-	// whose target's death has been committed by the replication epoch
-	// agreement are withdrawn and re-issued (through the same Issuer)
-	// instead of failed — the issuer routes them to the promoted backup.
-	// Use with replicated services; composes with Reconcile (replay
-	// first, then reconcile what still has no live route).
-	Replay bool
+	// OnDead is what each tick does with outstanding requests whose
+	// target image has died (Collector.SettleDead).
+	OnDead DeadPolicy
 	// GiveUpAfter bounds how long the loop will wait with requests
 	// outstanding and none of them settling before panicking with a
 	// diagnostic (default 1 virtual second). A deterministic loud
 	// failure beats a silent test hang.
 	GiveUpAfter caf.Time
 }
+
+// DeadPolicy says what Drive does with a client's outstanding request
+// whose target image has died.
+type DeadPolicy uint8
+
+const (
+	// DeadWait leaves it outstanding: for protocols whose continuations
+	// always fire, such as spawn ops observed via OnGlobalCompletion.
+	DeadWait DeadPolicy = iota
+	// DeadFail fails it with a typed error once the target is declared
+	// dead: for request/reply protocols, whose reply can be lost in the
+	// crash window.
+	DeadFail
+	// DeadReplay withdraws it once the target's death is committed by the
+	// replication epoch agreement and re-issues it through the same
+	// Issuer, which routes it to the promoted backup: for replicated
+	// services.
+	DeadReplay
+)
 
 // Drive runs the open-loop client event loop on img for client index
 // `client` of the schedule: issue every arrival at its scheduled
@@ -63,7 +72,7 @@ type DriveOpts struct {
 // A tick boundary before the next arrival is slept through when nothing
 // can happen there: no continuation is registered on the poll set (Poll
 // would run nothing) and the machine runs no failure detector (no
-// target can die, so Reconcile and Replay find nothing). Requests that
+// target can die, so OnDead finds nothing). Requests that
 // settle by reply then do so while the loop sleeps; it wakes at the
 // next arrival, and ticks again once the last one is issued, to see
 // its final reply.
@@ -116,13 +125,8 @@ func Drive(img *caf.Image, client int, sched []Request, col *Collector, o DriveO
 			traced(r)
 		}
 		d.PS.Poll()
-		if o.Replay {
-			for _, r := range col.ReplayDead(m, me) {
-				traced(r)
-			}
-		}
-		if o.Reconcile {
-			col.ReconcileDead(m, now, me)
+		for _, r := range col.SettleDead(m, me, o.OnDead) {
+			traced(r)
 		}
 		cc := col.counts(me)
 		out := cc.out

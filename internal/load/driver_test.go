@@ -134,14 +134,14 @@ func TestDriveMatchesTickingOracle(t *testing.T) {
 		opts    DriveOpts
 		skipped bool
 	}{
-		{"shipping", caf.Config{Images: 8, Seed: 3}, shipping, 300_000, DriveOpts{Reconcile: true}, true},
-		{"shipping-saturated", caf.Config{Images: 8, Seed: 5}, shipping, 4_000_000, DriveOpts{Reconcile: true}, true},
+		{"shipping", caf.Config{Images: 8, Seed: 3}, shipping, 300_000, DriveOpts{OnDead: DeadFail}, true},
+		{"shipping-saturated", caf.Config{Images: 8, Seed: 5}, shipping, 4_000_000, DriveOpts{OnDead: DeadFail}, true},
 		{"worker-proc", caf.Config{Images: 6, Seed: 4}, workerProc, 200_000, DriveOpts{}, true},
 		{"continuation", caf.Config{Images: 8, Seed: 6}, continuation, 300_000, DriveOpts{}, false},
 		{"detector-on", caf.Config{Images: 8, Seed: 7,
-			Faults:          &caf.FaultPlan{Seed: 7, Crash: map[int]caf.Time{1: 80 * caf.Microsecond}},
+			Fabric:          caf.FabricConfig{Faults: &caf.FaultPlan{Seed: 7, Crash: map[int]caf.Time{1: 80 * caf.Microsecond}}},
 			FailureDetector: caf.FailureDetectorConfig{Enabled: true, Heartbeat: 2 * caf.Microsecond}},
-			shipping, 300_000, DriveOpts{Reconcile: true}, false},
+			shipping, 300_000, DriveOpts{OnDead: DeadFail}, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

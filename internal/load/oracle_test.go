@@ -86,13 +86,8 @@ func driveTicking(img *caf.Image, client int, sched []Request, col *Collector, o
 			traced(r)
 		}
 		d.PS.Poll()
-		if o.Replay {
-			for _, r := range col.ReplayDead(m, me) {
-				traced(r)
-			}
-		}
-		if o.Reconcile {
-			col.ReconcileDead(m, now, me)
+		for _, r := range col.SettleDead(m, me, o.OnDead) {
+			traced(r)
 		}
 		out := col.Outstanding(me)
 		if i >= len(mine) && out == 0 {

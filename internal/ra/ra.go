@@ -125,9 +125,8 @@ type Result struct {
 	Errors int64
 	// Finishes is the number of finish blocks entered per image (FS).
 	Finishes int64
-	// Conflicts counts in-flight access overlaps when the machine runs
-	// with Config.DetectConflicts (the §IV-B races); ConflictLog holds
-	// the first few descriptions.
+	// Conflicts counts the races Config.Races detects (the §IV-B races);
+	// ConflictLog holds the first few descriptions.
 	Conflicts   int64
 	ConflictLog []string
 	Report      caf.Report

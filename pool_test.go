@@ -386,8 +386,8 @@ func quarantineMix(t *testing.T, cfg Config) (Report, []uint64) {
 func TestQuarantineRunEqualsPooledRun(t *testing.T) {
 	for name, cfg := range map[string]Config{
 		"plain":     {Images: 4, Seed: 3},
-		"coalesced": {Images: 4, Seed: 3, Coalescing: Coalescing{MaxMsgs: 4}},
-		"faults":    {Images: 4, Seed: 3, Faults: &FaultPlan{Seed: 3, Drop: 0.1, Dup: 0.2, Jitter: 5 * Microsecond}},
+		"coalesced": {Images: 4, Seed: 3, Fabric: FabricConfig{Coalescing: Coalescing{MaxMsgs: 4}}},
+		"faults":    {Images: 4, Seed: 3, Fabric: FabricConfig{Faults: &FaultPlan{Seed: 3, Drop: 0.1, Dup: 0.2, Jitter: 5 * Microsecond}}},
 		"traced":    {Images: 4, Seed: 3, TraceCapacity: 1 << 12, Metrics: true, PathTracing: true},
 	} {
 		t.Run(name, func(t *testing.T) {

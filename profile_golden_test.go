@@ -34,7 +34,7 @@ func TestProfileGoldens(t *testing.T) {
 		// the flush observer's labels (some kept, most dropped), spans per
 		// request, and a recorder and an op log that both fill up.
 		{"kv-shipping", caf.Config{Images: 8, Seed: 7, Metrics: true, TraceCapacity: 200, PathTracing: true,
-			Coalescing: caf.Coalescing{MaxMsgs: 4}},
+			Fabric: caf.FabricConfig{Coalescing: caf.Coalescing{MaxMsgs: 4}}},
 			workloads.ServiceOpts{Servers: 4, Requests: 120, Rate: 2_000_000, WriteFrac: 0.3, Shipping: true}},
 		// Lock + get/put round trips from a worker proc per request: every
 		// request parks, so the block log and its releaser fold fill too.

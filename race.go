@@ -1,14 +1,27 @@
 package caf
 
 import (
-	"fmt"
-
 	"caf2go/internal/core"
 	"caf2go/internal/race"
 	"caf2go/internal/trace"
 )
 
-// Happens-before race detection: when Config.RaceDetector is set, every
+// RaceLevel selects Config.Races, the one data-race detector a machine
+// runs. The levels are exclusive: exactly one tier reports.
+type RaceLevel uint8
+
+const (
+	// RacesOff detects nothing.
+	RacesOff RaceLevel = iota
+	// RacesOverlap flags conflicting accesses that are in flight at the
+	// same virtual time (conflict.go).
+	RacesOverlap
+	// RacesHappensBefore flags conflicting accesses no synchronization
+	// edge orders (below).
+	RacesHappensBefore
+)
+
+// Happens-before race detection: at RacesHappensBefore, every
 // execution context (each image's SPMD main and every shipped function)
 // and every asynchronous operation carries a vector-clock component
 // (internal/race), and the synchronization constructs install
@@ -32,11 +45,13 @@ import (
 //   - Collectives release participants' clocks into a per-instance sync
 //     object and acquire it role-filtered (a broadcast orders receivers
 //     after the root, a reduction orders the root after contributors).
-//   - When the fabric guarantees per-(src,dst) FIFO delivery
-//     (FabricConfig.FIFO, the default), each channel carries a clock so
-//     successive deliveries on the same channel are ordered — e.g. two
-//     back-to-back CopyAsyncs from one image into the same remote range
-//     are not a race, matching what the ordered conduit guarantees.
+//   - When the fabric delivers each (src,dst) channel in order
+//     (FabricConfig.Ordered: FIFO, the default, and no fault plan), each
+//     channel carries a clock so successive deliveries on the same
+//     channel are ordered — e.g. two back-to-back CopyAsyncs from one
+//     image into the same remote range are not a race, matching what the
+//     ordered conduit guarantees. A faulty fabric reorders, so it gets no
+//     channel clocks.
 //
 // Every edge the runtime installs corresponds to an ordering the memory
 // model actually promises. The conservative direction is the other one:
@@ -239,13 +254,13 @@ func (img *Image) collBracket(name string, t *Team, rel, acq bool) func() {
 }
 
 // ---------------------------------------------------------------------
-// Unified conflict reporting (both tiers).
+// Conflict reporting (whichever tier runs).
 // ---------------------------------------------------------------------
 
-// Conflict is one detected ordering violation, from either tier.
+// Conflict is one detected ordering violation.
 type Conflict struct {
-	// Kind is "overlap" (in-flight temporal overlap, DetectConflicts) or
-	// "race" (happens-before violation, RaceDetector).
+	// Kind is "overlap" (in-flight temporal overlap, RacesOverlap) or
+	// "race" (happens-before violation, RacesHappensBefore).
 	Kind string
 	// Image is the world rank owning the conflicted shard.
 	Image int
@@ -260,65 +275,25 @@ type Conflict struct {
 }
 
 // ConflictDetails returns structured descriptions of the recorded
-// conflicts from both detection tiers, in chronological order.
+// conflicts, in chronological order.
 func (m *Machine) ConflictDetails() []Conflict {
-	var overlap []Conflict
+	var out []Conflict
 	if cs := m.conflicts; cs != nil {
 		for _, e := range cs.log {
-			overlap = append(overlap, Conflict{
+			out = append(out, Conflict{
 				Kind: "overlap", Image: e.image, Lo: e.lo, Hi: e.hi,
 				First: e.first, Second: e.second, Time: e.t,
 			})
 		}
 	}
-	var races []Conflict
 	if rs := m.race; rs != nil {
 		for _, r := range rs.d.Races() {
-			races = append(races, Conflict{
+			out = append(out, Conflict{
 				Kind: "race", Image: r.Rank, Lo: r.Lo, Hi: r.Hi,
 				First: r.Prior.Op, Second: r.Current.Op,
 				Time: r.Detected, Missing: r.Missing(),
 			})
 		}
-	}
-	return mergeByTime(overlap, races)
-}
-
-// mergeByTime merges two chronologically ordered conflict lists.
-func mergeByTime(a, b []Conflict) []Conflict {
-	if len(a) == 0 {
-		return b
-	}
-	if len(b) == 0 {
-		return a
-	}
-	out := make([]Conflict, 0, len(a)+len(b))
-	for len(a) > 0 && len(b) > 0 {
-		if a[0].Time <= b[0].Time {
-			out = append(out, a[0])
-			a = a[1:]
-		} else {
-			out = append(out, b[0])
-			b = b[1:]
-		}
-	}
-	out = append(out, a...)
-	return append(out, b...)
-}
-
-// raceLogLines formats the race tier's reports for ConflictLog.
-func (m *Machine) raceLogLines() []logEntry {
-	rs := m.race
-	if rs == nil {
-		return nil
-	}
-	out := make([]logEntry, 0, len(rs.d.Races()))
-	for _, r := range rs.d.Races() {
-		out = append(out, logEntry{
-			t: r.Detected,
-			s: fmt.Sprintf("race at image %d [%d,%d): %s unordered with %s at t=%v",
-				r.Rank, r.Lo, r.Hi, r.Current.Op, r.Prior.Op, r.Detected),
-		})
 	}
 	return out
 }

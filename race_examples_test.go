@@ -1,7 +1,7 @@
 package caf_test
 
-// The example programs, re-run under the happens-before race detector
-// (`make race-examples`). Expected counts are part of the contract:
+// The example programs, re-run under the happens-before race detector.
+// Expected counts are part of the contract:
 //
 //   - transpose's strided column pushes under finish: 0 (the stride
 //     intersection must prove interleaved columns disjoint, and the
@@ -22,11 +22,18 @@ import (
 
 // TestRaceExamplesTranspose mirrors examples/transpose at reduced scale:
 // every image pushes strided column segments of its row block into every
-// other image's block of the transpose, inside one finish.
+// other image's block of the transpose, inside one finish. It must be
+// clean at both detector levels.
 func TestRaceExamplesTranspose(t *testing.T) {
+	for _, races := range []caf.RaceLevel{caf.RacesOverlap, caf.RacesHappensBefore} {
+		transposeRaces(t, races)
+	}
+}
+
+func transposeRaces(t *testing.T, races caf.RaceLevel) {
 	const images, n = 4, 16
 	blk := n / images
-	m := caf.NewMachine(caf.Config{Images: images, Seed: 1, DetectConflicts: true, RaceDetector: true})
+	m := caf.NewMachine(caf.Config{Images: images, Seed: 1, Races: races})
 	m.Launch(func(img *caf.Image) {
 		me := img.Rank()
 		a := caf.NewCoarray2D[int64](img, nil, blk, n)
@@ -62,7 +69,7 @@ func TestRaceExamplesTranspose(t *testing.T) {
 		t.Fatal(err)
 	}
 	if n := m.Conflicts(); n != 0 {
-		t.Errorf("transpose flagged %d conflicts: %v", n, m.ConflictLog())
+		t.Errorf("races=%d: transpose flagged %d conflicts: %v", races, n, m.ConflictLog())
 	}
 }
 
@@ -78,7 +85,7 @@ func runStealWorkload(t *testing.T, shipping bool) *caf.Machine {
 		stealSize = 2
 	)
 	pools := make([][]int64, images)
-	m := caf.NewMachine(caf.Config{Images: images, Seed: 3, RaceDetector: true})
+	m := caf.NewMachine(caf.Config{Images: images, Seed: 3, Races: caf.RacesHappensBefore})
 	m.Launch(func(img *caf.Image) {
 		me := img.Rank()
 		meta := caf.NewCoarray[int64](img, nil, 1)
@@ -178,7 +185,7 @@ func TestRaceExamplesRandomAccess(t *testing.T) {
 	cfg := ra.DefaultConfig(ra.GetUpdatePut)
 	cfg.LocalTableBits = 6
 	cfg.UpdatesPerImage = 128
-	res, err := ra.Run(caf.Config{Images: 4, Seed: 1, RaceDetector: true}, cfg)
+	res, err := ra.Run(caf.Config{Images: 4, Seed: 1, Races: caf.RacesHappensBefore}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +197,7 @@ func TestRaceExamplesRandomAccess(t *testing.T) {
 	cfg.LocalTableBits = 6
 	cfg.UpdatesPerImage = 128
 	cfg.BunchSize = 32
-	res, err = ra.Run(caf.Config{Images: 4, Seed: 1, RaceDetector: true}, cfg)
+	res, err = ra.Run(caf.Config{Images: 4, Seed: 1, Races: caf.RacesHappensBefore}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

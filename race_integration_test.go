@@ -7,19 +7,6 @@ import (
 	caf "caf2go"
 )
 
-// conflictKinds tallies the two detection tiers separately.
-func conflictKinds(m *caf.Machine) (overlap, races int) {
-	for _, c := range m.ConflictDetails() {
-		switch c.Kind {
-		case "overlap":
-			overlap++
-		case "race":
-			races++
-		}
-	}
-	return overlap, races
-}
-
 // TestRaceDetectorCatchesTemporallyDisjointRace is the acceptance
 // scenario: two conflicting writes that never overlap in virtual time
 // (the second starts milliseconds after the first completed) but have no
@@ -27,8 +14,8 @@ func conflictKinds(m *caf.Machine) (overlap, races int) {
 // the happens-before tier must flag them. Adding the missing edge (a
 // destination-completion event the second writer waits on) silences both.
 func TestRaceDetectorCatchesTemporallyDisjointRace(t *testing.T) {
-	run := func(ordered bool) (overlap, races int) {
-		m := caf.NewMachine(caf.Config{Images: 3, Seed: 1, DetectConflicts: true, RaceDetector: true})
+	run := func(races caf.RaceLevel, ordered bool) int64 {
+		m := caf.NewMachine(caf.Config{Images: 3, Seed: 1, Races: races})
 		m.Launch(func(img *caf.Image) {
 			ca := caf.NewCoarray[int64](img, nil, 8)
 			ev := img.NewEvent()
@@ -61,18 +48,17 @@ func TestRaceDetectorCatchesTemporallyDisjointRace(t *testing.T) {
 		if _, err := m.RunToCompletion(); err != nil {
 			t.Fatal(err)
 		}
-		return conflictKinds(m)
+		return m.Conflicts()
 	}
 
-	overlap, races := run(false)
-	if overlap != 0 {
-		t.Errorf("overlap tier flagged %d conflicts although the writes never coexist in flight", overlap)
+	if n := run(caf.RacesOverlap, false); n != 0 {
+		t.Errorf("overlap tier flagged %d conflicts although the writes never coexist in flight", n)
 	}
-	if races == 0 {
+	if run(caf.RacesHappensBefore, false) == 0 {
 		t.Error("happens-before tier missed the unordered write pair")
 	}
 
-	overlap, races = run(true)
+	overlap, races := run(caf.RacesOverlap, true), run(caf.RacesHappensBefore, true)
 	if overlap != 0 || races != 0 {
 		t.Errorf("event-ordered variant flagged overlap=%d races=%d, want 0/0", overlap, races)
 	}
@@ -81,7 +67,7 @@ func TestRaceDetectorCatchesTemporallyDisjointRace(t *testing.T) {
 // TestRaceReportNamesMissingEdge checks the structured report: both
 // access sites and a description of the absent synchronization edge.
 func TestRaceReportNamesMissingEdge(t *testing.T) {
-	m := caf.NewMachine(caf.Config{Images: 3, Seed: 1, RaceDetector: true})
+	m := caf.NewMachine(caf.Config{Images: 3, Seed: 1, Races: caf.RacesHappensBefore})
 	m.Launch(func(img *caf.Image) {
 		ca := caf.NewCoarray[int64](img, nil, 8)
 		img.Barrier(nil)
@@ -118,10 +104,16 @@ func TestRaceReportNamesMissingEdge(t *testing.T) {
 // TestRaceDetectorCleanOnSynchronizedPatterns exercises each edge the
 // runtime installs: barrier, lock, and finish-covered spawn ordering.
 // All are properly synchronized, so the detector must stay silent even
-// though the accesses conflict on range.
+// though the accesses conflict on range, at either level.
 func TestRaceDetectorCleanOnSynchronizedPatterns(t *testing.T) {
+	for _, races := range []caf.RaceLevel{caf.RacesOverlap, caf.RacesHappensBefore} {
+		cleanOnSynchronizedPatterns(t, races)
+	}
+}
+
+func cleanOnSynchronizedPatterns(t *testing.T, races caf.RaceLevel) {
 	// Barrier-separated conflicting writes.
-	m := caf.NewMachine(caf.Config{Images: 3, Seed: 1, DetectConflicts: true, RaceDetector: true})
+	m := caf.NewMachine(caf.Config{Images: 3, Seed: 1, Races: races})
 	m.Launch(func(img *caf.Image) {
 		ca := caf.NewCoarray[int64](img, nil, 8)
 		img.Barrier(nil)
@@ -138,12 +130,12 @@ func TestRaceDetectorCleanOnSynchronizedPatterns(t *testing.T) {
 		t.Fatal(err)
 	}
 	if n := m.Conflicts(); n != 0 {
-		t.Errorf("barrier-ordered writes flagged %d conflicts: %v", n, m.ConflictLog())
+		t.Errorf("races=%d: barrier-ordered writes flagged %d conflicts: %v", races, n, m.ConflictLog())
 	}
 
 	// Lock-serialized read-modify-write from two images.
 	var final int64
-	m = caf.NewMachine(caf.Config{Images: 3, Seed: 1, DetectConflicts: true, RaceDetector: true})
+	m = caf.NewMachine(caf.Config{Images: 3, Seed: 1, Races: races})
 	m.Launch(func(img *caf.Image) {
 		ca := caf.NewCoarray[int64](img, nil, 1)
 		img.Barrier(nil)
@@ -167,13 +159,13 @@ func TestRaceDetectorCleanOnSynchronizedPatterns(t *testing.T) {
 		t.Errorf("lock-serialized counter = %d, want 16", final)
 	}
 	if n := m.Conflicts(); n != 0 {
-		t.Errorf("lock-serialized updates flagged %d conflicts: %v", n, m.ConflictLog())
+		t.Errorf("races=%d: lock-serialized updates flagged %d conflicts: %v", races, n, m.ConflictLog())
 	}
 
 	// Finish-covered spawn: the spawned child's write happens-before
 	// every member's post-finish code, so image 1's later write is
 	// ordered even though no message ever flowed from the child to it.
-	m = caf.NewMachine(caf.Config{Images: 3, Seed: 1, DetectConflicts: true, RaceDetector: true})
+	m = caf.NewMachine(caf.Config{Images: 3, Seed: 1, Races: races})
 	m.Launch(func(img *caf.Image) {
 		ca := caf.NewCoarray[int64](img, nil, 8)
 		img.Barrier(nil)
@@ -192,7 +184,7 @@ func TestRaceDetectorCleanOnSynchronizedPatterns(t *testing.T) {
 		t.Fatal(err)
 	}
 	if n := m.Conflicts(); n != 0 {
-		t.Errorf("finish-ordered spawn write flagged %d conflicts: %v", n, m.ConflictLog())
+		t.Errorf("races=%d: finish-ordered spawn write flagged %d conflicts: %v", races, n, m.ConflictLog())
 	}
 }
 
@@ -204,7 +196,7 @@ func TestRaceDetectorCleanOnSynchronizedPatterns(t *testing.T) {
 func TestEventCallbackWaiterInterleaving(t *testing.T) {
 	var got []int64
 	var leftover int64
-	m := caf.NewMachine(caf.Config{Images: 3, Seed: 1, RaceDetector: true})
+	m := caf.NewMachine(caf.Config{Images: 3, Seed: 1, Races: caf.RacesHappensBefore})
 	m.Launch(func(img *caf.Image) {
 		ca := caf.NewCoarray[int64](img, nil, 4)
 		var ev *caf.Event
@@ -254,7 +246,7 @@ func TestEventCallbackWaiterInterleaving(t *testing.T) {
 // conflicts whose image numbers disagree with their timestamps. An early
 // conflict at image 3 must precede a later one at image 2.
 func TestConflictLogChronological(t *testing.T) {
-	m := caf.NewMachine(caf.Config{Images: 4, Seed: 1, DetectConflicts: true})
+	m := caf.NewMachine(caf.Config{Images: 4, Seed: 1, Races: caf.RacesOverlap})
 	m.Launch(func(img *caf.Image) {
 		ca := caf.NewCoarray[int64](img, nil, 8)
 		img.Barrier(nil)
@@ -303,7 +295,7 @@ func TestConflictLogChronological(t *testing.T) {
 // log truncation: past the cap the log must still say how many entries
 // were dropped, and the full count must remain exact.
 func TestConflictLogTruncationReported(t *testing.T) {
-	m := caf.NewMachine(caf.Config{Images: 2, Seed: 1, DetectConflicts: true})
+	m := caf.NewMachine(caf.Config{Images: 2, Seed: 1, Races: caf.RacesOverlap})
 	m.Launch(func(img *caf.Image) {
 		ca := caf.NewCoarray[int64](img, nil, 4)
 		img.Barrier(nil)
@@ -335,5 +327,50 @@ func TestConflictLogTruncationReported(t *testing.T) {
 	}
 	if !strings.Contains(last, "50 more") {
 		t.Errorf("dropped count wrong, last entry = %q (total %d)", last, total)
+	}
+}
+
+// TestRaceDetectorNoChannelEdgesOnReorderingFabric: channel clocks order
+// successive deliveries on a (src, dst) channel only when the fabric
+// delivers that channel in order. A fault plan reorders it (here by
+// jitter alone), so eight back-to-back copies into one element land in a
+// seed-dependent order and every pair of them races: C(8,2) = 28. On
+// the fault-free FIFO fabric the same program is ordered and clean.
+func TestRaceDetectorNoChannelEdgesOnReorderingFabric(t *testing.T) {
+	run := func(seed int64, faults *caf.FaultPlan) (races, final int64) {
+		fab := caf.DefaultFabric() // FIFO asked for, whatever the plan does
+		fab.Faults = faults
+		m := caf.NewMachine(caf.Config{Images: 2, Seed: seed, Races: caf.RacesHappensBefore, Fabric: fab})
+		m.Launch(func(img *caf.Image) {
+			ca := caf.NewCoarray[int64](img, nil, 1)
+			img.Barrier(nil)
+			if img.Rank() == 0 {
+				for v := int64(1); v <= 8; v++ {
+					caf.CopyAsync(img, ca.Sec(1, 0, 1), caf.Local([]int64{v}))
+				}
+				img.Cofence(caf.AllowNone, caf.AllowNone)
+			} else {
+				img.Compute(caf.Millisecond)
+				final = ca.Local(img)[0]
+			}
+		})
+		if _, err := m.RunToCompletion(); err != nil {
+			t.Fatal(err)
+		}
+		return m.Conflicts(), final
+	}
+	reordered := false
+	for seed := int64(1); seed <= 8; seed++ {
+		races, final := run(seed, &caf.FaultPlan{Jitter: 40 * caf.Microsecond})
+		if races != 28 {
+			t.Errorf("seed %d: jittered fabric (last write landed: %d) reported %d races, want 28", seed, final, races)
+		}
+		reordered = reordered || final != 8
+		if races, final := run(seed, nil); races != 0 || final != 8 {
+			t.Errorf("seed %d: FIFO fabric reported %d races with final value %d, want 0 and 8", seed, races, final)
+		}
+	}
+	if !reordered {
+		t.Error("jitter never reordered the copies: the scenario exercises nothing")
 	}
 }

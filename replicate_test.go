@@ -17,7 +17,7 @@ func replCfg(n int, seed int64, crash map[int]caf.Time) caf.Config {
 		},
 	}
 	if len(crash) > 0 {
-		cfg.Faults = &caf.FaultPlan{Seed: seed, Crash: crash}
+		cfg.Fabric.Faults = &caf.FaultPlan{Seed: seed, Crash: crash}
 	}
 	return cfg
 }
