@@ -25,9 +25,7 @@ test-short:
 ci: vet build test
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l . lists:"; echo "$$out"; exit 1; fi
 	cd benchmark && $(GO) vet . && $(GO) test .
-	$(GO) test -race -short ./internal/...
-	$(GO) test -race -run 'Pool|Quarantine|Inline' . ./internal/sim ./internal/fabric ./internal/rt ./internal/core ./internal/trace ./internal/path ./internal/metrics
-	$(GO) test -race -run 'GOMAXPROCSEquivalence|BoundedRoundsGOMAXPROCS|KV(ServiceCrash|Recover)BitIdentical' ./examples/workloads ./internal/core ./internal/chaos
+	$(GO) test -race ./...
 	$(MAKE) sweeps-check
 
 bench:

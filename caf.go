@@ -222,7 +222,7 @@ type Machine struct {
 	// Config.Replication.Enabled and the failure detector is live).
 	repl *repl.Manager
 
-	inlines sim.FreeList[inlined] // records of inline shipped functions
+	inlines sim.FreeList[shipped] // released records of Inline shipped functions
 }
 
 // imageState is per-image state shared by every proc running on that
@@ -241,9 +241,9 @@ type imageState struct {
 	carrSeq map[int64]uint64
 
 	// nextTid hands out trace strand ids: the SPMD main is tid 0, each
-	// spawned handler proc on this image gets the next id, so Perfetto
-	// renders handler work on its own track instead of folding it onto
-	// the main strand.
+	// shipped function delivered to this image gets the next id, in
+	// delivery order, so Perfetto renders handler work on its own track
+	// instead of folding it onto the main strand.
 	nextTid int
 
 	// Per-image counters surfaced in Stats.
@@ -820,19 +820,20 @@ func Run(cfg Config, main func(img *Image)) (Report, error) {
 type Image struct {
 	m  *Machine
 	st *imageState
-	// proc is the context's simulated process; nil in a shipped function
-	// declared Inline, which has none. Read it through parker.
+	// proc is the context's simulated process, bound when the process
+	// starts; nil in a shipped function declared Inline, which has none.
+	// Read it through parker.
 	proc *sim.Proc
 
 	// tid is the trace strand id: 0 for the SPMD main, a fresh per-image
-	// id for each spawned handler proc (satisfying Perfetto's
+	// id for each shipped function, proc or inline (satisfying Perfetto's
 	// one-track-per-strand rendering).
 	tid int
 
 	// ct tracks the implicitly-synchronized operations initiated by THIS
 	// execution context. A cofence inside a shipped function captures
 	// only operations launched by that function (dynamic scoping,
-	// paper Fig. 10), so every proc carries its own tracker.
+	// paper Fig. 10), so every execution context carries its own tracker.
 	ct *core.CofenceTracker
 
 	// finishStack holds the dynamically enclosing finish blocks opened
@@ -842,7 +843,7 @@ type Image struct {
 	finishStack     []*core.State
 	inheritedFinish int64 // 0 = none
 
-	// spawn is the shipped function this proc runs (nil on an SPMD
+	// spawn is the shipped function this context runs (nil on an SPMD
 	// main); Payload reads the copied argument bytes from it.
 	spawn *spawnOp
 

@@ -5,11 +5,8 @@ import (
 	"reflect"
 	"runtime"
 
-	"caf2go/internal/core"
 	"caf2go/internal/path"
-	"caf2go/internal/rt"
 	"caf2go/internal/sim"
-	"caf2go/internal/trace"
 )
 
 // Inline declares that the shipped function never parks and occupies the
@@ -72,75 +69,21 @@ func (s *spawnOp) execName() string {
 	return runtime.FuncForPC(reflect.ValueOf(s.fn).Pointer()).Name()
 }
 
-// inlined is the target's record of an inline shipped function, from its
-// delivery to the end of the one event that runs it: the Image the
-// function sees (proc == nil) and that Image's cofence tracker. The
-// record is that event (a sim.Event), so scheduling it builds nothing.
-// Pooled on the Machine (DESIGN §4.14): the function's contract is that
-// nothing keeps its Image, which is what an owned `shipped` cannot assume.
-type inlined struct {
-	img   Image
-	ct    core.CofenceTracker
-	s     *spawnOp
-	d     *rt.Delivery // detached; completed when the function has returned
-	start Time         // delivery: where the execution span begins
-	dead  bool         // released under sim.QuarantinePools
-}
-
-// deliverInline accepts an inline shipped function on its target: what a
-// proc's start event would do is done here, at delivery, so that counters,
-// strand ids and race contexts are handed out in the order functions
-// arrive, and the function itself is scheduled service from now.
-func (m *Machine) deliverInline(st *imageState, s *spawnOp, d *rt.Delivery) {
-	in := m.inlines.Get()
-	if in == nil {
-		in = new(inlined)
-	}
-	st.spawnsExecuted++
-	st.nextTid++
-	in.s, in.d, in.start = s, d, m.eng.Now()
-	in.img = Image{m: m, st: st, tid: st.nextTid,
-		inheritedFinish: s.finishID, pctx: s.pctx, spawn: s}
-	in.img.ct = m.initTracker(&in.ct)
-	if rs := m.race; rs != nil {
-		in.img.rc = rs.d.NewCtx(m.raceChanArrive(d.Src, st.kern.Rank(), s.tok.clk))
-	}
-	st.kern.After(s.service, in)
-}
-
-// RunEvent is the function's event: the body, then exactly what a
-// shipped function's proc does after its body returns.
-func (in *inlined) RunEvent() {
-	if in.dead {
-		panic("caf: inline shipped function's record used after its event")
-	}
-	img, s := &in.img, in.s
+// RunEvent is an Inline function's event, service after its delivery:
+// the function and its exit, then its record goes back to the pool.
+func (sh *shipped) RunEvent() {
+	img, s := &sh.img, sh.s
 	m := img.m
 	if s.service > 0 {
 		m.path.Claim(img.pctx, path.HandlerService, img.Now())
 	}
-	exec := "spawn-exec"
-	if nc := s.named; nc != nil {
-		rf := nc.fn
-		args, err := decodeArgs(nc.blob)
-		if err != nil {
-			panic(fmt.Sprintf("caf: cannot unmarshal arguments of %q: %v", rf.name, err))
-		}
-		exec = rf.exec
-		rf.fn(img, args)
-	} else {
-		s.fn(img)
-	}
-	img.traceSpan(exec, "ship", in.start)
-	img.ct.Flush()
-	m.opStageAt(&s.op, img.Rank(), trace.StageGlobal)
-	m.spawnJoin(img, s.event, s.finishID, in.d)
-
-	if in.ct.Pending() > 0 {
+	sh.exec(img.Now() - s.service)
+	if sh.ct.Pending() > 0 {
 		// An operation the function started and did not fence still points
-		// at the tracker: the record stays its own, like a shipped one.
+		// at the tracker: the record stays its own, like a proc's.
 		return
 	}
-	*in = inlined{}
-	in.dead = m.inlines.Put(in)
+	// Zeroed, a record quarantined by Put panics on any further use.
+	*sh = shipped{}
+	m.inlines.Put(sh)
 }

@@ -3,8 +3,10 @@ package caf
 // Tests of shipped functions declared Inline (DESIGN §4.15): that one runs
 // to the same observable result as the Compute-first proc it replaces,
 // under every feature that touches the spawn path; that every operation
-// which could park refuses, by name; what the path still allocates; and
-// that its recycled record is not readable after the function returned.
+// which could park refuses, by name; that a registered function ships
+// inline too; that both vehicles hand out strand ids in delivery order; what the
+// path still allocates; and that its recycled record is not readable
+// after the function returned.
 
 import (
 	"errors"
@@ -333,16 +335,16 @@ func TestInlineNonParkingOperationsAreLegal(t *testing.T) {
 	})
 }
 
-// A function registered with RegisterInline takes the inline path through
+// A registered function shipped with Inline takes the inline path through
 // SpawnNamed, is reported under its spawn-exec label, and costs its target
-// the registered service time.
+// the declared service time.
 func TestInlineNamedFunction(t *testing.T) {
 	var got []any
 	var ranAt, shippedAt Time
 	m := NewMachine(Config{Images: 2, Seed: 1, TraceCapacity: 1 << 10})
-	m.RegisterInline("bump", 3*Microsecond, func(img *Image, args []any) {
+	m.RegisterRemote("bump", func(img *Image, args []any) {
 		if img.proc != nil {
-			t.Error("a RegisterInline function was given a proc")
+			t.Error("a function shipped Inline was given a proc")
 		}
 		got, ranAt = args, img.Now()
 	})
@@ -350,7 +352,7 @@ func TestInlineNamedFunction(t *testing.T) {
 		img.Finish(nil, func() {
 			if img.Rank() == 0 {
 				shippedAt = img.Now()
-				img.SpawnNamed(1, "bump", []any{41, "x"})
+				img.SpawnNamed(1, "bump", []any{41, "x"}, Inline(3*Microsecond))
 			}
 		})
 	})
@@ -377,10 +379,41 @@ func TestInlineNamedFunction(t *testing.T) {
 	}
 
 	r := inlinePanic(t, func(m *Machine) {
-		m.RegisterInline("parks", 0, func(img *Image, _ []any) { img.Compute(Microsecond) })
-	}, nil, func(img *Image) { img.SpawnNamed(1, "parks", nil) })
+		m.RegisterRemote("parks", func(img *Image, _ []any) { img.Compute(Microsecond) })
+	}, nil, func(img *Image) { img.SpawnNamed(1, "parks", nil, Inline(0)) })
 	if perr, ok := r.(*InlineParkError); !ok || perr.Fn != "spawn-exec:parks" || perr.Op != "Compute" {
 		t.Errorf("a parking registered function panicked with %v, want InlineParkError{spawn-exec:parks, Compute}", r)
+	}
+}
+
+// Strand ids, like every other per-function counter, are handed out at
+// delivery whichever vehicle runs the function. On a fabric with no
+// overheads a proc function and an inline one reach image 1 at the same
+// instant; the proc's is delivered first and must get the first id.
+func TestStrandIDsFollowDeliveryOrderAcrossVehicles(t *testing.T) {
+	var procTid, inlineTid int
+	var procAt, inlineAt Time
+	rep, err := Run(Config{Images: 3, Seed: 1, Fabric: FabricConfig{Latency: 1000, FIFO: true}}, func(img *Image) {
+		img.Finish(nil, func() {
+			switch img.Rank() {
+			case 0:
+				img.Spawn(1, func(r *Image) { procTid, procAt = r.tid, r.Now() })
+			case 2:
+				img.Spawn(1, func(r *Image) { inlineTid, inlineAt = r.tid, r.Now() }, Inline(0))
+			}
+		})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if procAt != 1000 || inlineAt != 1000 {
+		t.Errorf("the functions ran at %v and %v, want both at 1000", procAt, inlineAt)
+	}
+	if procTid != 1 || inlineTid != 2 {
+		t.Errorf("strand ids: proc %d, inline %d; want 1 and 2, in delivery order", procTid, inlineTid)
+	}
+	if rep.SpawnsExecuted != 2 {
+		t.Errorf("%d spawns executed, want 2", rep.SpawnsExecuted)
 	}
 }
 
@@ -439,6 +472,7 @@ func TestPoolSpawnRecordSizes(t *testing.T) {
 	if n := unsafe.Sizeof(spawnOp{}); n > 384 {
 		t.Errorf("spawnOp is %d bytes, want ≤ 384", n)
 	}
+	// One record for both vehicles: a proc's, and a pooled inline one.
 	if n := unsafe.Sizeof(shipped{}); n > 256 {
 		t.Errorf("shipped is %d bytes, want ≤ 256", n)
 	}

@@ -144,11 +144,12 @@ func (rc *ReplCoarray[T]) Apply(img *Image, home, seq, slot int, fn func(T) T) T
 			rc.mMirror.Add(me, 1)
 			// The mirror ships the absolute resulting value, not the
 			// update, so it is idempotent and order-tolerant; it rides
-			// the normal AM path (small enough to coalesce).
+			// the normal AM path (small enough to coalesce). It only stores
+			// two values, so it runs Inline, as a callback.
 			img.Spawn(b, func(s *Image) {
 				rc.mirr.Local(s)[slot] = v
 				rc.appliedB[home][seq] = v
-			}, WithBytes(rc.prim.ElemBytes()+mirrorOverheadBytes), withMirrorPath())
+			}, WithBytes(rc.prim.ElemBytes()+mirrorOverheadBytes), withMirrorPath(), Inline(0))
 		}
 		return v
 	}

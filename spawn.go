@@ -214,9 +214,12 @@ func (s *spawnOp) Delivered() {
 func (s *spawnOp) Abandoned() { s.op.m.opAbandoned(&s.op, s.op.img, &s.tok) }
 
 // shipped is the target's one record of an executing shipped function:
-// the Image the function sees, that Image's cofence tracker, and the
-// body of the proc that runs it. Owned, not pooled: the function may
-// hand its *Image to a continuation that outlives the proc.
+// the Image the function sees and that Image's cofence tracker. The
+// vehicle that runs it is the record itself: a sim.Body for a proc, a
+// sim.Event for an Inline function, so neither builds anything more. A
+// proc's record is owned, not pooled: the function may hand its *Image to
+// a continuation that outlives the proc. An inline one is pooled on the
+// Machine (DESIGN §4.14): its contract is that nothing keeps its Image.
 type shipped struct {
 	img Image
 	ct  core.CofenceTracker
@@ -224,24 +227,20 @@ type shipped struct {
 	d   *rt.Delivery // detached; completed when the function has returned
 }
 
-// handleSpawn executes a shipped function on the destination image.
+// handleSpawn accepts a shipped function on its target. Counters, strand
+// ids and race contexts are handed out here, at delivery, so that they
+// follow the order functions arrive in whichever vehicle runs them.
 func (m *Machine) handleSpawn(d *rt.Delivery) {
 	s := d.Payload.(*spawnOp)
 	st := m.states[d.Img.Rank()]
 	d.Detach()
+	var sh *shipped
 	if s.inline {
-		m.deliverInline(st, s, d)
-		return
+		sh = m.inlines.Get()
 	}
-	sh := &shipped{s: s, d: d}
-	sh.img.m, sh.img.st = m, st
-	st.kern.GoBody(s.op.kind, sh)
-}
-
-// Run is the shipped function's proc.
-func (sh *shipped) Run(p *sim.Proc) {
-	img, s := &sh.img, sh.s
-	m, st := img.m, img.st
+	if sh == nil {
+		sh = new(shipped)
+	}
 	st.spawnsExecuted++
 	// Each shipped function carries its own cofence tracker: a cofence
 	// inside it observes only operations it launched (dynamic scoping,
@@ -249,36 +248,64 @@ func (sh *shipped) Run(p *sim.Proc) {
 	// handler spans render on their own Perfetto track instead of
 	// interleaving with the main's.
 	st.nextTid++
-	img.proc, img.tid = p, st.nextTid
-	img.inheritedFinish, img.pctx, img.spawn = s.finishID, s.pctx, s
-	img.ct = m.initTracker(&sh.ct)
-	if m.det != nil {
+	sh.s, sh.d = s, d
+	sh.img = Image{m: m, st: st, tid: st.nextTid,
+		inheritedFinish: s.finishID, pctx: s.pctx, spawn: s}
+	sh.img.ct = m.initTracker(&sh.ct)
+	if rs := m.race; rs != nil {
+		sh.img.rc = rs.d.NewCtx(m.raceChanArrive(d.Src, st.kern.Rank(), s.tok.clk))
+	}
+	if s.inline {
+		st.kern.After(s.service, sh)
+	} else {
+		st.kern.GoBody(s.op.kind, sh)
+	}
+}
+
+// Run is the shipped function's proc.
+func (sh *shipped) Run(p *sim.Proc) {
+	sh.img.proc = p
+	if sh.img.m.det != nil {
 		defer sh.completeAborted()
 	}
-	if rs := m.race; rs != nil {
-		img.rc = rs.d.NewCtx(m.raceChanArrive(sh.d.Src, st.kern.Rank(), s.tok.clk))
-	}
-	exec, fn := "spawn-exec", s.fn
+	sh.exec(p.Now())
+}
+
+// exec runs the function, which began executing at start, and then what
+// every shipped function does when it returns.
+func (sh *shipped) exec(start Time) {
+	img, s := &sh.img, sh.s
+	m := img.m
+	exec := "spawn-exec"
 	if nc := s.named; nc != nil {
-		// A named spawn is a spawn whose body decodes the blob and calls
-		// the registry entry.
+		// A named spawn decodes the blob and calls the registry entry.
 		rf := nc.fn
 		args, err := decodeArgs(nc.blob)
 		if err != nil {
 			panic(fmt.Sprintf("caf: cannot unmarshal arguments of %q: %v", rf.name, err))
 		}
-		exec, fn = rf.exec, func(img *Image) { rf.fn(img, args) }
+		exec = rf.exec
+		rf.fn(img, args)
+	} else {
+		s.fn(img)
 	}
-	execStart := p.Now()
-	fn(img)
-	img.traceSpan(exec, "ship", execStart)
+	img.traceSpan(exec, "ship", start)
 	// Spawned context exit is a synchronization point for any
 	// initiations it deferred.
 	img.ct.Flush()
 	// The shipped function has finished executing on the target: the
 	// spawn is globally complete.
 	m.opStageAt(&s.op, img.Rank(), trace.StageGlobal)
-	m.spawnJoin(img, s.event, s.finishID, sh.d)
+	// The join edge: an implicit spawn releases its final clock into the
+	// enclosing finish (the finish exit is ordered after the child's
+	// body), an explicit one into its completion event.
+	if rs := m.race; rs != nil && img.rc != nil && s.event == nil && s.finishID != 0 {
+		img.rc.ReleaseInto(&rs.finishSyncFor(s.finishID).ops)
+	}
+	if s.event != nil {
+		m.notifyFrom(img.Rank(), s.event, img.raceRelease())
+	}
+	sh.d.Complete()
 }
 
 // completeAborted is deferred under a failure detector: a shipped
@@ -296,21 +323,6 @@ func (sh *shipped) completeAborted() {
 	}
 	sh.img.m.recordAbort(sh.img.Rank(), ab.Err)
 	sh.d.Complete()
-}
-
-// spawnJoin installs a completed shipped function's join edge: an
-// implicit spawn releases its final clock into the enclosing finish (the
-// finish exit is ordered after the child's body), an explicit one into
-// its completion event; then the delivery completes.
-func (m *Machine) spawnJoin(img *Image, event *Event, finishID int64, d *rt.Delivery) {
-	if rs := m.race; rs != nil && img.rc != nil && event == nil && finishID != 0 {
-		fs := rs.finishSyncFor(finishID)
-		img.rc.ReleaseInto(&fs.ops)
-	}
-	if event != nil {
-		m.notifyFrom(img.Rank(), event, img.raceRelease())
-	}
-	d.Complete()
 }
 
 // classForBytes picks the message class by payload size.

@@ -28,35 +28,20 @@ type remoteFn struct {
 	name string
 	kind string // "spawn:<name>": the op kind, ship instant and proc name
 	exec string // "spawn-exec:<name>": the execution span, and the name an InlineParkError reports
-
-	inline  bool // registered by RegisterInline: every spawn of it is Inline(service)
-	service Time
 }
 
 // RegisterRemote binds name to fn on the machine. Must be called before
 // Launch (registration mirrors compile-time procedure visibility).
-// Registering a duplicate name panics.
+// Registering a duplicate name panics. The vehicle is the call site's, as
+// for a closure: SpawnNamed(target, name, args, Inline(s)) runs fn inline.
 func (m *Machine) RegisterRemote(name string, fn RemoteFn) {
-	m.register(&remoteFn{fn: fn, name: name})
-}
-
-// RegisterInline is RegisterRemote for a function that never parks and
-// costs its target service of handler time: every SpawnNamed of it runs
-// as Inline(service) does for a closure, under the same contract. The
-// declaration belongs to the function, not to its call sites.
-func (m *Machine) RegisterInline(name string, service Time, fn RemoteFn) {
-	m.register(&remoteFn{fn: fn, name: name, inline: true, service: max(service, 0)})
-}
-
-func (m *Machine) register(rf *remoteFn) {
 	if m.registry == nil {
 		m.registry = &fnRegistry{fns: make(map[string]*remoteFn)}
 	}
-	if _, dup := m.registry.fns[rf.name]; dup {
-		panic(fmt.Sprintf("caf: remote function %q registered twice", rf.name))
+	if _, dup := m.registry.fns[name]; dup {
+		panic(fmt.Sprintf("caf: remote function %q registered twice", name))
 	}
-	rf.kind, rf.exec = "spawn:"+rf.name, "spawn-exec:"+rf.name
-	m.registry.fns[rf.name] = rf
+	m.registry.fns[name] = &remoteFn{fn: fn, name: name, kind: "spawn:" + name, exec: "spawn-exec:" + name}
 }
 
 // encodeArgs serializes the argument list; the byte count is the modeled
@@ -108,7 +93,7 @@ func (img *Image) SpawnNamed(target int, name string, args []any, opts ...SpawnO
 	if rf == nil {
 		panic(fmt.Sprintf("caf: spawn of unregistered remote function %q", name))
 	}
-	s := &spawnOp{inline: rf.inline, service: rf.service}
+	s := new(spawnOp)
 	s.apply(opts)
 	blob, err := encodeArgs(args)
 	if err != nil {
