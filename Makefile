@@ -26,6 +26,7 @@ ci: vet build test
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l . lists:"; echo "$$out"; exit 1; fi
 	cd benchmark && $(GO) vet . && $(GO) test .
 	$(GO) test -race ./...
+	$(GO) test -tags quarantinepools ./...
 	$(MAKE) sweeps-check
 
 bench:

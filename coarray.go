@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 
+	"caf2go/internal/sim"
 	"caf2go/internal/team"
 )
 
@@ -37,7 +38,12 @@ type Coarray[T any] struct {
 	t         *Team
 	n         int
 	elemBytes int
-	shards    map[int][]T // world rank -> shard
+	shards    [][]T // by world rank; nil for an image outside the team
+
+	// The request records of blocking Gets and Puts on this coarray,
+	// released at the call's return (see blockingReq).
+	gets sim.FreeList[getReq[T]]
+	puts sim.FreeList[putReq[T]]
 }
 
 // NewCoarray collectively allocates a coarray of n elements per image
@@ -66,7 +72,7 @@ func NewCoarray[T any](img *Image, t *Team, n int) *Coarray[T] {
 			t:         t,
 			n:         n,
 			elemBytes: int(reflect.TypeOf(zero).Size()),
-			shards:    make(map[int][]T, t.Size()),
+			shards:    make([][]T, len(img.m.states)),
 		}
 		for _, w := range t.Members() {
 			ca.shards[w] = make([]T, n)
@@ -96,21 +102,24 @@ func (ca *Coarray[T]) Len() int { return ca.n }
 func (ca *Coarray[T]) ElemBytes() int { return ca.elemBytes }
 
 // Local returns the calling image's shard for direct access.
-func (ca *Coarray[T]) Local(img *Image) []T {
-	s, ok := ca.shards[img.Rank()]
-	if !ok {
-		panic(fmt.Sprintf("caf: image %d has no shard of this coarray", img.Rank()))
+func (ca *Coarray[T]) Local(img *Image) []T { return ca.shard(img.Rank()) }
+
+// shard returns the shard at a world rank (runtime internal).
+func (ca *Coarray[T]) shard(rank int) []T {
+	s := ca.member(rank)
+	if s == nil {
+		panic(fmt.Sprintf("caf: image %d has no shard of this coarray", rank))
 	}
 	return s
 }
 
-// shard returns the shard at a world rank (runtime internal).
-func (ca *Coarray[T]) shard(rank int) []T {
-	s, ok := ca.shards[rank]
-	if !ok {
-		panic(fmt.Sprintf("caf: image %d has no shard of this coarray", rank))
+// member returns the shard at a world rank, or nil when the rank is not
+// in the coarray's team.
+func (ca *Coarray[T]) member(rank int) []T {
+	if uint(rank) >= uint(len(ca.shards)) {
+		return nil
 	}
-	return s
+	return ca.shards[rank]
 }
 
 // Sec names a section of data addressable by the copy engine: a
@@ -139,7 +148,7 @@ func (ca *Coarray[T]) SecStride(rank, lo, hi, step int) Sec[T] {
 	if step < 1 {
 		panic(fmt.Sprintf("caf: section stride %d must be ≥ 1", step))
 	}
-	if _, ok := ca.shards[rank]; !ok {
+	if ca.member(rank) == nil {
 		panic(fmt.Sprintf("caf: image %d is not in the coarray's team", rank))
 	}
 	return Sec[T]{ca: ca, rank: rank, lo: lo, hi: hi, step: step}

@@ -8,6 +8,7 @@ import (
 	"caf2go/internal/path"
 	"caf2go/internal/race"
 	"caf2go/internal/rt"
+	"caf2go/internal/sim"
 	"caf2go/internal/trace"
 )
 
@@ -230,7 +231,7 @@ func (c *copyOp[T]) start() {
 		c.data = c.src.read() // snapshot at initiation
 		relSrc()
 		c.relDst = claimSec(m, c.dst, true, "copy_async write")
-		c.tok.clk = c.wclk
+		c.tok.clk = &c.wclk
 		st.addDelivToken(&c.tok)
 		opts.Class, opts.Bytes, opts.OnInjected = c.class, c.bytes, c.injected
 		st.kern.Send(c.dstRank(), tagCopyPut, c, opts)
@@ -248,7 +249,7 @@ func (c *copyOp[T]) start() {
 	// The notify token completes when the read request lands — the read
 	// has happened then, the data hop has not, so only the read clock is
 	// released to event waiters.
-	c.tok.clk = c.rclk
+	c.tok.clk = &c.rclk
 	st.addDelivToken(&c.tok)
 	opts.Class, opts.Bytes = fabric.AMShort, 32
 	st.kern.Send(c.src.rank, tagCopyGetReq, c, opts)
@@ -385,23 +386,34 @@ func (m *Machine) handleResume(d *rt.Delivery) {
 
 // blockingReq is the request record of a blocking Get or Put: the
 // initiator parks on the Call while the owner serves the record in place,
-// so the result needs no reply payload. One record per operation and
-// never recycled — the owner can serve it after a failure declaration has
-// aborted the Call that sent it.
+// so the result needs no reply payload. The records are recycled on the
+// free lists of the coarray the section names (DESIGN §4.14). A Call
+// returns only after the owner has served its record and replied, so the
+// caller releases it at its own return — but only where nothing can serve
+// it later: a failure declaration can abort the Call while the request is
+// in flight, and a fault plan can deliver a duplicate after the reply.
+// With a failure detector or a fault plan the records are left to the
+// garbage collector. A released record is zeroed, so serving it panics.
 type blockingReq interface {
 	// serve performs the access on the owning image and returns the
 	// modeled size of the reply.
 	serve() (replyBytes int)
 }
 
+// errReleasedReq is the panic of a request served after its release.
+const errReleasedReq = "caf: blocking request served after its release"
+
 type getReq[T any] struct {
 	src   Sec[T]
-	rel   func() // conflict-detection release
+	rel   func() // conflict-detection release; nil once released
 	bytes int
 	out   []T
 }
 
 func (r *getReq[T]) serve() int {
+	if r.rel == nil {
+		panic(errReleasedReq)
+	}
 	r.out = r.src.read()
 	r.rel()
 	return r.bytes
@@ -410,13 +422,40 @@ func (r *getReq[T]) serve() int {
 type putReq[T any] struct {
 	dst  Sec[T]
 	data []T
-	rel  func()
+	rel  func() // conflict-detection release; nil once released
 }
 
 func (r *putReq[T]) serve() int {
+	if r.rel == nil {
+		panic(errReleasedReq)
+	}
 	r.dst.write(r.data)
 	r.rel()
 	return 8
+}
+
+// recyclesRequests reports whether a blocking request is released at its
+// call's return: no failure detector and no fault plan.
+func (m *Machine) recyclesRequests() bool {
+	return m.det == nil && m.cfg.Fabric.Faults == nil
+}
+
+// newReq takes a request record off one of a coarray's free lists.
+func newReq[R any](free *sim.FreeList[R]) *R {
+	if r := free.Get(); r != nil {
+		return r
+	}
+	return new(R)
+}
+
+// releaseReq hands a served request back to its free list, zeroed, where
+// that is safe.
+func releaseReq[R any](m *Machine, free *sim.FreeList[R], r *R) {
+	if m.recyclesRequests() {
+		var zero R
+		*r = zero
+		free.Put(r)
+	}
 }
 
 func (m *Machine) handleBlocking(d *rt.Delivery) {
@@ -460,7 +499,8 @@ func Get[T any](img *Image, src Sec[T]) []T {
 	oph := img.blockingOp("get", src.rank)
 	img.opStage(oph, trace.StageInit)
 	tok := img.beginBlock("get")
-	req := &getReq[T]{src: src, rel: rel, bytes: bytes}
+	req := newReq(&src.ca.gets)
+	*req = getReq[T]{src: src, rel: rel, bytes: bytes}
 	img.st.kern.Call(p, src.rank, tagBlocking, req, rt.SendOpts{Class: fabric.AMShort, Bytes: 24})
 	// The blocking round trip is pure network time on a traced request.
 	img.m.path.Claim(img.pctx, path.Wire, img.Now())
@@ -470,7 +510,9 @@ func Get[T any](img *Image, src Sec[T]) []T {
 	img.opStage(oph, trace.StageLocalOp)
 	img.opStage(oph, trace.StageGlobal)
 	img.endBlock(tok)
-	return req.out
+	out := req.out
+	releaseReq(img.m, &src.ca.gets, req)
+	return out
 }
 
 // Put performs a blocking one-sided write of vals into a (possibly
@@ -492,11 +534,13 @@ func Put[T any](img *Image, dst Sec[T], vals []T) {
 	oph := img.blockingOp("put", dst.rank)
 	img.opStage(oph, trace.StageInit)
 	tok := img.beginBlock("put")
-	img.st.kern.Call(p, dst.rank, tagBlocking, &putReq[T]{dst: dst, data: data, rel: rel},
-		rt.SendOpts{Class: classForBytes(img.m, bytes), Bytes: bytes})
+	req := newReq(&dst.ca.puts)
+	*req = putReq[T]{dst: dst, data: data, rel: rel}
+	img.st.kern.Call(p, dst.rank, tagBlocking, req, rt.SendOpts{Class: classForBytes(img.m, bytes), Bytes: bytes})
 	img.m.path.Claim(img.pctx, path.Wire, img.Now())
 	img.opStage(oph, trace.StageLocalData)
 	img.opStage(oph, trace.StageLocalOp)
 	img.opStage(oph, trace.StageGlobal)
 	img.endBlock(tok)
+	releaseReq(img.m, &dst.ca.puts, req)
 }

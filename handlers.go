@@ -33,10 +33,11 @@ func (m *Machine) registerHandlers() {
 }
 
 // delivToken tracks one outstanding remote update for release-semantics
-// event notification. clk is the clock covering the update's delivered
-// effects (the op's write clock for a put, read clock for a get request;
-// nil when the race detector is off) — an EventNotify waiting on the
-// token releases it to waiters along with the notifier's own clock.
+// event notification. clk points at the clock covering the update's
+// delivered effects (the op's write clock for a put, read clock for a get
+// request, a spawn's fork clock; nil when the race detector is off), a
+// field of the operation's record — an EventNotify waiting on the token
+// releases it to waiters along with the notifier's own clock.
 //
 // A token is usually a field of its operation's record (spawnOp, copyOp)
 // and sits on its image's pendingDeliv list from initiation until it
@@ -46,9 +47,17 @@ func (m *Machine) registerHandlers() {
 type delivToken struct {
 	done bool
 	cbs  *[]func() // made by the first afterOutstandingDeliveries to wait on it
-	clk  race.Clock
+	clk  *race.Clock
 	st   *imageState // the image whose list the token is on; nil once off
 	at   int         // its index there
+}
+
+// clock is the clock the token covers, or nil.
+func (t *delivToken) clock() race.Clock {
+	if t.clk == nil {
+		return nil
+	}
+	return *t.clk
 }
 
 func (t *delivToken) complete() {
@@ -104,7 +113,7 @@ func (m *Machine) afterOutstandingDeliveries(st *imageState, fn func(clk race.Cl
 	}
 	var clk race.Clock
 	for _, t := range waitFor {
-		clk = race.Join(clk, t.clk)
+		clk = race.Join(clk, t.clock())
 	}
 	remaining := len(waitFor)
 	for _, t := range waitFor {

@@ -63,8 +63,8 @@ func (img *Image) parker(op string) *sim.Proc {
 
 // execName is the label the function's execution is reported under.
 func (s *spawnOp) execName() string {
-	if s.named != nil {
-		return s.named.fn.exec
+	if s.x != nil && s.x.named != nil {
+		return s.x.named.exec
 	}
 	return runtime.FuncForPC(reflect.ValueOf(s.fn).Pointer()).Name()
 }

@@ -469,9 +469,6 @@ func TestPoolSpawnRecordSizes(t *testing.T) {
 	if n := unsafe.Sizeof(sim.Proc{}); n != 104 {
 		t.Errorf("sim.Proc is %d bytes, want 104", n)
 	}
-	if n := unsafe.Sizeof(spawnOp{}); n > 384 {
-		t.Errorf("spawnOp is %d bytes, want ≤ 384", n)
-	}
 	// One record for both vehicles: a proc's, and a pooled inline one.
 	if n := unsafe.Sizeof(shipped{}); n > 256 {
 		t.Errorf("shipped is %d bytes, want ≤ 256", n)

@@ -78,7 +78,7 @@ type PendingOp struct {
 	class OpClass
 	done  bool
 	ct    *CofenceTracker
-	cbs   []func()
+	cbs   *[]func() // made by the first OnLocalData
 }
 
 // Class returns the operation's local-data classification.
@@ -98,7 +98,10 @@ func (op *PendingOp) OnLocalData(fn func()) {
 		fn()
 		return
 	}
-	op.cbs = append(op.cbs, fn)
+	if op.cbs == nil {
+		op.cbs = new([]func())
+	}
+	*op.cbs = append(*op.cbs, fn)
 }
 
 // CompleteLocalData marks the operation locally data complete and wakes
@@ -123,7 +126,10 @@ func (op *PendingOp) CompleteLocalData() {
 			w.p.Unpark()
 		}
 	}
-	cbs := op.cbs
+	if op.cbs == nil {
+		return
+	}
+	cbs := *op.cbs
 	op.cbs = nil
 	for i, fn := range cbs {
 		cbs[i] = nil // consumed callbacks must not be retained

@@ -152,8 +152,8 @@ type coalesceBuf struct {
 // coalescible reports whether m may enter the aggregation buffer.
 // Loopback traffic is excluded: SelfLatency is already cheaper than any
 // batching gain and buffering it only adds FlushAfter of latency.
-func (ep *Endpoint) coalescible(m *Msg, opts SendOpts) bool {
-	if !ep.f.coalescing || opts.NoCoalesce || m.Dst == ep.rank {
+func (ep *Endpoint) coalescible(m *Msg) bool {
+	if !ep.f.coalescing || m.NoCoalesce || m.Dst == ep.rank {
 		return false
 	}
 	switch m.Class {

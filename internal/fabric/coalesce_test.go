@@ -128,7 +128,7 @@ func TestCoalesceFIFOWithNonCoalescible(t *testing.T) {
 	ep.Send(&Msg{Src: 0, Dst: 1, Tag: tagTest, Class: AMShort, Bytes: 8, Payload: "a"}, SendOpts{})
 	ep.Send(&Msg{Src: 0, Dst: 1, Tag: tagTest, Class: AMShort, Bytes: 8, Payload: "b"}, SendOpts{})
 	ep.Send(&Msg{Src: 0, Dst: 1, Tag: tagTest, Class: RDMA, Bytes: 4096, Payload: "bulk"}, SendOpts{})
-	ep.Send(&Msg{Src: 0, Dst: 1, Tag: tagTest, Class: AMShort, Bytes: 8, Payload: "c"}, SendOpts{NoCoalesce: true})
+	ep.Send(&Msg{Src: 0, Dst: 1, Tag: tagTest, Class: AMShort, Bytes: 8, Payload: "c", NoCoalesce: true}, SendOpts{})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -201,15 +201,15 @@ func TestCoalesceMaxBytesFlush(t *testing.T) {
 }
 
 // TestCoalesceCallbacksFirePerInnerMessage: every inner OnInjected and
-// OnDelivered fires exactly once when the batch completes.
+// Done.Delivered fires exactly once when the batch completes.
 func TestCoalesceCallbacksFirePerInnerMessage(t *testing.T) {
 	eng, f := newTestFabric(t, 2, coalesceConfig())
 	f.Endpoint(1).RegisterHandler(tagTest, func(ep *Endpoint, m *Msg) {})
 	injected, delivered := 0, 0
 	for i := 0; i < 4; i++ {
 		f.Endpoint(0).Send(&Msg{Src: 0, Dst: 1, Tag: tagTest, Class: AMShort, Bytes: 8}, SendOpts{
-			OnInjected:  func() { injected++ },
-			OnDelivered: func() { delivered++ },
+			OnInjected: func() { injected++ },
+			Done:       onAck(func() { delivered++ }),
 		})
 	}
 	if err := eng.Run(); err != nil {
@@ -308,7 +308,7 @@ func TestCoalesceBatchDropRetransmitsAsUnit(t *testing.T) {
 			delivered := 0
 			for i := 0; i < n; i++ {
 				f.Endpoint(0).Send(&Msg{Src: 0, Dst: 1, Tag: tagTest, Class: AMShort, Bytes: 8, Payload: i}, SendOpts{
-					OnDelivered: func() { delivered++ },
+					Done: onAck(func() { delivered++ }),
 				})
 			}
 			f.Endpoint(0).FlushCoalesced()
@@ -321,7 +321,7 @@ func TestCoalesceBatchDropRetransmitsAsUnit(t *testing.T) {
 				}
 			}
 			if delivered != n {
-				t.Errorf("OnDelivered fired %d times, want %d", delivered, n)
+				t.Errorf("Delivered fired %d times, want %d", delivered, n)
 			}
 			s := f.Stats()
 			if fault.plan.Drop > 0 && s.Retransmits == 0 {
@@ -381,7 +381,7 @@ func TestCoalesceCrashAbandonsBufferedMessages(t *testing.T) {
 	for i := range msgs {
 		msgs[i] = Msg{Src: 0, Dst: 1, Tag: tagTest, Class: AMShort, Bytes: 8, Payload: i}
 		f.Endpoint(0).Send(&msgs[i], SendOpts{
-			OnDelivered: func() { delivered++ },
+			Done: onAck(func() { delivered++ }),
 		})
 	}
 	if err := eng.Run(); err != nil {

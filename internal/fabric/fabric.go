@@ -159,8 +159,14 @@ type Msg struct {
 	Tag      uint16
 	Class    Class
 	stage    stage // where the message is on its way; stageIdle when not sent
-	Bytes    int
-	Payload  any
+	// NoCoalesce exempts the message from the coalescing buffer:
+	// latency-critical control traffic (blocking RPCs and their replies,
+	// event notifies, collective reductions) must not wait out a flush
+	// timer. A NoCoalesce message still flushes its destination's buffer
+	// first, preserving per-channel FIFO order.
+	NoCoalesce bool
+	Bytes      int
+	Payload    any
 	// Path names the traced request whose causal path this message is
 	// on (zero = untagged). The fabric claims the message's buffering,
 	// stalling, and wire time against that request's decomposition.
@@ -194,59 +200,40 @@ type transit Msg
 // runs as a simulation event on the receiving image's comm context.
 type Handler func(ep *Endpoint, m *Msg)
 
-// SendOpts carries completion callbacks for one Send.
+// SendOpts carries the completion callbacks of one Send.
 type SendOpts struct {
 	// OnInjected fires when the payload has left the source buffer
 	// (local data completion for the sender).
 	OnInjected func()
-	// OnDelivered fires on the *sender* when the delivery ack returns
-	// (local operation completion for the sender).
-	OnDelivered func()
-	// NoCoalesce exempts this message from the coalescing buffer:
-	// latency-critical control traffic (blocking RPCs and their replies,
-	// event notifies, collective reductions) must not wait out a flush
-	// timer. A NoCoalesce message still flushes its destination's buffer
-	// first, preserving per-channel FIFO order.
-	NoCoalesce bool
-	// OnAbandoned fires on the sender when the fabric gives up on the
-	// message for good: the sending NIC was dead at injection, the
-	// destination NIC was declared dead at an ack timeout, or the
-	// retransmission attempt budget ran out. Exactly one of OnDelivered
-	// and OnAbandoned fires per logical message on the reliable path;
-	// neither fires for a message swallowed by a dead sender before the
-	// reliable protocol engaged (OnAbandoned covers that case too).
-	// Failure-aware layers use this to charge off work resident on dead
-	// images instead of waiting forever.
-	OnAbandoned func()
-	// Done is OnDelivered and OnAbandoned as a (record, method) pair: a
-	// sender that keeps a record per message sets Done to the record
-	// instead of binding two closures to it. Either form may be used, or
-	// both; the func fields run first.
+	// Done is the sender's per-message record. Its Delivered fires on the
+	// sender when the delivery ack returns (local operation completion).
+	// Its Abandoned fires instead when the fabric gives up on the message
+	// for good: the sending NIC was dead at injection, the destination NIC
+	// was declared dead at an ack timeout, or the retransmission attempt
+	// budget ran out. Exactly one of the two fires per logical message on
+	// the reliable path; a message swallowed by a dead sender before the
+	// reliable protocol engaged is abandoned too. Failure-aware layers use
+	// Abandoned to charge off work resident on dead images instead of
+	// waiting forever. nil runs nothing.
 	Done Completion
 }
 
-// Completion is a sender's per-message record, called back where the
-// func fields of SendOpts would be.
+// Completion is a sender's per-message record, called back at the end of
+// the message's journey (see SendOpts.Done).
 type Completion interface {
-	Delivered() // see SendOpts.OnDelivered
-	Abandoned() // see SendOpts.OnAbandoned
+	Delivered()
+	Abandoned()
 }
 
-// delivered runs the delivery-ack callbacks of one logical message.
+// delivered runs the delivery-ack callback of one logical message.
 func (o *SendOpts) delivered() {
-	if o.OnDelivered != nil {
-		o.OnDelivered()
-	}
 	if o.Done != nil {
 		o.Done.Delivered()
 	}
 }
 
-// abandoned runs the callbacks of a message the fabric gave up on.
+// abandoned runs the callback of a message the fabric gave up on.
 func (o *SendOpts) abandoned() {
-	if o.OnAbandoned != nil {
-		o.OnAbandoned()
-	}
 	if o.Done != nil {
 		o.Done.Abandoned()
 	}
@@ -544,7 +531,7 @@ func (ep *Endpoint) Send(m *Msg, opts SendOpts) {
 		panic(fmt.Sprintf("fabric: no handler for tag %d at endpoint %d", m.Tag, m.Dst))
 	}
 	if ep.f.coalescing {
-		if ep.coalescible(m, opts) {
+		if ep.coalescible(m) {
 			ep.enqueueCoalesced(m, opts)
 			return
 		}
@@ -563,7 +550,7 @@ func (ep *Endpoint) post(m *Msg, opts SendOpts) {
 	if ep.f.reliable && ep.f.crashedNow(ep.rank) {
 		// A dead NIC injects nothing; the message vanishes with no
 		// success callback — supervising layers must never conclude
-		// success from silence. OnAbandoned (if any) still fires so
+		// success from silence. Done.Abandoned (if any) still fires so
 		// failure-aware layers can account for the loss.
 		ep.f.stats.Abandoned++
 		opts.abandoned()
@@ -708,7 +695,7 @@ func (ep *Endpoint) drainQueue() {
 // Sequence numbers per (src,dst) pair, receiver-side dedup, and
 // ack-timeout retransmission turn the lossy faulty wire back into an
 // exactly-once transport for the layers above: the handler runs once per
-// logical message and OnDelivered fires once per logical message, no
+// logical message and Done.Delivered fires once per logical message, no
 // matter how many transmissions, duplications, or lost acks it took.
 // ---------------------------------------------------------------------
 
@@ -805,7 +792,7 @@ func (ep *Endpoint) onAckTimeout(tx *txState) {
 		// Release the flow-control credit so unrelated traffic keeps
 		// moving, but fire no success callback: the supervising layer
 		// must observe the loss (a finish block will simply never
-		// terminate — the never-early side of Theorem 1). OnAbandoned
+		// terminate — the never-early side of Theorem 1). Done.Abandoned
 		// is the explicit loss notification for failure-aware layers.
 		ep.outstanding--
 		tx.opts.abandoned()
@@ -822,7 +809,7 @@ func (ep *Endpoint) onAckTimeout(tx *txState) {
 // failure layer calls this at declaration time so charge-off callbacks
 // fire promptly instead of trickling out of backed-off ack timeouts.
 // Endpoints are walked in rank order and each endpoint's victims in
-// (dst, seq) order, so the OnAbandoned callback order is reproducible.
+// (dst, seq) order, so the Abandoned callback order is reproducible.
 func (f *Fabric) AbandonForDead(rank int) {
 	if !f.reliable {
 		return
@@ -923,7 +910,7 @@ func (ep *Endpoint) deliverReliable(m *Msg, src *Endpoint, seq uint64) {
 }
 
 // onAckArrival processes a delivery ack on the sender. Exactly the first
-// ack per logical message releases the credit and fires OnDelivered;
+// ack per logical message releases the credit and fires Done.Delivered;
 // redundant acks (from dups or retransmissions) are counted and ignored.
 func (ep *Endpoint) onAckArrival(peer int, seq uint64) {
 	f := ep.f

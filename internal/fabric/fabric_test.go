@@ -44,8 +44,8 @@ func TestCompletionCallbackOrdering(t *testing.T) {
 	var injectedAt, handledAt, deliveredAt sim.Time
 	f.Endpoint(1).RegisterHandler(tagTest, func(ep *Endpoint, m *Msg) { handledAt = eng.Now() })
 	f.Endpoint(0).Send(&Msg{Src: 0, Dst: 1, Tag: tagTest, Class: AMMedium, Bytes: 100}, SendOpts{
-		OnInjected:  func() { injectedAt = eng.Now() },
-		OnDelivered: func() { deliveredAt = eng.Now() },
+		OnInjected: func() { injectedAt = eng.Now() },
+		Done:       onAck(func() { deliveredAt = eng.Now() }),
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -398,7 +398,7 @@ func TestAckLatencyConfigurable(t *testing.T) {
 		f.Endpoint(1).RegisterHandler(tagTest, func(ep *Endpoint, m *Msg) {})
 		var at sim.Time
 		f.Endpoint(0).Send(&Msg{Src: 0, Dst: 1, Tag: tagTest, Class: AMShort}, SendOpts{
-			OnDelivered: func() { at = eng.Now() },
+			Done: onAck(func() { at = eng.Now() }),
 		})
 		if err := eng.Run(); err != nil {
 			t.Fatal(err)
@@ -575,7 +575,7 @@ func TestAckLatencyWithinNode(t *testing.T) {
 				dst := dst
 				f.Endpoint(dst).RegisterHandler(tagTest, func(*Endpoint, *Msg) {})
 				f.Endpoint(0).Send(&Msg{Src: 0, Dst: dst, Tag: tagTest, Class: AMShort}, SendOpts{
-					OnDelivered: func() { ackedAt[dst] = eng.Now() },
+					Done: onAck(func() { ackedAt[dst] = eng.Now() }),
 				})
 			}
 			if err := eng.Run(); err != nil {

@@ -32,7 +32,7 @@ func TestCleanFaultPlanExactlyOnce(t *testing.T) {
 	delivered := 0
 	for i := 0; i < 20; i++ {
 		f.Endpoint(0).Send(&Msg{Src: 0, Dst: 1, Tag: tagTest, Class: AMShort, Bytes: 8, Payload: i},
-			SendOpts{OnDelivered: func() { delivered++ }})
+			SendOpts{Done: onAck(func() { delivered++ })})
 	}
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -43,7 +43,7 @@ func TestCleanFaultPlanExactlyOnce(t *testing.T) {
 		}
 	}
 	if delivered != 20 {
-		t.Errorf("OnDelivered fired %d times, want 20", delivered)
+		t.Errorf("Delivered fired %d times, want 20", delivered)
 	}
 	st := f.Stats()
 	if st.Retransmits != 0 || st.DupsDropped != 0 || st.FaultsInjected != 0 || st.Abandoned != 0 {
@@ -60,7 +60,7 @@ func TestDropsRecoveredByRetransmission(t *testing.T) {
 	const n = 60
 	for i := 0; i < n; i++ {
 		f.Endpoint(0).Send(&Msg{Src: 0, Dst: 1, Tag: tagTest, Class: AMShort, Bytes: 8, Payload: i},
-			SendOpts{OnDelivered: func() { delivered++ }})
+			SendOpts{Done: onAck(func() { delivered++ })})
 	}
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -71,7 +71,7 @@ func TestDropsRecoveredByRetransmission(t *testing.T) {
 		}
 	}
 	if delivered != n {
-		t.Errorf("OnDelivered fired %d times, want %d", delivered, n)
+		t.Errorf("Delivered fired %d times, want %d", delivered, n)
 	}
 	st := f.Stats()
 	if st.Retransmits == 0 || st.Dropped == 0 {
@@ -93,7 +93,7 @@ func TestDuplicatesDedupedAndReacked(t *testing.T) {
 	const n = 25
 	for i := 0; i < n; i++ {
 		f.Endpoint(0).Send(&Msg{Src: 0, Dst: 1, Tag: tagTest, Class: AMShort, Bytes: 8, Payload: i},
-			SendOpts{OnDelivered: func() { delivered++ }})
+			SendOpts{Done: onAck(func() { delivered++ })})
 	}
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -104,7 +104,7 @@ func TestDuplicatesDedupedAndReacked(t *testing.T) {
 		}
 	}
 	if delivered != n {
-		t.Errorf("OnDelivered fired %d times, want %d", delivered, n)
+		t.Errorf("Delivered fired %d times, want %d", delivered, n)
 	}
 	// At least one dup per message is suppressed and re-acked; spurious
 	// retransmits (the dup backlog can push acks past the timeout) may
@@ -158,7 +158,7 @@ func TestCrashedReceiverAbandonsSends(t *testing.T) {
 	eng, f, got := faultFabric(t, 2, &FaultPlan{Crash: map[int]sim.Time{1: 0}})
 	delivered := false
 	f.Endpoint(0).Send(&Msg{Src: 0, Dst: 1, Tag: tagTest, Class: AMShort, Bytes: 8, Payload: "x"},
-		SendOpts{OnDelivered: func() { delivered = true }})
+		SendOpts{Done: onAck(func() { delivered = true })})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -193,12 +193,12 @@ func TestTotalLossAbandonsAfterMaxAttempts(t *testing.T) {
 	eng, f, _ := faultFabric(t, 2, plan)
 	delivered := false
 	f.Endpoint(0).Send(&Msg{Src: 0, Dst: 1, Tag: tagTest, Class: AMShort, Bytes: 8, Payload: "x"},
-		SendOpts{OnDelivered: func() { delivered = true }})
+		SendOpts{Done: onAck(func() { delivered = true })})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if delivered {
-		t.Error("OnDelivered fired on a 100%-loss link")
+		t.Error("Delivered fired on a 100%-loss link")
 	}
 	st := f.Stats()
 	if st.Retransmits != 4 {

@@ -34,7 +34,7 @@ func TestPoolSendDeliverAckDoesNotAllocate(t *testing.T) {
 		}
 		handled++
 	})
-	opts := SendOpts{OnDelivered: func() { acked++ }}
+	opts := SendOpts{Done: onAck(func() { acked++ })}
 	src := f.Endpoint(0)
 	queued := -1
 	roundTrip := func() {
@@ -74,9 +74,9 @@ func creditStallLog(t *testing.T, n int) []string {
 	for i := 0; i < n; i++ {
 		i := i
 		f.Endpoint(0).Send(&Msg{Src: 0, Dst: 1, Tag: tagTest, Class: AMShort, Bytes: 8, Payload: i},
-			SendOpts{OnDelivered: func() {
+			SendOpts{Done: onAck(func() {
 				log = append(log, "acked "+eng.Now().String()+" "+string(rune('a'+i)))
-			}})
+			})})
 	}
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -141,7 +141,7 @@ func TestPoolMsgInFlightTwicePanics(t *testing.T) {
 				src.Send(&Msg{Src: 0, Dst: 1, Tag: tagTest, Class: AMShort}, SendOpts{})
 			}
 			m := &Msg{Src: 0, Dst: 1, Tag: tagTest, Class: AMShort, Bytes: 8}
-			src.Send(m, SendOpts{OnDelivered: func() { acked++ }})
+			src.Send(m, SendOpts{Done: onAck(func() { acked++ })})
 			want := "fabric: short message with tag 1 sent while still in flight"
 			if got := sendPanics(src, m); got != want {
 				t.Errorf("second Send: panic %q, want %q", got, want)
@@ -188,7 +188,7 @@ func TestPoolReliableFabricLetsNothing(t *testing.T) {
 	msgs := make([]*Msg, n)
 	for i := range msgs {
 		msgs[i] = &Msg{Src: 0, Dst: 1, Tag: tagTest, Class: AMShort, Bytes: 8, Payload: i}
-		f.Endpoint(0).Send(msgs[i], SendOpts{OnDelivered: func() { delivered++ }})
+		f.Endpoint(0).Send(msgs[i], SendOpts{Done: onAck(func() { delivered++ })})
 	}
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -202,9 +202,15 @@ func TestPoolReliableFabricLetsNothing(t *testing.T) {
 		}
 	}
 	if delivered != n {
-		t.Errorf("OnDelivered fired %d times, want %d", delivered, n)
+		t.Errorf("Delivered fired %d times, want %d", delivered, n)
 	}
 	if f.Stats().DupAcks == 0 {
 		t.Error("no duplicate landed after its message's ack: the test exercised nothing")
 	}
 }
+
+// onAck is a delivery-ack callback as a Completion.
+type onAck func()
+
+func (f onAck) Delivered() { f() }
+func (onAck) Abandoned()   {}

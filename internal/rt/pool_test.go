@@ -162,7 +162,7 @@ func TestPoolStaleReplyDoesNotAnswerRecycledSlot(t *testing.T) {
 	eng, k := newTestKernel(2)
 	img := k.Image(0)
 	w := &callSlot{id: 7}
-	stale := &fabric.Msg{Payload: &env{payload: "stale", replyTo: -1, replyID: 5, slot: w}}
+	stale := &fabric.Msg{Payload: &env{payload: "stale", replyID: 5, slot: w}}
 	func() {
 		defer func() {
 			if recover() == nil {
@@ -330,11 +330,16 @@ func TestQuarantineDuplicateAfterAckLetsNothing(t *testing.T) {
 	})
 }
 
-// The sending record fits the 256-byte size class with the fabric's
+// The sending record fits the 224-byte size class with the fabric's
 // transit state inside it: a credit-stalled burst holds one per message.
+// The Msg has one completion form (SendOpts.Done) and NoCoalesce in the
+// padding after its stage; the envelope has no reply rank.
 func TestPoolOutMsgFitsItsSizeClass(t *testing.T) {
-	if got := unsafe.Sizeof(outMsg{}); got > 256 {
-		t.Errorf("sizeof(outMsg) = %d, want ≤ 256", got)
+	if got := unsafe.Sizeof(outMsg{}); got > 224 {
+		t.Errorf("sizeof(outMsg) = %d, want ≤ 224", got)
+	}
+	if got := unsafe.Sizeof(fabric.Msg{}); got > 104 {
+		t.Errorf("sizeof(fabric.Msg) = %d, want ≤ 104", got)
 	}
 }
 

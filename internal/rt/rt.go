@@ -86,22 +86,22 @@ type Tracker interface {
 // Handler processes a delivered message on an image.
 type Handler func(d *Delivery)
 
-// env is the rt wire envelope. A Call's request names the caller
-// (replyTo), its wait slot and the call's id; the reply carries the slot
-// and the id back (with replyTo -1: nobody replies to a reply).
+// env is the rt wire envelope. A Call's request carries its wait slot and
+// the call's id, and the reply carries both back. A Call is the one
+// message a handler sees with a slot, and its reply goes to the message's
+// sender.
 type env struct {
 	payload any
 	track   Track
-	replyTo int // world rank awaiting a reply, or -1
 	replyID uint64
-	slot    *callSlot
+	slot    *callSlot // the caller's wait slot; nil on a one-way message
 }
 
 // outMsg is the sending side of one message: the fabric message (which
 // carries the fabric's transit state for it), its envelope, and what to
 // run when the fabric is done with it. The record is the
 // fabric.Completion of its own send, so handing it to the fabric builds
-// no callback. It fits the 256-byte size class: every message of a
+// no callback. It fits the 224-byte size class: every message of a
 // credit-stalled burst holds one.
 type outMsg struct {
 	img  *ImageKernel // nil once released
@@ -360,10 +360,10 @@ type SendOpts struct {
 	Class       fabric.Class
 	Bytes       int
 	// NoCoalesce exempts latency-critical control traffic from the
-	// fabric's coalescing buffer (see fabric.SendOpts.NoCoalesce).
+	// fabric's coalescing buffer (see fabric.Msg.NoCoalesce).
 	NoCoalesce bool
 	// OnAbandoned fires when the fabric gives up on the message (see
-	// fabric.SendOpts.OnAbandoned). Only honored when a failure
+	// fabric.SendOpts.Done). Only honored when a failure
 	// detector is attached — without one, legacy behavior (silence on
 	// loss) is preserved bit-for-bit.
 	OnAbandoned func()
@@ -379,7 +379,7 @@ type SendOpts struct {
 
 // Send delivers payload to handler tag on image dst.
 func (img *ImageKernel) Send(dst int, tag uint16, payload any, opts SendOpts) {
-	img.post(dst, tag, env{payload: payload, replyTo: -1}, opts)
+	img.post(dst, tag, env{payload: payload}, opts)
 }
 
 // post stamps e's tracking context and hands the message to the fabric
@@ -395,20 +395,16 @@ func (img *ImageKernel) post(dst int, tag uint16, e env, opts SendOpts) {
 	}
 	o.img, o.env, o.user = img, e, userCompletion(&opts)
 	o.msg = fabric.Msg{
-		Src:     img.rank,
-		Dst:     dst,
-		Tag:     tag,
-		Class:   opts.Class,
-		Bytes:   opts.Bytes,
-		Payload: &o.env,
-		Path:    opts.Path,
-	}
-	fo := fabric.SendOpts{
-		OnInjected: opts.OnInjected,
-		Done:       o,
+		Src:        img.rank,
+		Dst:        dst,
+		Tag:        tag,
+		Class:      opts.Class,
 		NoCoalesce: opts.NoCoalesce,
+		Bytes:      opts.Bytes,
+		Payload:    &o.env,
+		Path:       opts.Path,
 	}
-	img.ep.Send(&o.msg, fo)
+	img.ep.Send(&o.msg, fabric.SendOpts{OnInjected: opts.OnInjected, Done: o})
 }
 
 // FlushCoalesced flushes this image's fabric aggregation buffers — the
@@ -431,9 +427,8 @@ type Delivery struct {
 	replied   bool
 	inHandler bool // the handler has not returned yet
 	dead      bool // released under sim.QuarantinePools
-	replyTo   int
 	replyID   uint64
-	slot      *callSlot
+	slot      *callSlot // a Call's wait slot; nil on a one-way message
 }
 
 func (d *Delivery) live() {
@@ -491,14 +486,14 @@ func (d *Delivery) release() {
 // CanReply reports whether the sender awaits a reply.
 func (d *Delivery) CanReply() bool {
 	d.live()
-	return d.replyTo >= 0 && !d.replied
+	return d.slot != nil && !d.replied
 }
 
 // Reply sends a response for a Call. Panics if the message was not a Call
 // or was already replied to.
 func (d *Delivery) Reply(payload any, bytes int) {
 	d.live()
-	if d.replyTo < 0 {
+	if d.slot == nil {
 		panic("rt: Reply to a one-way message")
 	}
 	if d.replied {
@@ -510,7 +505,7 @@ func (d *Delivery) Reply(payload any, bytes int) {
 		class = fabric.RDMA
 	}
 	// The caller is parked on this reply: never coalesce it.
-	d.Img.post(d.replyTo, tagReply, env{payload: payload, replyTo: -1, replyID: d.replyID, slot: d.slot}, SendOpts{
+	d.Img.post(d.Src, tagReply, env{payload: payload, replyID: d.replyID, slot: d.slot}, SendOpts{
 		Class:      class,
 		Bytes:      bytes,
 		NoCoalesce: true,
@@ -531,7 +526,6 @@ func (img *ImageKernel) dispatch(m *fabric.Msg, h Handler) {
 		Bytes:     m.Bytes,
 		track:     e.track,
 		inHandler: true,
-		replyTo:   e.replyTo,
 		replyID:   e.replyID,
 		slot:      e.slot,
 	}
@@ -596,7 +590,7 @@ func (img *ImageKernel) Call(p *sim.Proc, dst int, tag uint16, payload any, opts
 	// This proc blocks until the reply: coalescing the request would
 	// trade its latency for nothing.
 	opts.NoCoalesce = true
-	img.post(dst, tag, env{payload: payload, replyTo: img.rank, replyID: w.id, slot: w}, opts)
+	img.post(dst, tag, env{payload: payload, replyID: w.id, slot: w}, opts)
 	det := k.det
 	p.WaitUntil("rpc reply", func() bool { return w.done || det.AnyDead() })
 	done, reply := w.done, w.payload

@@ -10,8 +10,9 @@ package sim
 // quarantined runs of one seed are compared with reflect.DeepEqual.
 //
 // It is a package variable, not a Config field: no program sets it, only
-// tests do (around a whole run, never in the middle of one).
-var QuarantinePools bool
+// tests do (around a whole run, never in the middle of one), or the
+// quarantinepools build tag does for a whole test binary.
+var QuarantinePools = quarantineDefault
 
 // FreeList is a LIFO of released records waiting to be taken again. It
 // is a plain slice, not a sync.Pool: records are taken and released only

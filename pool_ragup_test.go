@@ -1,0 +1,45 @@
+package caf_test
+
+import (
+	"runtime"
+	"testing"
+
+	caf "caf2go"
+	"caf2go/internal/ra"
+	"caf2go/internal/sim"
+)
+
+// RandomAccess by blocking Get/Put in the benchmark's shape, scaled to 32
+// images: 16 updater procs per image, 512 updates per image. Objects and
+// bytes per update, setup included, are pinned at what the run allocates
+// with each Get's and Put's request record recycled on its coarray, plus
+// 5 %.
+func TestPoolRAGUPBytesPerUpdate(t *testing.T) {
+	if sim.GoRace || sim.QuarantinePools {
+		t.Skip("allocation counts are pinned without -race, pools on")
+	}
+	const images, perImage = 32, 512
+	cfg := ra.DefaultConfig(ra.GetUpdatePut)
+	cfg.LocalTableBits, cfg.UpdatesPerImage, cfg.Workers = 9, perImage, 16
+	run := func() {
+		if _, err := ra.Run(caf.Config{Images: images, Seed: 1}, cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // warm-up
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	run()
+	runtime.ReadMemStats(&after)
+	const updates = images * perImage
+	objects := float64(after.Mallocs-before.Mallocs) / updates
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / updates
+	t.Logf("%.3f objects, %.1f B per update", objects, bytes)
+	if limit := 2.91 * 1.05; objects > limit {
+		t.Errorf("%.3f objects per update, want ≤ %.3f", objects, limit)
+	}
+	if limit := 113.0 * 1.05; bytes > limit {
+		t.Errorf("%.1f B per update, want ≤ %.1f", bytes, limit)
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"caf2go/internal/fabric"
 	"caf2go/internal/failure"
 	"caf2go/internal/path"
+	"caf2go/internal/race"
 	"caf2go/internal/rt"
 	"caf2go/internal/sim"
 	"caf2go/internal/trace"
@@ -67,14 +68,14 @@ func (s *spawnOp) apply(opts []SpawnOpt) {
 	for i := range opts {
 		switch opt := &opts[i]; opt.kind {
 		case optEvent:
-			s.event = opt.event
+			s.extra().event = opt.event
 		case optBytes:
 			s.bytes = opt.bytes
 		case optPayload:
-			s.data = opt.data
+			s.extra().data = opt.data
 			s.bytes = len(opt.data) + 32
 		case optMirror:
-			s.mirror = true
+			s.extra().mirror = true
 		case optInline:
 			s.inline, s.service = true, opt.service
 		}
@@ -87,42 +88,62 @@ func (s *spawnOp) apply(opts []SpawnOpt) {
 // initiation (core.Initiator) and the send's completion (rt.Completion),
 // so a spawn builds no other object and no closure. The record is owned,
 // not pooled: the caller may keep &op, and a continuation on it, for as
-// long as it likes. What few spawns use (continuations on the op, waiters
-// on the token, a registered function) hangs off one pointer each, so the
-// record fits the 256-byte size class: a bunch of RandomAccess updates
-// keeps every one of its spawns live at once.
+// long as it likes. What few spawns use (continuations on the op or its
+// cofence registration, waiters on the token, the spawnExtra half) hangs
+// off one pointer each, so the record fits the 192-byte size class: a
+// bunch of RandomAccess updates keeps every one of its spawns live at
+// once.
 type spawnOp struct {
 	op   Op             // completion handle; Spawn returns its address
-	tok  delivToken     // outstanding-delivery token (EventNotify's release); tok.clk is the fork edge
+	tok  delivToken     // outstanding-delivery token (EventNotify's release)
 	pend core.PendingOp // cofence registration of an implicit spawn
 
-	fn    SpawnFn    // the shipped closure, or
-	named *namedCall // the registered function and its arguments
+	fn SpawnFn     // the shipped closure, unless x.named is set
+	x  *spawnExtra // nil unless an option below was used
 
 	target   int
 	bytes    int
-	mirror   bool
 	inline   bool // Inline: run the function as one event, not as a proc
 	service  Time // its declared handler time
 	finishID int64
-	event    *Event // WithEvent; nil = implicit, tracked by the enclosing finish
-	data     []byte
 	pctx     path.Ctx // traced request context the shipped fn runs under
 }
 
-// namedCall is what a SpawnNamed ships in place of a closure.
-type namedCall struct {
-	fn   *remoteFn
-	blob []byte // the gob-encoded argument list
+// spawnExtra is the half of a spawn that a spawn with only WithBytes and
+// Inline leaves unset, made by the first option (or the race detector's
+// fork edge) that needs it.
+type spawnExtra struct {
+	event  *Event     // WithEvent; nil = implicit, tracked by the enclosing finish
+	data   []byte     // WithPayload
+	named  *remoteFn  // SpawnNamed's registered function, shipped in place of fn
+	blob   []byte     // and its gob-encoded argument list
+	clk    race.Clock // the fork edge, under the happens-before tier; tok.clk points here
+	mirror bool       // withMirrorPath
+}
+
+// extra returns the spawn's spawnExtra, making it on first use.
+func (s *spawnOp) extra() *spawnExtra {
+	if s.x == nil {
+		s.x = new(spawnExtra)
+	}
+	return s.x
+}
+
+// event is the spawn's completion event; nil for an implicit spawn.
+func (s *spawnOp) event() *Event {
+	if s.x == nil {
+		return nil
+	}
+	return s.x.event
 }
 
 // Payload returns the byte payload shipped with the spawn that started
 // this proc, or nil.
 func (img *Image) Payload() []byte {
-	if img.spawn == nil {
+	if img.spawn == nil || img.spawn.x == nil {
 		return nil
 	}
-	return img.spawn.data
+	return img.spawn.x.data
 }
 
 // Spawn ships fn to the target image for asynchronous execution
@@ -156,14 +177,18 @@ func (img *Image) ship(target int, kind string, s *spawnOp) *Op {
 	// program point (snapshotted before any relaxed-mode deferral). The
 	// delivery token carries it; the token joins its image's list only
 	// at initiation.
-	s.tok.clk = img.raceRelease()
+	if clk := img.raceRelease(); clk != nil {
+		x := s.extra()
+		x.clk = clk
+		s.tok.clk = &x.clk
+	}
 	img.opInit(&s.op, kind, target)
 	if s.op.pctx.Active() {
 		// The shipped function continues the traced request's causal
 		// path: it runs under the spawn op's span as its parent.
 		s.pctx = path.Ctx{Req: s.op.pctx.Req, Span: s.op.span}
 	}
-	if s.event != nil {
+	if s.event() != nil {
 		s.Initiate()
 		return &s.op
 	}
@@ -181,9 +206,6 @@ func (s *spawnOp) Initiate() {
 	// is also the spawn's local data completion.
 	m.opStageAt(&s.op, me, trace.StageInit)
 	m.opStageAt(&s.op, me, trace.StageLocalData)
-	if s.data != nil {
-		s.data = append([]byte(nil), s.data...)
-	}
 	st := m.states[me]
 	st.addDelivToken(&s.tok)
 	opts := rt.SendOpts{
@@ -191,12 +213,18 @@ func (s *spawnOp) Initiate() {
 		Bytes: s.bytes,
 		Path:  path.WireTag(s.pctx),
 		Done:  s,
+		Track: rt.Track{ID: s.finishID},
 	}
-	if s.event == nil {
-		opts.Track = rt.Track{ID: s.finishID}
-	}
-	if s.mirror {
-		opts.Path = path.MirrorTag(s.pctx)
+	if x := s.x; x != nil {
+		if x.data != nil {
+			x.data = append([]byte(nil), x.data...)
+		}
+		if x.event != nil {
+			opts.Track = rt.Track{}
+		}
+		if x.mirror {
+			opts.Path = path.MirrorTag(s.pctx)
+		}
 	}
 	st.kern.Send(s.target, tagSpawn, s, opts)
 }
@@ -253,7 +281,7 @@ func (m *Machine) handleSpawn(d *rt.Delivery) {
 		inheritedFinish: s.finishID, pctx: s.pctx, spawn: s}
 	sh.img.ct = m.initTracker(&sh.ct)
 	if rs := m.race; rs != nil {
-		sh.img.rc = rs.d.NewCtx(m.raceChanArrive(d.Src, st.kern.Rank(), s.tok.clk))
+		sh.img.rc = rs.d.NewCtx(m.raceChanArrive(d.Src, st.kern.Rank(), s.tok.clock()))
 	}
 	if s.inline {
 		st.kern.After(s.service, sh)
@@ -277,10 +305,10 @@ func (sh *shipped) exec(start Time) {
 	img, s := &sh.img, sh.s
 	m := img.m
 	exec := "spawn-exec"
-	if nc := s.named; nc != nil {
+	if x := s.x; x != nil && x.named != nil {
 		// A named spawn decodes the blob and calls the registry entry.
-		rf := nc.fn
-		args, err := decodeArgs(nc.blob)
+		rf := x.named
+		args, err := decodeArgs(x.blob)
 		if err != nil {
 			panic(fmt.Sprintf("caf: cannot unmarshal arguments of %q: %v", rf.name, err))
 		}
@@ -299,11 +327,12 @@ func (sh *shipped) exec(start Time) {
 	// The join edge: an implicit spawn releases its final clock into the
 	// enclosing finish (the finish exit is ordered after the child's
 	// body), an explicit one into its completion event.
-	if rs := m.race; rs != nil && img.rc != nil && s.event == nil && s.finishID != 0 {
+	ev := s.event()
+	if rs := m.race; rs != nil && img.rc != nil && ev == nil && s.finishID != 0 {
 		img.rc.ReleaseInto(&rs.finishSyncFor(s.finishID).ops)
 	}
-	if s.event != nil {
-		m.notifyFrom(img.Rank(), s.event, img.raceRelease())
+	if ev != nil {
+		m.notifyFrom(img.Rank(), ev, img.raceRelease())
 	}
 	sh.d.Complete()
 }

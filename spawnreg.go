@@ -103,7 +103,8 @@ func (img *Image) SpawnNamed(target int, name string, args []any, opts ...SpawnO
 	// named spawn ships no separate payload. Being encoded already, they
 	// are fully evaluated, so initiation is local data completion as for
 	// any spawn.
-	s.named = &namedCall{fn: rf, blob: blob}
-	s.bytes, s.data = len(blob)+32+len(name), nil
+	x := s.extra()
+	x.named, x.blob, x.data = rf, blob, nil
+	s.bytes = len(blob) + 32 + len(name)
 	return img.ship(target, rf.kind, s)
 }
