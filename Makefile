@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short bench sweeps sweeps-check fuzz-smoke chaos-crash chaos-recover ci figures figures-quick examples clean
+.PHONY: all build vet test test-short bench fuzz-smoke chaos-crash chaos-recover ci figures figures-check examples clean
 
 all: build vet test
 
@@ -27,24 +27,10 @@ ci: vet build test
 	cd benchmark && $(GO) vet . && $(GO) test .
 	$(GO) test -race ./...
 	$(GO) test -tags quarantinepools ./...
-	$(MAKE) sweeps-check
+	$(MAKE) figures-check
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
-
-# Regenerate the committed sweeps (BENCH_sweeps.json: coalescing, service
-# load, crash recovery). Run it only when the model moves on purpose.
-sweeps:
-	$(GO) run ./cmd/benchjson -out BENCH_sweeps.json
-
-# The committed sweeps are virtual-time results: regenerated whole (well
-# under a second), they must match BENCH_sweeps.json byte for byte. A
-# diff means the model moved.
-sweeps-check:
-	@dir=$$(mktemp -d); \
-	$(GO) run ./cmd/benchjson -out $$dir/BENCH_sweeps.json && \
-	cmp BENCH_sweeps.json $$dir/BENCH_sweeps.json; \
-	status=$$?; rm -rf $$dir; exit $$status
 
 # Short fuzz pass over the conflict-range intersection kernel.
 fuzz-smoke:
@@ -66,11 +52,18 @@ chaos-recover:
 	$(GO) test -run 'TestKVRecover' -v ./internal/chaos
 	$(GO) test -race -run 'TestLoadGOMAXPROCSEquivalence/kv-replicated' ./examples/workloads
 
+# Rewrite the committed outputs under results/: the paper's figures and
+# the regression sweeps (coalescing, service load, crash recovery). Run
+# it only when the model moves on purpose. The two large outputs run by
+# name: go run ./cmd/figures -only fig17-large,uts-1024-d12
 figures:
-	$(GO) run ./cmd/figures -out results
+	$(GO) run ./cmd/figures
 
-figures-quick:
-	$(GO) run ./cmd/figures -quick
+# Every committed output is virtual-time model output: regenerated into a
+# temp dir (about 30 s), each file must match results/ byte for byte. A
+# diff means the model moved.
+figures-check:
+	$(GO) run ./cmd/figures -check
 
 examples:
 	$(GO) run ./examples/quickstart
@@ -79,6 +72,8 @@ examples:
 	$(GO) run ./examples/pipeline
 	$(GO) run ./examples/termination
 	$(GO) run ./examples/transpose
+	$(GO) run ./examples/randomaccess
+	$(GO) run ./examples/uts
 
 .PHONY: outputs
 outputs:

@@ -1,9 +1,9 @@
 // Package bench regenerates the paper's figures (12, 13, 14, 16, 17, 18)
 // plus the Figs. 2/3 steal-round-trip motivation, on the simulated
 // machine. Each FigNN function runs the workload across its parameter
-// sweep and returns a Figure holding gnuplot-ready series; the cmd/
-// drivers print them. Scales default to simulation-friendly sizes and
-// stretch to the paper's full configurations via options.
+// sweep and returns a Figure holding gnuplot-ready series; cmd/figures
+// writes them under results/. Scales default to simulation-friendly
+// sizes and stretch to the paper's full configurations via options.
 package bench
 
 import (

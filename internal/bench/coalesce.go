@@ -12,7 +12,7 @@ import (
 // shipping (the paper's §IV-B traffic: storms of 16-byte spawn AMs) and
 // the Fig. 12 cofence producer/consumer loop — with coalescing off and
 // on, and reports the wire-packet and virtual-time deltas as one JSON
-// document (the Coalesce section of BENCH_sweeps.json). The tests assert
+// document (the Coalesce section of results/sweeps.json). The tests assert
 // the packet-reduction floor, so a regression in the coalescing layer (or
 // a send-path change that silently stops batching) fails the build.
 
@@ -76,7 +76,7 @@ type CoalesceRow struct {
 	FinishLostActivities int64 `json:",omitempty"`
 }
 
-// CoalesceReport is the Coalesce section of BENCH_sweeps.json.
+// CoalesceReport is the Coalesce section of results/sweeps.json.
 type CoalesceReport struct {
 	Opts CoalesceOpts
 	Rows []CoalesceRow

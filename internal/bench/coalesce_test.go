@@ -46,7 +46,7 @@ func TestCoalesceSweep(t *testing.T) {
 
 // TestCoalesceSweepDeterministic: the whole sweep is a pure function of
 // its options — rerunning must reproduce every row bit-for-bit (the
-// property that makes BENCH_sweeps.json a committable artifact).
+// property that makes results/sweeps.json a committable artifact).
 func TestCoalesceSweepDeterministic(t *testing.T) {
 	o := DefaultCoalesce()
 	a, err := Coalesce(o)

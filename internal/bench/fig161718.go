@@ -2,8 +2,10 @@ package bench
 
 import (
 	"fmt"
+	"io"
 
 	caf "caf2go"
+	"caf2go/internal/trace"
 	"caf2go/internal/uts"
 )
 
@@ -16,7 +18,7 @@ type UTSOpts struct {
 
 // DefaultFig16 returns simulation-scaled options (paper: 2048/4096/8192
 // cores on the full T1WL tree). Load-balance quality depends on work per
-// image: sweeping more cores needs a deeper tree (-depth on cmd/uts).
+// image: sweeping more cores needs a deeper tree (MaxDepth).
 func DefaultFig16() UTSOpts {
 	return UTSOpts{Cores: []int{32, 64, 128}, MaxDepth: 10, Seed: 1}
 }
@@ -144,4 +146,31 @@ func Fig18(o UTSOpts) (Figure, error) {
 	}
 	fig.Series = append(fig.Series, ours, unbounded)
 	return fig, nil
+}
+
+// RunUTS runs UTS on a depth-d T1WL-shaped tree on the machine mcfg
+// describes, checks the node count against the sequential count, and
+// writes the run's report to w: nodes, virtual time, parallel
+// efficiency, steals, termination rounds and traffic. The recorder is
+// nil unless mcfg.TraceCapacity > 0.
+func RunUTS(w io.Writer, mcfg caf.Config, depth int, lifelines bool) (*trace.Recorder, error) {
+	spec := uts.Scaled(depth)
+	seq := uts.CountSequential(spec)
+	cfg := uts.DefaultConfig(spec)
+	cfg.Lifelines = lifelines
+	res, tr, err := uts.RunTraced(mcfg, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if res.TotalNodes != seq.Nodes {
+		return nil, fmt.Errorf("parallel run counted %d nodes, sequential count %d", res.TotalNodes, seq.Nodes)
+	}
+	t1 := caf.Time(seq.Nodes) * cfg.WorkPerNode
+	eff := float64(t1) / (float64(mcfg.Images) * float64(res.Time))
+	fmt.Fprintf(w, "UTS depth=%d: %d nodes on %d images in %v virtual\n", depth, res.TotalNodes, mcfg.Images, res.Time)
+	fmt.Fprintf(w, "parallel efficiency: %.1f%%  (T1=%v)\n", eff*100, t1)
+	fmt.Fprintf(w, "steals: %d ok / %d attempts; lifeline pushes: %d\n", res.Steals, res.StealAttempts, res.LifelinePushes)
+	fmt.Fprintf(w, "termination detection: %d allreduce rounds (noWait=%v)\n", res.Rounds, mcfg.FinishNoWait)
+	fmt.Fprintf(w, "traffic: %d msgs, %d bytes, %d spawns\n", res.Report.Msgs, res.Report.Bytes, res.Report.SpawnsExecuted)
+	return tr, nil
 }

@@ -8,7 +8,7 @@ import (
 	"caf2go/internal/load"
 )
 
-// The service-traffic benchmark harness (BENCH_sweeps.json's Load): the
+// The service-traffic benchmark harness (results/sweeps.json's Load): the
 // sharded KV service under open-loop Poisson load, swept across offered
 // load × machine size × access protocol (locks vs. function shipping) ×
 // coalescing. Each row reports the SLO surface — p50/p99/p999 latency,
@@ -80,7 +80,7 @@ type LoadRow struct {
 	SLODigest string
 }
 
-// LoadReport is the Load section of BENCH_sweeps.json.
+// LoadReport is the Load section of results/sweeps.json.
 type LoadReport struct {
 	Opts LoadOpts
 	Rows []LoadRow

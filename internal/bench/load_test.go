@@ -2,7 +2,7 @@ package bench
 
 import "testing"
 
-// TestSmokeLoad guards BENCH_sweeps.json's Load section: the committed
+// TestSmokeLoad guards results/sweeps.json's Load section: the committed
 // sweep (well under a second) must produce a full row matrix (loads ×
 // sizes × protocol × coalescing) with every request completed, and the
 // headline experiments pointing the right way — function shipping at or

@@ -8,7 +8,7 @@ import (
 	"caf2go/internal/load"
 )
 
-// The recovery benchmark harness (BENCH_sweeps.json's Recovery): the KV
+// The recovery benchmark harness (results/sweeps.json's Recovery): the KV
 // service with a mid-traffic primary crash, swept across detector
 // heartbeat × machine size × replication on/off. Each row reports the
 // request outcomes (lost vs. replayed), the recovery timeline
@@ -88,7 +88,7 @@ type RecoveryRow struct {
 	SLODigest string
 }
 
-// RecoveryReport is the Recovery section of BENCH_sweeps.json.
+// RecoveryReport is the Recovery section of results/sweeps.json.
 type RecoveryReport struct {
 	Opts RecoveryOpts
 	Rows []RecoveryRow

@@ -2,7 +2,7 @@ package bench
 
 import "testing"
 
-// TestSmokeRecovery guards BENCH_sweeps.json's Recovery section: the
+// TestSmokeRecovery guards results/sweeps.json's Recovery section: the
 // committed sweep (well under a second) must produce the full row matrix
 // (sizes × heartbeats × replication on/off) and the headline experiments
 // pointing the right way — the unreplicated runs lose requests to the

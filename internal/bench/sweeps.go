@@ -5,10 +5,10 @@ import (
 	"io"
 )
 
-// Sweeps is the BENCH_sweeps.json document: the three regression sweeps
-// at their committed options. Every number in it is virtual-time model
-// output, so it regenerates byte for byte and `make sweeps-check`
-// compares it whole.
+// Sweeps is the results/sweeps.json document: the three regression
+// sweeps at their committed options. Every number in it is virtual-time
+// model output, so it regenerates byte for byte and
+// `go run ./cmd/figures -check` compares it whole.
 type Sweeps struct {
 	Coalesce CoalesceReport
 	Load     LoadReport
