@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -91,5 +92,80 @@ func TestProfileGoldens(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestObservabilityModesAgree: the op log is shared by the lifecycle
+// tracker and the request-path tracker, so switching one of them off must
+// not move what the other exports. On both golden inputs, at the golden
+// capacity (which truncates) and at one that does not, a PathTracing-only
+// run exports the all-on run's paths, and a TraceCapacity-only run its
+// ops, blocks, finish rounds, drop counts, recorder events and Chrome
+// bytes.
+func TestObservabilityModesAgree(t *testing.T) {
+	cases := []struct {
+		name     string
+		cfg      caf.Config
+		opts     workloads.ServiceOpts
+		truncate int
+	}{
+		{"kv-shipping", caf.Config{Images: 8, Seed: 7, Fabric: caf.FabricConfig{Coalescing: caf.Coalescing{MaxMsgs: 4}}},
+			workloads.ServiceOpts{Servers: 4, Requests: 120, Rate: 2_000_000, WriteFrac: 0.3, Shipping: true}, 200},
+		{"kv-locks", caf.Config{Images: 6, Seed: 11},
+			workloads.ServiceOpts{Servers: 2, Requests: 60, Rate: 1_000_000, WriteFrac: 0.5}, 64},
+	}
+	run := func(t *testing.T, cfg caf.Config, opts workloads.ServiceOpts) *caf.Machine {
+		t.Helper()
+		var m *caf.Machine
+		if _, err := workloads.KVService(cfg, opts, workloads.CaptureMachine(&m)); err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	chrome := func(t *testing.T, m *caf.Machine) []byte {
+		t.Helper()
+		var b bytes.Buffer
+		if err := m.Trace().WriteChromeTrace(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	for _, tc := range cases {
+		pathsOnly := tc.cfg
+		pathsOnly.PathTracing = true
+		paths := run(t, pathsOnly, tc.opts).Profile().Paths
+		if paths == nil || len(paths.Reqs) == 0 {
+			t.Fatalf("%s: a PathTracing-only run exported no paths", tc.name)
+		}
+		for _, capacity := range []int{tc.truncate, 1 << 16} {
+			t.Run(fmt.Sprintf("%s/capacity=%d", tc.name, capacity), func(t *testing.T) {
+				allCfg, traceCfg := tc.cfg, tc.cfg
+				allCfg.Metrics, allCfg.PathTracing, allCfg.TraceCapacity = true, true, capacity
+				traceCfg.TraceCapacity = capacity
+				all, traced := run(t, allCfg, tc.opts), run(t, traceCfg, tc.opts)
+				ap, tp := all.Profile(), traced.Profile()
+				if (capacity == tc.truncate) != (ap.Dropped != nil) {
+					t.Fatalf("capacity %d: dropped %v", capacity, ap.Dropped)
+				}
+				if !reflect.DeepEqual(ap.Paths, paths) {
+					t.Error("the PathTracing-only run's paths differ from the all-on run's")
+				}
+				for _, c := range []struct {
+					what      string
+					all, only any
+				}{
+					{"ops", ap.Ops, tp.Ops},
+					{"blocks", ap.Blocks, tp.Blocks},
+					{"finish rounds", ap.Finishes, tp.Finishes},
+					{"dropped", ap.Dropped, tp.Dropped},
+					{"recorder events", all.Trace().Events(), traced.Trace().Events()},
+					{"Chrome trace", chrome(t, all), chrome(t, traced)},
+				} {
+					if !reflect.DeepEqual(c.all, c.only) {
+						t.Errorf("the TraceCapacity-only run's %s differ from the all-on run's", c.what)
+					}
+				}
+			})
+		}
 	}
 }
