@@ -204,6 +204,7 @@ type Machine struct {
 	states    []*imageState
 	tracer    *trace.Recorder
 	life      *trace.Lifecycle
+	ops       *trace.OpLog
 	met       *metrics.Registry
 	path      *path.Tracker
 	registry  *fnRegistry
@@ -278,9 +279,10 @@ func NewMachine(cfg Config) *Machine {
 		// Wired before the kernel copies the fabric config.
 		cfg.Fabric.Metrics = met
 	}
+	ops := trace.NewOpLog(life, cfg.PathTracing)
 	var ptrack *path.Tracker
 	if cfg.PathTracing {
-		ptrack = path.New()
+		ptrack = path.New(ops)
 		// Wired before the kernel copies the fabric config, so the
 		// fabric claims coalesce/credit/wire legs for tagged messages.
 		cfg.Fabric.Path = ptrack
@@ -303,6 +305,7 @@ func NewMachine(cfg Config) *Machine {
 	m.plane.SetMetrics(met)
 	m.tracer = tracer
 	m.life = life
+	m.ops = ops
 	m.met = met
 	m.path = ptrack
 	var crash map[int]sim.Time
@@ -540,18 +543,7 @@ func (m *Machine) report() Report {
 		r.SpawnsExecuted += st.spawnsExecuted
 		r.Copies += st.copies
 	}
-	for cat, n := range m.tracer.Dropped() {
-		if r.TraceDropped == nil {
-			r.TraceDropped = make(map[string]int)
-		}
-		r.TraceDropped[cat] += n
-	}
-	for cat, n := range m.life.Dropped() {
-		if r.TraceDropped == nil {
-			r.TraceDropped = make(map[string]int)
-		}
-		r.TraceDropped[cat] += n
-	}
+	r.TraceDropped = trace.Dropped(m.tracer, m.life)
 	if m.met.Enabled() {
 		snap := m.met.Snapshot()
 		r.Metrics = &snap
@@ -687,7 +679,7 @@ func (m *Machine) SubscribeEpoch(fn func(epoch int, at Time)) {
 }
 
 // Trace returns the execution-trace recorder, or nil when tracing is
-// disabled. Export with WriteChromeTrace / WriteSummary.
+// disabled. Export with WriteChromeTrace.
 func (m *Machine) Trace() *trace.Recorder { return m.tracer }
 
 // Lifecycle returns the operation-lifecycle tracker (op stage timings,
@@ -714,18 +706,7 @@ func (m *Machine) Profile() *prof.Profile {
 		Ops:      m.life.Ops(),
 		Blocks:   m.life.Blocks(),
 		Finishes: m.life.FinishRounds(),
-	}
-	for cat, n := range m.tracer.Dropped() {
-		if p.Dropped == nil {
-			p.Dropped = make(map[string]int)
-		}
-		p.Dropped[cat] += n
-	}
-	for cat, n := range m.life.Dropped() {
-		if p.Dropped == nil {
-			p.Dropped = make(map[string]int)
-		}
-		p.Dropped[cat] += n
+		Dropped:  trace.Dropped(m.tracer, m.life),
 	}
 	if m.met.Enabled() {
 		snap := m.met.Snapshot()
@@ -753,10 +734,10 @@ func (img *Image) traceInstant(name, cat string) {
 }
 
 // opNew creates the completion handle for an async op initiated by this
-// image, registering it with the lifecycle tracker when tracing is on
-// (the handle's continuation machinery works either way). Under an
-// active request context the op also becomes a span on the request's
-// causal DAG, parented to the context's enclosing span.
+// image, recording it in the op log when a tracker keeps it (the
+// handle's continuation machinery works either way): the lifecycle
+// tracker's first ops and, under an active request context, a span on
+// the request's causal DAG, parented to the context's enclosing op.
 func (img *Image) opNew(kind string, peer int) *Op {
 	o := new(Op)
 	img.opInit(o, kind, peer)
@@ -766,12 +747,11 @@ func (img *Image) opNew(kind string, peer int) *Op {
 // opInit is opNew for a handle that is a field of the operation's own
 // record.
 func (img *Image) opInit(o *Op, kind string, peer int) {
-	*o = Op{m: img.m, kind: kind, img: img.Rank(),
-		id: img.m.life.OpNew(kind, img.Rank(), peer, img.Now())}
-	if img.m.path != nil && img.pctx.Active() {
+	*o = Op{m: img.m, kind: kind, img: img.Rank()}
+	if img.m.path != nil {
 		o.pctx = img.pctx
-		o.span = img.m.path.SpanNew(img.pctx, kind, img.Rank(), peer, img.Now())
 	}
+	o.id = img.m.ops.New(kind, o.img, peer, img.Now(), o.pctx.Req, o.pctx.Span)
 }
 
 // opStage advances an op's completion level as observed on this image:

@@ -29,6 +29,8 @@ func TestCorruptInputs(t *testing.T) {
 		{"negative images", `{"Images": -1}`},
 		{"array not object", `[1, 2, 3]`},
 		{"binary garbage", "\x00\x01\x02\xff\xfe"},
+		{"span its own ancestor", `{"Images": 1, "Paths": {"Reqs": [{"Seq": 0, "Done": -1,
+			"Spans": [{"ID": 1, "Parent": 0}, {"ID": 1, "Parent": 1}]}]}}`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	caf "caf2go"
+	"caf2go/internal/load"
 	"caf2go/internal/prof"
 	"caf2go/internal/trace"
 )
@@ -199,50 +200,75 @@ func TestProfileFinishRoundsBound(t *testing.T) {
 	}
 }
 
-// TestObservabilityDoesNotPerturb re-runs a workload with full tracing
-// and metrics enabled and demands the simulation outcome — virtual time,
-// traffic, counters, checksum — be identical to the uninstrumented run.
-// This is the zero-cost contract: observability may only add fields to
-// the report, never change the machine's behavior.
+// TestObservabilityDoesNotPerturb re-runs each workload with every
+// observability switch on alone and with all three together, and demands
+// the simulation outcome — virtual time, traffic, counters, checksum and,
+// for the services, the SLO digest — be identical to the uninstrumented
+// run. This is the zero-cost contract: observability may only add fields
+// to the report, never change the machine's behavior.
 func TestObservabilityDoesNotPerturb(t *testing.T) {
+	kv := func(shipping bool) func(caf.Config, *load.SLO) (Result, error) {
+		return func(cfg caf.Config, slo *load.SLO) (Result, error) {
+			cfg.Images, cfg.Seed = 8, 11
+			o := kvGoldenOpts(shipping)
+			o.SLOOut = slo
+			return KVService(cfg, o)
+		}
+	}
+	modes := []struct {
+		name string
+		on   func(*caf.Config)
+	}{
+		{"trace", func(cfg *caf.Config) { cfg.TraceCapacity = 1 << 16 }},
+		{"metrics", func(cfg *caf.Config) { cfg.Metrics = true }},
+		{"paths", func(cfg *caf.Config) { cfg.PathTracing = true }},
+		{"all", func(cfg *caf.Config) { cfg.TraceCapacity, cfg.Metrics, cfg.PathTracing = 1<<16, true, true }},
+	}
 	for _, tc := range []struct {
 		name string
-		run  func(extra func(*caf.Config)) (Result, error)
+		run  func(cfg caf.Config, slo *load.SLO) (Result, error)
 	}{
-		{"stencil-overlap", func(extra func(*caf.Config)) (Result, error) {
-			cfg := caf.Config{Images: 8, Seed: 7}
-			extra(&cfg)
+		{"stencil-overlap", func(cfg caf.Config, _ *load.SLO) (Result, error) {
+			cfg.Images, cfg.Seed = 8, 7
 			return Stencil(cfg, 32, 5, true)
 		}},
-		{"quickstart", func(extra func(*caf.Config)) (Result, error) {
-			cfg := caf.Config{Images: 8, Seed: 42}
-			extra(&cfg)
+		{"quickstart", func(cfg caf.Config, _ *load.SLO) (Result, error) {
+			cfg.Images, cfg.Seed = 8, 42
 			return Quickstart(cfg)
 		}},
-		{"worksteal-shipping", func(extra func(*caf.Config)) (Result, error) {
-			cfg := caf.Config{Images: 4, Seed: 3}
-			extra(&cfg)
+		{"worksteal-shipping", func(cfg caf.Config, _ *load.SLO) (Result, error) {
+			cfg.Images, cfg.Seed = 4, 3
 			return Worksteal(cfg, 16, 4, true)
 		}},
+		{"kv-shipping", kv(true)},
+		{"kv-locks", kv(false)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			plain, err := tc.run(func(*caf.Config) {})
+			var plainSLO load.SLO
+			plain, err := tc.run(caf.Config{}, &plainSLO)
 			if err != nil {
 				t.Fatal(err)
 			}
-			instr, err := tc.run(func(cfg *caf.Config) {
-				cfg.TraceCapacity = 1 << 16
-				cfg.Metrics = true
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Strip the observability-only additions before comparing.
-			instr.Report.Metrics = nil
-			instr.Report.TraceDropped = nil
-			if !reflect.DeepEqual(plain, instr) {
-				t.Errorf("instrumentation perturbed the run:\nplain: %s\ninstr: %s",
-					mustJSON(plain), mustJSON(instr))
+			for _, mode := range modes {
+				t.Run(mode.name, func(t *testing.T) {
+					var cfg caf.Config
+					mode.on(&cfg)
+					var slo load.SLO
+					instr, err := tc.run(cfg, &slo)
+					if err != nil {
+						t.Fatal(err)
+					}
+					// Strip the observability-only additions before comparing.
+					instr.Report.Metrics = nil
+					instr.Report.TraceDropped = nil
+					if !reflect.DeepEqual(plain, instr) {
+						t.Errorf("instrumentation perturbed the run:\nplain: %s\ninstr: %s",
+							mustJSON(plain), mustJSON(instr))
+					}
+					if slo.Digest() != plainSLO.Digest() {
+						t.Errorf("SLO digest changed:\nplain: %s\ninstr: %s", plainSLO.Digest(), slo.Digest())
+					}
+				})
 			}
 		})
 	}

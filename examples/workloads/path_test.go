@@ -144,33 +144,6 @@ func TestPathTailLockWait(t *testing.T) {
 	}
 }
 
-// TestPathTracingInert pins that enabling path tracing does not perturb
-// the simulation: Report, Check, and SLO digest are byte-identical to
-// an untraced run.
-func TestPathTracingInert(t *testing.T) {
-	for _, shipping := range []bool{true, false} {
-		var sloOff, sloOn load.SLO
-		oOff, oOn := kvGoldenOpts(shipping), kvGoldenOpts(shipping)
-		oOff.SLOOut, oOn.SLOOut = &sloOff, &sloOn
-		off, err := KVService(caf.Config{Images: 8, Seed: 11}, oOff)
-		if err != nil {
-			t.Fatal(err)
-		}
-		on, err := KVService(caf.Config{Images: 8, Seed: 11, PathTracing: true}, oOn)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(off, on) {
-			t.Errorf("shipping=%v: Result changed with path tracing on:\n off: %s\n  on: %s",
-				shipping, off.Check, on.Check)
-		}
-		if sloOff.Digest() != sloOn.Digest() {
-			t.Errorf("shipping=%v: SLO digest changed with path tracing on:\n off: %s\n  on: %s",
-				shipping, sloOff.Digest(), sloOn.Digest())
-		}
-	}
-}
-
 // TestPathGOMAXPROCSEquivalence extends the GOMAXPROCS-equivalence sweep
 // to the path capture: with tracing enabled, the full profile — spans,
 // bucket decompositions, exemplars — must be bit-identical at every

@@ -9,6 +9,7 @@ import (
 	"unsafe"
 
 	"caf2go/internal/sim"
+	"caf2go/internal/trace"
 )
 
 // refTracker is the tracker as it was before requests moved into a log
@@ -54,7 +55,7 @@ func (t *refTracker) abort(seq int) {
 
 func (t *refTracker) spanNew(c Ctx, kind string, img, peer int, now sim.Time) int32 {
 	sp := Span{ID: int32(len(t.spans)) + 1, Req: c.Req - 1, Parent: c.Span, Kind: kind,
-		Img: int32(img), Peer: int32(peer), T: [numStages]int64{int64(now), -1, -1, -1}}
+		Img: int32(img), Peer: int32(peer), T: [trace.NumStages]int64{int64(now), -1, -1, -1}}
 	t.spans = append(t.spans, sp)
 	t.spanReq = append(t.spanReq, c.Req)
 	return sp.ID
@@ -82,10 +83,11 @@ func (t *refTracker) export() *Export {
 // TestDenseTrackerMatchesMapFold drives both trackers with one seeded
 // stream: requests begun out of seq order and with holes that are never
 // filled, re-issues of open and of finished requests, claims, spans and
-// stamps on requests nobody began, aborts.
+// stamps on requests nobody began, aborts. The spans are op records; the
+// reference keeps them itself, under the op log's stamping rules.
 func TestDenseTrackerMatchesMapFold(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
-	tk := New()
+	tk, ops := newTracker()
 	ref := &refTracker{reqs: make(map[int32]*reqState)}
 	const seqs = 3000 // spans two chunks of the request log
 	order := rng.Perm(seqs)
@@ -114,15 +116,18 @@ func TestDenseTrackerMatchesMapFold(t *testing.T) {
 			tk.ClaimTag(Tag{Req: c.Req, Bucket: b}, b, now-1)
 			ref.reqs[c.Req].claim(b, now)
 		case r < 11:
-			got, want := tk.SpanNew(c, "spawn", seq%5, seq%3, now), ref.spanNew(c, "spawn", seq%5, seq%3, now)
-			if got != want {
+			got, want := ops.New("spawn", seq%5, seq%3, now, c.Req, c.Span), ref.spanNew(c, "spawn", seq%5, seq%3, now)
+			if got != int64(want) {
 				t.Fatalf("step %d: span id %d, reference %d", step, got, want)
 			}
 		case r < 14 && len(ref.spans) > 0:
-			span, stage := int32(rng.Intn(len(ref.spans)+3)), rng.Intn(numStages+1)-1
-			tk.SpanStage(span, stage, now)
-			if span >= 1 && int(span) <= len(ref.spans) && stage >= 0 && stage < numStages {
-				if sp := &ref.spans[span-1]; sp.T[stage] < 0 {
+			span, stage := int32(rng.Intn(len(ref.spans)+3)), rng.Intn(int(trace.NumStages)+1)-1
+			ops.Stage(int64(span), 0, trace.Stage(stage), now)
+			if span >= 1 && int(span) <= len(ref.spans) && stage >= 0 && stage < int(trace.NumStages) {
+				// First stamp wins, and nothing stamps local data after
+				// global completion.
+				sp := &ref.spans[span-1]
+				if sp.T[stage] < 0 && !(stage == int(trace.StageLocalData) && sp.T[trace.StageGlobal] >= 0) {
 					sp.T[stage] = int64(now)
 				}
 			}
@@ -165,7 +170,7 @@ func b2i(b bool) int {
 
 // TestBeginOutOfOrder: the cases of the stream above, by hand.
 func TestBeginOutOfOrder(t *testing.T) {
-	tk := New()
+	tk, ops := newTracker()
 	tk.Begin(5, 1, 100, 110)
 	tk.Begin(2, 0, 50, 60)
 	tk.Begin(-1, 0, 0, 5) // no such request
@@ -175,9 +180,9 @@ func TestBeginOutOfOrder(t *testing.T) {
 		tk.Finish(hole, 600)
 		tk.Abort(hole)
 	}
-	tk.SpanNew(ReqCtx(3), "spawn", 0, 1, 70) // a span under a hole exports nowhere
-	tk.SpanNew(ReqCtx(9), "spawn", 0, 1, 70) // and one past the log
-	s := tk.SpanNew(ReqCtx(2), "spawn", 0, 1, 70)
+	ops.New("spawn", 0, 1, 70, ReqCtx(3).Req, 0) // a span under a hole exports nowhere
+	ops.New("spawn", 0, 1, 70, ReqCtx(9).Req, 0) // and one past the log
+	s := int32(ops.New("spawn", 0, 1, 70, ReqCtx(2).Req, 0))
 	tk.Begin(5, 7, 0, 150) // re-issue of an open request: replay gap, client kept
 	tk.Finish(5, 200)
 	tk.Begin(5, 7, 0, 250) // re-issue of a finished one: nothing
@@ -205,9 +210,9 @@ func TestBeginOutOfOrder(t *testing.T) {
 	}
 }
 
-// TestPoolTracePathAllocs: a request and a span cost their records'
-// bytes and their share of one object per chunk — no box per request,
-// no copy of the log as it grows.
+// TestPoolTracePathAllocs: a request costs its record's bytes and its
+// share of one object per chunk — no box per request, no copy of the log
+// as it grows. (A span is an op record: internal/trace pins its cost.)
 func TestPoolTracePathAllocs(t *testing.T) {
 	if sim.GoRace {
 		t.Skip("the race detector's instrumentation allocates")
@@ -228,7 +233,7 @@ func TestPoolTracePathAllocs(t *testing.T) {
 		runtime.ReadMemStats(&b)
 		return float64(b.Mallocs-a.Mallocs) / runs, float64(b.TotalAlloc-a.TotalAlloc) / runs
 	}
-	tk := New()
+	tk, _ := newTracker()
 	seq := 0
 	objects, bytes := perCall(func() {
 		tk.Begin(seq, 1, 0, 5)
@@ -238,14 +243,5 @@ func TestPoolTracePathAllocs(t *testing.T) {
 	})
 	if kept := float64(unsafe.Sizeof(reqState{})); objects > 2.0/chunk || bytes > slack*kept {
 		t.Errorf("Begin + Claim + Finish: %.4f objects, %.0f bytes per request; the record is %.0f bytes", objects, bytes, kept)
-	}
-	objects, bytes = perCall(func() {
-		id := tk.SpanNew(ReqCtx(7), "spawn", 0, 1, 5)
-		for stage := 0; stage < numStages; stage++ {
-			tk.SpanStage(id, stage, 9)
-		}
-	})
-	if kept := float64(unsafe.Sizeof(Span{})); objects > 2.0/chunk || bytes > slack*kept {
-		t.Errorf("SpanNew + 4 SpanStage: %.4f objects, %.0f bytes per span; the record is %.0f bytes", objects, bytes, kept)
 	}
 }

@@ -99,8 +99,8 @@ func BucketNames() []string { return append([]string(nil), bucketNames[:]...) }
 type Ctx struct {
 	// Req is the request seq + 1; 0 means no active request.
 	Req int32
-	// Span is the parent span ID for ops initiated under this context
-	// (0 = the request root).
+	// Span is the op-log record id (trace.OpLog) of the op that ops
+	// initiated under this context parent to (0 = the request root).
 	Span int32
 }
 
@@ -131,9 +131,6 @@ func WireTag(c Ctx) Tag { return Tag{Req: c.Req, Bucket: Wire} }
 // MirrorTag returns c's fabric tag for a replication mirror write.
 func MirrorTag(c Ctx) Tag { return Tag{Req: c.Req, Bucket: ReplMirror} }
 
-// numStages mirrors trace.NumStages: the four completion levels.
-const numStages = 4
-
 // Span is one traced operation on a request's causal DAG: the op's
 // kind, its initiating image and peer, its parent span, and the virtual
 // times it reached each of the four completion levels (-1 = unreached).
@@ -145,8 +142,9 @@ type Span struct {
 	Img    int32
 	Peer   int32
 	// T holds the four completion-level stamps (init, local data,
-	// local op, global), -1 where unreached.
-	T [numStages]int64
+	// local op, global), -1 where unreached. Init is when the op was
+	// created.
+	T [trace.NumStages]int64
 }
 
 // Req is one request's assembled path: its identity, the latency
@@ -197,16 +195,14 @@ type Tracker struct {
 	// reqs holds request seq at record seq, by value (seqs are schedule
 	// indices, so the log is dense); a seq not yet begun is a closed slot.
 	reqs trace.Log[reqState]
-	// spans holds span ID i at record i-1; Span.Req names its request.
-	spans    trace.Log[Span]
+	// ops holds the spans: every record under a traced request.
+	ops      *trace.OpLog
 	finished int
 }
 
-// New returns an enabled tracker.
-func New() *Tracker { return new(Tracker) }
-
-// Enabled reports whether the tracker records anything.
-func (t *Tracker) Enabled() bool { return t != nil }
+// New returns an enabled tracker whose spans are the records of ops
+// under a traced request.
+func New(ops *trace.OpLog) *Tracker { return &Tracker{ops: ops} }
 
 // state returns the open slot of the request a Ctx or Tag names (req is
 // seq + 1), nil when there is none; reqState.claim accepts nil.
@@ -313,41 +309,6 @@ func (t *Tracker) Abort(seq int) {
 	st.done = true
 }
 
-// SpanNew records a span for an op initiated under c, returning its ID
-// (0 when untraced). The span parents to c.Span, forming the request's
-// causal DAG.
-func (t *Tracker) SpanNew(c Ctx, kind string, img, peer int, now sim.Time) int32 {
-	if t == nil || !c.Active() {
-		return 0
-	}
-	id := int32(t.spans.Len()) + 1
-	t.spans.Append(Span{
-		ID:     id,
-		Req:    c.Req - 1,
-		Parent: c.Span,
-		Kind:   kind,
-		Img:    int32(img),
-		Peer:   int32(peer),
-		T:      [numStages]int64{int64(now), -1, -1, -1},
-	})
-	return id
-}
-
-// SpanStage stamps span's completion level (first stamp wins, like
-// trace.Lifecycle). stage indexes the four levels; span 0 is ignored.
-func (t *Tracker) SpanStage(span int32, stage int, now sim.Time) {
-	if t == nil || span <= 0 || int(span) > t.spans.Len() {
-		return
-	}
-	if stage < 0 || stage >= numStages {
-		return
-	}
-	sp := t.spans.At(int(span) - 1)
-	if sp.T[stage] < 0 {
-		sp.T[stage] = int64(now)
-	}
-}
-
 // Finished reports how many requests have completed.
 func (t *Tracker) Finished() int {
 	if t == nil {
@@ -357,23 +318,37 @@ func (t *Tracker) Finished() int {
 }
 
 // Export assembles the deterministic serialized form: requests sorted
-// by seq, each carrying its spans in creation order. Safe on nil
-// (returns nil).
+// by seq, each carrying its spans in creation order. Span ids number the
+// op records under a request in creation order, and a span's parent is
+// its parent record's span. Safe on nil (returns nil).
 func (t *Tracker) Export() *Export {
 	if t == nil {
 		return nil
 	}
 	e := &Export{Buckets: BucketNames()}
 	byReq := make([][]Span, t.reqs.Len())
-	for i := 0; i < t.spans.Len(); i++ {
-		if sp := t.spans.At(i); sp.Req >= 0 && int(sp.Req) < len(byReq) {
-			byReq[sp.Req] = append(byReq[sp.Req], *sp)
+	spanOf := make([]int32, t.ops.Len()+1) // record id → span id
+	var id int32
+	t.ops.ReqOps(func(op trace.OpRecord, req, parent int32) {
+		id++
+		spanOf[op.ID] = id
+		if seq := req - 1; int(seq) < len(byReq) {
+			byReq[seq] = append(byReq[seq], Span{ID: id, Req: seq, Parent: parent,
+				Kind: op.Kind, Img: int32(op.Img), Peer: int32(op.Peer),
+				T: [trace.NumStages]int64{int64(op.Created), int64(op.T[1]), int64(op.T[2]), int64(op.T[3])}})
 		}
-	}
-	for seq := range byReq {
+	})
+	for seq, spans := range byReq {
+		for i := range spans {
+			p := spans[i].Parent
+			spans[i].Parent = 0
+			if p > 0 && int(p) < len(spanOf) {
+				spans[i].Parent = spanOf[p]
+			}
+		}
 		if st := t.reqs.At(seq); st.open {
 			r := st.req
-			r.Spans = byReq[seq]
+			r.Spans = spans
 			e.Reqs = append(e.Reqs, r)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"caf2go/internal/sim"
+	"caf2go/internal/trace"
 )
 
 // TestNilTrackerInert: every method on a nil tracker is a no-op — the
@@ -15,11 +16,7 @@ func TestNilTrackerInert(t *testing.T) {
 	tk.ClaimTag(WireTag(ReqCtx(0)), Wire, 10)
 	tk.Finish(0, 20)
 	tk.Abort(0)
-	if id := tk.SpanNew(ReqCtx(0), "spawn", 0, 1, 0); id != 0 {
-		t.Fatalf("nil tracker allocated span %d", id)
-	}
-	tk.SpanStage(1, 0, 5)
-	if tk.Enabled() || tk.Finished() != 0 || tk.Export() != nil {
+	if tk.Finished() != 0 || tk.Export() != nil {
 		t.Fatal("nil tracker not inert")
 	}
 }
@@ -28,7 +25,7 @@ func TestNilTrackerInert(t *testing.T) {
 // buckets sum exactly to the measured latency, with overlapping
 // fork-join claims collapsing to no-ops.
 func TestExactDecomposition(t *testing.T) {
-	tk := New()
+	tk, _ := newTracker()
 	tk.Begin(3, 1, 100, 130) // 30ns client queue
 	c := ReqCtx(3)
 	tk.Claim(c, LockWait, 200) // 70ns lock wait
@@ -70,7 +67,7 @@ func TestExactDecomposition(t *testing.T) {
 // TestReissueAndStall: a second Begin is a failover re-issue, claiming
 // ReplayReissue; EpochStall rides the ordinary Claim path.
 func TestReissueAndStall(t *testing.T) {
-	tk := New()
+	tk, _ := newTracker()
 	tk.Begin(0, 2, 0, 10)
 	c := ReqCtx(0)
 	tk.Claim(c, Wire, 50)
@@ -98,7 +95,7 @@ func TestReissueAndStall(t *testing.T) {
 // TestAbortExcluded: aborted requests export with Done == -1 and are
 // excluded from the exactness invariant and the finished count.
 func TestAbortExcluded(t *testing.T) {
-	tk := New()
+	tk, _ := newTracker()
 	tk.Begin(7, 0, 0, 5)
 	tk.Claim(ReqCtx(7), Wire, 40)
 	tk.Abort(7)
@@ -115,38 +112,53 @@ func TestAbortExcluded(t *testing.T) {
 	}
 }
 
-// TestSpanDAG: spans parent to their context and stamp the four levels
-// first-stamp-wins; export groups them under their request in creation
-// order.
+// TestSpanDAG: spans are the op records under a request, parented to
+// their context's op and stamped first-stamp-wins; export numbers them in
+// creation order and groups them under their request.
 func TestSpanDAG(t *testing.T) {
-	tk := New()
+	// A log shared with a lifecycle of two ops: record ids and span ids
+	// part ways.
+	ops := trace.NewOpLog(trace.NewLifecycle(nil, 2), true)
+	tk := New(ops)
 	tk.Begin(1, 0, 0, 0)
 	root := ReqCtx(1)
-	s1 := tk.SpanNew(root, "spawn", 0, 3, 10)
-	child := Ctx{Req: root.Req, Span: s1}
-	s2 := tk.SpanNew(child, "lock", 3, 3, 20)
-	if s1 != 1 || s2 != 2 {
-		t.Fatalf("span ids %d, %d", s1, s2)
+	r1 := ops.New("spawn", 0, 3, 10, root.Req, root.Span)
+	ops.New("copy", 0, 3, 15, 0, 0) // the lifecycle's, under no request: not a span
+	child := Ctx{Req: root.Req, Span: int32(r1)}
+	r2 := ops.New("lock", 3, 3, 20, child.Req, child.Span)
+	if ops.New("get", 3, 0, 25, 0, 0) != 0 {
+		t.Fatal("an op nobody keeps got a record")
 	}
-	tk.SpanStage(s1, 3, 40)
-	tk.SpanStage(s1, 3, 50) // first stamp wins
-	tk.SpanStage(0, 1, 40)  // span 0 ignored
-	tk.SpanStage(99, 1, 40) // unknown span ignored
+	ops.Stage(r1, 0, trace.StageInit, 12) // init is the span's creation
+	ops.Stage(r1, 0, trace.StageGlobal, 40)
+	ops.Stage(r1, 0, trace.StageGlobal, 50)    // first stamp wins
+	ops.Stage(r1, 0, trace.StageLocalData, 45) // and nothing after global
+	ops.Stage(0, 0, trace.StageLocalData, 40)  // record 0 ignored
+	ops.Stage(99, 0, trace.StageLocalData, 40) // unknown record ignored
 	tk.Finish(1, 60)
 
+	if r1 != 1 || r2 != 3 {
+		t.Fatalf("record ids %d, %d", r1, r2)
+	}
 	r := tk.Export().Reqs[0]
 	if len(r.Spans) != 2 {
 		t.Fatalf("%d spans, want 2", len(r.Spans))
 	}
-	if r.Spans[0].Kind != "spawn" || r.Spans[0].Parent != 0 || r.Spans[0].T[0] != 10 {
+	if r.Spans[0].ID != 1 || r.Spans[0].Kind != "spawn" || r.Spans[0].Parent != 0 || r.Spans[0].T[0] != 10 {
 		t.Fatalf("span 1: %+v", r.Spans[0])
 	}
-	if r.Spans[1].Kind != "lock" || r.Spans[1].Parent != s1 {
+	if r.Spans[1].ID != 2 || r.Spans[1].Kind != "lock" || r.Spans[1].Parent != 1 {
 		t.Fatalf("span 2: %+v", r.Spans[1])
 	}
-	if r.Spans[0].T[3] != 40 || r.Spans[0].T[1] != -1 {
+	if r.Spans[0].T != [trace.NumStages]int64{10, -1, -1, 40} {
 		t.Fatalf("span stamps: %+v", r.Spans[0])
 	}
+}
+
+// newTracker returns a tracker and the op log its spans are kept in.
+func newTracker() (*Tracker, *trace.OpLog) {
+	ops := trace.NewOpLog(nil, true)
+	return New(ops), ops
 }
 
 // TestCtxTagHelpers pins the context/tag encodings.

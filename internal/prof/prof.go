@@ -65,6 +65,18 @@ func Read(r io.Reader) (*Profile, error) {
 	if p.Images <= 0 {
 		return nil, fmt.Errorf("prof: malformed profile: image count %d (empty or truncated document?)", p.Images)
 	}
+	// The runtime creates a span's parent before the span, so a parent id
+	// is smaller than its child's. Any other parent could make a span its
+	// own ancestor, and walking the span tree would never end.
+	if p.Paths != nil {
+		for _, r := range p.Paths.Reqs {
+			for _, sp := range r.Spans {
+				if sp.Parent != 0 && sp.Parent >= sp.ID {
+					return nil, fmt.Errorf("prof: malformed profile: request %d: span %d has parent %d, not an earlier span", r.Seq, sp.ID, sp.Parent)
+				}
+			}
+		}
+	}
 	return &p, nil
 }
 

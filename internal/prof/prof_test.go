@@ -161,6 +161,21 @@ func TestWriteReadRoundtrip(t *testing.T) {
 	}
 }
 
+// TestReadRejectsSpanCycles: a span whose parent is itself or a later
+// span could be its own ancestor; Read names the request and the span
+// instead of handing renderers a tree without a bottom.
+func TestReadRejectsSpanCycles(t *testing.T) {
+	in := `{"Images": 1, "Paths": {"Reqs": [{"Seq": 3, "Done": -1, "Spans": [{"ID": 1, "Parent": 0}, {"ID": 1, "Parent": 1}]}]}}`
+	_, err := Read(strings.NewReader(in))
+	if err == nil || !strings.Contains(err.Error(), "request 3: span 1 has parent 1") {
+		t.Fatalf("Read = %v, want a rejection naming request 3 and span 1", err)
+	}
+	ok := `{"Images": 1, "Paths": {"Reqs": [{"Seq": 3, "Done": -1, "Spans": [{"ID": 1, "Parent": 0}, {"ID": 2, "Parent": 1}]}]}}`
+	if _, err := Read(strings.NewReader(ok)); err != nil {
+		t.Fatalf("Read rejected a well-formed span tree: %v", err)
+	}
+}
+
 func TestRenderSections(t *testing.T) {
 	p := &Profile{
 		Images:   1,

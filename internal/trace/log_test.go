@@ -97,20 +97,20 @@ func TestLogAtOutOfRange(t *testing.T) {
 // full tracker hands out are all ignored by OpStage and unknown to Op.
 func TestOpIDsOutOfRange(t *testing.T) {
 	rec := NewRecorder(100)
-	l := NewLifecycle(rec, 2)
-	a, b := l.OpNew("copy", 0, 1, 0), l.OpNew("put", 1, 0, 0)
-	stale := l.OpNew("get", 0, 1, 0)
+	l, ops := newLifecycle(rec, 2)
+	a, b := ops.New("copy", 0, 1, 0, 0, 0), ops.New("put", 1, 0, 0, 0, 0)
+	stale := ops.New("get", 0, 1, 0, 0, 0)
 	if a != 1 || b != 2 || stale != 0 {
 		t.Fatalf("ids %d %d %d, want 1 2 0", a, b, stale)
 	}
 	for _, id := range []int64{0, -1, -1 << 40, 3, 1 << 40, stale} {
-		l.OpStage(id, 0, StageInit, 5)
-		l.OpStage(id, 0, StageGlobal, 9)
-		if _, ok := l.Op(id); ok {
-			t.Errorf("Op(%d) found a record", id)
-		}
+		ops.Stage(id, 0, StageInit, 5)
+		ops.Stage(id, 0, StageGlobal, 9)
 	}
-	l.OpStage(a, 0, NumStages, 5) // stage out of range
+	if len(l.Ops()) != 2 {
+		t.Errorf("%d op records, want 2", len(l.Ops()))
+	}
+	ops.Stage(a, 0, NumStages, 5) // stage out of range
 	if l.trans.Len() != 0 || rec.Len() != 0 {
 		t.Fatalf("ignored stamps logged %d transitions, %d events", l.trans.Len(), rec.Len())
 	}
@@ -119,7 +119,7 @@ func TestOpIDsOutOfRange(t *testing.T) {
 			t.Errorf("op %d stamped: %v", op.ID, op.T)
 		}
 	}
-	if got := l.Dropped(); !reflect.DeepEqual(got, map[string]int{"lifecycle-ops": 1}) {
+	if got := Dropped(nil, l); !reflect.DeepEqual(got, map[string]int{"lifecycle-ops": 1}) {
 		t.Errorf("Dropped = %v", got)
 	}
 }
@@ -131,15 +131,15 @@ func TestCapacitySemantics(t *testing.T) {
 	for _, capacity := range []int{1, 3, logChunk, logChunk + 1} {
 		t.Run(fmt.Sprint(capacity), func(t *testing.T) {
 			rec := NewRecorder(capacity)
-			l := NewLifecycle(rec, capacity)
+			l, ops := newLifecycle(rec, capacity)
 			const extra = 7
 			// capacity+extra ops, four stamps each (only the kept ops log
 			// transitions, so that log holds exactly 4 × capacity), then
 			// as many spans and parks.
 			for i := 0; i < capacity+extra; i++ {
-				id := l.OpNew("copy", 0, 1, sim.Time(i))
+				id := ops.New("copy", 0, 1, sim.Time(i), 0, 0)
 				for s := StageInit; s < NumStages; s++ {
-					l.OpStage(id, 0, s, sim.Time(i))
+					ops.Stage(id, 0, s, sim.Time(i))
 				}
 			}
 			for i := 0; i < capacity+extra; i++ {
@@ -155,14 +155,11 @@ func TestCapacitySemantics(t *testing.T) {
 			// The recorder filled on the flows of the first capacity/4 ops:
 			// the rest of the 4 × capacity flow points and every span dropped.
 			wantRec := map[string]int{"oplife": 3 * capacity, "app": capacity + extra}
-			if got := rec.Dropped(); !reflect.DeepEqual(got, wantRec) {
+			if got := Dropped(rec, nil); !reflect.DeepEqual(got, wantRec) {
 				t.Errorf("recorder dropped %v, want %v", got, wantRec)
 			}
-			if rec.DroppedTotal() != 4*capacity+extra || !rec.Truncated() {
-				t.Errorf("DroppedTotal %d", rec.DroppedTotal())
-			}
 			wantLife := map[string]int{"lifecycle-ops": extra, "lifecycle-blocks": extra}
-			if got := l.Dropped(); !reflect.DeepEqual(got, wantLife) {
+			if got := Dropped(nil, l); !reflect.DeepEqual(got, wantLife) {
 				t.Errorf("lifecycle dropped %v, want %v", got, wantLife)
 			}
 			for i, op := range l.Ops() {
@@ -179,17 +176,17 @@ func TestCapacitySemantics(t *testing.T) {
 // API cannot exceed it (a kept op stamps each stage once), so the test
 // shrinks the log under it.
 func TestTransitionLogDropsAtCapacity(t *testing.T) {
-	l := NewLifecycle(nil, 2)
+	l, ops := newLifecycle(nil, 2)
 	l.trans = NewLog[transition](3)
-	id := l.OpNew("copy", 0, 1, 0)
+	id := ops.New("copy", 0, 1, 0, 0, 0)
 	tok := l.BeginBlock(0, 0, "finish", 0)
 	for s := StageInit; s < NumStages; s++ {
-		l.OpStage(id, 0, s, sim.Time(s))
+		ops.Stage(id, 0, s, sim.Time(s))
 	}
-	if op, _ := l.Op(id); op.T != [NumStages]sim.Time{0, 1, 2, 3} {
+	if op := l.Ops()[id-1]; op.T != [NumStages]sim.Time{0, 1, 2, 3} {
 		t.Errorf("a dropped transition must still stamp the record: %v", op.T)
 	}
-	if got := l.Dropped(); !reflect.DeepEqual(got, map[string]int{"lifecycle-transitions": 1}) {
+	if got := Dropped(nil, l); !reflect.DeepEqual(got, map[string]int{"lifecycle-transitions": 1}) {
 		t.Errorf("Dropped = %v", got)
 	}
 	// A park opened on a full transition log sees no releasers.
@@ -223,7 +220,7 @@ func setFold(trans []transition) (releasers []int64, count int) {
 // the set-based fold computes over the same stretch of the transition log.
 func TestEndBlockMatchesSetFold(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
-	l := NewLifecycle(nil, 4096)
+	l, ops := newLifecycle(nil, 4096)
 	type park struct {
 		tok BlockToken
 		img int
@@ -236,11 +233,11 @@ func TestEndBlockMatchesSetFold(t *testing.T) {
 		now += sim.Time(rng.Intn(3))
 		switch r := rng.Intn(10); {
 		case r < 2:
-			ids = append(ids, l.OpNew("copy", rng.Intn(8), rng.Intn(8), now))
+			ids = append(ids, ops.New("copy", rng.Intn(8), rng.Intn(8), now, 0, 0))
 		case r < 8 && len(ids) > 0:
 			// Mostly recent ops, so parks see repeats, a few or dozens.
 			id := ids[len(ids)-1-rng.Intn(min(len(ids), 24))]
-			l.OpStage(id, rng.Intn(8), Stage(rng.Intn(int(NumStages))), now)
+			ops.Stage(id, rng.Intn(8), Stage(rng.Intn(int(NumStages))), now)
 		case r == 8:
 			open = append(open, park{l.BeginBlock(len(open), 0, "finish", now), len(open)})
 		case len(open) > 0:
@@ -293,10 +290,17 @@ func perCall(runs int, f func()) (objects, bytes float64) {
 // TestPoolTraceAllocs pins what the hot paths of the recorder and the
 // lifecycle tracker allocate: a record costs its own bytes (rounded up to
 // a chunk, plus the chunk's header) and its share of one object per
-// chunk, and a dropped event costs nothing.
+// chunk, and a dropped event costs nothing. A stamp keeps one record, its
+// transition: the flow point it stands for is built at export.
 func TestPoolTraceAllocs(t *testing.T) {
 	if sim.GoRace {
 		t.Skip("the race detector's instrumentation allocates")
+	}
+	if n := unsafe.Sizeof(opRec{}); n > 72 {
+		t.Errorf("an op record is %d bytes, want ≤ 72", n)
+	}
+	if n := unsafe.Sizeof(transition{}); n > 24 {
+		t.Errorf("a transition is %d bytes, want ≤ 24", n)
 	}
 	const (
 		runs  = 10000
@@ -304,7 +308,8 @@ func TestPoolTraceAllocs(t *testing.T) {
 	)
 	var (
 		evB  = float64(unsafe.Sizeof(Event{}))
-		opB  = float64(unsafe.Sizeof(OpRecord{})) + 4 // and its seenBy mark
+		recB = float64(unsafe.Sizeof(opRec{}))
+		opB  = recB + 4 // and its seenBy mark
 		trB  = float64(unsafe.Sizeof(transition{}))
 		blkB = float64(unsafe.Sizeof(BlockRecord{}))
 	)
@@ -321,36 +326,49 @@ func TestPoolTraceAllocs(t *testing.T) {
 		}
 	}
 	rec := NewRecorder(1 << 20)
-	l := NewLifecycle(rec, 1<<20)
+	l, ops := newLifecycle(rec, 1<<20)
 	check("OpNew + 4 OpStage", func() {
-		id := l.OpNew("copy", 0, 1, 10)
+		id := ops.New("copy", 0, 1, 10, 0, 0)
 		for s := StageInit; s < NumStages; s++ {
-			l.OpStage(id, 0, s, 11)
+			ops.Stage(id, 0, s, 11)
 		}
-	}, 10, opB+4*trB+4*evB, 0)
+	}, 6, opB+4*trB, 0)
 	check("Span below capacity", func() { rec.Span(0, 0, "work", "app", 5, 1) }, 1, evB, 0)
 	// A park allocates its records and its releaser list: no set, no
 	// sort closure, no second list while the first grows.
 	check("BeginBlock + EndBlock", func() {
 		tok := l.BeginBlock(0, 0, "finish", 10)
-		l.OpStage(l.OpNew("copy", 0, 1, 10), 0, StageGlobal, 11)
+		ops.Stage(ops.New("copy", 0, 1, 10, 0, 0), 0, StageGlobal, 11)
 		l.EndBlock(tok, 12)
-	}, 5, opB+trB+evB+blkB+8, 1)
+	}, 4, opB+trB+blkB+8, 1)
+	// An op under a request, with no lifecycle, keeps its record only.
+	reqs := NewOpLog(nil, true)
+	check("OpNew under a request + 4 OpStage", func() {
+		id := reqs.New("spawn", 0, 1, 5, 7, 0)
+		for s := StageInit; s < NumStages; s++ {
+			reqs.Stage(id, 0, s, 9)
+		}
+	}, 1, recB, 0)
 
 	full := NewRecorder(4)
-	lf := NewLifecycle(full, 4)
+	lf, fops := newLifecycle(full, 4)
 	for i := 0; i < 8; i++ {
 		full.Span(0, 0, "work", "app", 5, 1)
-		lf.OpNew("copy", 0, 1, 10)
+		fops.New("copy", 0, 1, 10, 0, 0)
 	}
 	dropped := func() {
 		full.Span(0, 0, "work", "app", 5, 1)
-		full.Flow(0, 0, "copy", "oplife", 5, 1, 's')
-		lf.OpStage(lf.OpNew("copy", 0, 1, 10), 0, StageInit, 10)
+		fops.Stage(fops.New("copy", 0, 1, 10, 0, 0), 0, StageInit, 10)
 		lf.EndBlock(lf.BeginBlock(0, 0, "finish", 10), 12)
 	}
 	dropped() // the first drop of a category appends its counter
 	if n := testing.AllocsPerRun(runs, dropped); n != 0 {
 		t.Errorf("events, ops and parks above capacity: %v objects per call, want 0", n)
 	}
+}
+
+// newLifecycle returns a lifecycle tracker of capacity and its op log.
+func newLifecycle(rec *Recorder, capacity int) (*Lifecycle, *OpLog) {
+	l := NewLifecycle(rec, capacity)
+	return l, NewOpLog(l, false)
 }

@@ -47,14 +47,120 @@ type OpRecord struct {
 	T       [NumStages]sim.Time
 }
 
+// opRec is a traced op's one record: its lifecycle and, under a traced
+// request, its node on the request's causal DAG.
+type opRec struct {
+	kind    string
+	created sim.Time
+	t       [NumStages]sim.Time // -1 where unreached
+	img     int32
+	peer    int32
+	req     int32 // request seq + 1; 0 = not under a traced request
+	parent  int32 // record id of the op it was initiated under; 0 = the request root
+}
+
+// OpLog keeps one record per traced op (record id i is record i-1) for
+// the lifecycle tracker, whose ops are the run's first capacity ops, and
+// the request-path tracker, which reads the records under a request. A
+// nil *OpLog is inert: New returns the untracked id 0.
+type OpLog struct {
+	recs     Log[opRec]
+	life     *Lifecycle // nil when lifecycles are off
+	requests bool       // keep a record of every op under a traced request
+}
+
+// NewOpLog returns the op log of life (nil for none) and, when requests
+// is set, of the ops under traced requests; nil for neither.
+func NewOpLog(life *Lifecycle, requests bool) *OpLog {
+	if life == nil && !requests {
+		return nil
+	}
+	o := &OpLog{life: life, requests: requests}
+	if life != nil {
+		life.ops = o
+		if !requests {
+			o.recs = NewLog[opRec](life.capacity)
+		}
+	}
+	return o
+}
+
+// Len returns the number of records.
+func (o *OpLog) Len() int {
+	if o == nil {
+		return 0
+	}
+	return o.recs.Len()
+}
+
+// New records an op initiated on img at time at, under request req
+// (seq + 1; 0 for none) and parented to record parent, and returns its
+// record id: 0 when no tracker keeps the op.
+func (o *OpLog) New(kind string, img, peer int, at sim.Time, req, parent int32) int64 {
+	if o == nil {
+		return 0
+	}
+	if !o.requests {
+		req, parent = 0, 0
+	}
+	if !o.life.admit() && req == 0 {
+		return 0
+	}
+	o.recs.Append(opRec{kind: kind, created: at, t: [NumStages]sim.Time{-1, -1, -1, -1},
+		img: int32(img), peer: int32(peer), req: req, parent: parent})
+	return int64(o.recs.Len())
+}
+
+// Stage stamps a completion level on record id, observed on image img
+// (the remote image for global completion of a one-sided op). First stamp
+// wins; id 0 and unknown ids are ignored. A lifecycle op's stamp is also
+// its transition, the one copy of the fact.
+func (o *OpLog) Stage(id int64, img int, stage Stage, at sim.Time) {
+	if o == nil || id <= 0 || id > int64(o.recs.Len()) || stage >= NumStages {
+		return
+	}
+	r := o.recs.At(int(id - 1))
+	if r.t[stage] >= 0 {
+		return
+	}
+	life := o.life != nil && id <= int64(o.life.capacity)
+	if stage == StageLocalData && r.t[StageGlobal] >= 0 {
+		// A local-data stamp arriving after the op's terminal stage (e.g.
+		// a coalescing buffer flushed after the record was closed) would
+		// put the transition log out of stage order. Drop it, and count it
+		// for a lifecycle op: downstream attribution walks the log in
+		// order and a late stamp would misattribute parks to an
+		// already-finished op.
+		if life {
+			o.life.orderDropped++
+		}
+		return
+	}
+	r.t[stage] = at
+	if life && o.life.trans.Append(transition{op: id, at: at, img: int32(img), stage: stage}) == nil {
+		o.life.transDropped++
+	}
+}
+
+// ReqOps calls fn on every record under a traced request, in creation
+// order, with its request (seq + 1) and the record id of its parent.
+func (o *OpLog) ReqOps(fn func(op OpRecord, req, parent int32)) {
+	for i := 0; i < o.Len(); i++ {
+		if r := o.recs.At(i); r.req != 0 {
+			fn(r.record(int64(i)+1), r.req, r.parent)
+		}
+	}
+}
+
 // transition is one (op, stage) stamp in global stamp order. The
 // append-only log is what lets a blocked interval name its releasers:
 // every transition after the block began is an op that made progress
-// while the proc was parked.
+// while the proc was parked. It is also the op's Chrome flow point.
 type transition struct {
 	op    int64
-	stage Stage
 	at    sim.Time
+	img   int32
+	stage Stage
 }
 
 // maxReleasers bounds the op IDs stored per block record; the full
@@ -97,16 +203,15 @@ type BlockToken struct {
 	ok       bool
 }
 
-// Lifecycle tracks operation lifecycles and blocked intervals. A nil
-// *Lifecycle is fully inert: every method no-ops and OpNew returns 0,
-// the "untracked" op ID that all stamping methods ignore — call sites
-// need no enabled-checks and tracked/untracked runs stay bit-identical.
+// Lifecycle tracks operation lifecycles and blocked intervals; its ops
+// are the first capacity records of its OpLog. A nil *Lifecycle is fully
+// inert — call sites need no enabled-checks and tracked/untracked runs
+// stay bit-identical.
 type Lifecycle struct {
-	rec *Recorder // flow-event sink (may be disabled)
+	ops      *OpLog // set by NewOpLog
+	capacity int
 	// Each log keeps its first capacity records (4 × capacity transitions:
-	// an op stamps at most four). Op id i is ops record i-1 — ids are
-	// handed out at the append — so a stamp bounds-checks, not looks up.
-	ops      Log[OpRecord]
+	// an op stamps at most four).
 	trans    Log[transition]
 	blocks   Log[BlockRecord]
 	finishes Log[FinishRound]
@@ -121,92 +226,44 @@ type Lifecycle struct {
 }
 
 // NewLifecycle returns a tracker holding at most capacity op records
-// (and proportionally bounded transition/block logs).
+// (and proportionally bounded transition/block logs); rec, if not nil,
+// exports its transitions as flow points.
 func NewLifecycle(rec *Recorder, capacity int) *Lifecycle {
 	if capacity <= 0 {
 		capacity = 1 << 20
 	}
-	return &Lifecycle{
-		rec:      rec,
-		ops:      NewLog[OpRecord](capacity),
+	l := &Lifecycle{
+		capacity: capacity,
 		trans:    NewLog[transition](4 * capacity),
 		blocks:   NewLog[BlockRecord](capacity),
 		finishes: NewLog[FinishRound](capacity),
 		seenBy:   NewLog[int32](capacity),
 	}
+	if rec != nil {
+		rec.life = l
+	}
+	return l
 }
 
-// Enabled reports whether the tracker records anything.
-func (l *Lifecycle) Enabled() bool { return l != nil }
-
-// OpNew registers a new operation and returns its ID (IDs start at 1;
-// 0 means untracked — returned when the tracker is nil or full).
-func (l *Lifecycle) OpNew(kind string, img, peer int, at sim.Time) int64 {
+// admit reports whether the next op of the run is one of this tracker's
+// (one of its first capacity), counting it dropped when it is not.
+func (l *Lifecycle) admit() bool {
 	if l == nil {
-		return 0
+		return false
 	}
-	if l.ops.Full() {
+	if l.seenBy.Append(0) == nil {
 		l.opsDropped++
-		return 0
+		return false
 	}
-	id := int64(l.ops.Len()) + 1
-	l.ops.Append(OpRecord{ID: id, Kind: kind, Img: img, Peer: peer, Created: at,
-		T: [NumStages]sim.Time{-1, -1, -1, -1}})
-	l.seenBy.Append(0)
-	return id
+	return true
 }
 
-// op returns the record of op id, nil for 0 (untracked) and unknown IDs.
-func (l *Lifecycle) op(id int64) *OpRecord {
-	if l == nil || id <= 0 || id > int64(l.ops.Len()) {
-		return nil
-	}
-	return l.ops.At(int(id - 1))
-}
+// n returns the number of the tracker's ops.
+func (l *Lifecycle) n() int { return min(l.ops.Len(), l.capacity) }
 
-// OpStage stamps a completion level on an op. Idempotent (first stamp
-// wins) and a no-op for id 0 or unknown IDs. img is the image the
-// transition is observed on (the remote image for global completion of
-// a one-sided op), used for the flow event's location.
-func (l *Lifecycle) OpStage(id int64, img int, stage Stage, at sim.Time) {
-	op := l.op(id)
-	if op == nil || stage >= NumStages || op.T[stage] >= 0 {
-		return
-	}
-	if stage == StageLocalData && op.T[StageGlobal] >= 0 {
-		// A local-data stamp arriving after the op's terminal stage (e.g.
-		// a coalescing buffer flushed after the record was closed) would
-		// put the transition log out of stage order. Drop and count it:
-		// downstream attribution walks the log in order and a late stamp
-		// would misattribute parks to an already-finished op.
-		l.orderDropped++
-		return
-	}
-	op.T[stage] = at
-	if l.trans.Append(transition{op: id, stage: stage, at: at}) == nil {
-		l.transDropped++
-	}
-	if l.rec.Enabled() {
-		var phase byte
-		switch stage {
-		case StageInit:
-			phase = 's'
-		case StageGlobal:
-			phase = 'f'
-		default:
-			phase = 't'
-		}
-		l.rec.Flow(img, 0, op.Kind, "oplife", at, id, phase)
-	}
-}
-
-// Op returns the record for an op ID (zero record when unknown).
-func (l *Lifecycle) Op(id int64) (OpRecord, bool) {
-	op := l.op(id)
-	if op == nil {
-		return OpRecord{}, false
-	}
-	return *op, true
+// record is record id's exported form.
+func (r *opRec) record(id int64) OpRecord {
+	return OpRecord{ID: id, Kind: r.kind, Img: int(r.img), Peer: int(r.peer), Created: r.created, T: r.t}
 }
 
 // BeginBlock opens a parked interval on (img, tid) in primitive prim.
@@ -270,12 +327,16 @@ func (l *Lifecycle) AddFinish(fr FinishRound) {
 	}
 }
 
-// Ops returns a copy of all op records.
+// Ops returns a copy of all op records (nil when none).
 func (l *Lifecycle) Ops() []OpRecord {
-	if l == nil {
+	if l == nil || l.n() == 0 {
 		return nil
 	}
-	return l.ops.Slice()
+	out := make([]OpRecord, l.n())
+	for i := range out {
+		out[i] = l.ops.recs.At(i).record(int64(i) + 1)
+	}
+	return out
 }
 
 // Blocks returns a copy of all closed parked intervals.
@@ -287,7 +348,7 @@ func (l *Lifecycle) Blocks() []BlockRecord {
 }
 
 // StageOrderViolations counts per-op stage-ordering violations: stamps
-// the OpStage guard dropped (a local-data transition after the op's
+// the OpLog.Stage guard dropped (a local-data transition after the op's
 // terminal stage) plus ops whose first logged transition is not
 // StageInit. The stamping paths guarantee both invariants, so any
 // non-zero count is a runtime ordering bug — tests pin this at zero.
@@ -296,7 +357,7 @@ func (l *Lifecycle) StageOrderViolations() int {
 		return 0
 	}
 	n := l.orderDropped
-	seen := make([]bool, l.ops.Len())
+	seen := make([]bool, l.n())
 	for i := 0; i < l.trans.Len(); i++ {
 		if tr := l.trans.At(i); !seen[tr.op-1] {
 			seen[tr.op-1] = true
@@ -316,26 +377,30 @@ func (l *Lifecycle) FinishRounds() []FinishRound {
 	return l.finishes.Slice()
 }
 
-// Dropped returns per-log dropped-record counts (nil when none).
-func (l *Lifecycle) Dropped() map[string]int {
-	if l == nil {
-		return nil
+// Dropped returns the counts of records a run's recorder (per event
+// category) and lifecycle tracker (per log) dropped at capacity, in one
+// map; nil when nothing was dropped.
+func Dropped(r *Recorder, l *Lifecycle) map[string]int {
+	var out map[string]int
+	add := func(key string, n int) {
+		if n > 0 {
+			if out == nil {
+				out = make(map[string]int)
+			}
+			out[key] += n
+		}
 	}
-	out := map[string]int{}
-	if l.opsDropped > 0 {
-		out["lifecycle-ops"] = l.opsDropped
+	if r != nil {
+		for _, c := range r.dropped {
+			add(c.cat, c.n)
+		}
+		add(flowCat, r.life.flows()-(r.Len()-r.events.Len()))
 	}
-	if l.transDropped > 0 {
-		out["lifecycle-transitions"] = l.transDropped
-	}
-	if l.blocksDropped > 0 {
-		out["lifecycle-blocks"] = l.blocksDropped
-	}
-	if l.orderDropped > 0 {
-		out["lifecycle-order"] = l.orderDropped
-	}
-	if len(out) == 0 {
-		return nil
+	if l != nil {
+		add("lifecycle-ops", l.opsDropped)
+		add("lifecycle-transitions", l.transDropped)
+		add("lifecycle-blocks", l.blocksDropped)
+		add("lifecycle-order", l.orderDropped)
 	}
 	return out
 }

@@ -1,21 +1,21 @@
 // Package trace records simulation activity — spans and instants on
 // virtual time, attributed to process images — and exports it in the
-// Chrome trace-event format (load via chrome://tracing or Perfetto) or
-// as an aggregate summary. The caf runtime emits into a Recorder when
-// tracing is enabled on the machine config; applications may add their
-// own spans through the same API.
+// Chrome trace-event format (load via chrome://tracing or Perfetto). The
+// caf runtime emits into a Recorder when tracing is enabled on the
+// machine config; applications may add their own spans through the same
+// API.
 //
-// oplife.go adds the operation-lifecycle layer on top: per-operation
-// completion-stage records (the paper's Fig. 1 levels) linked across
-// images as Chrome flow events, and blocked-interval records attributing
-// parked virtual time to the operations that released it.
+// oplife.go adds the operation-lifecycle layer on top: one record per
+// traced op with its completion-stage stamps (the paper's Fig. 1
+// levels), exported across images as Chrome flow events, and
+// blocked-interval records attributing parked virtual time to the
+// operations that released it.
 package trace
 
 import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 
 	"caf2go/internal/sim"
 )
@@ -29,6 +29,7 @@ type Event struct {
 	Start sim.Time
 	Dur   sim.Time // 0 for instants
 	Inst  bool
+	flows int32 // stored: the transitions logged before it
 
 	// Flow-event fields: FlowPhase is 's' (start), 't' (step), or 'f'
 	// (end), binding this point into the flow identified by FlowID —
@@ -39,10 +40,17 @@ type Event struct {
 	FlowPhase byte
 }
 
+const flowCat = "oplife" // the flow points' category
+
 // Recorder accumulates events up to a capacity. The zero value is a
-// disabled recorder: all methods are cheap no-ops.
+// disabled recorder: all methods are cheap no-ops. The stream also holds
+// a flow point per transition of the lifecycle tracker attached to it
+// (NewLifecycle), built at export: a stored event keeps the count of
+// transitions before it, so the two interleave as they were stamped and
+// share the capacity.
 type Recorder struct {
 	events Log[Event]
+	life   *Lifecycle // the flow points' source; nil when none
 	// dropped counts events dropped at capacity, per event category —
 	// a truncated trace says which kinds of activity it is blind to.
 	// Categories are a handful of static strings: a drop scans a short
@@ -69,40 +77,20 @@ func NewRecorder(capacity int) *Recorder {
 // Enabled reports whether the recorder accepts events.
 func (r *Recorder) Enabled() bool { return r != nil && r.enabled }
 
-// Len returns the number of recorded events.
+// flows returns the number of flow points offered to the stream.
+func (l *Lifecycle) flows() int {
+	if l == nil {
+		return 0
+	}
+	return l.trans.Len()
+}
+
+// Len returns the number of recorded events, flow points included.
 func (r *Recorder) Len() int {
 	if r == nil {
 		return 0
 	}
-	return r.events.Len()
-}
-
-// Truncated reports whether any events were dropped at capacity.
-func (r *Recorder) Truncated() bool { return r.DroppedTotal() > 0 }
-
-// DroppedTotal returns the total number of events dropped at capacity.
-func (r *Recorder) DroppedTotal() int {
-	if r == nil {
-		return 0
-	}
-	n := 0
-	for _, c := range r.dropped {
-		n += c.n
-	}
-	return n
-}
-
-// Dropped returns a copy of the per-category dropped-event counts
-// (nil when nothing was dropped).
-func (r *Recorder) Dropped() map[string]int {
-	if r == nil || len(r.dropped) == 0 {
-		return nil
-	}
-	out := make(map[string]int, len(r.dropped))
-	for _, c := range r.dropped {
-		out[c.cat] = c.n
-	}
-	return out
+	return min(r.events.Len()+r.life.flows(), r.events.limit)
 }
 
 // Admit reports whether an event of category cat would be kept and
@@ -113,7 +101,7 @@ func (r *Recorder) Admit(cat string) bool {
 	if !r.Enabled() {
 		return false
 	}
-	if !r.events.Full() {
+	if r.events.Len()+r.life.flows() < r.events.limit {
 		return true
 	}
 	for i := range r.dropped {
@@ -129,34 +117,57 @@ func (r *Recorder) Admit(cat string) bool {
 // Span records a duration event on an image.
 func (r *Recorder) Span(image, tid int, name, cat string, start, dur sim.Time) {
 	if r.Admit(cat) {
-		r.events.Append(Event{Name: name, Cat: cat, Image: image, Tid: tid, Start: start, Dur: dur})
+		r.events.Append(Event{Name: name, Cat: cat, Image: image, Tid: tid, Start: start, Dur: dur,
+			flows: int32(r.life.flows())})
 	}
 }
 
 // Instant records a point event on an image strand.
 func (r *Recorder) Instant(image, tid int, name, cat string, at sim.Time) {
 	if r.Admit(cat) {
-		r.events.Append(Event{Name: name, Cat: cat, Image: image, Tid: tid, Start: at, Inst: true})
+		r.events.Append(Event{Name: name, Cat: cat, Image: image, Tid: tid, Start: at, Inst: true,
+			flows: int32(r.life.flows())})
 	}
 }
 
-// Flow records one point of a flow: phase 's' starts flow id on this
-// strand, 't' steps it (e.g. remote delivery), 'f' ends it. Perfetto
-// draws arrows through the phases, linking an async operation's
-// initiation to its completion across images.
-func (r *Recorder) Flow(image, tid int, name, cat string, at sim.Time, id int64, phase byte) {
-	if r.Admit(cat) {
-		r.events.Append(Event{Name: name, Cat: cat, Image: image, Tid: tid, Start: at,
-			FlowID: id, FlowPhase: phase})
+// flow returns transition i as its op's flow point: phase 's' starts
+// the flow on the initiating strand, 't' steps it (e.g. remote
+// delivery), 'f' ends it at global completion. Perfetto draws arrows
+// through the phases, linking an async operation's initiation to its
+// completion across images.
+func (l *Lifecycle) flow(i int) Event {
+	tr := l.trans.At(i)
+	phase := byte('t')
+	switch tr.stage {
+	case StageInit:
+		phase = 's'
+	case StageGlobal:
+		phase = 'f'
 	}
+	return Event{Name: l.ops.recs.At(int(tr.op - 1)).kind, Cat: flowCat, Image: int(tr.img),
+		Start: tr.at, FlowID: tr.op, FlowPhase: phase}
 }
 
-// Events returns a copy of the recorded events.
+// Events returns a copy of the recorded events, with the flow points in
+// their places: an event goes before the transitions logged after it.
 func (r *Recorder) Events() []Event {
-	if r == nil {
+	n := r.Len()
+	if n == 0 {
 		return nil
 	}
-	return r.events.Slice()
+	out := make([]Event, 0, n)
+	for i, f := 0, 0; len(out) < n; {
+		if i < r.events.Len() && int(r.events.At(i).flows) <= f {
+			e := *r.events.At(i)
+			e.flows = 0
+			out = append(out, e)
+			i++
+		} else {
+			out = append(out, r.life.flow(f))
+			f++
+		}
+	}
+	return out
 }
 
 // chromeEvent is the Chrome trace-event JSON shape.
@@ -204,65 +215,4 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(out)
-}
-
-// SummaryRow aggregates one event name.
-type SummaryRow struct {
-	Name  string
-	Count int
-	Total sim.Time
-}
-
-// Summary aggregates events by name, sorted by total duration
-// descending (instants sort by count). Flow points are bookkeeping for
-// the Chrome export, not activity, and are excluded.
-func (r *Recorder) Summary() []SummaryRow {
-	agg := make(map[string]*SummaryRow)
-	for _, e := range r.Events() {
-		if e.FlowPhase != 0 {
-			continue
-		}
-		row, ok := agg[e.Name]
-		if !ok {
-			row = &SummaryRow{Name: e.Name}
-			agg[e.Name] = row
-		}
-		row.Count++
-		row.Total += e.Dur
-	}
-	out := make([]SummaryRow, 0, len(agg))
-	for _, row := range agg {
-		out = append(out, *row)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Total != out[j].Total {
-			return out[i].Total > out[j].Total
-		}
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
-		}
-		return out[i].Name < out[j].Name
-	})
-	return out
-}
-
-// WriteSummary prints the aggregate table, with the per-category
-// dropped-event accounting when the capacity truncated the trace.
-func (r *Recorder) WriteSummary(w io.Writer) {
-	fmt.Fprintf(w, "%-32s %10s %14s\n", "event", "count", "total vtime")
-	for _, row := range r.Summary() {
-		fmt.Fprintf(w, "%-32s %10d %14s\n", row.Name, row.Count, row.Total)
-	}
-	if d := r.Dropped(); d != nil {
-		cats := make([]string, 0, len(d))
-		for c := range d {
-			cats = append(cats, c)
-		}
-		sort.Strings(cats)
-		fmt.Fprintf(w, "(trace truncated at capacity; dropped:")
-		for _, c := range cats {
-			fmt.Fprintf(w, " %s=%d", c, d[c])
-		}
-		fmt.Fprintln(w, ")")
-	}
 }

@@ -3,7 +3,6 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
-	"strings"
 	"testing"
 
 	"caf2go/internal/sim"
@@ -11,7 +10,7 @@ import (
 
 func TestNilAndDisabledRecorderNoops(t *testing.T) {
 	var r *Recorder
-	if r.Enabled() || r.Len() != 0 || r.Truncated() || r.Events() != nil {
+	if r.Enabled() || r.Len() != 0 || Dropped(r, nil) != nil || r.Events() != nil {
 		t.Error("nil recorder not inert")
 	}
 	var zero Recorder
@@ -21,43 +20,17 @@ func TestNilAndDisabledRecorderNoops(t *testing.T) {
 	}
 }
 
-func TestRecordAndSummarize(t *testing.T) {
-	r := NewRecorder(100)
-	r.Span(0, 0, "finish", "sync", 10, 30)
-	r.Span(1, 0, "finish", "sync", 12, 50)
-	r.Span(0, 1, "cofence", "sync", 5, 5)
-	r.Instant(2, 0, "spawn", "ship", 7)
-	if r.Len() != 4 {
-		t.Fatalf("len = %d", r.Len())
-	}
-	sum := r.Summary()
-	if sum[0].Name != "finish" || sum[0].Count != 2 || sum[0].Total != 80 {
-		t.Errorf("summary[0] = %+v", sum[0])
-	}
-	var sb strings.Builder
-	r.WriteSummary(&sb)
-	if !strings.Contains(sb.String(), "finish") || !strings.Contains(sb.String(), "spawn") {
-		t.Errorf("summary output:\n%s", sb.String())
-	}
-}
-
 func TestCapacityTruncation(t *testing.T) {
 	r := NewRecorder(2)
 	for i := 0; i < 5; i++ {
 		r.Instant(0, 0, "e", "c", sim.Time(i))
 	}
 	r.Span(0, 0, "s", "other", 1, 1)
-	if r.Len() != 2 || !r.Truncated() {
-		t.Errorf("len=%d truncated=%v", r.Len(), r.Truncated())
+	if r.Len() != 2 {
+		t.Errorf("len=%d", r.Len())
 	}
-	if d := r.Dropped(); d["c"] != 3 || d["other"] != 1 || r.DroppedTotal() != 4 {
-		t.Errorf("dropped = %v (total %d), want c=3 other=1", d, r.DroppedTotal())
-	}
-	var sb strings.Builder
-	r.WriteSummary(&sb)
-	if !strings.Contains(sb.String(), "truncated") || !strings.Contains(sb.String(), "c=3") ||
-		!strings.Contains(sb.String(), "other=1") {
-		t.Errorf("summary lacks per-category drop counts:\n%s", sb.String())
+	if d := Dropped(r, nil); len(d) != 2 || d["c"] != 3 || d["other"] != 1 {
+		t.Errorf("dropped = %v, want c=3 other=1", d)
 	}
 }
 
@@ -84,21 +57,5 @@ func TestChromeTraceFormat(t *testing.T) {
 	inst := out[1]
 	if inst["ph"] != "i" || inst["ts"] != 4.0 || inst["s"] != "p" {
 		t.Errorf("instant = %v", inst)
-	}
-}
-
-func TestSummaryOrdering(t *testing.T) {
-	r := NewRecorder(10)
-	r.Span(0, 0, "small", "c", 0, 1)
-	r.Span(0, 0, "big", "c", 0, 100)
-	r.Instant(0, 0, "many", "c", 0)
-	r.Instant(0, 0, "many", "c", 1)
-	sum := r.Summary()
-	if sum[0].Name != "big" {
-		t.Errorf("order: %+v", sum)
-	}
-	// Durations dominate; zero-duration instants sort after by count.
-	if sum[1].Name != "small" || sum[2].Name != "many" {
-		t.Errorf("tie order: %+v", sum)
 	}
 }

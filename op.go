@@ -83,16 +83,15 @@ type Op struct {
 	kind string
 	img  int // initiating image's world rank
 
-	// id is the lifecycle tracker's op ID (0 when tracing is off); the
-	// continuation machinery is independent of it and fires either way.
+	// id is the op's record in the machine's op log (0 when no tracker
+	// keeps it); the continuation machinery is independent of it and
+	// fires either way.
 	id int64
 
-	// pctx/span tie the op to the traced request it serves (zero when
-	// path tracing is off or no request context was active): span is
-	// the op's node on the request's causal DAG, pctx the context a
-	// continuation firing restores around its callback.
+	// pctx ties the op to the traced request it serves (zero when path
+	// tracing is off or no request context was active); the op's own
+	// record is its node on the request's causal DAG.
 	pctx path.Ctx
-	span int32
 
 	done [numLevels]bool
 	cbs  *[numLevels][]func() // made by the first registration
@@ -154,22 +153,27 @@ func (o *Op) OnGlobalCompletion(fn func()) *Op {
 // PollSet. If o is already globally complete, fn runs inline now.
 func (o *Op) Then(fn func()) *Op {
 	m := o.m
-	d := &Op{m: m, kind: "then", img: o.img,
-		id: m.life.OpNew("then", o.img, -1, m.eng.Now())}
-	if m.path != nil && o.pctx.Active() {
-		// The chained step inherits the parent op's request context and
-		// parents its span to the parent op's span.
-		d.pctx = path.Ctx{Req: o.pctx.Req, Span: o.span}
-		d.span = m.path.SpanNew(d.pctx, "then", o.img, -1, m.eng.Now())
-	}
+	// The chained step inherits the parent op's request context, parented
+	// to the parent op.
+	d := &Op{m: m, kind: "then", img: o.img, pctx: o.childCtx()}
+	d.id = m.ops.New("then", o.img, -1, m.eng.Now(), d.pctx.Req, d.pctx.Span)
 	o.OnGlobalCompletion(func() {
-		m.life.OpStage(d.id, d.img, trace.StageInit, m.eng.Now())
+		m.opAdvance(d, d.img, trace.StageInit)
 		fn()
 		m.opAdvance(d, d.img, trace.StageLocalData)
 		m.opAdvance(d, d.img, trace.StageLocalOp)
 		m.opAdvance(d, d.img, trace.StageGlobal)
 	})
 	return d
+}
+
+// childCtx is the request context of work o's completion continues:
+// o's request, parented to o (zero when o serves no traced request).
+func (o *Op) childCtx() path.Ctx {
+	if !o.pctx.Active() {
+		return path.Ctx{}
+	}
+	return path.Ctx{Req: o.pctx.Req, Span: int32(o.id)}
 }
 
 // reach marks the level mapped from stage complete and fires its
@@ -194,9 +198,9 @@ func (o *Op) reach(stage trace.Stage) {
 	}
 }
 
-// opAdvance stamps a completion transition on the lifecycle tracker and
-// fires the op's continuations for that level — the single choke point
-// every completion path routes through, so lifecycle records and
+// opAdvance stamps a completion level on the op's record and fires the
+// op's continuations for that level — the single choke point every
+// completion path routes through, so lifecycle records, span stamps and
 // continuation firing can never disagree about when a level was reached.
 // With no callbacks registered and tracing off it is pure bookkeeping:
 // legacy runs stay bit-identical.
@@ -211,9 +215,6 @@ func (m *Machine) opAdvance(o *Op, rank int, stage trace.Stage) {
 		return
 	}
 	m.eng.AssertStrand("op stage advance")
-	m.life.OpStage(o.id, rank, stage, m.eng.Now())
-	if o.span != 0 {
-		m.path.SpanStage(o.span, int(stage), m.eng.Now())
-	}
+	m.ops.Stage(o.id, rank, stage, m.eng.Now())
 	o.reach(stage)
 }

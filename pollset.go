@@ -1,9 +1,6 @@
 package caf
 
-import (
-	"caf2go/internal/failure"
-	"caf2go/internal/path"
-)
+import "caf2go/internal/failure"
 
 // PollSet multiplexes the completions of many outstanding asynchronous
 // operations on one image. Direct Op callbacks run in engine context and
@@ -54,13 +51,13 @@ func (ps *PollSet) register(o *Op, l CompletionLevel, fn func()) {
 	if fn == nil {
 		fn = func() {}
 	}
-	if ps.img.m.path != nil && o.pctx.Active() {
+	if o.pctx.Active() {
 		// A poll-set handler continues the traced request whose op
 		// released it: restore that request's context (parented to the
-		// op's span) around the handler body, so operations it initiates
+		// op) around the handler body, so operations it initiates
 		// stay on the request's causal DAG.
 		inner := fn
-		c := path.Ctx{Req: o.pctx.Req, Span: o.span}
+		c := o.childCtx()
 		fn = func() {
 			prev := ps.img.PathScope(c)
 			inner()

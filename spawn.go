@@ -183,11 +183,9 @@ func (img *Image) ship(target int, kind string, s *spawnOp) *Op {
 		s.tok.clk = &x.clk
 	}
 	img.opInit(&s.op, kind, target)
-	if s.op.pctx.Active() {
-		// The shipped function continues the traced request's causal
-		// path: it runs under the spawn op's span as its parent.
-		s.pctx = path.Ctx{Req: s.op.pctx.Req, Span: s.op.span}
-	}
+	// The shipped function continues the traced request's causal path:
+	// it runs under the spawn op as its parent.
+	s.pctx = s.op.childCtx()
 	if s.event() != nil {
 		s.Initiate()
 		return &s.op
