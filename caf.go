@@ -258,6 +258,19 @@ func NewMachine(cfg Config) *Machine {
 	if cfg.Images < 1 {
 		panic("caf: Config.Images must be ≥ 1")
 	}
+	if f := cfg.Fabric.Faults; f != nil {
+		// A crash on a rank the machine does not have would be ignored
+		// by every layer: the run would act as if it had no fault plan.
+		inRange := 0
+		for r := 0; r < cfg.Images; r++ {
+			if _, ok := f.Crash[r]; ok {
+				inRange++
+			}
+		}
+		if inRange != len(f.Crash) {
+			panic(fmt.Sprintf("caf: Fabric.Faults.Crash names a rank outside [0, %d): %v", cfg.Images, f.Crash))
+		}
+	}
 	cfg.Fabric = cfg.Fabric.OrDefault()
 	if cfg.MaxDelayed == 0 {
 		cfg.MaxDelayed = 8

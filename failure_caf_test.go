@@ -2,6 +2,8 @@ package caf_test
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	caf "caf2go"
@@ -37,6 +39,25 @@ func wantImageFailed(t *testing.T, err error, dead int) *caf.ImageFailedError {
 		t.Fatalf("error blames rank %d, crashed rank %d: %v", ferr.Rank, dead, ferr)
 	}
 	return ferr
+}
+
+// TestCrashRankOutsideMachinePanics: a fault plan that crashes a rank
+// the machine does not have is rejected when the machine is built, naming
+// the rank, instead of running as if there were no fault plan.
+func TestCrashRankOutsideMachinePanics(t *testing.T) {
+	for _, rank := range []int{4, -1} {
+		t.Run(fmt.Sprint(rank), func(t *testing.T) {
+			cfg := crashCfg(4, 1)
+			cfg.Fabric.Faults.Crash = map[int]caf.Time{rank: caf.Microsecond}
+			defer func() {
+				msg := fmt.Sprint(recover())
+				if !strings.Contains(msg, "Crash") || !strings.Contains(msg, fmt.Sprintf("map[%d:", rank)) {
+					t.Errorf("NewMachine panicked with %q, want the out-of-range crash rank %d named", msg, rank)
+				}
+			}()
+			caf.NewMachine(cfg)
+		})
+	}
 }
 
 // TestEventWaitWokenByDeclaration: an image already parked in EventWait

@@ -137,8 +137,8 @@ func TestKVRecoverBackToBackCrashes(t *testing.T) {
 		t.Error("no request completed — service never recovered")
 	}
 	// Only home 1's group {1,2} is wholly dead; failures blame its home.
-	for rank := range slo.LostTo {
-		if rank != 1 {
+	for rank, n := range slo.LostTo {
+		if n > 0 && rank != 1 {
 			t.Errorf("typed error blames rank %d; only home 1's group is gone", rank)
 		}
 	}
@@ -173,8 +173,8 @@ func TestKVRecoverCrashMidRecovery(t *testing.T) {
 	if rs.Epoch != 1 || rs.Promotions != 2 {
 		t.Errorf("recovery stats = %+v, want one combined epoch committing both deaths", rs)
 	}
-	for rank := range slo.LostTo {
-		if rank != 1 {
+	for rank, n := range slo.LostTo {
+		if n > 0 && rank != 1 {
 			t.Errorf("typed error blames rank %d; only home 1's group is gone", rank)
 		}
 	}

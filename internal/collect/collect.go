@@ -273,14 +273,17 @@ type inst struct {
 	vec      []int64
 	haveVec  bool
 	upKids   int // contributions still expected
-	kidData  map[int]any
 	dataIn   any // down-phase or scatter payload received
 	haveData bool
 
-	// per-rank payload funnels (gather/scan/sort/alltoall)
-	byRank map[int]any // team-rank -> payload (accumulated at up nodes)
-	direct int         // alltoall receipts still expected
+	// Per-rank payloads. Gather, scan and sort hold this node's binomial
+	// subtree, which is the contiguous relative-rank range [relRank,
+	// relRank+span): slots[i] is relative rank relRank+i, so slots[0] is
+	// the node's own entry. Alltoall holds its receipts by team rank.
+	slots  []any
+	direct int // alltoall receipts still expected
 
+	n           *node
 	acksPending int  // sends not yet delivered
 	injPending  int  // sends not yet injected (buffer still pinned)
 	upSent      bool // contribution passed to parent (or root up complete)
@@ -366,12 +369,19 @@ func (n *node) nextSeq(teamID int64, kd kind, root int) uint64 {
 func (n *node) get(key instKey, t *team.Team, track rt.Track) *inst {
 	in, ok := n.insts[key]
 	if !ok {
-		in = &inst{key: key, t: t, track: track, kidData: make(map[int]any), byRank: make(map[int]any)}
-		in.relRank = relOf(t.MustRank(n.img.Rank()), key.root, t.Size())
-		in.children = n.childrenOf(in.relRank, t.Size())
+		size := t.Size()
+		in = &inst{key: key, t: t, track: track, n: n}
+		in.relRank = relOf(t.MustRank(n.img.Rank()), key.root, size)
+		in.children = n.childrenOf(in.relRank, size)
 		in.nKids = len(in.children)
 		in.upKids = in.nKids
-		in.direct = t.Size() - 1
+		in.direct = size - 1
+		switch key.kd {
+		case kGather, kScan, kSort:
+			in.slots = make([]any, n.spanOf(in.relRank, size))
+		case kAlltoall:
+			in.slots = make([]any, size)
+		}
 		n.insts[key] = in
 	}
 	return in
@@ -400,15 +410,16 @@ func (n *node) parentOf(rel int) int {
 	return parentRel(rel)
 }
 
-// spanOf returns the width of rel's contiguous subtree under the tree.
+// spanOf returns the width of rel's contiguous subtree under the tree:
+// its ranks are [rel, rel+spanOf(rel, size)).
 func (n *node) spanOf(rel, size int) int {
-	if n.tree == Flat {
-		if rel == 0 {
-			return size
-		}
+	switch {
+	case rel == 0:
+		return size
+	case n.tree == Flat:
 		return 1
 	}
-	return subtreeSpanOf(rel, size)
+	return min(rel&-rel, size-rel)
 }
 
 // relOf maps a team rank into the tree's relative rank space (root ↦ 0).
@@ -446,16 +457,6 @@ func childrenRel(r, size int) []int {
 	return out
 }
 
-// subtreeSize returns the number of relative ranks in r's binomial subtree
-// within a team of the given size.
-func subtreeSize(r, size int) int {
-	n := 1
-	for _, c := range childrenRel(r, size) {
-		n += subtreeSize(c, size)
-	}
-	return n
-}
-
 // onMsg processes one delivered tree message.
 func (n *node) onMsg(m *colMsg, track rt.Track) {
 	in := n.get(m.key, m.t, track)
@@ -471,10 +472,8 @@ func (n *node) onMsg(m *colMsg, track rt.Track) {
 		if m.vec != nil {
 			in.contrib(m.op, m.vec)
 		}
-		if m.data != nil {
-			for r, v := range m.data.(map[int]any) {
-				in.byRank[r] = v
-			}
+		if sub, ok := m.data.([]any); ok {
+			copy(in.slots[m.fromRel-in.relRank:], sub)
 		}
 		n.tryAdvanceUp(in)
 	case phaseDown:
@@ -486,7 +485,7 @@ func (n *node) onMsg(m *colMsg, track rt.Track) {
 		n.advanceDown(in)
 	case phaseDirect:
 		in.direct--
-		in.byRank[m.fromRel] = m.data
+		in.slots[m.fromRel] = m.data
 		n.tryFinishDirect(in)
 	}
 }
@@ -521,3 +520,13 @@ func (n *node) maybeFinish(in *inst) {
 	in.h.fireLocalOp()
 	delete(n.insts, in.key)
 }
+
+// Delivered is the ack of one of the instance's tree messages.
+func (in *inst) Delivered() {
+	in.acksPending--
+	in.n.maybeFinish(in)
+}
+
+// Abandoned leaves a lost tree message's ack outstanding: the instance
+// never completes locally, and waiters abort on the declared death.
+func (in *inst) Abandoned() {}

@@ -467,11 +467,27 @@ func TestTreeHelpers(t *testing.T) {
 	if len(kids) != 2 || kids[0] != 5 || kids[1] != 6 {
 		t.Errorf("children(4,8) = %v", kids)
 	}
-	if s := subtreeSize(0, 8); s != 8 {
+	bin := &node{tree: Binomial}
+	if s := bin.spanOf(0, 8); s != 8 {
 		t.Errorf("subtree(0,8) = %d", s)
 	}
-	if s := subtreeSize(4, 6); s != 2 {
+	if s := bin.spanOf(4, 6); s != 2 {
 		t.Errorf("subtree(4,6) = %d", s)
+	}
+	// Each subtree is contiguous: r's children tile (r, r+span) in order.
+	for size := 1; size <= 33; size++ {
+		for r := 0; r < size; r++ {
+			next := r + 1
+			for _, c := range childrenRel(r, size) {
+				if c != next {
+					t.Fatalf("size %d: child %d of %d, want %d", size, c, r, next)
+				}
+				next += bin.spanOf(c, size)
+			}
+			if next != r+bin.spanOf(r, size) {
+				t.Fatalf("size %d: subtree of %d ends at %d, span says %d", size, r, next, r+bin.spanOf(r, size))
+			}
+		}
 	}
 	// Every non-root rel rank's parent must have it as a child.
 	for size := 1; size <= 33; size++ {

@@ -2,7 +2,7 @@ package collect
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"caf2go/internal/rt"
 	"caf2go/internal/sim"
@@ -29,10 +29,7 @@ func (n *node) sendTree(in *inst, dstTeamRank int, m *colMsg, needAck, needInjec
 	}
 	if needAck {
 		in.acksPending++
-		opts.OnDelivered = func() {
-			in.acksPending--
-			n.maybeFinish(in)
-		}
+		opts.Done = in
 	}
 	if needInject {
 		in.injPending++
@@ -87,7 +84,7 @@ func (c *Comm) start(img *rt.ImageKernel, t *team.Team, kd kind, root int,
 		in.contrib(op, vec)
 		n.tryAdvanceUp(in)
 	case kGather:
-		in.byRank[myTeamRank] = data
+		in.slots[0] = data
 		n.tryAdvanceUp(in)
 	case kScatter:
 		if in.relRank == 0 {
@@ -95,21 +92,21 @@ func (c *Comm) start(img *rt.ImageKernel, t *team.Team, kd kind, root int,
 			if len(vals) != t.Size() {
 				panic(fmt.Sprintf("collect: scatter got %d values for team of %d", len(vals), t.Size()))
 			}
-			bundle := make(map[int]any, len(vals))
+			bundle := make([]any, len(vals))
 			for tr, v := range vals {
-				bundle[tr] = v
+				bundle[relOf(tr, root, len(vals))] = v
 			}
 			h.result = vals[myTeamRank]
 			n.forwardBundles(in, bundle)
 		} else if in.haveData {
-			h.result = in.byRank[myTeamRank]
+			h.result = in.dataIn.([]any)[0]
 		}
 	case kAlltoall:
 		vals := data.([]any)
 		if len(vals) != t.Size() {
 			panic(fmt.Sprintf("collect: alltoall got %d values for team of %d", len(vals), t.Size()))
 		}
-		in.byRank[myTeamRank] = vals[myTeamRank]
+		in.slots[myTeamRank] = vals[myTeamRank]
 		for tr := 0; tr < t.Size(); tr++ {
 			if tr == myTeamRank {
 				continue
@@ -123,7 +120,7 @@ func (c *Comm) start(img *rt.ImageKernel, t *team.Team, kd kind, root int,
 		}
 		n.tryFinishDirect(in)
 	case kScan, kSort:
-		in.byRank[myTeamRank] = append([]int64(nil), vec...)
+		in.slots[0] = append([]int64(nil), vec...)
 		n.tryAdvanceUp(in)
 	default:
 		panic("collect: unknown kind")
@@ -167,22 +164,21 @@ func (n *node) tryAdvanceUp(in *inst) {
 			bytes: 8*len(in.vec) + msgHeaderBytes,
 		}, true, needInject)
 	case kGather, kScan, kSort:
-		bytes := msgHeaderBytes
-		for range in.byRank {
-			bytes += in.elemBytes
-		}
+		// The subtree's entries, complete now that every child reported.
 		n.sendTree(in, parent, &colMsg{
-			ph:    phaseUp,
-			data:  copyRankMap(in.byRank),
-			bytes: bytes,
+			ph:      phaseUp,
+			fromRel: in.relRank,
+			data:    in.slots,
+			bytes:   msgHeaderBytes + len(in.slots)*in.elemBytes,
 		}, true, in.key.kd == kGather)
 	}
 	n.checkLocalData(in)
 }
 
-// rootUpComplete runs on relative rank 0 when all contributions arrived.
+// rootUpComplete runs on relative rank 0 when all contributions arrived:
+// in.slots then holds every team member's entry, by relative rank.
 func (n *node) rootUpComplete(in *inst) {
-	t := in.t
+	size, root := in.t.Size(), in.key.root
 	switch in.key.kd {
 	case kBarrier:
 		n.forwardDown(in)
@@ -194,46 +190,44 @@ func (n *node) rootUpComplete(in *inst) {
 		in.haveData = true
 		n.forwardDown(in)
 	case kGather:
-		out := make([]any, t.Size())
-		for tr, v := range in.byRank {
-			out[tr] = v
+		out := make([]any, size)
+		for rel, v := range in.slots {
+			out[absOf(rel, root, size)] = v
 		}
 		in.h.result = out
 	case kScan:
 		// Inclusive prefix in team-rank order.
-		bundle := make(map[int]any, t.Size())
+		bundle := make([]any, size)
 		var acc []int64
-		for tr := 0; tr < t.Size(); tr++ {
-			v := in.byRank[tr].([]int64)
+		for tr := 0; tr < size; tr++ {
+			rel := relOf(tr, root, size)
+			v := in.slots[rel].([]int64)
 			if acc == nil {
 				acc = append([]int64(nil), v...)
 			} else {
 				in.op.combine(acc, v)
 			}
-			bundle[tr] = append([]int64(nil), acc...)
+			bundle[rel] = append([]int64(nil), acc...)
 		}
-		my := t.MustRank(n.img.Rank())
-		in.h.result = bundle[my].([]int64)
+		in.h.result = bundle[0].([]int64)
 		n.forwardBundles(in, bundle)
 	case kSort:
 		// Concatenate, sort, and hand back blocks matching each image's
 		// original contribution size, in team-rank order.
-		counts := make([]int, t.Size())
 		var all []int64
-		for tr := 0; tr < t.Size(); tr++ {
-			v := in.byRank[tr].([]int64)
-			counts[tr] = len(v)
-			all = append(all, v...)
+		for tr := 0; tr < size; tr++ {
+			all = append(all, in.slots[relOf(tr, root, size)].([]int64)...)
 		}
-		sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-		bundle := make(map[int]any, t.Size())
+		slices.Sort(all)
+		bundle := make([]any, size)
 		off := 0
-		for tr := 0; tr < t.Size(); tr++ {
-			bundle[tr] = append([]int64(nil), all[off:off+counts[tr]]...)
-			off += counts[tr]
+		for tr := 0; tr < size; tr++ {
+			rel := relOf(tr, root, size)
+			cnt := len(in.slots[rel].([]int64))
+			bundle[rel] = append([]int64(nil), all[off:off+cnt]...)
+			off += cnt
 		}
-		my := t.MustRank(n.img.Rank())
-		in.h.result = bundle[my].([]int64)
+		in.h.result = bundle[0].([]int64)
 		n.forwardBundles(in, bundle)
 	}
 	n.checkLocalData(in)
@@ -260,34 +254,23 @@ func (n *node) forwardDown(in *inst) {
 	in.downDone = true
 }
 
-// forwardBundles routes per-team-rank payloads down the tree: each child
-// receives the entries for its binomial subtree.
-func (n *node) forwardBundles(in *inst, bundle map[int]any) {
+// forwardBundles routes per-rank payloads down the tree. bundle holds
+// this node's subtree by relative rank (bundle[0] is the node's own
+// entry); each child receives the sub-slice that is its own subtree.
+func (n *node) forwardBundles(in *inst, bundle []any) {
 	size := in.t.Size()
 	for _, c := range in.children {
-		span := n.spanOf(c, size)
-		sub := make(map[int]any)
-		bytes := msgHeaderBytes
-		for rel := c; rel < c+span && rel < size; rel++ {
-			tr := absOf(rel, in.key.root, size)
-			if v, ok := bundle[tr]; ok {
-				sub[tr] = v
-				bytes += in.elemBytes
-			}
-		}
+		lo := c - in.relRank
+		sub := bundle[lo : lo+n.spanOf(c, size)]
 		dst := absOf(c, in.key.root, size)
 		needInject := in.relRank == 0 && in.key.kd == kScatter
-		n.sendTree(in, dst, &colMsg{ph: phaseDown, data: sub, bytes: bytes}, true, needInject)
+		n.sendTree(in, dst, &colMsg{
+			ph:    phaseDown,
+			data:  sub,
+			bytes: msgHeaderBytes + len(sub)*in.elemBytes,
+		}, true, needInject)
 	}
 	in.downDone = true
-}
-
-// subtreeSpanOf returns the width of rel's contiguous binomial subtree.
-func subtreeSpanOf(rel, size int) int {
-	if rel == 0 {
-		return size
-	}
-	return rel & -rel
 }
 
 // advanceDown processes a down-phase arrival.
@@ -307,11 +290,9 @@ func (n *node) advanceDown(in *inst) {
 		}
 		n.forwardDown(in)
 	case kScatter, kScan, kSort:
-		bundle := in.dataIn.(map[int]any)
-		my := in.t.MustRank(n.img.Rank())
-		in.byRank[my] = bundle[my]
+		bundle := in.dataIn.([]any)
 		if in.started {
-			in.h.result = bundle[my]
+			in.h.result = bundle[0]
 		}
 		n.forwardBundles(in, bundle)
 	}
@@ -367,12 +348,8 @@ func (n *node) checkLocalData(in *inst) {
 		}
 	case kAlltoall:
 		ready = in.direct == 0 && in.injPending == 0
-		if ready && in.h.result == nil {
-			out := make([]any, in.t.Size())
-			for tr, v := range in.byRank {
-				out[tr] = v
-			}
-			in.h.result = out
+		if ready {
+			in.h.result = in.slots
 		}
 	case kScan, kSort:
 		ready = in.h.result != nil
@@ -380,14 +357,6 @@ func (n *node) checkLocalData(in *inst) {
 	if ready {
 		in.h.fireLocalData()
 	}
-}
-
-func copyRankMap(m map[int]any) map[int]any {
-	out := make(map[int]any, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
 }
 
 // ---------------------------------------------------------------------
@@ -526,11 +495,4 @@ func (c *Comm) Sort(p *sim.Proc, img *rt.ImageKernel, t *team.Team, keys []int64
 	h := c.SortAsync(img, t, keys, rt.Track{})
 	h.WaitLocalData(p)
 	return h.Result().([]int64)
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -11,8 +11,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"caf2go/internal/collect"
 	"caf2go/internal/fabric"
@@ -187,9 +188,6 @@ func newState(id int64) *State {
 	return &State{id: id, even: &epochBox{}}
 }
 
-// Rounds reports how many sum-reduction rounds detection used so far.
-func (s *State) Rounds() int { return s.rounds }
-
 // Team returns the team the finish block synchronizes (set at Begin).
 func (s *State) Team() *team.Team { return s.t }
 
@@ -295,6 +293,9 @@ type Plane struct {
 
 	det     *failure.Detector // nil ⇒ legacy, non-resilient plane
 	charged map[int]bool      // dead ranks whose tallies were consumed
+	// byID lists each image's states in finish-id order, for OnDeath.
+	// Kept only by a resilient plane, which never collects a state.
+	byID [][]*State
 
 	// Metrics instruments (nil — and every call a no-op — until
 	// SetMetrics installs a registry).
@@ -328,6 +329,7 @@ func (pl *Plane) SetDetector(d *failure.Detector) {
 	pl.det = d
 	if d != nil && pl.charged == nil {
 		pl.charged = make(map[int]bool)
+		pl.byID = make([][]*State, len(pl.nodes))
 	}
 }
 
@@ -352,6 +354,10 @@ func (pl *Plane) state(rank int, id int64) *State {
 	if !ok {
 		s = newState(id)
 		pl.nodes[rank][id] = s
+		if pl.byID != nil {
+			at, _ := slices.BinarySearchFunc(pl.byID[rank], id, func(s *State, id int64) int { return cmp.Compare(s.id, id) })
+			pl.byID[rank] = slices.Insert(pl.byID[rank], at, s)
+		}
 	}
 	return s
 }
@@ -845,17 +851,11 @@ func (pl *Plane) OnDeath(dead int) {
 		return
 	}
 	pl.charged[dead] = true
-	for rank := range pl.nodes {
+	for rank, states := range pl.byID {
 		if rank == dead {
 			continue
 		}
-		ids := make([]int64, 0, len(pl.nodes[rank]))
-		for id := range pl.nodes[rank] {
-			ids = append(ids, id)
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		for _, id := range ids {
-			s := pl.nodes[rank][id]
+		for _, s := range states {
 			if n := s.ackedTo[dead]; n > 0 {
 				s.adjCompleted += n
 				s.lost += n

@@ -1,8 +1,9 @@
 package fabric
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"caf2go/internal/path"
 	"caf2go/internal/sim"
@@ -144,9 +145,15 @@ func (b *batch) Abandoned() {
 
 // coalesceBuf is the per-destination aggregation buffer of one endpoint.
 type coalesceBuf struct {
+	dst   int
 	msgs  []*Msg
 	bytes int
 	timer *sim.Timer
+}
+
+// coalesceAt finds dst's buffer in ep.coalesce, or where it would go.
+func (ep *Endpoint) coalesceAt(dst int) (int, bool) {
+	return slices.BinarySearchFunc(ep.coalesce, dst, func(b *coalesceBuf, dst int) int { return cmp.Compare(b.dst, dst) })
 }
 
 // coalescible reports whether m may enter the aggregation buffer.
@@ -168,18 +175,14 @@ func (ep *Endpoint) coalescible(m *Msg) bool {
 // enqueueCoalesced buffers m toward its destination and flushes if the
 // buffer crossed a size threshold.
 func (ep *Endpoint) enqueueCoalesced(m *Msg, opts SendOpts) {
-	if ep.coalesce == nil {
-		ep.coalesce = make(map[int]*coalesceBuf)
+	i, ok := ep.coalesceAt(m.Dst)
+	if !ok {
+		ep.coalesce = slices.Insert(ep.coalesce, i, &coalesceBuf{dst: m.Dst})
 	}
-	b := ep.coalesce[m.Dst]
-	if b == nil {
-		b = &coalesceBuf{}
-		ep.coalesce[m.Dst] = b
-	}
+	b := ep.coalesce[i]
 	if len(b.msgs) == 0 {
 		if b.timer == nil {
-			dst := m.Dst
-			b.timer = ep.f.eng.NewTimer(func() { ep.flushDst(dst, FlushByTimer) })
+			b.timer = ep.f.eng.NewTimer(func() { ep.flush(b, FlushByTimer) })
 		}
 		b.timer.Reset(ep.f.coal.FlushAfter)
 	}
@@ -187,17 +190,17 @@ func (ep *Endpoint) enqueueCoalesced(m *Msg, opts SendOpts) {
 	b.msgs = append(b.msgs, m)
 	b.bytes += m.Bytes
 	if b.bytes >= ep.f.coal.MaxBytes || len(b.msgs) >= ep.f.coal.MaxMsgs {
-		ep.flushDst(m.Dst, FlushBySize)
+		ep.flush(b, FlushBySize)
 	}
 }
 
-// flushDst empties the aggregation buffer toward dst, posting its content
-// as one batch packet (or as a plain message when only one is buffered).
-func (ep *Endpoint) flushDst(dst int, reason FlushReason) {
-	b := ep.coalesce[dst]
-	if b == nil || len(b.msgs) == 0 {
+// flush empties the aggregation buffer b, posting its content as one
+// batch packet (or as a plain message when only one is buffered).
+func (ep *Endpoint) flush(b *coalesceBuf, reason FlushReason) {
+	if len(b.msgs) == 0 {
 		return
 	}
+	dst := b.dst
 	msgs, bytes := b.msgs, b.bytes
 	b.msgs, b.bytes = nil, 0
 	b.timer.Stop()
@@ -264,23 +267,13 @@ func (ep *Endpoint) flushDst(dst int, reason FlushReason) {
 }
 
 // FlushCoalesced flushes every non-empty aggregation buffer of this
-// endpoint (deterministically, in destination order). Synchronization
-// points above the fabric — finish, cofence, events, collectives,
-// program exit — call this so nothing lingers in a buffer across a
-// barrier. A no-op when coalescing is off.
+// endpoint, in destination order. Synchronization points above the
+// fabric — finish, cofence, events, collectives, program exit — call
+// this so nothing lingers in a buffer across a barrier. A no-op when
+// coalescing is off.
 func (ep *Endpoint) FlushCoalesced() {
-	if len(ep.coalesce) == 0 {
-		return
-	}
-	dsts := make([]int, 0, len(ep.coalesce))
-	for d, b := range ep.coalesce {
-		if len(b.msgs) > 0 {
-			dsts = append(dsts, d)
-		}
-	}
-	sort.Ints(dsts)
-	for _, d := range dsts {
-		ep.flushDst(d, FlushByBarrier)
+	for _, b := range ep.coalesce {
+		ep.flush(b, FlushByBarrier)
 	}
 }
 

@@ -15,9 +15,10 @@
 package fabric
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"caf2go/internal/metrics"
 	"caf2go/internal/path"
@@ -380,15 +381,6 @@ type nicState struct {
 	free sim.Time // busy-until
 }
 
-// Engine returns the underlying simulation engine.
-func (f *Fabric) Engine() *sim.Engine { return f.eng }
-
-// Config returns the fabric cost model.
-func (f *Fabric) Config() Config { return f.cfg }
-
-// NumEndpoints reports the endpoint count.
-func (f *Fabric) NumEndpoints() int { return len(f.eps) }
-
 // Endpoint returns endpoint i.
 func (f *Fabric) Endpoint(i int) *Endpoint { return f.eps[i] }
 
@@ -457,15 +449,14 @@ type Endpoint struct {
 	queued       int
 
 	// Reliability-protocol state, used only when the fabric has a fault
-	// plan: per-destination sequence numbers, un-acked transmissions, and
-	// per-source delivery dedup.
-	nextSeq map[int]uint64
-	pending map[txKey]*txState
-	dedup   map[int]*dedupState
+	// plan: per destination, in destination order, the sequence numbers
+	// and un-acked transmissions; per source, delivery dedup.
+	peers []*txPeer
+	dedup map[int]*dedupState
 
-	// Per-destination aggregation buffers, used only when the fabric has
-	// coalescing enabled (coalesce.go).
-	coalesce map[int]*coalesceBuf
+	// Per-destination aggregation buffers in destination order, used
+	// only when the fabric has coalescing enabled (coalesce.go).
+	coalesce []*coalesceBuf
 
 	// Per-endpoint counters. Sent counts transmissions (retransmits
 	// included); Received counts unique deliveries (dups excluded).
@@ -473,11 +464,28 @@ type Endpoint struct {
 	Received uint64
 }
 
-// txKey names one logical message on the sender: destination rank plus
-// the per-destination sequence number.
-type txKey struct {
-	dst int
-	seq uint64
+// txPeer is a sender's reliability state toward one destination.
+type txPeer struct {
+	dst     int
+	nextSeq uint64
+	pending []*txState // un-acked transmissions, in seq order
+}
+
+// peer returns the endpoint's state toward dst, creating it in
+// destination order at the first send.
+func (ep *Endpoint) peer(dst int) *txPeer {
+	i, ok := slices.BinarySearchFunc(ep.peers, dst, func(p *txPeer, dst int) int { return cmp.Compare(p.dst, dst) })
+	if !ok {
+		ep.peers = slices.Insert(ep.peers, i, &txPeer{dst: dst})
+	}
+	return ep.peers[i]
+}
+
+// forget drops tx from its peer's pending list once it is acked or
+// abandoned.
+func (p *txPeer) forget(tx *txState) {
+	i, _ := slices.BinarySearchFunc(p.pending, tx.seq, func(t *txState, seq uint64) int { return cmp.Compare(t.seq, seq) })
+	p.pending = slices.Delete(p.pending, i, i+1)
 }
 
 // txState tracks one logical message from first injection until its ack
@@ -485,6 +493,7 @@ type txKey struct {
 type txState struct {
 	m         *Msg
 	opts      SendOpts
+	peer      *txPeer
 	seq       uint64
 	attempts  int
 	acked     bool
@@ -494,9 +503,6 @@ type txState struct {
 
 // Rank returns the endpoint's image index.
 func (ep *Endpoint) Rank() int { return ep.rank }
-
-// Fabric returns the owning fabric.
-func (ep *Endpoint) Fabric() *Fabric { return ep.f }
 
 // RegisterHandler binds tag to fn. Registering a tag twice panics: tags
 // are a static protocol namespace owned by the runtime layers.
@@ -537,7 +543,9 @@ func (ep *Endpoint) Send(m *Msg, opts SendOpts) {
 		}
 		// A non-coalescible message must not overtake buffered traffic
 		// on its own channel: flush that destination first.
-		ep.flushDst(m.Dst, FlushByBarrier)
+		if i, ok := ep.coalesceAt(m.Dst); ok {
+			ep.flush(ep.coalesce[i], FlushByBarrier)
+		}
 	}
 	ep.post(m, opts)
 }
@@ -581,7 +589,13 @@ func (ep *Endpoint) QueuedSends() int { return ep.queued }
 // PendingRetx reports how many logical messages are in flight on the
 // reliability protocol (sent, not yet acked or abandoned). Always 0 on
 // a fault-free fabric.
-func (ep *Endpoint) PendingRetx() int { return len(ep.pending) }
+func (ep *Endpoint) PendingRetx() int {
+	n := 0
+	for _, p := range ep.peers {
+		n += len(p.pending)
+	}
+	return n
+}
 
 // Outstanding reports un-acked sends currently counted against credits.
 func (ep *Endpoint) Outstanding() int { return ep.outstanding }
@@ -702,15 +716,11 @@ func (ep *Endpoint) drainQueue() {
 // startTx assigns the next sequence number toward m.Dst, takes a credit,
 // and performs the first transmission.
 func (ep *Endpoint) startTx(m *Msg, opts SendOpts) {
-	if ep.nextSeq == nil {
-		ep.nextSeq = make(map[int]uint64)
-		ep.pending = make(map[txKey]*txState)
-	}
-	seq := ep.nextSeq[m.Dst]
-	ep.nextSeq[m.Dst] = seq + 1
+	p := ep.peer(m.Dst)
 	m.stage, m.opts = stageReliable, SendOpts{}
-	tx := &txState{m: m, opts: opts, seq: seq}
-	ep.pending[txKey{m.Dst, seq}] = tx
+	tx := &txState{m: m, opts: opts, peer: p, seq: p.nextSeq}
+	p.nextSeq++
+	p.pending = append(p.pending, tx)
 	ep.outstanding++
 	tx.timer = ep.f.eng.NewTimer(func() { ep.onAckTimeout(tx) })
 	ep.transmit(tx)
@@ -768,11 +778,11 @@ func (ep *Endpoint) transmit(tx *txState) {
 	}
 	dst := f.eps[m.Dst]
 	base := injected + f.wireLatency(m.Src, m.Dst)
-	eng.At(base+f.jitterDelay(), func() { dst.deliverReliable(m, ep, tx.seq) })
+	eng.At(base+f.jitterDelay(), func() { dst.deliverReliable(tx, ep) })
 	if f.roll(f.plan.Dup) {
 		f.stats.Duplicated++
 		f.stats.FaultsInjected++
-		eng.At(base+f.jitterDelay(), func() { dst.deliverReliable(m, ep, tx.seq) })
+		eng.At(base+f.jitterDelay(), func() { dst.deliverReliable(tx, ep) })
 	}
 }
 
@@ -788,7 +798,7 @@ func (ep *Endpoint) onAckTimeout(tx *txState) {
 		tx.abandoned = true
 		tx.m.stage = stageIdle
 		f.stats.Abandoned++
-		delete(ep.pending, txKey{tx.m.Dst, tx.seq})
+		tx.peer.forget(tx)
 		// Release the flow-control credit so unrelated traffic keeps
 		// moving, but fire no success callback: the supervising layer
 		// must observe the loss (a finish block will simply never
@@ -815,28 +825,21 @@ func (f *Fabric) AbandonForDead(rank int) {
 		return
 	}
 	for _, ep := range f.eps {
-		var victims []txKey
-		for k := range ep.pending {
-			if ep.rank == rank || k.dst == rank {
-				victims = append(victims, k)
+		var victims []*txState
+		for _, p := range ep.peers {
+			if ep.rank == rank || p.dst == rank {
+				victims = append(victims, p.pending...)
 			}
 		}
 		if len(victims) == 0 && (ep.rank != rank || ep.QueuedSends() == 0) {
 			continue
 		}
-		sort.Slice(victims, func(i, j int) bool {
-			if victims[i].dst != victims[j].dst {
-				return victims[i].dst < victims[j].dst
-			}
-			return victims[i].seq < victims[j].seq
-		})
-		for _, k := range victims {
-			tx := ep.pending[k]
+		for _, tx := range victims {
 			tx.abandoned = true
 			tx.m.stage = stageIdle
 			tx.timer.Stop()
 			f.stats.Abandoned++
-			delete(ep.pending, k)
+			tx.peer.forget(tx)
 			ep.outstanding--
 			tx.opts.abandoned()
 		}
@@ -860,7 +863,8 @@ func (f *Fabric) AbandonForDead(rank int) {
 // message arrival on the destination endpoint: dedup decides whether the
 // handler runs; an ack is returned either way so the sender stops
 // retransmitting even when its first ack was lost.
-func (ep *Endpoint) deliverReliable(m *Msg, src *Endpoint, seq uint64) {
+func (ep *Endpoint) deliverReliable(tx *txState, src *Endpoint) {
+	m := tx.m
 	f := ep.f
 	eng := f.eng
 	if f.crashedNow(ep.rank) {
@@ -891,7 +895,7 @@ func (ep *Endpoint) deliverReliable(m *Msg, src *Endpoint, seq uint64) {
 			d = &dedupState{}
 			ep.dedup[src.rank] = d
 		}
-		if d.mark(seq) {
+		if d.mark(tx.seq) {
 			ep.dispatch(m)
 		} else {
 			f.stats.DupsDropped++
@@ -905,27 +909,26 @@ func (ep *Endpoint) deliverReliable(m *Msg, src *Endpoint, seq uint64) {
 			f.stats.FaultsInjected++
 			return
 		}
-		eng.At(eng.Now()+f.ackLatency(m.Dst, m.Src), func() { src.onAckArrival(m.Dst, seq) })
+		eng.At(eng.Now()+f.ackLatency(m.Dst, m.Src), func() { src.onAckArrival(tx) })
 	})
 }
 
 // onAckArrival processes a delivery ack on the sender. Exactly the first
 // ack per logical message releases the credit and fires Done.Delivered;
 // redundant acks (from dups or retransmissions) are counted and ignored.
-func (ep *Endpoint) onAckArrival(peer int, seq uint64) {
+func (ep *Endpoint) onAckArrival(tx *txState) {
 	f := ep.f
 	if f.crashedNow(ep.rank) {
 		return
 	}
-	tx, ok := ep.pending[txKey{peer, seq}]
-	if !ok || tx.acked {
+	if tx.acked || tx.abandoned {
 		f.stats.DupAcks++
 		return
 	}
 	tx.acked = true
 	tx.m.stage = stageIdle
 	tx.timer.Stop()
-	delete(ep.pending, txKey{peer, seq})
+	tx.peer.forget(tx)
 	f.stats.Acks++
 	ep.outstanding--
 	tx.opts.delivered()

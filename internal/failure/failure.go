@@ -17,8 +17,9 @@
 package failure
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"caf2go/internal/sim"
 )
@@ -92,35 +93,36 @@ func (c Config) withDefaults() Config {
 type Detector struct {
 	eng  *sim.Engine
 	cfg  Config
-	dead map[int]sim.Time // rank → declaration time
+	dead []death // declared deaths, by ascending rank
 	subs []func(rank int, at sim.Time)
 }
 
+// death is one declared-dead rank and its declaration time.
+type death struct {
+	rank int
+	at   sim.Time
+}
+
+// find locates rank's declaration in d.dead, or where it would go.
+func (d *Detector) find(rank int) (int, bool) {
+	return slices.BinarySearchFunc(d.dead, rank, func(x death, rank int) int { return cmp.Compare(x.rank, rank) })
+}
+
 // New builds a detector for a machine of images ranks whose crash
-// schedule is crash (the fabric FaultPlan's Crash map; may be nil).
-// Declaration events are scheduled immediately, in rank order, so runs
-// are deterministic regardless of map iteration order. Returns nil if
-// cfg.Enabled is false.
+// schedule is crash (the fabric FaultPlan's Crash map; may be nil; the
+// machine rejects a rank outside [0, images)). Declaration events are
+// scheduled immediately, in rank order. Returns nil if cfg.Enabled is
+// false.
 func New(eng *sim.Engine, images int, cfg Config, crash map[int]sim.Time) *Detector {
 	if !cfg.Enabled {
 		return nil
 	}
-	d := &Detector{
-		eng:  eng,
-		cfg:  cfg.withDefaults(),
-		dead: make(map[int]sim.Time),
-	}
-	ranks := make([]int, 0, len(crash))
-	for r := range crash {
-		if r >= 0 && r < images {
-			ranks = append(ranks, r)
+	d := &Detector{eng: eng, cfg: cfg.withDefaults()}
+	for r := 0; r < images; r++ {
+		if crashAt, ok := crash[r]; ok {
+			r, at := r, d.DetectionTime(crashAt)
+			eng.At(at, func() { d.declare(r, at) })
 		}
-	}
-	sort.Ints(ranks)
-	for _, r := range ranks {
-		r := r
-		at := d.DetectionTime(crash[r])
-		eng.At(at, func() { d.declare(r, at) })
 	}
 	return d
 }
@@ -143,10 +145,11 @@ func (d *Detector) Heartbeat() sim.Time { return d.cfg.Heartbeat }
 
 // declare marks rank dead and notifies subscribers, once.
 func (d *Detector) declare(rank int, at sim.Time) {
-	if _, ok := d.dead[rank]; ok {
+	i, ok := d.find(rank)
+	if ok {
 		return
 	}
-	d.dead[rank] = at
+	d.dead = slices.Insert(d.dead, i, death{rank, at})
 	for _, fn := range d.subs {
 		fn(rank, at)
 	}
@@ -164,18 +167,15 @@ func (d *Detector) Subscribe(fn func(rank int, at sim.Time)) {
 		return
 	}
 	d.subs = append(d.subs, fn)
-	for _, r := range d.DeadRanks() {
-		fn(r, d.dead[r])
+	for _, x := range d.dead {
+		fn(x.rank, x.at)
 	}
 }
 
 // Dead reports whether rank has been declared dead. Safe on a nil
 // detector (always false).
 func (d *Detector) Dead(rank int) bool {
-	if d == nil {
-		return false
-	}
-	_, ok := d.dead[rank]
+	_, ok := d.DeadAt(rank)
 	return ok
 }
 
@@ -184,8 +184,11 @@ func (d *Detector) DeadAt(rank int) (sim.Time, bool) {
 	if d == nil {
 		return 0, false
 	}
-	t, ok := d.dead[rank]
-	return t, ok
+	i, ok := d.find(rank)
+	if !ok {
+		return 0, false
+	}
+	return d.dead[i].at, true
 }
 
 // AnyDead reports whether any image has been declared dead.
@@ -194,11 +197,10 @@ func (d *Detector) AnyDead() bool { return d != nil && len(d.dead) > 0 }
 // ErrFor builds an ImageFailedError for op naming the lowest declared-
 // dead rank and its declaration time, or nil when nobody is dead.
 func (d *Detector) ErrFor(op string) *ImageFailedError {
-	ranks := d.DeadRanks()
-	if len(ranks) == 0 {
+	if !d.AnyDead() {
 		return nil
 	}
-	return &ImageFailedError{Rank: ranks[0], At: d.dead[ranks[0]], Op: op}
+	return &ImageFailedError{Rank: d.dead[0].rank, At: d.dead[0].at, Op: op}
 }
 
 // DeathCount reports how many images have been declared dead — a cheap
@@ -216,10 +218,9 @@ func (d *Detector) DeadRanks() []int {
 	if d == nil || len(d.dead) == 0 {
 		return nil
 	}
-	ranks := make([]int, 0, len(d.dead))
-	for r := range d.dead {
-		ranks = append(ranks, r)
+	ranks := make([]int, len(d.dead))
+	for i, x := range d.dead {
+		ranks[i] = x.rank
 	}
-	sort.Ints(ranks)
 	return ranks
 }

@@ -2,7 +2,7 @@ package load
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	caf "caf2go"
@@ -30,6 +30,9 @@ type Collector struct {
 
 	pend      map[int]pendReq // by Seq
 	perClient []clientCount   // by issuing image rank
+	// Every seq in pend lies in [pendLo, pendHi): SettleDead reads pend
+	// in seq order over that window.
+	pendLo, pendHi int
 
 	requests  int64
 	issued    int64
@@ -37,7 +40,7 @@ type Collector struct {
 	failed    int64
 	failovers int64
 	replayed  int64
-	lostTo    map[int]int64 // failed requests by blamed dead rank
+	lostTo    []int64 // failed requests by blamed dead rank
 
 	first    caf.Time // scheduled span of the arrival process
 	last     caf.Time
@@ -99,7 +102,6 @@ func NewCollector(op string, sched []Request) *Collector {
 		op:       op,
 		hist:     NewHistogram(),
 		pend:     make(map[int]pendReq),
-		lostTo:   make(map[int]int64),
 		requests: int64(len(sched)),
 	}
 	c.first, c.last = Span(sched)
@@ -111,6 +113,7 @@ func NewCollector(op string, sched []Request) *Collector {
 // if target dies while the request is still outstanding.
 func (c *Collector) Issued(m *caf.Machine, r Request, client, target int) {
 	c.pend[r.Seq] = pendReq{r: r, client: client, target: target}
+	c.pendLo, c.pendHi = min(c.pendLo, r.Seq), max(c.pendHi, r.Seq+1)
 	c.count(client).out++
 	c.issued++
 	// First issue opens the request's critical path (claiming client-side
@@ -175,6 +178,9 @@ func (c *Collector) Fail(m *caf.Machine, now caf.Time, seq int, err *caf.ImageFa
 	c.failed++
 	m.PathTracker().Abort(seq)
 	if err != nil {
+		if err.Rank >= len(c.lostTo) {
+			c.lostTo = append(c.lostTo, make([]int64, err.Rank+1-len(c.lostTo))...)
+		}
 		c.lostTo[err.Rank]++
 	}
 	if now > c.lastDone {
@@ -226,16 +232,21 @@ func (c *Collector) SettleDead(m *caf.Machine, client int, p DeadPolicy) []Reque
 	if p == DeadReplay {
 		dead = m.DeathCommitted
 	}
+	for c.pendLo < c.pendHi {
+		if _, ok := c.pend[c.pendLo]; ok {
+			break
+		}
+		c.pendLo++
+	}
 	var seqs []int
-	for seq, r := range c.pend {
-		if r.client == client && dead(r.target) {
+	for seq := c.pendLo; seq < c.pendHi; seq++ {
+		if r, ok := c.pend[seq]; ok && r.client == client && dead(r.target) {
 			seqs = append(seqs, seq)
 		}
 	}
 	if len(seqs) == 0 {
 		return nil
 	}
-	sort.Ints(seqs)
 	now := m.Engine().Now()
 	if p == DeadFail {
 		for _, seq := range seqs {
@@ -272,8 +283,9 @@ type SLO struct {
 	// Replayed counts requests re-issued against a promoted backup
 	// after an epoch commit (0 with replication off).
 	Replayed int64 `json:",omitempty"`
-	// LostTo counts failed requests by the dead rank blamed.
-	LostTo map[int]int64 `json:",omitempty"`
+	// LostTo counts failed requests by the dead rank blamed: LostTo[r]
+	// for rank r, up to the highest rank blamed.
+	LostTo []int64 `json:",omitempty"`
 	// Latency quantiles over *completed* requests, measured from
 	// scheduled arrival (ns of virtual time).
 	P50    caf.Time
@@ -303,12 +315,7 @@ func (c *Collector) SLO() SLO {
 		MaxLat:    caf.Time(c.hist.Max()),
 		MeanNS:    c.hist.Mean(),
 	}
-	if len(c.lostTo) > 0 {
-		s.LostTo = make(map[int]int64, len(c.lostTo))
-		for r, n := range c.lostTo {
-			s.LostTo[r] = n
-		}
-	}
+	s.LostTo = slices.Clone(c.lostTo)
 	if c.lastDone > c.first {
 		s.Duration = c.lastDone - c.first
 		s.GoodputRPS = float64(s.Completed) / s.Duration.Seconds()
@@ -349,19 +356,13 @@ func (s SLO) ExportMetrics(m *caf.Machine) {
 // Digest renders the report as one canonical line — the bit-identity
 // token pinned by golden and chaos tests.
 func (s SLO) Digest() string {
-	lost := ""
-	if len(s.LostTo) > 0 {
-		ranks := make([]int, 0, len(s.LostTo))
-		for r := range s.LostTo {
-			ranks = append(ranks, r)
+	var parts []string
+	for r, n := range s.LostTo {
+		if n > 0 {
+			parts = append(parts, fmt.Sprintf("r%d:%d", r, n))
 		}
-		sort.Ints(ranks)
-		parts := make([]string, len(ranks))
-		for i, r := range ranks {
-			parts[i] = fmt.Sprintf("r%d:%d", r, s.LostTo[r])
-		}
-		lost = strings.Join(parts, ",")
 	}
+	lost := strings.Join(parts, ",")
 	line := fmt.Sprintf(
 		"req=%d done=%d fail=%d over=%d p50=%d p99=%d p999=%d max=%d mean=%d dur=%d off=%.6g good=%.6g lost=[%s]",
 		s.Requests, s.Completed, s.Failed, s.Failovers,

@@ -161,7 +161,6 @@ type entry struct {
 // regionShadow is the access history of one (coarray, rank) shard.
 type regionShadow struct {
 	entries []entry
-	evicted int64
 }
 
 type regionKey struct {
@@ -179,6 +178,7 @@ type Detector struct {
 	count   int64
 	races   []Race
 	dropped int64
+	evicted int64
 
 	// MaxEntries bounds each region's shadow history (0 = default).
 	MaxEntries int
@@ -228,9 +228,6 @@ func (d *Detector) OpClock(base Clock) (Clock, int) {
 	return clk, id
 }
 
-// Contexts reports how many clock components have been allocated.
-func (d *Detector) Contexts() int { return d.nextID }
-
 // Count reports the total number of races observed.
 func (d *Detector) Count() int64 { return d.count }
 
@@ -242,13 +239,7 @@ func (d *Detector) Dropped() int64 { return d.dropped }
 
 // Evicted reports how many shadow entries were evicted at capacity;
 // a nonzero value means some races may have gone unreported.
-func (d *Detector) Evicted() int64 {
-	var n int64
-	for _, sh := range d.regions {
-		n += sh.evicted
-	}
-	return n
-}
+func (d *Detector) Evicted() int64 { return d.evicted }
 
 // Access records one strided access [lo, hi) : step on the shard of
 // region owned by rank, checks it against the recorded history, and
@@ -300,7 +291,7 @@ func (d *Detector) Access(region any, rank, lo, hi, step int, write bool, ctx in
 	if len(sh.entries) >= maxE {
 		drop := len(sh.entries) - maxE + 1
 		sh.entries = sh.entries[:copy(sh.entries, sh.entries[drop:])]
-		sh.evicted += int64(drop)
+		d.evicted += int64(drop)
 	}
 	sh.entries = append(sh.entries, cur)
 }

@@ -224,7 +224,7 @@ func TestShadowCompression(t *testing.T) {
 	if len(sh.entries) != 1 {
 		t.Fatalf("shadow kept %d entries, want 1", len(sh.entries))
 	}
-	if sh.evicted != 0 {
+	if d.Evicted() != 0 {
 		t.Fatal("compression counted as eviction")
 	}
 }

@@ -48,8 +48,8 @@ func TestPoolSendDispatchDoesNotAllocate(t *testing.T) {
 		d.Complete()
 		handled++
 	})
-	acked := 0
-	opts := SendOpts{Class: fabric.AMShort, Bytes: 8, Track: Track{ID: 1}, OnDelivered: func() { acked++ }}
+	var acked ackCount
+	opts := SendOpts{Class: fabric.AMShort, Bytes: 8, Track: Track{ID: 1}, Done: &acked}
 	src := k.Image(0)
 	send := func() {
 		src.Send(1, tagPing, nil, opts)
@@ -63,7 +63,7 @@ func TestPoolSendDispatchDoesNotAllocate(t *testing.T) {
 	if n := testing.AllocsPerRun(runs, send); n != 0 {
 		t.Errorf("allocations per two sends = %v, want 0", n)
 	}
-	if want := 2 * (runs + 2); handled != want || acked != want || tr.acks != want || tr.completes != want {
+	if want := 2 * (runs + 2); handled != want || int(acked) != want || tr.acks != want || tr.completes != want {
 		t.Errorf("handled %d, acked %d, tracker acks %d completes %d, want %d each",
 			handled, acked, tr.acks, tr.completes, want)
 	}
@@ -269,10 +269,9 @@ func TestQuarantineCoalescedBatchReleasesEachOutMsgOnce(t *testing.T) {
 		var got []int
 		k.RegisterHandler(tagWork, func(d *Delivery) { got = append(got, d.Payload.(int)) })
 		const n = 20 // two full batches and a timer flush of four
-		delivered := 0
+		var delivered ackCount
 		for i := 0; i < n; i++ {
-			k.Image(0).Send(1, tagWork, i, SendOpts{Track: Track{ID: 1}, Class: fabric.AMShort, Bytes: 8,
-				OnDelivered: func() { delivered++ }})
+			k.Image(0).Send(1, tagWork, i, SendOpts{Track: Track{ID: 1}, Class: fabric.AMShort, Bytes: 8, Done: &delivered})
 		}
 		if err := eng.Run(); err != nil {
 			t.Fatal(err)
@@ -284,8 +283,8 @@ func TestQuarantineCoalescedBatchReleasesEachOutMsgOnce(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("handled %v, want 0..%d in order", got, n-1)
 		}
-		if delivered != n || tr.acks != n {
-			t.Errorf("OnDelivered %d, tracker acks %d, want %d each", delivered, tr.acks, n)
+		if int(delivered) != n || tr.acks != n {
+			t.Errorf("Done.Delivered %d, tracker acks %d, want %d each", delivered, tr.acks, n)
 		}
 		if st := k.Fabric().Stats(); st.MsgsCoalesced < 16 {
 			t.Errorf("MsgsCoalesced = %d: the sends did not ride in batches", st.MsgsCoalesced)
@@ -343,32 +342,35 @@ func TestPoolOutMsgFitsItsSizeClass(t *testing.T) {
 	}
 }
 
+// ackCount is a Completion that counts deliveries.
+type ackCount int
+
+func (c *ackCount) Delivered() { *c++ }
+func (c *ackCount) Abandoned() {}
+
 type logDone struct{ log *[]string }
 
 func (d logDone) Delivered() { *d.log = append(*d.log, "done") }
 func (d logDone) Abandoned() { *d.log = append(*d.log, "done abandoned") }
 
-// The completion callbacks of a send are folded into one Completion: each
-// form, and a mix of them, runs once at the ack, funcs before Done.
+// A send's completion is its Done record, run once at the ack; a send
+// without one runs nothing.
 func TestPoolSendCallbackForms(t *testing.T) {
 	eng, k := newTestKernel(2)
 	k.RegisterHandler(tagPing, func(*Delivery) {})
 	var log []string
-	fn := func(s string) func() { return func() { log = append(log, s) } }
 	done := logDone{&log}
 	src := k.Image(0)
 	for _, opts := range []SendOpts{
 		{},
 		{Done: done},
-		{OnDelivered: fn("delivered")},
-		{OnDelivered: fn("delivered+"), OnAbandoned: fn("abandoned"), Done: done},
 	} {
 		src.Send(1, tagPing, nil, opts)
 		if err := eng.Run(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if want := []string{"done", "delivered", "delivered+", "done"}; !reflect.DeepEqual(log, want) {
+	if want := []string{"done"}; !reflect.DeepEqual(log, want) {
 		t.Errorf("callbacks ran %v, want %v", log, want)
 	}
 }

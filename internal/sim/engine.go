@@ -48,9 +48,6 @@ func NewEngine(seed int64) *Engine {
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
-// Seed returns the seed the engine was created with.
-func (e *Engine) Seed() int64 { return e.seed }
-
 // EventsRun reports how many events have executed so far.
 func (e *Engine) EventsRun() uint64 { return e.eventsRun }
 
@@ -97,16 +94,13 @@ func (e *Engine) After(d Time, fn func()) {
 // remain queued; Run may be called again to resume.
 func (e *Engine) Stop() { e.stopped = true }
 
-// OnStrand reports whether the caller is on the simulation's single
-// execution strand: inside an event callback, or inside a proc the
-// engine has resumed. State shared across images (trace buffers, metric
-// registries, op lifecycles) may only be touched on the strand.
-func (e *Engine) OnStrand() bool { return e.onStrand.Load() }
-
-// AssertStrand panics if called off the simulation strand. Choke points
-// that stamp shared state (e.g. op stage advancement) call this so that
-// a stray goroutine touching the runtime fails loudly instead of
-// silently racing the admission loop.
+// AssertStrand panics if called off the simulation's single execution
+// strand: inside an event callback, or inside a proc the engine has
+// resumed. State shared across images (trace buffers, metric registries,
+// op lifecycles) may only be touched on the strand, so choke points that
+// stamp it (e.g. op stage advancement) call this: a stray goroutine
+// touching the runtime fails loudly instead of silently racing the
+// admission loop.
 func (e *Engine) AssertStrand(what string) {
 	if !e.onStrand.Load() {
 		panic(fmt.Sprintf("sim: %s called off the simulation strand", what))
@@ -219,7 +213,3 @@ func (e *Engine) resumeProc(p *Proc) {
 	p.co.next()
 	e.current = prev
 }
-
-// Current returns the process currently executing, or nil when the engine
-// is running a plain event callback.
-func (e *Engine) Current() *Proc { return e.current }

@@ -180,9 +180,6 @@ func (p *Proc) ID() int { return p.id }
 // Name returns the process name.
 func (p *Proc) Name() string { return p.name.String() }
 
-// Engine returns the engine the proc belongs to.
-func (p *Proc) Engine() *Engine { return p.eng }
-
 // State returns the proc's scheduling state ("new", "running", "parked",
 // "sleeping", "done") for diagnostics.
 func (p *Proc) State() string { return p.state.String() }
@@ -258,44 +255,9 @@ func (p *Proc) Unpark() {
 }
 
 // WaitUntil parks the process until cond() holds. The waker must call
-// Unpark (directly or via a Cond) whenever the condition may have changed.
+// Unpark whenever the condition may have changed.
 func (p *Proc) WaitUntil(reason string, cond func() bool) {
 	for !cond() {
 		p.Park(reason)
 	}
 }
-
-// Cond is a condition-variable analogue for simulated processes.
-// The zero value is ready to use.
-type Cond struct {
-	waiters []*Proc
-}
-
-// Wait enqueues p and parks it. Like sync.Cond, callers must re-check
-// their predicate in a loop around Wait.
-func (c *Cond) Wait(p *Proc) {
-	c.waiters = append(c.waiters, p)
-	p.Park("cond wait")
-}
-
-// Signal wakes one waiter, if any.
-func (c *Cond) Signal() {
-	if len(c.waiters) == 0 {
-		return
-	}
-	w := c.waiters[0]
-	c.waiters = c.waiters[1:]
-	w.Unpark()
-}
-
-// Broadcast wakes all waiters.
-func (c *Cond) Broadcast() {
-	ws := c.waiters
-	c.waiters = nil
-	for _, w := range ws {
-		w.Unpark()
-	}
-}
-
-// Waiters reports how many procs are queued on the Cond.
-func (c *Cond) Waiters() int { return len(c.waiters) }

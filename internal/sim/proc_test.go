@@ -95,13 +95,18 @@ func TestShutdownEndsEveryGoroutine(t *testing.T) {
 func TestCleanRunEndsEveryGoroutine(t *testing.T) {
 	base := goroutineBase()
 	e := NewEngine(1)
-	var c Cond
+	var waiters []*Proc
 	for i := 0; i < 8; i++ {
-		e.Go("waiter", func(p *Proc) { c.Wait(p) })
+		e.Go("waiter", func(p *Proc) {
+			waiters = append(waiters, p)
+			p.Park("wait")
+		})
 	}
 	e.Go("waker", func(p *Proc) {
 		p.Sleep(10)
-		c.Broadcast()
+		for _, w := range waiters {
+			w.Unpark()
+		}
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -151,12 +156,13 @@ func TestManyConcurrentProcs(t *testing.T) {
 	const n = 10000
 	base := goroutineBase()
 	e := NewEngine(1)
-	var c Cond
+	var waiters []*Proc
 	parked, woke := 0, 0
 	for i := 0; i < n; i++ {
 		e.Go("waiter", func(p *Proc) {
 			parked++
-			c.Wait(p)
+			waiters = append(waiters, p)
+			p.Park("wait")
 			woke++
 		})
 	}
@@ -168,7 +174,9 @@ func TestManyConcurrentProcs(t *testing.T) {
 		if g := runtime.NumGoroutine(); g != base+n+1 {
 			t.Errorf("%d goroutines with %d procs parked, want %d", g, n, base+n+1)
 		}
-		c.Broadcast()
+		for _, w := range waiters {
+			w.Unpark()
+		}
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -272,13 +280,13 @@ func TestStaleWakeFindsDoneProc(t *testing.T) {
 	e.Shutdown()
 }
 
-// procHeavyLog runs procs that sleep random times, hand a token around
-// over Conds and start children, and returns the order in which
-// everything happened.
+// procHeavyLog runs procs that sleep random times, park on and wake one
+// another through four waiter queues and start children, and returns the
+// order in which everything happened.
 func procHeavyLog(seed int64) []string {
 	e := NewEngine(seed)
 	var log []string
-	var conds [4]Cond
+	var queues [4][]*Proc
 	var body func(depth int) func(p *Proc)
 	body = func(depth int) func(p *Proc) {
 		return func(p *Proc) {
@@ -288,11 +296,20 @@ func procHeavyLog(seed int64) []string {
 				case 0:
 					p.Sleep(Time(e.Rand().Intn(20)))
 				case 1:
-					c := &conds[e.Rand().Intn(len(conds))]
-					e.After(Time(1+e.Rand().Intn(30)), c.Broadcast)
-					c.Wait(p)
+					q := &queues[e.Rand().Intn(len(queues))]
+					e.After(Time(1+e.Rand().Intn(30)), func() {
+						for _, w := range *q {
+							w.Unpark()
+						}
+						*q = nil
+					})
+					*q = append(*q, p)
+					p.Park("queue wait")
 				case 2:
-					conds[e.Rand().Intn(len(conds))].Signal()
+					if q := &queues[e.Rand().Intn(len(queues))]; len(*q) > 0 {
+						(*q)[0].Unpark()
+						*q = (*q)[1:]
+					}
 					p.Sleep(0)
 				case 3:
 					if depth < 3 {

@@ -222,37 +222,6 @@ func TestWaitUntil(t *testing.T) {
 	}
 }
 
-func TestCondSignalAndBroadcast(t *testing.T) {
-	e := NewEngine(1)
-	var c Cond
-	ready := false
-	resumed := 0
-	for i := 0; i < 4; i++ {
-		e.Go(fmt.Sprintf("w%d", i), func(p *Proc) {
-			for !ready {
-				c.Wait(p)
-			}
-			resumed++
-		})
-	}
-	e.At(10, func() {
-		// Signal without making the condition true: waiters must re-park.
-		c.Signal()
-	})
-	e.At(20, func() {
-		ready = true
-		c.Broadcast()
-		// The signalled proc re-parked; one extra broadcast catches it.
-		c.Broadcast()
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if resumed != 4 {
-		t.Errorf("resumed = %d, want 4", resumed)
-	}
-}
-
 func TestDeadlockDetection(t *testing.T) {
 	e := NewEngine(1)
 	e.Go("stuck", func(p *Proc) { p.Park("never woken") })

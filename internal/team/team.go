@@ -6,9 +6,10 @@
 package team
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // ErrEmptyTeam is the typed error returned when a team derivation would
@@ -165,7 +166,6 @@ func Split(parent *Team, specs []SplitSpec, baseID int64) (map[int]*Team, error)
 		return nil, &SplitError{Reason: fmt.Sprintf("split of %v got %d specs", parent, len(specs))}
 	}
 	seen := make(map[int]bool, len(specs))
-	byColor := make(map[int][]SplitSpec)
 	for _, s := range specs {
 		if !parent.Contains(s.World) {
 			return nil, &SplitError{Reason: fmt.Sprintf("spec for non-member %d", s.World)}
@@ -174,27 +174,22 @@ func Split(parent *Team, specs []SplitSpec, baseID int64) (map[int]*Team, error)
 			return nil, &SplitError{Reason: fmt.Sprintf("duplicate spec for %d", s.World)}
 		}
 		seen[s.World] = true
-		byColor[s.Color] = append(byColor[s.Color], s)
 	}
-	colors := make([]int, 0, len(byColor))
-	for c := range byColor {
-		colors = append(colors, c)
-	}
-	sort.Ints(colors)
-	out := make(map[int]*Team, len(colors))
-	for ci, c := range colors {
-		group := byColor[c]
-		sort.Slice(group, func(i, j int) bool {
-			if group[i].Key != group[j].Key {
-				return group[i].Key < group[j].Key
-			}
-			return group[i].World < group[j].World
-		})
-		members := make([]int, len(group))
-		for i, s := range group {
-			members[i] = s.World
+	// In (color, key, world) order, each color is one run of specs, in
+	// its new team's rank order.
+	sorted := slices.Clone(specs)
+	slices.SortFunc(sorted, func(a, b SplitSpec) int {
+		return cmp.Or(cmp.Compare(a.Color, b.Color), cmp.Compare(a.Key, b.Key), cmp.Compare(a.World, b.World))
+	})
+	out := make(map[int]*Team)
+	for lo := 0; lo < len(sorted); {
+		hi := lo
+		members := []int(nil)
+		for ; hi < len(sorted) && sorted[hi].Color == sorted[lo].Color; hi++ {
+			members = append(members, sorted[hi].World)
 		}
-		out[c] = New(baseID+int64(ci), members)
+		out[sorted[lo].Color] = New(baseID+int64(len(out)), members)
+		lo = hi
 	}
 	return out, nil
 }
