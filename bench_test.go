@@ -8,6 +8,8 @@
 package caf_test
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 
 	caf "caf2go"
@@ -316,3 +318,31 @@ func benchLifelines(b *testing.B, lifelines bool) {
 
 func BenchmarkAblationLifelinesOn(b *testing.B)  { benchLifelines(b, true) }
 func BenchmarkAblationLifelinesOff(b *testing.B) { benchLifelines(b, false) }
+
+// ---------------------------------------------------------------------
+// Machine cost at scale (ROADMAP item 13): TestPoolMachineObjectsPerImage's
+// shape, built and run at up to the paper's 32 768 images. Run with
+// go test -run '^$' -bench MachineScale -benchtime 1x .
+// ---------------------------------------------------------------------
+
+func BenchmarkMachineScale(b *testing.B) {
+	for _, images := range []int{1024, 4096, 32768} {
+		b.Run(fmt.Sprintf("images=%d", images), func(b *testing.B) {
+			var objects, bytes float64
+			var events uint64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				o, by, ev := machineCost(b, images)
+				objects, bytes, events = objects+o, bytes+by, events+ev
+			}
+			b.StopTimer()
+			var ms runtime.MemStats
+			runtime.ReadMemStats(&ms)
+			n := float64(b.N)
+			b.ReportMetric(objects/n, "objects/image")
+			b.ReportMetric(bytes/n, "B/image")
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(events), "µs/event")
+			b.ReportMetric(float64(ms.HeapSys)/(1<<20), "HeapSys-MB")
+		})
+	}
+}

@@ -201,7 +201,7 @@ type Machine struct {
 	comm      *collect.Comm
 	plane     *core.Plane
 	world     *team.Team
-	states    []*imageState
+	states    []imageState // one slab, by rank
 	tracer    *trace.Recorder
 	life      *trace.Lifecycle
 	ops       *trace.OpLog
@@ -232,11 +232,13 @@ type imageState struct {
 	m      *Machine
 	kern   *rt.ImageKernel
 	events []*eventState
-	locks  map[int]*lockState
+	locks  map[int]*lockState // made by the first lock request served here
 
 	// pendingDeliv tracks outstanding remote updates for EventNotify's
-	// release semantics.
+	// release semantics, and lastWait is the latest notify still waiting
+	// on some of them (see deliveryWait).
 	pendingDeliv []*delivToken
+	lastWait     *deliveryWait
 
 	// carrSeq matches collective coarray allocations per team.
 	carrSeq map[int64]uint64
@@ -344,13 +346,9 @@ func NewMachine(cfg Config) *Machine {
 	case RacesHappensBefore:
 		m.race = newRaceState(cfg.Fabric.Ordered())
 	}
-	m.states = make([]*imageState, cfg.Images)
+	m.states = make([]imageState, cfg.Images)
 	for i := range m.states {
-		m.states[i] = &imageState{
-			m:     m,
-			kern:  k.Image(i),
-			locks: make(map[int]*lockState),
-		}
+		m.states[i] = imageState{m: m, kern: k.Image(i)}
 	}
 	m.registerHandlers()
 	return m
@@ -359,38 +357,55 @@ func NewMachine(cfg Config) *Machine {
 // Launch starts main as the SPMD program on every image. It returns
 // immediately; call RunToCompletion (or drive the engine yourself) next.
 func (m *Machine) Launch(main func(img *Image)) {
-	for i := 0; i < m.cfg.Images; i++ {
-		st := m.states[i]
-		st.kern.Go("main", func(p *sim.Proc) {
-			if m.det != nil {
-				// Fail-stop: a blocking primitive aborted by a failure
-				// declaration unwinds the image's main with an
-				// ImageFailedError, recorded here. Anything else keeps
-				// propagating to the engine as a real bug.
-				defer func() {
-					r := recover()
-					if r == nil {
-						return
-					}
-					if ab, ok := r.(failure.Abort); ok {
-						m.recordAbort(st.kern.Rank(), ab.Err)
-						return
-					}
-					panic(r)
-				}()
-			}
-			img := &Image{m: m, st: st, proc: p, ct: m.initTracker(new(core.CofenceTracker))}
-			if m.race != nil {
-				img.rc = m.race.d.NewCtx(nil)
-			}
-			main(img)
-			// Program exit is a synchronization point: flush any
-			// deferred initiations and coalescing buffers so the
-			// machine drains.
-			img.ct.Flush()
-			st.kern.FlushCoalesced()
-		})
+	mains := make([]imageMain, m.cfg.Images)
+	for i := range mains {
+		im := &mains[i]
+		im.main, im.img.st = main, &m.states[i]
+		im.img.st.kern.GoBody("main", im)
 	}
+}
+
+// imageMain is one image's SPMD main: the body of the proc Launch starts,
+// with the main's Image (whose st Launch sets) and cofence tracker in the
+// same record. Launch makes the records of all images in one slab.
+type imageMain struct {
+	main func(img *Image)
+	img  Image
+	ct   core.CofenceTracker
+}
+
+// Run runs the image's main on p.
+func (im *imageMain) Run(p *sim.Proc) {
+	st := im.img.st
+	m := st.m
+	if m.det != nil {
+		// Fail-stop: a blocking primitive aborted by a failure
+		// declaration unwinds the image's main with an
+		// ImageFailedError, recorded here. Anything else keeps
+		// propagating to the engine as a real bug.
+		defer func() {
+			r := recover()
+			if r == nil {
+				return
+			}
+			if ab, ok := r.(failure.Abort); ok {
+				m.recordAbort(st.kern.Rank(), ab.Err)
+				return
+			}
+			panic(r)
+		}()
+	}
+	img := &im.img
+	*img = Image{m: m, st: st, proc: p, ct: m.initTracker(&im.ct)}
+	if m.race != nil {
+		img.rc = m.race.d.NewCtx(nil)
+	}
+	im.main(img)
+	// Program exit is a synchronization point: flush any
+	// deferred initiations and coalescing buffers so the
+	// machine drains.
+	img.ct.Flush()
+	st.kern.FlushCoalesced()
 }
 
 // RunToCompletion drives the simulation until it drains and returns the
@@ -454,7 +469,8 @@ func (e *DeadlockError) Unwrap() error { return e.Sim }
 // deadlock.
 func (m *Machine) wrapDeadlock(derr *sim.DeadlockError) *DeadlockError {
 	out := &DeadlockError{Sim: derr}
-	for i, st := range m.states {
+	for i := range m.states {
+		st := &m.states[i]
 		ep := st.kern.Endpoint()
 		ws := ImageWaitState{
 			Rank:        i,
@@ -551,7 +567,8 @@ func (m *Machine) report() Report {
 		OpsAbortedByFailure:  m.opsAborted,
 		FinishLostActivities: ps.LostActivities,
 	}
-	for _, st := range m.states {
+	for i := range m.states {
+		st := &m.states[i]
 		r.SpawnsSent += st.spawnsSent
 		r.SpawnsExecuted += st.spawnsExecuted
 		r.Copies += st.copies

@@ -221,7 +221,7 @@ func (c *copyOp[T]) dstRank() int {
 
 func (c *copyOp[T]) start() {
 	m, me := c.op.m, c.op.img
-	st := m.states[me]
+	st := &m.states[me]
 	c.forkOpClocks()
 	m.opStageAt(&c.op, me, trace.StageInit)
 	opts := rt.SendOpts{Track: c.track, Path: path.WireTag(c.op.pctx), Done: c}
@@ -421,9 +421,18 @@ func (r *getReq[T]) serve() int {
 
 type putReq[T any] struct {
 	dst  Sec[T]
-	data []T
+	data []T    // the values captured at injection: inline's, when they fit
 	rel  func() // conflict-detection release; nil once released
+
+	// inline holds a short put's values in the record itself, so that a
+	// put of a few elements on a recycled record copies without
+	// allocating.
+	inline [putInline]T
 }
+
+// putInline is how many elements a blocking Put carries in its request
+// record; longer puts copy their values into a slice of their own.
+const putInline = 4
 
 func (r *putReq[T]) serve() int {
 	if r.rel == nil {
@@ -529,13 +538,17 @@ func Put[T any](img *Image, dst Sec[T], vals []T) {
 	p := img.parker("Put")
 	rel := claimSec(img.m, dst, true, "put")
 	raceRecordCtx(img, dst, true, "put")
-	data := append([]T(nil), vals...)
+	req := newReq(&dst.ca.puts)
+	*req = putReq[T]{dst: dst, rel: rel}
+	if len(vals) <= putInline {
+		req.data = append(req.inline[:0], vals...)
+	} else {
+		req.data = append([]T(nil), vals...)
+	}
 	bytes := len(vals)*dst.elemBytes() + 16
 	oph := img.blockingOp("put", dst.rank)
 	img.opStage(oph, trace.StageInit)
 	tok := img.beginBlock("put")
-	req := newReq(&dst.ca.puts)
-	*req = putReq[T]{dst: dst, data: data, rel: rel}
 	img.st.kern.Call(p, dst.rank, tagBlocking, req, rt.SendOpts{Class: classForBytes(img.m, bytes), Bytes: bytes})
 	img.m.path.Claim(img.pctx, path.Wire, img.Now())
 	img.opStage(oph, trace.StageLocalData)

@@ -46,10 +46,28 @@ func (m *Machine) registerHandlers() {
 // ever made.
 type delivToken struct {
 	done bool
-	cbs  *[]func() // made by the first afterOutstandingDeliveries to wait on it
-	clk  *race.Clock
-	st   *imageState // the image whose list the token is on; nil once off
-	at   int         // its index there
+	// first is the earliest EventNotify waiting on the token; every
+	// later one on its image waits on it too (see deliveryWait). nil
+	// until a notify finds the token outstanding.
+	first *deliveryWait
+	clk   *race.Clock
+	st    *imageState // the image whose list the token is on; nil once off
+	at    int         // its index there
+}
+
+// deliveryWait is one EventNotify waiting for the remote updates that
+// were outstanding on its image when it was called: a countdown, one
+// record per notify however many updates it waits for. An image's waits
+// form a chain in notify order (next), and a token is in every wait from
+// its first one to the last made before it completed, because each of
+// those found it outstanding. A completing token therefore counts down
+// the chain from its first wait, in notify order, up to the image's last
+// wait at that moment.
+type deliveryWait struct {
+	remaining int
+	clk       race.Clock // the join of the awaited updates' clocks
+	fn        func(clk race.Clock)
+	next      *deliveryWait
 }
 
 // clock is the clock the token covers, or nil.
@@ -65,7 +83,8 @@ func (t *delivToken) complete() {
 		return
 	}
 	t.done = true
-	if st := t.st; st != nil {
+	st := t.st
+	if st != nil {
 		// Leave the list: the last token takes the slot. Nothing reads
 		// the list's order (an EventNotify waits for all of it).
 		n := len(st.pendingDeliv) - 1
@@ -75,13 +94,27 @@ func (t *delivToken) complete() {
 		st.pendingDeliv = st.pendingDeliv[:n]
 		t.st = nil
 	}
-	if t.cbs == nil {
+	w := t.first
+	if w == nil {
 		return
 	}
-	cbs := *t.cbs
-	t.cbs = nil
-	for _, cb := range cbs {
-		cb()
+	t.first = nil
+	// The waits this token is in end at the image's last one now: a
+	// notify that a released wait runs makes a wait without it.
+	end := st.lastWait
+	for {
+		next := w.next
+		w.remaining--
+		if w.remaining == 0 {
+			if st.lastWait == w {
+				st.lastWait = nil // nothing outstanding is left to chain to it
+			}
+			w.fn(w.clk)
+		}
+		if w == end {
+			return
+		}
+		w = next
 	}
 }
 
@@ -111,20 +144,15 @@ func (m *Machine) afterOutstandingDeliveries(st *imageState, fn func(clk race.Cl
 		fn(nil)
 		return
 	}
-	var clk race.Clock
+	w := &deliveryWait{remaining: len(waitFor), fn: fn}
 	for _, t := range waitFor {
-		clk = race.Join(clk, t.clock())
-	}
-	remaining := len(waitFor)
-	for _, t := range waitFor {
-		if t.cbs == nil {
-			t.cbs = new([]func())
+		w.clk = race.Join(w.clk, t.clock())
+		if t.first == nil {
+			t.first = w
 		}
-		*t.cbs = append(*t.cbs, func() {
-			remaining--
-			if remaining == 0 {
-				fn(clk)
-			}
-		})
 	}
+	if st.lastWait != nil {
+		st.lastWait.next = w
+	}
+	st.lastWait = w
 }

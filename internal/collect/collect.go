@@ -18,7 +18,9 @@
 package collect
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"caf2go/internal/fabric"
 	"caf2go/internal/failure"
@@ -138,23 +140,26 @@ type colMsg struct {
 	fromRel int
 	vec     []int64
 	data    any
-	bytes   int // modeled wire size
-	elem    int // per-element payload size, for forwarding cost accounting
+	bytes   int  // modeled wire size
+	elem    int  // per-element payload size, for forwarding cost accounting
+	dead    bool // released under sim.QuarantinePools
 }
 
-// Handle tracks one image's view of one asynchronous collective.
+// Handle tracks one image's view of one asynchronous collective. A
+// Handle returned by an asynchronous call is the caller's to keep; the
+// synchronous calls wait on one inside the instance's record, which the
+// Comm recycles (DESIGN §4.14).
 type Handle struct {
-	img  *rt.ImageKernel
-	kd   kind
-	inst *inst
+	img *rt.ImageKernel
 
 	localData bool
 	localOp   bool
 	ldCbs     []func()
 	loCbs     []func()
-	waiters   []*sim.Proc
+	waiter    *sim.Proc    // the first proc to wait on the handle
+	more      *[]*sim.Proc // the procs that waited after it; made by the second
 
-	result any
+	result any // set by an asynchronous call; a synchronous one reads the instance
 }
 
 // LocalDataDone reports local data completion: the image's input buffer
@@ -209,8 +214,10 @@ func (h *Handle) WaitLocalData(p *sim.Proc) {
 // an idle detector perturbs nothing.
 func (h *Handle) WaitLocalDataErr(p *sim.Proc) bool {
 	det := h.img.Kernel().Detector()
-	h.waiters = append(h.waiters, p)
-	p.WaitUntil("collective local data", func() bool { return h.localData || det.AnyDead() })
+	h.addWaiter(p)
+	for !h.localData && !det.AnyDead() {
+		p.Park("collective local data")
+	}
 	return h.localData
 }
 
@@ -218,10 +225,37 @@ func (h *Handle) WaitLocalDataErr(p *sim.Proc) bool {
 // WaitLocalData when a failure is declared first.
 func (h *Handle) WaitLocalOp(p *sim.Proc) {
 	det := h.img.Kernel().Detector()
-	h.waiters = append(h.waiters, p)
-	p.WaitUntil("collective local op", func() bool { return h.localOp || det.AnyDead() })
+	h.addWaiter(p)
+	for !h.localOp && !det.AnyDead() {
+		p.Park("collective local op")
+	}
 	if !h.localOp {
 		panic(failure.Abort{Err: det.ErrFor("collective")})
+	}
+}
+
+// addWaiter records p as a proc to wake at each completion.
+func (h *Handle) addWaiter(p *sim.Proc) {
+	if h.waiter == nil {
+		h.waiter = p
+		return
+	}
+	if h.more == nil {
+		h.more = new([]*sim.Proc)
+	}
+	*h.more = append(*h.more, p)
+}
+
+// wakeWaiters unparks every proc that waited on the handle, in the order
+// they started waiting.
+func (h *Handle) wakeWaiters() {
+	if h.waiter != nil {
+		h.waiter.Unpark()
+	}
+	if h.more != nil {
+		for _, w := range *h.more {
+			w.Unpark()
+		}
 	}
 }
 
@@ -235,9 +269,7 @@ func (h *Handle) fireLocalData() {
 	for _, fn := range cbs {
 		fn()
 	}
-	for _, w := range h.waiters {
-		w.Unpark()
-	}
+	h.wakeWaiters()
 }
 
 func (h *Handle) fireLocalOp() {
@@ -250,45 +282,56 @@ func (h *Handle) fireLocalOp() {
 	for _, fn := range cbs {
 		fn()
 	}
-	for _, w := range h.waiters {
-		w.Unpark()
-	}
+	h.wakeWaiters()
 }
 
-// inst is one image's state for one collective instance.
+// inst is one image's state for one collective instance. It is a
+// recycled record (DESIGN §4.14): taken by node.get, released when the
+// instance is locally complete and, for a synchronous call, the caller
+// has read its result.
 type inst struct {
-	key   instKey
-	t     *team.Team
-	op    Op
-	track rt.Track
+	key instKey
+	t   *team.Team
+	n   *node
+	h   *Handle
+	own Handle // the Handle of a synchronous call
 
-	started bool
-	h       *Handle
+	// finish is the finish block the tree messages are tracked in (0 =
+	// untracked): the tracker stamps the rest of rt.Track at each send.
+	finish int64
 
-	relRank  int
-	children []int
-	nKids    int
+	relRank     int
+	upKids      int // contributions still expected
+	direct      int // alltoall receipts still expected
+	acksPending int // sends not yet delivered
+	injPending  int // sends not yet injected (buffer still pinned)
+	elemBytes   int
 
-	// up phase
-	vec      []int64
-	haveVec  bool
-	upKids   int // contributions still expected
-	dataIn   any // down-phase or scatter payload received
-	haveData bool
+	vec    []int64 // this subtree's partial reduction; capacity kept across reuse
+	down   []int64 // allreduce: the reduced vector on its way down; capacity kept
+	dataIn any     // down-phase or scatter payload received
 
 	// Per-rank payloads. Gather, scan and sort hold this node's binomial
 	// subtree, which is the contiguous relative-rank range [relRank,
 	// relRank+span): slots[i] is relative rank relRank+i, so slots[0] is
 	// the node's own entry. Alltoall holds its receipts by team rank.
-	slots  []any
-	direct int // alltoall receipts still expected
+	slots []any
 
-	n           *node
-	acksPending int  // sends not yet delivered
-	injPending  int  // sends not yet injected (buffer still pinned)
-	upSent      bool // contribution passed to parent (or root up complete)
-	downDone    bool // down phase forwarded (or not needed)
-	elemBytes   int
+	injected func() // onInjected bound once per record, kept across reuse
+
+	op       Op
+	started  bool
+	haveVec  bool
+	haveData bool
+	upSent   bool // contribution passed to parent (or root up complete)
+	downDone bool // down phase forwarded (or not needed)
+
+	// Release: a finished instance leaves its node's list; its record
+	// goes back to the Comm once the synchronous caller (if any) is done
+	// with own. dead marks a record released under sim.QuarantinePools.
+	finished bool
+	syncHeld bool
+	dead     bool
 }
 
 // Tree selects the communication-tree shape. Binomial gives the
@@ -310,19 +353,31 @@ func (t Tree) String() string {
 	return "binomial"
 }
 
-// node is the per-image collect state.
+// node is the per-image collect state. Both lists hold one entry per key
+// in use, in key order: no table is sized by the machine.
 type node struct {
 	img   *rt.ImageKernel
-	tree  Tree
-	seqs  map[instKey]uint64 // next seq per (team, kind, root); key.seq=0
-	insts map[instKey]*inst
+	c     *Comm
+	seqs  []seqEntry // next seq per (team, kind, root)
+	insts []*inst    // live instances
 }
 
-// Comm provides collectives over an rt.Kernel.
+// seqEntry is the last sequence number an image used for one (team,
+// kind, root); key.seq is 0.
+type seqEntry struct {
+	key instKey
+	seq uint64
+}
+
+// Comm provides collectives over an rt.Kernel. It owns the free lists
+// a collective round's records are recycled through (DESIGN §4.14).
 type Comm struct {
 	k     *rt.Kernel
 	tree  Tree
-	nodes []*node
+	nodes []node // one slab, by rank
+
+	insts sim.FreeList[inst]
+	msgs  sim.FreeList[colMsg]
 }
 
 // New registers collect handlers on every image of k, using binomial
@@ -332,18 +387,20 @@ func New(k *rt.Kernel) *Comm { return NewWithTree(k, Binomial) }
 // NewWithTree is New with an explicit tree shape.
 func NewWithTree(k *rt.Kernel, tree Tree) *Comm {
 	c := &Comm{k: k, tree: tree}
-	c.nodes = make([]*node, k.NumImages())
+	// The nodes and the first entry of each node's lists come from one
+	// slab each: an image that takes part in one collective at a time
+	// never grows them.
+	n := k.NumImages()
+	c.nodes = make([]node, n)
+	seqs, insts := make([]seqEntry, n), make([]*inst, n)
 	for i := range c.nodes {
-		c.nodes[i] = &node{
-			img:   k.Image(i),
-			tree:  tree,
-			seqs:  make(map[instKey]uint64),
-			insts: make(map[instKey]*inst),
-		}
+		c.nodes[i] = node{img: k.Image(i), c: c, seqs: seqs[i : i : i+1], insts: insts[i : i : i+1]}
 	}
 	k.RegisterHandler(Tag, func(d *rt.Delivery) {
 		m := d.Payload.(*colMsg)
 		c.nodes[d.Img.Rank()].onMsg(m, d.Track())
+		// The handler copied what it needed: the message is done.
+		c.releaseMsg(m)
 	})
 	return c
 }
@@ -358,53 +415,97 @@ func classFor(k *rt.Kernel, bytes int) fabric.Class {
 	return fabric.AMMedium
 }
 
+// cmpKey orders instance keys by team, kind, root, then seq.
+func cmpKey(a, b instKey) int {
+	if c := cmp.Compare(a.teamID, b.teamID); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.kd, b.kd); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.root, b.root); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.seq, b.seq)
+}
+
 // nextSeq allocates the local sequence number for a new instance.
 func (n *node) nextSeq(teamID int64, kd kind, root int) uint64 {
 	k := instKey{teamID: teamID, kd: kd, root: root}
-	n.seqs[k]++
-	return n.seqs[k]
+	i, ok := slices.BinarySearchFunc(n.seqs, k, func(e seqEntry, k instKey) int { return cmpKey(e.key, k) })
+	if !ok {
+		n.seqs = slices.Insert(n.seqs, i, seqEntry{key: k})
+	}
+	n.seqs[i].seq++
+	return n.seqs[i].seq
+}
+
+// find returns the position of key in the node's live instances, and
+// whether it is there.
+func (n *node) find(key instKey) (int, bool) {
+	return slices.BinarySearchFunc(n.insts, key, func(in *inst, k instKey) int { return cmpKey(in.key, k) })
 }
 
 // get returns the instance for key, creating a passive one if needed.
-func (n *node) get(key instKey, t *team.Team, track rt.Track) *inst {
-	in, ok := n.insts[key]
-	if !ok {
-		size := t.Size()
-		in = &inst{key: key, t: t, track: track, n: n}
-		in.relRank = relOf(t.MustRank(n.img.Rank()), key.root, size)
-		in.children = n.childrenOf(in.relRank, size)
-		in.nKids = len(in.children)
-		in.upKids = in.nKids
-		in.direct = size - 1
-		switch key.kd {
-		case kGather, kScan, kSort:
-			in.slots = make([]any, n.spanOf(in.relRank, size))
-		case kAlltoall:
-			in.slots = make([]any, size)
-		}
-		n.insts[key] = in
+func (n *node) get(key instKey, t *team.Team, finish int64) *inst {
+	at, ok := n.find(key)
+	if ok {
+		return n.insts[at]
 	}
+	in := n.c.insts.Get()
+	if in == nil {
+		in = new(inst)
+	}
+	size := t.Size()
+	*in = inst{key: key, t: t, finish: finish, n: n,
+		vec: in.vec[:0], down: in.down[:0], injected: in.injected}
+	in.relRank = relOf(t.MustRank(n.img.Rank()), key.root, size)
+	for c := n.firstChild(in.relRank, size); c >= 0; c = n.nextChild(in.relRank, c, size) {
+		in.upKids++
+	}
+	in.direct = size - 1
+	switch key.kd {
+	case kGather, kScan, kSort:
+		in.slots = make([]any, n.spanOf(in.relRank, size))
+	case kAlltoall:
+		in.slots = make([]any, size)
+	}
+	n.insts = slices.Insert(n.insts, at, in)
 	return in
 }
 
-// childrenOf returns a relative rank's children under the node's tree.
-func (n *node) childrenOf(rel, size int) []int {
-	if n.tree == Flat {
+// firstChild returns a relative rank's first child under the node's
+// tree, or -1 if it has none; nextChild returns the child after c, or
+// -1 after the last. Children come in increasing relative rank.
+func (n *node) firstChild(rel, size int) int { return n.nextChild(rel, rel, size) }
+
+func (n *node) nextChild(rel, c, size int) int {
+	if n.c.tree == Flat {
 		if rel != 0 {
-			return nil
+			return -1
 		}
-		out := make([]int, 0, size-1)
-		for c := 1; c < size; c++ {
-			out = append(out, c)
+		c++
+	} else {
+		// Binomial: rel+bit for bit = 1, 2, 4, ... below rel's lowest
+		// set bit (any bit for the root).
+		bit := 1
+		if c != rel {
+			bit = (c - rel) << 1
 		}
-		return out
+		if rel != 0 && bit >= rel&-rel {
+			return -1
+		}
+		c = rel + bit
 	}
-	return childrenRel(rel, size)
+	if c >= size {
+		return -1
+	}
+	return c
 }
 
 // parentOf returns a relative rank's parent under the node's tree.
 func (n *node) parentOf(rel int) int {
-	if n.tree == Flat {
+	if n.c.tree == Flat {
 		return 0
 	}
 	return parentRel(rel)
@@ -416,7 +517,7 @@ func (n *node) spanOf(rel, size int) int {
 	switch {
 	case rel == 0:
 		return size
-	case n.tree == Flat:
+	case n.c.tree == Flat:
 		return 1
 	}
 	return min(rel&-rel, size-rel)
@@ -435,33 +536,14 @@ func absOf(rel, root, size int) int {
 // parentRel returns the binomial-tree parent of relative rank r (r > 0).
 func parentRel(r int) int { return r & (r - 1) }
 
-// childrenRel returns the binomial-tree children of relative rank r.
-func childrenRel(r, size int) []int {
-	low := r & -r
-	if r == 0 {
-		low = 1
-		for low < size {
-			low <<= 1
-		}
-		if size == 1 {
-			low = 1
-		}
-	}
-	var out []int
-	for bit := 1; bit < low; bit <<= 1 {
-		c := r | bit
-		if c < size {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
 // onMsg processes one delivered tree message.
 func (n *node) onMsg(m *colMsg, track rt.Track) {
-	in := n.get(m.key, m.t, track)
-	if !in.track.Tracked() {
-		in.track = track
+	if m.dead {
+		panic("collect: tree message used after its handler")
+	}
+	in := n.get(m.key, m.t, track.ID)
+	if in.finish == 0 {
+		in.finish = track.ID
 	}
 	if in.elemBytes == 0 {
 		in.elemBytes = m.elem
@@ -479,7 +561,7 @@ func (n *node) onMsg(m *colMsg, track rt.Track) {
 	case phaseDown:
 		in.dataIn = m.data
 		if m.vec != nil {
-			in.dataIn = append([]int64(nil), m.vec...)
+			in.down = append(in.down[:0], m.vec...)
 		}
 		in.haveData = true
 		n.advanceDown(in)
@@ -490,8 +572,8 @@ func (n *node) onMsg(m *colMsg, track rt.Track) {
 	}
 }
 
-// maybeFinish fires local-op completion and garbage-collects the instance
-// once all of its conditions hold.
+// maybeFinish fires local-op completion and retires the instance once
+// all of its conditions hold.
 func (n *node) maybeFinish(in *inst) {
 	if !in.started || in.h == nil {
 		return
@@ -518,15 +600,67 @@ func (n *node) maybeFinish(in *inst) {
 		}
 	}
 	in.h.fireLocalOp()
-	delete(n.insts, in.key)
+	if at, ok := n.find(in.key); ok {
+		n.insts = slices.Delete(n.insts, at, at+1)
+	}
+	in.finished = true
+	if !in.syncHeld {
+		n.c.releaseInst(in)
+	}
+}
+
+// doneWith is a synchronous call's last look at its instance: the
+// record goes back once the instance has finished too.
+func (c *Comm) doneWith(in *inst) {
+	in.syncHeld = false
+	if in.finished {
+		c.releaseInst(in)
+	}
+}
+
+// releaseInst returns a retired instance's record to the free list. Its
+// last references were its node's list, which it has left, and the acks
+// of its tree messages, which have all returned; the buffers it keeps
+// for reuse are no longer referenced by any message.
+func (c *Comm) releaseInst(in *inst) {
+	*in = inst{vec: in.vec[:0], down: in.down[:0], injected: in.injected}
+	in.dead = c.insts.Put(in)
+}
+
+// newMsg takes a tree message record.
+func (c *Comm) newMsg() *colMsg {
+	if m := c.msgs.Get(); m != nil {
+		return m
+	}
+	return new(colMsg)
+}
+
+// releaseMsg returns a handled tree message's record: the receiving
+// handler was its last reader.
+func (c *Comm) releaseMsg(m *colMsg) {
+	*m = colMsg{}
+	m.dead = c.msgs.Put(m)
 }
 
 // Delivered is the ack of one of the instance's tree messages.
 func (in *inst) Delivered() {
+	if in.dead {
+		panic("collect: ack reached a released collective instance")
+	}
 	in.acksPending--
 	in.n.maybeFinish(in)
 }
 
 // Abandoned leaves a lost tree message's ack outstanding: the instance
 // never completes locally, and waiters abort on the declared death.
-func (in *inst) Abandoned() {}
+func (in *inst) Abandoned() {
+	if in.dead {
+		panic("collect: ack reached a released collective instance")
+	}
+}
+
+// onInjected counts one of the instance's sends off its source buffer.
+func (in *inst) onInjected() {
+	in.injPending--
+	in.n.checkLocalData(in)
+}

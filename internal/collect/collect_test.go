@@ -2,6 +2,7 @@ package collect
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -459,6 +460,8 @@ func TestTreeHelpers(t *testing.T) {
 	if p := parentRel(5); p != 4 {
 		t.Errorf("parent(5) = %d", p)
 	}
+	bin := &node{c: &Comm{tree: Binomial}}
+	childrenRel := func(r, size int) []int { return childrenOf(bin, r, size) }
 	kids := childrenRel(0, 8)
 	if len(kids) != 3 || kids[0] != 1 || kids[1] != 2 || kids[2] != 4 {
 		t.Errorf("children(0,8) = %v", kids)
@@ -467,7 +470,13 @@ func TestTreeHelpers(t *testing.T) {
 	if len(kids) != 2 || kids[0] != 5 || kids[1] != 6 {
 		t.Errorf("children(4,8) = %v", kids)
 	}
-	bin := &node{tree: Binomial}
+	flat := &node{c: &Comm{tree: Flat}}
+	if kids := childrenOf(flat, 0, 5); !slices.Equal(kids, []int{1, 2, 3, 4}) {
+		t.Errorf("flat children(0,5) = %v", kids)
+	}
+	if kids := childrenOf(flat, 3, 5); len(kids) != 0 {
+		t.Errorf("flat children(3,5) = %v", kids)
+	}
 	if s := bin.spanOf(0, 8); s != 8 {
 		t.Errorf("subtree(0,8) = %d", s)
 	}
@@ -504,6 +513,16 @@ func TestTreeHelpers(t *testing.T) {
 			}
 		}
 	}
+}
+
+// childrenOf lists a relative rank's children under n's tree, in the
+// order the tree walks them.
+func childrenOf(n *node, rel, size int) []int {
+	var out []int
+	for c := n.firstChild(rel, size); c >= 0; c = n.nextChild(rel, c, size) {
+		out = append(out, c)
+	}
+	return out
 }
 
 func BenchmarkAllreduce64(b *testing.B) {

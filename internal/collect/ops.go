@@ -11,16 +11,19 @@ import (
 
 const msgHeaderBytes = 16
 
-// sendTree dispatches one tree message, optionally watching injection
+// sendTree dispatches one tree message, with msg's phase, payload and
+// size, on a recycled record, optionally watching injection
 // (source-buffer reuse) and delivery (pair-wise completion).
-func (n *node) sendTree(in *inst, dstTeamRank int, m *colMsg, needAck, needInject bool) {
+func (n *node) sendTree(in *inst, dstTeamRank int, msg colMsg, needAck, needInject bool) {
+	m := n.c.newMsg()
+	*m = msg
 	m.key = in.key
 	m.t = in.t
 	m.op = in.op
 	m.elem = in.elemBytes
 	dst := in.t.WorldRank(dstTeamRank)
 	opts := rt.SendOpts{
-		Track: in.track,
+		Track: rt.Track{ID: in.finish},
 		Class: classFor(n.img.Kernel(), m.bytes),
 		Bytes: m.bytes,
 		// Collective tree messages sit on the critical path of barriers
@@ -33,17 +36,21 @@ func (n *node) sendTree(in *inst, dstTeamRank int, m *colMsg, needAck, needInjec
 	}
 	if needInject {
 		in.injPending++
-		opts.OnInjected = func() {
-			in.injPending--
-			n.checkLocalData(in)
+		if in.injected == nil {
+			in.injected = in.onInjected
 		}
+		opts.OnInjected = in.injected
 	}
 	n.img.Send(dst, Tag, m, opts)
 }
 
-// start begins this image's participation in a collective instance.
+// start begins this image's participation in a collective instance. A
+// synchronous call (sync) waits on the Handle inside the instance's
+// record, which stays the caller's until doneWith; an asynchronous one
+// gets a Handle of its own, and the instance may be gone when start
+// returns.
 func (c *Comm) start(img *rt.ImageKernel, t *team.Team, kd kind, root int,
-	op Op, vec []int64, data any, elemBytes int, track rt.Track) *Handle {
+	op Op, vec []int64, data any, elemBytes int, track rt.Track, sync bool) (*Handle, *inst) {
 
 	if root < 0 || root >= t.Size() {
 		panic(fmt.Sprintf("collect: root %d out of range for %v", root, t))
@@ -51,20 +58,26 @@ func (c *Comm) start(img *rt.ImageKernel, t *team.Team, kd kind, root int,
 	// A collective is a synchronization point: drain this image's
 	// coalescing buffers before joining.
 	img.FlushCoalesced()
-	n := c.nodes[img.Rank()]
+	n := &c.nodes[img.Rank()]
 	key := instKey{teamID: t.ID(), kd: kd, root: root,
 		seq: n.nextSeq(t.ID(), kd, root)}
-	in := n.get(key, t, track)
+	in := n.get(key, t, track.ID)
 	if in.started {
 		panic("collect: duplicate start for instance " + kd.String())
 	}
 	if track.Tracked() {
-		in.track = track
+		in.finish = track.ID
 	}
 	in.started = true
 	in.op = op
 	in.elemBytes = elemBytes
-	h := &Handle{img: img, kd: kd, inst: in}
+	h := &in.own
+	if sync {
+		in.syncHeld = true
+	} else {
+		h = new(Handle)
+	}
+	h.img = img
 	in.h = h
 
 	myTeamRank := t.MustRank(img.Rank())
@@ -111,7 +124,7 @@ func (c *Comm) start(img *rt.ImageKernel, t *team.Team, kd kind, root int,
 			if tr == myTeamRank {
 				continue
 			}
-			n.sendTree(in, tr, &colMsg{
+			n.sendTree(in, tr, colMsg{
 				ph:      phaseDirect,
 				fromRel: myTeamRank,
 				data:    vals[tr],
@@ -128,13 +141,13 @@ func (c *Comm) start(img *rt.ImageKernel, t *team.Team, kd kind, root int,
 
 	n.checkLocalData(in)
 	n.maybeFinish(in)
-	return h
+	return h, in
 }
 
 // contrib folds this image's vector into the partial reduction.
 func (in *inst) contrib(op Op, vec []int64) {
 	if !in.haveVec {
-		in.vec = append([]int64(nil), vec...)
+		in.vec = append(in.vec[:0], vec...)
 		in.haveVec = true
 	} else {
 		op.combine(in.vec, vec)
@@ -155,17 +168,17 @@ func (n *node) tryAdvanceUp(in *inst) {
 	parent := absOf(n.parentOf(in.relRank), in.key.root, in.t.Size())
 	switch in.key.kd {
 	case kBarrier:
-		n.sendTree(in, parent, &colMsg{ph: phaseUp, bytes: msgHeaderBytes}, true, false)
+		n.sendTree(in, parent, colMsg{ph: phaseUp, bytes: msgHeaderBytes}, true, false)
 	case kReduce, kAllreduce:
 		needInject := in.key.kd == kReduce // reduce: local data = contribution on the wire
-		n.sendTree(in, parent, &colMsg{
+		n.sendTree(in, parent, colMsg{
 			ph:    phaseUp,
 			vec:   in.vec,
 			bytes: 8*len(in.vec) + msgHeaderBytes,
 		}, true, needInject)
 	case kGather, kScan, kSort:
 		// The subtree's entries, complete now that every child reported.
-		n.sendTree(in, parent, &colMsg{
+		n.sendTree(in, parent, colMsg{
 			ph:      phaseUp,
 			fromRel: in.relRank,
 			data:    in.slots,
@@ -183,10 +196,17 @@ func (n *node) rootUpComplete(in *inst) {
 	case kBarrier:
 		n.forwardDown(in)
 	case kReduce:
-		in.h.result = in.vec
+		// The partial becomes the result, and the record keeps no alias;
+		// a synchronous caller takes it from the record (Reduce).
+		if !in.syncHeld {
+			in.h.result = in.vec
+			in.vec = nil
+		}
 	case kAllreduce:
-		in.h.result = append([]int64(nil), in.vec...)
-		in.dataIn = in.vec
+		if !in.syncHeld {
+			in.h.result = append([]int64(nil), in.vec...)
+		}
+		in.down = append(in.down[:0], in.vec...)
 		in.haveData = true
 		n.forwardDown(in)
 	case kGather:
@@ -209,7 +229,7 @@ func (n *node) rootUpComplete(in *inst) {
 			}
 			bundle[rel] = append([]int64(nil), acc...)
 		}
-		in.h.result = bundle[0].([]int64)
+		in.h.result = bundle[0]
 		n.forwardBundles(in, bundle)
 	case kSort:
 		// Concatenate, sort, and hand back blocks matching each image's
@@ -227,7 +247,7 @@ func (n *node) rootUpComplete(in *inst) {
 			bundle[rel] = append([]int64(nil), all[off:off+cnt]...)
 			off += cnt
 		}
-		in.h.result = bundle[0].([]int64)
+		in.h.result = bundle[0]
 		n.forwardBundles(in, bundle)
 	}
 	n.checkLocalData(in)
@@ -237,15 +257,16 @@ func (n *node) rootUpComplete(in *inst) {
 // forwardDown pushes the down-phase payload (barrier pulse, broadcast
 // data, or allreduce result) to this node's children.
 func (n *node) forwardDown(in *inst) {
-	for _, c := range in.children {
-		dst := absOf(c, in.key.root, in.t.Size())
-		m := &colMsg{ph: phaseDown, bytes: msgHeaderBytes}
+	size := in.t.Size()
+	for c := n.firstChild(in.relRank, size); c >= 0; c = n.nextChild(in.relRank, c, size) {
+		dst := absOf(c, in.key.root, size)
+		m := colMsg{ph: phaseDown, bytes: msgHeaderBytes}
 		switch in.key.kd {
 		case kBcast:
 			m.data = in.dataIn
 			m.bytes += in.elemBytes
 		case kAllreduce:
-			m.vec = in.dataIn.([]int64)
+			m.vec = in.down
 			m.bytes += 8 * len(m.vec)
 		}
 		needInject := in.key.kd == kBcast && in.relRank == 0
@@ -259,12 +280,12 @@ func (n *node) forwardDown(in *inst) {
 // entry); each child receives the sub-slice that is its own subtree.
 func (n *node) forwardBundles(in *inst, bundle []any) {
 	size := in.t.Size()
-	for _, c := range in.children {
+	for c := n.firstChild(in.relRank, size); c >= 0; c = n.nextChild(in.relRank, c, size) {
 		lo := c - in.relRank
 		sub := bundle[lo : lo+n.spanOf(c, size)]
 		dst := absOf(c, in.key.root, size)
 		needInject := in.relRank == 0 && in.key.kd == kScatter
-		n.sendTree(in, dst, &colMsg{
+		n.sendTree(in, dst, colMsg{
 			ph:    phaseDown,
 			data:  sub,
 			bytes: msgHeaderBytes + len(sub)*in.elemBytes,
@@ -284,9 +305,8 @@ func (n *node) advanceDown(in *inst) {
 		}
 		n.forwardDown(in)
 	case kAllreduce:
-		vec := in.dataIn.([]int64)
-		if in.started {
-			in.h.result = append([]int64(nil), vec...)
+		if in.started && !in.syncHeld {
+			in.h.result = append([]int64(nil), in.down...)
 		}
 		n.forwardDown(in)
 	case kScatter, kScan, kSort:
@@ -333,7 +353,7 @@ func (n *node) checkLocalData(in *inst) {
 			ready = in.upSent && in.injPending == 0
 		}
 	case kAllreduce:
-		ready = in.h.result != nil
+		ready = in.haveData // the reduced vector is here
 	case kGather:
 		if in.relRank == 0 {
 			ready = in.h.result != nil
@@ -365,28 +385,33 @@ func (n *node) checkLocalData(in *inst) {
 
 // BarrierAsync begins a split-phase barrier over t.
 func (c *Comm) BarrierAsync(img *rt.ImageKernel, t *team.Team, track rt.Track) *Handle {
-	return c.start(img, t, kBarrier, 0, Sum, nil, nil, 0, track)
+	h, _ := c.start(img, t, kBarrier, 0, Sum, nil, nil, 0, track, false)
+	return h
 }
 
 // BroadcastAsync begins an asynchronous broadcast of val (bytes wide)
 // from team rank root.
 func (c *Comm) BroadcastAsync(img *rt.ImageKernel, t *team.Team, root int, val any, bytes int, track rt.Track) *Handle {
-	return c.start(img, t, kBcast, root, Sum, nil, val, bytes, track)
+	h, _ := c.start(img, t, kBcast, root, Sum, nil, val, bytes, track, false)
+	return h
 }
 
 // ReduceAsync begins an asynchronous reduction of vec to team rank root.
 func (c *Comm) ReduceAsync(img *rt.ImageKernel, t *team.Team, root int, op Op, vec []int64, track rt.Track) *Handle {
-	return c.start(img, t, kReduce, root, op, vec, nil, 0, track)
+	h, _ := c.start(img, t, kReduce, root, op, vec, nil, 0, track, false)
+	return h
 }
 
 // AllreduceAsync begins an asynchronous all-reduce of vec.
 func (c *Comm) AllreduceAsync(img *rt.ImageKernel, t *team.Team, op Op, vec []int64, track rt.Track) *Handle {
-	return c.start(img, t, kAllreduce, 0, op, vec, nil, 0, track)
+	h, _ := c.start(img, t, kAllreduce, 0, op, vec, nil, 0, track, false)
+	return h
 }
 
 // GatherAsync begins an asynchronous gather of val (bytes wide) to root.
 func (c *Comm) GatherAsync(img *rt.ImageKernel, t *team.Team, root int, val any, bytes int, track rt.Track) *Handle {
-	return c.start(img, t, kGather, root, Sum, nil, val, bytes, track)
+	h, _ := c.start(img, t, kGather, root, Sum, nil, val, bytes, track, false)
+	return h
 }
 
 // ScatterAsync begins an asynchronous scatter. On the root, vals holds one
@@ -396,7 +421,8 @@ func (c *Comm) ScatterAsync(img *rt.ImageKernel, t *team.Team, root int, vals []
 	if t.MustRank(img.Rank()) == root {
 		data = vals
 	}
-	return c.start(img, t, kScatter, root, Sum, nil, data, bytes, track)
+	h, _ := c.start(img, t, kScatter, root, Sum, nil, data, bytes, track, false)
+	return h
 }
 
 // AlltoallAsync begins an asynchronous all-to-all exchange; vals holds one
@@ -404,20 +430,23 @@ func (c *Comm) ScatterAsync(img *rt.ImageKernel, t *team.Team, root int, vals []
 func (c *Comm) AlltoallAsync(img *rt.ImageKernel, t *team.Team, vals []any, bytes int, track rt.Track) *Handle {
 	anyVals := make([]any, len(vals))
 	copy(anyVals, vals)
-	return c.start(img, t, kAlltoall, 0, Sum, nil, anyVals, bytes, track)
+	h, _ := c.start(img, t, kAlltoall, 0, Sum, nil, anyVals, bytes, track, false)
+	return h
 }
 
 // ScanAsync begins an asynchronous inclusive prefix reduction in
 // team-rank order.
 func (c *Comm) ScanAsync(img *rt.ImageKernel, t *team.Team, op Op, vec []int64, track rt.Track) *Handle {
-	return c.start(img, t, kScan, 0, op, vec, nil, 8*len(vec), track)
+	h, _ := c.start(img, t, kScan, 0, op, vec, nil, 8*len(vec), track, false)
+	return h
 }
 
 // SortAsync begins an asynchronous parallel sort: the concatenation of all
 // images' keys is sorted and redistributed so team rank order yields a
 // globally sorted sequence, with each image keeping its original count.
 func (c *Comm) SortAsync(img *rt.ImageKernel, t *team.Team, keys []int64, track rt.Track) *Handle {
-	return c.start(img, t, kSort, 0, Sum, keys, nil, 8*max(1, len(keys)), track)
+	h, _ := c.start(img, t, kSort, 0, Sum, keys, nil, 8*max(1, len(keys)), track, false)
+	return h
 }
 
 // ---------------------------------------------------------------------
@@ -428,71 +457,92 @@ func (c *Comm) SortAsync(img *rt.ImageKernel, t *team.Team, keys []int64, track 
 
 // Barrier blocks until every member of t has entered the barrier.
 func (c *Comm) Barrier(p *sim.Proc, img *rt.ImageKernel, t *team.Team) {
-	c.BarrierAsync(img, t, rt.Track{}).WaitLocalData(p)
+	h, in := c.start(img, t, kBarrier, 0, Sum, nil, nil, 0, rt.Track{}, true)
+	h.WaitLocalData(p)
+	c.doneWith(in)
 }
 
 // Broadcast distributes val (bytes wide) from team rank root and returns
 // the received value.
 func (c *Comm) Broadcast(p *sim.Proc, img *rt.ImageKernel, t *team.Team, root int, val any, bytes int) any {
-	h := c.BroadcastAsync(img, t, root, val, bytes, rt.Track{})
+	h, in := c.start(img, t, kBcast, root, Sum, nil, val, bytes, rt.Track{}, true)
 	h.WaitLocalData(p)
-	return h.Result()
+	out := h.result
+	c.doneWith(in)
+	return out
 }
 
 // Reduce folds vec across t; the result is returned at the root, nil
 // elsewhere.
 func (c *Comm) Reduce(p *sim.Proc, img *rt.ImageKernel, t *team.Team, root int, op Op, vec []int64) []int64 {
-	h := c.ReduceAsync(img, t, root, op, vec, rt.Track{})
+	h, in := c.start(img, t, kReduce, root, op, vec, nil, 0, rt.Track{}, true)
 	h.WaitLocalData(p)
-	if h.Result() == nil {
-		return nil
+	var out []int64
+	if in.relRank == 0 {
+		out, in.vec = in.vec, nil
 	}
-	return h.Result().([]int64)
+	c.doneWith(in)
+	return out
 }
 
 // Allreduce folds vec across t and returns the result on every member.
 func (c *Comm) Allreduce(p *sim.Proc, img *rt.ImageKernel, t *team.Team, op Op, vec []int64) []int64 {
-	h := c.AllreduceAsync(img, t, op, vec, rt.Track{})
+	h, in := c.start(img, t, kAllreduce, 0, op, vec, nil, 0, rt.Track{}, true)
 	h.WaitLocalData(p)
-	return h.Result().([]int64)
+	out := append([]int64(nil), in.down...)
+	c.doneWith(in)
+	return out
 }
 
 // Gather collects each member's val at root, returning the team-rank
 // ordered slice there and nil elsewhere.
 func (c *Comm) Gather(p *sim.Proc, img *rt.ImageKernel, t *team.Team, root int, val any, bytes int) []any {
-	h := c.GatherAsync(img, t, root, val, bytes, rt.Track{})
+	h, in := c.start(img, t, kGather, root, Sum, nil, val, bytes, rt.Track{}, true)
 	h.WaitLocalData(p)
-	if h.Result() == nil {
-		return nil
-	}
-	return h.Result().([]any)
+	out, _ := h.result.([]any)
+	c.doneWith(in)
+	return out
 }
 
 // Scatter distributes vals from root; every member returns its element.
 func (c *Comm) Scatter(p *sim.Proc, img *rt.ImageKernel, t *team.Team, root int, vals []any, bytes int) any {
-	h := c.ScatterAsync(img, t, root, vals, bytes, rt.Track{})
+	var data any
+	if t.MustRank(img.Rank()) == root {
+		data = vals
+	}
+	h, in := c.start(img, t, kScatter, root, Sum, nil, data, bytes, rt.Track{}, true)
 	h.WaitLocalData(p)
-	return h.Result()
+	out := h.result
+	c.doneWith(in)
+	return out
 }
 
 // Alltoall exchanges vals pairwise; entry i of the result came from team
 // rank i.
 func (c *Comm) Alltoall(p *sim.Proc, img *rt.ImageKernel, t *team.Team, vals []any, bytes int) []any {
-	h := c.AlltoallAsync(img, t, vals, bytes, rt.Track{})
+	anyVals := make([]any, len(vals))
+	copy(anyVals, vals)
+	h, in := c.start(img, t, kAlltoall, 0, Sum, nil, anyVals, bytes, rt.Track{}, true)
 	h.WaitLocalData(p)
-	return h.Result().([]any)
+	out := h.result.([]any)
+	c.doneWith(in)
+	return out
 }
 
 // Scan returns the inclusive prefix reduction of vec in team-rank order.
 func (c *Comm) Scan(p *sim.Proc, img *rt.ImageKernel, t *team.Team, op Op, vec []int64) []int64 {
-	h := c.ScanAsync(img, t, op, vec, rt.Track{})
+	h, in := c.start(img, t, kScan, 0, op, vec, nil, 8*len(vec), rt.Track{}, true)
 	h.WaitLocalData(p)
-	return h.Result().([]int64)
+	out := h.result.([]int64)
+	c.doneWith(in)
+	return out
 }
 
 // Sort globally sorts the members' keys (see SortAsync).
 func (c *Comm) Sort(p *sim.Proc, img *rt.ImageKernel, t *team.Team, keys []int64) []int64 {
-	h := c.SortAsync(img, t, keys, rt.Track{})
+	h, in := c.start(img, t, kSort, 0, Sum, keys, nil, 8*max(1, len(keys)), rt.Track{}, true)
 	h.WaitLocalData(p)
-	return h.Result().([]int64)
+	out := h.result.([]int64)
+	c.doneWith(in)
+	return out
 }

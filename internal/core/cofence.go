@@ -121,9 +121,11 @@ func (op *PendingOp) CompleteLocalData() {
 	// constrained operation pending would be an event spent on parking
 	// again. (A declared death reaches parked fences through the machine's
 	// WakeAllParked, not through here.)
-	for _, w := range ct.waiters {
-		if ct.clear(w.down) {
-			w.p.Unpark()
+	if ct.rare != nil {
+		for _, w := range ct.rare.waiters {
+			if ct.clear(w.down) {
+				w.p.Unpark()
+			}
 		}
 	}
 	if op.cbs == nil {
@@ -164,18 +166,37 @@ type delayedOp struct {
 // them — the operational face of the paper's relaxed memory model.
 type CofenceTracker struct {
 	pending []*PendingOp
-	waiters []fenceWaiter
 
 	// inline is pending's first backing array (see Init): most execution
 	// contexts never have more operations outstanding than fit here.
 	inline [2]*PendingOp
 
-	// Relaxed-mode initiation buffering.
-	relaxed  bool
-	maxDelay int // flush threshold; <=0 means flush immediately
-	delayed  []delayedOp
+	// maxDelay is relaxed mode's initiation-buffer flush threshold; 0
+	// when initiations are not buffered (eager mode, or relaxed mode
+	// flushing immediately).
+	maxDelay int
 
 	det *failure.Detector // nil ⇒ fences may block forever on lost ops
+
+	// rare holds what only a blocked fence or relaxed-mode buffering
+	// needs, made by the first of them: a context that does neither (a
+	// shipped function, typically) carries one pointer for both.
+	rare *ctRare
+}
+
+// ctRare is a CofenceTracker's fence waiters and buffered initiations.
+type ctRare struct {
+	waiters []fenceWaiter
+	delayed []delayedOp
+}
+
+// rareState returns ct's fence waiters and buffered initiations, making
+// the record if needed.
+func (ct *CofenceTracker) rareState() *ctRare {
+	if ct.rare == nil {
+		ct.rare = new(ctRare)
+	}
+	return ct.rare
 }
 
 // fenceWaiter is a proc parked in Cofence and the class of operations its
@@ -198,7 +219,10 @@ func NewCofenceTracker(relaxed bool, maxDelay int) *CofenceTracker {
 // held by value inside its execution context's own record. The tracker
 // must not be copied afterwards: pending starts out on the inline array.
 func (ct *CofenceTracker) Init(relaxed bool, maxDelay int) {
-	*ct = CofenceTracker{relaxed: relaxed, maxDelay: maxDelay}
+	*ct = CofenceTracker{}
+	if relaxed && maxDelay > 0 {
+		ct.maxDelay = maxDelay
+	}
 	ct.pending = ct.inline[:0]
 }
 
@@ -207,7 +231,12 @@ func (ct *CofenceTracker) Init(relaxed bool, maxDelay int) {
 func (ct *CofenceTracker) Pending() int { return len(ct.pending) }
 
 // Delayed reports the number of buffered initiations (relaxed mode).
-func (ct *CofenceTracker) Delayed() int { return len(ct.delayed) }
+func (ct *CofenceTracker) Delayed() int {
+	if ct.rare == nil {
+		return 0
+	}
+	return len(ct.rare.delayed)
+}
 
 // Register records an implicitly-synchronized operation of the given
 // class and schedules its initiation. In eager mode initiate runs
@@ -226,9 +255,10 @@ func (ct *CofenceTracker) Register(class OpClass, initiate func()) *PendingOp {
 func (ct *CofenceTracker) RegisterOp(op *PendingOp, class OpClass, init Initiator) {
 	*op = PendingOp{class: class, ct: ct}
 	ct.pending = append(ct.pending, op)
-	if ct.relaxed && ct.maxDelay > 0 {
-		ct.delayed = append(ct.delayed, delayedOp{class: class, init: init})
-		if len(ct.delayed) > ct.maxDelay {
+	if ct.maxDelay > 0 {
+		r := ct.rareState()
+		r.delayed = append(r.delayed, delayedOp{class: class, init: init})
+		if len(r.delayed) > ct.maxDelay {
 			ct.flushDelayed(AllowNone)
 		}
 	} else {
@@ -254,18 +284,22 @@ func (ct *CofenceTracker) sweep() {
 // allowing `down`. Ops whose class passes stay buffered (their initiation
 // may legally move below the fence).
 func (ct *CofenceTracker) flushDelayed(down Allow) {
-	keep := ct.delayed[:0]
-	for _, d := range ct.delayed {
+	if ct.rare == nil {
+		return
+	}
+	r := ct.rare
+	keep := r.delayed[:0]
+	for _, d := range r.delayed {
 		if passes(d.class, down) {
 			keep = append(keep, d)
 		} else {
 			d.init.Initiate()
 		}
 	}
-	for i := len(keep); i < len(ct.delayed); i++ {
-		ct.delayed[i] = delayedOp{}
+	for i := len(keep); i < len(r.delayed); i++ {
+		r.delayed[i] = delayedOp{}
 	}
-	ct.delayed = keep
+	r.delayed = keep
 }
 
 // Flush initiates every buffered op unconditionally (used by event
@@ -319,11 +353,12 @@ func (ct *CofenceTracker) Cofence(p *sim.Proc, down, up Allow) {
 	if ct.TryCofence(down) {
 		return
 	}
-	ct.waiters = append(ct.waiters, fenceWaiter{p, down})
+	r := ct.rareState()
+	r.waiters = append(r.waiters, fenceWaiter{p, down})
 	p.WaitUntil("cofence", func() bool { return ct.clear(down) || ct.det.AnyDead() })
-	for i, w := range ct.waiters {
+	for i, w := range r.waiters {
 		if w.p == p {
-			ct.waiters = append(ct.waiters[:i], ct.waiters[i+1:]...)
+			r.waiters = append(r.waiters[:i], r.waiters[i+1:]...)
 			break
 		}
 	}

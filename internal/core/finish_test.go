@@ -313,7 +313,7 @@ func TestBeginTwicePanics(t *testing.T) {
 		// a collision by manipulating the state map directly instead.
 		s := m.pl.state(0, FinishID(m.w, 1))
 		_ = s
-		m.pl.seqs[0][m.w.ID()] = 0 // rewind → next Begin recomputes id 1
+		m.pl.images[0].seqs[0].seq = 0 // rewind → next Begin recomputes id 1
 		m.pl.Begin(m.k.Image(0), m.w)
 	})
 	_ = m.eng.Run()

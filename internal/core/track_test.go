@@ -22,7 +22,7 @@ func TestPoolTrackRoundTrip(t *testing.T) {
 	ss, ds := m.pl.state(0, id), m.pl.state(1, id)
 
 	sent := m.pl.OnSend(src, 1, Ref{ID: id})
-	if want := (Ref{ID: id, Src: 0, Dst: 1, SBox: ss.even}); sent != want {
+	if want := (Ref{ID: id, Src: 0, Dst: 1, SBox: &ss.even}); sent != want {
 		t.Fatalf("OnSend stamped %+v, want %+v", sent, want)
 	}
 	if !sent.Tracked() || (Ref{}).Tracked() {
@@ -80,7 +80,7 @@ func TestPoolTrackTravelsByValue(t *testing.T) {
 		t.Fatal(err)
 	}
 	ss, ds := m.pl.state(0, id), m.pl.state(1, id)
-	want := Ref{ID: id, Src: 0, Dst: 1, SBox: ss.even, RBox: ds.even}
+	want := Ref{ID: id, Src: 0, Dst: 1, SBox: &ss.even, RBox: &ds.even}
 	for i, got := range seen {
 		if tracked := i%2 == 0; tracked && got != want {
 			t.Errorf("delivery %d saw %+v, want %+v", i, got, want)
@@ -106,7 +106,7 @@ func TestPoolTrackChargeOffKeyedOnEndpoints(t *testing.T) {
 	for _, dst := range []int{2, 2, 1} {
 		m.pl.OnAck(img0, m.pl.OnSend(img0, dst, Ref{ID: id}))
 	}
-	from2 := m.pl.OnReceive(img1, Ref{ID: id, Src: 2, Dst: 1, SBox: m.pl.state(2, id).even})
+	from2 := m.pl.OnReceive(img1, Ref{ID: id, Src: 2, Dst: 1, SBox: &m.pl.state(2, id).even})
 	m.pl.OnComplete(img1, from2)
 	if s0.ackedTo[2] != 2 || s0.ackedTo[1] != 1 || s1.completedFrom[2] != 1 {
 		t.Fatalf("mirror tallies: ackedTo %v, completedFrom %v", s0.ackedTo, s1.completedFrom)
@@ -122,7 +122,7 @@ func TestPoolTrackChargeOffKeyedOnEndpoints(t *testing.T) {
 
 	// Late credits for the dead peer skip the tallies.
 	m.pl.OnAck(img0, m.pl.OnSend(img0, 2, Ref{ID: id}))
-	late := m.pl.OnReceive(img1, Ref{ID: id, Src: 2, Dst: 1, SBox: m.pl.state(2, id).even})
+	late := m.pl.OnReceive(img1, Ref{ID: id, Src: 2, Dst: 1, SBox: &m.pl.state(2, id).even})
 	m.pl.OnComplete(img1, late)
 	if s0.adjCompleted != 3 || s0.lost != 3 || s1.adjSent != 2 || len(s0.ackedTo) != 1 || len(s1.completedFrom) != 0 {
 		t.Errorf("late credits: image 0 adjCompleted %d lost %d ackedTo %v; image 1 adjSent %d completedFrom %v",

@@ -151,9 +151,10 @@ type coalesceBuf struct {
 	timer *sim.Timer
 }
 
-// coalesceAt finds dst's buffer in ep.coalesce, or where it would go.
+// coalesceAt finds dst's buffer in the endpoint's coalescing buffers, or
+// where it would go.
 func (ep *Endpoint) coalesceAt(dst int) (int, bool) {
-	return slices.BinarySearchFunc(ep.coalesce, dst, func(b *coalesceBuf, dst int) int { return cmp.Compare(b.dst, dst) })
+	return slices.BinarySearchFunc(ep.proto().coalesce, dst, func(b *coalesceBuf, dst int) int { return cmp.Compare(b.dst, dst) })
 }
 
 // coalescible reports whether m may enter the aggregation buffer.
@@ -175,11 +176,12 @@ func (ep *Endpoint) coalescible(m *Msg) bool {
 // enqueueCoalesced buffers m toward its destination and flushes if the
 // buffer crossed a size threshold.
 func (ep *Endpoint) enqueueCoalesced(m *Msg, opts SendOpts) {
+	pr := ep.proto()
 	i, ok := ep.coalesceAt(m.Dst)
 	if !ok {
-		ep.coalesce = slices.Insert(ep.coalesce, i, &coalesceBuf{dst: m.Dst})
+		pr.coalesce = slices.Insert(pr.coalesce, i, &coalesceBuf{dst: m.Dst})
 	}
-	b := ep.coalesce[i]
+	b := pr.coalesce[i]
 	if len(b.msgs) == 0 {
 		if b.timer == nil {
 			b.timer = ep.f.eng.NewTimer(func() { ep.flush(b, FlushByTimer) })
@@ -272,7 +274,10 @@ func (ep *Endpoint) flush(b *coalesceBuf, reason FlushReason) {
 // this so nothing lingers in a buffer across a barrier. A no-op when
 // coalescing is off.
 func (ep *Endpoint) FlushCoalesced() {
-	for _, b := range ep.coalesce {
+	if !ep.f.coalescing {
+		return
+	}
+	for _, b := range ep.proto().coalesce {
 		ep.flush(b, FlushByBarrier)
 	}
 }
@@ -280,8 +285,11 @@ func (ep *Endpoint) FlushCoalesced() {
 // CoalescedPending reports how many messages sit in this endpoint's
 // aggregation buffers (tests and diagnostics).
 func (ep *Endpoint) CoalescedPending() int {
+	if !ep.f.coalescing {
+		return 0
+	}
 	n := 0
-	for _, b := range ep.coalesce {
+	for _, b := range ep.proto().coalesce {
 		n += len(b.msgs)
 	}
 	return n
@@ -300,13 +308,13 @@ func (ep *Endpoint) dispatch(m *Msg) {
 		for _, inner := range b.msgs {
 			ep.Received++
 			ep.f.stats.HandlerRuns++
-			ep.handlers[inner.Tag](ep, inner)
+			ep.f.handlers.lookup(inner.Tag)(ep, inner)
 		}
 		return
 	}
 	ep.Received++
 	ep.f.stats.HandlerRuns++
-	ep.handlers[m.Tag](ep, m)
+	ep.f.handlers.lookup(m.Tag)(ep, m)
 }
 
 // checkBatchTag guards the reserved batch tag in RegisterHandler.

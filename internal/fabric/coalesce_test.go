@@ -87,9 +87,7 @@ func TestCoalesceTimerFlush(t *testing.T) {
 func TestCoalesceBarrierFlush(t *testing.T) {
 	eng, f := newTestFabric(t, 3, coalesceConfig())
 	delivered := 0
-	for _, dst := range []int{1, 2} {
-		f.Endpoint(dst).RegisterHandler(tagTest, func(ep *Endpoint, m *Msg) { delivered++ })
-	}
+	f.RegisterHandler(tagTest, func(ep *Endpoint, m *Msg) { delivered++ })
 	f.Endpoint(0).Send(&Msg{Src: 0, Dst: 1, Tag: tagTest, Class: AMShort, Bytes: 8}, SendOpts{})
 	f.Endpoint(0).Send(&Msg{Src: 0, Dst: 2, Tag: tagTest, Class: AMShort, Bytes: 8}, SendOpts{})
 	f.Endpoint(0).Send(&Msg{Src: 0, Dst: 2, Tag: tagTest, Class: AMShort, Bytes: 8}, SendOpts{})
@@ -227,17 +225,15 @@ func TestCoalesceZeroConfigBitIdentical(t *testing.T) {
 	run := func(cfg Config) (Stats, sim.Time) {
 		eng := sim.NewEngine(7)
 		f := New(eng, 4, cfg)
-		for i := 1; i < 4; i++ {
-			i := i
-			f.Endpoint(i).RegisterHandler(tagTest, func(ep *Endpoint, m *Msg) {
-				// Fan each delivery back out, exercising credits/FIFO.
-				if m.Payload.(int) > 0 {
-					ep.Send(&Msg{Src: ep.Rank(), Dst: (ep.Rank() % 3) + 1, Tag: tagTest,
-						Class: AMShort, Bytes: 16, Payload: m.Payload.(int) - 1}, SendOpts{})
-				}
-			})
-		}
-		f.Endpoint(1).RegisterHandler(tagTest+1, func(ep *Endpoint, m *Msg) {})
+		// Images 1..3 receive; each fans every delivery back out,
+		// exercising credits/FIFO.
+		f.RegisterHandler(tagTest, func(ep *Endpoint, m *Msg) {
+			if m.Payload.(int) > 0 {
+				ep.Send(&Msg{Src: ep.Rank(), Dst: (ep.Rank() % 3) + 1, Tag: tagTest,
+					Class: AMShort, Bytes: 16, Payload: m.Payload.(int) - 1}, SendOpts{})
+			}
+		})
+		f.RegisterHandler(tagTest+1, func(ep *Endpoint, m *Msg) {})
 		for i := 0; i < 10; i++ {
 			f.Endpoint(0).Send(&Msg{Src: 0, Dst: 1, Tag: tagTest, Class: AMShort, Bytes: 16, Payload: 5}, SendOpts{})
 		}
@@ -261,9 +257,7 @@ func TestCoalesceDeterministic(t *testing.T) {
 	run := func() (Stats, sim.Time) {
 		eng := sim.NewEngine(3)
 		f := New(eng, 8, coalesceConfig())
-		for i := 0; i < 8; i++ {
-			f.Endpoint(i).RegisterHandler(tagTest, func(ep *Endpoint, m *Msg) {})
-		}
+		f.RegisterHandler(tagTest, func(ep *Endpoint, m *Msg) {})
 		rng := eng.DeriveRand(99)
 		for i := 0; i < 200; i++ {
 			src := rng.Intn(8)
@@ -342,9 +336,7 @@ func TestCoalesceFaultDeterministic(t *testing.T) {
 		cfg.Faults = &FaultPlan{Seed: 21, Drop: 0.15, Dup: 0.15}
 		eng := sim.NewEngine(13)
 		f := New(eng, 4, cfg)
-		for i := 0; i < 4; i++ {
-			f.Endpoint(i).RegisterHandler(tagTest, func(ep *Endpoint, m *Msg) {})
-		}
+		f.RegisterHandler(tagTest, func(ep *Endpoint, m *Msg) {})
 		for i := 0; i < 100; i++ {
 			src, dst := i%4, (i+1)%4
 			f.Endpoint(src).Send(&Msg{Src: src, Dst: dst, Tag: tagTest, Class: AMShort, Bytes: 8, Payload: i}, SendOpts{})

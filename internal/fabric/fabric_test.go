@@ -1,6 +1,9 @@
 package fabric
 
 import (
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -205,28 +208,62 @@ func TestRDMAUncapped(t *testing.T) {
 func TestUnknownTagPanics(t *testing.T) {
 	_, f := newTestFabric(t, 2, DefaultConfig())
 	defer func() {
-		if recover() == nil {
+		r := recover()
+		if r == nil {
 			t.Fatal("send to unregistered tag did not panic")
+		}
+		if msg, want := fmt.Sprint(r), "no handler for tag 99 at endpoint 1"; !strings.Contains(msg, want) {
+			t.Errorf("panic %q, want it to say %q", msg, want)
 		}
 	}()
 	f.Endpoint(0).Send(&Msg{Src: 0, Dst: 1, Tag: 99, Class: AMShort}, SendOpts{})
 }
 
+// Handlers are per machine: a tag bound on one endpoint is bound on
+// every endpoint, so binding it again panics from any endpoint and from
+// the fabric.
 func TestDuplicateHandlerPanics(t *testing.T) {
-	_, f := newTestFabric(t, 1, DefaultConfig())
-	f.Endpoint(0).RegisterHandler(tagTest, func(ep *Endpoint, m *Msg) {})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate handler registration did not panic")
-		}
-	}()
-	f.Endpoint(0).RegisterHandler(tagTest, func(ep *Endpoint, m *Msg) {})
+	for name, again := range map[string]func(f *Fabric){
+		"same endpoint":  func(f *Fabric) { f.Endpoint(0).RegisterHandler(tagTest, func(*Endpoint, *Msg) {}) },
+		"other endpoint": func(f *Fabric) { f.Endpoint(1).RegisterHandler(tagTest, func(*Endpoint, *Msg) {}) },
+		"fabric":         func(f *Fabric) { f.RegisterHandler(tagTest, func(*Endpoint, *Msg) {}) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			_, f := newTestFabric(t, 2, DefaultConfig())
+			f.Endpoint(0).RegisterHandler(tagTest, func(ep *Endpoint, m *Msg) {})
+			defer func() {
+				r := recover()
+				if r == nil {
+					t.Fatal("duplicate handler registration did not panic")
+				}
+				if msg := fmt.Sprint(r); !strings.Contains(msg, fmt.Sprintf("duplicate handler for tag %d", tagTest)) {
+					t.Errorf("panic %q does not name the tag", msg)
+				}
+			}()
+			again(f)
+		})
+	}
+}
+
+// A tag bound on one endpoint dispatches on every endpoint, to the one
+// handler, which learns the receiving image from its endpoint.
+func TestHandlerBoundMachineWide(t *testing.T) {
+	eng, f := newTestFabric(t, 3, DefaultConfig())
+	var at []int
+	f.Endpoint(1).RegisterHandler(tagTest, func(ep *Endpoint, m *Msg) { at = append(at, ep.Rank()) })
+	f.Endpoint(0).Send(&Msg{Src: 0, Dst: 2, Tag: tagTest, Class: AMShort}, SendOpts{})
+	f.Endpoint(0).Send(&Msg{Src: 0, Dst: 1, Tag: tagTest, Class: AMShort}, SendOpts{})
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{2, 1}; !slices.Equal(at, want) {
+		t.Errorf("handled at %v, want %v", at, want)
+	}
 }
 
 func TestStatsCounters(t *testing.T) {
 	eng, f := newTestFabric(t, 3, DefaultConfig())
-	f.Endpoint(1).RegisterHandler(tagTest, func(ep *Endpoint, m *Msg) {})
-	f.Endpoint(2).RegisterHandler(tagTest, func(ep *Endpoint, m *Msg) {})
+	f.RegisterHandler(tagTest, func(ep *Endpoint, m *Msg) {})
 	f.Endpoint(0).Send(&Msg{Src: 0, Dst: 1, Tag: tagTest, Class: AMMedium, Bytes: 40}, SendOpts{})
 	f.Endpoint(0).Send(&Msg{Src: 0, Dst: 2, Tag: tagTest, Class: AMMedium, Bytes: 60}, SendOpts{})
 	if err := eng.Run(); err != nil {
@@ -298,8 +335,14 @@ func TestTopologyLatency(t *testing.T) {
 	cfg.HopLatency = 500 * sim.Nanosecond
 	eng, f := newTestFabric(t, 8, cfg)
 	var at1, at7 sim.Time
-	f.Endpoint(1).RegisterHandler(tagTest, func(ep *Endpoint, m *Msg) { at1 = eng.Now() })
-	f.Endpoint(7).RegisterHandler(tagTest, func(ep *Endpoint, m *Msg) { at7 = eng.Now() })
+	f.RegisterHandler(tagTest, func(ep *Endpoint, m *Msg) {
+		switch ep.Rank() {
+		case 1:
+			at1 = eng.Now()
+		case 7:
+			at7 = eng.Now()
+		}
+	})
 	f.Endpoint(0).Send(&Msg{Src: 0, Dst: 1, Tag: tagTest, Class: AMShort}, SendOpts{}) // 1 hop
 	f.Endpoint(0).Send(&Msg{Src: 0, Dst: 7, Tag: tagTest, Class: AMShort}, SendOpts{}) // 3 hops
 	if err := eng.Run(); err != nil {
@@ -347,9 +390,7 @@ func TestPropertyConservation(t *testing.T) {
 		const n = 5
 		f := New(eng, n, cfg)
 		delivered := 0
-		for i := 0; i < n; i++ {
-			f.Endpoint(i).RegisterHandler(tagTest, func(ep *Endpoint, m *Msg) { delivered++ })
-		}
+		f.RegisterHandler(tagTest, func(ep *Endpoint, m *Msg) { delivered++ })
 		rng := eng.DeriveRand(99)
 		total := int(nMsgs)
 		for i := 0; i < total; i++ {
@@ -490,8 +531,14 @@ func TestImagesPerNodeIntraNodeLatency(t *testing.T) {
 	eng := sim.NewEngine(1)
 	f := New(eng, 8, cfg)
 	var atSame, atCross sim.Time
-	f.Endpoint(1).RegisterHandler(tagTest, func(ep *Endpoint, m *Msg) { atSame = eng.Now() })
-	f.Endpoint(5).RegisterHandler(tagTest, func(ep *Endpoint, m *Msg) { atCross = eng.Now() })
+	f.RegisterHandler(tagTest, func(ep *Endpoint, m *Msg) {
+		switch ep.Rank() {
+		case 1:
+			atSame = eng.Now()
+		case 5:
+			atCross = eng.Now()
+		}
+	})
 	f.Endpoint(0).Send(&Msg{Src: 0, Dst: 1, Tag: tagTest, Class: AMShort}, SendOpts{}) // same node
 	f.Endpoint(0).Send(&Msg{Src: 0, Dst: 5, Tag: tagTest, Class: AMShort}, SendOpts{}) // cross node
 	if err := eng.Run(); err != nil {
@@ -522,16 +569,14 @@ func TestFIFOArrivalMonotone(t *testing.T) {
 	type pair struct{ src, dst int }
 	next := map[pair]int{}
 	handled := 0
-	for i := 0; i < n; i++ {
-		f.Endpoint(i).RegisterHandler(tagTest, func(ep *Endpoint, m *Msg) {
-			p := pair{m.Src, m.Dst}
-			if seq := m.Payload.(int); seq != next[p] {
-				t.Fatalf("%d→%d: message %d handled when %d was due", m.Src, m.Dst, seq, next[p])
-			}
-			next[p]++
-			handled++
-		})
-	}
+	f.RegisterHandler(tagTest, func(ep *Endpoint, m *Msg) {
+		p := pair{m.Src, m.Dst}
+		if seq := m.Payload.(int); seq != next[p] {
+			t.Fatalf("%d→%d: message %d handled when %d was due", m.Src, m.Dst, seq, next[p])
+		}
+		next[p]++
+		handled++
+	})
 	rng := eng.DeriveRand(99)
 	sent := map[pair]int{}
 	for i := 0; i < sends; i++ {
@@ -571,9 +616,9 @@ func TestAckLatencyWithinNode(t *testing.T) {
 			eng := sim.NewEngine(1)
 			f := New(eng, 4, cfg)
 			ackedAt := map[int]sim.Time{}
+			f.RegisterHandler(tagTest, func(*Endpoint, *Msg) {})
 			for dst := 1; dst < 4; dst++ {
 				dst := dst
-				f.Endpoint(dst).RegisterHandler(tagTest, func(*Endpoint, *Msg) {})
 				f.Endpoint(0).Send(&Msg{Src: 0, Dst: dst, Tag: tagTest, Class: AMShort}, SendOpts{
 					Done: onAck(func() { ackedAt[dst] = eng.Now() }),
 				})

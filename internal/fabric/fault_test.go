@@ -16,12 +16,11 @@ func faultFabric(t testing.TB, n int, plan *FaultPlan) (*sim.Engine, *Fabric, ma
 	f := New(eng, n, cfg)
 	got := make(map[int]map[any]int)
 	for i := 0; i < n; i++ {
-		i := i
 		got[i] = make(map[any]int)
-		f.Endpoint(i).RegisterHandler(tagTest, func(ep *Endpoint, m *Msg) {
-			got[i][m.Payload]++
-		})
 	}
+	f.RegisterHandler(tagTest, func(ep *Endpoint, m *Msg) {
+		got[ep.Rank()][m.Payload]++
+	})
 	return eng, f, got
 }
 

@@ -160,7 +160,7 @@ func TestQuarantineLateReplyAfterAbortedCall(t *testing.T) {
 // when another call has taken the slot since.
 func TestPoolStaleReplyDoesNotAnswerRecycledSlot(t *testing.T) {
 	eng, k := newTestKernel(2)
-	img := k.Image(0)
+	ep := k.Image(0).Endpoint()
 	w := &callSlot{id: 7}
 	stale := &fabric.Msg{Payload: &env{payload: "stale", replyID: 5, slot: w}}
 	func() {
@@ -169,10 +169,10 @@ func TestPoolStaleReplyDoesNotAnswerRecycledSlot(t *testing.T) {
 				t.Error("stale reply without a detector did not panic")
 			}
 		}()
-		img.handleReply(stale)
+		k.handleReply(ep, stale)
 	}()
 	k.SetDetector(failure.New(eng, 2, failure.Config{Enabled: true}, nil))
-	img.handleReply(stale)
+	k.handleReply(ep, stale)
 	if w.done || w.payload != nil {
 		t.Errorf("stale reply answered the slot's new call: %+v", w)
 	}

@@ -58,7 +58,7 @@ func (e *Engine) releaseIdle() {
 func (c *coro) loop(yield func(struct{}) bool) {
 	c.yield = yield
 	for !c.runTenant() {
-		c.eng.idle = append(c.eng.idle, c)
+		c.eng.idle = appendDoubling(c.eng.idle, c)
 		if !yield(struct{}{}) {
 			return
 		}

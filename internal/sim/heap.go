@@ -41,7 +41,7 @@ func (h *eventHeap) less(i, j int) bool {
 }
 
 func (h *eventHeap) push(e event) {
-	h.items = append(h.items, e)
+	h.items = appendDoubling(h.items, e)
 	i := len(h.items) - 1
 	for i > 0 {
 		parent := (i - 1) / 2

@@ -1,5 +1,7 @@
 package sim
 
+import "slices"
+
 // QuarantinePools is a test-only switch for the record pools of the
 // message path (DESIGN §4.14). While it is set, a FreeList keeps nothing:
 // every released record is reported dead to its owner, which marks it, and
@@ -45,6 +47,18 @@ func (l *FreeList[T]) Put(x *T) (dead bool) {
 	if QuarantinePools {
 		return true
 	}
-	l.free = append(l.free, x)
+	l.free = appendDoubling(l.free, x)
 	return false
+}
+
+// appendDoubling appends x to s, doubling s's backing array when it is
+// full. The tables that follow a machine's size (the event heap, the free
+// lists, the idle coroutines) grow once, to their peak: append's growth
+// for long slices (1.25×) copies such a table through about five times
+// its final size, doubling through two.
+func appendDoubling[T any](s []T, x T) []T {
+	if len(s) == cap(s) {
+		s = slices.Grow(s, max(len(s), 4))
+	}
+	return append(s, x)
 }

@@ -154,6 +154,11 @@ type ProcList struct {
 	procs []*Proc
 }
 
+// ProcListOn returns an empty list that fills buf's capacity before it
+// allocates: the owner of many small lists hands each a window of one
+// slab.
+func ProcListOn(buf []*Proc) ProcList { return ProcList{procs: buf[:0]} }
+
 // Add appends p. When the backing array is full, finished procs are
 // first compacted out in place, and the array grows only if that freed
 // less than half of it: amortised constant time per Add.

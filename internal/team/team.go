@@ -31,13 +31,26 @@ func (e *SplitError) Error() string { return "team: invalid split: " + e.Reason 
 type Team struct {
 	id      int64
 	members []int
-	index   map[int]int // world rank -> team rank
+	index   map[int]int // world rank -> team rank; nil when they are equal
 }
 
 // New builds a team from world ranks in the given order. It panics on
 // duplicate members: a process image can appear in a team at most once.
+// A team whose team ranks are its world ranks (the world team, and any
+// prefix of it) translates by identity and keeps no index.
 func New(id int64, members []int) *Team {
-	t := &Team{id: id, members: append([]int(nil), members...), index: make(map[int]int, len(members))}
+	t := &Team{id: id, members: append([]int(nil), members...)}
+	identity := true
+	for i, w := range t.members {
+		if w != i {
+			identity = false
+			break
+		}
+	}
+	if identity {
+		return t
+	}
+	t.index = make(map[int]int, len(members))
 	for i, w := range t.members {
 		if _, dup := t.index[w]; dup {
 			panic(fmt.Sprintf("team: duplicate member %d", w))
@@ -69,13 +82,19 @@ func (t *Team) Members() []int { return t.members }
 
 // Rank translates a world rank to this team's rank space.
 func (t *Team) Rank(world int) (int, bool) {
+	if t.index == nil {
+		if world < 0 || world >= len(t.members) {
+			return 0, false
+		}
+		return world, true
+	}
 	r, ok := t.index[world]
 	return r, ok
 }
 
 // MustRank is Rank for callers that know world is a member.
 func (t *Team) MustRank(world int) int {
-	r, ok := t.index[world]
+	r, ok := t.Rank(world)
 	if !ok {
 		panic(fmt.Sprintf("team %d: image %d is not a member", t.id, world))
 	}
@@ -89,7 +108,7 @@ func (t *Team) WorldRank(teamRank int) int {
 
 // Contains reports whether world is a member.
 func (t *Team) Contains(world int) bool {
-	_, ok := t.index[world]
+	_, ok := t.Rank(world)
 	return ok
 }
 

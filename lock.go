@@ -70,9 +70,12 @@ func (img *Image) Unlock(rank, id int) {
 }
 
 func (m *Machine) lockStateFor(rank, id int) *lockState {
-	st := m.states[rank]
+	st := &m.states[rank]
 	ls, ok := st.locks[id]
 	if !ok {
+		if st.locks == nil {
+			st.locks = make(map[int]*lockState)
+		}
 		ls = &lockState{}
 		st.locks[id] = ls
 	}

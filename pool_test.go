@@ -36,8 +36,8 @@ func skipUnlessPinned(t *testing.T) {
 
 // The inner loop of the reference RandomAccess (Fig. 13): blocking Get,
 // local update, blocking Put. The request records come back from the
-// coarray's free lists, so what is left is the get's result slice, the
-// put's data copy and the caller's one-element argument slice.
+// coarray's free lists and the put's one element rides in its record, so
+// what is left is the get's result slice.
 func TestPoolGetPutAllocs(t *testing.T) {
 	skipUnlessPinned(t)
 	var allocs float64
@@ -60,8 +60,50 @@ func TestPoolGetPutAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Logf("%v allocations per Get + Compute + Put", allocs)
+	if allocs > 1 {
+		t.Errorf("allocations per Get + Compute + Put = %v, want ≤ 1", allocs)
+	}
+}
+
+// An EventNotify waits for the remote updates outstanding at its call
+// through one countdown record, however many there are: with sixteen
+// spawns in flight a notify allocates that record, its release callback
+// and its *Op, not one callback per outstanding spawn. The notified
+// event's count still says every notify fired after the spawns landed.
+func TestPoolEventNotifyAllocs(t *testing.T) {
+	skipUnlessPinned(t)
+	const spawns, notifies = 16, 4
+	var allocs float64
+	var count int64
+	_, err := Run(Config{Images: 2, Seed: 1}, func(img *Image) {
+		if img.Rank() != 0 {
+			return
+		}
+		ev := img.NewEvent()
+		for i := 0; i < spawns; i++ {
+			img.Spawn(1, func(*Image) {})
+		}
+		if n := len(img.st.pendingDeliv); n != spawns {
+			t.Fatalf("%d spawns outstanding, want %d", n, spawns)
+		}
+		// AllocsPerRun calls the notify once more to warm up.
+		allocs = testing.AllocsPerRun(notifies, func() { img.EventNotify(ev) })
+		if got := img.EventCount(ev); got != 0 {
+			t.Errorf("a notify fired with %d spawns outstanding", spawns)
+		}
+		img.Compute(100 * Microsecond)
+		count = img.EventCount(ev)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if count != notifies+1 {
+		t.Errorf("event count %d after the spawns landed, want %d", count, notifies+1)
+	}
+	t.Logf("%v allocations per EventNotify over %d outstanding spawns", allocs, spawns)
 	if allocs > 3 {
-		t.Errorf("allocations per Get + Compute + Put = %v, want ≤ 3", allocs)
+		t.Errorf("allocations per EventNotify over %d outstanding spawns = %v, want ≤ 3", spawns, allocs)
 	}
 }
 

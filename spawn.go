@@ -204,7 +204,7 @@ func (s *spawnOp) Initiate() {
 	// is also the spawn's local data completion.
 	m.opStageAt(&s.op, me, trace.StageInit)
 	m.opStageAt(&s.op, me, trace.StageLocalData)
-	st := m.states[me]
+	st := &m.states[me]
 	st.addDelivToken(&s.tok)
 	opts := rt.SendOpts{
 		Class: classForBytes(m, s.bytes),
@@ -258,7 +258,7 @@ type shipped struct {
 // follow the order functions arrive in whichever vehicle runs them.
 func (m *Machine) handleSpawn(d *rt.Delivery) {
 	s := d.Payload.(*spawnOp)
-	st := m.states[d.Img.Rank()]
+	st := &m.states[d.Img.Rank()]
 	d.Detach()
 	var sh *shipped
 	if s.inline {
