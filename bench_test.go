@@ -77,6 +77,28 @@ func BenchmarkFig13FunctionShipping(b *testing.B) {
 	benchRA(b, cfg, 16)
 }
 
+// BenchmarkRacesGUP prices the race detector on GUP RandomAccess at 8
+// images and a 2^8-word table per image, with Config.Races off and on;
+// races/op is what the detector reports per run.
+func BenchmarkRacesGUP(b *testing.B) {
+	cfg := ra.DefaultConfig(ra.GetUpdatePut)
+	cfg.LocalTableBits = 8
+	for _, races := range []bool{false, true} {
+		b.Run(fmt.Sprintf("races=%t", races), func(b *testing.B) {
+			b.ReportAllocs()
+			var found int64
+			for i := 0; i < b.N; i++ {
+				res, err := ra.Run(caf.Config{Images: 8, Seed: 1, Races: races}, cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				found += res.Conflicts
+			}
+			b.ReportMetric(float64(found)/float64(b.N), "races/op")
+		})
+	}
+}
+
 func BenchmarkFig14Bunch16(b *testing.B) {
 	cfg := ra.DefaultConfig(ra.FunctionShipping)
 	cfg.LocalTableBits = 7

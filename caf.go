@@ -156,14 +156,13 @@ type Config struct {
 	// centralized star — the O(p)-critical-path ablation baseline for
 	// the finish cost analysis.
 	FlatCollectives bool
-	// Races selects the data-race detector: RacesOverlap counts
-	// concurrent in-flight accesses with a writer (the races of the
-	// reference RandomAccess, §IV-B); RacesHappensBefore flags any
-	// conflicting pair no synchronization edge orders, even one this
-	// execution happened to serialize in time. Either reports through
-	// Machine.Conflicts / ConflictLog / ConflictDetails. The zero value
-	// detects nothing.
-	Races RaceLevel
+	// Races turns on the happens-before data-race detector (race.go):
+	// it flags every conflicting pair of one-sided accesses no
+	// synchronization edge orders — the races of the reference
+	// RandomAccess, §IV-B — even a pair this execution happened to
+	// serialize in time. It reports through Machine.Conflicts /
+	// ConflictLog / ConflictDetails.
+	Races bool
 	// FailureDetector, when Enabled, declares images whose NIC the fault
 	// plan crashes dead after a deterministic heartbeat/lease delay and
 	// turns every blocking primitive failure-aware: instead of hanging
@@ -195,21 +194,20 @@ type ReplStats = repl.Stats
 // Machine is a configured simulated cluster. Most programs use Run; the
 // benchmark harness builds a Machine directly to inspect stats.
 type Machine struct {
-	cfg       Config
-	eng       *sim.Engine
-	k         *rt.Kernel
-	comm      *collect.Comm
-	plane     *core.Plane
-	world     *team.Team
-	states    []imageState // one slab, by rank
-	tracer    *trace.Recorder
-	life      *trace.Lifecycle
-	ops       *trace.OpLog
-	met       *metrics.Registry
-	path      *path.Tracker
-	registry  *fnRegistry
-	conflicts *conflictState
-	race      *raceState
+	cfg      Config
+	eng      *sim.Engine
+	k        *rt.Kernel
+	comm     *collect.Comm
+	plane    *core.Plane
+	world    *team.Team
+	states   []imageState // one slab, by rank
+	tracer   *trace.Recorder
+	life     *trace.Lifecycle
+	ops      *trace.OpLog
+	met      *metrics.Registry
+	path     *path.Tracker
+	registry *fnRegistry
+	race     *raceState
 
 	coarrays  map[carrKey]*carrSlot
 	nextSplit int64
@@ -340,10 +338,7 @@ func NewMachine(cfg Config) *Machine {
 		// Parked clients re-evaluate routes at the new epoch.
 		m.repl.SetWake(eng.WakeAllParked)
 	}
-	switch cfg.Races {
-	case RacesOverlap:
-		m.conflicts = &conflictState{}
-	case RacesHappensBefore:
+	if cfg.Races {
 		m.race = newRaceState(cfg.Fabric.Ordered())
 	}
 	m.states = make([]imageState, cfg.Images)

@@ -8,7 +8,7 @@ import (
 )
 
 func TestConflictDetectorFlagsOverlappingWrites(t *testing.T) {
-	m := caf.NewMachine(caf.Config{Images: 3, Seed: 1, Races: caf.RacesOverlap})
+	m := caf.NewMachine(caf.Config{Images: 3, Seed: 1, Races: true})
 	m.Launch(func(img *caf.Image) {
 		ca := caf.NewCoarray[int64](img, nil, 8)
 		img.Barrier(nil)
@@ -27,13 +27,13 @@ func TestConflictDetectorFlagsOverlappingWrites(t *testing.T) {
 		t.Fatal("overlapping concurrent writes not flagged")
 	}
 	log := m.ConflictLog()
-	if len(log) == 0 || !strings.Contains(log[0], "conflict at image 2") {
+	if len(log) == 0 || !strings.Contains(log[0], "race at image 2") {
 		t.Errorf("conflict log = %v", log)
 	}
 }
 
 func TestConflictDetectorIgnoresDisjointAndReadOnly(t *testing.T) {
-	m := caf.NewMachine(caf.Config{Images: 3, Seed: 1, Races: caf.RacesOverlap})
+	m := caf.NewMachine(caf.Config{Images: 3, Seed: 1, Races: true})
 	m.Launch(func(img *caf.Image) {
 		ca := caf.NewCoarray[int64](img, nil, 16)
 		img.Barrier(nil)
@@ -79,9 +79,9 @@ func TestConflictDetectorDisabledByDefault(t *testing.T) {
 
 func TestConflictDetectorOnBlockingOps(t *testing.T) {
 	// Two images hammer the same word with blocking get/put pipelines:
-	// in-flight overlaps must surface (the §IV-B reference-RandomAccess
+	// the unordered pairs must surface (the §IV-B reference-RandomAccess
 	// race), while the FS-style serialization below stays clean.
-	m := caf.NewMachine(caf.Config{Images: 3, Seed: 1, Races: caf.RacesOverlap})
+	m := caf.NewMachine(caf.Config{Images: 3, Seed: 1, Races: true})
 	m.Launch(func(img *caf.Image) {
 		ca := caf.NewCoarray[uint64](img, nil, 1)
 		img.Barrier(nil)
@@ -98,11 +98,11 @@ func TestConflictDetectorOnBlockingOps(t *testing.T) {
 	}
 	racy := m.Conflicts()
 	if racy == 0 {
-		t.Error("blocking get/put contention produced no in-flight conflicts")
+		t.Error("blocking get/put contention produced no conflicts")
 	}
 
 	// Function-shipping the read-modify-write is conflict-free.
-	m2 := caf.NewMachine(caf.Config{Images: 3, Seed: 1, Races: caf.RacesOverlap})
+	m2 := caf.NewMachine(caf.Config{Images: 3, Seed: 1, Races: true})
 	m2.Launch(func(img *caf.Image) {
 		ca := caf.NewCoarray[uint64](img, nil, 1)
 		img.Finish(nil, func() {

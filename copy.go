@@ -58,8 +58,7 @@ type copyOp[T any] struct {
 	// zero the copy is local data complete.
 	localLeft int
 
-	data           []T    // the snapshot in flight
-	relSrc, relDst func() // conflict-detection releases
+	data []T // the snapshot in flight
 
 	// Race-detector state (zero/-1 when off). The op runs under its own
 	// clock components — a read component for the source access and a
@@ -77,8 +76,6 @@ type copyHop interface {
 	atSource(d *rt.Delivery) // serve the read request, forward the data
 	atDest(d *rt.Delivery)   // apply the data
 }
-
-func noRelease() {}
 
 // chainMsg registers a predicate continuation on a remote event's owner.
 type chainMsg struct {
@@ -226,11 +223,8 @@ func (c *copyOp[T]) start() {
 	m.opStageAt(&c.op, me, trace.StageInit)
 	opts := rt.SendOpts{Track: c.track, Path: path.WireTag(c.op.pctx), Done: c}
 	if c.srcLocal {
-		relSrc := claimSec(m, c.src, false, "copy_async read")
 		raceRecord(m, c.src, false, c.rid, c.rclk, "copy_async read")
 		c.data = c.src.read() // snapshot at initiation
-		relSrc()
-		c.relDst = claimSec(m, c.dst, true, "copy_async write")
 		c.tok.clk = &c.wclk
 		st.addDelivToken(&c.tok)
 		opts.Class, opts.Bytes, opts.OnInjected = c.class, c.bytes, c.injected
@@ -244,8 +238,6 @@ func (c *copyOp[T]) start() {
 		// completes at initiation.
 		m.opStageAt(&c.op, me, trace.StageLocalData)
 	}
-	c.relSrc = claimSec(m, c.src, false, "copy_async read")
-	c.relDst = claimSec(m, c.dst, true, "copy_async write")
 	// The notify token completes when the read request lands — the read
 	// has happened then, the data hop has not, so only the read clock is
 	// released to event waiters.
@@ -294,7 +286,6 @@ func (c *copyOp[T]) atSource(d *rt.Delivery) {
 	m, here := c.op.m, d.Img.Rank()
 	eff := m.raceChanArrive(d.Src, here, c.rclk)
 	c.data = c.src.read()
-	c.relSrc()
 	raceRecord(m, c.src, false, c.rid, eff, "copy_async read")
 	if c.o.srcE != nil {
 		// Source read complete: the source buffer may be overwritten.
@@ -314,7 +305,6 @@ func (c *copyOp[T]) atDest(d *rt.Delivery) {
 	// delivery on the same (src, dst) channel.
 	eff := m.raceChanArrive(d.Src, here, c.wclk)
 	c.dst.write(c.data)
-	c.relDst()
 	raceRecord(m, c.dst, true, c.wid, eff, "copy_async write")
 	if c.dstLocal {
 		// The initiator's destination buffer is readable.
@@ -404,25 +394,22 @@ type blockingReq interface {
 const errReleasedReq = "caf: blocking request served after its release"
 
 type getReq[T any] struct {
-	src   Sec[T]
-	rel   func() // conflict-detection release; nil once released
+	src   Sec[T] // src.ca is nil once released
 	bytes int
 	out   []T
 }
 
 func (r *getReq[T]) serve() int {
-	if r.rel == nil {
+	if r.src.ca == nil {
 		panic(errReleasedReq)
 	}
 	r.out = r.src.read()
-	r.rel()
 	return r.bytes
 }
 
 type putReq[T any] struct {
-	dst  Sec[T]
+	dst  Sec[T] // dst.ca is nil once released
 	data []T    // the values captured at injection: inline's, when they fit
-	rel  func() // conflict-detection release; nil once released
 
 	// inline holds a short put's values in the record itself, so that a
 	// put of a few elements on a recycled record copies without
@@ -435,11 +422,10 @@ type putReq[T any] struct {
 const putInline = 4
 
 func (r *putReq[T]) serve() int {
-	if r.rel == nil {
+	if r.dst.ca == nil {
 		panic(errReleasedReq)
 	}
 	r.dst.write(r.data)
-	r.rel()
 	return 8
 }
 
@@ -481,35 +467,23 @@ func (img *Image) blockingOp(kind string, peer int) *Op {
 	return img.opNew(kind, peer)
 }
 
-// claimSec registers a conflict-detection claim for a coarray section
-// (no-op for local buffers or when detection is off).
-func claimSec[T any](m *Machine, s Sec[T], write bool, op string) func() {
-	if s.ca == nil {
-		return noRelease
-	}
-	return m.beginAccess(s.ca, s.rank, s.lo, s.hi, s.step, write, op)
-}
-
 // Get performs a blocking one-sided read of a (possibly remote) section.
-// The caller is parked for the round trip, so the happens-before tier
-// records the access under the caller's own clock — its program point
-// orders it, including on the local fast path the overlap tier skips
-// (an instantaneous access cannot temporally overlap, but it can still
-// be unordered with a remote writer).
+// The caller is parked for the round trip, so the race detector records
+// the access under the caller's own clock — its program point orders
+// it, on the local fast path too.
 func Get[T any](img *Image, src Sec[T]) []T {
 	if src.isLocalBuf() || src.rank == img.Rank() {
 		raceRecordCtx(img, src, false, "get")
 		return src.read()
 	}
 	p := img.parker("Get")
-	rel := claimSec(img.m, src, false, "get")
 	raceRecordCtx(img, src, false, "get")
 	bytes := src.Len()*src.elemBytes() + 16
 	oph := img.blockingOp("get", src.rank)
 	img.opStage(oph, trace.StageInit)
 	tok := img.beginBlock("get")
 	req := newReq(&src.ca.gets)
-	*req = getReq[T]{src: src, rel: rel, bytes: bytes}
+	*req = getReq[T]{src: src, bytes: bytes}
 	img.st.kern.Call(p, src.rank, tagBlocking, req, rt.SendOpts{Class: fabric.AMShort, Bytes: 24})
 	// The blocking round trip is pure network time on a traced request.
 	img.m.path.Claim(img.pctx, path.Wire, img.Now())
@@ -536,10 +510,9 @@ func Put[T any](img *Image, dst Sec[T], vals []T) {
 		return
 	}
 	p := img.parker("Put")
-	rel := claimSec(img.m, dst, true, "put")
 	raceRecordCtx(img, dst, true, "put")
 	req := newReq(&dst.ca.puts)
-	*req = putReq[T]{dst: dst, rel: rel}
+	*req = putReq[T]{dst: dst}
 	if len(vals) <= putInline {
 		req.data = append(req.inline[:0], vals...)
 	} else {

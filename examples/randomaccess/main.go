@@ -7,11 +7,12 @@
 //
 // It prints the updates, virtual time, GUPS, the table entries that
 // differ from the race-free reference (HPCC tolerates < 1 % for gup; fs
-// must be exact) and traffic, and with -races the conflicts the race
-// detector finds (gup's get-update-put races by design, §IV-B).
+// must be exact) and traffic, and with -races the races the
+// happens-before detector finds (gup's get-update-put races by design,
+// §IV-B).
 //
 //	go run ./examples/randomaccess -version fs -images 64 -bunch 512
-//	go run ./examples/randomaccess -version gup -images 8 -races overlap
+//	go run ./examples/randomaccess -version gup -images 8 -races
 //
 // Sizes default to simulation scale; -tablebits grows the local table
 // toward the paper's 2^22 words.
@@ -32,15 +33,11 @@ func main() {
 	version := flag.String("version", "fs", "version: fs or gup")
 	images := flag.Int("images", 16, "image count")
 	bunch := flag.Int("bunch", 512, "bunch size (fs)")
-	races := flag.String("races", "off", "race detector: off, overlap (in-flight conflicts) or hb (happens-before)")
+	races := flag.Bool("races", false, "run the happens-before race detector")
 	tableBits := flag.Int("tablebits", 0, "local table = 2^bits words (0 = default)")
 	seed := flag.Int64("seed", 1, "simulation seed")
 	flag.Parse()
 
-	level, ok := map[string]caf.RaceLevel{"off": caf.RacesOff, "overlap": caf.RacesOverlap, "hb": caf.RacesHappensBefore}[*races]
-	if !ok {
-		log.Fatalf("unknown -races %q (want off, overlap or hb)", *races)
-	}
 	var cfg ra.Config
 	switch *version {
 	case "fs":
@@ -54,7 +51,7 @@ func main() {
 	if *tableBits > 0 {
 		cfg.LocalTableBits = *tableBits
 	}
-	res, err := ra.Run(caf.Config{Images: *images, Seed: *seed, Races: level}, cfg)
+	res, err := ra.Run(caf.Config{Images: *images, Seed: *seed, Races: *races}, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -62,7 +59,7 @@ func main() {
 		cfg.Version, *images, res.Updates, res.Time, res.GUPS, res.Errors, res.Finishes)
 	fmt.Printf("traffic: %d msgs, %d bytes; finish rounds total: %d\n",
 		res.Report.Msgs, res.Report.Bytes, res.Report.ReduceRounds)
-	if level != caf.RacesOff {
+	if *races {
 		fmt.Printf("detected conflicts: %d\n", res.Conflicts)
 		for _, line := range res.ConflictLog {
 			fmt.Println("  " + line)

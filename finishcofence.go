@@ -121,7 +121,7 @@ func (img *Image) Cofence(down, up Allow) {
 	// Race-detector acquire: the fence ordered this context after the
 	// local data completion of every implicit op the DOWNWARD filter did
 	// not let pass. Ops that passed stay pending — acquiring a completed
-	// but unfenced op would hide exactly the races this tier exists to
+	// but unfenced op would hide exactly the races the detector exists to
 	// catch.
 	if img.m.race != nil && img.rc != nil {
 		live := img.raceOps[:0]

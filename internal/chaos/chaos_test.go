@@ -109,7 +109,7 @@ func TestConflictLogDeterministic(t *testing.T) {
 		res, err := ra.Run(caf.Config{
 			Images: 4,
 			Seed:   5,
-			Races:  caf.RacesOverlap,
+			Races:  true,
 			Fabric: caf.FabricConfig{Faults: Plan(5, 0.1)},
 		}, cfg)
 		if err != nil {

@@ -1,15 +1,15 @@
 // Package race implements a vector-clock happens-before race detector
-// for coarray accesses — the second, precise tier behind the cheap
-// overlap detector in the caf package.
+// for coarray accesses: the one the caf package runs when
+// Config.Races is set.
 //
 // The paper's memory model (§IV) promises data-race-free behaviour only
 // when conflicting one-sided accesses are ordered through events,
-// finish, locks, or cofence. The overlap tier flags accesses whose
-// in-flight windows intersect in virtual time, which misses the classic
-// RandomAccess race (§IV-B: a put landing between another image's
-// get/put pair) whenever the fabric happens to serialize the messages.
-// This package instead tracks the happens-before partial order directly:
-// two accesses race iff they touch intersecting index sets of the same
+// finish, locks, or cofence. Flagging only accesses whose in-flight
+// windows intersect in virtual time would miss the classic RandomAccess
+// race (§IV-B: a put landing between another image's get/put pair)
+// whenever the fabric happens to serialize the messages. This package
+// instead tracks the happens-before partial order directly: two
+// accesses race iff they touch intersecting index sets of the same
 // coarray shard, at least one writes, and neither is ordered before the
 // other — regardless of how this particular execution interleaved them.
 //
@@ -34,7 +34,7 @@
 // covering newer access are pruned, so synchronized programs keep
 // shadow state small; unordered histories are bounded by a per-region
 // cap with an eviction counter (evicting can only lose reports, never
-// invent them).
+// invent them; caf's ConflictLog names the count).
 package race
 
 import (

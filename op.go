@@ -205,11 +205,11 @@ func (o *Op) reach(stage trace.Stage) {
 // With no callbacks registered and tracing off it is pure bookkeeping:
 // legacy runs stay bit-identical.
 //
-// Lifecycle records and continuation lists are shared across images, so
-// stamping is only legal on the engine's single admission strand — shard
-// workers maintain event queues but never execute callbacks. The assert
+// The trace, metrics and op-log state a stamp touches is shared across
+// images, so stamping is only legal on the engine's single execution
+// strand (an event callback or a proc the engine resumed). The assert
 // turns any stray goroutine reaching this choke point into a loud panic
-// instead of a silent race on the trace and metrics state.
+// instead of a silent race on that state.
 func (m *Machine) opAdvance(o *Op, rank int, stage trace.Stage) {
 	if o == nil {
 		return

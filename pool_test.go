@@ -570,8 +570,8 @@ func TestQuarantineReleasedRequestIsDead(t *testing.T) {
 		if img.Rank() != 0 {
 			return
 		}
-		get := &getReq[uint64]{src: ca.Sec(1, 0, 1), rel: noRelease, bytes: 24}
-		put := &putReq[uint64]{dst: ca.Sec(1, 0, 1), data: []uint64{1}, rel: noRelease}
+		get := &getReq[uint64]{src: ca.Sec(1, 0, 1), bytes: 24}
+		put := &putReq[uint64]{dst: ca.Sec(1, 0, 1), data: []uint64{1}}
 		releaseReq(img.m, &ca.gets, get)
 		releaseReq(img.m, &ca.puts, put)
 		if ca.gets.Len() != 0 || ca.puts.Len() != 0 {

@@ -1,27 +1,14 @@
 package caf
 
 import (
+	"fmt"
+
 	"caf2go/internal/core"
 	"caf2go/internal/race"
 	"caf2go/internal/trace"
 )
 
-// RaceLevel selects Config.Races, the one data-race detector a machine
-// runs. The levels are exclusive: exactly one tier reports.
-type RaceLevel uint8
-
-const (
-	// RacesOff detects nothing.
-	RacesOff RaceLevel = iota
-	// RacesOverlap flags conflicting accesses that are in flight at the
-	// same virtual time (conflict.go).
-	RacesOverlap
-	// RacesHappensBefore flags conflicting accesses no synchronization
-	// edge orders (below).
-	RacesHappensBefore
-)
-
-// Happens-before race detection: at RacesHappensBefore, every
+// Happens-before race detection: with Config.Races set, every
 // execution context (each image's SPMD main and every shipped function)
 // and every asynchronous operation carries a vector-clock component
 // (internal/race), and the synchronization constructs install
@@ -57,11 +44,12 @@ const (
 // model actually promises. The conservative direction is the other one:
 // an operation that merely completed early (without a synchronizing
 // construct observing it) must NOT be acquired, or the detector would
-// miss exactly the races the overlap tier already misses.
+// miss every race the fabric happened to serialize in time.
 //
-// Only runtime-mediated accesses are visible, as in the overlap tier;
-// direct Coarray.Local slice access is the image's own memory (the DRF0
-// side of the memory model) and is not tracked.
+// Only runtime-mediated accesses are visible: direct Coarray.Local slice
+// access is the image's own memory (the DRF0 side of the memory model)
+// and is not tracked, so function-shipped read-modify-writes, which run
+// atomically on the owner, never report.
 
 // raceState is the machine-wide detector state.
 type raceState struct {
@@ -254,14 +242,12 @@ func (img *Image) collBracket(name string, t *Team, rel, acq bool) func() {
 }
 
 // ---------------------------------------------------------------------
-// Conflict reporting (whichever tier runs).
+// Race reporting.
 // ---------------------------------------------------------------------
 
-// Conflict is one detected ordering violation.
+// Conflict is one detected race: two conflicting accesses that no
+// synchronization edge orders.
 type Conflict struct {
-	// Kind is "overlap" (in-flight temporal overlap, RacesOverlap) or
-	// "race" (happens-before violation, RacesHappensBefore).
-	Kind string
 	// Image is the world rank owning the conflicted shard.
 	Image int
 	// Lo, Hi bound the intersection of the two access windows.
@@ -270,30 +256,57 @@ type Conflict struct {
 	First, Second string
 	// Time is the virtual time of detection.
 	Time Time
-	// Missing describes the absent synchronization edge (races only).
+	// Missing describes the absent synchronization edge.
 	Missing string
 }
 
-// ConflictDetails returns structured descriptions of the recorded
-// conflicts, in chronological order.
-func (m *Machine) ConflictDetails() []Conflict {
-	var out []Conflict
-	if cs := m.conflicts; cs != nil {
-		for _, e := range cs.log {
-			out = append(out, Conflict{
-				Kind: "overlap", Image: e.image, Lo: e.lo, Hi: e.hi,
-				First: e.first, Second: e.second, Time: e.t,
-			})
-		}
+// Conflicts reports the number of races the detector observed; 0 with
+// Config.Races off.
+func (m *Machine) Conflicts() int64 {
+	if m.race == nil {
+		return 0
 	}
-	if rs := m.race; rs != nil {
-		for _, r := range rs.d.Races() {
-			out = append(out, Conflict{
-				Kind: "race", Image: r.Rank, Lo: r.Lo, Hi: r.Hi,
-				First: r.Prior.Op, Second: r.Current.Op,
-				Time: r.Detected, Missing: r.Missing(),
-			})
-		}
+	return m.race.d.Count()
+}
+
+// ConflictLog returns descriptions of the first few races in
+// chronological order. When more were observed than logged, an entry
+// summarizes the overflow ("… and N more"). When the detector evicted
+// access history at its per-region cap, the last entry says how much:
+// races against evicted accesses go unreported, so Conflicts is then a
+// lower bound.
+func (m *Machine) ConflictLog() []string {
+	rs := m.race
+	if rs == nil {
+		return nil
+	}
+	var out []string
+	for _, r := range rs.d.Races() {
+		out = append(out, fmt.Sprintf("race at image %d [%d,%d): %s unordered with %s at t=%v",
+			r.Rank, r.Lo, r.Hi, r.Current.Op, r.Prior.Op, r.Detected))
+	}
+	if n := rs.d.Dropped(); n > 0 {
+		out = append(out, fmt.Sprintf("… and %d more", n))
+	}
+	if n := rs.d.Evicted(); n > 0 {
+		out = append(out, fmt.Sprintf("… %d accesses evicted from the shadow history: races with them are not counted", n))
+	}
+	return out
+}
+
+// ConflictDetails returns structured descriptions of the recorded
+// races, in chronological order.
+func (m *Machine) ConflictDetails() []Conflict {
+	if m.race == nil {
+		return nil
+	}
+	var out []Conflict
+	for _, r := range m.race.d.Races() {
+		out = append(out, Conflict{
+			Image: r.Rank, Lo: r.Lo, Hi: r.Hi,
+			First: r.Prior.Op, Second: r.Current.Op,
+			Time: r.Detected, Missing: r.Missing(),
+		})
 	}
 	return out
 }

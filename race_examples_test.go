@@ -23,17 +23,11 @@ import (
 // TestRaceExamplesTranspose mirrors examples/transpose at reduced scale:
 // every image pushes strided column segments of its row block into every
 // other image's block of the transpose, inside one finish. It must be
-// clean at both detector levels.
+// clean.
 func TestRaceExamplesTranspose(t *testing.T) {
-	for _, races := range []caf.RaceLevel{caf.RacesOverlap, caf.RacesHappensBefore} {
-		transposeRaces(t, races)
-	}
-}
-
-func transposeRaces(t *testing.T, races caf.RaceLevel) {
 	const images, n = 4, 16
 	blk := n / images
-	m := caf.NewMachine(caf.Config{Images: images, Seed: 1, Races: races})
+	m := caf.NewMachine(caf.Config{Images: images, Seed: 1, Races: true})
 	m.Launch(func(img *caf.Image) {
 		me := img.Rank()
 		a := caf.NewCoarray2D[int64](img, nil, blk, n)
@@ -69,7 +63,7 @@ func transposeRaces(t *testing.T, races caf.RaceLevel) {
 		t.Fatal(err)
 	}
 	if n := m.Conflicts(); n != 0 {
-		t.Errorf("races=%d: transpose flagged %d conflicts: %v", races, n, m.ConflictLog())
+		t.Errorf("transpose flagged %d conflicts: %v", n, m.ConflictLog())
 	}
 }
 
@@ -85,7 +79,7 @@ func runStealWorkload(t *testing.T, shipping bool) *caf.Machine {
 		stealSize = 2
 	)
 	pools := make([][]int64, images)
-	m := caf.NewMachine(caf.Config{Images: images, Seed: 3, Races: caf.RacesHappensBefore})
+	m := caf.NewMachine(caf.Config{Images: images, Seed: 3, Races: true})
 	m.Launch(func(img *caf.Image) {
 		me := img.Rank()
 		meta := caf.NewCoarray[int64](img, nil, 1)
@@ -185,7 +179,7 @@ func TestRaceExamplesRandomAccess(t *testing.T) {
 	cfg := ra.DefaultConfig(ra.GetUpdatePut)
 	cfg.LocalTableBits = 6
 	cfg.UpdatesPerImage = 128
-	res, err := ra.Run(caf.Config{Images: 4, Seed: 1, Races: caf.RacesHappensBefore}, cfg)
+	res, err := ra.Run(caf.Config{Images: 4, Seed: 1, Races: true}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +191,7 @@ func TestRaceExamplesRandomAccess(t *testing.T) {
 	cfg.LocalTableBits = 6
 	cfg.UpdatesPerImage = 128
 	cfg.BunchSize = 32
-	res, err = ra.Run(caf.Config{Images: 4, Seed: 1, Races: caf.RacesHappensBefore}, cfg)
+	res, err = ra.Run(caf.Config{Images: 4, Seed: 1, Races: true}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

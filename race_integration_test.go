@@ -1,21 +1,23 @@
 package caf_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	caf "caf2go"
+	"caf2go/internal/ra"
 )
 
 // TestRaceDetectorCatchesTemporallyDisjointRace is the acceptance
 // scenario: two conflicting writes that never overlap in virtual time
 // (the second starts milliseconds after the first completed) but have no
-// happens-before edge between them. The overlap tier must stay silent;
-// the happens-before tier must flag them. Adding the missing edge (a
-// destination-completion event the second writer waits on) silences both.
+// happens-before edge between them. The detector must flag them. Adding
+// the missing edge (a destination-completion event the second writer
+// waits on) silences it.
 func TestRaceDetectorCatchesTemporallyDisjointRace(t *testing.T) {
-	run := func(races caf.RaceLevel, ordered bool) int64 {
-		m := caf.NewMachine(caf.Config{Images: 3, Seed: 1, Races: races})
+	run := func(ordered bool) int64 {
+		m := caf.NewMachine(caf.Config{Images: 3, Seed: 1, Races: true})
 		m.Launch(func(img *caf.Image) {
 			ca := caf.NewCoarray[int64](img, nil, 8)
 			ev := img.NewEvent()
@@ -51,23 +53,19 @@ func TestRaceDetectorCatchesTemporallyDisjointRace(t *testing.T) {
 		return m.Conflicts()
 	}
 
-	if n := run(caf.RacesOverlap, false); n != 0 {
-		t.Errorf("overlap tier flagged %d conflicts although the writes never coexist in flight", n)
-	}
-	if run(caf.RacesHappensBefore, false) == 0 {
-		t.Error("happens-before tier missed the unordered write pair")
+	if run(false) == 0 {
+		t.Error("detector missed the unordered write pair")
 	}
 
-	overlap, races := run(caf.RacesOverlap, true), run(caf.RacesHappensBefore, true)
-	if overlap != 0 || races != 0 {
-		t.Errorf("event-ordered variant flagged overlap=%d races=%d, want 0/0", overlap, races)
+	if races := run(true); races != 0 {
+		t.Errorf("event-ordered variant flagged races=%d, want 0", races)
 	}
 }
 
 // TestRaceReportNamesMissingEdge checks the structured report: both
 // access sites and a description of the absent synchronization edge.
 func TestRaceReportNamesMissingEdge(t *testing.T) {
-	m := caf.NewMachine(caf.Config{Images: 3, Seed: 1, Races: caf.RacesHappensBefore})
+	m := caf.NewMachine(caf.Config{Images: 3, Seed: 1, Races: true})
 	m.Launch(func(img *caf.Image) {
 		ca := caf.NewCoarray[int64](img, nil, 8)
 		img.Barrier(nil)
@@ -86,7 +84,7 @@ func TestRaceReportNamesMissingEdge(t *testing.T) {
 		t.Fatal("no race reported")
 	}
 	r := details[0]
-	if r.Kind != "race" || r.Image != 2 {
+	if r.Image != 2 {
 		t.Errorf("report = %+v", r)
 	}
 	if r.First == "" || r.Second == "" {
@@ -104,16 +102,10 @@ func TestRaceReportNamesMissingEdge(t *testing.T) {
 // TestRaceDetectorCleanOnSynchronizedPatterns exercises each edge the
 // runtime installs: barrier, lock, and finish-covered spawn ordering.
 // All are properly synchronized, so the detector must stay silent even
-// though the accesses conflict on range, at either level.
+// though the accesses conflict on range.
 func TestRaceDetectorCleanOnSynchronizedPatterns(t *testing.T) {
-	for _, races := range []caf.RaceLevel{caf.RacesOverlap, caf.RacesHappensBefore} {
-		cleanOnSynchronizedPatterns(t, races)
-	}
-}
-
-func cleanOnSynchronizedPatterns(t *testing.T, races caf.RaceLevel) {
 	// Barrier-separated conflicting writes.
-	m := caf.NewMachine(caf.Config{Images: 3, Seed: 1, Races: races})
+	m := caf.NewMachine(caf.Config{Images: 3, Seed: 1, Races: true})
 	m.Launch(func(img *caf.Image) {
 		ca := caf.NewCoarray[int64](img, nil, 8)
 		img.Barrier(nil)
@@ -130,12 +122,12 @@ func cleanOnSynchronizedPatterns(t *testing.T, races caf.RaceLevel) {
 		t.Fatal(err)
 	}
 	if n := m.Conflicts(); n != 0 {
-		t.Errorf("races=%d: barrier-ordered writes flagged %d conflicts: %v", races, n, m.ConflictLog())
+		t.Errorf("barrier-ordered writes flagged %d conflicts: %v", n, m.ConflictLog())
 	}
 
 	// Lock-serialized read-modify-write from two images.
 	var final int64
-	m = caf.NewMachine(caf.Config{Images: 3, Seed: 1, Races: races})
+	m = caf.NewMachine(caf.Config{Images: 3, Seed: 1, Races: true})
 	m.Launch(func(img *caf.Image) {
 		ca := caf.NewCoarray[int64](img, nil, 1)
 		img.Barrier(nil)
@@ -159,13 +151,13 @@ func cleanOnSynchronizedPatterns(t *testing.T, races caf.RaceLevel) {
 		t.Errorf("lock-serialized counter = %d, want 16", final)
 	}
 	if n := m.Conflicts(); n != 0 {
-		t.Errorf("races=%d: lock-serialized updates flagged %d conflicts: %v", races, n, m.ConflictLog())
+		t.Errorf("lock-serialized updates flagged %d conflicts: %v", n, m.ConflictLog())
 	}
 
 	// Finish-covered spawn: the spawned child's write happens-before
 	// every member's post-finish code, so image 1's later write is
 	// ordered even though no message ever flowed from the child to it.
-	m = caf.NewMachine(caf.Config{Images: 3, Seed: 1, Races: races})
+	m = caf.NewMachine(caf.Config{Images: 3, Seed: 1, Races: true})
 	m.Launch(func(img *caf.Image) {
 		ca := caf.NewCoarray[int64](img, nil, 8)
 		img.Barrier(nil)
@@ -184,7 +176,7 @@ func cleanOnSynchronizedPatterns(t *testing.T, races caf.RaceLevel) {
 		t.Fatal(err)
 	}
 	if n := m.Conflicts(); n != 0 {
-		t.Errorf("races=%d: finish-ordered spawn write flagged %d conflicts: %v", races, n, m.ConflictLog())
+		t.Errorf("finish-ordered spawn write flagged %d conflicts: %v", n, m.ConflictLog())
 	}
 }
 
@@ -196,7 +188,7 @@ func cleanOnSynchronizedPatterns(t *testing.T, races caf.RaceLevel) {
 func TestEventCallbackWaiterInterleaving(t *testing.T) {
 	var got []int64
 	var leftover int64
-	m := caf.NewMachine(caf.Config{Images: 3, Seed: 1, Races: caf.RacesHappensBefore})
+	m := caf.NewMachine(caf.Config{Images: 3, Seed: 1, Races: true})
 	m.Launch(func(img *caf.Image) {
 		ca := caf.NewCoarray[int64](img, nil, 4)
 		var ev *caf.Event
@@ -246,7 +238,7 @@ func TestEventCallbackWaiterInterleaving(t *testing.T) {
 // conflicts whose image numbers disagree with their timestamps. An early
 // conflict at image 3 must precede a later one at image 2.
 func TestConflictLogChronological(t *testing.T) {
-	m := caf.NewMachine(caf.Config{Images: 4, Seed: 1, Races: caf.RacesOverlap})
+	m := caf.NewMachine(caf.Config{Images: 4, Seed: 1, Races: true})
 	m.Launch(func(img *caf.Image) {
 		ca := caf.NewCoarray[int64](img, nil, 8)
 		img.Barrier(nil)
@@ -295,18 +287,18 @@ func TestConflictLogChronological(t *testing.T) {
 // log truncation: past the cap the log must still say how many entries
 // were dropped, and the full count must remain exact.
 func TestConflictLogTruncationReported(t *testing.T) {
-	m := caf.NewMachine(caf.Config{Images: 2, Seed: 1, Races: caf.RacesOverlap})
+	m := caf.NewMachine(caf.Config{Images: 3, Seed: 1, Races: true})
 	m.Launch(func(img *caf.Image) {
 		ca := caf.NewCoarray[int64](img, nil, 4)
 		img.Barrier(nil)
-		if img.Rank() == 0 {
+		if img.Rank() != 2 {
+			// Two images write one range of image 2's shard, 12 times
+			// each, with nothing ordering one image's writes after the
+			// other's.
 			src := []int64{1, 2, 3, 4}
-			// 12 simultaneously in-flight writes to one range: every new
-			// initiation conflicts with all earlier live ones (66 pairs).
 			for i := 0; i < 12; i++ {
-				caf.CopyAsync(img, ca.Sec(1, 0, 4), caf.Local(src))
+				caf.Put(img, ca.Sec(2, 0, 4), src)
 			}
-			img.Cofence(caf.AllowNone, caf.AllowNone)
 		}
 		img.Barrier(nil)
 	})
@@ -325,8 +317,33 @@ func TestConflictLogTruncationReported(t *testing.T) {
 	if !strings.Contains(last, "more") {
 		t.Errorf("truncation not reported, last entry = %q", last)
 	}
-	if !strings.Contains(last, "50 more") {
+	if !strings.Contains(last, fmt.Sprintf("… and %d more", total-16)) {
 		t.Errorf("dropped count wrong, last entry = %q (total %d)", last, total)
+	}
+}
+
+// TestConflictLogReportsEviction: the detector keeps at most 512
+// accesses of history per coarray shard, and a race against an evicted
+// access goes uncounted. GUP RandomAccess on a small table with many
+// updates per word overflows that cap, so the log must end by saying so:
+// Conflicts is then a lower bound.
+func TestConflictLogReportsEviction(t *testing.T) {
+	cfg := ra.DefaultConfig(ra.GetUpdatePut)
+	cfg.LocalTableBits = 6
+	cfg.UpdatesPerImage = 1024
+	res, err := ra.Run(caf.Config{Images: 4, Seed: 1, Races: true}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	log := res.ConflictLog
+	if len(log) != 18 {
+		t.Fatalf("log length = %d, want 16 entries + truncation + eviction lines: %v", len(log), log)
+	}
+	if !strings.Contains(log[16], "more") {
+		t.Errorf("truncation line = %q", log[16])
+	}
+	if last := log[17]; !strings.Contains(last, "103 accesses evicted") {
+		t.Errorf("eviction not reported, last entry = %q", last)
 	}
 }
 
@@ -340,7 +357,7 @@ func TestRaceDetectorNoChannelEdgesOnReorderingFabric(t *testing.T) {
 	run := func(seed int64, faults *caf.FaultPlan) (races, final int64) {
 		fab := caf.DefaultFabric() // FIFO asked for, whatever the plan does
 		fab.Faults = faults
-		m := caf.NewMachine(caf.Config{Images: 2, Seed: seed, Races: caf.RacesHappensBefore, Fabric: fab})
+		m := caf.NewMachine(caf.Config{Images: 2, Seed: seed, Races: true, Fabric: fab})
 		m.Launch(func(img *caf.Image) {
 			ca := caf.NewCoarray[int64](img, nil, 1)
 			img.Barrier(nil)

@@ -117,7 +117,7 @@ type spawnExtra struct {
 	data   []byte     // WithPayload
 	named  *remoteFn  // SpawnNamed's registered function, shipped in place of fn
 	blob   []byte     // and its gob-encoded argument list
-	clk    race.Clock // the fork edge, under the happens-before tier; tok.clk points here
+	clk    race.Clock // the fork edge, under the race detector; tok.clk points here
 	mirror bool       // withMirrorPath
 }
 
