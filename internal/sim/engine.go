@@ -16,10 +16,11 @@ import (
 // another (the runtime's coroutine hand-off behind iter.Pull), without a
 // trip through the Go scheduler, and a coroutine whose body has returned
 // idles on a free list until the next proc's start event takes it over.
-// Events wait in one heap ordered by (time, seq), where seq is the order in
-// which they were scheduled, and all randomness flows from the engine's
-// seeded generators, so runs are bit-for-bit reproducible at any
-// GOMAXPROCS.
+// Events wait in one queue that pops them in (time, seq) order, where seq
+// is the order in which they were scheduled: a wheel of one FIFO per
+// nanosecond for the next few microseconds, a heap beyond (heap.go). All
+// randomness flows from the engine's seeded generators, so runs are
+// bit-for-bit reproducible at any GOMAXPROCS.
 type Engine struct {
 	now Time
 	seq uint64
@@ -73,13 +74,14 @@ func (e *Engine) AtEvent(t Time, ev Event) { e.schedule(t, ev) }
 func (e *Engine) atProc(t Time, p *Proc) { e.schedule(t, (*procEvent)(p)) }
 
 // schedule is the one place seq is taken: ties in time run in the order
-// they were scheduled.
+// they were scheduled. The clamp to now is the queue's contract: nothing
+// is inserted before its clock, which is the engine's.
 func (e *Engine) schedule(t Time, ev Event) {
 	if t < e.now {
 		t = e.now
 	}
 	e.seq++
-	e.q.push(event{at: t, seq: e.seq, ev: ev})
+	e.q.insert(t, e.seq, ev)
 }
 
 // After schedules fn to run d from now.
@@ -133,16 +135,19 @@ func (e *Engine) RunUntil(limit Time) error {
 		return nil
 	}
 	e.stopped = false
-	for !e.stopped && e.q.Len() > 0 {
-		if e.q.peekTime() > limit {
-			e.now = limit
-			return nil
+	for !e.stopped {
+		ev, at, ok := e.q.popUntil(limit)
+		if !ok {
+			if e.q.Len() > 0 {
+				e.now = limit // the next event is later
+				return nil
+			}
+			break
 		}
-		ev := e.q.pop()
-		e.now = ev.at
+		e.now = at
 		e.eventsRun++
 		e.onStrand.Store(true)
-		ev.ev.RunEvent()
+		ev.RunEvent()
 		e.onStrand.Store(false)
 		if e.procErr != nil {
 			return e.procErr

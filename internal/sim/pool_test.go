@@ -78,14 +78,18 @@ type countEvent struct{ log *[]string }
 
 func (c countEvent) RunEvent() { *c.log = append(*c.log, "record") }
 
-// An event names what it runs in one interface word and stays 32 bytes:
-// a heap of hundreds of thousands of pending events is that many slots.
+// An event names what it runs in one interface word: a far-heap event
+// stays 32 bytes and a near-wheel node 24 (queues of hundreds of
+// thousands of pending events are that many slots).
 // A function, a proc and a record are all scheduled without allocating,
 // and all take their seq from the one counter, so ties run in the order
 // they were scheduled whatever their kind.
 func TestPoolEventNamesARecord(t *testing.T) {
 	if got := unsafe.Sizeof(event{}); got != 32 {
 		t.Errorf("sizeof(event) = %d, want 32", got)
+	}
+	if got := unsafe.Sizeof(wheelNode{}); got != 24 {
+		t.Errorf("sizeof(wheelNode) = %d, want 24", got)
 	}
 	e := NewEngine(1)
 	var log []string

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -387,43 +388,212 @@ func TestPropertyEventOrdering(t *testing.T) {
 	}
 }
 
-// Property: the heap pops in sorted order for random sequences interleaved
-// with pops (exercises siftDown paths directly).
+// seqEvent names a queued event by its seq, so a test can tell which one
+// popped.
+type seqEvent uint64
+
+func (seqEvent) RunEvent() {}
+
+// queueCheck drives an eventHeap beside a reference: the pending events,
+// kept sorted by (at, seq).
+type queueCheck struct {
+	t   *testing.T
+	h   eventHeap
+	ref []event
+	seq uint64
+}
+
+// add inserts an event at at with the next seq, in the queue and the
+// reference.
+func (c *queueCheck) add(at Time) {
+	c.seq++
+	c.h.insert(at, c.seq, seqEvent(c.seq))
+	e := event{at: at, seq: c.seq}
+	i, _ := slices.BinarySearchFunc(c.ref, e, func(a, b event) int {
+		if a.at != b.at {
+			return cmp.Compare(a.at, b.at)
+		}
+		return cmp.Compare(a.seq, b.seq)
+	})
+	c.ref = slices.Insert(c.ref, i, e)
+}
+
+// pop calls popUntil(limit) and checks it against the reference: the
+// reference's first event if it is due by limit, and then the clock at
+// its time; nothing otherwise, and then the clock at limit if anything
+// is pending.
+func (c *queueCheck) pop(limit Time) bool {
+	c.t.Helper()
+	ev, at, ok := c.h.popUntil(limit)
+	if len(c.ref) == 0 || c.ref[0].at > limit {
+		if ok {
+			c.t.Errorf("popUntil(%d) popped seq %v at %d, want nothing", limit, ev, at)
+			return false
+		}
+		if len(c.ref) > 0 && c.h.now != limit {
+			c.t.Errorf("popUntil(%d) found nothing due and left the clock at %d", limit, c.h.now)
+			return false
+		}
+		return true
+	}
+	want := c.ref[0]
+	c.ref = c.ref[1:]
+	if !ok || at != want.at || ev != seqEvent(want.seq) {
+		c.t.Errorf("popUntil(%d) = (%v, %d, %v), want (seq %d, %d, true)", limit, ev, at, ok, want.seq, want.at)
+		return false
+	}
+	if c.h.now != at {
+		c.t.Errorf("popped at %d but the clock reads %d", at, c.h.now)
+		return false
+	}
+	return true
+}
+
+// drain pops everything left, checking each pop.
+func (c *queueCheck) drain() {
+	c.t.Helper()
+	for c.h.Len() > 0 && c.pop(Forever) {
+	}
+}
+
+// Property: the queue pops in exact (at, seq) order under the contract
+// Engine keeps: every time inserted is at or after the clock, which only
+// the pops and popUntil's stops move. Delays run from 0 to three horizons,
+// a third of them land on a few instants (heavy ties), some straddle the
+// horizon, and stops move the clock by up to two horizons with events
+// pending. Every pop is checked against a reference sorted by (at, seq).
 func TestPropertyHeap(t *testing.T) {
-	prop := func(seed int64, n uint8) bool {
+	prop := func(seed int64, n uint16) bool {
 		rng := rand.New(rand.NewSource(seed))
-		var h eventHeap
-		var mirror []event // reference multiset
-		var seq uint64
-		count := int(n)
-		pushed := 0
-		for pushed < count || h.Len() > 0 {
-			if pushed < count && (h.Len() == 0 || rng.Intn(2) == 0) {
-				seq++
-				ev := event{at: Time(rng.Intn(50)), seq: seq}
-				h.push(ev)
-				mirror = append(mirror, ev)
-				pushed++
-			} else {
-				ev := h.pop()
-				// ev must be the (at, seq)-minimum of the mirror.
-				minIdx := 0
-				for i, m := range mirror {
-					if m.at < mirror[minIdx].at ||
-						(m.at == mirror[minIdx].at && m.seq < mirror[minIdx].seq) {
-						minIdx = i
-					}
+		c := &queueCheck{t: t}
+		count := int(n) % 1500
+		for pushed := 0; pushed < count || c.h.Len() > 0; {
+			if c.h.Len() != len(c.ref) {
+				t.Errorf("Len() = %d, want %d", c.h.Len(), len(c.ref))
+				return false
+			}
+			switch p := rng.Intn(16); {
+			case pushed < count && (c.h.Len() == 0 || p < 8):
+				var d Time
+				switch rng.Intn(6) {
+				case 0, 1:
+					d = Time(rng.Intn(4)) * 500 // ties at a few instants
+				case 2:
+					d = horizon - 2 + Time(rng.Intn(4)) // either side of the horizon
+				default:
+					d = Time(rng.Intn(3 * horizon))
 				}
-				if ev.at != mirror[minIdx].at || ev.seq != mirror[minIdx].seq {
+				c.add(c.h.now + d)
+				pushed++
+			case p < 10:
+				// A RunUntil that may stop short of the next event.
+				if !c.pop(c.h.now + Time(rng.Intn(2*horizon))) {
 					return false
 				}
-				mirror = append(mirror[:minIdx], mirror[minIdx+1:]...)
+			default:
+				if !c.pop(Forever) {
+					return false
+				}
 			}
 		}
-		return len(mirror) == 0
+		return true
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
+	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// A far event and a near event at one instant: the far one was inserted
+// while the instant was a horizon or more ahead, so first, and pops first.
+func TestHeapFarFirstOnTie(t *testing.T) {
+	c := &queueCheck{t: t}
+	const tie = horizon + 5
+	c.add(10)
+	c.add(tie) // far: tie − 0 ≥ horizon
+	c.pop(Forever)
+	c.add(tie) // near: tie − 10 < horizon
+	c.add(tie)
+	if len(c.h.far) != 1 || c.h.near != 2 {
+		t.Fatalf("far %d, near %d; want the tie split 1, 2", len(c.h.far), c.h.near)
+	}
+	c.drain()
+}
+
+// The ring wraps: with the clock near the top of the ring, slots below
+// the clock's hold later times than the slots above it, in every word of
+// the bitmap.
+func TestHeapRingWrapAround(t *testing.T) {
+	c := &queueCheck{t: t}
+	for _, start := range []Time{horizon - 3, 3*horizon - 64, 5*horizon + 63} {
+		c.add(start)
+		c.pop(Forever) // the clock is now start
+		for _, d := range []Time{horizon - 1, 2, 0, 1, 3, 64, 65, 130, horizon - 65, horizon - 64, horizon / 2, 2} {
+			c.add(start + d)
+		}
+		c.drain()
+	}
+}
+
+// The clock jumps more than a horizon while far events are pending: the
+// wheel starts over at the new clock, and the far heads still interleave
+// with the new near events by time, far first on a tie.
+func TestHeapClockJumpsPastHorizon(t *testing.T) {
+	c := &queueCheck{t: t}
+	const stop = 2*horizon + 7
+	c.add(100)
+	c.add(horizon - 1)
+	c.add(3 * horizon) // far
+	c.add(stop + 50)   // far
+	for range 3 {      // two pops, then a stop
+		c.pop(stop)
+	}
+	if c.h.now != stop || c.h.near != 0 || len(c.h.far) != 2 {
+		t.Fatalf("clock %d, near %d, far %d; want %d, 0, 2", c.h.now, c.h.near, len(c.h.far), stop)
+	}
+	c.add(c.h.now)               // near
+	c.add(c.h.now + 50)          // near, ties the far event at stop+50
+	c.add(3 * horizon)           // near, ties the far event at 3·horizon
+	c.add(c.h.now + horizon - 1) // near, the last slot of the window
+	c.add(c.h.now + horizon)     // far
+	c.add(c.h.now + 10)          // near
+	c.drain()
+}
+
+// RunUntil stops between the two heads, either way round, and events
+// scheduled at the stopped clock still run in (time, seq) order.
+func TestRunUntilStopsBetweenNearAndFarHeads(t *testing.T) {
+	e := NewEngine(1)
+	var ran []Time
+	at := func(t Time) { e.At(t, func() { ran = append(ran, e.Now()) }) }
+	at(100)
+	at(10_000)                               // far
+	if err := e.RunUntil(5000); err != nil { // near head ran, far head waits
+		t.Fatal(err)
+	}
+	if e.Now() != 5000 {
+		t.Fatalf("clock %v, want 5000", e.Now())
+	}
+	at(e.Now() + 3900)                       // near: 8900, before the far head
+	at(e.Now() + 5000)                       // far: 10 000, after the far head that ties it
+	if err := e.RunUntil(8000); err != nil { // both heads later
+		t.Fatal(err)
+	}
+	if err := e.RunUntil(9500); err != nil { // near head ran, far head waits
+		t.Fatal(err)
+	}
+	at(e.Now() + 4000)                         // near: 13 500
+	at(e.Now() + 600)                          // near: 10 100
+	if err := e.RunUntil(10_050); err != nil { // far head ran, near heads wait
+		t.Fatal(err)
+	}
+	if e.Now() != 10_050 {
+		t.Fatalf("clock %v, want 10050", e.Now())
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if want := []Time{100, 8900, 10_000, 10_000, 10_100, 13_500}; !slices.Equal(ran, want) {
+		t.Errorf("events ran at %v, want %v", ran, want)
 	}
 }
 
@@ -490,6 +660,79 @@ func BenchmarkScheduleAndRun(b *testing.B) {
 		}
 	}
 	_ = e.Run()
+}
+
+// requeue is an event that schedules itself again, left more times, each
+// time after the next delay of a cyclic table.
+type requeue struct {
+	e      *Engine
+	delays []Time
+	i      int
+	left   int
+}
+
+func (r *requeue) RunEvent() {
+	if r.left > 0 {
+		r.left--
+		r.i++
+		r.e.AtEvent(r.e.Now()+r.delays[r.i%len(r.delays)], r)
+	}
+}
+
+// queueDelays is the delay mix the benchmark workloads schedule with
+// (EXPERIMENTS "ISSUE 38"): 70 % at the fabric's few fixed delays (wire
+// legs, acks, handler service, proc wake-ups at now + 0), 20 % spread
+// uniformly over 0–2 µs, and 10 % at a 32 µs lifeline poll.
+func queueDelays(n int) []Time {
+	fixed := []Time{1500, 1524, 0, 300, 50, 1508, 1516}
+	rng := rand.New(rand.NewSource(1))
+	d := make([]Time, n)
+	for i := range d {
+		switch p := rng.Intn(10); {
+		case p < 7:
+			d[i] = fixed[rng.Intn(len(fixed))]
+		case p < 9:
+			d[i] = Time(rng.Intn(2001))
+		default:
+			d[i] = 32 * Microsecond
+		}
+	}
+	return d
+}
+
+// BenchmarkEventQueue keeps a fixed number of events pending and times
+// one pop, dispatch and push at a time, with the workloads' delay mix:
+// the queue's cost at a small machine's and a large one's depth.
+// BenchmarkScheduleAndRun's i%64 delays hide the difference between
+// queue designs; this one does not.
+func BenchmarkEventQueue(b *testing.B) {
+	for _, pending := range []int{32, 2048, 16384} {
+		b.Run(fmt.Sprintf("pending=%d", pending), func(b *testing.B) {
+			e := NewEngine(1)
+			delays := queueDelays(4096)
+			evs := make([]requeue, pending)
+			for i := range evs {
+				evs[i] = requeue{e: e, delays: delays, i: i * 7, left: 1 << 30}
+				e.AtEvent(delays[i%len(delays)], &evs[i])
+			}
+			// Warm up past two 32 µs rounds, so the far part holds its
+			// steady share and every array has reached its size.
+			if err := e.RunUntil(64 * Microsecond); err != nil {
+				b.Fatal(err)
+			}
+			for i := range evs {
+				evs[i].left = b.N / pending
+				if i < b.N%pending {
+					evs[i].left++
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			if err := e.Run(); err != nil {
+				b.Fatal(err)
+			}
+		})
+	}
 }
 
 func BenchmarkProcContextSwitch(b *testing.B) {
