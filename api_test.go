@@ -4,6 +4,7 @@ package caf_test
 
 import (
 	"errors"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -109,6 +110,26 @@ func TestSpawnTargetRangePanics(t *testing.T) {
 		expectPanic(t, "target out of range", func() { img.Spawn(5, func(r *caf.Image) {}) })
 		expectPanic(t, "target out of range", func() { img.Spawn(-1, func(r *caf.Image) {}) })
 	})
+}
+
+// A spawn's modeled size is kept in 32 bits, and a negative one would run
+// the sender's NIC clock backwards: WithBytes rejects a size outside
+// [0, math.MaxInt32] where it is given.
+func TestWithBytesRejectsOutOfRange(t *testing.T) {
+	over := math.MaxInt32
+	over++
+	expectPanic(t, "spawn size -1 outside", func() { caf.WithBytes(-1) })
+	expectPanic(t, "outside [0, 2147483647]", func() { caf.WithBytes(over) })
+	caf.WithBytes(0)
+	caf.WithBytes(math.MaxInt32)
+	rep := run(t, 2, func(img *caf.Image) {
+		if img.Rank() == 0 {
+			img.Spawn(1, func(*caf.Image) {}, caf.WithBytes(0))
+		}
+	})
+	if rep.SpawnsExecuted != 1 {
+		t.Errorf("%d spawns executed, want 1", rep.SpawnsExecuted)
+	}
 }
 
 func TestZeroLengthCopy(t *testing.T) {

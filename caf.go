@@ -772,11 +772,11 @@ func (img *Image) opNew(kind string, peer int) *Op {
 // opInit is opNew for a handle that is a field of the operation's own
 // record.
 func (img *Image) opInit(o *Op, kind string, peer int) {
-	*o = Op{m: img.m, kind: kind, img: img.Rank()}
+	*o = Op{m: img.m, kind: kind, img: int32(img.Rank())}
 	if img.m.path != nil {
 		o.pctx = img.pctx
 	}
-	o.id = img.m.ops.New(kind, o.img, peer, img.Now(), o.pctx.Req, o.pctx.Span)
+	o.id = img.m.ops.New(kind, o.Initiator(), peer, img.Now(), o.pctx.Req, o.pctx.Span)
 }
 
 // opStage advances an op's completion level as observed on this image:

@@ -174,7 +174,7 @@ func (c *copyOp[T]) Initiate() {
 		c.start()
 		return
 	}
-	c.op.m.gatePredicate(c.op.img, c.o.pred, func(clk race.Clock) {
+	c.op.m.gatePredicate(c.op.Initiator(), c.o.pred, func(clk race.Clock) {
 		c.predClk = clk
 		c.start()
 	})
@@ -211,13 +211,13 @@ func (c *copyOp[T]) forkOpClocks() {
 // dstRank is the image the data hop goes to.
 func (c *copyOp[T]) dstRank() int {
 	if c.dstLocal {
-		return c.op.img
+		return c.op.Initiator()
 	}
 	return c.dst.rank
 }
 
 func (c *copyOp[T]) start() {
-	m, me := c.op.m, c.op.img
+	m, me := c.op.m, c.op.Initiator()
 	st := &m.states[me]
 	c.forkOpClocks()
 	m.opStageAt(&c.op, me, trace.StageInit)
@@ -251,14 +251,14 @@ func (c *copyOp[T]) start() {
 func (c *copyOp[T]) injected() {
 	c.localTick()
 	if c.o.srcE != nil {
-		c.op.m.notifyFrom(c.op.img, c.o.srcE, c.rclk)
+		c.op.m.notifyFrom(c.op.Initiator(), c.o.srcE, c.rclk)
 	}
 }
 
 // Delivered: the put (or the read request) was accepted; nothing more is
 // required of the initiator.
 func (c *copyOp[T]) Delivered() {
-	c.op.m.opStageAt(&c.op, c.op.img, trace.StageLocalOp)
+	c.op.m.opStageAt(&c.op, c.op.Initiator(), trace.StageLocalOp)
 	c.tok.complete()
 }
 
@@ -267,7 +267,7 @@ func (c *copyOp[T]) Delivered() {
 // the enclosing finish, and notifies must not be gated on it forever. The
 // op will never complete remotely; close out its record so blocked-time
 // attribution still sees it.
-func (c *copyOp[T]) Abandoned() { c.op.m.opAbandoned(&c.op, c.op.img, &c.tok) }
+func (c *copyOp[T]) Abandoned() { c.op.m.opAbandoned(&c.op, c.op.Initiator(), &c.tok) }
 
 // localTick: one of the initiator's local buffers is out of play. After
 // the last, the handle reaches its local data level and, for a copy the
@@ -276,7 +276,7 @@ func (c *copyOp[T]) localTick() {
 	if c.localLeft--; c.localLeft > 0 {
 		return
 	}
-	c.op.m.opStageAt(&c.op, c.op.img, trace.StageLocalData)
+	c.op.m.opStageAt(&c.op, c.op.Initiator(), trace.StageLocalData)
 	if c.fenced {
 		c.pend.CompleteLocalData()
 	}

@@ -43,16 +43,17 @@ func (m *Machine) registerHandlers() {
 // and sits on its image's pendingDeliv list from initiation until it
 // completes, and no longer: the list must not pin a finished operation's
 // record, and an image that never notifies must not keep every token it
-// ever made.
+// ever made. It is four words, done and at sharing one, since every
+// spawn and copy record holds one.
 type delivToken struct {
 	done bool
+	at   int32 // its index on st's list
 	// first is the earliest EventNotify waiting on the token; every
 	// later one on its image waits on it too (see deliveryWait). nil
 	// until a notify finds the token outstanding.
 	first *deliveryWait
 	clk   *race.Clock
 	st    *imageState // the image whose list the token is on; nil once off
-	at    int         // its index there
 }
 
 // deliveryWait is one EventNotify waiting for the remote updates that
@@ -120,7 +121,7 @@ func (t *delivToken) complete() {
 
 // addDelivToken registers t, an outstanding remote update, on the image.
 func (st *imageState) addDelivToken(t *delivToken) {
-	t.st, t.at = st, len(st.pendingDeliv)
+	t.st, t.at = st, int32(len(st.pendingDeliv))
 	st.pendingDeliv = append(st.pendingDeliv, t)
 }
 

@@ -117,17 +117,7 @@ func (op *PendingOp) CompleteLocalData() {
 	ct := op.ct
 	op.ct = nil
 	ct.sweep()
-	// Wake a fence only when it may pass: resuming it to find another
-	// constrained operation pending would be an event spent on parking
-	// again. (A declared death reaches parked fences through the machine's
-	// WakeAllParked, not through here.)
-	if ct.rare != nil {
-		for _, w := range ct.rare.waiters {
-			if ct.clear(w.down) {
-				w.p.Unpark()
-			}
-		}
-	}
+	ct.wakeFences()
 	if op.cbs == nil {
 		return
 	}
@@ -251,10 +241,28 @@ func (ct *CofenceTracker) Register(class OpClass, initiate func()) *PendingOp {
 
 // RegisterOp is Register for an operation that brings its own PendingOp
 // (typically a field of the record that is also its Initiator), so
-// registering allocates nothing. op is overwritten.
+// registering allocates nothing. op is overwritten, and stays on the
+// pending list until its CompleteLocalData.
 func (ct *CofenceTracker) RegisterOp(op *PendingOp, class OpClass, init Initiator) {
 	*op = PendingOp{class: class, ct: ct}
 	ct.pending = append(ct.pending, op)
+	ct.initiate(class, init)
+}
+
+// RegisterDone registers an operation whose local data completes at
+// registration (a spawn's: argument evaluation). It does what RegisterOp
+// followed at once by CompleteLocalData does — the same initiation, eager
+// or buffered under the same flush rule, and the same wake of fence
+// waiters — but stores no PendingOp: a registration complete at birth is
+// never pending, so no fence can wait on it.
+func (ct *CofenceTracker) RegisterDone(class OpClass, init Initiator) {
+	ct.initiate(class, init)
+	ct.wakeFences()
+}
+
+// initiate starts a registered operation: now in eager mode, else into
+// the relaxed buffer, which is flushed once it holds more than maxDelay.
+func (ct *CofenceTracker) initiate(class OpClass, init Initiator) {
 	if ct.maxDelay > 0 {
 		r := ct.rareState()
 		r.delayed = append(r.delayed, delayedOp{class: class, init: init})
@@ -263,6 +271,22 @@ func (ct *CofenceTracker) RegisterOp(op *PendingOp, class OpClass, init Initiato
 		}
 	} else {
 		init.Initiate()
+	}
+}
+
+// wakeFences unparks each fence waiter that may now pass. A fence is
+// woken only when it may pass: resuming it to find another constrained
+// operation pending would be an event spent on parking again. (A
+// declared death reaches parked fences through the machine's
+// WakeAllParked, not through here.)
+func (ct *CofenceTracker) wakeFences() {
+	if ct.rare == nil {
+		return
+	}
+	for _, w := range ct.rare.waiters {
+		if ct.clear(w.down) {
+			w.p.Unpark()
+		}
 	}
 }
 

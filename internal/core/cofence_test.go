@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -283,5 +285,121 @@ func TestPropertyCofenceFiltering(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)
+	}
+}
+
+// registerBorn registers an operation whose local data completes at
+// registration, the old way (a stored PendingOp, completed at once) or
+// through RegisterDone.
+func registerBorn(ct *CofenceTracker, stored bool, init Initiator) {
+	if stored {
+		var op PendingOp
+		ct.RegisterOp(&op, OpReads, init)
+		op.CompleteLocalData()
+		return
+	}
+	ct.RegisterDone(OpReads, init)
+}
+
+// A registration complete at birth never enters the pending list, in
+// either mode, and is initiated exactly once.
+func TestRegisterDoneNeverPending(t *testing.T) {
+	for _, maxDelay := range []int{0, 1, 8} {
+		ct := NewCofenceTracker(maxDelay > 0, maxDelay)
+		started := 0
+		for i := 0; i < 20; i++ {
+			ct.RegisterDone(OpReads, InitiatorFunc(func() { started++ }))
+			if ct.Pending() != 0 {
+				t.Fatalf("maxDelay %d: pending = %d after RegisterDone", maxDelay, ct.Pending())
+			}
+			if got := started + ct.Delayed(); got != i+1 {
+				t.Fatalf("maxDelay %d: %d started + %d buffered after %d registrations",
+					maxDelay, started, ct.Delayed(), i+1)
+			}
+		}
+		if !ct.TryCofence(AllowNone) || started != 20 {
+			t.Errorf("maxDelay %d: full fence clear %v with %d of 20 started",
+				maxDelay, ct.TryCofence(AllowNone), started)
+		}
+	}
+}
+
+// RegisterDone initiates, buffers and flushes at the same points as
+// RegisterOp followed by CompleteLocalData, interleaved with operations
+// that stay pending, fences at every level and flushes.
+func TestRegisterDoneInitiatesLikeRegisterOp(t *testing.T) {
+	script := func(stored bool, maxDelay int) []string {
+		ct := NewCofenceTracker(true, maxDelay)
+		var log []string
+		step := 0
+		mark := func(what string) Initiator {
+			return InitiatorFunc(func() { log = append(log, fmt.Sprintf("%d:%s", step, what)) })
+		}
+		var held []*PendingOp
+		for step = 0; step < 40; step++ {
+			switch step % 8 {
+			case 0, 3, 5:
+				registerBorn(ct, stored, mark("spawn"))
+			case 1:
+				held = append(held, ct.Register(OpReads, mark("put").Initiate))
+			case 2:
+				held = append(held, ct.Register(OpWrites, mark("get").Initiate))
+			case 4:
+				log = append(log, fmt.Sprintf("%d:fence-read=%v", step, ct.TryCofence(AllowRead)))
+			case 6:
+				held[0].CompleteLocalData()
+				held = held[1:]
+				log = append(log, fmt.Sprintf("%d:fence-write=%v", step, ct.TryCofence(AllowWrite)))
+			case 7:
+				if step%16 == 15 {
+					ct.Flush()
+				}
+			}
+			log = append(log, fmt.Sprintf("%d:pending=%d,delayed=%d", step, ct.Pending(), ct.Delayed()))
+		}
+		return log
+	}
+	for _, maxDelay := range []int{1, 8} {
+		want, got := script(true, maxDelay), script(false, maxDelay)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("maxDelay %d:\n got %v\nwant %v", maxDelay, got, want)
+		}
+	}
+}
+
+// A registration complete at birth runs the fence-waiter wake loop: the
+// same fences resume at the same instants, in the same number of events,
+// as when it stored a record and completed it.
+func TestRegisterDoneWakesFencesLikeCompleteLocalData(t *testing.T) {
+	run := func(stored bool) (sim.Time, uint64) {
+		eng := sim.NewEngine(1)
+		ct := NewCofenceTracker(false, 0)
+		var fenceAt sim.Time
+		eng.Go("main", func(p *sim.Proc) {
+			w := ct.Register(OpWrites, func() {})
+			r := ct.Register(OpReads, func() {})
+			eng.At(5*sim.Microsecond, func() { registerBorn(ct, stored, InitiatorFunc(func() {})) })
+			eng.At(10*sim.Microsecond, func() {
+				r.CompleteLocalData()
+				registerBorn(ct, stored, InitiatorFunc(func() {}))
+			})
+			eng.At(20*sim.Microsecond, func() {
+				registerBorn(ct, stored, InitiatorFunc(func() {}))
+				w.CompleteLocalData()
+			})
+			ct.Cofence(p, AllowWrite, AllowNone)
+			ct.Cofence(p, AllowNone, AllowNone)
+			fenceAt = p.Now()
+		})
+		if err := eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return fenceAt, eng.EventsRun()
+	}
+	wantAt, wantEvents := run(true)
+	gotAt, gotEvents := run(false)
+	if gotAt != wantAt || gotEvents != wantEvents || wantAt != 20*sim.Microsecond {
+		t.Errorf("fences passed at %v in %d events, want %v in %d (at 20us)",
+			gotAt, gotEvents, wantAt, wantEvents)
 	}
 }

@@ -551,12 +551,16 @@ func (ep *Endpoint) RegisterHandler(tag uint16, fn Handler) { ep.f.RegisterHandl
 // Send initiates an active message from this endpoint. It never blocks:
 // if flow-control credits are exhausted the message queues locally and
 // the caller learns about progress only through opts callbacks. Send
-// panics if m is still in flight from an earlier Send, if a medium AM
-// exceeds the fabric payload cap or if the tag has no handler at the
-// destination — all protocol bugs, not runtime conditions.
+// panics if m is still in flight from an earlier Send, if its size is
+// negative, if a medium AM exceeds the fabric payload cap or if the tag
+// has no handler at the destination — all protocol bugs, not runtime
+// conditions.
 func (ep *Endpoint) Send(m *Msg, opts SendOpts) {
 	if m.stage != stageIdle {
 		panic(fmt.Sprintf("fabric: %s message with tag %d sent while still in flight", m.Class, m.Tag))
+	}
+	if m.Bytes < 0 {
+		panic(fmt.Sprintf("fabric: %s message with tag %d has negative size %d", m.Class, m.Tag, m.Bytes))
 	}
 	if m.Class == AMMedium && m.Bytes > ep.f.cfg.MaxMedium {
 		panic(fmt.Sprintf("fabric: medium AM of %d bytes exceeds cap %d", m.Bytes, ep.f.cfg.MaxMedium))

@@ -190,6 +190,26 @@ func TestMediumCapPanics(t *testing.T) {
 	f.Endpoint(0).Send(&Msg{Src: 0, Dst: 1, Tag: tagTest, Class: AMMedium, Bytes: 129}, SendOpts{})
 }
 
+// A negative size would set the NIC's free time before the send's start
+// and wrap the byte count: Send rejects it like its other protocol bugs.
+func TestNegativeSizePanics(t *testing.T) {
+	_, f := newTestFabric(t, 2, DefaultConfig())
+	f.Endpoint(1).RegisterHandler(tagTest, func(ep *Endpoint, m *Msg) {})
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("send of a negative size did not panic")
+		}
+		if msg, want := fmt.Sprint(r), "negative size -1"; !strings.Contains(msg, want) {
+			t.Errorf("panic %q, want it to say %q", msg, want)
+		}
+		if got := f.Stats().BytesSent; got != 0 {
+			t.Errorf("BytesSent = %d after a rejected send", got)
+		}
+	}()
+	f.Endpoint(0).Send(&Msg{Src: 0, Dst: 1, Tag: tagTest, Class: RDMA, Bytes: -1}, SendOpts{})
+}
+
 func TestRDMAUncapped(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MaxMedium = 128

@@ -81,7 +81,6 @@ func levelOf(stage trace.Stage) (CompletionLevel, bool) {
 type Op struct {
 	m    *Machine
 	kind string
-	img  int // initiating image's world rank
 
 	// id is the op's record in the machine's op log (0 when no tracker
 	// keeps it); the continuation machinery is independent of it and
@@ -93,6 +92,7 @@ type Op struct {
 	// record is its node on the request's causal DAG.
 	pctx path.Ctx
 
+	img  int32 // initiating image's world rank (Initiator)
 	done [numLevels]bool
 	cbs  *[numLevels][]func() // made by the first registration
 }
@@ -102,7 +102,7 @@ type Op struct {
 func (o *Op) Kind() string { return o.kind }
 
 // Initiator returns the world rank of the image that initiated the op.
-func (o *Op) Initiator() int { return o.img }
+func (o *Op) Initiator() int { return int(o.img) }
 
 // Done reports whether the given completion level has been observed.
 func (o *Op) Done(l CompletionLevel) bool {
@@ -156,13 +156,14 @@ func (o *Op) Then(fn func()) *Op {
 	// The chained step inherits the parent op's request context, parented
 	// to the parent op.
 	d := &Op{m: m, kind: "then", img: o.img, pctx: o.childCtx()}
-	d.id = m.ops.New("then", o.img, -1, m.eng.Now(), d.pctx.Req, d.pctx.Span)
+	d.id = m.ops.New("then", d.Initiator(), -1, m.eng.Now(), d.pctx.Req, d.pctx.Span)
 	o.OnGlobalCompletion(func() {
-		m.opAdvance(d, d.img, trace.StageInit)
+		me := d.Initiator()
+		m.opAdvance(d, me, trace.StageInit)
 		fn()
-		m.opAdvance(d, d.img, trace.StageLocalData)
-		m.opAdvance(d, d.img, trace.StageLocalOp)
-		m.opAdvance(d, d.img, trace.StageGlobal)
+		m.opAdvance(d, me, trace.StageLocalData)
+		m.opAdvance(d, me, trace.StageLocalOp)
+		m.opAdvance(d, me, trace.StageGlobal)
 	})
 	return d
 }

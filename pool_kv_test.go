@@ -15,7 +15,7 @@ import (
 // read/write mix by function shipping. Objects and bytes per request,
 // the schedule and machine included, are pinned at what the run
 // allocates with the schedule merged, read in place by every client and
-// slept through between arrivals, and with a spawn in 192 bytes, plus 5 %.
+// slept through between arrivals, and with a spawn in 128 bytes, plus 5 %.
 func TestPoolKVShippingBytesPerRequest(t *testing.T) {
 	if sim.GoRace || sim.QuarantinePools {
 		t.Skip("allocation counts are pinned without -race, pools on")
@@ -46,7 +46,7 @@ func TestPoolKVShippingBytesPerRequest(t *testing.T) {
 	if limit := 4.15 * 1.05; objects > limit {
 		t.Errorf("%.3f objects per request, want ≤ %.3f", objects, limit)
 	}
-	if limit := 571.0 * 1.05; bytes > limit {
+	if limit := 440.0 * 1.05; bytes > limit {
 		t.Errorf("%.1f B per request, want ≤ %.1f", bytes, limit)
 	}
 }

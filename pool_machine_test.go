@@ -53,7 +53,7 @@ func TestPoolMachineObjectsPerImage(t *testing.T) {
 	if limit := 27.5 * 1.05; objects > limit {
 		t.Errorf("%.1f objects per image, want ≤ %.1f", objects, limit)
 	}
-	if limit := 3030.0 * 1.05; bytes > limit {
+	if limit := 2835.0 * 1.05; bytes > limit {
 		t.Errorf("%.0f B per image, want ≤ %.0f", bytes, limit)
 	}
 }

@@ -593,12 +593,21 @@ func TestQuarantineReleasedRequestIsDead(t *testing.T) {
 	}
 }
 
-// A spawn's record fits the 192-byte size class: the halves few spawns
-// use (continuations on the op and on its cofence registration, waiters on
-// its delivery token, the event, payload, registered function, mirror tag
-// and fork clock of spawnExtra) hang off one pointer each.
+// A spawn's record fits the 128-byte size class: it stores no cofence
+// record (its registration is complete at birth) and no request context
+// (it is the op's child context), and the halves few spawns use
+// (continuations on the op, waiters on its delivery token, the event,
+// payload, registered function, mirror tag and fork clock of spawnExtra)
+// hang off one pointer each.
 func TestPoolSpawnOpFitsItsSizeClass(t *testing.T) {
-	if got := unsafe.Sizeof(spawnOp{}); got > 192 {
-		t.Errorf("sizeof(spawnOp) = %d, want ≤ 192", got)
+	if got := unsafe.Sizeof(spawnOp{}); got > 128 {
+		t.Errorf("sizeof(spawnOp) = %d, want ≤ 128", got)
+	}
+}
+
+// A delivery token is four words: every spawn and copy record holds one.
+func TestPoolDelivTokenIsFourWords(t *testing.T) {
+	if got := unsafe.Sizeof(delivToken{}); got > 32 {
+		t.Errorf("sizeof(delivToken) = %d, want ≤ 32", got)
 	}
 }

@@ -2,6 +2,7 @@ package caf
 
 import (
 	"fmt"
+	"math"
 
 	"caf2go/internal/core"
 	"caf2go/internal/fabric"
@@ -24,8 +25,8 @@ type SpawnFn func(img *Image)
 // options cost a spawn no allocation.
 type SpawnOpt struct {
 	kind    spawnOptKind
+	bytes   int32
 	event   *Event
-	bytes   int
 	data    []byte
 	service Time
 }
@@ -48,8 +49,25 @@ const (
 func WithEvent(e *Event) SpawnOpt { return SpawnOpt{kind: optEvent, event: e} }
 
 // WithBytes sets the modeled argument payload size without shipping real
-// data (default 32 bytes of header).
-func WithBytes(n int) SpawnOpt { return SpawnOpt{kind: optBytes, bytes: n} }
+// data (default 32 bytes of header). It panics unless 0 ≤ n ≤
+// math.MaxInt32.
+func WithBytes(n int) SpawnOpt { return SpawnOpt{kind: optBytes, bytes: spawnBytes(n)} }
+
+// spawnBytes is n as a spawn's modeled size, which the spawn keeps in 32
+// bits: a size outside [0, math.MaxInt32] is a bug at the call site.
+func spawnBytes(n int) int32 {
+	if n < 0 || n > math.MaxInt32 {
+		badSpawnBytes(n)
+	}
+	return int32(n)
+}
+
+// badSpawnBytes panics out of line, so that the options stay inlinable.
+//
+//go:noinline
+func badSpawnBytes(n int) {
+	panic(fmt.Sprintf("caf: spawn size %d outside [0, %d]", n, math.MaxInt32))
+}
 
 // withMirrorPath marks the spawn as a replication mirror write for path
 // tracing: its fabric legs claim the ReplMirror bucket instead of Wire,
@@ -60,8 +78,11 @@ func withMirrorPath() SpawnOpt { return SpawnOpt{kind: optMirror} }
 // WithPayload ships a copied byte payload to the target; the shipped
 // function retrieves it with Payload. The slice is copied at initiation,
 // so the caller may reuse its buffer after the spawn's local data
-// completion (argument evaluation, §III-B3).
-func WithPayload(data []byte) SpawnOpt { return SpawnOpt{kind: optPayload, data: data} }
+// completion (argument evaluation, §III-B3). Its modeled size is
+// len(data) plus 32 bytes of header, and must not exceed math.MaxInt32.
+func WithPayload(data []byte) SpawnOpt {
+	return SpawnOpt{kind: optPayload, data: data, bytes: spawnBytes(len(data) + 32)}
+}
 
 // apply folds opts into the spawn, in order.
 func (s *spawnOp) apply(opts []SpawnOpt) {
@@ -73,41 +94,52 @@ func (s *spawnOp) apply(opts []SpawnOpt) {
 			s.bytes = opt.bytes
 		case optPayload:
 			s.extra().data = opt.data
-			s.bytes = len(opt.data) + 32
+			s.bytes = opt.bytes
 		case optMirror:
 			s.extra().mirror = true
 		case optInline:
-			s.inline, s.service = true, opt.service
+			s.service = opt.service
 		}
 	}
 }
 
 // spawnOp is the initiator's one record of a shipped function, closure or
 // registered. It is the wire payload, the completion handle returned to
-// the caller, the delivery token, the cofence registration, the deferred
-// initiation (core.Initiator) and the send's completion (rt.Completion),
-// so a spawn builds no other object and no closure. The record is owned,
-// not pooled: the caller may keep &op, and a continuation on it, for as
-// long as it likes. What few spawns use (continuations on the op or its
-// cofence registration, waiters on the token, the spawnExtra half) hangs
-// off one pointer each, so the record fits the 192-byte size class: a
-// bunch of RandomAccess updates keeps every one of its spawns live at
-// once.
+// the caller, the delivery token, the deferred initiation
+// (core.Initiator) and the send's completion (rt.Completion), so a spawn
+// builds no other object and no closure. The record is owned, not
+// pooled: the caller may keep &op, and a continuation on it, for as long
+// as it likes.
+//
+// The record stores nothing it can recompute, so it fits the 128-byte
+// size class (a bunch of RandomAccess updates keeps every one of its
+// spawns live at once): op 56 B, tok 32, then fn, x, target and bytes
+// together, service and finishID, a word each. What few spawns use
+// (continuations on the op, waiters on the token, the spawnExtra half)
+// hangs off one pointer each. An implicit spawn's cofence registration
+// is complete at birth, so it registers through RegisterDone and keeps
+// no core.PendingOp; the request context the shipped function runs
+// under is s.op.childCtx(), computed where it is used; and a service of
+// notInline says the function is not Inline.
 type spawnOp struct {
-	op   Op             // completion handle; Spawn returns its address
-	tok  delivToken     // outstanding-delivery token (EventNotify's release)
-	pend core.PendingOp // cofence registration of an implicit spawn
+	op  Op         // completion handle; Spawn returns its address
+	tok delivToken // outstanding-delivery token (EventNotify's release)
 
 	fn SpawnFn     // the shipped closure, unless x.named is set
 	x  *spawnExtra // nil unless an option below was used
 
-	target   int
-	bytes    int
-	inline   bool // Inline: run the function as one event, not as a proc
-	service  Time // its declared handler time
+	target   int32
+	bytes    int32 // modeled wire size: header and arguments
+	service  Time  // Inline's declared handler time; notInline for a proc
 	finishID int64
-	pctx     path.Ctx // traced request context the shipped fn runs under
 }
+
+// notInline is the service of a spawn not declared Inline, whose function
+// runs as a proc. (Inline clamps the time it is given at 0.)
+const notInline Time = -1
+
+// inline reports whether the function runs as one event, not as a proc.
+func (s *spawnOp) inline() bool { return s.service != notInline }
 
 // spawnExtra is the half of a spawn that a spawn with only WithBytes and
 // Inline leaves unset, made by the first option (or the race detector's
@@ -158,7 +190,7 @@ func (img *Image) Payload() []byte {
 // function, global completion when the shipped function has finished
 // executing there. Discarding it is always safe.
 func (img *Image) Spawn(target int, fn SpawnFn, opts ...SpawnOpt) *Op {
-	s := &spawnOp{fn: fn, bytes: 32}
+	s := &spawnOp{fn: fn, bytes: 32, service: notInline}
 	s.apply(opts)
 	return img.ship(target, "spawn", s)
 }
@@ -171,7 +203,7 @@ func (img *Image) ship(target int, kind string, s *spawnOp) *Op {
 	img.st.spawnsSent++
 	img.traceInstant(kind, "ship")
 
-	s.target = target
+	s.target = int32(target)
 	s.finishID = img.trackID()
 	// Fork edge: the child's clock starts from the spawner's at this
 	// program point (snapshotted before any relaxed-mode deferral). The
@@ -183,33 +215,33 @@ func (img *Image) ship(target int, kind string, s *spawnOp) *Op {
 		s.tok.clk = &x.clk
 	}
 	img.opInit(&s.op, kind, target)
-	// The shipped function continues the traced request's causal path:
-	// it runs under the spawn op as its parent.
-	s.pctx = s.op.childCtx()
 	if s.event() != nil {
 		s.Initiate()
 		return &s.op
 	}
 	// Local data completion of a spawn is argument evaluation; with the
-	// payload copied at initiation, initiation is that point.
-	img.ct.RegisterOp(&s.pend, core.OpReads, s)
-	s.pend.CompleteLocalData()
+	// payload copied at initiation, initiation is that point. So the
+	// registration is complete when it is made, and nothing is stored.
+	img.ct.RegisterDone(core.OpReads, s)
 	return &s.op
 }
 
 // Initiate sends the spawn: now, or when the relaxed runtime releases it.
 func (s *spawnOp) Initiate() {
-	m, me := s.op.m, s.op.img
+	m, me := s.op.m, s.op.Initiator()
 	// Argument evaluation: the payload is copied at initiation — which
 	// is also the spawn's local data completion.
 	m.opStageAt(&s.op, me, trace.StageInit)
 	m.opStageAt(&s.op, me, trace.StageLocalData)
 	st := &m.states[me]
 	st.addDelivToken(&s.tok)
+	// The shipped function continues the traced request's causal path:
+	// it runs under the spawn op as its parent.
+	pctx := s.op.childCtx()
 	opts := rt.SendOpts{
-		Class: classForBytes(m, s.bytes),
-		Bytes: s.bytes,
-		Path:  path.WireTag(s.pctx),
+		Class: classForBytes(m, int(s.bytes)),
+		Bytes: int(s.bytes),
+		Path:  path.WireTag(pctx),
 		Done:  s,
 		Track: rt.Track{ID: s.finishID},
 	}
@@ -221,15 +253,15 @@ func (s *spawnOp) Initiate() {
 			opts.Track = rt.Track{}
 		}
 		if x.mirror {
-			opts.Path = path.MirrorTag(s.pctx)
+			opts.Path = path.MirrorTag(pctx)
 		}
 	}
-	st.kern.Send(s.target, tagSpawn, s, opts)
+	st.kern.Send(int(s.target), tagSpawn, s, opts)
 }
 
 // Delivered: the target accepted the function.
 func (s *spawnOp) Delivered() {
-	s.op.m.opStageAt(&s.op, s.op.img, trace.StageLocalOp)
+	s.op.m.opStageAt(&s.op, s.op.Initiator(), trace.StageLocalOp)
 	s.tok.complete()
 }
 
@@ -237,7 +269,7 @@ func (s *spawnOp) Delivered() {
 // image still completes its token — an EventNotify must not wait forever
 // on a delivery the fabric has charged off. The shipped function will
 // never run; close the record.
-func (s *spawnOp) Abandoned() { s.op.m.opAbandoned(&s.op, s.op.img, &s.tok) }
+func (s *spawnOp) Abandoned() { s.op.m.opAbandoned(&s.op, s.op.Initiator(), &s.tok) }
 
 // shipped is the target's one record of an executing shipped function:
 // the Image the function sees and that Image's cofence tracker. The
@@ -261,7 +293,7 @@ func (m *Machine) handleSpawn(d *rt.Delivery) {
 	st := &m.states[d.Img.Rank()]
 	d.Detach()
 	var sh *shipped
-	if s.inline {
+	if s.inline() {
 		sh = m.inlines.Get()
 	}
 	if sh == nil {
@@ -276,12 +308,12 @@ func (m *Machine) handleSpawn(d *rt.Delivery) {
 	st.nextTid++
 	sh.s, sh.d = s, d
 	sh.img = Image{m: m, st: st, tid: st.nextTid,
-		inheritedFinish: s.finishID, pctx: s.pctx, spawn: s}
+		inheritedFinish: s.finishID, pctx: s.op.childCtx(), spawn: s}
 	sh.img.ct = m.initTracker(&sh.ct)
 	if rs := m.race; rs != nil {
 		sh.img.rc = rs.d.NewCtx(m.raceChanArrive(d.Src, st.kern.Rank(), s.tok.clock()))
 	}
-	if s.inline {
+	if s.inline() {
 		st.kern.After(s.service, sh)
 	} else {
 		st.kern.GoBody(s.op.kind, sh)

@@ -93,7 +93,7 @@ func (img *Image) SpawnNamed(target int, name string, args []any, opts ...SpawnO
 	if rf == nil {
 		panic(fmt.Sprintf("caf: spawn of unregistered remote function %q", name))
 	}
-	s := new(spawnOp)
+	s := &spawnOp{service: notInline}
 	s.apply(opts)
 	blob, err := encodeArgs(args)
 	if err != nil {
@@ -105,6 +105,6 @@ func (img *Image) SpawnNamed(target int, name string, args []any, opts ...SpawnO
 	// any spawn.
 	x := s.extra()
 	x.named, x.blob, x.data = rf, blob, nil
-	s.bytes = len(blob) + 32 + len(name)
+	s.bytes = spawnBytes(len(blob) + 32 + len(name))
 	return img.ship(target, rf.kind, s)
 }
