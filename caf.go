@@ -912,11 +912,9 @@ func (img *Image) Random() *rand.Rand { return img.st.kern.Rng() }
 // Machine returns the machine the image belongs to.
 func (img *Image) Machine() *Machine { return img.m }
 
-// track returns the finish tracking context for implicitly-synchronized
-// operations initiated by this proc: untracked outside any finish.
-func (img *Image) track() rt.Track { return rt.Track{ID: img.trackID()} }
-
-// trackID returns the innermost finish id for propagation to spawns.
+// trackID returns the innermost finish id: the block the implicitly-
+// synchronized operations initiated here are tracked in (0 outside any
+// finish), and the one a spawn propagates.
 func (img *Image) trackID() int64 {
 	if n := len(img.finishStack); n > 0 {
 		return img.finishStack[n-1].Ref().ID

@@ -6,7 +6,6 @@ import (
 	"caf2go/internal/collect"
 	"caf2go/internal/core"
 	"caf2go/internal/race"
-	"caf2go/internal/rt"
 	"caf2go/internal/team"
 	"caf2go/internal/trace"
 )
@@ -186,22 +185,22 @@ func collNotifyClk(cs *collSync, selfClk race.Clock) race.Clock {
 	return race.Join(race.CopyClock(cs.clk), selfClk)
 }
 
-// track context for a collective: implicit collectives are covered by
-// the enclosing finish, whose team must contain the collective's team
-// (§III-A1).
-func (img *Image) collTrack(t *Team, implicit bool) rt.Track {
+// collFinish is the finish block a collective is tracked in (0 for none):
+// implicit collectives are covered by the enclosing finish, whose team
+// must contain the collective's team (§III-A1).
+func (img *Image) collFinish(t *Team, implicit bool) int64 {
 	// Every asynchronous collective comes through here before it starts.
 	// Its handle keeps the Image, to wait on and to acquire through.
 	img.parker("asynchronous collective")
 	if !implicit {
-		return rt.Track{}
+		return 0
 	}
 	if n := len(img.finishStack); n > 0 {
 		if !t.SubsetOf(img.finishTeam()) {
 			panic("caf: asynchronous collective's team must be a subset of the enclosing finish's team")
 		}
 	}
-	return img.track()
+	return img.trackID()
 }
 
 // finishTeam returns the innermost finish block's team.
@@ -223,7 +222,7 @@ func (img *Image) BarrierAsync(t *Team, opts ...CollOpt) *Collective {
 	for _, opt := range opts {
 		opt(&o)
 	}
-	h := img.m.comm.BarrierAsync(img.st.kern, t, img.collTrack(t, o.dataE == nil && o.opE == nil))
+	h := img.m.comm.BarrierAsync(img.st.kern, t, img.collFinish(t, o.dataE == nil && o.opE == nil))
 	return img.wrap(h, "barrier", 0, o, t, true, true)
 }
 
@@ -241,7 +240,7 @@ func (img *Image) BroadcastAsync(t *Team, root int, val any, bytes int, opts ...
 		class = core.OpReads
 	}
 	h := img.m.comm.BroadcastAsync(img.st.kern, t, root, val, bytes,
-		img.collTrack(t, o.dataE == nil && o.opE == nil))
+		img.collFinish(t, o.dataE == nil && o.opE == nil))
 	// Receivers are ordered after the root; the root after no one.
 	return img.wrap(h, "broadcast", class, o, t, isRoot, true)
 }
@@ -259,7 +258,7 @@ func (img *Image) ReduceAsync(t *Team, root int, op ReduceOp, vec []int64, opts 
 		class |= core.OpWrites
 	}
 	h := img.m.comm.ReduceAsync(img.st.kern, t, root, op, vec,
-		img.collTrack(t, o.dataE == nil && o.opE == nil))
+		img.collFinish(t, o.dataE == nil && o.opE == nil))
 	// The root is ordered after every contributor; contributors continue.
 	return img.wrap(h, "reduce", class, o, t, true, isRoot)
 }
@@ -272,7 +271,7 @@ func (img *Image) AllreduceAsync(t *Team, op ReduceOp, vec []int64, opts ...Coll
 		opt(&o)
 	}
 	h := img.m.comm.AllreduceAsync(img.st.kern, t, op, vec,
-		img.collTrack(t, o.dataE == nil && o.opE == nil))
+		img.collFinish(t, o.dataE == nil && o.opE == nil))
 	return img.wrap(h, "allreduce", core.OpReads|core.OpWrites, o, t, true, true)
 }
 
@@ -289,7 +288,7 @@ func (img *Image) GatherAsync(t *Team, root int, val any, bytes int, opts ...Col
 		class |= core.OpWrites
 	}
 	h := img.m.comm.GatherAsync(img.st.kern, t, root, val, bytes,
-		img.collTrack(t, o.dataE == nil && o.opE == nil))
+		img.collFinish(t, o.dataE == nil && o.opE == nil))
 	return img.wrap(h, "gather", class, o, t, true, isRoot)
 }
 
@@ -307,7 +306,7 @@ func (img *Image) ScatterAsync(t *Team, root int, vals []any, bytes int, opts ..
 		class = core.OpReads
 	}
 	h := img.m.comm.ScatterAsync(img.st.kern, t, root, vals, bytes,
-		img.collTrack(t, o.dataE == nil && o.opE == nil))
+		img.collFinish(t, o.dataE == nil && o.opE == nil))
 	return img.wrap(h, "scatter", class, o, t, isRoot, true)
 }
 
@@ -319,7 +318,7 @@ func (img *Image) AlltoallAsync(t *Team, vals []any, bytes int, opts ...CollOpt)
 		opt(&o)
 	}
 	h := img.m.comm.AlltoallAsync(img.st.kern, t, vals, bytes,
-		img.collTrack(t, o.dataE == nil && o.opE == nil))
+		img.collFinish(t, o.dataE == nil && o.opE == nil))
 	return img.wrap(h, "alltoall", core.OpReads|core.OpWrites, o, t, true, true)
 }
 
@@ -332,7 +331,7 @@ func (img *Image) ScanAsync(t *Team, op ReduceOp, vec []int64, opts ...CollOpt) 
 		opt(&o)
 	}
 	h := img.m.comm.ScanAsync(img.st.kern, t, op, vec,
-		img.collTrack(t, o.dataE == nil && o.opE == nil))
+		img.collFinish(t, o.dataE == nil && o.opE == nil))
 	return img.wrap(h, "scan", core.OpReads|core.OpWrites, o, t, true, true)
 }
 
@@ -345,7 +344,7 @@ func (img *Image) SortAsync(t *Team, keys []int64, opts ...CollOpt) *Collective 
 		opt(&o)
 	}
 	h := img.m.comm.SortAsync(img.st.kern, t, keys,
-		img.collTrack(t, o.dataE == nil && o.opE == nil))
+		img.collFinish(t, o.dataE == nil && o.opE == nil))
 	return img.wrap(h, "sort", core.OpReads|core.OpWrites, o, t, true, true)
 }
 

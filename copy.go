@@ -52,7 +52,7 @@ type copyOp[T any] struct {
 	fenced             bool // pend is registered with the initiator's cofence
 	bytes              int
 	class              fabric.Class
-	track              rt.Track
+	finish             int64 // the finish block an implicit copy is tracked in
 
 	// localLeft counts the initiator's local buffers still in play; at
 	// zero the copy is local data complete.
@@ -136,7 +136,7 @@ func CopyAsync[T any](img *Image, dst, src Sec[T], opts ...CopyOpt) *Op {
 	}
 	img.opInit(&c.op, "copy", peer)
 	if implicit {
-		c.track = img.track()
+		c.finish = img.trackID()
 	}
 	rs := img.m.race
 	if rs != nil && img.rc != nil {
@@ -202,8 +202,8 @@ func (c *copyOp[T]) forkOpClocks() {
 	} else {
 		c.localClk = c.rclk
 	}
-	if c.track.Tracked() {
-		fs := rs.finishSyncFor(c.track.ID)
+	if c.finish != 0 {
+		fs := rs.finishSyncFor(c.finish)
 		race.JoinInto(&fs.ops, c.wclk)
 	}
 }
@@ -221,7 +221,7 @@ func (c *copyOp[T]) start() {
 	st := &m.states[me]
 	c.forkOpClocks()
 	m.opStageAt(&c.op, me, trace.StageInit)
-	opts := rt.SendOpts{Track: c.track, Path: path.WireTag(c.op.pctx), Done: c}
+	opts := rt.SendOpts{Finish: c.finish, Path: path.WireTag(c.op.pctx), Done: c}
 	if c.srcLocal {
 		raceRecord(m, c.src, false, c.rid, c.rclk, "copy_async read")
 		c.data = c.src.read() // snapshot at initiation
@@ -292,10 +292,10 @@ func (c *copyOp[T]) atSource(d *rt.Delivery) {
 		m.notifyFrom(here, c.o.srcE, eff)
 	}
 	m.states[here].kern.Send(c.dstRank(), tagCopyPut, c, rt.SendOpts{
-		Track: c.track,
-		Class: c.class,
-		Bytes: c.bytes,
-		Path:  path.WireTag(c.op.pctx),
+		Finish: c.finish,
+		Class:  c.class,
+		Bytes:  c.bytes,
+		Path:   path.WireTag(c.op.pctx),
 	})
 }
 

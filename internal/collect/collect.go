@@ -8,8 +8,8 @@
 // points the paper distinguishes (Fig. 4): local data completion (the
 // image's buffer is usable) and local operation completion (all pair-wise
 // communication involving the image is done). Global completion is the
-// finish plane's business: tree messages carry the caller's tracking
-// context so a finish block cannot close before enclosed collectives are
+// finish plane's business: tree messages are tracked in the caller's
+// finish block so a finish block cannot close before enclosed collectives are
 // globally complete.
 //
 // SPMD discipline: every member of a team must invoke the same collectives
@@ -297,7 +297,7 @@ type inst struct {
 	own Handle // the Handle of a synchronous call
 
 	// finish is the finish block the tree messages are tracked in (0 =
-	// untracked): the tracker stamps the rest of rt.Track at each send.
+	// untracked): the tracker makes their rt.Track at each send.
 	finish int64
 
 	relRank     int
@@ -398,7 +398,7 @@ func NewWithTree(k *rt.Kernel, tree Tree) *Comm {
 	}
 	k.RegisterHandler(Tag, func(d *rt.Delivery) {
 		m := d.Payload.(*colMsg)
-		c.nodes[d.Img.Rank()].onMsg(m, d.Track())
+		c.nodes[d.Img.Rank()].onMsg(m, d.Track().ID)
 		// The handler copied what it needed: the message is done.
 		c.releaseMsg(m)
 	})
@@ -537,13 +537,13 @@ func absOf(rel, root, size int) int {
 func parentRel(r int) int { return r & (r - 1) }
 
 // onMsg processes one delivered tree message.
-func (n *node) onMsg(m *colMsg, track rt.Track) {
+func (n *node) onMsg(m *colMsg, finish int64) {
 	if m.dead {
 		panic("collect: tree message used after its handler")
 	}
-	in := n.get(m.key, m.t, track.ID)
+	in := n.get(m.key, m.t, finish)
 	if in.finish == 0 {
-		in.finish = track.ID
+		in.finish = finish
 	}
 	if in.elemBytes == 0 {
 		in.elemBytes = m.elem

@@ -23,9 +23,9 @@ func (n *node) sendTree(in *inst, dstTeamRank int, msg colMsg, needAck, needInje
 	m.elem = in.elemBytes
 	dst := in.t.WorldRank(dstTeamRank)
 	opts := rt.SendOpts{
-		Track: rt.Track{ID: in.finish},
-		Class: classFor(n.img.Kernel(), m.bytes),
-		Bytes: m.bytes,
+		Finish: in.finish,
+		Class:  classFor(n.img.Kernel(), m.bytes),
+		Bytes:  m.bytes,
 		// Collective tree messages sit on the critical path of barriers
 		// and finish termination rounds: never coalesce them.
 		NoCoalesce: true,
@@ -50,7 +50,7 @@ func (n *node) sendTree(in *inst, dstTeamRank int, msg colMsg, needAck, needInje
 // gets a Handle of its own, and the instance may be gone when start
 // returns.
 func (c *Comm) start(img *rt.ImageKernel, t *team.Team, kd kind, root int,
-	op Op, vec []int64, data any, elemBytes int, track rt.Track, sync bool) (*Handle, *inst) {
+	op Op, vec []int64, data any, elemBytes int, finish int64, sync bool) (*Handle, *inst) {
 
 	if root < 0 || root >= t.Size() {
 		panic(fmt.Sprintf("collect: root %d out of range for %v", root, t))
@@ -61,12 +61,12 @@ func (c *Comm) start(img *rt.ImageKernel, t *team.Team, kd kind, root int,
 	n := &c.nodes[img.Rank()]
 	key := instKey{teamID: t.ID(), kd: kd, root: root,
 		seq: n.nextSeq(t.ID(), kd, root)}
-	in := n.get(key, t, track.ID)
+	in := n.get(key, t, finish)
 	if in.started {
 		panic("collect: duplicate start for instance " + kd.String())
 	}
-	if track.Tracked() {
-		in.finish = track.ID
+	if finish != 0 {
+		in.finish = finish
 	}
 	in.started = true
 	in.op = op
@@ -384,68 +384,68 @@ func (n *node) checkLocalData(in *inst) {
 // ---------------------------------------------------------------------
 
 // BarrierAsync begins a split-phase barrier over t.
-func (c *Comm) BarrierAsync(img *rt.ImageKernel, t *team.Team, track rt.Track) *Handle {
-	h, _ := c.start(img, t, kBarrier, 0, Sum, nil, nil, 0, track, false)
+func (c *Comm) BarrierAsync(img *rt.ImageKernel, t *team.Team, finish int64) *Handle {
+	h, _ := c.start(img, t, kBarrier, 0, Sum, nil, nil, 0, finish, false)
 	return h
 }
 
 // BroadcastAsync begins an asynchronous broadcast of val (bytes wide)
 // from team rank root.
-func (c *Comm) BroadcastAsync(img *rt.ImageKernel, t *team.Team, root int, val any, bytes int, track rt.Track) *Handle {
-	h, _ := c.start(img, t, kBcast, root, Sum, nil, val, bytes, track, false)
+func (c *Comm) BroadcastAsync(img *rt.ImageKernel, t *team.Team, root int, val any, bytes int, finish int64) *Handle {
+	h, _ := c.start(img, t, kBcast, root, Sum, nil, val, bytes, finish, false)
 	return h
 }
 
 // ReduceAsync begins an asynchronous reduction of vec to team rank root.
-func (c *Comm) ReduceAsync(img *rt.ImageKernel, t *team.Team, root int, op Op, vec []int64, track rt.Track) *Handle {
-	h, _ := c.start(img, t, kReduce, root, op, vec, nil, 0, track, false)
+func (c *Comm) ReduceAsync(img *rt.ImageKernel, t *team.Team, root int, op Op, vec []int64, finish int64) *Handle {
+	h, _ := c.start(img, t, kReduce, root, op, vec, nil, 0, finish, false)
 	return h
 }
 
 // AllreduceAsync begins an asynchronous all-reduce of vec.
-func (c *Comm) AllreduceAsync(img *rt.ImageKernel, t *team.Team, op Op, vec []int64, track rt.Track) *Handle {
-	h, _ := c.start(img, t, kAllreduce, 0, op, vec, nil, 0, track, false)
+func (c *Comm) AllreduceAsync(img *rt.ImageKernel, t *team.Team, op Op, vec []int64, finish int64) *Handle {
+	h, _ := c.start(img, t, kAllreduce, 0, op, vec, nil, 0, finish, false)
 	return h
 }
 
 // GatherAsync begins an asynchronous gather of val (bytes wide) to root.
-func (c *Comm) GatherAsync(img *rt.ImageKernel, t *team.Team, root int, val any, bytes int, track rt.Track) *Handle {
-	h, _ := c.start(img, t, kGather, root, Sum, nil, val, bytes, track, false)
+func (c *Comm) GatherAsync(img *rt.ImageKernel, t *team.Team, root int, val any, bytes int, finish int64) *Handle {
+	h, _ := c.start(img, t, kGather, root, Sum, nil, val, bytes, finish, false)
 	return h
 }
 
 // ScatterAsync begins an asynchronous scatter. On the root, vals holds one
 // value per team rank (each bytes wide); elsewhere vals is ignored.
-func (c *Comm) ScatterAsync(img *rt.ImageKernel, t *team.Team, root int, vals []any, bytes int, track rt.Track) *Handle {
+func (c *Comm) ScatterAsync(img *rt.ImageKernel, t *team.Team, root int, vals []any, bytes int, finish int64) *Handle {
 	var data any
 	if t.MustRank(img.Rank()) == root {
 		data = vals
 	}
-	h, _ := c.start(img, t, kScatter, root, Sum, nil, data, bytes, track, false)
+	h, _ := c.start(img, t, kScatter, root, Sum, nil, data, bytes, finish, false)
 	return h
 }
 
 // AlltoallAsync begins an asynchronous all-to-all exchange; vals holds one
 // value per team rank.
-func (c *Comm) AlltoallAsync(img *rt.ImageKernel, t *team.Team, vals []any, bytes int, track rt.Track) *Handle {
+func (c *Comm) AlltoallAsync(img *rt.ImageKernel, t *team.Team, vals []any, bytes int, finish int64) *Handle {
 	anyVals := make([]any, len(vals))
 	copy(anyVals, vals)
-	h, _ := c.start(img, t, kAlltoall, 0, Sum, nil, anyVals, bytes, track, false)
+	h, _ := c.start(img, t, kAlltoall, 0, Sum, nil, anyVals, bytes, finish, false)
 	return h
 }
 
 // ScanAsync begins an asynchronous inclusive prefix reduction in
 // team-rank order.
-func (c *Comm) ScanAsync(img *rt.ImageKernel, t *team.Team, op Op, vec []int64, track rt.Track) *Handle {
-	h, _ := c.start(img, t, kScan, 0, op, vec, nil, 8*len(vec), track, false)
+func (c *Comm) ScanAsync(img *rt.ImageKernel, t *team.Team, op Op, vec []int64, finish int64) *Handle {
+	h, _ := c.start(img, t, kScan, 0, op, vec, nil, 8*len(vec), finish, false)
 	return h
 }
 
 // SortAsync begins an asynchronous parallel sort: the concatenation of all
 // images' keys is sorted and redistributed so team rank order yields a
 // globally sorted sequence, with each image keeping its original count.
-func (c *Comm) SortAsync(img *rt.ImageKernel, t *team.Team, keys []int64, track rt.Track) *Handle {
-	h, _ := c.start(img, t, kSort, 0, Sum, keys, nil, 8*max(1, len(keys)), track, false)
+func (c *Comm) SortAsync(img *rt.ImageKernel, t *team.Team, keys []int64, finish int64) *Handle {
+	h, _ := c.start(img, t, kSort, 0, Sum, keys, nil, 8*max(1, len(keys)), finish, false)
 	return h
 }
 
@@ -457,7 +457,7 @@ func (c *Comm) SortAsync(img *rt.ImageKernel, t *team.Team, keys []int64, track 
 
 // Barrier blocks until every member of t has entered the barrier.
 func (c *Comm) Barrier(p *sim.Proc, img *rt.ImageKernel, t *team.Team) {
-	h, in := c.start(img, t, kBarrier, 0, Sum, nil, nil, 0, rt.Track{}, true)
+	h, in := c.start(img, t, kBarrier, 0, Sum, nil, nil, 0, 0, true)
 	h.WaitLocalData(p)
 	c.doneWith(in)
 }
@@ -465,7 +465,7 @@ func (c *Comm) Barrier(p *sim.Proc, img *rt.ImageKernel, t *team.Team) {
 // Broadcast distributes val (bytes wide) from team rank root and returns
 // the received value.
 func (c *Comm) Broadcast(p *sim.Proc, img *rt.ImageKernel, t *team.Team, root int, val any, bytes int) any {
-	h, in := c.start(img, t, kBcast, root, Sum, nil, val, bytes, rt.Track{}, true)
+	h, in := c.start(img, t, kBcast, root, Sum, nil, val, bytes, 0, true)
 	h.WaitLocalData(p)
 	out := h.result
 	c.doneWith(in)
@@ -475,7 +475,7 @@ func (c *Comm) Broadcast(p *sim.Proc, img *rt.ImageKernel, t *team.Team, root in
 // Reduce folds vec across t; the result is returned at the root, nil
 // elsewhere.
 func (c *Comm) Reduce(p *sim.Proc, img *rt.ImageKernel, t *team.Team, root int, op Op, vec []int64) []int64 {
-	h, in := c.start(img, t, kReduce, root, op, vec, nil, 0, rt.Track{}, true)
+	h, in := c.start(img, t, kReduce, root, op, vec, nil, 0, 0, true)
 	h.WaitLocalData(p)
 	var out []int64
 	if in.relRank == 0 {
@@ -487,7 +487,7 @@ func (c *Comm) Reduce(p *sim.Proc, img *rt.ImageKernel, t *team.Team, root int, 
 
 // Allreduce folds vec across t and returns the result on every member.
 func (c *Comm) Allreduce(p *sim.Proc, img *rt.ImageKernel, t *team.Team, op Op, vec []int64) []int64 {
-	h, in := c.start(img, t, kAllreduce, 0, op, vec, nil, 0, rt.Track{}, true)
+	h, in := c.start(img, t, kAllreduce, 0, op, vec, nil, 0, 0, true)
 	h.WaitLocalData(p)
 	out := append([]int64(nil), in.down...)
 	c.doneWith(in)
@@ -497,7 +497,7 @@ func (c *Comm) Allreduce(p *sim.Proc, img *rt.ImageKernel, t *team.Team, op Op, 
 // Gather collects each member's val at root, returning the team-rank
 // ordered slice there and nil elsewhere.
 func (c *Comm) Gather(p *sim.Proc, img *rt.ImageKernel, t *team.Team, root int, val any, bytes int) []any {
-	h, in := c.start(img, t, kGather, root, Sum, nil, val, bytes, rt.Track{}, true)
+	h, in := c.start(img, t, kGather, root, Sum, nil, val, bytes, 0, true)
 	h.WaitLocalData(p)
 	out, _ := h.result.([]any)
 	c.doneWith(in)
@@ -510,7 +510,7 @@ func (c *Comm) Scatter(p *sim.Proc, img *rt.ImageKernel, t *team.Team, root int,
 	if t.MustRank(img.Rank()) == root {
 		data = vals
 	}
-	h, in := c.start(img, t, kScatter, root, Sum, nil, data, bytes, rt.Track{}, true)
+	h, in := c.start(img, t, kScatter, root, Sum, nil, data, bytes, 0, true)
 	h.WaitLocalData(p)
 	out := h.result
 	c.doneWith(in)
@@ -522,7 +522,7 @@ func (c *Comm) Scatter(p *sim.Proc, img *rt.ImageKernel, t *team.Team, root int,
 func (c *Comm) Alltoall(p *sim.Proc, img *rt.ImageKernel, t *team.Team, vals []any, bytes int) []any {
 	anyVals := make([]any, len(vals))
 	copy(anyVals, vals)
-	h, in := c.start(img, t, kAlltoall, 0, Sum, nil, anyVals, bytes, rt.Track{}, true)
+	h, in := c.start(img, t, kAlltoall, 0, Sum, nil, anyVals, bytes, 0, true)
 	h.WaitLocalData(p)
 	out := h.result.([]any)
 	c.doneWith(in)
@@ -531,7 +531,7 @@ func (c *Comm) Alltoall(p *sim.Proc, img *rt.ImageKernel, t *team.Team, vals []a
 
 // Scan returns the inclusive prefix reduction of vec in team-rank order.
 func (c *Comm) Scan(p *sim.Proc, img *rt.ImageKernel, t *team.Team, op Op, vec []int64) []int64 {
-	h, in := c.start(img, t, kScan, 0, op, vec, nil, 8*len(vec), rt.Track{}, true)
+	h, in := c.start(img, t, kScan, 0, op, vec, nil, 8*len(vec), 0, true)
 	h.WaitLocalData(p)
 	out := h.result.([]int64)
 	c.doneWith(in)
@@ -540,7 +540,7 @@ func (c *Comm) Scan(p *sim.Proc, img *rt.ImageKernel, t *team.Team, op Op, vec [
 
 // Sort globally sorts the members' keys (see SortAsync).
 func (c *Comm) Sort(p *sim.Proc, img *rt.ImageKernel, t *team.Team, keys []int64) []int64 {
-	h, in := c.start(img, t, kSort, 0, Sum, keys, nil, 8*max(1, len(keys)), rt.Track{}, true)
+	h, in := c.start(img, t, kSort, 0, Sum, keys, nil, 8*max(1, len(keys)), 0, true)
 	h.WaitLocalData(p)
 	out := h.result.([]int64)
 	c.doneWith(in)

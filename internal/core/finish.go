@@ -28,16 +28,16 @@ import (
 // which travels with every tracked message by value. ID is identical on
 // every member image (derived from the team id and a per-team sequence
 // number); ParityOdd is stamped by the sender's OnSend with the sender's
-// present epoch parity, implementing the paper's fromOddEpoch bit; Src
-// and Dst are the world ranks of the sender and destination, stamped at
-// OnSend, on which the resilient-finish reconciliation keys its per-peer
-// charge-off tallies. SBox (the sender's epoch at send time, the ack's
-// credit target) and RBox (the receiver's epoch at delivery, the
-// completion's) bind each message's delivery/completion credits to the
-// epoch objects that counted its send/receipt — on real hardware these
-// are per-image table lookups keyed by (ID, parity, round); carrying
-// pointers is the shared-address-space simulation's shortcut for the
-// same thing.
+// present epoch parity, implementing the paper's fromOddEpoch bit. SBox
+// (the sender's epoch at send time, the ack's credit target) and the
+// receiver's box that OnReceive returns (its epoch at delivery, the
+// completion's credit target, kept by rt on the Delivery) bind each
+// message's delivery/completion credits to the epoch objects that counted
+// its send/receipt — on real hardware these are per-image table lookups
+// keyed by (ID, parity, round); carrying pointers is the shared-address-
+// space simulation's shortcut for the same thing. The world ranks of the
+// two ends, on which the resilient-finish reconciliation keys its
+// per-peer charge-off tallies, come from rt with OnComplete and OnAck.
 type Ref = rt.Track
 
 // FinishID derives the globally consistent id of the seq-th finish block
@@ -77,11 +77,12 @@ type epochBox struct {
 	fwd *epochBox
 }
 
-// TrackBox marks an epochBox as what a Ref's SBox and RBox point to.
+// TrackBox marks an epochBox as what a Ref's SBox and the receiver's box
+// (OnReceive) point to.
 func (*epochBox) TrackBox() {}
 
-// epochOf returns the epoch a stamped Ref's SBox or RBox names, resolved to
-// its fold target.
+// epochOf returns the epoch a Ref's SBox or a receiver's box names,
+// resolved to its fold target.
 func epochOf(b rt.TrackBox) *epochBox { return b.(*epochBox).resolve() }
 
 func (b *epochBox) resolve() *epochBox {
@@ -527,7 +528,7 @@ func (pl *Plane) allreduce(p *sim.Proc, img *rt.ImageKernel, s *State, vec []int
 	if pl.det == nil {
 		return pl.comm.Allreduce(p, img, s.t, collect.Sum, vec), true
 	}
-	h := pl.comm.AllreduceAsync(img, s.t, collect.Sum, vec, rt.Track{})
+	h := pl.comm.AllreduceAsync(img, s.t, collect.Sum, vec, 0)
 	if !h.WaitLocalDataErr(p) {
 		return nil, false
 	}
@@ -787,19 +788,20 @@ func (pl *Plane) maybeCollect(rank int, s *State) {
 // ---------------------------------------------------------------------
 
 // OnSend counts the send in the sender's present epoch and stamps the
-// message with that parity, epoch binding, and endpoints.
-func (pl *Plane) OnSend(src *rt.ImageKernel, dst int, ref Ref) Ref {
-	s := pl.state(src.Rank(), ref.ID)
+// message of finish block id with that parity and epoch binding.
+func (pl *Plane) OnSend(src *rt.ImageKernel, id int64) Ref {
+	s := pl.state(src.Rank(), id)
 	box := s.currentBox()
 	box.resolve().sent++
 	s.tSent++
 	pl.stats.TrackedSends++
-	return Ref{ID: ref.ID, ParityOdd: s.presentOdd, Src: src.Rank(), Dst: dst, SBox: box}
+	return Ref{ID: id, ParityOdd: s.presentOdd, SBox: box}
 }
 
 // OnReceive counts the arrival; an odd-parity message forces the receiver
-// into its odd epoch (Fig. 7 message_handler).
-func (pl *Plane) OnReceive(dst *rt.ImageKernel, ref Ref) Ref {
+// into its odd epoch (Fig. 7 message_handler). The box it returns is the
+// receiving epoch, which the message's completion is credited to.
+func (pl *Plane) OnReceive(dst *rt.ImageKernel, ref Ref) rt.TrackBox {
 	s := pl.state(dst.Rank(), ref.ID)
 	if ref.ParityOdd {
 		s.presentOdd = true
@@ -809,8 +811,7 @@ func (pl *Plane) OnReceive(dst *rt.ImageKernel, ref Ref) Ref {
 	box.resolve().received++
 	s.tReceived++
 	pl.stats.TrackedArrives++
-	ref.RBox = box
-	return ref
+	return box
 }
 
 // OnComplete counts handler/shipped-function completion in the epoch that
@@ -820,18 +821,18 @@ func (pl *Plane) OnReceive(dst *rt.ImageKernel, ref Ref) Ref {
 // becomes a virtual {sent, delivered} pair standing in for the send the
 // dead image can no longer report. A completion arriving after the
 // sender was already charged off applies the stand-in immediately.
-func (pl *Plane) OnComplete(dst *rt.ImageKernel, ref Ref) {
+func (pl *Plane) OnComplete(dst *rt.ImageKernel, src int, ref Ref, rbox rt.TrackBox) {
 	s := pl.state(dst.Rank(), ref.ID)
-	epochOf(ref.RBox).completed++
+	epochOf(rbox).completed++
 	s.tCompleted++
 	if pl.det != nil {
-		if pl.charged[ref.Src] {
+		if pl.charged[src] {
 			s.adjSent++
 		} else {
 			if s.completedFrom == nil {
 				s.completedFrom = make(map[int]int64)
 			}
-			s.completedFrom[ref.Src]++
+			s.completedFrom[src]++
 		}
 	}
 	pl.wake(s)
@@ -845,12 +846,12 @@ func (pl *Plane) OnComplete(dst *rt.ImageKernel, ref Ref) {
 // was resident on the dead image and will never be reported). An ack
 // arriving after the peer was already charged off — the fabric event was
 // scheduled before the crash — applies the charge-off immediately.
-func (pl *Plane) OnAck(src *rt.ImageKernel, ref Ref) {
+func (pl *Plane) OnAck(src *rt.ImageKernel, dst int, ref Ref) {
 	s := pl.state(src.Rank(), ref.ID)
 	epochOf(ref.SBox).delivered++
 	s.tDelivered++
 	if pl.det != nil {
-		if pl.charged[ref.Dst] {
+		if pl.charged[dst] {
 			s.adjCompleted++
 			s.lost++
 			pl.stats.LostActivities++
@@ -858,7 +859,7 @@ func (pl *Plane) OnAck(src *rt.ImageKernel, ref Ref) {
 			if s.ackedTo == nil {
 				s.ackedTo = make(map[int]int64)
 			}
-			s.ackedTo[ref.Dst]++
+			s.ackedTo[dst]++
 		}
 	}
 	pl.wake(s)

@@ -134,7 +134,7 @@ func TestLateAckAfterFoldCountsOnce(t *testing.T) {
 	s := m.pl.state(0, id)
 	s.presentOdd = true // the image is in an odd epoch when it sends
 
-	stamped := m.pl.OnSend(img, 0, Ref{ID: id})
+	stamped := m.pl.OnSend(img, id)
 	if !stamped.ParityOdd {
 		t.Fatal("send in an odd epoch not stamped odd")
 	}
@@ -151,7 +151,7 @@ func TestLateAckAfterFoldCountsOnce(t *testing.T) {
 
 	// The late ack now arrives: it must land in even via the forward
 	// pointer, exactly once.
-	m.pl.OnAck(img, stamped)
+	m.pl.OnAck(img, 0, stamped)
 	if s.even.delivered != 1 {
 		t.Errorf("even.delivered = %d, want 1 (late ack must follow the fold)", s.even.delivered)
 	}

@@ -61,7 +61,7 @@ func newMachineFabric(t testing.TB, n int, seed int64, cfg Config, fcfg fabric.C
 // spawn ships fn to image dst inside the finish identified by ref.
 func (m *machine) spawn(src *rt.ImageKernel, dst int, ref Ref, fn shipped) {
 	m.spawned++
-	src.Send(dst, tagSpawn, fn, rt.SendOpts{Track: ref, Class: fabric.AMMedium, Bytes: 64})
+	src.Send(dst, tagSpawn, fn, rt.SendOpts{Finish: ref.ID, Class: fabric.AMMedium, Bytes: 64})
 }
 
 // runFinish runs body inside a finish block on every image and returns
@@ -264,7 +264,7 @@ func TestSubteamFinish(t *testing.T) {
 			tm := teams[img.Rank()%2]
 			s := pl.Begin(img, tm)
 			img.Send(tm.WorldRank((tm.MustRank(img.Rank())+1)%tm.Size()), tagSpawn, nil,
-				rt.SendOpts{Track: s.Ref(), Class: fabric.AMShort, Bytes: 8})
+				rt.SendOpts{Finish: s.Ref().ID, Class: fabric.AMShort, Bytes: 8})
 			pl.End(p, img, s)
 			done++
 		})

@@ -3,7 +3,7 @@ package core
 // Tests of the finish plane's tracking context as a value (rt.Track): what
 // each Tracker step stamps and reads, that the credits of one message land
 // in the epochs that counted it, and that the resilient reconciliation is
-// keyed on the endpoints the context carries. Named Pool… so the race pass
+// keyed on the endpoints rt hands in. Named Pool… so the race pass
 // over the message path's tests (make ci) runs them too.
 
 import (
@@ -21,8 +21,8 @@ func TestPoolTrackRoundTrip(t *testing.T) {
 	const id = int64(7)
 	ss, ds := m.pl.state(0, id), m.pl.state(1, id)
 
-	sent := m.pl.OnSend(src, 1, Ref{ID: id})
-	if want := (Ref{ID: id, Src: 0, Dst: 1, SBox: &ss.even}); sent != want {
+	sent := m.pl.OnSend(src, id)
+	if want := (Ref{ID: id, SBox: &ss.even}); sent != want {
 		t.Fatalf("OnSend stamped %+v, want %+v", sent, want)
 	}
 	if !sent.Tracked() || (Ref{}).Tracked() {
@@ -33,28 +33,28 @@ func TestPoolTrackRoundTrip(t *testing.T) {
 	}
 
 	// An odd-parity message moves the receiver into its odd epoch and is
-	// counted there; the stamped context remembers which box that was.
+	// counted there; the box OnReceive returns remembers which one it was.
 	sent.ParityOdd = true
-	got := m.pl.OnReceive(dst, sent)
+	rbox := m.pl.OnReceive(dst, sent)
 	if !ds.presentOdd || ds.odd == nil || ds.odd.received != 1 {
 		t.Fatalf("odd message not received in the odd epoch: %+v", ds.odd)
 	}
-	if got.RBox != rt.TrackBox(ds.odd) || got.SBox != sent.SBox || got.Src != 0 || got.Dst != 1 {
-		t.Fatalf("OnReceive returned %+v", got)
+	if rbox != rt.TrackBox(ds.odd) {
+		t.Fatalf("OnReceive returned %v, want the odd epoch", rbox)
 	}
 
-	m.pl.OnComplete(dst, got)
+	m.pl.OnComplete(dst, 0, sent, rbox)
 	if ds.odd.completed != 1 || !ds.odd.quiescent() {
 		t.Errorf("completion not credited to the receiving epoch: %+v", ds.odd.epoch)
 	}
-	m.pl.OnAck(src, got)
+	m.pl.OnAck(src, 1, sent)
 	if ss.even.delivered != 1 || !ss.even.quiescent() {
 		t.Errorf("ack not credited to the sending epoch: %+v", ss.even.epoch)
 	}
 
 	// A second send that the fabric gives up on: delivered locally, and
 	// the remote half charged off as a virtual pair.
-	lost := m.pl.OnSend(src, 1, Ref{ID: id})
+	lost := m.pl.OnSend(src, id)
 	m.pl.OnAbandoned(src, lost)
 	if ss.even.sent != 2 || ss.even.delivered != 2 || ss.adjCompleted != 1 || ss.lost != 1 {
 		t.Errorf("abandoned send: epoch %+v, adjCompleted %d, lost %d", ss.even.epoch, ss.adjCompleted, ss.lost)
@@ -66,6 +66,8 @@ func TestPoolTrackRoundTrip(t *testing.T) {
 
 // The same steps driven by rt: the context a handler sees is the stamped
 // one, by value, and nothing of it is left behind on the pooled records.
+// The receiver's box stays on the Delivery; the counters say where each
+// completion landed.
 func TestPoolTrackTravelsByValue(t *testing.T) {
 	m := newMachine(t, 2, 1, Config{WaitQuiescent: true})
 	const tag uint16 = 201
@@ -73,14 +75,14 @@ func TestPoolTrackTravelsByValue(t *testing.T) {
 	m.k.RegisterHandler(tag, func(d *rt.Delivery) { seen = append(seen, d.Track()) })
 	const id = int64(11)
 	for i := 0; i < 3; i++ {
-		m.k.Image(0).Send(1, tag, nil, rt.SendOpts{Track: Ref{ID: id}, Class: fabric.AMShort, Bytes: 8})
+		m.k.Image(0).Send(1, tag, nil, rt.SendOpts{Finish: id, Class: fabric.AMShort, Bytes: 8})
 		m.k.Image(0).Send(1, tag, nil, rt.SendOpts{Class: fabric.AMShort, Bytes: 8})
 	}
 	if err := m.eng.Run(); err != nil {
 		t.Fatal(err)
 	}
 	ss, ds := m.pl.state(0, id), m.pl.state(1, id)
-	want := Ref{ID: id, Src: 0, Dst: 1, SBox: &ss.even, RBox: &ds.even}
+	want := Ref{ID: id, SBox: &ss.even}
 	for i, got := range seen {
 		if tracked := i%2 == 0; tracked && got != want {
 			t.Errorf("delivery %d saw %+v, want %+v", i, got, want)
@@ -94,8 +96,8 @@ func TestPoolTrackTravelsByValue(t *testing.T) {
 }
 
 // Resilient finish: the mirror tallies a death consumes are keyed on the
-// Src and Dst the context carries, and a credit that arrives after its
-// peer was charged off is applied on the spot.
+// peer ranks rt hands to OnComplete and OnAck, and a credit that arrives
+// after its peer was charged off is applied on the spot.
 func TestPoolTrackChargeOffKeyedOnEndpoints(t *testing.T) {
 	m, _ := resilientMachine(t, 3, 1, fabric.DefaultConfig(), 10*sim.Microsecond)
 	const id = int64(5)
@@ -104,10 +106,10 @@ func TestPoolTrackChargeOffKeyedOnEndpoints(t *testing.T) {
 
 	// 0 → 2 acked twice, 0 → 1 acked once; 2 → 1 completed once.
 	for _, dst := range []int{2, 2, 1} {
-		m.pl.OnAck(img0, m.pl.OnSend(img0, dst, Ref{ID: id}))
+		m.pl.OnAck(img0, dst, m.pl.OnSend(img0, id))
 	}
-	from2 := m.pl.OnReceive(img1, Ref{ID: id, Src: 2, Dst: 1, SBox: &m.pl.state(2, id).even})
-	m.pl.OnComplete(img1, from2)
+	from2 := Ref{ID: id, SBox: &m.pl.state(2, id).even}
+	m.pl.OnComplete(img1, 2, from2, m.pl.OnReceive(img1, from2))
 	if s0.ackedTo[2] != 2 || s0.ackedTo[1] != 1 || s1.completedFrom[2] != 1 {
 		t.Fatalf("mirror tallies: ackedTo %v, completedFrom %v", s0.ackedTo, s1.completedFrom)
 	}
@@ -121,9 +123,8 @@ func TestPoolTrackChargeOffKeyedOnEndpoints(t *testing.T) {
 	}
 
 	// Late credits for the dead peer skip the tallies.
-	m.pl.OnAck(img0, m.pl.OnSend(img0, 2, Ref{ID: id}))
-	late := m.pl.OnReceive(img1, Ref{ID: id, Src: 2, Dst: 1, SBox: &m.pl.state(2, id).even})
-	m.pl.OnComplete(img1, late)
+	m.pl.OnAck(img0, 2, m.pl.OnSend(img0, id))
+	m.pl.OnComplete(img1, 2, from2, m.pl.OnReceive(img1, from2))
 	if s0.adjCompleted != 3 || s0.lost != 3 || s1.adjSent != 2 || len(s0.ackedTo) != 1 || len(s1.completedFrom) != 0 {
 		t.Errorf("late credits: image 0 adjCompleted %d lost %d ackedTo %v; image 1 adjSent %d completedFrom %v",
 			s0.adjCompleted, s0.lost, s0.ackedTo, s1.adjSent, s1.completedFrom)

@@ -11,22 +11,34 @@ import (
 	"testing"
 
 	"caf2go/internal/failure"
+	"caf2go/internal/rt"
 	"caf2go/internal/sim"
 	"caf2go/internal/team"
 )
 
 const us = sim.Microsecond
 
+// selfSend is one tracked self-send as the tracker stamped it: the
+// message's context and the receiving epoch.
+type selfSend struct {
+	ref  Ref
+	rbox rt.TrackBox
+}
+
+func (s selfSend) complete(m *machine) { m.pl.OnComplete(m.k.Image(0), 0, s.ref, s.rbox) }
+func (s selfSend) ack(m *machine)      { m.pl.OnAck(m.k.Image(0), 0, s.ref) }
+
 // soloFinish starts image 0's main on a finish over a team of its own,
 // with n tracked self-sends counted as sent and received before End parks.
 // The caller drives their completions and acks by hand through refs.
-func soloFinish(m *machine, n int, ended *sim.Time) (refs []Ref) {
+func soloFinish(m *machine, n int, ended *sim.Time) (refs []selfSend) {
 	img := m.k.Image(0)
-	refs = make([]Ref, n)
+	refs = make([]selfSend, n)
 	img.Go("main", func(p *sim.Proc) {
 		st := m.pl.Begin(img, team.New(77, []int{0}))
 		for i := range refs {
-			refs[i] = m.pl.OnReceive(img, m.pl.OnSend(img, 0, st.Ref()))
+			ref := m.pl.OnSend(img, st.Ref().ID)
+			refs[i] = selfSend{ref, m.pl.OnReceive(img, ref)}
 		}
 		m.pl.End(p, img, st)
 		*ended = p.Now()
@@ -52,13 +64,12 @@ func eventsBetween(t *testing.T, eng *sim.Engine, a, b sim.Time) uint64 {
 func TestFinishWaiterWokenOnceNotPerCredit(t *testing.T) {
 	const n = 16
 	m := newMachine(t, 1, 1, Config{WaitQuiescent: true})
-	img := m.k.Image(0)
 	var ended sim.Time
 	refs := soloFinish(m, n, &ended)
 	for i := 0; i < n; i++ {
 		i := i
-		m.eng.At(sim.Time(1+i)*us, func() { m.pl.OnComplete(img, refs[i]) })
-		m.eng.At(sim.Time(1+n+i)*us, func() { m.pl.OnAck(img, refs[i]) })
+		m.eng.At(sim.Time(1+i)*us, func() { refs[i].complete(m) })
+		m.eng.At(sim.Time(1+n+i)*us, func() { refs[i].ack(m) })
 	}
 	// In the window: 2n-1 credits and the closing probe.
 	if got := eventsBetween(t, m.eng, us/2, 2*n*us-us/2); got != 2*n {
@@ -74,13 +85,12 @@ func TestFinishWaiterWokenOnceNotPerCredit(t *testing.T) {
 func TestFinishFourCounterWaiterWokenOnce(t *testing.T) {
 	const n = 16
 	m := newMachine(t, 1, 1, Config{WaitQuiescent: false})
-	img := m.k.Image(0)
 	var ended sim.Time
 	refs := soloFinish(m, n, &ended)
 	for i := 0; i < n; i++ {
 		i := i
-		m.eng.At(sim.Time(1+i)*us, func() { m.pl.OnComplete(img, refs[i]) })
-		m.eng.At(sim.Time(1+n+i)*us, func() { m.pl.OnAck(img, refs[i]) })
+		m.eng.At(sim.Time(1+i)*us, func() { refs[i].complete(m) })
+		m.eng.At(sim.Time(1+n+i)*us, func() { refs[i].ack(m) })
 	}
 	if got := eventsBetween(t, m.eng, us/2, n*us-us/2); got != n {
 		t.Errorf("%d events while %d completions arrived, want %d", got, n-1, n)
@@ -116,7 +126,7 @@ func TestFinishDeathWakesWaiterOnFalseCondition(t *testing.T) {
 	img := m.k.Image(0)
 	img.Go("main", func(p *sim.Proc) {
 		s = m.pl.Begin(img, team.New(77, []int{0}))
-		sent = m.pl.OnSend(img, 1, s.Ref()) // in flight to image 1 for good
+		sent = m.pl.OnSend(img, s.Ref().ID) // in flight to image 1 for good
 		_, ferr = m.pl.End(p, img, s)
 		ended = p.Now()
 	})
@@ -145,7 +155,7 @@ func TestFinishWakeConditionIncludesDeath(t *testing.T) {
 	img.Go("main", func(p *sim.Proc) {
 		s = m.pl.Begin(img, team.New(77, []int{0}))
 		for i := range refs {
-			refs[i] = m.pl.OnSend(img, 1, s.Ref())
+			refs[i] = m.pl.OnSend(img, s.Ref().ID)
 		}
 		m.pl.End(p, img, s)
 	})

@@ -118,8 +118,8 @@ type batch struct {
 // injected runs the inner OnInjected callbacks.
 func (b *batch) injected() {
 	for _, m := range b.msgs {
-		if m.opts.OnInjected != nil {
-			m.opts.OnInjected()
+		if m.onInjected != nil {
+			m.onInjected()
 		}
 	}
 }
@@ -128,8 +128,7 @@ func (b *batch) injected() {
 // delivery callbacks.
 func (b *batch) Delivered() {
 	for _, m := range b.msgs {
-		opts := m.opts
-		m.stage, m.opts = stageIdle, SendOpts{}
+		opts := m.takeOpts()
 		opts.delivered()
 	}
 }
@@ -137,8 +136,7 @@ func (b *batch) Delivered() {
 // Abandoned is Delivered for a batch the fabric gave up on.
 func (b *batch) Abandoned() {
 	for _, m := range b.msgs {
-		opts := m.opts
-		m.stage, m.opts = stageIdle, SendOpts{}
+		opts := m.takeOpts()
 		opts.abandoned()
 	}
 }
@@ -157,29 +155,30 @@ func (ep *Endpoint) coalesceAt(dst int) (int, bool) {
 	return slices.BinarySearchFunc(ep.proto().coalesce, dst, func(b *coalesceBuf, dst int) int { return cmp.Compare(b.dst, dst) })
 }
 
-// coalescible reports whether m may enter the aggregation buffer.
-// Loopback traffic is excluded: SelfLatency is already cheaper than any
-// batching gain and buffering it only adds FlushAfter of latency.
-func (ep *Endpoint) coalescible(m *Msg) bool {
-	if !ep.f.coalescing || m.NoCoalesce || m.Dst == ep.rank {
+// coalescible reports whether m, sent with or without SendOpts.NoCoalesce,
+// may enter the aggregation buffer. Loopback traffic is excluded:
+// SelfLatency is already cheaper than any batching gain and buffering it
+// only adds FlushAfter of latency.
+func (ep *Endpoint) coalescible(m *Msg, noCoalesce bool) bool {
+	if !ep.f.coalescing || noCoalesce || int(m.Dst) == ep.rank {
 		return false
 	}
 	switch m.Class {
 	case AMShort:
 		return true
 	case AMMedium:
-		return m.Bytes <= ep.f.coal.MediumCutoff
+		return int(m.Bytes) <= ep.f.coal.MediumCutoff
 	}
 	return false
 }
 
 // enqueueCoalesced buffers m toward its destination and flushes if the
 // buffer crossed a size threshold.
-func (ep *Endpoint) enqueueCoalesced(m *Msg, opts SendOpts) {
+func (ep *Endpoint) enqueueCoalesced(m *Msg) {
 	pr := ep.proto()
-	i, ok := ep.coalesceAt(m.Dst)
+	i, ok := ep.coalesceAt(int(m.Dst))
 	if !ok {
-		pr.coalesce = slices.Insert(pr.coalesce, i, &coalesceBuf{dst: m.Dst})
+		pr.coalesce = slices.Insert(pr.coalesce, i, &coalesceBuf{dst: int(m.Dst)})
 	}
 	b := pr.coalesce[i]
 	if len(b.msgs) == 0 {
@@ -188,9 +187,9 @@ func (ep *Endpoint) enqueueCoalesced(m *Msg, opts SendOpts) {
 		}
 		b.timer.Reset(ep.f.coal.FlushAfter)
 	}
-	m.stage, m.opts = stageBuffered, opts
+	m.stage = stageBuffered
 	b.msgs = append(b.msgs, m)
-	b.bytes += m.Bytes
+	b.bytes += int(m.Bytes)
 	if b.bytes >= ep.f.coal.MaxBytes || len(b.msgs) >= ep.f.coal.MaxMsgs {
 		ep.flush(b, FlushBySize)
 	}
@@ -237,35 +236,36 @@ func (ep *Endpoint) flush(b *coalesceBuf, reason FlushReason) {
 		// on a dead NIC would.
 		f.stats.Abandoned += uint64(len(msgs))
 		for _, m := range msgs {
-			m.stage, m.opts = stageIdle, SendOpts{}
+			m.takeOpts()
 		}
 		return
 	}
 
 	if len(msgs) == 1 {
 		// A batch of one buys nothing; send it plain.
-		ep.post(msgs[0], msgs[0].opts)
+		ep.post(msgs[0])
 		return
 	}
 
 	f.stats.MsgsCoalesced += uint64(len(msgs))
 	bt := &batch{msgs: msgs}
-	opts := SendOpts{Done: bt}
+	bm := &Msg{
+		Src:     int32(ep.rank),
+		Dst:     int32(dst),
+		Tag:     tagBatch,
+		Class:   AMMedium,
+		Bytes:   Int32(bytes),
+		Payload: bt,
+		done:    bt,
+	}
 	for _, m := range msgs {
-		if m.opts.OnInjected != nil {
+		if m.onInjected != nil {
 			// Only a batch with something to run at injection schedules it.
-			opts.OnInjected = bt.injected
+			bm.onInjected = bt.injected
 			break
 		}
 	}
-	ep.post(&Msg{
-		Src:     ep.rank,
-		Dst:     dst,
-		Tag:     tagBatch,
-		Class:   AMMedium,
-		Bytes:   bytes,
-		Payload: bt,
-	}, opts)
+	ep.post(bm)
 }
 
 // FlushCoalesced flushes every non-empty aggregation buffer of this

@@ -126,7 +126,7 @@ func TestCoalesceFIFOWithNonCoalescible(t *testing.T) {
 	ep.Send(&Msg{Src: 0, Dst: 1, Tag: tagTest, Class: AMShort, Bytes: 8, Payload: "a"}, SendOpts{})
 	ep.Send(&Msg{Src: 0, Dst: 1, Tag: tagTest, Class: AMShort, Bytes: 8, Payload: "b"}, SendOpts{})
 	ep.Send(&Msg{Src: 0, Dst: 1, Tag: tagTest, Class: RDMA, Bytes: 4096, Payload: "bulk"}, SendOpts{})
-	ep.Send(&Msg{Src: 0, Dst: 1, Tag: tagTest, Class: AMShort, Bytes: 8, Payload: "c", NoCoalesce: true}, SendOpts{})
+	ep.Send(&Msg{Src: 0, Dst: 1, Tag: tagTest, Class: AMShort, Bytes: 8, Payload: "c"}, SendOpts{NoCoalesce: true})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestCoalesceZeroConfigBitIdentical(t *testing.T) {
 		// exercising credits/FIFO.
 		f.RegisterHandler(tagTest, func(ep *Endpoint, m *Msg) {
 			if m.Payload.(int) > 0 {
-				ep.Send(&Msg{Src: ep.Rank(), Dst: (ep.Rank() % 3) + 1, Tag: tagTest,
+				ep.Send(&Msg{Src: int32(ep.Rank()), Dst: int32((ep.Rank() % 3) + 1), Tag: tagTest,
 					Class: AMShort, Bytes: 16, Payload: m.Payload.(int) - 1}, SendOpts{})
 			}
 		})
@@ -262,7 +262,7 @@ func TestCoalesceDeterministic(t *testing.T) {
 		for i := 0; i < 200; i++ {
 			src := rng.Intn(8)
 			dst := rng.Intn(8)
-			f.Endpoint(src).Send(&Msg{Src: src, Dst: dst, Tag: tagTest, Class: AMShort, Bytes: 8, Payload: i}, SendOpts{})
+			f.Endpoint(src).Send(&Msg{Src: int32(src), Dst: int32(dst), Tag: tagTest, Class: AMShort, Bytes: 8, Payload: i}, SendOpts{})
 		}
 		if err := eng.Run(); err != nil {
 			t.Fatal(err)
@@ -339,7 +339,7 @@ func TestCoalesceFaultDeterministic(t *testing.T) {
 		f.RegisterHandler(tagTest, func(ep *Endpoint, m *Msg) {})
 		for i := 0; i < 100; i++ {
 			src, dst := i%4, (i+1)%4
-			f.Endpoint(src).Send(&Msg{Src: src, Dst: dst, Tag: tagTest, Class: AMShort, Bytes: 8, Payload: i}, SendOpts{})
+			f.Endpoint(src).Send(&Msg{Src: int32(src), Dst: int32(dst), Tag: tagTest, Class: AMShort, Bytes: 8, Payload: i}, SendOpts{})
 		}
 		for i := 0; i < 4; i++ {
 			f.Endpoint(i).FlushCoalesced()

@@ -149,34 +149,56 @@ type Topology interface {
 
 // Msg is one message. Payload carries structured data by reference (the
 // simulation shares one address space); Bytes is the modeled wire size
-// used for bandwidth accounting and medium-AM limits.
+// used for bandwidth accounting and medium-AM limits. Ranks and the size
+// are kept in 32 bits: a layer above converts at its boundary (and panics
+// on a value that does not fit), so that a message in flight stays small.
 //
 // From Send until its ack (or abandonment) the message belongs to the
 // fabric, which keeps the message's transit state in the record itself
 // (DESIGN §4.14): a Msg is in flight at most once, and Send panics on a
 // message that still is.
 type Msg struct {
-	Src, Dst int
+	Src, Dst int32
+	Bytes    int32
 	Tag      uint16
 	Class    Class
 	stage    stage // where the message is on its way; stageIdle when not sent
-	// NoCoalesce exempts the message from the coalescing buffer:
-	// latency-critical control traffic (blocking RPCs and their replies,
-	// event notifies, collective reductions) must not wait out a flush
-	// timer. A NoCoalesce message still flushes its destination's buffer
-	// first, preserving per-channel FIFO order.
-	NoCoalesce bool
-	Bytes      int
-	Payload    any
 	// Path names the traced request whose causal path this message is
 	// on (zero = untagged). The fabric claims the message's buffering,
 	// stalling, and wire time against that request's decomposition.
-	Path path.Tag
+	Path    path.Tag
+	Payload any
 
-	opts     SendOpts  // the sender's completion callbacks
-	src      *Endpoint // the sending endpoint
-	next     *Msg      // the next message in the sender's credit queue
-	queuedAt sim.Time  // when the message joined the credit queue
+	// The sender's completion callbacks (SendOpts), held until they run.
+	onInjected func()
+	done       Completion
+	src        *Endpoint // the sending endpoint; the transit event's way to its fabric
+	next       *Msg      // the next message in the sender's credit queue
+	queuedAt   sim.Time  // when the message joined the credit queue
+}
+
+// Int32 is n as a Msg's 32-bit rank or size. A value that does not fit
+// is a protocol bug, and panics here rather than wrapping on the wire.
+func Int32(n int) int32 {
+	if n != int(int32(n)) {
+		badInt32(n)
+	}
+	return int32(n)
+}
+
+// badInt32 panics out of line, so that Int32 stays inlinable.
+//
+//go:noinline
+func badInt32(n int) {
+	panic(fmt.Sprintf("fabric: %d does not fit a message's 32-bit rank or size", n))
+}
+
+// takeOpts hands m back to its sender: m is idle again, and what is
+// returned are the callbacks to run for it.
+func (m *Msg) takeOpts() SendOpts {
+	opts := SendOpts{OnInjected: m.onInjected, Done: m.done}
+	m.stage, m.onInjected, m.done = stageIdle, nil, nil
+	return opts
 }
 
 // stage is where a message is between Send and the end of its ack.
@@ -224,7 +246,8 @@ func (t *handlerTable) bind(tag uint16, fn Handler) {
 	page[tag&0xFF] = fn
 }
 
-// SendOpts carries the completion callbacks of one Send.
+// SendOpts carries the completion callbacks of one Send, and how to
+// send it.
 type SendOpts struct {
 	// OnInjected fires when the payload has left the source buffer
 	// (local data completion for the sender).
@@ -240,6 +263,12 @@ type SendOpts struct {
 	// Abandoned to charge off work resident on dead images instead of
 	// waiting forever. nil runs nothing.
 	Done Completion
+	// NoCoalesce exempts the message from the coalescing buffer:
+	// latency-critical control traffic (blocking RPCs and their replies,
+	// event notifies, collective reductions) must not wait out a flush
+	// timer. A NoCoalesce message still flushes its destination's buffer
+	// first, preserving per-channel FIFO order.
+	NoCoalesce bool
 }
 
 // Completion is a sender's per-message record, called back at the end of
@@ -562,48 +591,50 @@ func (ep *Endpoint) Send(m *Msg, opts SendOpts) {
 	if m.Bytes < 0 {
 		panic(fmt.Sprintf("fabric: %s message with tag %d has negative size %d", m.Class, m.Tag, m.Bytes))
 	}
-	if m.Class == AMMedium && m.Bytes > ep.f.cfg.MaxMedium {
+	if m.Class == AMMedium && int(m.Bytes) > ep.f.cfg.MaxMedium {
 		panic(fmt.Sprintf("fabric: medium AM of %d bytes exceeds cap %d", m.Bytes, ep.f.cfg.MaxMedium))
 	}
-	if m.Src != ep.rank {
+	if int(m.Src) != ep.rank {
 		panic(fmt.Sprintf("fabric: message src %d sent from endpoint %d", m.Src, ep.rank))
 	}
-	if m.Dst < 0 || m.Dst >= len(ep.f.eps) {
+	if m.Dst < 0 || int(m.Dst) >= len(ep.f.eps) {
 		panic(fmt.Sprintf("fabric: message dst %d out of range [0,%d)", m.Dst, len(ep.f.eps)))
 	}
 	if ep.f.handlers.lookup(m.Tag) == nil {
 		panic(fmt.Sprintf("fabric: no handler for tag %d at endpoint %d", m.Tag, m.Dst))
 	}
+	m.onInjected, m.done = opts.OnInjected, opts.Done
 	if ep.f.coalescing {
-		if ep.coalescible(m) {
-			ep.enqueueCoalesced(m, opts)
+		if ep.coalescible(m, opts.NoCoalesce) {
+			ep.enqueueCoalesced(m)
 			return
 		}
 		// A non-coalescible message must not overtake buffered traffic
 		// on its own channel: flush that destination first.
-		if i, ok := ep.coalesceAt(m.Dst); ok {
+		if i, ok := ep.coalesceAt(int(m.Dst)); ok {
 			ep.flush(ep.proto().coalesce[i], FlushByBarrier)
 		}
 	}
-	ep.post(m, opts)
+	ep.post(m)
 }
 
 // post is the transport tail of Send, shared with the coalescing flush
 // path: crash gate, flow-control credits, then the reliable or idealized
 // injection path. Validation already happened (in Send, per inner message
-// for batches).
-func (ep *Endpoint) post(m *Msg, opts SendOpts) {
+// for batches), and m holds its sender's callbacks.
+func (ep *Endpoint) post(m *Msg) {
 	if ep.f.reliable && ep.f.crashedNow(ep.rank) {
 		// A dead NIC injects nothing; the message vanishes with no
 		// success callback — supervising layers must never conclude
 		// success from silence. Done.Abandoned (if any) still fires so
 		// failure-aware layers can account for the loss.
 		ep.f.stats.Abandoned++
+		opts := m.takeOpts()
 		opts.abandoned()
 		return
 	}
 	if ep.f.cfg.Credits > 0 && ep.outstanding >= ep.f.cfg.Credits {
-		m.stage, m.opts, m.queuedAt = stageQueued, opts, ep.f.eng.Now()
+		m.stage, m.queuedAt = stageQueued, ep.f.eng.Now()
 		if ep.qtail == nil {
 			ep.qhead = m
 		} else {
@@ -615,10 +646,10 @@ func (ep *Endpoint) post(m *Msg, opts SendOpts) {
 		return
 	}
 	if ep.f.reliable {
-		ep.startTx(m, opts)
+		ep.startTx(m)
 		return
 	}
-	ep.inject(m, opts)
+	ep.inject(m)
 }
 
 // QueuedSends reports how many messages are stalled waiting for credits.
@@ -641,7 +672,7 @@ func (ep *Endpoint) PendingRetx() int {
 // Outstanding reports un-acked sends currently counted against credits.
 func (ep *Endpoint) Outstanding() int { return ep.outstanding }
 
-func (ep *Endpoint) inject(m *Msg, opts SendOpts) {
+func (ep *Endpoint) inject(m *Msg) {
 	f := ep.f
 	eng := f.eng
 	now := eng.Now()
@@ -650,8 +681,8 @@ func (ep *Endpoint) inject(m *Msg, opts SendOpts) {
 	ep.Sent++
 	f.stats.MsgsSent++
 	f.stats.BytesSent += uint64(m.Bytes)
-	f.mLinkMsgs.AddLink(m.Src, m.Dst, 1)
-	f.mLinkBytes.AddLink(m.Src, m.Dst, int64(m.Bytes))
+	f.mLinkMsgs.AddLink(int(m.Src), int(m.Dst), 1)
+	f.mLinkBytes.AddLink(int(m.Src), int(m.Dst), int64(m.Bytes))
 
 	// Serialize injection on the sender NIC.
 	start := now
@@ -661,19 +692,19 @@ func (ep *Endpoint) inject(m *Msg, opts SendOpts) {
 	injected := start + sim.Time(m.Bytes)*f.cfg.GapPerByte
 	ep.nic.free = injected
 
-	if opts.OnInjected != nil {
-		eng.At(injected, opts.OnInjected)
+	if m.onInjected != nil {
+		eng.At(injected, m.onInjected)
 	}
 
 	// Under FIFO nothing more is needed: injection is serialized on the
 	// NIC, the wire latency is a function of the pair alone and the clock
 	// never goes back, so arrivals on a pair come in send order.
-	arrival := injected + f.wireLatency(m.Src, m.Dst)
+	arrival := injected + f.wireLatency(int(m.Src), int(m.Dst))
 	if !f.cfg.FIFO && f.cfg.Jitter > 0 {
 		arrival += sim.Time(eng.Rand().Int63n(int64(f.cfg.Jitter) + 1))
 	}
 
-	m.stage, m.opts, m.src = stageArriving, opts, ep
+	m.stage, m.src = stageArriving, ep
 	eng.AtEvent(arrival, (*transit)(m))
 }
 
@@ -699,12 +730,11 @@ func (t *transit) RunEvent() {
 	case stageHandling:
 		f.eps[m.Dst].dispatch(m)
 		m.stage = stageAcking
-		eng.AtEvent(eng.Now()+f.ackLatency(m.Dst, m.Src), t)
+		eng.AtEvent(eng.Now()+f.ackLatency(int(m.Dst), int(m.Src)), t)
 	case stageAcking:
 		f.stats.Acks++
 		src.outstanding--
-		opts := m.opts
-		m.stage, m.opts = stageIdle, SendOpts{}
+		opts := m.takeOpts()
 		opts.delivered()
 		src.drainQueue()
 	default:
@@ -737,9 +767,9 @@ func (ep *Endpoint) drainQueue() {
 			ep.nic.free += f.cfg.StallPenalty
 		}
 		if f.reliable {
-			ep.startTx(m, m.opts)
+			ep.startTx(m)
 		} else {
-			ep.inject(m, m.opts)
+			ep.inject(m)
 		}
 	}
 }
@@ -755,11 +785,12 @@ func (ep *Endpoint) drainQueue() {
 // ---------------------------------------------------------------------
 
 // startTx assigns the next sequence number toward m.Dst, takes a credit,
-// and performs the first transmission.
-func (ep *Endpoint) startTx(m *Msg, opts SendOpts) {
-	p := ep.peer(m.Dst)
-	m.stage, m.opts = stageReliable, SendOpts{}
-	tx := &txState{m: m, opts: opts, peer: p, seq: p.nextSeq}
+// and performs the first transmission. The callbacks move from m to the
+// transmission.
+func (ep *Endpoint) startTx(m *Msg) {
+	p := ep.peer(int(m.Dst))
+	tx := &txState{m: m, opts: m.takeOpts(), peer: p, seq: p.nextSeq}
+	m.stage = stageReliable
 	p.nextSeq++
 	p.pending = append(p.pending, tx)
 	ep.outstanding++
@@ -793,8 +824,8 @@ func (ep *Endpoint) transmit(tx *txState) {
 	ep.Sent++
 	f.stats.MsgsSent++
 	f.stats.BytesSent += uint64(m.Bytes)
-	f.mLinkMsgs.AddLink(m.Src, m.Dst, 1)
-	f.mLinkBytes.AddLink(m.Src, m.Dst, int64(m.Bytes))
+	f.mLinkMsgs.AddLink(int(m.Src), int(m.Dst), 1)
+	f.mLinkBytes.AddLink(int(m.Src), int(m.Dst), int64(m.Bytes))
 
 	// Serialize injection on the sender NIC (every attempt pays again).
 	start := eng.Now()
@@ -818,7 +849,7 @@ func (ep *Endpoint) transmit(tx *txState) {
 		return // lost; the ack timer recovers
 	}
 	dst := &f.eps[m.Dst]
-	base := injected + f.wireLatency(m.Src, m.Dst)
+	base := injected + f.wireLatency(int(m.Src), int(m.Dst))
 	eng.At(base+f.jitterDelay(), func() { dst.deliverReliable(tx, ep) })
 	if f.roll(f.plan.Dup) {
 		f.stats.Duplicated++
@@ -835,7 +866,7 @@ func (ep *Endpoint) onAckTimeout(tx *txState) {
 		return
 	}
 	f := ep.f
-	if f.crashedNow(ep.rank) || f.crashedNow(tx.m.Dst) || tx.attempts >= f.plan.MaxAttempts {
+	if f.crashedNow(ep.rank) || f.crashedNow(int(tx.m.Dst)) || tx.attempts >= f.plan.MaxAttempts {
 		tx.abandoned = true
 		tx.m.stage = stageIdle
 		f.stats.Abandoned++
@@ -890,8 +921,7 @@ func (f *Fabric) AbandonForDead(rank int) {
 			// abandon it outright rather than draining it into a dead NIC.
 			for ep.qhead != nil {
 				m := ep.popQueued()
-				opts := m.opts
-				m.stage, m.opts = stageIdle, SendOpts{}
+				opts := m.takeOpts()
 				f.stats.Abandoned++
 				opts.abandoned()
 			}
@@ -952,7 +982,7 @@ func (ep *Endpoint) deliverReliable(tx *txState, src *Endpoint) {
 			f.stats.FaultsInjected++
 			return
 		}
-		eng.At(eng.Now()+f.ackLatency(m.Dst, m.Src), func() { src.onAckArrival(tx) })
+		eng.At(eng.Now()+f.ackLatency(int(m.Dst), int(m.Src)), func() { src.onAckArrival(tx) })
 	})
 }
 

@@ -115,7 +115,7 @@ func TestFIFOOrderingPerPair(t *testing.T) {
 		got = append(got, m.Payload.(int))
 	})
 	for i := 0; i < 50; i++ {
-		f.Endpoint(0).Send(&Msg{Src: 0, Dst: 1, Tag: tagTest, Class: AMShort, Bytes: i % 7, Payload: i}, SendOpts{})
+		f.Endpoint(0).Send(&Msg{Src: 0, Dst: 1, Tag: tagTest, Class: AMShort, Bytes: int32(i % 7), Payload: i}, SendOpts{})
 	}
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -416,7 +416,7 @@ func TestPropertyConservation(t *testing.T) {
 		for i := 0; i < total; i++ {
 			src := rng.Intn(n)
 			dst := rng.Intn(n)
-			f.Endpoint(src).Send(&Msg{Src: src, Dst: dst, Tag: tagTest, Class: AMShort, Bytes: rng.Intn(64)}, SendOpts{})
+			f.Endpoint(src).Send(&Msg{Src: int32(src), Dst: int32(dst), Tag: tagTest, Class: AMShort, Bytes: int32(rng.Intn(64))}, SendOpts{})
 		}
 		if err := eng.Run(); err != nil {
 			return false
@@ -507,7 +507,7 @@ func TestBandwidthBoundForLargeTransfer(t *testing.T) {
 	var at sim.Time
 	f.Endpoint(1).RegisterHandler(tagTest, func(ep *Endpoint, m *Msg) { at = eng.Now() })
 	const bytes = 1 << 20
-	f.Endpoint(0).Send(&Msg{Src: 0, Dst: 1, Tag: tagTest, Class: RDMA, Bytes: bytes}, SendOpts{})
+	f.Endpoint(0).Send(&Msg{Src: 0, Dst: 1, Tag: tagTest, Class: RDMA, Bytes: int32(bytes)}, SendOpts{})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -530,7 +530,7 @@ func TestImagesPerNodeSharedNIC(t *testing.T) {
 		f.Endpoint(2).RegisterHandler(tagTest, func(ep *Endpoint, m *Msg) { at = eng.Now() })
 		// Images 0 and 1 each blast a 1KB message to image 2.
 		for src := 0; src < 2; src++ {
-			f.Endpoint(src).Send(&Msg{Src: src, Dst: 2, Tag: tagTest, Class: RDMA, Bytes: 1024}, SendOpts{})
+			f.Endpoint(src).Send(&Msg{Src: int32(src), Dst: 2, Tag: tagTest, Class: RDMA, Bytes: 1024}, SendOpts{})
 		}
 		if err := eng.Run(); err != nil {
 			t.Fatal(err)
@@ -590,7 +590,7 @@ func TestFIFOArrivalMonotone(t *testing.T) {
 	next := map[pair]int{}
 	handled := 0
 	f.RegisterHandler(tagTest, func(ep *Endpoint, m *Msg) {
-		p := pair{m.Src, m.Dst}
+		p := pair{int(m.Src), int(m.Dst)}
 		if seq := m.Payload.(int); seq != next[p] {
 			t.Fatalf("%d→%d: message %d handled when %d was due", m.Src, m.Dst, seq, next[p])
 		}
@@ -607,7 +607,7 @@ func TestFIFOArrivalMonotone(t *testing.T) {
 		bytes := rng.Intn(2000)
 		eng.At(sim.Time(rng.Intn(200))*sim.Microsecond/10, func() {
 			p := pair{src, dst}
-			f.Endpoint(src).Send(&Msg{Src: src, Dst: dst, Tag: tagTest, Class: RDMA, Bytes: bytes, Payload: sent[p]}, SendOpts{})
+			f.Endpoint(src).Send(&Msg{Src: int32(src), Dst: int32(dst), Tag: tagTest, Class: RDMA, Bytes: int32(bytes), Payload: sent[p]}, SendOpts{})
 			sent[p]++
 		})
 	}
@@ -639,7 +639,7 @@ func TestAckLatencyWithinNode(t *testing.T) {
 			f.RegisterHandler(tagTest, func(*Endpoint, *Msg) {})
 			for dst := 1; dst < 4; dst++ {
 				dst := dst
-				f.Endpoint(0).Send(&Msg{Src: 0, Dst: dst, Tag: tagTest, Class: AMShort}, SendOpts{
+				f.Endpoint(0).Send(&Msg{Src: 0, Dst: int32(dst), Tag: tagTest, Class: AMShort}, SendOpts{
 					Done: onAck(func() { ackedAt[dst] = eng.Now() }),
 				})
 			}

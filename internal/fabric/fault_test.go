@@ -236,7 +236,7 @@ func TestFaultScheduleDeterministic(t *testing.T) {
 		eng, f, _ := faultFabric(t, 4, &FaultPlan{Drop: 0.3, Dup: 0.2, Jitter: 10 * sim.Microsecond, StallProb: 0.1, Stall: 20 * sim.Microsecond})
 		for i := 0; i < 30; i++ {
 			src, dst := i%4, (i+1)%4
-			f.Endpoint(src).Send(&Msg{Src: src, Dst: dst, Tag: tagTest, Class: AMShort, Bytes: 16, Payload: i}, SendOpts{})
+			f.Endpoint(src).Send(&Msg{Src: int32(src), Dst: int32(dst), Tag: tagTest, Class: AMShort, Bytes: 16, Payload: i}, SendOpts{})
 		}
 		if err := eng.Run(); err != nil {
 			t.Fatal(err)

@@ -49,7 +49,7 @@ func TestPoolSendDispatchDoesNotAllocate(t *testing.T) {
 		handled++
 	})
 	var acked ackCount
-	opts := SendOpts{Class: fabric.AMShort, Bytes: 8, Track: Track{ID: 1}, Done: &acked}
+	opts := SendOpts{Class: fabric.AMShort, Bytes: 8, Finish: 1, Done: &acked}
 	src := k.Image(0)
 	send := func() {
 		src.Send(1, tagPing, nil, opts)
@@ -198,7 +198,7 @@ func TestQuarantineDetachedDeliveryOutlivesLaterDispatches(t *testing.T) {
 			later++
 		})
 		src := k.Image(0)
-		src.Send(1, tagWork, "kept", SendOpts{Track: Track{ID: 5}, Bytes: 24})
+		src.Send(1, tagWork, "kept", SendOpts{Finish: 5, Bytes: 24})
 		for i := 0; i < 1000; i++ {
 			src.Send(1, tagPing, i, SendOpts{})
 		}
@@ -208,12 +208,12 @@ func TestQuarantineDetachedDeliveryOutlivesLaterDispatches(t *testing.T) {
 		if later != 1000 {
 			t.Fatalf("%d later dispatches, want 1000", later)
 		}
-		if kept.Payload != "kept" || kept.Src != 0 || kept.Bytes != 24 || kept.Track() != stamped(5, 0, 1) {
+		if kept.Payload != "kept" || kept.Src != 0 || kept.Bytes != 24 || kept.Track() != stamped(5) {
 			t.Errorf("detached delivery was overwritten: %+v", kept)
 		}
 		tr.log = nil
 		kept.Complete()
-		if want := []string{"complete@1"}; !reflect.DeepEqual(tr.log, want) {
+		if want := []string{"complete@1<-0"}; !reflect.DeepEqual(tr.log, want) {
 			t.Errorf("Complete logged %v, want %v", tr.log, want)
 		}
 		if sim.QuarantinePools {
@@ -241,7 +241,7 @@ func TestQuarantineDetachCompleteInsideHandler(t *testing.T) {
 		})
 		const n = 50
 		for i := 0; i < n; i++ {
-			k.Image(0).Send(1, tagWork, i, SendOpts{Track: Track{ID: 1}})
+			k.Image(0).Send(1, tagWork, i, SendOpts{Finish: 1})
 		}
 		if err := eng.Run(); err != nil {
 			t.Fatal(err)
@@ -271,7 +271,7 @@ func TestQuarantineCoalescedBatchReleasesEachOutMsgOnce(t *testing.T) {
 		const n = 20 // two full batches and a timer flush of four
 		var delivered ackCount
 		for i := 0; i < n; i++ {
-			k.Image(0).Send(1, tagWork, i, SendOpts{Track: Track{ID: 1}, Class: fabric.AMShort, Bytes: 8, Done: &delivered})
+			k.Image(0).Send(1, tagWork, i, SendOpts{Finish: 1, Class: fabric.AMShort, Bytes: 8, Done: &delivered})
 		}
 		if err := eng.Run(); err != nil {
 			t.Fatal(err)
@@ -307,7 +307,7 @@ func TestQuarantineDuplicateAfterAckLetsNothing(t *testing.T) {
 		k.RegisterHandler(tagWork, func(d *Delivery) { handled[fmt.Sprint(d.Src, "→", d.Img.Rank(), ":", d.Payload)]++ })
 		const n = 40
 		for i := 0; i < n; i++ {
-			k.Image(i%4).Send((i+1)%4, tagWork, i, SendOpts{Track: Track{ID: 1}})
+			k.Image(i%4).Send((i+1)%4, tagWork, i, SendOpts{Finish: 1})
 		}
 		if err := eng.Run(); err != nil {
 			t.Fatal(err)
@@ -329,17 +329,82 @@ func TestQuarantineDuplicateAfterAckLetsNothing(t *testing.T) {
 	})
 }
 
-// The sending record fits the 224-byte size class with the fabric's
+// The sending record fits the 176-byte size class with the fabric's
 // transit state inside it: a credit-stalled burst holds one per message.
-// The Msg has one completion form (SendOpts.Done) and NoCoalesce in the
-// padding after its stage; the envelope has no reply rank.
+// The Msg keeps ranks and size in 32 bits and its sender's callbacks
+// without NoCoalesce, which only Send reads; the envelope's Track is the
+// finish id, the parity and the sender's box, nothing more. The Delivery
+// adds the receiver's box to it and fits the 112-byte class, and the
+// SendOpts a caller passes by value stay within 64 bytes.
 func TestPoolOutMsgFitsItsSizeClass(t *testing.T) {
-	if got := unsafe.Sizeof(outMsg{}); got > 224 {
-		t.Errorf("sizeof(outMsg) = %d, want ≤ 224", got)
+	for _, pin := range []struct {
+		record    string
+		got, want uintptr
+	}{
+		{"outMsg", unsafe.Sizeof(outMsg{}), 176},
+		{"fabric.Msg", unsafe.Sizeof(fabric.Msg{}), 88},
+		{"Delivery", unsafe.Sizeof(Delivery{}), 112},
+		{"Track", unsafe.Sizeof(Track{}), 32},
+		{"SendOpts", unsafe.Sizeof(SendOpts{}), 64},
+	} {
+		if pin.got > pin.want {
+			t.Errorf("sizeof(%s) = %d, want ≤ %d", pin.record, pin.got, pin.want)
+		}
 	}
-	if got := unsafe.Sizeof(fabric.Msg{}); got > 104 {
-		t.Errorf("sizeof(fabric.Msg) = %d, want ≤ 104", got)
-	}
+}
+
+// Records are written in place, field by field, so nothing clears what a
+// send or a dispatch does not write but the release before. The pooled
+// outMsgs and Delivery that carried a tracked Call (its request, its
+// reply, a detached and replied delivery) then serve two untracked
+// one-way messages, which must see none of it.
+func TestQuarantineNoStaleFieldsAfterCall(t *testing.T) {
+	pooledAndQuarantined(t, func(t *testing.T) {
+		eng, k := newTestKernel(2)
+		k.SetTracker(&countingTracker{})
+		var called *Delivery
+		k.RegisterHandler(tagEcho, func(d *Delivery) {
+			called = d
+			d.Detach()
+			d.Reply("pong", 8)
+			d.Complete()
+		})
+		reused := 0
+		k.RegisterHandler(tagPing, func(d *Delivery) {
+			if d == called {
+				reused++
+			}
+			if d.CanReply() || d.Track() != (Track{}) {
+				t.Errorf("one-way message %v after a Call: CanReply %v, Track %+v", d.Payload, d.CanReply(), d.Track())
+			}
+			if d.replyID != 0 || d.slot != nil || d.rbox != nil || d.replied || d.detached || d.done {
+				t.Errorf("one-way message %v after a Call: stale reply or completion state %+v", d.Payload, d)
+			}
+		})
+		src := k.Image(0)
+		pooled := -1
+		src.Go("caller", func(p *sim.Proc) {
+			if got := src.Call(p, 1, tagEcho, "ping", SendOpts{Finish: 3, Class: fabric.AMShort, Bytes: 8}); got != "pong" {
+				t.Errorf("reply = %v", got)
+			}
+			p.Sleep(sim.Millisecond) // every ack of the Call lands
+			pooled = k.outMsgs.Len()
+			for i := 0; i < 2; i++ {
+				src.Send(1, tagPing, i, SendOpts{Class: fabric.AMShort, Bytes: 8})
+			}
+		})
+		if err := eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if sim.QuarantinePools {
+			return
+		}
+		// The request's and the reply's outMsgs carried the two one-way
+		// messages, and the Call's Delivery both: the test exercised reuse.
+		if pooled != 2 || reused != 2 {
+			t.Errorf("%d outMsgs pooled after the Call, Call's Delivery reused %d times; want 2 and 2", pooled, reused)
+		}
+	})
 }
 
 // ackCount is a Completion that counts deliveries.

@@ -37,18 +37,19 @@ const (
 	tagReply uint16 = 0xFFFF
 )
 
-// Track is the finish-plane context of a tracked message, carried by
-// value from the sender's SendOpts through the envelope to the Delivery
-// and handed to the Tracker at each step. The zero value is "untracked".
-// rt reads only ID; the other fields are the tracker's, stamped by OnSend
-// and OnReceive: the sender's epoch parity, the two endpoints, and the
-// tracker-owned records the message's ack and completion are credited to.
+// Track is the finish-plane context of a tracked message: what the wire
+// carries of it, made by the Tracker's OnSend from the finish block the
+// sender named (SendOpts.Finish), carried by value in the envelope to the
+// Delivery, and handed to the Tracker at each later step. The zero value
+// is "untracked". rt reads only ID; the other fields are the tracker's:
+// the sender's epoch parity, and the tracker-owned record on the sender
+// the message's ack is credited to. The endpoints ride in the message
+// itself, and the receiver's record stays on the Delivery: rt hands both
+// to the Tracker.
 type Track struct {
 	ID        int64 // the finish block; 0 = untracked
 	ParityOdd bool
-	Src, Dst  int // world ranks of sender and destination
 	SBox      TrackBox
-	RBox      TrackBox
 }
 
 // Tracked reports whether t names a finish block.
@@ -69,14 +70,17 @@ type TrackBox interface {
 // implements this to maintain its sent/received/completed/delivered
 // counters (paper Fig. 7).
 type Tracker interface {
-	// OnSend stamps the context (parity, the sender's epoch, the
-	// endpoints); the returned value travels with the message.
-	OnSend(src *ImageKernel, dst int, t Track) Track
-	// OnReceive stamps it again (the receiver's epoch); the returned
-	// value is what OnComplete later sees.
-	OnReceive(dst *ImageKernel, t Track) Track
-	OnComplete(dst *ImageKernel, t Track)
-	OnAck(src *ImageKernel, t Track)
+	// OnSend makes the context of a message tracked in finish block
+	// finish (its parity, the sender's epoch); the returned value travels
+	// with the message.
+	OnSend(src *ImageKernel, finish int64) Track
+	// OnReceive returns the receiver's record the message's completion
+	// is credited to; rt keeps it on the Delivery for OnComplete.
+	OnReceive(dst *ImageKernel, t Track) TrackBox
+	// OnComplete sees the world rank the message came from, and OnAck
+	// the one it went to.
+	OnComplete(dst *ImageKernel, src int, t Track, rbox TrackBox)
+	OnAck(src *ImageKernel, dst int, t Track)
 	// OnAbandoned fires on the source when the fabric gives up on a
 	// tracked message for good (dead destination NIC, dead source NIC,
 	// or exhausted retransmission budget). It replaces the OnAck that
@@ -102,8 +106,9 @@ type env struct {
 // carries the fabric's transit state for it), its envelope, and what to
 // run when the fabric is done with it. The record is the
 // fabric.Completion of its own send, so handing it to the fabric builds
-// no callback. It fits the 224-byte size class: every message of a
-// credit-stalled burst holds one.
+// no callback. It fits the 176-byte size class: every message of a
+// credit-stalled burst holds one. A record comes off its free list
+// zeroed, and each send writes its fields once, in place.
 type outMsg struct {
 	img  *ImageKernel // nil once released
 	msg  fabric.Msg
@@ -125,7 +130,7 @@ func (o *outMsg) Delivered() {
 	img := o.img
 	k := img.k
 	if o.env.track.Tracked() {
-		k.tracker.OnAck(img, o.env.track)
+		k.tracker.OnAck(img, int(o.msg.Dst), o.env.track)
 	}
 	if o.user != nil {
 		o.user.Delivered()
@@ -313,17 +318,18 @@ func (img *ImageKernel) Procs() []*sim.Proc { return img.procs.Live() }
 type Completion = fabric.Completion
 
 // SendOpts mirror fabric completion callbacks plus the tracking context.
+// They fit in 64 bytes, so passing them by value costs a few moves.
 type SendOpts struct {
-	Track      Track  // finish-plane context; zero = untracked
+	Finish     int64  // the finish block the message is tracked in; 0 = untracked
 	OnInjected func() // source buffer reusable (local data completion)
-	Class      fabric.Class
-	Bytes      int
-	// NoCoalesce exempts latency-critical control traffic from the
-	// fabric's coalescing buffer (see fabric.Msg.NoCoalesce).
-	NoCoalesce bool
+	Bytes      int    // the modeled size; must fit in 32 bits (fabric.Int32)
 	// Path tags the message with the traced request whose causal path
 	// it rides (see fabric.Msg.Path). Zero = untagged.
-	Path path.Tag
+	Path  path.Tag
+	Class fabric.Class
+	// NoCoalesce exempts latency-critical control traffic from the
+	// fabric's coalescing buffer (see fabric.SendOpts.NoCoalesce).
+	NoCoalesce bool
 	// Done, when set, has its Delivered method called when the delivery
 	// ack returns (local operation completion) and its Abandoned method
 	// when the fabric gives up on the message. Abandoned is only called
@@ -336,32 +342,34 @@ type SendOpts struct {
 
 // Send delivers payload to handler tag on image dst.
 func (img *ImageKernel) Send(dst int, tag uint16, payload any, opts SendOpts) {
-	img.post(dst, tag, env{payload: payload}, opts)
+	img.send(img.message(dst, tag, payload, opts.Class, opts.Bytes), &opts)
 }
 
-// post stamps e's tracking context and hands the message to the fabric
-// on a (recycled) outMsg.
-func (img *ImageKernel) post(dst int, tag uint16, e env, opts SendOpts) {
-	k := img.k
-	o := k.outMsgs.Get()
+// message takes a recycled outMsg and writes into it what every message
+// from img to dst carries. The record is zero (Delivered clears it before
+// it goes back), so what a send does not write stays unset.
+func (img *ImageKernel) message(dst int, tag uint16, payload any, class fabric.Class, bytes int) *outMsg {
+	o := img.k.outMsgs.Get()
 	if o == nil {
 		o = new(outMsg)
 	}
-	if opts.Track.Tracked() && k.tracker != nil {
-		e.track = k.tracker.OnSend(img, dst, opts.Track)
+	o.img = img
+	m := &o.msg
+	m.Src, m.Dst, m.Bytes = int32(img.rank), fabric.Int32(dst), fabric.Int32(bytes)
+	m.Tag, m.Class, m.Payload = tag, class, &o.env
+	o.env.payload = payload
+	return o
+}
+
+// send stamps the tracking context of opts' finish block into o's
+// envelope, keeps the sender's completion and hands the message to the
+// fabric.
+func (img *ImageKernel) send(o *outMsg, opts *SendOpts) {
+	if opts.Finish != 0 && img.k.tracker != nil {
+		o.env.track = img.k.tracker.OnSend(img, opts.Finish)
 	}
-	o.img, o.env, o.user = img, e, opts.Done
-	o.msg = fabric.Msg{
-		Src:        img.rank,
-		Dst:        dst,
-		Tag:        tag,
-		Class:      opts.Class,
-		NoCoalesce: opts.NoCoalesce,
-		Bytes:      opts.Bytes,
-		Payload:    &o.env,
-		Path:       opts.Path,
-	}
-	img.ep.Send(&o.msg, fabric.SendOpts{OnInjected: opts.OnInjected, Done: o})
+	o.msg.Path, o.user = opts.Path, opts.Done
+	img.ep.Send(&o.msg, fabric.SendOpts{OnInjected: opts.OnInjected, Done: o, NoCoalesce: opts.NoCoalesce})
 }
 
 // FlushCoalesced flushes this image's fabric aggregation buffers — the
@@ -379,6 +387,7 @@ type Delivery struct {
 	Bytes   int
 
 	track     Track
+	rbox      TrackBox // the tracker's record on this image (OnReceive)
 	detached  bool
 	done      bool
 	replied   bool
@@ -429,7 +438,7 @@ func (d *Delivery) finishCompletion() {
 	d.done = true
 	if d.track.Tracked() {
 		if tr := d.Img.k.tracker; tr != nil {
-			tr.OnComplete(d.Img, d.track)
+			tr.OnComplete(d.Img, d.Src, d.track, d.rbox)
 		}
 	}
 }
@@ -461,12 +470,10 @@ func (d *Delivery) Reply(payload any, bytes int) {
 	if bytes > d.Img.k.fab.MaxMedium() {
 		class = fabric.RDMA
 	}
+	o := d.Img.message(d.Src, tagReply, payload, class, bytes)
+	o.env.replyID, o.env.slot = d.replyID, d.slot
 	// The caller is parked on this reply: never coalesce it.
-	d.Img.post(d.Src, tagReply, env{payload: payload, replyID: d.replyID, slot: d.slot}, SendOpts{
-		Class:      class,
-		Bytes:      bytes,
-		NoCoalesce: true,
-	})
+	d.Img.ep.Send(&o.msg, fabric.SendOpts{Done: o, NoCoalesce: true})
 }
 
 func (img *ImageKernel) dispatch(m *fabric.Msg, h Handler) {
@@ -476,19 +483,13 @@ func (img *ImageKernel) dispatch(m *fabric.Msg, h Handler) {
 	if d == nil {
 		d = new(Delivery)
 	}
-	*d = Delivery{
-		Img:       img,
-		Src:       m.Src,
-		Payload:   e.payload,
-		Bytes:     m.Bytes,
-		track:     e.track,
-		inHandler: true,
-		replyID:   e.replyID,
-		slot:      e.slot,
-	}
+	// The record is zero (release clears it), so the fields are written
+	// once, in place.
+	d.Img, d.Src, d.Payload, d.Bytes = img, int(m.Src), e.payload, int(m.Bytes)
+	d.track, d.replyID, d.slot, d.inHandler = e.track, e.replyID, e.slot, true
 	if e.track.Tracked() {
 		if tr := k.tracker; tr != nil {
-			d.track = tr.OnReceive(img, e.track)
+			d.rbox = tr.OnReceive(img, e.track)
 		}
 	}
 	h(d)
@@ -547,10 +548,12 @@ func (img *ImageKernel) Call(p *sim.Proc, dst int, tag uint16, payload any, opts
 	}
 	k.nextCallID++
 	w.proc, w.id = p, k.nextCallID
+	o := img.message(dst, tag, payload, opts.Class, opts.Bytes)
+	o.env.replyID, o.env.slot = w.id, w
 	// This proc blocks until the reply: coalescing the request would
 	// trade its latency for nothing.
 	opts.NoCoalesce = true
-	img.post(dst, tag, env{payload: payload, replyID: w.id, slot: w}, opts)
+	img.send(o, &opts)
 	det := k.det
 	p.WaitUntil("rpc reply", func() bool { return w.done || det.AnyDead() })
 	done, reply := w.done, w.payload

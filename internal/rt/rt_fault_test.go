@@ -12,19 +12,25 @@ import (
 // delivery, each tracked message must hit every phase exactly once.
 type countingTracker struct {
 	sends, recvs, completes, acks, abandons int
+	rbox                                    countedBox // what OnReceive hands out
 }
 
-func (c *countingTracker) OnSend(src *ImageKernel, dst int, ctx Track) Track {
+// countedBox is countingTracker's record on the receiver.
+type countedBox struct{}
+
+func (*countedBox) TrackBox() {}
+
+func (c *countingTracker) OnSend(src *ImageKernel, finish int64) Track {
 	c.sends++
-	return ctx
+	return Track{ID: finish}
 }
-func (c *countingTracker) OnReceive(dst *ImageKernel, ctx Track) Track {
+func (c *countingTracker) OnReceive(dst *ImageKernel, ctx Track) TrackBox {
 	c.recvs++
-	return ctx
+	return &c.rbox
 }
-func (c *countingTracker) OnComplete(dst *ImageKernel, ctx Track)  { c.completes++ }
-func (c *countingTracker) OnAck(src *ImageKernel, ctx Track)       { c.acks++ }
-func (c *countingTracker) OnAbandoned(src *ImageKernel, ctx Track) { c.abandons++ }
+func (c *countingTracker) OnComplete(*ImageKernel, int, Track, TrackBox) { c.completes++ }
+func (c *countingTracker) OnAck(*ImageKernel, int, Track)                { c.acks++ }
+func (c *countingTracker) OnAbandoned(src *ImageKernel, ctx Track)       { c.abandons++ }
 
 func newFaultyKernel(seed int64, n int, plan *fabric.FaultPlan) (*sim.Engine, *Kernel) {
 	cfg := fabric.DefaultConfig()
@@ -57,7 +63,7 @@ func TestTrackerExactlyOncePerPhaseUnderFaults(t *testing.T) {
 			const n = 40
 			for i := 0; i < n; i++ {
 				src, dst := i%4, (i+1)%4
-				k.Image(src).Send(dst, tagWork, i, SendOpts{Track: Track{ID: int64(i + 1)}})
+				k.Image(src).Send(dst, tagWork, i, SendOpts{Finish: int64(i + 1)})
 			}
 			if err := eng.Run(); err != nil {
 				t.Fatal(err)

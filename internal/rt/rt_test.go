@@ -121,25 +121,24 @@ type recordingTracker struct {
 	log []string
 }
 
-// stamped is what recordingTracker.OnSend makes of Track{ID: id} sent
-// from src to dst.
-func stamped(id int64, src, dst int) Track {
-	return Track{ID: id, ParityOdd: true, Src: src, Dst: dst}
+// stamped is what recordingTracker.OnSend makes of finish block id.
+func stamped(id int64) Track {
+	return Track{ID: id, ParityOdd: true}
 }
 
-func (r *recordingTracker) OnSend(src *ImageKernel, dst int, ctx Track) Track {
+func (r *recordingTracker) OnSend(src *ImageKernel, finish int64) Track {
 	r.log = append(r.log, fmt.Sprintf("send@%d", src.Rank()))
-	return stamped(ctx.ID, src.Rank(), dst)
+	return stamped(finish)
 }
-func (r *recordingTracker) OnReceive(dst *ImageKernel, ctx Track) Track {
+func (r *recordingTracker) OnReceive(dst *ImageKernel, ctx Track) TrackBox {
 	r.log = append(r.log, fmt.Sprintf("recv@%d:%d+stamped=%v", dst.Rank(), ctx.ID, ctx.ParityOdd))
-	return ctx
+	return nil
 }
-func (r *recordingTracker) OnComplete(dst *ImageKernel, ctx Track) {
-	r.log = append(r.log, fmt.Sprintf("complete@%d", dst.Rank()))
+func (r *recordingTracker) OnComplete(dst *ImageKernel, src int, ctx Track, _ TrackBox) {
+	r.log = append(r.log, fmt.Sprintf("complete@%d<-%d", dst.Rank(), src))
 }
-func (r *recordingTracker) OnAck(src *ImageKernel, ctx Track) {
-	r.log = append(r.log, fmt.Sprintf("ack@%d", src.Rank()))
+func (r *recordingTracker) OnAck(src *ImageKernel, dst int, ctx Track) {
+	r.log = append(r.log, fmt.Sprintf("ack@%d->%d", src.Rank(), dst))
 }
 func (r *recordingTracker) OnAbandoned(src *ImageKernel, ctx Track) {
 	r.log = append(r.log, fmt.Sprintf("abandon@%d", src.Rank()))
@@ -150,15 +149,15 @@ func TestTrackerLifecycle(t *testing.T) {
 	tr := &recordingTracker{}
 	k.SetTracker(tr)
 	k.RegisterHandler(tagPing, func(d *Delivery) {
-		if d.Track() != stamped(7, 0, 1) {
+		if d.Track() != stamped(7) {
 			t.Errorf("handler saw track %v", d.Track())
 		}
 	})
-	k.Image(0).Send(1, tagPing, nil, SendOpts{Track: Track{ID: 7}})
+	k.Image(0).Send(1, tagPing, nil, SendOpts{Finish: 7})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"send@0", "recv@1:7+stamped=true", "complete@1", "ack@0"}
+	want := []string{"send@0", "recv@1:7+stamped=true", "complete@1<-0", "ack@0->1"}
 	if len(tr.log) != len(want) {
 		t.Fatalf("log = %v", tr.log)
 	}
@@ -180,13 +179,13 @@ func TestTrackerDetachedCompletion(t *testing.T) {
 			d.Complete()
 		})
 	})
-	k.Image(0).Send(1, tagWork, nil, SendOpts{Track: Track{ID: 9}})
+	k.Image(0).Send(1, tagWork, nil, SendOpts{Finish: 9})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
 	// With a detached long-running handler the ack (delivered) precedes
 	// completion — exactly the split the finish counters rely on.
-	want := []string{"send@0", "recv@1:9+stamped=true", "ack@0", "complete@1"}
+	want := []string{"send@0", "recv@1:9+stamped=true", "ack@0->1", "complete@1<-0"}
 	for i := range want {
 		if i >= len(tr.log) || tr.log[i] != want[i] {
 			t.Fatalf("log = %v, want %v", tr.log, want)
@@ -308,4 +307,48 @@ func TestProcNamesAndLiveProcs(t *testing.T) {
 		t.Errorf("image 0 has procs %v", got)
 	}
 	eng.Shutdown()
+}
+
+// BenchmarkSendDispatch is the rt.am_dispatch probe of the benchmark
+// harness as a go test benchmark: a one-way message whose handler
+// detaches and completes it, drained every 256 sends.
+func BenchmarkSendDispatch(b *testing.B) {
+	eng, k := newTestKernel(2)
+	k.RegisterHandler(tagPing, func(d *Delivery) {
+		d.Detach()
+		d.Complete()
+	})
+	src := k.Image(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		src.Send(1, tagPing, nil, SendOpts{Class: fabric.AMShort, Bytes: 8})
+		if i%256 == 255 {
+			if err := eng.Run(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	if err := eng.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkCallReply is the rt.call_reply probe: blocking round trips
+// from one proc, each answered by the handler at once.
+func BenchmarkCallReply(b *testing.B) {
+	eng, k := newTestKernel(2)
+	k.RegisterHandler(tagEcho, func(d *Delivery) { d.Reply(nil, 8) })
+	src := k.Image(0)
+	n := b.N
+	src.Go("caller", func(p *sim.Proc) {
+		for i := 0; i < n; i++ {
+			src.Call(p, 1, tagEcho, nil, SendOpts{Class: fabric.AMShort, Bytes: 8})
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := eng.Run(); err != nil {
+		b.Fatal(err)
+	}
 }

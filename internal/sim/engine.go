@@ -38,7 +38,7 @@ type Engine struct {
 	stopped   bool
 	procErr   error // first panic captured from a proc
 
-	onStrand atomic.Bool // an event callback (or a proc it resumed) is running
+	onStrand atomic.Bool // RunUntil is running events (or a proc one resumed)
 }
 
 // NewEngine returns an engine whose randomness derives from seed.
@@ -130,10 +130,16 @@ func (e *Engine) Run() error { return e.RunUntil(Forever) }
 // reads limit if an event later than limit is pending, and the time of the
 // last event otherwise. A limit earlier than Now returns at once with the
 // clock and the queue untouched: virtual time never goes backwards.
+//
+// The caller is on the strand for the whole run, between events too, and
+// leaves it however the run ends: the flag is restored on return and on a
+// panic out of an event callback alike.
 func (e *Engine) RunUntil(limit Time) error {
 	if limit < e.now {
 		return nil
 	}
+	prev := e.onStrand.Swap(true)
+	defer e.onStrand.Store(prev)
 	e.stopped = false
 	for !e.stopped {
 		ev, at, ok := e.q.popUntil(limit)
@@ -146,9 +152,7 @@ func (e *Engine) RunUntil(limit Time) error {
 		}
 		e.now = at
 		e.eventsRun++
-		e.onStrand.Store(true)
 		ev.RunEvent()
-		e.onStrand.Store(false)
 		if e.procErr != nil {
 			return e.procErr
 		}

@@ -290,6 +290,45 @@ func TestRunUntilPausesAndResumes(t *testing.T) {
 	}
 }
 
+// The strand flag is RunUntil's: set for events and procs alike, and
+// cleared however the run ends — also by a panic out of an event
+// callback, after which the caller is off the strand again.
+func TestRunUntilLeavesStrandOnPanic(t *testing.T) {
+	offStrandPanics := func(e *Engine) (panicked bool) {
+		defer func() { panicked = recover() != nil }()
+		e.AssertStrand("test")
+		return false
+	}
+	e := NewEngine(1)
+	var inEvent, inProc bool
+	e.At(10, func() { inEvent = !offStrandPanics(e) })
+	e.Go("p", func(p *Proc) { inProc = !offStrandPanics(e) })
+	e.At(20, func() { panic("boom") })
+	func() {
+		defer func() {
+			if r := recover(); r != "boom" {
+				t.Fatalf("Run panicked with %v, want the callback's panic", r)
+			}
+		}()
+		e.Run()
+	}()
+	if !inEvent || !inProc {
+		t.Errorf("AssertStrand panicked on the strand: in an event %v, in a proc %v", !inEvent, !inProc)
+	}
+	if !offStrandPanics(e) {
+		t.Error("AssertStrand passed off the strand after a callback panicked out of Run")
+	}
+	// The engine still runs, and leaves the strand on a normal return too.
+	ran := false
+	e.At(30, func() { ran = !offStrandPanics(e) })
+	if err := e.Run(); err != nil || !ran {
+		t.Fatalf("Run after the panic: err %v, event on the strand %v", err, ran)
+	}
+	if !offStrandPanics(e) {
+		t.Error("AssertStrand passed off the strand after Run returned")
+	}
+}
+
 func TestStop(t *testing.T) {
 	e := NewEngine(1)
 	ran2 := false

@@ -239,18 +239,18 @@ func (s *spawnOp) Initiate() {
 	// it runs under the spawn op as its parent.
 	pctx := s.op.childCtx()
 	opts := rt.SendOpts{
-		Class: classForBytes(m, int(s.bytes)),
-		Bytes: int(s.bytes),
-		Path:  path.WireTag(pctx),
-		Done:  s,
-		Track: rt.Track{ID: s.finishID},
+		Class:  classForBytes(m, int(s.bytes)),
+		Bytes:  int(s.bytes),
+		Path:   path.WireTag(pctx),
+		Done:   s,
+		Finish: s.finishID,
 	}
 	if x := s.x; x != nil {
 		if x.data != nil {
 			x.data = append([]byte(nil), x.data...)
 		}
 		if x.event != nil {
-			opts.Track = rt.Track{}
+			opts.Finish = 0
 		}
 		if x.mirror {
 			opts.Path = path.MirrorTag(pctx)
@@ -306,12 +306,15 @@ func (m *Machine) handleSpawn(d *rt.Delivery) {
 	// handler spans render on their own Perfetto track instead of
 	// interleaving with the main's.
 	st.nextTid++
+	// The record is zero (new, or cleared before it was pooled), so the
+	// Image is written field by field, in place.
 	sh.s, sh.d = s, d
-	sh.img = Image{m: m, st: st, tid: st.nextTid,
-		inheritedFinish: s.finishID, pctx: s.op.childCtx(), spawn: s}
-	sh.img.ct = m.initTracker(&sh.ct)
+	img := &sh.img
+	img.m, img.st, img.tid, img.spawn = m, st, st.nextTid, s
+	img.inheritedFinish, img.pctx = s.finishID, s.op.childCtx()
+	img.ct = m.initTracker(&sh.ct)
 	if rs := m.race; rs != nil {
-		sh.img.rc = rs.d.NewCtx(m.raceChanArrive(d.Src, st.kern.Rank(), s.tok.clock()))
+		img.rc = rs.d.NewCtx(m.raceChanArrive(d.Src, st.kern.Rank(), s.tok.clock()))
 	}
 	if s.inline() {
 		st.kern.After(s.service, sh)
