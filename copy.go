@@ -435,14 +435,6 @@ func (m *Machine) recyclesRequests() bool {
 	return m.det == nil && m.cfg.Fabric.Faults == nil
 }
 
-// newReq takes a request record off one of a coarray's free lists.
-func newReq[R any](free *sim.FreeList[R]) *R {
-	if r := free.Get(); r != nil {
-		return r
-	}
-	return new(R)
-}
-
 // releaseReq hands a served request back to its free list, zeroed, where
 // that is safe.
 func releaseReq[R any](m *Machine, free *sim.FreeList[R], r *R) {
@@ -482,7 +474,7 @@ func Get[T any](img *Image, src Sec[T]) []T {
 	oph := img.blockingOp("get", src.rank)
 	img.opStage(oph, trace.StageInit)
 	tok := img.beginBlock("get")
-	req := newReq(&src.ca.gets)
+	req := src.ca.gets.New()
 	*req = getReq[T]{src: src, bytes: bytes}
 	img.st.kern.Call(p, src.rank, tagBlocking, req, rt.SendOpts{Class: fabric.AMShort, Bytes: 24})
 	// The blocking round trip is pure network time on a traced request.
@@ -511,7 +503,7 @@ func Put[T any](img *Image, dst Sec[T], vals []T) {
 	}
 	p := img.parker("Put")
 	raceRecordCtx(img, dst, true, "put")
-	req := newReq(&dst.ca.puts)
+	req := dst.ca.puts.New()
 	*req = putReq[T]{dst: dst}
 	if len(vals) <= putInline {
 		req.data = append(req.inline[:0], vals...)

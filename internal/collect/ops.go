@@ -15,7 +15,7 @@ const msgHeaderBytes = 16
 // size, on a recycled record, optionally watching injection
 // (source-buffer reuse) and delivery (pair-wise completion).
 func (n *node) sendTree(in *inst, dstTeamRank int, msg colMsg, needAck, needInject bool) {
-	m := n.c.newMsg()
+	m := n.c.msgs.New()
 	*m = msg
 	m.key = in.key
 	m.t = in.t

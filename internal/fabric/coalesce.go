@@ -108,15 +108,28 @@ type FlushObserver interface {
 // table.
 const tagBatch uint16 = 0xFFFE
 
-// batch is the payload of one aggregated wire packet, and the completion
-// of its send: the batch injecting/acking IS every inner message
-// injecting/acking. Each inner message keeps its own SendOpts, in order.
+// batch is one aggregated wire packet: the packet itself, whose payload
+// and completion are the batch, and the inner messages it carries. The
+// batch injecting/acking IS every inner message injecting/acking. Each
+// inner message keeps its own SendOpts, in order. A batch is recycled
+// through Fabric.batches with its msgs array, which the next flush hands
+// to its buffer, so neither a flush nor a buffer allocates once warm.
 type batch struct {
+	msg  Msg
 	msgs []*Msg
+	f    *Fabric
+	dead bool // released under sim.QuarantinePools
+}
+
+func (b *batch) live() {
+	if b.dead {
+		panic("fabric: coalesced batch used after its ack released it")
+	}
 }
 
 // injected runs the inner OnInjected callbacks.
 func (b *batch) injected() {
+	b.live()
 	for _, m := range b.msgs {
 		if m.onInjected != nil {
 			m.onInjected()
@@ -125,16 +138,30 @@ func (b *batch) injected() {
 }
 
 // Delivered hands each inner message back to its owner and runs its
-// delivery callbacks.
+// delivery callbacks. On the idealized transport the ack is the packet's
+// last event (every inner handler ran before it left), so the batch is
+// released at its end. Under a fault plan it is left to the GC: a
+// duplicate of the packet can still arrive, and the receiver's dedup
+// window can still hold it.
 func (b *batch) Delivered() {
+	b.live()
 	for _, m := range b.msgs {
 		opts := m.takeOpts()
 		opts.delivered()
 	}
+	f := b.f
+	if f.reliable {
+		return
+	}
+	clear(b.msgs)
+	*b = batch{msgs: b.msgs[:0]}
+	b.dead = f.batches.Put(b)
 }
 
-// Abandoned is Delivered for a batch the fabric gave up on.
+// Abandoned is Delivered for a batch the fabric gave up on; only a fabric
+// with a fault plan does, so the batch is never released.
 func (b *batch) Abandoned() {
+	b.live()
 	for _, m := range b.msgs {
 		opts := m.takeOpts()
 		opts.abandoned()
@@ -248,16 +275,14 @@ func (ep *Endpoint) flush(b *coalesceBuf, reason FlushReason) {
 	}
 
 	f.stats.MsgsCoalesced += uint64(len(msgs))
-	bt := &batch{msgs: msgs}
-	bm := &Msg{
-		Src:     int32(ep.rank),
-		Dst:     int32(dst),
-		Tag:     tagBatch,
-		Class:   AMMedium,
-		Bytes:   Int32(bytes),
-		Payload: bt,
-		done:    bt,
-	}
+	// The batch comes off its free list zeroed but for the array of its
+	// last use, which the buffer takes in exchange for msgs.
+	bt := f.batches.New()
+	bt.f = f
+	b.msgs, bt.msgs = bt.msgs, msgs
+	bm := &bt.msg
+	bm.Src, bm.Dst, bm.Bytes = int32(ep.rank), int32(dst), Int32(bytes)
+	bm.Tag, bm.Class, bm.Payload, bm.done = tagBatch, AMMedium, bt, bt
 	for _, m := range msgs {
 		if m.onInjected != nil {
 			// Only a batch with something to run at injection schedules it.
@@ -305,6 +330,7 @@ func (ep *Endpoint) dispatch(m *Msg) {
 	ep.f.claimPathDelivered(m)
 	if m.Tag == tagBatch {
 		b := m.Payload.(*batch)
+		b.live()
 		for _, inner := range b.msgs {
 			ep.Received++
 			ep.f.stats.HandlerRuns++

@@ -345,6 +345,7 @@ type Fabric struct {
 	// enabled, coal the defaulted thresholds.
 	coalescing bool
 	coal       Coalescing
+	batches    sim.FreeList[batch]
 
 	// Metrics instruments, resolved once at construction (all nil — and
 	// every call a no-op — when cfg.Metrics is nil).

@@ -61,6 +61,77 @@ func TestPoolSendDeliverAckDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// A coalesced send on a warm fabric makes no object beyond the caller's
+// Msg: the batch packet comes off the fabric's free list, released at the
+// end of its ack, and the buffer and the batch swap arrays at each flush,
+// so neither regrows. Eight messages fill one size flush of eight.
+func TestPoolCoalescedSendDoesNotAllocate(t *testing.T) {
+	if sim.GoRace || sim.QuarantinePools {
+		t.Skip("allocation counts are pinned without -race, pools on")
+	}
+	cfg := DefaultConfig()
+	cfg.Coalescing = Coalescing{MaxMsgs: 8}
+	eng, f := newTestFabric(t, 2, cfg)
+	handled := 0
+	f.Endpoint(1).RegisterHandler(tagTest, func(*Endpoint, *Msg) { handled++ })
+	src := f.Endpoint(0)
+	var msgs [8]Msg
+	flush := func() {
+		for i := range msgs {
+			msgs[i] = Msg{Src: 0, Dst: 1, Tag: tagTest, Class: AMShort, Bytes: 8}
+			src.Send(&msgs[i], SendOpts{})
+		}
+		if err := eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	flush() // warm-up: the first batch, the buffer's array, the event heap
+	const runs = 100
+	if n := testing.AllocsPerRun(runs, flush); n != 0 {
+		t.Errorf("allocations per 8 coalesced sends = %v, want 0", n)
+	}
+	if want := 8 * (runs + 2); handled != want {
+		t.Errorf("handled %d, want %d", handled, want)
+	}
+	if st := f.Stats(); st.FlushBySize != runs+2 || st.MsgsSent != runs+2 {
+		t.Errorf("%d size flushes, %d packets, want %d each", st.FlushBySize, st.MsgsSent, runs+2)
+	}
+}
+
+// A batch is released at the end of its ack. Quarantined, it is marked
+// dead there, and its ack, injection or dispatch panics if it comes again.
+func TestQuarantineReleasedBatchIsDead(t *testing.T) {
+	quarantinePools(t)
+	cfg := DefaultConfig()
+	cfg.Credits = 1
+	cfg.Coalescing = Coalescing{MaxMsgs: 2}
+	eng, f := newTestFabric(t, 2, cfg)
+	handled := 0
+	f.Endpoint(1).RegisterHandler(tagTest, func(*Endpoint, *Msg) { handled++ })
+	src := f.Endpoint(0)
+	for i := 0; i < 4; i++ {
+		src.Send(&Msg{Src: 0, Dst: 1, Tag: tagTest, Class: AMShort, Bytes: 8}, SendOpts{})
+	}
+	// Two size flushes: the first packet took the one credit, the second
+	// waits for it.
+	if src.qhead == nil || src.qhead.Tag != tagBatch {
+		t.Fatal("the second batch is not waiting for a credit")
+	}
+	b := src.qhead.Payload.(*batch)
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if handled != 4 || !b.dead {
+		t.Fatalf("handled %d inner messages, batch dead %v; want 4, true", handled, b.dead)
+	}
+	defer func() {
+		if r, _ := recover().(string); r != "fabric: coalesced batch used after its ack released it" {
+			t.Errorf("second ack of a released batch: panic %q", r)
+		}
+	}()
+	b.Delivered()
+}
+
 // creditStallLog sends n messages through a window of two credits and
 // logs every handler run and ack with its virtual time.
 func creditStallLog(t *testing.T, n int) []string {

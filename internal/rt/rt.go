@@ -17,7 +17,10 @@
 // slot per Call, which travels to the callee and back by pointer and is
 // released when Call returns. On a fabric with a fault plan outMsgs are
 // left to the garbage collector instead: a retransmission or a duplicate
-// can still be in flight after the ack.
+// can still be in flight after the ack. When a list is empty, as it is
+// through a new machine's first burst, the record is carved from a 4 KiB
+// slab of its type (sim.FreeList.New), so a burst of thousands of
+// messages in flight at once makes one object per slab, not per message.
 package rt
 
 import (
@@ -349,10 +352,7 @@ func (img *ImageKernel) Send(dst int, tag uint16, payload any, opts SendOpts) {
 // from img to dst carries. The record is zero (Delivered clears it before
 // it goes back), so what a send does not write stays unset.
 func (img *ImageKernel) message(dst int, tag uint16, payload any, class fabric.Class, bytes int) *outMsg {
-	o := img.k.outMsgs.Get()
-	if o == nil {
-		o = new(outMsg)
-	}
+	o := img.k.outMsgs.New()
 	o.img = img
 	m := &o.msg
 	m.Src, m.Dst, m.Bytes = int32(img.rank), fabric.Int32(dst), fabric.Int32(bytes)
@@ -479,10 +479,7 @@ func (d *Delivery) Reply(payload any, bytes int) {
 func (img *ImageKernel) dispatch(m *fabric.Msg, h Handler) {
 	e := m.Payload.(*env)
 	k := img.k
-	d := k.deliveries.Get()
-	if d == nil {
-		d = new(Delivery)
-	}
+	d := k.deliveries.New()
 	// The record is zero (release clears it), so the fields are written
 	// once, in place.
 	d.Img, d.Src, d.Payload, d.Bytes = img, int(m.Src), e.payload, int(m.Bytes)
@@ -542,10 +539,7 @@ func (k *Kernel) handleReply(ep *fabric.Endpoint, m *fabric.Msg) {
 // fail-stop semantics charge the whole blocked operation to the failure.
 func (img *ImageKernel) Call(p *sim.Proc, dst int, tag uint16, payload any, opts SendOpts) any {
 	k := img.k
-	w := k.slots.Get()
-	if w == nil {
-		w = new(callSlot)
-	}
+	w := k.slots.New()
 	k.nextCallID++
 	w.proc, w.id = p, k.nextCallID
 	o := img.message(dst, tag, payload, opts.Class, opts.Bytes)

@@ -39,6 +39,8 @@ type Engine struct {
 	procErr   error // first panic captured from a proc
 
 	onStrand atomic.Bool // RunUntil is running events (or a proc one resumed)
+
+	expiries FreeList[expiry] // the records of queued Timer expiries
 }
 
 // NewEngine returns an engine whose randomness derives from seed.

@@ -1,6 +1,9 @@
 package sim
 
-import "slices"
+import (
+	"slices"
+	"unsafe"
+)
 
 // QuarantinePools is a test-only switch for the record pools of the
 // message path (DESIGN §4.14). While it is set, a FreeList keeps nothing:
@@ -16,46 +19,86 @@ import "slices"
 // quarantinepools build tag does for a whole test binary.
 var QuarantinePools = quarantineDefault
 
-// FreeList is a LIFO of released records waiting to be taken again. It
-// is a plain slice, not a sync.Pool: records are taken and released only
-// on the engine's admission strand, and a deterministic simulator wants
-// the same record back on the same step of every run.
+// slabBytes is the size of the block New carves records from: a size
+// class of Go's allocator, so a slab wastes only a tail under one record.
+const slabBytes = 4096
+
+// pageLen is the number of released records one page of the stack holds.
+const pageLen = 512
+
+// FreeList is a LIFO of released records waiting to be taken again, and
+// the slab allocator (Bonwick 1994) of records that are always released.
+// It is not a sync.Pool: records are taken and released only on the
+// engine's admission strand, and a deterministic simulator wants the same
+// record back on the same step of every run.
+//
+// The stack is a list of 512-pointer pages, kept when emptied, so a list
+// allocates its peak once and never copies it. New carves records from a
+// 4 KiB slab of T, so a burst that takes thousands of records before the
+// first comes back makes one object per slab, not one per record. A
+// record carved from a slab keeps the whole slab alive, and a slab with a
+// record on the list lives as long as the list: only a record whose owner
+// always releases it may come from New. One that its owner may keep (and
+// later drop) comes from Get and new, so that dropping it frees it.
 type FreeList[T any] struct {
-	free []*T
+	pages [][]*T // the stack, pageLen records a page; n of them waiting
+	n     int
+	slab  []T // what is left of the slab New carves from; nil when used up
 }
 
 // Get returns the most recently released record, or nil when there is
 // none and the caller has to make one.
 func (l *FreeList[T]) Get() *T {
-	n := len(l.free)
-	if n == 0 {
+	if l.n == 0 {
 		return nil
 	}
-	x := l.free[n-1]
-	l.free[n-1] = nil
-	l.free = l.free[:n-1]
+	l.n--
+	p := &l.pages[l.n/pageLen][l.n%pageLen]
+	x := *p
+	*p = nil
+	return x
+}
+
+// New returns the most recently released record or, when none is
+// waiting, a zeroed record carved from the list's slab, which it makes
+// when the last one is used up.
+func (l *FreeList[T]) New() *T {
+	if x := l.Get(); x != nil {
+		return x
+	}
+	if l.slab == nil {
+		l.slab = make([]T, max(1, slabBytes/max(1, int(unsafe.Sizeof(*new(T))))))
+	}
+	x := &l.slab[0]
+	if l.slab = l.slab[1:]; len(l.slab) == 0 {
+		l.slab = nil
+	}
 	return x
 }
 
 // Len reports how many released records are waiting.
-func (l *FreeList[T]) Len() int { return len(l.free) }
+func (l *FreeList[T]) Len() int { return l.n }
 
 // Put releases x, which the caller has cleared, and reports whether x is
 // dead: under QuarantinePools it is never handed out again and the caller
-// marks it, otherwise it is kept for the next Get.
+// marks it, otherwise it is kept for the next Get or New.
 func (l *FreeList[T]) Put(x *T) (dead bool) {
 	if QuarantinePools {
 		return true
 	}
-	l.free = appendDoubling(l.free, x)
+	if l.n/pageLen == len(l.pages) {
+		l.pages = append(l.pages, make([]*T, pageLen))
+	}
+	l.pages[l.n/pageLen][l.n%pageLen] = x
+	l.n++
 	return false
 }
 
 // appendDoubling appends x to s, doubling s's backing array when it is
-// full. The tables that follow a machine's size (the event heap, the free
-// lists, the idle coroutines) grow once, to their peak: append's growth
-// for long slices (1.25×) copies such a table through about five times
-// its final size, doubling through two.
+// full. The tables that follow a machine's size (the far event heap, the
+// idle coroutines) grow once, to their peak: append's growth for long
+// slices (1.25×) copies such a table through about five times its final
+// size, doubling through two.
 func appendDoubling[T any](s []T, x T) []T {
 	if len(s) == cap(s) {
 		s = slices.Grow(s, max(len(s), 4))

@@ -52,8 +52,107 @@ func TestPoolQuarantineKeepsNothing(t *testing.T) {
 	}
 }
 
-// The free list itself must not allocate once its backing array has
-// reached the pool's high-water mark.
+// New carves records from one 4 KiB slab in order: each is the next
+// element of the slab, and each is zero.
+func TestPoolNewCarvesAdjacentZeroedRecords(t *testing.T) {
+	var l FreeList[poolRec]
+	size := unsafe.Sizeof(poolRec{})
+	perSlab := slabBytes / int(size)
+	prev := l.New()
+	for i := 1; i < perSlab; i++ {
+		r := l.New()
+		if uintptr(unsafe.Pointer(r)) != uintptr(unsafe.Pointer(prev))+size {
+			t.Fatalf("record %d is not adjacent to record %d of its slab", i, i-1)
+		}
+		if *r != (poolRec{}) {
+			t.Fatalf("record %d is not zero: %v", i, *r)
+		}
+		r.n = i // a later carve must not hand out a written record
+		prev = r
+	}
+	if r := l.New(); *r != (poolRec{}) {
+		t.Fatalf("first record of the second slab is not zero: %v", *r)
+	}
+	if l.Len() != 0 {
+		t.Errorf("carving left %d records waiting", l.Len())
+	}
+}
+
+// The stack keeps its LIFO order across the boundary of its 512-record
+// pages, and New takes a waiting record before it carves.
+func TestPoolFreeListIsLIFOAcrossPages(t *testing.T) {
+	if QuarantinePools {
+		t.Skip("a quarantined list keeps nothing")
+	}
+	var l FreeList[poolRec]
+	recs := make([]poolRec, 2*pageLen+1)
+	for i := range recs {
+		l.Put(&recs[i])
+	}
+	if l.Len() != len(recs) {
+		t.Fatalf("Len = %d, want %d", l.Len(), len(recs))
+	}
+	if got := l.New(); got != &recs[len(recs)-1] {
+		t.Fatal("New did not take the record released last")
+	}
+	for i := len(recs) - 2; i >= 0; i-- {
+		if got := l.Get(); got != &recs[i] {
+			t.Fatalf("Get returned another record than number %d", i)
+		}
+	}
+	if l.Get() != nil || l.Len() != 0 {
+		t.Error("list not empty after taking every record")
+	}
+	if r := l.New(); r == nil || *r != (poolRec{}) {
+		t.Errorf("New on an emptied list = %v, want a zero record", r)
+	}
+}
+
+// Under quarantine New never hands out a released record: it carves.
+func TestPoolQuarantineNewCarvesFresh(t *testing.T) {
+	quarantinePools(t)
+	var l FreeList[poolRec]
+	released := map[*poolRec]bool{}
+	for i := 0; i < 3*slabBytes; i++ {
+		r := l.New()
+		if released[r] {
+			t.Fatalf("New returned record %p, released earlier", r)
+		}
+		if !l.Put(r) {
+			t.Fatal("Put under quarantine did not report the record dead")
+		}
+		released[r] = true
+	}
+}
+
+// A burst that takes 65 536 records from an empty list and releases them
+// all makes one object per slab and per page of the stack, plus the few
+// growths of the page table: records are not made one by one, and the
+// stack is never copied.
+func TestPoolBurstAllocatesSlabsAndPages(t *testing.T) {
+	if GoRace || QuarantinePools {
+		t.Skip("allocation counts are pinned without -race, pools on")
+	}
+	const burst = 1 << 16
+	recs := make([]*poolRec, burst)
+	run := func() {
+		var l FreeList[poolRec]
+		for i := range recs {
+			recs[i] = l.New()
+		}
+		for _, r := range recs {
+			l.Put(r)
+		}
+	}
+	slabs := burst / (slabBytes / int(unsafe.Sizeof(poolRec{})))
+	pages := (burst + pageLen - 1) / pageLen
+	if n := testing.AllocsPerRun(5, run); n > float64(slabs+pages+16) {
+		t.Errorf("allocations per burst of %d = %v, want ≤ %d slabs + %d pages + 16", burst, n, slabs, pages)
+	}
+}
+
+// The free list itself must not allocate once its pages hold the pool's
+// high-water mark.
 func TestPoolFreeListDoesNotAllocate(t *testing.T) {
 	if GoRace || QuarantinePools {
 		t.Skip("allocation counts are pinned without -race, pools on")
@@ -124,5 +223,31 @@ func TestPoolEventNamesARecord(t *testing.T) {
 	schedule()
 	if n := testing.AllocsPerRun(100, schedule); n != 0 {
 		t.Errorf("allocations per At + AtEvent + Run = %v, want 0", n)
+	}
+}
+
+// outMsgSized stands in for the largest recycled record, rt's outMsg.
+type outMsgSized [176]byte
+
+var burstSink *outMsgSized
+
+// BenchmarkFreeListBurst takes a credit-stalled burst's worth of records
+// from a new list, as a new machine's first burst does, releases them
+// and takes them again.
+func BenchmarkFreeListBurst(b *testing.B) {
+	recs := make([]*outMsgSized, 4096)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		var l FreeList[outMsgSized]
+		for j := range recs {
+			recs[j] = l.New()
+		}
+		for _, r := range recs {
+			l.Put(r)
+		}
+		for j := range recs {
+			recs[j] = l.New()
+		}
+		burstSink = recs[len(recs)-1]
 	}
 }

@@ -27,18 +27,32 @@ func (e *Engine) NewTimer(fn func()) *Timer {
 // expiry. It is the only way to arm a Timer.
 func (t *Timer) Reset(d Time) {
 	t.gen++
-	g := t.gen
 	t.active = true
 	if d < 0 {
 		d = 0
 	}
-	t.eng.At(t.eng.now+d, func() {
-		if t.gen != g || !t.active {
-			return // stopped or re-armed since this expiry was queued
-		}
-		t.active = false
-		t.fn()
-	})
+	x := t.eng.expiries.New()
+	x.t, x.gen = t, t.gen
+	t.eng.AtEvent(t.eng.now+d, x)
+}
+
+// expiry is one queued expiry of a Timer, the generation it was armed
+// with, as its own event. Its event is its last reference: it is released
+// to the engine's free list as it runs.
+type expiry struct {
+	t   *Timer
+	gen uint64
+}
+
+func (x *expiry) RunEvent() {
+	t, gen := x.t, x.gen
+	*x = expiry{}
+	t.eng.expiries.Put(x)
+	if t.gen != gen || !t.active {
+		return // stopped or re-armed since this expiry was queued
+	}
+	t.active = false
+	t.fn()
 }
 
 // Stop disarms the timer. A pending expiry is discarded; fn does not run.

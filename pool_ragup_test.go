@@ -13,8 +13,9 @@ import (
 // images: 16 updater procs per image, 512 updates per image. Objects and
 // bytes per update, setup included, are pinned at what the run allocates
 // with each Get's and Put's request record recycled on its coarray and a
-// short Put's values carried in its record, plus 5 % (2.88 objects and
-// 111 B before the values moved into the record).
+// short Put's values carried in its record, and the records of a burst
+// carved from slabs, plus 5 % (2.88 objects and 111 B before the values
+// moved into the record, 1.83 objects and 96.4 B before the slabs).
 func TestPoolRAGUPBytesPerUpdate(t *testing.T) {
 	if sim.GoRace || sim.QuarantinePools {
 		t.Skip("allocation counts are pinned without -race, pools on")
@@ -37,10 +38,10 @@ func TestPoolRAGUPBytesPerUpdate(t *testing.T) {
 	objects := float64(after.Mallocs-before.Mallocs) / updates
 	bytes := float64(after.TotalAlloc-before.TotalAlloc) / updates
 	t.Logf("%.3f objects, %.1f B per update", objects, bytes)
-	if limit := 1.83 * 1.05; objects > limit {
+	if limit := 1.68 * 1.05; objects > limit {
 		t.Errorf("%.3f objects per update, want ≤ %.3f", objects, limit)
 	}
-	if limit := 96.4 * 1.05; bytes > limit {
+	if limit := 92.4 * 1.05; bytes > limit {
 		t.Errorf("%.1f B per update, want ≤ %.1f", bytes, limit)
 	}
 }

@@ -294,6 +294,9 @@ func (m *Machine) handleSpawn(d *rt.Delivery) {
 	d.Detach()
 	var sh *shipped
 	if s.inline() {
+		// Get and new, not New: a function that leaves an operation
+		// unfenced keeps its record, and a kept record must not sit in a
+		// slab that the list keeps alive (DESIGN §4.14).
 		sh = m.inlines.Get()
 	}
 	if sh == nil {
