@@ -349,8 +349,7 @@ type Fabric struct {
 
 	// Metrics instruments, resolved once at construction (all nil — and
 	// every call a no-op — when cfg.Metrics is nil).
-	mLinkMsgs    *metrics.Counter
-	mLinkBytes   *metrics.Counter
+	mLink        *metrics.Link
 	mSendqPeak   *metrics.Gauge
 	mCreditStall *metrics.Counter
 	mBatchMsgs   *metrics.Histogram
@@ -367,8 +366,8 @@ func New(eng *sim.Engine, n int, cfg Config) *Fabric {
 	}
 	f := &Fabric{eng: eng, cfg: cfg}
 	reg := cfg.Metrics
-	f.mLinkMsgs = reg.Counter("caf_fabric_msgs_total", "wire packets sent per (image, peer) link")
-	f.mLinkBytes = reg.Counter("caf_fabric_bytes_total", "payload bytes sent per (image, peer) link")
+	f.mLink = reg.Link("caf_fabric_msgs_total", "wire packets sent per (image, peer) link",
+		"caf_fabric_bytes_total", "payload bytes sent per (image, peer) link")
 	f.mSendqPeak = reg.Gauge("caf_fabric_sendq_peak", "credit-stalled send queue high-water mark")
 	f.mCreditStall = reg.Counter("caf_fabric_credit_stall_ns_total", "virtual time messages spent queued for injection credits")
 	f.mBatchMsgs = reg.Histogram("caf_fabric_batch_msgs", "messages per coalesced wire packet")
@@ -682,8 +681,7 @@ func (ep *Endpoint) inject(m *Msg) {
 	ep.Sent++
 	f.stats.MsgsSent++
 	f.stats.BytesSent += uint64(m.Bytes)
-	f.mLinkMsgs.AddLink(int(m.Src), int(m.Dst), 1)
-	f.mLinkBytes.AddLink(int(m.Src), int(m.Dst), int64(m.Bytes))
+	f.mLink.Add(int(m.Src), int(m.Dst), int64(m.Bytes))
 
 	// Serialize injection on the sender NIC.
 	start := now
@@ -825,8 +823,7 @@ func (ep *Endpoint) transmit(tx *txState) {
 	ep.Sent++
 	f.stats.MsgsSent++
 	f.stats.BytesSent += uint64(m.Bytes)
-	f.mLinkMsgs.AddLink(int(m.Src), int(m.Dst), 1)
-	f.mLinkBytes.AddLink(int(m.Src), int(m.Dst), int64(m.Bytes))
+	f.mLink.Add(int(m.Src), int(m.Dst), int64(m.Bytes))
 
 	// Serialize injection on the sender NIC (every attempt pays again).
 	start := eng.Now()

@@ -106,6 +106,18 @@ func (r *Registry) Counter(name, help string) *Counter {
 	return c
 }
 
+// Link returns a link instrument whose two columns export as the
+// counters msgs and bytes.
+func (r *Registry) Link(msgs, msgsHelp, bytes, bytesHelp string) *Link {
+	if r == nil {
+		return nil
+	}
+	l := &Link{}
+	r.counters[msgs] = &Counter{name: msgs, help: msgsHelp, link: l}
+	r.counters[bytes] = &Counter{name: bytes, help: bytesHelp, link: l, col: 1}
+	return l
+}
+
 // Gauge returns (creating on first use) the named gauge.
 func (r *Registry) Gauge(name, help string) *Gauge {
 	if r == nil {
@@ -136,15 +148,12 @@ func (r *Registry) Histogram(name, help string) *Histogram {
 type Counter struct {
 	name, help string
 	v          table[int64]
+	link       *Link // set for a link's column: the samples are column col of its table, not v
+	col        int
 }
 
 // Add increments the image's sample by d.
-func (c *Counter) Add(image int, d int64) {
-	if c == nil {
-		return
-	}
-	*c.v.at(image, NoPeer, true) += d
-}
+func (c *Counter) Add(image int, d int64) { c.AddLink(image, NoPeer, d) }
 
 // AddLink increments the (image, peer) link sample by d.
 func (c *Counter) AddLink(image, peer int, d int64) {
@@ -152,6 +161,19 @@ func (c *Counter) AddLink(image, peer int, d int64) {
 		return
 	}
 	*c.v.at(image, peer, true) += d
+}
+
+// Link counts packets and their bytes per (image, peer) link, two
+// counters always updated together, in one table: a packet costs one
+// search.
+type Link struct{ v table[[2]int64] }
+
+// Add counts one packet of n bytes on the (image, peer) link.
+func (l *Link) Add(image, peer int, n int64) {
+	if l != nil {
+		s := l.v.at(image, peer, true)
+		s[0], s[1] = s[0]+1, s[1]+n
+	}
 }
 
 // Gauge is a per-key instantaneous value.
@@ -283,11 +305,15 @@ func (r *Registry) Snapshot() Snapshot {
 	sort.Strings(names)
 	for _, n := range names {
 		if c, ok := r.counters[n]; ok {
-			s.Families = append(s.Families, scalarFamily(n, c.help, "counter", c.v))
+			if c.link != nil {
+				s.Families = append(s.Families, scalarFamily(n, c.help, "counter", c.link.v, func(v [2]int64) int64 { return v[c.col] }))
+			} else {
+				s.Families = append(s.Families, scalarFamily(n, c.help, "counter", c.v, self))
+			}
 			continue
 		}
 		if g, ok := r.gauges[n]; ok {
-			s.Families = append(s.Families, scalarFamily(n, g.help, "gauge", g.v))
+			s.Families = append(s.Families, scalarFamily(n, g.help, "gauge", g.v, self))
 			continue
 		}
 		h := r.hists[n]
@@ -313,15 +339,18 @@ func (r *Registry) Snapshot() Snapshot {
 	return s
 }
 
-func scalarFamily(name, help, typ string, v table[int64]) Family {
+// scalarFamily exports a counter's or gauge's samples, each value(v).
+func scalarFamily[V any](name, help, typ string, v table[V], value func(V) int64) Family {
 	f := Family{Name: name, Help: help, Type: typ}
 	for image, row := range v {
 		for _, c := range row {
-			f.Samples = append(f.Samples, Sample{Image: image, Peer: c.peer, Value: c.v})
+			f.Samples = append(f.Samples, Sample{Image: image, Peer: c.peer, Value: value(c.v)})
 		}
 	}
 	return f
 }
+
+func self(v int64) int64 { return v }
 
 // WriteJSON emits the snapshot as indented JSON.
 func (s Snapshot) WriteJSON(w io.Writer) error {

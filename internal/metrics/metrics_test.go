@@ -19,6 +19,7 @@ func TestNilRegistryIsInert(t *testing.T) {
 	h := r.Histogram("z", "")
 	c.Add(0, 1)
 	c.AddLink(0, 1, 2)
+	r.Link("l", "", "lb", "").Add(0, 1, 2)
 	g.Set(0, 3)
 	g.SetMax(0, 4)
 	h.Observe(0, 5)

@@ -116,10 +116,12 @@ func TestPoolTraceMetricsAllocs(t *testing.T) {
 	}
 	r := New()
 	link, lat, peak := r.Counter("link", ""), r.Histogram("lat", ""), r.Gauge("peak", "")
+	pair := r.Link("msgs", "", "bytes", "")
 	peer := 0
 	touch := func() {
 		peer = (peer + 5) % 16
 		link.AddLink(1, peer, 24)
+		pair.Add(1, peer, 24)
 		link.Add(1, 1)
 		lat.Observe(peer, int64(peer)<<10)
 		peak.SetMax(2, int64(peer))
@@ -128,6 +130,32 @@ func TestPoolTraceMetricsAllocs(t *testing.T) {
 		touch() // first touches
 	}
 	if n := testing.AllocsPerRun(10000, touch); n != 0 {
-		t.Errorf("AddLink + Add + Observe + SetMax on touched samples: %v objects per call, want 0", n)
+		t.Errorf("AddLink + Link.Add + Add + Observe + SetMax on touched samples: %v objects per call, want 0", n)
+	}
+}
+
+// TestLinkMatchesTwoCounters: a link instrument exports, under its two
+// names, what a packet counter and a byte counter fed the same packets
+// export.
+func TestLinkMatchesTwoCounters(t *testing.T) {
+	a, b := New(), New()
+	link := a.Link("caf_test_msgs_total", "packets", "caf_test_bytes_total", "bytes")
+	msgs, byts := b.Counter("caf_test_msgs_total", "packets"), b.Counter("caf_test_bytes_total", "bytes")
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 1000; i++ {
+		src, dst, n := rng.Intn(5), rng.Intn(9)-1, int64(rng.Intn(600))
+		link.Add(src, dst, n)
+		msgs.AddLink(src, dst, 1)
+		byts.AddLink(src, dst, n)
+	}
+	var ja, jb, pa, pb bytes.Buffer
+	for _, err := range []error{a.Snapshot().WriteJSON(&ja), b.Snapshot().WriteJSON(&jb),
+		a.Snapshot().WritePrometheus(&pa), b.Snapshot().WritePrometheus(&pb)} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(ja.Bytes(), jb.Bytes()) || !bytes.Equal(pa.Bytes(), pb.Bytes()) {
+		t.Errorf("link export differs from two counters':\n%s\nvs\n%s", pa.String(), pb.String())
 	}
 }

@@ -18,9 +18,26 @@ import (
 // keys and groups the spans through a second map. The dense tracker must
 // export what this one does from any sequence of calls.
 type refTracker struct {
-	reqs    map[int32]*reqState
+	reqs    map[int32]*refState
 	spans   []Span
 	spanReq []int32
+}
+
+// refState is a request's state as the tracker kept it before its
+// records dropped their pointers: the exported Req itself, updated in
+// place, and the claim cursor.
+type refState struct {
+	req    Req
+	cursor sim.Time
+	done   bool
+}
+
+func (st *refState) claim(b Bucket, at sim.Time) {
+	if st == nil || st.done || at <= st.cursor {
+		return
+	}
+	st.req.Buckets[b] += int64(at - st.cursor)
+	st.cursor = at
 }
 
 func (t *refTracker) begin(seq, client int, scheduled, now sim.Time) {
@@ -32,7 +49,7 @@ func (t *refTracker) begin(seq, client int, scheduled, now sim.Time) {
 		}
 		return
 	}
-	st := &reqState{req: Req{Seq: int32(seq), Client: int32(client), Scheduled: int64(scheduled), Done: -1},
+	st := &refState{req: Req{Seq: int32(seq), Client: int32(client), Scheduled: int64(scheduled), Done: -1},
 		cursor: scheduled}
 	t.reqs[key] = st
 	st.claim(ClientQueue, now)
@@ -88,7 +105,7 @@ func (t *refTracker) export() *Export {
 func TestDenseTrackerMatchesMapFold(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	tk, ops := newTracker()
-	ref := &refTracker{reqs: make(map[int32]*reqState)}
+	ref := &refTracker{reqs: make(map[int32]*refState)}
 	const seqs = 3000 // spans two chunks of the request log
 	order := rng.Perm(seqs)
 	begun := order[:0:0]
@@ -159,6 +176,22 @@ func TestDenseTrackerMatchesMapFold(t *testing.T) {
 		t.Errorf("stream does not cover the tracker: %d requests (holes wanted), %d finished (%d counted), %d aborted, %d replayed, %d with spans",
 			len(got.Reqs), finished, tk.Finished(), aborted, replayed, spanned)
 	}
+}
+
+// pointerFree reports whether a value of type t holds no pointer.
+func pointerFree(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Array:
+		return t.Len() == 0 || pointerFree(t.Elem())
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if !pointerFree(t.Field(i).Type) {
+				return false
+			}
+		}
+		return true
+	}
+	return t.Kind() >= reflect.Bool && t.Kind() <= reflect.Complex128
 }
 
 func b2i(b bool) int {
@@ -232,6 +265,12 @@ func TestPoolTracePathAllocs(t *testing.T) {
 		}
 		runtime.ReadMemStats(&b)
 		return float64(b.Mallocs-a.Mallocs) / runs, float64(b.TotalAlloc-a.TotalAlloc) / runs
+	}
+	if n := unsafe.Sizeof(reqState{}); n > 112 {
+		t.Errorf("a request's state is %d bytes, want ≤ 112", n)
+	}
+	if !pointerFree(reflect.TypeOf(reqState{})) {
+		t.Error("reqState holds a pointer: the GC scans the request log")
 	}
 	tk, _ := newTracker()
 	seq := 0

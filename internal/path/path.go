@@ -181,11 +181,18 @@ type Export struct {
 	Reqs    []Req
 }
 
+// reqState is what a run keeps of a request: no seq (its index) and no
+// spans (op records), so the GC never scans the log. Export builds Reqs.
 type reqState struct {
-	req    Req
-	cursor sim.Time
-	open   bool // Begin ran for this seq; false marks a hole in the log
-	done   bool
+	scheduled sim.Time
+	cursor    sim.Time
+	doneAt    sim.Time // -1 unless finished
+	buckets   [NumBuckets]int64
+	client    int32
+	replays   int32
+	open      bool // Begin ran for this seq; false marks a hole in the log
+	done      bool // finished or aborted
+	aborted   bool
 }
 
 // Tracker assembles request paths. All methods are safe on a nil
@@ -233,20 +240,11 @@ func (t *Tracker) Begin(seq, client int, scheduled, now sim.Time) {
 	if st.open {
 		if !st.done {
 			st.claim(ReplayReissue, now)
-			st.req.Replays++
+			st.replays++
 		}
 		return
 	}
-	*st = reqState{
-		req: Req{
-			Seq:       int32(seq),
-			Client:    int32(client),
-			Scheduled: int64(scheduled),
-			Done:      -1,
-		},
-		cursor: scheduled,
-		open:   true,
-	}
+	*st = reqState{scheduled: scheduled, cursor: scheduled, doneAt: -1, client: int32(client), open: true}
 	st.claim(ClientQueue, now)
 }
 
@@ -254,7 +252,7 @@ func (st *reqState) claim(b Bucket, at sim.Time) {
 	if st == nil || st.done || at <= st.cursor {
 		return
 	}
-	st.req.Buckets[b] += int64(at - st.cursor)
+	st.buckets[b] += int64(at - st.cursor)
 	st.cursor = at
 }
 
@@ -289,7 +287,7 @@ func (t *Tracker) Finish(seq int, now sim.Time) {
 		return
 	}
 	st.claim(HandlerService, now)
-	st.req.Done = int64(now)
+	st.doneAt = now
 	st.done = true
 	t.finished++
 }
@@ -305,7 +303,7 @@ func (t *Tracker) Abort(seq int) {
 	if st == nil || st.done {
 		return
 	}
-	st.req.Aborted = true
+	st.aborted = true
 	st.done = true
 }
 
@@ -347,9 +345,8 @@ func (t *Tracker) Export() *Export {
 			}
 		}
 		if st := t.reqs.At(seq); st.open {
-			r := st.req
-			r.Spans = spans
-			e.Reqs = append(e.Reqs, r)
+			e.Reqs = append(e.Reqs, Req{Seq: int32(seq), Client: st.client, Scheduled: int64(st.scheduled),
+				Done: int64(st.doneAt), Aborted: st.aborted, Buckets: st.buckets, Replays: st.replays, Spans: spans})
 		}
 	}
 	return e

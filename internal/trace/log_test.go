@@ -201,14 +201,14 @@ func TestTransitionLogDropsAtCapacity(t *testing.T) {
 // block serial: a set of the ops stamped past initiation since the park
 // began, the first maxReleasers of them sorted by id.
 func setFold(trans []transition) (releasers []int64, count int) {
-	seen := make(map[int64]bool)
+	seen := make(map[int32]bool)
 	for _, tr := range trans {
 		if tr.stage == StageInit || seen[tr.op] {
 			continue
 		}
 		seen[tr.op] = true
 		if len(releasers) < maxReleasers {
-			releasers = append(releasers, tr.op)
+			releasers = append(releasers, int64(tr.op))
 		}
 	}
 	sort.Slice(releasers, func(i, j int) bool { return releasers[i] < releasers[j] })
@@ -296,11 +296,17 @@ func TestPoolTraceAllocs(t *testing.T) {
 	if sim.GoRace {
 		t.Skip("the race detector's instrumentation allocates")
 	}
-	if n := unsafe.Sizeof(opRec{}); n > 72 {
-		t.Errorf("an op record is %d bytes, want ≤ 72", n)
+	if n := unsafe.Sizeof(opRec{}); n > 64 {
+		t.Errorf("an op record is %d bytes, want ≤ 64", n)
 	}
-	if n := unsafe.Sizeof(transition{}); n > 24 {
-		t.Errorf("a transition is %d bytes, want ≤ 24", n)
+	if n := unsafe.Sizeof(transition{}); n > 12 {
+		t.Errorf("a transition is %d bytes, want ≤ 12", n)
+	}
+	// A log of pointer-free records allocates chunks the GC never scans.
+	for _, v := range []any{opRec{}, transition{}} {
+		if !pointerFree(reflect.TypeOf(v)) {
+			t.Errorf("%T holds a pointer", v)
+		}
 	}
 	const (
 		runs  = 10000
@@ -365,6 +371,22 @@ func TestPoolTraceAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(runs, dropped); n != 0 {
 		t.Errorf("events, ops and parks above capacity: %v objects per call, want 0", n)
 	}
+}
+
+// pointerFree reports whether a value of type t holds no pointer.
+func pointerFree(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Array:
+		return t.Len() == 0 || pointerFree(t.Elem())
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if !pointerFree(t.Field(i).Type) {
+				return false
+			}
+		}
+		return true
+	}
+	return t.Kind() >= reflect.Bool && t.Kind() <= reflect.Complex128
 }
 
 // newLifecycle returns a lifecycle tracker of capacity and its op log.

@@ -48,23 +48,27 @@ type OpRecord struct {
 }
 
 // opRec is a traced op's one record: its lifecycle and, under a traced
-// request, its node on the request's causal DAG.
+// request, its node on the request's causal DAG. It holds no pointer, so
+// the GC never scans the log's chunks.
 type opRec struct {
-	kind    string
 	created sim.Time
 	t       [NumStages]sim.Time // -1 where unreached
 	img     int32
 	peer    int32
-	req     int32 // request seq + 1; 0 = not under a traced request
-	parent  int32 // record id of the op it was initiated under; 0 = the request root
+	req     int32  // request seq + 1; 0 = not under a traced request
+	parent  int32  // record id of the op it was initiated under; 0 = the request root
+	kind    uint32 // index into OpLog.kinds
 }
 
 // OpLog keeps one record per traced op (record id i is record i-1) for
 // the lifecycle tracker, whose ops are the run's first capacity ops, and
 // the request-path tracker, which reads the records under a request. A
-// nil *OpLog is inert: New returns the untracked id 0.
+// nil *OpLog is inert: New returns the untracked id 0. Record ids are
+// 32-bit (opRec.parent, transition.op), so NewLifecycle clamps its
+// capacity to math.MaxInt32.
 type OpLog struct {
 	recs     Log[opRec]
+	kinds    []string   // each distinct op kind once: a handful, found by a scan, not a hash
 	life     *Lifecycle // nil when lifecycles are off
 	requests bool       // keep a record of every op under a traced request
 }
@@ -106,8 +110,15 @@ func (o *OpLog) New(kind string, img, peer int, at sim.Time, req, parent int32) 
 	if !o.life.admit() && req == 0 {
 		return 0
 	}
-	o.recs.Append(opRec{kind: kind, created: at, t: [NumStages]sim.Time{-1, -1, -1, -1},
-		img: int32(img), peer: int32(peer), req: req, parent: parent})
+	k := 0 // kind's index in the kind table, added on first use
+	for k < len(o.kinds) && o.kinds[k] != kind {
+		k++
+	}
+	if k == len(o.kinds) {
+		o.kinds = append(o.kinds, kind)
+	}
+	o.recs.Append(opRec{created: at, t: [NumStages]sim.Time{-1, -1, -1, -1},
+		img: int32(img), peer: int32(peer), req: req, parent: parent, kind: uint32(k)})
 	return int64(o.recs.Len())
 }
 
@@ -137,7 +148,7 @@ func (o *OpLog) Stage(id int64, img int, stage Stage, at sim.Time) {
 		return
 	}
 	r.t[stage] = at
-	if life && o.life.trans.Append(transition{op: id, at: at, img: int32(img), stage: stage}) == nil {
+	if life && o.life.trans.Append(transition{op: int32(id), img: int32(img), stage: stage}) == nil {
 		o.life.transDropped++
 	}
 }
@@ -147,7 +158,7 @@ func (o *OpLog) Stage(id int64, img int, stage Stage, at sim.Time) {
 func (o *OpLog) ReqOps(fn func(op OpRecord, req, parent int32)) {
 	for i := 0; i < o.Len(); i++ {
 		if r := o.recs.At(i); r.req != 0 {
-			fn(r.record(int64(i)+1), r.req, r.parent)
+			fn(o.record(r, int64(i)+1), r.req, r.parent)
 		}
 	}
 }
@@ -155,10 +166,10 @@ func (o *OpLog) ReqOps(fn func(op OpRecord, req, parent int32)) {
 // transition is one (op, stage) stamp in global stamp order. The
 // append-only log is what lets a blocked interval name its releasers:
 // every transition after the block began is an op that made progress
-// while the proc was parked. It is also the op's Chrome flow point.
+// while the proc was parked. It is also the op's Chrome flow point, at
+// its op record's t[stage]: the first stamp wins, so it keeps no time.
 type transition struct {
-	op    int64
-	at    sim.Time
+	op    int32 // record id
 	img   int32
 	stage Stage
 }
@@ -232,6 +243,7 @@ func NewLifecycle(rec *Recorder, capacity int) *Lifecycle {
 	if capacity <= 0 {
 		capacity = 1 << 20
 	}
+	capacity = min(capacity, 1<<31-1) // math.MaxInt32
 	l := &Lifecycle{
 		capacity: capacity,
 		trans:    NewLog[transition](4 * capacity),
@@ -261,9 +273,9 @@ func (l *Lifecycle) admit() bool {
 // n returns the number of the tracker's ops.
 func (l *Lifecycle) n() int { return min(l.ops.Len(), l.capacity) }
 
-// record is record id's exported form.
-func (r *opRec) record(id int64) OpRecord {
-	return OpRecord{ID: id, Kind: r.kind, Img: int(r.img), Peer: int(r.peer), Created: r.created, T: r.t}
+// record is record r's exported form; id is its record id.
+func (o *OpLog) record(r *opRec, id int64) OpRecord {
+	return OpRecord{ID: id, Kind: o.kinds[r.kind], Img: int(r.img), Peer: int(r.peer), Created: r.created, T: r.t}
 }
 
 // BeginBlock opens a parked interval on (img, tid) in primitive prim.
@@ -306,10 +318,10 @@ func (l *Lifecycle) EndBlock(tok BlockToken, at sim.Time) {
 		*mark = serial
 		if n < maxReleasers {
 			j := n
-			for ; j > 0 && first[j-1] > tr.op; j-- {
+			for ; j > 0 && first[j-1] > int64(tr.op); j-- {
 				first[j] = first[j-1]
 			}
-			first[j] = tr.op
+			first[j] = int64(tr.op)
 		}
 		n++
 	}
@@ -334,7 +346,7 @@ func (l *Lifecycle) Ops() []OpRecord {
 	}
 	out := make([]OpRecord, l.n())
 	for i := range out {
-		out[i] = l.ops.recs.At(i).record(int64(i) + 1)
+		out[i] = l.ops.record(l.ops.recs.At(i), int64(i)+1)
 	}
 	return out
 }

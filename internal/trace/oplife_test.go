@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -122,6 +123,23 @@ func TestLifecycleCapacityDrops(t *testing.T) {
 	}
 }
 
+// TestLifecycleCapacityFitsOpIDs: a transition keeps its op's record id
+// in 32 bits, so a capacity past math.MaxInt32 is clamped to it. The
+// logs allocate only as records arrive, so the tracker costs nothing to
+// build; its first ops are kept, stamped and flowed as below the clamp.
+func TestLifecycleCapacityFitsOpIDs(t *testing.T) {
+	rec := NewRecorder(100)
+	l, ops := newLifecycle(rec, math.MaxInt32+1)
+	if l.capacity != math.MaxInt32 || l.trans.limit != 4*math.MaxInt32 {
+		t.Fatalf("capacity %d (transitions %d), want %d", l.capacity, l.trans.limit, math.MaxInt32)
+	}
+	id := ops.New("copy", 0, 1, 10, 0, 0)
+	ops.Stage(id, 1, StageGlobal, 20)
+	if ev := rec.Events(); id != 1 || len(ev) != 1 || ev[0].FlowID != 1 || ev[0].Start != 20 || ev[0].Image != 1 {
+		t.Errorf("op %d, flow points %+v", id, ev)
+	}
+}
+
 func TestFlowEventsInChromeTrace(t *testing.T) {
 	rec := NewRecorder(10)
 	_, ops := newLifecycle(rec, 10)
@@ -213,6 +231,27 @@ func TestFlowPointsMatchStoredFlows(t *testing.T) {
 		if rec.Len() != len(ref.events) || !reflect.DeepEqual(Dropped(rec, nil), ref.dropped) {
 			t.Errorf("capacity %d: Len %d dropped %v, stored %d dropped %v",
 				capacity, rec.Len(), Dropped(rec, nil), len(ref.events), ref.dropped)
+		}
+	}
+}
+
+// BenchmarkOpLog: what the op log costs per traced op, with a lifecycle
+// and request tracing on: one New under a request and its four stamps.
+// The log is replaced every 1<<16 ops (off the clock), so a long run
+// keeps a bounded heap and still pays for the chunks it appends.
+func BenchmarkOpLog(b *testing.B) {
+	const perLog = 1 << 16
+	var ops *OpLog
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if i%perLog == 0 {
+			b.StopTimer()
+			ops = NewOpLog(NewLifecycle(NewRecorder(perLog), perLog), true)
+			b.StartTimer()
+		}
+		id := ops.New("spawn", i&7, (i+1)&7, sim.Time(i), int32(i>>2)+1, int32(i%perLog))
+		for s := StageInit; s < NumStages; s++ {
+			ops.Stage(id, i&7, s, sim.Time(i)+sim.Time(s))
 		}
 	}
 }

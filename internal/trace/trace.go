@@ -144,8 +144,9 @@ func (l *Lifecycle) flow(i int) Event {
 	case StageGlobal:
 		phase = 'f'
 	}
-	return Event{Name: l.ops.recs.At(int(tr.op - 1)).kind, Cat: flowCat, Image: int(tr.img),
-		Start: tr.at, FlowID: tr.op, FlowPhase: phase}
+	r := l.ops.recs.At(int(tr.op - 1))
+	return Event{Name: l.ops.kinds[r.kind], Cat: flowCat, Image: int(tr.img),
+		Start: r.t[tr.stage], FlowID: int64(tr.op), FlowPhase: phase}
 }
 
 // Events returns a copy of the recorded events, with the flow points in

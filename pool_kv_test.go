@@ -17,13 +17,43 @@ import (
 // allocates with the schedule merged, read in place by every client and
 // slept through between arrivals, and with a spawn in 128 bytes, plus 5 %.
 func TestPoolKVShippingBytesPerRequest(t *testing.T) {
+	objects, bytes := kvPerRequest(t, caf.Config{Images: 32, Seed: 1})
+	if limit := 4.15 * 1.05; objects > limit {
+		t.Errorf("%.3f objects per request, want ≤ %.3f", objects, limit)
+	}
+	if limit := 440.0 * 1.05; bytes > limit {
+		t.Errorf("%.1f B per request, want ≤ %.1f", bytes, limit)
+	}
+}
+
+// TestPoolKVTracedBytesPerRequest is its twin with every observability
+// hook on, the benchmark's kv-traced shape: metrics, a 65 536-record trace
+// ring with lifecycles, and request paths. Bytes per request are pinned at
+// what the run allocates with pointer-free op, transition and request
+// records (a 64-byte op record, a 12-byte transition, a 112-byte request
+// state), plus 5 %.
+func TestPoolKVTracedBytesPerRequest(t *testing.T) {
+	objects, bytes := kvPerRequest(t, caf.Config{Images: 32, Seed: 1,
+		Metrics: true, TraceCapacity: 1 << 16, PathTracing: true})
+	if limit := 4.10 * 1.05; objects > limit {
+		t.Errorf("%.3f objects per request, want ≤ %.3f", objects, limit)
+	}
+	if limit := 904.0 * 1.05; bytes > limit {
+		t.Errorf("%.1f B per request, want ≤ %.1f", bytes, limit)
+	}
+}
+
+// kvPerRequest runs the shortened KV service on cfg twice and returns
+// the objects and bytes the second run allocated per request.
+func kvPerRequest(t *testing.T, cfg caf.Config) (objects, bytes float64) {
+	t.Helper()
 	if sim.GoRace || sim.QuarantinePools {
 		t.Skip("allocation counts are pinned without -race, pools on")
 	}
-	const images, servers, requests = 32, 16, 20_000
+	const servers, requests = 16, 20_000
 	run := func() {
 		var slo load.SLO
-		_, err := workloads.KVService(caf.Config{Images: images, Seed: 1}, workloads.ServiceOpts{
+		_, err := workloads.KVService(cfg, workloads.ServiceOpts{
 			Servers: servers, Requests: requests, Rate: 100_000 * servers, Keys: 16 * servers,
 			WriteFrac: 0.5, Shipping: true, SLOOut: &slo,
 		})
@@ -40,13 +70,8 @@ func TestPoolKVShippingBytesPerRequest(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	run()
 	runtime.ReadMemStats(&after)
-	objects := float64(after.Mallocs-before.Mallocs) / requests
-	bytes := float64(after.TotalAlloc-before.TotalAlloc) / requests
+	objects = float64(after.Mallocs-before.Mallocs) / requests
+	bytes = float64(after.TotalAlloc-before.TotalAlloc) / requests
 	t.Logf("%.3f objects, %.1f B per request", objects, bytes)
-	if limit := 4.15 * 1.05; objects > limit {
-		t.Errorf("%.3f objects per request, want ≤ %.3f", objects, limit)
-	}
-	if limit := 440.0 * 1.05; bytes > limit {
-		t.Errorf("%.1f B per request, want ≤ %.1f", bytes, limit)
-	}
+	return objects, bytes
 }
