@@ -348,14 +348,14 @@ func BenchmarkAblationLifelinesOff(b *testing.B) { benchLifelines(b, false) }
 // ---------------------------------------------------------------------
 
 func BenchmarkMachineScale(b *testing.B) {
-	for _, images := range []int{1024, 4096, 32768} {
+	for _, images := range []int{1024, 4096, 8192, 32768} {
 		b.Run(fmt.Sprintf("images=%d", images), func(b *testing.B) {
-			var objects, bytes float64
+			var objects, bytes, stack float64
 			var events uint64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				o, by, ev := machineCost(b, images)
-				objects, bytes, events = objects+o, bytes+by, events+ev
+				o, by, st, ev := machineCost(b, images)
+				objects, bytes, stack, events = objects+o, bytes+by, stack+st, events+ev
 			}
 			b.StopTimer()
 			var ms runtime.MemStats
@@ -363,6 +363,7 @@ func BenchmarkMachineScale(b *testing.B) {
 			n := float64(b.N)
 			b.ReportMetric(objects/n, "objects/image")
 			b.ReportMetric(bytes/n, "B/image")
+			b.ReportMetric(stack/n, "stack-B/image")
 			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(events), "µs/event")
 			b.ReportMetric(float64(ms.HeapSys)/(1<<20), "HeapSys-MB")
 		})

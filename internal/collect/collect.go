@@ -200,36 +200,19 @@ func (h *Handle) OnLocalOp(fn func()) {
 // detector attached to the kernel, a declared death while the tree is
 // incomplete aborts the wait (fail-stop) instead of hanging on a
 // message the dead image will never forward.
-func (h *Handle) WaitLocalData(p *sim.Proc) {
-	if !h.WaitLocalDataErr(p) {
-		panic(failure.Abort{Err: h.img.Kernel().Detector().ErrFor("collective")})
-	}
-}
-
-// WaitLocalDataErr is WaitLocalData for callers that recover rather
-// than fail-stop: it reports false instead of panicking when a failure
-// is declared before the tree completes. The finish plane's resilient
-// termination detection uses it to fall back to the survivor poll
-// protocol. The waiter mechanics are identical to WaitLocalData's, so
-// an idle detector perturbs nothing.
-func (h *Handle) WaitLocalDataErr(p *sim.Proc) bool {
-	det := h.img.Kernel().Detector()
-	h.addWaiter(p)
-	for !h.localData && !det.AnyDead() {
-		p.Park("collective local data")
-	}
-	return h.localData
-}
+func (h *Handle) WaitLocalData(p *sim.Proc) { h.wait(p, &h.localData, "collective local data") }
 
 // WaitLocalOp parks p until local operation completion, aborting like
 // WaitLocalData when a failure is declared first.
-func (h *Handle) WaitLocalOp(p *sim.Proc) {
+func (h *Handle) WaitLocalOp(p *sim.Proc) { h.wait(p, &h.localOp, "collective local op") }
+
+func (h *Handle) wait(p *sim.Proc, done *bool, reason string) {
 	det := h.img.Kernel().Detector()
 	h.addWaiter(p)
-	for !h.localOp && !det.AnyDead() {
-		p.Park("collective local op")
+	for !*done && !det.AnyDead() {
+		p.Park(reason)
 	}
-	if !h.localOp {
+	if !*done {
 		panic(failure.Abort{Err: det.ErrFor("collective")})
 	}
 }

@@ -494,6 +494,24 @@ func (c *Comm) Allreduce(p *sim.Proc, img *rt.ImageKernel, t *team.Team, op Op, 
 	return out
 }
 
+// Held is an allreduce on the recycled record a blocking Allreduce waits
+// on, for a caller that waits for it in events rather than on a parked
+// proc (the finish plane's detection rounds).
+type Held struct{ in *inst }
+
+// StartAllreduce begins a Held allreduce of vec over t, with w unparked
+// at its completions as a blocking Allreduce's proc would be.
+func (c *Comm) StartAllreduce(img *rt.ImageKernel, t *team.Team, op Op, vec []int64, w *sim.Proc) Held {
+	h, in := c.start(img, t, kAllreduce, 0, op, vec, nil, 0, 0, true)
+	h.addWaiter(w)
+	return Held{in}
+}
+
+// Result is the reduced vector once local data completion has brought it
+// (ok), valid until Release gives the record back.
+func (r Held) Result() (vec []int64, ok bool) { return r.in.down, r.in.own.localData }
+func (r Held) Release()                       { r.in.n.c.doneWith(r.in) }
+
 // Gather collects each member's val at root, returning the team-rank
 // ordered slice there and nil elsewhere.
 func (c *Comm) Gather(p *sim.Proc, img *rt.ImageKernel, t *team.Team, root int, val any, bytes int) []any {

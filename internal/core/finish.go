@@ -6,8 +6,8 @@
 // The Plane type implements rt.Tracker: every asynchronous operation
 // initiated with implicit completion inside a finish block is sent as a
 // tracked message, and the plane maintains the per-image, per-epoch
-// counters (sent, delivered, received, completed) that the detection
-// loop sum-reduces.
+// counters (sent, delivered, received, completed) that each detection
+// round sum-reduces.
 package core
 
 import (
@@ -92,7 +92,8 @@ func (b *epochBox) resolve() *epochBox {
 	return b
 }
 
-// State is one image's view of one finish block.
+// State is one image's view of one finish block, and from End on the
+// detection state machine of its image (step).
 type State struct {
 	id         int64
 	even       epochBox  // permanent fold target
@@ -100,27 +101,29 @@ type State struct {
 	presentOdd bool
 	begun      bool
 	done       bool
-	waitOn     waitCond // see waiter
+	wait       waitPhase // what the image's main is parked on, if anything
+	rank       int32     // the image, set at End
 
 	// Grand totals (all epochs), used by the no-wait four-counter
 	// variant and by garbage collection.
 	tSent, tDelivered, tReceived, tCompleted int64
 
-	t      *team.Team // set at Begin
-	rounds int        // allreduce rounds used to detect termination
+	t *team.Team // set at Begin
 
 	// RoundAt records the virtual time each detection round completed
 	// (diagnostic; used by the benchmark harness to attribute rounds to
-	// run phases).
+	// run phases). Its first entry is stored in roundAt. A round a
+	// declared death cut short is counted in unrecorded instead.
 	RoundAt []sim.Time
+	roundAt [1]sim.Time
 
-	// waiter is the detection loop while it is parked, and waitOn names the
-	// condition it is parked on, so that whoever changes a counter can test
-	// the condition itself (wake) instead of resuming the loop to test it.
+	// waiter is the proc running End, pl its plane, red the round's
+	// reduction while one is in flight, and prev the four-counter
+	// variant's last snapshot (the balanced total, or -1).
 	waiter *sim.Proc
-
-	// ferr is what End returns: the failure a degraded finish observed.
-	ferr *failure.ImageFailedError
+	pl     *Plane
+	red    collect.Held
+	prev   int64
 
 	// *resilience is made with the state on a plane with a failure
 	// detector, or by the first abandoned send (see reconciling); nil, and
@@ -155,55 +158,63 @@ type resilience struct {
 	// Degraded-mode (post-declaration) poll protocol state.
 	pollRound   int
 	pollReplies map[int][5]int64
+
+	// unrecorded counts detection rounds begun and never completed.
+	unrecorded int
+
+	// ferr is what End returns: the failure a degraded finish observed.
+	ferr *failure.ImageFailedError
 }
 
-// waitCond names what a parked detection loop is waiting for.
-type waitCond uint8
+// waitPhase names what an image's main, inside End, is parked on: a
+// round's precondition (ready) or its reduction, in WaitWith, or a
+// degraded-mode wait, whose condition reads detector and poll state this
+// file does not own.
+type waitPhase uint8
 
 const (
-	// waitAny: a degraded-mode wait, whose condition reads detector and
-	// poll state this file does not own; every wake resumes the loop.
-	waitAny waitCond = iota
-	// waitQuiescent: Fig. 7's wait_until, even.quiescent().
-	waitQuiescent
-	// waitLocalDrain: the four-counter variant's tReceived == tCompleted.
-	waitLocalDrain
+	waitNone waitPhase = iota
+	waitReady
+	waitReduce
+	waitDegraded
 )
 
-// park blocks the detection loop on p until cond holds. on names cond for
-// wake; the loop itself still evaluates cond, as the one place it is
-// written down.
-func (s *State) park(p *sim.Proc, on waitCond, reason string, cond func() bool) {
-	s.waiter, s.waitOn = p, on
+// woken reports whether the main is parked where the plane itself wakes
+// it (wake, a declared death, a poll reply). In a reduction, the
+// reduction's completion wakes it, and a declared death the machine's
+// WakeAllParked, in creation order.
+func (s *State) woken() bool { return s.wait == waitReady || s.wait == waitDegraded }
+
+// park blocks the degraded loop on p until cond holds; every wake-up
+// resumes it to test cond.
+func (s *State) park(p *sim.Proc, reason string, cond func() bool) {
+	s.wait = waitDegraded
 	p.WaitUntil(reason, cond)
-	s.waiter = nil
+	s.wait = waitNone
 }
 
-// wake resumes the parked detection loop if the condition it is parked on
-// now holds. A wake-up that finds the condition false would be an event
-// whose whole effect is resume, test, park again: an acknowledgement or a
-// completion that leaves others outstanding schedules nothing. A declared
-// death satisfies both named conditions (the loop leaves for the degraded
-// protocol), so it is tested here as it is there.
+// wake unparks the main if what it waits on now holds. A
+// wake-up that finds the precondition false would be an event whose whole
+// effect is test and wait again: an acknowledgement or a completion that
+// leaves others outstanding schedules nothing. A declared death satisfies
+// the precondition (the main leaves for the degraded protocol), so it is
+// tested here as it is in step.
 func (pl *Plane) wake(s *State) {
-	if s.waiter == nil {
+	switch {
+	case s.wait == waitReady:
+		if !pl.ready(s) && !pl.det.AnyDead() {
+			return
+		}
+	case s.wait != waitDegraded:
 		return
-	}
-	switch s.waitOn {
-	case waitQuiescent:
-		if !s.even.quiescent() && !pl.det.AnyDead() {
-			return
-		}
-	case waitLocalDrain:
-		if s.tReceived != s.tCompleted && !pl.det.AnyDead() {
-			return
-		}
 	}
 	s.waiter.Unpark()
 }
 
 func newState(id int64) *State {
-	return &State{id: id}
+	s := &State{id: id}
+	s.RoundAt = s.roundAt[:0]
+	return s
 }
 
 // Team returns the team the finish block synchronizes (set at Begin).
@@ -339,7 +350,7 @@ type teamSeq struct {
 // NewPlane builds the plane and installs it as k's message tracker.
 func NewPlane(k *rt.Kernel, comm *collect.Comm, cfg Config) *Plane {
 	n := k.NumImages()
-	pl := &Plane{k: k, comm: comm, cfg: cfg, images: make([]planeImage, n)}
+	pl := &Plane{k: k, comm: comm, cfg: cfg, images: make([]planeImage, n), lastState: make([]*State, n)}
 	states, seqs := make([]*State, n), make([]teamSeq, n)
 	for i := range pl.images {
 		pl.images[i] = planeImage{states: states[i : i : i+1], seqs: seqs[i : i : i+1]}
@@ -430,28 +441,36 @@ func (pl *Plane) Begin(img *rt.ImageKernel, t *team.Team) *State {
 // initiated inside this finish block.
 func (s *State) Ref() Ref { return Ref{ID: s.id} }
 
-// End runs the termination-detection loop on the calling image's proc p
+// End runs termination detection for the calling image on its proc p
 // and returns the number of sum-reduction rounds used. All images of the
 // team must call End for their matching block. In resilient mode the
 // error is non-nil when the finish had to charge off activities on a
 // declared-dead image (or this image was itself declared dead): the
 // block has terminated — in bounded rounds over the survivor team — but
 // some of the work it supervised is lost.
+//
+// p waits once, in WaitWith, while the state machine runs its rounds
+// (step); it goes on when the finish has terminated, or when a declared
+// death sends it to the degraded survivor protocol, which runs on p.
 func (pl *Plane) End(p *sim.Proc, img *rt.ImageKernel, s *State) (int, *failure.ImageFailedError) {
 	if !s.begun || s.done {
 		panic("core: End on a finish that is not active")
 	}
-	if pl.cfg.WaitQuiescent {
-		pl.endFig7(p, img, s)
-	} else {
-		pl.endFourCounter(p, img, s)
+	s.waiter, s.pl, s.rank, s.prev = p, pl, int32(img.Rank()), -1
+	p.WaitWith(s)
+	rounds := len(s.RoundAt)
+	var ferr *failure.ImageFailedError
+	if !s.done {
+		pl.endDegraded(p, img, s)
+		s.done, ferr = true, s.ferr
+		rounds = len(s.RoundAt) + s.unrecorded
 	}
-	s.done = true
+	s.waiter = nil
 	pl.stats.Finishes++
 	rank := img.Rank()
 	pl.mFinishes.Add(rank, 1)
-	pl.mRounds.Add(rank, int64(s.rounds))
-	pl.mPerBlock.Observe(rank, int64(s.rounds))
+	pl.mRounds.Add(rank, int64(rounds))
+	pl.mPerBlock.Observe(rank, int64(rounds))
 	if pl.mRoundNs != nil {
 		for i, at := range s.RoundAt {
 			if i > 0 {
@@ -459,125 +478,113 @@ func (pl *Plane) End(p *sim.Proc, img *rt.ImageKernel, s *State) (int, *failure.
 			}
 		}
 	}
-	if pl.lastState == nil {
-		pl.lastState = make([]*State, pl.k.NumImages())
-	}
 	pl.lastState[img.Rank()] = s
 	pl.maybeCollect(img.Rank(), s)
-	return s.rounds, s.ferr
+	return rounds, ferr
 }
 
 // LastState returns the most recently completed finish state on an image
 // (diagnostics for the benchmark harness).
-func (pl *Plane) LastState(rank int) *State {
-	if pl.lastState == nil {
-		return nil
+func (pl *Plane) LastState(rank int) *State { return pl.lastState[rank] }
+
+// ready is the precondition of a detection round. Fig. 7 waits until all
+// this image sent has landed and all it received has completed (line 4's
+// wait_until), which bounds detection to L+1 rounds (Theorem 1); the
+// speculative variant (Fig. 18) only for local execution to drain.
+func (pl *Plane) ready(s *State) bool {
+	if pl.cfg.WaitQuiescent {
+		return s.even.quiescent()
 	}
-	return pl.lastState[rank]
+	return s.tReceived == s.tCompleted
 }
 
-// endFig7 is the paper's algorithm (Fig. 7). With a failure detector
-// attached, any declared death diverts the loop to the degraded survivor
-// protocol: the tree allreduce assumes every team member participates,
-// which a dead (or already-exited) image cannot.
-func (pl *Plane) endFig7(p *sim.Proc, img *rt.ImageKernel, s *State) {
+// Wake is one step of the state machine, as WaitWith runs it: first on the
+// main entering End, then in each event that would have resumed it. The
+// main's block reason follows the phase, as the deadlock dumps name it.
+func (s *State) Wake() (string, bool) {
+	switch {
+	case s.pl.step(s):
+		return "", false
+	case s.wait == waitReduce:
+		return "collective local data", true
+	case s.pl.cfg.WaitQuiescent:
+		return "finish quiescence", true
+	}
+	return "finish local drain", true
+}
+
+// step runs detection rounds as far as they go now and reports whether
+// the main goes on: the finish has terminated (done), or, with a failure
+// detector, a declared death diverts it to the degraded survivor
+// protocol — the tree allreduce assumes every team member participates,
+// which a dead (or already-exited) image cannot. Each round waits on
+// ready, sum-reduces over the team on the record a blocking Allreduce
+// uses, and folds the epochs on the result. A step makes the tests the
+// blocking loop made when resumed at the same point, in the same order,
+// so the schedule is the loop's to the event.
+func (pl *Plane) step(s *State) bool {
 	for {
-		if pl.det.AnyDead() {
-			pl.endDegraded(p, img, s)
-			return
+		if s.wait == waitReduce {
+			res, ok := s.red.Result()
+			switch {
+			case ok:
+				s.done = pl.finishRound(s, res)
+			case !pl.det.AnyDead():
+				return false
+			default: // the tree may wait on the dead image for good
+				s.unrecorded++
+			}
+			s.red.Release()
 		}
-		// wait_until: all sent delivered, all received completed
-		// (line 4). The contribution below is computed in the same
-		// simulation timeslice, so the snapshot is exactly the
-		// quiescent state.
-		s.park(p, waitQuiescent, "finish quiescence", func() bool {
-			return s.even.quiescent() || pl.det.AnyDead()
-		})
-		if pl.det.AnyDead() {
-			pl.endDegraded(p, img, s)
-			return
+		s.wait = waitNone
+		if s.done || pl.det.AnyDead() {
+			return true
 		}
-		// next_epoch, first call: proceed into the odd epoch unless an
-		// odd-parity message already forced us there (line 6-7).
-		if !s.presentOdd {
+		if !pl.ready(s) {
+			s.wait = waitReady
+			return false
+		}
+		// The contribution is computed in the timeslice the precondition
+		// held in, so the snapshot is exactly the quiescent state.
+		vec, n := [2]int64{s.tSent, s.tCompleted}, 2
+		if pl.cfg.WaitQuiescent {
+			// next_epoch, first call: proceed into the odd epoch unless an
+			// odd-parity message already forced us there (lines 6-7).
 			s.presentOdd = true
+			vec[0], n = s.even.sent-s.even.completed, 1
 		}
-		s.rounds++
 		pl.stats.ReduceRounds++
-		vec, ok := pl.allreduce(p, img, s, []int64{s.even.sent - s.even.completed})
-		if !ok {
-			pl.endDegraded(p, img, s)
-			return
-		}
-		workLeft := vec[0]
-		s.RoundAt = append(s.RoundAt, p.Now())
-		// next_epoch, second call: fold odd into even (lines 16-26).
+		s.red = pl.comm.StartAllreduce(pl.k.Image(int(s.rank)), s.t, collect.Sum, vec[:n], s.waiter)
+		s.wait = waitReduce
+	}
+}
+
+// finishRound reads the completed round's result, res, and reports
+// whether the finish has terminated. Fig. 7 folds the odd epoch
+// into the even one (next_epoch, lines 16-26) and ends on a zero sum.
+// Without the line-4 precondition a single zero sum can be inconsistent,
+// so the speculative variant ends only on two consecutive identical
+// all-complete snapshots (Mattern's four-counter condition) — that extra
+// confirmation wave, plus waves wasted on in-flight sends, is why it
+// burns roughly twice the reductions of Fig. 7.
+func (pl *Plane) finishRound(s *State, res []int64) bool {
+	s.RoundAt = append(s.RoundAt, s.waiter.Now())
+	if pl.cfg.WaitQuiescent {
 		s.fold()
-		if workLeft == 0 {
-			return
-		}
+		return res[0] == 0 // Σ (sent − completed): no work left
 	}
-}
-
-// allreduce runs one detection reduction over the finish team. In
-// resilient mode it uses the async collective and gives up (ok=false)
-// when a death is declared mid-round: the tree may include the dead
-// image and never complete. Without a detector it is exactly the legacy
-// synchronous call.
-func (pl *Plane) allreduce(p *sim.Proc, img *rt.ImageKernel, s *State, vec []int64) ([]int64, bool) {
-	if pl.det == nil {
-		return pl.comm.Allreduce(p, img, s.t, collect.Sum, vec), true
+	sent, completed := res[0], res[1]
+	if sent == completed && sent == s.prev {
+		// Fold any stale odd epoch so late parity bookkeeping stays
+		// consistent with Fig. 7-mode finishes elsewhere.
+		s.fold()
+		return true
 	}
-	h := pl.comm.AllreduceAsync(img, s.t, collect.Sum, vec, 0)
-	if !h.WaitLocalDataErr(p) {
-		return nil, false
+	s.prev = -1
+	if sent == completed {
+		s.prev = sent
 	}
-	return h.Result().([]int64), true
-}
-
-// endFourCounter is the speculative variant without the line-4 upper
-// bound (the Fig. 18 comparator): before each wave it waits only for
-// local execution to drain (received == completed) — NOT for delivery of
-// the messages it sent — then reduces the grand totals. Without the full
-// quiescence precondition a single zero sum can be inconsistent, so it
-// terminates only after two consecutive identical all-complete snapshots
-// (Mattern's four-counter safety condition). That extra confirmation
-// wave, plus waves wasted on in-flight sends, is why it burns roughly
-// twice the reductions of the Fig. 7 algorithm.
-func (pl *Plane) endFourCounter(p *sim.Proc, img *rt.ImageKernel, s *State) {
-	var prevSent, prevCompleted int64 = -1, -2
-	for {
-		if pl.det.AnyDead() {
-			pl.endDegraded(p, img, s)
-			return
-		}
-		// Pace each wave on local execution only: "does not wait for
-		// delivery ... of shipped messages before starting termination
-		// detection".
-		s.park(p, waitLocalDrain, "finish local drain", func() bool {
-			return s.tReceived == s.tCompleted || pl.det.AnyDead()
-		})
-		if pl.det.AnyDead() {
-			pl.endDegraded(p, img, s)
-			return
-		}
-		s.rounds++
-		pl.stats.ReduceRounds++
-		res, ok := pl.allreduce(p, img, s, []int64{s.tSent, s.tCompleted})
-		if !ok {
-			pl.endDegraded(p, img, s)
-			return
-		}
-		s.RoundAt = append(s.RoundAt, p.Now())
-		sent, completed := res[0], res[1]
-		if sent == completed && prevSent == prevCompleted && sent == prevSent {
-			// Fold any stale odd epoch so late parity bookkeeping
-			// stays consistent with Fig. 7-mode finishes elsewhere.
-			s.fold()
-			return
-		}
-		prevSent, prevCompleted = sent, completed
-	}
+	return false
 }
 
 // ---------------------------------------------------------------------
@@ -631,16 +638,6 @@ func (pl *Plane) errForTeam(t *team.Team, lost int64) *failure.ImageFailedError 
 	return nil
 }
 
-// teamHasDead reports whether any member of t has been declared dead.
-func (pl *Plane) teamHasDead(t *team.Team) bool {
-	for _, r := range t.Members() {
-		if pl.det.Dead(r) {
-			return true
-		}
-	}
-	return false
-}
-
 // endDegraded is the resilient termination protocol, entered once any
 // image has been declared dead. The tree allreduce of the normal path
 // assumes every team member participates; a dead image cannot, and a
@@ -672,7 +669,7 @@ func (pl *Plane) endDegraded(p *sim.Proc, img *rt.ImageKernel, s *State) {
 		}
 		// Local drain: everything delivered here has finished executing
 		// (aborted activities complete through their recover wrappers).
-		s.park(p, waitAny, "finish local drain", func() bool {
+		s.park(p, "finish local drain", func() bool {
 			return s.tReceived == s.tCompleted || pl.det.Dead(me)
 		})
 		if pl.det.Dead(me) {
@@ -681,7 +678,6 @@ func (pl *Plane) endDegraded(p *sim.Proc, img *rt.ImageKernel, s *State) {
 		epoch := pl.det.DeathCount()
 		survivors := pl.survivors(s.t)
 		s.pollRound++
-		s.rounds++
 		pl.stats.ReduceRounds++
 		s.pollReplies = map[int][5]int64{me: pl.snapshot(me, s.id)}
 		for _, r := range survivors {
@@ -692,7 +688,7 @@ func (pl *Plane) endDegraded(p *sim.Proc, img *rt.ImageKernel, s *State) {
 				pollReq{ID: s.id, Round: s.pollRound, From: me},
 				rt.SendOpts{Class: fabric.AMShort, Bytes: 24, NoCoalesce: true})
 		}
-		s.park(p, waitAny, "finish poll", func() bool {
+		s.park(p, "finish poll", func() bool {
 			if pl.det.Dead(me) || pl.det.DeathCount() != epoch {
 				return true
 			}
@@ -704,11 +700,13 @@ func (pl *Plane) endDegraded(p *sim.Proc, img *rt.ImageKernel, s *State) {
 			return true
 		})
 		if pl.det.Dead(me) {
+			s.unrecorded++
 			continue
 		}
 		if pl.det.DeathCount() != epoch {
 			// Survivor set shrank mid-round: snapshots are not
 			// comparable across declarations. Restart.
+			s.unrecorded++
 			havePrev = false
 			continue
 		}
@@ -724,9 +722,7 @@ func (pl *Plane) endDegraded(p *sim.Proc, img *rt.ImageKernel, s *State) {
 		cur := [4]int64{sum[0], sum[1], sum[2], sum[3]}
 		balanced := sum[0] == sum[1] && sum[2] == sum[3]
 		if balanced && havePrev && cur == prev {
-			if lost := sum[4]; lost > 0 || pl.teamHasDead(s.t) {
-				s.ferr = pl.errForTeam(s.t, lost)
-			}
+			s.ferr = pl.errForTeam(s.t, sum[4])
 			return
 		}
 		prev, havePrev = cur, true
@@ -761,7 +757,7 @@ func (pl *Plane) handlePollReply(d *rt.Delivery) {
 		return
 	}
 	s.pollReplies[d.Src] = rep.Vec
-	if s.waiter != nil {
+	if s.woken() {
 		s.waiter.Unpark()
 	}
 }
@@ -912,7 +908,7 @@ func (pl *Plane) OnDeath(dead int) {
 				s.adjSent += n
 				delete(s.completedFrom, dead)
 			}
-			if s.waiter != nil {
+			if s.woken() {
 				s.waiter.Unpark()
 			}
 		}

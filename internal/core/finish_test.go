@@ -478,3 +478,84 @@ func TestCriticalPathLogP(t *testing.T) {
 		t.Errorf("finish detection not log-scaling: %v at 16 vs %v at 256", t16, t256)
 	}
 }
+
+// finishEvery starts a main on every image that enters and leaves a
+// finish over the world once per gap, forever: an empty one, or with
+// spawn one that ships an empty function to the right neighbour. Each
+// RunUntil(Now()+gap) then runs one finish per image, on a plane, a
+// communicator and mains that the earlier finishes warmed.
+func (m *machine) finishEvery(spawn bool) (gap sim.Time) {
+	gap = sim.Millisecond
+	n := m.k.NumImages()
+	for i := 0; i < n; i++ {
+		img := m.k.Image(i)
+		img.Go("main", func(p *sim.Proc) {
+			for {
+				p.Sleep(gap)
+				s := m.pl.Begin(img, m.w)
+				if spawn {
+					m.spawn(img, (i+1)%n, s.Ref(), func(*rt.ImageKernel, *sim.Proc, Ref) {})
+				}
+				m.pl.End(p, img, s)
+			}
+		})
+	}
+	return gap
+}
+
+// An empty finish allocates nothing per image but its state: the round's
+// contribution is on the stack, its result is read off the reduction's
+// recycled instance, and its completion time is stored in the state. It
+// was 3 objects, the state plus the copy of the reduced vector and the
+// one-entry RoundAt, while a blocking loop ran the round.
+func TestPoolEmptyFinishRoundAllocs(t *testing.T) {
+	if sim.GoRace || sim.QuarantinePools {
+		t.Skip("allocation counts are pinned without -race, pools on")
+	}
+	const images = 64
+	m := newMachine(t, images, 1, Config{WaitQuiescent: true})
+	gap := m.finishEvery(false)
+	defer m.eng.Shutdown()
+	run := func() {
+		if err := m.eng.RunUntil(m.eng.Now() + gap); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	run()
+	perImage := testing.AllocsPerRun(20, run) / images
+	t.Logf("%.2f objects per image per finish", perImage)
+	if perImage > 1 {
+		t.Errorf("%.2f objects per image per finish, want ≤ 1", perImage)
+	}
+}
+
+// BenchmarkFinishRounds prices one finish on 64 images (an op is one
+// finish on every image), warmed: an empty one, the shape of the
+// core.finish_empty64 probe, and one that ships an empty function to the
+// right neighbour from each image.
+func BenchmarkFinishRounds(b *testing.B) {
+	for _, spawn := range []bool{false, true} {
+		name := "empty"
+		if spawn {
+			name = "spawn"
+		}
+		b.Run(name, func(b *testing.B) {
+			m := newMachine(b, 64, 1, Config{WaitQuiescent: true})
+			gap := m.finishEvery(spawn)
+			defer m.eng.Shutdown()
+			run := func() {
+				if err := m.eng.RunUntil(m.eng.Now() + gap); err != nil {
+					b.Fatal(err)
+				}
+			}
+			run()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				run()
+			}
+			b.StopTimer()
+		})
+	}
+}

@@ -17,18 +17,25 @@ import (
 // pending yield return false. Neither side visits the scheduler's run
 // queue or wakes an OS thread. A coro belongs to its engine and, like
 // every other engine field, is touched only on the admission strand.
+//
+// The tenant is the proc the engine resumes (Engine.current) when the
+// coroutine first runs after its lease, so the coro does not name it.
 type coro struct {
 	eng *Engine
-	p   *Proc // the tenant, whose body it runs; nil while idle
+
+	// waker runs at the tenant's wake-ups while it waits in WaitWith. It
+	// is kept here rather than on the Proc because only a proc whose body
+	// runs can wait, and the field would move every Proc a size class up.
+	waker Waker
 
 	next  func() (struct{}, bool)
 	stop  func()
 	yield func(struct{}) bool
 }
 
-// lease hands p's body a coroutine: the most recently idled one, whose
-// stack is still warm, or a new goroutine when none is idle.
-func (e *Engine) lease(p *Proc) *coro {
+// lease hands a proc's body a coroutine: the most recently idled one,
+// whose stack is still warm, or a new goroutine when none is idle.
+func (e *Engine) lease() *coro {
 	var c *coro
 	if n := len(e.idle); n > 0 {
 		c = e.idle[n-1]
@@ -38,7 +45,6 @@ func (e *Engine) lease(p *Proc) *coro {
 		c = &coro{eng: e}
 		c.next, c.stop = iter.Pull(c.loop)
 	}
-	c.p = p
 	return c
 }
 
@@ -72,7 +78,8 @@ func (c *coro) loop(yield func(struct{}) bool) {
 // runtime.Goexit in a body retires the proc here too, then goes on to
 // end the goroutine, and iter.Pull repeats it in the caller of Run.
 func (c *coro) runTenant() (stopped bool) {
-	p, e := c.p, c.eng
+	e := c.eng
+	p := e.current
 	defer func() {
 		r := recover()
 		if _, aborted := r.(procAbort); aborted {
@@ -82,7 +89,6 @@ func (c *coro) runTenant() (stopped bool) {
 		}
 		p.state = procDone
 		p.co, p.body = nil, nil
-		c.p = nil
 		e.live--
 	}()
 	p.body.Run(p)

@@ -26,7 +26,7 @@ type Engine struct {
 	seq uint64
 	q   eventHeap
 
-	current    *Proc
+	current    *Proc    // the proc being resumed; a fresh lease's tenant
 	procs      ProcList // unfinished procs, in creation order
 	nextProcID int
 	live       int

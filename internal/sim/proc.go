@@ -136,10 +136,19 @@ func (pe *procEvent) RunEvent() { (*Proc)(pe).runEvent() }
 func (p *Proc) runEvent() {
 	switch p.state {
 	case procNew:
-		p.co = p.eng.lease(p)
+		p.co = p.eng.lease()
 	case procSleeping:
 	case procParked:
 		p.wakePending = false
+		if w := p.co.waker; w != nil {
+			// Running, as p would be to re-test: an Unpark from Wake is a
+			// permit, not another wake-up.
+			p.state = procRunning
+			if reason, wait := p.retest(w); wait {
+				p.state, p.blockReason = procParked, reason
+				return
+			}
+		}
 	default:
 		return
 	}
@@ -265,4 +274,39 @@ func (p *Proc) WaitUntil(reason string, cond func() bool) {
 	for !cond() {
 		p.Park(reason)
 	}
+}
+
+// A Waker is what a proc waits on in WaitWith: a condition together with
+// the work that goes with it.
+type Waker interface {
+	// Wake makes what progress it can now and reports whether the proc
+	// must go on waiting, and on what.
+	Wake() (reason string, wait bool)
+}
+
+// WaitWith is WaitUntil with the re-tests run in events. It calls w.Wake
+// until Wake lets p go on, as WaitUntil tests its condition, but only the
+// first call runs on p: once p is parked, each wake-up that would resume
+// it (an Unpark, deduplicated as ever) runs w.Wake in its event instead,
+// and resumes p in that event only if Wake lets it go on. So a wake-up
+// costs the event it always cost but no switch to p's stack, and p parks
+// once however often it is woken. A stored permit makes p test again at
+// once, as it makes Park return at once.
+func (p *Proc) WaitWith(w Waker) {
+	if reason, wait := p.retest(w); wait {
+		p.co.waker = w
+		p.Park(reason)
+		p.co.waker = nil
+	}
+}
+
+// retest calls w.Wake, and again for each permit p holds while Wake says
+// wait.
+func (p *Proc) retest(w Waker) (reason string, wait bool) {
+	reason, wait = w.Wake()
+	for wait && p.permit {
+		p.permit = false
+		reason, wait = w.Wake()
+	}
+	return reason, wait
 }

@@ -499,3 +499,88 @@ func BenchmarkParkUnpark(b *testing.B) {
 		b.Fatal(err)
 	}
 }
+
+// countdown waits until it has been woken left times, logging the time of
+// each wake and the reason it reports while it waits.
+type countdown struct {
+	p     *Proc
+	left  int
+	wakes []Time
+}
+
+func (c *countdown) Wake() (string, bool) {
+	c.wakes = append(c.wakes, c.p.Now())
+	c.left--
+	return fmt.Sprintf("countdown %d", c.left), c.left > 0
+}
+
+// WaitWith runs the waker in the events that would have resumed the proc
+// and resumes it once: two unparks in one event are one wake-up, each
+// wake-up is one event as a Park/Unpark pair's is, the block reason is
+// the waker's last, and a stored permit makes the proc test again at once.
+func TestWaitWithWakesInEventsAndResumesOnce(t *testing.T) {
+	e := NewEngine(1)
+	var c *countdown
+	var resumed []Time
+	p := e.Go("waiter", func(p *Proc) {
+		c = &countdown{p: p, left: 5}
+		p.Unpark() // a permit: the second Wake runs on p at once
+		p.WaitWith(c)
+		resumed = append(resumed, p.Now())
+	})
+	e.At(10, func() { p.Unpark(); p.Unpark() })
+	e.At(20, func() {
+		if got, want := p.BlockReason(), "countdown 2"; got != want {
+			t.Errorf("block reason %q, want %q", got, want)
+		}
+		p.Unpark()
+	})
+	var before, after uint64
+	e.At(25, func() { before = e.EventsRun() })
+	e.At(30, p.Unpark)
+	e.At(35, func() { after = e.EventsRun() })
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if want := []Time{0, 0, 10, 20, 30}; !reflect.DeepEqual(c.wakes, want) {
+		t.Errorf("Wake ran at %v, want %v", c.wakes, want)
+	}
+	if want := []Time{30}; !reflect.DeepEqual(resumed, want) {
+		t.Errorf("the proc resumed at %v, want %v", resumed, want)
+	}
+	if got := after - before; got != 3 {
+		t.Errorf("%d events from 25 to 35, want 3: the unpark, the wake-up and the probe", got)
+	}
+}
+
+type wakeFunc func() (string, bool)
+
+func (f wakeFunc) Wake() (string, bool) { return f() }
+
+// An Unpark from inside Wake, run in a wake-up's event, is a permit, as it
+// is for a proc resumed to re-test: Wake runs again at once, in the same
+// event, not in another one.
+func TestWaitWithUnparkFromWakeIsAPermit(t *testing.T) {
+	e := NewEngine(1)
+	var p *Proc
+	var wakes []Time
+	p = e.Go("waiter", func(p *Proc) {
+		p.WaitWith(wakeFunc(func() (string, bool) {
+			wakes = append(wakes, p.Now())
+			if len(wakes) == 2 {
+				p.Unpark()
+			}
+			return "waiting", len(wakes) < 3
+		}))
+	})
+	e.At(10, p.Unpark)
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if want := []Time{0, 10, 10}; !reflect.DeepEqual(wakes, want) {
+		t.Errorf("Wake ran at %v, want %v", wakes, want)
+	}
+	if got := e.EventsRun(); got != 3 {
+		t.Errorf("%d events, want 3: the start, the unpark and its wake-up", got)
+	}
+}
