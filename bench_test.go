@@ -220,6 +220,41 @@ func BenchmarkSpawnThroughput(b *testing.B) {
 	reportVirtual(b, rep.VirtualTime)
 }
 
+// BenchmarkSpawnInlineRequestReply is the KV service's request and reply
+// (examples/workloads KVService): a client ships an inline request to a
+// server, which ships an inline reply back, one request a microsecond.
+// Neither spawn returns a handle, so with -benchmem the allocations per op
+// are the two closures that capture the request's state.
+func BenchmarkSpawnInlineRequestReply(b *testing.B) {
+	iters := b.N
+	replies := 0
+	b.ReportAllocs()
+	rep, err := caf.Run(caf.Config{Images: 2, Seed: 1}, func(img *caf.Image) {
+		img.Finish(nil, func() {
+			if img.Rank() != 0 {
+				return
+			}
+			b.ResetTimer()
+			for i := 0; i < iters; i++ {
+				key := i
+				img.Spawn(1, func(srv *caf.Image) {
+					v := key * 2
+					srv.Spawn(0, func(*caf.Image) { replies += v - 2*key + 1 }, caf.WithBytes(24), caf.Inline(0))
+				}, caf.WithBytes(48), caf.Inline(caf.Microsecond))
+				img.Compute(caf.Microsecond)
+			}
+		})
+		b.StopTimer()
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if replies != iters {
+		b.Fatalf("%d replies ran, want %d", replies, iters)
+	}
+	reportVirtual(b, rep.VirtualTime)
+}
+
 func BenchmarkCopyAsyncThroughput(b *testing.B) {
 	iters := b.N
 	rep, err := caf.Run(caf.Config{Images: 2, Seed: 1}, func(img *caf.Image) {

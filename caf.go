@@ -222,6 +222,7 @@ type Machine struct {
 	repl *repl.Manager
 
 	inlines sim.FreeList[shipped] // released records of Inline shipped functions
+	spawns  sim.FreeList[spawnOp] // released records of spawns that return no handle
 }
 
 // imageState is per-image state shared by every proc running on that

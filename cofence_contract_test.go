@@ -45,7 +45,7 @@ func cofenceContract(fences *uint64) func(img *caf.Image) {
 			})
 		}
 		img.Finish(nil, func() {
-			s := img.Spawn(right, body)
+			s := img.SpawnHandle(right, body)
 			s.OnLocalCompletion(func() { img.Spawn(right, body) })
 			g := caf.CopyAsync(img, caf.Local(dst), ca.Sec(right, 0, big))
 			g.OnLocalData(func() { img.Spawn(right, relay, caf.Inline(10)) })

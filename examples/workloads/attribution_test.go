@@ -63,7 +63,7 @@ func TestPollSetParkAttribution(t *testing.T) {
 			return
 		}
 		ps := img.NewPollSet()
-		op := img.Spawn(1, func(s *caf.Image) {
+		op := img.SpawnHandle(1, func(s *caf.Image) {
 			s.Compute(50 * caf.Microsecond)
 		})
 		ps.OnGlobalCompletion(op, func() {})

@@ -377,7 +377,7 @@ func AggService(cfg caf.Config, o ServiceOpts, opts ...RunOpt) (Result, error) {
 				part := new(int64)
 				ok := new(bool)
 				target := srv
-				sub := img.Spawn(srv, func(s *caf.Image) {
+				sub := img.SpawnHandle(srv, func(s *caf.Image) {
 					*part = int64(key&0xffff) * int64(target+1)
 					*ok = true
 				}, caf.WithBytes(48), caf.Inline(o.SvcTime))

@@ -61,8 +61,12 @@ func (img *Image) parker(op string) *sim.Proc {
 	return img.proc
 }
 
-// execName is the label the function's execution is reported under.
+// execName is the label the function's execution is reported under. An
+// Image kept past its function's return no longer has its spawn.
 func (s *spawnOp) execName() string {
+	if s == nil {
+		return "(returned)"
+	}
 	if s.x != nil && s.x.named != nil {
 		return s.x.named.exec
 	}

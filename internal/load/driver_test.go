@@ -89,7 +89,7 @@ func serve(t *testing.T, cfg caf.Config, servers int, proto protocol, sched []Re
 				remaining := fan
 				for i := 0; i < fan; i++ {
 					srv := (int(r.Key) + i) % servers
-					sub := img.Spawn(srv, func(s *caf.Image) { table.Local(s)[0] += key }, caf.WithBytes(48), caf.Inline(svc))
+					sub := img.SpawnHandle(srv, func(s *caf.Image) { table.Local(s)[0] += key }, caf.WithBytes(48), caf.Inline(svc))
 					d.PS.OnGlobalCompletion(sub, func() {
 						if remaining--; remaining == 0 {
 							sum += key

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"slices"
 	"unsafe"
 )
@@ -23,6 +24,12 @@ var QuarantinePools = quarantineDefault
 // class of Go's allocator, so a slab wastes only a tail under one record.
 const slabBytes = 4096
 
+// mallocHeader is what Go's allocator (since 1.22) puts in front of an
+// object larger than 512 bytes that holds pointers. A slab of pointerful
+// records that filled slabBytes would land in the next class up (4 864
+// bytes), so such a slab holds one header's worth less.
+const mallocHeader = 8
+
 // pageLen is the number of released records one page of the stack holds.
 const pageLen = 512
 
@@ -44,6 +51,7 @@ type FreeList[T any] struct {
 	pages [][]*T // the stack, pageLen records a page; n of them waiting
 	n     int
 	slab  []T // what is left of the slab New carves from; nil when used up
+	per   int // records per slab; 0 until New makes the first slab
 }
 
 // Get returns the most recently released record, or nil when there is
@@ -67,13 +75,45 @@ func (l *FreeList[T]) New() *T {
 		return x
 	}
 	if l.slab == nil {
-		l.slab = make([]T, max(1, slabBytes/max(1, int(unsafe.Sizeof(*new(T))))))
+		if l.per == 0 {
+			l.per = perSlab[T]()
+		}
+		l.slab = make([]T, l.per)
 	}
 	x := &l.slab[0]
 	if l.slab = l.slab[1:]; len(l.slab) == 0 {
 		l.slab = nil
 	}
 	return x
+}
+
+// perSlab is how many records of T one slab holds: as many as fit in
+// slabBytes, less the allocator's header when T holds pointers.
+func perSlab[T any]() int {
+	room := slabBytes
+	if hasPointers(reflect.TypeFor[T]()) {
+		room -= mallocHeader
+	}
+	return max(1, room/max(1, int(unsafe.Sizeof(*new(T)))))
+}
+
+// hasPointers reports whether a value of type t holds a pointer the
+// garbage collector scans.
+func hasPointers(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Pointer, reflect.UnsafePointer, reflect.Map, reflect.Slice,
+		reflect.String, reflect.Interface, reflect.Func, reflect.Chan:
+		return true
+	case reflect.Array:
+		return t.Len() > 0 && hasPointers(t.Elem())
+	case reflect.Struct:
+		for i := range t.NumField() {
+			if hasPointers(t.Field(i).Type) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // Len reports how many released records are waiting.

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 	"unsafe"
 )
@@ -75,6 +76,39 @@ func TestPoolNewCarvesAdjacentZeroedRecords(t *testing.T) {
 	}
 	if l.Len() != 0 {
 		t.Errorf("carving left %d records waiting", l.Len())
+	}
+}
+
+// ptrRec is a 128-byte record that holds a pointer, as a spawn's does.
+type ptrRec struct {
+	p *int
+	_ [120]byte
+}
+
+// A slab of pointerful records stays in the 4 096-byte size class: it
+// leaves room for the header the allocator puts in front of an object
+// over 512 bytes that holds pointers, which a slab of exactly 4 096 bytes
+// would push into the 4 864-byte class. A pointer-free slab needs no room.
+func TestPoolSlabOfPointerfulRecordsFitsItsClass(t *testing.T) {
+	if GoRace {
+		t.Skip("allocation sizes are pinned without -race")
+	}
+	if got, want := perSlab[ptrRec](), (slabBytes-mallocHeader)/128; got != want {
+		t.Errorf("%d pointerful 128-byte records per slab, want %d", got, want)
+	}
+	if got, want := perSlab[[128]byte](), slabBytes/128; got != want {
+		t.Errorf("%d pointer-free 128-byte records per slab, want %d", got, want)
+	}
+	const lists = 64
+	ls := make([]FreeList[ptrRec], lists)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range ls {
+		ls[i].New()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / lists; per > slabBytes {
+		t.Errorf("one slab of pointerful 128-byte records allocates %d B, want ≤ %d", per, slabBytes)
 	}
 }
 

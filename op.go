@@ -52,12 +52,14 @@ func levelOf(stage trace.Stage) (CompletionLevel, bool) {
 }
 
 // Op is the completion handle of one asynchronous operation. Every async
-// initiation — CopyAsync, Spawn, EventNotify, the Async collectives (via
-// Collective.Op), CofenceOp — returns one. Instead of parking in a
-// blocking primitive, user code registers continuations on the
-// operation's completion levels and keeps computing; the runtime fires
-// each continuation exactly once, inline at the engine point where the
-// level is first observed.
+// initiation — CopyAsync, SpawnHandle, EventNotify, the Async collectives
+// (via Collective.Op), CofenceOp — returns one. Spawn and SpawnNamed do
+// not: like CAF 2.0's spawn they are statements, observed through finish,
+// cofence or their event, and their records are recycled. Instead of
+// parking in a blocking primitive, user code registers continuations on
+// the operation's completion levels and keeps computing; the runtime
+// fires each continuation exactly once, inline at the engine point where
+// the level is first observed.
 //
 // Firing rules (see DESIGN §4.8):
 //
@@ -94,6 +96,7 @@ type Op struct {
 
 	img  int32 // initiating image's world rank (Initiator)
 	done [numLevels]bool
+	rec  uint8                // a spawn record's recPooled, recEnded, recDead; in the byte after done
 	cbs  *[numLevels][]func() // made by the first registration
 }
 

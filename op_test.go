@@ -213,7 +213,7 @@ func TestSpawnNotifyCollectiveHandles(t *testing.T) {
 		me := img.Rank()
 		spawnDone := false
 		img.Finish(nil, func() {
-			op := img.Spawn((me+1)%4, func(r *caf.Image) {
+			op := img.SpawnHandle((me+1)%4, func(r *caf.Image) {
 				r.Compute(5 * caf.Microsecond)
 			})
 			op.OnGlobalCompletion(func() { spawnDone = true })

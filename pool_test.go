@@ -108,9 +108,10 @@ func TestPoolEventNotifyAllocs(t *testing.T) {
 }
 
 // A no-op shipped function under finish, one at a time so that every
-// pooled record is back before the next spawn: what is left is the
-// spawn's two owned records (the initiator's spawnOp, the target's
-// shipped), the handler's Proc, and the caller's function value.
+// pooled record is back before the next spawn, the initiator's spawnOp
+// among them: what is left is the target's shipped record, owned because
+// a proc's function may keep its Image, and the handler's Proc (and the
+// caller's function value, when it captures anything).
 func TestPoolSpawnAllocs(t *testing.T) {
 	skipUnlessPinned(t)
 	var allocs float64
@@ -130,8 +131,9 @@ func TestPoolSpawnAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if allocs > 8 {
-		t.Errorf("allocations per no-op Spawn = %v, want ≤ 8", allocs)
+	t.Logf("%v allocations per no-op Spawn", allocs)
+	if allocs > 2 {
+		t.Errorf("allocations per no-op Spawn = %v, want ≤ 2", allocs)
 	}
 }
 
@@ -155,6 +157,7 @@ func spawnAllocs(t *testing.T, fn SpawnFn, opts ...SpawnOpt) float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Logf("%v allocations per Spawn with %d options", allocs, len(opts))
 	return allocs
 }
 
@@ -179,7 +182,8 @@ func TestPoolSpawnOptsDoNotAllocate(t *testing.T) {
 }
 
 // The KV service's request: a shipped function that ships its reply back.
-// Two spawns, two closures that capture the request's state.
+// Two spawns by proc, each leaving its shipped record and its Proc, and
+// two closures that capture the request's state.
 func TestPoolSpawnReplyPairAllocs(t *testing.T) {
 	skipUnlessPinned(t)
 	var allocs float64
@@ -209,8 +213,9 @@ func TestPoolSpawnReplyPairAllocs(t *testing.T) {
 	if replies != 202 {
 		t.Fatalf("%d replies ran, want 202", replies)
 	}
-	if allocs > 12 {
-		t.Errorf("allocations per request + reply = %v, want ≤ 12", allocs)
+	t.Logf("%v allocations per request + reply", allocs)
+	if allocs > 6 {
+		t.Errorf("allocations per request + reply = %v, want ≤ 6", allocs)
 	}
 }
 
@@ -241,8 +246,8 @@ func TestPoolCopyAsyncAllocs(t *testing.T) {
 	}
 }
 
-// The two records of a spawn are owned, not pooled, because user code may
-// hold on to both: the *Op after the function returned (a continuation
+// The two records of a spawn with a handle (SpawnHandle) are owned, not
+// pooled, because user code may hold on to both: the *Op after the function returned (a continuation
 // registered late fires inline, on the spawn's own state) and the
 // handler's *Image (a continuation that captured it spawns from it). Run
 // pooled and quarantined, with enough later spawns in between that a
@@ -255,7 +260,7 @@ func TestPoolSpawnRecordsOutliveTheSpawn(t *testing.T) {
 			var kept *Image
 			img.Finish(nil, func() {
 				if img.Rank() == 0 {
-					op = img.Spawn(1, func(r *Image) { kept = r })
+					op = img.SpawnHandle(1, func(r *Image) { kept = r })
 				}
 			})
 			img.Finish(nil, func() {

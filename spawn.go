@@ -104,12 +104,17 @@ func (s *spawnOp) apply(opts []SpawnOpt) {
 }
 
 // spawnOp is the initiator's one record of a shipped function, closure or
-// registered. It is the wire payload, the completion handle returned to
-// the caller, the delivery token, the deferred initiation
+// registered. It is the wire payload, the op the lifecycle stamps (and
+// SpawnHandle returns), the delivery token, the deferred initiation
 // (core.Initiator) and the send's completion (rt.Completion), so a spawn
-// builds no other object and no closure. The record is owned, not
-// pooled: the caller may keep &op, and a continuation on it, for as long
-// as it likes.
+// builds no other object and no closure.
+//
+// A spawn that returns no handle takes its record from the Machine's
+// free list: nothing outside the runtime can refer to it, and the
+// runtime's last two references end at the spawn's ack (Delivered) and at
+// the end of its function (shipped.exec), in either order. The second of
+// the two releases it (end). SpawnHandle's record is owned: the caller
+// may keep &op, and a continuation on it, for as long as it likes.
 //
 // The record stores nothing it can recompute, so it fits the 128-byte
 // size class (a bunch of RandomAccess updates keeps every one of its
@@ -122,7 +127,7 @@ func (s *spawnOp) apply(opts []SpawnOpt) {
 // under is s.op.childCtx(), computed where it is used; and a service of
 // notInline says the function is not Inline.
 type spawnOp struct {
-	op  Op         // completion handle; Spawn returns its address
+	op  Op         // completion handle; SpawnHandle returns its address
 	tok delivToken // outstanding-delivery token (EventNotify's release)
 
 	fn SpawnFn     // the shipped closure, unless x.named is set
@@ -132,6 +137,47 @@ type spawnOp struct {
 	bytes    int32 // modeled wire size: header and arguments
 	service  Time  // Inline's declared handler time; notInline for a proc
 	finishID int64
+}
+
+// The bits of a spawn record's op.rec.
+const (
+	recPooled uint8 = 1 << iota // from Machine.spawns: released at its second end
+	recEnded                    // one of its two ends has passed
+	recDead                     // released under sim.QuarantinePools
+)
+
+// live panics on a record released under sim.QuarantinePools.
+func (s *spawnOp) live() {
+	if s.op.rec&recDead != 0 {
+		panic("caf: spawn record used after its release")
+	}
+}
+
+// end passes one of a pooled record's two ends, its ack and the end of
+// its function, and at the second releases the record to m, zeroed.
+func (s *spawnOp) end(m *Machine) {
+	if s.op.rec&recPooled == 0 {
+		return
+	}
+	if s.op.rec&recEnded == 0 {
+		s.op.rec |= recEnded
+		return
+	}
+	*s = spawnOp{}
+	if m.spawns.Put(s) {
+		s.op.rec = recDead
+	}
+}
+
+// newSpawn returns the record of a spawn that returns no handle, and
+// whether it is pooled. It is, unless a fault plan or a failure detector
+// can move its last reference past its two ends (a duplicate delivered
+// after the ack, an abandoned send), as for a blocking request's.
+func (m *Machine) newSpawn() (*spawnOp, bool) {
+	if m.recyclesRequests() {
+		return m.spawns.New(), true
+	}
+	return new(spawnOp), false
 }
 
 // notInline is the service of a spawn not declared Inline, whose function
@@ -185,18 +231,32 @@ func (img *Image) Payload() []byte {
 // inherits the spawning context's innermost finish, so functions it
 // spawns transitively remain covered (§III-A).
 //
-// The returned Op is the spawn's completion handle: local data fires at
-// argument evaluation, local completion when the target accepted the
-// function, global completion when the shipped function has finished
-// executing there. Discarding it is always safe.
-func (img *Image) Spawn(target int, fn SpawnFn, opts ...SpawnOpt) *Op {
-	s := &spawnOp{fn: fn, bytes: 32, service: notInline}
+// As in CAF 2.0, a spawn is a statement with no handle: its completion
+// is observed through finish, cofence or its event, so the runtime
+// recycles its record. SpawnHandle is the spawn whose handle the caller
+// keeps.
+func (img *Image) Spawn(target int, fn SpawnFn, opts ...SpawnOpt) {
+	s, pooled := img.m.newSpawn()
+	s.fn, s.bytes, s.service = fn, 32, notInline
 	s.apply(opts)
-	return img.ship(target, "spawn", s)
+	img.ship(target, "spawn", s, pooled)
 }
 
-// ship is the common tail of Spawn and SpawnNamed.
-func (img *Image) ship(target int, kind string, s *spawnOp) *Op {
+// SpawnHandle is Spawn returning the spawn's completion handle: local
+// data fires at argument evaluation, local completion when the target
+// accepted the function, global completion when the shipped function has
+// finished executing there. The record is the caller's, so it is never
+// recycled.
+func (img *Image) SpawnHandle(target int, fn SpawnFn, opts ...SpawnOpt) *Op {
+	s := &spawnOp{fn: fn, bytes: 32, service: notInline}
+	s.apply(opts)
+	img.ship(target, "spawn", s, false)
+	return &s.op
+}
+
+// ship is the common tail of the spawns; a pooled record goes back to the
+// machine at the second of its two ends.
+func (img *Image) ship(target int, kind string, s *spawnOp, pooled bool) {
 	if target < 0 || target >= img.NumImages() {
 		panic("caf: spawn target out of range")
 	}
@@ -215,19 +275,22 @@ func (img *Image) ship(target int, kind string, s *spawnOp) *Op {
 		s.tok.clk = &x.clk
 	}
 	img.opInit(&s.op, kind, target)
+	if pooled {
+		s.op.rec = recPooled
+	}
 	if s.event() != nil {
 		s.Initiate()
-		return &s.op
+		return
 	}
 	// Local data completion of a spawn is argument evaluation; with the
 	// payload copied at initiation, initiation is that point. So the
 	// registration is complete when it is made, and nothing is stored.
 	img.ct.RegisterDone(core.OpReads, s)
-	return &s.op
 }
 
 // Initiate sends the spawn: now, or when the relaxed runtime releases it.
 func (s *spawnOp) Initiate() {
+	s.live()
 	m, me := s.op.m, s.op.Initiator()
 	// Argument evaluation: the payload is copied at initiation — which
 	// is also the spawn's local data completion.
@@ -259,10 +322,14 @@ func (s *spawnOp) Initiate() {
 	st.kern.Send(int(s.target), tagSpawn, s, opts)
 }
 
-// Delivered: the target accepted the function.
+// Delivered: the target accepted the function. It is one of a pooled
+// record's two ends.
 func (s *spawnOp) Delivered() {
-	s.op.m.opStageAt(&s.op, s.op.Initiator(), trace.StageLocalOp)
+	s.live()
+	m := s.op.m
+	m.opStageAt(&s.op, s.op.Initiator(), trace.StageLocalOp)
 	s.tok.complete()
+	s.end(m)
 }
 
 // Abandoned (only under a failure detector): a spawn abandoned at a dead
@@ -290,6 +357,7 @@ type shipped struct {
 // follow the order functions arrive in whichever vehicle runs them.
 func (m *Machine) handleSpawn(d *rt.Delivery) {
 	s := d.Payload.(*spawnOp)
+	s.live()
 	st := &m.states[d.Img.Rank()]
 	d.Detach()
 	var sh *shipped
@@ -336,9 +404,12 @@ func (sh *shipped) Run(p *sim.Proc) {
 }
 
 // exec runs the function, which began executing at start, and then what
-// every shipped function does when it returns.
+// every shipped function does when it returns. Its end is one of a pooled
+// spawn record's two ends, so the record leaves the Image there: a kept
+// Image must not read the record of a later spawn.
 func (sh *shipped) exec(start Time) {
 	img, s := &sh.img, sh.s
+	s.live()
 	m := img.m
 	exec := "spawn-exec"
 	if x := s.x; x != nil && x.named != nil {
@@ -371,6 +442,8 @@ func (sh *shipped) exec(start Time) {
 		m.notifyFrom(img.Rank(), ev, img.raceRelease())
 	}
 	sh.d.Complete()
+	sh.s, img.spawn = nil, nil
+	s.end(m)
 }
 
 // completeAborted is deferred under a failure detector: a shipped

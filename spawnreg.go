@@ -83,9 +83,9 @@ func decodeArgs(blob []byte) ([]any, error) {
 // the call site, like a type error.
 //
 // Like Spawn, an eventless SpawnNamed completes implicitly under the
-// enclosing finish; WithEvent switches to explicit completion. The
-// returned Op is the spawn's completion handle (see Spawn).
-func (img *Image) SpawnNamed(target int, name string, args []any, opts ...SpawnOpt) *Op {
+// enclosing finish; WithEvent switches to explicit completion. Like
+// Spawn, it returns no handle, and its record is recycled.
+func (img *Image) SpawnNamed(target int, name string, args []any, opts ...SpawnOpt) {
 	var rf *remoteFn
 	if img.m.registry != nil {
 		rf = img.m.registry.fns[name]
@@ -93,12 +93,13 @@ func (img *Image) SpawnNamed(target int, name string, args []any, opts ...SpawnO
 	if rf == nil {
 		panic(fmt.Sprintf("caf: spawn of unregistered remote function %q", name))
 	}
-	s := &spawnOp{service: notInline}
-	s.apply(opts)
 	blob, err := encodeArgs(args)
 	if err != nil {
 		panic(fmt.Sprintf("caf: cannot marshal arguments of %q: %v", name, err))
 	}
+	s, pooled := img.m.newSpawn()
+	s.service = notInline
+	s.apply(opts)
 	// The arguments are the encoded blob, and its size the wire size: a
 	// named spawn ships no separate payload. Being encoded already, they
 	// are fully evaluated, so initiation is local data completion as for
@@ -106,5 +107,5 @@ func (img *Image) SpawnNamed(target int, name string, args []any, opts ...SpawnO
 	x := s.extra()
 	x.named, x.blob, x.data = rf, blob, nil
 	s.bytes = spawnBytes(len(blob) + 32 + len(name))
-	return img.ship(target, rf.kind, s)
+	img.ship(target, rf.kind, s, pooled)
 }
