@@ -24,7 +24,7 @@ test-short:
 # root go.mod moves, and nothing under ./... reaches it.
 ci: vet build test
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l . lists:"; echo "$$out"; exit 1; fi
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
+	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem ./...
 	cd benchmark && $(GO) vet . && $(GO) test .
 	$(GO) test -race ./...
 	$(GO) test -tags quarantinepools ./...

@@ -6,6 +6,7 @@ import (
 
 	caf "caf2go"
 	"caf2go/internal/load"
+	"caf2go/internal/sim"
 )
 
 // ServiceOpts parameterizes the request-serving workloads (KVService,
@@ -164,6 +165,7 @@ func KVService(cfg caf.Config, o ServiceOpts, opts ...RunOpt) (Result, error) {
 			return // shards are passive hosts; handlers run on them via AMs
 		}
 		m := img.Machine()
+		cl := &kvClient{me: me, table: table, col: col, readSum: &readSum}
 
 		issueReplicated := func(d *load.Driver, r load.Request) {
 			home := int(r.Key % uint64(servers))
@@ -215,17 +217,9 @@ func KVService(cfg caf.Config, o ServiceOpts, opts ...RunOpt) (Result, error) {
 			}
 			seq, key, write := r.Seq, int64(r.Key), r.Write
 			if o.Shipping {
-				img.Spawn(srv, func(s *caf.Image) {
-					t := table.Local(s)
-					if write {
-						t[slot] += key
-					}
-					v := t[slot]
-					s.Spawn(me, func(c *caf.Image) {
-						readSum += v
-						col.Done(c.Machine(), c.Now(), seq)
-					}, caf.WithBytes(16), caf.Inline(0))
-				}, caf.WithBytes(24), caf.Inline(o.SvcTime))
+				q := cl.free.New()
+				*q = kvReq{c: cl, seq: seq, slot: slot, key: key, write: write}
+				img.SpawnRecord(srv, q, caf.WithBytes(24), caf.Inline(o.SvcTime))
 			} else {
 				// Per-request worker proc so the lock park doesn't stall
 				// the client's issue loop; Protect turns a lock/RPC abort
@@ -293,6 +287,62 @@ func KVService(cfg caf.Config, o ServiceOpts, opts ...RunOpt) (Result, error) {
 		Report: rep,
 		Check:  fmt.Sprintf("kv-%s readSum=%d slo{%s}", variant, readSum, slo.Digest()),
 	}, nil
+}
+
+// kvClient is what a client's shipped requests share: where they run and
+// report, and the free list of their records.
+type kvClient struct {
+	me      int
+	table   *caf.Coarray[int64]
+	col     *load.Collector
+	readSum *int64
+	free    sim.FreeList[kvReq]
+}
+
+// kvReq is one request of KVService's shipping path as the record it
+// ships: the request to the key's shard and, shipped back as a kvReply,
+// the value it read. It comes from its client's free list, and the end of
+// the reply's Ship is its last reference, where it goes back.
+type kvReq struct {
+	c     *kvClient
+	seq   int
+	slot  int
+	key   int64
+	v     int64
+	write bool
+	dead  bool // released under sim.QuarantinePools
+}
+
+// kvReply is a request on its way back, shipped as its reply.
+type kvReply kvReq
+
+// live panics on a record released under sim.QuarantinePools.
+func (q *kvReq) live() {
+	if q.dead {
+		panic("kv: request record used after its release")
+	}
+}
+
+// Ship serves the request on its shard and ships the record back.
+func (q *kvReq) Ship(s *caf.Image) {
+	q.live()
+	t := q.c.table.Local(s)
+	if q.write {
+		t[q.slot] += q.key
+	}
+	q.v = t[q.slot]
+	s.SpawnRecord(q.c.me, (*kvReply)(q), caf.WithBytes(16), caf.Inline(0))
+}
+
+// Ship completes the request on its client and releases the record.
+func (p *kvReply) Ship(c *caf.Image) {
+	q := (*kvReq)(p)
+	q.live()
+	cl := q.c
+	*cl.readSum += q.v
+	cl.col.Done(c.Machine(), c.Now(), q.seq)
+	*q = kvReq{}
+	q.dead = cl.free.Put(q)
 }
 
 // AggService is a fan-out/fan-in aggregation service: each request fans

@@ -263,13 +263,26 @@ func runGUP(img *caf.Image, ca *caf.Coarray[uint64], cfg Config, localSize int64
 	}
 }
 
+// update is one shipped read-modify-write, as the record it ships.
+type update struct {
+	ca  *caf.Coarray[uint64]
+	idx int64
+	val uint64
+}
+
+// Ship xors the value into the owner's slot.
+func (u *update) Ship(remote *caf.Image) { u.ca.Local(remote)[u.idx] ^= u.val }
+
 // runFS performs updates with shipped read-modify-writes grouped into
 // finish-enclosed bunches; returns the number of finish blocks entered.
+// Each bunch takes its update records from one slice: its finish is the
+// end of every update's Ship, so the next bunch reuses them.
 func runFS(img *caf.Image, ca *caf.Coarray[uint64], cfg Config, localSize int64, globalBits int) int64 {
 	p := img.NumImages()
 	a := updateStream(img.Rank(), cfg)
 	var finishes int64
 	remaining := cfg.UpdatesPerImage
+	ups := make([]update, min(int64(cfg.BunchSize), remaining))
 	for remaining > 0 {
 		bunch := int64(cfg.BunchSize)
 		if bunch > remaining {
@@ -278,17 +291,13 @@ func runFS(img *caf.Image, ca *caf.Coarray[uint64], cfg Config, localSize int64,
 		remaining -= bunch
 		finishes++
 		img.Finish(nil, func() {
-			for i := int64(0); i < bunch; i++ {
+			for i := range ups[:bunch] {
 				a = nextRandom(a)
 				owner, idx := target(a, p, localSize, globalBits)
-				val := a
-				cost := cfg.UpdateCost
-				// The update costs the owner `cost` and never parks: an
-				// inline function, not a process.
-				img.Spawn(owner, func(remote *caf.Image) {
-					t := ca.Local(remote)
-					t[idx] ^= val
-				}, caf.WithBytes(16), caf.Inline(cost))
+				ups[i] = update{ca: ca, idx: idx, val: a}
+				// The update costs the owner UpdateCost and never parks:
+				// an inline function, not a process.
+				img.SpawnRecord(owner, &ups[i], caf.WithBytes(16), caf.Inline(cfg.UpdateCost))
 			}
 		})
 	}

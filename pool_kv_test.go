@@ -15,14 +15,16 @@ import (
 // read/write mix by function shipping. Objects and bytes per request,
 // the schedule and machine included, are pinned at what the run
 // allocates with the schedule merged, read in place by every client and
-// slept through between arrivals, and with a spawn's record recycled
-// (4.15 objects and 440 B while every spawn kept its own), plus 5 %.
+// slept through between arrivals, with a spawn's record recycled, and
+// with each request and its reply one record from its client's free list,
+// plus 5 % (4.15 objects and 440 B while every spawn kept its own record,
+// 2.06 and 186 B while the request and the reply were closures).
 func TestPoolKVShippingBytesPerRequest(t *testing.T) {
 	objects, bytes := kvPerRequest(t, caf.Config{Images: 32, Seed: 1})
-	if limit := 2.06 * 1.05; objects > limit {
+	if limit := 0.058 * 1.05; objects > limit {
 		t.Errorf("%.3f objects per request, want ≤ %.3f", objects, limit)
 	}
-	if limit := 186.0 * 1.05; bytes > limit {
+	if limit := 65.0 * 1.05; bytes > limit {
 		t.Errorf("%.1f B per request, want ≤ %.1f", bytes, limit)
 	}
 }
@@ -32,15 +34,16 @@ func TestPoolKVShippingBytesPerRequest(t *testing.T) {
 // ring with lifecycles, and request paths. Bytes per request are pinned at
 // what the run allocates with pointer-free op, transition and request
 // records (a 64-byte op record, a 12-byte transition, a 112-byte request
-// state) and a spawn's record recycled (4.10 objects and 904 B while
-// every spawn kept its own), plus 5 %.
+// state), a spawn's record recycled and a request and its reply one
+// record, plus 5 % (4.10 objects and 904 B while every spawn kept its
+// own, 2.10 and 649 B while the request and the reply were closures).
 func TestPoolKVTracedBytesPerRequest(t *testing.T) {
 	objects, bytes := kvPerRequest(t, caf.Config{Images: 32, Seed: 1,
 		Metrics: true, TraceCapacity: 1 << 16, PathTracing: true})
-	if limit := 2.10 * 1.05; objects > limit {
+	if limit := 0.100 * 1.05; objects > limit {
 		t.Errorf("%.3f objects per request, want ≤ %.3f", objects, limit)
 	}
-	if limit := 649.0 * 1.05; bytes > limit {
+	if limit := 529.0 * 1.05; bytes > limit {
 		t.Errorf("%.1f B per request, want ≤ %.1f", bytes, limit)
 	}
 }

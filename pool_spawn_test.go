@@ -26,7 +26,7 @@ func released(t *testing.T, m *Machine, s *spawnOp) {
 		}
 		return
 	}
-	if m.spawns.Len() != 1 || s.op.rec != 0 || s.fn != nil || s.op.m != nil {
+	if m.spawns.Len() != 1 || s.op.rec != 0 || s.sx != nil || s.op.m != nil {
 		t.Errorf("record after both ends: %d records pooled, rec %b; want 1 zeroed record, released once",
 			m.spawns.Len(), s.op.rec)
 	}

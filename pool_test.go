@@ -600,10 +600,10 @@ func TestQuarantineReleasedRequestIsDead(t *testing.T) {
 
 // A spawn's record fits the 128-byte size class: it stores no cofence
 // record (its registration is complete at birth) and no request context
-// (it is the op's child context), and the halves few spawns use
-// (continuations on the op, waiters on its delivery token, the event,
-// payload, registered function, mirror tag and fork clock of spawnExtra)
-// hang off one pointer each.
+// (it is the op's child context), the halves few spawns use
+// (continuations on the op, waiters on its delivery token) hang off one
+// pointer each, and the Shipper shares its one interface word with the
+// spawnExtra of event, payload, mirror tag and fork clock that wraps it.
 func TestPoolSpawnOpFitsItsSizeClass(t *testing.T) {
 	if got := unsafe.Sizeof(spawnOp{}); got > 128 {
 		t.Errorf("sizeof(spawnOp) = %d, want ≤ 128", got)

@@ -21,6 +21,19 @@ import (
 // bytes charged to the network), pass data through WithPayload.
 type SpawnFn func(img *Image)
 
+// Ship calls fn: a closure is the Shipper whose state is its captures.
+func (fn SpawnFn) Ship(img *Image) { fn(img) }
+
+// Shipper is a shipped function as a record, as CAF 2.0 ships a named
+// procedure with its arguments (§II-C2): its fields are the arguments and
+// Ship the body, so a program that keeps its records ships without a
+// closure per spawn. The runtime calls Ship once, on the target (never,
+// if a crash loses the spawn), and reads the record for nothing else: the
+// caller may reuse it once Ship has returned, and Ship may ship it again
+// (a request that ships itself back as its reply). Its fields, like a
+// closure's captures, live in the simulation's shared address space.
+type Shipper interface{ Ship(img *Image) }
+
 // SpawnOpt configures one Spawn. It is a plain value, applied by a switch:
 // options cost a spawn no allocation.
 type SpawnOpt struct {
@@ -103,8 +116,8 @@ func (s *spawnOp) apply(opts []SpawnOpt) {
 	}
 }
 
-// spawnOp is the initiator's one record of a shipped function, closure or
-// registered. It is the wire payload, the op the lifecycle stamps (and
+// spawnOp is the initiator's one record of a shipped function: closure,
+// record or registered. It is the wire payload, the op the lifecycle stamps (and
 // SpawnHandle returns), the delivery token, the deferred initiation
 // (core.Initiator) and the send's completion (rt.Completion), so a spawn
 // builds no other object and no closure.
@@ -118,8 +131,8 @@ func (s *spawnOp) apply(opts []SpawnOpt) {
 //
 // The record stores nothing it can recompute, so it fits the 128-byte
 // size class (a bunch of RandomAccess updates keeps every one of its
-// spawns live at once): op 56 B, tok 32, then fn, x, target and bytes
-// together, service and finishID, a word each. What few spawns use
+// spawns live at once): op 56 B, tok 32, sx two words, then target and
+// bytes together, service and finishID, a word each. What few spawns use
 // (continuations on the op, waiters on the token, the spawnExtra half)
 // hangs off one pointer each. An implicit spawn's cofence registration
 // is complete at birth, so it registers through RegisterDone and keeps
@@ -130,8 +143,7 @@ type spawnOp struct {
 	op  Op         // completion handle; SpawnHandle returns its address
 	tok delivToken // outstanding-delivery token (EventNotify's release)
 
-	fn SpawnFn     // the shipped closure, unless x.named is set
-	x  *spawnExtra // nil unless an option below was used
+	sx Shipper // what the spawn ships, or the *spawnExtra that holds it
 
 	target   int32
 	bytes    int32 // modeled wire size: header and arguments
@@ -189,39 +201,47 @@ func (s *spawnOp) inline() bool { return s.service != notInline }
 
 // spawnExtra is the half of a spawn that a spawn with only WithBytes and
 // Inline leaves unset, made by the first option (or the race detector's
-// fork edge) that needs it.
+// fork edge) that needs it. It takes the spawn's Shipper in, and ships it.
 type spawnExtra struct {
+	r      Shipper    // what the spawn ships
 	event  *Event     // WithEvent; nil = implicit, tracked by the enclosing finish
 	data   []byte     // WithPayload
-	named  *remoteFn  // SpawnNamed's registered function, shipped in place of fn
-	blob   []byte     // and its gob-encoded argument list
 	clk    race.Clock // the fork edge, under the race detector; tok.clk points here
 	mirror bool       // withMirrorPath
 }
 
+// Ship ships what the spawn ships.
+func (x *spawnExtra) Ship(img *Image) { x.r.Ship(img) }
+
+// x returns the spawn's spawnExtra, or nil.
+func (s *spawnOp) x() *spawnExtra {
+	x, _ := s.sx.(*spawnExtra)
+	return x
+}
+
 // extra returns the spawn's spawnExtra, making it on first use.
 func (s *spawnOp) extra() *spawnExtra {
-	if s.x == nil {
-		s.x = new(spawnExtra)
+	if s.x() == nil {
+		s.sx = &spawnExtra{r: s.sx}
 	}
-	return s.x
+	return s.x()
 }
 
 // event is the spawn's completion event; nil for an implicit spawn.
 func (s *spawnOp) event() *Event {
-	if s.x == nil {
-		return nil
+	if x := s.x(); x != nil {
+		return x.event
 	}
-	return s.x.event
+	return nil
 }
 
 // Payload returns the byte payload shipped with the spawn that started
 // this proc, or nil.
 func (img *Image) Payload() []byte {
-	if img.spawn == nil || img.spawn.x == nil {
+	if img.spawn == nil || img.spawn.x() == nil {
 		return nil
 	}
-	return img.spawn.x.data
+	return img.spawn.x().data
 }
 
 // Spawn ships fn to the target image for asynchronous execution
@@ -234,10 +254,16 @@ func (img *Image) Payload() []byte {
 // As in CAF 2.0, a spawn is a statement with no handle: its completion
 // is observed through finish, cofence or its event, so the runtime
 // recycles its record. SpawnHandle is the spawn whose handle the caller
-// keeps.
+// keeps, SpawnRecord the spawn of a record.
 func (img *Image) Spawn(target int, fn SpawnFn, opts ...SpawnOpt) {
+	img.SpawnRecord(target, fn, opts...)
+}
+
+// SpawnRecord is Spawn of a record: the runtime calls r.Ship once on the
+// target, under a closure's op kind, trace span, options and completion.
+func (img *Image) SpawnRecord(target int, r Shipper, opts ...SpawnOpt) {
 	s, pooled := img.m.newSpawn()
-	s.fn, s.bytes, s.service = fn, 32, notInline
+	s.sx, s.bytes, s.service = r, 32, notInline
 	s.apply(opts)
 	img.ship(target, "spawn", s, pooled)
 }
@@ -248,7 +274,7 @@ func (img *Image) Spawn(target int, fn SpawnFn, opts ...SpawnOpt) {
 // finished executing there. The record is the caller's, so it is never
 // recycled.
 func (img *Image) SpawnHandle(target int, fn SpawnFn, opts ...SpawnOpt) *Op {
-	s := &spawnOp{fn: fn, bytes: 32, service: notInline}
+	s := &spawnOp{sx: fn, bytes: 32, service: notInline}
 	s.apply(opts)
 	img.ship(target, "spawn", s, false)
 	return &s.op
@@ -308,7 +334,7 @@ func (s *spawnOp) Initiate() {
 		Done:   s,
 		Finish: s.finishID,
 	}
-	if x := s.x; x != nil {
+	if x := s.x(); x != nil {
 		if x.data != nil {
 			x.data = append([]byte(nil), x.data...)
 		}
@@ -411,20 +437,9 @@ func (sh *shipped) exec(start Time) {
 	img, s := &sh.img, sh.s
 	s.live()
 	m := img.m
-	exec := "spawn-exec"
-	if x := s.x; x != nil && x.named != nil {
-		// A named spawn decodes the blob and calls the registry entry.
-		rf := x.named
-		args, err := decodeArgs(x.blob)
-		if err != nil {
-			panic(fmt.Sprintf("caf: cannot unmarshal arguments of %q: %v", rf.name, err))
-		}
-		exec = rf.exec
-		rf.fn(img, args)
-	} else {
-		s.fn(img)
-	}
-	img.traceSpan(exec, "ship", start)
+	s.sx.Ship(img)
+	// "spawn-exec", or "spawn-exec:<name>" for a registered function's kind.
+	img.traceSpan("spawn-exec"+s.op.kind[len("spawn"):], "ship", start)
 	// Spawned context exit is a synchronization point for any
 	// initiations it deferred.
 	img.ct.Flush()

@@ -21,14 +21,31 @@ type fnRegistry struct {
 	fns map[string]*remoteFn
 }
 
-// remoteFn is one registered function with the labels its spawns are
+// remoteFn is one registered function with the op kind its spawns are
 // traced under, built once at registration.
 type remoteFn struct {
 	fn   RemoteFn
 	name string
 	kind string // "spawn:<name>": the op kind, ship instant and proc name
-	exec string // "spawn-exec:<name>": the execution span, and the name an InlineParkError reports
 }
+
+// remoteCall is a registered function's spawn: its entry and gob blob.
+type remoteCall struct {
+	rf   *remoteFn
+	blob []byte
+}
+
+// Ship decodes the arguments and calls the registry entry.
+func (c *remoteCall) Ship(img *Image) {
+	args, err := decodeArgs(c.blob)
+	if err != nil {
+		panic(fmt.Sprintf("caf: cannot unmarshal arguments of %q: %v", c.rf.name, err))
+	}
+	c.rf.fn(img, args)
+}
+
+// execName is its execution span's label.
+func (c *remoteCall) execName() string { return "spawn-exec:" + c.rf.name }
 
 // RegisterRemote binds name to fn on the machine. Must be called before
 // Launch (registration mirrors compile-time procedure visibility).
@@ -41,7 +58,7 @@ func (m *Machine) RegisterRemote(name string, fn RemoteFn) {
 	if _, dup := m.registry.fns[name]; dup {
 		panic(fmt.Sprintf("caf: remote function %q registered twice", name))
 	}
-	m.registry.fns[name] = &remoteFn{fn: fn, name: name, kind: "spawn:" + name, exec: "spawn-exec:" + name}
+	m.registry.fns[name] = &remoteFn{fn: fn, name: name, kind: "spawn:" + name}
 }
 
 // encodeArgs serializes the argument list; the byte count is the modeled
@@ -98,14 +115,15 @@ func (img *Image) SpawnNamed(target int, name string, args []any, opts ...SpawnO
 		panic(fmt.Sprintf("caf: cannot marshal arguments of %q: %v", name, err))
 	}
 	s, pooled := img.m.newSpawn()
-	s.service = notInline
+	s.sx, s.service = &remoteCall{rf, blob}, notInline
 	s.apply(opts)
 	// The arguments are the encoded blob, and its size the wire size: a
 	// named spawn ships no separate payload. Being encoded already, they
 	// are fully evaluated, so initiation is local data completion as for
 	// any spawn.
-	x := s.extra()
-	x.named, x.blob, x.data = rf, blob, nil
+	if x := s.x(); x != nil {
+		x.data = nil
+	}
 	s.bytes = spawnBytes(len(blob) + 32 + len(name))
 	img.ship(target, rf.kind, s, pooled)
 }
