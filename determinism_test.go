@@ -27,7 +27,12 @@ import (
 //   - nothing draws from math/rand's global source (its package-level
 //     functions other than the New* constructors);
 //   - nothing starts a goroutine or selects on channels (go, select);
-//   - nothing imports sync or sync/atomic.
+//   - nothing imports sync or sync/atomic;
+//
+// and, in every package but internal/sim,
+//
+//   - nothing calls (*sim.Proc).Park: a proc waits in WaitWith, whose
+//     Waker re-tests the wait's condition in the events that wake it.
 //
 // A file in determinismExempt is not checked at all, and a finding that
 // matches a determinismAllow line is accepted for the reason it gives.
@@ -141,6 +146,9 @@ func checkDeterminism(fset *token.FileSet, imp types.Importer, pkgPath string, f
 					}
 				case *ast.SelectorExpr:
 					fun, ok := info.Uses[n.Sel].(*types.Func)
+					if ok && fun.FullName() == "(*caf2go/internal/sim.Proc).Park" && pkgPath != "caf2go/internal/sim" {
+						report(n, fn, "call of (*sim.Proc).Park")
+					}
 					if !model || !ok || fun.Pkg() == nil || fun.Type().(*types.Signature).Recv() != nil {
 						break
 					}
@@ -315,5 +323,44 @@ func plantedRest(ch chan int, mu *sync.Mutex) time.Time {
 	}
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Errorf("checker found\n%s\nwant\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
+
+// TestDeterminismCheckerCatchesPlantedPark plants a Park call in the
+// collect package, where it is a finding, and in the sim package, where
+// it is not.
+func TestDeterminismCheckerCatchesPlantedPark(t *testing.T) {
+	for _, pkg := range []string{"collect", "sim"} {
+		planted := "package " + pkg + `
+
+import "caf2go/internal/sim"
+
+func plantedPark(p *sim.Proc) { p.Park("planted") }
+`
+		if pkg == "sim" {
+			planted = strings.ReplaceAll(strings.Replace(planted, `import "caf2go/internal/sim"`, "", 1), "sim.", "")
+		}
+		fset := token.NewFileSet()
+		files, err := parsePackage(fset, filepath.Join("internal", pkg), planted)
+		if err != nil {
+			t.Fatal(err)
+		}
+		found, err := checkDeterminism(fset, importer.ForCompiler(fset, "source", nil), "caf2go/internal/"+pkg, files, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, f := range found {
+			if filepath.Base(f.file) == "planted.go" {
+				got = append(got, f.fn+": "+f.what)
+			}
+		}
+		want := []string{"plantedPark: call of (*sim.Proc).Park"}
+		if pkg == "sim" {
+			want = nil
+		}
+		if strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Errorf("%s: checker found %q, want %q", pkg, got, want)
+		}
 	}
 }

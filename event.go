@@ -2,6 +2,7 @@ package caf
 
 import (
 	"fmt"
+	"slices"
 
 	"caf2go/internal/fabric"
 	"caf2go/internal/failure"
@@ -40,7 +41,12 @@ type eventState struct {
 	// notifies than the one it consumed, which only hides races, never
 	// invents them.
 	rclk race.Clock
+
+	det *failure.Detector // a declared death also ends a wait
 }
+
+// Wake is what a proc waits on in EventWait: a post, or a declared death.
+func (es *eventState) Wake() (string, bool) { return "event wait", es.count == 0 && !es.det.AnyDead() }
 
 // Owner returns the world rank hosting the event.
 func (e *Event) Owner() int { return e.owner }
@@ -54,7 +60,7 @@ func (e *Event) String() string {
 // arguments) and notified remotely.
 func (img *Image) NewEvent() *Event {
 	st := img.st
-	st.events = append(st.events, &eventState{})
+	st.events = append(st.events, &eventState{det: img.m.det})
 	return &Event{owner: img.Rank(), id: len(st.events) - 1, m: img.m}
 }
 
@@ -198,24 +204,18 @@ func (img *Image) EventWait(e *Event) {
 	start := img.Now()
 	btok := img.beginBlock("event_wait")
 	es := img.m.eventState(e)
-	det := img.m.det
 	es.waiters = append(es.waiters, p)
-	p.WaitUntil("event wait", func() bool { return es.count > 0 || det.AnyDead() })
+	p.WaitWith(es)
 	img.endBlock(btok)
 	img.traceSpan("event_wait", "sync", start)
-	for i, w := range es.waiters {
-		if w == p {
-			es.waiters = append(es.waiters[:i], es.waiters[i+1:]...)
-			break
-		}
-	}
+	es.waiters = slices.DeleteFunc(es.waiters, func(w *sim.Proc) bool { return w == p })
 	if es.count == 0 {
 		// Woken by a failure declaration, not a notification: the post
 		// this image is waiting for may be lost with the dead image.
-		// Fail-stop rather than block forever. (The wait condition is
-		// evaluated before first park, so a declaration racing this
-		// image between enqueue and park is seen, never lost.)
-		panic(failure.Abort{Err: det.ErrFor("event wait")})
+		// Fail-stop rather than block forever. (WaitWith tests the wait
+		// condition before it parks, so a declaration racing this image
+		// between enqueue and park is seen, never lost.)
+		panic(failure.Abort{Err: es.det.ErrFor("event wait")})
 	}
 	es.count--
 	// Acquire: subsequent operations are ordered after the notifies.

@@ -1,8 +1,10 @@
 package caf_test
 
 import (
+	"errors"
 	"fmt"
 	"hash/fnv"
+	"strings"
 	"testing"
 
 	caf "caf2go"
@@ -150,6 +152,10 @@ func runFinishShape(t *testing.T, sh finishShape, noWait, detector bool) finishR
 // with the round-completion times, recorded on the two blocking
 // detection loops the step function replaced — with and without a
 // failure detector, which sees no crash here and so must change nothing.
+// On the crash shapes, with images declared dead before, during and after
+// each point of detection, each variant also lets each image leave with
+// the error recorded on the survivor poll that ran as a loop on the
+// image's main.
 func TestFinishContractReports(t *testing.T) {
 	for _, sh := range finishShapes {
 		for v, noWait := range []bool{false, true} {
@@ -162,4 +168,130 @@ func TestFinishContractReports(t *testing.T) {
 			}
 		}
 	}
+	for _, sh := range finishCrashShapes {
+		for v, noWait := range []bool{false, true} {
+			t.Run(fmt.Sprintf("crash/%s/nowait=%v", sh.name, noWait), func(t *testing.T) {
+				cfg := withCrash(caf.Config{Images: sh.images, Seed: 1, FinishNoWait: noWait}, sh.crash)
+				rep, seen, errs := runRecorded(t, cfg, sh.main, (*caf.Machine).FinishRoundTimes)
+				h := fnv.New64a()
+				for _, times := range seen {
+					fmt.Fprint(h, times, ";")
+				}
+				got := crashRecord{finishRecord{rep.EventsRun, rep.ReduceRounds, h.Sum64()}, errs}
+				if got != sh.want[v] {
+					t.Errorf("got %#v, want %#v", got, sh.want[v])
+				}
+			})
+		}
+	}
+}
+
+// finishCrashShape is a finish program in which images die: each rank in
+// crash loses its NIC at the time given, and the failure detector (1µs
+// heartbeat, 2µs lease) declares it dead at the next beat plus the lease.
+// want is the record of the Fig. 7 run and of the no-wait run.
+type finishCrashShape struct {
+	name   string
+	images int
+	crash  map[int]caf.Time
+	want   [2]crashRecord
+	main   func(img *caf.Image)
+}
+
+// crashRecord is a finishRecord whose digest holds each image's exit
+// time, taken also when a primitive aborts the image, and the round
+// times of its last finish; Errs is each image's error in rank order.
+type crashRecord struct {
+	finishRecord
+	Errs string
+}
+
+// withCrash returns cfg with the ranks of crash dying at their times and
+// a detector on a 1µs heartbeat.
+func withCrash(cfg caf.Config, crash map[int]caf.Time) caf.Config {
+	cfg.Fabric.Faults = &caf.FaultPlan{Seed: cfg.Seed, Crash: crash}
+	cfg.FailureDetector = caf.FailureDetectorConfig{Enabled: true, Heartbeat: caf.Microsecond}
+	return cfg
+}
+
+// runRecorded runs main on every image of cfg and returns the report,
+// the times each image's exit appended (its exit time, then what more
+// adds), and each image's error ("-" for none), in rank order. A
+// deadlock fails the test.
+func runRecorded(t *testing.T, cfg caf.Config, main func(img *caf.Image), more func(m *caf.Machine, rank int) []caf.Time) (caf.Report, [][]caf.Time, string) {
+	t.Helper()
+	m := caf.NewMachine(cfg)
+	seen := make([][]caf.Time, cfg.Images)
+	m.Launch(func(img *caf.Image) {
+		r := img.Rank()
+		defer func() {
+			seen[r] = append(seen[r], img.Now())
+			if more != nil {
+				seen[r] = append(seen[r], more(m, r)...)
+			}
+		}()
+		main(img)
+	})
+	rep, err := m.RunToCompletion()
+	var derr *caf.DeadlockError
+	if errors.As(err, &derr) {
+		m.Shutdown()
+		t.Fatal(err)
+	}
+	var errs []string
+	for _, e := range m.ImageErrors() {
+		s := "-"
+		if e != nil {
+			s = fmt.Sprintf("%d@%d:%s/%d", e.Rank, int64(e.At), e.Op, e.Lost)
+		}
+		errs = append(errs, s)
+	}
+	return rep, seen, strings.Join(errs, " ")
+}
+
+var finishCrashShapes = []finishCrashShape{
+	// Every image is still in its body when rank 1 is declared dead at
+	// 7µs: the survivors enter End with the death on the books.
+	{"death-in-body", 4, map[int]caf.Time{1: 5 * caf.Microsecond}, [2]crashRecord{{finishRecord{329, 16, 2207873657030657532}, "1@7000:finish/1 1@7000:finish/0 1@7000:finish/1 1@7000:finish/1"}, {finishRecord{329, 16, 2207873657030657532}, "1@7000:finish/1 1@7000:finish/0 1@7000:finish/1 1@7000:finish/1"}}, func(img *caf.Image) {
+		img.Finish(nil, func() {
+			img.Compute(20 * caf.Microsecond)
+			img.Spawn((img.Rank()+2)%img.NumImages(), func(r *caf.Image) { r.Compute(300) })
+		})
+	}},
+	// Rank 0 has started its first round's reduction, which waits on the
+	// ranks still in their bodies (until 28µs), when rank 1 is declared
+	// dead.
+	{"death-in-reduction", 4, map[int]caf.Time{1: 5 * caf.Microsecond}, [2]crashRecord{{finishRecord{121, 7, 8338681885179118239}, "1@7000:finish/0 1@7000:finish/0 1@7000:finish/0 1@7000:finish/0"}, {finishRecord{121, 7, 8338681885179118239}, "1@7000:finish/0 1@7000:finish/0 1@7000:finish/0 1@7000:finish/0"}}, func(img *caf.Image) {
+		img.Finish(nil, func() {
+			img.Compute(caf.Time(1+9*img.Rank()) * caf.Microsecond)
+		})
+	}},
+	// Rank 1's death sends the survivors to the poll protocol, which a
+	// 40µs function on rank 3 keeps polling; rank 2 dies mid-round.
+	{"death-in-poll", 4, map[int]caf.Time{1: 5 * caf.Microsecond, 2: 20 * caf.Microsecond}, [2]crashRecord{{finishRecord{242, 21, 10879308329108504788}, "1@7000:finish/0 1@7000:finish/0 2@22000:finish/0 1@7000:finish/0"}, {finishRecord{241, 21, 4324609291952363788}, "1@7000:finish/0 1@7000:finish/0 2@22000:finish/0 1@7000:finish/0"}}, func(img *caf.Image) {
+		img.Finish(nil, func() {
+			if img.Rank() == 0 {
+				img.Spawn(3, func(r *caf.Image) { r.Compute(40 * caf.Microsecond) })
+			}
+		})
+	}},
+	// Rank 2 is declared dead at 12µs, after the survivors' first
+	// balanced poll round: the restarted round may not confirm it.
+	{"death-after-balanced-round", 4, map[int]caf.Time{1: 5 * caf.Microsecond, 2: 10 * caf.Microsecond}, [2]crashRecord{{finishRecord{82, 8, 16566345311147585608}, "- 1@7000:finish/0 - 1@7000:finish/0"}, {finishRecord{126, 13, 12289586130087499077}, "1@7000:finish/0 1@7000:finish/0 2@12000:finish/0 1@7000:finish/0"}}, func(img *caf.Image) {
+		img.Finish(nil, func() {})
+	}},
+	// Rank 1 is parked in its own End, behind a 20µs function on rank 2,
+	// when it is itself declared dead.
+	{"own-declaration", 3, map[int]caf.Time{1: 5 * caf.Microsecond}, [2]crashRecord{{finishRecord{102, 12, 16390628672669360147}, "1@7000:finish/0 1@7000:finish/0 1@7000:finish/0"}, {finishRecord{106, 12, 7625881637887323114}, "1@7000:finish/0 1@7000:finish/0 1@7000:finish/0"}}, func(img *caf.Image) {
+		img.Finish(nil, func() {
+			if img.Rank() == 0 {
+				img.Spawn(2, func(r *caf.Image) { r.Compute(20 * caf.Microsecond) })
+			}
+		})
+	}},
+	// Rank 0 is the only survivor of a two-image team: its first poll
+	// round completes at once, and the pace follows in the first test.
+	{"sole-survivor", 2, map[int]caf.Time{1: 5 * caf.Microsecond}, [2]crashRecord{{finishRecord{6, 2, 1843755097563240127}, "1@7000:finish/0 1@7000:finish/0"}, {finishRecord{6, 2, 1843755097563240127}, "1@7000:finish/0 1@7000:finish/0"}}, func(img *caf.Image) {
+		img.Finish(nil, func() { img.Compute(10 * caf.Microsecond) })
+	}},
 }

@@ -3,6 +3,9 @@ package bench
 import (
 	"strings"
 	"testing"
+
+	caf "caf2go"
+	"caf2go/internal/sim"
 )
 
 func TestFig12Shape(t *testing.T) {
@@ -160,5 +163,29 @@ func TestLookupMissing(t *testing.T) {
 	fig := Figure{}
 	if _, ok := fig.Lookup("nope"); ok {
 		t.Error("lookup found a phantom series")
+	}
+}
+
+// Fig. 12's default shape resumes a proc only when what it waits for
+// holds: the parent's 989 524 resumes less the 4 that found their
+// condition still false there, over the parent's events.
+func TestFig12ProcResumesPinned(t *testing.T) {
+	if sim.GoRace {
+		t.Skip("the twelve machines take a minute under -race")
+	}
+	o := DefaultFig12()
+	var events, resumes uint64
+	for _, v := range []fig12Variant{variantFinish, variantEvents, variantCofence} {
+		for _, p := range o.Cores {
+			m := fig12Machine(o, p, v, caf.Coalescing{})
+			if _, err := m.RunToCompletion(); err != nil {
+				t.Fatal(err)
+			}
+			events += m.Engine().EventsRun()
+			resumes += m.Engine().Resumes()
+		}
+	}
+	if events != 8016720 || resumes != 989524-4 {
+		t.Errorf("%d events and %d resumes, want %d and %d", events, resumes, 8016720, 989524-4)
 	}
 }

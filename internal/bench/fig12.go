@@ -39,7 +39,18 @@ func (v fig12Variant) String() string {
 // non-zero coal batches small AMs (the coalescing regression harness
 // re-runs the cofence variant with it).
 func fig12Run(o Fig12Opts, p int, v fig12Variant, coal caf.Coalescing) (caf.Report, error) {
-	rep, err := caf.Run(caf.Config{Images: p, Seed: o.Seed, Fabric: caf.FabricConfig{Coalescing: coal}}, func(img *caf.Image) {
+	m := fig12Machine(o, p, v, coal)
+	rep, err := m.RunToCompletion()
+	if err != nil {
+		m.Shutdown()
+	}
+	return rep, err
+}
+
+// fig12Machine is the machine fig12Run runs, launched.
+func fig12Machine(o Fig12Opts, p int, v fig12Variant, coal caf.Coalescing) *caf.Machine {
+	m := caf.NewMachine(caf.Config{Images: p, Seed: o.Seed, Fabric: caf.FabricConfig{Coalescing: coal}})
+	m.Launch(func(img *caf.Image) {
 		ca := caf.NewCoarray[byte](img, nil, o.Bytes*o.Fan)
 		src := make([]byte, o.Bytes)
 		produce := func() {
@@ -95,7 +106,7 @@ func fig12Run(o Fig12Opts, p int, v fig12Variant, coal caf.Coalescing) (caf.Repo
 			}
 		}
 	})
-	return rep, err
+	return m
 }
 
 // Fig12 regenerates the cofence micro-benchmark figure: execution time of

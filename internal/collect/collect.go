@@ -179,41 +179,52 @@ func (h *Handle) Result() any { return h.result }
 
 // OnLocalData registers fn to run at local data completion (immediately
 // if already complete).
-func (h *Handle) OnLocalData(fn func()) {
-	if h.localData {
-		fn()
-		return
-	}
-	h.ldCbs = append(h.ldCbs, fn)
-}
+func (h *Handle) OnLocalData(fn func()) { on(h.localData, &h.ldCbs, fn) }
 
 // OnLocalOp registers fn to run at local operation completion.
-func (h *Handle) OnLocalOp(fn func()) {
-	if h.localOp {
+func (h *Handle) OnLocalOp(fn func()) { on(h.localOp, &h.loCbs, fn) }
+
+// on runs fn now if its completion level is done, and otherwise adds it
+// to the level's callbacks.
+func on(done bool, cbs *[]func(), fn func()) {
+	if done {
 		fn()
 		return
 	}
-	h.loCbs = append(h.loCbs, fn)
+	*cbs = append(*cbs, fn)
 }
 
 // WaitLocalData parks p until local data completion. With a failure
 // detector attached to the kernel, a declared death while the tree is
 // incomplete aborts the wait (fail-stop) instead of hanging on a
 // message the dead image will never forward.
-func (h *Handle) WaitLocalData(p *sim.Proc) { h.wait(p, &h.localData, "collective local data") }
+func (h *Handle) WaitLocalData(p *sim.Proc) { h.wait(p, (*localDataWait)(h), &h.localData) }
 
 // WaitLocalOp parks p until local operation completion, aborting like
 // WaitLocalData when a failure is declared first.
-func (h *Handle) WaitLocalOp(p *sim.Proc) { h.wait(p, &h.localOp, "collective local op") }
+func (h *Handle) WaitLocalOp(p *sim.Proc) { h.wait(p, (*localOpWait)(h), &h.localOp) }
 
-func (h *Handle) wait(p *sim.Proc, done *bool, reason string) {
-	det := h.img.Kernel().Detector()
+// localDataWait and localOpWait are a Handle as what a proc waits on for
+// each completion level, or a declared death; the conversion allocates
+// nothing.
+type (
+	localDataWait Handle
+	localOpWait   Handle
+)
+
+func (w *localDataWait) Wake() (string, bool) {
+	return "collective local data", !w.localData && !w.img.Kernel().Detector().AnyDead()
+}
+
+func (w *localOpWait) Wake() (string, bool) {
+	return "collective local op", !w.localOp && !w.img.Kernel().Detector().AnyDead()
+}
+
+func (h *Handle) wait(p *sim.Proc, w sim.Waker, done *bool) {
 	h.addWaiter(p)
-	for !*done && !det.AnyDead() {
-		p.Park(reason)
-	}
+	p.WaitWith(w)
 	if !*done {
-		panic(failure.Abort{Err: det.ErrFor("collective")})
+		panic(failure.Abort{Err: h.img.Kernel().Detector().ErrFor("collective")})
 	}
 }
 
@@ -242,27 +253,19 @@ func (h *Handle) wakeWaiters() {
 	}
 }
 
-func (h *Handle) fireLocalData() {
-	if h.localData {
-		return
-	}
-	h.localData = true
-	cbs := h.ldCbs
-	h.ldCbs = nil
-	for _, fn := range cbs {
-		fn()
-	}
-	h.wakeWaiters()
-}
+func (h *Handle) fireLocalData() { h.fire(&h.localData, &h.ldCbs) }
+func (h *Handle) fireLocalOp()   { h.fire(&h.localOp, &h.loCbs) }
 
-func (h *Handle) fireLocalOp() {
-	if h.localOp {
+// fire marks a completion level done, once: it runs the level's callbacks
+// and wakes the procs that wait on the handle.
+func (h *Handle) fire(done *bool, cbs *[]func()) {
+	if *done {
 		return
 	}
-	h.localOp = true
-	cbs := h.loCbs
-	h.loCbs = nil
-	for _, fn := range cbs {
+	*done = true
+	run := *cbs
+	*cbs = nil
+	for _, fn := range run {
 		fn()
 	}
 	h.wakeWaiters()

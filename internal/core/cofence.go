@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"caf2go/internal/failure"
 	"caf2go/internal/sim"
 )
@@ -178,7 +180,17 @@ type CofenceTracker struct {
 type ctRare struct {
 	waiters []fenceWaiter
 	delayed []delayedOp
+	fences  [AllowAny + 1]fenceWake // what every fence of each class waits on
 }
+
+// fenceWake is what a fence allowing down waits on: no constrained
+// operation pending, or a declared death.
+type fenceWake struct {
+	*CofenceTracker
+	down Allow
+}
+
+func (w *fenceWake) Wake() (string, bool) { return "cofence", !w.clear(w.down) && !w.det.AnyDead() }
 
 // rareState returns ct's fence waiters and buffered initiations, making
 // the record if needed.
@@ -379,13 +391,9 @@ func (ct *CofenceTracker) Cofence(p *sim.Proc, down, up Allow) {
 	}
 	r := ct.rareState()
 	r.waiters = append(r.waiters, fenceWaiter{p, down})
-	p.WaitUntil("cofence", func() bool { return ct.clear(down) || ct.det.AnyDead() })
-	for i, w := range r.waiters {
-		if w.p == p {
-			r.waiters = append(r.waiters[:i], r.waiters[i+1:]...)
-			break
-		}
-	}
+	r.fences[down] = fenceWake{ct, down}
+	p.WaitWith(&r.fences[down])
+	r.waiters = slices.DeleteFunc(r.waiters, func(w fenceWaiter) bool { return w.p == p })
 	ct.sweep()
 	if !ct.clear(down) {
 		// A failure declaration woke the fence while constrained ops

@@ -155,9 +155,15 @@ type resilience struct {
 	adjCompleted  int64
 	lost          int64
 
-	// Degraded-mode (post-declaration) poll protocol state.
+	// The survivor poll (step's degraded phases): the round in flight,
+	// its replies, survivors and the death count it began under, and the
+	// last completed round's sums (lastSum, once haveLast).
 	pollRound   int
 	pollReplies map[int][5]int64
+	survivors   []int
+	epoch       int
+	lastSum     [4]int64
+	haveLast    bool
 
 	// unrecorded counts detection rounds begun and never completed.
 	unrecorded int
@@ -167,45 +173,34 @@ type resilience struct {
 }
 
 // waitPhase names what an image's main, inside End, is parked on: a
-// round's precondition (ready) or its reduction, in WaitWith, or a
-// degraded-mode wait, whose condition reads detector and poll state this
-// file does not own.
+// round's precondition (ready) or its reduction, or, once a death is
+// declared, the survivor poll's local drain or a poll round's replies.
+// Between two poll rounds it waits in waitNone for its own wake-up.
 type waitPhase uint8
 
 const (
 	waitNone waitPhase = iota
 	waitReady
 	waitReduce
-	waitDegraded
+	waitDrain
+	waitPoll
 )
 
 // woken reports whether the main is parked where the plane itself wakes
 // it (wake, a declared death, a poll reply). In a reduction, the
 // reduction's completion wakes it, and a declared death the machine's
 // WakeAllParked, in creation order.
-func (s *State) woken() bool { return s.wait == waitReady || s.wait == waitDegraded }
-
-// park blocks the degraded loop on p until cond holds; every wake-up
-// resumes it to test cond.
-func (s *State) park(p *sim.Proc, reason string, cond func() bool) {
-	s.wait = waitDegraded
-	p.WaitUntil(reason, cond)
-	s.wait = waitNone
-}
+func (s *State) woken() bool { return s.wait != waitNone && s.wait != waitReduce }
 
 // wake unparks the main if what it waits on now holds. A
 // wake-up that finds the precondition false would be an event whose whole
 // effect is test and wait again: an acknowledgement or a completion that
 // leaves others outstanding schedules nothing. A declared death satisfies
-// the precondition (the main leaves for the degraded protocol), so it is
-// tested here as it is in step.
+// the precondition (the main moves on to the survivor poll), so it is
+// tested here as it is in step. In the poll's phases every credit wakes
+// the main, whose step re-tests in the wake-up's event.
 func (pl *Plane) wake(s *State) {
-	switch {
-	case s.wait == waitReady:
-		if !pl.ready(s) && !pl.det.AnyDead() {
-			return
-		}
-	case s.wait != waitDegraded:
+	if !s.woken() || s.wait == waitReady && !pl.ready(s) && !pl.det.AnyDead() {
 		return
 	}
 	s.waiter.Unpark()
@@ -450,22 +445,21 @@ func (s *State) Ref() Ref { return Ref{ID: s.id} }
 // some of the work it supervised is lost.
 //
 // p waits once, in WaitWith, while the state machine runs its rounds
-// (step); it goes on when the finish has terminated, or when a declared
-// death sends it to the degraded survivor protocol, which runs on p.
+// (step), the survivor poll's included; it goes on when the finish has
+// terminated.
 func (pl *Plane) End(p *sim.Proc, img *rt.ImageKernel, s *State) (int, *failure.ImageFailedError) {
 	if !s.begun || s.done {
 		panic("core: End on a finish that is not active")
 	}
 	s.waiter, s.pl, s.rank, s.prev = p, pl, int32(img.Rank()), -1
 	p.WaitWith(s)
+	s.waiter = nil
 	rounds := len(s.RoundAt)
 	var ferr *failure.ImageFailedError
-	if !s.done {
-		pl.endDegraded(p, img, s)
-		s.done, ferr = true, s.ferr
-		rounds = len(s.RoundAt) + s.unrecorded
+	if r := s.resilience; r != nil {
+		rounds += r.unrecorded
+		ferr = r.ferr
 	}
-	s.waiter = nil
 	pl.stats.Finishes++
 	rank := img.Rank()
 	pl.mFinishes.Add(rank, 1)
@@ -499,50 +493,49 @@ func (pl *Plane) ready(s *State) bool {
 }
 
 // Wake is one step of the state machine, as WaitWith runs it: first on the
-// main entering End, then in each event that would have resumed it. The
-// main's block reason follows the phase, as the deadlock dumps name it.
-func (s *State) Wake() (string, bool) {
-	switch {
-	case s.pl.step(s):
-		return "", false
-	case s.wait == waitReduce:
-		return "collective local data", true
-	case s.pl.cfg.WaitQuiescent:
-		return "finish quiescence", true
-	}
-	return "finish local drain", true
-}
+// main entering End, then in each event that would have resumed it.
+func (s *State) Wake() (string, bool) { return s.pl.step(s) }
 
-// step runs detection rounds as far as they go now and reports whether
-// the main goes on: the finish has terminated (done), or, with a failure
-// detector, a declared death diverts it to the degraded survivor
-// protocol — the tree allreduce assumes every team member participates,
-// which a dead (or already-exited) image cannot. Each round waits on
+// step runs detection rounds as far as they go now and reports, as Wake
+// does, what the main waits on next (the deadlock dumps' name for the
+// phase) or that the finish has terminated (done). Each round waits on
 // ready, sum-reduces over the team on the record a blocking Allreduce
-// uses, and folds the epochs on the result. A step makes the tests the
-// blocking loop made when resumed at the same point, in the same order,
-// so the schedule is the loop's to the event.
-func (pl *Plane) step(s *State) bool {
+// uses, and folds the epochs on the result. With a failure detector, a
+// declared death diverts the machine to the survivor poll (poll) for
+// good: the tree allreduce assumes every team member participates, which
+// a dead (or already-exited) image cannot. A step makes the tests the
+// blocking loops made when resumed at the same point, in the same order,
+// so the schedule is the loops' to the event.
+func (pl *Plane) step(s *State) (reason string, wait bool) {
 	for {
-		if s.wait == waitReduce {
+		switch s.wait {
+		case waitDrain, waitPoll:
+			return pl.poll(s)
+		case waitReduce:
 			res, ok := s.red.Result()
 			switch {
 			case ok:
 				s.done = pl.finishRound(s, res)
 			case !pl.det.AnyDead():
-				return false
+				return "collective local data", true
 			default: // the tree may wait on the dead image for good
 				s.unrecorded++
 			}
 			s.red.Release()
 		}
 		s.wait = waitNone
-		if s.done || pl.det.AnyDead() {
-			return true
+		if s.done {
+			return "", false
+		}
+		if pl.det.AnyDead() {
+			return pl.poll(s)
 		}
 		if !pl.ready(s) {
 			s.wait = waitReady
-			return false
+			if pl.cfg.WaitQuiescent {
+				return "finish quiescence", true
+			}
+			return "finish local drain", true
 		}
 		// The contribution is computed in the timeslice the precondition
 		// held in, so the snapshot is exactly the quiescent state.
@@ -638,102 +631,97 @@ func (pl *Plane) errForTeam(t *team.Team, lost int64) *failure.ImageFailedError 
 	return nil
 }
 
-// endDegraded is the resilient termination protocol, entered once any
-// image has been declared dead. The tree allreduce of the normal path
-// assumes every team member participates; a dead image cannot, and a
-// survivor may already have left this finish (partial delivery of an
-// earlier down-phase). So each survivor still inside End instead polls
-// the survivor subset of the team directly, and every polled image
-// answers from plain event context — available even after its procs
-// exited or were aborted — with its reconciled totals (snapshot). The
-// loop exits on Mattern's four-counter condition over the primed sums:
-// two consecutive identical balanced rounds (sent' == delivered' and
-// received' == completed'). With the virtual pairs standing in for the
-// dead images' counters, a stable balanced snapshot means no surviving
-// work and no in-flight tracked message, so the finish may release; it
-// returns an ImageFailedError when a team member died or activities
-// were charged off. A new declaration mid-round restarts the round
-// against the shrunken survivor set, so the loop terminates in a
+// poll is the resilient termination protocol, which step enters once any
+// image has been declared dead and runs as far as it goes now; it reports
+// as step does. The tree allreduce of the normal path assumes every team
+// member participates; a dead image cannot, and a survivor may already
+// have left this finish (partial delivery of an earlier down-phase). So
+// each survivor still inside End instead polls the survivor subset of the
+// team directly, and every polled image answers from plain event context —
+// available even after its procs exited or were aborted — with its
+// reconciled totals (snapshot). A round waits for the local drain
+// (everything delivered here has finished executing; aborted activities
+// complete through their recover wrappers), then for every survivor's
+// reply. The protocol ends on Mattern's four-counter condition over the
+// primed sums: two consecutive identical balanced rounds (sent' ==
+// delivered' and received' == completed'). With the virtual pairs standing
+// in for the dead images' counters, a stable balanced snapshot means no
+// surviving work and no in-flight tracked message, so the finish may
+// release; it ends with an ImageFailedError when a team member died or
+// activities were charged off. A new declaration mid-round restarts the
+// round against the shrunken survivor set, so the protocol terminates in a
 // bounded number of polls after the last declaration.
-func (pl *Plane) endDegraded(p *sim.Proc, img *rt.ImageKernel, s *State) {
-	me := img.Rank()
-	var prev [4]int64
-	havePrev := false
+func (pl *Plane) poll(s *State) (reason string, wait bool) {
+	me := int(s.rank)
 	for {
 		if pl.det.Dead(me) {
 			// This image was itself declared dead; its polls would be
 			// abandoned by the fabric and its finish can never conclude.
+			if s.wait == waitPoll {
+				s.unrecorded++
+			}
 			at, _ := pl.det.DeadAt(me)
 			s.ferr = &failure.ImageFailedError{Rank: me, At: at, Op: "finish"}
-			return
+			s.wait, s.done = waitNone, true
+			return "", false
 		}
-		// Local drain: everything delivered here has finished executing
-		// (aborted activities complete through their recover wrappers).
-		s.park(p, "finish local drain", func() bool {
-			return s.tReceived == s.tCompleted || pl.det.Dead(me)
-		})
-		if pl.det.Dead(me) {
-			continue
-		}
-		epoch := pl.det.DeathCount()
-		survivors := pl.survivors(s.t)
-		s.pollRound++
-		pl.stats.ReduceRounds++
-		s.pollReplies = map[int][5]int64{me: pl.snapshot(me, s.id)}
-		for _, r := range survivors {
-			if r == me {
-				continue
+		switch s.wait {
+		case waitNone:
+			s.wait = waitDrain
+		case waitDrain:
+			if s.tReceived != s.tCompleted {
+				return "finish local drain", true
 			}
-			img.Send(r, tagFinishPoll,
-				pollReq{ID: s.id, Round: s.pollRound, From: me},
-				rt.SendOpts{Class: fabric.AMShort, Bytes: 24, NoCoalesce: true})
-		}
-		s.park(p, "finish poll", func() bool {
-			if pl.det.Dead(me) || pl.det.DeathCount() != epoch {
-				return true
-			}
-			for _, r := range survivors {
-				if _, ok := s.pollReplies[r]; !ok {
-					return false
+			s.epoch = pl.det.DeathCount()
+			s.survivors = pl.survivors(s.t)
+			s.pollRound++
+			pl.stats.ReduceRounds++
+			s.pollReplies = map[int][5]int64{me: pl.snapshot(me, s.id)}
+			for _, r := range s.survivors {
+				if r != me {
+					pl.k.Image(me).Send(r, tagFinishPoll,
+						pollReq{ID: s.id, Round: s.pollRound, From: me},
+						rt.SendOpts{Class: fabric.AMShort, Bytes: 24, NoCoalesce: true})
 				}
 			}
-			return true
-		})
-		if pl.det.Dead(me) {
-			s.unrecorded++
-			continue
-		}
-		if pl.det.DeathCount() != epoch {
-			// Survivor set shrank mid-round: snapshots are not
-			// comparable across declarations. Restart.
-			s.unrecorded++
-			havePrev = false
-			continue
-		}
-		var sum [5]int64
-		for _, r := range survivors {
-			v := s.pollReplies[r]
-			for i := range sum {
-				sum[i] += v[i]
+			s.wait = waitPoll
+		case waitPoll:
+			var sum [5]int64
+			for _, r := range s.survivors {
+				v, ok := s.pollReplies[r]
+				if !ok && pl.det.DeathCount() == s.epoch {
+					return "finish poll", true
+				}
+				for i := range sum {
+					sum[i] += v[i]
+				}
 			}
+			s.wait = waitNone
+			if pl.det.DeathCount() != s.epoch {
+				// Survivor set shrank mid-round: snapshots are not
+				// comparable across declarations. Restart.
+				s.unrecorded++
+				s.haveLast = false
+				continue
+			}
+			s.pollReplies = nil
+			s.RoundAt = append(s.RoundAt, s.waiter.Now())
+			cur := [4]int64{sum[0], sum[1], sum[2], sum[3]}
+			if sum[0] == sum[1] && sum[2] == sum[3] && s.haveLast && cur == s.lastSum {
+				s.ferr, s.done = pl.errForTeam(s.t, sum[4]), true
+				return "", false
+			}
+			s.lastSum, s.haveLast = cur, true
+			// Pace the next poll. The round was unbalanced (or not yet
+			// confirmed), the imbalance is remote — the local drain
+			// already held — and survivors push no notifications, so
+			// re-polling before more messages can land would hot-spin the
+			// network at RTT granularity. One heartbeat per round bounds
+			// the poll count by the surviving work's duration over the
+			// resilience timescale.
+			s.waiter.WakeAfter(pl.det.Heartbeat())
+			return "finish poll pace", true
 		}
-		s.pollReplies = nil
-		s.RoundAt = append(s.RoundAt, p.Now())
-		cur := [4]int64{sum[0], sum[1], sum[2], sum[3]}
-		balanced := sum[0] == sum[1] && sum[2] == sum[3]
-		if balanced && havePrev && cur == prev {
-			s.ferr = pl.errForTeam(s.t, sum[4])
-			return
-		}
-		prev, havePrev = cur, true
-		// Pace the next poll. The round was unbalanced (or not yet
-		// confirmed), the imbalance is remote — the local drain above
-		// already held — and survivors push no notifications, so
-		// re-polling before more messages can land would hot-spin the
-		// network at RTT granularity. One heartbeat per round bounds
-		// the poll count by the surviving work's duration over the
-		// resilience timescale.
-		p.Sleep(pl.det.Heartbeat())
 	}
 }
 
@@ -749,7 +737,7 @@ func (pl *Plane) handlePoll(d *rt.Delivery) {
 }
 
 // handlePollReply records a snapshot on the polling image and wakes its
-// detection loop. Replies from superseded rounds are dropped.
+// detection step. Replies from superseded rounds are dropped.
 func (pl *Plane) handlePollReply(d *rt.Delivery) {
 	rep := d.Payload.(pollReply)
 	s := pl.state(d.Img.Rank(), rep.ID)
@@ -811,7 +799,7 @@ func (pl *Plane) OnReceive(dst *rt.ImageKernel, ref Ref) rt.TrackBox {
 }
 
 // OnComplete counts handler/shipped-function completion in the epoch that
-// counted the receipt, and wakes the local detection loop if waiting.
+// counted the receipt, and wakes the local detection step if waiting.
 // In resilient mode it also mirrors the completion into completedFrom,
 // keyed by the sender: if the sender later dies, each such completion
 // becomes a virtual {sent, delivered} pair standing in for the send the

@@ -505,10 +505,14 @@ func (img *ImageKernel) dispatch(m *fabric.Msg, h Handler) {
 // over (aborted, its slot released and perhaps taken by another call).
 type callSlot struct {
 	proc    *sim.Proc
+	det     *failure.Detector
 	id      uint64 // machine-wide unique; 0 while the slot is free
 	payload any
 	done    bool
 }
+
+// Wake is what the calling proc waits on: the reply, or a declared death.
+func (w *callSlot) Wake() (string, bool) { return "rpc reply", !w.done && !w.det.AnyDead() }
 
 // handleReply is the machine's tagReply handler: it answers the wait
 // slot the reply names, on the image that sent the Call.
@@ -541,20 +545,19 @@ func (img *ImageKernel) Call(p *sim.Proc, dst int, tag uint16, payload any, opts
 	k := img.k
 	w := k.slots.New()
 	k.nextCallID++
-	w.proc, w.id = p, k.nextCallID
+	w.proc, w.det, w.id = p, k.det, k.nextCallID
 	o := img.message(dst, tag, payload, opts.Class, opts.Bytes)
 	o.env.replyID, o.env.slot = w.id, w
 	// This proc blocks until the reply: coalescing the request would
 	// trade its latency for nothing.
 	opts.NoCoalesce = true
 	img.send(o, &opts)
-	det := k.det
-	p.WaitUntil("rpc reply", func() bool { return w.done || det.AnyDead() })
+	p.WaitWith(w)
 	done, reply := w.done, w.payload
 	*w = callSlot{}
 	k.slots.Put(w)
 	if !done {
-		panic(failure.Abort{Err: det.ErrFor("rpc")})
+		panic(failure.Abort{Err: k.det.ErrFor("rpc")})
 	}
 	return reply
 }

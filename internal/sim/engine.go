@@ -35,6 +35,7 @@ type Engine struct {
 	rng       *rand.Rand
 	seed      int64
 	eventsRun uint64
+	resumes   uint64 // switches to a proc's stack (resumeProc)
 	stopped   bool
 	procErr   error // first panic captured from a proc
 
@@ -53,6 +54,10 @@ func (e *Engine) Now() Time { return e.now }
 
 // EventsRun reports how many events have executed so far.
 func (e *Engine) EventsRun() uint64 { return e.eventsRun }
+
+// Resumes reports how many times a proc's stack was switched to: at its
+// start, a Sleep's end, or a wake-up that let it go on.
+func (e *Engine) Resumes() uint64 { return e.resumes }
 
 // Rand returns the engine's deterministic random generator. It must only
 // be used from within the simulation (events or procs), never concurrently.
@@ -180,8 +185,8 @@ func (e *Engine) RunUntil(limit Time) error {
 // WakeAllParked unparks every currently parked process, in creation
 // order. Callers use it to force re-evaluation of every blocked wait
 // condition after a global state change (e.g. a failure declaration);
-// all park sites re-check their condition in a loop, so the wakeups are
-// harmless where the condition still holds.
+// every wait re-tests its condition in WaitWith, so a wake-up where it
+// still does not hold costs the event and no resume.
 func (e *Engine) WakeAllParked() {
 	for _, p := range e.procs.procs {
 		if p.state == procParked {
@@ -221,6 +226,7 @@ func (e *Engine) Shutdown() {
 func (e *Engine) resumeProc(p *Proc) {
 	prev := e.current
 	e.current = p
+	e.resumes++
 	p.co.next()
 	e.current = prev
 }

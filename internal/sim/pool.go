@@ -31,7 +31,9 @@ const slabBytes = 4096
 const mallocHeader = 8
 
 // pageLen is the number of released records one page of the stack holds.
-const pageLen = 512
+// A page is pointers, so like a slab of pointerful records it fills
+// slabBytes less the header and stays in the 4 096-byte class.
+const pageLen = (slabBytes - mallocHeader) / int(unsafe.Sizeof(unsafe.Pointer(nil)))
 
 // FreeList is a LIFO of released records waiting to be taken again, and
 // the slab allocator (Bonwick 1994) of records that are always released.
@@ -39,7 +41,7 @@ const pageLen = 512
 // engine's admission strand, and a deterministic simulator wants the same
 // record back on the same step of every run.
 //
-// The stack is a list of 512-pointer pages, kept when emptied, so a list
+// The stack is a list of 511-pointer pages, kept when emptied, so a list
 // allocates its peak once and never copies it. New carves records from a
 // 4 KiB slab of T, so a burst that takes thousands of records before the
 // first comes back makes one object per slab, not one per record. A

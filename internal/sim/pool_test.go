@@ -112,6 +112,33 @@ func TestPoolSlabOfPointerfulRecordsFitsItsClass(t *testing.T) {
 	}
 }
 
+// A page of the free list's stack holds pointers too, so it leaves the
+// same room: 511 pointers stay in the 4 096-byte class, where 512 would
+// make a 4 864-byte object.
+func TestPoolFreeListPageFitsItsClass(t *testing.T) {
+	if GoRace || QuarantinePools {
+		t.Skip("allocation sizes are pinned without -race, pools on")
+	}
+	if got, want := pageLen*int(unsafe.Sizeof(unsafe.Pointer(nil))), slabBytes-mallocHeader; got != want {
+		t.Errorf("a page holds %d B of pointers, want %d", got, want)
+	}
+	const lists = 64
+	ls := make([]FreeList[ptrRec], lists)
+	recs := make([]ptrRec, lists)
+	for i := range ls {
+		ls[i].pages = make([][]*ptrRec, 0, 1) // so that the first Put makes only its page
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range ls {
+		ls[i].Put(&recs[i])
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / lists; per > slabBytes {
+		t.Errorf("one page allocates %d B, want ≤ %d", per, slabBytes)
+	}
+}
+
 // The stack keeps its LIFO order across the boundary of its 512-record
 // pages, and New takes a waiting record before it carves.
 func TestPoolFreeListIsLIFOAcrossPages(t *testing.T) {

@@ -128,11 +128,11 @@ func (pe *procEvent) RunEvent() { (*Proc)(pe).runEvent() }
 // runEvent is what a queued proc event does when it fires. A proc has at
 // most one event queued at a time and does not run while it is: a new
 // proc waits for its start, a sleeper for its Sleep wake-up, and a parked
-// proc for the one Unpark wake-up wakePending admits. So the state says
-// which of the three this is. An event that finds procDone is stale (the
-// proc was aborted by Shutdown, or never started) and is dropped; it names
-// the Proc, not its coroutine, so it can never reach the coroutine's next
-// tenant.
+// proc for the one wake-up wakePending admits, an Unpark's or a
+// WakeAfter's. So the state says which of the three this is. An event
+// that finds procDone is stale (the proc was aborted by Shutdown, or never
+// started) and is dropped; it names the Proc, not its coroutine, so it can
+// never reach the coroutine's next tenant.
 func (p *Proc) runEvent() {
 	switch p.state {
 	case procNew:
@@ -236,9 +236,9 @@ func (p *Proc) Sleep(d Time) {
 
 // Park blocks the process until another strand calls Unpark. If an unpark
 // permit is already stored (Unpark ran while this proc was not parked),
-// Park consumes it and returns immediately. Callers waiting on a condition
-// must re-check it in a loop: wakeups may be spurious when a proc waits on
-// several sources.
+// Park consumes it and returns immediately. A return says only that
+// somebody called Unpark, not why: a proc that waits for a condition waits
+// in WaitWith, which tests it at every wake-up.
 func (p *Proc) Park(reason string) {
 	if p.permit {
 		p.permit = false
@@ -268,14 +268,6 @@ func (p *Proc) Unpark() {
 	}
 }
 
-// WaitUntil parks the process until cond() holds. The waker must call
-// Unpark whenever the condition may have changed.
-func (p *Proc) WaitUntil(reason string, cond func() bool) {
-	for !cond() {
-		p.Park(reason)
-	}
-}
-
 // A Waker is what a proc waits on in WaitWith: a condition together with
 // the work that goes with it.
 type Waker interface {
@@ -284,27 +276,37 @@ type Waker interface {
 	Wake() (reason string, wait bool)
 }
 
-// WaitWith is WaitUntil with the re-tests run in events. It calls w.Wake
-// until Wake lets p go on, as WaitUntil tests its condition, but only the
+// WaitWith blocks p until w lets it go on. It calls w.Wake, and only this
 // first call runs on p: once p is parked, each wake-up that would resume
 // it (an Unpark, deduplicated as ever) runs w.Wake in its event instead,
 // and resumes p in that event only if Wake lets it go on. So a wake-up
 // costs the event it always cost but no switch to p's stack, and p parks
 // once however often it is woken. A stored permit makes p test again at
-// once, as it makes Park return at once.
+// once, as it makes Park return at once; an Unpark from inside Wake is
+// such a permit.
 func (p *Proc) WaitWith(w Waker) {
 	if reason, wait := p.retest(w); wait {
-		p.co.waker = w
-		p.Park(reason)
-		p.co.waker = nil
+		p.co.waker, p.state, p.blockReason = w, procParked, reason
+		p.yieldToEngine()
+		p.co.waker, p.blockReason = nil, ""
 	}
 }
 
+// WakeAfter queues p's one wake-up d from now, for a Waker that must wait
+// out a delay: it calls WakeAfter from Wake and says wait, and Wake runs
+// again when the delay is over. Until then an Unpark, a WakeAllParked or a
+// stored permit schedules nothing and does not end the delay, as none of
+// them ends a Sleep; the delay costs one event, as a Sleep does.
+func (p *Proc) WakeAfter(d Time) {
+	p.wakePending = true
+	p.eng.atProc(p.eng.now+max(d, 0), p)
+}
+
 // retest calls w.Wake, and again for each permit p holds while Wake says
-// wait.
+// wait and has queued no wake-up of its own.
 func (p *Proc) retest(w Waker) (reason string, wait bool) {
 	reason, wait = w.Wake()
-	for wait && p.permit {
+	for wait && p.permit && !p.wakePending {
 		p.permit = false
 		reason, wait = w.Wake()
 	}

@@ -60,6 +60,9 @@ func TestShutdownEndsEveryGoroutine(t *testing.T) {
 		{"sleeping", func(e *Engine) {
 			e.Go("sleeper", func(p *Proc) { p.Sleep(100) })
 		}, 0, 1, 1},
+		{"pacing", func(e *Engine) {
+			e.Go("pacer", func(p *Proc) { p.WaitWith(&pacer{p: p, d: 100}) })
+		}, 0, 1, 1},
 		{"never started", func(e *Engine) {
 			e.GoAt(100, "late", func(*Proc) { t.Error("an aborted proc's body ran") })
 		}, 0, 1, 0},
@@ -582,5 +585,96 @@ func TestWaitWithUnparkFromWakeIsAPermit(t *testing.T) {
 	}
 	if got := e.EventsRun(); got != 3 {
 		t.Errorf("%d events, want 3: the start, the unpark and its wake-up", got)
+	}
+}
+
+// pacer waits out one delay of d, which its call number at (0 for the
+// first, on the proc) queues with WakeAfter, after storing a permit if
+// permit is set; the calls before at wait, the ones after let the proc go
+// on. It logs when Wake ran.
+type pacer struct {
+	p      *Proc
+	d      Time
+	at     int
+	permit bool
+	wakes  []Time
+}
+
+func (w *pacer) Wake() (string, bool) {
+	n := len(w.wakes)
+	w.wakes = append(w.wakes, w.p.Now())
+	switch {
+	case n < w.at:
+		return "before the pace", true
+	case n == w.at:
+		if w.permit {
+			w.p.Unpark()
+		}
+		w.p.WakeAfter(w.d)
+		return "pace", true
+	}
+	return "", false
+}
+
+// A pace costs one event and one resume, as the Sleep it stands for does.
+func TestWakeAfterIsOneEvent(t *testing.T) {
+	for _, pace := range []bool{false, true} {
+		e := NewEngine(1)
+		var resumed Time
+		e.Go("waiter", func(p *Proc) {
+			if pace {
+				p.WaitWith(&pacer{p: p, d: 100})
+			} else {
+				p.Sleep(100)
+			}
+			resumed = p.Now()
+		})
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if resumed != 100 || e.EventsRun() != 2 || e.Resumes() != 2 {
+			t.Errorf("pace=%v: resumed at %v after %d events and %d resumes, want 100, 2 and 2",
+				pace, resumed, e.EventsRun(), e.Resumes())
+		}
+	}
+}
+
+// Nothing but its own wake-up ends a pace: an Unpark and a WakeAllParked
+// during it schedule nothing, and a permit stored as it begins does not
+// make Wake run again. This holds for a pace queued on the proc (the
+// first Wake) and for one queued in a wake-up's event.
+func TestWakeAfterIgnoresUnparks(t *testing.T) {
+	for at, want := range [][]Time{{0, 100}, {0, 10, 110}} {
+		e := NewEngine(1)
+		w := &pacer{d: 100, at: at, permit: true}
+		var resumed Time
+		p := e.Go("waiter", func(p *Proc) {
+			w.p = p
+			p.WaitWith(w)
+			resumed = p.Now()
+		})
+		if at == 1 {
+			e.At(10, p.Unpark)
+		}
+		e.At(20, p.Unpark)
+		e.At(30, e.WakeAllParked)
+		e.At(40, func() {
+			if got := p.BlockReason(); got != "pace" {
+				t.Errorf("at=%d: block reason %q while pacing, want %q", at, got, "pace")
+			}
+		})
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(w.wakes, want) || resumed != want[len(want)-1] {
+			t.Errorf("at=%d: Wake ran at %v and the proc resumed at %v, want %v", at, w.wakes, resumed, want)
+		}
+		// The start, the callbacks and the pace; at=1 adds the wake-up at 10.
+		if got, want := e.EventsRun(), uint64(5+2*at); got != want {
+			t.Errorf("at=%d: %d events, want %d", at, got, want)
+		}
+		if e.Resumes() != 2 {
+			t.Errorf("at=%d: %d resumes, want 2: the start and the end of the pace", at, e.Resumes())
+		}
 	}
 }

@@ -205,12 +205,12 @@ func TestDoubleUnparkCoalesces(t *testing.T) {
 	}
 }
 
-func TestWaitUntil(t *testing.T) {
+func TestWaitWithCondition(t *testing.T) {
 	e := NewEngine(1)
 	counter := 0
 	var p1 *Proc
 	p1 = e.Go("p1", func(p *Proc) {
-		p.WaitUntil("counter==3", func() bool { return counter == 3 })
+		p.WaitWith(wakeFunc(func() (string, bool) { return "counter==3", counter != 3 }))
 		if counter != 3 {
 			t.Errorf("resumed with counter=%d", counter)
 		}

@@ -116,20 +116,24 @@ func (ps *PollSet) Wait() int {
 		img.st.kern.FlushCoalesced()
 		start := img.Now()
 		btok := img.beginBlock("pollset")
-		det := img.m.det
-		img.parker("PollSet.Wait").WaitUntil("pollset wait", func() bool {
-			return len(ps.ready) > 0 || det.AnyDead()
-		})
+		img.parker("PollSet.Wait").WaitWith((*pollSetWait)(ps))
 		img.endBlock(btok)
 		img.traceSpan("pollset_wait", "sync", start)
 		if len(ps.ready) == 0 {
 			// Woken by a failure declaration with nothing ready: the
 			// completions this image is waiting for may be lost with the
 			// dead image. Fail-stop rather than park forever.
-			panic(failure.Abort{Err: det.ErrFor("pollset wait")})
+			panic(failure.Abort{Err: img.m.det.ErrFor("pollset wait")})
 		}
 	}
 	return ps.Poll()
+}
+
+// pollSetWait is what Wait waits on: a ready continuation, or a death.
+type pollSetWait PollSet
+
+func (w *pollSetWait) Wake() (string, bool) {
+	return "pollset wait", len(w.ready) == 0 && !w.img.m.det.AnyDead()
 }
 
 // Drain runs continuations until none are pending — the poll-set
