@@ -332,6 +332,37 @@ func BenchmarkCopyAsyncThroughput(b *testing.B) {
 	reportVirtual(b, rep.VirtualTime)
 }
 
+// BenchmarkCollective is TestPoolCollectiveAllocs' -benchmem twin: a
+// blocking Barrier and an AllreduceAsync waited to local completion, on a
+// one-image machine, timed and counted after one warm-up call (which
+// fills the record pools), so that even a -benchtime 1x run reads the
+// steady state.
+func BenchmarkCollective(b *testing.B) {
+	vec := []int64{1, 2}
+	for _, bc := range []struct {
+		name string
+		call func(img *caf.Image)
+	}{
+		{"Barrier", func(img *caf.Image) { img.Barrier(nil) }},
+		{"AllreduceAsync", func(img *caf.Image) { img.AllreduceAsync(nil, caf.Sum, vec).WaitLocalOp() }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			_, err := caf.Run(caf.Config{Images: 1, Seed: 1}, func(img *caf.Image) {
+				bc.call(img)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					bc.call(img)
+				}
+				b.StopTimer()
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+		})
+	}
+}
+
 func BenchmarkBarrier64(b *testing.B) {
 	iters := b.N
 	rep, err := caf.Run(caf.Config{Images: 64, Seed: 1}, func(img *caf.Image) {

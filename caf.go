@@ -333,11 +333,11 @@ func NewMachine(cfg Config) *Machine {
 		m.det.Subscribe(m.onImageDeath)
 	}
 	if m.repl = repl.NewManager(eng, m.det, cfg.Images, cfg.Replication); m.repl != nil {
+		// A commit follows its deaths' declarations, whose wake-up every
+		// parked wait has already had: it wakes nobody.
 		m.repl.Subscribe(func(epoch int, _ sim.Time) {
 			m.met.Counter("repl_epochs_total", "committed epoch-bump agreements").Add(0, 1)
 		})
-		// Parked clients re-evaluate routes at the new epoch.
-		m.repl.SetWake(eng.WakeAllParked)
 	}
 	if cfg.Races {
 		m.race = newRaceState(cfg.Fabric.Ordered())
@@ -784,12 +784,6 @@ func (img *Image) opInit(o *Op, kind string, peer int) {
 // the lifecycle stamp and the op's continuations fire together.
 func (img *Image) opStage(o *Op, stage trace.Stage) {
 	img.m.opAdvance(o, img.Rank(), stage)
-}
-
-// opStageAt advances a completion level as observed on image rank at the
-// current engine time (for handler-side transitions without an Image).
-func (m *Machine) opStageAt(o *Op, rank int, stage trace.Stage) {
-	m.opAdvance(o, rank, stage)
 }
 
 // beginBlock opens a parked-interval record on this strand; redeem with

@@ -86,9 +86,9 @@ func NewCoarray[T any](img *Image, t *Team, n int) *Coarray[T] {
 	}
 	// Allocation is collective: synchronize before anyone touches it.
 	// The barrier is also a race-detector fence over the team.
-	done := img.collBracket("barrier", t, true, true)
+	b := img.collBegin(collBarrier, t, 0)
 	img.m.comm.Barrier(p, st.kern, t)
-	done()
+	img.collEnd(b)
 	return ca
 }
 

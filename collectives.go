@@ -24,17 +24,76 @@ const (
 	BXor = collect.BXor
 )
 
-// Collective is the handle of one asynchronous collective on one image.
-type Collective struct {
-	img *Image
-	h   *collect.Handle
-	op  *Op // completion handle (continuation registration)
+// collRole is what one image's part in a collective is to cofence and to
+// the race detector.
+type collRole struct {
+	// class is how the part touches the image's local data: the class an
+	// implicit collective registers with cofence (0, a barrier's, is not
+	// registered).
+	class core.OpClass
+	// rel: the image contributes its clock to the instance at initiation.
+	// acq: it joins the instance's accumulation at its completion points,
+	// ordered after every contributor.
+	rel, acq bool
+}
 
-	// Race-detector state: the per-instance sync clock and whether this
-	// image's role acquires it (a broadcast receiver does, the root does
-	// not need to — there is nothing upstream of it).
-	cs  *collSync
-	acq bool
+// The five roles a collective's part can play.
+var (
+	roleFence       = collRole{0, true, true}                            // a barrier member
+	roleReadWrite   = collRole{core.OpReads | core.OpWrites, true, true} // every member of a symmetric collective; a reduce or gather root
+	roleSource      = collRole{core.OpReads, true, true}                 // a broadcast or scatter root
+	roleReceiver    = collRole{core.OpWrites, false, true}               // a broadcast or scatter receiver: ordered after the root
+	roleContributor = collRole{core.OpReads, true, false}                // a reduce or gather contributor: goes on
+)
+
+// collKind is one of the nine collectives, as both its asynchronous and
+// its blocking call see it: its lifecycle kind, and the role of its root
+// and of the other members (the same for a rootless collective).
+type collKind struct {
+	name         string
+	root, member collRole
+}
+
+var (
+	collBarrier   = &collKind{"coll:barrier", roleFence, roleFence}
+	collBroadcast = &collKind{"coll:broadcast", roleSource, roleReceiver}
+	collReduce    = &collKind{"coll:reduce", roleReadWrite, roleContributor}
+	collAllreduce = &collKind{"coll:allreduce", roleReadWrite, roleReadWrite}
+	collGather    = &collKind{"coll:gather", roleReadWrite, roleContributor}
+	collScatter   = &collKind{"coll:scatter", roleSource, roleReceiver}
+	collAlltoall  = &collKind{"coll:alltoall", roleReadWrite, roleReadWrite}
+	collScan      = &collKind{"coll:scan", roleReadWrite, roleReadWrite}
+	collSort      = &collKind{"coll:sort", roleReadWrite, roleReadWrite}
+)
+
+// roleIn returns the role of the image's part in collective k over t,
+// rooted at team rank root.
+func (img *Image) roleIn(k *collKind, t *Team, root int) collRole {
+	if k.root != k.member && t.MustRank(img.Rank()) == root {
+		return k.root
+	}
+	return k.member
+}
+
+// Collective is the handle of one asynchronous collective on one image.
+// It is the operation's one record (DESIGN §4.14): its completion handle,
+// its collect.Handle and its cofence registration are fields, and
+// collect tells it of each completion level.
+type Collective struct {
+	img  *Image
+	op   Op             // completion handle (continuation registration)
+	h    collect.Handle // collect's side of the collective
+	pend core.PendingOp // an implicit collective's cofence registration
+
+	collOpts
+	role    collRole
+	started bool // collect has started it: a level's effects may run
+
+	// Race-detector state: the per-instance sync clock, and the
+	// notifier's own clock an explicit collective's events carry when
+	// its role does not release into the instance.
+	cs      *collSync
+	selfClk race.Clock
 }
 
 // Op returns the collective's completion handle for continuation
@@ -44,7 +103,7 @@ type Collective struct {
 // result should be registered via a PollSet (or call raceAcquire-free
 // Result() only after LocalDataDone) — direct callbacks run in engine
 // context and do not install the race detector's acquire edge.
-func (c *Collective) Op() *Op { return c.op }
+func (c *Collective) Op() *Op { return &c.op }
 
 // CollOpt configures an asynchronous collective.
 type CollOpt func(*collOpts)
@@ -53,6 +112,10 @@ type collOpts struct {
 	dataE *Event // srcE in the paper's signature: local data completion
 	opE   *Event // localE: local operation completion
 }
+
+// implicit reports whether no event completes the collective: cofence
+// and finish cover it.
+func (o *collOpts) implicit() bool { return o.dataE == nil && o.opE == nil }
 
 // DataEvent requests notification of e at local data completion (the
 // srcE parameter of team_broadcast_async, §II-C3). Supplying any event
@@ -106,7 +169,7 @@ func (c *Collective) LocalOpDone() bool {
 // raceAcquire joins the collective's accumulated release clock when this
 // image's role is ordered after other participants.
 func (c *Collective) raceAcquire() {
-	if c.cs != nil && c.acq {
+	if c.cs != nil && c.role.acq {
 		c.img.raceAcquire(c.cs.clk)
 	}
 }
@@ -115,75 +178,122 @@ func (c *Collective) raceAcquire() {
 // constructors); valid once LocalDataDone.
 func (c *Collective) Result() any { return c.h.Result() }
 
-// wrap finishes constructing an async collective handle: event
-// notifications for explicit completion, cofence registration otherwise,
-// plus the race detector's role-filtered release/acquire edges — rel
-// images contribute their clock to the instance at initiation, acq
-// images join the accumulation at their completion points.
-func (img *Image) wrap(h *collect.Handle, kind string, class core.OpClass, o collOpts, t *Team, rel, acq bool) *Collective {
-	implicit := o.dataE == nil && o.opE == nil
+// collective makes the record of an asynchronous collective k over t,
+// rooted at team rank root, and does what comes before collect starts
+// it: the op's initiation stamp and the race detector's role-filtered
+// release (a releasing image contributes its clock to the instance). It
+// returns the record, the resolved team and the finish block that
+// tracks the collective.
+func (img *Image) collective(k *collKind, t *Team, root int, opts []CollOpt) (*Collective, *Team, int64) {
+	t = img.resolveTeam(t)
+	c := &Collective{img: img}
+	for _, opt := range opts {
+		opt(&c.collOpts)
+	}
+	implicit := c.implicit()
+	c.role = img.roleIn(k, t, root)
+	finish := img.collFinish(t, implicit)
 	// Lifecycle: a collective has no single peer; its local-op completion
 	// is also its global completion from this image's perspective (all
 	// pair-wise communication involving this image is done, Fig. 4).
-	oph := img.opNew("coll:"+kind, -1)
-	m, me := img.m, img.Rank()
-	img.opStage(oph, trace.StageInit)
-	h.OnLocalData(func() { m.opStageAt(oph, me, trace.StageLocalData) })
-	h.OnLocalOp(func() {
-		// Local-op completion implies the buffers are usable (Fig. 4), but
-		// the collective engine does not structurally guarantee its
-		// local-data hook ran first on every algorithm path; stamp
-		// defensively — idempotent, so normal runs are unchanged.
-		m.opStageAt(oph, me, trace.StageLocalData)
-		m.opStageAt(oph, me, trace.StageLocalOp)
-		m.opStageAt(oph, me, trace.StageGlobal)
-	})
-	var cs *collSync
-	var selfClk race.Clock
+	img.opInit(&c.op, k.name, -1)
+	img.opStage(&c.op, trace.StageInit)
 	if rs := img.m.race; rs != nil && img.rc != nil {
-		cs = rs.collInstance(img.Rank(), t)
-		if rel {
-			img.rc.ReleaseInto(&cs.clk)
+		c.cs = rs.collInstance(img.Rank(), t)
+		if c.role.rel {
+			img.rc.ReleaseInto(&c.cs.clk)
 		} else if !implicit {
 			// Events still release the notifier's own clock to waiters.
-			selfClk = img.raceRelease()
+			c.selfClk = img.raceRelease()
 		}
-		if implicit {
-			if tid := img.trackID(); tid != 0 {
-				// The enclosing finish's exit is ordered after the whole
-				// instance; dereferenced there, once fully accumulated.
-				fs := rs.finishSyncFor(tid)
-				fs.refs = append(fs.refs, &cs.clk)
-			}
+		if finish != 0 {
+			// The enclosing finish's exit is ordered after the whole
+			// instance; dereferenced there, once fully accumulated.
+			fs := rs.finishSyncFor(finish)
+			fs.refs = append(fs.refs, &c.cs.clk)
 		}
 	}
-	if implicit {
-		if class != 0 {
-			op := img.ct.Register(class, func() {})
-			h.OnLocalData(op.CompleteLocalData)
-			if cs != nil && acq {
-				img.raceOps = append(img.raceOps, raceOp{op: op, class: class, clkRef: &cs.clk})
-			}
-		}
-	} else {
-		if e := o.dataE; e != nil {
-			h.OnLocalData(func() { img.m.notifyFrom(me, e, collNotifyClk(cs, selfClk)) })
-		}
-		if e := o.opE; e != nil {
-			h.OnLocalOp(func() { img.m.notifyFrom(me, e, collNotifyClk(cs, selfClk)) })
-		}
-	}
-	return &Collective{img: img, h: h, op: oph, cs: cs, acq: acq}
+	c.h.Observe((*collLevels)(c))
+	return c, t, finish
 }
 
-// collNotifyClk builds the release clock a collective's completion event
-// carries: the instance's accumulation plus the notifier's own clock.
-func collNotifyClk(cs *collSync, selfClk race.Clock) race.Clock {
-	if cs == nil {
-		return nil
+// initiated completes the record once collect has started the
+// collective: an implicit one that touches local data registers with
+// cofence (an acquiring role's local data completion is also the
+// detector's cofence edge), and a level that completed inside the start
+// has its effects run now, in level order.
+func (c *Collective) initiated() *Collective {
+	img := c.img
+	if c.implicit() && c.role.class != 0 {
+		img.ct.RegisterOp(&c.pend, c.role.class, (*collLevels)(c))
+		if c.cs != nil && c.role.acq {
+			img.raceOps = append(img.raceOps, raceOp{op: &c.pend, class: c.role.class, clkRef: &c.cs.clk})
+		}
 	}
-	return race.Join(race.CopyClock(cs.clk), selfClk)
+	c.started = true
+	if c.h.LocalDataDone() {
+		c.localDataReached()
+	}
+	if c.h.LocalOpDone() {
+		c.notify(c.opE)
+	}
+	return c
 }
+
+// localDataReached is local data completion's effect: an implicit
+// collective's cofence registration completes, an explicit one notifies
+// its DataEvent.
+func (c *Collective) localDataReached() {
+	if c.pend.Class() != 0 {
+		c.pend.CompleteLocalData()
+	}
+	c.notify(c.dataE)
+}
+
+// notify posts e, if the collective was given it, with the release clock
+// of the instance's accumulation plus the notifier's own clock.
+func (c *Collective) notify(e *Event) {
+	if e == nil {
+		return
+	}
+	var clk race.Clock
+	if c.cs != nil {
+		clk = race.Join(race.CopyClock(c.cs.clk), c.selfClk)
+	}
+	c.img.m.notifyFrom(c.img.Rank(), e, clk, nil)
+}
+
+// collLevels is a Collective as what collect tells of its completion
+// levels and what cofence initiates; the conversion allocates nothing.
+// Each level is stamped on the op when collect reaches it, and its
+// effects run then too once the collective has started.
+type collLevels Collective
+
+func (l *collLevels) LocalData() {
+	c := (*Collective)(l)
+	c.img.opStage(&c.op, trace.StageLocalData)
+	if c.started {
+		c.localDataReached()
+	}
+}
+
+func (l *collLevels) LocalOp() {
+	c := (*Collective)(l)
+	// Local-op completion implies the buffers are usable (Fig. 4), but the
+	// collective engine does not structurally guarantee that local data
+	// was reached first on every algorithm path; stamp it defensively (the
+	// first stamp wins).
+	c.img.opStage(&c.op, trace.StageLocalData)
+	c.img.opStage(&c.op, trace.StageLocalOp)
+	c.img.opStage(&c.op, trace.StageGlobal)
+	if c.started {
+		c.notify(c.opE)
+	}
+}
+
+// Initiate is the cofence registration's initiation: the collective
+// started before it registered, so there is nothing left to start.
+func (*collLevels) Initiate() {}
 
 // collFinish is the finish block a collective is tracked in (0 for none):
 // implicit collectives are covered by the enclosing finish, whose team
@@ -217,135 +327,69 @@ func (img *Image) resolveTeam(t *Team) *Team {
 
 // BarrierAsync begins a split-phase barrier over t.
 func (img *Image) BarrierAsync(t *Team, opts ...CollOpt) *Collective {
-	t = img.resolveTeam(t)
-	var o collOpts
-	for _, opt := range opts {
-		opt(&o)
-	}
-	h := img.m.comm.BarrierAsync(img.st.kern, t, img.collFinish(t, o.dataE == nil && o.opE == nil))
-	return img.wrap(h, "barrier", 0, o, t, true, true)
+	c, t, finish := img.collective(collBarrier, t, 0, opts)
+	img.m.comm.BarrierAsync(&c.h, img.st.kern, t, finish)
+	return c.initiated()
 }
 
 // BroadcastAsync begins an asynchronous broadcast of val (bytes wide)
 // from team rank root; Result returns the received value everywhere.
 func (img *Image) BroadcastAsync(t *Team, root int, val any, bytes int, opts ...CollOpt) *Collective {
-	t = img.resolveTeam(t)
-	var o collOpts
-	for _, opt := range opts {
-		opt(&o)
-	}
-	isRoot := t.MustRank(img.Rank()) == root
-	class := core.OpWrites
-	if isRoot {
-		class = core.OpReads
-	}
-	h := img.m.comm.BroadcastAsync(img.st.kern, t, root, val, bytes,
-		img.collFinish(t, o.dataE == nil && o.opE == nil))
-	// Receivers are ordered after the root; the root after no one.
-	return img.wrap(h, "broadcast", class, o, t, isRoot, true)
+	c, t, finish := img.collective(collBroadcast, t, root, opts)
+	img.m.comm.BroadcastAsync(&c.h, img.st.kern, t, root, val, bytes, finish)
+	return c.initiated()
 }
 
 // ReduceAsync begins an asynchronous reduction of vec to team rank root.
 func (img *Image) ReduceAsync(t *Team, root int, op ReduceOp, vec []int64, opts ...CollOpt) *Collective {
-	t = img.resolveTeam(t)
-	var o collOpts
-	for _, opt := range opts {
-		opt(&o)
-	}
-	isRoot := t.MustRank(img.Rank()) == root
-	class := core.OpReads
-	if isRoot {
-		class |= core.OpWrites
-	}
-	h := img.m.comm.ReduceAsync(img.st.kern, t, root, op, vec,
-		img.collFinish(t, o.dataE == nil && o.opE == nil))
-	// The root is ordered after every contributor; contributors continue.
-	return img.wrap(h, "reduce", class, o, t, true, isRoot)
+	c, t, finish := img.collective(collReduce, t, root, opts)
+	img.m.comm.ReduceAsync(&c.h, img.st.kern, t, root, op, vec, finish)
+	return c.initiated()
 }
 
 // AllreduceAsync begins an asynchronous all-reduce of vec.
 func (img *Image) AllreduceAsync(t *Team, op ReduceOp, vec []int64, opts ...CollOpt) *Collective {
-	t = img.resolveTeam(t)
-	var o collOpts
-	for _, opt := range opts {
-		opt(&o)
-	}
-	h := img.m.comm.AllreduceAsync(img.st.kern, t, op, vec,
-		img.collFinish(t, o.dataE == nil && o.opE == nil))
-	return img.wrap(h, "allreduce", core.OpReads|core.OpWrites, o, t, true, true)
+	c, t, finish := img.collective(collAllreduce, t, 0, opts)
+	img.m.comm.AllreduceAsync(&c.h, img.st.kern, t, op, vec, finish)
+	return c.initiated()
 }
 
 // GatherAsync begins an asynchronous gather of val (bytes wide) to root.
 func (img *Image) GatherAsync(t *Team, root int, val any, bytes int, opts ...CollOpt) *Collective {
-	t = img.resolveTeam(t)
-	var o collOpts
-	for _, opt := range opts {
-		opt(&o)
-	}
-	isRoot := t.MustRank(img.Rank()) == root
-	class := core.OpReads
-	if isRoot {
-		class |= core.OpWrites
-	}
-	h := img.m.comm.GatherAsync(img.st.kern, t, root, val, bytes,
-		img.collFinish(t, o.dataE == nil && o.opE == nil))
-	return img.wrap(h, "gather", class, o, t, true, isRoot)
+	c, t, finish := img.collective(collGather, t, root, opts)
+	img.m.comm.GatherAsync(&c.h, img.st.kern, t, root, val, bytes, finish)
+	return c.initiated()
 }
 
 // ScatterAsync begins an asynchronous scatter of vals (one per team rank,
 // significant at the root).
 func (img *Image) ScatterAsync(t *Team, root int, vals []any, bytes int, opts ...CollOpt) *Collective {
-	t = img.resolveTeam(t)
-	var o collOpts
-	for _, opt := range opts {
-		opt(&o)
-	}
-	isRoot := t.MustRank(img.Rank()) == root
-	class := core.OpWrites
-	if isRoot {
-		class = core.OpReads
-	}
-	h := img.m.comm.ScatterAsync(img.st.kern, t, root, vals, bytes,
-		img.collFinish(t, o.dataE == nil && o.opE == nil))
-	return img.wrap(h, "scatter", class, o, t, isRoot, true)
+	c, t, finish := img.collective(collScatter, t, root, opts)
+	img.m.comm.ScatterAsync(&c.h, img.st.kern, t, root, vals, bytes, finish)
+	return c.initiated()
 }
 
 // AlltoallAsync begins an asynchronous all-to-all of vals (one per rank).
 func (img *Image) AlltoallAsync(t *Team, vals []any, bytes int, opts ...CollOpt) *Collective {
-	t = img.resolveTeam(t)
-	var o collOpts
-	for _, opt := range opts {
-		opt(&o)
-	}
-	h := img.m.comm.AlltoallAsync(img.st.kern, t, vals, bytes,
-		img.collFinish(t, o.dataE == nil && o.opE == nil))
-	return img.wrap(h, "alltoall", core.OpReads|core.OpWrites, o, t, true, true)
+	c, t, finish := img.collective(collAlltoall, t, 0, opts)
+	img.m.comm.AlltoallAsync(&c.h, img.st.kern, t, vals, bytes, finish)
+	return c.initiated()
 }
 
 // ScanAsync begins an asynchronous inclusive prefix reduction in
 // team-rank order.
 func (img *Image) ScanAsync(t *Team, op ReduceOp, vec []int64, opts ...CollOpt) *Collective {
-	t = img.resolveTeam(t)
-	var o collOpts
-	for _, opt := range opts {
-		opt(&o)
-	}
-	h := img.m.comm.ScanAsync(img.st.kern, t, op, vec,
-		img.collFinish(t, o.dataE == nil && o.opE == nil))
-	return img.wrap(h, "scan", core.OpReads|core.OpWrites, o, t, true, true)
+	c, t, finish := img.collective(collScan, t, 0, opts)
+	img.m.comm.ScanAsync(&c.h, img.st.kern, t, op, vec, finish)
+	return c.initiated()
 }
 
 // SortAsync begins an asynchronous global sort of keys (each image keeps
 // its original count; team-rank order yields the sorted sequence).
 func (img *Image) SortAsync(t *Team, keys []int64, opts ...CollOpt) *Collective {
-	t = img.resolveTeam(t)
-	var o collOpts
-	for _, opt := range opts {
-		opt(&o)
-	}
-	h := img.m.comm.SortAsync(img.st.kern, t, keys,
-		img.collFinish(t, o.dataE == nil && o.opE == nil))
-	return img.wrap(h, "sort", core.OpReads|core.OpWrites, o, t, true, true)
+	c, t, finish := img.collective(collSort, t, 0, opts)
+	img.m.comm.SortAsync(&c.h, img.st.kern, t, keys, finish)
+	return c.initiated()
 }
 
 // ---------------------------------------------------------------------
@@ -359,18 +403,18 @@ func (img *Image) SortAsync(t *Team, keys []int64, opts ...CollOpt) *Collective 
 func (img *Image) Barrier(t *Team) {
 	p := img.parker("Barrier")
 	t = img.resolveTeam(t)
-	done := img.collBracket("barrier", t, true, true)
+	b := img.collBegin(collBarrier, t, 0)
 	img.m.comm.Barrier(p, img.st.kern, t)
-	done()
+	img.collEnd(b)
 }
 
 // Broadcast distributes val (bytes wide) from team rank root.
 func (img *Image) Broadcast(t *Team, root int, val any, bytes int) any {
 	p := img.parker("Broadcast")
 	t = img.resolveTeam(t)
-	done := img.collBracket("broadcast", t, t.MustRank(img.Rank()) == root, true)
+	b := img.collBegin(collBroadcast, t, root)
 	out := img.m.comm.Broadcast(p, img.st.kern, t, root, val, bytes)
-	done()
+	img.collEnd(b)
 	return out
 }
 
@@ -378,9 +422,9 @@ func (img *Image) Broadcast(t *Team, root int, val any, bytes int) any {
 func (img *Image) Reduce(t *Team, root int, op ReduceOp, vec []int64) []int64 {
 	p := img.parker("Reduce")
 	t = img.resolveTeam(t)
-	done := img.collBracket("reduce", t, true, t.MustRank(img.Rank()) == root)
+	b := img.collBegin(collReduce, t, root)
 	out := img.m.comm.Reduce(p, img.st.kern, t, root, op, vec)
-	done()
+	img.collEnd(b)
 	return out
 }
 
@@ -388,9 +432,9 @@ func (img *Image) Reduce(t *Team, root int, op ReduceOp, vec []int64) []int64 {
 func (img *Image) Allreduce(t *Team, op ReduceOp, vec []int64) []int64 {
 	p := img.parker("Allreduce")
 	t = img.resolveTeam(t)
-	done := img.collBracket("allreduce", t, true, true)
+	b := img.collBegin(collAllreduce, t, 0)
 	out := img.m.comm.Allreduce(p, img.st.kern, t, op, vec)
-	done()
+	img.collEnd(b)
 	return out
 }
 
@@ -398,9 +442,9 @@ func (img *Image) Allreduce(t *Team, op ReduceOp, vec []int64) []int64 {
 func (img *Image) Gather(t *Team, root int, val any, bytes int) []any {
 	p := img.parker("Gather")
 	t = img.resolveTeam(t)
-	done := img.collBracket("gather", t, true, t.MustRank(img.Rank()) == root)
+	b := img.collBegin(collGather, t, root)
 	out := img.m.comm.Gather(p, img.st.kern, t, root, val, bytes)
-	done()
+	img.collEnd(b)
 	return out
 }
 
@@ -408,9 +452,9 @@ func (img *Image) Gather(t *Team, root int, val any, bytes int) []any {
 func (img *Image) Scatter(t *Team, root int, vals []any, bytes int) any {
 	p := img.parker("Scatter")
 	t = img.resolveTeam(t)
-	done := img.collBracket("scatter", t, t.MustRank(img.Rank()) == root, true)
+	b := img.collBegin(collScatter, t, root)
 	out := img.m.comm.Scatter(p, img.st.kern, t, root, vals, bytes)
-	done()
+	img.collEnd(b)
 	return out
 }
 
@@ -418,9 +462,9 @@ func (img *Image) Scatter(t *Team, root int, vals []any, bytes int) any {
 func (img *Image) Alltoall(t *Team, vals []any, bytes int) []any {
 	p := img.parker("Alltoall")
 	t = img.resolveTeam(t)
-	done := img.collBracket("alltoall", t, true, true)
+	b := img.collBegin(collAlltoall, t, 0)
 	out := img.m.comm.Alltoall(p, img.st.kern, t, vals, bytes)
-	done()
+	img.collEnd(b)
 	return out
 }
 
@@ -428,9 +472,9 @@ func (img *Image) Alltoall(t *Team, vals []any, bytes int) []any {
 func (img *Image) Scan(t *Team, op ReduceOp, vec []int64) []int64 {
 	p := img.parker("Scan")
 	t = img.resolveTeam(t)
-	done := img.collBracket("scan", t, true, true)
+	b := img.collBegin(collScan, t, 0)
 	out := img.m.comm.Scan(p, img.st.kern, t, op, vec)
-	done()
+	img.collEnd(b)
 	return out
 }
 
@@ -438,9 +482,9 @@ func (img *Image) Scan(t *Team, op ReduceOp, vec []int64) []int64 {
 func (img *Image) SortKeys(t *Team, keys []int64) []int64 {
 	p := img.parker("SortKeys")
 	t = img.resolveTeam(t)
-	done := img.collBracket("sort", t, true, true)
+	b := img.collBegin(collSort, t, 0)
 	out := img.m.comm.Sort(p, img.st.kern, t, keys)
-	done()
+	img.collEnd(b)
 	return out
 }
 

@@ -220,7 +220,7 @@ func (c *copyOp[T]) start() {
 	m, me := c.op.m, c.op.Initiator()
 	st := &m.states[me]
 	c.forkOpClocks()
-	m.opStageAt(&c.op, me, trace.StageInit)
+	m.opAdvance(&c.op, me, trace.StageInit)
 	opts := rt.SendOpts{Finish: c.finish, Path: path.WireTag(c.op.pctx), Done: c}
 	if c.srcLocal {
 		raceRecord(m, c.src, false, c.rid, c.rclk, "copy_async read")
@@ -236,7 +236,7 @@ func (c *copyOp[T]) start() {
 	if c.localLeft == 0 {
 		// Third-party copy: no initiator-local buffers, so local data
 		// completes at initiation.
-		m.opStageAt(&c.op, me, trace.StageLocalData)
+		m.opAdvance(&c.op, me, trace.StageLocalData)
 	}
 	// The notify token completes when the read request lands — the read
 	// has happened then, the data hop has not, so only the read clock is
@@ -251,14 +251,14 @@ func (c *copyOp[T]) start() {
 func (c *copyOp[T]) injected() {
 	c.localTick()
 	if c.o.srcE != nil {
-		c.op.m.notifyFrom(c.op.Initiator(), c.o.srcE, c.rclk)
+		c.op.m.notifyFrom(c.op.Initiator(), c.o.srcE, c.rclk, nil)
 	}
 }
 
 // Delivered: the put (or the read request) was accepted; nothing more is
 // required of the initiator.
 func (c *copyOp[T]) Delivered() {
-	c.op.m.opStageAt(&c.op, c.op.Initiator(), trace.StageLocalOp)
+	c.op.m.opAdvance(&c.op, c.op.Initiator(), trace.StageLocalOp)
 	c.tok.complete()
 }
 
@@ -276,7 +276,7 @@ func (c *copyOp[T]) localTick() {
 	if c.localLeft--; c.localLeft > 0 {
 		return
 	}
-	c.op.m.opStageAt(&c.op, c.op.Initiator(), trace.StageLocalData)
+	c.op.m.opAdvance(&c.op, c.op.Initiator(), trace.StageLocalData)
 	if c.fenced {
 		c.pend.CompleteLocalData()
 	}
@@ -289,7 +289,7 @@ func (c *copyOp[T]) atSource(d *rt.Delivery) {
 	raceRecord(m, c.src, false, c.rid, eff, "copy_async read")
 	if c.o.srcE != nil {
 		// Source read complete: the source buffer may be overwritten.
-		m.notifyFrom(here, c.o.srcE, eff)
+		m.notifyFrom(here, c.o.srcE, eff, nil)
 	}
 	m.states[here].kern.Send(c.dstRank(), tagCopyPut, c, rt.SendOpts{
 		Finish: c.finish,
@@ -311,9 +311,9 @@ func (c *copyOp[T]) atDest(d *rt.Delivery) {
 		c.localTick()
 	}
 	// Data applied at the destination: the copy is complete everywhere.
-	m.opStageAt(&c.op, here, trace.StageGlobal)
+	m.opAdvance(&c.op, here, trace.StageGlobal)
 	if c.o.destE != nil {
-		m.notifyFrom(here, c.o.destE, eff)
+		m.notifyFrom(here, c.o.destE, eff, nil)
 	}
 }
 
@@ -349,7 +349,7 @@ func (m *Machine) handleEventNotify(d *rt.Delivery) {
 	msg := d.Payload.(*eventNotifyMsg)
 	m.eventRelease(msg.e, msg.clk)
 	// The post is visible on the owner: the notify is globally complete.
-	m.opStageAt(msg.op, d.Img.Rank(), trace.StageGlobal)
+	m.opAdvance(msg.op, d.Img.Rank(), trace.StageGlobal)
 	m.post(msg.e)
 }
 

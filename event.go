@@ -123,17 +123,13 @@ type eventNotifyMsg struct {
 
 // notifyFrom delivers one post to e with the given release clock (nil
 // when the race detector is off), sending an active message when the
-// signal originates on a different image than the owner.
-func (m *Machine) notifyFrom(fromRank int, e *Event, clk race.Clock) {
-	m.notifyFromOp(fromRank, e, clk, nil)
-}
-
-// notifyFromOp is notifyFrom carrying a completion handle: the notify op
-// completes globally when the post lands on the owner.
-func (m *Machine) notifyFromOp(fromRank int, e *Event, clk race.Clock, op *Op) {
+// signal originates on a different image than the owner. op is the
+// notify's completion handle, which completes globally when the post
+// lands on the owner (nil for an internal signal).
+func (m *Machine) notifyFrom(fromRank int, e *Event, clk race.Clock, op *Op) {
 	if e.owner == fromRank {
 		m.eventRelease(e, clk)
-		m.opStageAt(op, fromRank, trace.StageGlobal)
+		m.opAdvance(op, fromRank, trace.StageGlobal)
 		m.post(e)
 		return
 	}
@@ -181,9 +177,9 @@ func (img *Image) EventNotify(e *Event) *Op {
 	m.afterOutstandingDeliveries(st, func(dclk race.Clock) {
 		// The release precondition holds: every outstanding update has
 		// been delivered, nothing more is pending locally.
-		m.opStageAt(oph, from, trace.StageLocalData)
-		m.opStageAt(oph, from, trace.StageLocalOp)
-		m.notifyFromOp(from, e, race.Join(rel, dclk), oph)
+		m.opAdvance(oph, from, trace.StageLocalData)
+		m.opAdvance(oph, from, trace.StageLocalOp)
+		m.notifyFrom(from, e, race.Join(rel, dclk), oph)
 	})
 	return oph
 }

@@ -172,7 +172,7 @@ func TestFinishContractReports(t *testing.T) {
 		for v, noWait := range []bool{false, true} {
 			t.Run(fmt.Sprintf("crash/%s/nowait=%v", sh.name, noWait), func(t *testing.T) {
 				cfg := withCrash(caf.Config{Images: sh.images, Seed: 1, FinishNoWait: noWait}, sh.crash)
-				rep, seen, errs := runRecorded(t, cfg, sh.main, (*caf.Machine).FinishRoundTimes)
+				_, rep, seen, errs := runRecorded(t, cfg, sh.main, (*caf.Machine).FinishRoundTimes)
 				h := fnv.New64a()
 				for _, times := range seen {
 					fmt.Fprint(h, times, ";")
@@ -214,11 +214,11 @@ func withCrash(cfg caf.Config, crash map[int]caf.Time) caf.Config {
 	return cfg
 }
 
-// runRecorded runs main on every image of cfg and returns the report,
-// the times each image's exit appended (its exit time, then what more
-// adds), and each image's error ("-" for none), in rank order. A
-// deadlock fails the test.
-func runRecorded(t *testing.T, cfg caf.Config, main func(img *caf.Image), more func(m *caf.Machine, rank int) []caf.Time) (caf.Report, [][]caf.Time, string) {
+// runRecorded runs main on every image of cfg and returns the machine,
+// the report, the times each image's exit appended (its exit time, then
+// what more adds), and each image's error ("-" for none), in rank order.
+// A deadlock fails the test.
+func runRecorded(t *testing.T, cfg caf.Config, main func(img *caf.Image), more func(m *caf.Machine, rank int) []caf.Time) (*caf.Machine, caf.Report, [][]caf.Time, string) {
 	t.Helper()
 	m := caf.NewMachine(cfg)
 	seen := make([][]caf.Time, cfg.Images)
@@ -246,7 +246,7 @@ func runRecorded(t *testing.T, cfg caf.Config, main func(img *caf.Image), more f
 		}
 		errs = append(errs, s)
 	}
-	return rep, seen, strings.Join(errs, " ")
+	return m, rep, seen, strings.Join(errs, " ")
 }
 
 var finishCrashShapes = []finishCrashShape{

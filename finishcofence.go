@@ -165,9 +165,9 @@ func (img *Image) CofenceOp(down Allow) *Op {
 	left := len(ops)
 	fire := func() {
 		// A cofence is purely local: all three levels collapse.
-		m.opStageAt(oph, me, trace.StageLocalData)
-		m.opStageAt(oph, me, trace.StageLocalOp)
-		m.opStageAt(oph, me, trace.StageGlobal)
+		m.opAdvance(oph, me, trace.StageLocalData)
+		m.opAdvance(oph, me, trace.StageLocalOp)
+		m.opAdvance(oph, me, trace.StageGlobal)
 	}
 	if left == 0 {
 		fire()

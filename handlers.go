@@ -130,8 +130,8 @@ func (st *imageState) addDelivToken(t *delivToken) {
 // will never complete remotely, so its record is closed out and its
 // token completed.
 func (m *Machine) opAbandoned(o *Op, rank int, tok *delivToken) {
-	m.opStageAt(o, rank, trace.StageLocalOp)
-	m.opStageAt(o, rank, trace.StageGlobal)
+	m.opAdvance(o, rank, trace.StageLocalOp)
+	m.opAdvance(o, rank, trace.StageGlobal)
 	tok.complete()
 }
 

@@ -145,22 +145,34 @@ type colMsg struct {
 	dead    bool // released under sim.QuarantinePools
 }
 
-// Handle tracks one image's view of one asynchronous collective. A
-// Handle returned by an asynchronous call is the caller's to keep; the
-// synchronous calls wait on one inside the instance's record, which the
-// Comm recycles (DESIGN §4.14).
+// Handle tracks one image's view of one asynchronous collective. An
+// asynchronous call runs on a Handle its caller brings, typically a field
+// of the caller's own record of the operation; the synchronous calls wait
+// on one inside the instance's record, which the Comm recycles (DESIGN
+// §4.14).
 type Handle struct {
 	img *rt.ImageKernel
+	obs Observer // told of each completion level; nil on a synchronous call's
 
 	localData bool
 	localOp   bool
-	ldCbs     []func()
-	loCbs     []func()
 	waiter    *sim.Proc    // the first proc to wait on the handle
 	more      *[]*sim.Proc // the procs that waited after it; made by the second
 
 	result any // set by an asynchronous call; a synchronous one reads the instance
 }
+
+// Observer is told of a Handle's completion levels: each method runs
+// once, at its level, before the procs waiting on the handle are woken.
+// A level may complete inside the call that starts the collective.
+type Observer interface {
+	LocalData()
+	LocalOp()
+}
+
+// Observe makes o the handle's observer. Set it before the collective
+// starts.
+func (h *Handle) Observe(o Observer) { h.obs = o }
 
 // LocalDataDone reports local data completion: the image's input buffer
 // may be overwritten and its output (if any) read.
@@ -176,23 +188,6 @@ func (h *Handle) LocalOpDone() bool { return h.localOp }
 // the []any for alltoall, the prefix vector for scan, and the re-sorted
 // keys for sort. Valid once LocalDataDone.
 func (h *Handle) Result() any { return h.result }
-
-// OnLocalData registers fn to run at local data completion (immediately
-// if already complete).
-func (h *Handle) OnLocalData(fn func()) { on(h.localData, &h.ldCbs, fn) }
-
-// OnLocalOp registers fn to run at local operation completion.
-func (h *Handle) OnLocalOp(fn func()) { on(h.localOp, &h.loCbs, fn) }
-
-// on runs fn now if its completion level is done, and otherwise adds it
-// to the level's callbacks.
-func on(done bool, cbs *[]func(), fn func()) {
-	if done {
-		fn()
-		return
-	}
-	*cbs = append(*cbs, fn)
-}
 
 // WaitLocalData parks p until local data completion. With a failure
 // detector attached to the kernel, a declared death while the tree is
@@ -253,20 +248,18 @@ func (h *Handle) wakeWaiters() {
 	}
 }
 
-func (h *Handle) fireLocalData() { h.fire(&h.localData, &h.ldCbs) }
-func (h *Handle) fireLocalOp()   { h.fire(&h.localOp, &h.loCbs) }
+func (h *Handle) fireLocalData() { h.fire(&h.localData, Observer.LocalData) }
+func (h *Handle) fireLocalOp()   { h.fire(&h.localOp, Observer.LocalOp) }
 
-// fire marks a completion level done, once: it runs the level's callbacks
-// and wakes the procs that wait on the handle.
-func (h *Handle) fire(done *bool, cbs *[]func()) {
+// fire marks a completion level done, once: it tells the observer, then
+// wakes the procs that wait on the handle.
+func (h *Handle) fire(done *bool, tell func(Observer)) {
 	if *done {
 		return
 	}
 	*done = true
-	run := *cbs
-	*cbs = nil
-	for _, fn := range run {
-		fn()
+	if h.obs != nil {
+		tell(h.obs)
 	}
 	h.wakeWaiters()
 }

@@ -306,7 +306,8 @@ func TestAsyncBroadcastCompletionStages(t *testing.T) {
 		if img.Rank() == 0 {
 			val = 99
 		}
-		h := c.BroadcastAsync(img, w, 0, val, 32, 0)
+		h := new(Handle)
+		c.BroadcastAsync(h, img, w, 0, val, 32, 0)
 		h.WaitLocalData(p)
 		if h.Result() != 99 {
 			t.Errorf("image %d: result %v", img.Rank(), h.Result())
@@ -339,7 +340,8 @@ func TestAsyncOverlapsComputation(t *testing.T) {
 		p.Sleep(compute)
 	})
 	asyncTime := runSPMD(t, n, 1, func(p *sim.Proc, img *rt.ImageKernel, c *Comm, w *team.Team) {
-		h := c.AllreduceAsync(img, w, Sum, []int64{1}, 0)
+		h := new(Handle)
+		c.AllreduceAsync(h, img, w, Sum, []int64{1}, 0)
 		p.Sleep(compute) // overlap
 		h.WaitLocalData(p)
 		if h.Result().([]int64)[0] != int64(n) {

@@ -44,13 +44,13 @@ func (n *node) sendTree(in *inst, dstTeamRank int, msg colMsg, needAck, needInje
 	n.img.Send(dst, Tag, m, opts)
 }
 
-// start begins this image's participation in a collective instance. A
-// synchronous call (sync) waits on the Handle inside the instance's
-// record, which stays the caller's until doneWith; an asynchronous one
-// gets a Handle of its own, and the instance may be gone when start
-// returns.
-func (c *Comm) start(img *rt.ImageKernel, t *team.Team, kd kind, root int,
-	op Op, vec []int64, data any, elemBytes int, finish int64, sync bool) (*Handle, *inst) {
+// start begins this image's participation in a collective instance. An
+// asynchronous call runs on its caller's Handle h, and the instance may
+// be gone when start returns. A synchronous one (h nil) waits on the
+// Handle inside the instance's record, which stays the caller's until
+// doneWith.
+func (c *Comm) start(h *Handle, img *rt.ImageKernel, t *team.Team, kd kind, root int,
+	op Op, vec []int64, data any, elemBytes int, finish int64) *inst {
 
 	if root < 0 || root >= t.Size() {
 		panic(fmt.Sprintf("collect: root %d out of range for %v", root, t))
@@ -71,11 +71,9 @@ func (c *Comm) start(img *rt.ImageKernel, t *team.Team, kd kind, root int,
 	in.started = true
 	in.op = op
 	in.elemBytes = elemBytes
-	h := &in.own
-	if sync {
+	if h == nil {
+		h = &in.own
 		in.syncHeld = true
-	} else {
-		h = new(Handle)
 	}
 	h.img = img
 	in.h = h
@@ -141,7 +139,7 @@ func (c *Comm) start(img *rt.ImageKernel, t *team.Team, kd kind, root int,
 
 	n.checkLocalData(in)
 	n.maybeFinish(in)
-	return h, in
+	return in
 }
 
 // contrib folds this image's vector into the partial reduction.
@@ -380,73 +378,65 @@ func (n *node) checkLocalData(in *inst) {
 }
 
 // ---------------------------------------------------------------------
-// Public API — asynchronous variants.
+// Public API — asynchronous variants. Each runs on the caller's Handle
+// h, whose observer the caller sets first.
 // ---------------------------------------------------------------------
 
 // BarrierAsync begins a split-phase barrier over t.
-func (c *Comm) BarrierAsync(img *rt.ImageKernel, t *team.Team, finish int64) *Handle {
-	h, _ := c.start(img, t, kBarrier, 0, Sum, nil, nil, 0, finish, false)
-	return h
+func (c *Comm) BarrierAsync(h *Handle, img *rt.ImageKernel, t *team.Team, finish int64) {
+	c.start(h, img, t, kBarrier, 0, Sum, nil, nil, 0, finish)
 }
 
 // BroadcastAsync begins an asynchronous broadcast of val (bytes wide)
 // from team rank root.
-func (c *Comm) BroadcastAsync(img *rt.ImageKernel, t *team.Team, root int, val any, bytes int, finish int64) *Handle {
-	h, _ := c.start(img, t, kBcast, root, Sum, nil, val, bytes, finish, false)
-	return h
+func (c *Comm) BroadcastAsync(h *Handle, img *rt.ImageKernel, t *team.Team, root int, val any, bytes int, finish int64) {
+	c.start(h, img, t, kBcast, root, Sum, nil, val, bytes, finish)
 }
 
 // ReduceAsync begins an asynchronous reduction of vec to team rank root.
-func (c *Comm) ReduceAsync(img *rt.ImageKernel, t *team.Team, root int, op Op, vec []int64, finish int64) *Handle {
-	h, _ := c.start(img, t, kReduce, root, op, vec, nil, 0, finish, false)
-	return h
+func (c *Comm) ReduceAsync(h *Handle, img *rt.ImageKernel, t *team.Team, root int, op Op, vec []int64, finish int64) {
+	c.start(h, img, t, kReduce, root, op, vec, nil, 0, finish)
 }
 
 // AllreduceAsync begins an asynchronous all-reduce of vec.
-func (c *Comm) AllreduceAsync(img *rt.ImageKernel, t *team.Team, op Op, vec []int64, finish int64) *Handle {
-	h, _ := c.start(img, t, kAllreduce, 0, op, vec, nil, 0, finish, false)
-	return h
+func (c *Comm) AllreduceAsync(h *Handle, img *rt.ImageKernel, t *team.Team, op Op, vec []int64, finish int64) {
+	c.start(h, img, t, kAllreduce, 0, op, vec, nil, 0, finish)
 }
 
 // GatherAsync begins an asynchronous gather of val (bytes wide) to root.
-func (c *Comm) GatherAsync(img *rt.ImageKernel, t *team.Team, root int, val any, bytes int, finish int64) *Handle {
-	h, _ := c.start(img, t, kGather, root, Sum, nil, val, bytes, finish, false)
-	return h
+func (c *Comm) GatherAsync(h *Handle, img *rt.ImageKernel, t *team.Team, root int, val any, bytes int, finish int64) {
+	c.start(h, img, t, kGather, root, Sum, nil, val, bytes, finish)
 }
 
 // ScatterAsync begins an asynchronous scatter. On the root, vals holds one
 // value per team rank (each bytes wide); elsewhere vals is ignored.
-func (c *Comm) ScatterAsync(img *rt.ImageKernel, t *team.Team, root int, vals []any, bytes int, finish int64) *Handle {
+func (c *Comm) ScatterAsync(h *Handle, img *rt.ImageKernel, t *team.Team, root int, vals []any, bytes int, finish int64) {
 	var data any
 	if t.MustRank(img.Rank()) == root {
 		data = vals
 	}
-	h, _ := c.start(img, t, kScatter, root, Sum, nil, data, bytes, finish, false)
-	return h
+	c.start(h, img, t, kScatter, root, Sum, nil, data, bytes, finish)
 }
 
 // AlltoallAsync begins an asynchronous all-to-all exchange; vals holds one
 // value per team rank.
-func (c *Comm) AlltoallAsync(img *rt.ImageKernel, t *team.Team, vals []any, bytes int, finish int64) *Handle {
+func (c *Comm) AlltoallAsync(h *Handle, img *rt.ImageKernel, t *team.Team, vals []any, bytes int, finish int64) {
 	anyVals := make([]any, len(vals))
 	copy(anyVals, vals)
-	h, _ := c.start(img, t, kAlltoall, 0, Sum, nil, anyVals, bytes, finish, false)
-	return h
+	c.start(h, img, t, kAlltoall, 0, Sum, nil, anyVals, bytes, finish)
 }
 
 // ScanAsync begins an asynchronous inclusive prefix reduction in
 // team-rank order.
-func (c *Comm) ScanAsync(img *rt.ImageKernel, t *team.Team, op Op, vec []int64, finish int64) *Handle {
-	h, _ := c.start(img, t, kScan, 0, op, vec, nil, 8*len(vec), finish, false)
-	return h
+func (c *Comm) ScanAsync(h *Handle, img *rt.ImageKernel, t *team.Team, op Op, vec []int64, finish int64) {
+	c.start(h, img, t, kScan, 0, op, vec, nil, 8*len(vec), finish)
 }
 
 // SortAsync begins an asynchronous parallel sort: the concatenation of all
 // images' keys is sorted and redistributed so team rank order yields a
 // globally sorted sequence, with each image keeping its original count.
-func (c *Comm) SortAsync(img *rt.ImageKernel, t *team.Team, keys []int64, finish int64) *Handle {
-	h, _ := c.start(img, t, kSort, 0, Sum, keys, nil, 8*max(1, len(keys)), finish, false)
-	return h
+func (c *Comm) SortAsync(h *Handle, img *rt.ImageKernel, t *team.Team, keys []int64, finish int64) {
+	c.start(h, img, t, kSort, 0, Sum, keys, nil, 8*max(1, len(keys)), finish)
 }
 
 // ---------------------------------------------------------------------
@@ -457,17 +447,17 @@ func (c *Comm) SortAsync(img *rt.ImageKernel, t *team.Team, keys []int64, finish
 
 // Barrier blocks until every member of t has entered the barrier.
 func (c *Comm) Barrier(p *sim.Proc, img *rt.ImageKernel, t *team.Team) {
-	h, in := c.start(img, t, kBarrier, 0, Sum, nil, nil, 0, 0, true)
-	h.WaitLocalData(p)
+	in := c.start(nil, img, t, kBarrier, 0, Sum, nil, nil, 0, 0)
+	in.own.WaitLocalData(p)
 	c.doneWith(in)
 }
 
 // Broadcast distributes val (bytes wide) from team rank root and returns
 // the received value.
 func (c *Comm) Broadcast(p *sim.Proc, img *rt.ImageKernel, t *team.Team, root int, val any, bytes int) any {
-	h, in := c.start(img, t, kBcast, root, Sum, nil, val, bytes, 0, true)
-	h.WaitLocalData(p)
-	out := h.result
+	in := c.start(nil, img, t, kBcast, root, Sum, nil, val, bytes, 0)
+	in.own.WaitLocalData(p)
+	out := in.own.result
 	c.doneWith(in)
 	return out
 }
@@ -475,8 +465,8 @@ func (c *Comm) Broadcast(p *sim.Proc, img *rt.ImageKernel, t *team.Team, root in
 // Reduce folds vec across t; the result is returned at the root, nil
 // elsewhere.
 func (c *Comm) Reduce(p *sim.Proc, img *rt.ImageKernel, t *team.Team, root int, op Op, vec []int64) []int64 {
-	h, in := c.start(img, t, kReduce, root, op, vec, nil, 0, 0, true)
-	h.WaitLocalData(p)
+	in := c.start(nil, img, t, kReduce, root, op, vec, nil, 0, 0)
+	in.own.WaitLocalData(p)
 	var out []int64
 	if in.relRank == 0 {
 		out, in.vec = in.vec, nil
@@ -487,8 +477,8 @@ func (c *Comm) Reduce(p *sim.Proc, img *rt.ImageKernel, t *team.Team, root int, 
 
 // Allreduce folds vec across t and returns the result on every member.
 func (c *Comm) Allreduce(p *sim.Proc, img *rt.ImageKernel, t *team.Team, op Op, vec []int64) []int64 {
-	h, in := c.start(img, t, kAllreduce, 0, op, vec, nil, 0, 0, true)
-	h.WaitLocalData(p)
+	in := c.start(nil, img, t, kAllreduce, 0, op, vec, nil, 0, 0)
+	in.own.WaitLocalData(p)
 	out := append([]int64(nil), in.down...)
 	c.doneWith(in)
 	return out
@@ -502,8 +492,8 @@ type Held struct{ in *inst }
 // StartAllreduce begins a Held allreduce of vec over t, with w unparked
 // at its completions as a blocking Allreduce's proc would be.
 func (c *Comm) StartAllreduce(img *rt.ImageKernel, t *team.Team, op Op, vec []int64, w *sim.Proc) Held {
-	h, in := c.start(img, t, kAllreduce, 0, op, vec, nil, 0, 0, true)
-	h.addWaiter(w)
+	in := c.start(nil, img, t, kAllreduce, 0, op, vec, nil, 0, 0)
+	in.own.addWaiter(w)
 	return Held{in}
 }
 
@@ -515,9 +505,9 @@ func (r Held) Release()                       { r.in.n.c.doneWith(r.in) }
 // Gather collects each member's val at root, returning the team-rank
 // ordered slice there and nil elsewhere.
 func (c *Comm) Gather(p *sim.Proc, img *rt.ImageKernel, t *team.Team, root int, val any, bytes int) []any {
-	h, in := c.start(img, t, kGather, root, Sum, nil, val, bytes, 0, true)
-	h.WaitLocalData(p)
-	out, _ := h.result.([]any)
+	in := c.start(nil, img, t, kGather, root, Sum, nil, val, bytes, 0)
+	in.own.WaitLocalData(p)
+	out, _ := in.own.result.([]any)
 	c.doneWith(in)
 	return out
 }
@@ -528,9 +518,9 @@ func (c *Comm) Scatter(p *sim.Proc, img *rt.ImageKernel, t *team.Team, root int,
 	if t.MustRank(img.Rank()) == root {
 		data = vals
 	}
-	h, in := c.start(img, t, kScatter, root, Sum, nil, data, bytes, 0, true)
-	h.WaitLocalData(p)
-	out := h.result
+	in := c.start(nil, img, t, kScatter, root, Sum, nil, data, bytes, 0)
+	in.own.WaitLocalData(p)
+	out := in.own.result
 	c.doneWith(in)
 	return out
 }
@@ -540,27 +530,27 @@ func (c *Comm) Scatter(p *sim.Proc, img *rt.ImageKernel, t *team.Team, root int,
 func (c *Comm) Alltoall(p *sim.Proc, img *rt.ImageKernel, t *team.Team, vals []any, bytes int) []any {
 	anyVals := make([]any, len(vals))
 	copy(anyVals, vals)
-	h, in := c.start(img, t, kAlltoall, 0, Sum, nil, anyVals, bytes, 0, true)
-	h.WaitLocalData(p)
-	out := h.result.([]any)
+	in := c.start(nil, img, t, kAlltoall, 0, Sum, nil, anyVals, bytes, 0)
+	in.own.WaitLocalData(p)
+	out := in.own.result.([]any)
 	c.doneWith(in)
 	return out
 }
 
 // Scan returns the inclusive prefix reduction of vec in team-rank order.
 func (c *Comm) Scan(p *sim.Proc, img *rt.ImageKernel, t *team.Team, op Op, vec []int64) []int64 {
-	h, in := c.start(img, t, kScan, 0, op, vec, nil, 8*len(vec), 0, true)
-	h.WaitLocalData(p)
-	out := h.result.([]int64)
+	in := c.start(nil, img, t, kScan, 0, op, vec, nil, 8*len(vec), 0)
+	in.own.WaitLocalData(p)
+	out := in.own.result.([]int64)
 	c.doneWith(in)
 	return out
 }
 
 // Sort globally sorts the members' keys (see SortAsync).
 func (c *Comm) Sort(p *sim.Proc, img *rt.ImageKernel, t *team.Team, keys []int64) []int64 {
-	h, in := c.start(img, t, kSort, 0, Sum, keys, nil, 8*max(1, len(keys)), 0, true)
-	h.WaitLocalData(p)
-	out := h.result.([]int64)
+	in := c.start(nil, img, t, kSort, 0, Sum, keys, nil, 8*max(1, len(keys)), 0)
+	in.own.WaitLocalData(p)
+	out := in.own.result.([]int64)
 	c.doneWith(in)
 	return out
 }

@@ -25,8 +25,8 @@ func TestQuarantineLateAckOnReleasedInstancePanics(t *testing.T) {
 	var released *inst
 	quarantined(func() {
 		runSPMD(t, 4, 1, func(p *sim.Proc, img *rt.ImageKernel, c *Comm, w *team.Team) {
-			h, in := c.start(img, w, kBarrier, 0, Sum, nil, nil, 0, 0, true)
-			h.WaitLocalData(p)
+			in := c.start(nil, img, w, kBarrier, 0, Sum, nil, nil, 0, 0)
+			in.own.WaitLocalData(p)
 			if img.Rank() == 0 {
 				released = in
 			}
@@ -73,8 +73,10 @@ func TestQuarantineCollectivesEqualPooled(t *testing.T) {
 				keep(c.Alltoall(p, img, w, []any{r, r, r, r, r, r, r}, 8))
 				keep(c.Scan(p, img, w, Sum, []int64{int64(r)}))
 				keep(c.Sort(p, img, w, []int64{int64(n - r), int64(round)}))
-				h := c.AllreduceAsync(img, w, Sum, []int64{1}, 0)
-				b := c.BarrierAsync(img, w, 0)
+				h := new(Handle)
+				c.AllreduceAsync(h, img, w, Sum, []int64{1}, 0)
+				b := new(Handle)
+				c.BarrierAsync(b, img, w, 0)
 				h.WaitLocalOp(p)
 				b.WaitLocalOp(p)
 				keep(h.Result())

@@ -188,7 +188,8 @@ const (
 
 // woken reports whether the main is parked where the plane itself wakes
 // it (wake, a declared death, a poll reply). In a reduction, the
-// reduction's completion wakes it, and a declared death the machine's
+// reduction's completion wakes it, and a declared death, which satisfies
+// every parked wait (each ORs it into its condition), the machine's
 // WakeAllParked, in creation order.
 func (s *State) woken() bool { return s.wait != waitNone && s.wait != waitReduce }
 

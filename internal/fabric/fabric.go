@@ -70,10 +70,8 @@ type Config struct {
 	// FIFO asks for per-(src,dst) ordered delivery. Only the idealized
 	// transport can keep that promise: a fabric with a fault plan reorders
 	// whatever FIFO says. Ordered is the answer layers above must read.
-	FIFO       bool
-	Jitter     sim.Time // max random extra delivery delay when !FIFO
-	Topology   Topology // optional hop model; nil ⇒ uniform 1 hop
-	HopLatency sim.Time // extra latency per hop beyond the first
+	FIFO   bool
+	Jitter sim.Time // max random extra delivery delay when !FIFO
 	// ImagesPerNode groups consecutive endpoints onto shared NICs: they
 	// contend for one injection pipe and exchange intra-node messages at
 	// SelfLatency — the paper's runs placed 8 images per node (§IV).
@@ -140,12 +138,6 @@ func (c Config) OrDefault() Config {
 // send order: FIFO is asked for and no fault plan reorders the channel
 // (jitter and retransmission both do).
 func (c Config) Ordered() bool { return c.FIFO && c.Faults == nil }
-
-// Topology maps an (src, dst) pair to a hop count ≥ 1, letting experiments
-// model non-uniform machines (tori, fat trees).
-type Topology interface {
-	Hops(src, dst int) int
-}
 
 // Msg is one message. Payload carries structured data by reference (the
 // simulation shares one address space); Bytes is the modeled wire size
@@ -450,17 +442,6 @@ func (f *Fabric) Stats() Stats { return f.stats }
 // MaxMedium reports the medium-AM payload cap in bytes.
 func (f *Fabric) MaxMedium() int { return f.cfg.MaxMedium }
 
-func (f *Fabric) hops(src, dst int) int {
-	if f.cfg.Topology == nil {
-		return 1
-	}
-	h := f.cfg.Topology.Hops(src, dst)
-	if h < 1 {
-		h = 1
-	}
-	return h
-}
-
 // nodeOf maps an endpoint rank to its NIC-sharing node.
 func (f *Fabric) nodeOf(rank int) int {
 	if f.cfg.ImagesPerNode <= 1 {
@@ -485,11 +466,7 @@ func (f *Fabric) wireLatency(src, dst int) sim.Time {
 	if f.nodeOf(src) == f.nodeOf(dst) {
 		return f.cfg.SelfLatency
 	}
-	lat := f.cfg.Latency
-	if extra := f.hops(src, dst) - 1; extra > 0 {
-		lat += sim.Time(extra) * f.cfg.HopLatency
-	}
-	return lat
+	return f.cfg.Latency
 }
 
 // Endpoint is one image's attachment point to the fabric.

@@ -347,59 +347,6 @@ func TestJitterReordersWithoutFIFO(t *testing.T) {
 	}
 }
 
-func TestTopologyLatency(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.GapPerByte = 0
-	cfg.AMOverhead = 0
-	cfg.Topology = Hypercube{}
-	cfg.HopLatency = 500 * sim.Nanosecond
-	eng, f := newTestFabric(t, 8, cfg)
-	var at1, at7 sim.Time
-	f.RegisterHandler(tagTest, func(ep *Endpoint, m *Msg) {
-		switch ep.Rank() {
-		case 1:
-			at1 = eng.Now()
-		case 7:
-			at7 = eng.Now()
-		}
-	})
-	f.Endpoint(0).Send(&Msg{Src: 0, Dst: 1, Tag: tagTest, Class: AMShort}, SendOpts{}) // 1 hop
-	f.Endpoint(0).Send(&Msg{Src: 0, Dst: 7, Tag: tagTest, Class: AMShort}, SendOpts{}) // 3 hops
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if want := at1 + 2*cfg.HopLatency; at7 != want {
-		t.Errorf("3-hop arrival %v, want %v (1-hop %v + 2 hop latencies)", at7, want, at1)
-	}
-}
-
-func TestTorus3DHops(t *testing.T) {
-	tor := Torus3D{X: 4, Y: 4, Z: 4}
-	if h := tor.Hops(0, 0); h != 0 {
-		t.Errorf("self hops = %d", h)
-	}
-	if h := tor.Hops(0, 1); h != 1 {
-		t.Errorf("x-neighbour hops = %d", h)
-	}
-	if h := tor.Hops(0, 3); h != 1 {
-		t.Errorf("wraparound hops = %d, want 1", h)
-	}
-	// (0,0,0) -> (2,2,2) = 2+2+2.
-	if h := tor.Hops(0, 2+2*4+2*16); h != 6 {
-		t.Errorf("diagonal hops = %d, want 6", h)
-	}
-}
-
-func TestHypercubeHops(t *testing.T) {
-	h := Hypercube{}
-	if got := h.Hops(0b1010, 0b0110); got != 2 {
-		t.Errorf("hamming hops = %d, want 2", got)
-	}
-	if got := h.Hops(5, 5); got != 0 {
-		t.Errorf("self hops = %d", got)
-	}
-}
-
 // Property: message conservation — for random traffic patterns every send
 // is delivered exactly once and acked exactly once.
 func TestPropertyConservation(t *testing.T) {
@@ -575,14 +522,12 @@ func TestImagesPerNodeIntraNodeLatency(t *testing.T) {
 // Under FIFO a pair's handlers run in send order with no clamp on arrival
 // times: injection is serialized on the NIC, the credit-stall penalty only
 // delays it further, and the wire latency is a function of the pair. The
-// mix here has all of it: random sizes, shared NICs, torus hops, credit
-// stalls with a penalty, self-sends, and sends issued at random times.
+// mix here has all of it: random sizes, shared NICs, credit stalls with a
+// penalty, self-sends, and sends issued at random times.
 func TestFIFOArrivalMonotone(t *testing.T) {
 	const n, sends = 16, 4000
 	cfg := DefaultConfig()
 	cfg.ImagesPerNode = 4
-	cfg.Topology = Torus3D{X: 4, Y: 2, Z: 2}
-	cfg.HopLatency = 200 * sim.Nanosecond
 	cfg.Credits = 4
 	cfg.StallPenalty = 700 * sim.Nanosecond
 	eng, f := newTestFabric(t, n, cfg)

@@ -105,7 +105,6 @@ type Manager struct {
 	stats Stats
 
 	subs []func(epoch int, at sim.Time)
-	wake func()
 }
 
 // NewManager builds the epoch manager. Returns nil — replication off —
@@ -128,11 +127,6 @@ func NewManager(eng *sim.Engine, det *failure.Detector, images int, cfg Config) 
 	det.Subscribe(m.onDeath)
 	return m
 }
-
-// SetWake registers the callback run after each commit's subscriber
-// fan-out — the machine passes its WakeAllParked so blocked clients
-// re-evaluate routes at the new epoch.
-func (m *Manager) SetWake(fn func()) { m.wake = fn }
 
 // Subscribe registers fn to run inside the engine at every epoch
 // commit, after the routing state (committed set, survivor team) has
@@ -211,9 +205,6 @@ func (m *Manager) commit(now sim.Time) {
 	}
 	for _, fn := range m.subs {
 		fn(m.epoch, now)
-	}
-	if m.wake != nil {
-		m.wake()
 	}
 }
 

@@ -183,10 +183,11 @@ func (e *Engine) RunUntil(limit Time) error {
 }
 
 // WakeAllParked unparks every currently parked process, in creation
-// order. Callers use it to force re-evaluation of every blocked wait
-// condition after a global state change (e.g. a failure declaration);
-// every wait re-tests its condition in WaitWith, so a wake-up where it
-// still does not hold costs the event and no resume.
+// order, after a state change that satisfies every blocked wait: a
+// failure declaration, which each wait condition ORs into what it waits
+// for, so that each parked proc resumes once, to abort or to go on. Every
+// wait re-tests its condition in WaitWith, so a wake-up whose condition
+// does not hold would cost its event and no resume.
 func (e *Engine) WakeAllParked() {
 	for _, p := range e.procs.procs {
 		if p.state == procParked {

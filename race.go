@@ -207,38 +207,49 @@ func raceRecordCtx[T any](img *Image, s Sec[T], write bool, op string) {
 	raceRecord(img.m, s, write, img.rc.ID(), img.rc.Clock(), op)
 }
 
-// collBracket installs a blocking collective's edges: a role-filtered
-// release before the operation, and a deferred role-filtered acquire
-// (call the returned func after the collective returns, when every
-// releaser has contributed). It also brackets the call for the
-// observability layer: one lifecycle op (a blocking collective runs all
-// four stages inside the call) and one blocked interval, both inert
-// when tracing is off.
-func (img *Image) collBracket(name string, t *Team, rel, acq bool) func() {
-	opID := img.opNew("coll:"+name, -1)
-	img.opStage(opID, trace.StageInit)
-	btok := img.beginBlock("collective")
-	finish := func() {
-		img.opStage(opID, trace.StageLocalData)
-		img.opStage(opID, trace.StageLocalOp)
-		img.opStage(opID, trace.StageGlobal)
-		img.endBlock(btok)
-	}
+// collBlock is a blocking collective's bracket, a value: its lifecycle
+// op, which exists only under a tracker (a blocking collective runs all
+// four stages inside the call), its blocked interval, and the instance
+// whose clock its role acquires (nil for none, or with the detector off).
+type collBlock struct {
+	op   *Op
+	btok trace.BlockToken
+	acq  *collSync
+}
+
+// collBegin opens the bracket of blocking collective k over t, rooted at
+// team rank root: the op's initiation, the blocked interval and the
+// role-filtered release.
+func (img *Image) collBegin(k *collKind, t *Team, root int) collBlock {
+	b := collBlock{op: img.blockingOp(k.name, -1)}
+	img.opStage(b.op, trace.StageInit)
+	b.btok = img.beginBlock("collective")
 	rs := img.m.race
 	if rs == nil || img.rc == nil {
-		return finish
+		return b
 	}
+	role := img.roleIn(k, t, root)
 	cs := rs.collInstance(img.Rank(), t)
-	if rel {
+	if role.rel {
 		img.rc.ReleaseInto(&cs.clk)
 	}
-	if !acq {
-		return finish
+	if role.acq {
+		b.acq = cs
 	}
-	return func() {
-		img.rc.Acquire(cs.clk)
-		finish()
+	return b
+}
+
+// collEnd closes the bracket once the collective returned, when every
+// releaser has contributed: the role-filtered acquire, then the op's
+// completion stamps and the end of the blocked interval.
+func (img *Image) collEnd(b collBlock) {
+	if b.acq != nil {
+		img.rc.Acquire(b.acq.clk)
 	}
+	img.opStage(b.op, trace.StageLocalData)
+	img.opStage(b.op, trace.StageLocalOp)
+	img.opStage(b.op, trace.StageGlobal)
+	img.endBlock(b.btok)
 }
 
 // ---------------------------------------------------------------------

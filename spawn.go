@@ -320,8 +320,8 @@ func (s *spawnOp) Initiate() {
 	m, me := s.op.m, s.op.Initiator()
 	// Argument evaluation: the payload is copied at initiation — which
 	// is also the spawn's local data completion.
-	m.opStageAt(&s.op, me, trace.StageInit)
-	m.opStageAt(&s.op, me, trace.StageLocalData)
+	m.opAdvance(&s.op, me, trace.StageInit)
+	m.opAdvance(&s.op, me, trace.StageLocalData)
 	st := &m.states[me]
 	st.addDelivToken(&s.tok)
 	// The shipped function continues the traced request's causal path:
@@ -353,7 +353,7 @@ func (s *spawnOp) Initiate() {
 func (s *spawnOp) Delivered() {
 	s.live()
 	m := s.op.m
-	m.opStageAt(&s.op, s.op.Initiator(), trace.StageLocalOp)
+	m.opAdvance(&s.op, s.op.Initiator(), trace.StageLocalOp)
 	s.tok.complete()
 	s.end(m)
 }
@@ -445,7 +445,7 @@ func (sh *shipped) exec(start Time) {
 	img.ct.Flush()
 	// The shipped function has finished executing on the target: the
 	// spawn is globally complete.
-	m.opStageAt(&s.op, img.Rank(), trace.StageGlobal)
+	m.opAdvance(&s.op, img.Rank(), trace.StageGlobal)
 	// The join edge: an implicit spawn releases its final clock into the
 	// enclosing finish (the finish exit is ordered after the child's
 	// body), an explicit one into its completion event.
@@ -454,7 +454,7 @@ func (sh *shipped) exec(start Time) {
 		img.rc.ReleaseInto(&rs.finishSyncFor(s.finishID).ops)
 	}
 	if ev != nil {
-		m.notifyFrom(img.Rank(), ev, img.raceRelease())
+		m.notifyFrom(img.Rank(), ev, img.raceRelease(), nil)
 	}
 	sh.d.Complete()
 	sh.s, img.spawn = nil, nil

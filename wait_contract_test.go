@@ -20,10 +20,12 @@ type waitRow struct {
 }
 
 // waitRecord is the comparable part of a run of one row: the events it
-// ran, the blocking primitives a declared death aborted, and each image's
-// exit time and error, in rank order.
+// ran, the times a proc's stack was switched to, the blocking primitives
+// a declared death aborted, and each image's exit time and error, in rank
+// order.
 type waitRecord struct {
 	EventsRun uint64
+	Resumes   uint64
 	Aborted   int64
 	Exits     string
 	Errs      string
@@ -33,7 +35,7 @@ var waitRows = []waitRow{
 	// Rank 0 waits three times on its event, which functions it ships
 	// to the other ranks notify: early on ranks 2 and 3, late on rank 1,
 	// past its crash.
-	{"event-wait", 4, 5 * caf.Microsecond, [2]waitRecord{{34, 0, "[[13.648us] [20.000us] [20.000us] [20.000us]]", ""}, {36, 1, "[[7.000us] [20.000us] [20.000us] [20.000us]]", "1@7000:event wait/0 - - -"}}, func(img *caf.Image) {
+	{"event-wait", 4, 5 * caf.Microsecond, [2]waitRecord{{34, 16, 0, "[[13.648us] [20.000us] [20.000us] [20.000us]]", ""}, {36, 15, 1, "[[7.000us] [20.000us] [20.000us] [20.000us]]", "1@7000:event wait/0 - - -"}}, func(img *caf.Image) {
 		if img.Rank() != 0 {
 			img.Compute(20 * caf.Microsecond)
 			return
@@ -53,7 +55,7 @@ var waitRows = []waitRow{
 	}},
 	// Rank 0 drains a poll set over one spawn on each other rank; the
 	// one on rank 1 runs past its crash.
-	{"pollset-wait", 4, 5 * caf.Microsecond, [2]waitRecord{{25, 0, "[[11.832us] [20.000us] [20.000us] [20.000us]]", ""}, {29, 1, "[[7.000us] [20.000us] [20.000us] [20.000us]]", "1@7000:pollset wait/0 - - -"}}, func(img *caf.Image) {
+	{"pollset-wait", 4, 5 * caf.Microsecond, [2]waitRecord{{25, 16, 0, "[[11.832us] [20.000us] [20.000us] [20.000us]]", ""}, {29, 16, 1, "[[7.000us] [20.000us] [20.000us] [20.000us]]", "1@7000:pollset wait/0 - - -"}}, func(img *caf.Image) {
 		if img.Rank() != 0 {
 			img.Compute(20 * caf.Microsecond)
 			return
@@ -67,7 +69,7 @@ var waitRows = []waitRow{
 		ps.Drain()
 	}},
 	// Ranks 0, 2 and 3 take turns on a lock hosted on rank 1.
-	{"lock-rpc", 4, 5 * caf.Microsecond, [2]waitRecord{{71, 0, "[[18.496us] [20.000us] [23.120us] [27.744us]]", ""}, {31, 3, "[[7.000us] [20.000us] [7.000us] [7.000us]]", "1@7000:rpc/0 - 1@7000:rpc/0 1@7000:rpc/0"}}, func(img *caf.Image) {
+	{"lock-rpc", 4, 5 * caf.Microsecond, [2]waitRecord{{71, 17, 0, "[[18.496us] [20.000us] [23.120us] [27.744us]]", ""}, {31, 10, 3, "[[7.000us] [20.000us] [7.000us] [7.000us]]", "1@7000:rpc/0 - 1@7000:rpc/0 1@7000:rpc/0"}}, func(img *caf.Image) {
 		if img.Rank() == 1 {
 			img.Compute(20 * caf.Microsecond)
 			return
@@ -79,7 +81,7 @@ var waitRows = []waitRow{
 		}
 	}},
 	// Three barriers, then an allreduce; rank 1 is late to the first.
-	{"collective", 4, 5 * caf.Microsecond, [2]waitRecord{{114, 0, "[[38.488us] [40.312us] [40.336us] [42.160us]]", ""}, {19, 4, "[[7.000us] [10.000us] [7.000us] [10.000us]]", "1@7000:collective/0 1@7000:collective/0 1@7000:collective/0 1@7000:collective/0"}}, func(img *caf.Image) {
+	{"collective", 4, 5 * caf.Microsecond, [2]waitRecord{{114, 36, 0, "[[38.488us] [40.312us] [40.336us] [42.160us]]", ""}, {19, 10, 4, "[[7.000us] [10.000us] [7.000us] [10.000us]]", "1@7000:collective/0 1@7000:collective/0 1@7000:collective/0 1@7000:collective/0"}}, func(img *caf.Image) {
 		img.Compute(caf.Time(1+9*(img.Rank()%2)) * caf.Microsecond)
 		for i := 0; i < 3; i++ {
 			img.Barrier(nil)
@@ -89,7 +91,7 @@ var waitRows = []waitRow{
 	}},
 	// Rank 0 fences a get from rank 2 and then one from rank 1, issued
 	// at 14µs, just before rank 1 dies: its data never comes back.
-	{"cofence", 4, 15 * caf.Microsecond, [2]waitRecord{{45, 0, "[[17.680us] [25.448us] [25.464us] [27.280us]]", ""}, {50, 1, "[[17.000us] [25.448us] [25.464us] [27.280us]]", "1@17000:cofence/0 - - -"}}, func(img *caf.Image) {
+	{"cofence", 4, 15 * caf.Microsecond, [2]waitRecord{{45, 14, 0, "[[17.680us] [25.448us] [25.464us] [27.280us]]", ""}, {50, 14, 1, "[[17.000us] [25.448us] [25.464us] [27.280us]]", "1@17000:cofence/0 - - -"}}, func(img *caf.Image) {
 		ca := caf.NewCoarray[int64](img, nil, 4)
 		if img.Rank() != 0 {
 			img.Compute(20 * caf.Microsecond)
@@ -107,7 +109,10 @@ var waitRows = []waitRow{
 // The wait contract: each blocking primitive, with and without a death
 // declared while images wait in it, runs the events, aborts the waits and
 // lets each image leave at the time and with the error recorded on the
-// loops that re-tested each wait condition on the waiting proc.
+// loops that re-tested each wait condition on the waiting proc. Every
+// wait condition ORs a declared death into what it waits for, so the
+// declaration's one wake-up of every parked proc resumes each of them
+// exactly once: the resumes pin that.
 func TestWaitContractReports(t *testing.T) {
 	for _, row := range waitRows {
 		for v, crash := range []bool{false, true} {
@@ -116,8 +121,8 @@ func TestWaitContractReports(t *testing.T) {
 				if crash {
 					cfg = withCrash(cfg, map[int]caf.Time{1: row.crash})
 				}
-				rep, seen, errs := runRecorded(t, cfg, row.main, nil)
-				got := waitRecord{rep.EventsRun, rep.OpsAbortedByFailure, fmt.Sprint(seen), errs}
+				m, rep, seen, errs := runRecorded(t, cfg, row.main, nil)
+				got := waitRecord{rep.EventsRun, m.Engine().Resumes(), rep.OpsAbortedByFailure, fmt.Sprint(seen), errs}
 				if got != row.want[v] {
 					t.Errorf("got %#v, want %#v", got, row.want[v])
 				}
