@@ -394,28 +394,6 @@ func BenchmarkAllreduce64(b *testing.B) {
 // Ablations (DESIGN.md §6).
 // ---------------------------------------------------------------------
 
-// Binomial vs flat collective trees: the O(log p) vs O(p) critical path
-// underlying the finish cost analysis.
-func benchTreeShape(b *testing.B, flat bool) {
-	iters := b.N
-	rep, err := caf.Run(caf.Config{Images: 128, Seed: 1, FlatCollectives: flat}, func(img *caf.Image) {
-		for i := 0; i < iters; i++ {
-			img.Finish(nil, func() {
-				if img.Rank() == 0 {
-					img.Spawn(1, func(r *caf.Image) {})
-				}
-			})
-		}
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	reportVirtual(b, rep.VirtualTime)
-}
-
-func BenchmarkAblationBinomialTree(b *testing.B) { benchTreeShape(b, false) }
-func BenchmarkAblationFlatTree(b *testing.B)     { benchTreeShape(b, true) }
-
 // Eager vs relaxed (deferred) initiation of implicit operations.
 func benchInitiation(b *testing.B, relaxed bool) {
 	iters := b.N

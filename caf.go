@@ -152,10 +152,6 @@ type Config struct {
 	// paths/tail views. Off by default; the zero value keeps every run
 	// bit-identical to a build without the tracker.
 	PathTracing bool
-	// FlatCollectives replaces the binomial collective trees with a
-	// centralized star — the O(p)-critical-path ablation baseline for
-	// the finish cost analysis.
-	FlatCollectives bool
 	// Races turns on the happens-before data-race detector (race.go):
 	// it flags every conflicting pair of one-sided accesses no
 	// synchronization edge orders — the races of the reference
@@ -303,15 +299,11 @@ func NewMachine(cfg Config) *Machine {
 	}
 	eng := sim.NewEngine(cfg.Seed)
 	k := rt.NewKernel(eng, cfg.Images, cfg.Fabric)
-	tree := collect.Binomial
-	if cfg.FlatCollectives {
-		tree = collect.Flat
-	}
 	m := &Machine{
 		cfg:      cfg,
 		eng:      eng,
 		k:        k,
-		comm:     collect.NewWithTree(k, tree),
+		comm:     collect.New(k),
 		world:    team.World(cfg.Images),
 		coarrays: make(map[carrKey]*carrSlot),
 	}
@@ -400,8 +392,7 @@ func (im *imageMain) Run(p *sim.Proc) {
 	// Program exit is a synchronization point: flush any
 	// deferred initiations and coalescing buffers so the
 	// machine drains.
-	img.ct.Flush()
-	st.kern.FlushCoalesced()
+	img.syncPoint(AllowNone)
 }
 
 // RunToCompletion drives the simulation until it drains and returns the

@@ -1,6 +1,7 @@
 package caf_test
 
 import (
+	"fmt"
 	"testing"
 
 	caf "caf2go"
@@ -71,21 +72,30 @@ type contractReport struct {
 // The cofence contract on one program, eager and relaxed at two buffer
 // sizes, pinned to the reports of the code that stored a cofence record
 // for every spawn: a spawn's registration, complete at birth, starts the
-// same sends at the same points and wakes the same fences.
+// same sends at the same points and wakes the same fences. The coalesced
+// rows are recorded on the code whose fences start their deferred
+// initiations before they flush the coalescing buffers.
 func TestCofenceContractReports(t *testing.T) {
 	for _, tc := range []struct {
 		name       string
 		relaxed    bool
 		maxDelayed int
+		coalesced  bool
 		want       contractReport
 	}{
-		{"eager", false, 0, contractReport{172772, 222, 270656, 100, 100, 36, 20, 40, 967, 184721224}},
-		{"relaxed-1", true, 1, contractReport{175966, 222, 270656, 100, 100, 36, 20, 40, 967, 185241248}},
-		{"relaxed-8", true, 8, contractReport{183952, 222, 270656, 100, 100, 36, 20, 40, 967, 214536932}},
+		{"eager", false, 0, false, contractReport{172772, 222, 270656, 100, 100, 36, 20, 40, 967, 184721224}},
+		{"relaxed-1", true, 1, false, contractReport{175966, 222, 270656, 100, 100, 36, 20, 40, 967, 185241248}},
+		{"relaxed-8", true, 8, false, contractReport{183952, 222, 270656, 100, 100, 36, 20, 40, 967, 214536932}},
+		{"eager-coalesced", false, 0, true, contractReport{208450, 174, 270656, 100, 100, 36, 20, 40, 910, 188261136}},
+		{"relaxed-1-coalesced", true, 1, true, contractReport{219768, 170, 270656, 100, 100, 36, 20, 40, 895, 190294176}},
+		{"relaxed-8-coalesced", true, 8, true, contractReport{228842, 174, 270656, 100, 100, 36, 20, 40, 911, 219892288}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var fences uint64
 			cfg := caf.Config{Images: 4, Seed: 1, Relaxed: tc.relaxed, MaxDelayed: tc.maxDelayed}
+			if tc.coalesced {
+				cfg.Fabric.Coalescing = caf.Coalescing{MaxMsgs: 4}
+			}
 			rep, err := caf.Run(cfg, cofenceContract(&fences))
 			if err != nil {
 				t.Fatal(err)
@@ -96,5 +106,80 @@ func TestCofenceContractReports(t *testing.T) {
 				t.Errorf("report\n got %+v\nwant %+v", got, tc.want)
 			}
 		})
+	}
+}
+
+// A continuation may issue an implicit copy while its image's main is
+// parked in a full cofence. The fence waits on that copy too, so the
+// relaxed runtime must not defer its initiation: nothing else would
+// start it. The run completes at either buffer size and leaves the
+// coarrays as the eager run does.
+func TestCofenceWaitsOnContinuationCopyRelaxed(t *testing.T) {
+	run := func(relaxed bool, maxDelayed int) string {
+		var state [2][]int64
+		cfg := caf.Config{Images: 2, Seed: 1, Relaxed: relaxed, MaxDelayed: maxDelayed}
+		_, err := caf.Run(cfg, func(img *caf.Image) {
+			ca := caf.NewCoarray[int64](img, nil, 4)
+			if img.Rank() == 0 {
+				src := []int64{1, 2, 3, 4}
+				caf.CopyAsync(img, ca.Sec(1, 0, 2), caf.Local(src[:2])).OnLocalData(func() {
+					caf.CopyAsync(img, ca.Sec(1, 2, 4), caf.Local(src[2:]))
+				})
+				img.Cofence(caf.AllowNone, caf.AllowNone)
+				src[2], src[3] = -1, -1 // the fence freed the second copy's source too
+			}
+			img.Barrier(nil)
+			state[img.Rank()] = append([]int64(nil), ca.Local(img)...)
+		})
+		if err != nil {
+			t.Fatalf("relaxed %v, MaxDelayed %d: %v", relaxed, maxDelayed, err)
+		}
+		return fmt.Sprint(state)
+	}
+	want := run(false, 0)
+	if want != "[[0 0 0 0] [1 2 3 4]]" {
+		t.Fatalf("eager run left %s", want)
+	}
+	for _, maxDelayed := range []int{1, 8} {
+		if got := run(true, maxDelayed); got != want {
+			t.Errorf("relaxed, MaxDelayed %d: coarrays %s, want %s", maxDelayed, got, want)
+		}
+	}
+}
+
+// A fence starts the deferred initiations it may not let pass before it
+// flushes the coalescing buffers, so a relaxed fence over a coalescing
+// fabric waits for its copy as long as one over a plain fabric does,
+// not for the flush timer.
+func TestCofenceRelaxedCoalescedWaitsNoLonger(t *testing.T) {
+	wait := func(relaxed, coalesced bool) caf.Time {
+		var waited caf.Time
+		cfg := caf.Config{Images: 2, Seed: 1, Relaxed: relaxed}
+		if coalesced {
+			cfg.Fabric = caf.FabricConfig{Coalescing: caf.Coalescing{MaxMsgs: 4}}
+		}
+		_, err := caf.Run(cfg, func(img *caf.Image) {
+			ca := caf.NewCoarray[int64](img, nil, 1)
+			if img.Rank() == 0 {
+				caf.CopyAsync(img, ca.Sec(1, 0, 1), caf.Local([]int64{7}))
+				start := img.Now()
+				img.Cofence(caf.AllowNone, caf.AllowNone)
+				waited = img.Now() - start
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return waited
+	}
+	plain := wait(true, false)
+	for _, shape := range []struct{ relaxed, coalesced bool }{{false, false}, {false, true}, {true, true}} {
+		if got := wait(shape.relaxed, shape.coalesced); got != plain {
+			t.Errorf("relaxed %v, coalesced %v: the fence waited %v, the relaxed uncoalesced one %v",
+				shape.relaxed, shape.coalesced, got, plain)
+		}
+	}
+	if plain != 40 {
+		t.Errorf("the relaxed fence waited %v for one 8-byte copy, want 40ns", plain)
 	}
 }

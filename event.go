@@ -164,8 +164,7 @@ func (img *Image) EventNotify(e *Event) *Op {
 	// Release boundary: deferred initiations must actually start, and
 	// buffered coalesced messages must be on the wire before the notify —
 	// a waiter must observe their effects.
-	img.ct.Flush()
-	img.st.kern.FlushCoalesced()
+	img.syncPoint(AllowNone)
 	from := img.Rank()
 	oph := img.opNew("notify", e.owner)
 	img.opStage(oph, trace.StageInit)
@@ -195,8 +194,7 @@ func (img *Image) EventWait(e *Event) {
 	p := img.parker("EventWait")
 	// Acquire is a synchronization point for deferred initiations and
 	// for this image's coalescing buffers.
-	img.ct.Flush()
-	img.st.kern.FlushCoalesced()
+	img.syncPoint(AllowNone)
 	start := img.Now()
 	btok := img.beginBlock("event_wait")
 	es := img.m.eventState(e)

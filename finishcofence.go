@@ -40,8 +40,7 @@ func (img *Image) Finish(t *Team, body func()) int {
 	// initiations must start or termination detection would wait on
 	// operations that never launch, and coalescing buffers must drain so
 	// detection isn't gated on a flush timer.
-	img.ct.Flush()
-	img.st.kern.FlushCoalesced()
+	img.syncPoint(AllowNone)
 	// Race-detector release: each member contributes its end-of-body
 	// clock; detection cannot signal termination before every member
 	// participates in the reduction, so the exit below acquires them all.
@@ -108,9 +107,7 @@ func (img *Image) Finish(t *Team, body func()) int {
 // paper's Fig. 9, letting pending local-write completions slide below.
 func (img *Image) Cofence(down, up Allow) {
 	start := img.Now()
-	// A cofence is a synchronization point: buffered coalesced messages
-	// must hit the wire before we wait on their completion.
-	img.st.kern.FlushCoalesced()
+	img.syncPoint(down)
 	btok := img.beginBlock("cofence")
 	// An inline shipped function has no proc to park, but may fence what
 	// is already complete.
@@ -155,33 +152,37 @@ func (img *Image) Cofence(down, up Allow) {
 // synchronization that releases it do the ordering).
 func (img *Image) CofenceOp(down Allow) *Op {
 	img.traceInstant("cofence_op", "sync")
-	// Same synchronization-point obligation as the blocking fence: the
-	// completions being tracked may sit in coalescing buffers.
+	f := new(cofenceOp)
+	img.opInit(&f.op, "cofence", -1)
+	img.opStage(&f.op, trace.StageInit)
+	img.syncPoint(down)
+	img.ct.CofenceOp(&f.fence, down, f)
+	return &f.op
+}
+
+// cofenceOp is a continuation fence's one record: its completion handle
+// and its count on the tracker, which fires it.
+type cofenceOp struct {
+	op    Op
+	fence core.Fence
+}
+
+// Fire completes the fence's op: a cofence is purely local, so all three
+// levels collapse.
+func (f *cofenceOp) Fire() {
+	m, me := f.op.m, f.op.Initiator()
+	m.opAdvance(&f.op, me, trace.StageLocalData)
+	m.opAdvance(&f.op, me, trace.StageLocalOp)
+	m.opAdvance(&f.op, me, trace.StageGlobal)
+}
+
+// syncPoint is what every synchronization point does before it waits or
+// releases: it starts the deferred initiations a fence allowing down may
+// not defer, then flushes this image's coalescing buffers, so what it
+// started is on the wire rather than held for a flush timer.
+func (img *Image) syncPoint(down Allow) {
+	img.ct.Flush(down)
 	img.st.kern.FlushCoalesced()
-	oph := img.opNew("cofence", -1)
-	img.opStage(oph, trace.StageInit)
-	ops := img.ct.Constrained(down)
-	m, me := img.m, img.Rank()
-	left := len(ops)
-	fire := func() {
-		// A cofence is purely local: all three levels collapse.
-		m.opAdvance(oph, me, trace.StageLocalData)
-		m.opAdvance(oph, me, trace.StageLocalOp)
-		m.opAdvance(oph, me, trace.StageGlobal)
-	}
-	if left == 0 {
-		fire()
-		return oph
-	}
-	for _, p := range ops {
-		p.OnLocalData(func() {
-			left--
-			if left == 0 {
-				fire()
-			}
-		})
-	}
-	return oph
 }
 
 // PendingImplicitOps reports how many implicitly-synchronized operations

@@ -79,8 +79,8 @@ func passes(c OpClass, a Allow) bool {
 type PendingOp struct {
 	class OpClass
 	done  bool
+	seq   uint32 // registration number on ct, read by its continuation fences
 	ct    *CofenceTracker
-	cbs   *[]func() // made by the first OnLocalData
 }
 
 // Class returns the operation's local-data classification.
@@ -89,25 +89,9 @@ func (op *PendingOp) Class() OpClass { return op.class }
 // LocalDataDone reports whether the op reached local data completion.
 func (op *PendingOp) LocalDataDone() bool { return op.done }
 
-// OnLocalData registers fn to run at the op's local data completion,
-// immediately if it already completed. Callbacks run after fence waiters
-// have been unparked, in registration order, exactly once.
-func (op *PendingOp) OnLocalData(fn func()) {
-	if fn == nil {
-		return
-	}
-	if op.done {
-		fn()
-		return
-	}
-	if op.cbs == nil {
-		op.cbs = new([]func())
-	}
-	*op.cbs = append(*op.cbs, fn)
-}
-
-// CompleteLocalData marks the operation locally data complete and wakes
-// any fence waiting on it. It is idempotent.
+// CompleteLocalData marks the operation locally data complete, wakes the
+// parked fence if it may now pass, and then counts the operation off the
+// continuation fences that wait on it. It is idempotent.
 func (op *PendingOp) CompleteLocalData() {
 	if op.done {
 		return
@@ -119,15 +103,13 @@ func (op *PendingOp) CompleteLocalData() {
 	ct := op.ct
 	op.ct = nil
 	ct.sweep()
-	ct.wakeFences()
-	if op.cbs == nil {
-		return
-	}
-	cbs := *op.cbs
-	op.cbs = nil
-	for i, fn := range cbs {
-		cbs[i] = nil // consumed callbacks must not be retained
-		fn()
+	if r := ct.rare; r != nil {
+		// The parked fence is woken only when it may pass, so it resumes
+		// once (a declared death reaches it through WakeAllParked).
+		if r.p != nil && ct.clear(r.wake.down) {
+			r.p.Unpark()
+		}
+		ct.countDown(r, op)
 	}
 }
 
@@ -152,10 +134,12 @@ type delayedOp struct {
 }
 
 // CofenceTracker is the per-image registry of implicitly-synchronized
-// asynchronous operations. It provides the cofence wait and, in relaxed
-// mode, an initiation buffer that models the runtime's freedom to defer
-// starting implicit operations until a synchronization point demands
-// them — the operational face of the paper's relaxed memory model.
+// asynchronous operations. It provides the cofence wait, the continuation
+// fence and, in relaxed mode, an initiation buffer that models the
+// runtime's freedom to defer starting implicit operations until a
+// synchronization point demands them — the operational face of the
+// paper's relaxed memory model. Its execution context has one proc, so
+// a tracker has at most one parked fence.
 type CofenceTracker struct {
 	pending []*PendingOp
 
@@ -166,25 +150,28 @@ type CofenceTracker struct {
 	// maxDelay is relaxed mode's initiation-buffer flush threshold; 0
 	// when initiations are not buffered (eager mode, or relaxed mode
 	// flushing immediately).
-	maxDelay int
+	maxDelay int32
+
+	seq uint32 // the last number given to a registration or continuation fence
 
 	det *failure.Detector // nil ⇒ fences may block forever on lost ops
 
-	// rare holds what only a blocked fence or relaxed-mode buffering
-	// needs, made by the first of them: a context that does neither (a
-	// shipped function, typically) carries one pointer for both.
+	// rare holds what only a fence or relaxed-mode buffering needs, made
+	// by the first of them: a context that does neither (a shipped
+	// function, typically) carries one pointer for both.
 	rare *ctRare
 }
 
-// ctRare is a CofenceTracker's fence waiters and buffered initiations.
+// ctRare is a CofenceTracker's fences and buffered initiations.
 type ctRare struct {
-	waiters []fenceWaiter
 	delayed []delayedOp
-	fences  [AllowAny + 1]fenceWake // what every fence of each class waits on
+	conts   []*Fence  // continuation fences, in creation order
+	p       *sim.Proc // the proc parked in Cofence, nil when none
+	wake    fenceWake // what p waits on
 }
 
-// fenceWake is what a fence allowing down waits on: no constrained
-// operation pending, or a declared death.
+// fenceWake is what the parked fence, allowing down, waits on: no
+// constrained operation pending, or a declared death.
 type fenceWake struct {
 	*CofenceTracker
 	down Allow
@@ -192,21 +179,31 @@ type fenceWake struct {
 
 func (w *fenceWake) Wake() (string, bool) { return "cofence", !w.clear(w.down) && !w.det.AnyDead() }
 
-// rareState returns ct's fence waiters and buffered initiations, making
-// the record if needed.
+// rareState returns ct's fences and buffered initiations, making the
+// record if needed.
 func (ct *CofenceTracker) rareState() *ctRare {
 	if ct.rare == nil {
-		ct.rare = new(ctRare)
+		ct.rare = &ctRare{wake: fenceWake{CofenceTracker: ct}}
 	}
 	return ct.rare
 }
 
-// fenceWaiter is a proc parked in Cofence and the class of operations its
-// fence lets pass.
-type fenceWaiter struct {
-	p    *sim.Proc
+// Fence is a continuation fence: the form of Cofence that, instead of
+// parking, fires once every operation it constrains is local data
+// complete. Its owner keeps it in its own record, with what it fires.
+type Fence struct {
 	down Allow
+	left int32  // constrained operations still pending
+	seq  uint32 // ops registered before it have lower numbers
+	fire Firer
 }
+
+// Firer is what a continuation fence runs when it clears.
+type Firer interface{ Fire() }
+
+// after reports whether registration number a was given after b. The
+// numbers wrap; a tracker never holds two live ones 2³¹ apart.
+func after(a, b uint32) bool { return int32(a-b) > 0 }
 
 // NewCofenceTracker returns a tracker. With relaxed=false, operations
 // initiate eagerly (GASNet-style); with relaxed=true up to maxDelay
@@ -223,7 +220,7 @@ func NewCofenceTracker(relaxed bool, maxDelay int) *CofenceTracker {
 func (ct *CofenceTracker) Init(relaxed bool, maxDelay int) {
 	*ct = CofenceTracker{}
 	if relaxed && maxDelay > 0 {
-		ct.maxDelay = maxDelay
+		ct.maxDelay = int32(maxDelay)
 	}
 	ct.pending = ct.inline[:0]
 }
@@ -256,20 +253,25 @@ func (ct *CofenceTracker) Register(class OpClass, initiate func()) *PendingOp {
 // registering allocates nothing. op is overwritten, and stays on the
 // pending list until its CompleteLocalData.
 func (ct *CofenceTracker) RegisterOp(op *PendingOp, class OpClass, init Initiator) {
-	*op = PendingOp{class: class, ct: ct}
+	ct.seq++
+	*op = PendingOp{class: class, seq: ct.seq, ct: ct}
 	ct.pending = append(ct.pending, op)
+	if r := ct.rare; r != nil && r.p != nil && !passes(class, r.wake.down) {
+		// The parked fence waits on this op (a continuation registered it),
+		// so nothing would start it from the buffer.
+		init.Initiate()
+		return
+	}
 	ct.initiate(class, init)
 }
 
 // RegisterDone registers an operation whose local data completes at
-// registration (a spawn's: argument evaluation). It does what RegisterOp
-// followed at once by CompleteLocalData does — the same initiation, eager
-// or buffered under the same flush rule, and the same wake of fence
-// waiters — but stores no PendingOp: a registration complete at birth is
-// never pending, so no fence can wait on it.
+// registration (a spawn's: argument evaluation). It initiates as
+// RegisterOp does — eager or buffered under the same flush rule — but
+// stores no PendingOp: a registration complete at birth is never
+// pending, so no fence waits on it, and it cannot clear one either.
 func (ct *CofenceTracker) RegisterDone(class OpClass, init Initiator) {
 	ct.initiate(class, init)
-	ct.wakeFences()
 }
 
 // initiate starts a registered operation: now in eager mode, else into
@@ -278,27 +280,11 @@ func (ct *CofenceTracker) initiate(class OpClass, init Initiator) {
 	if ct.maxDelay > 0 {
 		r := ct.rareState()
 		r.delayed = append(r.delayed, delayedOp{class: class, init: init})
-		if len(r.delayed) > ct.maxDelay {
-			ct.flushDelayed(AllowNone)
+		if len(r.delayed) > int(ct.maxDelay) {
+			ct.Flush(AllowNone)
 		}
 	} else {
 		init.Initiate()
-	}
-}
-
-// wakeFences unparks each fence waiter that may now pass. A fence is
-// woken only when it may pass: resuming it to find another constrained
-// operation pending would be an event spent on parking again. (A
-// declared death reaches parked fences through the machine's
-// WakeAllParked, not through here.)
-func (ct *CofenceTracker) wakeFences() {
-	if ct.rare == nil {
-		return
-	}
-	for _, w := range ct.rare.waiters {
-		if ct.clear(w.down) {
-			w.p.Unpark()
-		}
 	}
 }
 
@@ -310,16 +296,15 @@ func (ct *CofenceTracker) sweep() {
 			live = append(live, op)
 		}
 	}
-	for i := len(live); i < len(ct.pending); i++ {
-		ct.pending[i] = nil
-	}
+	clear(ct.pending[len(live):])
 	ct.pending = live
 }
 
-// flushDelayed initiates buffered ops that may not defer past a fence
-// allowing `down`. Ops whose class passes stay buffered (their initiation
-// may legally move below the fence).
-func (ct *CofenceTracker) flushDelayed(down Allow) {
+// Flush initiates the buffered ops that may not defer past a fence
+// allowing down; ops whose class passes stay buffered (their initiation
+// may legally move below the fence). Flush(AllowNone) initiates every
+// buffered op.
+func (ct *CofenceTracker) Flush(down Allow) {
 	if ct.rare == nil {
 		return
 	}
@@ -332,30 +317,8 @@ func (ct *CofenceTracker) flushDelayed(down Allow) {
 			d.init.Initiate()
 		}
 	}
-	for i := len(keep); i < len(r.delayed); i++ {
-		r.delayed[i] = delayedOp{}
-	}
+	clear(r.delayed[len(keep):])
 	r.delayed = keep
-}
-
-// Flush initiates every buffered op unconditionally (used by event
-// notify/wait, finish boundaries, and program exit).
-func (ct *CofenceTracker) Flush() { ct.flushDelayed(AllowNone) }
-
-// Constrained returns the registered ops a fence allowing `down` would
-// wait on: not yet local-data complete and not allowed to pass. Buffered
-// initiations that may not defer past such a fence are started first,
-// exactly as Cofence would — this is the non-parking face of the fence,
-// for callers that register completion callbacks instead of blocking.
-func (ct *CofenceTracker) Constrained(down Allow) []*PendingOp {
-	ct.flushDelayed(down)
-	var out []*PendingOp
-	for _, op := range ct.pending {
-		if !op.done && !passes(op.class, down) {
-			out = append(out, op)
-		}
-	}
-	return out
 }
 
 // clear reports whether no registered operation constrains a fence that
@@ -374,15 +337,16 @@ func (ct *CofenceTracker) clear(down Allow) bool {
 // reports whether the fence can be passed at once. A context that cannot
 // park (a shipped function run inline) fences with it.
 func (ct *CofenceTracker) TryCofence(down Allow) bool {
-	ct.flushDelayed(down)
+	ct.Flush(down)
 	return ct.clear(down)
 }
 
 // Cofence blocks process p until every registered implicitly-synchronized
-// operation not allowed to pass downward is local data complete. The up
-// argument is accepted for API fidelity: it constrains compile-time
-// hoisting of later operations above the fence, which a runtime executing
-// in program order never performs; it also does not affect which buffered
+// operation not allowed to pass downward is local data complete,
+// including one a continuation registers while p waits. The up argument
+// is accepted for API fidelity: it constrains compile-time hoisting of
+// later operations above the fence, which a runtime executing in program
+// order never performs; it also does not affect which buffered
 // initiations may remain deferred (that is down's job).
 func (ct *CofenceTracker) Cofence(p *sim.Proc, down, up Allow) {
 	_ = up
@@ -390,16 +354,60 @@ func (ct *CofenceTracker) Cofence(p *sim.Proc, down, up Allow) {
 		return
 	}
 	r := ct.rareState()
-	r.waiters = append(r.waiters, fenceWaiter{p, down})
-	r.fences[down] = fenceWake{ct, down}
-	p.WaitWith(&r.fences[down])
-	r.waiters = slices.DeleteFunc(r.waiters, func(w fenceWaiter) bool { return w.p == p })
+	if r.p != nil {
+		panic("core: two fences parked on one cofence tracker")
+	}
+	r.p, r.wake.down = p, down
+	p.WaitWith(&r.wake)
+	r.p = nil
 	ct.sweep()
 	if !ct.clear(down) {
 		// A failure declaration woke the fence while constrained ops
 		// were still pending: some may have been lost with the dead
 		// image. Fail-stop rather than wait forever.
 		panic(failure.Abort{Err: ct.det.ErrFor("cofence")})
+	}
+}
+
+// CofenceOp makes f a continuation fence allowing down, which runs
+// fire.Fire once every operation registered so far that down constrains
+// is local data complete: at once if none is pending. The caller starts
+// the buffered initiations such a fence may not defer first (Flush).
+func (ct *CofenceTracker) CofenceOp(f *Fence, down Allow, fire Firer) {
+	*f = Fence{down: down, fire: fire}
+	for _, op := range ct.pending {
+		if !op.done && !passes(op.class, down) {
+			f.left++
+		}
+	}
+	if f.left == 0 {
+		fire.Fire()
+		return
+	}
+	ct.seq++
+	f.seq = ct.seq
+	r := ct.rareState()
+	r.conts = append(r.conts, f)
+}
+
+// countDown counts op, just complete, off each continuation fence made
+// after it was registered that its class does not pass, in creation
+// order, and fires each fence that reaches zero. A firing may register
+// operations and fences and complete others, so after one the walk
+// rescans the list for fences numbered after the one it fired; it stops
+// at those made after op completed, which did not count it.
+func (ct *CofenceTracker) countDown(r *ctRare, op *PendingOp) {
+	end, last := ct.seq, op.seq
+	for i := 0; i < len(r.conts) && !after(r.conts[i].seq, end); i++ {
+		f := r.conts[i]
+		if !after(f.seq, last) || passes(op.class, f.down) {
+			continue
+		}
+		if f.left--; f.left == 0 {
+			r.conts = slices.Delete(r.conts, i, i+1)
+			last, i = f.seq, -1
+			f.fire.Fire()
+		}
 	}
 }
 

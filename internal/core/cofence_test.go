@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"caf2go/internal/sim"
 )
@@ -151,7 +152,7 @@ func TestRelaxedModeBuffersAndFlushes(t *testing.T) {
 	if len(order) != 0 || ct.Delayed() != 3 {
 		t.Fatalf("relaxed mode initiated early: order=%v delayed=%d", order, ct.Delayed())
 	}
-	ct.Flush()
+	ct.Flush(AllowNone)
 	if len(order) != 3 || order[0] != 0 || order[2] != 2 {
 		t.Fatalf("flush order = %v, want FIFO", order)
 	}
@@ -168,7 +169,7 @@ func TestRelaxedModeCapTriggersFlush(t *testing.T) {
 	if count == 0 {
 		t.Fatal("cap never triggered a flush")
 	}
-	ct.Flush()
+	ct.Flush(AllowNone)
 	if count != 5 {
 		t.Fatalf("after flush count = %d, want 5", count)
 	}
@@ -222,24 +223,38 @@ func TestCompleteLocalDataIdempotent(t *testing.T) {
 }
 
 func TestMultipleWaitersAllWake(t *testing.T) {
+	// The parked fence and every continuation fence on one tracker wake
+	// at the completion they wait for.
 	eng := sim.NewEngine(1)
 	ct := NewCofenceTracker(false, 0)
 	op := ct.Register(OpWrites, func() {})
-	woke := 0
-	for i := 0; i < 3; i++ {
-		eng.Go("w", func(p *sim.Proc) {
-			ct.Cofence(p, AllowNone, AllowNone)
-			woke++
-		})
+	var fs [2]firedAt
+	for i := range fs {
+		fs[i].eng = eng
+		ct.CofenceOp(&fs[i].f, AllowNone, &fs[i])
 	}
+	parked := false
+	eng.Go("w", func(p *sim.Proc) {
+		ct.Cofence(p, AllowNone, AllowNone)
+		parked = p.Now() == 5
+	})
 	eng.At(5, func() { op.CompleteLocalData() })
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if woke != 3 {
-		t.Errorf("woke = %d, want 3", woke)
+	if got := fmt.Sprint(fs[0].at, fs[1].at); !parked || got != "[5ns] [5ns]" {
+		t.Errorf("parked fence passed at 5: %v; continuation fences fired at %s, want [5ns] [5ns]", parked, got)
 	}
 }
+
+// firedAt is a continuation fence that notes when it fired.
+type firedAt struct {
+	f   Fence
+	eng *sim.Engine
+	at  []sim.Time
+}
+
+func (r *firedAt) Fire() { r.at = append(r.at, r.eng.Now()) }
 
 // Property: a cofence with DOWNWARD=d waits for exactly the pending ops
 // whose class does not pass d; afterwards only passing ops remain pending.
@@ -352,7 +367,7 @@ func TestRegisterDoneInitiatesLikeRegisterOp(t *testing.T) {
 				log = append(log, fmt.Sprintf("%d:fence-write=%v", step, ct.TryCofence(AllowWrite)))
 			case 7:
 				if step%16 == 15 {
-					ct.Flush()
+					ct.Flush(AllowNone)
 				}
 			}
 			log = append(log, fmt.Sprintf("%d:pending=%d,delayed=%d", step, ct.Pending(), ct.Delayed()))
@@ -367,9 +382,9 @@ func TestRegisterDoneInitiatesLikeRegisterOp(t *testing.T) {
 	}
 }
 
-// A registration complete at birth runs the fence-waiter wake loop: the
-// same fences resume at the same instants, in the same number of events,
-// as when it stored a record and completed it.
+// A registration complete at birth wakes no fence, as it cannot clear
+// one: the same fences resume at the same instants, in the same number
+// of events, as when it stored a record and completed it.
 func TestRegisterDoneWakesFencesLikeCompleteLocalData(t *testing.T) {
 	run := func(stored bool) (sim.Time, uint64) {
 		eng := sim.NewEngine(1)
@@ -401,5 +416,149 @@ func TestRegisterDoneWakesFencesLikeCompleteLocalData(t *testing.T) {
 	if gotAt != wantAt || gotEvents != wantEvents || wantAt != 20*sim.Microsecond {
 		t.Errorf("fences passed at %v in %d events, want %v in %d (at 20us)",
 			gotAt, gotEvents, wantAt, wantEvents)
+	}
+}
+
+// A continuation fence counts the operations pending at its creation
+// that its class constrains: not one that passes it, not one registered
+// after it. It fires once, at the completion of the last it counted.
+func TestCofenceOpCountsEarlierConstrainedOps(t *testing.T) {
+	eng := sim.NewEngine(1)
+	ct := NewCofenceTracker(false, 0)
+	rd := ct.Register(OpReads, func() {})
+	wr := ct.Register(OpWrites, func() {})
+	f := firedAt{eng: eng}
+	ct.CofenceOp(&f.f, AllowWrite, &f)
+	later := ct.Register(OpReads, func() {})
+	eng.At(10, func() { wr.CompleteLocalData() })
+	eng.At(20, func() { rd.CompleteLocalData() })
+	eng.At(30, func() { later.CompleteLocalData() })
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(f.at) != "[20ns]" {
+		t.Errorf("fence fired at %v, want [20ns]", f.at)
+	}
+	none := firedAt{eng: eng}
+	ct.CofenceOp(&none.f, AllowNone, &none)
+	if fmt.Sprint(none.at) != "[30ns]" {
+		t.Errorf("a fence over nothing pending fired at %v, want at once ([30ns])", none.at)
+	}
+}
+
+// chainFence is a continuation fence whose firing runs more of the
+// program: it registers an operation and a fence over it, and completes
+// an operation that another fence waits on.
+type chainFence struct {
+	f    Fence
+	name string
+	log  *[]string
+	then func()
+}
+
+func (c *chainFence) Fire() {
+	*c.log = append(*c.log, c.name)
+	if c.then != nil {
+		c.then()
+	}
+}
+
+// Fences are counted off in creation order and fire once each. A firing
+// that registers operations and fences or completes other operations is
+// reentrant, depth first: a completion inside a firing counts itself off
+// every fence before the outer walk goes on (so b fires before ab, which
+// still waited on a's count), the fences a firing makes do not count the
+// completion being counted off, and a fence fired inside is not fired
+// again.
+func TestCofenceOpFiringIsReentrant(t *testing.T) {
+	ct := NewCofenceTracker(false, 0)
+	var log []string
+	a := ct.Register(OpReads, func() {})
+	b := ct.Register(OpWrites, func() {})
+	var inner *PendingOp
+	fa := &chainFence{name: "a", log: &log}   // waits on a
+	fab := &chainFence{name: "ab", log: &log} // waits on a and b
+	fb := &chainFence{name: "b", log: &log}   // waits on b
+	fi := &chainFence{name: "inner", log: &log}
+	fa.then = func() {
+		// Registered while a is being counted off: fi must not count a.
+		inner = ct.Register(OpReads, func() {})
+		ct.CofenceOp(&fi.f, AllowNone, fi)
+		b.CompleteLocalData() // fires fab and fb from inside fa's firing
+	}
+	ct.CofenceOp(&fa.f, AllowWrite, fa)
+	ct.CofenceOp(&fab.f, AllowNone, fab)
+	ct.CofenceOp(&fb.f, AllowRead, fb)
+	a.CompleteLocalData()
+	if got := fmt.Sprint(log); got != "[a b ab]" {
+		t.Fatalf("fired %s, want [a b ab]", got)
+	}
+	inner.CompleteLocalData()
+	if got := fmt.Sprint(log); got != "[a b ab inner]" || ct.Pending() != 0 || len(ct.rare.conts) != 0 {
+		t.Errorf("fired %s with %d pending and %d fences held, want [a b ab inner], 0, 0", got, ct.Pending(), len(ct.rare.conts))
+	}
+}
+
+// A continuation that registers an operation while the context's fence is
+// parked on it must not have the operation deferred in the relaxed
+// buffer: the fence's proc would never reach the synchronization point
+// that starts it.
+func TestRelaxedRegistrationUnderParkedFenceStartsAtOnce(t *testing.T) {
+	for _, maxDelay := range []int{1, 8} {
+		eng := sim.NewEngine(1)
+		ct := NewCofenceTracker(true, maxDelay)
+		passed := sim.Time(-1)
+		eng.Go("main", func(p *sim.Proc) {
+			first := ct.Register(OpReads, func() {
+				eng.At(10, func() {
+					var second *PendingOp
+					second = ct.Register(OpReads, func() { eng.At(20, func() { second.CompleteLocalData() }) })
+					// A class the fence lets pass may still wait for a
+					// synchronization point.
+					ct.Register(OpWrites, func() { t.Error("a write the fence lets pass was started") })
+				})
+			})
+			eng.At(15, func() { first.CompleteLocalData() })
+			ct.Cofence(p, AllowWrite, AllowNone)
+			passed = p.Now()
+		})
+		if err := eng.Run(); err != nil {
+			t.Fatalf("maxDelay %d: %v", maxDelay, err)
+		}
+		if passed != 20 || ct.Delayed() != 1 {
+			t.Errorf("maxDelay %d: fence passed at %v with %d delayed, want 20ns and 1", maxDelay, passed, ct.Delayed())
+		}
+	}
+}
+
+// A tracker belongs to one execution context, which has one proc: a
+// second fence parked on it is a bug, and says so.
+func TestSecondParkedFencePanics(t *testing.T) {
+	eng := sim.NewEngine(1)
+	ct := NewCofenceTracker(false, 0)
+	op := ct.Register(OpReads, func() {})
+	var recovered any
+	eng.Go("first", func(p *sim.Proc) { ct.Cofence(p, AllowNone, AllowNone) })
+	eng.Go("second", func(p *sim.Proc) {
+		defer func() { recovered = recover() }()
+		ct.Cofence(p, AllowNone, AllowNone)
+	})
+	eng.At(5, func() { op.CompleteLocalData() })
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if recovered == nil {
+		t.Error("a second fence parked on one tracker")
+	}
+}
+
+// A PendingOp is a class, a flag, a registration number in the padding
+// after them, and its tracker; the tracker is 64 bytes.
+func TestPoolPendingOpSize(t *testing.T) {
+	if n := unsafe.Sizeof(PendingOp{}); n != 16 {
+		t.Errorf("PendingOp is %d bytes, want 16", n)
+	}
+	if n := unsafe.Sizeof(CofenceTracker{}); n != 64 {
+		t.Errorf("CofenceTracker is %d bytes, want 64", n)
 	}
 }

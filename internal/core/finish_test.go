@@ -40,9 +40,16 @@ func newMachine(t testing.TB, n int, seed int64, cfg Config) *machine {
 // exercising the finish plane over jittered or faulty delivery.
 func newMachineFabric(t testing.TB, n int, seed int64, cfg Config, fcfg fabric.Config) *machine {
 	t.Helper()
+	return newMachineTree(t, n, seed, cfg, fcfg, collect.Binomial)
+}
+
+// newMachineTree is newMachineFabric with the collectives on the given
+// tree shape.
+func newMachineTree(t testing.TB, n int, seed int64, cfg Config, fcfg fabric.Config, tree collect.Tree) *machine {
+	t.Helper()
 	eng := sim.NewEngine(seed)
 	k := rt.NewKernel(eng, n, fcfg)
-	m := &machine{eng: eng, k: k, comm: collect.New(k), w: team.World(n)}
+	m := &machine{eng: eng, k: k, comm: collect.NewWithTree(k, tree), w: team.World(n)}
 	m.pl = NewPlane(k, m.comm, cfg)
 	k.RegisterHandler(tagSpawn, func(d *rt.Delivery) {
 		d.Detach()
@@ -559,3 +566,32 @@ func BenchmarkFinishRounds(b *testing.B) {
 		})
 	}
 }
+
+// benchTreeShape runs b.N finishes over 128 images whose collectives use
+// one tree shape, image 0 shipping an empty function to image 1 in each,
+// and reports the virtual time per finish: the binomial tree's O(log p)
+// critical path against the flat star's O(p).
+func benchTreeShape(b *testing.B, tree collect.Tree) {
+	const images = 128
+	m := newMachineTree(b, images, 1, Config{WaitQuiescent: true}, fabric.DefaultConfig(), tree)
+	n := b.N
+	for i := 0; i < images; i++ {
+		img := m.k.Image(i)
+		img.Go("main", func(p *sim.Proc) {
+			for j := 0; j < n; j++ {
+				s := m.pl.Begin(img, m.w)
+				if i == 0 {
+					m.spawn(img, 1, s.Ref(), func(*rt.ImageKernel, *sim.Proc, Ref) {})
+				}
+				m.pl.End(p, img, s)
+			}
+		})
+	}
+	if err := m.eng.Run(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(m.eng.Now().Seconds()/float64(n), "vsec/op")
+}
+
+func BenchmarkAblationBinomialTree(b *testing.B) { benchTreeShape(b, collect.Binomial) }
+func BenchmarkAblationFlatTree(b *testing.B)     { benchTreeShape(b, collect.Flat) }

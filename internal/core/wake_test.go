@@ -200,17 +200,18 @@ func TestCofenceWaiterWokenOnce(t *testing.T) {
 	}
 }
 
-// Two fences on one tracker: each is woken by the completion that clears
-// its own class.
+// Two fences on one tracker, the parked one and a continuation fence:
+// each is woken by the completion that clears its own class.
 func TestCofenceWaitersWokenByOwnClass(t *testing.T) {
 	eng := sim.NewEngine(1)
 	ct := NewCofenceTracker(false, 0)
 	var rd, wr *PendingOp
-	var full, writesPass sim.Time
+	full := firedAt{eng: eng}
+	var writesPass sim.Time
 	eng.Go("setup", func(p *sim.Proc) {
 		rd = ct.Register(OpReads, func() {})
 		wr = ct.Register(OpWrites, func() {})
-		eng.Go("full", func(p *sim.Proc) { ct.Cofence(p, AllowNone, AllowNone); full = p.Now() })
+		ct.CofenceOp(&full.f, AllowNone, &full)
 		eng.Go("writes-pass", func(p *sim.Proc) { ct.Cofence(p, AllowWrite, AllowNone); writesPass = p.Now() })
 	})
 	eng.At(10*us, func() { rd.CompleteLocalData() })
@@ -218,7 +219,7 @@ func TestCofenceWaitersWokenByOwnClass(t *testing.T) {
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if writesPass != 10*us || full != 30*us {
-		t.Errorf("fences passed at %v (writes may pass) and %v (full), want 10us and 30us", writesPass, full)
+	if writesPass != 10*us || len(full.at) != 1 || full.at[0] != 30*us {
+		t.Errorf("fences passed at %v (writes may pass) and %v (full), want 10us and [30us]", writesPass, full.at)
 	}
 }

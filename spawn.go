@@ -442,7 +442,7 @@ func (sh *shipped) exec(start Time) {
 	img.traceSpan("spawn-exec"+s.op.kind[len("spawn"):], "ship", start)
 	// Spawned context exit is a synchronization point for any
 	// initiations it deferred.
-	img.ct.Flush()
+	img.ct.Flush(AllowNone)
 	// The shipped function has finished executing on the target: the
 	// spawn is globally complete.
 	m.opAdvance(&s.op, img.Rank(), trace.StageGlobal)

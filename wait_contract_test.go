@@ -91,18 +91,35 @@ var waitRows = []waitRow{
 	}},
 	// Rank 0 fences a get from rank 2 and then one from rank 1, issued
 	// at 14µs, just before rank 1 dies: its data never comes back.
-	{"cofence", 4, 15 * caf.Microsecond, [2]waitRecord{{45, 14, 0, "[[17.680us] [25.448us] [25.464us] [27.280us]]", ""}, {50, 14, 1, "[[17.000us] [25.448us] [25.464us] [27.280us]]", "1@17000:cofence/0 - - -"}}, func(img *caf.Image) {
-		ca := caf.NewCoarray[int64](img, nil, 4)
-		if img.Rank() != 0 {
-			img.Compute(20 * caf.Microsecond)
-			return
-		}
-		buf := make([]int64, 4)
-		caf.CopyAsync(img, caf.Local(buf), ca.Sec(2, 0, 4))
-		img.Cofence(caf.AllowNone, caf.AllowNone)
-		img.Compute(14*caf.Microsecond - img.Now())
-		caf.CopyAsync(img, caf.Local(buf), ca.Sec(1, 0, 4))
-		img.Cofence(caf.AllowNone, caf.AllowNone)
+	{"cofence", 4, 15 * caf.Microsecond, [2]waitRecord{{45, 14, 0, "[[17.680us] [25.448us] [25.464us] [27.280us]]", ""}, {50, 14, 1, "[[17.000us] [25.448us] [25.464us] [27.280us]]", "1@17000:cofence/0 - - -"}}, cofenceWaitMain},
+}
+
+// Rank 0 fences a get from rank 2 and then one from rank 1, issued at
+// 14µs, just before rank 1 dies: its data never comes back.
+func cofenceWaitMain(img *caf.Image) {
+	ca := caf.NewCoarray[int64](img, nil, 4)
+	if img.Rank() != 0 {
+		img.Compute(20 * caf.Microsecond)
+		return
+	}
+	buf := make([]int64, 4)
+	caf.CopyAsync(img, caf.Local(buf), ca.Sec(2, 0, 4))
+	img.Cofence(caf.AllowNone, caf.AllowNone)
+	img.Compute(14*caf.Microsecond - img.Now())
+	caf.CopyAsync(img, caf.Local(buf), ca.Sec(1, 0, 4))
+	img.Cofence(caf.AllowNone, caf.AllowNone)
+}
+
+// The rows again on lattice points the rows above leave out, each with
+// what it sets in the Config. Recorded on the code whose fences start
+// their deferred initiations before they flush the coalescing buffers.
+var waitLatticeRows = []struct {
+	row waitRow
+	cfg func(*caf.Config)
+}{
+	{waitRow{"cofence/relaxed-coalesced", 4, 15 * caf.Microsecond, [2]waitRecord{{49, 14, 0, "[[27.296us] [25.448us] [25.464us] [27.280us]]", ""}, {48, 12, 1, "[[17.000us] [25.448us] [25.464us] [27.280us]]", "1@17000:cofence/0 - - -"}}, cofenceWaitMain}, func(c *caf.Config) {
+		c.Relaxed, c.MaxDelayed = true, 8
+		c.Fabric.Coalescing = caf.Coalescing{MaxMsgs: 4}
 	}},
 }
 
@@ -115,18 +132,30 @@ var waitRows = []waitRow{
 // exactly once: the resumes pin that.
 func TestWaitContractReports(t *testing.T) {
 	for _, row := range waitRows {
-		for v, crash := range []bool{false, true} {
-			t.Run(fmt.Sprintf("%s/crash=%v", row.name, crash), func(t *testing.T) {
-				cfg := caf.Config{Images: row.images, Seed: 1}
-				if crash {
-					cfg = withCrash(cfg, map[int]caf.Time{1: row.crash})
-				}
-				m, rep, seen, errs := runRecorded(t, cfg, row.main, nil)
-				got := waitRecord{rep.EventsRun, m.Engine().Resumes(), rep.OpsAbortedByFailure, fmt.Sprint(seen), errs}
-				if got != row.want[v] {
-					t.Errorf("got %#v, want %#v", got, row.want[v])
-				}
-			})
-		}
+		runWaitRow(t, row, nil)
+	}
+	for _, l := range waitLatticeRows {
+		runWaitRow(t, l.row, l.cfg)
+	}
+}
+
+// runWaitRow runs row without and with the crash, on the Config set
+// sets (nil for none).
+func runWaitRow(t *testing.T, row waitRow, set func(*caf.Config)) {
+	for v, crash := range []bool{false, true} {
+		t.Run(fmt.Sprintf("%s/crash=%v", row.name, crash), func(t *testing.T) {
+			cfg := caf.Config{Images: row.images, Seed: 1}
+			if set != nil {
+				set(&cfg)
+			}
+			if crash {
+				cfg = withCrash(cfg, map[int]caf.Time{1: row.crash})
+			}
+			m, rep, seen, errs := runRecorded(t, cfg, row.main, nil)
+			got := waitRecord{rep.EventsRun, m.Engine().Resumes(), rep.OpsAbortedByFailure, fmt.Sprint(seen), errs}
+			if got != row.want[v] {
+				t.Errorf("got %#v, want %#v", got, row.want[v])
+			}
+		})
 	}
 }
