@@ -28,6 +28,7 @@ ci: vet build test
 	cd benchmark && $(GO) vet . && $(GO) test .
 	$(GO) test -race ./...
 	$(GO) test -tags quarantinepools ./...
+	$(MAKE) examples
 	$(MAKE) figures-check
 
 bench:

@@ -231,9 +231,9 @@ type imageState struct {
 
 	// pendingDeliv tracks outstanding remote updates for EventNotify's
 	// release semantics, and lastWait is the latest notify still waiting
-	// on some of them (see deliveryWait).
+	// on some of them (see notifyOp).
 	pendingDeliv []*delivToken
-	lastWait     *deliveryWait
+	lastWait     *notifyOp
 
 	// carrSeq matches collective coarray allocations per team.
 	carrSeq map[int64]uint64
@@ -688,13 +688,6 @@ func (m *Machine) ReplicaOf(rank int) int {
 // value with replication off).
 func (m *Machine) ReplStats() ReplStats { return m.repl.Stats() }
 
-// SubscribeEpoch registers fn to run inside the engine at every epoch
-// commit, after routing state has been rewritten. Inert with
-// replication off.
-func (m *Machine) SubscribeEpoch(fn func(epoch int, at Time)) {
-	m.repl.Subscribe(func(epoch int, at sim.Time) { fn(epoch, at) })
-}
-
 // Trace returns the execution-trace recorder, or nil when tracing is
 // disabled. Export with WriteChromeTrace.
 func (m *Machine) Trace() *trace.Recorder { return m.tracer }
@@ -750,19 +743,12 @@ func (img *Image) traceInstant(name, cat string) {
 	}
 }
 
-// opNew creates the completion handle for an async op initiated by this
-// image, recording it in the op log when a tracker keeps it (the
-// handle's continuation machinery works either way): the lifecycle
-// tracker's first ops and, under an active request context, a span on
-// the request's causal DAG, parented to the context's enclosing op.
-func (img *Image) opNew(kind string, peer int) *Op {
-	o := new(Op)
-	img.opInit(o, kind, peer)
-	return o
-}
-
-// opInit is opNew for a handle that is a field of the operation's own
-// record.
+// opInit makes o, a field of the operation's own record, the completion
+// handle of an op initiated by this image, recording it in the op log
+// when a tracker keeps it (the handle's continuation machinery works
+// either way): the lifecycle tracker's first ops and, under an active
+// request context, a span on the request's causal DAG, parented to the
+// context's enclosing op.
 func (img *Image) opInit(o *Op, kind string, peer int) {
 	*o = Op{m: img.m, kind: kind, img: int32(img.Rank())}
 	if img.m.path != nil {

@@ -260,7 +260,7 @@ func (c *Collective) notify(e *Event) {
 	if c.cs != nil {
 		clk = race.Join(race.CopyClock(c.cs.clk), c.selfClk)
 	}
-	c.img.m.notifyFrom(c.img.Rank(), e, clk, nil)
+	c.img.m.notifyFrom(c.img.Rank(), e, clk)
 }
 
 // collLevels is a Collective as what collect tells of its completion

@@ -71,24 +71,18 @@ type copyOp[T any] struct {
 	rid, wid                            int
 }
 
-// copyHop is what the copy handlers see of a copyOp[T].
+// copyHop is what the copy handlers, and a predicate event's owner, see
+// of a copyOp[T]. A copy gated on an event waits there as itself: it is
+// the payload of the messages to and from a remote event's owner and an
+// entry of the event's queue (eventState.preds).
 type copyHop interface {
 	atSource(d *rt.Delivery) // serve the read request, forward the data
 	atDest(d *rt.Delivery)   // apply the data
-}
-
-// chainMsg registers a predicate continuation on a remote event's owner.
-type chainMsg struct {
-	e          *Event
-	resumeRank int
-	resume     func(clk race.Clock)
-}
-
-// resumeMsg carries a predicate continuation home with the clock of the
-// consumed post.
-type resumeMsg struct {
-	fn  func(clk race.Clock)
-	clk race.Clock
+	predicate() *Event
+	// predPosted runs on the predicate's owner when the copy consumes one
+	// of its posts, with the event's release clock then.
+	predPosted(clk race.Clock)
+	start()
 }
 
 // CopyAsync initiates a one-sided asynchronous copy from src to dst
@@ -168,16 +162,32 @@ func CopyAsync[T any](img *Image, dst, src Sec[T], opts ...CopyOpt) *Op {
 }
 
 // Initiate starts the copy — now, or when the relaxed runtime releases
-// it — behind its predicate event if it has one.
+// it — behind its predicate event if it has one. A copy gated on an event
+// of another image waits at the event's owner, one message each way.
 func (c *copyOp[T]) Initiate() {
-	if c.o.pred == nil {
+	e, m, me := c.o.pred, c.op.m, c.op.Initiator()
+	switch {
+	case e == nil:
+		c.start()
+	case e.owner == me:
+		m.whenPosted(e, c)
+	default:
+		m.states[me].kern.Send(e.owner, tagEventChain, c, rt.SendOpts{Class: fabric.AMShort, Bytes: 24, NoCoalesce: true})
+	}
+}
+
+func (c *copyOp[T]) predicate() *Event { return c.o.pred }
+
+// predPosted keeps the consumed post's clock and starts the copy, back on
+// its initiator if the event is hosted elsewhere.
+func (c *copyOp[T]) predPosted(clk race.Clock) {
+	c.predClk = clk
+	m, me, owner := c.op.m, c.op.Initiator(), c.o.pred.owner
+	if owner == me {
 		c.start()
 		return
 	}
-	c.op.m.gatePredicate(c.op.Initiator(), c.o.pred, func(clk race.Clock) {
-		c.predClk = clk
-		c.start()
-	})
+	m.states[owner].kern.Send(me, tagResume, c, rt.SendOpts{Class: fabric.AMShort, Bytes: 16, NoCoalesce: true})
 }
 
 // forkOpClocks runs at actual initiation (the predicate may defer it):
@@ -227,7 +237,7 @@ func (c *copyOp[T]) start() {
 		c.data = c.src.read() // snapshot at initiation
 		c.tok.clk = &c.wclk
 		st.addDelivToken(&c.tok)
-		opts.Class, opts.Bytes, opts.OnInjected = c.class, c.bytes, c.injected
+		opts.Class, opts.Bytes, opts.Injected = c.class, c.bytes, true
 		st.kern.Send(c.dstRank(), tagCopyPut, c, opts)
 		return
 	}
@@ -247,11 +257,11 @@ func (c *copyOp[T]) start() {
 	st.kern.Send(c.src.rank, tagCopyGetReq, c, opts)
 }
 
-// injected: the source buffer is reusable, the data is on the wire.
-func (c *copyOp[T]) injected() {
+// Injected: the source buffer is reusable, the data is on the wire.
+func (c *copyOp[T]) Injected() {
 	c.localTick()
 	if c.o.srcE != nil {
-		c.op.m.notifyFrom(c.op.Initiator(), c.o.srcE, c.rclk, nil)
+		c.op.m.notifyFrom(c.op.Initiator(), c.o.srcE, c.rclk)
 	}
 }
 
@@ -289,7 +299,7 @@ func (c *copyOp[T]) atSource(d *rt.Delivery) {
 	raceRecord(m, c.src, false, c.rid, eff, "copy_async read")
 	if c.o.srcE != nil {
 		// Source read complete: the source buffer may be overwritten.
-		m.notifyFrom(here, c.o.srcE, eff, nil)
+		m.notifyFrom(here, c.o.srcE, eff)
 	}
 	m.states[here].kern.Send(c.dstRank(), tagCopyPut, c, rt.SendOpts{
 		Finish: c.finish,
@@ -313,32 +323,8 @@ func (c *copyOp[T]) atDest(d *rt.Delivery) {
 	// Data applied at the destination: the copy is complete everywhere.
 	m.opAdvance(&c.op, here, trace.StageGlobal)
 	if c.o.destE != nil {
-		m.notifyFrom(here, c.o.destE, eff, nil)
+		m.notifyFrom(here, c.o.destE, eff)
 	}
-}
-
-// gatePredicate runs fn once e has a post available, routing through e's
-// owner image when remote (one message each way). fn receives the
-// event's accumulated release clock at consumption (nil when the race
-// detector is off).
-func (m *Machine) gatePredicate(fromRank int, e *Event, fn func(clk race.Clock)) {
-	if e.owner == fromRank {
-		m.whenPosted(e, func() { fn(m.eventClock(e)) })
-		return
-	}
-	m.states[fromRank].kern.Send(e.owner, tagEventChain, &chainMsg{
-		e:          e,
-		resumeRank: fromRank,
-		resume:     fn,
-	}, rt.SendOpts{Class: fabric.AMShort, Bytes: 24, NoCoalesce: true})
-}
-
-// eventClock copies the event's accumulated release clock.
-func (m *Machine) eventClock(e *Event) race.Clock {
-	if m.race == nil {
-		return nil
-	}
-	return race.CopyClock(m.eventState(e).rclk)
 }
 
 func (m *Machine) handleCopyPut(d *rt.Delivery) { d.Payload.(copyHop).atDest(d) }
@@ -346,27 +332,17 @@ func (m *Machine) handleCopyPut(d *rt.Delivery) { d.Payload.(copyHop).atDest(d) 
 func (m *Machine) handleCopyGetReq(d *rt.Delivery) { d.Payload.(copyHop).atSource(d) }
 
 func (m *Machine) handleEventNotify(d *rt.Delivery) {
-	msg := d.Payload.(*eventNotifyMsg)
-	m.eventRelease(msg.e, msg.clk)
-	// The post is visible on the owner: the notify is globally complete.
-	m.opAdvance(msg.op, d.Img.Rank(), trace.StageGlobal)
-	m.post(msg.e)
+	m.landNotify(d.Img.Rank(), d.Payload.(*eventNotifyMsg))
 }
 
+// handleEventChain queues a copy on its predicate, hosted here.
 func (m *Machine) handleEventChain(d *rt.Delivery) {
-	msg := d.Payload.(*chainMsg)
-	here := d.Img.Rank()
-	m.whenPosted(msg.e, func() {
-		m.states[here].kern.Send(msg.resumeRank, tagResume,
-			&resumeMsg{fn: msg.resume, clk: m.eventClock(msg.e)},
-			rt.SendOpts{Class: fabric.AMShort, Bytes: 16, NoCoalesce: true})
-	})
+	c := d.Payload.(copyHop)
+	m.whenPosted(c.predicate(), c)
 }
 
-func (m *Machine) handleResume(d *rt.Delivery) {
-	msg := d.Payload.(*resumeMsg)
-	msg.fn(msg.clk)
-}
+// handleResume starts a copy whose remote predicate it consumed.
+func (m *Machine) handleResume(d *rt.Delivery) { d.Payload.(copyHop).start() }
 
 // ---------------------------------------------------------------------
 // Blocking one-sided operations (the reference get/put style the paper's
@@ -449,14 +425,17 @@ func (m *Machine) handleBlocking(d *rt.Delivery) {
 	d.Reply(nil, d.Payload.(blockingReq).serve())
 }
 
-// blockingOp returns the lifecycle handle of a blocking Get or Put. The
-// handle never leaves the call, so it only exists to be stamped: without
-// lifecycle or path tracing there is none (a nil *Op advances nothing).
+// blockingOp returns the lifecycle handle of a blocking operation (a
+// Get, a Put, a Lock, a blocking collective). The handle never leaves the
+// call, so it only exists to be stamped: without lifecycle or path
+// tracing there is none (a nil *Op advances nothing).
 func (img *Image) blockingOp(kind string, peer int) *Op {
 	if img.m.life == nil && img.m.path == nil {
 		return nil
 	}
-	return img.opNew(kind, peer)
+	o := new(Op)
+	img.opInit(o, kind, peer)
+	return o
 }
 
 // Get performs a blocking one-sided read of a (possibly remote) section.

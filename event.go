@@ -33,7 +33,12 @@ type Event struct {
 type eventState struct {
 	count   int64
 	waiters []*sim.Proc
-	cbs     []func() // one-shot callbacks, each consuming one post
+
+	// preds are the copies waiting on the event as their predicate, in
+	// arrival order; each consumes one post (whenPosted). A consumed
+	// slot is shifted out and nil'd, so the backing array is kept for
+	// the next waiting copy and holds none it has let go.
+	preds []copyHop
 
 	// rclk accumulates the release clocks of all notifies when the race
 	// detector runs. A consumer acquires the whole accumulation — the
@@ -73,27 +78,18 @@ func (m *Machine) eventState(e *Event) *eventState {
 func (m *Machine) post(e *Event) {
 	es := m.eventState(e)
 	es.count++
-	for es.count > 0 && len(es.cbs) > 0 {
-		cb := es.cbs[0]
-		// Nil the consumed slot before re-slicing: the shrinking slice
-		// keeps its backing array, and a retained closure there would
-		// hold its captures (continuations, clocks) alive across event
-		// reuse cycles — and look like a stale waiter to anyone dumping
-		// the state.
-		es.cbs[0] = nil
-		es.cbs = es.cbs[1:]
+	for es.count > 0 && len(es.preds) > 0 {
+		c := es.preds[0]
+		n := copy(es.preds, es.preds[1:])
+		es.preds[n] = nil
+		es.preds = es.preds[:n]
 		es.count--
-		cb()
+		c.predPosted(m.eventClock(e))
 	}
-	if len(es.cbs) == 0 {
-		// Release the drained backing array so a long-lived, repeatedly
-		// reused event does not pin every closure ever registered on it.
-		es.cbs = nil
-	}
-	// A registered callback has priority over blocked waiters and may
-	// have consumed the post just delivered; unparking waiters then
-	// would be spurious — they would re-evaluate count == 0 and park
-	// again, burning simulator events.
+	// A waiting copy has priority over blocked waiters and may have
+	// consumed the post just delivered; unparking waiters then would be
+	// spurious — they would re-evaluate count == 0 and park again,
+	// burning simulator events.
 	if es.count > 0 {
 		for _, w := range es.waiters {
 			w.Unpark()
@@ -101,17 +97,25 @@ func (m *Machine) post(e *Event) {
 	}
 }
 
-// whenPosted arranges fn to run (on the owner image's context) when a
-// post is available, consuming it. Used for predicate events on
-// asynchronous copies.
-func (m *Machine) whenPosted(e *Event, fn func()) {
+// whenPosted lets c, a copy gated on e, consume a post of e on e's
+// owner: now if one is available, else after the copies already waiting
+// there.
+func (m *Machine) whenPosted(e *Event, c copyHop) {
 	es := m.eventState(e)
 	if es.count > 0 {
 		es.count--
-		fn()
+		c.predPosted(m.eventClock(e))
 		return
 	}
-	es.cbs = append(es.cbs, fn)
+	es.preds = append(es.preds, c)
+}
+
+// eventClock copies the event's accumulated release clock.
+func (m *Machine) eventClock(e *Event) race.Clock {
+	if m.race == nil {
+		return nil
+	}
+	return race.CopyClock(m.eventState(e).rclk)
 }
 
 // eventNotifyMsg carries a notification and its release clock.
@@ -121,33 +125,71 @@ type eventNotifyMsg struct {
 	op  *Op // completion handle of the notify (nil = internal signal)
 }
 
-// notifyFrom delivers one post to e with the given release clock (nil
-// when the race detector is off), sending an active message when the
-// signal originates on a different image than the owner. op is the
-// notify's completion handle, which completes globally when the post
-// lands on the owner (nil for an internal signal).
-func (m *Machine) notifyFrom(fromRank int, e *Event, clk race.Clock, op *Op) {
+// notifyFrom delivers one post of an internal signal (a copy's source or
+// destination event, a spawn's or a collective's) to e with the given
+// release clock (nil when the race detector is off), sending an active
+// message when the signal originates on a different image than the
+// owner.
+func (m *Machine) notifyFrom(fromRank int, e *Event, clk race.Clock) {
 	if e.owner == fromRank {
-		m.eventRelease(e, clk)
-		m.opAdvance(op, fromRank, trace.StageGlobal)
-		m.post(e)
+		m.landNotify(fromRank, &eventNotifyMsg{e: e, clk: clk})
 		return
 	}
-	// Notifies release waiters parked on the owner: never coalesce them.
-	m.states[fromRank].kern.Send(e.owner, tagEventNotify, &eventNotifyMsg{e: e, clk: clk, op: op}, rt.SendOpts{
+	m.sendNotify(fromRank, &eventNotifyMsg{e: e, clk: clk})
+}
+
+// sendNotify sends msg from image from to its event's owner. Notifies
+// release waiters parked on the owner: never coalesce them.
+func (m *Machine) sendNotify(from int, msg *eventNotifyMsg) {
+	m.states[from].kern.Send(msg.e.owner, tagEventNotify, msg, rt.SendOpts{
 		Class:      fabric.AMShort,
 		Bytes:      16,
 		NoCoalesce: true,
 	})
 }
 
-// eventRelease joins a notify's clock into the event's accumulation.
-func (m *Machine) eventRelease(e *Event, clk race.Clock) {
-	if m.race == nil || clk == nil {
+// landNotify posts msg's event on its owner, rank: the notify's release
+// clock joins the event's accumulation, and its completion handle (nil
+// for an internal signal) completes globally, since the post is visible.
+func (m *Machine) landNotify(rank int, msg *eventNotifyMsg) {
+	if m.race != nil && msg.clk != nil {
+		es := m.eventState(msg.e)
+		es.rclk = race.Join(es.rclk, msg.clk)
+	}
+	m.opAdvance(msg.op, rank, trace.StageGlobal)
+	m.post(msg.e)
+}
+
+// notifyOp is the one record of an EventNotify: its completion handle,
+// its wire payload (whose op is the handle, and whose clock is the
+// release clock) and its release wait, a countdown of the remote updates
+// outstanding on its image when it was called. Like copyOp it is owned,
+// not pooled: the caller may keep &n.op.
+//
+// An image's waiting notifies form a chain in notify order (next). A
+// delivery token is in every wait from its first one to the last made
+// before it completed, so a completing token counts down the chain from
+// its first wait up to the image's last (delivToken.complete). Nothing
+// walks a released notify again, so it lets go of the later ones.
+type notifyOp struct {
+	op   Op
+	msg  eventNotifyMsg
+	left int // outstanding updates still awaited
+	next *notifyOp
+}
+
+// release runs when every update the notify waits for has been
+// delivered and nothing more is pending locally: the post goes to the
+// event's owner.
+func (n *notifyOp) release() {
+	m, from := n.op.m, n.op.Initiator()
+	m.opAdvance(&n.op, from, trace.StageLocalData)
+	m.opAdvance(&n.op, from, trace.StageLocalOp)
+	if n.msg.e.owner == from {
+		m.landNotify(from, &n.msg)
 		return
 	}
-	es := m.eventState(e)
-	es.rclk = race.Join(es.rclk, clk)
+	m.sendNotify(from, &n.msg)
 }
 
 // EventNotify posts the event with release semantics: the notification is
@@ -160,27 +202,19 @@ func (m *Machine) eventRelease(e *Event, clk race.Clock) {
 // when the release precondition holds (prior updates delivered), global
 // completion when the post is visible on the owner.
 func (img *Image) EventNotify(e *Event) *Op {
-	st := img.st
 	// Release boundary: deferred initiations must actually start, and
 	// buffered coalesced messages must be on the wire before the notify —
 	// a waiter must observe their effects.
 	img.syncPoint(AllowNone)
-	from := img.Rank()
-	oph := img.opNew("notify", e.owner)
-	img.opStage(oph, trace.StageInit)
-	// Release clock: the notifier's clock at the notify, joined below
-	// with the clocks of the outstanding remote updates the notify waits
-	// on — a waiter is ordered after those updates' writes too.
-	rel := img.raceRelease()
-	m := img.m
-	m.afterOutstandingDeliveries(st, func(dclk race.Clock) {
-		// The release precondition holds: every outstanding update has
-		// been delivered, nothing more is pending locally.
-		m.opAdvance(oph, from, trace.StageLocalData)
-		m.opAdvance(oph, from, trace.StageLocalOp)
-		m.notifyFrom(from, e, race.Join(rel, dclk), oph)
-	})
-	return oph
+	n := &notifyOp{}
+	img.opInit(&n.op, "notify", e.owner)
+	img.opStage(&n.op, trace.StageInit)
+	// Release clock: the notifier's clock at the notify, joined with the
+	// clocks of the outstanding remote updates the notify waits on — a
+	// waiter is ordered after those updates' writes too.
+	n.msg = eventNotifyMsg{e: e, clk: img.raceRelease(), op: &n.op}
+	img.m.afterOutstandingDeliveries(img.st, n)
+	return &n.op
 }
 
 // EventWait blocks until a notification is available and consumes it

@@ -1,11 +1,44 @@
 package caf
 
-// White-box regression tests for the event-state callback queue: a
-// registered one-shot callback must consume exactly one post, never fire
-// twice across release/re-post cycles, and the drained queue must not
-// retain consumed closures through its backing array.
+// White-box regression tests for the event-state queue of waiting
+// copies: a copy gated on the event must consume exactly one post, never
+// start twice across release/re-post cycles, and the drained queue must
+// not retain consumed copies through its backing array.
 
-import "testing"
+import (
+	"testing"
+
+	"caf2go/internal/race"
+	"caf2go/internal/rt"
+)
+
+// waitingCopy is a copy gated on e, as the event's queue sees it: posted
+// is what consuming a post starts.
+type waitingCopy struct {
+	e      *Event
+	posted func()
+}
+
+func (w *waitingCopy) atSource(*rt.Delivery) {}
+func (w *waitingCopy) atDest(*rt.Delivery)   {}
+func (w *waitingCopy) predicate() *Event     { return w.e }
+func (w *waitingCopy) predPosted(race.Clock) { w.posted() }
+func (w *waitingCopy) start()                {}
+
+// whenPosted queues a copy gated on e that runs fn when it consumes a
+// post.
+func whenPosted(m *Machine, e *Event, fn func()) { m.whenPosted(e, &waitingCopy{e, fn}) }
+
+// held counts the copies the queue's backing array still refers to.
+func held(es *eventState) int {
+	n := 0
+	for _, c := range es.preds[:cap(es.preds)] {
+		if c != nil {
+			n++
+		}
+	}
+	return n
+}
 
 // withImage runs body on a single-image machine and fails the test on
 // any simulation error.
@@ -24,21 +57,21 @@ func TestEventCallbackConsumesOnePostExactly(t *testing.T) {
 		e := img.NewEvent()
 		es := m.eventState(e)
 		fired := 0
-		m.whenPosted(e, func() { fired++ })
+		whenPosted(m, e, func() { fired++ })
 
-		// Two posts: the single callback consumes the first, the second
-		// must remain as a plain pending count — not re-fire the stale
-		// callback.
+		// Two posts: the single waiting copy consumes the first, the second
+		// must remain as a plain pending count — not re-start the stale
+		// copy.
 		m.post(e)
 		m.post(e)
 		if fired != 1 {
-			t.Errorf("one-shot callback fired %d times, want 1", fired)
+			t.Errorf("waiting copy started %d times, want 1", fired)
 		}
 		if es.count != 1 {
-			t.Errorf("pending count %d after 2 posts / 1 callback, want 1", es.count)
+			t.Errorf("pending count %d after 2 posts / 1 copy, want 1", es.count)
 		}
-		if es.cbs != nil {
-			t.Errorf("drained callback queue retains %d slot(s); backing array leaked", len(es.cbs))
+		if n := held(es); n != 0 {
+			t.Errorf("drained queue retains %d copies; backing array leaked", n)
 		}
 		if !img.EventTryWait(e) || img.EventTryWait(e) {
 			t.Error("surviving post not consumable exactly once")
@@ -52,34 +85,34 @@ func TestEventCallbacksDrainInOrderAcrossPosts(t *testing.T) {
 		e := img.NewEvent()
 		es := m.eventState(e)
 		var order []int
-		m.whenPosted(e, func() { order = append(order, 1) })
-		m.whenPosted(e, func() { order = append(order, 2) })
+		whenPosted(m, e, func() { order = append(order, 1) })
+		whenPosted(m, e, func() { order = append(order, 2) })
 
 		m.post(e)
 		if len(order) != 1 || order[0] != 1 {
 			t.Fatalf("after first post, fired %v, want [1]", order)
 		}
-		if len(es.cbs) != 1 {
-			t.Fatalf("queue holds %d callback(s), want 1", len(es.cbs))
+		if len(es.preds) != 1 {
+			t.Fatalf("queue holds %d copies, want 1", len(es.preds))
 		}
 		m.post(e)
 		if len(order) != 2 || order[1] != 2 {
 			t.Fatalf("after second post, fired %v, want [1 2]", order)
 		}
-		if es.count != 0 || es.cbs != nil {
-			t.Errorf("post-drain state count=%d cbs=%v, want 0/nil", es.count, es.cbs)
+		if es.count != 0 || held(es) != 0 {
+			t.Errorf("post-drain state count=%d held=%d, want 0/0", es.count, held(es))
 		}
 
 		// Reuse cycle: a fresh registration on the released event state
 		// fires once on the next post — no stale slot from the previous
 		// cycle fires with it.
-		m.whenPosted(e, func() { order = append(order, 3) })
+		whenPosted(m, e, func() { order = append(order, 3) })
 		m.post(e)
 		if len(order) != 3 || order[2] != 3 {
 			t.Errorf("reuse cycle fired %v, want [1 2 3]", order)
 		}
-		if es.cbs != nil {
-			t.Error("reuse cycle leaked its callback queue backing array")
+		if held(es) != 0 {
+			t.Error("reuse cycle leaked a copy through the queue's backing array")
 		}
 	})
 }
@@ -92,33 +125,33 @@ func TestEventCallbackRegisteredAgainstBankedPost(t *testing.T) {
 		fired := 0
 		// A post is already banked: registration consumes it inline and
 		// never enters the queue.
-		m.whenPosted(e, func() { fired++ })
+		whenPosted(m, e, func() { fired++ })
 		if fired != 1 {
 			t.Errorf("registration against banked post fired %d, want 1", fired)
 		}
-		if es := m.eventState(e); es.count != 0 || es.cbs != nil {
-			t.Errorf("state after inline consume: count=%d cbs=%v, want 0/nil", es.count, es.cbs)
+		if es := m.eventState(e); es.count != 0 || len(es.preds) != 0 {
+			t.Errorf("state after inline consume: count=%d queued=%d, want 0/0", es.count, len(es.preds))
 		}
 	})
 }
 
-// TestEventCallbackReentrantPost pins the drain loop against a callback
+// TestEventCallbackReentrantPost pins the drain loop against a waiting copy
 // that itself posts the event: the nested count must be visible to the
-// loop (queued callbacks keep draining) without double-counting.
+// loop (queued copies keep draining) without double-counting.
 func TestEventCallbackReentrantPost(t *testing.T) {
 	withImage(t, func(img *Image) {
 		m := img.m
 		e := img.NewEvent()
 		es := m.eventState(e)
 		var order []int
-		m.whenPosted(e, func() { order = append(order, 1); m.post(e) })
-		m.whenPosted(e, func() { order = append(order, 2) })
+		whenPosted(m, e, func() { order = append(order, 1); m.post(e) })
+		whenPosted(m, e, func() { order = append(order, 2) })
 		m.post(e)
 		if len(order) != 2 || order[0] != 1 || order[1] != 2 {
 			t.Errorf("reentrant drain fired %v, want [1 2]", order)
 		}
-		if es.count != 0 || es.cbs != nil {
-			t.Errorf("state after reentrant drain: count=%d cbs=%v, want 0/nil", es.count, es.cbs)
+		if es.count != 0 || held(es) != 0 {
+			t.Errorf("state after reentrant drain: count=%d held=%d, want 0/0", es.count, held(es))
 		}
 	})
 }

@@ -49,26 +49,11 @@ type delivToken struct {
 	done bool
 	at   int32 // its index on st's list
 	// first is the earliest EventNotify waiting on the token; every
-	// later one on its image waits on it too (see deliveryWait). nil
-	// until a notify finds the token outstanding.
-	first *deliveryWait
+	// later one on its image waits on it too (see notifyOp). nil until a
+	// notify finds the token outstanding.
+	first *notifyOp
 	clk   *race.Clock
 	st    *imageState // the image whose list the token is on; nil once off
-}
-
-// deliveryWait is one EventNotify waiting for the remote updates that
-// were outstanding on its image when it was called: a countdown, one
-// record per notify however many updates it waits for. An image's waits
-// form a chain in notify order (next), and a token is in every wait from
-// its first one to the last made before it completed, because each of
-// those found it outstanding. A completing token therefore counts down
-// the chain from its first wait, in notify order, up to the image's last
-// wait at that moment.
-type deliveryWait struct {
-	remaining int
-	clk       race.Clock // the join of the awaited updates' clocks
-	fn        func(clk race.Clock)
-	next      *deliveryWait
 }
 
 // clock is the clock the token covers, or nil.
@@ -101,16 +86,16 @@ func (t *delivToken) complete() {
 	}
 	t.first = nil
 	// The waits this token is in end at the image's last one now: a
-	// notify that a released wait runs makes a wait without it.
+	// notify made while a released one runs does not wait on it.
 	end := st.lastWait
 	for {
 		next := w.next
-		w.remaining--
-		if w.remaining == 0 {
+		if w.left--; w.left == 0 {
+			w.next = nil
 			if st.lastWait == w {
 				st.lastWait = nil // nothing outstanding is left to chain to it
 			}
-			w.fn(w.clk)
+			w.release()
 		}
 		if w == end {
 			return
@@ -135,25 +120,25 @@ func (m *Machine) opAbandoned(o *Op, rank int, tok *delivToken) {
 	tok.complete()
 }
 
-// afterOutstandingDeliveries runs fn once every remote update outstanding
-// at call time has been delivered, passing the join of those updates'
-// clocks (nil when the race detector is off). Updates issued later do not
-// delay fn — exactly the porousness EventNotify needs.
-func (m *Machine) afterOutstandingDeliveries(st *imageState, fn func(clk race.Clock)) {
+// afterOutstandingDeliveries releases n once every remote update
+// outstanding at call time has been delivered, with the clocks of those
+// updates joined into its release clock. Updates issued later do not
+// delay it — exactly the porousness EventNotify needs.
+func (m *Machine) afterOutstandingDeliveries(st *imageState, n *notifyOp) {
 	waitFor := st.pendingDeliv
 	if len(waitFor) == 0 {
-		fn(nil)
+		n.release()
 		return
 	}
-	w := &deliveryWait{remaining: len(waitFor), fn: fn}
+	n.left = len(waitFor)
 	for _, t := range waitFor {
-		w.clk = race.Join(w.clk, t.clock())
+		n.msg.clk = race.Join(n.msg.clk, t.clock())
 		if t.first == nil {
-			t.first = w
+			t.first = n
 		}
 	}
 	if st.lastWait != nil {
-		st.lastWait.next = w
+		st.lastWait.next = n
 	}
-	st.lastWait = w
+	st.lastWait = n
 }

@@ -156,10 +156,14 @@ type Handle struct {
 
 	localData bool
 	localOp   bool
+	isVec     bool         // the result is vec
 	waiter    *sim.Proc    // the first proc to wait on the handle
 	more      *[]*sim.Proc // the procs that waited after it; made by the second
 
-	result any // set by an asynchronous call; a synchronous one reads the instance
+	// The result of an asynchronous call (a synchronous one reads the
+	// instance); a reduction's is vec, unboxed until Result asks for it.
+	result any
+	vec    []int64
 }
 
 // Observer is told of a Handle's completion levels: each method runs
@@ -187,7 +191,12 @@ func (h *Handle) LocalOpDone() bool { return h.localOp }
 // the gathered []any at a gather root, the received element for scatter,
 // the []any for alltoall, the prefix vector for scan, and the re-sorted
 // keys for sort. Valid once LocalDataDone.
-func (h *Handle) Result() any { return h.result }
+func (h *Handle) Result() any {
+	if h.isVec {
+		return h.vec
+	}
+	return h.result
+}
 
 // WaitLocalData parks p until local data completion. With a failure
 // detector attached to the kernel, a declared death while the tree is
@@ -279,12 +288,15 @@ type inst struct {
 	// untracked): the tracker makes their rt.Track at each send.
 	finish int64
 
-	relRank     int
-	upKids      int // contributions still expected
-	direct      int // alltoall receipts still expected
-	acksPending int // sends not yet delivered
-	injPending  int // sends not yet injected (buffer still pinned)
-	elemBytes   int
+	relRank   int
+	elemBytes int
+
+	// Counters, 32 bits each so that the record with its Handle stays in
+	// the 288-byte size class.
+	upKids      int32 // contributions still expected
+	direct      int32 // alltoall receipts still expected
+	acksPending int32 // sends not yet delivered
+	injPending  int32 // sends not yet injected (buffer still pinned)
 
 	vec    []int64 // this subtree's partial reduction; capacity kept across reuse
 	down   []int64 // allreduce: the reduced vector on its way down; capacity kept
@@ -295,8 +307,6 @@ type inst struct {
 	// relRank+span): slots[i] is relative rank relRank+i, so slots[0] is
 	// the node's own entry. Alltoall holds its receipts by team rank.
 	slots []any
-
-	injected func() // onInjected bound once per record, kept across reuse
 
 	op       Op
 	started  bool
@@ -434,12 +444,12 @@ func (n *node) get(key instKey, t *team.Team, finish int64) *inst {
 	in := n.c.insts.New()
 	size := t.Size()
 	*in = inst{key: key, t: t, finish: finish, n: n,
-		vec: in.vec[:0], down: in.down[:0], injected: in.injected}
+		vec: in.vec[:0], down: in.down[:0]}
 	in.relRank = relOf(t.MustRank(n.img.Rank()), key.root, size)
 	for c := n.firstChild(in.relRank, size); c >= 0; c = n.nextChild(in.relRank, c, size) {
 		in.upKids++
 	}
-	in.direct = size - 1
+	in.direct = int32(size - 1)
 	switch key.kd {
 	case kGather, kScan, kSort:
 		in.slots = make([]any, n.spanOf(in.relRank, size))
@@ -602,9 +612,9 @@ func (c *Comm) doneWith(in *inst) {
 // 320-byte temporary, which, inlined into every blocking collective,
 // would double the stack of each image's main.
 func (c *Comm) releaseInst(in *inst) {
-	vec, down, injected := in.vec[:0], in.down[:0], in.injected
+	vec, down := in.vec[:0], in.down[:0]
 	*in = inst{}
-	in.vec, in.down, in.injected = vec, down, injected
+	in.vec, in.down = vec, down
 	in.dead = c.insts.Put(in)
 }
 
@@ -632,8 +642,8 @@ func (in *inst) Abandoned() {
 	}
 }
 
-// onInjected counts one of the instance's sends off its source buffer.
-func (in *inst) onInjected() {
+// Injected counts one of the instance's sends off its source buffer.
+func (in *inst) Injected() {
 	in.injPending--
 	in.n.checkLocalData(in)
 }

@@ -12,36 +12,30 @@ import (
 const msgHeaderBytes = 16
 
 // sendTree dispatches one tree message, with msg's phase, payload and
-// size, on a recycled record, optionally watching injection
-// (source-buffer reuse) and delivery (pair-wise completion).
-func (n *node) sendTree(in *inst, dstTeamRank int, msg colMsg, needAck, needInject bool) {
+// size, on a recycled record. The instance is the send's completion
+// record: it counts the delivery (pair-wise completion) and, with
+// inject, the injection (source-buffer reuse).
+func (n *node) sendTree(in *inst, dstTeamRank int, msg colMsg, inject bool) {
 	m := n.c.msgs.New()
 	*m = msg
 	m.key = in.key
 	m.t = in.t
 	m.op = in.op
 	m.elem = in.elemBytes
-	dst := in.t.WorldRank(dstTeamRank)
-	opts := rt.SendOpts{
+	in.acksPending++
+	if inject {
+		in.injPending++
+	}
+	n.img.Send(in.t.WorldRank(dstTeamRank), Tag, m, rt.SendOpts{
 		Finish: in.finish,
 		Class:  classFor(n.img.Kernel(), m.bytes),
 		Bytes:  m.bytes,
 		// Collective tree messages sit on the critical path of barriers
 		// and finish termination rounds: never coalesce them.
 		NoCoalesce: true,
-	}
-	if needAck {
-		in.acksPending++
-		opts.Done = in
-	}
-	if needInject {
-		in.injPending++
-		if in.injected == nil {
-			in.injected = in.onInjected
-		}
-		opts.OnInjected = in.injected
-	}
-	n.img.Send(dst, Tag, m, opts)
+		Injected:   inject,
+		Done:       in,
+	})
 }
 
 // start begins this image's participation in a collective instance. An
@@ -127,7 +121,7 @@ func (c *Comm) start(h *Handle, img *rt.ImageKernel, t *team.Team, kd kind, root
 				fromRel: myTeamRank,
 				data:    vals[tr],
 				bytes:   elemBytes + msgHeaderBytes,
-			}, true, true)
+			}, true)
 		}
 		n.tryFinishDirect(in)
 	case kScan, kSort:
@@ -166,14 +160,14 @@ func (n *node) tryAdvanceUp(in *inst) {
 	parent := absOf(n.parentOf(in.relRank), in.key.root, in.t.Size())
 	switch in.key.kd {
 	case kBarrier:
-		n.sendTree(in, parent, colMsg{ph: phaseUp, bytes: msgHeaderBytes}, true, false)
+		n.sendTree(in, parent, colMsg{ph: phaseUp, bytes: msgHeaderBytes}, false)
 	case kReduce, kAllreduce:
 		needInject := in.key.kd == kReduce // reduce: local data = contribution on the wire
 		n.sendTree(in, parent, colMsg{
 			ph:    phaseUp,
 			vec:   in.vec,
 			bytes: 8*len(in.vec) + msgHeaderBytes,
-		}, true, needInject)
+		}, needInject)
 	case kGather, kScan, kSort:
 		// The subtree's entries, complete now that every child reported.
 		n.sendTree(in, parent, colMsg{
@@ -181,7 +175,7 @@ func (n *node) tryAdvanceUp(in *inst) {
 			fromRel: in.relRank,
 			data:    in.slots,
 			bytes:   msgHeaderBytes + len(in.slots)*in.elemBytes,
-		}, true, in.key.kd == kGather)
+		}, in.key.kd == kGather)
 	}
 	n.checkLocalData(in)
 }
@@ -197,12 +191,12 @@ func (n *node) rootUpComplete(in *inst) {
 		// The partial becomes the result, and the record keeps no alias;
 		// a synchronous caller takes it from the record (Reduce).
 		if !in.syncHeld {
-			in.h.result = in.vec
+			in.h.vec, in.h.isVec = in.vec, true
 			in.vec = nil
 		}
 	case kAllreduce:
 		if !in.syncHeld {
-			in.h.result = append([]int64(nil), in.vec...)
+			in.h.vec, in.h.isVec = append([]int64(nil), in.vec...), true
 		}
 		in.down = append(in.down[:0], in.vec...)
 		in.haveData = true
@@ -268,7 +262,7 @@ func (n *node) forwardDown(in *inst) {
 			m.bytes += 8 * len(m.vec)
 		}
 		needInject := in.key.kd == kBcast && in.relRank == 0
-		n.sendTree(in, dst, m, true, needInject)
+		n.sendTree(in, dst, m, needInject)
 	}
 	in.downDone = true
 }
@@ -287,7 +281,7 @@ func (n *node) forwardBundles(in *inst, bundle []any) {
 			ph:    phaseDown,
 			data:  sub,
 			bytes: msgHeaderBytes + len(sub)*in.elemBytes,
-		}, true, needInject)
+		}, needInject)
 	}
 	in.downDone = true
 }
@@ -304,7 +298,7 @@ func (n *node) advanceDown(in *inst) {
 		n.forwardDown(in)
 	case kAllreduce:
 		if in.started && !in.syncHeld {
-			in.h.result = append([]int64(nil), in.down...)
+			in.h.vec, in.h.isVec = append([]int64(nil), in.down...), true
 		}
 		n.forwardDown(in)
 	case kScatter, kScan, kSort:

@@ -3,6 +3,7 @@ package collect
 import (
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"caf2go/internal/rt"
 	"caf2go/internal/sim"
@@ -89,5 +90,14 @@ func TestQuarantineCollectivesEqualPooled(t *testing.T) {
 	quarantined(func() { quar = run() })
 	if !reflect.DeepEqual(pooled, quar) {
 		t.Errorf("pooled and quarantined runs differ:\npooled:      %v\nquarantined: %v", pooled, quar)
+	}
+}
+
+// A collective instance, with the Handle a blocking call waits on inside
+// it, fits the 288-byte size class: the Comm carves its instances from
+// 4 KiB slabs, fourteen to a slab.
+func TestPoolInstFitsItsSizeClass(t *testing.T) {
+	if got := unsafe.Sizeof(inst{}); got > 288 {
+		t.Errorf("sizeof(inst) = %d, want ≤ 288", got)
 	}
 }

@@ -127,12 +127,12 @@ func (b *batch) live() {
 	}
 }
 
-// injected runs the inner OnInjected callbacks.
-func (b *batch) injected() {
+// Injected runs the Injected of each inner message that asked for it.
+func (b *batch) Injected() {
 	b.live()
 	for _, m := range b.msgs {
-		if m.onInjected != nil {
-			m.onInjected()
+		if m.injects {
+			m.done.Injected()
 		}
 	}
 }
@@ -284,9 +284,9 @@ func (ep *Endpoint) flush(b *coalesceBuf, reason FlushReason) {
 	bm.Src, bm.Dst, bm.Bytes = int32(ep.rank), int32(dst), Int32(bytes)
 	bm.Tag, bm.Class, bm.Payload, bm.done = tagBatch, AMMedium, bt, bt
 	for _, m := range msgs {
-		if m.onInjected != nil {
+		if m.injects {
 			// Only a batch with something to run at injection schedules it.
-			bm.onInjected = bt.injected
+			bm.injects = true
 			break
 		}
 	}

@@ -198,7 +198,7 @@ func TestCoalesceMaxBytesFlush(t *testing.T) {
 	}
 }
 
-// TestCoalesceCallbacksFirePerInnerMessage: every inner OnInjected and
+// TestCoalesceCallbacksFirePerInnerMessage: every inner Injected and
 // Done.Delivered fires exactly once when the batch completes.
 func TestCoalesceCallbacksFirePerInnerMessage(t *testing.T) {
 	eng, f := newTestFabric(t, 2, coalesceConfig())
@@ -206,8 +206,8 @@ func TestCoalesceCallbacksFirePerInnerMessage(t *testing.T) {
 	injected, delivered := 0, 0
 	for i := 0; i < 4; i++ {
 		f.Endpoint(0).Send(&Msg{Src: 0, Dst: 1, Tag: tagTest, Class: AMShort, Bytes: 8}, SendOpts{
-			OnInjected: func() { injected++ },
-			Done:       onAck(func() { delivered++ }),
+			Injected: true,
+			Done:     callbacks{func() { injected++ }, func() { delivered++ }},
 		})
 	}
 	if err := eng.Run(); err != nil {

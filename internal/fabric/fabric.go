@@ -161,12 +161,12 @@ type Msg struct {
 	Path    path.Tag
 	Payload any
 
-	// The sender's completion callbacks (SendOpts), held until they run.
-	onInjected func()
-	done       Completion
-	src        *Endpoint // the sending endpoint; the transit event's way to its fabric
-	next       *Msg      // the next message in the sender's credit queue
-	queuedAt   sim.Time  // when the message joined the credit queue
+	// The sender's completion record (SendOpts), held until it runs.
+	injects  bool // the sender watches injection
+	done     Completion
+	src      *Endpoint // the sending endpoint; the transit event's way to its fabric
+	next     *Msg      // the next message in the sender's credit queue
+	queuedAt sim.Time  // when the message joined the credit queue
 }
 
 // Int32 is n as a Msg's 32-bit rank or size. A value that does not fit
@@ -188,8 +188,8 @@ func badInt32(n int) {
 // takeOpts hands m back to its sender: m is idle again, and what is
 // returned are the callbacks to run for it.
 func (m *Msg) takeOpts() SendOpts {
-	opts := SendOpts{OnInjected: m.onInjected, Done: m.done}
-	m.stage, m.onInjected, m.done = stageIdle, nil, nil
+	opts := SendOpts{Injected: m.injects, Done: m.done}
+	m.stage, m.injects, m.done = stageIdle, false, nil
 	return opts
 }
 
@@ -210,6 +210,13 @@ const (
 // transport: one record, scheduled three times, dispatching on its stage.
 // The conversion keeps RunEvent out of Msg's exported method set.
 type transit Msg
+
+// injection is a Msg as the Event of its payload leaving the sender's
+// NIC; it fires before the ack, while the Msg holds its sender's record.
+type injection Msg
+
+// RunEvent tells the sender its source buffer is reusable.
+func (i *injection) RunEvent() { i.done.Injected() }
 
 // Handler processes a delivered message on the destination endpoint. It
 // runs as a simulation event on the receiving image's comm context.
@@ -238,12 +245,11 @@ func (t *handlerTable) bind(tag uint16, fn Handler) {
 	page[tag&0xFF] = fn
 }
 
-// SendOpts carries the completion callbacks of one Send, and how to
-// send it.
+// SendOpts carries the completion record of one Send, and how to send it.
 type SendOpts struct {
-	// OnInjected fires when the payload has left the source buffer
-	// (local data completion for the sender).
-	OnInjected func()
+	// Injected asks for Done.Injected when the payload has left the
+	// source buffer (local data completion for the sender).
+	Injected bool
 	// Done is the sender's per-message record. Its Delivered fires on the
 	// sender when the delivery ack returns (local operation completion).
 	// Its Abandoned fires instead when the fabric gives up on the message
@@ -263,9 +269,10 @@ type SendOpts struct {
 	NoCoalesce bool
 }
 
-// Completion is a sender's per-message record, called back at the end of
-// the message's journey (see SendOpts.Done).
+// Completion is a sender's per-message record, called back along the
+// message's journey (see SendOpts).
 type Completion interface {
+	Injected()
 	Delivered()
 	Abandoned()
 }
@@ -580,7 +587,7 @@ func (ep *Endpoint) Send(m *Msg, opts SendOpts) {
 	if ep.f.handlers.lookup(m.Tag) == nil {
 		panic(fmt.Sprintf("fabric: no handler for tag %d at endpoint %d", m.Tag, m.Dst))
 	}
-	m.onInjected, m.done = opts.OnInjected, opts.Done
+	m.injects, m.done = opts.Injected, opts.Done
 	if ep.f.coalescing {
 		if ep.coalescible(m, opts.NoCoalesce) {
 			ep.enqueueCoalesced(m)
@@ -668,8 +675,8 @@ func (ep *Endpoint) inject(m *Msg) {
 	injected := start + sim.Time(m.Bytes)*f.cfg.GapPerByte
 	ep.nic.free = injected
 
-	if m.onInjected != nil {
-		eng.At(injected, m.onInjected)
+	if m.injects {
+		eng.AtEvent(injected, (*injection)(m))
 	}
 
 	// Under FIFO nothing more is needed: injection is serialized on the
@@ -809,8 +816,8 @@ func (ep *Endpoint) transmit(tx *txState) {
 	}
 	injected := start + sim.Time(m.Bytes)*f.cfg.GapPerByte
 	ep.nic.free = injected
-	if tx.attempts == 1 && tx.opts.OnInjected != nil {
-		eng.At(injected, tx.opts.OnInjected)
+	if tx.attempts == 1 && tx.opts.Injected {
+		eng.At(injected, tx.opts.Done.Injected)
 	}
 
 	// Arm the retransmission timer from the moment the payload is on the

@@ -47,8 +47,8 @@ func TestCompletionCallbackOrdering(t *testing.T) {
 	var injectedAt, handledAt, deliveredAt sim.Time
 	f.Endpoint(1).RegisterHandler(tagTest, func(ep *Endpoint, m *Msg) { handledAt = eng.Now() })
 	f.Endpoint(0).Send(&Msg{Src: 0, Dst: 1, Tag: tagTest, Class: AMMedium, Bytes: 100}, SendOpts{
-		OnInjected: func() { injectedAt = eng.Now() },
-		Done:       onAck(func() { deliveredAt = eng.Now() }),
+		Injected: true,
+		Done:     callbacks{func() { injectedAt = eng.Now() }, func() { deliveredAt = eng.Now() }},
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)

@@ -53,6 +53,30 @@ func TestCleanFaultPlanExactlyOnce(t *testing.T) {
 	}
 }
 
+// A send that asks for its injection hears of it once per logical
+// message, at the first transmission, however many retransmissions it
+// took: a retransmitted put's source buffer was reusable long before.
+func TestInjectedOncePerMessageUnderRetransmission(t *testing.T) {
+	eng, f, _ := faultFabric(t, 2, &FaultPlan{Drop: 0.4})
+	const n = 60
+	injected, delivered := make([]int, n), 0
+	for i := 0; i < n; i++ {
+		f.Endpoint(0).Send(&Msg{Src: 0, Dst: 1, Tag: tagTest, Class: AMShort, Bytes: 8, Payload: i},
+			SendOpts{Injected: true, Done: callbacks{func() { injected[i]++ }, func() { delivered++ }}})
+	}
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for i, k := range injected {
+		if k != 1 {
+			t.Errorf("message %d: Injected ran %d times, want 1", i, k)
+		}
+	}
+	if delivered != n || f.Stats().Retransmits == 0 {
+		t.Errorf("%d delivered, %d retransmits: want %d and some", delivered, f.Stats().Retransmits, n)
+	}
+}
+
 func TestDropsRecoveredByRetransmission(t *testing.T) {
 	eng, f, got := faultFabric(t, 2, &FaultPlan{Drop: 0.4})
 	delivered := 0

@@ -283,5 +283,13 @@ func TestPoolReliableFabricLetsNothing(t *testing.T) {
 // onAck is a delivery-ack callback as a Completion.
 type onAck func()
 
+func (onAck) Injected()    {}
 func (f onAck) Delivered() { f() }
 func (onAck) Abandoned()   {}
+
+// callbacks is an injection and a delivery-ack callback as a Completion.
+type callbacks struct{ injected, delivered func() }
+
+func (c callbacks) Injected()  { c.injected() }
+func (c callbacks) Delivered() { c.delivered() }
+func (callbacks) Abandoned()   {}

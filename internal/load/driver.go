@@ -89,7 +89,7 @@ func Drive(img *caf.Image, client int, sched []Request, col *Collector, o DriveO
 
 	// Every initiation the issuer makes runs under the request's root
 	// path context, so its ops land on the request's causal DAG. With
-	// path tracing off the scope is a plain field swap and opNew ignores
+	// path tracing off the scope is a plain field swap and opInit ignores
 	// it entirely.
 	traced := func(r Request) {
 		prev := img.PathScope(path.ReqCtx(r.Seq))

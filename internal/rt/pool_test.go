@@ -410,11 +410,13 @@ func TestQuarantineNoStaleFieldsAfterCall(t *testing.T) {
 // ackCount is a Completion that counts deliveries.
 type ackCount int
 
+func (c *ackCount) Injected()  {}
 func (c *ackCount) Delivered() { *c++ }
 func (c *ackCount) Abandoned() {}
 
 type logDone struct{ log *[]string }
 
+func (d logDone) Injected()  {}
 func (d logDone) Delivered() { *d.log = append(*d.log, "done") }
 func (d logDone) Abandoned() { *d.log = append(*d.log, "done abandoned") }
 

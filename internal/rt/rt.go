@@ -125,6 +125,12 @@ func (o *outMsg) live() {
 	}
 }
 
+// Injected is the payload's injection, which the sender asked for.
+func (o *outMsg) Injected() {
+	o.live()
+	o.user.Injected()
+}
+
 // Delivered is the message's ack callback on the sender. On the
 // idealized fabric nothing refers to the message after it — the handler
 // ran before the ack left — so it ends by releasing the record.
@@ -323,9 +329,8 @@ type Completion = fabric.Completion
 // SendOpts mirror fabric completion callbacks plus the tracking context.
 // They fit in 64 bytes, so passing them by value costs a few moves.
 type SendOpts struct {
-	Finish     int64  // the finish block the message is tracked in; 0 = untracked
-	OnInjected func() // source buffer reusable (local data completion)
-	Bytes      int    // the modeled size; must fit in 32 bits (fabric.Int32)
+	Finish int64 // the finish block the message is tracked in; 0 = untracked
+	Bytes  int   // the modeled size; must fit in 32 bits (fabric.Int32)
 	// Path tags the message with the traced request whose causal path
 	// it rides (see fabric.Msg.Path). Zero = untagged.
 	Path  path.Tag
@@ -333,6 +338,7 @@ type SendOpts struct {
 	// NoCoalesce exempts latency-critical control traffic from the
 	// fabric's coalescing buffer (see fabric.SendOpts.NoCoalesce).
 	NoCoalesce bool
+	Injected   bool // call Done.Injected when the source buffer is reusable
 	// Done, when set, has its Delivered method called when the delivery
 	// ack returns (local operation completion) and its Abandoned method
 	// when the fabric gives up on the message. Abandoned is only called
@@ -369,7 +375,7 @@ func (img *ImageKernel) send(o *outMsg, opts *SendOpts) {
 		o.env.track = img.k.tracker.OnSend(img, opts.Finish)
 	}
 	o.msg.Path, o.user = opts.Path, opts.Done
-	img.ep.Send(&o.msg, fabric.SendOpts{OnInjected: opts.OnInjected, Done: o, NoCoalesce: opts.NoCoalesce})
+	img.ep.Send(&o.msg, fabric.SendOpts{Injected: opts.Injected, Done: o, NoCoalesce: opts.NoCoalesce})
 }
 
 // FlushCoalesced flushes this image's fabric aggregation buffers — the

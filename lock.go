@@ -33,7 +33,7 @@ type unlockMsg struct {
 // through the loopback path for cost fidelity.
 func (img *Image) Lock(rank, id int) {
 	p := img.parker("Lock")
-	opID := img.opNew("lock", rank)
+	opID := img.blockingOp("lock", rank)
 	img.opStage(opID, trace.StageInit)
 	btok := img.beginBlock("lock")
 	img.st.kern.Call(p, rank, tagLock, id, rt.SendOpts{

@@ -67,9 +67,9 @@ func TestPoolGetPutAllocs(t *testing.T) {
 }
 
 // An EventNotify waits for the remote updates outstanding at its call
-// through one countdown record, however many there are: with sixteen
-// spawns in flight a notify allocates that record, its release callback
-// and its *Op, not one callback per outstanding spawn. The notified
+// through its one record, however many there are: with sixteen spawns in
+// flight a notify allocates that record (its *Op, its payload and its
+// countdown), not one callback per outstanding spawn. The notified
 // event's count still says every notify fired after the spawns landed.
 func TestPoolEventNotifyAllocs(t *testing.T) {
 	skipUnlessPinned(t)
@@ -102,8 +102,8 @@ func TestPoolEventNotifyAllocs(t *testing.T) {
 		t.Errorf("event count %d after the spawns landed, want %d", count, notifies+1)
 	}
 	t.Logf("%v allocations per EventNotify over %d outstanding spawns", allocs, spawns)
-	if allocs > 3 {
-		t.Errorf("allocations per EventNotify over %d outstanding spawns = %v, want ≤ 3", spawns, allocs)
+	if allocs > 1 {
+		t.Errorf("allocations per EventNotify over %d outstanding spawns = %v, want ≤ 1", spawns, allocs)
 	}
 }
 

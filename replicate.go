@@ -92,13 +92,6 @@ func NewReplCoarray[T any](img *Image, t *Team, n int, chain []int) *ReplCoarray
 	return rc
 }
 
-// Chain returns the replica chain (world ranks, chain order); the
-// caller must not modify it.
-func (rc *ReplCoarray[T]) Chain() []int { return rc.tbl.Members() }
-
-// Homes returns the number of replica groups (the chain length).
-func (rc *ReplCoarray[T]) Homes() int { return len(rc.tbl.Members()) }
-
 // Len returns the per-home shard length.
 func (rc *ReplCoarray[T]) Len() int { return rc.prim.Len() }
 

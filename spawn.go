@@ -348,6 +348,9 @@ func (s *spawnOp) Initiate() {
 	st.kern.Send(int(s.target), tagSpawn, s, opts)
 }
 
+// Injected: a spawn does not watch its injection.
+func (s *spawnOp) Injected() {}
+
 // Delivered: the target accepted the function. It is one of a pooled
 // record's two ends.
 func (s *spawnOp) Delivered() {
@@ -454,7 +457,7 @@ func (sh *shipped) exec(start Time) {
 		img.rc.ReleaseInto(&rs.finishSyncFor(s.finishID).ops)
 	}
 	if ev != nil {
-		m.notifyFrom(img.Rank(), ev, img.raceRelease(), nil)
+		m.notifyFrom(img.Rank(), ev, img.raceRelease())
 	}
 	sh.d.Complete()
 	sh.s, img.spawn = nil, nil
