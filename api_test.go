@@ -432,7 +432,7 @@ func TestFabricAttachmentsKeepDefaultCostModel(t *testing.T) {
 		}
 	}
 
-	// A sparse custom model (unlimited credits, no overhead, no FIFO) is
+	// A sparse custom model (unlimited credits, no overhead) is
 	// not topped up with defaults, attachments or not.
 	custom := caf.FabricConfig{Latency: 5 * caf.Microsecond}
 	faults(&custom)

@@ -102,7 +102,8 @@ const (
 )
 
 // DefaultFabric returns the default network cost model (Gemini-like:
-// 1.5us latency, ~1GB/s injection, 64 credits, FIFO delivery).
+// 1.5us latency, ~1GB/s injection, 64 credits). Like every fabric
+// without a fault plan it delivers each (src, dst) channel in send order.
 func DefaultFabric() FabricConfig { return fabric.DefaultConfig() }
 
 // Config describes the simulated machine a program runs on.
@@ -274,31 +275,30 @@ func NewMachine(cfg Config) *Machine {
 	}
 	var tracer *trace.Recorder
 	var life *trace.Lifecycle
+	var flushObs fabric.FlushObserver
 	if cfg.TraceCapacity > 0 {
 		tracer = trace.NewRecorder(cfg.TraceCapacity)
 		life = trace.NewLifecycle(tracer, cfg.TraceCapacity)
 		if cfg.Fabric.Coalescing.Enabled() {
-			// Per-flush trace instants; wired before the kernel copies
-			// the fabric config.
-			cfg.Fabric.FlushObserver = &flushTracer{tr: tracer}
+			flushObs = &flushTracer{tr: tracer} // per-flush trace instants
 		}
 	}
 	var met *metrics.Registry
 	if cfg.Metrics {
 		met = metrics.New()
-		// Wired before the kernel copies the fabric config.
-		cfg.Fabric.Metrics = met
 	}
 	ops := trace.NewOpLog(life, cfg.PathTracing)
 	var ptrack *path.Tracker
 	if cfg.PathTracing {
 		ptrack = path.New(ops)
-		// Wired before the kernel copies the fabric config, so the
-		// fabric claims coalesce/credit/wire legs for tagged messages.
-		cfg.Fabric.Path = ptrack
 	}
 	eng := sim.NewEngine(cfg.Seed)
 	k := rt.NewKernel(eng, cfg.Images, cfg.Fabric)
+	// Before any other layer registers its metrics: the registry exports
+	// families in registration order, the fabric's first. The tracker
+	// makes the fabric claim coalesce/credit/wire legs for tagged
+	// messages.
+	k.Fabric().Instrument(flushObs, met, ptrack)
 	m := &Machine{
 		cfg:      cfg,
 		eng:      eng,

@@ -88,7 +88,7 @@ func NewCoarray[T any](img *Image, t *Team, n int) *Coarray[T] {
 	// The barrier is also a race-detector fence over the team.
 	b := img.collBegin(collBarrier, t, 0)
 	img.m.comm.Barrier(p, st.kern, t)
-	img.collEnd(b)
+	img.blockEnd(b)
 	return ca
 }
 

@@ -87,11 +87,15 @@ type Collective struct {
 
 	collOpts
 	role    collRole
-	started bool // collect has started it: a level's effects may run
+	started bool      // collect has started it: a level's effects may run
+	race    *collRace // the race detector's state; nil with it off
+}
 
-	// Race-detector state: the per-instance sync clock, and the
-	// notifier's own clock an explicit collective's events carry when
-	// its role does not release into the instance.
+// collRace is an asynchronous collective's race-detector state: the
+// per-instance sync clock, and the notifier's own clock an explicit
+// collective's events carry when its role does not release into the
+// instance.
+type collRace struct {
 	cs      *collSync
 	selfClk race.Clock
 }
@@ -169,8 +173,8 @@ func (c *Collective) LocalOpDone() bool {
 // raceAcquire joins the collective's accumulated release clock when this
 // image's role is ordered after other participants.
 func (c *Collective) raceAcquire() {
-	if c.cs != nil && c.role.acq {
-		c.img.raceAcquire(c.cs.clk)
+	if c.race != nil && c.role.acq {
+		c.img.raceAcquire(c.race.cs.clk)
 	}
 }
 
@@ -199,18 +203,19 @@ func (img *Image) collective(k *collKind, t *Team, root int, opts []CollOpt) (*C
 	img.opInit(&c.op, k.name, -1)
 	img.opStage(&c.op, trace.StageInit)
 	if rs := img.m.race; rs != nil && img.rc != nil {
-		c.cs = rs.collInstance(img.Rank(), t)
+		r := &collRace{cs: rs.collInstance(img.Rank(), t)}
+		c.race = r
 		if c.role.rel {
-			img.rc.ReleaseInto(&c.cs.clk)
+			img.rc.ReleaseInto(&r.cs.clk)
 		} else if !implicit {
 			// Events still release the notifier's own clock to waiters.
-			c.selfClk = img.raceRelease()
+			r.selfClk = img.raceRelease()
 		}
 		if finish != 0 {
 			// The enclosing finish's exit is ordered after the whole
 			// instance; dereferenced there, once fully accumulated.
 			fs := rs.finishSyncFor(finish)
-			fs.refs = append(fs.refs, &c.cs.clk)
+			fs.refs = append(fs.refs, &r.cs.clk)
 		}
 	}
 	c.h.Observe((*collLevels)(c))
@@ -226,8 +231,8 @@ func (c *Collective) initiated() *Collective {
 	img := c.img
 	if c.implicit() && c.role.class != 0 {
 		img.ct.RegisterOp(&c.pend, c.role.class, (*collLevels)(c))
-		if c.cs != nil && c.role.acq {
-			img.raceOps = append(img.raceOps, raceOp{op: &c.pend, class: c.role.class, clkRef: &c.cs.clk})
+		if c.race != nil && c.role.acq {
+			img.raceOps = append(img.raceOps, raceOp{op: &c.pend, class: c.role.class, clkRef: &c.race.cs.clk})
 		}
 	}
 	c.started = true
@@ -257,8 +262,8 @@ func (c *Collective) notify(e *Event) {
 		return
 	}
 	var clk race.Clock
-	if c.cs != nil {
-		clk = race.Join(race.CopyClock(c.cs.clk), c.selfClk)
+	if r := c.race; r != nil {
+		clk = race.Join(race.CopyClock(r.cs.clk), r.selfClk)
 	}
 	c.img.m.notifyFrom(c.img.Rank(), e, clk)
 }
@@ -405,7 +410,7 @@ func (img *Image) Barrier(t *Team) {
 	t = img.resolveTeam(t)
 	b := img.collBegin(collBarrier, t, 0)
 	img.m.comm.Barrier(p, img.st.kern, t)
-	img.collEnd(b)
+	img.blockEnd(b)
 }
 
 // Broadcast distributes val (bytes wide) from team rank root.
@@ -414,7 +419,7 @@ func (img *Image) Broadcast(t *Team, root int, val any, bytes int) any {
 	t = img.resolveTeam(t)
 	b := img.collBegin(collBroadcast, t, root)
 	out := img.m.comm.Broadcast(p, img.st.kern, t, root, val, bytes)
-	img.collEnd(b)
+	img.blockEnd(b)
 	return out
 }
 
@@ -424,7 +429,7 @@ func (img *Image) Reduce(t *Team, root int, op ReduceOp, vec []int64) []int64 {
 	t = img.resolveTeam(t)
 	b := img.collBegin(collReduce, t, root)
 	out := img.m.comm.Reduce(p, img.st.kern, t, root, op, vec)
-	img.collEnd(b)
+	img.blockEnd(b)
 	return out
 }
 
@@ -434,7 +439,7 @@ func (img *Image) Allreduce(t *Team, op ReduceOp, vec []int64) []int64 {
 	t = img.resolveTeam(t)
 	b := img.collBegin(collAllreduce, t, 0)
 	out := img.m.comm.Allreduce(p, img.st.kern, t, op, vec)
-	img.collEnd(b)
+	img.blockEnd(b)
 	return out
 }
 
@@ -444,7 +449,7 @@ func (img *Image) Gather(t *Team, root int, val any, bytes int) []any {
 	t = img.resolveTeam(t)
 	b := img.collBegin(collGather, t, root)
 	out := img.m.comm.Gather(p, img.st.kern, t, root, val, bytes)
-	img.collEnd(b)
+	img.blockEnd(b)
 	return out
 }
 
@@ -454,7 +459,7 @@ func (img *Image) Scatter(t *Team, root int, vals []any, bytes int) any {
 	t = img.resolveTeam(t)
 	b := img.collBegin(collScatter, t, root)
 	out := img.m.comm.Scatter(p, img.st.kern, t, root, vals, bytes)
-	img.collEnd(b)
+	img.blockEnd(b)
 	return out
 }
 
@@ -464,7 +469,7 @@ func (img *Image) Alltoall(t *Team, vals []any, bytes int) []any {
 	t = img.resolveTeam(t)
 	b := img.collBegin(collAlltoall, t, 0)
 	out := img.m.comm.Alltoall(p, img.st.kern, t, vals, bytes)
-	img.collEnd(b)
+	img.blockEnd(b)
 	return out
 }
 
@@ -474,7 +479,7 @@ func (img *Image) Scan(t *Team, op ReduceOp, vec []int64) []int64 {
 	t = img.resolveTeam(t)
 	b := img.collBegin(collScan, t, 0)
 	out := img.m.comm.Scan(p, img.st.kern, t, op, vec)
-	img.collEnd(b)
+	img.blockEnd(b)
 	return out
 }
 
@@ -484,7 +489,7 @@ func (img *Image) SortKeys(t *Team, keys []int64) []int64 {
 	t = img.resolveTeam(t)
 	b := img.collBegin(collSort, t, 0)
 	out := img.m.comm.Sort(p, img.st.kern, t, keys)
-	img.collEnd(b)
+	img.blockEnd(b)
 	return out
 }
 

@@ -60,15 +60,34 @@ type copyOp[T any] struct {
 
 	data []T // the snapshot in flight
 
-	// Race-detector state (zero/-1 when off). The op runs under its own
-	// clock components — a read component for the source access and a
-	// write component derived from it for the destination access — forked
-	// from the initiator's clock at the call (plus the predicate's clock
-	// once it fires). The initiator is NOT ordered after the op's
-	// accesses until some synchronization construct says so.
-	raced                               bool
+	race *copyRace // the race detector's state; nil with it off
+}
+
+// copyRace is an asynchronous copy's race-detector state. The op runs
+// under its own clock components — a read component for the source
+// access and a write component derived from it for the destination
+// access — forked from the initiator's clock at the call (plus the
+// predicate's clock once it fires). The initiator is NOT ordered after
+// the op's accesses until some synchronization construct says so.
+type copyRace struct {
 	base, predClk, rclk, wclk, localClk race.Clock
 	rid, wid                            int
+}
+
+// read and write return the op's read and write context and clock: -1
+// and nil without a detector, which records nothing for them.
+func (r *copyRace) read() (int, race.Clock) {
+	if r == nil {
+		return -1, nil
+	}
+	return r.rid, r.rclk
+}
+
+func (r *copyRace) write() (int, race.Clock) {
+	if r == nil {
+		return -1, nil
+	}
+	return r.wid, r.wclk
 }
 
 // copyHop is what the copy handlers, and a predicate event's owner, see
@@ -104,7 +123,7 @@ type copyHop interface {
 // continuations on its levels (or put it in a PollSet) instead of — or
 // alongside — event-based completion. Discarding it is always safe.
 func CopyAsync[T any](img *Image, dst, src Sec[T], opts ...CopyOpt) *Op {
-	c := &copyOp[T]{dst: dst, src: src, rid: -1, wid: -1}
+	c := &copyOp[T]{dst: dst, src: src}
 	for _, opt := range opts {
 		opt(&c.o)
 	}
@@ -132,9 +151,8 @@ func CopyAsync[T any](img *Image, dst, src Sec[T], opts ...CopyOpt) *Op {
 	if implicit {
 		c.finish = img.trackID()
 	}
-	rs := img.m.race
-	if rs != nil && img.rc != nil {
-		c.raced, c.base = true, img.rc.Snapshot()
+	if img.m.race != nil && img.rc != nil {
+		c.race = &copyRace{base: img.rc.Snapshot()}
 	}
 
 	// Cofence bookkeeping: how the op touches the initiator's local data,
@@ -152,8 +170,8 @@ func CopyAsync[T any](img *Image, dst, src Sec[T], opts ...CopyOpt) *Op {
 	if implicit && class != 0 {
 		c.fenced = true
 		img.ct.RegisterOp(&c.pend, class, c)
-		if rs != nil {
-			img.raceOps = append(img.raceOps, raceOp{op: &c.pend, class: class, clkRef: &c.localClk})
+		if c.race != nil {
+			img.raceOps = append(img.raceOps, raceOp{op: &c.pend, class: class, clkRef: &c.race.localClk})
 		}
 	} else {
 		c.Initiate()
@@ -181,7 +199,9 @@ func (c *copyOp[T]) predicate() *Event { return c.o.pred }
 // predPosted keeps the consumed post's clock and starts the copy, back on
 // its initiator if the event is hosted elsewhere.
 func (c *copyOp[T]) predPosted(clk race.Clock) {
-	c.predClk = clk
+	if c.race != nil {
+		c.race.predClk = clk
+	}
 	m, me, owner := c.op.m, c.op.Initiator(), c.o.pred.owner
 	if owner == me {
 		c.start()
@@ -197,24 +217,25 @@ func (c *copyOp[T]) predPosted(clk race.Clock) {
 // eagerly joins the op's clocks — its exit cannot happen before the op
 // globally completes.
 func (c *copyOp[T]) forkOpClocks() {
-	if !c.raced {
+	r := c.race
+	if r == nil {
 		return
 	}
 	rs := c.op.m.race
-	b := c.base
-	if c.predClk != nil {
-		b = race.Join(race.CopyClock(c.base), c.predClk)
+	b := r.base
+	if r.predClk != nil {
+		b = race.Join(race.CopyClock(r.base), r.predClk)
 	}
-	c.rclk, c.rid = rs.d.OpClock(b)
-	c.wclk, c.wid = rs.d.OpClock(c.rclk)
+	r.rclk, r.rid = rs.d.OpClock(b)
+	r.wclk, r.wid = rs.d.OpClock(r.rclk)
 	if c.dstLocal {
-		c.localClk = c.wclk
+		r.localClk = r.wclk
 	} else {
-		c.localClk = c.rclk
+		r.localClk = r.rclk
 	}
 	if c.finish != 0 {
 		fs := rs.finishSyncFor(c.finish)
-		race.JoinInto(&fs.ops, c.wclk)
+		race.JoinInto(&fs.ops, r.wclk)
 	}
 }
 
@@ -233,9 +254,12 @@ func (c *copyOp[T]) start() {
 	m.opAdvance(&c.op, me, trace.StageInit)
 	opts := rt.SendOpts{Finish: c.finish, Path: path.WireTag(c.op.pctx), Done: c}
 	if c.srcLocal {
-		raceRecord(m, c.src, false, c.rid, c.rclk, "copy_async read")
+		rid, rclk := c.race.read()
+		raceRecord(m, c.src, false, rid, rclk, "copy_async read")
 		c.data = c.src.read() // snapshot at initiation
-		c.tok.clk = &c.wclk
+		if c.race != nil {
+			c.tok.clk = &c.race.wclk
+		}
 		st.addDelivToken(&c.tok)
 		opts.Class, opts.Bytes, opts.Injected = c.class, c.bytes, true
 		st.kern.Send(c.dstRank(), tagCopyPut, c, opts)
@@ -251,7 +275,9 @@ func (c *copyOp[T]) start() {
 	// The notify token completes when the read request lands — the read
 	// has happened then, the data hop has not, so only the read clock is
 	// released to event waiters.
-	c.tok.clk = &c.rclk
+	if c.race != nil {
+		c.tok.clk = &c.race.rclk
+	}
 	st.addDelivToken(&c.tok)
 	opts.Class, opts.Bytes = fabric.AMShort, 32
 	st.kern.Send(c.src.rank, tagCopyGetReq, c, opts)
@@ -261,7 +287,8 @@ func (c *copyOp[T]) start() {
 func (c *copyOp[T]) Injected() {
 	c.localTick()
 	if c.o.srcE != nil {
-		c.op.m.notifyFrom(c.op.Initiator(), c.o.srcE, c.rclk)
+		_, rclk := c.race.read()
+		c.op.m.notifyFrom(c.op.Initiator(), c.o.srcE, rclk)
 	}
 }
 
@@ -294,9 +321,10 @@ func (c *copyOp[T]) localTick() {
 
 func (c *copyOp[T]) atSource(d *rt.Delivery) {
 	m, here := c.op.m, d.Img.Rank()
-	eff := m.raceChanArrive(d.Src, here, c.rclk)
+	rid, rclk := c.race.read()
+	eff := m.raceChanArrive(d.Src, here, rclk)
 	c.data = c.src.read()
-	raceRecord(m, c.src, false, c.rid, eff, "copy_async read")
+	raceRecord(m, c.src, false, rid, eff, "copy_async read")
 	if c.o.srcE != nil {
 		// Source read complete: the source buffer may be overwritten.
 		m.notifyFrom(here, c.o.srcE, eff)
@@ -313,9 +341,10 @@ func (c *copyOp[T]) atDest(d *rt.Delivery) {
 	m, here := c.op.m, d.Img.Rank()
 	// FIFO channel edge: this delivery is ordered after every earlier
 	// delivery on the same (src, dst) channel.
-	eff := m.raceChanArrive(d.Src, here, c.wclk)
+	wid, wclk := c.race.write()
+	eff := m.raceChanArrive(d.Src, here, wclk)
 	c.dst.write(c.data)
-	raceRecord(m, c.dst, true, c.wid, eff, "copy_async write")
+	raceRecord(m, c.dst, true, wid, eff, "copy_async write")
 	if c.dstLocal {
 		// The initiator's destination buffer is readable.
 		c.localTick()
@@ -425,17 +454,44 @@ func (m *Machine) handleBlocking(d *rt.Delivery) {
 	d.Reply(nil, d.Payload.(blockingReq).serve())
 }
 
-// blockingOp returns the lifecycle handle of a blocking operation (a
-// Get, a Put, a Lock, a blocking collective). The handle never leaves the
-// call, so it only exists to be stamped: without lifecycle or path
-// tracing there is none (a nil *Op advances nothing).
-func (img *Image) blockingOp(kind string, peer int) *Op {
-	if img.m.life == nil && img.m.path == nil {
-		return nil
+// blocked is the bracket of a blocking operation (a Get, a Put, a Lock,
+// a blocking collective), a value: its lifecycle op, its blocked interval,
+// and the collective instance whose clock its role acquires (nil for
+// none, or with the detector off). The op never leaves the call, so it
+// only exists to be stamped: without lifecycle or path tracing there is
+// none (a nil *Op advances nothing).
+type blocked struct {
+	op   *Op
+	btok trace.BlockToken
+	acq  *collSync
+}
+
+// blockBegin opens the bracket of a blocking operation of the given kind
+// on peer: the op's initiation and the start of the interval the caller
+// is blocked in prim.
+func (img *Image) blockBegin(kind, prim string, peer int) blocked {
+	var b blocked
+	if img.m.life != nil || img.m.path != nil {
+		b.op = new(Op)
+		img.opInit(b.op, kind, peer)
 	}
-	o := new(Op)
-	img.opInit(o, kind, peer)
-	return o
+	img.opStage(b.op, trace.StageInit)
+	b.btok = img.beginBlock(prim)
+	return b
+}
+
+// blockEnd closes the bracket once the operation returned: a
+// collective's role-filtered acquire, then the completion levels, which
+// a blocking call collapses at its return, stamped before the end of the
+// blocked interval so that the park is attributed to this op.
+func (img *Image) blockEnd(b blocked) {
+	if b.acq != nil {
+		img.rc.Acquire(b.acq.clk)
+	}
+	img.opStage(b.op, trace.StageLocalData)
+	img.opStage(b.op, trace.StageLocalOp)
+	img.opStage(b.op, trace.StageGlobal)
+	img.endBlock(b.btok)
 }
 
 // Get performs a blocking one-sided read of a (possibly remote) section.
@@ -450,20 +506,13 @@ func Get[T any](img *Image, src Sec[T]) []T {
 	p := img.parker("Get")
 	raceRecordCtx(img, src, false, "get")
 	bytes := src.Len()*src.elemBytes() + 16
-	oph := img.blockingOp("get", src.rank)
-	img.opStage(oph, trace.StageInit)
-	tok := img.beginBlock("get")
+	b := img.blockBegin("get", "get", src.rank)
 	req := src.ca.gets.New()
 	*req = getReq[T]{src: src, bytes: bytes}
 	img.st.kern.Call(p, src.rank, tagBlocking, req, rt.SendOpts{Class: fabric.AMShort, Bytes: 24})
 	// The blocking round trip is pure network time on a traced request.
 	img.m.path.Claim(img.pctx, path.Wire, img.Now())
-	// A blocking round trip collapses the completion levels at return;
-	// stamped before endBlock so the park is attributed to this op.
-	img.opStage(oph, trace.StageLocalData)
-	img.opStage(oph, trace.StageLocalOp)
-	img.opStage(oph, trace.StageGlobal)
-	img.endBlock(tok)
+	img.blockEnd(b)
 	out := req.out
 	releaseReq(img.m, &src.ca.gets, req)
 	return out
@@ -490,14 +539,9 @@ func Put[T any](img *Image, dst Sec[T], vals []T) {
 		req.data = append([]T(nil), vals...)
 	}
 	bytes := len(vals)*dst.elemBytes() + 16
-	oph := img.blockingOp("put", dst.rank)
-	img.opStage(oph, trace.StageInit)
-	tok := img.beginBlock("put")
+	b := img.blockBegin("put", "put", dst.rank)
 	img.st.kern.Call(p, dst.rank, tagBlocking, req, rt.SendOpts{Class: classForBytes(img.m, bytes), Bytes: bytes})
 	img.m.path.Claim(img.pctx, path.Wire, img.Now())
-	img.opStage(oph, trace.StageLocalData)
-	img.opStage(oph, trace.StageLocalOp)
-	img.opStage(oph, trace.StageGlobal)
-	img.endBlock(tok)
+	img.blockEnd(b)
 	releaseReq(img.m, &dst.ca.puts, req)
 }

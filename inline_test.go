@@ -393,7 +393,7 @@ func TestInlineNamedFunction(t *testing.T) {
 func TestStrandIDsFollowDeliveryOrderAcrossVehicles(t *testing.T) {
 	var procTid, inlineTid int
 	var procAt, inlineAt Time
-	rep, err := Run(Config{Images: 3, Seed: 1, Fabric: FabricConfig{Latency: 1000, FIFO: true}}, func(img *Image) {
+	rep, err := Run(Config{Images: 3, Seed: 1, Fabric: FabricConfig{Latency: 1000}}, func(img *Image) {
 		img.Finish(nil, func() {
 			switch img.Rank() {
 			case 0:

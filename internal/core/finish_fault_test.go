@@ -14,11 +14,11 @@ import (
 // Theorem 1: for randomized, seed-swept spawn forests the detection loop
 // uses at most L+1 allreduce rounds (L = longest transitive spawn chain)
 // and never terminates before the last transitively spawned function —
-// under both FIFO and jittered (reordering) delivery.
+// under both FIFO and jittered (reordering) delivery. Jitter is a fault
+// plan's, the one thing that reorders a channel.
 func TestTheorem1PropertyRandomForests(t *testing.T) {
 	jittered := fabric.DefaultConfig()
-	jittered.FIFO = false
-	jittered.Jitter = 10 * sim.Microsecond
+	jittered.Faults = &fabric.FaultPlan{Jitter: 10 * sim.Microsecond}
 
 	fabrics := []struct {
 		name string

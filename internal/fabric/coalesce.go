@@ -46,10 +46,11 @@ type Coalescing struct {
 	// before a timer flush (default 10us of virtual time). It is the
 	// latency price of coalescing; size-triggered flushes never wait.
 	FlushAfter sim.Time
-	// MediumCutoff is the largest AMMedium payload that will coalesce
-	// (default 128 bytes). AMShort always coalesces; RDMA never does.
-	MediumCutoff int
 }
+
+// mediumCutoff is the largest AMMedium payload that coalesces. AMShort
+// always coalesces; RDMA never does.
+const mediumCutoff = 128
 
 // Enabled reports whether the config turns coalescing on.
 func (c Coalescing) Enabled() bool { return c != Coalescing{} }
@@ -64,9 +65,6 @@ func (c Coalescing) withDefaults() Coalescing {
 	}
 	if c.FlushAfter == 0 {
 		c.FlushAfter = 10 * sim.Microsecond
-	}
-	if c.MediumCutoff == 0 {
-		c.MediumCutoff = 128
 	}
 	return c
 }
@@ -97,8 +95,8 @@ func (r FlushReason) String() string {
 	return "?"
 }
 
-// FlushObserver is notified of every coalescing flush (tracing hook).
-// It is an interface rather than a func so Config stays comparable.
+// FlushObserver is notified of every coalescing flush (tracing hook; see
+// Fabric.Instrument).
 type FlushObserver interface {
 	CoalesceFlush(src, dst, msgs, bytes int, reason FlushReason, now sim.Time)
 }
@@ -194,7 +192,7 @@ func (ep *Endpoint) coalescible(m *Msg, noCoalesce bool) bool {
 	case AMShort:
 		return true
 	case AMMedium:
-		return int(m.Bytes) <= ep.f.coal.MediumCutoff
+		return int(m.Bytes) <= mediumCutoff
 	}
 	return false
 }
@@ -245,15 +243,15 @@ func (ep *Endpoint) flush(b *coalesceBuf, reason FlushReason) {
 	case FlushByBarrier:
 		f.stats.FlushByBarrier++
 	}
-	if f.cfg.FlushObserver != nil {
-		f.cfg.FlushObserver.CoalesceFlush(ep.rank, dst, len(msgs), bytes, reason, f.eng.Now())
+	if f.flushObs != nil {
+		f.flushObs.CoalesceFlush(ep.rank, dst, len(msgs), bytes, reason, f.eng.Now())
 	}
-	if f.cfg.Path != nil {
+	if f.path != nil {
 		// Time spent in the buffer is the latency price of coalescing:
 		// claim it for every tagged inner message at the flush.
 		now := f.eng.Now()
 		for _, m := range msgs {
-			f.cfg.Path.ClaimTag(m.Path, path.CoalesceHold, now)
+			f.path.ClaimTag(m.Path, path.CoalesceHold, now)
 		}
 	}
 

@@ -135,20 +135,19 @@ func TestCoalesceFIFOWithNonCoalescible(t *testing.T) {
 	}
 }
 
-// TestCoalesceMediumCutoff: small mediums coalesce, big ones do not.
+// TestCoalesceMediumCutoff: mediums up to 128 bytes coalesce, bigger
+// ones do not.
 func TestCoalesceMediumCutoff(t *testing.T) {
-	cfg := coalesceConfig()
-	cfg.Coalescing.MediumCutoff = 64
-	eng, f := newTestFabric(t, 2, cfg)
+	eng, f := newTestFabric(t, 2, coalesceConfig())
 	f.Endpoint(1).RegisterHandler(tagTest, func(ep *Endpoint, m *Msg) {})
 	ep := f.Endpoint(0)
-	ep.Send(&Msg{Src: 0, Dst: 1, Tag: tagTest, Class: AMMedium, Bytes: 64}, SendOpts{})
+	ep.Send(&Msg{Src: 0, Dst: 1, Tag: tagTest, Class: AMMedium, Bytes: 128}, SendOpts{})
 	if got := ep.CoalescedPending(); got != 1 {
-		t.Errorf("64B medium not buffered: pending = %d", got)
+		t.Errorf("128B medium not buffered: pending = %d", got)
 	}
-	ep.Send(&Msg{Src: 0, Dst: 1, Tag: tagTest, Class: AMMedium, Bytes: 65}, SendOpts{})
+	ep.Send(&Msg{Src: 0, Dst: 1, Tag: tagTest, Class: AMMedium, Bytes: 129}, SendOpts{})
 	if got := ep.CoalescedPending(); got != 0 {
-		t.Errorf("65B medium should flush the channel and go plain: pending = %d", got)
+		t.Errorf("129B medium should flush the channel and go plain: pending = %d", got)
 	}
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -178,7 +177,6 @@ func TestCoalesceMaxBytesFlush(t *testing.T) {
 	cfg := coalesceConfig()
 	cfg.Coalescing.MaxMsgs = 100
 	cfg.Coalescing.MaxBytes = 200
-	cfg.Coalescing.MediumCutoff = 128
 	eng, f := newTestFabric(t, 2, cfg)
 	f.Endpoint(1).RegisterHandler(tagTest, func(ep *Endpoint, m *Msg) {})
 	ep := f.Endpoint(0)
@@ -397,8 +395,8 @@ func TestCoalesceCrashAbandonsBufferedMessages(t *testing.T) {
 func TestCoalesceObserverSeesFlushes(t *testing.T) {
 	cfg := coalesceConfig()
 	obs := &recordingObserver{}
-	cfg.FlushObserver = obs
 	eng, f := newTestFabric(t, 2, cfg)
+	f.Instrument(obs, nil, nil)
 	f.Endpoint(1).RegisterHandler(tagTest, func(ep *Endpoint, m *Msg) {})
 	for i := 0; i < 4; i++ {
 		f.Endpoint(0).Send(&Msg{Src: 0, Dst: 1, Tag: tagTest, Class: AMShort, Bytes: 8}, SendOpts{})

@@ -59,7 +59,6 @@ type Config struct {
 	SelfLatency sim.Time // loopback latency (dst == src)
 	GapPerByte  sim.Time // sender injection cost per payload byte
 	AMOverhead  sim.Time // receiver-side handler dispatch occupancy
-	AckLatency  sim.Time // delivery-ack return latency (0 ⇒ Latency)
 	MaxMedium   int      // AMMedium payload cap in bytes (0 ⇒ 512)
 	Credits     int      // max un-acked sends per endpoint (0 ⇒ unlimited)
 	// StallPenalty is an extra injection cost paid by each message that
@@ -67,11 +66,6 @@ type Config struct {
 	// the conduit (the GASNet behaviour behind the paper's Fig. 14
 	// anomaly, §IV-B).
 	StallPenalty sim.Time
-	// FIFO asks for per-(src,dst) ordered delivery. Only the idealized
-	// transport can keep that promise: a fabric with a fault plan reorders
-	// whatever FIFO says. Ordered is the answer layers above must read.
-	FIFO   bool
-	Jitter sim.Time // max random extra delivery delay when !FIFO
 	// ImagesPerNode groups consecutive endpoints onto shared NICs: they
 	// contend for one injection pipe and exchange intra-node messages at
 	// SelfLatency — the paper's runs placed 8 images per node (§IV).
@@ -82,28 +76,13 @@ type Config struct {
 	// and switches the fabric onto its reliability protocol: sequence
 	// numbers, receiver dedup, and ack-timeout retransmission. nil keeps
 	// the idealized exactly-once transport, bit-identical to a fabric
-	// built before fault injection existed. A faulty fabric never
-	// delivers in FIFO order (retransmission alone breaks it); see
-	// Ordered.
+	// built before fault injection existed. A fault plan is the one thing
+	// that reorders a channel (retransmission alone does); see Ordered.
 	Faults *FaultPlan
 	// Coalescing, when non-zero, aggregates small AMs per destination
 	// into batched wire packets (coalesce.go). The zero value keeps the
 	// fabric bit-identical to one built before coalescing existed.
 	Coalescing Coalescing
-	// FlushObserver, when non-nil, is notified of every coalescing flush
-	// (per-flush trace events). Ignored when Coalescing is off.
-	FlushObserver FlushObserver
-	// Metrics, when non-nil, receives per-link traffic counters, queue
-	// depth high-water marks, credit-stall time, and coalescing batch
-	// occupancy. nil (the default) records nothing and keeps the fabric
-	// bit-identical to a build without the registry.
-	Metrics *metrics.Registry
-	// Path, when non-nil, receives critical-path bucket claims for
-	// messages carrying a request tag (Msg.Path): coalesce-hold time at
-	// flush, credit/retransmit stall time, and the wire leg at delivery.
-	// nil (the default) records nothing and an untagged message never
-	// claims — the fabric stays bit-identical either way.
-	Path *path.Tracker
 }
 
 // DefaultConfig returns the cost model used by the benchmark harness.
@@ -115,29 +94,30 @@ func DefaultConfig() Config {
 		AMOverhead:  300 * sim.Nanosecond,
 		MaxMedium:   512,
 		Credits:     64,
-		FIFO:        true,
 	}
 }
 
 // OrDefault returns c on DefaultConfig's cost model when c sets none of
 // the cost-model fields. What c attaches to the fabric (Faults,
-// Coalescing, FlushObserver, Metrics, Path) is kept either way, so a
-// config that only attaches runs on the default network.
+// Coalescing) is kept either way, so a config that only attaches runs on
+// the default network.
 func (c Config) OrDefault() Config {
 	d := c
-	d.Faults, d.Coalescing, d.FlushObserver, d.Metrics, d.Path = nil, Coalescing{}, nil, nil, nil
+	d.Faults, d.Coalescing = nil, Coalescing{}
 	if d != (Config{}) {
 		return c
 	}
 	d = DefaultConfig()
-	d.Faults, d.Coalescing, d.FlushObserver, d.Metrics, d.Path = c.Faults, c.Coalescing, c.FlushObserver, c.Metrics, c.Path
+	d.Faults, d.Coalescing = c.Faults, c.Coalescing
 	return d
 }
 
 // Ordered reports whether the fabric delivers each (src, dst) channel in
-// send order: FIFO is asked for and no fault plan reorders the channel
-// (jitter and retransmission both do).
-func (c Config) Ordered() bool { return c.FIFO && c.Faults == nil }
+// send order: it does unless a fault plan reorders the channel (jitter
+// and retransmission both do). Without one, injection is serialized on
+// the sender's NIC and a pair's latency is fixed, so arrivals on a pair
+// come in send order whatever the cost model.
+func (c Config) Ordered() bool { return c.Faults == nil }
 
 // Msg is one message. Payload carries structured data by reference (the
 // simulation shares one address space); Bytes is the modeled wire size
@@ -308,7 +288,7 @@ type Stats struct {
 	Dropped        uint64 // transmissions (data or ack) lost on the wire
 	Duplicated     uint64 // deliveries duplicated on the wire
 	Stalls         uint64 // receiver handler-context stalls injected
-	Abandoned      uint64 // messages given up on (crash or MaxAttempts)
+	Abandoned      uint64 // messages given up on (crash or attempts spent)
 
 	// Coalescing counters (coalesce.go), all zero when Config.Coalescing
 	// is the zero value. MsgsCoalesced counts inner messages that rode in
@@ -335,10 +315,12 @@ type Fabric struct {
 	// the same protocol, and a handler learns its image from its endpoint.
 	handlers handlerTable
 
-	// Fault-injection state (fault.go); reliable is cfg.Faults != nil.
-	reliable bool
-	plan     FaultPlan
-	frng     *rand.Rand
+	// Fault-injection state (fault.go); reliable is cfg.Faults != nil,
+	// ackTimeout the plan's base retransmission timeout.
+	reliable   bool
+	plan       FaultPlan
+	ackTimeout sim.Time
+	frng       *rand.Rand
 
 	// Coalescing state (coalesce.go); coalescing is cfg.Coalescing
 	// enabled, coal the defaulted thresholds.
@@ -346,8 +328,12 @@ type Fabric struct {
 	coal       Coalescing
 	batches    sim.FreeList[batch]
 
-	// Metrics instruments, resolved once at construction (all nil — and
-	// every call a no-op — when cfg.Metrics is nil).
+	// The observability hooks Instrument attaches; nil records nothing.
+	flushObs FlushObserver
+	path     *path.Tracker
+
+	// Metrics instruments, resolved once by Instrument (all nil — and
+	// every call a no-op — without a registry).
 	mLink        *metrics.Link
 	mSendqPeak   *metrics.Gauge
 	mCreditStall *metrics.Counter
@@ -360,24 +346,15 @@ func New(eng *sim.Engine, n int, cfg Config) *Fabric {
 	if cfg.MaxMedium == 0 {
 		cfg.MaxMedium = 512
 	}
-	if cfg.AckLatency == 0 {
-		cfg.AckLatency = cfg.Latency
-	}
 	f := &Fabric{eng: eng, cfg: cfg}
-	reg := cfg.Metrics
-	f.mLink = reg.Link("caf_fabric_msgs_total", "wire packets sent per (image, peer) link",
-		"caf_fabric_bytes_total", "payload bytes sent per (image, peer) link")
-	f.mSendqPeak = reg.Gauge("caf_fabric_sendq_peak", "credit-stalled send queue high-water mark")
-	f.mCreditStall = reg.Counter("caf_fabric_credit_stall_ns_total", "virtual time messages spent queued for injection credits")
-	f.mBatchMsgs = reg.Histogram("caf_fabric_batch_msgs", "messages per coalesced wire packet")
-	f.mFlushes = reg.Counter("caf_fabric_flushes_total", "coalescing buffer flushes")
 	if cfg.Coalescing.Enabled() {
 		f.coalescing = true
 		f.coal = cfg.Coalescing.withDefaults()
 	}
 	if cfg.Faults != nil {
 		f.reliable = true
-		f.plan = cfg.Faults.withDefaults(cfg)
+		f.plan = *cfg.Faults
+		f.ackTimeout = f.plan.ackTimeout(cfg)
 		f.frng = eng.DeriveRand(0x4641554C ^ f.plan.Seed)
 	}
 	if f.reliable || f.coalescing {
@@ -389,6 +366,26 @@ func New(eng *sim.Engine, n int, cfg Config) *Fabric {
 		f.eps[i] = Endpoint{f: f, rank: i, nic: &nics[f.nodeOf(i)]}
 	}
 	return f
+}
+
+// Instrument attaches the fabric's observability hooks, each nil for
+// none: obs hears of every coalescing flush (per-flush trace events), reg
+// receives per-link traffic counters, queue depth high-water marks,
+// credit-stall time and coalescing batch occupancy, and tracker receives
+// critical-path bucket claims for messages carrying a request tag
+// (Msg.Path): coalesce-hold time at flush, credit/retransmit stall time,
+// and the wire leg at delivery. Call it before the first Send. The
+// fabric's five metric families are registered here, so a caller that
+// instruments the fabric first exports them first. No hook moves the
+// schedule: the fabric stays bit-identical with or without them.
+func (f *Fabric) Instrument(obs FlushObserver, reg *metrics.Registry, tracker *path.Tracker) {
+	f.flushObs, f.path = obs, tracker
+	f.mLink = reg.Link("caf_fabric_msgs_total", "wire packets sent per (image, peer) link",
+		"caf_fabric_bytes_total", "payload bytes sent per (image, peer) link")
+	f.mSendqPeak = reg.Gauge("caf_fabric_sendq_peak", "credit-stalled send queue high-water mark")
+	f.mCreditStall = reg.Counter("caf_fabric_credit_stall_ns_total", "virtual time messages spent queued for injection credits")
+	f.mBatchMsgs = reg.Histogram("caf_fabric_batch_msgs", "messages per coalesced wire packet")
+	f.mFlushes = reg.Counter("caf_fabric_flushes_total", "coalescing buffer flushes")
 }
 
 // RegisterHandler binds tag to fn on every endpoint. Registering a tag
@@ -406,33 +403,33 @@ func (f *Fabric) RegisterHandler(tag uint16, fn Handler) {
 // (fanning out through batches) to bucket b on the request tracker. A
 // no-op without a tracker or for untagged messages.
 func (f *Fabric) claimPath(m *Msg, b path.Bucket) {
-	if f.cfg.Path == nil {
+	if f.path == nil {
 		return
 	}
 	now := f.eng.Now()
 	if m.Tag == tagBatch {
 		for _, inner := range m.Payload.(*batch).msgs {
-			f.cfg.Path.ClaimTag(inner.Path, b, now)
+			f.path.ClaimTag(inner.Path, b, now)
 		}
 		return
 	}
-	f.cfg.Path.ClaimTag(m.Path, b, now)
+	f.path.ClaimTag(m.Path, b, now)
 }
 
 // claimPathDelivered claims each tagged message's own delivery bucket
 // (Wire for ordinary AMs, ReplMirror for mirror writes) at dispatch.
 func (f *Fabric) claimPathDelivered(m *Msg) {
-	if f.cfg.Path == nil {
+	if f.path == nil {
 		return
 	}
 	now := f.eng.Now()
 	if m.Tag == tagBatch {
 		for _, inner := range m.Payload.(*batch).msgs {
-			f.cfg.Path.ClaimTag(inner.Path, inner.Path.Bucket, now)
+			f.path.ClaimTag(inner.Path, inner.Path.Bucket, now)
 		}
 		return
 	}
-	f.cfg.Path.ClaimTag(m.Path, m.Path.Bucket, now)
+	f.path.ClaimTag(m.Path, m.Path.Bucket, now)
 }
 
 // nicState is the injection pipe shared by the images of one node.
@@ -457,18 +454,9 @@ func (f *Fabric) nodeOf(rank int) int {
 	return rank / f.cfg.ImagesPerNode
 }
 
-// ackLatency is the latency of a delivery ack from the receiver back to
-// the sender: AckLatency between nodes, the data leg's latency otherwise
-// (an ack inside a node crosses shared memory, as its message did).
-func (f *Fabric) ackLatency(from, to int) sim.Time {
-	if f.cfg.AckLatency == f.cfg.Latency || f.nodeOf(from) == f.nodeOf(to) {
-		return f.wireLatency(from, to)
-	}
-	return f.cfg.AckLatency
-}
-
-// wireLatency is the one-way latency between src and dst. Images on the
-// same node talk over shared memory (SelfLatency).
+// wireLatency is the one-way latency between src and dst, of a message
+// and of its delivery ack alike: an ack travels the wire its message
+// did. Images on the same node talk over shared memory (SelfLatency).
 func (f *Fabric) wireLatency(src, dst int) sim.Time {
 	if f.nodeOf(src) == f.nodeOf(dst) {
 		return f.cfg.SelfLatency
@@ -679,13 +667,10 @@ func (ep *Endpoint) inject(m *Msg) {
 		eng.AtEvent(injected, (*injection)(m))
 	}
 
-	// Under FIFO nothing more is needed: injection is serialized on the
-	// NIC, the wire latency is a function of the pair alone and the clock
-	// never goes back, so arrivals on a pair come in send order.
+	// Injection is serialized on the NIC, the wire latency is a function
+	// of the pair alone and the clock never goes back, so arrivals on a
+	// pair come in send order (Config.Ordered).
 	arrival := injected + f.wireLatency(int(m.Src), int(m.Dst))
-	if !f.cfg.FIFO && f.cfg.Jitter > 0 {
-		arrival += sim.Time(eng.Rand().Int63n(int64(f.cfg.Jitter) + 1))
-	}
 
 	m.stage, m.src = stageArriving, ep
 	eng.AtEvent(arrival, (*transit)(m))
@@ -713,7 +698,7 @@ func (t *transit) RunEvent() {
 	case stageHandling:
 		f.eps[m.Dst].dispatch(m)
 		m.stage = stageAcking
-		eng.AtEvent(eng.Now()+f.ackLatency(int(m.Dst), int(m.Src)), t)
+		eng.AtEvent(eng.Now()+f.wireLatency(int(m.Dst), int(m.Src)), t)
 	case stageAcking:
 		f.stats.Acks++
 		src.outstanding--
@@ -782,13 +767,9 @@ func (ep *Endpoint) startTx(m *Msg) {
 }
 
 // retransmitAfter is the ack timeout for the given attempt number:
-// exponential backoff on the plan's base, capped at BackoffCap doublings.
+// exponential backoff on the plan's base, capped at backoffCap doublings.
 func (f *Fabric) retransmitAfter(attempts int) sim.Time {
-	shift := attempts - 1
-	if shift > f.plan.BackoffCap {
-		shift = f.plan.BackoffCap
-	}
-	return f.plan.AckTimeout << uint(shift)
+	return f.ackTimeout << uint(min(attempts-1, backoffCap))
 }
 
 // transmit performs one (re)transmission of tx: it pays the injection
@@ -848,7 +829,7 @@ func (ep *Endpoint) onAckTimeout(tx *txState) {
 		return
 	}
 	f := ep.f
-	if f.crashedNow(ep.rank) || f.crashedNow(int(tx.m.Dst)) || tx.attempts >= f.plan.MaxAttempts {
+	if f.crashedNow(ep.rank) || f.crashedNow(int(tx.m.Dst)) || tx.attempts >= maxAttempts {
 		tx.abandoned = true
 		tx.m.stage = stageIdle
 		f.stats.Abandoned++
@@ -964,7 +945,7 @@ func (ep *Endpoint) deliverReliable(tx *txState, src *Endpoint) {
 			f.stats.FaultsInjected++
 			return
 		}
-		eng.At(eng.Now()+f.ackLatency(int(m.Dst), int(m.Src)), func() { src.onAckArrival(tx) })
+		eng.At(eng.Now()+f.wireLatency(int(m.Dst), int(m.Src)), func() { src.onAckArrival(tx) })
 	})
 }
 

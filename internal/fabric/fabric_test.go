@@ -107,9 +107,7 @@ func TestInjectionSerializesOnBandwidth(t *testing.T) {
 }
 
 func TestFIFOOrderingPerPair(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.FIFO = true
-	eng, f := newTestFabric(t, 2, cfg)
+	eng, f := newTestFabric(t, 2, DefaultConfig())
 	var got []int
 	f.Endpoint(1).RegisterHandler(tagTest, func(ep *Endpoint, m *Msg) {
 		got = append(got, m.Payload.(int))
@@ -319,34 +317,6 @@ func TestHandlerReplies(t *testing.T) {
 	}
 }
 
-func TestJitterReordersWithoutFIFO(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.FIFO = false
-	cfg.Jitter = 100 * sim.Microsecond
-	cfg.GapPerByte = 0
-	eng, f := newTestFabric(t, 2, cfg)
-	var got []int
-	f.Endpoint(1).RegisterHandler(tagTest, func(ep *Endpoint, m *Msg) {
-		got = append(got, m.Payload.(int))
-	})
-	for i := 0; i < 64; i++ {
-		f.Endpoint(0).Send(&Msg{Src: 0, Dst: 1, Tag: tagTest, Class: AMShort, Payload: i}, SendOpts{})
-	}
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	inOrder := true
-	for i, v := range got {
-		if v != i {
-			inOrder = false
-			break
-		}
-	}
-	if inOrder {
-		t.Error("64 jittered messages all arrived in order (jitter ineffective)")
-	}
-}
-
 // Property: message conservation — for random traffic patterns every send
 // is delivered exactly once and acked exactly once.
 func TestPropertyConservation(t *testing.T) {
@@ -392,31 +362,6 @@ func BenchmarkSendDeliver(b *testing.B) {
 		}
 	}
 	_ = eng.Run()
-}
-
-func TestAckLatencyConfigurable(t *testing.T) {
-	// A shorter ack path returns delivery notifications sooner.
-	delivered := func(ackLat sim.Time) sim.Time {
-		cfg := DefaultConfig()
-		cfg.GapPerByte = 0
-		cfg.AMOverhead = 0
-		cfg.AckLatency = ackLat
-		eng := sim.NewEngine(1)
-		f := New(eng, 2, cfg)
-		f.Endpoint(1).RegisterHandler(tagTest, func(ep *Endpoint, m *Msg) {})
-		var at sim.Time
-		f.Endpoint(0).Send(&Msg{Src: 0, Dst: 1, Tag: tagTest, Class: AMShort}, SendOpts{
-			Done: onAck(func() { at = eng.Now() }),
-		})
-		if err := eng.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return at
-	}
-	fast, slow := delivered(100*sim.Nanosecond), delivered(10*sim.Microsecond)
-	if fast >= slow {
-		t.Errorf("ack latency ignored: fast=%v slow=%v", fast, slow)
-	}
 }
 
 func TestStallPenaltyChargedOnlyToQueuedMessages(t *testing.T) {
@@ -567,8 +512,8 @@ func TestFIFOArrivalMonotone(t *testing.T) {
 	}
 }
 
-// An ack between two images of one node crosses shared memory, as its
-// message did: SelfLatency, not AckLatency, on both transports.
+// An ack crosses the wire its message did: SelfLatency between two images
+// of one node, Latency between nodes, on both transports.
 func TestAckLatencyWithinNode(t *testing.T) {
 	for name, faults := range map[string]*FaultPlan{"idealized": nil, "reliable": {}} {
 		t.Run(name, func(t *testing.T) {
@@ -576,7 +521,6 @@ func TestAckLatencyWithinNode(t *testing.T) {
 			cfg.GapPerByte = 0
 			cfg.AMOverhead = 0
 			cfg.ImagesPerNode = 2
-			cfg.AckLatency = 10 * sim.Microsecond
 			cfg.Faults = faults
 			eng := sim.NewEngine(1)
 			f := New(eng, 4, cfg)
@@ -594,8 +538,8 @@ func TestAckLatencyWithinNode(t *testing.T) {
 			if want := 2 * cfg.SelfLatency; ackedAt[1] != want {
 				t.Errorf("intra-node round trip %v, want 2 × SelfLatency = %v", ackedAt[1], want)
 			}
-			if want := cfg.Latency + cfg.AckLatency; ackedAt[2] != want || ackedAt[3] != want {
-				t.Errorf("cross-node round trips %v, %v, want Latency + AckLatency = %v", ackedAt[2], ackedAt[3], want)
+			if want := 2 * cfg.Latency; ackedAt[2] != want || ackedAt[3] != want {
+				t.Errorf("cross-node round trips %v, %v, want 2 × Latency = %v", ackedAt[2], ackedAt[3], want)
 			}
 		})
 	}

@@ -11,7 +11,8 @@ import "caf2go/internal/sim"
 //
 // Attaching a FaultPlan also switches the fabric onto its reliability
 // protocol (see fabric.go): per-(src,dst) sequence numbers, receiver-side
-// dedup, and ack-timeout retransmission with capped exponential backoff.
+// dedup, and ack-timeout retransmission with capped exponential backoff
+// (the timeout derived from the cost model, backoffCap, maxAttempts).
 // The layers above (rt, core, collect) observe exactly-once delivery and
 // at-most-once acknowledgement either way — which is precisely what keeps
 // the finish plane's message-parity counters exact under retransmission.
@@ -39,7 +40,7 @@ type FaultPlan struct {
 	// Jitter is the maximum extra delivery delay added per arrival. Any
 	// positive value breaks per-(src,dst) FIFO ordering — as does
 	// retransmission itself, which is why a faulty fabric never promises
-	// ordered delivery regardless of Config.FIFO.
+	// ordered delivery (Config.Ordered).
 	Jitter sim.Time
 
 	// StallProb is the per-arrival probability that the receiving
@@ -49,22 +50,6 @@ type FaultPlan struct {
 	StallProb float64
 	Stall     sim.Time
 
-	// AckTimeout is the base retransmission timeout, armed at injection.
-	// 0 derives a default from the fabric's latency model, padded for
-	// Jitter and Stall.
-	AckTimeout sim.Time
-
-	// MaxAttempts caps transmissions per message (first send included).
-	// A message still unacked after its last attempt is abandoned: its
-	// flow-control credit is released but no completion callback fires,
-	// so a finish block supervising it can never terminate — erring on
-	// the never-early side of Theorem 1. 0 means 16.
-	MaxAttempts int
-
-	// BackoffCap caps the exponential backoff at AckTimeout << BackoffCap.
-	// 0 means 6 (64x).
-	BackoffCap int
-
 	// Crash maps an image rank to the virtual time its NIC dies. From
 	// that moment the endpoint injects nothing and arriving packets
 	// vanish; peers retrying into it abandon their messages at the next
@@ -73,25 +58,25 @@ type FaultPlan struct {
 	Crash map[int]sim.Time
 }
 
-// withDefaults returns the plan with zero knobs replaced by defaults.
-func (fp FaultPlan) withDefaults(cfg Config) FaultPlan {
-	if fp.MaxAttempts == 0 {
-		fp.MaxAttempts = 16
-	}
-	if fp.BackoffCap == 0 {
-		fp.BackoffCap = 6
-	}
-	if fp.AckTimeout == 0 {
-		// Generous round trip: injection is excluded (the timer is armed
-		// at injection time), so latency + handler occupancy + ack return
-		// plus the worst extra delay faults can add, doubled for queuing.
-		ack := cfg.AckLatency
-		if ack == 0 {
-			ack = cfg.Latency
-		}
-		fp.AckTimeout = 2*(cfg.Latency+cfg.AMOverhead+ack+fp.Jitter+fp.Stall) + 10*sim.Microsecond
-	}
-	return fp
+const (
+	// maxAttempts caps transmissions per message (first send included).
+	// A message still unacked after its last attempt is abandoned: its
+	// flow-control credit is released but no completion callback fires,
+	// so a finish block supervising it can never terminate — erring on
+	// the never-early side of Theorem 1.
+	maxAttempts = 16
+	// backoffCap caps the exponential backoff at the base timeout <<
+	// backoffCap (64x).
+	backoffCap = 6
+)
+
+// ackTimeout is the plan's base retransmission timeout on cfg's cost
+// model, armed at injection: a generous round trip. Injection is excluded
+// (the timer is armed at injection time), so it is latency + handler
+// occupancy + the ack's return on the same wire, plus the worst extra
+// delay the plan can add, doubled for queuing.
+func (fp *FaultPlan) ackTimeout(cfg Config) sim.Time {
+	return 2*(2*cfg.Latency+cfg.AMOverhead+fp.Jitter+fp.Stall) + 10*sim.Microsecond
 }
 
 // roll draws a fault decision. Probabilities ≤ 0 consume no randomness,

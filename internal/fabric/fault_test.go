@@ -142,14 +142,14 @@ func TestDuplicatesDedupedAndReacked(t *testing.T) {
 }
 
 func TestJitterReordersDelivery(t *testing.T) {
-	// With delivery jitter a faulty fabric does not honour FIFO even
-	// though the base config asks for it.
+	// With delivery jitter a faulty fabric does not deliver in send order,
+	// though the same cost model without a fault plan does.
 	plan := &FaultPlan{Jitter: 40 * sim.Microsecond}
 	cfg := DefaultConfig()
-	cfg.Faults = plan
-	if !cfg.FIFO {
-		t.Fatal("test premise: default config is FIFO")
+	if !cfg.Ordered() {
+		t.Fatal("test premise: the default config without a fault plan is ordered")
 	}
+	cfg.Faults = plan
 	eng := sim.NewEngine(3)
 	f := New(eng, 2, cfg)
 	var order []int
@@ -212,7 +212,7 @@ func TestCrashedSenderInjectsNothing(t *testing.T) {
 }
 
 func TestTotalLossAbandonsAfterMaxAttempts(t *testing.T) {
-	plan := &FaultPlan{Drop: 1.0, MaxAttempts: 5}
+	plan := &FaultPlan{Drop: 1.0}
 	eng, f, _ := faultFabric(t, 2, plan)
 	delivered := false
 	f.Endpoint(0).Send(&Msg{Src: 0, Dst: 1, Tag: tagTest, Class: AMShort, Bytes: 8, Payload: "x"},
@@ -224,8 +224,8 @@ func TestTotalLossAbandonsAfterMaxAttempts(t *testing.T) {
 		t.Error("Delivered fired on a 100%-loss link")
 	}
 	st := f.Stats()
-	if st.Retransmits != 4 {
-		t.Errorf("Retransmits = %d, want 4 (5 attempts total)", st.Retransmits)
+	if st.Retransmits != maxAttempts-1 {
+		t.Errorf("Retransmits = %d, want %d (%d attempts total)", st.Retransmits, maxAttempts-1, maxAttempts)
 	}
 	if st.Abandoned != 1 {
 		t.Errorf("Abandoned = %d, want 1", st.Abandoned)

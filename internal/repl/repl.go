@@ -23,8 +23,8 @@
 //   - Table: a replica-group routing table over a fixed member chain.
 //     Placement is static — home h's backup copy lives on the next
 //     member of the ring — while routing is epoch-driven: Primary walks
-//     the replica group (home, backup, …, Copies wide) and returns the
-//     first member whose death has NOT been committed. Routing
+//     the replica group (home, then its backup) and returns the first
+//     member whose death has NOT been committed. Routing
 //     therefore never changes at a raw declaration, only at an epoch
 //     commit, so every image flips its routes at the same virtual
 //     instant.
@@ -53,21 +53,11 @@ type Config struct {
 	// the failure detector; with detection off, mirrors still flow but
 	// no promotion ever happens.
 	Enabled bool
-
-	// Copies is the replica-group width routing considers — primary
-	// plus backups. 0 means 2 (primary + one backup), the only depth
-	// the mirror write path currently materializes; values are clamped
-	// to the chain length by tables.
-	Copies int
 }
 
-// WithDefaults resolves the zero fields.
-func (c Config) WithDefaults() Config {
-	if c.Copies <= 0 {
-		c.Copies = 2
-	}
-	return c
-}
+// groupWidth is the replica group routing considers: a primary and the
+// one backup the mirror write path materializes.
+const groupWidth = 2
 
 // Stats is a snapshot of the manager's recovery accounting.
 type Stats struct {
@@ -92,7 +82,6 @@ type Manager struct {
 	eng    *sim.Engine
 	det    *failure.Detector
 	images int
-	cfg    Config
 
 	epoch     int
 	epochAt   sim.Time
@@ -119,7 +108,6 @@ func NewManager(eng *sim.Engine, det *failure.Detector, images int, cfg Config) 
 		eng:       eng,
 		det:       det,
 		images:    images,
-		cfg:       cfg.WithDefaults(),
 		committed: make(map[int]sim.Time),
 		survivors: team.World(images),
 		lastCount: -1,
@@ -266,14 +254,6 @@ func (m *Manager) Stats() Stats {
 	return s
 }
 
-// Copies returns the configured replica-group width (0 on nil).
-func (m *Manager) Copies() int {
-	if m == nil {
-		return 0
-	}
-	return m.cfg.Copies
-}
-
 // Table routes the replica groups of a fixed member chain. Placement is
 // static — the backup copy of the chain's i-th member lives on member
 // i+1 (mod n) — and routing is epoch-driven: a dead member is skipped
@@ -284,31 +264,16 @@ func (m *Manager) Copies() int {
 type Table struct {
 	mgr     *Manager
 	members []int
-	copies  int
 }
 
 // NewTable builds a routing table over members (world ranks, chain
-// order). copies ≤ 0 takes the manager's configured width (or 2 with a
-// nil manager); the width is clamped to the chain length.
-func NewTable(mgr *Manager, members []int, copies int) *Table {
-	if copies <= 0 {
-		if c := mgr.Copies(); c > 0 {
-			copies = c
-		} else {
-			copies = 2
-		}
-	}
-	if copies > len(members) {
-		copies = len(members)
-	}
-	return &Table{mgr: mgr, members: append([]int(nil), members...), copies: copies}
+// order).
+func NewTable(mgr *Manager, members []int) *Table {
+	return &Table{mgr: mgr, members: append([]int(nil), members...)}
 }
 
 // Members returns the chain in order; the caller must not modify it.
 func (t *Table) Members() []int { return t.members }
-
-// Copies returns the effective replica-group width.
-func (t *Table) Copies() int { return t.copies }
 
 // Backup returns the world rank holding home's backup copy — the next
 // chain member — or -1 when the chain has a single member (nowhere to
@@ -321,13 +286,13 @@ func (t *Table) Backup(home int) int {
 }
 
 // Primary returns the world rank currently serving home's replica
-// group: the first of the group's Copies chain members whose death has
-// not been committed, or -1 when the whole group is committed dead
-// (the shard's data is gone; requests against it fail typed). home is a
-// chain index.
+// group: the first of home and its backup (home alone on a one-member
+// chain) whose death has not been committed, or -1 when the whole group
+// is committed dead (the shard's data is gone; requests against it fail
+// typed). home is a chain index.
 func (t *Table) Primary(home int) int {
 	n := len(t.members)
-	for i := 0; i < t.copies; i++ {
+	for i := 0; i < min(groupWidth, n); i++ {
 		r := t.members[(home+i)%n]
 		if !t.mgr.Committed(r) {
 			return r

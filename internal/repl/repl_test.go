@@ -36,7 +36,7 @@ func TestDisabledOrDetectorlessIsNil(t *testing.T) {
 		t.Error("manager built with replication disabled")
 	}
 	var m *Manager
-	if m.Epoch() != 0 || m.Committed(1) || m.Survivors() != nil || (m.Stats() != Stats{}) || m.Copies() != 0 {
+	if m.Epoch() != 0 || m.Committed(1) || m.Survivors() != nil || (m.Stats() != Stats{}) {
 		t.Error("nil manager is not inert")
 	}
 	m.Subscribe(func(int, sim.Time) {}) // must not panic
@@ -144,7 +144,7 @@ func TestBackToBackCrashesTwoEpochs(t *testing.T) {
 func TestAllDeadSurvivorsNil(t *testing.T) {
 	crash := map[int]sim.Time{0: 20 * sim.Microsecond, 1: 20 * sim.Microsecond}
 	eng, _, mgr := build(t, 2, crash)
-	tbl := NewTable(mgr, []int{0, 1}, 0)
+	tbl := NewTable(mgr, []int{0, 1})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -166,11 +166,8 @@ func TestTableRouting(t *testing.T) {
 		2: 200 * sim.Microsecond,
 	})
 	mgr := NewManager(eng, det, 8, Config{Enabled: true})
-	tbl := NewTable(mgr, []int{0, 1, 2, 3}, 0)
+	tbl := NewTable(mgr, []int{0, 1, 2, 3})
 
-	if tbl.Copies() != 2 {
-		t.Fatalf("default copies = %d, want 2", tbl.Copies())
-	}
 	// Static placement: backup of chain index h is the next member.
 	for h, want := range []int{1, 2, 3, 0} {
 		if got := tbl.Backup(h); got != want {
@@ -187,7 +184,7 @@ func TestTableRouting(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Ranks 1 and 2 committed: home 0 serves itself, home 1's group
-	// {1,2} is wholly dead (copies=2), home 2 promotes to 3.
+	// {1,2} is wholly dead, home 2 promotes to 3.
 	wants := []int{0, -1, 3, 3}
 	for h, want := range wants {
 		if got := tbl.Primary(h); got != want {
@@ -196,13 +193,13 @@ func TestTableRouting(t *testing.T) {
 	}
 
 	// Single-member chain: nowhere to mirror, home always serves.
-	solo := NewTable(mgr, []int{0}, 0)
-	if solo.Backup(0) != -1 || solo.Primary(0) != 0 || solo.Copies() != 1 {
-		t.Errorf("solo chain: backup=%d primary=%d copies=%d", solo.Backup(0), solo.Primary(0), solo.Copies())
+	solo := NewTable(mgr, []int{0})
+	if solo.Backup(0) != -1 || solo.Primary(0) != 0 {
+		t.Errorf("solo chain: backup=%d primary=%d", solo.Backup(0), solo.Primary(0))
 	}
 
 	// Nil-manager table routes statically.
-	static := NewTable(nil, []int{4, 5}, 0)
+	static := NewTable(nil, []int{4, 5})
 	if static.Primary(0) != 4 || static.Backup(0) != 5 {
 		t.Errorf("static table: primary=%d backup=%d", static.Primary(0), static.Backup(0))
 	}

@@ -7,7 +7,6 @@ import (
 	"caf2go/internal/path"
 	"caf2go/internal/race"
 	"caf2go/internal/rt"
-	"caf2go/internal/trace"
 )
 
 // lockState is a simple remote lock hosted on one image. The PGAS
@@ -33,9 +32,7 @@ type unlockMsg struct {
 // through the loopback path for cost fidelity.
 func (img *Image) Lock(rank, id int) {
 	p := img.parker("Lock")
-	opID := img.blockingOp("lock", rank)
-	img.opStage(opID, trace.StageInit)
-	btok := img.beginBlock("lock")
+	b := img.blockBegin("lock", "lock", rank)
 	img.st.kern.Call(p, rank, tagLock, id, rt.SendOpts{
 		Class: fabric.AMShort,
 		Bytes: 16,
@@ -43,12 +40,7 @@ func (img *Image) Lock(rank, id int) {
 	// The whole grant round trip — wire both ways plus queueing behind
 	// other holders — is lock wait on the traced request's path.
 	img.m.path.Claim(img.pctx, path.LockWait, img.Now())
-	// The grant round-trip is the whole operation: stamping before
-	// endBlock lets the park self-attribute to this lock acquisition.
-	img.opStage(opID, trace.StageLocalData)
-	img.opStage(opID, trace.StageLocalOp)
-	img.opStage(opID, trace.StageGlobal)
-	img.endBlock(btok)
+	img.blockEnd(b)
 	// Acquire: the grant orders this holder after every prior unlock.
 	// Reading the remote lock state directly is the shared-address-space
 	// simulation's shortcut; nothing can release between our grant and

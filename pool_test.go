@@ -610,6 +610,18 @@ func TestPoolSpawnOpFitsItsSizeClass(t *testing.T) {
 	}
 }
 
+// The race detector's state of an asynchronous collective or copy hangs
+// off one pointer, nil with the detector off, so the records every run
+// makes stay in the 208- and 352-byte size classes.
+func TestPoolRaceStateIsOnePointer(t *testing.T) {
+	if got := unsafe.Sizeof(Collective{}); got > 208 {
+		t.Errorf("sizeof(Collective) = %d, want ≤ 208", got)
+	}
+	if got := unsafe.Sizeof(copyOp[int]{}); got > 352 {
+		t.Errorf("sizeof(copyOp[int]) = %d, want ≤ 352", got)
+	}
+}
+
 // A delivery token is four words: every spawn and copy record holds one.
 func TestPoolDelivTokenIsFourWords(t *testing.T) {
 	if got := unsafe.Sizeof(delivToken{}); got > 32 {

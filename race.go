@@ -5,7 +5,6 @@ import (
 
 	"caf2go/internal/core"
 	"caf2go/internal/race"
-	"caf2go/internal/trace"
 )
 
 // Happens-before race detection: with Config.Races set, every
@@ -207,23 +206,11 @@ func raceRecordCtx[T any](img *Image, s Sec[T], write bool, op string) {
 	raceRecord(img.m, s, write, img.rc.ID(), img.rc.Clock(), op)
 }
 
-// collBlock is a blocking collective's bracket, a value: its lifecycle
-// op, which exists only under a tracker (a blocking collective runs all
-// four stages inside the call), its blocked interval, and the instance
-// whose clock its role acquires (nil for none, or with the detector off).
-type collBlock struct {
-	op   *Op
-	btok trace.BlockToken
-	acq  *collSync
-}
-
 // collBegin opens the bracket of blocking collective k over t, rooted at
 // team rank root: the op's initiation, the blocked interval and the
-// role-filtered release.
-func (img *Image) collBegin(k *collKind, t *Team, root int) collBlock {
-	b := collBlock{op: img.blockingOp(k.name, -1)}
-	img.opStage(b.op, trace.StageInit)
-	b.btok = img.beginBlock("collective")
+// role-filtered release; blockEnd closes it with the role's acquire.
+func (img *Image) collBegin(k *collKind, t *Team, root int) blocked {
+	b := img.blockBegin(k.name, "collective", -1)
 	rs := img.m.race
 	if rs == nil || img.rc == nil {
 		return b
@@ -237,19 +224,6 @@ func (img *Image) collBegin(k *collKind, t *Team, root int) collBlock {
 		b.acq = cs
 	}
 	return b
-}
-
-// collEnd closes the bracket once the collective returned, when every
-// releaser has contributed: the role-filtered acquire, then the op's
-// completion stamps and the end of the blocked interval.
-func (img *Image) collEnd(b collBlock) {
-	if b.acq != nil {
-		img.rc.Acquire(b.acq.clk)
-	}
-	img.opStage(b.op, trace.StageLocalData)
-	img.opStage(b.op, trace.StageLocalOp)
-	img.opStage(b.op, trace.StageGlobal)
-	img.endBlock(b.btok)
 }
 
 // ---------------------------------------------------------------------

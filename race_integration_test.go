@@ -352,11 +352,10 @@ func TestConflictLogReportsEviction(t *testing.T) {
 // delivers that channel in order. A fault plan reorders it (here by
 // jitter alone), so eight back-to-back copies into one element land in a
 // seed-dependent order and every pair of them races: C(8,2) = 28. On
-// the fault-free FIFO fabric the same program is ordered and clean.
+// a fault-free fabric the same program is ordered and clean, on the
+// default cost model and on a sparse custom one alike.
 func TestRaceDetectorNoChannelEdgesOnReorderingFabric(t *testing.T) {
-	run := func(seed int64, faults *caf.FaultPlan) (races, final int64) {
-		fab := caf.DefaultFabric() // FIFO asked for, whatever the plan does
-		fab.Faults = faults
+	run := func(seed int64, fab caf.FabricConfig) (races, final int64) {
 		m := caf.NewMachine(caf.Config{Images: 2, Seed: seed, Races: true, Fabric: fab})
 		m.Launch(func(img *caf.Image) {
 			ca := caf.NewCoarray[int64](img, nil, 1)
@@ -378,13 +377,19 @@ func TestRaceDetectorNoChannelEdgesOnReorderingFabric(t *testing.T) {
 	}
 	reordered := false
 	for seed := int64(1); seed <= 8; seed++ {
-		races, final := run(seed, &caf.FaultPlan{Jitter: 40 * caf.Microsecond})
+		jittered := caf.DefaultFabric()
+		jittered.Faults = &caf.FaultPlan{Jitter: 40 * caf.Microsecond}
+		races, final := run(seed, jittered)
 		if races != 28 {
 			t.Errorf("seed %d: jittered fabric (last write landed: %d) reported %d races, want 28", seed, final, races)
 		}
 		reordered = reordered || final != 8
-		if races, final := run(seed, nil); races != 0 || final != 8 {
+		if races, final := run(seed, caf.DefaultFabric()); races != 0 || final != 8 {
 			t.Errorf("seed %d: FIFO fabric reported %d races with final value %d, want 0 and 8", seed, races, final)
+		}
+		sparse := caf.FabricConfig{Latency: 5 * caf.Microsecond}
+		if races, final := run(seed, sparse); races != 0 || final != 8 {
+			t.Errorf("seed %d: sparse fault-free fabric reported %d races with final value %d, want 0 and 8", seed, races, final)
 		}
 	}
 	if !reordered {

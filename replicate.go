@@ -72,7 +72,7 @@ func NewReplCoarray[T any](img *Image, t *Team, n int, chain []int) *ReplCoarray
 	if !ok {
 		rc := &ReplCoarray[T]{
 			m:        img.m,
-			tbl:      repl.NewTable(img.m.repl, chain, 0),
+			tbl:      repl.NewTable(img.m.repl, chain),
 			prim:     prim,
 			mirr:     mirr,
 			appliedP: make([]map[int]T, len(chain)),
