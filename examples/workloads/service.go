@@ -89,8 +89,10 @@ func (o *ServiceOpts) serviceDefaults(images int) (servers, clients int, err err
 	return servers, clients, nil
 }
 
-func (o ServiceOpts) arrivals(seed int64, clients int) []load.Request {
-	return load.Schedule(load.ArrivalConfig{
+// arrivals starts the run's one arrival stream, which every client
+// takes its requests from.
+func (o ServiceOpts) arrivals(seed int64, clients int) *load.Arrivals {
+	return load.NewArrivals(load.ArrivalConfig{
 		Kind:      o.Arrival,
 		Seed:      seed,
 		Clients:   clients,
@@ -141,8 +143,8 @@ func KVService(cfg caf.Config, o ServiceOpts, opts ...RunOpt) (Result, error) {
 		}
 	}
 	slots := (o.Keys + servers - 1) / servers
-	sched := o.arrivals(cfg.Seed, clients)
-	col := load.NewCollector("kv request", sched)
+	arr := o.arrivals(cfg.Seed, clients)
+	col := load.NewCollector("kv request", arr)
 	var readSum int64
 	var mach *caf.Machine
 	opts = append(opts, CaptureMachine(&mach))
@@ -249,11 +251,11 @@ func KVService(cfg caf.Config, o ServiceOpts, opts ...RunOpt) (Result, error) {
 		if o.Replicated {
 			// Replay instead of fail: a committed death re-issues
 			// stranded requests rather than failing them.
-			load.Drive(img, me-servers, sched, col,
+			load.Drive(img, me-servers, arr, col,
 				load.DriveOpts{Tick: o.Tick, OnDead: load.DeadReplay}, issueReplicated)
 			return
 		}
-		load.Drive(img, me-servers, sched, col,
+		load.Drive(img, me-servers, arr, col,
 			load.DriveOpts{Tick: o.Tick, OnDead: load.DeadFail}, issue)
 	})
 	if err != nil {
@@ -372,8 +374,8 @@ func AggService(cfg caf.Config, o ServiceOpts, opts ...RunOpt) (Result, error) {
 	if fan > servers {
 		fan = servers
 	}
-	sched := o.arrivals(cfg.Seed, clients)
-	col := load.NewCollector("agg request", sched)
+	arr := o.arrivals(cfg.Seed, clients)
+	col := load.NewCollector("agg request", arr)
 	var mergeSum int64
 	var mach *caf.Machine
 	opts = append(opts, CaptureMachine(&mach))
@@ -452,7 +454,7 @@ func AggService(cfg caf.Config, o ServiceOpts, opts ...RunOpt) (Result, error) {
 			}
 		}
 		img.Finish(nil, func() {
-			load.Drive(img, me-servers, sched, col, load.DriveOpts{Tick: o.Tick}, issue)
+			load.Drive(img, me-servers, arr, col, load.DriveOpts{Tick: o.Tick}, issue)
 		})
 	})
 

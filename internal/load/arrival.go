@@ -4,18 +4,21 @@
 //
 // Three pieces compose:
 //
-//   - Schedule pre-generates a fully seeded arrival schedule — Poisson
-//     or bursty MMPP inter-arrivals, keyed requests, read/write mix —
-//     as a pure function of its config, merging the per-client streams
-//     in (At, Client) order. The schedule exists before the simulation
-//     starts, so it is byte-identical at any GOMAXPROCS by construction.
-//   - Drive runs an open-loop client event loop on one image, reading
-//     the shared schedule in place: requests are issued at their
-//     scheduled virtual times whether or not earlier ones completed (no
-//     coordinated omission), completions are polled through the
-//     continuation API, and requests stranded on an image declared dead
-//     are failed with typed errors instead of hanging. The loop wakes
-//     on tick boundaries only while something can happen there.
+//   - Arrivals streams a fully seeded arrival schedule — Poisson or
+//     bursty MMPP inter-arrivals, keyed requests, read/write mix —
+//     merging the per-client streams in (At, Client) order as far as
+//     the request a client takes. Every request is a pure function of
+//     the config, whatever order the clients take in, so the stream is
+//     byte-identical at any GOMAXPROCS by construction; Schedule drains
+//     it into a slice.
+//   - Drive runs an open-loop client event loop on one image, taking
+//     its requests from the run's one stream: requests are issued at
+//     their scheduled virtual times whether or not earlier ones
+//     completed (no coordinated omission), completions are polled
+//     through the continuation API, and requests stranded on an image
+//     declared dead are failed with typed errors instead of hanging. The
+//     loop wakes on tick boundaries only while something can happen
+//     there.
 //   - Collector + Histogram accumulate per-request latencies into a
 //     deterministic log-linear histogram and reduce them to an SLO
 //     report (p50/p99/p999, goodput, failure accounting) whose Digest
@@ -63,7 +66,7 @@ func (k ArrivalKind) String() string {
 	return "unknown"
 }
 
-// ArrivalConfig parameterizes Schedule. Zero values of the optional
+// ArrivalConfig parameterizes an arrival stream. Zero values of the optional
 // fields get defaults; Clients, Requests, Rate, and Keys are required.
 type ArrivalConfig struct {
 	Kind ArrivalKind
@@ -126,19 +129,62 @@ type Request struct {
 	At caf.Time
 }
 
-// Schedule pre-generates the full arrival schedule. It is a pure
-// function of cfg: equal configs produce byte-identical schedules on
-// any host or GOMAXPROCS. Arrivals are in (At, Client) order with Seq
-// assigned in that order; each client's own arrivals are strictly
-// increasing in time.
+// Arrivals is one run's arrival schedule as a stream: the requests
+// Schedule returns, generated while the run consumes them. A client
+// peeks at the arrival time of its next request and takes the request
+// when it issues it, so the load state of a run is one stream per
+// client plus the requests merged but not yet taken, not the whole
+// schedule.
 //
-// Each client's stream is drawn lazily, one request ahead, and the k
-// stream heads are merged through a min-heap on (At, Client). A client
-// never ties with itself, so that key is a total order and the merge
-// emits exactly what a stable sort of the concatenated streams would.
-// Every client draws from its own RNG in its own order (gap, key,
-// write), so interleaving the draws across clients changes no byte.
-func Schedule(cfg ArrivalConfig) []Request {
+// Each client's stream is drawn lazily, one request ahead, and the
+// stream heads are merged through a min-heap on (At, Client), which
+// assigns Seq. A client never ties with itself, so that key is a total
+// order and the merge emits exactly what a stable sort of the
+// concatenated streams would. Every client draws from its own RNG in its
+// own order (gap, key, write), so neither the interleaving of the draws
+// across clients nor the order the clients take in changes a byte: the
+// merge runs only as far as the request a client takes, and the
+// requests it merges for other clients wait in a ring by Seq until
+// their clients take them.
+//
+// Arrivals is not safe for concurrent use; the engine serializes the
+// client procs that share one.
+type Arrivals struct {
+	cfg     ArrivalConfig
+	streams []clientStream // by client
+	heads   streamHeap     // the streams with a request not yet merged
+	merged  int            // the Seq the merge assigns next
+
+	// ring holds the merged requests in [lo, merged), by Seq modulo its
+	// power-of-two length; every one before lo is taken. A client's
+	// waiting requests are linked in Seq order from its stream's qHead.
+	ring   []waiting
+	lo     int
+	hiRing int // high-water mark of merged - lo
+
+	first, last caf.Time // the schedule's first and last arrival
+}
+
+// waiting is a merged request in the ring.
+type waiting struct {
+	r     Request
+	next  int // Seq of the same client's next waiting request, or -1
+	taken bool
+}
+
+// clientStream is one client's arrival stream: its generator, the drawn
+// but not yet merged head, how many requests are still to be merged
+// (the head included), and the merged requests waiting for the client.
+type clientStream struct {
+	arrivalGen
+	head         Request
+	left         int
+	qHead, qTail int // first and last waiting Seq; qHead is -1 for none
+}
+
+// NewArrivals starts the arrival stream of cfg. Equal configs produce
+// byte-identical streams on any host or GOMAXPROCS.
+func NewArrivals(cfg ArrivalConfig) *Arrivals {
 	cfg = cfg.withDefaults()
 	if cfg.Clients < 1 {
 		panic("load: ArrivalConfig.Clients must be ≥ 1")
@@ -152,16 +198,16 @@ func Schedule(cfg ArrivalConfig) []Request {
 	if cfg.Keys < 1 {
 		panic("load: ArrivalConfig.Keys must be ≥ 1")
 	}
+	a := &Arrivals{
+		cfg:     cfg,
+		streams: make([]clientStream, cfg.Clients),
+		heads:   make(streamHeap, 0, cfg.Clients),
+	}
 	perClient := cfg.Rate / float64(cfg.Clients)
-	base, rem := cfg.Requests/cfg.Clients, cfg.Requests%cfg.Clients
-	streams := make([]clientStream, cfg.Clients)
-	heads := make(streamHeap, 0, cfg.Clients)
-	for c := range streams {
-		s := &streams[c]
-		s.left = base
-		if c < rem {
-			s.left++
-		}
+	for c := range a.streams {
+		s := &a.streams[c]
+		s.qHead, s.qTail = -1, -1
+		s.left = a.quota(c)
 		if s.left == 0 {
 			continue
 		}
@@ -169,46 +215,160 @@ func Schedule(cfg ArrivalConfig) []Request {
 		// with mixing constants distinct from the engine's DeriveRand,
 		// so load randomness never aliases runtime randomness.
 		rng := rand.New(rand.NewSource(cfg.Seed*0xBF58476D ^ int64(c+1)*0x94D049BB ^ 0x6A09E667))
-		s.gen = newArrivalGen(cfg, perClient, rng)
+		s.arrivalGen = newArrivalGen(cfg, perClient, rng)
 		s.head = Request{Client: c, At: cfg.Start}
 		s.draw(cfg)
-		heads = append(heads, s)
+		a.heads = append(a.heads, s)
 	}
-	for i := len(heads)/2 - 1; i >= 0; i-- {
-		heads.down(i)
+	for i := len(a.heads)/2 - 1; i >= 0; i-- {
+		a.heads.down(i)
 	}
-	all := make([]Request, cfg.Requests)
+	if len(a.heads) > 0 {
+		a.first = a.heads[0].head.At
+	}
+	return a
+}
+
+// Schedule returns the whole arrival schedule of cfg: its stream,
+// drained. It is a pure function of cfg. Arrivals are in (At, Client)
+// order with Seq assigned in that order; each client's own arrivals are
+// strictly increasing in time.
+func Schedule(cfg ArrivalConfig) []Request {
+	a := NewArrivals(cfg)
+	all := make([]Request, a.cfg.Requests)
 	for i := range all {
-		s := heads[0]
-		all[i] = s.head
-		all[i].Seq = i
-		if s.left > 0 {
-			s.draw(cfg)
-		} else {
-			last := len(heads) - 1
-			heads[0], heads = heads[last], heads[:last]
-		}
-		heads.down(0)
+		all[i] = a.merge()
 	}
 	return all
 }
 
-// clientStream is one client's arrival stream during the merge: its
-// generator, the drawn but not yet emitted head, and how many requests
-// are still to be drawn.
-type clientStream struct {
-	gen  *arrivalGen
-	head Request
-	left int
+// quota is how many of the schedule's requests client issues: an even
+// split, the remainder going to the lowest clients.
+func (a *Arrivals) quota(client int) int {
+	n := a.cfg.Requests / a.cfg.Clients
+	if client < a.cfg.Requests%a.cfg.Clients {
+		n++
+	}
+	return n
+}
+
+// Peek returns the arrival time of client's next request, and false
+// once the client has taken all of its requests. It merges nothing: a
+// client's arrival times are its own stream's.
+func (a *Arrivals) Peek(client int) (caf.Time, bool) {
+	s := &a.streams[client]
+	switch {
+	case s.qHead >= 0:
+		return a.slot(s.qHead).r.At, true
+	case s.left > 0:
+		return s.head.At, true
+	}
+	return 0, false
+}
+
+// Take returns client's next request, merging the streams as far as it.
+// It panics when the client has taken all of its requests.
+func (a *Arrivals) Take(client int) Request {
+	s := &a.streams[client]
+	for s.qHead < 0 {
+		if s.left == 0 {
+			panic(fmt.Sprintf("load: client %d took all %d of its requests", client, a.quota(client)))
+		}
+		r := a.merge()
+		if r.Client == client && r.Seq == a.lo {
+			// Nothing waits before it: it never enters the ring.
+			a.lo++
+			return r
+		}
+		a.wait(r)
+	}
+	w := a.slot(s.qHead)
+	s.qHead = w.next
+	w.taken = true
+	for a.lo < a.merged && a.slot(a.lo).taken {
+		a.lo++
+	}
+	return w.r
+}
+
+// Span returns the schedule's first and last arrival times (zeros for
+// an empty schedule). The last is known once the merge has emitted every
+// request; Span runs it to the end first if a client has not taken all
+// of its requests, so a client image that died early does not shorten
+// the span.
+func (a *Arrivals) Span() (first, last caf.Time) {
+	for a.merged < a.cfg.Requests {
+		a.wait(a.merge())
+	}
+	return a.first, a.last
+}
+
+// merge emits the next request of the schedule and draws its client's
+// next head.
+func (a *Arrivals) merge() Request {
+	s := a.heads[0]
+	r := s.head
+	r.Seq = a.merged
+	a.merged++
+	if a.merged == a.cfg.Requests {
+		a.last = r.At
+	}
+	if s.left--; s.left > 0 {
+		s.draw(a.cfg)
+	} else {
+		last := len(a.heads) - 1
+		a.heads[0], a.heads = a.heads[last], a.heads[:last]
+	}
+	a.heads.down(0)
+	return r
+}
+
+// wait puts a merged request in the ring, at the end of its client's
+// waiting list.
+func (a *Arrivals) wait(r Request) {
+	n := r.Seq + 1 - a.lo
+	if n > len(a.ring) {
+		a.grow()
+	}
+	a.hiRing = max(a.hiRing, n)
+	*a.slot(r.Seq) = waiting{r: r, next: -1}
+	s := &a.streams[r.Client]
+	if s.qHead < 0 {
+		s.qHead = r.Seq
+	} else {
+		a.slot(s.qTail).next = r.Seq
+	}
+	s.qTail = r.Seq
+}
+
+// slot returns seq's place in the ring.
+func (a *Arrivals) slot(seq int) *waiting { return &a.ring[seq&(len(a.ring)-1)] }
+
+// grow doubles the ring (its first length is four slots per client),
+// keeping each merged request at its Seq.
+func (a *Arrivals) grow() {
+	old := a.ring
+	a.ring = make([]waiting, max(2*len(old), ringLen(4*a.cfg.Clients)))
+	for seq := a.lo; seq < a.merged-1; seq++ {
+		*a.slot(seq) = old[seq&(len(old)-1)]
+	}
+}
+
+// ringLen is the smallest power of two ≥ n.
+func ringLen(n int) int {
+	l := 1
+	for l < n {
+		l <<= 1
+	}
+	return l
 }
 
 // draw replaces the head with the client's next request, drawing its
 // gap, key and write flag in that order.
 func (s *clientStream) draw(cfg ArrivalConfig) {
-	s.head.At = s.gen.next(s.head.At)
-	s.head.Key = uint64(s.gen.rng.Int63n(int64(cfg.Keys)))
-	s.head.Write = s.gen.rng.Float64() < cfg.WriteFrac
-	s.left--
+	s.head.At = s.next(s.head.At)
+	s.head.Key = uint64(s.rng.Int63n(int64(cfg.Keys)))
+	s.head.Write = s.rng.Float64() < cfg.WriteFrac
 }
 
 // streamHeap is a binary min-heap of stream heads on (At, Client).
@@ -264,8 +424,8 @@ type arrivalGen struct {
 	haveSwitch bool
 }
 
-func newArrivalGen(cfg ArrivalConfig, rate float64, rng *rand.Rand) *arrivalGen {
-	g := &arrivalGen{kind: cfg.Kind, rng: rng, rate: rate}
+func newArrivalGen(cfg ArrivalConfig, rate float64, rng *rand.Rand) arrivalGen {
+	g := arrivalGen{kind: cfg.Kind, rng: rng, rate: rate}
 	if cfg.Kind == MMPP {
 		g.onMean, g.offMean = cfg.OnMean, cfg.OffMean
 		pOn := g.onMean.Seconds() / (g.onMean + g.offMean).Seconds()

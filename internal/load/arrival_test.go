@@ -162,3 +162,139 @@ func TestScheduleMMPPBursty(t *testing.T) {
 		t.Fatalf("MMPP index of dispersion %.2f not bursty vs Poisson %.2f", mmpp, poisson)
 	}
 }
+
+// TestArrivalsMatchSchedule: whatever order the clients take their
+// requests in, each takes exactly its requests of the materialised
+// schedule, Seq, At, Key and Write included, in schedule order; Peek
+// announces each one's arrival time; and the stream's span is the
+// schedule's, also when a client never takes a request. Both arrival
+// processes, fewer requests than clients, and none at all.
+func TestArrivalsMatchSchedule(t *testing.T) {
+	// An order picks the client that takes next among those with a
+	// request left (left[c] > 0), given how many takes came before.
+	type order func(rng *rand.Rand, left []int, k int) int
+	firstFrom := func(c0, step int) order {
+		return func(_ *rand.Rand, left []int, k int) int {
+			n := len(left)
+			for c := (c0 + step*k%n + n) % n; ; c = (c + step + n) % n {
+				if left[c] > 0 {
+					return c
+				}
+			}
+		}
+	}
+	orders := []struct {
+		name string
+		pick order
+	}{
+		{"round-robin", firstFrom(0, 1)},
+		{"reverse", firstFrom(-1, -1)},
+		{"random", func(rng *rand.Rand, left []int, _ int) int {
+			for {
+				if c := rng.Intn(len(left)); left[c] > 0 {
+					return c
+				}
+			}
+		}},
+		{"one-drained-first", func(_ *rand.Rand, left []int, k int) int {
+			if c := len(left) / 2; left[c] > 0 {
+				return c
+			}
+			return firstFrom(0, 1)(nil, left, k)
+		}},
+	}
+	for _, kind := range []ArrivalKind{Poisson, MMPP} {
+		for _, shape := range []struct{ clients, requests int }{{1, 40}, {5, 3}, {7, 0}, {16, 500}, {33, 700}} {
+			cfg := ArrivalConfig{Kind: kind, Seed: int64(shape.clients), Clients: shape.clients,
+				Requests: shape.requests, Rate: 400_000_000, Keys: 97, WriteFrac: 0.4}
+			sched := Schedule(cfg)
+			wantFirst, wantLast := Span(sched)
+			mine := make([][]Request, cfg.Clients)
+			for _, r := range sched {
+				mine[r.Client] = append(mine[r.Client], r)
+			}
+			for _, o := range orders {
+				a := NewArrivals(cfg)
+				left := make([]int, cfg.Clients)
+				for c := range left {
+					left[c] = len(mine[c])
+				}
+				rng := rand.New(rand.NewSource(1))
+				for k := range sched {
+					c := o.pick(rng, left, k)
+					want := mine[c][len(mine[c])-left[c]]
+					at, ok := a.Peek(c)
+					if r := a.Take(c); r != want || !ok || at != want.At {
+						t.Fatalf("%v %+v %s: take %d by client %d = %v (peeked %v, %v), want %v",
+							kind, shape, o.name, k, c, r, at, ok, want)
+					}
+					left[c]--
+				}
+				for c := range left {
+					if _, ok := a.Peek(c); ok {
+						t.Fatalf("%v %+v %s: client %d peeks a request past its last", kind, shape, o.name, c)
+					}
+				}
+				if first, last := a.Span(); first != wantFirst || last != wantLast {
+					t.Fatalf("%v %+v %s: span [%v, %v], want [%v, %v]", kind, shape, o.name, first, last, wantFirst, wantLast)
+				}
+			}
+			// A client that never takes (its image died first) leaves the
+			// schedule's span as it is.
+			a := NewArrivals(cfg)
+			for _, r := range sched {
+				if r.Client != 0 {
+					a.Take(r.Client)
+				}
+			}
+			if first, last := a.Span(); first != wantFirst || last != wantLast {
+				t.Fatalf("%v %+v: span [%v, %v] with client 0 idle, want [%v, %v]", kind, shape, first, last, wantFirst, wantLast)
+			}
+		}
+	}
+}
+
+// kvArrivals is the benchmark's kv-shipping arrival process: 16 clients
+// sending 1.6 M req/s to 256 keys, half of them writes.
+func kvArrivals(requests int) ArrivalConfig {
+	return ArrivalConfig{Seed: 1, Clients: 16, Requests: requests, Rate: 1_600_000, Keys: 256, WriteFrac: 0.5}
+}
+
+// BenchmarkArrivalsNext is what one request costs the arrival stream: its
+// client takes it and peeks at the arrival time of its next, the clients
+// taking in schedule order, a new stream every 50 000 requests.
+func BenchmarkArrivalsNext(b *testing.B) {
+	const n = 50_000
+	cfg := kvArrivals(n)
+	order := make([]uint8, n)
+	for i, r := range Schedule(cfg) {
+		order[i] = uint8(r.Client)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var a *Arrivals
+	for i := 0; i < b.N; i++ {
+		if i%n == 0 {
+			a = NewArrivals(cfg)
+		}
+		c := int(order[i%n])
+		a.Take(c)
+		a.Peek(c)
+	}
+}
+
+// BenchmarkCollectorIssueDone is what one request costs the collector
+// with hooks off: Issued, then Done eight requests later.
+func BenchmarkCollectorIssueDone(b *testing.B) {
+	const inFlight = 8
+	m := caf.NewMachine(caf.Config{Images: 1, Seed: 1})
+	col := NewCollector("request", NewArrivals(kvArrivals(b.N)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		col.Issued(m, Request{Seq: i, At: caf.Time(i)}, 0, 0)
+		if i >= inFlight {
+			col.Done(m, caf.Time(i+100), i-inFlight)
+		}
+	}
+}

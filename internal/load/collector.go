@@ -18,6 +18,12 @@ type pendReq struct {
 	target int // image rank whose death strands the request
 }
 
+// pendSlot is a place in the collector's ring of pending requests.
+type pendSlot struct {
+	pendReq
+	present bool
+}
+
 // Collector is the shared SLO accumulator for one run: one instance is
 // captured by every client image's closure. All methods are called from
 // proc bodies or completion continuations, which the engine serializes
@@ -28,13 +34,15 @@ type Collector struct {
 	op   string
 	hist *Histogram
 
-	pend      map[int]pendReq // by Seq
-	perClient []clientCount   // by issuing image rank
-	// Every seq in pend lies in [pendLo, pendHi): SettleDead reads pend
-	// in seq order over that window.
+	// pend holds the pending requests in [pendLo, pendHi), by Seq modulo
+	// its power-of-two length, with pendLo's present unless the window is
+	// empty: SettleDead reads it in seq order over that window.
+	pend           []pendSlot
 	pendLo, pendHi int
+	hiPend         int           // high-water mark of pendHi - pendLo
+	perClient      []clientCount // by issuing image rank
 
-	requests  int64
+	arr       *Arrivals // the run's requests
 	issued    int64
 	completed int64
 	failed    int64
@@ -42,8 +50,6 @@ type Collector struct {
 	replayed  int64
 	lostTo    []int64 // failed requests by blamed dead rank
 
-	first    caf.Time // scheduled span of the arrival process
-	last     caf.Time
 	lastDone caf.Time // completion time of the final settled request
 
 	ins *instruments // nil with metrics off
@@ -96,24 +102,55 @@ func (c *Collector) cached() *instruments {
 	return c.ins
 }
 
-// NewCollector builds a collector for the given schedule.
-func NewCollector(op string, sched []Request) *Collector {
-	c := &Collector{
-		op:       op,
-		hist:     NewHistogram(),
-		pend:     make(map[int]pendReq),
-		requests: int64(len(sched)),
+// NewCollector builds a collector for the requests of arr.
+func NewCollector(op string, arr *Arrivals) *Collector {
+	return &Collector{op: op, hist: NewHistogram(), arr: arr}
+}
+
+// pending returns seq's slot if seq is pending, else nil.
+func (c *Collector) pending(seq int) *pendSlot {
+	if seq < c.pendLo || seq >= c.pendHi {
+		return nil
 	}
-	c.first, c.last = Span(sched)
-	return c
+	if p := &c.pend[seq&(len(c.pend)-1)]; p.present {
+		return p
+	}
+	return nil
+}
+
+// hold widens the pending window to cover seq and returns its slot,
+// doubling the ring when the window outgrows it.
+func (c *Collector) hold(seq int) *pendSlot {
+	lo, hi := seq, seq+1
+	if c.pendLo < c.pendHi {
+		lo, hi = min(c.pendLo, lo), max(c.pendHi, hi)
+	}
+	if hi-lo > len(c.pend) {
+		old := c.pend
+		c.pend = make([]pendSlot, max(2*len(old), ringLen(hi-lo), ringLen(4*c.arr.cfg.Clients)))
+		for s := c.pendLo; s < c.pendHi; s++ {
+			c.pend[s&(len(c.pend)-1)] = old[s&(len(old)-1)]
+		}
+	}
+	c.pendLo, c.pendHi = lo, hi
+	c.hiPend = max(c.hiPend, hi-lo)
+	return &c.pend[seq&(len(c.pend)-1)]
+}
+
+// release empties a pending request's slot, moving pendLo to the next
+// pending request.
+func (c *Collector) release(p *pendSlot) {
+	p.present = false
+	for c.pendLo < c.pendHi && !c.pend[c.pendLo&(len(c.pend)-1)].present {
+		c.pendLo++
+	}
 }
 
 // Issued records that client (an image rank) issued r toward target.
 // The target is remembered so SettleDead can fail or replay the request
 // if target dies while the request is still outstanding.
 func (c *Collector) Issued(m *caf.Machine, r Request, client, target int) {
-	c.pend[r.Seq] = pendReq{r: r, client: client, target: target}
-	c.pendLo, c.pendHi = min(c.pendLo, r.Seq), max(c.pendHi, r.Seq+1)
+	*c.hold(r.Seq) = pendSlot{pendReq{r: r, client: client, target: target}, true}
 	c.count(client).out++
 	c.issued++
 	// First issue opens the request's critical path (claiming client-side
@@ -136,11 +173,12 @@ func (c *Collector) Issued(m *caf.Machine, r Request, client, target int) {
 // outcome wins, which keeps the race between a late reply and a
 // death-reconciliation pass deterministic and single-count.
 func (c *Collector) Done(m *caf.Machine, now caf.Time, seq int) bool {
-	p, ok := c.pend[seq]
-	if !ok {
+	slot := c.pending(seq)
+	if slot == nil {
 		return false
 	}
-	delete(c.pend, seq)
+	p := slot.pendReq
+	c.release(slot)
 	c.settle(p.client)
 	lat := int64(now - p.r.At)
 	if lat < 0 {
@@ -169,12 +207,13 @@ func (c *Collector) Done(m *caf.Machine, now caf.Time, seq int) bool {
 // Fail settles seq as failed with a typed error. Failed requests do not
 // enter the latency histogram; they are accounted per blamed rank.
 func (c *Collector) Fail(m *caf.Machine, now caf.Time, seq int, err *caf.ImageFailedError) bool {
-	p, ok := c.pend[seq]
-	if !ok {
+	slot := c.pending(seq)
+	if slot == nil {
 		return false
 	}
-	delete(c.pend, seq)
-	c.settle(p.client)
+	client := slot.client
+	c.release(slot)
+	c.settle(client)
 	c.failed++
 	m.PathTracker().Abort(seq)
 	if err != nil {
@@ -186,7 +225,7 @@ func (c *Collector) Fail(m *caf.Machine, now caf.Time, seq int, err *caf.ImageFa
 	if now > c.lastDone {
 		c.lastDone = now
 	}
-	m.Metrics().Counter("load_requests_failed_total", "requests failed with a typed ImageFailedError").Add(p.client, 1)
+	m.Metrics().Counter("load_requests_failed_total", "requests failed with a typed ImageFailedError").Add(client, 1)
 	return true
 }
 
@@ -232,15 +271,9 @@ func (c *Collector) SettleDead(m *caf.Machine, client int, p DeadPolicy) []Reque
 	if p == DeadReplay {
 		dead = m.DeathCommitted
 	}
-	for c.pendLo < c.pendHi {
-		if _, ok := c.pend[c.pendLo]; ok {
-			break
-		}
-		c.pendLo++
-	}
 	var seqs []int
 	for seq := c.pendLo; seq < c.pendHi; seq++ {
-		if r, ok := c.pend[seq]; ok && r.client == client && dead(r.target) {
+		if p := c.pending(seq); p != nil && p.client == client && dead(p.target) {
 			seqs = append(seqs, seq)
 		}
 	}
@@ -250,15 +283,16 @@ func (c *Collector) SettleDead(m *caf.Machine, client int, p DeadPolicy) []Reque
 	now := m.Engine().Now()
 	if p == DeadFail {
 		for _, seq := range seqs {
-			c.FailDead(m, now, seq, c.pend[seq].target)
+			c.FailDead(m, now, seq, c.pending(seq).target)
 		}
 		return nil
 	}
 	out := make([]Request, 0, len(seqs))
 	pt := m.PathTracker()
 	for _, seq := range seqs {
-		out = append(out, c.pend[seq].r)
-		delete(c.pend, seq)
+		p := c.pending(seq)
+		out = append(out, p.r)
+		c.release(p)
 		c.settle(client)
 		c.replayed++
 		// Time since the request's last progress was spent waiting for
@@ -270,7 +304,10 @@ func (c *Collector) SettleDead(m *caf.Machine, client int, p DeadPolicy) []Reque
 }
 
 // Settled reports whether every scheduled request has a final outcome.
-func (c *Collector) Settled() bool { return c.completed+c.failed == c.requests }
+func (c *Collector) Settled() bool { return c.completed+c.failed == c.requests() }
+
+// requests is the number of requests the run schedules.
+func (c *Collector) requests() int64 { return int64(c.arr.cfg.Requests) }
 
 // SLO is the end-of-run service-level report. All fields derive from
 // virtual-time integers, so the report — including its float rates — is
@@ -304,7 +341,7 @@ type SLO struct {
 // SLO reduces the collector to its report.
 func (c *Collector) SLO() SLO {
 	s := SLO{
-		Requests:  c.requests,
+		Requests:  c.requests(),
 		Completed: c.completed,
 		Failed:    c.failed,
 		Failovers: c.failovers,
@@ -316,12 +353,15 @@ func (c *Collector) SLO() SLO {
 		MeanNS:    c.hist.Mean(),
 	}
 	s.LostTo = slices.Clone(c.lostTo)
-	if c.lastDone > c.first {
-		s.Duration = c.lastDone - c.first
+	// The span is the whole schedule's, even when a client image died
+	// before taking all of its requests.
+	first, last := c.arr.Span()
+	if c.lastDone > first {
+		s.Duration = c.lastDone - first
 		s.GoodputRPS = float64(s.Completed) / s.Duration.Seconds()
 	}
-	if span := c.last - c.first; span > 0 && c.requests > 1 {
-		s.OfferedRPS = float64(c.requests-1) / span.Seconds()
+	if span := last - first; span > 0 && s.Requests > 1 {
+		s.OfferedRPS = float64(s.Requests-1) / span.Seconds()
 	}
 	return s
 }

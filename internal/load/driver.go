@@ -57,10 +57,12 @@ const (
 )
 
 // Drive runs the open-loop client event loop on img for client index
-// `client` of the schedule: issue every arrival at its scheduled
+// `client` of the arrival stream: issue every arrival at its scheduled
 // virtual time (regardless of how many earlier requests are still in
 // flight — open loop), poll continuations, reconcile crashed targets,
-// and return once every one of this client's requests is settled.
+// and return once every one of this client's requests is settled. The
+// client takes each request from arr when it issues it; arr is the
+// run's one stream, shared by every client.
 //
 // The loop never parks in PollSet.Wait: after an image death, Wait
 // aborts the whole proc when woken with nothing ready, which is exactly
@@ -76,7 +78,7 @@ const (
 // settle by reply then do so while the loop sleeps; it wakes at the
 // next arrival, and ticks again once the last one is issued, to see
 // its final reply.
-func Drive(img *caf.Image, client int, sched []Request, col *Collector, o DriveOpts, issue Issuer) {
+func Drive(img *caf.Image, client int, arr *Arrivals, col *Collector, o DriveOpts, issue Issuer) {
 	if o.Tick <= 0 {
 		o.Tick = 2 * caf.Microsecond
 	}
@@ -97,15 +99,9 @@ func Drive(img *caf.Image, client int, sched []Request, col *Collector, o DriveO
 		img.PathScope(prev)
 	}
 
-	// i is the cursor of this client's next request in the shared
-	// schedule; mineFrom moves it there.
-	mineFrom := func(i int) int {
-		for i < len(sched) && sched[i].Client != client {
-			i++
-		}
-		return i
-	}
-	i := mineFrom(0)
+	// at is the arrival time of this client's next request; more says
+	// there is one.
+	at, more := arr.Peek(client)
 	issued := 0
 	detects := m.DetectsFailures()
 
@@ -118,9 +114,9 @@ func Drive(img *caf.Image, client int, sched []Request, col *Collector, o DriveO
 		if col.Outstanding(me) == 0 {
 			lastProgress = now
 		}
-		for i < len(sched) && sched[i].At <= now {
-			r := sched[i]
-			i = mineFrom(i + 1)
+		for more && at <= now {
+			r := arr.Take(client)
+			at, more = arr.Peek(client)
 			issued++
 			traced(r)
 		}
@@ -130,26 +126,22 @@ func Drive(img *caf.Image, client int, sched []Request, col *Collector, o DriveO
 		}
 		cc := col.counts(me)
 		out := cc.out
-		if i >= len(sched) && out == 0 {
+		if !more && out == 0 {
 			break
 		}
 		if cc.settled != lastSettled {
 			lastSettled, lastProgress = cc.settled, now
 		}
 		if out > 0 && now-lastProgress > o.GiveUpAfter {
-			left := 0
-			for j := i; j < len(sched); j = mineFrom(j + 1) {
-				left++
-			}
 			panic(fmt.Sprintf(
 				"load: client image %d stalled at t=%v with %d requests outstanding (issued %d/%d) — none settled for %v",
-				me, now, out, issued, issued+left, o.GiveUpAfter))
+				me, now, out, issued, arr.quota(client), o.GiveUpAfter))
 		}
 		next := now + o.Tick
-		if i < len(sched) && (out == 0 || sched[i].At < next || d.PS.Pending() == 0 && !detects) {
+		if more && (out == 0 || at < next || d.PS.Pending() == 0 && !detects) {
 			// Nothing in flight, or nothing a tick could do before the
 			// next arrival: sleep straight to it.
-			next = sched[i].At
+			next = at
 		}
 		if next <= now {
 			next = now + 1

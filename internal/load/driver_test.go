@@ -9,7 +9,13 @@ import (
 )
 
 // driveFunc is the signature Drive and its ticking oracle share.
-type driveFunc func(img *caf.Image, client int, sched []Request, col *Collector, o DriveOpts, issue Issuer)
+type driveFunc func(img *caf.Image, client int, arr *Arrivals, col *Collector, o DriveOpts, issue Issuer)
+
+// ticking is the ticking oracle as a driveFunc: each client reads the
+// materialised schedule of arr's config.
+func ticking(img *caf.Image, client int, arr *Arrivals, col *Collector, o DriveOpts, issue Issuer) {
+	driveTicking(img, client, Schedule(arr.cfg), col, o, issue)
+}
 
 // protocol is how a test program's clients serve a request.
 type protocol int
@@ -21,19 +27,23 @@ const (
 )
 
 // serveRun is the outcome of one request/reply program: the machine's
-// report, the SLO digest and a checksum of the values the clients read.
+// report, the SLO digest and a checksum of the values the clients read,
+// and the run's arrival stream and collector.
 type serveRun struct {
 	rep    caf.Report
 	digest string
 	sum    int64
+	arr    *Arrivals
+	col    *Collector
 }
 
 // serve runs a request/reply program: the first `servers` images own a
-// table slot per key, the rest drive sched through drive.
-func serve(t *testing.T, cfg caf.Config, servers int, proto protocol, sched []Request, o DriveOpts, drive driveFunc) serveRun {
+// table slot per key, the rest drive the arrivals of acfg through drive.
+func serve(t *testing.T, cfg caf.Config, servers int, proto protocol, acfg ArrivalConfig, o DriveOpts, drive driveFunc) serveRun {
 	t.Helper()
 	const svc = caf.Microsecond
-	col := NewCollector("request", sched)
+	arr := NewArrivals(acfg)
+	col := NewCollector("request", arr)
 	var sum int64
 	m := caf.NewMachine(cfg)
 	m.Launch(func(img *caf.Image) {
@@ -99,7 +109,7 @@ func serve(t *testing.T, cfg caf.Config, servers int, proto protocol, sched []Re
 				}
 			}
 		}
-		body := func() { drive(img, me-servers, sched, col, o, issue) }
+		body := func() { drive(img, me-servers, arr, col, o, issue) }
 		if proto == continuation {
 			img.Finish(nil, body)
 		} else {
@@ -111,9 +121,9 @@ func serve(t *testing.T, cfg caf.Config, servers int, proto protocol, sched []Re
 		t.Fatal(err)
 	}
 	if !col.Settled() {
-		t.Fatalf("%d of %d requests never settled", len(sched)-int(col.completed+col.failed), len(sched))
+		t.Fatalf("%d of %d requests never settled", col.requests()-col.completed-col.failed, col.requests())
 	}
-	return serveRun{rep: rep, digest: col.SLO().Digest(), sum: sum}
+	return serveRun{rep: rep, digest: col.SLO().Digest(), sum: sum, arr: arr, col: col}
 }
 
 // TestDriveMatchesTickingOracle runs one request/reply program through
@@ -123,8 +133,8 @@ func serve(t *testing.T, cfg caf.Config, servers int, proto protocol, sched []Re
 // proc with no detector. A continuation-driven client and a run with the
 // failure detector on must tick exactly as before.
 func TestDriveMatchesTickingOracle(t *testing.T) {
-	arrivals := func(clients int, rate float64, seed int64) []Request {
-		return Schedule(ArrivalConfig{Seed: seed, Clients: clients, Requests: 160, Rate: rate, Keys: 64, WriteFrac: 0.5})
+	arrivals := func(clients int, rate float64, seed int64) ArrivalConfig {
+		return ArrivalConfig{Seed: seed, Clients: clients, Requests: 160, Rate: rate, Keys: 64, WriteFrac: 0.5}
 	}
 	cases := []struct {
 		name    string
@@ -146,9 +156,9 @@ func TestDriveMatchesTickingOracle(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			servers := tc.cfg.Images / 2
-			sched := arrivals(tc.cfg.Images-servers, tc.rate, tc.cfg.Seed)
-			got := serve(t, tc.cfg, servers, tc.proto, sched, tc.opts, Drive)
-			want := serve(t, tc.cfg, servers, tc.proto, sched, tc.opts, driveTicking)
+			acfg := arrivals(tc.cfg.Images-servers, tc.rate, tc.cfg.Seed)
+			got := serve(t, tc.cfg, servers, tc.proto, acfg, tc.opts, Drive)
+			want := serve(t, tc.cfg, servers, tc.proto, acfg, tc.opts, ticking)
 			if got.digest != want.digest || got.sum != want.sum {
 				t.Fatalf("model moved:\n got  sum=%d %s\n want sum=%d %s", got.sum, got.digest, want.sum, want.digest)
 			}
@@ -178,11 +188,12 @@ func TestDriveWatchdogCountsSettlements(t *testing.T) {
 	for k := range sched {
 		sched[k] = Request{Seq: k, Key: uint64(k), At: caf.Time(k+1) * caf.Microsecond}
 	}
-	col := NewCollector("request", sched)
+	arr := merged(sched)
+	col := NewCollector("request", arr)
 	m := caf.NewMachine(caf.Config{Images: 1, Seed: 1})
 	m.Launch(func(img *caf.Image) {
 		eng := m.Engine()
-		Drive(img, 0, sched, col, DriveOpts{GiveUpAfter: 20 * caf.Microsecond}, func(d *Driver, r Request) {
+		Drive(img, 0, arr, col, DriveOpts{GiveUpAfter: 20 * caf.Microsecond}, func(d *Driver, r Request) {
 			col.Issued(m, r, img.Rank(), 0)
 			seq := r.Seq
 			eng.After(1500, func() { col.Done(m, eng.Now(), seq) })
@@ -203,4 +214,44 @@ func TestDriveWatchdogCountsSettlements(t *testing.T) {
 	if s := col.SLO(); s.Completed != n || s.P50 != 1500 || s.MaxLat != 1500 {
 		t.Fatalf("completed %d of %d, p50 %v, max %v; want all at 1.5µs", s.Completed, n, s.P50, s.MaxLat)
 	}
+}
+
+// merged returns a stream whose merge has already emitted sched, one
+// client's requests in Seq order: every request waits in the ring for
+// its client.
+func merged(sched []Request) *Arrivals {
+	a := &Arrivals{cfg: ArrivalConfig{Clients: 1, Requests: len(sched), Rate: 1, Keys: 1}.withDefaults()}
+	a.streams = []clientStream{{qHead: -1, qTail: -1}}
+	for _, r := range sched {
+		a.merged++
+		a.wait(r)
+	}
+	if len(sched) > 0 {
+		a.first, a.last = Span(sched)
+	}
+	return a
+}
+
+// TestLoadStateIsBounded runs the kv-shipping pin shape, 16 clients
+// shipping 20 000 requests to 16 servers at 100 k req/s each, and checks
+// that the load state follows the clients and the requests in flight,
+// not the schedule: the merged requests waiting for their clients and
+// the collector's pending window each stay below four per client.
+func TestLoadStateIsBounded(t *testing.T) {
+	const servers, clients, requests = 16, 16, 20_000
+	acfg := ArrivalConfig{Seed: 1, Clients: clients, Requests: requests,
+		Rate: 100_000 * servers, Keys: 16 * servers, WriteFrac: 0.5}
+	run := serve(t, caf.Config{Images: servers + clients, Seed: 1}, servers, shipping, acfg,
+		DriveOpts{OnDead: DeadFail}, Drive)
+	if s := run.col.SLO(); s.Completed != requests {
+		t.Fatalf("%d of %d requests completed", s.Completed, requests)
+	}
+	if run.arr.hiRing >= 4*clients {
+		t.Errorf("%d merged requests waited at once, want < %d", run.arr.hiRing, 4*clients)
+	}
+	if run.col.hiPend >= 4*clients {
+		t.Errorf("pending window reached %d requests, want < %d", run.col.hiPend, 4*clients)
+	}
+	t.Logf("high water: %d waiting (ring of %d), pending window %d (ring of %d)",
+		run.arr.hiRing, len(run.arr.ring), run.col.hiPend, len(run.col.pend))
 }

@@ -441,8 +441,11 @@ func (sh *shipped) exec(start Time) {
 	s.live()
 	m := img.m
 	s.sx.Ship(img)
-	// "spawn-exec", or "spawn-exec:<name>" for a registered function's kind.
-	img.traceSpan("spawn-exec"+s.op.kind[len("spawn"):], "ship", start)
+	// "spawn-exec", or "spawn-exec:<name>" for a registered function's
+	// kind, named only when a recorder takes the span.
+	if m.tracer.Enabled() {
+		img.traceSpan("spawn-exec"+s.op.kind[len("spawn"):], "ship", start)
+	}
 	// Spawned context exit is a synchronization point for any
 	// initiations it deferred.
 	img.ct.Flush(AllowNone)
