@@ -191,20 +191,19 @@ type ReplStats = repl.Stats
 // Machine is a configured simulated cluster. Most programs use Run; the
 // benchmark harness builds a Machine directly to inspect stats.
 type Machine struct {
-	cfg      Config
-	eng      *sim.Engine
-	k        *rt.Kernel
-	comm     *collect.Comm
-	plane    *core.Plane
-	world    *team.Team
-	states   []imageState // one slab, by rank
-	tracer   *trace.Recorder
-	life     *trace.Lifecycle
-	ops      *trace.OpLog
-	met      *metrics.Registry
-	path     *path.Tracker
-	registry *fnRegistry
-	race     *raceState
+	cfg    Config
+	eng    *sim.Engine
+	k      *rt.Kernel
+	comm   *collect.Comm
+	plane  *core.Plane
+	world  *team.Team
+	states []imageState // one slab, by rank
+	tracer *trace.Recorder
+	life   *trace.Lifecycle
+	ops    *trace.OpLog
+	met    *metrics.Registry
+	path   *path.Tracker
+	race   *raceState
 
 	coarrays  map[carrKey]*carrSlot
 	nextSplit int64

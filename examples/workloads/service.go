@@ -146,6 +146,9 @@ func KVService(cfg caf.Config, o ServiceOpts, opts ...RunOpt) (Result, error) {
 	arr := o.arrivals(cfg.Seed, clients)
 	col := load.NewCollector("kv request", arr)
 	var readSum int64
+	// One free list of request records for every client: a record
+	// carries its own client, so any client may reuse any record.
+	var free sim.FreeList[kvReq]
 	var mach *caf.Machine
 	opts = append(opts, CaptureMachine(&mach))
 
@@ -167,7 +170,7 @@ func KVService(cfg caf.Config, o ServiceOpts, opts ...RunOpt) (Result, error) {
 			return // shards are passive hosts; handlers run on them via AMs
 		}
 		m := img.Machine()
-		cl := &kvClient{me: me, table: table, col: col, readSum: &readSum}
+		cl := &kvClient{me: me, table: table, col: col, readSum: &readSum, free: &free}
 
 		issueReplicated := func(d *load.Driver, r load.Request) {
 			home := int(r.Key % uint64(servers))
@@ -292,18 +295,18 @@ func KVService(cfg caf.Config, o ServiceOpts, opts ...RunOpt) (Result, error) {
 }
 
 // kvClient is what a client's shipped requests share: where they run and
-// report, and the free list of their records.
+// report, and the run's free list of request records.
 type kvClient struct {
 	me      int
 	table   *caf.Coarray[int64]
 	col     *load.Collector
 	readSum *int64
-	free    sim.FreeList[kvReq]
+	free    *sim.FreeList[kvReq]
 }
 
 // kvReq is one request of KVService's shipping path as the record it
 // ships: the request to the key's shard and, shipped back as a kvReply,
-// the value it read. It comes from its client's free list, and the end of
+// the value it read. It comes from the run's free list, and the end of
 // the reply's Ship is its last reference, where it goes back.
 type kvReq struct {
 	c     *kvClient

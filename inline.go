@@ -43,7 +43,7 @@ func Inline(service Time) SpawnOpt {
 // error at the spawn site (drop the option, or move the blocking work into
 // a continuation), so it is a panic, out of RunToCompletion, not an error.
 type InlineParkError struct {
-	Fn string // "spawn-exec:<name>" of a registered function, a closure's symbol, a record's type
+	Fn string // a closure's symbol, a record's type
 	Op string // the operation that would have parked
 }
 
@@ -61,8 +61,8 @@ func (img *Image) parker(op string) *sim.Proc {
 	return img.proc
 }
 
-// execName names the function: a closure's symbol, a registered function's
-// span label, a record's type. A kept Image no longer has its spawn.
+// execName names the function: a closure's symbol, a record's type. A
+// kept Image no longer has its spawn.
 func (s *spawnOp) execName() string {
 	if s == nil {
 		return "(returned)"
@@ -71,14 +71,11 @@ func (s *spawnOp) execName() string {
 	if x := s.x(); x != nil {
 		r = x.r
 	}
-	if n, ok := r.(interface{ execName() string }); ok {
-		return n.execName()
+	if fn, ok := r.(SpawnFn); ok {
+		return runtime.FuncForPC(reflect.ValueOf(fn).Pointer()).Name()
 	}
 	return reflect.TypeOf(r).String()
 }
-
-// execName is the closure's symbol.
-func (fn SpawnFn) execName() string { return runtime.FuncForPC(reflect.ValueOf(fn).Pointer()).Name() }
 
 // RunEvent is an Inline function's event, service after its delivery:
 // the function and its exit, then its record goes back to the pool.

@@ -3,8 +3,8 @@ package caf
 // Tests of shipped functions declared Inline (DESIGN §4.15): that one runs
 // to the same observable result as the Compute-first proc it replaces,
 // under every feature that touches the spawn path; that every operation
-// which could park refuses, by name; that a registered function ships
-// inline too; that both vehicles hand out strand ids in delivery order; what the
+// which could park refuses, by name; that a record ships inline too;
+// that both vehicles hand out strand ids in delivery order; what the
 // path still allocates; and that its recycled record is not readable
 // after the function returned.
 
@@ -335,39 +335,48 @@ func TestInlineNonParkingOperationsAreLegal(t *testing.T) {
 	})
 }
 
-// A registered function shipped with Inline takes the inline path through
-// SpawnNamed, is reported under its spawn-exec label, and costs its target
-// the declared service time.
+// bump is a named procedure shipped as a record: it counts its runs.
+type bump struct {
+	t     *testing.T
+	ran   int
+	ranAt Time
+}
+
+func (b *bump) Ship(img *Image) {
+	if img.proc != nil {
+		b.t.Error("a function shipped Inline was given a proc")
+	}
+	b.ran++
+	b.ranAt = img.Now()
+}
+
+// A named procedure shipped with Inline takes the inline path through
+// SpawnRecord, is reported under the spawn-exec label, and costs its
+// target the declared service time.
 func TestInlineNamedFunction(t *testing.T) {
-	var got []any
-	var ranAt, shippedAt Time
+	var shippedAt Time
+	b := &bump{t: t}
 	m := NewMachine(Config{Images: 2, Seed: 1, TraceCapacity: 1 << 10})
-	m.RegisterRemote("bump", func(img *Image, args []any) {
-		if img.proc != nil {
-			t.Error("a function shipped Inline was given a proc")
-		}
-		got, ranAt = args, img.Now()
-	})
 	m.Launch(func(img *Image) {
 		img.Finish(nil, func() {
 			if img.Rank() == 0 {
 				shippedAt = img.Now()
-				img.SpawnNamed(1, "bump", []any{41, "x"}, Inline(3*Microsecond))
+				img.SpawnRecord(1, b, Inline(3*Microsecond))
 			}
 		})
 	})
 	if _, err := m.RunToCompletion(); err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 2 || got[0] != 41 || got[1] != "x" {
-		t.Errorf("arguments %v", got)
+	if b.ran != 1 {
+		t.Errorf("the function ran %d times, want 1", b.ran)
 	}
-	if ranAt-shippedAt < 3*Microsecond {
-		t.Errorf("ran %v after it shipped, less than its 3us of service", ranAt-shippedAt)
+	if b.ranAt-shippedAt < 3*Microsecond {
+		t.Errorf("ran %v after it shipped, less than its 3us of service", b.ranAt-shippedAt)
 	}
 	var spans int
 	for _, e := range m.Trace().Events() {
-		if e.Name == "spawn-exec:bump" {
+		if e.Name == "spawn-exec" {
 			spans++
 			if e.Dur != 3*Microsecond {
 				t.Errorf("execution span lasts %v, want the 3us from delivery to the end of the body", e.Dur)
@@ -375,14 +384,7 @@ func TestInlineNamedFunction(t *testing.T) {
 		}
 	}
 	if spans != 1 {
-		t.Errorf("%d spawn-exec:bump spans, want 1", spans)
-	}
-
-	r := inlinePanic(t, func(m *Machine) {
-		m.RegisterRemote("parks", func(img *Image, _ []any) { img.Compute(Microsecond) })
-	}, nil, func(img *Image) { img.SpawnNamed(1, "parks", nil, Inline(0)) })
-	if perr, ok := r.(*InlineParkError); !ok || perr.Fn != "spawn-exec:parks" || perr.Op != "Compute" {
-		t.Errorf("a parking registered function panicked with %v, want InlineParkError{spawn-exec:parks, Compute}", r)
+		t.Errorf("%d spawn-exec spans, want 1", spans)
 	}
 }
 

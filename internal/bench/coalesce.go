@@ -30,8 +30,23 @@ type CoalesceOpts struct {
 	// Fig12Iters is the cofence-loop iteration count.
 	Fig12Iters int
 	// Coalescing is the configuration under test.
-	Coalescing caf.Coalescing
+	Coalescing Coalescing
 	Seed       int64
+}
+
+// Coalescing is a sweep's coalescing configuration: the three values the
+// sweeps set and record in results/sweeps.json. It is the sweeps' own
+// type, not caf.Coalescing, so a setting added to the fabric does not
+// enter the committed document unasked.
+type Coalescing struct {
+	MaxBytes   int
+	MaxMsgs    int
+	FlushAfter caf.Time
+}
+
+// fabric is c as the fabric's configuration.
+func (c Coalescing) fabric() caf.Coalescing {
+	return caf.Coalescing{MaxBytes: c.MaxBytes, MaxMsgs: c.MaxMsgs, FlushAfter: c.FlushAfter}
 }
 
 // DefaultCoalesce returns the committed-artifact configuration.
@@ -42,7 +57,7 @@ func DefaultCoalesce() CoalesceOpts {
 		BunchSize:      256,
 		Fig12Cores:     []int{64, 128},
 		Fig12Iters:     200,
-		Coalescing:     caf.Coalescing{MaxMsgs: 16, MaxBytes: 4096, FlushAfter: 10 * caf.Microsecond},
+		Coalescing:     Coalescing{MaxBytes: 4096, MaxMsgs: 16, FlushAfter: 10 * caf.Microsecond},
 		Seed:           1,
 	}
 }
@@ -126,7 +141,7 @@ func Coalesce(o CoalesceOpts) (CoalesceReport, error) {
 
 	for _, p := range o.Cores {
 		var rows [2]CoalesceRow
-		for i, coal := range []caf.Coalescing{{}, o.Coalescing} {
+		for i, coal := range []caf.Coalescing{{}, o.Coalescing.fabric()} {
 			cfg := ra.DefaultConfig(ra.FunctionShipping)
 			cfg.LocalTableBits = o.LocalTableBits
 			cfg.BunchSize = o.BunchSize
@@ -149,7 +164,7 @@ func Coalesce(o CoalesceOpts) (CoalesceReport, error) {
 	f12.Seed = o.Seed
 	for _, p := range o.Fig12Cores {
 		var rows [2]CoalesceRow
-		for i, coal := range []caf.Coalescing{{}, o.Coalescing} {
+		for i, coal := range []caf.Coalescing{{}, o.Coalescing.fabric()} {
 			rep, err := fig12Run(f12, p, variantCofence, coal)
 			if err != nil {
 				return out, fmt.Errorf("coalesce fig12 p=%d coal=%v: %w", p, coal.Enabled(), err)

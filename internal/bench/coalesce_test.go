@@ -85,3 +85,31 @@ func TestCoalesceReportJSONRoundTrips(t *testing.T) {
 		t.Errorf("JSON round trip changed the report:\n out: %+v\n back: %+v", rep, back.Coalesce)
 	}
 }
+
+// TestSweepOptsOwnTheirFields: the options of the coalescing and load
+// sweeps, which results/sweeps.json records, hold only values of their
+// own: no field, nor a field of a field, is a struct of another package
+// (caf.Coalescing was one), so a setting added to the fabric cannot enter
+// the committed document unasked.
+func TestSweepOptsOwnTheirFields(t *testing.T) {
+	var check func(owner string, typ reflect.Type)
+	check = func(owner string, typ reflect.Type) {
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			ft := f.Type
+			for ft.Kind() == reflect.Slice || ft.Kind() == reflect.Pointer {
+				ft = ft.Elem()
+			}
+			if ft.Kind() != reflect.Struct {
+				continue
+			}
+			if ft.PkgPath() != typ.PkgPath() {
+				t.Errorf("%s.%s is a %s, a struct of another package", owner, f.Name, ft)
+				continue
+			}
+			check(owner+"."+f.Name, ft)
+		}
+	}
+	check("CoalesceOpts", reflect.TypeOf(CoalesceOpts{}))
+	check("LoadOpts", reflect.TypeOf(LoadOpts{}))
+}

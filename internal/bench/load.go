@@ -33,7 +33,7 @@ type LoadOpts struct {
 	// SvcTime is the per-request server compute.
 	SvcTime caf.Time
 	// Coalescing is the configuration the coalesced rows run with.
-	Coalescing caf.Coalescing
+	Coalescing Coalescing
 	Seed       int64
 }
 
@@ -45,7 +45,7 @@ func DefaultLoad() LoadOpts {
 		Requests:       1_500,
 		WriteFrac:      0.5,
 		SvcTime:        1 * caf.Microsecond,
-		Coalescing:     caf.Coalescing{MaxMsgs: 8, MaxBytes: 2048, FlushAfter: 5 * caf.Microsecond},
+		Coalescing:     Coalescing{MaxBytes: 2048, MaxMsgs: 8, FlushAfter: 5 * caf.Microsecond},
 		Seed:           1,
 	}
 }
@@ -118,7 +118,7 @@ func Load(o LoadOpts) (LoadReport, error) {
 				if shipping {
 					workload = "kv-shipping"
 				}
-				for _, coal := range []caf.Coalescing{{}, o.Coalescing} {
+				for _, coal := range []caf.Coalescing{{}, o.Coalescing.fabric()} {
 					row, err := loadRow(o, workload, images, offered, shipping, coal)
 					if err != nil {
 						return out, err

@@ -121,6 +121,11 @@ func TestDetectorOnNoCrashBitIdentical(t *testing.T) {
 	}
 }
 
+// noop is a shipped function that does nothing.
+type noop struct{}
+
+func (noop) Ship(*caf.Image) {}
+
 // TestCrashMachineReport drives a machine directly through a crash and
 // checks the whole error-reporting surface: per-image errors, the dead
 // set, and the Report's failure counters.
@@ -132,11 +137,10 @@ func TestCrashMachineReport(t *testing.T) {
 		Fabric:          caf.FabricConfig{Faults: crashPlan(11, 0)},
 		FailureDetector: detectorOn(),
 	})
-	m.RegisterRemote("noop", func(img *caf.Image, args []any) {})
 	m.Launch(func(img *caf.Image) {
 		for r := 0; r < 40; r++ {
 			img.Finish(nil, func() {
-				img.SpawnNamed((img.Rank()+1)%n, "noop", nil)
+				img.SpawnRecord((img.Rank()+1)%n, noop{})
 			})
 		}
 	})

@@ -12,7 +12,6 @@ const (
 	procNew procState = iota
 	procRunning
 	procParked
-	procSleeping
 	procDone
 )
 
@@ -24,8 +23,6 @@ func (s procState) String() string {
 		return "running"
 	case procParked:
 		return "parked"
-	case procSleeping:
-		return "sleeping"
 	case procDone:
 		return "done"
 	}
@@ -127,17 +124,16 @@ func (pe *procEvent) RunEvent() { (*Proc)(pe).runEvent() }
 
 // runEvent is what a queued proc event does when it fires. A proc has at
 // most one event queued at a time and does not run while it is: a new
-// proc waits for its start, a sleeper for its Sleep wake-up, and a parked
-// proc for the one wake-up wakePending admits, an Unpark's or a
-// WakeAfter's. So the state says which of the three this is. An event
-// that finds procDone is stale (the proc was aborted by Shutdown, or never
-// started) and is dropped; it names the Proc, not its coroutine, so it can
-// never reach the coroutine's next tenant.
+// proc waits for its start, and a parked proc (a sleeper among them) for
+// the one wake-up wakePending admits, an Unpark's or a WakeAfter's. So
+// the state says which of the two this is. An event that finds procDone
+// is stale (the proc was aborted by Shutdown, or never started) and is
+// dropped; it names the Proc, not its coroutine, so it can never reach
+// the coroutine's next tenant.
 func (p *Proc) runEvent() {
 	switch p.state {
 	case procNew:
 		p.co = p.eng.lease()
-	case procSleeping:
 	case procParked:
 		p.wakePending = false
 		if w := p.co.waker; w != nil {
@@ -195,7 +191,7 @@ func (p *Proc) ID() int { return p.id }
 func (p *Proc) Name() string { return p.name.String() }
 
 // State returns the proc's scheduling state ("new", "running", "parked",
-// "sleeping", "done") for diagnostics.
+// "done") for diagnostics.
 func (p *Proc) State() string { return p.state.String() }
 
 // BlockReason returns what a parked proc is waiting on ("" if not
@@ -222,15 +218,14 @@ func (p *Proc) yieldToEngine() {
 	}
 }
 
-// Sleep advances this process's virtual time by d, letting other events run.
+// Sleep advances this process's virtual time by d, letting other events
+// run: it is a WakeAfter(d) and a park with nothing to re-test, so an
+// Unpark or a WakeAllParked meanwhile neither ends it nor leaves a
+// permit. Even a zero-length sleep is a scheduling point: it lets
+// same-timestamp events queued earlier run first.
 func (p *Proc) Sleep(d Time) {
-	if d <= 0 {
-		// Even a zero-length sleep is a scheduling point: it lets
-		// same-timestamp events queued earlier run first.
-		d = 0
-	}
-	p.state = procSleeping
-	p.eng.atProc(p.eng.now+d, p)
+	p.WakeAfter(d)
+	p.state = procParked
 	p.yieldToEngine()
 }
 

@@ -166,8 +166,7 @@ func TestUnparkBeforeParkStoresPermit(t *testing.T) {
 	e := NewEngine(1)
 	done := false
 	var p1 *Proc
-	p1 = e.Go("p1", func(p *Proc) {
-		p.Sleep(10) // let the unpark land first
+	p1 = e.GoAt(10, "p1", func(p *Proc) { // let the unpark land first
 		p.Park("should not block")
 		done = true
 	})
@@ -177,6 +176,33 @@ func TestUnparkBeforeParkStoresPermit(t *testing.T) {
 	}
 	if !done {
 		t.Fatal("stored permit was lost")
+	}
+}
+
+// A Sleep is a WakeAfter: an Unpark or a WakeAllParked during it neither
+// ends it early nor leaves a permit, so the Park that follows blocks until
+// the next Unpark.
+func TestUnparkDuringSleepIsDropped(t *testing.T) {
+	e := NewEngine(1)
+	var woke, parkedUntil Time
+	var p1 *Proc
+	p1 = e.Go("p1", func(p *Proc) {
+		p.Sleep(10)
+		woke = p.Now()
+		p.Park("after the sleep")
+		parkedUntil = p.Now()
+	})
+	e.At(3, func() { p1.Unpark() })
+	e.At(5, e.WakeAllParked)
+	e.At(20, func() { p1.Unpark() })
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if woke != 10 {
+		t.Errorf("the sleep ended at %v, want 10", woke)
+	}
+	if parkedUntil != 20 {
+		t.Errorf("the park after the sleep returned at %v, want 20: an unpark during the sleep left a permit", parkedUntil)
 	}
 }
 

@@ -53,7 +53,7 @@ func levelOf(stage trace.Stage) (CompletionLevel, bool) {
 
 // Op is the completion handle of one asynchronous operation. Every async
 // initiation — CopyAsync, SpawnHandle, EventNotify, the Async collectives
-// (via Collective.Op), CofenceOp — returns one. Spawn and SpawnNamed do
+// (via Collective.Op), CofenceOp — returns one. Spawn and SpawnRecord do
 // not: like CAF 2.0's spawn they are statements, observed through finish,
 // cofence or their event, and their records are recycled. Instead of
 // parking in a blocking primitive, user code registers continuations on

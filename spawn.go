@@ -116,8 +116,8 @@ func (s *spawnOp) apply(opts []SpawnOpt) {
 	}
 }
 
-// spawnOp is the initiator's one record of a shipped function: closure,
-// record or registered. It is the wire payload, the op the lifecycle stamps (and
+// spawnOp is the initiator's one record of a shipped function, closure
+// or record. It is the wire payload, the op the lifecycle stamps (and
 // SpawnHandle returns), the delivery token, the deferred initiation
 // (core.Initiator) and the send's completion (rt.Completion), so a spawn
 // builds no other object and no closure.
@@ -265,7 +265,7 @@ func (img *Image) SpawnRecord(target int, r Shipper, opts ...SpawnOpt) {
 	s, pooled := img.m.newSpawn()
 	s.sx, s.bytes, s.service = r, 32, notInline
 	s.apply(opts)
-	img.ship(target, "spawn", s, pooled)
+	img.ship(target, s, pooled)
 }
 
 // SpawnHandle is Spawn returning the spawn's completion handle: local
@@ -276,18 +276,18 @@ func (img *Image) SpawnRecord(target int, r Shipper, opts ...SpawnOpt) {
 func (img *Image) SpawnHandle(target int, fn SpawnFn, opts ...SpawnOpt) *Op {
 	s := &spawnOp{sx: fn, bytes: 32, service: notInline}
 	s.apply(opts)
-	img.ship(target, "spawn", s, false)
+	img.ship(target, s, false)
 	return &s.op
 }
 
 // ship is the common tail of the spawns; a pooled record goes back to the
 // machine at the second of its two ends.
-func (img *Image) ship(target int, kind string, s *spawnOp, pooled bool) {
+func (img *Image) ship(target int, s *spawnOp, pooled bool) {
 	if target < 0 || target >= img.NumImages() {
 		panic("caf: spawn target out of range")
 	}
 	img.st.spawnsSent++
-	img.traceInstant(kind, "ship")
+	img.traceInstant("spawn", "ship")
 
 	s.target = int32(target)
 	s.finishID = img.trackID()
@@ -300,7 +300,7 @@ func (img *Image) ship(target int, kind string, s *spawnOp, pooled bool) {
 		x.clk = clk
 		s.tok.clk = &x.clk
 	}
-	img.opInit(&s.op, kind, target)
+	img.opInit(&s.op, "spawn", target)
 	if pooled {
 		s.op.rec = recPooled
 	}
@@ -419,7 +419,7 @@ func (m *Machine) handleSpawn(d *rt.Delivery) {
 	if s.inline() {
 		st.kern.After(s.service, sh)
 	} else {
-		st.kern.GoBody(s.op.kind, sh)
+		st.kern.GoBody("spawn", sh)
 	}
 }
 
@@ -441,11 +441,7 @@ func (sh *shipped) exec(start Time) {
 	s.live()
 	m := img.m
 	s.sx.Ship(img)
-	// "spawn-exec", or "spawn-exec:<name>" for a registered function's
-	// kind, named only when a recorder takes the span.
-	if m.tracer.Enabled() {
-		img.traceSpan("spawn-exec"+s.op.kind[len("spawn"):], "ship", start)
-	}
+	img.traceSpan("spawn-exec", "ship", start)
 	// Spawned context exit is a synchronization point for any
 	// initiations it deferred.
 	img.ct.Flush(AllowNone)

@@ -3,7 +3,10 @@ package caf
 // Tests of SpawnRecord: a record is shipped as a closure is, to the byte
 // of every export, its Ship runs once per spawn whatever the fabric and
 // the pools do, a record may ship itself again from inside its Ship, and
-// a request and its reply as one record allocate nothing.
+// a request and its reply as one record allocate nothing. A record is
+// CAF 2.0's named procedure with its arguments, so the tests of the
+// named spawn, under finish, with an event and under a traced request,
+// ship records too.
 
 import (
 	"bytes"
@@ -11,6 +14,8 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+
+	"caf2go/internal/path"
 )
 
 // shipVia ships r to target: as the closure r.Ship through Spawn, or as
@@ -273,5 +278,104 @@ func TestPoolSpawnRecordReplyPairDoesNotAllocate(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Errorf("allocations per request + reply record = %v, want 0", allocs)
+	}
+}
+
+// work is a named procedure as a record: it computes for its argument's
+// microseconds and counts itself done.
+type work struct {
+	us   int
+	done *int
+}
+
+func (w work) Ship(img *Image) {
+	img.Compute(Time(w.us) * Microsecond)
+	*w.done++
+}
+
+// A named procedure's spawn is tracked by the enclosing finish.
+func TestSpawnNamedTrackedByFinish(t *testing.T) {
+	m := NewMachine(Config{Images: 4, Seed: 1})
+	done := 0
+	m.Launch(func(img *Image) {
+		img.Finish(nil, func() {
+			img.SpawnRecord((img.Rank()+1)%4, work{us: 500, done: &done})
+		})
+		if done != 4 {
+			t.Errorf("image %d left finish with %d/4 named spawns done", img.Rank(), done)
+		}
+	})
+	if _, err := m.RunToCompletion(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// WithEvent notifies a named procedure's event once it has executed.
+func TestSpawnNamedWithEvent(t *testing.T) {
+	m := NewMachine(Config{Images: 2, Seed: 1})
+	ran := 0
+	m.Launch(func(img *Image) {
+		if img.Rank() != 0 {
+			return
+		}
+		ev := img.NewEvent()
+		img.SpawnRecord(1, work{us: 1000, done: &ran}, WithEvent(ev))
+		img.EventWait(ev)
+		if ran != 1 {
+			t.Error("event before execution completed")
+		}
+	})
+	if _, err := m.RunToCompletion(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// serve is a named procedure that replies to its caller.
+type serve struct{ replied *bool }
+
+func (s serve) Ship(img *Image) {
+	img.Spawn(0, func(*Image) { *s.replied = true }, WithBytes(24))
+}
+
+// A named procedure runs under the traced request that shipped it, as a
+// closure does: the reply it spawns is a span of that request, parented
+// to the named spawn's own span.
+func TestSpawnNamedKeepsTracedRequest(t *testing.T) {
+	m := NewMachine(Config{Images: 2, Seed: 1, PathTracing: true})
+	replied := false
+	m.Launch(func(img *Image) {
+		img.Finish(nil, func() {
+			if img.Rank() != 0 {
+				return
+			}
+			m.PathTracker().Begin(0, 0, img.Now(), img.Now())
+			prev := img.PathScope(path.ReqCtx(0))
+			img.SpawnRecord(1, serve{&replied})
+			img.PathScope(prev)
+		})
+	})
+	if _, err := m.RunToCompletion(); err != nil {
+		t.Fatal(err)
+	}
+	if !replied {
+		t.Fatal("the reply never ran")
+	}
+	reqs := m.PathTracker().Export().Reqs
+	if len(reqs) != 1 || len(reqs[0].Spans) != 2 {
+		t.Fatalf("traced request has %+v, want one request with the named spawn's and the reply's spans", reqs)
+	}
+	ship, reply := reqs[0].Spans[0], reqs[0].Spans[1]
+	if ship.Kind != "spawn" || ship.Img != 0 || ship.Peer != 1 || ship.Parent != 0 {
+		t.Errorf("named spawn's span = %+v", ship)
+	}
+	if reply.Kind != "spawn" || reply.Img != 1 || reply.Peer != 0 || reply.Parent != ship.ID {
+		t.Errorf("reply's span = %+v, want a spawn from image 1 under span %d", reply, ship.ID)
+	}
+	for _, sp := range reqs[0].Spans {
+		for stage, at := range sp.T {
+			if at < 0 {
+				t.Errorf("span %d (%s) never reached stage %d", sp.ID, sp.Kind, stage)
+			}
+		}
 	}
 }
