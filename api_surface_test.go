@@ -77,6 +77,7 @@ func TestAPISurface(t *testing.T) {
 		"FlushBySize",
 		"FlushByTimer",
 		"Get",
+		"GetInto",
 		"GlobalCompletion",
 		"HypercubeNeighbors",
 		"Image",

@@ -99,6 +99,12 @@ func TestCopyLengthMismatchPanics(t *testing.T) {
 		expectPanic(t, "length mismatch", func() {
 			caf.Put(img, ca.Sec(1, 0, 2), []int64{1, 2, 3})
 		})
+		expectPanic(t, "length mismatch", func() {
+			caf.GetInto(img, make([]int64, 1), ca.Sec(1, 0, 2))
+		})
+		expectPanic(t, "length mismatch", func() {
+			caf.GetInto(img, make([]int64, 3), ca.Sec(0, 0, 2))
+		})
 	})
 }
 

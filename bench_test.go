@@ -332,6 +332,32 @@ func BenchmarkCopyAsyncThroughput(b *testing.B) {
 	reportVirtual(b, rep.VirtualTime)
 }
 
+// BenchmarkGetInto is the read of the reference RandomAccess update
+// (TestPoolGetPutAllocs' GetInto row): a one-element remote GetInto into
+// the caller's own storage, served into its recycled request record, so
+// -benchmem reads the machine's set-up spread over b.N.
+func BenchmarkGetInto(b *testing.B) {
+	iters := b.N
+	b.ReportAllocs()
+	rep, err := caf.Run(caf.Config{Images: 2, Seed: 1}, func(img *caf.Image) {
+		ca := caf.NewCoarray[uint64](img, nil, 512)
+		if img.Rank() != 0 {
+			return
+		}
+		var x [1]uint64
+		b.ResetTimer()
+		for i := 0; i < iters; i++ {
+			idx := i % 512
+			caf.GetInto(img, x[:], ca.Sec(1, idx, idx+1))
+		}
+		b.StopTimer()
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	reportVirtual(b, rep.VirtualTime)
+}
+
 // BenchmarkCollective is TestPoolCollectiveAllocs' -benchmem twin: a
 // blocking Barrier and an AllreduceAsync waited to local completion, on a
 // one-image machine, timed and counted after one warm-up call (which

@@ -180,21 +180,37 @@ func (s Sec[T]) isLocalBuf() bool { return s.ca == nil }
 // contiguous reports whether the section is unit-stride.
 func (s Sec[T]) contiguous() bool { return s.step <= 1 }
 
-// read materializes the section's current contents (gathering strided
-// elements). Runtime internal; valid only on the owning image.
-func (s Sec[T]) read() []T {
-	if s.buf != nil {
-		return append([]T(nil), s.buf...)
+// readInto copies the section's current contents into dst, which holds at
+// least Len elements (gathering strided elements). It is the one routine
+// that reads a section out. Runtime internal; valid only on the owning
+// image.
+func (s Sec[T]) readInto(dst []T) {
+	if s.isLocalBuf() {
+		copy(dst, s.buf)
+		return
 	}
 	shard := s.ca.shard(s.rank)
 	if s.contiguous() {
-		return append([]T(nil), shard[s.lo:s.hi]...)
+		copy(dst, shard[s.lo:s.hi])
+		return
 	}
-	out := make([]T, 0, s.Len())
+	j := 0
 	for i := s.lo; i < s.hi; i += s.step {
-		out = append(out, shard[i])
+		dst[j] = shard[i]
+		j++
 	}
-	return out
+}
+
+// snapshot reads the section into buf when it fits there, and into a
+// fresh slice when it does not. Runtime internal; valid only on the
+// owning image.
+func (s Sec[T]) snapshot(buf []T) []T {
+	n := s.Len()
+	if n > len(buf) {
+		buf = make([]T, n)
+	}
+	s.readInto(buf[:n])
+	return buf[:n]
 }
 
 // write stores vals into the section (scattering for strided sections).

@@ -58,10 +58,17 @@ type copyOp[T any] struct {
 	// zero the copy is local data complete.
 	localLeft int
 
-	data []T // the snapshot in flight
+	data []T // the snapshot in flight: inline's, when it fits
+
+	// inline holds a one- or two-element snapshot in the record itself.
+	inline [copyInline]T
 
 	race *copyRace // the race detector's state; nil with it off
 }
+
+// copyInline is how many elements an asynchronous copy snapshots into its
+// own record; longer sections snapshot into a slice of their own.
+const copyInline = 2
 
 // copyRace is an asynchronous copy's race-detector state. The op runs
 // under its own clock components — a read component for the source
@@ -256,7 +263,7 @@ func (c *copyOp[T]) start() {
 	if c.srcLocal {
 		rid, rclk := c.race.read()
 		raceRecord(m, c.src, false, rid, rclk, "copy_async read")
-		c.data = c.src.read() // snapshot at initiation
+		c.data = c.src.snapshot(c.inline[:]) // snapshot at initiation
 		if c.race != nil {
 			c.tok.clk = &c.race.wclk
 		}
@@ -323,7 +330,7 @@ func (c *copyOp[T]) atSource(d *rt.Delivery) {
 	m, here := c.op.m, d.Img.Rank()
 	rid, rclk := c.race.read()
 	eff := m.raceChanArrive(d.Src, here, rclk)
-	c.data = c.src.read()
+	c.data = c.src.snapshot(c.inline[:])
 	raceRecord(m, c.src, false, rid, eff, "copy_async read")
 	if c.o.srcE != nil {
 		// Source read complete: the source buffer may be overwritten.
@@ -401,14 +408,19 @@ const errReleasedReq = "caf: blocking request served after its release"
 type getReq[T any] struct {
 	src   Sec[T] // src.ca is nil once released
 	bytes int
-	out   []T
+	out   []T // the values served: inline's, when they fit
+
+	// inline holds a short get's values in the record itself, so that a
+	// get of a few elements on a recycled record is served without
+	// allocating.
+	inline [reqInline]T
 }
 
 func (r *getReq[T]) serve() int {
 	if r.src.ca == nil {
 		panic(errReleasedReq)
 	}
-	r.out = r.src.read()
+	r.out = r.src.snapshot(r.inline[:])
 	return r.bytes
 }
 
@@ -419,12 +431,13 @@ type putReq[T any] struct {
 	// inline holds a short put's values in the record itself, so that a
 	// put of a few elements on a recycled record copies without
 	// allocating.
-	inline [putInline]T
+	inline [reqInline]T
 }
 
-// putInline is how many elements a blocking Put carries in its request
-// record; longer puts copy their values into a slice of their own.
-const putInline = 4
+// reqInline is how many elements a blocking Get or Put carries in its
+// request record; a longer get is served into, and a longer put copies its
+// values into, a slice of its own.
+const reqInline = 4
 
 func (r *putReq[T]) serve() int {
 	if r.dst.ca == nil {
@@ -494,16 +507,51 @@ func (img *Image) blockEnd(b blocked) {
 	img.endBlock(b.btok)
 }
 
-// Get performs a blocking one-sided read of a (possibly remote) section.
-// The caller is parked for the round trip, so the race detector records
-// the access under the caller's own clock — its program point orders
-// it, on the local fast path too.
+// Get performs a blocking one-sided read of a (possibly remote) section
+// and returns the values in a slice of the caller's own. The caller is
+// parked for the round trip, so the race detector records the access
+// under the caller's own clock — its program point orders it, on the
+// local fast path too.
 func Get[T any](img *Image, src Sec[T]) []T {
 	if src.isLocalBuf() || src.rank == img.Rank() {
 		raceRecordCtx(img, src, false, "get")
-		return src.read()
+		return src.snapshot(nil)
 	}
-	p := img.parker("Get")
+	req := getRemote(img, src, "Get")
+	out := req.out
+	if len(out) <= reqInline {
+		// The values are in the record, which the next Get may take.
+		out = append([]T(nil), out...)
+	}
+	releaseReq(img.m, &src.ca.gets, req)
+	return out
+}
+
+// GetInto performs a blocking one-sided read of a (possibly remote)
+// section into dst, storage the caller already owns: Fortran's
+// x(:) = a(:)[p]. dst must be as long as the section. A short remote read
+// allocates nothing: the owner serves it into the request record, and the
+// values reach dst at the call's return, so nothing the owner serves after
+// the reply can write dst.
+func GetInto[T any](img *Image, dst []T, src Sec[T]) {
+	if len(dst) != src.Len() {
+		panic(fmt.Sprintf("caf: get length mismatch: dst %d, src %d", len(dst), src.Len()))
+	}
+	if src.isLocalBuf() || src.rank == img.Rank() {
+		raceRecordCtx(img, src, false, "get")
+		src.readInto(dst)
+		return
+	}
+	req := getRemote(img, src, "GetInto")
+	copy(dst, req.out)
+	releaseReq(img.m, &src.ca.gets, req)
+}
+
+// getRemote is the round trip of a remote Get or GetInto (prim names the
+// call): it returns the request record the owner served, which the caller
+// reads and then releases.
+func getRemote[T any](img *Image, src Sec[T], prim string) *getReq[T] {
+	p := img.parker(prim)
 	raceRecordCtx(img, src, false, "get")
 	bytes := src.Len()*src.elemBytes() + 16
 	b := img.blockBegin("get", "get", src.rank)
@@ -513,9 +561,7 @@ func Get[T any](img *Image, src Sec[T]) []T {
 	// The blocking round trip is pure network time on a traced request.
 	img.m.path.Claim(img.pctx, path.Wire, img.Now())
 	img.blockEnd(b)
-	out := req.out
-	releaseReq(img.m, &src.ca.gets, req)
-	return out
+	return req
 }
 
 // Put performs a blocking one-sided write of vals into a (possibly
@@ -533,7 +579,7 @@ func Put[T any](img *Image, dst Sec[T], vals []T) {
 	raceRecordCtx(img, dst, true, "put")
 	req := dst.ca.puts.New()
 	*req = putReq[T]{dst: dst}
-	if len(vals) <= putInline {
+	if len(vals) <= reqInline {
 		req.data = append(req.inline[:0], vals...)
 	} else {
 		req.data = append([]T(nil), vals...)

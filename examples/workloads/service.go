@@ -233,7 +233,8 @@ func KVService(cfg caf.Config, o ServiceOpts, opts ...RunOpt) (Result, error) {
 					var v int64
 					ferr := load.Protect(func() {
 						w.Lock(srv, 0)
-						cur := caf.Get(w, table.Sec(srv, slot, slot+1))
+						var cur [1]int64
+						caf.GetInto(w, cur[:], table.Sec(srv, slot, slot+1))
 						w.Compute(o.SvcTime)
 						v = cur[0]
 						if write {

@@ -436,12 +436,13 @@ func Worksteal(cfg caf.Config, tasks, stealSize int, shipping bool, opts ...RunO
 					}
 				} else {
 					// Fig. 2: five round trips with one-sided ops.
-					m := caf.Get(img, meta.Sec(0, 0, 1)) // 1: read metadata
+					var m [1]int64
+					caf.GetInto(img, m[:], meta.Sec(0, 0, 1)) // 1: read metadata
 					if m[0] == 0 {
 						continue
 					}
-					img.Lock(0, 1)                      // 2: lock victim
-					m = caf.Get(img, meta.Sec(0, 0, 1)) // 3: re-read
+					img.Lock(0, 1)                            // 2: lock victim
+					caf.GetInto(img, m[:], meta.Sec(0, 0, 1)) // 3: re-read
 					n := int64(stealSize)
 					if n > m[0] {
 						n = m[0]

@@ -35,14 +35,15 @@ func stealFig2(o StealOpts, items int) (caf.Time, error) {
 			return
 		}
 		const lockID = 7
+		var m [1]int64
 		for s := 0; s < o.Steals; s++ {
 			start := img.Now()
-			m := caf.Get(img, meta.Sec(1, 0, 1)) // 1: read metadata
+			caf.GetInto(img, m[:], meta.Sec(1, 0, 1)) // 1: read metadata
 			if m[0] <= 0 {
 				continue
 			}
-			img.Lock(1, lockID)                 // 2: lock the victim
-			m = caf.Get(img, meta.Sec(1, 0, 1)) // 3: re-read under lock
+			img.Lock(1, lockID)                       // 2: lock the victim
+			caf.GetInto(img, m[:], meta.Sec(1, 0, 1)) // 3: re-read under lock
 			w := int64(items)
 			if w > m[0] {
 				w = m[0]

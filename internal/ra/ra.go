@@ -248,12 +248,14 @@ func runGUP(img *caf.Image, ca *caf.Coarray[uint64], cfg Config, localSize int64
 		start := int64(img.Rank())*cfg.UpdatesPerImage + int64(w)*perWorker + minI64(int64(w), extra)
 		img.Spawn(img.Rank(), func(self *caf.Image) {
 			a := Starts(start)
+			var v [1]uint64 // the worker's x(:) = a(:)[p] buffer
 			for i := int64(0); i < count; i++ {
 				a = nextRandom(a)
 				owner, idx := target(a, p, localSize, globalBits)
-				v := caf.Get(self, ca.Sec(owner, int(idx), int(idx)+1))
+				sec := ca.Sec(owner, int(idx), int(idx)+1)
+				caf.GetInto(self, v[:], sec)
 				self.Compute(cfg.UpdateCost)
-				caf.Put(self, ca.Sec(owner, int(idx), int(idx)+1), []uint64{v[0] ^ a})
+				caf.Put(self, sec, []uint64{v[0] ^ a})
 			}
 			self.EventNotify(done)
 		})

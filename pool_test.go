@@ -37,32 +37,45 @@ func skipUnlessPinned(t *testing.T) {
 // The inner loop of the reference RandomAccess (Fig. 13): blocking Get,
 // local update, blocking Put. The request records come back from the
 // coarray's free lists and the put's one element rides in its record, so
-// what is left is the get's result slice.
+// what is left of Get is its result slice, and GetInto, which reads into
+// the caller's own storage, allocates nothing.
 func TestPoolGetPutAllocs(t *testing.T) {
 	skipUnlessPinned(t)
-	var allocs float64
+	var getAllocs, intoAllocs float64
 	_, err := Run(Config{Images: 2, Seed: 1}, func(img *Image) {
 		ca := NewCoarray[uint64](img, nil, 512)
 		if img.Rank() != 0 {
 			return
 		}
 		i := 0
-		update := func() {
+		var x [1]uint64
+		get := func() {
 			idx := i % 512
 			v := Get(img, ca.Sec(1, idx, idx+1))
 			img.Compute(50 * Nanosecond)
 			Put(img, ca.Sec(1, idx, idx+1), []uint64{v[0] ^ uint64(i)})
 			i++
 		}
-		update() // warm-up: fills the pools
-		allocs = testing.AllocsPerRun(200, update)
+		into := func() {
+			idx := i % 512
+			GetInto(img, x[:], ca.Sec(1, idx, idx+1))
+			img.Compute(50 * Nanosecond)
+			Put(img, ca.Sec(1, idx, idx+1), []uint64{x[0] ^ uint64(i)})
+			i++
+		}
+		get() // warm-up: fills the pools
+		getAllocs = testing.AllocsPerRun(200, get)
+		intoAllocs = testing.AllocsPerRun(200, into)
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("%v allocations per Get + Compute + Put", allocs)
-	if allocs > 1 {
-		t.Errorf("allocations per Get + Compute + Put = %v, want ≤ 1", allocs)
+	t.Logf("%v allocations per Get + Compute + Put, %v per GetInto + Compute + Put", getAllocs, intoAllocs)
+	if getAllocs > 1 {
+		t.Errorf("allocations per Get + Compute + Put = %v, want ≤ 1", getAllocs)
+	}
+	if intoAllocs > 0 {
+		t.Errorf("allocations per GetInto + Compute + Put = %v, want 0", intoAllocs)
 	}
 }
 
@@ -219,8 +232,8 @@ func TestPoolSpawnReplyPairAllocs(t *testing.T) {
 	}
 }
 
-// An implicit put with a cofence behind it: the copy's one record, the
-// data snapshot and the injection callback.
+// An implicit put with a cofence behind it: the copy's one record, which
+// is also its injection completion and holds its one-element snapshot.
 func TestPoolCopyAsyncAllocs(t *testing.T) {
 	skipUnlessPinned(t)
 	var allocs float64
@@ -241,8 +254,9 @@ func TestPoolCopyAsyncAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if allocs > 6 {
-		t.Errorf("allocations per CopyAsync + Cofence = %v, want ≤ 6", allocs)
+	t.Logf("%v allocations per CopyAsync + Cofence", allocs)
+	if allocs > 1 {
+		t.Errorf("allocations per CopyAsync + Cofence = %v, want ≤ 1", allocs)
 	}
 }
 
@@ -519,7 +533,8 @@ func TestQuarantineGetPutLoopEqualsPooledLoop(t *testing.T) {
 // Where something can serve a request after its call has returned, the
 // request is never released: a failure declaration aborts a Get parked on
 // a dead owner, and a fault plan's duplicate can land after the reply.
-// The coarray's free lists stay empty there, whatever the pools do.
+// The coarray's free lists stay empty there, whatever the pools do, for
+// Get, GetInto and Put alike.
 func TestQuarantineGetPutUnderDetectorOrFaultsLetsNothing(t *testing.T) {
 	detector := FailureDetectorConfig{Enabled: true, Heartbeat: Microsecond}
 	for name, cfg := range map[string]Config{
@@ -542,8 +557,14 @@ func TestQuarantineGetPutUnderDetectorOrFaultsLetsNothing(t *testing.T) {
 					// Rank 1 dies at 5 µs in the "aborted" run: a Get to it
 					// is parked on the owner when the declaration comes.
 					for i := 0; i < 64; i++ {
-						v := Get(img, ca.Sec(1+i%2, i%8, i%8+1))
-						Put(img, ca.Sec(1+i%2, i%8, i%8+1), []uint64{v[0] + 1})
+						sec := ca.Sec(1+i%2, i%8, i%8+1)
+						v := Get(img, sec)
+						var x [1]uint64
+						GetInto(img, x[:], sec)
+						if x[0] != v[0] {
+							t.Errorf("GetInto read %d after Get read %d", x[0], v[0])
+						}
+						Put(img, sec, []uint64{v[0] + 1})
 						gets++
 					}
 				})
