@@ -358,6 +358,35 @@ func BenchmarkGetInto(b *testing.B) {
 	reportVirtual(b, rep.VirtualTime)
 }
 
+// BenchmarkGetIntoPutFaultPlan is a one-element remote GetInto and Put on
+// a 4-image machine whose fault plan injects nothing but runs the
+// fabric's reliability protocol (TestPoolGetIntoPutSpawnFaultPlanAllocs'
+// loop without its spawn): -benchmem reads what a request costs there,
+// where the protocol's per-message state is what is left to allocate.
+func BenchmarkGetIntoPutFaultPlan(b *testing.B) {
+	iters := b.N
+	b.ReportAllocs()
+	cfg := caf.Config{Images: 4, Seed: 1, Fabric: caf.FabricConfig{Faults: &caf.FaultPlan{Seed: 1}}}
+	rep, err := caf.Run(cfg, func(img *caf.Image) {
+		ca := caf.NewCoarray[uint64](img, nil, 512)
+		if img.Rank() != 0 {
+			return
+		}
+		var x [1]uint64
+		b.ResetTimer()
+		for i := 0; i < iters; i++ {
+			sec := ca.Sec(1, i%512, i%512+1)
+			caf.GetInto(img, x[:], sec)
+			caf.Put(img, sec, []uint64{x[0] + 1})
+		}
+		b.StopTimer()
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	reportVirtual(b, rep.VirtualTime)
+}
+
 // BenchmarkCollective is TestPoolCollectiveAllocs' -benchmem twin: a
 // blocking Barrier and an AllreduceAsync waited to local completion, on a
 // one-image machine, timed and counted after one warm-up call (which

@@ -579,8 +579,8 @@ type FabricStats = fabric.Stats
 func (m *Machine) FabricStats() FabricStats { return m.k.Fabric().Stats() }
 
 // FinishRoundTimes returns the virtual times at which each termination-
-// detection round of an image's most recent finish completed
-// (diagnostics for the benchmark harness).
+// detection round of an image's most recent finish completed, for
+// attributing a finish's rounds to the phases of a run.
 func (m *Machine) FinishRoundTimes(rank int) []Time {
 	s := m.plane.LastState(rank)
 	if s == nil {

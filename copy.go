@@ -390,12 +390,12 @@ func (m *Machine) handleResume(d *rt.Delivery) { d.Payload.(copyHop).start() }
 // initiator parks on the Call while the owner serves the record in place,
 // so the result needs no reply payload. The records are recycled on the
 // free lists of the coarray the section names (DESIGN §4.14). A Call
-// returns only after the owner has served its record and replied, so the
-// caller releases it at its own return — but only where nothing can serve
-// it later: a failure declaration can abort the Call while the request is
-// in flight, and a fault plan can deliver a duplicate after the reply.
-// With a failure detector or a fault plan the records are left to the
-// garbage collector. A released record is zeroed, so serving it panics.
+// returns only after the owner has served its record and replied, and the
+// fabric's dedup drops every duplicate before dispatch, so the caller
+// releases the record at its own return. A Call aborted by a failure declaration
+// panics out before the release, and the record an owner may still serve
+// is left to the garbage collector. A released record is zeroed, so
+// serving it panics.
 type blockingReq interface {
 	// serve performs the access on the owning image and returns the
 	// modeled size of the reply.
@@ -447,20 +447,11 @@ func (r *putReq[T]) serve() int {
 	return 8
 }
 
-// recyclesRequests reports whether a blocking request is released at its
-// call's return: no failure detector and no fault plan.
-func (m *Machine) recyclesRequests() bool {
-	return m.det == nil && m.cfg.Fabric.Faults == nil
-}
-
-// releaseReq hands a served request back to its free list, zeroed, where
-// that is safe.
-func releaseReq[R any](m *Machine, free *sim.FreeList[R], r *R) {
-	if m.recyclesRequests() {
-		var zero R
-		*r = zero
-		free.Put(r)
-	}
+// releaseReq hands a served request back to its free list, zeroed.
+func releaseReq[R any](free *sim.FreeList[R], r *R) {
+	var zero R
+	*r = zero
+	free.Put(r)
 }
 
 func (m *Machine) handleBlocking(d *rt.Delivery) {
@@ -523,7 +514,7 @@ func Get[T any](img *Image, src Sec[T]) []T {
 		// The values are in the record, which the next Get may take.
 		out = append([]T(nil), out...)
 	}
-	releaseReq(img.m, &src.ca.gets, req)
+	releaseReq(&src.ca.gets, req)
 	return out
 }
 
@@ -544,7 +535,7 @@ func GetInto[T any](img *Image, dst []T, src Sec[T]) {
 	}
 	req := getRemote(img, src, "GetInto")
 	copy(dst, req.out)
-	releaseReq(img.m, &src.ca.gets, req)
+	releaseReq(&src.ca.gets, req)
 }
 
 // getRemote is the round trip of a remote Get or GetInto (prim names the
@@ -589,5 +580,5 @@ func Put[T any](img *Image, dst Sec[T], vals []T) {
 	img.st.kern.Call(p, dst.rank, tagBlocking, req, rt.SendOpts{Class: classForBytes(img.m, bytes), Bytes: bytes})
 	img.m.path.Claim(img.pctx, path.Wire, img.Now())
 	img.blockEnd(b)
-	releaseReq(img.m, &dst.ca.puts, req)
+	releaseReq(&dst.ca.puts, req)
 }

@@ -111,9 +111,9 @@ type State struct {
 	t *team.Team // set at Begin
 
 	// RoundAt records the virtual time each detection round completed
-	// (diagnostic; used by the benchmark harness to attribute rounds to
-	// run phases). Its first entry is stored in roundAt. A round a
-	// declared death cut short is counted in unrecorded instead.
+	// (copied into the lifecycle trace's finish record, and read by
+	// Machine.FinishRoundTimes). Its first entry is stored in roundAt. A
+	// round a declared death cut short is counted in unrecorded instead.
 	RoundAt []sim.Time
 	roundAt [1]sim.Time
 
@@ -479,7 +479,7 @@ func (pl *Plane) End(p *sim.Proc, img *rt.ImageKernel, s *State) (int, *failure.
 }
 
 // LastState returns the most recently completed finish state on an image
-// (diagnostics for the benchmark harness).
+// (diagnostics: Machine.FinishRoundTimes reads its rounds).
 func (pl *Plane) LastState(rank int) *State { return pl.lastState[rank] }
 
 // ready is the precondition of a detection round. Fig. 7 waits until all

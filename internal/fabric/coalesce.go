@@ -136,11 +136,10 @@ func (b *batch) Injected() {
 }
 
 // Delivered hands each inner message back to its owner and runs its
-// delivery callbacks. On the idealized transport the ack is the packet's
-// last event (every inner handler ran before it left), so the batch is
-// released at its end. Under a fault plan it is left to the GC: a
-// duplicate of the packet can still arrive, and the receiver's dedup
-// window can still hold it.
+// delivery callbacks. The ack is the last read of the packet (every inner
+// handler ran before it left, and a duplicate that lands later is dropped
+// by the receiver's dedup and acked without reading it), so the batch is
+// released at its end.
 func (b *batch) Delivered() {
 	b.live()
 	for _, m := range b.msgs {
@@ -148,16 +147,14 @@ func (b *batch) Delivered() {
 		opts.delivered()
 	}
 	f := b.f
-	if f.reliable {
-		return
-	}
 	clear(b.msgs)
 	*b = batch{msgs: b.msgs[:0]}
 	b.dead = f.batches.Put(b)
 }
 
 // Abandoned is Delivered for a batch the fabric gave up on; only a fabric
-// with a fault plan does, so the batch is never released.
+// with a fault plan does. An abandoned batch is never acked, so it is
+// never released.
 func (b *batch) Abandoned() {
 	b.live()
 	for _, m := range b.msgs {

@@ -945,7 +945,9 @@ func (ep *Endpoint) deliverReliable(tx *txState, src *Endpoint) {
 			f.stats.FaultsInjected++
 			return
 		}
-		eng.At(eng.Now()+f.wireLatency(int(m.Dst), int(m.Src)), func() { src.onAckArrival(tx) })
+		// The ack leg reads the two ranks off the endpoints, not off m:
+		// a duplicate lands after the first ack, which released m.
+		eng.At(eng.Now()+f.wireLatency(ep.rank, src.rank), func() { src.onAckArrival(tx) })
 	})
 }
 

@@ -325,3 +325,80 @@ func TestCreditsStillFlowUnderFaults(t *testing.T) {
 		t.Errorf("credits leaked: outstanding=%d queued=%d", f.Endpoint(0).Outstanding(), f.Endpoint(0).QueuedSends())
 	}
 }
+
+// zeroOnAck is a sender's record that clears the message it sent at the
+// message's ack, as rt does when it recycles its sending record there.
+type zeroOnAck struct {
+	m     *Msg
+	acked *int
+}
+
+func (zeroOnAck) Injected() {}
+func (z zeroOnAck) Delivered() {
+	*z.m = Msg{}
+	*z.acked++
+}
+func (zeroOnAck) Abandoned() {}
+
+// On the reliable path too the ack is a message's last reference: a
+// duplicate that lands after it is dropped by the receiver's dedup and
+// acked over the wire between the two endpoints, without reading the
+// message. A sender that zeroes every message at its ack runs exactly the
+// schedule of one that keeps them, across nodes (where an ack timed off
+// a zeroed message's ranks would take the intra-node latency). The
+// schedule is read as the events run by each 100 ns step, since the last
+// events of both runs are the stopped ack timers' stale expiries.
+func TestDuplicateAfterAckReadsNoMessage(t *testing.T) {
+	run := func(zero bool) (sim.Time, []uint64) {
+		cfg := DefaultConfig()
+		cfg.ImagesPerNode = 1
+		cfg.Faults = &FaultPlan{Dup: 1.0, Jitter: 5 * sim.Microsecond}
+		eng := sim.NewEngine(7)
+		f := New(eng, 4, cfg)
+		handled := map[any]int{}
+		f.RegisterHandler(tagTest, func(_ *Endpoint, m *Msg) { handled[m.Payload]++ })
+		acked := 0
+		const n = 40
+		for i := 0; i < n; i++ {
+			m := &Msg{Src: int32(i % 4), Dst: int32((i + 1) % 4), Tag: tagTest, Class: AMShort, Bytes: 8, Payload: i}
+			var done Completion = onAck(func() { acked++ })
+			if zero {
+				done = zeroOnAck{m, &acked}
+			}
+			f.Endpoint(i%4).Send(m, SendOpts{Done: done})
+		}
+		var events []uint64
+		for at := 100 * sim.Nanosecond; !eng.Idle(); at += 100 * sim.Nanosecond {
+			if err := eng.RunUntil(at); err != nil {
+				t.Fatal(err)
+			}
+			events = append(events, eng.EventsRun())
+		}
+		for p, c := range handled {
+			if c != 1 {
+				t.Errorf("payload %v handled %d times", p, c)
+			}
+		}
+		if len(handled) != n || acked != n {
+			t.Errorf("%d handled, %d acked, want %d each", len(handled), acked, n)
+		}
+		if f.Stats().DupAcks == 0 {
+			t.Error("no duplicate was acked after its message: the test exercised nothing")
+		}
+		return eng.Now(), events
+	}
+	wantAt, wantEvents := run(false)
+	gotAt, gotEvents := run(true)
+	if gotAt != wantAt {
+		t.Errorf("zeroing each message at its ack: final time %v, want %v", gotAt, wantAt)
+	}
+	for i := range min(len(gotEvents), len(wantEvents)) {
+		if gotEvents[i] != wantEvents[i] {
+			t.Fatalf("zeroing each message at its ack: %d events run by %v, want %d",
+				gotEvents[i], sim.Time(i+1)*100*sim.Nanosecond, wantEvents[i])
+		}
+	}
+	if len(gotEvents) != len(wantEvents) {
+		t.Errorf("zeroing each message at its ack: %d steps, want %d", len(gotEvents), len(wantEvents))
+	}
+}

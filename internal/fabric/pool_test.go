@@ -249,9 +249,10 @@ func TestPoolMsgInFlightTwicePanics(t *testing.T) {
 }
 
 // The reliability protocol does not run messages as their own events: a
-// duplicate can land after the ack, still holding the message. Every
-// message is handled and acked once, and each is its sender's again once
-// its ack landed.
+// duplicate can land after the ack, still pointing at the message (which
+// it does not read: TestDuplicateAfterAckReadsNoMessage). Every message
+// is handled and acked once, and each is its sender's again once its ack
+// landed.
 func TestPoolReliableFabricLetsNothing(t *testing.T) {
 	eng, f, got := faultFabric(t, 2, &FaultPlan{Dup: 1.0, Jitter: 30 * sim.Microsecond})
 	delivered := 0

@@ -295,10 +295,13 @@ func TestQuarantineCoalescedBatchReleasesEachOutMsgOnce(t *testing.T) {
 	})
 }
 
-// Under a fault plan a duplicate or a retransmission can land after the
-// ack and still reads the message, so an outMsg is never released there:
-// the pool stays empty and every message is handled and acked once.
-func TestQuarantineDuplicateAfterAckLetsNothing(t *testing.T) {
+// Under a fault plan an outMsg is released at its ack too: a duplicate
+// that lands after the ack is dropped by the receiver's dedup and acked
+// without reading the message (a retransmission stops at the ack). The
+// pool fills, the quarantined run lets nothing through (a use of a
+// released record would panic), and every message is handled and acked
+// once.
+func TestQuarantineDuplicateAfterAckRecycles(t *testing.T) {
 	pooledAndQuarantined(t, func(t *testing.T) {
 		eng, k := newFaultyKernel(5, 4, &fabric.FaultPlan{Dup: 1.0, Jitter: 30 * sim.Microsecond})
 		tr := &countingTracker{}
@@ -323,8 +326,8 @@ func TestQuarantineDuplicateAfterAckLetsNothing(t *testing.T) {
 		if st := k.Fabric().Stats(); st.DupAcks == 0 {
 			t.Error("no duplicate landed after its message's ack: the test exercised nothing")
 		}
-		if k.outMsgs.Len() != 0 {
-			t.Errorf("%d outMsgs released on a reliable fabric", k.outMsgs.Len())
+		if !sim.QuarantinePools && k.outMsgs.Len() == 0 {
+			t.Error("no outMsg pooled on a reliable fabric")
 		}
 	})
 }

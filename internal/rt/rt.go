@@ -131,9 +131,11 @@ func (o *outMsg) Injected() {
 	o.user.Injected()
 }
 
-// Delivered is the message's ack callback on the sender. On the
-// idealized fabric nothing refers to the message after it — the handler
-// ran before the ack left — so it ends by releasing the record.
+// Delivered is the message's ack callback on the sender. Nothing refers
+// to the message after it: the handler ran before the ack left, and on a
+// fabric with a fault plan a duplicate that lands later is dropped by the
+// receiver's dedup and acked without reading the message. So it ends by
+// releasing the record.
 func (o *outMsg) Delivered() {
 	o.live()
 	img := o.img
@@ -144,15 +146,13 @@ func (o *outMsg) Delivered() {
 	if o.user != nil {
 		o.user.Delivered()
 	}
-	if k.reliable {
-		return
-	}
 	*o = outMsg{}
 	k.outMsgs.Put(o)
 }
 
 // Abandoned replaces Delivered when the fabric gives up on the message;
-// only a fabric with a fault plan does, so the record is never recycled.
+// only a fabric with a fault plan does. It does not release the record:
+// an abandoned message is never acked, so its last reference is unknown.
 // Without a failure detector abandonment stays silent, exactly as it was
 // before the detector existed.
 func (o *outMsg) Abandoned() {
@@ -177,9 +177,6 @@ type Kernel struct {
 	det     *failure.Detector // nil unless a failure detector is attached
 	nextID  int64             // generator for team ids etc.
 
-	// reliable: the fabric runs its reliability protocol (a fault plan is
-	// set), which may hold a message past its ack.
-	reliable   bool
 	nextCallID uint64
 
 	outMsgs    sim.FreeList[outMsg]
@@ -190,9 +187,8 @@ type Kernel struct {
 // NewKernel builds a machine with n images over the given fabric config.
 func NewKernel(eng *sim.Engine, n int, cfg fabric.Config) *Kernel {
 	k := &Kernel{
-		eng:      eng,
-		fab:      fabric.New(eng, n, cfg),
-		reliable: cfg.Faults != nil,
+		eng: eng,
+		fab: fabric.New(eng, n, cfg),
 	}
 	// Images live as long as the machine, and so does what each keeps
 	// of its own: its name ("img<rank>", a substring of one string) and

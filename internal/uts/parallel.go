@@ -91,17 +91,6 @@ func Run(mcfg caf.Config, cfg Config) (Result, error) {
 	return res, err
 }
 
-// RunWithRoundTimes additionally returns the virtual completion time of
-// each termination-detection round on image 0 (for attributing rounds to
-// run phases).
-func RunWithRoundTimes(mcfg caf.Config, cfg Config) (Result, []caf.Time, error) {
-	res, m, err := runMachine(mcfg, cfg)
-	if err != nil {
-		return res, nil, err
-	}
-	return res, m.FinishRoundTimes(0), nil
-}
-
 // RunTraced additionally returns the machine's trace recorder (nil when
 // mcfg.TraceCapacity is zero).
 func RunTraced(mcfg caf.Config, cfg Config) (Result, *trace.Recorder, error) {

@@ -246,21 +246,6 @@ func TestBinomialTreeParallel(t *testing.T) {
 	}
 }
 
-func TestRunWithRoundTimes(t *testing.T) {
-	res, times, err := RunWithRoundTimes(caf.Config{Images: 8, Seed: 1}, DefaultConfig(Scaled(7)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(times) != res.Rounds {
-		t.Fatalf("round times %d != rounds %d", len(times), res.Rounds)
-	}
-	for i := 1; i < len(times); i++ {
-		if times[i] < times[i-1] {
-			t.Fatalf("round times not monotone: %v", times)
-		}
-	}
-}
-
 func TestStealCapRespectsMediumLimit(t *testing.T) {
 	// Steal payloads must never exceed the fabric medium-AM cap — the
 	// paper's 9-item GASNet limit, §IV-C1a. Use a tight cap and verify

@@ -530,17 +530,19 @@ func TestQuarantineGetPutLoopEqualsPooledLoop(t *testing.T) {
 	}
 }
 
-// Where something can serve a request after its call has returned, the
-// request is never released: a failure declaration aborts a Get parked on
-// a dead owner, and a fault plan's duplicate can land after the reply.
-// The coarray's free lists stay empty there, whatever the pools do, for
-// Get, GetInto and Put alike.
-func TestQuarantineGetPutUnderDetectorOrFaultsLetsNothing(t *testing.T) {
+// A request is released at its call's return under a failure detector
+// and a fault plan too: the fabric's dedup drops every duplicate before
+// dispatch, so nothing serves a request after the reply, and a Call that
+// a declaration aborts panics out before the release, so the request the
+// owner may still serve is never released. The coarray's free lists fill
+// in the pooled run, and the quarantined run lets nothing through: serving
+// a released record would panic. For Get, GetInto and Put alike.
+func TestQuarantineGetPutUnderDetectorOrFaultsRecycles(t *testing.T) {
 	detector := FailureDetectorConfig{Enabled: true, Heartbeat: Microsecond}
 	for name, cfg := range map[string]Config{
 		"detector": {Images: 3, Seed: 1, FailureDetector: detector},
 		"aborted": {Images: 3, Seed: 1, FailureDetector: detector,
-			Fabric: FabricConfig{Faults: &FaultPlan{Seed: 1, Crash: map[int]Time{1: 5 * Microsecond}}}},
+			Fabric: FabricConfig{Faults: &FaultPlan{Seed: 1, Crash: map[int]Time{1: 40 * Microsecond}}}},
 		"dup": {Images: 3, Seed: 1, Fabric: FabricConfig{Faults: &FaultPlan{Seed: 1, Dup: 1.0, Jitter: 5 * Microsecond}}},
 	} {
 		t.Run(name, func(t *testing.T) {
@@ -554,8 +556,9 @@ func TestQuarantineGetPutUnderDetectorOrFaultsLetsNothing(t *testing.T) {
 						img.Compute(100 * Microsecond)
 						return
 					}
-					// Rank 1 dies at 5 µs in the "aborted" run: a Get to it
-					// is parked on the owner when the declaration comes.
+					// Rank 1 dies at 40 µs in the "aborted" run, after three
+					// iterations: the call in flight when the declaration
+					// comes is aborted and keeps its record.
 					for i := 0; i < 64; i++ {
 						sec := ca.Sec(1+i%2, i%8, i%8+1)
 						v := Get(img, sec)
@@ -576,12 +579,63 @@ func TestQuarantineGetPutUnderDetectorOrFaultsLetsNothing(t *testing.T) {
 				} else if err != nil || gets != 64 {
 					t.Fatalf("%d of 64 Get/Put pairs completed, err %v", gets, err)
 				}
-				if g, p := arr.gets.Len(), arr.puts.Len(); g != 0 || p != 0 {
-					t.Errorf("%d get and %d put records released under a detector or a fault plan", g, p)
+				// The aborted call's record stays its own, so the
+				// "aborted" run may pool no record of that kind.
+				g, p := arr.gets.Len(), arr.puts.Len()
+				if !sim.QuarantinePools && (g+p == 0 || name != "aborted" && (g == 0 || p == 0)) {
+					t.Errorf("%d get and %d put records pooled under a detector or a fault plan", g, p)
 				}
 			})
 		})
 	}
+}
+
+// Fail-stop aborts every parked Call at a declaration, a Get to a live
+// owner too: here image 1 dies while image 0's request to image 2 is on
+// the wire, and image 2 serves it after the Call has aborted. The aborted
+// call panics out before its release, so the owner serves a record that
+// nobody released: no panic under quarantine, and nothing on the free list.
+func TestQuarantineGetAbortedWhileInFlightIsNotReleased(t *testing.T) {
+	pooledAndQuarantined(t, func(t *testing.T) {
+		m := NewMachine(Config{Images: 3, Seed: 1,
+			FailureDetector: FailureDetectorConfig{Enabled: true, Heartbeat: Microsecond},
+			Fabric:          FabricConfig{Faults: &FaultPlan{Seed: 1, Crash: map[int]Time{1: 20 * Microsecond}}}})
+		owner := m.k.Fabric().Endpoint(2)
+		var arr *Coarray[uint64]
+		var issuedAt, abortedAt Time
+		var receivedAtAbort uint64
+		m.Launch(func(img *Image) {
+			ca := NewCoarray[uint64](img, nil, 8)
+			arr = ca
+			if img.Rank() != 0 {
+				img.Compute(100 * Microsecond)
+				return
+			}
+			// Image 1 is declared dead at 22 µs; the request leaves half
+			// a microsecond before, and its wire latency is longer.
+			img.Compute(21*Microsecond + 500*Nanosecond - img.Now())
+			issuedAt = img.Now()
+			// Runs as the abort unwinds the call, which it does not stop.
+			defer func() { abortedAt, receivedAtAbort = img.Now(), owner.Received }()
+			var x [1]uint64
+			GetInto(img, x[:], ca.Sec(2, 0, 1))
+			t.Error("a Get parked across a declaration returned")
+		})
+		_, err := m.RunToCompletion()
+		var ferr *ImageFailedError
+		if !errors.As(err, &ferr) {
+			t.Fatalf("err = %v, want the image failure", err)
+		}
+		if deadAt, _ := m.ImageDeadAt(1); abortedAt != deadAt || issuedAt >= deadAt {
+			t.Errorf("Get issued at %v, aborted at %v; image 1 declared dead at %v", issuedAt, abortedAt, deadAt)
+		}
+		if got := owner.Received; got != receivedAtAbort+1 {
+			t.Errorf("owner received %d messages by the abort and %d in all: it did not serve the request after it", receivedAtAbort, got)
+		}
+		if arr.gets.Len() != 0 {
+			t.Errorf("%d get records pooled: the aborted call's request was released", arr.gets.Len())
+		}
+	})
 }
 
 // A released request is zeroed. Under sim.QuarantinePools it is never
@@ -598,8 +652,8 @@ func TestQuarantineReleasedRequestIsDead(t *testing.T) {
 		}
 		get := &getReq[uint64]{src: ca.Sec(1, 0, 1), bytes: 24}
 		put := &putReq[uint64]{dst: ca.Sec(1, 0, 1), data: []uint64{1}}
-		releaseReq(img.m, &ca.gets, get)
-		releaseReq(img.m, &ca.puts, put)
+		releaseReq(&ca.gets, get)
+		releaseReq(&ca.puts, put)
 		if ca.gets.Len() != 0 || ca.puts.Len() != 0 {
 			t.Fatal("a quarantined request went back on the free list")
 		}

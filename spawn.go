@@ -126,8 +126,11 @@ func (s *spawnOp) apply(opts []SpawnOpt) {
 // free list: nothing outside the runtime can refer to it, and the
 // runtime's last two references end at the spawn's ack (Delivered) and at
 // the end of its function (shipped.exec), in either order. The second of
-// the two releases it (end). SpawnHandle's record is owned: the caller
-// may keep &op, and a continuation on it, for as long as it likes.
+// the two releases it (end). A send the fabric abandons never reaches its
+// ack, and a function a failure declaration unwinds never reaches its
+// end, so such a record is left to the GC. SpawnHandle's record is
+// owned: the caller may keep &op, and a continuation on it, for as long as
+// it likes.
 //
 // The record stores nothing it can recompute, so it fits the 128-byte
 // size class (a bunch of RandomAccess updates keeps every one of its
@@ -179,17 +182,6 @@ func (s *spawnOp) end(m *Machine) {
 	if m.spawns.Put(s) {
 		s.op.rec = recDead
 	}
-}
-
-// newSpawn returns the record of a spawn that returns no handle, and
-// whether it is pooled. It is, unless a fault plan or a failure detector
-// can move its last reference past its two ends (a duplicate delivered
-// after the ack, an abandoned send), as for a blocking request's.
-func (m *Machine) newSpawn() (*spawnOp, bool) {
-	if m.recyclesRequests() {
-		return m.spawns.New(), true
-	}
-	return new(spawnOp), false
 }
 
 // notInline is the service of a spawn not declared Inline, whose function
@@ -262,10 +254,10 @@ func (img *Image) Spawn(target int, fn SpawnFn, opts ...SpawnOpt) {
 // SpawnRecord is Spawn of a record: the runtime calls r.Ship once on the
 // target, under a closure's op kind, trace span, options and completion.
 func (img *Image) SpawnRecord(target int, r Shipper, opts ...SpawnOpt) {
-	s, pooled := img.m.newSpawn()
+	s := img.m.spawns.New()
 	s.sx, s.bytes, s.service = r, 32, notInline
 	s.apply(opts)
-	img.ship(target, s, pooled)
+	img.ship(target, s, true)
 }
 
 // SpawnHandle is Spawn returning the spawn's completion handle: local
