@@ -221,6 +221,36 @@ func BenchmarkSpawnThroughput(b *testing.B) {
 	reportVirtual(b, rep.VirtualTime)
 }
 
+// BenchmarkSpawnProcUnderFinish ships a no-op function that runs as a
+// proc, one at a time under finish, past its acknowledgement before the
+// next: the steady state of a proc spawn, timed from a warm one. With
+// -benchmem it reads the one object a proc spawn allocates, the target's
+// shipped record with the function's proc in it.
+func BenchmarkSpawnProcUnderFinish(b *testing.B) {
+	iters := b.N
+	b.ReportAllocs()
+	_, err := caf.Run(caf.Config{Images: 2, Seed: 1}, func(img *caf.Image) {
+		img.Finish(nil, func() {
+			if img.Rank() != 0 {
+				return
+			}
+			spawn := func() {
+				img.Spawn(1, func(*caf.Image) {})
+				img.Compute(10 * caf.Microsecond) // past the ack
+			}
+			spawn()
+			b.ResetTimer()
+			for i := 0; i < iters; i++ {
+				spawn()
+			}
+			b.StopTimer()
+		})
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+}
+
 // BenchmarkSpawnInlineRequestReply is the KV service's request and reply
 // (examples/workloads KVService): a client ships an inline request to a
 // server, which ships an inline reply back, one request a microsecond.

@@ -348,17 +348,19 @@ func (m *Machine) Launch(main func(img *Image)) {
 	for i := range mains {
 		im := &mains[i]
 		im.main, im.img.st = main, &m.states[i]
-		im.img.st.kern.GoBody("main", im)
+		im.img.st.kern.GoBody(&im.p, "main", im)
 	}
 }
 
 // imageMain is one image's SPMD main: the body of the proc Launch starts,
-// with the main's Image (whose st Launch sets) and cofence tracker in the
-// same record. Launch makes the records of all images in one slab.
+// with that proc, the main's Image (whose st Launch sets) and its
+// cofence tracker in the same record. Launch makes the records of all
+// images in one slab.
 type imageMain struct {
 	main func(img *Image)
 	img  Image
 	ct   core.CofenceTracker
+	p    sim.Proc
 }
 
 // Run runs the image's main on p.

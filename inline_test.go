@@ -473,9 +473,13 @@ func TestPoolSpawnRecordSizes(t *testing.T) {
 	if n := unsafe.Sizeof(sim.Proc{}); n != 104 {
 		t.Errorf("sim.Proc is %d bytes, want 104", n)
 	}
-	// One record for both vehicles: a proc's, and a pooled inline one.
+	// A pooled inline record, and a proc's record with its Proc in it: one
+	// 320-byte object, the bytes of the 208 and 112 it replaced.
 	if n := unsafe.Sizeof(shipped{}); n > 256 {
 		t.Errorf("shipped is %d bytes, want ≤ 256", n)
+	}
+	if n := unsafe.Sizeof(procShipped{}); n > 320 {
+		t.Errorf("procShipped is %d bytes, want ≤ 320", n)
 	}
 }
 

@@ -295,15 +295,17 @@ func (img *ImageKernel) Endpoint() *fabric.Endpoint { return img.ep }
 // Go starts a simulated process on this image, named
 // img<rank>/<name>#<n> for the n-th proc started here.
 func (img *ImageKernel) Go(name string, fn func(p *sim.Proc)) *sim.Proc {
-	return img.GoBody(name, sim.BodyFunc(fn))
+	p := new(sim.Proc)
+	img.GoBody(p, name, sim.BodyFunc(fn))
+	return p
 }
 
-// GoBody is Go for a body that is a record (see sim.Body).
-func (img *ImageKernel) GoBody(name string, body sim.Body) *sim.Proc {
+// GoBody is Go for a zero Proc and a body that the caller keeps in a
+// record of its own (see sim.Engine.GoBody): it allocates nothing.
+func (img *ImageKernel) GoBody(p *sim.Proc, name string, body sim.Body) {
 	img.procSeq++
-	p := img.k.eng.GoBody(sim.ProcName{Scope: img.procScope, Base: name, Seq: img.procSeq}, body)
+	img.k.eng.GoBody(p, sim.ProcName{Scope: img.procScope, Base: name, Seq: img.procSeq}, body)
 	img.procs.Add(p)
-	return p
 }
 
 // After schedules ev to run d from now: work of the image that needs no

@@ -71,7 +71,8 @@ type Proc struct {
 }
 
 // Body is what a proc runs. A caller that already holds a record for the
-// work hands the record itself to GoBody instead of a closure over it.
+// work hands the record itself to GoBody instead of a closure over it,
+// with the Proc a field of the same record.
 type Body interface {
 	Run(p *Proc)
 }
@@ -88,31 +89,32 @@ func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
 	return e.GoAt(e.now, name, fn)
 }
 
-// GoAt creates a process that starts at virtual time t.
+// GoAt creates a process that starts at virtual time t. It is for callers
+// that hold no record to keep the Proc in, so it allocates one.
 func (e *Engine) GoAt(t Time, name string, fn func(p *Proc)) *Proc {
-	return e.start(t, ProcName{Base: name}, BodyFunc(fn))
+	p := new(Proc)
+	e.start(p, t, ProcName{Base: name}, BodyFunc(fn))
+	return p
 }
 
-// GoBody is Go with the name given in parts and the body as a Body,
-// which may be the caller's own record rather than a function: starting
-// the proc allocates the Proc and nothing else.
-func (e *Engine) GoBody(name ProcName, body Body) *Proc {
-	return e.start(e.now, name, body)
+// GoBody starts p, a zero Proc the caller keeps in its own record, as a
+// process named name that runs body now. body may be that record rather
+// than a function, so starting the proc allocates nothing. A queued
+// wake-up names its Proc, so p must not be started again: the record
+// that holds it lives as long as anything names it.
+func (e *Engine) GoBody(p *Proc, name ProcName, body Body) {
+	e.start(p, e.now, name, body)
 }
 
-func (e *Engine) start(t Time, name ProcName, body Body) *Proc {
-	p := &Proc{
-		eng:   e,
-		id:    e.nextProcID,
-		name:  name,
-		body:  body,
-		state: procNew,
+func (e *Engine) start(p *Proc, t Time, name ProcName, body Body) {
+	if p.eng != nil {
+		panic("sim: proc " + p.name.String() + " started twice")
 	}
+	p.eng, p.id, p.name, p.body = e, e.nextProcID, name, body
 	e.nextProcID++
 	e.procs.Add(p)
 	e.live++
 	e.atProc(t, p)
-	return p
 }
 
 // procEvent is a Proc as the Event of its own start and wake-ups: the

@@ -250,8 +250,35 @@ func TestGoexitInBodyUnwindsRun(t *testing.T) {
 // proc resumes only through it), so the test queues a second event
 // naming the proc by hand.
 func TestStaleWakeFindsDoneProc(t *testing.T) {
+	staleWakeFindsDone(t, func(e *Engine, name string, fn func(*Proc)) *Proc { return e.Go(name, fn) })
+}
+
+// The same for procs that live in their owners' records, started by
+// GoBody: the stale wake-up names the first record's Proc, which stays
+// done however long the record is kept.
+func TestStaleWakeFindsDoneHeldProc(t *testing.T) {
+	staleWakeFindsDone(t, func(e *Engine, name string, fn func(*Proc)) *Proc {
+		h := &heldProc{fn: fn}
+		e.GoBody(&h.p, ProcName{Base: name}, h)
+		return &h.p
+	})
+}
+
+// heldProc is a record that keeps its own Proc and is its proc's body.
+type heldProc struct {
+	p  Proc
+	fn func(*Proc)
+}
+
+func (h *heldProc) Run(p *Proc) {
+	if h.fn != nil {
+		h.fn(p)
+	}
+}
+
+func staleWakeFindsDone(t *testing.T, start func(e *Engine, name string, fn func(*Proc)) *Proc) {
 	e := NewEngine(1)
-	a := e.Go("a", func(p *Proc) { p.Park("first tenant") })
+	a := start(e, "a", func(p *Proc) { p.Park("first tenant") })
 	e.After(1, a.Unpark)
 	e.At(20, func() {}) // keeps the queue, and so the idle coroutine, alive
 	if err := e.RunUntil(5); err != nil {
@@ -262,7 +289,7 @@ func TestStaleWakeFindsDoneProc(t *testing.T) {
 	}
 	co := e.idle[0]
 	resumed := false
-	b := e.Go("b", func(p *Proc) {
+	b := start(e, "b", func(p *Proc) {
 		p.Park("second tenant")
 		resumed = true
 	})
@@ -404,7 +431,8 @@ func TestFinishedProcsAreForgotten(t *testing.T) {
 
 func TestProcNameJoinsPartsOnDemand(t *testing.T) {
 	e := NewEngine(1)
-	p := e.GoBody(ProcName{Scope: "img3", Base: "spawn", Seq: 12}, BodyFunc(func(p *Proc) { p.Park("x") }))
+	p := new(Proc)
+	e.GoBody(p, ProcName{Scope: "img3", Base: "spawn", Seq: 12}, BodyFunc(func(p *Proc) { p.Park("x") }))
 	if got, want := p.Name(), "img3/spawn#12"; got != want {
 		t.Errorf("Name() = %q, want %q", got, want)
 	}
@@ -439,10 +467,10 @@ func TestSwitchDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// Starting a proc allocates the Proc and nothing else — its start event
-// names it, and its body is taken as it is — and a fresh proc's first
-// Sleep allocates nothing. The children run on the driver's idle
-// coroutine, so no goroutine is made either.
+// Go allocates the Proc and nothing else — its start event names it, and
+// its body is taken as it is — and a fresh proc's first Sleep allocates
+// nothing. The children run on the driver's idle coroutine, so no
+// goroutine is made either.
 func TestPoolProcStartAllocatesOnlyTheProc(t *testing.T) {
 	if GoRace || QuarantinePools {
 		t.Skip("allocation counts are pinned without -race, pools on")
@@ -467,6 +495,41 @@ func TestPoolProcStartAllocatesOnlyTheProc(t *testing.T) {
 	}
 	if start != 1 || startAndSleep != 1 {
 		t.Errorf("allocations per proc start = %v, per start and first Sleep = %v, want 1, 1", start, startAndSleep)
+	}
+}
+
+// A proc whose Proc is a field of the caller's record starts without
+// allocating anything: GoBody starts the Proc in place, and the record is
+// the body.
+func TestPoolGoBodyAllocatesNothing(t *testing.T) {
+	if GoRace || QuarantinePools {
+		t.Skip("allocation counts are pinned without -race, pools on")
+	}
+	const runs = 1000
+	e := NewEngine(1)
+	held := make([]heldProc, runs+2) // one warm start, and AllocsPerRun's own
+	var allocs float64
+	e.Go("driver", func(p *Proc) {
+		next := 0
+		start := func() {
+			h := &held[next]
+			next++
+			e.GoBody(&h.p, ProcName{Base: "held"}, h)
+			p.Sleep(2) // the held proc starts and returns meanwhile
+		}
+		start()
+		allocs = testing.AllocsPerRun(runs, start)
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for i := range held {
+		if st := held[i].p.State(); st != "done" {
+			t.Fatalf("held proc %d is %s, want done", i, st)
+		}
+	}
+	if allocs != 0 {
+		t.Errorf("allocations per GoBody on a held Proc = %v, want 0", allocs)
 	}
 }
 

@@ -2,6 +2,7 @@ package uts
 
 import (
 	"fmt"
+	"slices"
 
 	caf "caf2go"
 	"caf2go/internal/trace"
@@ -72,7 +73,8 @@ type Result struct {
 // procs running on the owning image (the simulation serializes them).
 type worker struct {
 	img  int
-	q    []Node
+	q    []Node // a window of buf: steals take from its front
+	buf  []Node // all of q's array, whose front reserve reuses
 	done int64
 
 	active    bool
@@ -181,7 +183,7 @@ func seedAndScatter(img *caf.Image, workers []*worker, cfg Config, res *Result) 
 	for i, n := range frontier {
 		shares[i%p] = append(shares[i%p], n)
 	}
-	w.q = append(w.q, shares[img.Rank()]...)
+	w.push(shares[img.Rank()])
 	for dst := 0; dst < p; dst++ {
 		if dst == img.Rank() || len(shares[dst]) == 0 {
 			continue
@@ -191,6 +193,8 @@ func seedAndScatter(img *caf.Image, workers []*worker, cfg Config, res *Result) 
 }
 
 // sendWork ships nodes to dst, splitting into medium-AM-sized spawns.
+// Each spawn copies its chunk before it is made, and a spawn does not
+// yield, so nodes may be a window of the sender's queue.
 func sendWork(img *caf.Image, dst int, nodes []Node, workers []*worker, cfg Config, res *Result, viaLifeline bool) {
 	capPer := img.MaxSpawnPayload() / NodeBytes
 	if capPer < 1 {
@@ -214,7 +218,7 @@ func sendWork(img *caf.Image, dst int, nodes []Node, workers []*worker, cfg Conf
 // provideWork runs on the receiving image: enqueue and resume draining.
 func provideWork(img *caf.Image, workers []*worker, cfg Config, nodes []Node, pusher int, viaLifeline bool, res *Result) {
 	w := workers[img.Rank()]
-	w.q = append(w.q, nodes...)
+	w.push(nodes)
 	w.failures = 0
 	if viaLifeline {
 		res.LifelinePushes++
@@ -259,6 +263,7 @@ func drain(img *caf.Image, workers []*worker, cfg Config, stealCap int, res *Res
 			w.q = w.q[:len(w.q)-1]
 			w.done++
 			k := cfg.Spec.NumChildren(node)
+			w.reserve(k)
 			for c := 0; c < k; c++ {
 				w.q = append(w.q, Child(node, c))
 			}
@@ -273,7 +278,7 @@ func drain(img *caf.Image, workers []*worker, cfg Config, stealCap int, res *Res
 			if give > len(w.q)-cfg.KeepItems {
 				give = len(w.q) - cfg.KeepItems
 			}
-			chunk := append([]Node(nil), w.q[:give]...)
+			chunk := w.q[:give]
 			w.q = w.q[give:]
 			sendWork(img, thief, chunk, workers, cfg, res, true)
 		}
@@ -338,7 +343,7 @@ func stealWork(img *caf.Image, workers []*worker, cfg Config, thief, stealCap in
 	}
 	// Steal from the front: oldest (shallowest) nodes root the biggest
 	// subtrees.
-	chunk := append([]Node(nil), w.q[:give]...)
+	chunk := w.q[:give]
 	w.q = w.q[give:]
 	res.Steals++
 	sendWork(img, thief, chunk, workers, cfg, res, false)
@@ -371,6 +376,27 @@ func setLifeline(img *caf.Image, workers []*worker, thief int) {
 	// If we already hold surplus work, trigger a share pass.
 	// (The drain loop handles it when active; when idle with leftover
 	// kept items nothing needs to happen — the queue is ≤ KeepItems.)
+}
+
+// push appends nodes to the back of the queue.
+func (w *worker) push(nodes []Node) {
+	w.reserve(len(nodes))
+	w.q = append(w.q, nodes...)
+}
+
+// reserve makes room for n more nodes at the back of the queue. Steals
+// free the front of the array, so before the queue grows it moves there,
+// in order, if that makes the room; what the steals took is already
+// copied into their spawns.
+func (w *worker) reserve(n int) {
+	switch {
+	case len(w.q)+n <= cap(w.q):
+	case len(w.q)+n <= cap(w.buf):
+		w.q = w.buf[:copy(w.buf, w.q)]
+	default:
+		w.q = slices.Grow(w.q, n)
+		w.buf = w.q[:cap(w.q)]
+	}
 }
 
 func (w *worker) String() string {

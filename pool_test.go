@@ -122,9 +122,10 @@ func TestPoolEventNotifyAllocs(t *testing.T) {
 
 // A no-op shipped function under finish, one at a time so that every
 // pooled record is back before the next spawn, the initiator's spawnOp
-// among them: what is left is the target's shipped record, owned because
-// a proc's function may keep its Image, and the handler's Proc (and the
-// caller's function value, when it captures anything).
+// among them: what is left is the target's shipped record with its Proc
+// in it, owned because a proc's function may keep its Image (and the
+// caller's function value, when it captures anything; this one captures
+// nothing).
 func TestPoolSpawnAllocs(t *testing.T) {
 	skipUnlessPinned(t)
 	var allocs float64
@@ -145,8 +146,8 @@ func TestPoolSpawnAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Logf("%v allocations per no-op Spawn", allocs)
-	if allocs > 2 {
-		t.Errorf("allocations per no-op Spawn = %v, want ≤ 2", allocs)
+	if allocs > 1 {
+		t.Errorf("allocations per no-op Spawn = %v, want ≤ 1", allocs)
 	}
 }
 

@@ -363,14 +363,24 @@ func (s *spawnOp) Abandoned() { s.op.m.opAbandoned(&s.op, s.op.Initiator(), &s.t
 // the Image the function sees and that Image's cofence tracker. The
 // vehicle that runs it is the record itself: a sim.Body for a proc, a
 // sim.Event for an Inline function, so neither builds anything more. A
-// proc's record is owned, not pooled: the function may hand its *Image to
-// a continuation that outlives the proc. An inline one is pooled on the
-// Machine (DESIGN §4.14): its contract is that nothing keeps its Image.
+// proc's record is a procShipped, owned, not pooled: the function may
+// hand its *Image to a continuation that outlives the proc. An inline one
+// is pooled on the Machine (DESIGN §4.14): its contract is that nothing
+// keeps its Image.
 type shipped struct {
 	img Image
 	ct  core.CofenceTracker
 	s   *spawnOp
 	d   *rt.Delivery // detached; completed when the function has returned
+}
+
+// procShipped is a proc's shipped record with the proc in it, so a
+// shipped function that runs as a proc costs one object. A queued
+// wake-up names the Proc, and the record lives as long as anything names
+// either (DESIGN §4.13).
+type procShipped struct {
+	shipped
+	p sim.Proc
 }
 
 // handleSpawn accepts a shipped function on its target. Counters, strand
@@ -382,13 +392,14 @@ func (m *Machine) handleSpawn(d *rt.Delivery) {
 	st := &m.states[d.Img.Rank()]
 	d.Detach()
 	var sh *shipped
-	if s.inline() {
+	var proc *procShipped
+	if !s.inline() {
+		proc = new(procShipped)
+		sh = &proc.shipped
+	} else if sh = m.inlines.Get(); sh == nil {
 		// Get and new, not New: a function that leaves an operation
 		// unfenced keeps its record, and a kept record must not sit in a
 		// slab that the list keeps alive (DESIGN §4.14).
-		sh = m.inlines.Get()
-	}
-	if sh == nil {
 		sh = new(shipped)
 	}
 	st.spawnsExecuted++
@@ -408,10 +419,10 @@ func (m *Machine) handleSpawn(d *rt.Delivery) {
 	if rs := m.race; rs != nil {
 		img.rc = rs.d.NewCtx(m.raceChanArrive(d.Src, st.kern.Rank(), s.tok.clock()))
 	}
-	if s.inline() {
-		st.kern.After(s.service, sh)
+	if proc != nil {
+		st.kern.GoBody(&proc.p, "spawn", sh)
 	} else {
-		st.kern.GoBody("spawn", sh)
+		st.kern.After(s.service, sh)
 	}
 }
 
