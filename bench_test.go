@@ -118,11 +118,21 @@ func BenchmarkFig14Bunch256(b *testing.B) {
 // Figs. 16/17/18 — UTS.
 // ---------------------------------------------------------------------
 
+// benchUTS runs the search b.N times and reports its virtual time and,
+// from the runtime's counters around the last run, what a run allocates
+// per tree node, the machine included.
 func benchUTS(b *testing.B, mcfg caf.Config, cfg uts.Config) uts.Result {
 	var total caf.Time
 	var last uts.Result
+	var before, after runtime.MemStats
 	for i := 0; i < b.N; i++ {
+		if i == b.N-1 {
+			runtime.ReadMemStats(&before)
+		}
 		res, err := uts.Run(mcfg, cfg)
+		if i == b.N-1 {
+			runtime.ReadMemStats(&after)
+		}
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -130,6 +140,9 @@ func benchUTS(b *testing.B, mcfg caf.Config, cfg uts.Config) uts.Result {
 		last = res
 	}
 	reportVirtual(b, total)
+	nodes := float64(last.TotalNodes)
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/nodes, "objects/node")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/nodes, "B/node")
 	return last
 }
 

@@ -354,12 +354,13 @@ func (m *Machine) Launch(main func(img *Image)) {
 
 // imageMain is one image's SPMD main: the body of the proc Launch starts,
 // with that proc, the main's Image (whose st Launch sets) and its
-// cofence tracker in the same record. Launch makes the records of all
-// images in one slab.
+// cofence tracker and rare half in the same record. Launch makes the
+// records of all images in one slab.
 type imageMain struct {
 	main func(img *Image)
 	img  Image
 	ct   core.CofenceTracker
+	rare imageRare
 	p    sim.Proc
 }
 
@@ -385,9 +386,9 @@ func (im *imageMain) Run(p *sim.Proc) {
 		}()
 	}
 	img := &im.img
-	*img = Image{m: m, st: st, proc: p, ct: m.initTracker(&im.ct)}
+	*img = Image{m: m, st: st, proc: p, ct: m.initTracker(&im.ct), rare: &im.rare}
 	if m.race != nil {
-		img.rc = m.race.d.NewCtx(nil)
+		im.rare.rc = m.race.d.NewCtx(nil)
 	}
 	im.main(img)
 	// Program exit is a synchronization point: flush any
@@ -814,16 +815,33 @@ type Image struct {
 	// paper Fig. 10), so every execution context carries its own tracker.
 	ct *core.CofenceTracker
 
-	// finishStack holds the dynamically enclosing finish blocks opened
-	// by this proc; shipped functions instead inherit the spawning
-	// operation's finish through inheritedFinish (dynamic scoping,
-	// §III-B3).
-	finishStack     []*core.State
+	// inheritedFinish is the finish a shipped function inherits from
+	// the spawning operation (dynamic scoping, §III-B3); the blocks a
+	// context opens itself are on its rare half's finishStack.
 	inheritedFinish int64 // 0 = none
 
 	// spawn is the shipped function this context runs (nil on an SPMD
 	// main); Payload reads the copied argument bytes from it.
 	spawn *spawnOp
+
+	// rare is what most shipped functions never use: nil until the
+	// context opens a finish block or gets a race-detector clock. An SPMD
+	// main's is in its imageMain record.
+	rare *imageRare
+
+	// pctx is the active request-scoped tracing context (zero outside a
+	// traced request). It propagates along every causal edge: spawned
+	// handlers inherit the spawning op's context, and continuation
+	// firings restore the op's context around the callback.
+	pctx path.Ctx
+}
+
+// imageRare is the half of an Image that few contexts use, behind one
+// pointer so that a shipped function's record does not carry it.
+type imageRare struct {
+	// finishStack holds the dynamically enclosing finish blocks opened
+	// by this context, innermost last.
+	finishStack []*core.State
 
 	// rc is this execution context's vector clock when the
 	// happens-before race detector is enabled (nil otherwise), and
@@ -831,12 +849,23 @@ type Image struct {
 	// local-data-completion clocks a cofence may acquire.
 	rc      *race.Ctx
 	raceOps []raceOp
+}
 
-	// pctx is the active request-scoped tracing context (zero outside a
-	// traced request). It propagates along every causal edge: spawned
-	// handlers inherit the spawning op's context, and continuation
-	// firings restore the op's context around the callback.
-	pctx path.Ctx
+// rareHalf returns the context's rare half, making it on first use.
+func (img *Image) rareHalf() *imageRare {
+	if img.rare == nil {
+		img.rare = new(imageRare)
+	}
+	return img.rare
+}
+
+// finishes returns the finish blocks this context opened, innermost
+// last.
+func (img *Image) finishes() []*core.State {
+	if img.rare == nil {
+		return nil
+	}
+	return img.rare.finishStack
 }
 
 // Rank returns the image's world rank (0-based).
@@ -889,8 +918,8 @@ func (img *Image) Machine() *Machine { return img.m }
 // synchronized operations initiated here are tracked in (0 outside any
 // finish), and the one a spawn propagates.
 func (img *Image) trackID() int64 {
-	if n := len(img.finishStack); n > 0 {
-		return img.finishStack[n-1].Ref().ID
+	if fs := img.finishes(); len(fs) > 0 {
+		return fs[len(fs)-1].Ref().ID
 	}
 	return img.inheritedFinish
 }

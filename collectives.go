@@ -202,11 +202,12 @@ func (img *Image) collective(k *collKind, t *Team, root int, opts []CollOpt) (*C
 	// pair-wise communication involving this image is done, Fig. 4).
 	img.opInit(&c.op, k.name, -1)
 	img.opStage(&c.op, trace.StageInit)
-	if rs := img.m.race; rs != nil && img.rc != nil {
+	if rc := img.raceCtx(); rc != nil {
+		rs := img.m.race
 		r := &collRace{cs: rs.collInstance(img.Rank(), t)}
 		c.race = r
 		if c.role.rel {
-			img.rc.ReleaseInto(&r.cs.clk)
+			rc.ReleaseInto(&r.cs.clk)
 		} else if !implicit {
 			// Events still release the notifier's own clock to waiters.
 			r.selfClk = img.raceRelease()
@@ -232,7 +233,7 @@ func (c *Collective) initiated() *Collective {
 	if c.implicit() && c.role.class != 0 {
 		img.ct.RegisterOp(&c.pend, c.role.class, (*collLevels)(c))
 		if c.race != nil && c.role.acq {
-			img.raceOps = append(img.raceOps, raceOp{op: &c.pend, class: c.role.class, clkRef: &c.race.cs.clk})
+			img.rare.raceOps = append(img.rare.raceOps, raceOp{op: &c.pend, class: c.role.class, clkRef: &c.race.cs.clk})
 		}
 	}
 	c.started = true
@@ -310,7 +311,7 @@ func (img *Image) collFinish(t *Team, implicit bool) int64 {
 	if !implicit {
 		return 0
 	}
-	if n := len(img.finishStack); n > 0 {
+	if len(img.finishes()) > 0 {
 		if !t.SubsetOf(img.finishTeam()) {
 			panic("caf: asynchronous collective's team must be a subset of the enclosing finish's team")
 		}
@@ -320,7 +321,8 @@ func (img *Image) collFinish(t *Team, implicit bool) int64 {
 
 // finishTeam returns the innermost finish block's team.
 func (img *Image) finishTeam() *Team {
-	return img.finishStack[len(img.finishStack)-1].Team()
+	fs := img.finishes()
+	return fs[len(fs)-1].Team()
 }
 
 func (img *Image) resolveTeam(t *Team) *Team {

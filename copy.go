@@ -158,8 +158,8 @@ func CopyAsync[T any](img *Image, dst, src Sec[T], opts ...CopyOpt) *Op {
 	if implicit {
 		c.finish = img.trackID()
 	}
-	if img.m.race != nil && img.rc != nil {
-		c.race = &copyRace{base: img.rc.Snapshot()}
+	if rc := img.raceCtx(); rc != nil {
+		c.race = &copyRace{base: rc.Snapshot()}
 	}
 
 	// Cofence bookkeeping: how the op touches the initiator's local data,
@@ -178,7 +178,7 @@ func CopyAsync[T any](img *Image, dst, src Sec[T], opts ...CopyOpt) *Op {
 		c.fenced = true
 		img.ct.RegisterOp(&c.pend, class, c)
 		if c.race != nil {
-			img.raceOps = append(img.raceOps, raceOp{op: &c.pend, class: class, clkRef: &c.race.localClk})
+			img.rare.raceOps = append(img.rare.raceOps, raceOp{op: &c.pend, class: class, clkRef: &c.race.localClk})
 		}
 	} else {
 		c.Initiate()
@@ -490,7 +490,7 @@ func (img *Image) blockBegin(kind, prim string, peer int) blocked {
 // blocked interval so that the park is attributed to this op.
 func (img *Image) blockEnd(b blocked) {
 	if b.acq != nil {
-		img.rc.Acquire(b.acq.clk)
+		img.raceCtx().Acquire(b.acq.clk)
 	}
 	img.opStage(b.op, trace.StageLocalData)
 	img.opStage(b.op, trace.StageLocalOp)

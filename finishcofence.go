@@ -32,10 +32,11 @@ func (img *Image) Finish(t *Team, body func()) int {
 	p := img.parker("Finish")
 	start := img.Now()
 	s := img.m.plane.Begin(img.st.kern, t)
-	img.finishStack = append(img.finishStack, s)
-	preOps := len(img.raceOps)
+	r := img.rareHalf()
+	r.finishStack = append(r.finishStack, s)
+	preOps := len(r.raceOps)
 	body()
-	img.finishStack = img.finishStack[:len(img.finishStack)-1]
+	r.finishStack = r.finishStack[:len(r.finishStack)-1]
 	// The end of a finish block is a synchronization point: deferred
 	// initiations must start or termination detection would wait on
 	// operations that never launch, and coalescing buffers must drain so
@@ -45,9 +46,9 @@ func (img *Image) Finish(t *Team, body func()) int {
 	// clock; detection cannot signal termination before every member
 	// participates in the reduction, so the exit below acquires them all.
 	var fs *finishSync
-	if rs := img.m.race; rs != nil && img.rc != nil {
+	if rs := img.m.race; rs != nil && r.rc != nil {
 		fs = rs.finishSyncFor(s.Ref().ID)
-		img.rc.ReleaseInto(&fs.members)
+		r.rc.ReleaseInto(&fs.members)
 	}
 	detect := img.Now()
 	// The detection phase is where the proc parks waiting on outstanding
@@ -79,15 +80,15 @@ func (img *Image) Finish(t *Team, body func()) int {
 		// after every implicitly-completed operation initiated inside
 		// the block (their clocks were joined into fs.ops/fs.refs at
 		// initiation; global completion is what End just waited for).
-		img.rc.Acquire(fs.members)
-		img.rc.Acquire(fs.ops)
+		r.rc.Acquire(fs.members)
+		r.rc.Acquire(fs.ops)
 		for _, ref := range fs.refs {
-			img.rc.Acquire(*ref)
+			r.rc.Acquire(*ref)
 		}
 		// Ops initiated inside the block are now fully acquired; a later
 		// cofence need not (and must not re-)consider them.
-		if preOps < len(img.raceOps) {
-			img.raceOps = img.raceOps[:preOps]
+		if preOps < len(r.raceOps) {
+			r.raceOps = r.raceOps[:preOps]
 		}
 	}
 	img.traceSpan("finish", "sync", start)
@@ -120,19 +121,19 @@ func (img *Image) Cofence(down, up Allow) {
 	// not let pass. Ops that passed stay pending — acquiring a completed
 	// but unfenced op would hide exactly the races the detector exists to
 	// catch.
-	if img.m.race != nil && img.rc != nil {
-		live := img.raceOps[:0]
-		for _, ro := range img.raceOps {
+	if r := img.rare; r != nil && r.rc != nil {
+		live := r.raceOps[:0]
+		for _, ro := range r.raceOps {
 			blocked := ro.class&^core.OpClass(down) != 0
 			if blocked && ro.op.LocalDataDone() {
 				if ro.clkRef != nil {
-					img.rc.Acquire(*ro.clkRef)
+					r.rc.Acquire(*ro.clkRef)
 				}
 				continue
 			}
 			live = append(live, ro)
 		}
-		img.raceOps = live
+		r.raceOps = live
 	}
 	img.traceSpan("cofence", "sync", start)
 }

@@ -1,10 +1,12 @@
 package uts
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
 	caf "caf2go"
+	"caf2go/internal/sim"
 	"caf2go/internal/trace"
 )
 
@@ -85,6 +87,22 @@ type worker struct {
 	idle      bool         // drained and quiesced
 }
 
+// run is one parallel search: what every image's protocol shares, and a
+// free list of records for each of the four messages it ships. A run
+// owns its lists, so two runs share no record.
+type run struct {
+	workers  []*worker
+	cfg      Config
+	capPer   int // nodes one work message carries (medium-AM payload)
+	stealCap int // nodes one steal or lifeline push hands over
+	res      *Result
+
+	works     sim.FreeList[workMsg]
+	steals    sim.FreeList[stealMsg]
+	lifelines sim.FreeList[lifelineMsg]
+	fails     sim.FreeList[failMsg]
+}
+
 // Run executes parallel UTS on a fresh machine and returns the result.
 // The node count is validated against CountSequential by the callers'
 // tests; Run itself just reports it.
@@ -111,34 +129,29 @@ func runMachine(mcfg caf.Config, cfg Config) (Result, *caf.Machine, error) {
 		cfg.KeepItems = 2
 	}
 	p := mcfg.Images
-	workers := make([]*worker, p)
 	res := Result{PerImage: make([]int64, p)}
+	r := &run{workers: make([]*worker, p), cfg: cfg, res: &res}
 
 	m := caf.NewMachine(mcfg)
-	stealCap := cfg.StealItems
-
 	m.Launch(func(img *caf.Image) {
 		rank := img.Rank()
-		w := &worker{
+		r.workers[rank] = &worker{
 			img:       rank,
 			outSet:    make(map[int]bool),
 			neighbors: caf.HypercubeNeighbors(rank, p),
 		}
-		workers[rank] = w
-		if stealCap == 0 {
-			stealCap = img.MaxSpawnPayload() / NodeBytes
-			if stealCap < 1 {
-				stealCap = 1
-			}
+		if r.capPer == 0 {
+			r.capPer = max(1, img.MaxSpawnPayload()/NodeBytes)
+			r.stealCap = cmp.Or(cfg.StealItems, r.capPer)
 		}
 		img.Barrier(nil) // all workers constructed
 
 		start := img.Now()
 		rounds := img.Finish(nil, func() {
 			if rank == 0 {
-				seedAndScatter(img, workers, cfg, &res)
+				r.seedAndScatter(img)
 			}
-			drain(img, workers, cfg, stealCap, &res)
+			r.drain(img)
 		})
 		if rank == 0 {
 			res.Rounds = rounds
@@ -150,7 +163,7 @@ func runMachine(mcfg caf.Config, cfg Config) (Result, *caf.Machine, error) {
 		return res, m, err
 	}
 	res.Report = rep
-	for i, w := range workers {
+	for i, w := range r.workers {
 		res.PerImage[i] = w.done
 		res.TotalNodes += w.done
 	}
@@ -159,24 +172,24 @@ func runMachine(mcfg caf.Config, cfg Config) (Result, *caf.Machine, error) {
 
 // seedAndScatter expands the tree top-down on image 0 until the frontier
 // is large enough, then deals it round-robin to all images (§IV-C2a).
-func seedAndScatter(img *caf.Image, workers []*worker, cfg Config, res *Result) {
+func (r *run) seedAndScatter(img *caf.Image) {
 	p := img.NumImages()
-	target := cfg.InitialShare
+	target := r.cfg.InitialShare
 	if target <= 0 {
 		target = 4
 	}
 	want := target * p
-	w := workers[img.Rank()]
-	frontier := []Node{cfg.Spec.Root()}
+	w := r.workers[img.Rank()]
+	frontier := []Node{r.cfg.Spec.Root()}
 	for len(frontier) > 0 && len(frontier) < want {
 		n := frontier[0]
 		frontier = frontier[1:]
 		w.done++
-		k := cfg.Spec.NumChildren(n)
+		k := r.cfg.Spec.NumChildren(n)
 		for i := 0; i < k; i++ {
 			frontier = append(frontier, Child(n, i))
 		}
-		img.Compute(cfg.WorkPerNode)
+		img.Compute(r.cfg.WorkPerNode)
 	}
 	// Deal the frontier.
 	shares := make([][]Node, p)
@@ -188,65 +201,44 @@ func seedAndScatter(img *caf.Image, workers []*worker, cfg Config, res *Result) 
 		if dst == img.Rank() || len(shares[dst]) == 0 {
 			continue
 		}
-		sendWork(img, dst, shares[dst], workers, cfg, res, false)
+		r.sendWork(img, dst, shares[dst], false)
 	}
 }
 
 // sendWork ships nodes to dst, splitting into medium-AM-sized spawns.
-// Each spawn copies its chunk before it is made, and a spawn does not
-// yield, so nodes may be a window of the sender's queue.
-func sendWork(img *caf.Image, dst int, nodes []Node, workers []*worker, cfg Config, res *Result, viaLifeline bool) {
-	capPer := img.MaxSpawnPayload() / NodeBytes
-	if capPer < 1 {
-		capPer = 1
-	}
-	from := img.Rank()
+// Each spawn's record copies its chunk when it is made, and a spawn does
+// not yield, so nodes may be a window of the sender's queue.
+func (r *run) sendWork(img *caf.Image, dst int, nodes []Node, viaLifeline bool) {
 	for len(nodes) > 0 {
-		k := len(nodes)
-		if k > capPer {
-			k = capPer
-		}
-		chunk := append([]Node(nil), nodes[:k]...)
+		k := min(len(nodes), r.capPer)
+		x := r.works.New()
+		x.r, x.from, x.lifeline = r, img.Rank(), viaLifeline
+		x.nodes = append(x.nodes, nodes[:k]...)
 		nodes = nodes[k:]
-		lifeline := viaLifeline
-		img.Spawn(dst, func(r *caf.Image) {
-			provideWork(r, workers, cfg, chunk, from, lifeline, res)
-		}, caf.WithBytes(len(chunk)*NodeBytes+16))
+		img.SpawnRecord(dst, x, caf.WithBytes(k*NodeBytes+16))
 	}
 }
 
-// provideWork runs on the receiving image: enqueue and resume draining.
-func provideWork(img *caf.Image, workers []*worker, cfg Config, nodes []Node, pusher int, viaLifeline bool, res *Result) {
-	w := workers[img.Rank()]
-	w.push(nodes)
+// provideWork runs on the receiving image once its work message has
+// been taken apart: note the push and resume draining.
+func (r *run) provideWork(img *caf.Image, pusher int, viaLifeline bool) {
+	w := r.workers[img.Rank()]
 	w.failures = 0
 	if viaLifeline {
-		res.LifelinePushes++
+		r.res.LifelinePushes++
 		// The lifeline fired; it may be re-established on the next idle
 		// episode.
 		delete(w.outSet, pusher)
 	}
-	drainResume(img, workers, cfg, res)
-}
-
-// drainResume re-enters the drain loop unless one is already active on
-// this image.
-func drainResume(img *caf.Image, workers []*worker, cfg Config, res *Result) {
-	stealCap := cfg.StealItems
-	if stealCap == 0 {
-		stealCap = img.MaxSpawnPayload() / NodeBytes
-		if stealCap < 1 {
-			stealCap = 1
-		}
-	}
-	drain(img, workers, cfg, stealCap, res)
+	r.drain(img)
 }
 
 // drain is the worker loop of Fig. 15: expand local work in chunks,
 // share with lifelines, and on exhaustion attempt a steal and hang
-// lifelines on the hypercube neighbours.
-func drain(img *caf.Image, workers []*worker, cfg Config, stealCap int, res *Result) {
-	w := workers[img.Rank()]
+// lifelines on the hypercube neighbours. It returns at once when a drain
+// is already active on this image.
+func (r *run) drain(img *caf.Image) {
+	w, cfg := r.workers[img.Rank()], &r.cfg
 	if w.active {
 		return
 	}
@@ -271,26 +263,23 @@ func drain(img *caf.Image, workers []*worker, cfg Config, stealCap int, res *Res
 		img.Compute(caf.Time(n) * cfg.WorkPerNode)
 
 		// Feed hungry lifelines while there is surplus (Fig. 15 l.7-11).
-		for len(w.incoming) > 0 && len(w.q) > cfg.KeepItems+stealCap {
+		for len(w.incoming) > 0 && len(w.q) > cfg.KeepItems+r.stealCap {
 			thief := w.incoming[0]
-			w.incoming = w.incoming[1:]
-			give := stealCap
-			if give > len(w.q)-cfg.KeepItems {
-				give = len(w.q) - cfg.KeepItems
-			}
+			w.incoming = slices.Delete(w.incoming, 0, 1)
+			give := min(r.stealCap, len(w.q)-cfg.KeepItems)
 			chunk := w.q[:give]
 			w.q = w.q[give:]
-			sendWork(img, thief, chunk, workers, cfg, res, true)
+			r.sendWork(img, thief, chunk, true)
 		}
 	}
 	w.active = false
-	goIdle(img, workers, cfg, stealCap, res)
+	r.goIdle(img)
 }
 
 // goIdle performs the out-of-work protocol: one random steal attempt and
 // (re-)establishing lifelines (Fig. 15 l.13-20).
-func goIdle(img *caf.Image, workers []*worker, cfg Config, stealCap int, res *Result) {
-	w := workers[img.Rank()]
+func (r *run) goIdle(img *caf.Image) {
+	w := r.workers[img.Rank()]
 	if w.idle || len(w.q) > 0 {
 		return
 	}
@@ -305,77 +294,162 @@ func goIdle(img *caf.Image, workers []*worker, cfg Config, stealCap int, res *Re
 		victim++
 	}
 	me := img.Rank()
-	res.StealAttempts++
-	img.Spawn(victim, func(v *caf.Image) {
-		stealWork(v, workers, cfg, me, stealCap, res)
-	}, caf.WithBytes(16))
+	r.res.StealAttempts++
+	s := r.steals.New()
+	s.r, s.thief = r, me
+	img.SpawnRecord(victim, s, caf.WithBytes(16))
 
-	if cfg.Lifelines {
+	if r.cfg.Lifelines {
 		for _, nbr := range w.neighbors {
 			if w.outSet[nbr] {
 				continue
 			}
 			w.outSet[nbr] = true
-			img.Spawn(nbr, func(n *caf.Image) {
-				setLifeline(n, workers, me)
-			}, caf.WithBytes(16))
+			l := r.lifelines.New()
+			l.r, l.thief = r, me
+			img.SpawnRecord(nbr, l, caf.WithBytes(16))
 		}
 	}
 }
 
 // stealWork executes on the victim: hand over surplus nodes if any.
-func stealWork(img *caf.Image, workers []*worker, cfg Config, thief, stealCap int, res *Result) {
-	w := workers[img.Rank()]
-	if len(w.q) <= cfg.KeepItems {
+func (r *run) stealWork(img *caf.Image, thief int) {
+	w := r.workers[img.Rank()]
+	if len(w.q) <= r.cfg.KeepItems {
 		// Steal failed. With lifelines the thief quiesces and its
 		// lifelines save it (Fig. 15); without them, notify the thief so
 		// it can retry elsewhere (pure-random-stealing ablation).
-		if !cfg.Lifelines {
-			img.Spawn(thief, func(t *caf.Image) {
-				stealFailed(t, workers, cfg, stealCap, res)
-			}, caf.WithBytes(8))
+		if !r.cfg.Lifelines {
+			f := r.fails.New()
+			f.r = r
+			img.SpawnRecord(thief, f, caf.WithBytes(8))
 		}
 		return
 	}
-	give := stealCap
-	if give > len(w.q)-cfg.KeepItems {
-		give = len(w.q) - cfg.KeepItems
-	}
+	give := min(r.stealCap, len(w.q)-r.cfg.KeepItems)
 	// Steal from the front: oldest (shallowest) nodes root the biggest
 	// subtrees.
 	chunk := w.q[:give]
 	w.q = w.q[give:]
-	res.Steals++
-	sendWork(img, thief, chunk, workers, cfg, res, false)
+	r.res.Steals++
+	r.sendWork(img, thief, chunk, false)
 }
 
 // stealFailed runs on a thief whose steal found nothing (no-lifeline
 // mode): retry a bounded number of times, then give up for good.
-func stealFailed(img *caf.Image, workers []*worker, cfg Config, stealCap int, res *Result) {
-	w := workers[img.Rank()]
+func (r *run) stealFailed(img *caf.Image) {
+	w := r.workers[img.Rank()]
 	if len(w.q) > 0 || !w.idle {
 		return // work arrived in the meantime
 	}
 	w.failures++
-	if w.failures >= cfg.StealRetry {
+	if w.failures >= r.cfg.StealRetry {
 		return
 	}
 	w.idle = false
-	goIdle(img, workers, cfg, stealCap, res)
+	r.goIdle(img)
 }
 
 // setLifeline records a thief's lifeline on this image.
-func setLifeline(img *caf.Image, workers []*worker, thief int) {
-	w := workers[img.Rank()]
-	for _, t := range w.incoming {
-		if t == thief {
-			return
-		}
+func (r *run) setLifeline(img *caf.Image, thief int) {
+	w := r.workers[img.Rank()]
+	if slices.Contains(w.incoming, thief) {
+		return
 	}
 	w.incoming = append(w.incoming, thief)
 	// If we already hold surplus work, trigger a share pass.
 	// (The drain loop handles it when active; when idle with leftover
 	// kept items nothing needs to happen — the queue is ≤ KeepItems.)
+}
+
+// The four messages of the protocol are records shipped with
+// SpawnRecord, each from its run's free list. The target's Ship is a
+// record's last reference: it copies the fields out (and the nodes into
+// the worker's queue) and releases the record before the body can
+// yield, so a record is back on its list before the next message can be
+// made. Under sim.QuarantinePools a released record is marked dead and
+// never handed out again, and Ship on a dead record panics.
+
+// workMsg is a chunk of nodes shipped to an image: a steal's reply, a
+// lifeline push or a share of the initial frontier. Its nodes live in
+// an array of their own that the record keeps when it is released, so a
+// taken record copies its chunk into storage that already exists.
+type workMsg struct {
+	r        *run
+	nodes    []Node
+	from     int  // the pushing image, for a lifeline push
+	lifeline bool // pushed through a lifeline
+	dead     bool
+}
+
+// Ship pushes the nodes onto the target's queue and drains it.
+func (x *workMsg) Ship(img *caf.Image) {
+	if x.dead {
+		panic("uts: work record used after its release")
+	}
+	r, from, lifeline := x.r, x.from, x.lifeline
+	r.workers[img.Rank()].push(x.nodes)
+	nodes := x.nodes[:0]
+	*x = workMsg{}
+	if x.dead = r.works.Put(x); !x.dead {
+		x.nodes = nodes
+	}
+	r.provideWork(img, from, lifeline)
+}
+
+// stealMsg is a steal attempt, shipped from the thief to its victim.
+type stealMsg struct {
+	r     *run
+	thief int
+	dead  bool
+}
+
+// Ship tries the steal on the victim.
+func (x *stealMsg) Ship(img *caf.Image) {
+	if x.dead {
+		panic("uts: steal record used after its release")
+	}
+	r, thief := x.r, x.thief
+	*x = stealMsg{}
+	x.dead = r.steals.Put(x)
+	r.stealWork(img, thief)
+}
+
+// lifelineMsg is a lifeline registration, shipped from an idle image to
+// a hypercube neighbour.
+type lifelineMsg struct {
+	r     *run
+	thief int
+	dead  bool
+}
+
+// Ship hangs the thief's lifeline on the target.
+func (x *lifelineMsg) Ship(img *caf.Image) {
+	if x.dead {
+		panic("uts: lifeline record used after its release")
+	}
+	r, thief := x.r, x.thief
+	*x = lifelineMsg{}
+	x.dead = r.lifelines.Put(x)
+	r.setLifeline(img, thief)
+}
+
+// failMsg tells a thief, in the no-lifeline mode, that its steal found
+// nothing.
+type failMsg struct {
+	r    *run
+	dead bool
+}
+
+// Ship lets the thief retry.
+func (x *failMsg) Ship(img *caf.Image) {
+	if x.dead {
+		panic("uts: steal-failed record used after its release")
+	}
+	r := x.r
+	*x = failMsg{}
+	x.dead = r.fails.Put(x)
+	r.stealFailed(img)
 }
 
 // push appends nodes to the back of the queue.

@@ -284,12 +284,11 @@ func TestInitialShareScalesDistribution(t *testing.T) {
 }
 
 // What a search allocates per node, the machine included, on a small
-// shape of the benchmark's: each shipped chunk is copied once, into its
-// spawn, and each shipped function is one object with its proc in it; the
-// worker queues reuse the front that steals free before they grow. It was
-// 0.0539 objects and 15.6 B per node while a chunk was copied twice, a
-// shipped function's proc was an object of its own and a queue dropped
-// what its steals freed. Pinned at what the run allocates plus 5 %.
+// shape of the benchmark's: each message of the steal protocol is a
+// record from its run's free list, and a work record copies its chunk
+// into an array it keeps; each shipped function is one 256-byte object
+// with its proc in it; the worker queues reuse the front that steals
+// free before they grow. Pinned at what the run allocates plus 5 %.
 func TestPoolAllocsPerNode(t *testing.T) {
 	if sim.GoRace || sim.QuarantinePools {
 		t.Skip("allocation counts are pinned without -race, pools on")
@@ -311,10 +310,128 @@ func TestPoolAllocsPerNode(t *testing.T) {
 	objects := float64(after.Mallocs-before.Mallocs) / nodes
 	bytes := float64(after.TotalAlloc-before.TotalAlloc) / nodes
 	t.Logf("%.4f objects, %.2f B per node over %d nodes", objects, bytes, res.TotalNodes)
-	if limit := 0.0372 * 1.05; objects > limit {
+	if limit := 0.0185 * 1.05; objects > limit {
 		t.Errorf("%.4f objects per node, want ≤ %.4f", objects, limit)
 	}
-	if limit := 9.78 * 1.05; bytes > limit {
+	if limit := 5.68 * 1.05; bytes > limit {
 		t.Errorf("%.2f B per node, want ≤ %.2f", bytes, limit)
+	}
+}
+
+// withPools runs f with sim.QuarantinePools set to quarantine.
+func withPools(quarantine bool, f func()) {
+	prev := sim.QuarantinePools
+	sim.QuarantinePools = quarantine
+	defer func() { sim.QuarantinePools = prev }()
+	f()
+}
+
+// A run's records are released at their last reference: with every
+// released record quarantined, one that is still read panics or loses
+// its nodes, so a quarantined run that matches the pooled one field for
+// field read no record after its release. Without lifelines the run
+// ships the steal-failed message too.
+func TestPoolUTSPooledEqualsQuarantined(t *testing.T) {
+	spec := Scaled(7)
+	want := CountSequential(spec).Nodes
+	for _, lifelines := range []bool{true, false} {
+		t.Run(fmt.Sprintf("lifelines=%v", lifelines), func(t *testing.T) {
+			cfg := DefaultConfig(spec)
+			cfg.Lifelines = lifelines
+			mcfg := caf.Config{Images: 16, Seed: 7}
+			var pooled, quarantined Result
+			var errP, errQ error
+			withPools(false, func() { pooled, errP = Run(mcfg, cfg) })
+			withPools(true, func() { quarantined, errQ = Run(mcfg, cfg) })
+			if errP != nil || errQ != nil {
+				t.Fatalf("pooled: %v, quarantined: %v", errP, errQ)
+			}
+			if quarantined.TotalNodes != want {
+				t.Errorf("quarantined run counted %d nodes, want %d", quarantined.TotalNodes, want)
+			}
+			if pooled.Steals == 0 || pooled.StealAttempts == 0 {
+				t.Errorf("no steals: %+v", pooled)
+			}
+			if lifelines && pooled.LifelinePushes == 0 {
+				t.Error("no lifeline pushes")
+			}
+			if !reflect.DeepEqual(pooled, quarantined) {
+				t.Errorf("pooled and quarantined runs differ:\n%+v\n%+v", pooled, quarantined)
+			}
+		})
+	}
+}
+
+// oneImageRun is a run of one image with its worker made, for shipping
+// records by hand.
+func oneImageRun(spec Spec) *run {
+	return &run{
+		workers:  []*worker{{outSet: make(map[int]bool)}},
+		cfg:      DefaultConfig(spec),
+		capPer:   1,
+		stealCap: 1,
+		res:      &Result{},
+	}
+}
+
+// A work record's last reference is its Ship, and the nodes go onto the
+// queue before the record goes back: a record released first has, under
+// quarantine, no nodes left to push.
+func TestQuarantineUTSWorkNodesPushedBeforeRelease(t *testing.T) {
+	spec := Scaled(5)
+	r := oneImageRun(spec)
+	var x *workMsg
+	withPools(true, func() {
+		_, err := caf.Run(caf.Config{Images: 1, Seed: 1}, func(img *caf.Image) {
+			x = r.works.New()
+			x.r = r
+			x.nodes = append(x.nodes, spec.Root())
+			x.Ship(img)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+	if want := CountSequential(spec).Nodes; r.workers[0].done != want {
+		t.Errorf("the shipped root expanded %d nodes, want %d", r.workers[0].done, want)
+	}
+	if !x.dead || x.nodes != nil {
+		t.Errorf("work record after its Ship: dead %v, %d nodes; want dead and none", x.dead, len(x.nodes))
+	}
+}
+
+// Each record's Ship releases it, and under quarantine a second Ship of
+// the same record panics instead of reading a cleared record.
+func TestQuarantineUTSReshippedRecordPanics(t *testing.T) {
+	spec := Scaled(3)
+	for name, take := range map[string]func(r *run) caf.Shipper{
+		"work": func(r *run) caf.Shipper {
+			x := r.works.New()
+			x.r = r
+			x.nodes = append(x.nodes, spec.Root())
+			return x
+		},
+		"steal":     func(r *run) caf.Shipper { x := r.steals.New(); x.r = r; return x },
+		"lifeline":  func(r *run) caf.Shipper { x := r.lifelines.New(); x.r = r; return x },
+		"stealFail": func(r *run) caf.Shipper { x := r.fails.New(); x.r = r; return x },
+	} {
+		t.Run(name, func(t *testing.T) {
+			r := oneImageRun(spec)
+			var panicked any
+			withPools(true, func() {
+				_, err := caf.Run(caf.Config{Images: 1, Seed: 1}, func(img *caf.Image) {
+					x := take(r)
+					x.Ship(img)
+					defer func() { panicked = recover() }()
+					x.Ship(img)
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+			})
+			if panicked == nil {
+				t.Errorf("a second Ship of a released %s record returned normally", name)
+			}
+		})
 	}
 }

@@ -146,24 +146,30 @@ type raceOp struct {
 // ---------------------------------------------------------------------
 
 // raceCtx returns the image's context, or nil when detection is off.
-func (img *Image) raceCtx() *race.Ctx { return img.rc }
+func (img *Image) raceCtx() *race.Ctx {
+	if img.rare == nil {
+		return nil
+	}
+	return img.rare.rc
+}
 
 // raceRelease snapshots the context's clock for a release edge and
 // advances its epoch (so the released clock does not cover later
 // activity). Returns nil when detection is off.
 func (img *Image) raceRelease() race.Clock {
-	if img.rc == nil {
+	rc := img.raceCtx()
+	if rc == nil {
 		return nil
 	}
-	clk := img.rc.Snapshot()
-	img.rc.Tick()
+	clk := rc.Snapshot()
+	rc.Tick()
 	return clk
 }
 
 // raceAcquire joins clk into the image's context.
 func (img *Image) raceAcquire(clk race.Clock) {
-	if img.rc != nil && clk != nil {
-		img.rc.Acquire(clk)
+	if rc := img.raceCtx(); rc != nil && clk != nil {
+		rc.Acquire(clk)
 	}
 }
 
@@ -200,10 +206,11 @@ func raceRecord[T any](m *Machine, s Sec[T], write bool, ctxID int, clk race.Clo
 // access completes, so the access is ordered exactly at its program
 // point.
 func raceRecordCtx[T any](img *Image, s Sec[T], write bool, op string) {
-	if img.rc == nil {
+	rc := img.raceCtx()
+	if rc == nil {
 		return
 	}
-	raceRecord(img.m, s, write, img.rc.ID(), img.rc.Clock(), op)
+	raceRecord(img.m, s, write, rc.ID(), rc.Clock(), op)
 }
 
 // collBegin opens the bracket of blocking collective k over t, rooted at
@@ -212,13 +219,14 @@ func raceRecordCtx[T any](img *Image, s Sec[T], write bool, op string) {
 func (img *Image) collBegin(k *collKind, t *Team, root int) blocked {
 	b := img.blockBegin(k.name, "collective", -1)
 	rs := img.m.race
-	if rs == nil || img.rc == nil {
+	rc := img.raceCtx()
+	if rs == nil || rc == nil {
 		return b
 	}
 	role := img.roleIn(k, t, root)
 	cs := rs.collInstance(img.Rank(), t)
 	if role.rel {
-		img.rc.ReleaseInto(&cs.clk)
+		rc.ReleaseInto(&cs.clk)
 	}
 	if role.acq {
 		b.acq = cs

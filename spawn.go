@@ -417,7 +417,7 @@ func (m *Machine) handleSpawn(d *rt.Delivery) {
 	img.inheritedFinish, img.pctx = s.finishID, s.op.childCtx()
 	img.ct = m.initTracker(&sh.ct)
 	if rs := m.race; rs != nil {
-		img.rc = rs.d.NewCtx(m.raceChanArrive(d.Src, st.kern.Rank(), s.tok.clock()))
+		img.rareHalf().rc = rs.d.NewCtx(m.raceChanArrive(d.Src, st.kern.Rank(), s.tok.clock()))
 	}
 	if proc != nil {
 		st.kern.GoBody(&proc.p, "spawn", sh)
@@ -455,8 +455,8 @@ func (sh *shipped) exec(start Time) {
 	// enclosing finish (the finish exit is ordered after the child's
 	// body), an explicit one into its completion event.
 	ev := s.event()
-	if rs := m.race; rs != nil && img.rc != nil && ev == nil && s.finishID != 0 {
-		img.rc.ReleaseInto(&rs.finishSyncFor(s.finishID).ops)
+	if rc := img.raceCtx(); rc != nil && ev == nil && s.finishID != 0 {
+		rc.ReleaseInto(&m.race.finishSyncFor(s.finishID).ops)
 	}
 	if ev != nil {
 		m.notifyFrom(img.Rank(), ev, img.raceRelease())
